@@ -16,13 +16,44 @@ import (
 // connection per unordered rank pair — the lower rank dials the higher
 // rank's listener and identifies the pair with a hello — and each
 // directed link gets a dedicated writer goroutine mirroring the channel
-// fabric's link daemons: it drains the link's outbox, serializes frames
-// with the wire codec into a grow-once scratch buffer, and releases
-// pool-owned payloads back to the shared pool after the bytes are out.
-// A reader goroutine per connection endpoint decodes incoming frames
-// into pooled buffers and routes them to per-(sender, receiver) inbox
-// channels, so Recv is the same buffered-channel receive the channel
-// fabric does — the collectives cannot tell the backends apart.
+// fabric's link daemons, plus a reader goroutine per connection endpoint
+// that routes incoming frames to per-(sender, receiver) inbox channels,
+// so Recv is the same buffered-channel receive the channel fabric does —
+// the collectives cannot tell the backends apart.
+//
+// What is copied where. The byte format is package wire's; on a
+// little-endian host a payload's memory already is its encoding, so a
+// dense frame crosses this file without an encode pass, a decode pass or
+// a staging copy:
+//
+//   - Writer, frame of at least wireBufSize bytes: header into a fixed
+//     32-byte array, one CRC pass over the payload where it lies (the
+//     learner's buffer or a pooled one), then one writev of
+//     {header, payload, CRC trailer}. The kernel's copy into the socket
+//     buffer is the only copy.
+//   - Writer, smaller frame (top-k buckets, control words, heartbeats):
+//     encoded by wire.AppendFrame — one copy, one CRC — straight into
+//     the 64 KiB coalescing buffer, which is flushed when it fills or
+//     the outbox drains, so a burst of small frames is one syscall.
+//   - Reader: the length prefix and header arrive through the 64 KiB
+//     staging buffer (one read picks up a whole batch of small frames)
+//     and are bounds-checked; only then is a pooled []float64 acquired.
+//     What the staging buffer already holds of the payload is copied
+//     out, the rest is read from the connection directly into the
+//     pooled buffer's memory, and the CRC rolls over each piece while it
+//     is still in cache.
+//
+// A big-endian host takes the same code with wire's per-word loops in
+// place of the in-place steps (and a coalescing buffer that grows once
+// to the largest frame); the choice is wire's, made from the platform.
+//
+// Validation order is bounds → CRC → fields. The length, nwords and
+// magic checks need no trust in the sender and run before any buffer is
+// sized from them; From/To/Seq/Arrive are read only once the trailer has
+// matched, because a flipped bit there would otherwise misroute or
+// reorder a frame silently. A payload that fails its CRC has already
+// been written into a pooled buffer — harmless, the buffer goes back to
+// the pool undelivered and the link fails.
 //
 // Buffering: outbox (mailboxCap) + socket buffers + inbox (mailboxCap)
 // give every directed link strictly more slack than the channel
@@ -32,10 +63,15 @@ import (
 //
 // Sender-reuse safety for zero-copy frames: a sender may only reuse a
 // handed-off buffer after an event that (on the channel fabric) follows
-// the receiver consuming it. Here the receiver can only have consumed a
-// frame after this process's writer fully serialized it, so
-// serialization happens-before any legal reuse — the zero-copy
-// hand-offs the collectives rely on stay safe over the wire.
+// the receiver consuming it. Here the writer reads the sender's buffer
+// in place, twice: the CRC pass, then the kernel's copy during writev.
+// Both finish before the CRC trailer — the frame's last four bytes — is
+// handed to the kernel, and the receiving reader delivers a frame only
+// after it has read that trailer and checked it. So every read of the
+// sender's memory happens-before the receiver can consume the frame,
+// hence before any legal reuse, and the zero-copy hand-offs the
+// collectives rely on stay safe over the wire. (A coalesced small frame
+// is copied out before Send's caller can observe anything.)
 
 // TCPConfig describes a TCP mesh.
 type TCPConfig struct {
@@ -78,7 +114,9 @@ type TCPTransport struct {
 	framesOut, framesIn atomic.Int64
 }
 
-// wireBufSize is the bufio buffer on each side of a connection.
+// wireBufSize is the writer's coalescing buffer and the reader's staging
+// buffer. A frame at least this large is written around the one and
+// read around the other.
 const wireBufSize = 64 << 10
 
 // helloMagic opens every dialed connection: magic, mesh size, dialer
@@ -379,22 +417,18 @@ func (t *TCPTransport) Recv(to, from int) Frame {
 }
 
 // runWriter owns the (from → to) direction of one connection: drain the
-// outbox, serialize into the grow-once scratch, flush when the queue is
-// momentarily empty (batching consecutive frames into one syscall), and
+// outbox, put each frame on the wire (large ones in place, small ones
+// through the coalescing buffer), flush when the queue is momentarily
+// empty (batching consecutive small frames into one syscall), and
 // release pool-owned payloads once their bytes are out. On Close the
 // queued frames are flushed and the write side half-closed, so the peer
 // reads everything in flight before seeing EOF — graceful teardown.
 func (t *TCPTransport) runWriter(conn *net.TCPConn, from, to int) {
 	defer t.wg.Done()
 	out := t.out[from][to]
-	w := newFlushWriter(conn)
-	var scratch []byte
+	w := newFlushWriter(conn, &t.bytesOut, &t.framesOut)
 	emit := func(f Frame) {
-		scratch = wire.AppendFrame(scratch[:0], wire.Header{From: from, To: to, Seq: f.Seq, Arrive: f.Arrive}, f.Data)
-		if w.write(scratch) {
-			t.bytesOut.Add(int64(len(scratch)))
-			t.framesOut.Add(1)
-		}
+		w.frame(wire.Header{From: from, To: to, Seq: f.Seq, Arrive: f.Arrive}, f.Data)
 		if f.pb != nil {
 			t.pool.release(f.pb)
 		}
@@ -421,116 +455,127 @@ func (t *TCPTransport) runWriter(conn *net.TCPConn, from, to int) {
 	}
 }
 
-// flushWriter is a minimal buffered writer with a sticky error: after
+// flushWriter puts frames on a connection with a sticky error: after
 // the peer drops the connection, writes become cheap no-ops instead of
-// panics (the run is torn down by whoever noticed first).
+// panics (the run is torn down by whoever noticed first). It adds to
+// the transport's counters what a successful write has handed to the
+// socket, never what is merely buffered.
 type flushWriter struct {
 	conn net.Conn
-	buf  []byte
 	err  error
+
+	buf  []byte // coalesced small frames awaiting flush
+	held int64  // frames in buf
+
+	bytesOut, framesOut *atomic.Int64
+
+	// One large frame written in place. (*net.Buffers).WriteTo consumes
+	// its receiver, so bufs is rebuilt over vec for every frame.
+	hdr     [wire.HeaderLen]byte
+	trailer [wire.TrailerLen]byte
+	vec     [3][]byte
+	bufs    net.Buffers
 }
 
-func newFlushWriter(c net.Conn) *flushWriter {
-	return &flushWriter{conn: c, buf: make([]byte, 0, wireBufSize)}
+func newFlushWriter(c net.Conn, bytesOut, framesOut *atomic.Int64) *flushWriter {
+	return &flushWriter{conn: c, buf: make([]byte, 0, wireBufSize), bytesOut: bytesOut, framesOut: framesOut}
 }
 
-func (w *flushWriter) write(p []byte) bool {
-	if w.err != nil {
-		return false
-	}
-	if len(w.buf)+len(p) > cap(w.buf) {
+// frame writes one frame. When frame returns, data has been read for the
+// last time: a small frame is encoded into buf, a frame of wireBufSize
+// bytes or more goes out in one vectored write from data's own memory,
+// behind anything buffered.
+func (w *flushWriter) frame(h wire.Header, data []float64) {
+	n := wire.FrameLen(len(data))
+	if len(w.buf)+n > wireBufSize {
 		w.flush()
-		if w.err != nil {
-			return false
+	}
+	if w.err != nil {
+		return
+	}
+	view, inPlace := wire.PayloadBytes(data)
+	if !inPlace || n < wireBufSize {
+		w.buf = wire.AppendFrame(w.buf, h, data)
+		w.held++
+		if len(w.buf) >= wireBufSize { // big-endian host: a large frame took the portable path
+			w.flush()
 		}
+		return
 	}
-	if len(p) >= cap(w.buf) {
-		_, w.err = w.conn.Write(p)
-		return w.err == nil
+	wire.PutHeader(&w.hdr, h, len(data))
+	wire.PutTrailer(&w.trailer, wire.UpdateCRC(wire.UpdateCRC(0, w.hdr[wire.PrefixLen:]), view))
+	w.vec = [3][]byte{w.hdr[:], view, w.trailer[:]}
+	w.bufs = w.vec[:]
+	_, w.err = w.bufs.WriteTo(w.conn)
+	if w.err == nil {
+		w.bytesOut.Add(int64(n))
+		w.framesOut.Add(1)
 	}
-	w.buf = append(w.buf, p...)
-	return true
 }
 
 func (w *flushWriter) flush() {
 	if w.err != nil || len(w.buf) == 0 {
 		return
 	}
-	_, w.err = w.conn.Write(w.buf)
-	w.buf = w.buf[:0]
+	if _, w.err = w.conn.Write(w.buf); w.err == nil {
+		w.bytesOut.Add(int64(len(w.buf)))
+		w.framesOut.Add(w.held)
+	}
+	w.buf, w.held = w.buf[:0], 0
 }
 
-// runReader owns the (from → to) direction arriving on one connection:
-// length-prefixed frames are decoded into pooled buffers and routed to
-// the inbox. A clean EOF at a frame boundary is normal teardown; a
-// corrupt or mid-frame-truncated stream is a wire-integrity failure and
-// panics (the CRC exists to make corruption loud, not survivable).
+// runReader owns the (from → to) direction arriving on one connection
+// and routes its frames to the inbox. A clean EOF at a frame boundary is
+// normal teardown; a corrupt or mid-frame-truncated stream is a
+// wire-integrity failure and panics (the CRC exists to make corruption
+// loud, not survivable).
 func (t *TCPTransport) runReader(conn *net.TCPConn, from, to int) {
 	defer t.wg.Done()
-	br := newFillReader(conn)
-	var prefix [wire.PrefixLen]byte
-	var body []byte
-	check := func(err error, what string) {
-		if err == nil {
-			return
-		}
-		if t.closing() {
-			panic(readerDone{})
-		}
-		panic(fmt.Sprintf("comm: tcp link %d→%d: %s: %v", from, to, what, err))
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(readerDone); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
+	rd := wire.NewReader(newFillReader(conn))
 	for {
-		if _, err := io.ReadFull(br, prefix[:]); err != nil {
+		f, err := t.readFrame(rd, from, to)
+		if err != nil {
 			// EOF between frames: the peer half-closed after flushing —
 			// normal shutdown regardless of which side closed first.
-			if err == io.EOF {
+			if err == io.EOF || t.closing() {
 				return
 			}
-			check(err, "read prefix")
-			return
+			panic(fmt.Sprintf("comm: tcp link %d→%d: %v", from, to, err))
 		}
-		n, err := wire.BodyLen(prefix[:])
-		check(err, "length prefix")
-		if cap(body) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			check(err, "read body")
-		}
-		w, err := wire.PayloadWords(body)
-		check(err, "payload words")
-		pb := t.pool.acquire(w)
-		h, err := wire.DecodeBody(body, pb.data)
-		if err != nil {
-			t.pool.release(pb)
-			check(err, "decode")
-		}
-		if h.From != from || h.To != to {
-			t.pool.release(pb)
-			check(fmt.Errorf("frame addressed %d→%d", h.From, h.To), "misrouted frame")
-		}
-		t.bytesIn.Add(int64(wire.PrefixLen + n))
-		t.framesIn.Add(1)
 		select {
-		case t.inbox[to][from] <- Frame{Data: pb.data, pb: pb, Seq: h.Seq, Arrive: h.Arrive}:
+		case t.inbox[to][from] <- f:
 		case <-t.done:
-			t.pool.release(pb)
+			t.pool.release(f.pb)
 			return
 		}
 	}
 }
 
-// readerDone is the reader's silent-exit signal during teardown.
-type readerDone struct{}
+// readFrame reads the next frame of the (from → to) link into a pooled
+// buffer, which is acquired only after the header's bounds have been
+// checked and goes back to the pool on any failure. It returns a bare
+// io.EOF when the stream ends at a frame boundary.
+func (t *TCPTransport) readFrame(rd *wire.Reader, from, to int) (Frame, error) {
+	w, err := rd.Next()
+	if err == io.EOF {
+		return Frame{}, err
+	} else if err != nil {
+		return Frame{}, fmt.Errorf("read header: %w", err)
+	}
+	pb := t.pool.acquire(w)
+	h, err := rd.Payload(pb.data)
+	if err != nil {
+		t.pool.release(pb)
+		return Frame{}, fmt.Errorf("read payload: %w", err)
+	}
+	if h.From != from || h.To != to {
+		t.pool.release(pb)
+		return Frame{}, fmt.Errorf("misrouted frame addressed %d→%d", h.From, h.To)
+	}
+	t.bytesIn.Add(int64(wire.FrameLen(w)))
+	t.framesIn.Add(1)
+	return Frame{Data: pb.data, pb: pb, Seq: h.Seq, Arrive: h.Arrive}, nil
+}
 
 func (t *TCPTransport) closing() bool {
 	select {
@@ -541,8 +586,10 @@ func (t *TCPTransport) closing() bool {
 	}
 }
 
-// fillReader is a minimal buffered reader (io.Reader) sized for frame
-// batches.
+// fillReader is a minimal buffered reader (io.Reader) sized for batches
+// of small frames. A read at least as large as its buffer, arriving when
+// the buffer is empty, goes from the connection straight into the
+// caller's memory — wire.Reader asks for a large payload in such reads.
 type fillReader struct {
 	conn net.Conn
 	buf  []byte
@@ -555,6 +602,9 @@ func newFillReader(c net.Conn) *fillReader {
 
 func (fr *fillReader) Read(p []byte) (int, error) {
 	if fr.r == fr.w {
+		if len(p) >= len(fr.buf) {
+			return fr.conn.Read(p)
+		}
 		n, err := fr.conn.Read(fr.buf)
 		if n == 0 {
 			return 0, err

@@ -29,8 +29,8 @@ func benchTransportGroup(b *testing.B, backend string, p int) *Group {
 
 // BenchmarkTransportAllreduce compares allreduce throughput on the
 // in-process channel fabric against TCP loopback — the wire tax of real
-// sockets, framing and CRC at identical algorithm schedules. The name
-// encodes m so bench_transport.sh can derive words/sec.
+// sockets, framing and CRC at identical algorithm schedules (SetBytes:
+// MB/s ÷ 8 is words/s).
 func BenchmarkTransportAllreduce(b *testing.B) {
 	const p = 4
 	for _, backend := range []string{"chan", "tcp"} {

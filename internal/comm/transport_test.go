@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
+
+	"sasgd/internal/comm/wire"
+	"sasgd/internal/parallel"
 )
 
 // transportCase builds one of the two backends under test for a p-rank
@@ -298,37 +302,71 @@ func freePort(t *testing.T) int {
 	return port
 }
 
-// TestTCPAllreduceSteadyStateAllocs bounds the end-to-end allocation
-// rate of an allreduce over loopback sockets after warmup. The wire
-// codec itself is pinned to zero allocations in package wire; here the
-// pooled receive buffers, reused reader bodies, and reused writer
-// scratch must keep the whole path to a small constant per operation
-// independent of the payload size (the naive bound is one allocation
-// per frame per word).
+// TestTCPAllreduceSteadyStateAllocs pins an allreduce over loopback
+// sockets to zero allocations per round after warmup, on both of the
+// writer's paths: m = 4096 words makes 32 KiB frames, which are encoded
+// into the coalescing buffer, and m = 276 971 (the benchmark's dense
+// message) makes 2.2 MB frames, which go out in one vectored write from
+// the sender's memory and come in straight into a pooled buffer. The
+// harness is TestAllreduceSteadyStateAllocs's — persistent rank
+// goroutines, GC off so the pools are not drained mid-measurement, one
+// kernel worker — and AllocsPerRun counts mallocs process-wide, so the
+// writer and reader goroutines are measured too.
 func TestTCPAllreduceSteadyStateAllocs(t *testing.T) {
-	const p, m = 4, 4096
-	tr, err := NewTCPLoopback(p)
-	if err != nil {
-		t.Fatal(err)
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocs/op is pinned in non-race builds")
 	}
-	g := NewTransportGroup(tr, nil, nil, nil)
-	defer g.Close()
-	bufs := make([][]float64, p)
-	for r := range bufs {
-		bufs[r] = make([]float64, m)
-	}
-	op := func() {
-		runGroup(p, g, func(rank int) { g.AllreduceTree(rank, bufs[rank]) })
-	}
-	for i := 0; i < 5; i++ {
-		op() // warm the pools, reader bodies, and writer scratch
-	}
-	// runGroup itself spawns p goroutines (~2 allocs each) and the
-	// tree moves 2(p-1) frames; budget a handful of words per frame on
-	// top so pool churn under GC pressure can't flake the test, while
-	// still catching any per-word regression (naive cost ≈ m per frame).
-	const budget = 160.0
-	if n := testing.AllocsPerRun(20, op); n > budget {
-		t.Errorf("steady-state allreduce allocates %.1f/op, want ≤ %.0f", n, budget)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+
+	const p = 4
+	for _, tc := range []struct {
+		name string
+		m    int
+	}{{"coalesced", 4096}, {"vectored", 276971}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if inPlace := wire.FrameLen(tc.m) >= wireBufSize; inPlace != (tc.name == "vectored") {
+				t.Fatalf("a %d-word frame is on the wrong side of wireBufSize for this case", tc.m)
+			}
+			tr, err := NewTCPLoopback(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := NewTransportGroup(tr, nil, nil, nil)
+			defer g.Close()
+			bufs := make([][]float64, p)
+			for r := range bufs {
+				bufs[r] = make([]float64, tc.m)
+			}
+			start := make([]chan struct{}, p)
+			done := make(chan struct{}, p)
+			for r := 1; r < p; r++ {
+				start[r] = make(chan struct{})
+				go func(r int) {
+					for range start[r] {
+						g.AllreduceTree(r, bufs[r])
+						done <- struct{}{}
+					}
+				}(r)
+			}
+			round := func() {
+				for r := 1; r < p; r++ {
+					start[r] <- struct{}{}
+				}
+				g.AllreduceTree(0, bufs[0])
+				for r := 1; r < p; r++ {
+					<-done
+				}
+			}
+			for i := 0; i < 5; i++ {
+				round() // warm the pools and the sockets' iovec caches
+			}
+			if n := testing.AllocsPerRun(20, round); n != 0 {
+				t.Errorf("steady-state allreduce of %d words allocates %.1f/op, want 0", tc.m, n)
+			}
+			for r := 1; r < p; r++ {
+				close(start[r])
+			}
+		})
 	}
 }

@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// frameSeeds is the byte-stream corpus the decode fuzz targets share:
+// empty and short streams, valid frames, a bit flip, a truncation and a
+// hostile length.
+func frameSeeds() [][]byte {
+	flipped := AppendFrame(nil, Header{From: 7, To: 0, Seq: 1}, []float64{42})
+	flipped[17] ^= 0x01
+	truncated := AppendFrame(nil, Header{}, []float64{1, 2, 3, 4})
+	huge := make([]byte, PrefixLen)
+	put32(huge, ^uint32(0))
+	return [][]byte{
+		{},
+		{1, 2, 3},
+		AppendFrame(nil, Header{}, nil),
+		AppendFrame(nil, Header{From: 1, To: 2, Seq: 3, Arrive: 4.5}, []float64{1, 2, 3}),
+		flipped,
+		truncated[:len(truncated)-5],
+		huge,
+	}
+}
+
 // FuzzFrameDecode throws arbitrary byte streams at the decode pipeline
 // exactly as the TCP reader drives it: prefix → BodyLen → PayloadWords
 // → allocate → DecodeBody. The invariants under attack:
@@ -18,18 +38,9 @@ import (
 //     (the encoding is canonical, so decode∘encode is the identity on
 //     valid frames).
 func FuzzFrameDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Add(AppendFrame(nil, Header{}, nil))
-	f.Add(AppendFrame(nil, Header{From: 1, To: 2, Seq: 3, Arrive: 4.5}, []float64{1, 2, 3}))
-	flipped := AppendFrame(nil, Header{From: 7, To: 0, Seq: 1}, []float64{42})
-	flipped[17] ^= 0x01
-	f.Add(flipped)
-	truncated := AppendFrame(nil, Header{}, []float64{1, 2, 3, 4})
-	f.Add(truncated[:len(truncated)-5])
-	huge := make([]byte, PrefixLen)
-	put32(huge, ^uint32(0))
-	f.Add(huge)
+	for _, seed := range frameSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < PrefixLen {

@@ -12,6 +12,18 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# bench/ is a module of its own (replace sasgd => ../), so the two legs
+# above never compile it; vet and build it against the working tree so a
+# change to a function its adapter calls fails here, not in the ledger.
+echo "==> bench module: go vet + go build"
+(cd bench && GOWORK=off go vet ./... && GOWORK=off go build -o /dev/null .)
+
+# The wire codec picks its payload path from the host's byte order and
+# every CI host is little-endian: cross-vet for a big-endian target so
+# the per-word fallback keeps compiling.
+echo "==> GOARCH=s390x go vet ./internal/comm/..."
+GOARCH=s390x go vet ./internal/comm/...
+
 short="-short"
 if [ "${FULL:-0}" = "1" ]; then
     short=""
@@ -89,6 +101,7 @@ go test -fuzz 'FuzzAllreduceEquivalence' -fuzztime 10s -run 'Fuzz' ./internal/co
 go test -fuzz 'FuzzPlanBuckets' -fuzztime 10s -run 'Fuzz' ./internal/core/
 go test -fuzz 'FuzzFrameDecode' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
 go test -fuzz 'FuzzFrameRoundTrip' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
+go test -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
 
 # The packed GEMM engine's whole contract is bitwise-identical results
 # at any worker count (plus fused-epilogue equivalence to the unfused
@@ -108,7 +121,7 @@ go test -race -count=2 -run 'Aligned' ./internal/parallel/
 # must run allocation-free off the pooled pack scratch.
 echo "==> go test bucketed + hier zero-alloc pins"
 go test -run 'SteadyStateAllocs' ./internal/comm/
-echo "==> go test wire-codec zero-alloc pin"
+echo "==> go test wire-codec + streaming-reader zero-alloc pins"
 go test -run 'SteadyStateAllocs' ./internal/comm/wire/
 echo "==> go test obs disabled-path zero-alloc pin"
 go test -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/
