@@ -83,8 +83,8 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSelectionSteadyStateAllocs pins the top-k selection core: once the
-// selector's magnitude scratch and the caller's index slice have warmed
-// up, picking the k largest of n entries is O(n) expected time and zero
+// selector's candidate scratch and the caller's index slice have warmed
+// up, picking the k largest of n entries is O(n) time and zero
 // allocations — the property that lets the codec run selection on every
 // bucket of every aggregation without touching the heap.
 func TestSelectionSteadyStateAllocs(t *testing.T) {
@@ -99,8 +99,8 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 	}
 	var s selector
 	idx := make([]int, 0, k)
-	pick := func() { idx = s.pick(dense, k, idx[:0]) }
-	pick() // warm the magnitude scratch
+	pick := func() { idx = selectIdx(&s, dense, k, idx[:0]) }
+	pick() // warm the candidate scratch
 	if avg := testing.AllocsPerRun(100, pick); avg != 0 {
 		t.Errorf("%.1f allocs per selection, want 0", avg)
 	}
@@ -116,7 +116,9 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 // group's buffer pool have warmed up. Each round restores the gradient
 // and residual from pristine copies inside the measured closure (copy
 // into preallocated buffers, no heap traffic) so every round compresses
-// identical data and message sizes stay fixed.
+// identical data and message sizes stay fixed. Over TCP loopback the
+// codec's frames are written from its own goroutine, which may not
+// allocate either.
 func TestCompressedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocs/op is pinned in non-race builds")
@@ -129,15 +131,18 @@ func TestCompressedSteadyStateAllocs(t *testing.T) {
 		codec string
 		p     int
 		ratio float64
+		group func(t *testing.T, p int) *Group
 	}{
-		{"topk/p8", "topk", 8, 0.05},
-		{"topk/p5", "topk", 5, 0.05},
-		{"qint8/p8", "qint8", 8, 0},
-		{"qint8/p5", "qint8", 5, 0},
+		{"topk/p8", "topk", 8, 0.05, chanGroup},
+		{"topk/p5", "topk", 5, 0.05, chanGroup},
+		{"qint8/p8", "qint8", 8, 0, chanGroup},
+		{"qint8/p5", "qint8", 5, 0, chanGroup},
+		{"topk/p5/tcp", "topk", 5, 0.05, tcpLoopbackGroup},
+		{"qint8/p5/tcp", "qint8", 5, 0, tcpLoopbackGroup},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const m = 1003
-			g := NewGroup(tc.p)
+			g := tc.group(t, tc.p)
 			comps := make([]Compressor, tc.p)
 			segs := make([][]float64, tc.p)
 			ress := make([][]float64, tc.p)

@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"sasgd/internal/obs"
 )
@@ -91,8 +90,9 @@ func NewCompressor(name string) Compressor {
 // n-coordinate bucket: ⌈ratio·n⌉ clamped to [1, n]. Rounding up means
 // "ship at least this fraction" — in particular ratio → 1 keeps every
 // entry of every bucket, so near-lossless settings really are lossless.
-// Every rank and every path (engine, legacy TopK callers, wire-volume
-// pins) must use the same rounding, so it lives here.
+// Every rank and every path (engine, wire-volume pins, the benchmark's
+// closed-form traffic check) must use the same rounding, so it lives
+// here.
 func SparsityK(ratio float64, n int) int {
 	k := int(math.Ceil(ratio * float64(n)))
 	if k < 1 {
@@ -105,113 +105,119 @@ func SparsityK(ratio float64, n int) int {
 }
 
 // ---------------------------------------------------------------------
-// Top-k selection core: pooled O(n)-expected threshold selection.
+// Top-k selection core: exact radix selection on magnitude bit patterns.
 
-// selector holds the magnitude scratch of top-k selection. Zero value
-// ready; the scratch grows to the largest bucket seen and is reused.
+// magBits is the selection order: v's IEEE-754 bits with the sign
+// cleared. For every float64 that is not a NaN — ±0, subnormals and
+// ±Inf included — unsigned order of these patterns is magnitude order,
+// and equal magnitudes have equal patterns, so selection never compares
+// floats. A NaN's pattern lies above +Inf's: a NaN is the largest
+// magnitude there is, always selected and shipped, and a diverged
+// gradient reaches every rank in the same boundary instead of hiding in
+// one learner's residual.
+func magBits(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
+
+// selector finds the exact cut of "the k largest magnitudes, ties toward
+// lower indices" — the entries a full (magnitude descending, index
+// ascending) sort would keep — without sorting, comparing floats or
+// allocating once its scratch has grown. The leaf's selection over a
+// bucket and the root's re-selection over merged pairs both run on it,
+// each in three passes over its own data:
+//
+//  1. the caller counts every value's key (s.count) in a pass it makes
+//     anyway;
+//  2. s.cut walks the histogram from the top to the bin holding the k-th
+//     largest, collects that one bin's members (a percent or two of the
+//     values on gradient data) and radix-selects the exact threshold
+//     pattern and the tie quota among them;
+//  3. the caller splits in ascending index order with s.take.
+//
+// A key is the top 16 bits of a magnitude pattern: the exponent and five
+// mantissa bits. One table serves every bucket size — clearing and
+// walking its 256 KiB costs a few tens of microseconds per selection,
+// which a 448-word bucket can afford. Counts are 32-bit: a bucket has
+// fewer than 2³² words.
 type selector struct {
-	mag []float64
+	hist [1 << keyBits]uint32 // all zero between selections
+	cand []uint64             // the boundary bin's magnitude patterns
+
+	t    uint64 // threshold pattern of the current cut
+	ties int    // entries equal to t still to be taken
 }
 
-// pick appends the indices of the k largest-magnitude entries of dense
-// to idx, in ascending index order, and returns the extended slice.
-// Exactly k indices are appended (k must be in [1, len(dense)]), and
-// ties on the threshold magnitude are broken toward lower indices — the
-// same entries, in the same order, that a full (magnitude descending,
-// index ascending) sort would keep, so results are deterministic. The
-// cost is O(n) expected: one quickselect on a magnitude copy for the
-// threshold plus two linear passes, no allocation once the scratch has
-// warmed up.
-func (s *selector) pick(dense []float64, k int, idx []int) []int {
-	if k >= len(dense) {
-		for i := range dense {
-			idx = append(idx, i)
-		}
-		return idx
-	}
-	m := s.mag[:0]
-	for _, v := range dense {
-		m = append(m, math.Abs(v))
-	}
-	s.mag = m
-	t := quickselectKthLargest(m, k)
-	// Entries strictly above the threshold all belong to the top k; the
-	// remaining quota is filled with threshold-magnitude entries in
-	// ascending index order.
-	above := 0
-	for _, v := range dense {
-		if math.Abs(v) > t {
-			above++
-		}
-	}
-	ties := k - above
-	for i, v := range dense {
-		mv := math.Abs(v)
-		switch {
-		case mv > t:
-			idx = append(idx, i)
-		case mv == t && ties > 0:
-			ties--
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
+const (
+	keyBits  = 16
+	keyShift = 63 - keyBits // magnitude pattern → key
+)
 
-// quickselectKthLargest partially reorders a in place and returns its
-// k-th largest element (1 ≤ k ≤ len(a)). Hoare partitioning with
-// median-of-three pivots: O(n) expected with a deterministic schedule
-// (no randomization, so every rank selecting over identical data does
-// identical work and the selection threshold is reproducible).
-func quickselectKthLargest(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	kk := k - 1 // target position in descending order
-	for lo < hi {
-		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi])
-		i, j := lo, hi
-		for i <= j {
-			for a[i] > pivot {
-				i++
-			}
-			for a[j] < pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
+// count adds v to the histogram. (The conversion tells the compiler that
+// a key indexes the table.)
+func (s *selector) count(v float64) { s.hist[uint16(magBits(v)>>keyShift)]++ }
+
+// cut fixes the threshold for the k largest magnitudes of vals, every
+// one of which has been counted, and leaves the histogram clear.
+// 1 ≤ k ≤ len(vals).
+func (s *selector) cut(vals []float64, k int) {
+	bin, rank := kthFromTop(s.hist[:], k)
+	clear(s.hist[:])
+	c := s.cand[:0]
+	for _, v := range vals {
+		if m := magBits(v); m>>keyShift == uint64(bin) {
+			c = append(c, m)
+		}
+	}
+	s.cand = c
+	// The bin's members agree on the key; settle the 47 bits below it a
+	// byte at a time (the first byte's top bit is the key's last, equal in
+	// all of them), keeping only the members that share the rank-th
+	// largest one's digits so far. After the last byte they all equal it,
+	// and rank is how many of them belong to the top k.
+	for shift := 40; shift >= 0; shift -= 8 {
+		var h [256]uint32
+		for _, m := range c {
+			h[byte(m>>shift)]++
+		}
+		var d int
+		d, rank = kthFromTop(h[:], rank)
+		w := 0
+		for _, m := range c {
+			if byte(m>>shift) == byte(d) {
+				c[w] = m
+				w++
 			}
 		}
-		// a[lo..j] ≥ pivot ≥ a[i..hi]; anything between equals pivot.
-		switch {
-		case kk <= j:
-			hi = j
-		case kk >= i:
-			lo = i
-		default:
-			return a[kk]
-		}
+		c = c[:w]
 	}
-	return a[lo]
+	s.t, s.ties = c[0], rank
 }
 
-// median3 returns the median of three values (the pivot rule).
-func median3(a, b, c float64) float64 {
-	if a < b {
-		a, b = b, a
+// take reports whether v is inside the cut. It must be asked about every
+// value exactly once, in ascending index order: that order is what sends
+// threshold ties to the lower indices.
+func (s *selector) take(v float64) bool {
+	m := magBits(v)
+	if m > s.t {
+		return true
 	}
-	if b < c {
-		b = c
+	if m == s.t && s.ties > 0 {
+		s.ties--
+		return true
 	}
-	if a < b {
-		b = a
-	}
-	return b
+	return false
 }
 
-// selPool backs the package-level TopK entry point so one-shot callers
-// share warmed selection scratch.
-var selPool = sync.Pool{New: func() interface{} { return new(selector) }}
+// kthFromTop walks a histogram from its highest bin down and returns the
+// bin holding the rank-th largest counted element, and that element's
+// rank among the bin's own (1 = the bin's largest). rank must not exceed
+// the total count.
+func kthFromTop(h []uint32, rank int) (bin, within int) {
+	bin = len(h) - 1
+	for c := int(h[bin]); c < rank; c = int(h[bin]) {
+		rank -= c
+		bin--
+	}
+	return bin, rank
+}
 
 // ---------------------------------------------------------------------
 // topk codec: error-feedback top-k sparsification over a pair-encoded
@@ -219,17 +225,17 @@ var selPool = sync.Pool{New: func() interface{} { return new(selector) }}
 
 // topkCompressor is the error-feedback top-k codec. Wire format: flat
 // (index, value) float64 pairs in ascending index order — 2k words for
-// k entries, the same accounting SparseVec.Words uses, charged under
-// the "sparse" traffic label. Messages grow toward the root only where
-// supports differ; the root re-sparsifies the merged aggregate back to
-// k entries before broadcast (folding the dropped remainder into its
-// own residual, so conservation holds globally), which caps the
-// broadcast at 2k words regardless of support overlap.
+// k entries, charged under the "sparse" traffic label. Messages grow
+// toward the root only where supports differ; the root re-sparsifies the
+// merged aggregate back to k entries before broadcast (folding the
+// dropped remainder into its own residual, so conservation holds
+// globally), which caps the broadcast at 2k words regardless of support
+// overlap.
 type topkCompressor struct {
 	sel  selector
-	idx  []int // selected coordinate scratch
 	encA []float64
 	encB []float64 // pair-list ping/pong merge scratch
+	vals []float64 // the root's merged values, without their coordinates
 
 	sent2, resid2       float64
 	totSent2, totResid2 float64
@@ -257,32 +263,39 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 	}
 	g.setAlgo(rank, algoSparse)
 	cs := tk.Begin()
-	// Fold the residual: every coordinate unsent in earlier intervals
-	// competes for selection again with its full accumulated value.
-	for i := range seg {
-		seg[i] += res[i]
+	// Pass 1, fold and count. Every coordinate unsent in earlier
+	// intervals competes for selection again with its full accumulated
+	// value; the folded value is written into res, where whatever is not
+	// selected has to end up anyway.
+	for i, v := range seg {
+		v += res[i]
+		res[i] = v
+		c.sel.count(v)
 	}
+	// Pass 2, the exact cut.
 	k := SparsityK(ratio, len(seg))
-	c.idx = c.sel.pick(seg, k, c.idx[:0])
-	// Encode the selection and split the folded gradient: transmitted
-	// coordinates zero their residual (x − x == 0 exactly), unselected
-	// ones keep their full folded value — the conservation invariant
-	// selected + residual == folded gradient, bitwise.
-	enc := c.encA[:0]
-	var s2 float64
-	for _, j := range c.idx {
-		v := seg[j]
-		enc = append(enc, float64(j), v)
-		s2 += v * v
+	c.sel.cut(res, k)
+	// Pass 3, split in ascending index order: a selected coordinate is
+	// encoded and its residual zeroed, an unselected one keeps its full
+	// folded value — selected + residual == folded gradient, bitwise.
+	// The order also keeps the pair list sorted and the two squared norms
+	// summed the way a walk over the selection and a walk over the
+	// residual would sum them.
+	if cap(c.encA) < 2*k {
+		c.encA = make([]float64, 2*k)
 	}
-	c.encA = enc
-	copy(res, seg)
-	for _, j := range c.idx {
-		res[j] = 0
-	}
-	var r2 float64
-	for _, v := range res {
-		r2 += v * v
+	enc := c.encA[:2*k]
+	var s2, r2 float64
+	w := 0
+	for i, v := range res {
+		if c.sel.take(v) {
+			enc[w], enc[w+1] = float64(i), v
+			w += 2
+			s2 += v * v
+			res[i] = 0
+		} else {
+			r2 += v * v
+		}
 	}
 	c.sent2 += s2
 	c.resid2 += r2
@@ -385,32 +398,20 @@ func mergePairs(dst, a, b []float64) []float64 {
 }
 
 // resparsify keeps the k largest-magnitude pairs of acc (ties toward
-// lower coordinates, matching pick's order) in place and folds every
-// dropped pair's value into res at its coordinate. Only the root calls
-// this, once per bucket.
+// lower coordinates, the leaf's rule) in place and folds every dropped
+// pair's value into res at its coordinate. Only the root calls this,
+// once per bucket.
 func (c *topkCompressor) resparsify(acc []float64, k int, res []float64) []float64 {
-	m := c.sel.mag[:0]
+	vals := c.vals[:0]
 	for i := 1; i < len(acc); i += 2 {
-		m = append(m, math.Abs(acc[i]))
+		vals = append(vals, acc[i])
+		c.sel.count(acc[i])
 	}
-	c.sel.mag = m
-	t := quickselectKthLargest(m, k)
-	above := 0
-	for i := 1; i < len(acc); i += 2 {
-		if math.Abs(acc[i]) > t {
-			above++
-		}
-	}
-	ties := k - above
+	c.vals = vals
+	c.sel.cut(vals, k)
 	w := 0
 	for i := 0; i < len(acc); i += 2 {
-		mv := math.Abs(acc[i+1])
-		keep := mv > t
-		if !keep && mv == t && ties > 0 {
-			ties--
-			keep = true
-		}
-		if keep {
+		if c.sel.take(acc[i+1]) {
 			acc[w], acc[w+1] = acc[i], acc[i+1]
 			w += 2
 		} else {

@@ -1,8 +1,10 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -11,10 +13,9 @@ import (
 // ---------------------------------------------------------------------
 // Selection core.
 
-// refSelect is the full-sort reference the quickselect path must match:
-// indices of the k largest-magnitude entries, ties broken toward lower
-// indices, returned in ascending index order.
-func refSelect(dense []float64, k int) []int {
+// refOrder is the full sort selection is defined by: every index, by
+// magnitude descending, ties by index ascending.
+func refOrder(dense []float64) []int {
 	idx := make([]int, len(dense))
 	for i := range idx {
 		idx[i] = i
@@ -26,18 +27,58 @@ func refSelect(dense []float64, k int) []int {
 		}
 		return idx[a] < idx[b]
 	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	top := append([]int(nil), idx[:k]...)
+	return idx
+}
+
+// refSelect is the full-sort reference the radix selection must match:
+// indices of the k largest-magnitude entries, ties broken toward lower
+// indices, returned in ascending index order.
+func refSelect(dense []float64, k int) []int { return topOf(refOrder(dense), k) }
+
+// topOf returns the first k entries of a refOrder in ascending order.
+func topOf(order []int, k int) []int {
+	top := append([]int(nil), order[:min(k, len(order))]...)
 	sort.Ints(top)
 	return top
 }
 
-// TestSelectorMatchesSortReference: the pooled quickselect selection
-// must keep exactly the entries a full (magnitude descending, index
-// ascending) sort would keep, including tie-heavy inputs where the
-// threshold magnitude repeats many times.
+// selectIdx drives the selector's three passes over a dense vector the
+// way the codec does and appends the selected indices to idx.
+func selectIdx(s *selector, dense []float64, k int, idx []int) []int {
+	for _, v := range dense {
+		s.count(v)
+	}
+	s.cut(dense, k)
+	for i, v := range dense {
+		if s.take(v) {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// checkSelection compares the selector with the sort reference's choice
+// on one input and checks that the histogram is left clear for the next.
+func checkSelection(t *testing.T, s *selector, dense []float64, k int, want []int) {
+	t.Helper()
+	got := selectIdx(s, dense, k, nil)
+	if !slices.Equal(got, want) {
+		if len(dense) > 64 {
+			t.Fatalf("n=%d k=%d: selected %d entries, reference %d, or different ones", len(dense), k, len(got), len(want))
+		}
+		t.Fatalf("n=%d k=%d: selection %v != reference %v of %v", len(dense), k, got, want, dense)
+	}
+	for key, c := range s.hist {
+		if c != 0 {
+			t.Fatalf("n=%d k=%d: histogram bin %#x left at %d", len(dense), k, key, c)
+		}
+	}
+}
+
+// TestSelectorMatchesSortReference: the radix selection must keep
+// exactly the entries a full (magnitude descending, index ascending)
+// sort would keep, including tie-heavy inputs where the threshold
+// magnitude repeats many times.
 func TestSelectorMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var s selector
@@ -53,34 +94,141 @@ func TestSelectorMatchesSortReference(t *testing.T) {
 			}
 		}
 		k := 1 + rng.Intn(n)
-		got := s.pick(dense, k, nil)
-		want := refSelect(dense, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d n=%d k=%d: selected %d entries, want %d", trial, n, k, len(got), len(want))
+		checkSelection(t, &s, dense, k, refSelect(dense, k))
+	}
+}
+
+// TestSelectorAdversarialInputs: selection ≡ full sort on the inputs a
+// histogram of bit patterns could get wrong — one magnitude everywhere,
+// zeros of both signs, subnormals, the whole exponent range, infinities,
+// and magnitudes that all share one 16-bit key so that the refinement
+// step sees every element — at the sizes the codec meets (a lone word, a
+// 448-word conv bucket, the benchmark's 276 971-word net) and at the
+// ends of k.
+func TestSelectorAdversarialInputs(t *testing.T) {
+	fills := []struct {
+		name string
+		at   func(rng *rand.Rand, i int) float64
+	}{
+		{"all equal magnitude", func(rng *rand.Rand, i int) float64 { return 0.25 * float64(1-2*(i%2)) }},
+		{"all zero", func(*rand.Rand, int) float64 { return 0 }},
+		{"mixed signed zeros", func(rng *rand.Rand, i int) float64 { return math.Copysign(0, float64(rng.Intn(2))-0.5) }},
+		{"subnormals only", func(rng *rand.Rand, i int) float64 {
+			return math.Copysign(math.Float64frombits(uint64(rng.Int63n(1<<52))), float64(rng.Intn(2))-0.5)
+		}},
+		{"1e-300 to 1e300", func(rng *rand.Rand, i int) float64 {
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(601)-300))
+		}},
+		{"infinities among finite", func(rng *rand.Rand, i int) float64 {
+			if rng.Intn(8) == 0 {
+				return math.Inf(rng.Intn(2)*2 - 1)
+			}
+			return rng.NormFloat64()
+		}},
+		{"one 16-bit key", func(rng *rand.Rand, i int) float64 {
+			// [1, 1+2⁻⁵): exponent and top five mantissa bits fixed, a few
+			// distinct values so the cut falls inside a run of ties.
+			return math.Copysign(1+float64(rng.Intn(50))/4096, float64(rng.Intn(2))-0.5)
+		}},
+		{"neighbouring bit patterns", func(rng *rand.Rand, i int) float64 {
+			// Magnitudes a few ulps apart: only the lowest byte tells them apart.
+			return math.Copysign(math.Float64frombits(math.Float64bits(1)+uint64(rng.Intn(200))), float64(rng.Intn(2))-0.5)
+		}},
+		{"gaussian", func(rng *rand.Rand, i int) float64 { return rng.NormFloat64() }},
+	}
+	var s selector
+	for _, n := range []int{1, 2, 448, 276971} {
+		if n > 448 && testing.Short() {
+			continue // the reference sorts 277k entries per case
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d n=%d k=%d: selection %v != reference %v", trial, n, k, got, want)
+		ks := map[int]bool{1: true, n: true}
+		if n > 1 {
+			ks[n-1] = true
+			ks[SparsityK(0.05, n)] = true
+		}
+		for _, fill := range fills {
+			rng := rand.New(rand.NewSource(int64(n)))
+			dense := make([]float64, n)
+			for i := range dense {
+				dense[i] = fill.at(rng, i)
+			}
+			order := refOrder(dense)
+			for k := range ks {
+				t.Run(fmt.Sprintf("%s/n=%d/k=%d", fill.name, n, k), func(t *testing.T) {
+					checkSelection(t, &s, dense, k, topOf(order, k))
+				})
 			}
 		}
 	}
 }
 
-func TestQuickselectKthLargest(t *testing.T) {
+// TestSelectorLowIndexWinsTies: entries of the threshold magnitude are
+// taken from the lowest index up, whatever their sign, and twice the
+// same way.
+func TestSelectorLowIndexWinsTies(t *testing.T) {
+	var s selector
+	dense := []float64{1, -1, 1, -1, 3, -1}
+	for run := 0; run < 2; run++ {
+		if got, want := selectIdx(&s, dense, 3, nil), []int{0, 1, 4}; !slices.Equal(got, want) {
+			t.Fatalf("run %d: selected %v, want %v", run, got, want)
+		}
+	}
+}
+
+// TestSelectorShipsNaN pins the NaN policy: a NaN's bit pattern orders
+// above every number's, +Inf's included, so NaNs are selected before
+// anything else (lowest index first among themselves when there are more
+// than k) and a diverged coordinate is transmitted, not kept back.
+func TestSelectorShipsNaN(t *testing.T) {
+	nan := math.NaN()
+	var s selector
+	dense := []float64{1, math.Inf(1), nan, -3, -nan, 1e300}
+	for k, want := range map[int][]int{1: {2}, 2: {2, 4}, 3: {1, 2, 4}, 4: {1, 2, 4, 5}} {
+		if got := selectIdx(&s, dense, k, nil); !slices.Equal(got, want) {
+			t.Errorf("k=%d: selected %v, want %v", k, got, want)
+		}
+	}
+
+	seg := []float64{0.5, nan, 2, -1}
+	res := make([]float64, len(seg))
+	c := NewCompressor("topk")
+	c.Allreduce(NewGroup(1), 0, seg, res, 0.25, 0, nil, 0)
+	if !math.IsNaN(seg[1]) || seg[0] != 0 || seg[2] != 0 || seg[3] != 0 {
+		t.Errorf("aggregate %v, want the NaN alone at coordinate 1", seg)
+	}
+	if want := []float64{0.5, 0, 2, -1}; !slices.Equal(res, want) {
+		t.Errorf("residual %v, want %v (the NaN left with the frame)", res, want)
+	}
+	if sent2, _ := c.TakeCapture(); !math.IsNaN(sent2) {
+		t.Errorf("sent² = %g, want NaN", sent2)
+	}
+}
+
+// TestSelectorCutIsKthLargest: the threshold the cut settles on is the
+// k-th largest magnitude and the tie quota is what is left of k above
+// it; duplicates exercise both.
+func TestSelectorCutIsKthLargest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var s selector
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(100)
 		a := make([]float64, n)
 		for i := range a {
-			a[i] = float64(rng.Intn(10)) // duplicates exercise the equal band
+			a[i] = float64(rng.Intn(10)) * float64(1-2*rng.Intn(2))
 		}
 		k := 1 + rng.Intn(n)
-		scratch := append([]float64(nil), a...)
-		got := quickselectKthLargest(scratch, k)
-		ref := append([]float64(nil), a...)
+		for _, v := range a {
+			s.count(v)
+		}
+		s.cut(a, k)
+		ref := make([]float64, n)
+		for i, v := range a {
+			ref[i] = math.Abs(v)
+		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(ref)))
-		if got != ref[k-1] {
-			t.Fatalf("trial %d: kth largest = %g, want %g (k=%d, a=%v)", trial, got, ref[k-1], k, a)
+		above := sort.Search(n, func(i int) bool { return ref[i] <= ref[k-1] })
+		if got := math.Float64frombits(s.t); got != ref[k-1] || s.ties != k-above {
+			t.Fatalf("trial %d: threshold %g with %d ties, want %g with %d (k=%d, a=%v)", trial, got, s.ties, ref[k-1], k-above, k, a)
 		}
 	}
 }
@@ -97,6 +245,9 @@ func TestSparsityKRounding(t *testing.T) {
 		{0.999999, 1000, 1000},
 		{1, 64, 64},
 		{0.5, 1, 1},
+		{0, 10, 1},  // k ≤ 0 clamps up
+		{-1, 10, 1}, //
+		{2, 10, 10}, // k ≥ n clamps down
 	}
 	for _, c := range cases {
 		if got := SparsityK(c.ratio, c.n); got != c.want {
@@ -142,6 +293,121 @@ func TestCodecConservationBitwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTopKErrorFeedbackMatchesReference replays five rounds of error
+// feedback against the codec's definition written out in the plainest
+// way — fold, full-sort selection, split, two separate norm walks — and
+// requires the aggregate, the residual and both captured squared norms
+// to match bit for bit, round by round and in the running totals. The
+// quantized rounds put ties on the threshold.
+func TestTopKErrorFeedbackMatchesReference(t *testing.T) {
+	const n, ratio = 1000, 0.05
+	k := SparsityK(ratio, n)
+	rng := rand.New(rand.NewSource(23))
+	g := NewGroup(1)
+	comp := NewCompressor("topk")
+	seg := make([]float64, n)
+	res := make([]float64, n)
+	wantRes := make([]float64, n)
+	var wantTotSent, wantTotResid float64
+	for round := 0; round < 5; round++ {
+		for i := range seg {
+			if round%2 == 1 {
+				seg[i] = float64(rng.Intn(9)-4) * 0.125
+			} else {
+				seg[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+			}
+		}
+		folded := make([]float64, n)
+		for i := range folded {
+			folded[i] = seg[i] + wantRes[i]
+		}
+		wantSeg := make([]float64, n)
+		copy(wantRes, folded)
+		var wantSent, wantResid float64
+		for _, j := range refSelect(folded, k) {
+			wantSeg[j] = folded[j]
+			wantSent += folded[j] * folded[j]
+			wantRes[j] = 0
+		}
+		for _, v := range wantRes {
+			wantResid += v * v
+		}
+		wantTotSent += wantSent
+		wantTotResid += wantResid
+
+		comp.Allreduce(g, 0, seg, res, ratio, 0, nil, 0)
+		for i := range seg {
+			if math.Float64bits(seg[i]) != math.Float64bits(wantSeg[i]) {
+				t.Fatalf("round %d: aggregate[%d] = %g, want %g (bitwise)", round, i, seg[i], wantSeg[i])
+			}
+			if math.Float64bits(res[i]) != math.Float64bits(wantRes[i]) {
+				t.Fatalf("round %d: residual[%d] = %g, want %g (bitwise)", round, i, res[i], wantRes[i])
+			}
+		}
+		if sent, resid := comp.TakeCapture(); sent != wantSent || resid != wantResid {
+			t.Fatalf("round %d: captured sent² %v resid² %v, want %v %v (bitwise)", round, sent, resid, wantSent, wantResid)
+		}
+	}
+	if sent, resid := comp.Totals(); sent != wantTotSent || resid != wantTotResid {
+		t.Fatalf("totals sent² %v resid² %v, want %v %v (bitwise)", sent, resid, wantTotSent, wantTotResid)
+	}
+}
+
+// TestResparsifyMatchesSortReference: the root's cut of a merged pair
+// list keeps exactly the pairs a full sort of the merged values would
+// keep, in coordinate order, and every dropped value lands in the
+// residual at its own coordinate, added once — on smooth values, on ties
+// across the threshold and on a list that is one magnitude throughout.
+func TestResparsifyMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	c := &topkCompressor{}
+	for trial := 0; trial < 150; trial++ {
+		const n = 400
+		pairs := 2 + rng.Intn(120)
+		coords := rng.Perm(n)[:pairs]
+		sort.Ints(coords)
+		acc := make([]float64, 0, 2*pairs)
+		vals := make([]float64, pairs)
+		for i, j := range coords {
+			switch trial % 3 {
+			case 0:
+				vals[i] = rng.NormFloat64()
+			case 1:
+				vals[i] = float64(rng.Intn(7)-3) * 0.5
+			default:
+				vals[i] = 2 * float64(1-2*rng.Intn(2))
+			}
+			acc = append(acc, float64(j), vals[i])
+		}
+		k := 1 + rng.Intn(pairs-1)
+		res := make([]float64, n)
+		for i := range res {
+			res[i] = rng.NormFloat64() * 0.01
+		}
+		wantRes := append([]float64(nil), res...)
+		var want []float64
+		kept := make(map[int]bool, k)
+		for _, pi := range refSelect(vals, k) {
+			want = append(want, float64(coords[pi]), vals[pi])
+			kept[pi] = true
+		}
+		for pi, j := range coords {
+			if !kept[pi] {
+				wantRes[j] += vals[pi]
+			}
+		}
+		got := c.resparsify(acc, k, res)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d k=%d: kept %v, want %v", trial, k, got, want)
+		}
+		for i := range res {
+			if math.Float64bits(res[i]) != math.Float64bits(wantRes[i]) {
+				t.Fatalf("trial %d: residual[%d] = %g, want %g (bitwise)", trial, i, res[i], wantRes[i])
+			}
+		}
 	}
 }
 

@@ -28,13 +28,29 @@ func ExampleGroup_AllreduceTree() {
 	// [10 10] [10 10]
 }
 
-// TopK keeps only the largest-magnitude coordinates — the payload of the
-// sparse-aggregation extension.
-func ExampleTopK() {
-	s := comm.TopK([]float64{0.1, -5, 2, 0, -0.5, 3}, 2)
-	fmt.Println(s.Idx, s.Val)
+// The top-k codec ships only the largest-magnitude coordinates of each
+// learner's gradient and keeps the rest as that learner's residual for
+// the next interval. Two learners at k = 1 of 4: both send coordinate 1,
+// the aggregate is the sum there and zero elsewhere.
+func ExampleNewCompressor() {
+	const p = 2
+	g := comm.NewGroup(p)
+	grads := [][]float64{{0.1, -5, 2, 0}, {0.5, 3, 0, -1}}
+	resid := [][]float64{make([]float64, 4), make([]float64, 4)}
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			comm.NewCompressor("topk").Allreduce(g, r, grads[r], resid[r], 0.25, 0, nil, 0)
+		}(r)
+	}
+	wg.Wait()
+	fmt.Println(grads[0], grads[1])
+	fmt.Println(resid[0], resid[1])
 	// Output:
-	// [1 5] [-5 3]
+	// [0 -2 0 0] [0 -2 0 0]
+	// [0.1 0 2 0] [0.5 0 0 -1]
 }
 
 // The sharded parameter server Downpour aggregates through: pushes apply

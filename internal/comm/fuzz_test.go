@@ -1,17 +1,74 @@
 package comm
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
+
+// FuzzTopKSelect: selection ≡ full sort on arbitrary bit patterns. The
+// input's bytes are read as float64s — so NaNs of every payload,
+// infinities, subnormals and both zeros turn up — and k comes from the
+// input too. The oracle sorts (magnitude bit
+// pattern descending, index ascending), which is the stated order with
+// NaN above +Inf; where no NaN is present the float-comparing refSelect
+// must agree as well.
+func FuzzTopKSelect(f *testing.F) {
+	pack := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint16(0), pack(1))
+	f.Add(uint16(1), pack(1, -1, 1, -1))
+	f.Add(uint16(2), pack(0, math.Copysign(0, -1), 5e-324, -5e-324, 0))
+	f.Add(uint16(1), pack(math.Inf(1), math.NaN(), -math.MaxFloat64, math.Inf(-1), 1e-300, 1e300))
+	f.Add(uint16(3), pack(1, 1.0000000000000002, 1.0000000000000004, -1.0000000000000002, 1.015, 1))
+	var s selector
+	f.Fuzz(func(t *testing.T, kRaw uint16, data []byte) {
+		n := len(data) / 8
+		if n == 0 {
+			return
+		}
+		dense := make([]float64, n)
+		hasNaN := false
+		for i := range dense {
+			dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			hasNaN = hasNaN || math.IsNaN(dense[i])
+		}
+		k := int(kRaw)%n + 1
+		got := selectIdx(&s, dense, k, nil)
+
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return math.Float64bits(dense[order[a]])<<1 > math.Float64bits(dense[order[b]])<<1
+		})
+		want := order[:k]
+		sort.Ints(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d: selected %v, bit-pattern sort keeps %v of %v", k, got, want, dense)
+		}
+		if !hasNaN {
+			if ref := refSelect(dense, k); !slices.Equal(got, ref) {
+				t.Fatalf("k=%d: selected %v, magnitude sort keeps %v of %v", k, got, ref, dense)
+			}
+		}
+	})
+}
 
 // FuzzAllreduceEquivalence pins the allreduce implementations against
 // each other over fuzzer-chosen (p, m, chunk, seed) shapes: the chunked
 // pipelined tree must reproduce the monolithic tree bit for bit at any
 // chunk size, recursive halving/doubling must agree within 1e-12 (and
 // bit for bit on non-powers-of-two p, where it falls back to the tree).
-// One fuzz target per package keeps `go test -fuzz=.` runnable.
 func FuzzAllreduceEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint16(1), uint16(1), int64(1))
 	f.Add(uint8(2), uint16(5), uint16(2), int64(7))

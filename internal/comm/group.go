@@ -17,9 +17,8 @@ const PipelineDepth = 8
 
 // mailboxCap is the minimum per-directed-link buffering every
 // transport must provide (the channel fabric's per-(sender, receiver)
-// channel capacity, the TCP backend's per-link outbox and inbox
-// capacities), sized from the pipeline depth rather than a guessed
-// constant.
+// channel capacity, the TCP backend's per-link inbox capacity), sized
+// from the pipeline depth rather than a guessed constant.
 //
 // Deadlock-freedom argument: every collective is a fixed schedule of
 // sends and receives that both endpoints of a pair walk in the same

@@ -24,7 +24,7 @@ import (
 // unit the fabric cost model charges (XferTime) and the unit the
 // paper's O(m log p) vs O(mp) traffic comparison counts. Sparse
 // collectives ship encoded (index, value) pairs, so a k-entry sparse
-// message is 2k words — SparseVec.Words — charged by the same
+// message is 2k words, charged by the same
 // len(payload) rule as the dense paths; the exact-pin tests in
 // stats_test.go keep the two accountings consistent. Bytes reports
 // words at the 8-byte float64 wire representation the channels carry.

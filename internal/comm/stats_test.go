@@ -69,25 +69,26 @@ func TestStatsRHDFallbackChargedToRHD(t *testing.T) {
 	}
 }
 
-// TestStatsSparseExactWireWords pins the sparse collective's wire
-// accounting exactly: every message is an encoded (index, value) pair
-// stream, so the words charged are Σ SparseVec.Words() over the tree's
-// messages — the same len(payload) rule as the dense paths.
+// TestStatsSparseExactWireWords pins the top-k codec's wire accounting
+// exactly: every message is an (index, value) pair stream, so the words
+// charged are two per entry shipped — the same len(payload) rule as the
+// dense paths — under the "sparse" label.
 func TestStatsSparseExactWireWords(t *testing.T) {
-	// p=2, identical supports of k entries: rank 1 ships 2k words up,
-	// the merged result (same support) ships 2k words down.
-	const k = 5
-	g := NewGroup(2)
-	contrib := func() SparseVec {
-		v := SparseVec{Idx: make([]int, k), Val: make([]float64, k)}
-		for i := range v.Idx {
-			v.Idx[i] = 3 * i
-			v.Val[i] = float64(i + 1)
-		}
-		return v
+	const n, k = 40, 5
+	run := func(support func(rank, i int) int) Stats {
+		g := NewGroup(2)
+		runGroup(2, g, func(rank int) {
+			seg := make([]float64, n)
+			for i := 0; i < k; i++ {
+				seg[support(rank, i)] = float64(i + 1)
+			}
+			NewCompressor("topk").Allreduce(g, rank, seg, make([]float64, n), float64(k)/n, 0, nil, 0)
+		})
+		return g.Stats()
 	}
-	runGroup(2, g, func(rank int) { g.AllreduceSparseTree(rank, contrib()) })
-	s := g.Stats()
+	// Identical supports of k entries: rank 1 ships 2k words up, the
+	// merged result (same support) ships 2k words down.
+	s := run(func(rank, i int) int { return 3 * i })
 	if want := int64(2*k + 2*k); s.PerAlgo["sparse"].Words != want || s.Words != want {
 		t.Errorf("identical supports: sparse words = %d (total %d), want exactly %d",
 			s.PerAlgo["sparse"].Words, s.Words, want)
@@ -95,19 +96,11 @@ func TestStatsSparseExactWireWords(t *testing.T) {
 	if want := int64(2); s.Messages != want {
 		t.Errorf("identical supports: messages = %d, want %d", s.Messages, want)
 	}
-
-	// Disjoint supports: the up message is still 2k words, but the merged
-	// broadcast carries both supports — 4k words.
-	g2 := NewGroup(2)
-	runGroup(2, g2, func(rank int) {
-		v := SparseVec{Idx: make([]int, k), Val: make([]float64, k)}
-		for i := range v.Idx {
-			v.Idx[i] = 2*i + rank // even on rank 0, odd on rank 1
-			v.Val[i] = 1
-		}
-		g2.AllreduceSparseTree(rank, v)
-	})
-	if want, got := int64(2*k+4*k), g2.Stats().PerAlgo["sparse"].Words; got != want {
+	// Disjoint supports (even coordinates on rank 0, odd on rank 1): the
+	// up message is still 2k words and the merge holds 2k entries, which
+	// the root cuts back to k before the broadcast — 2k words down.
+	s = run(func(rank, i int) int { return 2*i + rank })
+	if want, got := int64(2*k+2*k), s.PerAlgo["sparse"].Words; got != want {
 		t.Errorf("disjoint supports: sparse words = %d, want exactly %d", got, want)
 	}
 }

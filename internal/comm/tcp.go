@@ -14,12 +14,21 @@ import (
 // TCP transport: the Transport interface over real sockets, one learner
 // process (or several) per machine. The mesh is one full-duplex TCP
 // connection per unordered rank pair — the lower rank dials the higher
-// rank's listener and identifies the pair with a hello — and each
-// directed link gets a dedicated writer goroutine mirroring the channel
-// fabric's link daemons, plus a reader goroutine per connection endpoint
-// that routes incoming frames to per-(sender, receiver) inbox channels,
-// so Recv is the same buffered-channel receive the channel fabric does —
-// the collectives cannot tell the backends apart.
+// rank's listener and identifies the pair with a hello. A frame is
+// written to its link by the goroutine that sends it, and each
+// connection endpoint has a reader goroutine that routes incoming frames
+// to per-(sender, receiver) inbox channels, so Recv is the same
+// buffered-channel receive the channel fabric does — the collectives
+// cannot tell the backends apart.
+//
+// Who writes. Send takes the link's lock and writes and flushes its
+// frame itself: a message crosses one goroutine hand-off (the receiving
+// reader's), and the rank that goes straight from a send into its next
+// stretch of compute does not leave the frame waiting in its run queue
+// for another processor to steal. The lock is the whole of per-link
+// ordering: one sender's frames reach the socket in its send order, and
+// concurrent senders (a learner and its fault daemons) interleave whole
+// frames.
 //
 // What is copied where. The byte format is package wire's; on a
 // little-endian host a payload's memory already is its encoding, so a
@@ -33,8 +42,8 @@ import (
 //     buffer is the only copy.
 //   - Writer, smaller frame (top-k buckets, control words, heartbeats):
 //     encoded by wire.AppendFrame — one copy, one CRC — straight into
-//     the 64 KiB coalescing buffer, which is flushed when it fills or
-//     the outbox drains, so a burst of small frames is one syscall.
+//     the 64 KiB coalescing buffer, which Send flushes before it lets
+//     go of the link.
 //   - Reader: the length prefix and header arrive through the 64 KiB
 //     staging buffer (one read picks up a whole batch of small frames)
 //     and are bounds-checked; only then is a pooled []float64 acquired.
@@ -55,23 +64,34 @@ import (
 // been written into a pooled buffer — harmless, the buffer goes back to
 // the pool undelivered and the link fails.
 //
-// Buffering: outbox (mailboxCap) + socket buffers + inbox (mailboxCap)
-// give every directed link strictly more slack than the channel
-// fabric's mailboxCap, so any schedule that is deadlock-free on
-// channels is deadlock-free here (the mailboxCap argument, with spare
-// room).
+// Buffering: a write blocks only when the socket buffers are full, and
+// the readers do not depend on anyone calling Recv — each drains its
+// socket into an inbox of mailboxCap frames — so a sender gets at least
+// mailboxCap frames ahead of its receiver before it blocks, which is the
+// channel fabric's slack. Any schedule that is deadlock-free on channels
+// is deadlock-free here (the mailboxCap argument, with the socket
+// buffers as spare room).
 //
 // Sender-reuse safety for zero-copy frames: a sender may only reuse a
 // handed-off buffer after an event that (on the channel fabric) follows
-// the receiver consuming it. Here the writer reads the sender's buffer
-// in place, twice: the CRC pass, then the kernel's copy during writev.
-// Both finish before the CRC trailer — the frame's last four bytes — is
-// handed to the kernel, and the receiving reader delivers a frame only
-// after it has read that trailer and checked it. So every read of the
-// sender's memory happens-before the receiver can consume the frame,
-// hence before any legal reuse, and the zero-copy hand-offs the
-// collectives rely on stay safe over the wire. (A coalesced small frame
-// is copied out before Send's caller can observe anything.)
+// the receiver consuming it. Here the rule is met with room to spare:
+// Send reads the buffer in place, twice — the CRC pass, then the
+// kernel's copy during writev — and both are over when it returns, so
+// the payload has been read for the last time before its sender runs
+// again, and the zero-copy hand-offs the collectives rely on stay safe
+// over the wire. (A coalesced small frame is copied out earlier still.)
+//
+// Coalescing: every frame is flushed by the Send that wrote it — its
+// sender is about to wait for the answer — so the coalescing buffer
+// holds one small frame at a time; it is what turns header, payload and
+// trailer into one write.
+//
+// Teardown: Close marks the transport closing; each link's closer
+// goroutine then takes the lock — behind a write in progress, with
+// nothing left buffered — and half-closes, and a Send that gets the lock
+// of a closing transport drops its frame instead of writing behind the
+// half-close. Readers read on to the peer's EOF and discard, so a write
+// blocked on a full socket completes.
 
 // TCPConfig describes a TCP mesh.
 type TCPConfig struct {
@@ -102,7 +122,7 @@ type TCPTransport struct {
 	local []bool
 	nLoc  int
 	inbox [][]chan Frame // [to][from]; rows only for local `to`
-	out   [][]chan Frame // [from][to]; wire-link outboxes for local `from`
+	links [][]*wireLink  // [from][to]; the wire links of local `from`
 	pool  bufPool
 
 	done      chan struct{}
@@ -112,6 +132,13 @@ type TCPTransport struct {
 
 	bytesOut, bytesIn   atomic.Int64
 	framesOut, framesIn atomic.Int64
+}
+
+// wireLink is the sending half of one directed link: the socket's
+// writer and the lock its senders and its closer take turns under.
+type wireLink struct {
+	mu sync.Mutex   // held around every use of w and the closing of its write side
+	w  *flushWriter // set once the mesh is up
 }
 
 // wireBufSize is the writer's coalescing buffer and the reader's staging
@@ -128,7 +155,7 @@ const helloLen = 10
 
 // NewTCPLoopback returns a p-rank TCP transport with every rank hosted
 // in this process over 127.0.0.1 ephemeral ports: the full TCP backend
-// — framing, CRC, per-link writers, kernel sockets — without leaving
+// — framing, CRC, per-link readers, kernel sockets — without leaving
 // the machine. This is the cross-transport equivalence harness's second
 // backend.
 func NewTCPLoopback(p int) (*TCPTransport, error) {
@@ -142,7 +169,7 @@ func NewTCPLoopback(p int) (*TCPTransport, error) {
 // NewTCPTransport builds the mesh: listeners for the local ranks, then
 // one connection per rank pair (lower rank dials, higher accepts, both
 // with retry/deadline so processes may start in any order), then the
-// per-link reader/writer goroutines. Returns only once every local
+// per-link reader/closer goroutines. Returns only once every local
 // link is connected.
 func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	p := len(cfg.Addrs)
@@ -179,7 +206,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	}
 
 	t.inbox = make([][]chan Frame, p)
-	t.out = make([][]chan Frame, p)
+	t.links = make([][]*wireLink, p)
 	for r := 0; r < p; r++ {
 		if t.local[r] {
 			row := make([]chan Frame, p)
@@ -187,13 +214,13 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 				row[from] = make(chan Frame, mailboxCap)
 			}
 			t.inbox[r] = row
-			orow := make([]chan Frame, p)
-			for to := range orow {
+			lrow := make([]*wireLink, p)
+			for to := range lrow {
 				if to != r {
-					orow[to] = make(chan Frame, mailboxCap)
+					lrow[to] = &wireLink{}
 				}
 			}
-			t.out[r] = orow
+			t.links[r] = lrow
 		}
 	}
 
@@ -333,8 +360,10 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	// Mesh complete: spawn the link goroutines. Each endpoint writes
 	// one direction and reads the other.
 	for _, ep := range eps {
+		l := t.links[ep.wFrom][ep.wTo]
+		l.w = newFlushWriter(ep.conn, &t.bytesOut, &t.framesOut)
 		t.wg.Add(1)
-		go t.runWriter(ep.conn, ep.wFrom, ep.wTo)
+		go t.runCloser(l, ep.conn)
 		if t.local[ep.wFrom] { // reads frames addressed wTo→wFrom
 			t.wg.Add(1)
 			go t.runReader(ep.conn, ep.wTo, ep.wFrom)
@@ -387,23 +416,34 @@ func (t *TCPTransport) WireStats() TCPStats {
 	}
 }
 
-// Send enqueues f on the (from → to) link's outbox (self-sends go
-// straight to the inbox). Blocks for backpressure; unblocks and drops
-// when the transport closes underneath it.
+// Send writes f to the (from → to) link (self-sends go straight to the
+// inbox) and flushes it; f.Data has been read for the last time, and a
+// pool-owned payload released, when Send returns. Blocks for
+// backpressure — on a full socket, or behind another sender's write —
+// and drops the frame once the transport is closing.
 func (t *TCPTransport) Send(from, to int, f Frame) {
 	if !t.local[from] {
 		panic(fmt.Sprintf("comm: tcp: send from rank %d, which is not hosted by this process", from))
 	}
 	checkTransportRank(t, to)
-	var ch chan Frame
 	if from == to {
-		ch = t.inbox[to][from]
-	} else {
-		ch = t.out[from][to]
+		select {
+		case t.inbox[to][from] <- f:
+		case <-t.done:
+		}
+		return
 	}
-	select {
-	case ch <- f:
-	case <-t.done:
+	l := t.links[from][to]
+	l.mu.Lock()
+	// Checked under the lock: the closer half-closes under it too, so a
+	// frame is never written behind CloseWrite.
+	if !t.closing() {
+		l.w.frame(wire.Header{From: from, To: to, Seq: f.Seq, Arrive: f.Arrive}, f.Data)
+		l.w.flush()
+	}
+	l.mu.Unlock()
+	if f.pb != nil {
+		t.pool.release(f.pb)
 	}
 }
 
@@ -416,43 +456,15 @@ func (t *TCPTransport) Recv(to, from int) Frame {
 	return <-t.inbox[to][from]
 }
 
-// runWriter owns the (from → to) direction of one connection: drain the
-// outbox, put each frame on the wire (large ones in place, small ones
-// through the coalescing buffer), flush when the queue is momentarily
-// empty (batching consecutive small frames into one syscall), and
-// release pool-owned payloads once their bytes are out. On Close the
-// queued frames are flushed and the write side half-closed, so the peer
-// reads everything in flight before seeing EOF — graceful teardown.
-func (t *TCPTransport) runWriter(conn *net.TCPConn, from, to int) {
+// runCloser waits for Close and then half-closes the link's write side,
+// behind whatever a Send is still writing, so the peer reads everything
+// in flight before seeing EOF — graceful teardown.
+func (t *TCPTransport) runCloser(l *wireLink, conn *net.TCPConn) {
 	defer t.wg.Done()
-	out := t.out[from][to]
-	w := newFlushWriter(conn, &t.bytesOut, &t.framesOut)
-	emit := func(f Frame) {
-		w.frame(wire.Header{From: from, To: to, Seq: f.Seq, Arrive: f.Arrive}, f.Data)
-		if f.pb != nil {
-			t.pool.release(f.pb)
-		}
-	}
-	for {
-		select {
-		case f := <-out:
-			emit(f)
-			if len(out) == 0 {
-				w.flush()
-			}
-		case <-t.done:
-			for {
-				select {
-				case f := <-out:
-					emit(f)
-				default:
-					w.flush()
-					conn.CloseWrite()
-					return
-				}
-			}
-		}
-	}
+	<-t.done
+	l.mu.Lock() // every Send flushes before it unlocks: nothing is buffered
+	conn.CloseWrite()
+	l.mu.Unlock()
 }
 
 // flushWriter puts frames on a connection with a sticky error: after
@@ -528,7 +540,10 @@ func (w *flushWriter) flush() {
 // and routes its frames to the inbox. A clean EOF at a frame boundary is
 // normal teardown; a corrupt or mid-frame-truncated stream is a
 // wire-integrity failure and panics (the CRC exists to make corruption
-// loud, not survivable).
+// loud, not survivable). Once the transport is closing, frames nobody
+// will receive are discarded, but the reader reads on to the peer's EOF:
+// a write blocked on this socket — a Send's inline write included — then
+// completes, and the peer's teardown gets to half-close.
 func (t *TCPTransport) runReader(conn *net.TCPConn, from, to int) {
 	defer t.wg.Done()
 	rd := wire.NewReader(newFillReader(conn))
@@ -546,7 +561,6 @@ func (t *TCPTransport) runReader(conn *net.TCPConn, from, to int) {
 		case t.inbox[to][from] <- f:
 		case <-t.done:
 			t.pool.release(f.pb)
-			return
 		}
 	}
 }
@@ -616,8 +630,8 @@ func (fr *fillReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close tears the mesh down: writers flush their queued frames and
-// half-close so peers receive everything in flight, readers drain or
+// Close tears the mesh down: the links half-close behind any write in
+// progress so peers receive everything in flight, readers drain or
 // exit, then the connections close. Idempotent and safe to call
 // concurrently with blocked Sends (they unblock and drop).
 func (t *TCPTransport) Close() error {

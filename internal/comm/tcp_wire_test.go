@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -263,17 +264,207 @@ func TestTCPStatsBalanceOnLoopback(t *testing.T) {
 			runGroup(p, g, func(rank int) { g.AllreduceTree(rank, bufs[rank]) })
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	ws := tr.WireStats()
-	for (ws.BytesOut != ws.BytesIn || ws.FramesOut != ws.FramesIn) && time.Now().Before(deadline) {
-		runtime.Gosched()
-		ws = tr.WireStats()
-	}
+	ws := settledWireStats(tr)
 	if ws.BytesOut != ws.BytesIn || ws.FramesOut != ws.FramesIn {
 		t.Errorf("wire stats out of balance: %+v", ws)
 	}
 	// Tree allreduce: 2(p-1) frames per round.
 	if want := int64(3 * 3 * 2 * (p - 1)); ws.FramesIn != want {
 		t.Errorf("%d frames, want %d", ws.FramesIn, want)
+	}
+}
+
+// settledWireStats snapshots the counters once the out side has caught
+// up with the in side (or five seconds have passed): whoever writes a
+// frame counts it after the write returns, which can be after the reader
+// has delivered it.
+func settledWireStats(tr *TCPTransport) TCPStats {
+	deadline := time.Now().Add(5 * time.Second)
+	ws := tr.WireStats()
+	for (ws.BytesOut != ws.BytesIn || ws.FramesOut != ws.FramesIn) && time.Now().Before(deadline) {
+		runtime.Gosched()
+		ws = tr.WireStats()
+	}
+	return ws
+}
+
+// TestTCPInlineWriteKeepsSenderOrder: two goroutines hammer one link with
+// tagged frames while the receiver stalls — long enough each time for
+// the senders to get a backlog ahead, contending for the link's lock —
+// and resumes. Each sender's frames must arrive in its own send order
+// with nothing lost or duplicated, and once the link has drained the two
+// sides of the wire counters agree.
+func TestTCPInlineWriteKeepsSenderOrder(t *testing.T) {
+	const senders, perSender, backlog = 2, 4000, 64
+	tr, err := NewTCPLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var sent atomic.Int64
+	for s := 0; s < senders; s++ {
+		go func(s int) {
+			for i := 0; i < perSender; i++ {
+				// Every 500th frame is large enough to leave in one vectored
+				// write; the rest go through the coalescing buffer.
+				words := 3
+				if i%500 == 499 {
+					words = wireBufSize / 8
+				}
+				data := make([]float64, words)
+				data[0], data[1] = float64(s), float64(i)
+				tr.Send(0, 1, Frame{Data: data, Seq: int64(i)})
+				sent.Add(1)
+			}
+		}(s)
+	}
+	var next [senders]int
+	for got := 0; got < senders*perSender; got++ {
+		if got%1000 == 0 {
+			// Stall until the senders are backlog frames ahead (or done).
+			for sent.Load() < int64(min(got+backlog, senders*perSender)) {
+				runtime.Gosched()
+			}
+		}
+		f := tr.Recv(1, 0)
+		s, i := int(f.Data[0]), int(f.Data[1])
+		if i != next[s] || f.Seq != int64(i) {
+			t.Fatalf("frame %d: sender %d's frame %d (seq %d) arrived where its frame %d was due", got, s, i, f.Seq, next[s])
+		}
+		next[s]++
+		tr.pool.release(f.pb)
+	}
+	ws := settledWireStats(tr)
+	if ws.BytesOut != ws.BytesIn || ws.FramesOut != ws.FramesIn || ws.FramesIn != senders*perSender {
+		t.Errorf("wire stats after %d frames: %+v", senders*perSender, ws)
+	}
+}
+
+// TestTCPSendBackpressureUnblocksOnClose: with nobody receiving, a link
+// takes at least mailboxCap frames and at most what the inbox and the
+// socket buffers hold before Send blocks — in the sender's own write —
+// and Close unblocks it promptly, without waiting out the hard-close
+// timer: the closing reader keeps draining the socket.
+func TestTCPSendBackpressureUnblocksOnClose(t *testing.T) {
+	const words = 1 << 17 // 1 MiB frames: socket buffers hold only a few
+	tr, err := NewTCPLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]float64, words)
+	var sent atomic.Int64
+	returned := make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		defer close(returned)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tr.Send(0, 1, Frame{Data: payload})
+			sent.Add(1)
+		}
+	}()
+	// Blocked is the absence of progress: wait until the count has stood
+	// still for a while.
+	last, since := int64(-1), time.Now()
+	for time.Since(since) < 300*time.Millisecond {
+		if n := sent.Load(); n != last {
+			last, since = n, time.Now()
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if last < mailboxCap {
+		t.Errorf("Send blocked after %d frames, want at least mailboxCap = %d", last, mailboxCap)
+	}
+	// inbox + the frame the reader holds + 32 MiB of socket buffering,
+	// which is more than the kernel's limits allow.
+	if limit := int64(mailboxCap + 1 + 32); last > limit {
+		t.Errorf("Send still not blocked after %d 1 MiB frames, want at most %d", last, limit)
+	}
+	start := time.Now()
+	tr.Close()
+	close(stop)
+	select {
+	case <-returned:
+	case <-time.After(4 * time.Second):
+		t.Fatal("Send still blocked after Close")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Close and the blocked Send took %v", d)
+	}
+}
+
+// TestTCPCloseRacesSends: Close arrives while two goroutines are sending
+// — one inside its write, the other waiting for the link's lock.
+// Whatever was handed to the socket was read by the peer, nothing was
+// written after the write side closed, what was received is each
+// sender's frames in its own order, and nothing panics.
+func TestTCPCloseRacesSends(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		tr, err := NewTCPLoopback(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const senders, before = 2, 200
+		var wg sync.WaitGroup
+		ready := make(chan struct{}, senders)
+		closed := make(chan struct{})
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					if i == before {
+						ready <- struct{}{}
+					}
+					select {
+					case <-closed:
+						return
+					default:
+					}
+					tr.Send(0, 1, Frame{Data: []float64{float64(s), float64(i)}})
+				}
+			}(s)
+		}
+		receiverDone := make(chan struct{})
+		go func() {
+			defer close(receiverDone)
+			var next [senders]int
+			for {
+				select {
+				case f := <-tr.inbox[1][0]:
+					s, i := int(f.Data[0]), int(f.Data[1])
+					if i < next[s] {
+						t.Errorf("round %d: sender %d's frame %d arrived after its frame %d", round, s, i, next[s]-1)
+					}
+					next[s] = i + 1
+				case <-closed:
+					return
+				}
+			}
+		}()
+		for s := 0; s < senders; s++ {
+			<-ready
+		}
+		tr.Close()
+		close(closed)
+		wg.Wait()
+		<-receiverDone
+		ws := tr.WireStats()
+		if ws.FramesOut != ws.FramesIn || ws.BytesOut != ws.BytesIn {
+			t.Errorf("round %d: wire stats after Close: %+v", round, ws)
+		}
+		if ws.FramesOut < senders*before {
+			t.Errorf("round %d: %d frames written, but %d were sent before Close", round, ws.FramesOut, senders*before)
+		}
+		l := tr.links[0][1]
+		l.mu.Lock()
+		if l.w.err != nil {
+			t.Errorf("round %d: the link's writer failed: %v (a write after CloseWrite?)", round, l.w.err)
+		}
+		l.mu.Unlock()
 	}
 }

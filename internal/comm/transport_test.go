@@ -23,19 +23,20 @@ type transportCase struct {
 }
 
 func transportCases() []transportCase {
-	return []transportCase{
-		{"channel", func(t *testing.T, p int) *Group { return NewGroup(p) }},
-		{"tcp-loopback", func(t *testing.T, p int) *Group {
-			t.Helper()
-			tr, err := NewTCPLoopback(p)
-			if err != nil {
-				t.Fatalf("NewTCPLoopback(%d): %v", p, err)
-			}
-			g := NewTransportGroup(tr, nil, nil, nil)
-			t.Cleanup(g.Close)
-			return g
-		}},
+	return []transportCase{{"channel", chanGroup}, {"tcp-loopback", tcpLoopbackGroup}}
+}
+
+func chanGroup(t *testing.T, p int) *Group { return NewGroup(p) }
+
+func tcpLoopbackGroup(t *testing.T, p int) *Group {
+	t.Helper()
+	tr, err := NewTCPLoopback(p)
+	if err != nil {
+		t.Fatalf("NewTCPLoopback(%d): %v", p, err)
 	}
+	g := NewTransportGroup(tr, nil, nil, nil)
+	t.Cleanup(g.Close)
+	return g
 }
 
 // TestCrossTransportAllreduceEquivalence is the equivalence matrix of

@@ -14,8 +14,9 @@ import (
 // boundaries), every bucket must carry the gating layer of its first
 // segment, and the plan must be a pure function of its inputs (every
 // rank computes it independently; divergent plans would deadlock the
-// collective). One fuzz target per package keeps `go test -fuzz=.`
-// runnable.
+// collective). This is the package's only fuzz target, so `go test
+// -fuzz=.` works here; packages with several (comm, comm/wire) need the
+// target named, as scripts/check.sh does.
 func FuzzPlanBuckets(f *testing.F) {
 	f.Add(uint8(1), uint8(1), int64(1))
 	f.Add(uint8(4), uint8(2), int64(3))

@@ -13,9 +13,9 @@ import (
 
 // Result summarizes one training run.
 type Result struct {
-	Algo  Algorithm
-	P     int // learners
-	T     int // aggregation interval (configured; the T-scheduler's start)
+	Algo Algorithm
+	P    int // learners
+	T    int // aggregation interval (configured; the T-scheduler's start)
 	// FinalT is the communication period in effect when a scheduled run
 	// finished — equal to T unless a decay or adaptive T-scheduler moved
 	// it. Zero for runs outside the scheduled path.

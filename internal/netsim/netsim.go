@@ -135,7 +135,9 @@ func New(p int, cfg Config) *Sim {
 	if cfg.IslandSize <= 0 {
 		cfg.IslandSize = 2
 	}
-	s := &Sim{cfg: cfg}
+	// slowdown is sized here, not on first use: learners set and read it
+	// concurrently, each only its own element.
+	s := &Sim{cfg: cfg, slowdown: make([]float64, p)}
 	for i := 0; i < p; i++ {
 		s.clocks = append(s.clocks, &Clock{})
 		s.rng = append(s.rng, rand.New(rand.NewSource(int64(7919*i+13))))
@@ -179,8 +181,8 @@ func (s *Sim) BatchSpan(rank int, flops float64) (start, dt float64) {
 	if j := s.cfg.ComputeJitter; j > 0 {
 		dt *= 1 + (s.rng[rank].Float64()*2-1)*j
 	}
-	if s.slowdown != nil && s.slowdown[rank] > 1 {
-		dt *= s.slowdown[rank]
+	if k := s.slowdown[rank]; k > 1 {
+		dt *= k
 	}
 	start = s.clocks[rank].Now()
 	s.clocks[rank].Advance(dt)
@@ -193,9 +195,6 @@ func (s *Sim) BatchSpan(rank int, flops float64) (start, dt float64) {
 // make a FaultPlan's slow=R:K clause show up in simulated epoch times
 // as well as in real scheduling.
 func (s *Sim) SetSlowdown(rank int, factor float64) {
-	if s.slowdown == nil {
-		s.slowdown = make([]float64, len(s.clocks))
-	}
 	s.slowdown[rank] = factor
 }
 

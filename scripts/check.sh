@@ -6,6 +6,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> gofmt -l"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    printf '%s\n' "$unformatted"
+    echo "FAIL: gofmt -l lists the files above"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -48,10 +56,11 @@ go test -race -count=2 -run 'Overlap' ./internal/core/
 
 # The compression engine's schedule-sensitive surface is the per-bucket
 # codec collectives riding the same async worker handoff: run the codec
-# unit/equivalence tests and the core-level compressed-overlap sweep
-# twice under the race detector.
+# unit/equivalence tests (the selector's and the root re-selection's
+# differentials against the sort reference included) and the core-level
+# compressed-overlap sweep twice under the race detector.
 echo "==> go test -race -count=2 compression engine"
-go test -race -count=2 -run 'Compress|Codec|TopK|QInt8|Selector|Quickselect|Sparsity' ./internal/comm/
+go test -race -count=2 -run 'Compress|Codec|TopK|QInt8|Selector|Resparsify|Sparsity' ./internal/comm/
 go test -race -count=2 -run 'Compress|FaultyCompressed|Adaptive' ./internal/core/
 
 # The communication-scheduling layer rides the same async worker
@@ -68,8 +77,10 @@ go test -race -count=2 -run 'Sched|Delayed|Decay|AdaptiveT|ChaosHier' ./internal
 # connection-endpoint writer/reader goroutines, pooled frame buffers
 # crossing the socket boundary, idempotent group/transport teardown
 # racing in-flight sends, and the cross-transport equivalence matrix
-# that pins channel and TCP-loopback backends bitwise identical. Run
-# those legs twice under the race detector at both layers.
+# that pins channel and TCP-loopback backends bitwise identical; the
+# TCP pattern also takes in the sender-side write's ordering,
+# back-pressure and Close-race tests. Run those legs twice under the
+# race detector at both layers.
 echo "==> go test -race -count=2 wire transport (channel vs TCP loopback)"
 go test -race -count=2 -run 'CrossTransport|GroupClose|TCP|Wire|MultiProcess' ./internal/comm/
 go test -race -count=2 -run 'TrainTCP|MultiEndpoint' ./internal/core/
@@ -87,6 +98,12 @@ go test -race -count=2 -run 'Concurrent' ./internal/obs/
 echo "==> go test -race -count=2 metrics registry concurrent writes"
 go test -race -count=2 -run 'Concurrent' ./internal/obs/metrics/
 
+# The straggler plan sets one rank's simulated slowdown from that rank's
+# goroutine while the others charge their batches: the per-rank slot must
+# exist before any learner starts (netsim.New), or this run races.
+echo "==> go test -race -count=6 seeded straggler (netsim slowdown slots)"
+go test -race -count=6 -run TestMetricsFlagsSeededStraggler ./internal/core
+
 # The chaos suite is the failure-handling gate: seeded fault plans
 # (stragglers, drops, crashes at scheduled boundaries) with bitwise
 # survivor-equivalence assertions. Membership changes move virtual rank
@@ -95,9 +112,12 @@ echo "==> go test -race -count=2 chaos suite"
 go test -race -count=2 ./internal/chaos/
 
 # Native fuzzing smoke legs: a short randomized walk over the allreduce
-# equivalence and bucket-plan invariants beyond the checked-in corpus.
+# equivalence, top-k selection ≡ full sort on arbitrary bit patterns,
+# and the bucket-plan invariants beyond the checked-in corpus. `go test
+# -fuzz` takes one target at a time, so each is named.
 echo "==> go fuzz smoke (10s per target)"
 go test -fuzz 'FuzzAllreduceEquivalence' -fuzztime 10s -run 'Fuzz' ./internal/comm/
+go test -fuzz 'FuzzTopKSelect' -fuzztime 10s -run 'Fuzz' ./internal/comm/
 go test -fuzz 'FuzzPlanBuckets' -fuzztime 10s -run 'Fuzz' ./internal/core/
 go test -fuzz 'FuzzFrameDecode' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
 go test -fuzz 'FuzzFrameRoundTrip' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
