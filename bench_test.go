@@ -375,21 +375,21 @@ func BenchmarkKernelConvForward(b *testing.B) {
 func BenchmarkAblationCompression(b *testing.B) {
 	w := experiments.ImageWorkload()
 	for _, cfg := range []struct {
-		name string
-		topk float64
-	}{{"dense", 0}, {"top10pct", 0.10}, {"top1pct", 0.01}} {
+		name, codec string
+		topk        float64
+	}{{"dense", "", 0}, {"top10pct", core.CodecTopK, 0.10}, {"top1pct", core.CodecTopK, 0.01}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var acc *core.Result
 			for i := 0; i < b.N; i++ {
 				timing := core.Train(core.Config{
 					Algo: core.AlgoSASGD, Learners: 8, Interval: 1, Gamma: w.Gamma,
-					Batch: 64, Epochs: 2, Seed: 1, EvalEvery: 2, CompressTopK: cfg.topk,
+					Batch: 64, Epochs: 2, Seed: 1, EvalEvery: 2, Compress: cfg.codec, CompressK: cfg.topk,
 					Sim: w.SimConfig(8), FlopsPerSample: w.PaperCost.TrainFlopsPerSample,
 				}, w.Problem)
 				b.ReportMetric(timing.EpochTime(), "sim-epoch-s")
 				acc = core.Train(core.Config{
 					Algo: core.AlgoSASGD, Learners: 8, Interval: 5, Gamma: w.Gamma,
-					Batch: w.Batch, Epochs: 6, Seed: 1, EvalEvery: 6, CompressTopK: cfg.topk,
+					Batch: w.Batch, Epochs: 6, Seed: 1, EvalEvery: 6, Compress: cfg.codec, CompressK: cfg.topk,
 				}, w.Problem)
 			}
 			b.ReportMetric(100*acc.FinalTest, "test-pct")

@@ -42,14 +42,13 @@ func main() {
 	overlap := flag.Bool("overlap", false, "overlap SASGD aggregation with backprop (bucketed allreduce; default also via SASGD_OVERLAP=1)")
 	buckets := flag.Int("buckets", 0, "gradient bucket count for -overlap (0 = one per parameterized layer)")
 	momentum := flag.Float64("momentum", 0, "EAMSGD local momentum (0 = default, negative = none)")
-	tSched := flag.String("t-sched", "", "SASGD aggregation-period scheduler: static, decay (start at T=1, double toward -T) or adaptive (drift-controlled; default also via SASGD_TSCHED)")
+	tSched := flag.String("t-sched", "", "SASGD aggregation-period scheduler: static or adaptive (drift-controlled; default also via SASGD_TSCHED)")
 	hierGroups := flag.Int("hier-groups", 0, "two-level SASGD aggregation: partition the learners into this many islands, aggregate intra-island every boundary and cross-island every -t-outer boundaries (<2 = flat; default also via SASGD_HIER_GROUPS)")
 	tOuter := flag.Int("t-outer", 0, "inner boundaries per cross-island exchange with -hier-groups (0 = 4)")
 	delayed := flag.Bool("delayed", false, "delay the global application of each boundary's aggregate by one round so the transfer hides behind the next interval's compute (default also via SASGD_DELAYED=1)")
 	compress := flag.String("compress", "", "SASGD gradient compression codec: topk (error-feedback top-k), qint8 (int8 quantization) or none (default also via SASGD_COMPRESS, e.g. SASGD_COMPRESS=topk:0.05)")
 	compressK := flag.Float64("compress-k", 0, "top-k fraction in (0,1] for -compress topk (0 = 0.05; 1 = dense)")
 	compressAdapt := flag.Bool("compress-adapt", false, "adapt the top-k fraction to the captured gradient-mass fraction (topk only)")
-	topk := flag.Float64("topk", 0, "deprecated alias for -compress topk -compress-k <f>: top-k fraction in (0,1); 0 = dense aggregation")
 	workers := flag.Int("workers", 0, "per-learner kernel workers (0 = split SASGD_WORKERS/GOMAXPROCS across learners)")
 	fastKernels := flag.Bool("fast-kernels", false, "use reordered-summation tensor kernels: faster dot products, value-equal to the default kernels within 1e-12 but not bit-identical (default also via SASGD_FAST_KERNELS=1)")
 	sim := flag.Bool("sim", false, "attach the fabric simulator and report simulated epoch time")
@@ -109,25 +108,12 @@ func main() {
 		HierGroups:    *hierGroups,
 		TOuter:        *tOuter,
 		DelayedApply:  *delayed,
-		CompressTopK:  *topk,
 		Compress:      *compress,
 		CompressK:     *compressK,
 		CompressAdapt: *compressAdapt,
 		VirtualTime:   *vtime,
 		Workers:       *workers,
 		FastKernels:   *fastKernels,
-	}
-	switch *compress {
-	case "", "none", core.CodecTopK, core.CodecQInt8:
-	default:
-		fmt.Fprintf(os.Stderr, "sasgd-train: unknown compression codec %q (want topk, qint8 or none)\n", *compress)
-		os.Exit(2)
-	}
-	switch *tSched {
-	case "", core.TSchedStatic, core.TSchedDecay, core.TSchedAdaptive:
-	default:
-		fmt.Fprintf(os.Stderr, "sasgd-train: unknown T-scheduler %q (want static, decay or adaptive)\n", *tSched)
-		os.Exit(2)
 	}
 	if *compressK < 0 || *compressK > 1 {
 		fmt.Fprintf(os.Stderr, "sasgd-train: -compress-k %g out of range (0,1]\n", *compressK)
@@ -141,12 +127,6 @@ func main() {
 	}
 	if *epochs > 0 {
 		cfg.Epochs = *epochs
-	}
-	switch cfg.Algo {
-	case core.AlgoSGD, core.AlgoSASGD, core.AlgoDownpour, core.AlgoEAMSGD, core.AlgoHogwild:
-	default:
-		fmt.Fprintf(os.Stderr, "sasgd-train: unknown algorithm %q\n", *algo)
-		os.Exit(2)
 	}
 	if *sim {
 		simCfg := w.SimConfig(cfg.Learners)
@@ -181,8 +161,11 @@ func main() {
 			cfg.ResumeRanks = append(cfg.ResumeRanks, r)
 		}
 	}
-	if (cfg.Faults != nil || cfg.CheckpointPath != "" || cfg.ResumeFrom != "") && cfg.Algo != core.AlgoSASGD {
-		fmt.Fprintf(os.Stderr, "sasgd-train: -faults/-ckpt/-resume require -algo sasgd (crash tolerance is built on its aggregation boundaries)\n")
+	// Everything the flags can spell wrong about the run itself is in
+	// core's validation table; check it before any file, socket or
+	// endpoint is opened.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "sasgd-train: %v\n", err)
 		os.Exit(2)
 	}
 

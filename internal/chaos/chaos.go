@@ -112,7 +112,7 @@ func (s Scenario) Run(prob *core.Problem) (*core.Result, *GradLog) {
 		if err != nil {
 			panic(err)
 		}
-		defer tcp.Close() // idempotent; the resilient path closes it first
+		defer tcp.Close() // idempotent; a membership run closes it first
 		tr = tcp
 	}
 	cfg := core.Config{

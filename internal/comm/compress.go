@@ -16,8 +16,8 @@ import (
 // and leave the dense global aggregate in the bucket. The engine plugs
 // into BucketedAllreduce (BeginCompressed), so compression composes
 // with backward-overlapped aggregation instead of forcing a serial
-// fallback, and into the resilient path's synchronous drive, so
-// compressed runs survive chaos scenarios.
+// fallback; on a membership plane the worker is restarted on the
+// survivor group, so compressed runs survive chaos scenarios.
 //
 // Error-feedback contract (Alistarh et al., "The Convergence of
 // Sparsified Gradient Methods"; the param_state["memory"] pattern of
@@ -35,8 +35,8 @@ import (
 
 // Compressor is one learner's instance of a gradient-compression codec.
 // Instances carry reusable scratch and must not be shared across ranks;
-// within a rank, calls must be serialized (the bucketed comm worker and
-// the resilient path's learner loop both are).
+// within a rank, calls must be serialized (the bucketed comm worker's
+// are).
 type Compressor interface {
 	// Name returns the codec's config name ("topk", "qint8").
 	Name() string

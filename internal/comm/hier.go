@@ -64,8 +64,9 @@ func NewHier(g *Group, groups int) *Hier {
 }
 
 // NewHierOf builds the hierarchy from an explicit rank→island map —
-// the resilient path uses this to re-partition a survivor group by the
-// members' original physical islands after an eviction. Island ids are
+// core's boundary engine uses this to partition a view (the initial
+// one, or a survivor group after an eviction) by the members' original
+// physical islands. Island ids are
 // normalized by first appearance, so gaps left by emptied islands are
 // fine; each island's leader is its lowest rank. The map is also
 // installed as the group's island view for cross-island traffic

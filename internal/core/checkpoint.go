@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"strings"
 
 	"sasgd/internal/nn"
 )
@@ -44,6 +45,45 @@ type checkpointMeta struct {
 	Boundary int   // aggregation boundaries completed
 	CurT     int   // T-scheduler period in effect (0 in pre-scheduler checkpoints)
 	Live     []int // data-physical ranks live when the checkpoint was written
+}
+
+// checkpoint is the boundary's last stage: every CheckpointEvery-th
+// boundary the view's virtual rank 0 writes the reference parameters and
+// the run's counters. Validation keeps it to flat eager boundaries,
+// where replica == reference and gs == 0 hold.
+func (e *engine) checkpoint(step int) {
+	if e.cfg.CheckpointPath == "" || e.vr != 0 || e.bidx%e.cfg.CheckpointEvery != 0 {
+		return
+	}
+	live := make([]int, e.view.Size())
+	for vr, pr := range e.view.Phys {
+		live[vr] = e.dataRanks[pr]
+	}
+	meta := checkpointMeta{
+		OrigP:    e.origP,
+		Interval: e.cfg.Interval,
+		Batch:    e.cfg.Batch,
+		Seed:     e.cfg.Seed,
+		GammaP:   e.cfg.GammaP,
+		Step:     step,
+		Boundary: e.bidx,
+		CurT:     e.sched.T(),
+		Live:     live,
+	}
+	if err := writeCheckpoint(checkpointFile(e.cfg.CheckpointPath, e.bidx), meta, e.xref); err != nil {
+		panic(err)
+	}
+}
+
+// checkpointFile resolves the configured checkpoint path for a
+// boundary: a "%d" verb keeps one file per boundary (the chaos harness
+// resumes from the boundary before a crash), a plain path is
+// overwritten in place (normal operation keeps only the latest).
+func checkpointFile(path string, boundary int) string {
+	if strings.Contains(path, "%d") {
+		return fmt.Sprintf(path, boundary)
+	}
+	return path
 }
 
 // writeCheckpoint atomically writes meta + params to path.

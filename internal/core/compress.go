@@ -1,37 +1,17 @@
 package core
 
-import (
-	"sasgd/internal/comm"
-	"sasgd/internal/obs"
-	"sasgd/internal/tensor"
-)
-
 // Core-side wiring of the gradient-compression engine (comm.Compressor):
-// codec construction from the Config, the adaptive-sparsity controller,
-// and the synchronous per-bucket drive the resilient path uses.
+// the adaptive-sparsity controller. The codec itself is boundary-engine
+// state (boundary.go).
 //
 // Compressed aggregation never takes a serial whole-vector fallback:
-// both SASGD paths split the gradient with the same planBuckets plan
-// the overlap path uses and run one codec collective per bucket, in
-// descending bucket order — from inside backward when OverlapComm is
-// set, all at once at the boundary otherwise. Per-bucket codec
-// collectives are independent and deterministic (the top-k tree merges
-// in fixed order, the qint8 integer sums are exact), so the two
+// the gradient is split with the same planBuckets plan the overlap hook
+// uses and one codec collective runs per bucket through the bucketed
+// worker, in descending bucket order — from inside backward when
+// OverlapComm applies, all at once at the boundary otherwise. Per-bucket
+// codec collectives are independent and deterministic (the top-k tree
+// merges in fixed order, the qint8 integer sums are exact), so the two
 // schedules are bitwise identical — pinned in compress_test.go.
-
-// compressionActive reports whether SASGD aggregation runs through the
-// compression engine rather than a dense allreduce. Only meaningful
-// after withDefaults has normalized the legacy CompressTopK knob.
-func (c Config) compressionActive() bool { return c.Compress != "" }
-
-// adaptActive reports whether the adaptive-sparsity controller runs
-// (top-k only: qint8 has no sparsity knob to steer).
-func (c Config) adaptActive() bool { return c.CompressAdapt && c.Compress == CodecTopK }
-
-// newCompressor builds one learner's private codec instance. Codecs
-// carry selection scratch, encode buffers and capture statistics, so
-// they are per-learner and never shared across ranks.
-func (c Config) newCompressor() comm.Compressor { return comm.NewCompressor(c.Compress) }
 
 // Adaptive sparsity (the Deng et al. adaptive-sparse direction): hold
 // the globally captured gradient-mass fraction sent²/(sent²+resid²)
@@ -74,28 +54,4 @@ func nextRatio(ratio, k0, sent2, resid2 float64) float64 {
 		ratio = hi
 	}
 	return ratio
-}
-
-// aggregateCompressedSync drives the compression engine synchronously —
-// bucket by bucket in the same descending order the bucketed worker
-// executes — and applies the aggregate. The resilient path uses this
-// instead of comm.BucketedAllreduce because its group membership can
-// change between boundaries (the bucketed worker assumes a fixed
-// group); values are identical to the engine's async path, since each
-// bucket's codec collective is independent and deterministic.
-func aggregateCompressedSync(g *comm.Group, rank int, cfg Config, segs []comm.Segment, comp comm.Compressor, ratio float64, gs, res, xref, params []float64, tk *obs.Track) {
-	ready := g.Clock(rank).Now()
-	ws := tk.Begin()
-	for bi := len(segs) - 1; bi >= 0; bi-- {
-		s := segs[bi]
-		comp.Allreduce(g, rank, gs[s.Off:s.Off+s.Len], res[s.Off:s.Off+s.Len], ratio, ready, tk, int32(bi))
-	}
-	tk.End(obs.PhaseAggWait, ws)
-	// x′ ← x′ − γp·gs ; x ← x′ ; gs ← 0 — the same dense apply as the
-	// uncompressed path: gs holds the dense (zero-filled) aggregate.
-	as := tk.Begin()
-	tensor.Axpy(-cfg.GammaP, gs, xref)
-	tensor.Copy(params, xref)
-	clear(gs)
-	tk.End(obs.PhaseAggApply, as)
 }

@@ -85,8 +85,8 @@ func TestCompressedOverlapMatchesSerialNLCF(t *testing.T) {
 	}
 }
 
-// TestFaultyCompressedMatchesPlain routes the resilient path through the
-// same compression engine: under an empty fault plan (nothing injected,
+// TestFaultyCompressedMatchesPlain runs the compression engine on the
+// membership plane: under an empty fault plan (nothing injected,
 // nobody crashes) the fault-capable run must reproduce the plain
 // compressed run bit for bit — same codecs, same per-bucket collectives,
 // same adaptive-k trajectory.
@@ -157,5 +157,57 @@ func TestAdaptiveCompressionDeterministicAndBounded(t *testing.T) {
 	dense.Compress, dense.CompressK, dense.CompressAdapt = "", 0, false
 	if r := Train(dense, prob); r.CompressK != 0 {
 		t.Errorf("dense run reports CompressK=%v, want 0", r.CompressK)
+	}
+}
+
+// TestEveryRunReportsFinalTAndCompressK: the result's schedule and codec
+// fields do not depend on which boundary policies a run composes — every
+// SASGD run reports the period it ended on, and every top-k run,
+// fault-plane ones included, the fraction it ended on.
+func TestEveryRunReportsFinalTAndCompressK(t *testing.T) {
+	prob := tinyProblem(48, 24, 5)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		k    float64 // expected CompressK (0 = dense / qint8)
+	}{
+		{"plain", func(c *Config) {}, 0},
+		{"overlap", func(c *Config) { c.OverlapComm = true }, 0},
+		{"topk", func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.1 }, 0.1},
+		{"qint8", func(c *Config) { c.Compress = CodecQInt8 }, 0},
+		{"faults", func(c *Config) { c.Faults = &comm.FaultPlan{} }, 0},
+		{"faults+topk", func(c *Config) {
+			c.Faults = &comm.FaultPlan{}
+			c.Compress, c.CompressK = CodecTopK, 0.1
+		}, 0.1},
+		{"hier+delayed+topk", func(c *Config) {
+			c.HierGroups, c.TOuter, c.DelayedApply = 2, 2, true
+			c.Compress, c.CompressK = CodecTopK, 0.1
+		}, 0.1},
+	} {
+		cfg := Config{
+			Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05,
+			Batch: 4, Epochs: 2, Seed: 9,
+		}
+		tc.mut(&cfg)
+		res := Train(cfg, prob)
+		if res.FinalT != cfg.Interval {
+			t.Errorf("%s: FinalT = %d, want %d", tc.name, res.FinalT, cfg.Interval)
+		}
+		if res.CompressK != tc.k {
+			t.Errorf("%s: CompressK = %g, want %g", tc.name, res.CompressK, tc.k)
+		}
+	}
+	// The adaptive controller's final fraction survives the fault plane
+	// too: same trajectory as the fixed-membership run.
+	adapt := Config{
+		Algo: AlgoSASGD, Learners: 4, Interval: 1, Gamma: 0.05,
+		Batch: 4, Epochs: 3, Seed: 14,
+		Compress: CodecTopK, CompressK: 0.05, CompressAdapt: true,
+	}
+	plain := Train(adapt, cifarProblem(24, 12))
+	adapt.Faults = &comm.FaultPlan{}
+	if got := Train(adapt, cifarProblem(24, 12)); got.CompressK == 0 || got.CompressK != plain.CompressK {
+		t.Errorf("adaptive top-k under a fault plan ends at %g, fixed membership at %g", got.CompressK, plain.CompressK)
 	}
 }

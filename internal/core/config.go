@@ -13,131 +13,66 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sasgd/internal/comm"
-	"sasgd/internal/data"
 	"sasgd/internal/netsim"
-	"sasgd/internal/nn"
 	"sasgd/internal/obs"
 	obsmetrics "sasgd/internal/obs/metrics"
 )
 
-var (
-	overlapOnce    sync.Once
-	defaultOverlap bool
-)
+// envOn reports whether an on/off environment default is set ("1" or
+// "true"; anything else, including unset, leaves the Config zero value
+// or the command flag in charge).
+func envOn(name string) bool {
+	s := os.Getenv(name)
+	return s == "1" || s == "true"
+}
 
 // DefaultOverlap reports whether the SASGD_OVERLAP environment variable
-// requests backward-overlapped aggregation by default ("1" or "true";
-// anything else, including unset, leaves the Config.OverlapComm zero
-// value in charge). Mirrors comm.DefaultChunk's SASGD_COMM_CHUNK pattern
-// so the experiment drivers pick the knob up without plumbing.
-func DefaultOverlap() bool {
-	overlapOnce.Do(func() {
-		s := os.Getenv("SASGD_OVERLAP")
-		defaultOverlap = s == "1" || s == "true"
-	})
-	return defaultOverlap
-}
-
-var (
-	fastKernelsOnce    sync.Once
-	defaultFastKernels bool
-)
+// requests backward-overlapped aggregation by default. Mirrors
+// comm.DefaultChunk's SASGD_COMM_CHUNK pattern so the experiment drivers
+// pick the knob up without plumbing.
+func DefaultOverlap() bool { return envOn("SASGD_OVERLAP") }
 
 // DefaultFastKernels reports whether the SASGD_FAST_KERNELS environment
-// variable requests the reordered-summation fast kernels by default ("1"
-// or "true"; anything else, including unset, leaves the
-// Config.FastKernels zero value in charge). Mirrors the SASGD_OVERLAP
-// pattern so the experiment drivers pick the knob up without plumbing.
-func DefaultFastKernels() bool {
-	fastKernelsOnce.Do(func() {
-		s := os.Getenv("SASGD_FAST_KERNELS")
-		defaultFastKernels = s == "1" || s == "true"
-	})
-	return defaultFastKernels
-}
-
-var (
-	compressOnce         sync.Once
-	defaultCompressCodec string
-	defaultCompressK     float64
-)
+// variable requests the reordered-summation fast kernels by default.
+func DefaultFastKernels() bool { return envOn("SASGD_FAST_KERNELS") }
 
 // DefaultCompress returns the gradient-compression codec and top-k
 // fraction requested by the SASGD_COMPRESS environment variable —
 // "topk", "topk:0.05" or "qint8"; empty (the default) leaves
 // compression off, and a malformed fraction is ignored (the codec's
-// default applies). Config.withDefaults consults it when no codec was
-// set explicitly, mirroring the -overlap/SASGD_OVERLAP precedence.
+// default applies). Config resolution consults it when no codec was set
+// explicitly, mirroring the -overlap/SASGD_OVERLAP precedence.
 func DefaultCompress() (codec string, k float64) {
-	compressOnce.Do(func() {
-		s := os.Getenv("SASGD_COMPRESS")
-		if s == "" {
-			return
+	codec, frac, ok := strings.Cut(os.Getenv("SASGD_COMPRESS"), ":")
+	if ok {
+		if v, err := strconv.ParseFloat(frac, 64); err == nil && v > 0 {
+			k = v
 		}
-		name, frac, ok := strings.Cut(s, ":")
-		defaultCompressCodec = name
-		if ok {
-			if v, err := strconv.ParseFloat(frac, 64); err == nil && v > 0 {
-				defaultCompressK = v
-			}
-		}
-	})
-	return defaultCompressCodec, defaultCompressK
+	}
+	return codec, k
 }
-
-var (
-	schedOnce           sync.Once
-	defaultTSched       string
-	defaultHierGroups   int
-	defaultDelayedApply bool
-)
 
 // DefaultSched returns the communication-schedule defaults requested by
 // the SASGD_TSCHED, SASGD_HIER_GROUPS and SASGD_DELAYED environment
-// variables: a T-scheduler mode ("static", "decay" or "adaptive"), a
+// variables: a T-scheduler mode ("static" or "adaptive"), a
 // hierarchical group count, and whether the global gradient is applied
 // one boundary late. Empty/unset leaves each Config zero value in
 // charge, mirroring the SASGD_OVERLAP precedence.
 func DefaultSched() (tsched string, hierGroups int, delayed bool) {
-	schedOnce.Do(func() {
-		defaultTSched = os.Getenv("SASGD_TSCHED")
-		if s := os.Getenv("SASGD_HIER_GROUPS"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				defaultHierGroups = v
-			}
-		}
-		s := os.Getenv("SASGD_DELAYED")
-		defaultDelayedApply = s == "1" || s == "true"
-	})
-	return defaultTSched, defaultHierGroups, defaultDelayedApply
+	if v, err := strconv.Atoi(os.Getenv("SASGD_HIER_GROUPS")); err == nil && v > 0 {
+		hierGroups = v
+	}
+	return os.Getenv("SASGD_TSCHED"), hierGroups, envOn("SASGD_DELAYED")
 }
-
-var (
-	faultOnce        sync.Once
-	defaultFaultSpec string
-)
 
 // DefaultFaultSpec returns the fault-plan spec requested by the
 // SASGD_FAULTS environment variable (comm.ParseFaultPlan grammar, e.g.
 // "seed=1,drop=0.05,slow=2:4,crash=3@10"); empty (the default) leaves
 // fault injection off. Commands consult it when their -faults flag is
 // unset, mirroring the -trace/SASGD_TRACE precedence.
-func DefaultFaultSpec() string {
-	faultOnce.Do(func() {
-		defaultFaultSpec = os.Getenv("SASGD_FAULTS")
-	})
-	return defaultFaultSpec
-}
-
-var (
-	transportOnce    sync.Once
-	defaultTransport string
-	defaultRank      = -1
-	defaultPeers     string
-)
+func DefaultFaultSpec() string { return os.Getenv("SASGD_FAULTS") }
 
 // DefaultTransport returns the wire-transport defaults requested by the
 // SASGD_TRANSPORT ("chan" or "tcp"), SASGD_RANK and SASGD_PEERS
@@ -146,40 +81,17 @@ var (
 // rank→address list. Empty/unset leaves each command flag's zero value
 // in charge, mirroring the -trace/SASGD_TRACE precedence.
 func DefaultTransport() (transport string, rank int, peers string) {
-	transportOnce.Do(func() {
-		defaultTransport = os.Getenv("SASGD_TRANSPORT")
-		if s := os.Getenv("SASGD_RANK"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v >= 0 {
-				defaultRank = v
-			}
-		}
-		defaultPeers = os.Getenv("SASGD_PEERS")
-	})
-	return defaultTransport, defaultRank, defaultPeers
+	rank = -1
+	if v, err := strconv.Atoi(os.Getenv("SASGD_RANK")); err == nil && v >= 0 {
+		rank = v
+	}
+	return os.Getenv("SASGD_TRANSPORT"), rank, os.Getenv("SASGD_PEERS")
 }
-
-var (
-	metricsOnce    sync.Once
-	defaultMetrics bool
-)
 
 // DefaultMetrics reports whether the SASGD_METRICS environment variable
-// requests a metrics registry by default ("1" or "true"; anything else,
-// including unset, leaves metrics off unless a -metrics flag asks).
-// Commands consult it when their -metrics flag is unset, mirroring the
-// -trace/SASGD_TRACE precedence.
-func DefaultMetrics() bool {
-	metricsOnce.Do(func() {
-		s := os.Getenv("SASGD_METRICS")
-		defaultMetrics = s == "1" || s == "true"
-	})
-	return defaultMetrics
-}
-
-var (
-	traceOnce        sync.Once
-	defaultTracePath string
-)
+// requests a metrics registry by default. Commands consult it when their
+// -metrics flag is unset, mirroring the -trace/SASGD_TRACE precedence.
+func DefaultMetrics() bool { return envOn("SASGD_METRICS") }
 
 // DefaultTracePath returns the Chrome-trace output path requested by
 // the SASGD_TRACE environment variable: "1" or "true" select
@@ -188,16 +100,10 @@ var (
 // their -trace flag is unset, mirroring the -overlap/SASGD_OVERLAP
 // precedence.
 func DefaultTracePath() string {
-	traceOnce.Do(func() {
-		switch s := os.Getenv("SASGD_TRACE"); s {
-		case "":
-		case "1", "true":
-			defaultTracePath = "trace.json"
-		default:
-			defaultTracePath = s
-		}
-	})
-	return defaultTracePath
+	if envOn("SASGD_TRACE") {
+		return "trace.json"
+	}
+	return os.Getenv("SASGD_TRACE")
 }
 
 // Algorithm identifies one of the implemented training algorithms.
@@ -236,8 +142,7 @@ const (
 
 // T-scheduler modes for Config.TSched (see schedule.go).
 const (
-	TSchedStatic   = "static"   // fixed T = Interval (the paper's schedule, via the scheduled path)
-	TSchedDecay    = "decay"    // T starts at 1 and doubles every tDecayEvery boundaries up to Interval
+	TSchedStatic   = "static"   // fixed T = Interval (the paper's schedule; "" means the same)
 	TSchedAdaptive = "adaptive" // T widens/narrows in lockstep from the allreduced replica-drift norm
 )
 
@@ -277,19 +182,25 @@ type Config struct {
 	// (the SASGD_COMM_CHUNK environment variable, else 8192).
 	CommChunk int
 
-	// OverlapComm enables bucketed, backward-overlapped aggregation: on
-	// the T-th minibatch of each interval, the gradient buffer is split
+	// OverlapComm asks for bucketed, backward-overlapped aggregation: on
+	// the last minibatch of each interval, the gradient buffer is split
 	// into CommBuckets contiguous buckets at layer boundaries and each
 	// bucket's allreduce is launched the moment the backward pass has
 	// finalized its layers' gradients, overlapping communication with the
-	// remainder of backprop. Results are bitwise identical to the serial
-	// path for the tree family ("tree"/"ptree"; "rhd" is value-equal as
-	// always) and for every compression codec (per-bucket codec
-	// collectives are independent and deterministic, so the launch
-	// schedule cannot change values). Only the ring collective falls
-	// back to the serial path. The SASGD_OVERLAP environment variable
-	// ("1"/"true") turns it on by default for every run, which is how
-	// the experiment drivers pick it up.
+	// remainder of backprop. It is a hint about the launch schedule, never
+	// about values: results are bitwise identical with it on or off for
+	// the tree family ("tree"/"ptree"; "rhd" reassociates per bucket and is
+	// value-equal as always) and for every compression codec (per-bucket
+	// codec collectives are independent and deterministic). It composes
+	// with either T-schedule. The hint cannot apply — and the boundary runs
+	// its serial schedule — where the launch would be wrong rather than
+	// merely early: under HierGroups or DelayedApply (what goes on the
+	// wire is not this batch's gs), under a fault plan, checkpoint or
+	// resume (the launch would precede the boundary's membership sync and
+	// alias its learner collectives), and for the dense ring (the bucketed
+	// worker has no ring). The SASGD_OVERLAP environment variable
+	// ("1"/"true") turns it on by default for every run, which is how the
+	// experiment drivers pick it up.
 	OverlapComm bool
 
 	// CommBuckets is the number of gradient buckets for OverlapComm:
@@ -307,8 +218,7 @@ type Config struct {
 	// launched per bucket, composing with OverlapComm — and ignores
 	// Allreduce (the codec brings its own collective). The
 	// SASGD_COMPRESS environment variable ("topk", "topk:0.05",
-	// "qint8") supplies the default when neither Compress nor
-	// CompressTopK is set.
+	// "qint8") supplies the default when Compress is empty.
 	Compress string
 
 	// CompressK is the top-k sparsity fraction for CodecTopK: each
@@ -330,24 +240,12 @@ type Config struct {
 	// reported in Result.CompressK.
 	CompressAdapt bool
 
-	// CompressTopK is the original name of the top-k knob, kept for
-	// compatibility: a value in (0, 1) is equivalent to Compress =
-	// CodecTopK with CompressK set to it, and values ≥ 1 run the dense
-	// path. Ignored when Compress is set explicitly.
-	CompressTopK float64
-
 	// TSched selects the communication-period scheduler for SASGD (see
-	// schedule.go): "" runs the legacy fixed-T loop untouched;
-	// TSchedStatic runs the same fixed T through the scheduled path
-	// (bitwise identical — the degenerate pin); TSchedDecay starts at
-	// T = 1 and doubles the period every tDecayEvery boundaries up to
-	// Interval (Stich's communicate-early schedule); TSchedAdaptive
-	// starts at Interval and widens/narrows the period from the
-	// allreduced replica-drift norm ‖x_i − x̄‖, in lockstep, so runs
-	// stay deterministic. The SASGD_TSCHED environment variable supplies
-	// the default. The scheduled path ignores OverlapComm (delayed
-	// application is its stronger replacement: it hides communication
-	// behind the whole next round, not one backward pass).
+	// schedule.go): TSchedStatic — which "" means too — keeps T = Interval
+	// (the paper's schedule); TSchedAdaptive starts at Interval and
+	// widens/narrows the period from the allreduced replica-drift norm
+	// ‖x_i − x̄‖, in lockstep, so runs stay deterministic. The SASGD_TSCHED
+	// environment variable supplies the default.
 	TSched string
 
 	// HierGroups ≥ 2 partitions the learners into that many contiguous
@@ -371,14 +269,17 @@ type Config struct {
 	// LATE (DaSGD): the allreduce is launched through the bucketed comm
 	// worker at boundary k and its result applied at boundary k+1, so
 	// the entire exchange hides behind the next round's compute instead
-	// of one backward pass. The one-round shift changes the trajectory
+	// of one backward pass (with a fault plan, checkpoint or resume the
+	// exchange completes inside boundary k and only its application waits:
+	// a launch in flight across a membership change would address a dead
+	// group). The one-round shift changes the trajectory
 	// (the k-th aggregate reflects boundary k's gradients but lands at
 	// k+1); a run with a single boundary, and the first aggregate of any
 	// run, are bitwise identical to eager application. Under a
 	// hierarchical schedule only the outer (cross-island) exchange is
 	// delayed — the intra-island allreduce is cheap and stays eager.
 	// Requires a tree-family or compressed collective (ring has no
-	// bucketed form; configuring both panics rather than silently
+	// bucketed form; Validate rejects the pair rather than silently
 	// un-delaying). The SASGD_DELAYED environment variable ("1"/"true")
 	// supplies the default.
 	DelayedApply bool
@@ -448,12 +349,14 @@ type Config struct {
 
 	// Faults, when non-nil, injects the plan's failures (message drops,
 	// link delays, learner slowdowns, crash schedules) into the run and
-	// routes SASGD through the crash-tolerant path: acknowledged
-	// point-to-point delivery with timeout/retry, heartbeat-based
-	// straggler eviction, survivor re-formation with γp rescaled by
-	// OrigP/live, and fault counters in Result.Comm.Faults. SASGD only —
-	// the other algorithms panic. Overlapped aggregation falls back to
-	// the serial path under faults.
+	// puts every SASGD sync point — aggregation boundaries and epoch
+	// barriers — on a membership ledger: acknowledged point-to-point
+	// delivery with timeout/retry, heartbeat-based straggler eviction,
+	// survivor re-formation with γp rescaled by OrigP/live, and fault
+	// counters in Result.Comm.Faults. SASGD only. It composes with both
+	// T-schedules, with the codecs on flat eager boundaries, and with
+	// dense HierGroups/DelayedApply (Validate names what it does not
+	// compose with).
 	Faults *comm.FaultPlan
 
 	// CheckpointPath, when non-empty, makes the run write a training
@@ -481,8 +384,8 @@ type Config struct {
 	// comm.NewTCPTransport mesh endpoint for genuinely multi-process
 	// training (see LocalRanks). Its Size must equal Learners. SASGD
 	// collective paths only. Train leaves closing the transport to the
-	// caller, with one exception: a fault-injected (resilient) run's
-	// membership layer closes its mesh on exit, since re-formed views
+	// caller, with one exception: a run with a fault plan, checkpoint or
+	// resume closes its mesh on exit through the membership layer, since re-formed views
 	// share it. Transport Close is idempotent either way.
 	Transport comm.Transport
 
@@ -499,17 +402,114 @@ type Config struct {
 	LocalRanks []int
 
 	// AggHook, when non-nil, is called by virtual rank 0 synchronously
-	// after each dense aggregation allreduce with the boundary index and
-	// the post-allreduce aggregated gradient (before γp is applied). The
-	// hook must copy the slice if it retains it. Test instrumentation —
-	// the chaos harness uses it to compare aggregated gradients bitwise
-	// across fault-free and degraded runs. Dense aggregation only; the
-	// compression engine (Compress/CompressTopK) does not invoke it.
+	// once per dense GLOBAL aggregate — every boundary's allreduce on a
+	// flat schedule, every outer exchange under HierGroups — right before
+	// γp is applied, with the index of the boundary the aggregate
+	// originated at (under DelayedApply that is the previous global
+	// boundary, and the last one arrives from the final flush) and the
+	// post-allreduce aggregated gradient. The hook must copy the slice if
+	// it retains it. Test instrumentation — the chaos harness uses it to
+	// compare aggregated gradients bitwise across fault-free and degraded
+	// runs. Dense aggregation only; a codec's output is not a gradient sum
+	// and is not shown.
 	AggHook func(boundary int, gs []float64)
 }
 
-// withDefaults validates cfg and fills defaulted fields.
+// configRules is the one validation table: every composition a Config
+// can spell that no run could honour, with the reason the user reads.
+// Each rule sees the config after resolve has filled the defaults. A
+// composition missing from this table works and is pinned by the
+// generated-config harness (gen_test.go).
+var configRules = []struct {
+	reason string
+	broken func(c *Config) bool
+}{
+	{"the local learning rate Gamma must be positive",
+		func(c *Config) bool { return !(c.Gamma > 0) }},
+	{"unknown algorithm (want sgd, sasgd, downpour, eamsgd or hogwild)",
+		func(c *Config) bool {
+			switch c.Algo {
+			case AlgoSGD, AlgoSASGD, AlgoDownpour, AlgoEAMSGD, AlgoHogwild:
+				return false
+			}
+			return true
+		}},
+	{"unknown compression codec (want topk, qint8 or none)",
+		func(c *Config) bool { return c.Compress != "" && c.Compress != CodecTopK && c.Compress != CodecQInt8 }},
+	{"CompressK must not be negative",
+		func(c *Config) bool { return c.Compress == CodecTopK && c.CompressK < 0 }},
+	{"unknown T-scheduler (want static or adaptive)",
+		func(c *Config) bool { return c.TSched != TSchedStatic && c.TSched != TSchedAdaptive }},
+	{"fault injection, checkpointing and resume are built on SASGD's aggregation boundaries: they need Algo sasgd",
+		func(c *Config) bool { return c.membership() && c.Algo != AlgoSASGD }},
+	{"an explicit Transport carries SASGD's collectives only: it needs Algo sasgd",
+		func(c *Config) bool { return c.Transport != nil && c.Algo != AlgoSASGD }},
+	{"the Transport must span exactly Learners ranks",
+		func(c *Config) bool { return c.Transport != nil && c.Transport.Size() != c.Learners }},
+	{"LocalRanks needs an explicit Transport (the omitted ranks live in other processes)",
+		func(c *Config) bool { return len(c.LocalRanks) > 0 && c.Transport == nil }},
+	{"LocalRanks composes with neither the fabric simulator nor fault injection/checkpointing (both keep per-rank state in process memory)",
+		func(c *Config) bool { return len(c.LocalRanks) > 0 && (c.Sim != nil || c.membership()) }},
+	{"LocalRanks must be strictly ascending ranks below Learners",
+		func(c *Config) bool {
+			prev := -1
+			for _, r := range c.LocalRanks {
+				if r <= prev || r >= c.Learners {
+					return true
+				}
+				prev = r
+			}
+			return false
+		}},
+	{"adaptive T, HierGroups and DelayedApply are SASGD boundary policies: they need Algo sasgd",
+		func(c *Config) bool {
+			return (c.TSched == TSchedAdaptive || c.HierGroups >= 2 || c.DelayedApply) && c.Algo != AlgoSASGD
+		}},
+	// Delay changes the algorithm, so it must never be silently dropped
+	// the way the overlap hint falls back for ring.
+	{"DelayedApply needs a bucketed collective (tree, ptree, rhd or a codec); ring has none",
+		func(c *Config) bool { return c.DelayedApply && c.Compress == "" && c.Allreduce == AllreduceRing }},
+	// A boundary checkpoint relies on the replica == reference, gs == 0
+	// invariant, which a pending delayed aggregate or a mid-outer-round
+	// island reference breaks.
+	{"checkpointing composes with the T-scheduler but not with DelayedApply or HierGroups",
+		func(c *Config) bool {
+			return (c.CheckpointPath != "" || c.ResumeFrom != "") && (c.DelayedApply || c.HierGroups >= 2)
+		}},
+	// The membership-aware hierarchical and delayed boundaries run dense.
+	{"under fault injection, compression composes with the T-scheduler but not with DelayedApply or HierGroups",
+		func(c *Config) bool {
+			return c.Faults != nil && c.Compress != "" && (c.DelayedApply || c.HierGroups >= 2)
+		}},
+}
+
+// membership reports whether the run's sync points go through the
+// comm.Resilient ledger rather than a fixed group.
+func (c *Config) membership() bool {
+	return c.Faults != nil || c.CheckpointPath != "" || c.ResumeFrom != ""
+}
+
+// Validate reports the first rule of the validation table c breaks, or
+// nil when Train accepts it. Commands call it before Train to turn user
+// input into an error message instead of a panic.
+func (c Config) Validate() error {
+	_, err := c.resolve()
+	return err
+}
+
+// withDefaults is resolve for Train, whose signature has no error: an
+// invalid config panics with Validate's error.
 func (c Config) withDefaults() Config {
+	c, err := c.resolve()
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// resolve fills defaulted fields (environment defaults included), then
+// checks the result against configRules.
+func (c Config) resolve() (Config, error) {
 	if c.Learners <= 0 || c.Algo == AlgoSGD {
 		c.Learners = 1
 	}
@@ -518,9 +518,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Batch <= 0 {
 		c.Batch = 1
-	}
-	if c.Gamma <= 0 {
-		panic(fmt.Sprintf("core: config needs a positive learning rate, got %g", c.Gamma))
 	}
 	if c.GammaP == 0 {
 		c.GammaP = c.Gamma / float64(c.Learners)
@@ -548,14 +545,10 @@ func (c Config) withDefaults() Config {
 	if c.Allreduce == "" {
 		c.Allreduce = AllreduceTree
 	}
-	// Compression-codec normalization: the legacy CompressTopK knob maps
-	// onto the engine, the SASGD_COMPRESS env supplies a default when
-	// nothing was set explicitly, and "ship everything" degenerates to
+	// Compression-codec normalization: the SASGD_COMPRESS env supplies a
+	// default when no codec was set, and "ship everything" degenerates to
 	// the true dense path (bitwise identical to Algorithm 1).
-	if c.Compress == "" && c.CompressTopK > 0 && c.CompressTopK < 1 {
-		c.Compress, c.CompressK = CodecTopK, c.CompressTopK
-	}
-	if c.Compress == "" && c.CompressTopK == 0 {
+	if c.Compress == "" {
 		if codec, k := DefaultCompress(); codec != "" {
 			c.Compress = codec
 			if c.CompressK == 0 {
@@ -566,20 +559,13 @@ func (c Config) withDefaults() Config {
 	if c.Compress == "none" {
 		c.Compress = ""
 	}
-	switch c.Compress {
-	case "", CodecQInt8:
-	case CodecTopK:
-		if c.CompressK < 0 {
-			panic(fmt.Sprintf("core: CompressK must be non-negative, got %g", c.CompressK))
-		}
+	if c.Compress == CodecTopK {
 		if c.CompressK == 0 {
 			c.CompressK = 0.05
 		}
 		if c.CompressK >= 1 {
 			c.Compress = ""
 		}
-	default:
-		panic(fmt.Sprintf("core: unknown compression codec %q (want %q or %q)", c.Compress, CodecTopK, CodecQInt8))
 	}
 	if !c.OverlapComm && DefaultOverlap() {
 		c.OverlapComm = true
@@ -593,48 +579,18 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
-	if (c.Faults != nil || c.ResumeFrom != "") && c.Algo != AlgoSASGD && c.Algo != "" {
-		panic(fmt.Sprintf("core: fault injection and checkpoint resume support SASGD only, got algo %q", c.Algo))
-	}
-	if c.Transport != nil {
-		if c.Algo != AlgoSASGD && c.Algo != "" {
-			panic(fmt.Sprintf("core: an explicit wire transport supports SASGD only, got algo %q", c.Algo))
-		}
-		if n := c.Transport.Size(); n != c.Learners {
-			panic(fmt.Sprintf("core: transport spans %d ranks, run has %d learners", n, c.Learners))
-		}
-	}
-	if len(c.LocalRanks) > 0 {
-		if c.Transport == nil {
-			panic("core: LocalRanks needs an explicit Transport (the omitted ranks live in other processes)")
-		}
-		if c.Sim != nil || c.Faults != nil || c.ResumeFrom != "" || c.CheckpointPath != "" {
-			panic("core: LocalRanks composes with neither the fabric simulator nor fault injection/checkpointing (both keep per-rank state in process memory)")
-		}
-		prev := -1
-		for _, r := range c.LocalRanks {
-			if r <= prev || r >= c.Learners {
-				panic(fmt.Sprintf("core: LocalRanks %v must be strictly ascending ranks below Learners %d", c.LocalRanks, c.Learners))
-			}
-			prev = r
-		}
-	}
-	// Communication-schedule knobs: env defaults, then validation.
 	envT, envG, envD := DefaultSched()
 	if c.TSched == "" {
 		c.TSched = envT
+	}
+	if c.TSched == "" {
+		c.TSched = TSchedStatic
 	}
 	if c.HierGroups == 0 {
 		c.HierGroups = envG
 	}
 	if !c.DelayedApply && envD {
 		c.DelayedApply = true
-	}
-	switch c.TSched {
-	case "", TSchedStatic, TSchedDecay, TSchedAdaptive:
-	default:
-		panic(fmt.Sprintf("core: unknown T-scheduler %q (want %q, %q or %q)",
-			c.TSched, TSchedStatic, TSchedDecay, TSchedAdaptive))
 	}
 	if c.HierGroups < 0 {
 		c.HierGroups = 0
@@ -645,57 +601,10 @@ func (c Config) withDefaults() Config {
 	if c.TOuter <= 0 {
 		c.TOuter = 4
 	}
-	if c.schedActive() {
-		if c.Algo != AlgoSASGD && c.Algo != "" {
-			panic(fmt.Sprintf("core: the communication scheduler supports SASGD only, got algo %q", c.Algo))
-		}
-		if c.DelayedApply && c.Allreduce == AllreduceRing {
-			// Delay changes the algorithm, so it must never be silently
-			// dropped the way overlap falls back for ring.
-			panic("core: DelayedApply needs a bucketed collective (tree/ptree/rhd or a codec); ring has none")
-		}
-		if (c.DelayedApply || c.HierGroups >= 2) && (c.CheckpointPath != "" || c.ResumeFrom != "") {
-			// A boundary checkpoint relies on the replica==reference,
-			// gs==0 invariant, which a pending delayed aggregate or a
-			// mid-outer-round island reference breaks.
-			panic("core: checkpointing composes with the T-scheduler but not with DelayedApply or HierGroups")
-		}
-		if c.Faults != nil && c.Compress != "" && (c.DelayedApply || c.HierGroups >= 2) {
-			// Under fault injection the codecs compose with the
-			// T-scheduler only; the membership-aware hierarchical and
-			// delayed boundaries run dense.
-			panic("core: under fault injection, compression composes with TSched but not with DelayedApply or HierGroups")
+	for _, r := range configRules {
+		if r.broken(&c) {
+			return c, fmt.Errorf("core: invalid config: %s", r.reason)
 		}
 	}
-	return c
-}
-
-// schedActive reports whether the run uses the scheduled SASGD path
-// (any of the three communication-schedule policies). An explicit
-// TSchedStatic forces the scheduled path even though it computes the
-// same schedule as the legacy loop — that is the degenerate pin.
-func (c Config) schedActive() bool {
-	return c.TSched != "" || c.HierGroups >= 2 || c.DelayedApply
-}
-
-// ModelFactory builds one learner's model replica. Each learner calls it
-// with a distinct seed (for dropout masks); initial parameters are then
-// overwritten by a broadcast from learner 0, as in Algorithm 1.
-type ModelFactory func(seed int64) *nn.Network
-
-// Problem bundles a workload: the model factory and the train/test data.
-type Problem struct {
-	Name  string
-	Model ModelFactory
-	Train *data.Dataset
-	Test  *data.Dataset
-}
-
-// newReplica builds and seeds a learner's model.
-func (p *Problem) newReplica(seed int64) *nn.Network {
-	net := p.Model(seed)
-	if net == nil {
-		panic("core: model factory returned nil")
-	}
-	return net
+	return c, nil
 }

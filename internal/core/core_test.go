@@ -375,7 +375,7 @@ func TestSASGDCompressionStillLearns(t *testing.T) {
 	prob := tinyProblem(300, 100, 20)
 	res := Train(Config{
 		Algo: AlgoSASGD, Learners: 4, Interval: 3, Gamma: 0.1,
-		Batch: 10, Epochs: 15, Seed: 1, CompressTopK: 0.1,
+		Batch: 10, Epochs: 15, Seed: 1, Compress: CodecTopK, CompressK: 0.1,
 	}, prob)
 	if res.FinalTest < 0.85 {
 		t.Errorf("top-10%% compressed SASGD test accuracy %.3f, want > 0.85", res.FinalTest)
@@ -387,7 +387,7 @@ func TestSASGDCompressionReducesTraffic(t *testing.T) {
 	base := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.1, Batch: 10, Epochs: 4, Seed: 1}
 	dense := Train(base, prob)
 	compressed := base
-	compressed.CompressTopK = 0.05
+	compressed.Compress, compressed.CompressK = CodecTopK, 0.05
 	sparse := Train(compressed, prob)
 	// Sparse messages carry index+value pairs, so at 5% density traffic
 	// should drop by well over 2×. (The initial dense broadcast is common
@@ -399,7 +399,7 @@ func TestSASGDCompressionReducesTraffic(t *testing.T) {
 
 func TestSASGDCompressionDeterministic(t *testing.T) {
 	prob := tinyProblem(120, 40, 22)
-	cfg := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.1, Batch: 10, Epochs: 3, Seed: 9, CompressTopK: 0.2}
+	cfg := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.1, Batch: 10, Epochs: 3, Seed: 9, Compress: CodecTopK, CompressK: 0.2}
 	a := Train(cfg, prob)
 	b := Train(cfg, prob)
 	for i := range a.FinalParams {
@@ -418,7 +418,7 @@ func TestSASGDErrorFeedbackPreservesGradientMass(t *testing.T) {
 	base := Config{Algo: AlgoSASGD, Learners: 1, Interval: 2, Gamma: 0.1, Batch: 10, Epochs: 2, Seed: 4}
 	dense := Train(base, prob)
 	c := base
-	c.CompressTopK = 0.999999 // k = ⌈0.999999·n⌉ = n: keeps every entry
+	c.Compress, c.CompressK = CodecTopK, 0.999999 // k = ⌈0.999999·n⌉ = n: keeps every entry
 	full := Train(c, prob)
 	// SparsityK rounds up, so a near-1 fraction keeps every entry of
 	// every bucket; with p = 1 the codec's select→encode→decode round

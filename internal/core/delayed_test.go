@@ -82,6 +82,50 @@ func TestDelayedOneRoundShiftHooks(t *testing.T) {
 	}
 }
 
+// TestDelayedHooksUnderFaults: on a membership plane the delayed
+// boundary completes its exchange in place and defers only the
+// application, which must be invisible in values — the same hooks with
+// the same origins and aggregates as the fixed-membership delayed run,
+// the final flush included, and the same final parameters.
+func TestDelayedHooksUnderFaults(t *testing.T) {
+	prob := tinyProblem(48, 16, 3)
+	type hook struct {
+		boundary int
+		gs       []float64
+	}
+	run := func(plan *comm.FaultPlan) ([]hook, *Result) {
+		var hooks []hook
+		res := Train(Config{
+			Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05,
+			Batch: 4, Epochs: 2, Seed: 33, DelayedApply: true, Faults: plan,
+			AggHook: func(b int, gs []float64) {
+				hooks = append(hooks, hook{b, append([]float64(nil), gs...)})
+			},
+		}, prob)
+		return hooks, res
+	}
+	fixed, fixedRes := run(nil)
+	faulty, faultyRes := run(&comm.FaultPlan{})
+	if len(fixed) == 0 || len(faulty) != len(fixed) {
+		t.Fatalf("hook counts: fixed membership %d, fault plane %d", len(fixed), len(faulty))
+	}
+	for i := range fixed {
+		if faulty[i].boundary != i {
+			t.Fatalf("hook %d has origin boundary %d, want %d (in order)", i, faulty[i].boundary, i)
+		}
+		for j := range fixed[i].gs {
+			if fixed[i].gs[j] != faulty[i].gs[j] {
+				t.Fatalf("aggregate %d differs at %d: %g vs %g", i, j, fixed[i].gs[j], faulty[i].gs[j])
+			}
+		}
+	}
+	for i := range fixedRes.FinalParams {
+		if fixedRes.FinalParams[i] != faultyRes.FinalParams[i] {
+			t.Fatalf("delayed run under an empty fault plan diverged at %d", i)
+		}
+	}
+}
+
 // TestHierSingletonIslandsBitwiseFlat: with one island per rank the
 // intra phase is a no-op, every rank is a leader, and the outer exchange
 // at TOuter=1 is the flat tree over all ranks every boundary — so the

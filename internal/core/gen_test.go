@@ -22,9 +22,10 @@ import (
 // the whole accepted configuration space, not of the hand-picked rows
 // the per-feature tests sweep. This file draws configurations from that
 // space with a seeded generator and checks every property on every
-// draw. A draw the config layer refuses is recorded with its reason; a
-// panic from inside a training loop fails the test, so every hole in
-// the accepted space has to be a named validation rule.
+// draw. A draw Config.Validate refuses is recorded with its reason and
+// the reasons are checked against the validation table; a panic from
+// inside the training loop fails the test, so every hole in the accepted
+// space has to be a named rule of that table.
 
 // genDraw is one generated configuration, kept as plain data so each
 // run gets fresh stateful parts (simulator, fault plan, transport,
@@ -173,17 +174,6 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 		cleanup = func() { tr.Close() } // idempotent: a membership run closes it first
 	}
 	return cfg, cleanup
-}
-
-// genReject reports why the config layer refuses cfg ("" = accepted).
-func genReject(cfg Config) (reason string) {
-	defer func() {
-		if r := recover(); r != nil {
-			reason = fmt.Sprint(r)
-		}
-	}()
-	cfg.withDefaults()
-	return ""
 }
 
 // genTrain runs one accepted configuration; a panic from inside the run
@@ -360,24 +350,79 @@ func TestGeneratedConfigs(t *testing.T) {
 		d := drawConfig(rng)
 		cfg, cleanup := d.config(t, genBase)
 		cleanup()
-		if reason := genReject(cfg); reason != "" {
-			rejected[reason]++
+		if err := cfg.Validate(); err != nil {
+			rejected[err.Error()]++
 			continue
 		}
 		accepted++
 		checkDraw(t, d, prob)
 		checkCollapse(t, d, prob)
 	}
+	table := map[string]bool{}
+	for _, r := range configRules {
+		table["core: invalid config: "+r.reason] = true
+	}
 	reasons := make([]string, 0, len(rejected))
 	for r, n := range rejected {
 		reasons = append(reasons, fmt.Sprintf("%d× %s", n, r))
-		if !strings.HasPrefix(r, "core: ") {
-			t.Errorf("rejection did not come from the config layer: %s", r)
+		if !table[r] {
+			t.Errorf("rejection is not a rule of the validation table: %s", r)
 		}
 	}
 	sort.Strings(reasons)
 	t.Logf("%d draws: %d accepted, %d rejected:\n  %s", draws, accepted, draws-accepted, strings.Join(reasons, "\n  "))
 	if accepted < draws/2 {
 		t.Errorf("only %d of %d draws accepted — the generator no longer covers the accepted space", accepted, draws)
+	}
+}
+
+// TestValidateRules hits every rule of the validation table once: the
+// broken config gets exactly that rule's reason from Validate, and Train
+// panics with the same error instead of reaching a training loop.
+func TestValidateRules(t *testing.T) {
+	tr, err := comm.NewTCPLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	broken := []func(*Config){
+		func(c *Config) { c.Gamma = 0 },
+		func(c *Config) { c.Algo = "adam" },
+		func(c *Config) { c.Compress = "zstd" },
+		func(c *Config) { c.Compress, c.CompressK = CodecTopK, -1 },
+		func(c *Config) { c.TSched = "decay" },
+		func(c *Config) { c.Algo, c.CheckpointPath = AlgoEAMSGD, "x.ckpt" },
+		func(c *Config) { c.Algo, c.Transport = AlgoHogwild, tr },
+		func(c *Config) { c.Learners, c.Transport = 3, tr },
+		func(c *Config) { c.LocalRanks = []int{0} },
+		func(c *Config) { c.Transport, c.LocalRanks, c.Faults = tr, []int{0}, &comm.FaultPlan{} },
+		func(c *Config) { c.Transport, c.LocalRanks = tr, []int{1, 0} },
+		func(c *Config) { c.Algo, c.DelayedApply = AlgoDownpour, true },
+		func(c *Config) { c.DelayedApply, c.Allreduce = true, AllreduceRing },
+		func(c *Config) { c.ResumeFrom, c.HierGroups = "x.ckpt", 2 },
+		func(c *Config) { c.Faults, c.Compress, c.DelayedApply = &comm.FaultPlan{}, CodecQInt8, true },
+	}
+	if len(broken) != len(configRules) {
+		t.Fatalf("%d broken configs for %d rules", len(broken), len(configRules))
+	}
+	for i, mut := range broken {
+		cfg := Config{Algo: AlgoSASGD, Learners: 2, Interval: 2, Gamma: 0.05, Batch: 4}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("base config rejected: %v", err)
+		}
+		mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.HasSuffix(err.Error(), configRules[i].reason) {
+			t.Errorf("rule %d (%s): Validate returned %v", i, configRules[i].reason, err)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("rule %d: Train panicked with %v, want %v", i, r, err)
+				}
+			}()
+			Train(cfg, tinyProblem(8, 8, 1))
+		}()
 	}
 }

@@ -14,7 +14,7 @@ import (
 // a metrics registry must not change a single bit of the training
 // result. The fleet frame rides its own buffer and its allreduce touches
 // no gradient state, so FinalParams is bitwise equal with metrics on or
-// off across every SASGD path — legacy, overlapped, compressed,
+// off across every boundary policy — plain, overlapped, compressed,
 // scheduled (adaptive T, hierarchical, delayed), and fault-handling.
 func TestMetricsBitwiseIdentical(t *testing.T) {
 	prob := tinyProblem(48, 24, 5)

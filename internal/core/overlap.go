@@ -2,200 +2,50 @@ package core
 
 import (
 	"sasgd/internal/comm"
-	"sasgd/internal/model"
 	"sasgd/internal/nn"
 	"sasgd/internal/obs"
 	"sasgd/internal/tensor"
 )
 
-// Backward-overlapped aggregation (Config.OverlapComm). The serial SASGD
-// loop pays the full O(m log p) allreduce after the T-th backward pass
-// has completely finished; but backprop finalizes layer gradients in
-// reverse order, so the tail of the flat gradient buffer is final while
-// the early convolutions are still running. This file hooks
-// nn.StepEach's per-layer callback to accumulate each finalized bucket
-// into gs and hand it to comm.BucketedAllreduce immediately, then waits
-// on every handle before applying γp. Values are bitwise identical to
-// the serial path for the tree family: bucket boundaries are fixed layer
-// boundaries, per-bucket accumulation is the same elementwise gs += g,
-// and the bucketed tree replays the monolithic tree's per-element
-// summation order (pinned in comm and again at core level in
-// overlap_test.go). Under the fabric simulation each bucket's send is
-// stamped with its layers' backward-completion time — start +
-// dt·fraction from model.BackwardDoneFractions — which is what makes the
-// overlap show up in simulated epoch time.
+// Backward-overlapped aggregation (Config.OverlapComm). A serial
+// boundary pays the full O(m log p) allreduce after the T-th backward
+// pass has completely finished; but backprop finalizes layer gradients
+// in reverse order, so the tail of the flat gradient buffer is final
+// while the early convolutions are still running. On the boundary batch
+// the learner loop runs nn.StepEach with the hook below, which
+// accumulates each finalized bucket into gs and hands it to the
+// engine's comm worker immediately; the boundary then waits on the
+// handles instead of running the exchange. Values are bitwise identical
+// to the serial boundary for the tree family and every codec: bucket
+// boundaries are fixed layer boundaries, per-bucket accumulation is the
+// same elementwise gs += g, and the bucketed tree replays the
+// monolithic tree's per-element summation order (pinned in comm and
+// again at core level in overlap_test.go). Under the fabric simulation
+// each bucket's send is stamped with its layers' backward-completion
+// time — start + dt·fraction from model.BackwardDoneFractions — which is
+// what makes the overlap show up in simulated epoch time.
 
-// overlapActive reports whether a SASGD run launches buckets from
-// inside the backward pass: opted in, and a collective the bucketed
-// worker implements — the tree family for dense aggregation, or any
-// compression codec (codecs bring their own per-bucket collective, so
-// only the dense ring still falls back to the serial schedule). Note
-// that compression uses the bucketed engine even when this is false;
-// OverlapComm only decides whether buckets launch as backprop finalizes
-// them or all at once at the boundary.
-func (c Config) overlapActive() bool {
-	if !c.OverlapComm {
-		return false
-	}
-	return c.compressionActive() || c.Allreduce != AllreduceRing
-}
-
-// overlapAggregator is one learner's bucketed-aggregation state,
-// long-lived across the run (the comm worker and handle storage are
-// reused every interval).
-type overlapAggregator struct {
-	b    *comm.BucketedAllreduce
-	segs []comm.Segment
-	// bucketAt[layer] is the bucket whose gradients become final when
-	// that layer's backward completes (the bucket's earliest layer), or
-	// -1. Backward visits layers in reverse, so buckets launch in
-	// descending index order — identically on every rank.
-	bucketAt []int
-	// fracs[layer] is the fraction of the batch's simulated duration
-	// elapsed when that layer's backward completes; nil without a
-	// simulation.
-	fracs     []float64
-	handles   []comm.Handle
-	gs, grads []float64
-	chunk     int
-	rhd       bool
-	// start/dt is the current aggregation batch's simulated span, set by
-	// the training loop from Sim.BatchSpan before the step runs.
-	start, dt float64
-	// Compression-engine state (Config.Compress): comp is the learner's
-	// codec and res its error-feedback residual; both nil for dense
-	// runs. ratio is the working top-k fraction — k0 until CompressAdapt
-	// moves it — updated in lockstep on every learner by adaptK.
-	comp     comm.Compressor
-	res      []float64
-	ratio    float64
-	k0       float64
-	adaptOn  bool
-	adaptBuf [2]float64
-	// overlap records whether buckets launch from inside backward
-	// (overlapActive) or all at once at the boundary via launchAll (the
-	// compressed serial schedule — same engine, same values).
-	overlap bool
-	// tk is the learner's trace track: each bucket's accumulate+submit is
-	// recorded as a bucket_begin span, which nests inside the backward
-	// span on the exported timeline. Nil when untraced.
-	tk *obs.Track
-}
-
-// newOverlapAggregator builds the learner's bucket plan and starts its
-// comm worker. Returns nil for a network with no parameters (the serial
-// path handles the degenerate case).
-func newOverlapAggregator(group *comm.Group, rank int, cfg Config, net *nn.Network, gs []float64, tk *obs.Track) *overlapAggregator {
-	psegs := net.ParamSegments()
-	if len(psegs) == 0 {
-		return nil
-	}
-	segs, minLayer := planBuckets(psegs, cfg.CommBuckets)
-	ov := &overlapAggregator{
-		segs:     segs,
-		bucketAt: make([]int, len(net.Layers())),
-		handles:  make([]comm.Handle, len(segs)),
-		gs:       gs,
-		grads:    net.GradData(),
-		chunk:    cfg.CommChunk,
-		rhd:      cfg.Allreduce == AllreduceRHD,
-		tk:       tk,
-		overlap:  cfg.overlapActive(),
-	}
-	if cfg.compressionActive() {
-		ov.comp = cfg.newCompressor()
-		ov.res = make([]float64, len(gs))
-		ov.ratio = cfg.CompressK
-		ov.k0 = cfg.CompressK
-		ov.adaptOn = cfg.adaptActive()
-	}
-	for i := range ov.bucketAt {
-		ov.bucketAt[i] = -1
-	}
-	for b, l := range minLayer {
-		ov.bucketAt[l] = b
-	}
-	if cfg.Allreduce != AllreducePTree {
-		// The monolithic tree is the chunked tree with one chunk per
-		// bucket (bitwise identical either way; this matches its
-		// unchunked wire schedule).
-		for _, s := range segs {
-			if s.Len > ov.chunk {
-				ov.chunk = s.Len
-			}
-		}
-	}
-	ov.b = comm.NewBucketedAllreduce(group, rank, segs, 0)
-	ov.fracs = nil
-	if cfg.Sim != nil {
-		ov.fracs = model.BackwardDoneFractions(net)
-	}
-	return ov
-}
-
-// onLayerDone is the nn.BackwardEach hook for the T-th minibatch: when
-// layer's completion finalizes a bucket, fold its gradient segment into
-// gs (elementwise, so gs ends bitwise equal to the serial whole-vector
-// accumulation) and launch its allreduce, stamped with the layer's
-// backward-completion time.
-func (ov *overlapAggregator) onLayerDone(layer int) {
-	bi := ov.bucketAt[layer]
+// onLayerDone is the nn.StepEach hook for the boundary batch: when
+// layer's completion finalizes a bucket (its earliest layer — backward
+// visits layers in reverse, so buckets launch in descending index order,
+// identically on every rank), fold the bucket's gradient segment into gs
+// and launch it, stamped with the layer's backward-completion time. The
+// accumulate+submit is recorded as a bucket_begin span, which nests
+// inside the backward span on the exported timeline.
+func (e *engine) onLayerDone(layer int) {
+	bi := e.bucketAt[layer]
 	if bi < 0 {
 		return
 	}
-	bs := ov.tk.Begin()
-	s := ov.segs[bi]
-	tensor.Axpy(1, ov.grads[s.Off:s.Off+s.Len], ov.gs[s.Off:s.Off+s.Len])
+	bs := e.tk.Begin()
+	s := e.segs[bi]
+	tensor.Axpy(1, e.grads[s.Off:s.Off+s.Len], e.gs[s.Off:s.Off+s.Len])
 	ready := 0.0
-	if ov.fracs != nil {
-		ready = ov.start + ov.dt*ov.fracs[layer]
+	if e.fracs != nil {
+		ready = e.start + e.dt*e.fracs[layer]
 	}
-	switch {
-	case ov.comp != nil:
-		ov.handles[bi] = ov.b.BeginCompressed(bi, ov.gs, ov.res, ov.comp, ov.ratio, ready)
-	case ov.rhd:
-		ov.handles[bi] = ov.b.BeginRHD(bi, ov.gs, ready)
-	default:
-		ov.handles[bi] = ov.b.Begin(bi, ov.gs, ov.chunk, ready)
-	}
-	ov.tk.EndArg(obs.PhaseBucketBegin, int32(bi), bs)
-}
-
-// launchAll submits every bucket at once, in descending index order —
-// the same global order the backward hooks produce — for the
-// compressed serial schedule (OverlapComm off). gs must already hold
-// the interval's fully accumulated gradient; ready is the learner's
-// current simulated time.
-func (ov *overlapAggregator) launchAll(ready float64) {
-	for bi := len(ov.segs) - 1; bi >= 0; bi-- {
-		ov.handles[bi] = ov.b.BeginCompressed(bi, ov.gs, ov.res, ov.comp, ov.ratio, ready)
-	}
-}
-
-// adaptK runs one adaptive-sparsity controller step after an
-// aggregation has been applied: allreduce the codec's capture stats so
-// every learner computes the identical next working fraction. No-op
-// unless CompressAdapt is on for a top-k run.
-func (ov *overlapAggregator) adaptK(group *comm.Group, rank int) {
-	if !ov.adaptOn {
-		return
-	}
-	ov.adaptBuf[0], ov.adaptBuf[1] = ov.comp.TakeCapture()
-	group.AllreduceTree(rank, ov.adaptBuf[:])
-	ov.ratio = nextRatio(ov.ratio, ov.k0, ov.adaptBuf[0], ov.adaptBuf[1])
-}
-
-// wait blocks until every bucket launched this interval has completed;
-// gs then holds the global sum on every rank.
-func (ov *overlapAggregator) wait() {
-	for i := range ov.handles {
-		ov.handles[i].Wait()
-	}
-}
-
-// close shuts down the comm worker at the end of the run.
-func (ov *overlapAggregator) close() {
-	ov.b.Close()
+	e.begin(bi, e.gs, ready)
+	e.tk.EndArg(obs.PhaseBucketBegin, int32(bi), bs)
 }
 
 // planBuckets groups the network's per-layer segments into at most n

@@ -10,6 +10,7 @@ import (
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
 	"sasgd/internal/nn"
+	obsmetrics "sasgd/internal/obs/metrics"
 )
 
 // cifarProblem and nlcfProblem build reduced-scale instances of the
@@ -53,31 +54,47 @@ func nlcfProblem(nTrain, nTest int) *Problem {
 func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 	for _, prob := range []*Problem{cifarProblem(24, 12), nlcfProblem(24, 12)} {
 		for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree, AllreduceRHD} {
-			for _, p := range []int{1, 2, 3, 5, 8} {
-				base := Config{
-					Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
-					Batch: 4, Epochs: 3, Seed: 3, Allreduce: alg, CommChunk: 64,
+			// The hint composes with either T-schedule. An adaptive schedule
+			// can amplify rhd's rounding-level difference into another T
+			// trajectory, so that pair has no tolerance to pin.
+			for _, tsched := range []string{"", TSchedStatic, TSchedAdaptive} {
+				if alg == AllreduceRHD && tsched == TSchedAdaptive {
+					continue
 				}
-				serial := Train(base, prob)
-				// {1, 3, per-layer} buckets; 0 selects per-layer.
-				for _, buckets := range []int{1, 3, 0} {
-					cfg := base
-					cfg.OverlapComm = true
-					cfg.CommBuckets = buckets
-					ov := Train(cfg, prob)
-					if len(ov.FinalParams) != len(serial.FinalParams) {
-						t.Fatalf("%s/%s p=%d: param count mismatch", prob.Name, alg, p)
+				for _, p := range []int{1, 2, 3, 5, 8} {
+					base := Config{
+						Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
+						Batch: 4, Epochs: 3, Seed: 3, Allreduce: alg, CommChunk: 64,
+						TSched: tsched,
 					}
-					for i := range serial.FinalParams {
-						s, o := serial.FinalParams[i], ov.FinalParams[i]
-						if alg == AllreduceRHD {
-							if math.Abs(s-o) > 1e-12 {
-								t.Fatalf("%s/%s p=%d buckets=%d: overlap diverges at %d: %g vs %g",
+					serial := Train(base, prob)
+					// {1, 3, per-layer} buckets; 0 selects per-layer.
+					for _, buckets := range []int{1, 3, 0} {
+						cfg := base
+						cfg.OverlapComm = true
+						cfg.CommBuckets = buckets
+						ov := Train(cfg, prob)
+						if len(ov.FinalParams) != len(serial.FinalParams) {
+							t.Fatalf("%s/%s p=%d: param count mismatch", prob.Name, alg, p)
+						}
+						for i := range serial.FinalParams {
+							s, o := serial.FinalParams[i], ov.FinalParams[i]
+							if alg == AllreduceRHD {
+								if math.Abs(s-o) > 1e-12 {
+									t.Fatalf("%s/%s p=%d buckets=%d: overlap diverges at %d: %g vs %g",
+										prob.Name, alg, p, buckets, i, s, o)
+								}
+							} else if s != o {
+								t.Fatalf("%s/%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
 									prob.Name, alg, p, buckets, i, s, o)
 							}
-						} else if s != o {
-							t.Fatalf("%s/%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
-								prob.Name, alg, p, buckets, i, s, o)
+						}
+						// Honoured, not silently ignored: the buckets went
+						// through the comm worker, and the schedule ended where
+						// the serial run's did.
+						if ov.Comm.BucketOps == 0 || ov.FinalT != serial.FinalT {
+							t.Fatalf("%s/%s/%q p=%d buckets=%d: %d bucket ops, FinalT %d vs serial %d",
+								prob.Name, alg, tsched, p, buckets, ov.Comm.BucketOps, ov.FinalT, serial.FinalT)
 						}
 					}
 				}
@@ -86,17 +103,39 @@ func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 	}
 }
 
+// TestOverlapKeepsDriftStatistic: the boundary batch of an overlapped
+// run performs the same local update as any other batch, so the replica
+// drift the fleet gauge (and the adaptive T-scheduler) reads is the same
+// number with the hint on or off.
+func TestOverlapKeepsDriftStatistic(t *testing.T) {
+	prob := cifarProblem(24, 12)
+	drift := func(overlap bool) float64 {
+		reg := obsmetrics.New()
+		Train(Config{
+			Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05,
+			Batch: 4, Epochs: 2, Seed: 3, OverlapComm: overlap, Metrics: reg,
+		}, prob)
+		snap := reg.Fleet().Snapshot()
+		if snap == nil || snap.Boundaries == 0 {
+			t.Fatal("no fleet boundaries ingested")
+		}
+		return snap.DriftRMS
+	}
+	if off, on := drift(false), drift(true); off != on || off == 0 {
+		t.Fatalf("drift RMS %g with the overlap hint off, %g with it on", off, on)
+	}
+}
+
 // TestOverlapUnsupportedAndLegacyConfigsMatchSerial: the dense ring is
 // the one algorithm the bucketed worker does not implement — with
-// OverlapComm set it must silently take the serial path and produce its
-// exact result. The legacy CompressTopK knob normalizes into the
-// compression engine (Compress="topk"), which runs through the bucketed
-// worker both ways, so it too must be bitwise stable under the flag.
+// OverlapComm set it must silently take the serial schedule and produce
+// its exact result. A top-k run goes through the bucketed worker both
+// ways, so it too must be bitwise stable under the flag.
 func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 	prob := cifarProblem(24, 12)
 	for _, variant := range []func(*Config){
 		func(c *Config) { c.Allreduce = AllreduceRing },
-		func(c *Config) { c.CompressTopK = 0.2 },
+		func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.2 },
 	} {
 		base := Config{Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 4}
 		variant(&base)
@@ -112,28 +151,28 @@ func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestCompressTopKFullMatchesDense pins the degenerate "ship everything"
-// compression: CompressTopK = 1.0 normalizes to no codec at all, so it
-// must take the dense path (honoring cfg.Allreduce) and reproduce an
+// TestCompressKFullMatchesDense pins the degenerate "ship everything"
+// compression: top-k with CompressK = 1 normalizes to no codec at all, so
+// it must take the dense path (honoring cfg.Allreduce) and reproduce an
 // uncompressed run bit for bit.
-func TestCompressTopKFullMatchesDense(t *testing.T) {
+func TestCompressKFullMatchesDense(t *testing.T) {
 	prob := cifarProblem(24, 12)
 	for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree, AllreduceRHD} {
 		base := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 5, Allreduce: alg}
 		dense := Train(base, prob)
 		full := base
-		full.CompressTopK = 1.0
+		full.Compress, full.CompressK = CodecTopK, 1
 		fr := Train(full, prob)
 		for i := range dense.FinalParams {
 			if dense.FinalParams[i] != fr.FinalParams[i] {
-				t.Fatalf("%s: CompressTopK=1.0 not bitwise vs dense at %d: %g vs %g",
+				t.Fatalf("%s: CompressK=1 not bitwise vs dense at %d: %g vs %g",
 					alg, i, dense.FinalParams[i], fr.FinalParams[i])
 			}
 		}
 		// Traffic must also be dense-shaped: the degenerate compression
 		// must not route through the sparse index+value collective.
 		if fr.WordsMoved != dense.WordsMoved {
-			t.Errorf("%s: CompressTopK=1.0 moved %d words, dense moved %d", alg, fr.WordsMoved, dense.WordsMoved)
+			t.Errorf("%s: CompressK=1 moved %d words, dense moved %d", alg, fr.WordsMoved, dense.WordsMoved)
 		}
 	}
 }

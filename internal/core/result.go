@@ -16,9 +16,9 @@ type Result struct {
 	Algo Algorithm
 	P    int // learners
 	T    int // aggregation interval (configured; the T-scheduler's start)
-	// FinalT is the communication period in effect when a scheduled run
-	// finished — equal to T unless a decay or adaptive T-scheduler moved
-	// it. Zero for runs outside the scheduled path.
+	// FinalT is the communication period in effect when a SASGD run
+	// finished — equal to T unless the adaptive T-scheduler moved it.
+	// Zero for the other algorithms.
 	FinalT int
 	Curve  metrics.Curve
 	// FinalTrain/FinalTest are the last recorded accuracies.
@@ -57,8 +57,8 @@ type Result struct {
 	CompressK float64
 
 	// LiveP is the number of learners still live when the run finished:
-	// P minus crashes and evictions. Equal to P except on the
-	// crash-tolerant path.
+	// P minus crashes and evictions. Equal to P unless a fault plan
+	// killed or fenced someone.
 	LiveP int
 
 	// FinalParams is learner 0's parameter vector when it finished its

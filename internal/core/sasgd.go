@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
+	"time"
 
 	"sasgd/internal/comm"
 	"sasgd/internal/data"
@@ -24,26 +26,110 @@ import (
 // applied to the global parameters more than T local updates after it
 // was computed, which is the property the paper contrasts with ASGD's
 // scheduler-dependent staleness.
+//
+// This is the only SASGD loop. Everything a Config can ask of the
+// aggregation — a moving T, a hierarchy, delayed application, a codec,
+// backward-overlapped launches, crash tolerance, checkpoints — is a
+// stage of the boundary engine (boundary.go) the loop calls every T
+// steps; the loop itself only knows local steps and epochs.
 func trainSASGD(cfg Config, prob *Problem) *Result {
 	p := cfg.Learners
-	shards := prob.Train.Partition(p)
+
+	// Resume: two rank spaces (see boundary.go). dataRanks maps this
+	// run's learners onto the original run's shards and seed streams.
+	var rs *resumeState
+	if cfg.ResumeFrom != "" {
+		var err error
+		if rs, err = loadResume(cfg); err != nil {
+			panic(err)
+		}
+		// γp belongs to the original run's shape; restore it so rescaling
+		// by OrigP/|live| lands on the same effective rate the original
+		// run's survivors would use.
+		cfg.GammaP = rs.meta.GammaP
+	}
+	all := identity(p)
+	origP, dataRanks := p, all
+	startStep, startBoundary := 0, 0
+	if rs != nil {
+		origP, dataRanks = rs.meta.OrigP, rs.ranks
+		startStep, startBoundary = rs.meta.Step, rs.meta.Boundary
+	}
+
+	// Shards are partitioned by the ORIGINAL learner count so a
+	// survivors-only resume trains on the survivors' own shards, not a
+	// repartition of the whole set.
+	shards := prob.Train.Partition(origP)
 	bpe := batchesPerEpoch(shards, cfg.Batch)
 
-	group := newTrainGroup(cfg, p)
-	// Attach the tracer before the learner goroutines start: comm workers
-	// pick up their trace tracks at creation, and the tracer's live stats
-	// source serves the group's counters to the debug endpoint.
-	group.SetTracer(cfg.Tracer)
-	cfg.Tracer.SetStats(func() interface{} { return group.Stats() })
+	// Membership: a fault plan, checkpoint or resume puts every sync point
+	// on a comm.Resilient ledger; otherwise the view is the run's group,
+	// for good. Either is built over the caller's wire transport when one
+	// is configured (the same mesh then carries every membership view,
+	// and NewResilientOver insists it is all-local), else over the
+	// in-process fabric — simulated when cfg.Sim is attached.
+	var clocks []comm.Clock
+	var cost comm.CostModel
+	if cfg.Sim != nil {
+		clocks, cost = cfg.Sim.Clocks(), cfg.Sim.CostModel()
+	}
+	var mem *comm.Resilient
+	var view comm.View
+	if cfg.membership() {
+		if cfg.Transport != nil {
+			mem = comm.NewResilientOver(cfg.Transport, cfg.Faults, clocks, cost, cfg.Tracer)
+		} else {
+			mem = comm.NewResilient(p, cfg.Faults, clocks, cost, cfg.Tracer)
+		}
+		view = mem.Current()
+	} else {
+		var group *comm.Group
+		if cfg.Transport != nil {
+			group = comm.NewTransportGroup(cfg.Transport, nil, clocks, cost)
+		} else {
+			group = comm.NewSimGroup(p, clocks, cost)
+		}
+		// Attach the tracer before the learner goroutines start: comm
+		// workers pick up their trace tracks at creation.
+		group.SetTracer(cfg.Tracer)
+		// Cross-island accounting starts with the initial broadcast, so the
+		// island map goes in before any learner sends: the hierarchy's own
+		// partition, or for a flat run the simulated topology's — so
+		// frontier tables can compare the uplink traffic a hierarchical
+		// schedule would have avoided.
+		if cfg.HierGroups >= 2 {
+			group.SetIslands(comm.BlockIslands(p, cfg.HierGroups))
+		} else if cfg.Sim != nil {
+			islandOf := make([]int, p)
+			for r := range islandOf {
+				islandOf[r] = cfg.Sim.IslandOf(r)
+			}
+			group.SetIslands(islandOf)
+		}
+		view = comm.View{G: group, Phys: all}
+	}
+	// The run's counters: the group's, or the membership layer's sum over
+	// every group it formed. The tracer's live stats source serves them
+	// to the debug endpoint.
+	stats := view.G.Stats
+	if mem != nil {
+		stats = mem.Stats
+	}
+	cfg.Tracer.SetStats(func() interface{} { return stats() })
 	rec := newRecorder(prob)
 	fleet := newFleet(cfg, p)
 	var samples atomic.Int64
 	var finalParams []float64
 	var finalRatio float64
+	var finalT int
 
-	runLearnersOn(cfg.localRanks(p), func(rank int) {
-		net := prob.newReplica(cfg.Seed + int64(rank))
-		m := net.NumParams()
+	local := all // the learner ranks this process drives
+	if len(cfg.LocalRanks) > 0 {
+		local = cfg.LocalRanks
+	}
+	runLearnersOn(local, func(rank int) {
+		dataPhys := dataRanks[rank]
+		net := prob.newReplica(cfg.Seed + int64(dataPhys))
 		params := net.ParamData()
 		grads := net.GradData()
 		tk := cfg.Tracer.Learner(rank)
@@ -51,179 +137,143 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		fc := newFleetCollector(cfg, rank, p, fleet)
 		fc.attach(net)
 
-		// x ← broadcast(x, p, id); x′ ← x
-		bs := tk.Begin()
-		group.BroadcastTree(rank, params)
-		tk.End(obs.PhaseBcast, bs)
-		xref := append([]float64(nil), params...)
-		gs := make([]float64, m)
-
-		// Bucketed aggregation engine (see overlap.go): created for
-		// backward-overlapped runs AND for every compressed run — the
-		// codecs own the error-feedback residual and run one collective
-		// per bucket, launched either from inside backward (overlap) or
-		// all at once at the boundary (launchAll).
-		var ov *overlapAggregator
-		if cfg.overlapActive() || cfg.compressionActive() {
-			ov = newOverlapAggregator(group, rank, cfg, net, gs, tk)
-		}
-		// Codec telemetry for the boundary health frame: the working
-		// ratio and the cumulative captured/residual mass (Totals, not
-		// TakeCapture — the adaptive controller consumes the capture).
-		compTotals := func() (ratio, s2, r2 float64) {
-			if ov != nil && ov.comp != nil {
-				ratio = ov.ratio
-				s2, r2 = ov.comp.Totals()
+		if rs != nil {
+			if len(rs.params) != len(params) {
+				panic(fmt.Sprintf("core: checkpoint has %d parameters, model has %d", len(rs.params), len(params)))
 			}
-			return
+			copy(params, rs.params)
+		}
+		// x ← broadcast(x, p, id); x′ ← x. On resume all replicas already
+		// carry the checkpoint parameters and the broadcast is a no-op in
+		// values; it still runs so the wire schedule matches a cold start.
+		bs := tk.Begin()
+		view.G.BroadcastTree(rank, params)
+		tk.End(obs.PhaseBcast, bs)
+
+		e := newEngine(cfg, mem, view, rank, origP, net, tk, fc)
+		defer e.close()
+		e.dataRanks, e.bidx = dataRanks, startBoundary
+		if rs != nil {
+			e.sched.restore(rs.meta.CurT)
+		}
+		var onLayerDone func(layer int)
+		if e.overlap {
+			onLayerDone = e.onLayerDone
 		}
 
-		sampler := data.NewEpochSampler(shards[rank].Len(), cfg.Batch, cfg.Seed+int64(rank)*31+7)
+		sampler := data.NewEpochSampler(shards[dataPhys].Len(), cfg.Batch, cfg.Seed+int64(dataPhys)*31+7)
+		sampler.Skip(startStep)
+		if cfg.Sim != nil {
+			cfg.Sim.SkipBatches(rank, startStep)
+			if k := cfg.Faults.SlowFactor(rank); k > 1 {
+				cfg.Sim.SetSlowdown(rank, k)
+			}
+		}
+		slowSleep := cfg.Faults.SlowSleepFor(rank)
+
 		var lastLoss float64
-		step := 0
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			for b := 0; b < bpe; b++ {
+		step := startStep
+		next := step + e.sched.T()
+		for epoch := startStep / bpe; epoch < cfg.Epochs; epoch++ {
+			// step − epoch·bpe is 0 except in the epoch a resume lands in.
+			for b := step - epoch*bpe; b < bpe; b++ {
 				idx := sampler.Next()
-				x, y := shards[rank].Batch(idx)
-				if ov != nil && ov.overlap && (step+1)%cfg.Interval == 0 {
-					// Overlapped aggregation batch. The batch's simulated
-					// span is drawn up front (same single jitter draw per
-					// batch as ChargeBatch, so the streams stay identical)
-					// and the clock jumps to the batch's end before any
-					// bucket launches; each bucket's send is then stamped
-					// analytically with its layers' backward-completion
-					// time inside the span.
-					ov.start, ov.dt = 0, 0
-					if cfg.Sim != nil {
-						ov.start, ov.dt = cfg.Sim.BatchSpan(rank, cfg.FlopsPerSample*float64(len(idx)))
-					}
-					lastLoss = net.StepEach(x, y, ov.onLayerDone)
-					ws := tk.Begin()
-					ov.wait()
-					tk.End(obs.PhaseAggWait, ws)
-					fc.boundaryStart(params, xref)
-					if cfg.AggHook != nil && rank == 0 && ov.comp == nil {
-						cfg.AggHook((step+1)/cfg.Interval-1, gs)
-					}
-					// The serial path's local update x ← x − γ·g on this
-					// batch is overwritten by x ← x′ below, so it is
-					// skipped. x′ ← x′ − γp·gs ; x ← x′ ; gs ← 0.
-					as := tk.Begin()
-					tensor.Axpy(-cfg.GammaP, gs, xref)
-					tensor.Copy(params, xref)
-					clear(gs)
-					tk.End(obs.PhaseAggApply, as)
-					ov.adaptK(group, rank)
-					ratio, s2, r2 := compTotals()
-					fc.boundaryEnd(group, rank, cfg.Interval, ratio, s2, r2)
-					samples.Add(int64(len(idx)))
-					step++
-					continue
+				x, y := shards[dataPhys].Batch(idx)
+				// The batch's simulated span is drawn up front — one jitter
+				// draw per batch — and the clock jumps to the batch's end;
+				// nothing reads it before the boundary. On the boundary
+				// batch of an overlapped run gs += g happens bucket by
+				// bucket inside backward (overlap.go), and each bucket's
+				// send is stamped analytically inside the span.
+				if cfg.Sim != nil {
+					e.start, e.dt = cfg.Sim.BatchSpan(rank, cfg.FlopsPerSample*float64(len(idx)))
 				}
-				lastLoss = net.Step(x, y)
-				// x ← x − γ·g ; gs ← gs + g
+				launched := e.overlap && step+1 == next
+				if launched {
+					lastLoss = net.StepEach(x, y, onLayerDone)
+				} else {
+					lastLoss = net.Step(x, y)
+				}
+				// x ← x − γ·g ; gs ← gs + g. The overlapped batch takes the
+				// local update like any other — the reset overwrites it, but
+				// the drift the T-scheduler and the fleet gauge read must
+				// not depend on the launch schedule.
 				ls := tk.Begin()
 				tensor.Axpy(-cfg.Gamma, grads, params)
-				tensor.Axpy(1, grads, gs)
+				if !launched {
+					tensor.Axpy(1, grads, e.gs)
+				}
 				tk.End(obs.PhaseLocalStep, ls)
 				samples.Add(int64(len(idx)))
-				if cfg.Sim != nil {
-					cfg.Sim.ChargeBatch(rank, cfg.FlopsPerSample*float64(len(idx)))
+				if slowSleep > 0 {
+					time.Sleep(slowSleep)
 				}
 				step++
-				if step%cfg.Interval == 0 {
-					fc.boundaryStart(params, xref)
-					if ov != nil && ov.comp != nil {
-						// Compressed serial schedule: the same bucketed
-						// engine as the overlap path, every bucket launched
-						// at the boundary (values bitwise identical — each
-						// bucket's codec collective is independent).
-						ws := tk.Begin()
-						ov.launchAll(group.Clock(rank).Now())
-						ov.wait()
-						tk.End(obs.PhaseAggWait, ws)
-						as := tk.Begin()
-						tensor.Axpy(-cfg.GammaP, gs, xref)
-						tensor.Copy(params, xref)
-						clear(gs)
-						tk.End(obs.PhaseAggApply, as)
-						ov.adaptK(group, rank)
-					} else {
-						aggregate(group, rank, cfg, step/cfg.Interval-1, gs, xref, params, tk)
+				if step == next {
+					if !e.boundary(params, step, launched) {
+						return
 					}
-					ratio, s2, r2 := compTotals()
-					fc.boundaryEnd(group, rank, cfg.Interval, ratio, s2, r2)
+					next = step + e.sched.T()
 				}
 			}
-			// Collective epoch boundary: synchronize and let learner 0
-			// record accuracy from its own replica (the paper collects
-			// accuracy from one learner after each full pass).
-			group.Barrier(rank)
-			if rank == 0 && (epoch+1)%cfg.EvalEvery == 0 {
+			// A delayed launch must not stay in flight across the epoch
+			// barrier (mailbox aliasing, boundary.go); the last epoch also
+			// applies whatever is still pending, so the final evaluation
+			// sees a globally consistent model.
+			if epoch == cfg.Epochs-1 {
+				e.flush(params)
+			} else {
+				e.drain()
+			}
+			// Collective epoch boundary: synchronize, let the view's
+			// virtual rank 0 record accuracy from its own replica (the
+			// paper collects accuracy from one learner after each full
+			// pass; the role moves if rank 0 crashes), synchronize again
+			// so nobody races ahead into the next epoch during evaluation.
+			if !e.barrier() {
+				return
+			}
+			if e.vr == 0 && (epoch+1)%cfg.EvalEvery == 0 {
 				simNow := 0.0
 				if cfg.Sim != nil {
 					simNow = cfg.Sim.MaxTime()
 				}
 				rec.record(epoch+1, params, lastLoss, simNow)
 			}
-			group.Barrier(rank)
+			if !e.barrier() {
+				return
+			}
 		}
-		if ov != nil {
-			ov.close()
-		}
-		if rank == 0 {
+		if e.vr == 0 {
 			finalParams = append([]float64(nil), params...)
-			if ov != nil && ov.comp != nil && cfg.Compress == CodecTopK {
-				finalRatio = ov.ratio
+			finalT = e.sched.T()
+			if e.comp != nil && cfg.Compress == CodecTopK {
+				finalRatio = e.ratio
 			}
 		}
 	})
 
+	st := stats()
+	liveP := p
+	if mem != nil {
+		liveP = mem.Current().Size()
+		mem.Close()
+	}
 	simTime, compute, communication := cfg.simSplits()
 	return &Result{
 		Algo:        AlgoSASGD,
 		P:           p,
 		T:           cfg.Interval,
+		FinalT:      finalT,
 		Curve:       rec.points(),
 		Samples:     samples.Load(),
 		SimTime:     simTime,
 		SimCompute:  compute,
 		SimComm:     communication,
-		WordsMoved:  group.WordsSent(),
-		Comm:        group.Stats(),
+		WordsMoved:  st.Words,
+		Comm:        st,
 		CompressK:   finalRatio,
+		LiveP:       liveP,
 		FinalParams: finalParams,
 	}
-}
-
-// aggregate performs one dense global aggregation: allreduce gs with the
-// configured collective, apply the aggregate to the reference parameters
-// with γp, reset the local replica, clear gs. Compressed runs never come
-// here — they go through the compression engine's bucketed path (see
-// overlap.go and compress.go). On the serial path the blocking
-// collective is recorded as the agg_wait span and the γp application as
-// agg_apply, mirroring the overlapped path's spans so profiles compare
-// like with like.
-func aggregate(group *comm.Group, rank int, cfg Config, boundary int, gs, xref, params []float64, tk *obs.Track) {
-	ws := tk.Begin()
-	switch cfg.Allreduce {
-	case AllreduceRing:
-		group.AllreduceRing(rank, gs)
-	case AllreducePTree:
-		group.AllreduceTreeChunked(rank, gs, cfg.CommChunk)
-	case AllreduceRHD:
-		group.AllreduceRHD(rank, gs)
-	default:
-		group.AllreduceTree(rank, gs)
-	}
-	tk.End(obs.PhaseAggWait, ws)
-	if cfg.AggHook != nil && rank == 0 {
-		cfg.AggHook(boundary, gs)
-	}
-	// x′ ← x′ − γp·gs ; x ← x′ ; gs ← 0
-	as := tk.Begin()
-	tensor.Axpy(-cfg.GammaP, gs, xref)
-	tensor.Copy(params, xref)
-	clear(gs)
-	tk.End(obs.PhaseAggApply, as)
 }

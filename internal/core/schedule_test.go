@@ -7,26 +7,11 @@ import (
 	"sasgd/internal/netsim"
 )
 
-// TestDecayT pins the decay schedule: T_b = min(T0, 2^⌊b/tDecayEvery⌋),
-// communication-heavy at the start.
-func TestDecayT(t *testing.T) {
-	want := []int{1, 1, 2, 2, 4, 4, 8, 8, 8, 8} // t0 = 8, tDecayEvery = 2
-	for b, w := range want {
-		if got := decayT(b, 8); got != w {
-			t.Fatalf("decayT(%d, 8) = %d, want %d", b, got, w)
-		}
-	}
-	if got := decayT(100, 6); got != 6 {
-		t.Fatalf("decayT(100, 6) = %d, want cap 6", got)
-	}
-}
-
-// TestStaticSchedBitwiseLegacy is the tentpole's central degenerate pin:
-// TSchedStatic routes the run through the scheduled path but computes
-// the identical schedule, so final parameters, accuracy curve, words on
-// the wire and simulated time must all be bitwise/exactly what the
-// legacy loop produces — dense, compressed, and under the fabric
-// simulation.
+// TestStaticSchedBitwiseLegacy is the T-scheduler's degenerate pin: an
+// explicit TSchedStatic is the default schedule, so final parameters,
+// words on the wire and the final period must all be bitwise/exactly
+// what a run that never names a scheduler produces — dense, compressed,
+// and under the fabric simulation.
 func TestStaticSchedBitwiseLegacy(t *testing.T) {
 	prob := tinyProblem(48, 24, 5)
 	for _, tc := range []struct {
@@ -131,45 +116,23 @@ func TestAdaptiveTDeterminism(t *testing.T) {
 	}
 }
 
-// TestDecaySchedCommunicatesMore: decay starts at T=1, so it must hit
-// strictly more boundaries (and move strictly more words) than the
-// static schedule at the same Interval.
-func TestDecaySchedCommunicatesMore(t *testing.T) {
-	prob := tinyProblem(64, 24, 8)
-	base := Config{
-		Algo: AlgoSASGD, Learners: 4, Interval: 8, Gamma: 0.05,
-		Batch: 4, Epochs: 4, Seed: 17,
-	}
-	static := Train(base, prob)
-	cfg := base
-	cfg.TSched = TSchedDecay
-	decay := Train(cfg, prob)
-	if decay.WordsMoved <= static.WordsMoved {
-		t.Errorf("decay moved %d words, static %d — decay should communicate more early",
-			decay.WordsMoved, static.WordsMoved)
-	}
-	if decay.FinalT != base.Interval {
-		t.Errorf("decay FinalT = %d, want cap %d", decay.FinalT, base.Interval)
-	}
-}
-
 // TestSchedulerRestore pins checkpoint-resume semantics for the
 // scheduler state.
 func TestSchedulerRestore(t *testing.T) {
-	s := newTScheduler(Config{Interval: 8, TSched: TSchedDecay})
-	s.restore(5, 0)
-	if s.T() != 4 {
-		t.Errorf("decay restore(5): T = %d, want 4", s.T())
-	}
-	s = newTScheduler(Config{Interval: 8, TSched: TSchedAdaptive})
-	s.restore(3, 16)
-	if s.T() != 16 {
-		t.Errorf("adaptive restore(3, 16): T = %d, want 16", s.T())
-	}
-	s = newTScheduler(Config{Interval: 8, TSched: TSchedAdaptive})
-	s.restore(3, 0) // pre-scheduler checkpoint: keep the start period
+	s := newTScheduler(Config{Interval: 8, TSched: TSchedStatic})
+	s.restore(16)
 	if s.T() != 8 {
-		t.Errorf("adaptive restore(3, 0): T = %d, want 8", s.T())
+		t.Errorf("static restore(16): T = %d, want the configured 8", s.T())
+	}
+	s = newTScheduler(Config{Interval: 8, TSched: TSchedAdaptive})
+	s.restore(16)
+	if s.T() != 16 {
+		t.Errorf("adaptive restore(16): T = %d, want 16", s.T())
+	}
+	s = newTScheduler(Config{Interval: 8, TSched: TSchedAdaptive})
+	s.restore(0) // pre-scheduler checkpoint: keep the start period
+	if s.T() != 8 {
+		t.Errorf("adaptive restore(0): T = %d, want 8", s.T())
 	}
 }
 

@@ -120,7 +120,7 @@ func TestTraceSparsePathPhases(t *testing.T) {
 	tr := obs.NewTracer(256)
 	res := Train(Config{
 		Algo: AlgoSASGD, Learners: 2, Interval: 2, Gamma: 0.05,
-		Batch: 4, Epochs: 1, Seed: 9, CompressTopK: 0.1, Tracer: tr,
+		Batch: 4, Epochs: 1, Seed: 9, Compress: CodecTopK, CompressK: 0.1, Tracer: tr,
 	}, prob)
 	table := tr.ProfileTable("phases")
 	for _, ph := range []obs.Phase{obs.PhaseAggWait, obs.PhaseAggApply, obs.PhaseCompress} {

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sasgd/internal/comm"
 	"sasgd/internal/data"
+	"sasgd/internal/nn"
 	"sasgd/internal/parallel"
 	"sasgd/internal/tensor"
 )
@@ -39,25 +39,13 @@ func Train(cfg Config, prob *Problem) *Result {
 	case AlgoSGD:
 		res = trainSGD(cfg, prob)
 	case AlgoSASGD:
-		// Fault injection, crash tolerance and checkpoint-restart live on
-		// their own path: same algorithm, membership-aware sync points.
-		if cfg.Faults != nil || cfg.ResumeFrom != "" || cfg.CheckpointPath != "" {
-			res = trainSASGDResilient(cfg, prob)
-		} else if cfg.schedActive() {
-			// Any communication-schedule policy (adaptive T, hierarchy,
-			// delayed application) routes through the scheduled loop.
-			res = trainSASGDScheduled(cfg, prob)
-		} else {
-			res = trainSASGD(cfg, prob)
-		}
+		res = trainSASGD(cfg, prob)
 	case AlgoDownpour:
 		res = trainDownpour(cfg, prob)
 	case AlgoEAMSGD:
 		res = trainEAMSGD(cfg, prob)
-	case AlgoHogwild:
+	default: // AlgoHogwild: withDefaults admits no other value
 		res = trainHogwild(cfg, prob)
-	default:
-		panic(fmt.Sprintf("core: unknown algorithm %q", cfg.Algo))
 	}
 	res.Wall = time.Since(start)
 	if res.LiveP == 0 {
@@ -88,28 +76,8 @@ func workersPerLearner(cfg Config) int {
 	return w
 }
 
-// newTrainGroup builds the comm group for a SASGD-family run: over the
-// caller's wire transport when one is configured, else the in-process
-// fabric (simulated when cfg.Sim is attached). The simulator's clocks
-// require an all-local transport; comm.NewTransportGroup enforces that.
-func newTrainGroup(cfg Config, p int) *comm.Group {
-	var clocks []comm.Clock
-	var cost comm.CostModel
-	if cfg.Sim != nil {
-		clocks, cost = cfg.Sim.Clocks(), cfg.Sim.CostModel()
-	}
-	if cfg.Transport != nil {
-		return comm.NewTransportGroup(cfg.Transport, nil, clocks, cost)
-	}
-	return comm.NewSimGroup(p, clocks, cost)
-}
-
-// localRanks returns the learner ranks this process drives: LocalRanks
-// when a multi-process run set it, else all p of them.
-func (c Config) localRanks(p int) []int {
-	if len(c.LocalRanks) > 0 {
-		return c.LocalRanks
-	}
+// identity returns the rank list 0..p−1.
+func identity(p int) []int {
 	all := make([]int, p)
 	for i := range all {
 		all[i] = i
@@ -118,13 +86,7 @@ func (c Config) localRanks(p int) []int {
 }
 
 // runLearners starts p learner goroutines and waits for all of them.
-func runLearners(p int, fn func(rank int)) {
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
-	runLearnersOn(all, fn)
-}
+func runLearners(p int, fn func(rank int)) { runLearnersOn(identity(p), fn) }
 
 // runLearnersOn starts one learner goroutine per rank in ranks and
 // waits for all of them. A panic in any learner is rethrown on the
@@ -205,4 +167,26 @@ func (s *stalenessStats) mean() float64 {
 		return 0
 	}
 	return float64(atomic.LoadInt64(&s.sum)) / float64(n)
+}
+
+// ModelFactory builds one learner's model replica. Each learner calls it
+// with a distinct seed (for dropout masks); initial parameters are then
+// overwritten by a broadcast from learner 0, as in Algorithm 1.
+type ModelFactory func(seed int64) *nn.Network
+
+// Problem bundles a workload: the model factory and the train/test data.
+type Problem struct {
+	Name  string
+	Model ModelFactory
+	Train *data.Dataset
+	Test  *data.Dataset
+}
+
+// newReplica builds and seeds a learner's model.
+func (p *Problem) newReplica(seed int64) *nn.Network {
+	net := p.Model(seed)
+	if net == nil {
+		panic("core: model factory returned nil")
+	}
+	return net
 }

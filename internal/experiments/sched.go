@@ -12,7 +12,7 @@ import (
 // cross-island traffic, simulated epoch time, and accuracy.
 type SchedRow struct {
 	Policy       string  // e.g. "flat-eager", "hier-delayed"
-	TSched       string  // static / decay / adaptive
+	TSched       string  // static / adaptive
 	Hier         bool    // two-level island aggregation
 	Delayed      bool    // delayed global application
 	FinalT       int     // period in effect at the end of the run
@@ -95,7 +95,6 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 		hier, delayed bool
 	}{
 		{"flat-eager", core.TSchedStatic, false, false},
-		{"flat-eager", core.TSchedDecay, false, false},
 		{"flat-eager", core.TSchedAdaptive, false, false},
 		{"flat-delayed", core.TSchedStatic, false, true},
 		{"hier-eager", core.TSchedStatic, true, false},

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerates BENCH_SCHED.json: the communication-scheduling frontier
 # for SASGD p=8 on the simulated CIFAR-10 platform. Part one sweeps the
-# composable policies — T-scheduler (static / decay / adaptive), flat vs
+# composable policies — T-scheduler (static / adaptive), flat vs
 # two-level island aggregation, eager vs delayed global application — on
 # an uplink-constrained fabric (cross-island bandwidth = peer/4, islands
 # of two ranks) and records words on the wire, cross-island words per

@@ -40,19 +40,45 @@ echo "==> go test -race ${short} ./internal/..."
 # shellcheck disable=SC2086
 go test -race ${short} ./internal/...
 
+# Every leg below selects tests by name, and `go test -run X` exits 0
+# when X matches nothing — a renamed test would silently drop out of its
+# leg. run_tests is `go test` that also fails on "[no tests to run]" (or
+# a fuzz target that does not exist).
+run_tests() {
+    if ! out="$(go test "$@" 2>&1)"; then
+        printf '%s\n' "$out"
+        exit 1
+    fi
+    printf '%s\n' "$out"
+    if printf '%s\n' "$out" | grep -q 'no tests to run\|no fuzz tests to fuzz'; then
+        echo "FAIL: a pattern matched no test: go test $*"
+        exit 1
+    fi
+}
+
+# The generated-config harness is the safety net under the one SASGD
+# loop: every accepted composition of boundary policies, checked for
+# determinism, degenerate collapse and transport/tracer/metrics/overlap
+# transparency, with every rejection named by the validation table. Its
+# draws cross the comm worker, the membership ledger and real sockets, so
+# it runs twice under the race detector (full draw count with FULL=1).
+echo "==> go test -race -count=2 ${short} generated-config harness"
+# shellcheck disable=SC2086
+run_tests -race -count=2 ${short} -run 'GeneratedConfigs|ValidateRules' ./internal/core/
+
 # The pipelined collectives' concurrency bugs are schedule-dependent, so
 # give the race detector extra rounds over the stress/equivalence tests
 # specifically (cheap: the comm package has no heavy kernels).
 echo "==> go test -race -count=2 comm stress/equivalence"
-go test -race -count=2 -run 'Stress|Equivalent|Pipelines' ./internal/comm/
+run_tests -race -count=2 -run 'Stress|Equivalent|Pipelines' ./internal/comm/
 
 # Same treatment for the backward-overlapped bucketed aggregation: the
 # async handle lifecycle and the learner/comm-worker handoff are the
 # schedule-sensitive surfaces, so run their equivalence and stress tests
 # twice under the race detector at both layers.
 echo "==> go test -race -count=2 bucketed/overlap equivalence + stress"
-go test -race -count=2 -run 'Bucketed|Overlap' ./internal/comm/
-go test -race -count=2 -run 'Overlap' ./internal/core/
+run_tests -race -count=2 -run 'Bucketed|Overlap' ./internal/comm/
+run_tests -race -count=2 -run 'Overlap' ./internal/core/
 
 # The compression engine's schedule-sensitive surface is the per-bucket
 # codec collectives riding the same async worker handoff: run the codec
@@ -60,8 +86,8 @@ go test -race -count=2 -run 'Overlap' ./internal/core/
 # differentials against the sort reference included) and the core-level
 # compressed-overlap sweep twice under the race detector.
 echo "==> go test -race -count=2 compression engine"
-go test -race -count=2 -run 'Compress|Codec|TopK|QInt8|Selector|Resparsify|Sparsity' ./internal/comm/
-go test -race -count=2 -run 'Compress|FaultyCompressed|Adaptive' ./internal/core/
+run_tests -race -count=2 -run 'Compress|Codec|TopK|QInt8|Selector|Resparsify|Sparsity' ./internal/comm/
+run_tests -race -count=2 -run 'Compress|FaultyCompressed|Adaptive' ./internal/core/
 
 # The communication-scheduling layer rides the same async worker
 # handoff with its own schedule-sensitive surfaces — the one-round
@@ -70,8 +96,8 @@ go test -race -count=2 -run 'Compress|FaultyCompressed|Adaptive' ./internal/core
 # and the adaptive-T drift allreduce spliced between them — so run its
 # equivalence, determinism and chaos legs twice under the race detector.
 echo "==> go test -race -count=2 comm-schedule layer"
-go test -race -count=2 -run 'Hier|DeferSync' ./internal/comm/
-go test -race -count=2 -run 'Sched|Delayed|Decay|AdaptiveT|ChaosHier' ./internal/core/
+run_tests -race -count=2 -run 'Hier|DeferSync' ./internal/comm/
+run_tests -race -count=2 -run 'Sched|Delayed|AdaptiveT|ChaosHier' ./internal/core/
 
 # The wire-transport cut is the newest schedule-sensitive surface: per
 # connection-endpoint writer/reader goroutines, pooled frame buffers
@@ -82,55 +108,55 @@ go test -race -count=2 -run 'Sched|Delayed|Decay|AdaptiveT|ChaosHier' ./internal
 # back-pressure and Close-race tests. Run those legs twice under the
 # race detector at both layers.
 echo "==> go test -race -count=2 wire transport (channel vs TCP loopback)"
-go test -race -count=2 -run 'CrossTransport|GroupClose|TCP|Wire|MultiProcess' ./internal/comm/
-go test -race -count=2 -run 'TrainTCP|MultiEndpoint' ./internal/core/
+run_tests -race -count=2 -run 'CrossTransport|GroupClose|TCP|Wire|MultiProcess' ./internal/comm/
+run_tests -race -count=2 -run 'TrainTCP|MultiEndpoint' ./internal/core/
 
 # The tracing subsystem's whole design is lock-free concurrent recording
 # (per-track ring buffers, atomic counters), so give its concurrency
 # tests the same extra race-detector rounds.
 echo "==> go test -race -count=2 obs concurrent tracing"
-go test -race -count=2 -run 'Concurrent' ./internal/obs/
+run_tests -race -count=2 -run 'Concurrent' ./internal/obs/
 
 # The metrics registry makes the same promise one layer up: lock-free
 # counters/gauges/histograms/rings written concurrently by p learners
 # while exporters snapshot them, so its concurrency test gets the same
 # extra rounds.
 echo "==> go test -race -count=2 metrics registry concurrent writes"
-go test -race -count=2 -run 'Concurrent' ./internal/obs/metrics/
+run_tests -race -count=2 -run 'Concurrent' ./internal/obs/metrics/
 
 # The straggler plan sets one rank's simulated slowdown from that rank's
 # goroutine while the others charge their batches: the per-rank slot must
 # exist before any learner starts (netsim.New), or this run races.
 echo "==> go test -race -count=6 seeded straggler (netsim slowdown slots)"
-go test -race -count=6 -run TestMetricsFlagsSeededStraggler ./internal/core
+run_tests -race -count=6 -run TestMetricsFlagsSeededStraggler ./internal/core
 
 # The chaos suite is the failure-handling gate: seeded fault plans
 # (stragglers, drops, crashes at scheduled boundaries) with bitwise
 # survivor-equivalence assertions. Membership changes move virtual rank
 # 0 across goroutines, so run it twice under the race detector.
 echo "==> go test -race -count=2 chaos suite"
-go test -race -count=2 ./internal/chaos/
+run_tests -race -count=2 ./internal/chaos/
 
 # Native fuzzing smoke legs: a short randomized walk over the allreduce
 # equivalence, top-k selection ≡ full sort on arbitrary bit patterns,
 # and the bucket-plan invariants beyond the checked-in corpus. `go test
 # -fuzz` takes one target at a time, so each is named.
 echo "==> go fuzz smoke (10s per target)"
-go test -fuzz 'FuzzAllreduceEquivalence' -fuzztime 10s -run 'Fuzz' ./internal/comm/
-go test -fuzz 'FuzzTopKSelect' -fuzztime 10s -run 'Fuzz' ./internal/comm/
-go test -fuzz 'FuzzPlanBuckets' -fuzztime 10s -run 'Fuzz' ./internal/core/
-go test -fuzz 'FuzzFrameDecode' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
-go test -fuzz 'FuzzFrameRoundTrip' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
-go test -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
+run_tests -fuzz 'FuzzAllreduceEquivalence' -fuzztime 10s -run 'Fuzz' ./internal/comm/
+run_tests -fuzz 'FuzzTopKSelect' -fuzztime 10s -run 'Fuzz' ./internal/comm/
+run_tests -fuzz 'FuzzPlanBuckets' -fuzztime 10s -run 'Fuzz' ./internal/core/
+run_tests -fuzz 'FuzzFrameDecode' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
+run_tests -fuzz 'FuzzFrameRoundTrip' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
+run_tests -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
 
 # The packed GEMM engine's whole contract is bitwise-identical results
 # at any worker count (plus fused-epilogue equivalence to the unfused
 # layers), and its parallelism runs through the aligned sharding
 # helpers, so give those determinism tests extra race-detector rounds.
 echo "==> go test -race -count=2 packed GEMM determinism + fusion"
-go test -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm' ./internal/tensor/
-go test -race -count=2 -run 'Fused' ./internal/nn/
-go test -race -count=2 -run 'Aligned' ./internal/parallel/
+run_tests -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm' ./internal/tensor/
+run_tests -race -count=2 -run 'Fused' ./internal/nn/
+run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
 
 # Steady-state allocation pins (the race detector's instrumentation
 # allocates, so these only check out in a plain build): bucketed
@@ -140,15 +166,15 @@ go test -race -count=2 -run 'Aligned' ./internal/parallel/
 # covers the enabled record fast path), and the packed GEMM entry points
 # must run allocation-free off the pooled pack scratch.
 echo "==> go test bucketed + hier zero-alloc pins"
-go test -run 'SteadyStateAllocs' ./internal/comm/
+run_tests -run 'SteadyStateAllocs' ./internal/comm/
 echo "==> go test wire-codec + streaming-reader zero-alloc pins"
-go test -run 'SteadyStateAllocs' ./internal/comm/wire/
+run_tests -run 'SteadyStateAllocs' ./internal/comm/wire/
 echo "==> go test obs disabled-path zero-alloc pin"
-go test -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/
+run_tests -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/
 echo "==> go test metrics disabled-path zero-alloc pin"
-go test -run 'NilRegistryIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/metrics/
+run_tests -run 'NilRegistryIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/metrics/
 echo "==> go test tensor GEMM zero-alloc pin"
-go test -run 'GemmSteadyStateAllocs' ./internal/tensor/
+run_tests -run 'GemmSteadyStateAllocs' ./internal/tensor/
 
 # Bounds-check-elimination gate: the GEMM microkernels are written in
 # the len-conditioned slice-advance idiom precisely so the compiler can
