@@ -324,9 +324,7 @@ func runAllreduce(name string, bufs [][]float64) {
 }
 
 // BenchmarkKernelMatMul measures the core GEMM kernel the networks are
-// built on, swept across matrix sizes and worker-pool widths;
-// scripts/bench_kernels.sh records the results in BENCH_KERNELS.json so
-// the perf trajectory is tracked across PRs.
+// built on, swept across matrix sizes and worker-pool widths.
 func BenchmarkKernelMatMul(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		rng := rand.New(rand.NewSource(1))

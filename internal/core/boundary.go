@@ -19,6 +19,13 @@ import (
 //	membership view → T-schedule → exchange → apply now-or-next →
 //	drift step → replica reset → adapt-k → fleet frame → checkpoint
 //
+// No stage makes a pass over the model that nothing reads. gs is never
+// cleared — the next interval's first local step overwrites it — and a
+// replica whose local updates can never survive a boundary (static
+// T = 1, no drift consumer, flat) is its own reference, so its reset
+// copies nothing; both follow from the local step's rule table
+// (localStep in sasgd.go).
+//
 // Membership view. A run without a fault plan, checkpoint or resume has
 // a constant comm.View over its group and this stage costs nothing — no
 // lock, no barrier. Otherwise every boundary (and every epoch barrier)
@@ -110,8 +117,18 @@ type engine struct {
 	bidx      int   // boundaries completed
 	dataRanks []int // run-physical → data-physical rank (checkpoint header)
 
-	gs   []float64 // the interval's gradient sum
-	xref []float64 // globally consistent reference x′
+	gs    []float64 // the interval's gradient sum
+	fresh bool      // gs holds nothing of the current interval: the next local step overwrites it
+	xref  []float64 // globally consistent reference x′
+
+	// keepLocal: something reads the replica between an interval's last
+	// local step and its reset — the adaptive T-scheduler's drift
+	// statistic or the fleet gauge — so that step's x ← x − γ·g must be
+	// taken although the reset discards it (localStep). aliased is the
+	// same fact at T = 1, where every step is an interval's last: no
+	// local update ever survives, the replica never leaves the flat
+	// reference, and xref is the replica's own memory (reset).
+	keepLocal, aliased bool
 
 	// Hierarchy (hier nil when HierGroups < 2).
 	baseIsl   []int // run-physical rank → island
@@ -152,6 +169,11 @@ type engine struct {
 	start, dt float64 // the boundary batch's simulated span
 }
 
+// newCompressor builds a learner's codec. A variable so that the
+// generated-config harness can put its conservation ledger around every
+// codec of a run (gen_test.go).
+var newCompressor = comm.NewCompressor
+
 // newEngine builds one learner's boundary state on the initial view.
 // params already holds the broadcast (or restored) parameters.
 func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int, net *nn.Network, tk *obs.Track, fc *fleetCollector) *engine {
@@ -161,9 +183,17 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		crashAt: cfg.Faults.CrashBoundary(rank),
 		sched:   newTScheduler(cfg),
 		gs:      make([]float64, m),
-		xref:    append([]float64(nil), net.ParamData()...),
+		fresh:   true,
 		grads:   net.GradData(),
 		built:   view.Version,
+	}
+	e.keepLocal = fc != nil || e.sched.adaptive
+	// !keepLocal implies a static schedule, so Interval is T for good;
+	// under a hierarchy the replica resets to w, not to xref.
+	e.aliased = !e.keepLocal && cfg.Interval == 1 && cfg.HierGroups < 2
+	e.xref = net.ParamData()
+	if !e.aliased {
+		e.xref = append([]float64(nil), e.xref...)
 	}
 	e.setView(view)
 	// The bucket plan exists only for the policies that go through the
@@ -195,7 +225,7 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		e.setHier()
 	}
 	if cfg.Compress != "" && len(e.segs) > 0 {
-		e.comp = comm.NewCompressor(cfg.Compress)
+		e.comp = newCompressor(cfg.Compress)
 		e.res = make([]float64, m)
 		e.ratio = cfg.CompressK
 	}
@@ -307,9 +337,10 @@ func (e *engine) reform() {
 
 // boundary runs one communication boundary after local step `step`.
 // params is the local replica (reset to its reference on return) and
-// e.gs the interval's gradient sum (cleared on return); launched says
-// the overlap hook already submitted gs bucket by bucket. False means
-// the learner must stop: crashed on schedule, or fenced.
+// e.gs the interval's gradient sum (spent on return: the next local step
+// overwrites it); launched says the overlap hook already submitted gs
+// bucket by bucket. False means the learner must stop: crashed on
+// schedule, or fenced.
 func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	if e.bidx == e.crashAt {
 		// Fail-stop: go silent without posting the boundary's heartbeat.
@@ -389,10 +420,12 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 		tensor.Copy(e.w, e.xref)
 	}
 
-	// Drift step (where x̄ = ref exactly), then x ← ref ; gs ← 0.
+	// Drift step (where x̄ = ref exactly), then x ← ref. gs ← 0 is not a
+	// pass of its own: the next interval's first local step writes
+	// gs = 0 + g (localStep).
 	e.sched.advance(g, vr, e.view.Size(), params, ref)
-	tensor.Copy(params, ref)
-	clear(e.gs)
+	e.reset(params, ref)
+	e.fresh = true
 	tk.End(obs.PhaseAggApply, as)
 
 	if applied {
@@ -436,21 +469,31 @@ func (e *engine) applyGlobal(origin int, agg []float64, rate float64) {
 	tensor.Axpy(-rate, agg, e.xref)
 }
 
-// stage moves the aggregate about to be exchanged into pend and zeroes
-// its accumulator: gs on a flat boundary, the island aggregate acc on an
-// outer one — where a codec run's non-leaders contribute zeros, so each
-// island is counted once.
+// stage moves the aggregate about to be exchanged into pend: gs on a
+// flat boundary, and on an outer one the island aggregate acc, which is
+// zeroed for the next round of boundaries to add into (gs is overwritten,
+// not added into, by the next interval) — where a codec run's
+// non-leaders contribute zeros, so each island is counted once.
 func (e *engine) stage() {
-	src := e.gs
-	if e.hier != nil {
-		src = e.acc
-	}
-	if e.hier != nil && e.comp != nil && !e.hier.IsLeader(e.vr) {
+	switch {
+	case e.hier == nil:
+		tensor.Copy(e.pend, e.gs)
+		return
+	case e.comp != nil && !e.hier.IsLeader(e.vr):
 		clear(e.pend)
-	} else {
-		tensor.Copy(e.pend, src)
+	default:
+		tensor.Copy(e.pend, e.acc)
 	}
-	clear(src)
+	clear(e.acc)
+}
+
+// reset is x ← ref, the end of every boundary. An aliased replica is its
+// own reference: the apply has already moved it and there is nothing to
+// copy.
+func (e *engine) reset(params, ref []float64) {
+	if !e.aliased {
+		tensor.Copy(params, ref)
+	}
 }
 
 // exchange runs the boundary's global exchange over buf to completion:
@@ -537,7 +580,7 @@ func (e *engine) flush(params []float64) {
 		tensor.Copy(e.w, e.xref)
 		ref = e.w
 	}
-	tensor.Copy(params, ref)
+	e.reset(params, ref)
 	e.tk.End(obs.PhaseAggApply, as)
 }
 

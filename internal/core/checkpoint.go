@@ -13,7 +13,7 @@ import (
 // Checkpoint-restart. SASGD's aggregation boundaries are the natural
 // checkpoint points: immediately after an aggregation every replica
 // equals the reference parameters x′ and the accumulated gradient gs is
-// zero, so the entire distributed optimizer state collapses to one
+// spent, so the entire distributed optimizer state collapses to one
 // parameter vector plus a handful of counters. A checkpoint is a gob
 // header (the counters and run shape) followed by one nn parameter
 // frame (magic, version, count, float64s, CRC — the same format model
@@ -50,7 +50,7 @@ type checkpointMeta struct {
 // checkpoint is the boundary's last stage: every CheckpointEvery-th
 // boundary the view's virtual rank 0 writes the reference parameters and
 // the run's counters. Validation keeps it to flat eager boundaries,
-// where replica == reference and gs == 0 hold.
+// where replica == reference holds and gs carries nothing over.
 func (e *engine) checkpoint(step int) {
 	if e.cfg.CheckpointPath == "" || e.vr != 0 || e.bidx%e.cfg.CheckpointEvery != 0 {
 		return

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"sasgd/internal/comm"
@@ -221,15 +222,21 @@ func mustSameTraffic(t *testing.T, what string, a, b *Result) {
 	}
 }
 
-// checkDraw asserts every per-draw property of an accepted draw.
-func checkDraw(t *testing.T, d genDraw, prob *Problem) {
+// checkDraw asserts every per-draw property of an accepted draw and
+// returns the number of codec collectives its conservation check saw.
+func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 	t.Helper()
 	// Dropped deliveries are charged per attempt and a late ack fires a
 	// deduplicated retransmission, so only the values of a drop plan are
 	// schedule-free; every other plan pins its traffic too.
 	exactTraffic := !strings.Contains(d.faults, "drop")
 
+	var ledger *massLedger
+	if d.codec != "" && d.k < 1 { // CompressK ≥ 1 is the dense path
+		ledger = watchCodecs()
+	}
 	a := d.run(t, genBase, prob)
+	collectives = ledger.check(t, fmt.Sprintf("%+v", d))
 	b := d.run(t, genBase, prob)
 	mustBitwise(t, fmt.Sprintf("run twice %+v", d), a, b, 0)
 	if exactTraffic {
@@ -275,6 +282,111 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) {
 			t.Fatalf("closed form %v: moved %d words, want %d", d, a.Comm.Words, want)
 		}
 	}
+	return collectives
+}
+
+// massLedger is the run-level error-feedback conservation check. While it
+// is installed every learner's codec is wrapped, and each codec
+// collective — one bucket at one boundary — records what went in and
+// what stayed behind; check then requires of every collective
+//
+//	Σ_r (seg_r + res_r before)  =  aggregate + Σ_r (res_r after)
+//
+// coordinate by coordinate up to the rounding of the sums: whatever the
+// learners put into a boundary either reached the model or is still in
+// somebody's residual — the root's included, which absorbs what its
+// re-selection drops. The codec tests pin this for one isolated codec
+// (TestCodecConservationBitwise); here it holds for what the engine
+// actually feeds the codecs on every accepted composition — zero
+// contributions of non-leaders under a hierarchy, buckets launched from
+// inside backward, survivors after a crash. For top-k it also checks the
+// ledger the adaptive controller and the fleet frame read: a rank's
+// Δsent² + Δresid² is the squared norm of what it folded.
+type massLedger struct {
+	mu    sync.Mutex
+	calls map[int]*massCall // by the rank's own collective count: every live rank makes the same sequence
+	errs  []string
+}
+
+type massCall struct {
+	in, out, agg []float64 // Σ_r folded, Σ_r residual after, the aggregate (identical on every rank)
+	scale        float64   // Σ_r Σ_i |folded|: what the rounding of the sums is relative to
+}
+
+// watchCodecs installs a ledger until its check runs.
+func watchCodecs() *massLedger {
+	l := &massLedger{calls: map[int]*massCall{}}
+	newCompressor = func(name string) comm.Compressor {
+		return &ledgerCodec{Compressor: comm.NewCompressor(name), l: l}
+	}
+	return l
+}
+
+// check uninstalls the ledger, fails on what it found and returns how
+// many collectives it covered. Nil-safe: a dense draw has no ledger.
+func (l *massLedger) check(t *testing.T, what string) int {
+	t.Helper()
+	if l == nil {
+		return 0
+	}
+	newCompressor = comm.NewCompressor
+	for seq, c := range l.calls {
+		tol := 1e-9 * (c.scale + 1)
+		for i := range c.in {
+			if diff := c.in[i] - (c.agg[i] + c.out[i]); !(math.Abs(diff) <= tol) {
+				l.errs = append(l.errs, fmt.Sprintf("collective %d coordinate %d: %g went in, %g was applied and %g kept",
+					seq, i, c.in[i], c.agg[i], c.out[i]))
+				break
+			}
+		}
+	}
+	if len(l.errs) > 0 {
+		sort.Strings(l.errs)
+		t.Fatalf("conservation %s: %d violations, first: %s", what, len(l.errs), l.errs[0])
+	}
+	return len(l.calls)
+}
+
+type ledgerCodec struct {
+	comm.Compressor
+	l      *massLedger
+	seq    int
+	folded []float64
+}
+
+func (c *ledgerCodec) Allreduce(g *comm.Group, rank int, seg, res []float64, ratio, ready float64, tk *obs.Track, arg int32) {
+	c.folded = c.folded[:0]
+	var mass, scale float64
+	for i, v := range seg {
+		v += res[i]
+		c.folded = append(c.folded, v)
+		mass += v * v
+		scale += math.Abs(v)
+	}
+	s0, r0 := c.Totals()
+	c.Compressor.Allreduce(g, rank, seg, res, ratio, ready, tk, arg)
+	s1, r1 := c.Totals()
+
+	c.l.mu.Lock()
+	defer c.l.mu.Unlock()
+	if got := (s1 - s0) + (r1 - r0); c.Name() == CodecTopK && !(math.Abs(got-mass) <= 1e-9*mass) {
+		c.l.errs = append(c.l.errs, fmt.Sprintf("collective %d rank %d: sent² + resid² = %g for a folded mass of %g", c.seq, rank, got, mass))
+	}
+	call := c.l.calls[c.seq]
+	if call == nil {
+		call = &massCall{in: make([]float64, len(seg)), out: make([]float64, len(seg)), agg: append([]float64(nil), seg...)}
+		c.l.calls[c.seq] = call
+	}
+	for i := range seg {
+		call.in[i] += c.folded[i]
+		call.out[i] += res[i]
+		if math.Float64bits(seg[i]) != math.Float64bits(call.agg[i]) {
+			c.l.errs = append(c.l.errs, fmt.Sprintf("collective %d: rank %d holds aggregate %g at %d, another rank %g", c.seq, rank, seg[i], i, call.agg[i]))
+			break
+		}
+	}
+	call.scale += scale
+	c.seq++
 }
 
 // checkCollapse asserts that each degenerate policy setting reduces to
@@ -345,7 +457,7 @@ func TestGeneratedConfigs(t *testing.T) {
 	prob := tinyProblem(48, 24, 5)
 	rng := rand.New(rand.NewSource(2017))
 	rejected := map[string]int{}
-	accepted := 0
+	accepted, collectives := 0, 0
 	for i := 0; i < draws; i++ {
 		d := drawConfig(rng)
 		cfg, cleanup := d.config(t, genBase)
@@ -355,7 +467,7 @@ func TestGeneratedConfigs(t *testing.T) {
 			continue
 		}
 		accepted++
-		checkDraw(t, d, prob)
+		collectives += checkDraw(t, d, prob)
 		checkCollapse(t, d, prob)
 	}
 	table := map[string]bool{}
@@ -370,7 +482,11 @@ func TestGeneratedConfigs(t *testing.T) {
 		}
 	}
 	sort.Strings(reasons)
-	t.Logf("%d draws: %d accepted, %d rejected:\n  %s", draws, accepted, draws-accepted, strings.Join(reasons, "\n  "))
+	t.Logf("%d draws: %d accepted (%d codec collectives checked for conservation), %d rejected:\n  %s",
+		draws, accepted, collectives, draws-accepted, strings.Join(reasons, "\n  "))
+	if collectives == 0 {
+		t.Error("no codec collective was checked for conservation")
+	}
 	if accepted < draws/2 {
 		t.Errorf("only %d of %d draws accepted — the generator no longer covers the accepted space", accepted, draws)
 	}

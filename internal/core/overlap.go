@@ -18,7 +18,8 @@ import (
 // handles instead of running the exchange. Values are bitwise identical
 // to the serial boundary for the tree family and every codec: bucket
 // boundaries are fixed layer boundaries, per-bucket accumulation is the
-// same elementwise gs += g, and the bucketed tree replays the
+// same elementwise gs += g (gs = 0 + g when the boundary batch is also
+// the interval's first, localStep's rule), and the bucketed tree replays the
 // monolithic tree's per-element summation order (pinned in comm and
 // again at core level in overlap_test.go). Under the fabric simulation
 // each bucket's send is stamped with its layers' backward-completion
@@ -39,7 +40,7 @@ func (e *engine) onLayerDone(layer int) {
 	}
 	bs := e.tk.Begin()
 	s := e.segs[bi]
-	tensor.Axpy(1, e.grads[s.Off:s.Off+s.Len], e.gs[s.Off:s.Off+s.Len])
+	tensor.Accumulate(e.gs[s.Off:s.Off+s.Len], e.grads[s.Off:s.Off+s.Len], e.fresh)
 	ready := 0.0
 	if e.fracs != nil {
 		ready = e.start + e.dt*e.fracs[layer]

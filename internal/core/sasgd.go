@@ -8,6 +8,7 @@ import (
 	"sasgd/internal/comm"
 	"sasgd/internal/data"
 	"sasgd/internal/obs"
+	"sasgd/internal/parallel"
 	"sasgd/internal/tensor"
 )
 
@@ -131,7 +132,6 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		dataPhys := dataRanks[rank]
 		net := prob.newReplica(cfg.Seed + int64(dataPhys))
 		params := net.ParamData()
-		grads := net.GradData()
 		tk := cfg.Tracer.Learner(rank)
 		net.SetTrack(tk)
 		fc := newFleetCollector(cfg, rank, p, fleet)
@@ -182,27 +182,21 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 				// The batch's simulated span is drawn up front — one jitter
 				// draw per batch — and the clock jumps to the batch's end;
 				// nothing reads it before the boundary. On the boundary
-				// batch of an overlapped run gs += g happens bucket by
-				// bucket inside backward (overlap.go), and each bucket's
-				// send is stamped analytically inside the span.
+				// batch of an overlapped run the gradient sum is updated
+				// bucket by bucket inside backward (overlap.go), and each
+				// bucket's send is stamped analytically inside the span.
 				if cfg.Sim != nil {
 					e.start, e.dt = cfg.Sim.BatchSpan(rank, cfg.FlopsPerSample*float64(len(idx)))
 				}
-				launched := e.overlap && step+1 == next
+				last := step+1 == next
+				launched := e.overlap && last
 				if launched {
 					lastLoss = net.StepEach(x, y, onLayerDone)
 				} else {
 					lastLoss = net.Step(x, y)
 				}
-				// x ← x − γ·g ; gs ← gs + g. The overlapped batch takes the
-				// local update like any other — the reset overwrites it, but
-				// the drift the T-scheduler and the fleet gauge read must
-				// not depend on the launch schedule.
 				ls := tk.Begin()
-				tensor.Axpy(-cfg.Gamma, grads, params)
-				if !launched {
-					tensor.Axpy(1, grads, e.gs)
-				}
+				e.localStep(params, last, launched)
 				tk.End(obs.PhaseLocalStep, ls)
 				samples.Add(int64(len(idx)))
 				if slowSleep > 0 {
@@ -238,7 +232,14 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 				if cfg.Sim != nil {
 					simNow = cfg.Sim.MaxTime()
 				}
+				// Between the two barriers every other learner of this
+				// process is parked and every comm handle has been waited
+				// out, so the evaluation runs on the kernel workers the
+				// local learners hold together. Kernels are bitwise
+				// identical at every worker count: the curve does not move.
+				prev := parallel.SetWorkers(parallel.Workers() * len(local))
 				rec.record(epoch+1, params, lastLoss, simNow)
+				parallel.SetWorkers(prev)
 			}
 			if !e.barrier() {
 				return
@@ -276,4 +277,33 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		LiveP:       liveP,
 		FinalParams: finalParams,
 	}
+}
+
+// localStep is Algorithm 1's x ← x − γ·g ; gs ← gs + g for one
+// minibatch, without the passes over the model nothing would read:
+//
+//	x ← x − γ·g   skipped on the last step of an interval (last) unless a
+//	              drift consumer reads the replica before the boundary
+//	              resets it (engine.keepLocal): the reset overwrites it.
+//	gs ← gs + g   the first step of an interval writes gs = 0 + g — the
+//	              bits adding into a cleared gs would give — so no
+//	              boundary clears gs; on the overlapped batch (launched)
+//	              the backward hook has done it bucket by bucket.
+//	both          one pass over g instead of two.
+//
+// The rule is the same for every batch, overlapped or not, so the drift
+// the T-scheduler and the fleet gauge read never depends on the launch
+// schedule: when either is attached no update is skipped.
+func (e *engine) localStep(params []float64, last, launched bool) {
+	keepX := !last || e.keepLocal
+	switch {
+	case launched && keepX:
+		tensor.Axpy(-e.cfg.Gamma, e.grads, params)
+	case launched: // gs went out from inside backward and x is dead
+	case keepX:
+		tensor.AxpyAccumulate(-e.cfg.Gamma, e.grads, params, e.gs, e.fresh)
+	default:
+		tensor.Accumulate(e.gs, e.grads, e.fresh)
+	}
+	e.fresh = false
 }

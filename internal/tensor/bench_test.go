@@ -72,8 +72,7 @@ func BenchmarkMatMulTransB128(b *testing.B) {
 }
 
 // BenchmarkKernelMatMulWorkers sweeps the GEMM kernel across matrix
-// sizes and worker counts; scripts/bench_kernels.sh records the results
-// in BENCH_KERNELS.json to track the perf trajectory across PRs.
+// sizes and worker counts.
 func BenchmarkKernelMatMulWorkers(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		a, x, c := benchMat(b, n)
@@ -146,59 +145,9 @@ func BenchmarkCol2ImCIFARFirstLayer(b *testing.B) {
 	}
 }
 
-// matmulAccRangeZeroSkip is the pre-packed-engine small-tier loop body,
-// retained verbatim (including its data-dependent `av == 0` skip) so
-// BenchmarkMatMulZeroSkip can measure what the skip costs on dense data.
-// It is not called by any kernel.
-func matmulAccRangeZeroSkip(c, a, b []float64, k, n, lo, hi int) {
-	lb := lBlock(k, n)
-	for l0 := 0; l0 < k; l0 += lb {
-		l1 := l0 + lb
-		if l1 > k {
-			l1 = k
-		}
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : i*n+n]
-			ai := a[i*k : i*k+k]
-			for l := l0; l < l1; l++ {
-				av := ai[l]
-				if av == 0 {
-					continue
-				}
-				bl := b[l*n : l*n+n]
-				for j, bv := range bl {
-					ci[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkMatMulZeroSkip pins the satellite decision to drop the
-// `av == 0` skip from the dense small-tier loop. On dense Gaussian data
-// the branch never fires and is perfectly predicted, so the two loops
-// measure within noise of each other — the skip was dead weight, not a
-// win, and removing it makes the small tier's ±0/NaN propagation match
-// the packed tier, which always multiplies. Run both sub-benchmarks to
-// see the (null) delta.
-func BenchmarkMatMulZeroSkip(b *testing.B) {
-	const n = 96 // below the packed-tier threshold shape class this loop serves
-	a, x, c := benchMat(b, n)
-	b.Run("skip", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matmulAccRangeZeroSkip(c.Data, a.Data, x.Data, n, n, 0, n)
-		}
-	})
-	b.Run("noskip", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matmulAccRange(c.Data, a.Data, x.Data, n, n, 0, n)
-		}
-	})
-}
-
 // BenchmarkKernelMatMulTransWorkers sweeps the transposed-operand GEMM
 // kernels (backward-pass shapes) the same way BenchmarkKernelMatMulWorkers
-// does, for BENCH_KERNELS.json.
+// does.
 func BenchmarkKernelMatMulTransWorkers(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		a, x, c := benchMat(b, n)
@@ -264,6 +213,42 @@ func BenchmarkKernelConvFused(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ConvGemmBiasAct(dst, w.Data, img.Data, 3, 32, 32, g, outC, bias, ActReLU)
+			}
+		})
+	}
+}
+
+// BenchmarkKernelSkinny times the three products of a Linear or
+// TemporalConv layer at the NLC-F net's M=1 shapes (m rows of
+// activations against a k×n weight matrix): forward A·Bᵀ, input
+// gradient A·B, weight gradient Aᵀ·B. Bytes/op is the weight matrix, the
+// one operand these products are bound by.
+func BenchmarkKernelSkinny(b *testing.B) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []struct{ m, in, out int }{{1, 320, 320}, {1, 320, 311}, {2, 200, 320}, {3, 100, 100}} {
+		x, w, y := New(s.m, s.in), New(s.out, s.in), New(s.m, s.out)
+		dx, dw := New(s.m, s.in), New(s.out, s.in)
+		x.FillRandn(rng, 0, 1)
+		w.FillRandn(rng, 0, 1)
+		name := fmt.Sprintf("m=%d/in=%d/out=%d", s.m, s.in, s.out)
+		b.Run(name+"/forward", func(b *testing.B) {
+			b.SetBytes(int64(8 * s.in * s.out))
+			for i := 0; i < b.N; i++ {
+				MatMulTransB(y, x, w)
+			}
+		})
+		b.Run(name+"/dx", func(b *testing.B) {
+			b.SetBytes(int64(8 * s.in * s.out))
+			for i := 0; i < b.N; i++ {
+				MatMul(dx, y, w)
+			}
+		})
+		b.Run(name+"/dw", func(b *testing.B) {
+			b.SetBytes(int64(8 * s.in * s.out))
+			for i := 0; i < b.N; i++ {
+				MatMulTransA(dw, y, x)
 			}
 		})
 	}

@@ -13,7 +13,9 @@ import (
 //   - Large products run the cache-blocked, register-tiled packed engine
 //     in gemm.go: A and B are repacked into panel layouts, and a 2×4
 //     microkernel with register accumulators does the arithmetic.
-//   - Small products run the plain loops in this file, whose dispatch
+//   - Small products, and skinny ones (fewer than skinnyM rows: no
+//     reuse for the panels to pay for), run the loops in this file over
+//     the interleaved-chain kernels of gemm_skinny.go; their dispatch
 //     cost is just a shape check.
 //
 // Both tiers are parallelized over output rows through parallel.For /
@@ -22,9 +24,16 @@ import (
 // ascending-l order into one accumulator chain in both tiers, so results
 // are bitwise identical at every worker count and across the tier
 // boundary's blocking choices (determinism the convergence experiments
-// rely on). The only exception is behind the FastKernels gate (gemm.go),
-// which swaps the small A·Bᵀ tier's dot product for a reordered
-// four-accumulator version.
+// rely on) — which is also what lets usePacked move a shape from one
+// tier to the other. Two exceptions: the FastKernels gate (gemm.go)
+// swaps the small A·Bᵀ tier's dot product for a reordered
+// four-accumulator version, and MatMulAccTransB's tiers seed their
+// chains differently, so its tier boundary stays where it was
+// (packedShape).
+//
+// A call that would run as one shard takes a closure-free serial branch:
+// a closure handed to parallel.For is heap-allocated even when it runs
+// inline (parallel.Shards), and at M=1 every product is one shard.
 
 // parRowFlops is the minimum number of multiply-adds a shard must amortize
 // for parallel dispatch to pay off; rows are grouped until each shard
@@ -54,13 +63,12 @@ func MatMul(dst, a, b *Tensor) {
 		gemmPackedParallel(dst.Data, aSource{data: a.Data, ld: k}, b.Data, false, m, k, n, false, epilogue{})
 		return
 	}
-	c := dst.Data
+	if parallel.Shards(m, matmulGrain(k, n)) <= 1 {
+		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, 0, m, false)
+		return
+	}
 	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
-		cs := c[lo*n : hi*n]
-		for i := range cs {
-			cs[i] = 0
-		}
-		matmulAccRange(c, a.Data, b.Data, k, n, lo, hi)
+		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, lo, hi, false)
 	})
 }
 
@@ -71,8 +79,12 @@ func MatMulAcc(dst, a, b *Tensor) {
 		gemmPackedParallel(dst.Data, aSource{data: a.Data, ld: k}, b.Data, false, m, k, n, true, epilogue{})
 		return
 	}
+	if parallel.Shards(m, matmulGrain(k, n)) <= 1 {
+		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, 0, m, true)
+		return
+	}
 	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
-		matmulAccRange(dst.Data, a.Data, b.Data, k, n, lo, hi)
+		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, lo, hi, true)
 	})
 }
 
@@ -84,10 +96,7 @@ func MatMulInto(c, a, b []float64, m, k, n int) {
 		gemmPackedSerial(c, aSource{data: a, ld: k}, b, false, m, k, n, false, epilogue{})
 		return
 	}
-	for i := range c[:m*n] {
-		c[i] = 0
-	}
-	matmulAccRange(c, a, b, k, n, 0, m)
+	foldRange(c, a, k, 1, b, k, n, 0, m, false)
 }
 
 func checkMatMulShapes(dst, a, b *Tensor) (m, k, n int) {
@@ -105,36 +114,40 @@ func checkMatMulShapes(dst, a, b *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
-// matmulAccRange computes C[lo:hi,:] += A[lo:hi,:]·B with the ikj loop,
-// blocked over l so the slab of B in flight stays L2-resident and is
-// reused across the shard's rows. Blocking only regroups the l loop into
-// ascending runs; every C[i,j] still accumulates its products in strictly
-// ascending l order, so the result is bitwise identical to the unblocked
-// serial loop. The inner loop multiplies unconditionally: the old
-// data-dependent skip of zero A elements never fires on dense data and
-// buys nothing there (BenchmarkMatMulZeroSkip measures the two loops
-// within noise of each other), while skipping a row of B changes ±0/NaN
-// propagation relative to the packed tier, which always multiplies.
-// Dropping the skip keeps both tiers on the same arithmetic and the
-// inner loop branch-free.
-func matmulAccRange(c, a, b []float64, k, n, lo, hi int) {
-	lb := lBlock(k, n)
-	for l0 := 0; l0 < k; l0 += lb {
-		l1 := l0 + lb
-		if l1 > k {
-			l1 = k
-		}
-		for i := lo; i < hi; i++ {
-			ci := c[i*n : i*n+n]
-			ai := a[i*k : i*k+k]
-			for l := l0; l < l1; l++ {
-				av := ai[l]
-				bl := b[l*n : l*n+n]
-				for j, bv := range bl {
-					ci[j] += av * bv
-				}
+// foldRange computes C[lo:hi,:] = A·B, or += with acc, by row updates:
+// logical A[i,l] is a[i*si+l*sl], so a row-major m×k A is (si, sl) =
+// (k, 1) and a k×m matrix holding Aᵀ is (1, m). B rows are taken four at
+// a time (foldRows4), every row of the shard visiting a group before the
+// next group is touched, so the group is read from memory once whatever
+// the row count, and a C row is loaded and stored once per group instead
+// of once per B row. Every C[i,j] still adds its products in strictly
+// ascending l order: bitwise the plain ikj loop. Without acc the first
+// group stores 0 + a·b instead of adding into a zeroed C, which is the
+// same bits (a cleared word is +0) without the clearing pass and the
+// read. The loops multiply unconditionally: skipping zero A elements
+// would change ±0/NaN propagation relative to the packed tier, which
+// always multiplies.
+func foldRange(c, a []float64, si, sl int, b []float64, k, n, lo, hi int, acc bool) {
+	if k == 0 && !acc {
+		clear(c[lo*n : hi*n])
+		return
+	}
+	for l := 0; l < k; {
+		store := l == 0 && !acc
+		if l+4 <= k {
+			b0, b1, b2, b3 := b[l*n:l*n+n], b[(l+1)*n:(l+1)*n+n], b[(l+2)*n:(l+2)*n+n], b[(l+3)*n:(l+3)*n+n]
+			for i := lo; i < hi; i++ {
+				ai := a[i*si+l*sl:]
+				foldRows4(c[i*n:i*n+n], b0, b1, b2, b3, ai[0], ai[sl], ai[2*sl], ai[3*sl], store)
 			}
+			l += 4
+			continue
 		}
+		bl := b[l*n : l*n+n]
+		for i := lo; i < hi; i++ {
+			foldRow(c[i*n:i*n+n], bl, a[i*si+l*sl], store)
+		}
+		l++
 	}
 }
 
@@ -158,8 +171,12 @@ func MatMulTransA(dst, a, b *Tensor) {
 		gemmPackedParallel(dst.Data, aSource{data: a.Data, ld: m, trans: true}, b.Data, false, m, k, n, false, epilogue{})
 		return
 	}
+	if parallel.Shards(m, matmulGrain(k, n)) <= 1 {
+		foldRange(dst.Data, a.Data, 1, m, b.Data, k, n, 0, m, false)
+		return
+	}
 	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
-		matMulTransARange(dst.Data, a.Data, b.Data, k, m, n, lo, hi)
+		foldRange(dst.Data, a.Data, 1, m, b.Data, k, n, lo, hi, false)
 	})
 }
 
@@ -170,27 +187,7 @@ func MatMulTransAInto(c, a, b []float64, k, m, n int) {
 		gemmPackedSerial(c, aSource{data: a, ld: m, trans: true}, b, false, m, k, n, false, epilogue{})
 		return
 	}
-	matMulTransARange(c, a, b, k, m, n, 0, m)
-}
-
-// matMulTransARange computes C[lo:hi,:] = (Aᵀ·B)[lo:hi,:]. l runs
-// outermost exactly as in the serial kernel, so each C[i,j] accumulates
-// in ascending l order; only rows [lo, hi) are touched.
-func matMulTransARange(c, a, b []float64, k, m, n, lo, hi int) {
-	cs := c[lo*n : hi*n]
-	for i := range cs {
-		cs[i] = 0
-	}
-	for l := 0; l < k; l++ {
-		al := a[l*m+lo : l*m+hi]
-		bl := b[l*n : l*n+n]
-		for i, av := range al {
-			ci := c[(lo+i)*n : (lo+i)*n+n]
-			for j, bv := range bl {
-				ci[j] += av * bv
-			}
-		}
-	}
+	foldRange(c, a, 1, m, b, k, n, 0, m, false)
 }
 
 // MatMulTransB computes C = A·Bᵀ where A is m×k, B is n×k, C is m×n.
@@ -199,6 +196,10 @@ func MatMulTransB(dst, a, b *Tensor) {
 	m, k, n := checkTransBShapes(dst, a, b, "MatMulTransB")
 	if usePacked(m, k, n) {
 		gemmPackedParallel(dst.Data, aSource{data: a.Data, ld: k}, b.Data, true, m, k, n, false, epilogue{})
+		return
+	}
+	if parallel.Shards(m, matmulGrain(k, n)) <= 1 {
+		matMulTransBRange(dst.Data, a.Data, b.Data, k, n, 0, m, false)
 		return
 	}
 	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
@@ -214,8 +215,12 @@ func MatMulTransB(dst, a, b *Tensor) {
 // given call site is still bitwise reproducible.
 func MatMulAccTransB(dst, a, b *Tensor) {
 	m, k, n := checkTransBShapes(dst, a, b, "MatMulAccTransB")
-	if usePacked(m, k, n) {
+	if packedShape(m, k, n) {
 		gemmPackedParallel(dst.Data, aSource{data: a.Data, ld: k}, b.Data, true, m, k, n, true, epilogue{})
+		return
+	}
+	if parallel.Shards(m, matmulGrain(k, n)) <= 1 {
+		matMulTransBRange(dst.Data, a.Data, b.Data, k, n, 0, m, true)
 		return
 	}
 	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
@@ -239,25 +244,48 @@ func checkTransBShapes(dst, a, b *Tensor, op string) (m, k, n int) {
 }
 
 // matMulTransBRange computes C[lo:hi,:] (+)= A[lo:hi,:]·Bᵀ. Each C[i,j]
-// is one dot product: the ascending-order serial kernel by default, the
-// four-accumulator unrolled kernel under FastKernels.
+// is one ascending-order dot product from a zero accumulator (dotSerial
+// is the reference), eight columns at a time: dot8 runs the eight chains
+// of a column block side by side, and every row of the shard visits a
+// block — eight rows of B — before the next is read. The n%8 columns
+// left over come from one more dot8 over B's last eight rows, of which
+// only the new columns are kept (a recomputed element is the same
+// bits). Under FastKernels every element is a four-accumulator
+// dotUnroll4 instead.
 func matMulTransBRange(c, a, b []float64, k, n, lo, hi int, acc bool) {
+	put := func(cij *float64, s float64) {
+		if acc {
+			*cij += s
+		} else {
+			*cij = s
+		}
+	}
 	fast := FastKernelsEnabled()
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : i*k+k]
-		ci := c[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : j*k+k]
-			var s float64
-			if fast {
-				s = dotUnroll4(ai, bj)
-			} else {
-				s = dotSerial(ai, bj)
+	j := 0
+	if !fast && n >= 8 {
+		var s [8]float64
+		for j0 := 0; j < n; j0 += 8 {
+			if j0+8 > n {
+				j0 = n - 8
 			}
-			if acc {
-				ci[j] += s
+			bj := b[j0*k : (j0+8)*k]
+			for i := lo; i < hi; i++ {
+				dot8(&s, a[i*k:i*k+k], bj)
+				for jj := j; jj < j0+8; jj++ {
+					put(&c[i*n+jj], s[jj-j0])
+				}
+			}
+			j = j0 + 8
+		}
+	}
+	for ; j < n; j++ {
+		bj := b[j*k : j*k+k]
+		for i := lo; i < hi; i++ {
+			ai := a[i*k : i*k+k]
+			if fast {
+				put(&c[i*n+j], dotUnroll4(ai, bj))
 			} else {
-				ci[j] = s
+				put(&c[i*n+j], dotSerial(ai, bj))
 			}
 		}
 	}

@@ -233,33 +233,112 @@ func (t *Tensor) AddScaled(a float64, o *Tensor) {
 	axpy(a, o.Data, t.Data)
 }
 
+// The flat-vector kernels below are the SGD update path: model-sized
+// vectors (the NLC-F model is 277 k words) split across the worker pool,
+// everything smaller — and every call under a budget of one worker, which
+// is what a learner holds when there are as many learners as cores — on a
+// closure-free serial branch. A closure handed to parallel.For is
+// heap-allocated even when it runs inline (parallel.Shards), and these
+// run once or twice per training step.
+
 // axpy computes y += a*x over flat slices. It is the single hottest loop
 // in training; keeping it free of bounds surprises lets the compiler
-// vectorize it, and vectors the size of a flattened model are split
-// across the worker pool.
+// keep the loop tight.
 func axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: axpy length mismatch")
 	}
+	if parallel.Shards(len(x), elemGrain) <= 1 {
+		axpyRange(a, x, y)
+		return
+	}
 	parallel.For(len(x), elemGrain, func(lo, hi int) {
-		ys := y[lo:hi]
-		for i, v := range x[lo:hi] {
-			ys[i] += a * v
-		}
+		axpyRange(a, x[lo:hi], y[lo:hi])
 	})
+}
+
+func axpyRange(a float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] += a * v
+	}
 }
 
 // Axpy computes y += a*x over raw slices; exposed for the optimizer and
 // collective code that works on flattened parameter vectors.
 func Axpy(a float64, x, y []float64) { axpy(a, x, y) }
 
+// Accumulate adds g into a running sum: sum += g, or with first — the
+// sum holds nothing yet — sum = 0 + g, which writes exactly the bits
+// that adding g into a cleared sum would (−0 becomes +0) without reading
+// sum, so the owner of the sum never has to clear it.
+func Accumulate(sum, g []float64, first bool) {
+	if len(sum) != len(g) {
+		panic("tensor: Accumulate length mismatch")
+	}
+	if parallel.Shards(len(g), elemGrain) <= 1 {
+		accumulateRange(sum, g, first)
+		return
+	}
+	parallel.For(len(g), elemGrain, func(lo, hi int) {
+		accumulateRange(sum[lo:hi], g[lo:hi], first)
+	})
+}
+
+func accumulateRange(sum, g []float64, first bool) {
+	sum = sum[:len(g)]
+	if first {
+		for i, v := range g {
+			sum[i] = 0 + v
+		}
+		return
+	}
+	for i, v := range g {
+		sum[i] += v
+	}
+}
+
+// AxpyAccumulate is Axpy(a, g, y) and Accumulate(sum, g, first) in one
+// pass over g — the SGD step and the gradient sum of a local update.
+func AxpyAccumulate(a float64, g, y, sum []float64, first bool) {
+	if len(y) != len(g) || len(sum) != len(g) {
+		panic("tensor: AxpyAccumulate length mismatch")
+	}
+	if parallel.Shards(len(g), elemGrain) <= 1 {
+		axpyAccumulateRange(a, g, y, sum, first)
+		return
+	}
+	parallel.For(len(g), elemGrain, func(lo, hi int) {
+		axpyAccumulateRange(a, g[lo:hi], y[lo:hi], sum[lo:hi], first)
+	})
+}
+
+func axpyAccumulateRange(a float64, g, y, sum []float64, first bool) {
+	y, sum = y[:len(g)], sum[:len(g)]
+	if first {
+		for i, v := range g {
+			y[i] += a * v
+			sum[i] = 0 + v
+		}
+		return
+	}
+	for i, v := range g {
+		y[i] += a * v
+		sum[i] += v
+	}
+}
+
 // Copy copies src into dst over the parallel worker pool. Equivalent to
 // the builtin copy for equal-length slices, but model-sized vectors (the
-// reference-parameter reset on SASGD's aggregation path is ~2M words for
-// NLC-F) are split across workers like the other elementwise kernels.
+// replica reset on SASGD's aggregation path) are split across workers
+// like the other flat-vector kernels.
 func Copy(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("tensor: Copy length mismatch")
+	}
+	if parallel.Shards(len(dst), elemGrain) <= 1 {
+		copy(dst, src)
+		return
 	}
 	parallel.For(len(dst), elemGrain, func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])

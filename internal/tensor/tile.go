@@ -30,8 +30,8 @@ const (
 
 // tileParams returns the (mc, kc) blocking for an m×k · k×n product,
 // clamped to the problem so degenerate shapes never over-allocate
-// scratch. Every kernel — packed engine, fused conv, and the small-shape
-// loops via lBlock — sizes its blocking through this helper.
+// scratch. The packed engine and the fused conv size their blocking
+// through this helper; the small tier (matmul.go) has none to size.
 func tileParams(m, k, n int) (mc, kc int) {
 	mc, kc = gemmMC, gemmKC
 	if mc > m {
@@ -49,27 +49,30 @@ func tileParams(m, k, n int) (mc, kc int) {
 // 32×32×32 product) the plain loops win.
 const packedMinFlops = 1 << 15
 
-// usePacked reports whether an m×k·k×n product should go through the
-// packed, register-tiled engine. Small or degenerate shapes (a single
-// row, a short k) stay on the straightforward loops in matmul.go. The
-// choice is a pure function of the shape, never of the worker budget, so
-// it cannot break bitwise determinism across worker counts.
-func usePacked(m, k, n int) bool {
+// skinnyM is the row count below which a product never takes the packed
+// engine, whatever its size. Packing copies all k·n words of B to use
+// each one m times; with two or three rows the copy costs as much as the
+// product, and the interleaved-chain kernels of gemm_skinny.go already
+// read B once at the same chain count as the microkernel. This is the
+// M=1 training step: a window-2 TemporalConv is a 2-row product over 64 k
+// words of weights.
+const skinnyM = 4
+
+// packedShape reports whether an m×k·k×n product is large and regular
+// enough to amortize packing at all: not degenerate (a single row, a
+// short k, fewer columns than a panel) and at least packedMinFlops.
+func packedShape(m, k, n int) bool {
 	return m >= gemmMR && n >= gemmNR && k >= 8 && m*k*n >= packedMinFlops
 }
 
-// lBlock sizes the l-blocking of the small-shape kernels so a block of B
-// spans at most gemmKC² elements (512 KiB of float64, the same L2
-// footprint the packed engine's KC slab targets); small B is processed
-// in one pass.
-func lBlock(k, n int) int {
-	const blockElems = gemmKC * gemmKC
-	if n <= 0 || k*n <= blockElems {
-		return k
-	}
-	lb := blockElems / n
-	if lb < 8 {
-		lb = 8
-	}
-	return lb
+// usePacked reports whether an m×k·k×n product should go through the
+// packed, register-tiled engine: a packedShape with at least skinnyM
+// rows. Everything else stays on the loops in matmul.go. The choice is a
+// pure function of the shape, never of the worker budget, so it cannot
+// break bitwise determinism across worker counts; and because both tiers
+// produce the same bits for every entry point that consults it, moving
+// the boundary moves no result. (MatMulAccTransB, whose tiers round
+// differently, consults packedShape directly and stays where it was.)
+func usePacked(m, k, n int) bool {
+	return m >= skinnyM && packedShape(m, k, n)
 }

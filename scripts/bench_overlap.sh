@@ -24,7 +24,7 @@ go test -run '^$' -bench 'BenchmarkOverlapAggregation' \
     printf '  "go": "%s",\n' "$(go env GOVERSION)"
     printf '  "gomaxprocs": %s,\n' "$(nproc)"
     printf '  "benchtime": "%s",\n' "$benchtime"
-    printf '  "note": "ns per full T=1 SASGD run (1 epoch, reduced CIFAR net) per variant. Single-core caveat as in BENCH_COMM/BENCH_KERNELS: with gomaxprocs 1 compute and communication share one core, so overlapping them cannot reduce wall-clock time — on such a host these figures measure the bucketing overhead (handle submission, per-bucket collectives), and any serial-vs-overlap delta is pure bookkeeping cost. The latency win the overlap exists for is pinned on the simulated paper fabric by TestOverlapSimFasterAtT1 and recorded in EXPERIMENTS.md; regenerate here on a multi-core box for a real wall-clock comparison.",\n'
+    printf '  "note": "ns per full T=1 SASGD run (1 epoch, reduced CIFAR net) per variant. Single-core caveat as in BENCH_COMM: with gomaxprocs 1 compute and communication share one core, so overlapping them cannot reduce wall-clock time — on such a host these figures measure the bucketing overhead (handle submission, per-bucket collectives), and any serial-vs-overlap delta is pure bookkeeping cost. The latency win the overlap exists for is pinned on the simulated paper fabric by TestOverlapSimFasterAtT1 and recorded in EXPERIMENTS.md; regenerate here on a multi-core box for a real wall-clock comparison.",\n'
     printf '  "results": {\n'
     awk '/^BenchmarkOverlapAggregation/ {
         name = $1

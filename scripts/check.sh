@@ -66,6 +66,15 @@ echo "==> go test -race -count=2 ${short} generated-config harness"
 # shellcheck disable=SC2086
 run_tests -race -count=2 ${short} -run 'GeneratedConfigs|ValidateRules' ./internal/core/
 
+# The harness relates runs of one build to each other; the golden pins
+# relate this build to the commit they were captured on — final
+# parameters, curve, words and messages as constants, over every
+# boundary policy and the M=1 kernel shapes. Twice under the race
+# detector: the pins cross the comm worker, the membership ledger and
+# the evaluation's borrowed worker budget.
+echo "==> go test -race -count=2 golden output pins"
+run_tests -race -count=2 -run 'GoldenPins' ./internal/core/
+
 # The pipelined collectives' concurrency bugs are schedule-dependent, so
 # give the race detector extra rounds over the stress/equivalence tests
 # specifically (cheap: the comm package has no heavy kernels).
@@ -149,12 +158,14 @@ run_tests -fuzz 'FuzzFrameDecode' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire
 run_tests -fuzz 'FuzzFrameRoundTrip' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
 run_tests -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire/
 
-# The packed GEMM engine's whole contract is bitwise-identical results
-# at any worker count (plus fused-epilogue equivalence to the unfused
-# layers), and its parallelism runs through the aligned sharding
-# helpers, so give those determinism tests extra race-detector rounds.
-echo "==> go test -race -count=2 packed GEMM determinism + fusion"
-run_tests -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm' ./internal/tensor/
+# The GEMM tiers' whole contract is bitwise-identical results at any
+# worker count (plus fused-epilogue equivalence to the unfused layers,
+# and for the skinny tier and the fused update kernels equality with the
+# plain reference loops on ±0/NaN/Inf/denormal operands), and their
+# parallelism runs through the sharding helpers, so give those
+# determinism tests extra race-detector rounds.
+echo "==> go test -race -count=2 GEMM determinism + fusion + skinny differentials"
+run_tests -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm|SkinnyShapes|FusedUpdateKernels' ./internal/tensor/
 run_tests -race -count=2 -run 'Fused' ./internal/nn/
 run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
 
@@ -163,8 +174,10 @@ run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
 # allreduce rounds and full compressed rounds (top-k selection included)
 # must stay zero-alloc on the pooled buffers and codec scratch, the
 # disabled tracing path must stay nil-check-only free (the obs pin also
-# covers the enabled record fast path), and the packed GEMM entry points
-# must run allocation-free off the pooled pack scratch.
+# covers the enabled record fast path), the packed GEMM entry points
+# must run allocation-free off the pooled pack scratch, and the update
+# path — Axpy, Copy, the fused kernels and the M=1 products — must take
+# its closure-free serial branch under a budget of one worker.
 echo "==> go test bucketed + hier zero-alloc pins"
 run_tests -run 'SteadyStateAllocs' ./internal/comm/
 echo "==> go test wire-codec + streaming-reader zero-alloc pins"
@@ -173,21 +186,26 @@ echo "==> go test obs disabled-path zero-alloc pin"
 run_tests -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/
 echo "==> go test metrics disabled-path zero-alloc pin"
 run_tests -run 'NilRegistryIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/metrics/
-echo "==> go test tensor GEMM zero-alloc pin"
-run_tests -run 'GemmSteadyStateAllocs' ./internal/tensor/
+echo "==> go test tensor GEMM + update-path zero-alloc pins"
+run_tests -run 'GemmSteadyStateAllocs|UpdatePathSteadyStateAllocs' ./internal/tensor/
 
 # Bounds-check-elimination gate: the GEMM microkernels are written in
 # the len-conditioned slice-advance idiom precisely so the compiler can
 # prove every index in bounds; a regression shows up as a check_bce
-# diagnostic pointing into gemm_micro.go. The -a forces a real compile
-# (a cache hit would emit no diagnostics and pass vacuously).
-echo "==> bounds-check-elimination gate (gemm_micro.go)"
+# diagnostic pointing into gemm_micro.go. The skinny kernels
+# (gemm_skinny.go) cut their operands to a common length once per call —
+# those slice checks (IsSliceInBounds) are the idiom — and index them by
+# one range variable, so there the gate is on index checks (IsInBounds),
+# which only a per-element check inside a loop can produce. The -a forces
+# a real compile (a cache hit would emit no diagnostics and pass
+# vacuously).
+echo "==> bounds-check-elimination gate (gemm_micro.go, gemm_skinny.go)"
 bce_out="$(go build -a -o /dev/null \
     -gcflags='sasgd/internal/tensor=-d=ssa/check_bce/debug=1' \
     ./internal/tensor/ 2>&1)"
-if printf '%s\n' "$bce_out" | grep -q 'gemm_micro\.go'; then
-    printf '%s\n' "$bce_out" | grep 'gemm_micro\.go'
-    echo "FAIL: bounds checks in gemm_micro.go microkernels"
+if printf '%s\n' "$bce_out" | grep -q 'gemm_micro\.go\|gemm_skinny\.go.*IsInBounds'; then
+    printf '%s\n' "$bce_out" | grep 'gemm_micro\.go\|gemm_skinny\.go.*IsInBounds'
+    echo "FAIL: bounds checks in the GEMM kernels"
     exit 1
 fi
 
