@@ -19,7 +19,6 @@ import (
 	"strings"
 	"testing"
 
-	"sasgd/internal/comm"
 	"sasgd/internal/core"
 	"sasgd/internal/experiments"
 	"sasgd/internal/model"
@@ -224,23 +223,6 @@ func ablationProblem() *core.Problem {
 	return w.Problem
 }
 
-// BenchmarkAblationAllreduceAlgo compares SASGD wall time with the
-// binomial-tree versus the ring allreduce (the collectives move the same
-// data; the tree has fewer, larger messages).
-func BenchmarkAblationAllreduceAlgo(b *testing.B) {
-	prob := ablationProblem()
-	for _, algo := range []core.AllreduceAlgo{core.AllreduceTree, core.AllreduceRing} {
-		b.Run(string(algo), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.Train(core.Config{
-					Algo: core.AlgoSASGD, Learners: 8, Interval: 5, Gamma: 0.1,
-					Batch: 16, Epochs: 2, Seed: 1, EvalEvery: 2, Allreduce: algo,
-				}, prob)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGammaP compares SASGD's model-averaging default
 // γp = γ/p against γp = γ (applying the full aggregated gradient),
 // reporting the final test accuracy of each.
@@ -279,47 +261,6 @@ func BenchmarkAblationServerShards(b *testing.B) {
 			}
 			b.ReportMetric(res.EpochTime(), "sim-epoch-s")
 		})
-	}
-}
-
-// BenchmarkAblationPayload compares the per-aggregation collective
-// payload cost directly: allreducing the full Table-I gradient vector
-// across 8 in-process learners, tree vs ring.
-func BenchmarkAblationPayload(b *testing.B) {
-	m := 506378
-	for _, name := range []string{"tree", "ring"} {
-		b.Run(name, func(b *testing.B) {
-			prob := ablationProblem()
-			_ = prob
-			bufs := make([][]float64, 8)
-			for r := range bufs {
-				bufs[r] = make([]float64, m)
-			}
-			b.SetBytes(int64(m * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runAllreduce(name, bufs)
-			}
-		})
-	}
-}
-
-func runAllreduce(name string, bufs [][]float64) {
-	p := len(bufs)
-	g := comm.NewGroup(p)
-	done := make(chan struct{}, p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			if name == "tree" {
-				g.AllreduceTree(r, bufs[r])
-			} else {
-				g.AllreduceRing(r, bufs[r])
-			}
-			done <- struct{}{}
-		}(r)
-	}
-	for i := 0; i < p; i++ {
-		<-done
 	}
 }
 

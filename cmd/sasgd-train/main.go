@@ -37,8 +37,8 @@ func main() {
 	batch := flag.Int("batch", 0, "minibatch size M (0 = workload default)")
 	epochs := flag.Int("epochs", 0, "epochs (0 = workload default)")
 	seed := flag.Int64("seed", 1, "random seed")
-	allreduce := flag.String("allreduce", "tree", "SASGD collective: tree, ring, ptree (chunked pipelined tree) or rhd (recursive halving/doubling)")
-	commChunk := flag.Int("comm-chunk", 0, "ptree chunk size in float64 words (0 = SASGD_COMM_CHUNK env or 8192)")
+	allreduce := flag.String("allreduce", "tree", "SASGD collective: tree or ptree (the same tree, chunked and pipelined)")
+	commChunk := flag.Int("comm-chunk", 0, "ptree chunk size in float64 words (0 = 8192)")
 	overlap := flag.Bool("overlap", false, "overlap SASGD aggregation with backprop (bucketed allreduce; default also via SASGD_OVERLAP=1)")
 	buckets := flag.Int("buckets", 0, "gradient bucket count for -overlap (0 = one per parameterized layer)")
 	momentum := flag.Float64("momentum", 0, "EAMSGD local momentum (0 = default, negative = none)")

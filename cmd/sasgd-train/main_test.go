@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,11 +25,7 @@ func TestTwoProcessTCPMatchesChannel(t *testing.T) {
 		t.Skip("builds the binary and trains three runs; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "sasgd-train")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildTrain(t, dir)
 
 	common := []string{"-p", "2", "-T", "2", "-epochs", "1", "-batch", "8", "-seed", "7"}
 	run := func(extra ...string) []byte {
@@ -78,6 +76,37 @@ func TestTwoProcessTCPMatchesChannel(t *testing.T) {
 	if len(want) == 0 || !bytes.Equal(got, want) {
 		t.Fatalf("two-process TCP final parameters differ from the channel-fabric run (%d vs %d bytes)", len(got), len(want))
 	}
+}
+
+// TestUnknownCollectiveExitsTwo: a collective the run cannot honour is
+// refused with the validation table's reason before anything is opened;
+// neither a name from another library nor a typo may train silently on
+// the tree.
+func TestUnknownCollectiveExitsTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary; skipped in -short")
+	}
+	bin := buildTrain(t, t.TempDir())
+	for _, name := range []string{"ring", "rhd", "rnig"} {
+		out, err := exec.Command(bin, "-p", "2", "-epochs", "1", "-allreduce", name).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-allreduce %s: err = %v, want exit status 2\n%s", name, err, out)
+		}
+		if want := "sasgd-train: core: invalid config: unknown collective (want tree or ptree)"; !strings.Contains(string(out), want) {
+			t.Errorf("-allreduce %s printed %q, want it to contain %q", name, out, want)
+		}
+	}
+}
+
+// buildTrain compiles the command into dir and returns the binary's path.
+func buildTrain(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "sasgd-train")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // freePort claims an ephemeral loopback port and releases it for a

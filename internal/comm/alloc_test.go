@@ -34,10 +34,8 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 		run  func(g *Group, rank int, buf []float64)
 	}{
 		{"tree/p8", 8, 1003, func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
-		{"ring/p5", 5, 1003, func(g *Group, r int, b []float64) { g.AllreduceRing(r, b) }},
 		{"ptree/p8", 8, 1003, func(g *Group, r int, b []float64) { g.AllreduceTreeChunked(r, b, 64) }},
 		{"ptree/p5", 5, 1003, func(g *Group, r int, b []float64) { g.AllreduceTreeChunked(r, b, 64) }},
-		{"rhd/p8", 8, 1003, func(g *Group, r int, b []float64) { g.AllreduceRHD(r, b) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

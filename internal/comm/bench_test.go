@@ -6,15 +6,14 @@ import (
 	"testing"
 )
 
-// BenchmarkCommAllreduce sweeps every allreduce implementation over group
-// size and message length; scripts/bench_comm.sh turns the ns/op figures
-// into words/sec in BENCH_COMM.json. The group (and therefore its buffer
+// BenchmarkCommAllreduce sweeps the tree at both chunk sizes over group
+// size and message length. The group (and therefore its buffer
 // pool) persists across iterations, so after the first round the numbers
 // are the zero-allocation steady state that training sees — all p ranks
 // run the collective loop in lockstep, as the bulk-synchronous discipline
 // requires.
 func BenchmarkCommAllreduce(b *testing.B) {
-	for _, algo := range []string{"tree", "ring", "ptree", "rhd"} {
+	for _, algo := range []string{"tree", "ptree"} {
 		for _, p := range []int{2, 4, 8} {
 			for _, m := range []int{10_000, 1_000_000} {
 				b.Run(fmt.Sprintf("%s/p%d/m%d", algo, p, m), func(b *testing.B) {
@@ -32,15 +31,10 @@ func benchCommAllreduce(b *testing.B, algo string, p, m int) {
 		bufs[r] = make([]float64, m)
 	}
 	run := func(r int) {
-		switch algo {
-		case "tree":
-			g.AllreduceTree(r, bufs[r])
-		case "ring":
-			g.AllreduceRing(r, bufs[r])
-		case "ptree":
+		if algo == "ptree" {
 			g.AllreduceTreeChunked(r, bufs[r], 0)
-		case "rhd":
-			g.AllreduceRHD(r, bufs[r])
+		} else {
+			g.AllreduceTree(r, bufs[r])
 		}
 	}
 	b.SetBytes(int64(m * 8))
@@ -58,7 +52,7 @@ func benchCommAllreduce(b *testing.B, algo string, p, m int) {
 	wg.Wait()
 }
 
-func benchAllreduce(b *testing.B, p, words int, ring bool) {
+func benchAllreduce(b *testing.B, p, words int) {
 	b.Helper()
 	bufs := make([][]float64, p)
 	for r := range bufs {
@@ -73,20 +67,15 @@ func benchAllreduce(b *testing.B, p, words int, ring bool) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				if ring {
-					g.AllreduceRing(r, bufs[r])
-				} else {
-					g.AllreduceTree(r, bufs[r])
-				}
+				g.AllreduceTree(r, bufs[r])
 			}(r)
 		}
 		wg.Wait()
 	}
 }
 
-func BenchmarkAllreduceTree8x100k(b *testing.B)  { benchAllreduce(b, 8, 100_000, false) }
-func BenchmarkAllreduceRing8x100k(b *testing.B)  { benchAllreduce(b, 8, 100_000, true) }
-func BenchmarkAllreduceTree16x100k(b *testing.B) { benchAllreduce(b, 16, 100_000, false) }
+func BenchmarkAllreduceTree8x100k(b *testing.B)  { benchAllreduce(b, 8, 100_000) }
+func BenchmarkAllreduceTree16x100k(b *testing.B) { benchAllreduce(b, 16, 100_000) }
 
 func BenchmarkParamServerPushPull(b *testing.B) {
 	const m = 500_000

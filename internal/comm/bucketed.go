@@ -66,7 +66,6 @@ func (h Handle) Wait() { <-h.done }
 // op identifiers for the worker.
 const (
 	opTree = iota // chunked pipelined binomial tree (bitwise tree order)
-	opRHD         // recursive halving/doubling (value-equal, reassociates)
 	opComp        // compression codec collective (Compressor.Allreduce)
 	opHier        // hierarchical inter-island exchange (Hier.AllreduceInter)
 )
@@ -159,8 +158,6 @@ func (b *BucketedAllreduce) worker() {
 			b.g.setSink(b.rank, b.deferred)
 		}
 		switch op.kind {
-		case opRHD:
-			b.g.AllreduceRHDFrom(b.rank, op.buf, op.ready)
 		case opComp:
 			op.comp.Allreduce(b.g, b.rank, op.buf, op.res, op.ratio, op.ready, b.tk, op.idx)
 		case opHier:
@@ -186,23 +183,15 @@ func (b *BucketedAllreduce) worker() {
 
 // Begin submits bucket i of buf (the full flat buffer; the bucket's
 // segment is sliced internally) for a chunked pipelined tree allreduce
-// and returns its handle. chunkWords ≤ 0 selects DefaultChunk; pass the
-// segment length for a monolithic per-bucket tree. ready is the
-// simulated time the bucket's data became final (the layer's
+// and returns its handle. chunkWords ≤ 0 selects DefaultChunkWords;
+// pass the segment length for a monolithic per-bucket tree. ready is
+// the simulated time the bucket's data became final (the layer's
 // backward-completion time); it stamps the wire schedule only and is
 // ignored without a simulation. A bucket must not be begun again until
 // its previous handle has been waited on, and every rank must issue the
-// same sequence of Begin/BeginRHD calls.
+// same sequence of Begin calls.
 func (b *BucketedAllreduce) Begin(i int, buf []float64, chunkWords int, ready float64) Handle {
 	return b.submit(i, buf, opTree, chunkWords, ready)
-}
-
-// BeginRHD is Begin with recursive halving/doubling as the per-bucket
-// collective: the ring-optimal 2m(p−1)/p wire volume, value-equal to the
-// tree within floating-point reassociation tolerance rather than bitwise
-// (and falling back to the tree for non-power-of-two groups).
-func (b *BucketedAllreduce) BeginRHD(i int, buf []float64, ready float64) Handle {
-	return b.submit(i, buf, opRHD, 0, ready)
 }
 
 // BeginCompressed submits bucket i for a compressed allreduce through

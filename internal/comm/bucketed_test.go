@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"math"
 	"math/rand"
 	"runtime/debug"
 	"testing"
@@ -41,8 +40,8 @@ func bucketPartitions(m int) [][]Segment {
 // runBucketed runs one full bucketed allreduce round on every rank of g:
 // buckets submitted in reverse segment order (the backward pass's layer
 // finalization order), all handles waited, worker closed. ready gives the
-// per-bucket entry stamp; rhd selects BeginRHD.
-func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, chunk int, rhd bool, ready func(bucket int) float64) {
+// per-bucket entry stamp.
+func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, chunk int, ready func(bucket int) float64) {
 	runGroup(p, g, func(rank int) {
 		b := NewBucketedAllreduce(g, rank, segs, 0)
 		handles := make([]Handle, len(segs))
@@ -51,11 +50,7 @@ func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, chunk int, r
 			if ready != nil {
 				r = ready(i)
 			}
-			if rhd {
-				handles[i] = b.BeginRHD(i, bufs[rank], r)
-			} else {
-				handles[i] = b.Begin(i, bufs[rank], chunk, r)
-			}
+			handles[i] = b.Begin(i, bufs[rank], chunk, r)
 		}
 		for i := range handles {
 			handles[i].Wait()
@@ -77,7 +72,7 @@ func TestBucketedAllreduceBitwiseMatchesTree(t *testing.T) {
 				for _, chunk := range []int{0, 3, m + 1} {
 					got := cloneBufs(orig)
 					g := NewGroup(p)
-					runBucketed(p, g, got, segs, chunk, false, nil)
+					runBucketed(p, g, got, segs, chunk, nil)
 					for r := 0; r < p; r++ {
 						for i := range want {
 							if got[r][i] != want[i] {
@@ -85,35 +80,6 @@ func TestBucketedAllreduceBitwiseMatchesTree(t *testing.T) {
 									p, m, pi, chunk, r, i, got[r][i], want[i])
 							}
 						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBucketedAllreduceRHDMatchesDense: per-bucket recursive
-// halving/doubling reassociates within each bucket, so it is value-equal
-// to the dense tree within reassociation tolerance (and exactly equal for
-// non-power-of-two groups, where each bucket falls back to the tree).
-func TestBucketedAllreduceRHDMatchesDense(t *testing.T) {
-	const tol = 1e-12
-	for _, p := range []int{2, 3, 5, 8} {
-		m := 129
-		orig, want := makeBufs(p, m, int64(9000+p))
-		for pi, segs := range bucketPartitions(m) {
-			got := cloneBufs(orig)
-			g := NewGroup(p)
-			runBucketed(p, g, got, segs, 0, true, nil)
-			for r := 0; r < p; r++ {
-				for i := range want {
-					if d := math.Abs(got[r][i] - want[i]); d > tol {
-						t.Fatalf("p=%d part=%d rank=%d[%d]: bucketed rhd %g vs tree %g (|Δ|=%g)",
-							p, pi, r, i, got[r][i], want[i], d)
-					}
-					if p&(p-1) != 0 && got[r][i] != want[i] {
-						t.Fatalf("p=%d part=%d rank=%d[%d]: rhd fallback %g != tree %g (must be bitwise)",
-							p, pi, r, i, got[r][i], want[i])
 					}
 				}
 			}
@@ -131,7 +97,7 @@ func TestBucketedAllreduceMatchesMonolithicTraffic(t *testing.T) {
 		bufs[r] = make([]float64, m)
 	}
 	g := NewGroup(p)
-	runBucketed(p, g, bufs, bucketPartitions(m)[1], 16, false, nil)
+	runBucketed(p, g, bufs, bucketPartitions(m)[1], 16, nil)
 	want := int64(2 * (p - 1) * m)
 	if got := g.WordsSent(); got != want {
 		t.Errorf("bucketed tree WordsSent = %d, want %d", got, want)
@@ -206,7 +172,7 @@ func TestBucketedOverlapEarlierReadyFinishesEarlier(t *testing.T) {
 		for r := range bufs {
 			bufs[r] = make([]float64, m)
 		}
-		runBucketed(p, g, bufs, segs, m/32, false, ready)
+		runBucketed(p, g, bufs, segs, m/32, ready)
 		max := 0.0
 		for _, c := range clocks {
 			if c.Now() > max {

@@ -2,48 +2,55 @@ package comm
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"sync"
+
+	"sasgd/internal/parallel"
 )
 
-// Chunked, pipelined collectives. The monolithic binomial tree ships the
-// whole m-word buffer through every tree level in one message, so each
-// level's transfer strictly follows the previous one and the reduce and
-// broadcast phases cannot overlap: 2·m·log p words of serialized wire
-// time at the root. Splitting the buffer into fixed-size chunks and
-// streaming them through the tree (Sergeev & Del Balso's Horovod does
-// the same over NCCL rings) lets chunk c+1 climb the reduce tree while
-// chunk c descends in broadcast, collapsing the critical path to roughly
+// The dense engine: a chunked, pipelined reduce/broadcast over a binomial
+// schedule (tree.go). The monolithic tree ships the whole m-word buffer
+// through every tree level in one message, so each level's transfer
+// strictly follows the previous one and the reduce and broadcast phases
+// cannot overlap: 2·m·log p words of serialized wire time at the root.
+// Splitting the buffer into fixed-size chunks and streaming them through
+// the tree (Sergeev & Del Balso's Horovod does the same over NCCL rings)
+// lets chunk c+1 climb the reduce tree while chunk c descends in
+// broadcast, collapsing the critical path to roughly
 // 2·(m + chunks·latency) — the hardware's pipe rate rather than the
-// algorithm's depth. AllreduceRHD is the bandwidth-optimal alternative
-// for power-of-two groups: Rabenseifner's recursive halving/doubling
-// moves only 2m(p−1)/p words per learner in 2·log p steps.
+// algorithm's depth. One chunk per buffer is the monolithic tree, so
+// "tree", "ptree", the broadcast, the wire barrier and both levels of
+// the hierarchy are this one engine with a different schedule, chunk
+// size and traffic label.
+//
+// Every collective is executed by the members' cooperating goroutines
+// over the group's transport. Each learner calls the method with its own
+// rank; all learners must call the same collectives in the same order
+// (bulk-synchronous discipline), which is exactly how Algorithm 1 in the
+// paper uses them.
+//
+// Allocation discipline: every wire copy is drawn from the group's
+// buffer pool and released by its receiver (pool.go), so the dense
+// collectives allocate nothing in steady state; reduction loops run
+// through internal/parallel above reduceGrain, with per-element order
+// unchanged from the serial loop, so results are bitwise independent of
+// the worker budget.
 
-// DefaultChunkWords is the built-in chunk size (float64 words) of the
-// pipelined collectives: 8192 words = 64 KiB, large enough that per-chunk
-// latency is amortized, small enough that paper-scale models (≈0.5–2M
-// params) split into dozens of pipeline stages.
+// DefaultChunkWords is the chunk size (float64 words) the pipelined
+// collectives use when a caller passes a non-positive chunk: 8192 words =
+// 64 KiB, large enough that per-chunk latency is amortized, small enough
+// that paper-scale models (≈0.5–2M params) split into dozens of pipeline
+// stages.
 const DefaultChunkWords = 8192
 
-var (
-	chunkOnce    sync.Once
-	defaultChunk int
-)
-
-// DefaultChunk returns the chunk size used when a caller passes a
-// non-positive chunk: the SASGD_COMM_CHUNK environment variable when set
-// to a positive integer, otherwise DefaultChunkWords.
-func DefaultChunk() int {
-	chunkOnce.Do(func() {
-		defaultChunk = DefaultChunkWords
-		if s := os.Getenv("SASGD_COMM_CHUNK"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				defaultChunk = v
-			}
-		}
-	})
-	return defaultChunk
+// AllreduceTree sums buf elementwise across all learners using a binomial
+// tree (reduce to rank 0, then broadcast), leaving the global sum in
+// every learner's buf. The data volume per learner is O(m log p), the
+// figure the paper contrasts with the parameter server's O(mp). It is
+// the single-chunk case of the chunked pipelined tree, so the message
+// sequence and summation order are exactly the textbook algorithm's.
+func (g *Group) AllreduceTree(rank int, buf []float64) {
+	g.checkRank(rank)
+	g.setAlgo(rank, algoTree)
+	g.allreduce(&g.tree[rank], nil, buf, len(buf), g.Clock(rank).Now())
 }
 
 // AllreduceTreeChunked sums buf elementwise across all learners with a
@@ -65,15 +72,11 @@ func DefaultChunk() int {
 // broadcast copies come from the group's pool, so the steady-state
 // allocation count is zero.
 //
-// chunkWords ≤ 0 selects DefaultChunk (SASGD_COMM_CHUNK).
+// chunkWords ≤ 0 selects DefaultChunkWords.
 func (g *Group) AllreduceTreeChunked(rank int, buf []float64, chunkWords int) {
-	// entry is the learner's simulated time when the collective starts: the
+	// The learner's simulated time when the collective starts is the
 	// moment every chunk's local contribution exists.
-	entry := 0.0
-	if g.clocks != nil {
-		entry = g.clocks[rank].Now()
-	}
-	g.AllreduceTreeChunkedFrom(rank, buf, chunkWords, entry)
+	g.AllreduceTreeChunkedFrom(rank, buf, chunkWords, g.Clock(rank).Now())
 }
 
 // AllreduceTreeChunkedFrom is AllreduceTreeChunked with an explicit data
@@ -85,22 +88,33 @@ func (g *Group) AllreduceTreeChunked(rank int, buf []float64, chunkWords int) {
 // early layers are still backpropagating. Values are unaffected; entry
 // only stamps the wire schedule (ignored entirely without a simulation).
 func (g *Group) AllreduceTreeChunkedFrom(rank int, buf []float64, chunkWords int, entry float64) {
+	g.checkRank(rank)
 	g.setAlgo(rank, algoPTree)
-	g.allreduceTreeChunkedFrom(rank, buf, chunkWords, entry)
+	g.allreduce(&g.tree[rank], nil, buf, chunkWords, entry)
 }
 
-// allreduceTreeChunkedFrom is the unlabeled implementation shared by
-// the "tree" (single chunk), "ptree" and non-power-of-two "rhd"
-// fallback entry points: the caller sets the rank's traffic label
-// before delegating, so the accounting reflects the algorithm the user
-// selected rather than the machinery it lowers to.
-func (g *Group) allreduceTreeChunkedFrom(rank int, buf []float64, chunkWords int, entry float64) {
+// BroadcastTree distributes rank 0's buf to every learner using a
+// binomial tree: the engine's broadcast half over the whole buffer. On
+// return every learner's buf holds root's data.
+func (g *Group) BroadcastTree(rank int, buf []float64) {
 	g.checkRank(rank)
-	if g.p == 1 || len(buf) == 0 {
+	g.setAlgo(rank, algoBcast)
+	g.down(&g.tree[rank], buf, g.Clock(rank).Now())
+}
+
+// allreduce sums buf across the members of s's tree, chunk by chunk, and
+// leaves the sum in every member's buf. The caller has set the rank's
+// traffic label, so the accounting names the collective the user asked
+// for rather than the engine it runs on. With fan non-nil — a tree this
+// member roots — each chunk is also sent down fan as soon as this
+// member holds its sum, so that fan-out overlaps the exchange of the
+// chunks behind it (the hierarchy's leaders, hier.go).
+func (g *Group) allreduce(s, fan *sched, buf []float64, chunkWords int, entry float64) {
+	if s.solitary() || len(buf) == 0 {
 		return
 	}
 	if chunkWords <= 0 {
-		chunkWords = DefaultChunk()
+		chunkWords = DefaultChunkWords
 	}
 	nchunks := (len(buf) + chunkWords - 1) / chunkWords
 	// Each chunk's sends are stamped with the chunk's own causal ready
@@ -114,11 +128,41 @@ func (g *Group) allreduceTreeChunkedFrom(rank int, buf []float64, chunkWords int
 	reduced := 0
 	for c := 0; c < nchunks; c++ {
 		for reduced < nchunks && reduced < c+PipelineDepth {
-			ready[reduced%(PipelineDepth+1)] = g.reduceChunk(rank, buf, reduced, chunkWords, entry)
+			ready[reduced%(PipelineDepth+1)] = g.up(s, chunkSeg(buf, reduced, chunkWords), entry)
 			reduced++
 		}
-		g.broadcastChunk(rank, buf, c, chunkWords, ready[c%(PipelineDepth+1)])
+		seg := chunkSeg(buf, c, chunkWords)
+		r := g.down(s, seg, ready[c%(PipelineDepth+1)])
+		if fan != nil {
+			g.down(fan, seg, r)
+		}
 	}
+}
+
+// reduceGrain is the minimum number of elements per shard for the
+// parallel reduction loops, matching the elementwise-kernel grain in
+// internal/tensor: below it, dispatch overhead would dominate the ~1
+// flop/element add.
+const reduceGrain = 1 << 15
+
+// addInto accumulates src into dst elementwise. Shards write disjoint
+// ranges and each element keeps its serial accumulation order, so the
+// result is bitwise identical at every worker count. The serial case is
+// branched in the caller (parallel.Shards) so the closure only
+// materializes — and only then allocates — when the loop actually
+// shards, keeping single-worker steady state at zero allocs/op.
+func addInto(dst, src []float64) {
+	if parallel.Shards(len(dst), reduceGrain) <= 1 {
+		for i := range dst {
+			dst[i] += src[i]
+		}
+		return
+	}
+	parallel.For(len(dst), reduceGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] += src[i]
+		}
+	})
 }
 
 // chunkSeg returns chunk c of buf at the given chunk size (the final
@@ -132,171 +176,55 @@ func chunkSeg(buf []float64, c, chunkWords int) []float64 {
 	return buf[lo:hi]
 }
 
-// reduceChunk runs one chunk of the binomial-tree reduce: receive each
-// completed subtree's partial in ascending step order (the monolithic
-// ReduceTree's order, keeping summation bitwise identical), then hand
-// the accumulated segment up. It returns the chunk's causal ready time —
-// entry joined with the arrivals of every partial folded into the
-// segment — which stamps the upward send and, at the root, gates the
-// chunk's broadcast.
-func (g *Group) reduceChunk(rank int, buf []float64, c, chunkWords int, entry float64) float64 {
-	seg := chunkSeg(buf, c, chunkWords)
+// up runs one segment of the reduce: fold each child's partial into seg
+// in schedule order (the summation order every pin rests on), then hand
+// seg to the parent. It returns the segment's causal ready time — entry
+// joined with the arrivals of every partial folded in — which stamps the
+// upward send and, at the root, gates the segment's broadcast.
+func (g *Group) up(s *sched, seg []float64, entry float64) float64 {
 	ready := entry
-	for step := 1; step < g.p; step <<= 1 {
-		if rank%(2*step) != 0 {
-			// Zero-copy hand-off: the parent reads seg while reducing
-			// chunk c and does so before it forwards broadcast chunk c,
-			// which is what gates this learner's next write to seg.
-			g.sendMsgAt(rank, rank-step, Frame{Data: seg}, ready)
-			return ready
+	for _, child := range s.children {
+		in := g.recvMsg(s.rank, child)
+		if len(in.Data) != len(seg) {
+			panic(fmt.Sprintf("comm: tree reduce length mismatch %d vs %d", len(in.Data), len(seg)))
 		}
-		if peer := rank + step; peer < g.p {
-			in := g.recvMsg(rank, peer)
-			if len(in.Data) != len(seg) {
-				panic(fmt.Sprintf("comm: chunked reduce length mismatch %d vs %d", len(in.Data), len(seg)))
-			}
-			if in.Arrive > ready {
-				ready = in.Arrive
-			}
-			addInto(seg, in.Data)
-			g.releaseMsg(in)
+		if in.Arrive > ready {
+			ready = in.Arrive
 		}
+		addInto(seg, in.Data)
+		g.releaseMsg(in)
+	}
+	if s.parent >= 0 {
+		// Zero-copy hand-off: the parent reads seg while reducing it and
+		// does so before it forwards the segment's broadcast, which is
+		// what gates this member's next write to seg.
+		g.sendMsgAt(s.rank, s.parent, Frame{Data: seg}, ready)
 	}
 	return ready
 }
 
-// broadcastChunk runs one chunk of the binomial-tree broadcast of rank
-// 0's reduced segment, with pooled transfer copies. ready is the chunk's
-// causal time at this learner: the root passes the chunk's reduce-ready
-// time, and interior learners overwrite it with the parent's arrival
-// before their own forwards (their receiving step precedes their sending
-// steps in the descent).
-func (g *Group) broadcastChunk(rank int, buf []float64, c, chunkWords int, ready float64) {
-	seg := chunkSeg(buf, c, chunkWords)
-	top := 1
-	for top < g.p {
-		top <<= 1
-	}
-	for step := top >> 1; step >= 1; step >>= 1 {
-		switch {
-		case rank%(2*step) == 0:
-			if peer := rank + step; peer < g.p {
-				pb := g.acquire(len(seg))
-				copy(pb.data, seg)
-				g.sendMsgAt(rank, peer, Frame{Data: pb.data, pb: pb}, ready)
-			}
-		case rank%(2*step) == step:
-			in := g.recvMsg(rank, rank-step)
-			if len(in.Data) != len(seg) {
-				panic(fmt.Sprintf("comm: chunked broadcast length mismatch %d vs %d", len(in.Data), len(seg)))
-			}
-			ready = in.Arrive
-			copy(seg, in.Data)
-			g.releaseMsg(in)
-		}
-	}
-}
-
-// AllreduceRHD sums buf elementwise across all learners with
-// Rabenseifner's recursive halving/doubling: a reduce-scatter phase that
-// halves the active segment while doubling the pair distance is mirrored
-// by an allgather phase that doubles the segment back, moving 2m(p−1)/p
-// words per learner — the ring's bandwidth optimum — in only 2·log₂p
-// latency steps. It requires a power-of-two group and falls back to the
-// (bitwise-stable) binomial tree otherwise.
-//
-// The pairwise exchanges associate the sum differently from the binomial
-// tree, so results are value-equal within floating-point reassociation
-// tolerance (≈1e-12 absolute on O(1) data) rather than bit-identical;
-// callers that need bit-stability use the tree family.
-func (g *Group) AllreduceRHD(rank int, buf []float64) {
-	entry := 0.0
-	if g.clocks != nil {
-		entry = g.clocks[rank].Now()
-	}
-	g.AllreduceRHDFrom(rank, buf, entry)
-}
-
-// AllreduceRHDFrom is AllreduceRHD with an explicit data entry time (see
-// AllreduceTreeChunkedFrom). Each exchange's send is stamped with the
-// running causal time of this learner's segment — entry joined with the
-// arrivals already folded into it — which equals what the scalar clock
-// would read in the serial case, so the plain AllreduceRHD schedule is
-// unchanged.
-func (g *Group) AllreduceRHDFrom(rank int, buf []float64, entry float64) {
-	g.checkRank(rank)
-	g.setAlgo(rank, algoRHD)
-	p := g.p
-	if p == 1 {
-		return
-	}
-	if p&(p-1) != 0 {
-		// Fallback traffic stays charged to "rhd": that is the algorithm
-		// the caller asked for.
-		g.allreduceTreeChunkedFrom(rank, buf, len(buf), entry)
-		return
-	}
-	ready := entry
-	m := len(buf)
-	// Segment bounds before each halving step, reused (in reverse) by the
-	// allgather. Fixed-size stacks keep the call allocation-free; 64
-	// levels covers any conceivable p.
-	var loStack, hiStack [64]int
-	lo, hi := 0, m
-	level := 0
-
-	// Reduce-scatter by recursive vector halving: at distance d the pair
-	// (rank, rank^d) split their common segment in half, each keeping the
-	// half matching its d-bit and sending the other. Sends are pooled
-	// copies so neither side ever aliases the other's buffer.
-	for d := p / 2; d >= 1; d >>= 1 {
-		loStack[level], hiStack[level] = lo, hi
-		level++
-		peer := rank ^ d
-		mid := lo + (hi-lo)/2
-		keepLo, keepHi, sendLo, sendHi := lo, mid, mid, hi
-		if rank&d != 0 {
-			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
-		}
-		pb := g.acquire(sendHi - sendLo)
-		copy(pb.data, buf[sendLo:sendHi])
-		g.sendMsgAt(rank, peer, Frame{Data: pb.data, pb: pb}, ready)
-		in := g.recvMsg(rank, peer)
-		if len(in.Data) != keepHi-keepLo {
-			panic(fmt.Sprintf("comm: AllreduceRHD halving length mismatch %d vs %d", len(in.Data), keepHi-keepLo))
+// down runs one segment of the broadcast of the root's seg, with pooled
+// transfer copies (the receiver owns the payload and returns it to the
+// pool once consumed). ready is the segment's causal time at this
+// member — the root passes the time its seg became final, everyone else
+// joins in the parent's arrival before forwarding — and is returned, so
+// a fused fan-out can continue from it.
+func (g *Group) down(s *sched, seg []float64, ready float64) float64 {
+	if s.parent >= 0 {
+		in := g.recvMsg(s.rank, s.parent)
+		if len(in.Data) != len(seg) {
+			panic(fmt.Sprintf("comm: tree broadcast length mismatch %d vs %d", len(in.Data), len(seg)))
 		}
 		if in.Arrive > ready {
 			ready = in.Arrive
 		}
-		addInto(buf[keepLo:keepHi], in.Data)
+		copy(seg, in.Data)
 		g.releaseMsg(in)
-		lo, hi = keepLo, keepHi
 	}
-
-	// Allgather by recursive doubling: the halving steps replayed in
-	// reverse, each pair exchanging its reduced segment so both end up
-	// owning the level's full segment.
-	for d := 1; d < p; d <<= 1 {
-		level--
-		peer := rank ^ d
-		pb := g.acquire(hi - lo)
-		copy(pb.data, buf[lo:hi])
-		g.sendMsgAt(rank, peer, Frame{Data: pb.data, pb: pb}, ready)
-		in := g.recvMsg(rank, peer)
-		if in.Arrive > ready {
-			ready = in.Arrive
-		}
-		plo, phi := loStack[level], hiStack[level]
-		mid := plo + (phi-plo)/2
-		rl, rh := mid, phi
-		if rank&d != 0 {
-			rl, rh = plo, mid
-		}
-		if len(in.Data) != rh-rl {
-			panic(fmt.Sprintf("comm: AllreduceRHD doubling length mismatch %d vs %d", len(in.Data), rh-rl))
-		}
-		copy(buf[rl:rh], in.Data)
-		g.releaseMsg(in)
-		lo, hi = plo, phi
+	for i := len(s.children) - 1; i >= 0; i-- {
+		pb := g.acquire(len(seg))
+		copy(pb.data, seg)
+		g.sendMsgAt(s.rank, s.children[i], Frame{Data: pb.data, pb: pb}, ready)
 	}
+	return ready
 }

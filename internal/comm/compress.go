@@ -311,33 +311,34 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 	}
 }
 
-// allreducePairs reduces the rank's encoded pair list to rank 0 over a
-// binomial tree (coordinate-wise sums, merged in fixed tree order, so
+// allreducePairs reduces the rank's encoded pair list to rank 0 up the
+// group's tree (coordinate-wise sums, merged in schedule order, so
 // values are bitwise deterministic), re-sparsifies the merged aggregate
 // at the root, and broadcasts the result down the same tree. All
 // payloads are pooled copies; acc ping-pongs between the codec's two
 // scratch buffers, so steady state allocates nothing.
 func (c *topkCompressor) allreducePairs(g *Group, rank int, acc []float64, k int, res []float64, ready float64) []float64 {
+	s := &g.tree[rank]
 	cur, spare := acc, c.encB
-	for step := 1; step < g.p; step <<= 1 {
-		if rank%(2*step) != 0 {
-			pb := g.acquire(len(cur))
-			copy(pb.data, cur)
-			g.sendMsgAt(rank, rank-step, Frame{Data: pb.data, pb: pb}, ready)
-			break
+	for _, child := range s.children {
+		in := g.recvMsg(rank, child)
+		if in.Arrive > ready {
+			ready = in.Arrive
 		}
-		if peer := rank + step; peer < g.p {
-			in := g.recvMsg(rank, peer)
-			if in.Arrive > ready {
-				ready = in.Arrive
-			}
-			merged := mergePairs(spare[:0], cur, in.Data)
-			g.releaseMsg(in)
-			spare = cur
-			cur = merged
-		}
+		merged := mergePairs(spare[:0], cur, in.Data)
+		g.releaseMsg(in)
+		spare = cur
+		cur = merged
 	}
-	if rank == 0 && len(cur) > 2*k {
+	if s.parent >= 0 {
+		pb := g.acquire(len(cur))
+		copy(pb.data, cur)
+		g.sendMsgAt(rank, s.parent, Frame{Data: pb.data, pb: pb}, ready)
+		in := g.recvMsg(rank, s.parent)
+		ready = in.Arrive
+		cur = append(cur[:0], in.Data...)
+		g.releaseMsg(in)
+	} else if len(cur) > 2*k {
 		// The union of the learners' supports outgrew k: keep the k
 		// largest-magnitude aggregate entries and fold the dropped
 		// remainder into the root's own residual, where it re-enters
@@ -346,24 +347,10 @@ func (c *topkCompressor) allreducePairs(g *Group, rank int, acc []float64, k int
 		// conservation exact.
 		cur = c.resparsify(cur, k, res)
 	}
-	top := 1
-	for top < g.p {
-		top <<= 1
-	}
-	for step := top >> 1; step >= 1; step >>= 1 {
-		switch {
-		case rank%(2*step) == 0:
-			if peer := rank + step; peer < g.p {
-				pb := g.acquire(len(cur))
-				copy(pb.data, cur)
-				g.sendMsgAt(rank, peer, Frame{Data: pb.data, pb: pb}, ready)
-			}
-		case rank%(2*step) == step:
-			in := g.recvMsg(rank, rank-step)
-			ready = in.Arrive
-			cur = append(cur[:0], in.Data...)
-			g.releaseMsg(in)
-		}
+	for i := len(s.children) - 1; i >= 0; i-- {
+		pb := g.acquire(len(cur))
+		copy(pb.data, cur)
+		g.sendMsgAt(rank, s.children[i], Frame{Data: pb.data, pb: pb}, ready)
 	}
 	c.encA, c.encB = cur, spare
 	return cur

@@ -54,6 +54,9 @@ const mailboxCap = PipelineDepth + 2
 type Group struct {
 	p  int
 	tr Transport
+	// tree[rank] is rank's place in the binomial tree over all p ranks:
+	// the schedule of every flat collective (tree.go).
+	tree []sched
 	// trMap maps the group's virtual ranks to transport ranks (nil =
 	// identity). Re-formed survivor groups address the original
 	// transport's physical rank space through it.
@@ -158,7 +161,11 @@ func NewTransportGroup(tr Transport, phys []int, clocks []Clock, cost CostModel)
 	if clocks != nil && len(clocks) != p {
 		panic(fmt.Sprintf("comm: NewTransportGroup got %d clocks for %d learners", len(clocks), p))
 	}
-	g := &Group{p: p, tr: tr, trMap: phys, clocks: clocks, cost: cost,
+	ranks := make([]int, p)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	g := &Group{p: p, tr: tr, tree: newTree(ranks), trMap: phys, clocks: clocks, cost: cost,
 		bar: NewBarrier(p), done: make(chan struct{}),
 		stats: make([]rankStats, p), sinks: make([]*DeferSync, p)}
 	if lt, ok := tr.(allLocalTransport); ok {
@@ -489,7 +496,8 @@ func (g *Group) Barrier(rank int) {
 func (g *Group) wireBarrier(rank int) {
 	pb := g.acquire(1)
 	pb.data[0] = 0
-	g.ReduceTree(rank, pb.data)
+	g.setAlgo(rank, algoTree)
+	g.up(&g.tree[rank], pb.data, 0)
 	g.BroadcastTree(rank, pb.data)
 	g.pool.release(pb)
 }

@@ -21,21 +21,19 @@ import "fmt"
 // traffic accounting, and — critically — the fault-injection link
 // daemons, which are keyed by the group's rank space.
 //
-// Determinism: both sub-collectives are the chunked, pipelined binomial
-// tree of chunked.go driven by *relative* member indices, so an island
-// that happens to contain every rank replays the flat tree's message
-// schedule and summation order exactly — hier with one island is
-// bitwise-identical to the flat ptree/tree path, which the degenerate
-// pin tests rely on. (RHD's pairwise exchange cannot run on arbitrary
-// subset sizes, so hierarchical runs lower rhd to the tree order — the
-// same documented fallback RHD itself takes for non-power-of-two
-// groups.)
+// Determinism: both sub-collectives are the dense engine of chunked.go
+// run over a binomial schedule laid on a member list — an island's, or
+// the leaders' — instead of on all ranks, so an island that happens to
+// contain every rank replays the flat tree's message schedule and
+// summation order exactly: hier with one island is bitwise-identical to
+// the flat ptree/tree path, which the degenerate pin tests rely on.
 type Hier struct {
 	g        *Group
 	islands  [][]int // island id → member ranks, ascending
 	islandOf []int   // rank → island id
-	member   []int   // rank → index within its island's member list
 	leaders  []int   // island id → leader rank (lowest member)
+	intra    []sched // rank → its place in its island's tree (rooted at the leader)
+	inter    []sched // island id → its leader's place in the leaders' tree
 }
 
 // BlockIslands maps ranks 0..p-1 onto contiguous islands of ⌈p/groups⌉
@@ -76,7 +74,7 @@ func NewHierOf(g *Group, islandOf []int) *Hier {
 	if len(islandOf) != p {
 		panic(fmt.Sprintf("comm: NewHierOf: map covers %d ranks, group has %d", len(islandOf), p))
 	}
-	h := &Hier{g: g, islandOf: make([]int, p), member: make([]int, p)}
+	h := &Hier{g: g, islandOf: make([]int, p), intra: make([]sched, p)}
 	remap := make(map[int]int, 8)
 	for r, raw := range islandOf {
 		id, ok := remap[raw]
@@ -87,9 +85,14 @@ func NewHierOf(g *Group, islandOf []int) *Hier {
 			h.leaders = append(h.leaders, r)
 		}
 		h.islandOf[r] = id
-		h.member[r] = len(h.islands[id])
 		h.islands[id] = append(h.islands[id], r)
 	}
+	for _, isl := range h.islands {
+		for _, s := range newTree(isl) {
+			h.intra[s.rank] = s
+		}
+	}
+	h.inter = newTree(h.leaders)
 	g.SetIslands(h.islandOf)
 	return h
 }
@@ -107,140 +110,42 @@ func (h *Hier) IslandSize(rank int) int { return len(h.islands[h.islandOf[rank]]
 func (h *Hier) IsLeader(rank int) bool { return h.leaders[h.islandOf[rank]] == rank }
 
 // AllreduceIntra sums buf elementwise across the members of rank's
-// island only, leaving the island sum in each member's buf. The wire
-// schedule is the chunked pipelined binomial tree over the island's
-// member list; traffic is charged to "hintra". entry is the simulated
-// instant buf became ready (see AllreduceTreeChunkedFrom); chunkWords
-// ≤ 0 selects DefaultChunk.
+// island only, leaving the island sum in each member's buf: the dense
+// engine over the island's tree, charged to "hintra". entry is the
+// simulated instant buf became ready (see AllreduceTreeChunkedFrom);
+// chunkWords ≤ 0 selects DefaultChunkWords.
 func (h *Hier) AllreduceIntra(rank int, buf []float64, chunkWords int, entry float64) {
-	isl := h.islands[h.islandOf[rank]]
-	if len(isl) == 1 || len(buf) == 0 {
+	s := &h.intra[rank]
+	if s.solitary() || len(buf) == 0 {
 		return
 	}
 	h.g.setAlgo(rank, algoHIntra)
-	h.allreduceSub(isl, h.member[rank], buf, chunkWords, entry, nil)
+	h.g.allreduce(s, nil, buf, chunkWords, entry)
 }
 
 // AllreduceInter exchanges island aggregates across islands: the island
-// leaders run a chunked tree allreduce of buf among themselves, and
-// each chunk is fanned out inside every island as soon as its leader
-// holds the global value, pipelining the downlink behind the leader
-// exchange. Every rank participates (non-leaders supply no data — the
-// leaders' bufs are the contributions — and receive the global result
-// into buf). All traffic of the phase, leader hops and island fan-out
-// alike, is charged to "hinter"; the topology-exact split lives in
+// leaders run the dense engine over the leaders' tree, and each chunk is
+// fanned out down the island's own tree as soon as its leader holds the
+// global value, pipelining the downlink behind the leader exchange.
+// Every rank participates (non-leaders supply no data — the leaders'
+// bufs are the contributions — and receive the global result into buf).
+// All traffic of the phase, leader hops and island fan-out alike, is
+// charged to "hinter"; the topology-exact split lives in
 // Stats.CrossWords. No-op with fewer than two islands.
 func (h *Hier) AllreduceInter(rank int, buf []float64, chunkWords int, entry float64) {
 	if len(h.islands) < 2 || len(buf) == 0 {
 		return
 	}
-	if chunkWords <= 0 {
-		chunkWords = DefaultChunk()
-	}
 	h.g.setAlgo(rank, algoHInter)
-	id := h.islandOf[rank]
-	isl := h.islands[id]
-	if h.leaders[id] == rank {
-		down := isl
-		if len(isl) == 1 {
-			down = nil
-		}
-		h.allreduceSub(h.leaders, id, buf, chunkWords, entry, down)
-		return
-	}
-	nchunks := (len(buf) + chunkWords - 1) / chunkWords
-	for c := 0; c < nchunks; c++ {
-		h.broadcastChunkSub(isl, h.member[rank], buf, c, chunkWords, 0)
-	}
-}
-
-// allreduceSub is allreduceTreeChunkedFrom over an explicit member
-// list, driven by this rank's relative index ri. When down is non-nil
-// (the inter phase's leaders), each chunk is additionally broadcast
-// over the down list — rooted at this rank, which must be down[0] —
-// with the chunk's causal ready time, so the island fan-out of chunk c
-// overlaps the leader exchange of chunk c+1.
-func (h *Hier) allreduceSub(members []int, ri int, buf []float64, chunkWords int, entry float64, down []int) {
-	if len(members) == 1 && down == nil {
+	s := &h.intra[rank]
+	if s.parent < 0 {
+		h.g.allreduce(&h.inter[h.islandOf[rank]], s, buf, chunkWords, entry)
 		return
 	}
 	if chunkWords <= 0 {
-		chunkWords = DefaultChunk()
+		chunkWords = DefaultChunkWords
 	}
-	nchunks := (len(buf) + chunkWords - 1) / chunkWords
-	var ready [PipelineDepth + 1]float64
-	reduced := 0
-	for c := 0; c < nchunks; c++ {
-		for reduced < nchunks && reduced < c+PipelineDepth {
-			ready[reduced%(PipelineDepth+1)] = h.reduceChunkSub(members, ri, buf, reduced, chunkWords, entry)
-			reduced++
-		}
-		r := h.broadcastChunkSub(members, ri, buf, c, chunkWords, ready[c%(PipelineDepth+1)])
-		if down != nil {
-			h.broadcastChunkSub(down, 0, buf, c, chunkWords, r)
-		}
+	for lo := 0; lo < len(buf); lo += chunkWords {
+		h.g.down(s, buf[lo:min(lo+chunkWords, len(buf))], 0)
 	}
-}
-
-// reduceChunkSub is reduceChunk with relative member indexing: the
-// binomial schedule runs over positions in the member list, peers are
-// looked up through it, and the summation order per element is exactly
-// the flat tree's at the same member count.
-func (h *Hier) reduceChunkSub(members []int, ri int, buf []float64, c, chunkWords int, entry float64) float64 {
-	g := h.g
-	seg := chunkSeg(buf, c, chunkWords)
-	ready := entry
-	q := len(members)
-	for step := 1; step < q; step <<= 1 {
-		if ri%(2*step) != 0 {
-			g.sendMsgAt(members[ri], members[ri-step], Frame{Data: seg}, ready)
-			return ready
-		}
-		if peer := ri + step; peer < q {
-			in := g.recvMsg(members[ri], members[peer])
-			if len(in.Data) != len(seg) {
-				panic(fmt.Sprintf("comm: hier reduce length mismatch %d vs %d", len(in.Data), len(seg)))
-			}
-			if in.Arrive > ready {
-				ready = in.Arrive
-			}
-			addInto(seg, in.Data)
-			g.releaseMsg(in)
-		}
-	}
-	return ready
-}
-
-// broadcastChunkSub is broadcastChunk with relative member indexing,
-// rooted at members[0]. It returns this rank's causal time for the
-// chunk — the input ready at the root, the parent's arrival elsewhere —
-// which the fused inter-phase fan-out uses to seed the island
-// broadcast.
-func (h *Hier) broadcastChunkSub(members []int, ri int, buf []float64, c, chunkWords int, ready float64) float64 {
-	g := h.g
-	seg := chunkSeg(buf, c, chunkWords)
-	q := len(members)
-	top := 1
-	for top < q {
-		top <<= 1
-	}
-	for step := top >> 1; step >= 1; step >>= 1 {
-		switch {
-		case ri%(2*step) == 0:
-			if peer := ri + step; peer < q {
-				pb := g.acquire(len(seg))
-				copy(pb.data, seg)
-				g.sendMsgAt(members[ri], members[peer], Frame{Data: pb.data, pb: pb}, ready)
-			}
-		case ri%(2*step) == step:
-			in := g.recvMsg(members[ri], members[ri-step])
-			if len(in.Data) != len(seg) {
-				panic(fmt.Sprintf("comm: hier broadcast length mismatch %d vs %d", len(in.Data), len(seg)))
-			}
-			ready = in.Arrive
-			copy(seg, in.Data)
-			g.releaseMsg(in)
-		}
-	}
-	return ready
 }

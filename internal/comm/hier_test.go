@@ -44,32 +44,70 @@ func TestBlockIslands(t *testing.T) {
 	}
 }
 
-// TestHierSingleIslandBitwiseTree is the degenerate pin: a hierarchy
-// with one island must replay the flat tree's summation order exactly,
-// at every rank count and chunking, so the scheduled path with a single
-// group is bitwise the flat path.
+// TestHierSingleIslandBitwiseTree is the degenerate pin, and the
+// differential for "one engine, any member list": the flat group, a
+// hierarchy with one island, and an island scattered over the odd ranks
+// of a larger group all lay the same binomial tree over p members, so
+// they must leave bitwise-equal buffers and move the same words in the
+// same number of messages, at every member count and chunking.
 func TestHierSingleIslandBitwiseTree(t *testing.T) {
-	const m = 257
-	for _, p := range []int{2, 3, 5, 8} {
-		for _, chunk := range []int{m, 64} {
+	const m = 61
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		for _, chunk := range []int{1, 7, m, m + 1} {
 			ref := fillRankBufs(p, m, 42)
 			gRef := NewGroup(p)
 			runGroup(p, gRef, func(r int) { gRef.AllreduceTreeChunkedFrom(r, ref[r], chunk, 0) })
+			want := gRef.Stats()
 
-			got := fillRankBufs(p, m, 42)
+			// One island holding every rank.
+			one := fillRankBufs(p, m, 42)
 			g := NewGroup(p)
 			h := NewHier(g, 1)
 			if h.Islands() != 1 {
 				t.Fatalf("p=%d groups=1: %d islands", p, h.Islands())
 			}
-			runGroup(p, g, func(r int) { h.AllreduceIntra(r, got[r], chunk, 0) })
+			runGroup(p, g, func(r int) { h.AllreduceIntra(r, one[r], chunk, 0) })
 
-			for r := 0; r < p; r++ {
-				for i := range got[r] {
-					if got[r][i] != ref[r][i] {
-						t.Fatalf("p=%d chunk=%d rank=%d: hier not bitwise tree at %d: %g vs %g",
-							p, chunk, r, i, got[r][i], ref[r][i])
+			// The same p members as ranks 1, 3, 5, … of a (2p+1)-rank
+			// group whose other ranks are islands of their own.
+			big := 2*p + 1
+			islandOf := make([]int, big)
+			for r := range islandOf {
+				if r%2 == 0 {
+					islandOf[r] = r + 1
+				}
+			}
+			src := fillRankBufs(p, m, 42)
+			sub := make([][]float64, big)
+			for r := range sub {
+				if sub[r] = make([]float64, m); r%2 == 1 {
+					sub[r] = src[r/2]
+				}
+			}
+			gs := NewGroup(big)
+			hs := NewHierOf(gs, islandOf)
+			if hs.IslandSize(1) != p {
+				t.Fatalf("p=%d: scattered island has %d members", p, hs.IslandSize(1))
+			}
+			runGroup(big, gs, func(r int) { hs.AllreduceIntra(r, sub[r], chunk, 0) })
+
+			for name, got := range map[string][][]float64{"one island": one, "scattered island": src} {
+				for r := 0; r < p; r++ {
+					for i := range got[r] {
+						if got[r][i] != ref[r][i] {
+							t.Fatalf("p=%d chunk=%d member=%d: %s not bitwise the flat tree at %d: %g vs %g",
+								p, chunk, r, name, i, got[r][i], ref[r][i])
+						}
 					}
+				}
+			}
+			for name, st := range map[string]Stats{"one island": g.Stats(), "scattered island": gs.Stats()} {
+				if st.Words != want.Words || st.Messages != want.Messages {
+					t.Errorf("p=%d chunk=%d: %s moved %d words in %d messages, the flat tree %d in %d",
+						p, chunk, name, st.Words, st.Messages, want.Words, want.Messages)
+				}
+				if p > 1 && st.PerAlgo["hintra"].Words != st.Words {
+					t.Errorf("p=%d chunk=%d: %s traffic %v, want all of it under hintra", p, chunk, name, st.PerAlgo)
 				}
 			}
 		}

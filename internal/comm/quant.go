@@ -26,7 +26,7 @@ import (
 // int8 — 8 lanes per word, ⌈n/8⌉ words, the 4× reduction (8× against
 // the index+value sparse format) — while interior partial sums of up to
 // maxQuantGroup leaves fit int16 — 4 lanes per word. The receiver knows
-// the sender's subtree size from the tree step, so messages carry no
+// the sender's subtree size from the schedule, so messages carry no
 // header; the scale needs no transmission either, both sides having run
 // phase 1.
 //
@@ -122,48 +122,36 @@ func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, rati
 	}
 }
 
-// allreduceMaxTree shares max(local) across the group over a binomial
-// tree of one-word messages, returning the global maximum and the
-// causal ready time after the exchange (arrival-joined, so phase 2's
-// sends are stamped after the scale agreement they depend on).
+// allreduceMaxTree shares max(local) across the group over its tree in
+// one-word messages, returning the global maximum and the causal ready
+// time after the exchange (arrival-joined, so phase 2's sends are
+// stamped after the scale agreement they depend on).
 func (g *Group) allreduceMaxTree(rank int, local, ready float64) (float64, float64) {
+	s := &g.tree[rank]
 	acc := local
-	for step := 1; step < g.p; step <<= 1 {
-		if rank%(2*step) != 0 {
-			pb := g.acquire(1)
-			pb.data[0] = acc
-			g.sendMsgAt(rank, rank-step, Frame{Data: pb.data, pb: pb}, ready)
-			break
-		}
-		if peer := rank + step; peer < g.p {
-			in := g.recvMsg(rank, peer)
-			if in.Arrive > ready {
-				ready = in.Arrive
-			}
-			if in.Data[0] > acc {
-				acc = in.Data[0]
-			}
-			g.releaseMsg(in)
-		}
-	}
-	top := 1
-	for top < g.p {
-		top <<= 1
-	}
-	for step := top >> 1; step >= 1; step >>= 1 {
-		switch {
-		case rank%(2*step) == 0:
-			if peer := rank + step; peer < g.p {
-				pb := g.acquire(1)
-				pb.data[0] = acc
-				g.sendMsgAt(rank, peer, Frame{Data: pb.data, pb: pb}, ready)
-			}
-		case rank%(2*step) == step:
-			in := g.recvMsg(rank, rank-step)
+	for _, child := range s.children {
+		in := g.recvMsg(rank, child)
+		if in.Arrive > ready {
 			ready = in.Arrive
-			acc = in.Data[0]
-			g.releaseMsg(in)
 		}
+		if in.Data[0] > acc {
+			acc = in.Data[0]
+		}
+		g.releaseMsg(in)
+	}
+	if s.parent >= 0 {
+		pb := g.acquire(1)
+		pb.data[0] = acc
+		g.sendMsgAt(rank, s.parent, Frame{Data: pb.data, pb: pb}, ready)
+		in := g.recvMsg(rank, s.parent)
+		ready = in.Arrive
+		acc = in.Data[0]
+		g.releaseMsg(in)
+	}
+	for i := len(s.children) - 1; i >= 0; i-- {
+		pb := g.acquire(1)
+		pb.data[0] = acc
+		g.sendMsgAt(rank, s.children[i], Frame{Data: pb.data, pb: pb}, ready)
 	}
 	return acc, ready
 }
@@ -179,52 +167,39 @@ func quantWords(n, subtree int) int {
 	return (n + 3) / 4
 }
 
-// intTreeAllreduce sums c.q across the group: binomial-tree reduce of
-// the packed integer vectors to rank 0 and broadcast of the packed
-// total back down. Integer addition is exact and associative, so the
-// result is independent of every scheduling choice.
+// intTreeAllreduce sums c.q across the group: reduce of the packed
+// integer vectors up the group's tree and broadcast of the packed total
+// back down. Integer addition is exact and associative, so the result is
+// independent of every scheduling choice.
 func (c *qint8Compressor) intTreeAllreduce(g *Group, rank int, ready float64) {
+	s := &g.tree[rank]
 	n := len(c.q)
-	for step := 1; step < g.p; step <<= 1 {
-		if rank%(2*step) != 0 {
-			sub := min(step, g.p-rank)
-			pb := g.acquire(quantWords(n, sub))
-			packInts(c.q, sub, pb.data)
-			g.sendMsgAt(rank, rank-step, Frame{Data: pb.data, pb: pb}, ready)
-			break
+	for _, child := range s.children {
+		in := g.recvMsg(rank, child)
+		sub := g.tree[child].span
+		if len(in.Data) != quantWords(n, sub) {
+			panic(fmt.Sprintf("comm: quantized message has %d words, want %d for %d lanes from a %d-leaf subtree",
+				len(in.Data), quantWords(n, sub), n, sub))
 		}
-		if peer := rank + step; peer < g.p {
-			in := g.recvMsg(rank, peer)
-			sub := min(step, g.p-peer)
-			if len(in.Data) != quantWords(n, sub) {
-				panic(fmt.Sprintf("comm: quantized message has %d words, want %d for %d lanes from a %d-leaf subtree",
-					len(in.Data), quantWords(n, sub), n, sub))
-			}
-			if in.Arrive > ready {
-				ready = in.Arrive
-			}
-			unpackAddInts(in.Data, sub, c.q)
-			g.releaseMsg(in)
-		}
-	}
-	top := 1
-	for top < g.p {
-		top <<= 1
-	}
-	for step := top >> 1; step >= 1; step >>= 1 {
-		switch {
-		case rank%(2*step) == 0:
-			if peer := rank + step; peer < g.p {
-				pb := g.acquire(quantWords(n, g.p))
-				packInts(c.q, g.p, pb.data)
-				g.sendMsgAt(rank, peer, Frame{Data: pb.data, pb: pb}, ready)
-			}
-		case rank%(2*step) == step:
-			in := g.recvMsg(rank, rank-step)
+		if in.Arrive > ready {
 			ready = in.Arrive
-			unpackSetInts(in.Data, g.p, c.q)
-			g.releaseMsg(in)
 		}
+		unpackAddInts(in.Data, sub, c.q)
+		g.releaseMsg(in)
+	}
+	if s.parent >= 0 {
+		pb := g.acquire(quantWords(n, s.span))
+		packInts(c.q, s.span, pb.data)
+		g.sendMsgAt(rank, s.parent, Frame{Data: pb.data, pb: pb}, ready)
+		in := g.recvMsg(rank, s.parent)
+		ready = in.Arrive
+		unpackSetInts(in.Data, g.p, c.q)
+		g.releaseMsg(in)
+	}
+	for i := len(s.children) - 1; i >= 0; i-- {
+		pb := g.acquire(quantWords(n, g.p))
+		packInts(c.q, g.p, pb.data)
+		g.sendMsgAt(rank, s.children[i], Frame{Data: pb.data, pb: pb}, ready)
 	}
 }
 

@@ -36,8 +36,6 @@ const (
 	algoP2P    algo = iota // bare Send/Recv outside any collective
 	algoTree               // monolithic binomial tree (allreduce/reduce)
 	algoPTree              // chunked pipelined binomial tree
-	algoRHD                // recursive halving/doubling
-	algoRing               // ring reduce-scatter + allgather
 	algoSparse             // sparse (index+value) binomial tree
 	algoBcast              // binomial-tree broadcast
 	algoQuant              // quantized (packed int8/int16) binomial tree
@@ -47,8 +45,7 @@ const (
 )
 
 var algoNames = [numAlgos]string{
-	"p2p", "tree", "ptree", "rhd", "ring", "sparse", "bcast", "quant",
-	"hintra", "hinter",
+	"p2p", "tree", "ptree", "sparse", "bcast", "quant", "hintra", "hinter",
 }
 
 // rankStats is one rank's counters. cur is the algorithm label set by

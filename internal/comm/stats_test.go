@@ -21,8 +21,6 @@ func TestStatsPerAlgoAttribution(t *testing.T) {
 	}{
 		{"tree", func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
 		{"ptree", func(g *Group, r int, b []float64) { g.AllreduceTreeChunked(r, b, 16) }},
-		{"rhd", func(g *Group, r int, b []float64) { g.AllreduceRHD(r, b) }},
-		{"ring", func(g *Group, r int, b []float64) { g.AllreduceRing(r, b) }},
 		{"bcast", func(g *Group, r int, b []float64) { g.BroadcastTree(r, b) }},
 	}
 	for _, tc := range cases {
@@ -49,23 +47,6 @@ func TestStatsPerAlgoAttribution(t *testing.T) {
 				t.Errorf("Bytes=%d, want 8·Words=%d", s.Bytes, 8*s.Words)
 			}
 		})
-	}
-}
-
-// TestStatsRHDFallbackChargedToRHD pins the label of the
-// non-power-of-two fallback: the caller asked for rhd, so its traffic
-// is charged to rhd even though it lowers to the chunked tree.
-func TestStatsRHDFallbackChargedToRHD(t *testing.T) {
-	const p, n = 3, 32
-	g := NewGroup(p)
-	bufs := make([][]float64, p)
-	for r := range bufs {
-		bufs[r] = make([]float64, n)
-	}
-	runGroup(p, g, func(rank int) { g.AllreduceRHD(rank, bufs[rank]) })
-	s := g.Stats()
-	if len(s.PerAlgo) != 1 || s.PerAlgo["rhd"].Words == 0 {
-		t.Errorf("fallback traffic charged to %v, want all under rhd", s.PerAlgo)
 	}
 }
 
@@ -123,9 +104,9 @@ func TestStatsReset(t *testing.T) {
 	if s.Words != 0 || s.Messages != 0 || len(s.PerAlgo) != 0 || g.WordsSent() != 0 {
 		t.Errorf("after ResetStats: %+v, WordsSent=%d; want all zero", s, g.WordsSent())
 	}
-	runGroup(p, g, func(rank int) { g.AllreduceRing(rank, bufs[rank]) })
+	runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, bufs[rank], 8) })
 	s = g.Stats()
-	if s.PerAlgo["ring"].Words == 0 || s.Words != g.WordsSent() {
+	if s.PerAlgo["ptree"].Words == 0 || s.Words != g.WordsSent() {
 		t.Errorf("counters did not resume after reset: %+v", s)
 	}
 }

@@ -31,13 +31,10 @@ func TestPipelinedCollectivesStress(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				for k := 0; k < rounds; k++ {
-					switch k % 3 {
-					case 0:
+					if k%3 == 0 {
+						g.AllreduceTree(r, bufs[r])
+					} else {
 						g.AllreduceTreeChunked(r, bufs[r], chunks[k%len(chunks)])
-					case 1:
-						g.AllreduceRHD(r, bufs[r]) // tree fallback when p is odd
-					default:
-						g.AllreduceRing(r, bufs[r])
 					}
 				}
 			}(r)

@@ -53,8 +53,6 @@ func TestCrossTransportAllreduceEquivalence(t *testing.T) {
 	}{
 		{"tree", func(g *Group, rank int, buf []float64) { g.AllreduceTree(rank, buf) }},
 		{"ptree", func(g *Group, rank int, buf []float64) { g.AllreduceTreeChunked(rank, buf, 16) }},
-		{"rhd", func(g *Group, rank int, buf []float64) { g.AllreduceRHD(rank, buf) }},
-		{"ring", func(g *Group, rank int, buf []float64) { g.AllreduceRing(rank, buf) }},
 	}
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, m := range []int{1, 23, 129} {

@@ -236,10 +236,8 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 	e.async = e.delayed && mem == nil
 	// The hint applies where a launch from inside backward is legal: a
 	// flat eager boundary (the exchange IS gs, and nothing is deferred) on
-	// a fixed membership (the launch would precede the membership sync),
-	// with a collective the worker implements.
-	e.overlap = cfg.OverlapComm && e.hier == nil && !e.delayed && mem == nil &&
-		len(e.segs) > 0 && (e.comp != nil || cfg.Allreduce != AllreduceRing)
+	// a fixed membership (the launch would precede the membership sync).
+	e.overlap = cfg.OverlapComm && e.hier == nil && !e.delayed && mem == nil && len(e.segs) > 0
 	if e.comp != nil || e.async || e.overlap {
 		e.b = comm.NewBucketedAllreduce(view.G, e.vr, e.segs, 0)
 		e.handles = make([]comm.Handle, len(e.segs))
@@ -507,12 +505,8 @@ func (e *engine) exchange(buf []float64) {
 		e.wait()
 	case e.hier != nil:
 		e.hier.AllreduceInter(vr, buf, e.hchunk, g.Clock(vr).Now())
-	case e.cfg.Allreduce == AllreduceRing:
-		g.AllreduceRing(vr, buf)
 	case e.cfg.Allreduce == AllreducePTree:
 		g.AllreduceTreeChunked(vr, buf, e.cfg.CommChunk)
-	case e.cfg.Allreduce == AllreduceRHD:
-		g.AllreduceRHD(vr, buf)
 	default:
 		g.AllreduceTree(vr, buf)
 	}
@@ -533,8 +527,6 @@ func (e *engine) begin(bi int, buf []float64, ready float64) {
 		e.handles[bi] = e.b.BeginCompressed(bi, buf, e.res, e.comp, e.ratio, ready)
 	case e.hier != nil:
 		e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, e.chunk, ready)
-	case e.cfg.Allreduce == AllreduceRHD:
-		e.handles[bi] = e.b.BeginRHD(bi, buf, ready)
 	default:
 		e.handles[bi] = e.b.Begin(bi, buf, e.chunk, ready)
 	}

@@ -29,9 +29,8 @@ func envOn(name string) bool {
 }
 
 // DefaultOverlap reports whether the SASGD_OVERLAP environment variable
-// requests backward-overlapped aggregation by default. Mirrors
-// comm.DefaultChunk's SASGD_COMM_CHUNK pattern so the experiment drivers
-// pick the knob up without plumbing.
+// requests backward-overlapped aggregation by default, so the experiment
+// drivers pick the knob up without plumbing.
 func DefaultOverlap() bool { return envOn("SASGD_OVERLAP") }
 
 // DefaultFastKernels reports whether the SASGD_FAST_KERNELS environment
@@ -122,16 +121,13 @@ const (
 // with.
 type AllreduceAlgo string
 
-// The implemented allreduce algorithms. The default stays "tree" so
-// default-config results are bit-stable across releases; "ptree" is
-// bitwise identical to "tree" (same summation order, chunked wire
-// schedule), while "rhd" reassociates the sum and is value-equal within
-// floating-point tolerance only.
+// The implemented allreduce algorithms: one binomial tree at two chunk
+// sizes. "ptree" is bitwise identical to "tree" (same summation order,
+// chunked wire schedule); what it changes is the simulated and real
+// pipelining of the transfer.
 const (
-	AllreduceTree  AllreduceAlgo = "tree"  // binomial tree (paper's O(m log p))
-	AllreduceRing  AllreduceAlgo = "ring"  // bandwidth-optimal ring (ablation)
-	AllreducePTree AllreduceAlgo = "ptree" // chunked, pipelined binomial tree
-	AllreduceRHD   AllreduceAlgo = "rhd"   // recursive halving/doubling (Rabenseifner); power-of-two p, tree fallback
+	AllreduceTree  AllreduceAlgo = "tree"  // binomial tree, one message per hop (paper's O(m log p))
+	AllreducePTree AllreduceAlgo = "ptree" // the same tree, chunked and pipelined (CommChunk)
 )
 
 // Gradient-compression codec names for Config.Compress.
@@ -178,8 +174,8 @@ type Config struct {
 	Allreduce AllreduceAlgo
 
 	// CommChunk is the pipelined collective's chunk size in float64
-	// words (AllreducePTree only). Zero selects the comm package default
-	// (the SASGD_COMM_CHUNK environment variable, else 8192).
+	// words (AllreducePTree only). Zero selects comm.DefaultChunkWords
+	// (8192).
 	CommChunk int
 
 	// OverlapComm asks for bucketed, backward-overlapped aggregation: on
@@ -189,16 +185,14 @@ type Config struct {
 	// finalized its layers' gradients, overlapping communication with the
 	// remainder of backprop. It is a hint about the launch schedule, never
 	// about values: results are bitwise identical with it on or off for
-	// the tree family ("tree"/"ptree"; "rhd" reassociates per bucket and is
-	// value-equal as always) and for every compression codec (per-bucket
+	// both dense collectives and for every compression codec (per-bucket
 	// codec collectives are independent and deterministic). It composes
 	// with either T-schedule. The hint cannot apply — and the boundary runs
 	// its serial schedule — where the launch would be wrong rather than
 	// merely early: under HierGroups or DelayedApply (what goes on the
-	// wire is not this batch's gs), under a fault plan, checkpoint or
+	// wire is not this batch's gs) and under a fault plan, checkpoint or
 	// resume (the launch would precede the boundary's membership sync and
-	// alias its learner collectives), and for the dense ring (the bucketed
-	// worker has no ring). The SASGD_OVERLAP environment variable
+	// alias its learner collectives). The SASGD_OVERLAP environment variable
 	// ("1"/"true") turns it on by default for every run, which is how the
 	// experiment drivers pick it up.
 	OverlapComm bool
@@ -277,11 +271,9 @@ type Config struct {
 	// k+1); a run with a single boundary, and the first aggregate of any
 	// run, are bitwise identical to eager application. Under a
 	// hierarchical schedule only the outer (cross-island) exchange is
-	// delayed — the intra-island allreduce is cheap and stays eager.
-	// Requires a tree-family or compressed collective (ring has no
-	// bucketed form; Validate rejects the pair rather than silently
-	// un-delaying). The SASGD_DELAYED environment variable ("1"/"true")
-	// supplies the default.
+	// delayed — the intra-island allreduce is cheap and stays eager. The
+	// SASGD_DELAYED environment variable ("1"/"true") supplies the
+	// default.
 	DelayedApply bool
 
 	// VirtualTime serializes the asynchronous algorithms' learner steps
@@ -434,6 +426,8 @@ var configRules = []struct {
 			}
 			return true
 		}},
+	{"unknown collective (want tree or ptree)",
+		func(c *Config) bool { return c.Allreduce != AllreduceTree && c.Allreduce != AllreducePTree }},
 	{"unknown compression codec (want topk, qint8 or none)",
 		func(c *Config) bool { return c.Compress != "" && c.Compress != CodecTopK && c.Compress != CodecQInt8 }},
 	{"CompressK must not be negative",
@@ -465,10 +459,6 @@ var configRules = []struct {
 		func(c *Config) bool {
 			return (c.TSched == TSchedAdaptive || c.HierGroups >= 2 || c.DelayedApply) && c.Algo != AlgoSASGD
 		}},
-	// Delay changes the algorithm, so it must never be silently dropped
-	// the way the overlap hint falls back for ring.
-	{"DelayedApply needs a bucketed collective (tree, ptree, rhd or a codec); ring has none",
-		func(c *Config) bool { return c.DelayedApply && c.Compress == "" && c.Allreduce == AllreduceRing }},
 	// A boundary checkpoint relies on the replica == reference, gs == 0
 	// invariant, which a pending delayed aggregate or a mid-outer-round
 	// island reference breaks.

@@ -59,12 +59,12 @@ const (
 )
 
 // drawConfig draws one configuration. Fields are independent, so some
-// draws land on compositions the config layer rejects (delayed × ring,
-// checkpoint × hierarchy, …) — those are the rejections the harness
+// draws land on compositions the config layer rejects (checkpoint ×
+// hierarchy, faults × codec × delay, …) — those are the rejections the harness
 // wants named — and a few carry a junk mutation no run could accept.
 func drawConfig(rng *rand.Rand) genDraw {
 	d := genDraw{p: 1 + rng.Intn(5), interval: 1 + rng.Intn(4)}
-	d.allreduce = []AllreduceAlgo{"", AllreduceTree, AllreducePTree, AllreduceRHD, AllreduceRing}[rng.Intn(5)]
+	d.allreduce = []AllreduceAlgo{"", AllreduceTree, AllreducePTree}[rng.Intn(3)]
 	switch rng.Intn(8) {
 	case 0, 1:
 		d.codec, d.k, d.adapt = CodecTopK, []float64{0.1, 0.3}[rng.Intn(2)], rng.Intn(2) == 0
@@ -97,7 +97,7 @@ func drawConfig(rng *rand.Rand) genDraw {
 	d.tracer = rng.Intn(4) == 0
 	d.metrics = rng.Intn(4) == 0
 	if rng.Intn(12) == 0 {
-		d.junk = []string{"gamma", "codec", "tsched", "negk", "localranks", "algo"}[rng.Intn(6)]
+		d.junk = []string{"gamma", "collective", "codec", "tsched", "negk", "localranks", "algo"}[rng.Intn(7)]
 	}
 	return d
 }
@@ -154,6 +154,8 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 	switch d.junk {
 	case "gamma":
 		cfg.Gamma = 0
+	case "collective":
+		cfg.Allreduce = "ring"
 	case "codec":
 		cfg.Compress = "zstd"
 	case "tsched":
@@ -256,25 +258,16 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 	mustBitwise(t, fmt.Sprintf("tracer on vs off %+v", d), a, d.run(t, genFlipTracer, prob), 0)
 	mustBitwise(t, fmt.Sprintf("metrics on vs off %+v", d), a, d.run(t, genFlipMetrics, prob), 0)
 
-	// rhd reassociates inside each bucket, so its overlapped run is
-	// value-equal within rounding — which an adaptive schedule may then
-	// amplify into a different T trajectory.
-	dense := d.codec == "" || d.k >= 1
-	switch {
-	case d.allreduce != AllreduceRHD || !dense:
-		mustBitwise(t, fmt.Sprintf("overlap on vs off %+v", d), a, d.run(t, genFlipOverlap, prob), 0)
-	case d.tsched != TSchedAdaptive:
-		mustBitwise(t, fmt.Sprintf("overlap on vs off %+v", d), a, d.run(t, genFlipOverlap, prob), 1e-12)
-	}
+	mustBitwise(t, fmt.Sprintf("overlap on vs off %+v", d), a, d.run(t, genFlipOverlap, prob), 0)
 
 	// Closed form (TestSASGDWordsMovedMatchesCollectiveCount): a dense
 	// binomial-tree run moves (p−1)·m words for the initial broadcast and
 	// 2(p−1)·m per aggregation; the chunked tree moves the same words in
 	// more messages. Frames, drift statistics, hierarchy and membership
 	// changes add or remove traffic, so the form applies without them.
-	tree := d.allreduce == "" || d.allreduce == AllreduceTree || d.allreduce == AllreducePTree
+	dense := d.codec == "" || d.k >= 1
 	crashes := strings.Contains(d.faults, "crash")
-	if tree && dense && d.tsched != TSchedAdaptive && d.hierGroups < 2 && !d.metrics && !crashes && exactTraffic {
+	if dense && d.tsched != TSchedAdaptive && d.hierGroups < 2 && !d.metrics && !crashes && exactTraffic {
 		m := len(a.FinalParams)
 		steps := genEpochs * batchesPerEpoch(prob.Train.Partition(d.p), genBatch)
 		want := int64((d.p - 1) * m * (2*(steps/d.interval) + 1))
@@ -407,9 +400,8 @@ func checkCollapse(t *testing.T, d genDraw, prob *Problem) {
 	mustBitwise(t, fmt.Sprintf("static vs plain %+v", shape), plain, sr, 0)
 	mustSameTraffic(t, fmt.Sprintf("static vs plain %+v", shape), plain, sr)
 
-	// The hierarchy lowers every collective to the tree order, so the
-	// singleton-island pin holds for the dense tree family only.
-	if dense && d.allreduce != AllreduceRHD && d.allreduce != AllreduceRing {
+	// The singleton-island pin is stated for dense runs.
+	if dense {
 		hier := shape
 		hier.hierGroups, hier.tOuter = d.p, 1
 		hr := hier.run(t, genBase, prob)
@@ -419,19 +411,12 @@ func checkCollapse(t *testing.T, d genDraw, prob *Problem) {
 		}
 	}
 
-	if d.allreduce != AllreduceRing {
-		one := shape
-		one.interval = genEpochs * batchesPerEpoch(prob.Train.Partition(d.p), genBatch)
-		one.tsched = TSchedStatic
-		eager := one.run(t, genBase, prob)
-		one.delayed = true
-		// rhd's delayed launch reassociates per bucket like its overlap.
-		tol := 0.0
-		if d.allreduce == AllreduceRHD && dense {
-			tol = 1e-12
-		}
-		mustBitwise(t, fmt.Sprintf("single-boundary delayed vs eager %+v", one), eager, one.run(t, genBase, prob), tol)
-	}
+	one := shape
+	one.interval = genEpochs * batchesPerEpoch(prob.Train.Partition(d.p), genBatch)
+	one.tsched = TSchedStatic
+	eager := one.run(t, genBase, prob)
+	one.delayed = true
+	mustBitwise(t, fmt.Sprintf("single-boundary delayed vs eager %+v", one), eager, one.run(t, genBase, prob), 0)
 
 	empty := shape
 	empty.faults = "empty"
@@ -504,6 +489,7 @@ func TestValidateRules(t *testing.T) {
 	broken := []func(*Config){
 		func(c *Config) { c.Gamma = 0 },
 		func(c *Config) { c.Algo = "adam" },
+		func(c *Config) { c.Allreduce = "ring" },
 		func(c *Config) { c.Compress = "zstd" },
 		func(c *Config) { c.Compress, c.CompressK = CodecTopK, -1 },
 		func(c *Config) { c.TSched = "decay" },
@@ -514,7 +500,6 @@ func TestValidateRules(t *testing.T) {
 		func(c *Config) { c.Transport, c.LocalRanks, c.Faults = tr, []int{0}, &comm.FaultPlan{} },
 		func(c *Config) { c.Transport, c.LocalRanks = tr, []int{1, 0} },
 		func(c *Config) { c.Algo, c.DelayedApply = AlgoDownpour, true },
-		func(c *Config) { c.DelayedApply, c.Allreduce = true, AllreduceRing },
 		func(c *Config) { c.ResumeFrom, c.HierGroups = "x.ckpt", 2 },
 		func(c *Config) { c.Faults, c.Compress, c.DelayedApply = &comm.FaultPlan{}, CodecQInt8, true },
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -46,21 +45,14 @@ func nlcfProblem(nTrain, nTest int) *Problem {
 
 // TestOverlapBitwiseEquivalenceSweep is the tentpole acceptance sweep:
 // backward-overlapped bucketed aggregation must be *bitwise* identical to
-// the serial path for the tree family (tree and ptree — fixed bucket
-// boundaries plus the tree's segmentation-independent per-element
-// summation order) at every learner count and bucket count, on both model
-// families. rhd reassociates within buckets, so overlap matches serial
-// within reassociation tolerance instead.
+// the serial path for both dense collectives (fixed bucket boundaries
+// plus the tree's segmentation-independent per-element summation order)
+// at every learner count and bucket count, on both model families.
 func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 	for _, prob := range []*Problem{cifarProblem(24, 12), nlcfProblem(24, 12)} {
-		for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree, AllreduceRHD} {
-			// The hint composes with either T-schedule. An adaptive schedule
-			// can amplify rhd's rounding-level difference into another T
-			// trajectory, so that pair has no tolerance to pin.
+		for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree} {
+			// The hint composes with either T-schedule.
 			for _, tsched := range []string{"", TSchedStatic, TSchedAdaptive} {
-				if alg == AllreduceRHD && tsched == TSchedAdaptive {
-					continue
-				}
 				for _, p := range []int{1, 2, 3, 5, 8} {
 					base := Config{
 						Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
@@ -78,13 +70,7 @@ func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 							t.Fatalf("%s/%s p=%d: param count mismatch", prob.Name, alg, p)
 						}
 						for i := range serial.FinalParams {
-							s, o := serial.FinalParams[i], ov.FinalParams[i]
-							if alg == AllreduceRHD {
-								if math.Abs(s-o) > 1e-12 {
-									t.Fatalf("%s/%s p=%d buckets=%d: overlap diverges at %d: %g vs %g",
-										prob.Name, alg, p, buckets, i, s, o)
-								}
-							} else if s != o {
+							if s, o := serial.FinalParams[i], ov.FinalParams[i]; s != o {
 								t.Fatalf("%s/%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
 									prob.Name, alg, p, buckets, i, s, o)
 							}
@@ -126,27 +112,20 @@ func TestOverlapKeepsDriftStatistic(t *testing.T) {
 	}
 }
 
-// TestOverlapUnsupportedAndLegacyConfigsMatchSerial: the dense ring is
-// the one algorithm the bucketed worker does not implement — with
-// OverlapComm set it must silently take the serial schedule and produce
-// its exact result. A top-k run goes through the bucketed worker both
-// ways, so it too must be bitwise stable under the flag.
+// TestOverlapUnsupportedAndLegacyConfigsMatchSerial: a top-k run goes
+// through the bucketed worker with the hint on or off, so it must be
+// bitwise stable under the flag.
 func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 	prob := cifarProblem(24, 12)
-	for _, variant := range []func(*Config){
-		func(c *Config) { c.Allreduce = AllreduceRing },
-		func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.2 },
-	} {
-		base := Config{Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 4}
-		variant(&base)
-		serial := Train(base, prob)
-		cfg := base
-		cfg.OverlapComm = true
-		ov := Train(cfg, prob)
-		for i := range serial.FinalParams {
-			if serial.FinalParams[i] != ov.FinalParams[i] {
-				t.Fatalf("fallback config diverged at %d", i)
-			}
+	base := Config{Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 4,
+		Compress: CodecTopK, CompressK: 0.2}
+	serial := Train(base, prob)
+	cfg := base
+	cfg.OverlapComm = true
+	ov := Train(cfg, prob)
+	for i := range serial.FinalParams {
+		if serial.FinalParams[i] != ov.FinalParams[i] {
+			t.Fatalf("top-k run diverged under the overlap hint at %d", i)
 		}
 	}
 }
@@ -157,7 +136,7 @@ func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 // uncompressed run bit for bit.
 func TestCompressKFullMatchesDense(t *testing.T) {
 	prob := cifarProblem(24, 12)
-	for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree, AllreduceRHD} {
+	for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree} {
 		base := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 5, Allreduce: alg}
 		dense := Train(base, prob)
 		full := base

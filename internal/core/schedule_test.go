@@ -20,7 +20,6 @@ func TestStaticSchedBitwiseLegacy(t *testing.T) {
 	}{
 		{"dense", func(c *Config) {}},
 		{"ptree", func(c *Config) { c.Allreduce = AllreducePTree; c.CommChunk = 16 }},
-		{"rhd", func(c *Config) { c.Allreduce = AllreduceRHD }},
 		{"topk", func(c *Config) { c.Compress = CodecTopK; c.CompressK = 0.1 }},
 		{"qint8", func(c *Config) { c.Compress = CodecQInt8 }},
 		{"adaptk", func(c *Config) { c.Compress = CodecTopK; c.CompressK = 0.1; c.CompressAdapt = true }},

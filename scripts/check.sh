@@ -14,6 +14,22 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# internal/comm holds the binomial tree once, as data (tree.go): a walk
+# that computes its own peers, or a collective that reads the
+# environment, is a second copy of a decision that has one home.
+echo "==> internal/comm: peer arithmetic only in tree.go, no os.Getenv"
+comm_src="$(find internal/comm -name '*.go' ! -name '*_test.go')"
+# shellcheck disable=SC2086
+if grep -n '%(2\*step)' $comm_src | grep -v '^internal/comm/tree\.go:'; then
+    echo "FAIL: the binomial walk is spelled out outside internal/comm/tree.go"
+    exit 1
+fi
+# shellcheck disable=SC2086
+if grep -n 'os\.Getenv' $comm_src; then
+    echo "FAIL: internal/comm reads the environment"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -77,9 +93,12 @@ run_tests -race -count=2 -run 'GoldenPins' ./internal/core/
 
 # The pipelined collectives' concurrency bugs are schedule-dependent, so
 # give the race detector extra rounds over the stress/equivalence tests
-# specifically (cheap: the comm package has no heavy kernels).
-echo "==> go test -race -count=2 comm stress/equivalence"
-run_tests -race -count=2 -run 'Stress|Equivalent|Pipelines' ./internal/comm/
+# specifically (cheap: the comm package has no heavy kernels), together
+# with the two tests that hold the one schedule: the table against the
+# index arithmetic it replaced, and flat group ≡ one-island hierarchy ≡
+# scattered island (bitwise, same words and messages).
+echo "==> go test -race -count=2 comm schedule + stress/equivalence"
+run_tests -race -count=2 -run 'BinomialSchedule|HierSingleIslandBitwiseTree|Stress|Equivalent|Pipelines' ./internal/comm/
 
 # Same treatment for the backward-overlapped bucketed aggregation: the
 # async handle lifecycle and the learner/comm-worker handoff are the
