@@ -24,9 +24,10 @@ import (
 // in it notices a change that moves every run the same way. This table
 // pins the outputs themselves — final parameters, accuracy curve,
 // words and messages on the wire — as constants, for a handful of tiny
-// configurations that between them cross every boundary policy and
-// every kernel tier the M=1 step takes. A change that claims to be
-// bitwise invisible proves it by leaving this file untouched.
+// configurations that between them cross every boundary policy, every
+// kernel tier the M=1 step takes and both branches of the conv layer's
+// backward pass. A change that claims to be bitwise invisible proves it
+// by leaving this file untouched.
 
 // putBits folds one 64-bit pattern into h. Parameters and curve values go
 // in as float64 bit patterns, so ±0 and NaN payloads count.
@@ -70,9 +71,26 @@ func skinnyProblem() *Problem {
 	}
 }
 
+// convProblem is a CIFAR-shaped net (two conv + ReLU + 2×2 pool stages
+// with dropout, then a linear classifier) on 10×10×3 images: the only
+// problem here that runs Conv2D and MaxPool2D. Odd channel counts make
+// the weight-gradient row shards uneven, and the two stages lower to
+// GEMMs of different aspect (p = 64 pixels × kr = 27, p = 9 × kr = 20).
+func convProblem() *Problem {
+	cfg := model.CIFARConfig{ImageSize: 10, InC: 3, Channels: []int{5, 7}, Kernels: []int{3, 2}, Dropout: 0.1, Classes: 4}
+	train, test := data.GenImages(data.ImageConfig{TrainN: 24, TestN: 16, Size: 10, Channels: 3, Classes: 4, Noise: 1.0, Seed: 5})
+	return &Problem{
+		Name:  "conv",
+		Model: func(s int64) *nn.Network { return model.NewCIFARNet(rand.New(rand.NewSource(s)), cfg) },
+		Train: train,
+		Test:  test,
+	}
+}
+
 type goldenCase struct {
 	name   string
 	skinny bool // skinnyProblem instead of tinyProblem(40, 24, 5)
+	conv   bool // convProblem instead
 	// cfg builds the run's Config; dir is a per-case temp directory.
 	cfg func(t *testing.T, dir string, prob *Problem) Config
 
@@ -167,6 +185,30 @@ var goldenCases = []goldenCase{
 	{name: "skinny_M3_topk_T2", skinny: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) {
 		c.Batch, c.Epochs, c.Compress, c.CompressK = 3, 2, CodecTopK, 0.1
 	})), params: 0x49699c0abcfd37a0, curve: 0x1519589ea1c5ca13, words: 56949, msgs: 33},
+	// The conv net. Conv2D.Backward branches on batch < kernel workers
+	// (samples in order, row-parallel kernels) versus batch ≥ workers
+	// (samples sharded over the pool); its weight-gradient reduction is
+	// sharded over output channels either way.
+	{name: "conv_M4_W1_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Epochs, c.Workers = 2, 1 })),
+		params: 0x4769216efb9d1fb2, curve: 0x494bef65edf8b8d8, words: 4147, msgs: 13},
+	// Same run on two kernel workers: same bits.
+	{name: "conv_M4_W2_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Epochs, c.Workers = 2, 2 })),
+		params: 0x4769216efb9d1fb2, curve: 0x494bef65edf8b8d8, words: 4147, msgs: 13},
+	{name: "conv_M4_W2_T3", conv: true, cfg: plain(with(goldenBase(2, 3), func(c *Config) { c.Epochs, c.Workers = 2, 2 })),
+		params: 0x7fb86d7f7381b240, curve: 0x41ee1f086682585f, words: 1595, msgs: 5},
+	{name: "conv_M1_W2_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Batch, c.Epochs, c.Workers = 1, 2, 2 })),
+		params: 0x7388e3c575293fdf, curve: 0x2dc5493c9ca84c1d, words: 7975, msgs: 25},
+	// Overlap: the per-layer hook must fire for layer 0 (the first conv)
+	// once its gradients are final.
+	{name: "conv_overlap_W2_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Epochs, c.Workers, c.OverlapComm = 2, 2, true })),
+		params: 0x52f1a1a15b2b0a98, curve: 0xd9cd6268eed1e207, words: 2233, msgs: 19},
+	{name: "conv_overlap_M1_W2_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Batch, c.Epochs, c.Workers, c.OverlapComm = 1, 1, 2, true })),
+		params: 0xfe020a35d358f49b, curve: 0x8e2128158145988b, words: 7975, msgs: 73},
+	// FastKernels: every weight-gradient element is a four-accumulator dot.
+	{name: "conv_fast_M4_W2_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Epochs, c.Workers, c.FastKernels = 2, 2, true })),
+		params: 0x4cb6bbb0c08ab185, curve: 0xb927ed21a38b11cf, words: 4147, msgs: 13},
+	{name: "conv_fast_M1_W1_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Batch, c.Epochs, c.Workers, c.FastKernels = 1, 1, 1, true })),
+		params: 0x43f35173775b00f9, curve: 0x4e1d13fc3d505edb, words: 4147, msgs: 13},
 }
 
 // TestGoldenPins runs every case and compares against the constants
@@ -179,6 +221,9 @@ func TestGoldenPins(t *testing.T) {
 		prob := tinyProblem(40, 24, 5)
 		if gc.skinny {
 			prob = skinnyProblem()
+		}
+		if gc.conv {
+			prob = convProblem()
 		}
 		res := Train(gc.cfg(t, t.TempDir(), prob), prob)
 		got := goldenCase{params: goldenParams(res.FinalParams), curve: goldenCurve(res),
