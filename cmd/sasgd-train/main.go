@@ -63,7 +63,7 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every Nth aggregation boundary (with -ckpt)")
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
 	resumeRanks := flag.String("resume-ranks", "", "comma-separated original ranks the resumed learners play, e.g. 0,1,3 after rank 2 died (default: all of them)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/obs live snapshots on this address during the run (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/obs live snapshots and /debug/pprof/ profiles on this address during the run (e.g. localhost:6060)")
 	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, straggler detection, and an end-of-run fleet health summary (SASGD only; default also via SASGD_METRICS=1)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text on /debug/metrics and the JSON snapshot on /debug/obs at this address during the run (implies -metrics; same mux as -debug-addr)")
 	metricsEvents := flag.String("metrics-events", "", "append boundary/T-change/membership/fault/anomaly events to this NDJSON file during the run (implies -metrics)")

@@ -29,7 +29,9 @@ type Conv2D struct {
 	Geom      tensor.ConvGeom
 	w, b      *Param
 
-	// retained between Forward and Backward
+	firstMark // a network's layer 0: Backward skips the input gradient
+
+	// retained between a training Forward and Backward
 	x *tensor.Tensor
 	// cols holds one im2col column matrix (kr × OH·OW, flattened) per
 	// sample, recomputed by Backward for the weight-gradient reduction
@@ -134,21 +136,24 @@ func sampleGrain(flopsPerSample int) int {
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.forward(x, tensor.ActNone)
+	return c.forward(x, train, tensor.ActNone)
 }
 
 // ForwardFused implements fusable: Forward with the following activation
 // layer folded into the GEMM epilogue. Bitwise identical to Forward
 // followed by the activation.
 func (c *Conv2D) ForwardFused(x *tensor.Tensor, train bool, act tensor.EpilogueAct) *tensor.Tensor {
-	return c.forward(x, act)
+	return c.forward(x, train, act)
 }
 
 // forward runs the fused im2col-GEMM convolution: the fused kernels pack
 // B panels straight out of the input image, so the column matrices are
 // never materialized on the forward path (Backward recomputes the ones
-// it needs). Bias and activation ride along in the GEMM epilogue.
-func (c *Conv2D) forward(x *tensor.Tensor, act tensor.EpilogueAct) *tensor.Tensor {
+// it needs). Bias and activation ride along in the GEMM epilogue. The
+// input is retained for Backward on training passes only: an inference
+// pass must neither pin its batch in memory nor stand in for the
+// Forward that Backward requires.
+func (c *Conv2D) forward(x *tensor.Tensor, train bool, act tensor.EpilogueAct) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s forward input shape %v", c.Name(), x.Shape()))
 	}
@@ -157,7 +162,9 @@ func (c *Conv2D) forward(x *tensor.Tensor, act tensor.EpilogueAct) *tensor.Tenso
 	kr := c.InC * c.Geom.KH * c.Geom.KW
 	p := oh * ow
 	out := tensor.New(n, c.OutC, oh, ow)
-	c.x = x
+	if train {
+		c.x = x
+	}
 	wm := c.w.Value.Data
 	bias := c.b.Value.Data
 	perSample := c.InC * h * w
@@ -201,42 +208,47 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	perSample := c.InC * h * w
 	outPer := c.OutC * p
 
-	wm := c.w.Value.Data
 	dw := c.w.Grad.Data
 	db := c.b.Grad.Data
 	c.w.Grad.Zero()
 	c.b.Grad.Zero()
-	gradIn := tensor.New(n, c.InC, h, w)
 	c.ensureCols(n, kr*p)
-
-	// Input gradients: per-sample dcols = Wᵀ·gout scattered back through
-	// col2im. Samples are independent, so shard the batch; each shard
-	// reuses one pooled column-gradient buffer for all its samples. The
-	// same pass recomputes each sample's im2col column matrix (the fused
-	// forward never materializes it) for the weight-gradient reduction
-	// below.
-	if n < parallel.Workers() {
-		wmat := c.w.Value.Reshape(c.OutC, kr)
-		cg := getColBuf(kr * p)
-		colGrad := tensor.FromSlice(cg, kr, p)
-		for i := 0; i < n; i++ {
+	// Recompute each sample's im2col column matrix (the fused forward
+	// never materializes it) for the weight-gradient reduction below.
+	parallel.For(n, sampleGrain(kr*p), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			tensor.Im2ColInto(c.cols[i], x.Data[i*perSample:(i+1)*perSample], c.InC, h, w, c.Geom)
-			gout := tensor.FromSlice(gradOut.Data[i*outPer:(i+1)*outPer], c.OutC, p)
-			tensor.MatMulTransA(colGrad, wmat, gout)
-			gin := tensor.FromSlice(gradIn.Data[i*perSample:(i+1)*perSample], c.InC, h, w)
-			tensor.Col2Im(gin, colGrad, c.Geom)
 		}
-		putColBuf(cg)
-	} else {
-		parallel.For(n, sampleGrain(c.OutC*p*kr), func(lo, hi int) {
+	})
+
+	// Input gradients, unless this is a first layer and nothing reads
+	// them: per-sample dcols = Wᵀ·gout scattered back through col2im.
+	// Samples are independent, so shard the batch; each shard reuses one
+	// pooled column-gradient buffer for all its samples.
+	var gradIn *tensor.Tensor
+	if !c.first {
+		gradIn = tensor.New(n, c.InC, h, w)
+		if n < parallel.Workers() {
+			wmat := c.w.Value.Reshape(c.OutC, kr)
 			cg := getColBuf(kr * p)
-			for i := lo; i < hi; i++ {
-				tensor.Im2ColInto(c.cols[i], x.Data[i*perSample:(i+1)*perSample], c.InC, h, w, c.Geom)
-				tensor.MatMulTransAInto(cg, wm, gradOut.Data[i*outPer:(i+1)*outPer], c.OutC, kr, p)
-				tensor.Col2ImInto(gradIn.Data[i*perSample:(i+1)*perSample], cg, c.InC, h, w, c.Geom)
+			colGrad := tensor.FromSlice(cg, kr, p)
+			for i := 0; i < n; i++ {
+				gout := tensor.FromSlice(gradOut.Data[i*outPer:(i+1)*outPer], c.OutC, p)
+				tensor.MatMulTransA(colGrad, wmat, gout)
+				gin := tensor.FromSlice(gradIn.Data[i*perSample:(i+1)*perSample], c.InC, h, w)
+				tensor.Col2Im(gin, colGrad, c.Geom)
 			}
 			putColBuf(cg)
-		})
+		} else {
+			parallel.For(n, sampleGrain(c.OutC*p*kr), func(lo, hi int) {
+				cg := getColBuf(kr * p)
+				for i := lo; i < hi; i++ {
+					tensor.MatMulTransAInto(cg, c.w.Value.Data, gradOut.Data[i*outPer:(i+1)*outPer], c.OutC, kr, p)
+					tensor.Col2ImInto(gradIn.Data[i*perSample:(i+1)*perSample], cg, c.InC, h, w, c.Geom)
+				}
+				putColBuf(cg)
+			})
+		}
 	}
 
 	// Weight and bias gradients: dW += gout·colsᵀ and db += row sums,
@@ -247,19 +259,14 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	parallel.For(c.OutC, sampleGrain(n*kr*p), func(lo, hi int) {
 		for i := 0; i < n; i++ {
 			gout := gradOut.Data[i*outPer : (i+1)*outPer]
-			cols := c.cols[i]
 			for r := lo; r < hi; r++ {
-				gr := gout[r*p : (r+1)*p]
 				s := 0.0
-				for _, g := range gr {
+				for _, g := range gout[r*p : (r+1)*p] {
 					s += g
 				}
 				db[r] += s
-				dwr := dw[r*kr : (r+1)*kr]
-				for ci := 0; ci < kr; ci++ {
-					dwr[ci] += tensor.Dot(gr, cols[ci*p:(ci+1)*p])
-				}
 			}
+			tensor.MatMulAccTransBRows(dw, gout, c.cols[i], p, kr, lo, hi)
 		}
 	})
 	c.x = nil

@@ -1,0 +1,211 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"sasgd/internal/parallel"
+	"sasgd/internal/tensor"
+)
+
+// refDot is the per-weight reduction Conv2D.Backward used to call
+// (tensor.Dot): one ascending add chain, or four interleaved partial
+// sums under FastKernels.
+func refDot(a, b []float64, fast bool) float64 {
+	if !fast {
+		s := 0.0
+		for i, v := range a {
+			s += v * b[i]
+		}
+		return s
+	}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 += a[i] * b[i]
+		s1 += a[i+1] * b[i+1]
+		s2 += a[i+2] * b[i+2]
+		s3 += a[i+3] * b[i+3]
+	}
+	for ; i < len(a); i++ {
+		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// refConv2DBackward is the reference the differential test holds
+// Conv2D.Backward to: the loops it ran before its weight gradient moved
+// onto the interleaved-chain kernel, serial and in index order — per
+// sample im2col, dcols = Wᵀ·gout through col2im, then per output channel
+// the bias row sum and one dot product per weight.
+func refConv2DBackward(c *Conv2D, x, gradOut *tensor.Tensor, fast bool) (dw, db, gradIn []float64) {
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	oh, ow := c.Geom.OutSize(h, w)
+	kr := c.InC * c.Geom.KH * c.Geom.KW
+	p := oh * ow
+	perSample := c.InC * h * w
+	outPer := c.OutC * p
+	dw = make([]float64, c.OutC*kr)
+	db = make([]float64, c.OutC)
+	gradIn = make([]float64, n*perSample)
+	cols := make([]float64, kr*p)
+	cg := make([]float64, kr*p)
+	for i := 0; i < n; i++ {
+		gout := gradOut.Data[i*outPer : (i+1)*outPer]
+		tensor.Im2ColInto(cols, x.Data[i*perSample:(i+1)*perSample], c.InC, h, w, c.Geom)
+		tensor.MatMulTransAInto(cg, c.w.Value.Data, gout, c.OutC, kr, p)
+		tensor.Col2ImInto(gradIn[i*perSample:(i+1)*perSample], cg, c.InC, h, w, c.Geom)
+		for r := 0; r < c.OutC; r++ {
+			gr := gout[r*p : (r+1)*p]
+			s := 0.0
+			for _, g := range gr {
+				s += g
+			}
+			db[r] += s
+			for ci := 0; ci < kr; ci++ {
+				dw[r*kr+ci] += refDot(gr, cols[ci*p:(ci+1)*p], fast)
+			}
+		}
+	}
+	return dw, db, gradIn
+}
+
+// fillAwkward fills t with standard normals, every seventh element
+// replaced by one of ±0 and positive/negative denormals, so that sign of
+// zero and gradual underflow take part in every reduction.
+func fillAwkward(t *tensor.Tensor, rng *rand.Rand) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -3e-310, 2e-308}
+	t.FillRandn(rng, 0, 1)
+	for i := rng.Intn(7); i < len(t.Data); i += 7 {
+		t.Data[i] = special[rng.Intn(len(special))]
+	}
+}
+
+func sameBits(t *testing.T, label, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %s has %d elements, want %d", label, name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: %s[%d] = %x (%g), reference %x (%g)", label, name, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestConv2DBackwardDifferential holds Conv2D.Backward bitwise to the
+// reference loops over the GEMM shapes the weight gradient lowers to —
+// p output pixels (the dot length) × kr patch elements (the kernel's
+// column count: below 8 is its single-chain tail, 12 and 27 end in a
+// partial block of eight) — at odd channel counts (uneven row shards),
+// batches on both sides of the worker count, 1–4 workers and both
+// FastKernels settings.
+func TestConv2DBackwardDifferential(t *testing.T) {
+	outSides := []int{1, 2, 5, 14}                                              // p = 1, 4, 25, 196
+	patches := []struct{ inC, k int }{{1, 2}, {3, 2}, {3, 3}, {32, 2}, {16, 3}} // kr = 4, 12, 27, 128, 144
+	for _, fast := range []bool{false, true} {
+		prev := tensor.SetFastKernels(fast)
+		for _, side := range outSides {
+			for _, pt := range patches {
+				for workers := 1; workers <= 4; workers++ {
+					for _, batch := range []int{1, 5} {
+						outC := 3 + 2*(workers%2) // 5 or 3
+						label := fmt.Sprintf("fast=%v p=%d kr=%d outC=%d workers=%d batch=%d",
+							fast, side*side, pt.inC*pt.k*pt.k, outC, workers, batch)
+						rng := rand.New(rand.NewSource(int64(side*1000 + pt.inC*10 + pt.k)))
+						c := NewConv2D(rng, pt.inC, outC, pt.k, pt.k)
+						x := tensor.New(batch, pt.inC, side+pt.k-1, side+pt.k-1)
+						g := tensor.New(batch, outC, side, side)
+						fillAwkward(x, rng)
+						fillAwkward(g, rng)
+						wantDw, wantDb, wantIn := refConv2DBackward(c, x, g, fast)
+
+						restore := parallel.SetWorkers(workers)
+						c.Forward(x, true)
+						gradIn := c.Backward(g)
+						parallel.SetWorkers(restore)
+
+						sameBits(t, label, "dW", c.w.Grad.Data, wantDw)
+						sameBits(t, label, "db", c.b.Grad.Data, wantDb)
+						sameBits(t, label, "gradIn", gradIn.Data, wantIn)
+					}
+				}
+			}
+		}
+		tensor.SetFastKernels(prev)
+	}
+}
+
+// TestFirstLayerSkipsInputGradient checks the three GEMM layers in both
+// positions: as a network's layer 0 Backward returns nil and leaves the
+// parameter gradients bitwise those of an unmarked twin; deeper in the
+// stack the input gradient is still returned, bitwise the twin's.
+func TestFirstLayerSkipsInputGradient(t *testing.T) {
+	cases := []struct {
+		name    string
+		mk      func() Layer
+		inShape []int // per sample
+	}{
+		{"Conv2D", func() Layer { return NewConv2D(rand.New(rand.NewSource(3)), 2, 3, 3, 3) }, []int{2, 6, 6}},
+		{"TemporalConv", func() Layer { return NewTemporalConv(rand.New(rand.NewSource(4)), 5, 4, 2) }, []int{4, 5}},
+		{"Linear", func() Layer { return NewLinear(rand.New(rand.NewSource(5)), 7, 4) }, []int{7}},
+	}
+	for _, tc := range cases {
+		for _, batch := range []int{1, 3} {
+			rng := rand.New(rand.NewSource(11))
+			x := tensor.New(append([]int{batch}, tc.inShape...)...)
+			fillAwkward(x, rng)
+			run := func(l Layer) (gradIn *tensor.Tensor, grads [][]float64) {
+				g := tensor.New(l.Forward(x, true).Shape()...)
+				fillAwkward(g, rand.New(rand.NewSource(12)))
+				gradIn = l.Backward(g)
+				for _, p := range l.Params() {
+					grads = append(grads, append([]float64(nil), p.Grad.Data...))
+				}
+				return gradIn, grads
+			}
+			wantIn, wantGrads := run(tc.mk())
+
+			first, deeper := tc.mk(), tc.mk()
+			NewNetwork(tc.inShape, first, NewFlatten())
+			NewNetwork(tc.inShape, NewReLU(), deeper, NewFlatten())
+			for pos, l := range []Layer{first, deeper} {
+				label := fmt.Sprintf("%s batch=%d position %d", tc.name, batch, pos)
+				gradIn, grads := run(l)
+				for i := range wantGrads {
+					sameBits(t, label, l.Params()[i].Name, grads[i], wantGrads[i])
+				}
+				if pos == 0 {
+					if gradIn != nil {
+						t.Errorf("%s: first layer returned an input gradient of shape %v, want nil", label, gradIn.Shape())
+					}
+					continue
+				}
+				if gradIn == nil {
+					t.Fatalf("%s: input gradient is nil", label)
+				}
+				sameBits(t, label, "gradIn", gradIn.Data, wantIn.Data)
+			}
+		}
+	}
+}
+
+// TestConv2DInferenceForwardRetainsNothing: an inference pass must not
+// keep its batch reachable from the layer, nor arm Backward.
+func TestConv2DInferenceForwardRetainsNothing(t *testing.T) {
+	c := NewConv2D(rand.New(rand.NewSource(1)), 2, 3, 3, 3)
+	x := benchInput(2, 2, 5, 5)
+	g := benchInput(c.Forward(x, false).Shape()...)
+	if c.x != nil {
+		t.Error("Conv2D retains the input of an inference Forward")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Backward after an inference Forward did not panic")
+		}
+	}()
+	c.Backward(g)
+}

@@ -12,9 +12,10 @@ import (
 // b shape (out), matching Torch's nn.Linear layout that the paper's
 // networks were defined in.
 type Linear struct {
-	In, Out int
-	w, b    *Param
-	x       *tensor.Tensor
+	In, Out   int
+	w, b      *Param
+	firstMark // a network's layer 0: Backward skips the input gradient
+	x         *tensor.Tensor
 }
 
 // NewLinear returns a fully connected layer with fan-in-scaled uniform
@@ -92,9 +93,12 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			l.b.Grad.Data[j] += g
 		}
 	}
+	l.x = nil
+	if l.first {
+		return nil
+	}
 	// dx = gradOut (n×out) · W (out×in)
 	gradIn := tensor.New(n, l.In)
 	tensor.MatMul(gradIn, gradOut, l.w.Value)
-	l.x = nil
 	return gradIn
 }

@@ -48,6 +48,12 @@ func NewNetwork(inShape []int, layers ...Layer) *Network {
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 	}
+	// BackwardEach drops what layer 0 returns, so tell it not to compute it.
+	if len(layers) > 0 {
+		if f, ok := layers[0].(firstLayer); ok {
+			f.markFirst()
+		}
+	}
 	n.bind()
 	return n
 }

@@ -52,7 +52,8 @@ func newParam(name string, shape ...int) *Param {
 // accumulating dL/d(param) into the layer's Param.Grad tensors (layers
 // overwrite, not accumulate, their gradients: one backward pass per
 // forward pass). Layers may retain references to the tensors passed to
-// Forward until the matching Backward completes.
+// Forward until the matching Backward completes. A Network's first layer
+// may return nil from Backward: nothing reads dL/d(data) (see firstLayer).
 type Layer interface {
 	// Name returns a short human-readable identifier used in the
 	// architecture tables and error messages.
@@ -68,6 +69,23 @@ type Layer interface {
 	// input shape; used for architecture validation and FLOP counting.
 	OutShape(in []int) []int
 }
+
+// firstLayer is implemented by the GEMM layers (Conv2D, TemporalConv,
+// Linear), whose input gradient is a Wᵀ·gout product of its own — on the
+// CIFAR net's first conv, 41 % of the input-gradient work of the whole
+// backward pass. NewNetwork calls markFirst on its layer 0, after which
+// that layer's Backward skips the product and returns nil; parameter
+// gradients are unaffected. A layer used on its own, or deeper in a
+// stack, is never marked.
+type firstLayer interface {
+	markFirst()
+}
+
+// firstMark is firstLayer's implementation, embedded by those layers;
+// their Backward reads first.
+type firstMark struct{ first bool }
+
+func (m *firstMark) markFirst() { m.first = true }
 
 // fusable is implemented by layers (Conv2D, Linear) whose forward pass
 // can fold a directly-following activation layer into its GEMM epilogue,

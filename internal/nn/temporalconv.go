@@ -15,6 +15,7 @@ import (
 type TemporalConv struct {
 	InD, OutK, Window int
 	w, b              *Param
+	firstMark         // a network's layer 0: Backward skips the input gradient
 
 	x    *tensor.Tensor
 	cols *tensor.Tensor // (N*(L-w+1), w*D) unfolded input
@@ -118,6 +119,10 @@ func (t *TemporalConv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			t.b.Grad.Data[j] += g
 		}
 	}
+	t.x = nil
+	if t.first {
+		return nil
+	}
 	// dcols = g2 (rows×K) · W (K×wd), then fold overlapping windows back.
 	dcols := tensor.New(rows, wd)
 	tensor.MatMul(dcols, g2, t.w.Value)
@@ -131,6 +136,5 @@ func (t *TemporalConv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	t.x = nil
 	return gradIn
 }

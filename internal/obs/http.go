@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 
 	"sasgd/internal/obs/metrics"
@@ -13,10 +14,13 @@ import (
 
 // Live debug endpoint (-debug-addr): a plain net/http server exposing
 //
-//	/debug/vars  — standard expvar (plus the "sasgd" var below)
-//	/debug/obs   — JSON snapshot: per-track per-phase live aggregates
-//	               (count, total ns, mean ns) and the registered comm
-//	               stats source
+//	/debug/vars   — standard expvar (plus the "sasgd" var below)
+//	/debug/obs    — JSON snapshot: per-track per-phase live aggregates
+//	                (count, total ns, mean ns) and the registered comm
+//	                stats source
+//	/debug/pprof/ — the runtime profiles of net/http/pprof, so that
+//	                `go tool pprof http://ADDR/debug/pprof/profile`
+//	                profiles a run in flight
 //
 // The snapshot reads only the tracks' atomic aggregates and the stats
 // source's own atomics, so it is safe while the run is in flight; span
@@ -125,6 +129,14 @@ func (tr *Tracer) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+	// net/http/pprof registers itself on http.DefaultServeMux, which this
+	// server does not use; mount its handlers here. Index serves the named
+	// profiles (heap, goroutine, block, mutex, ...) under its prefix.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -42,7 +42,8 @@ var fastKernels atomic.Bool
 
 // SetFastKernels toggles the fast (reordered-summation) kernel variants
 // and returns the previous setting. When enabled, dot-product-shaped
-// kernels (the A·Bᵀ small path and Dot) use four-way partial-sum
+// kernels (the A·Bᵀ small tier, which MatMulAccTransBRows carries into
+// the conv backward's weight gradient) use four-way partial-sum
 // unrolling: value-equal to the default kernels within ≤1e-12 relative
 // tolerance (see TestFastKernelsEquivalence) but not bitwise identical.
 // Results remain bitwise reproducible across worker counts in both
@@ -54,21 +55,6 @@ func SetFastKernels(on bool) (prev bool) { return fastKernels.Swap(on) }
 // FastKernelsEnabled reports whether the reordered-summation kernels are
 // selected.
 func FastKernelsEnabled() bool { return fastKernels.Load() }
-
-// Dot returns the dot product of two equal-length slices: the bitwise
-// ascending-order sum by default, the four-accumulator unrolled version
-// under FastKernels. Layers use it for reduction loops (e.g. Conv2D's
-// weight-gradient accumulation) so the gate reaches training backward
-// passes too.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: Dot needs equal-length slices")
-	}
-	if fastKernels.Load() {
-		return dotUnroll4(a, b)
-	}
-	return dotSerial(a, b)
-}
 
 // EpilogueAct selects the activation a fused GEMM applies to each output
 // element as its row block leaves the microkernel.

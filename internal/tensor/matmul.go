@@ -291,6 +291,18 @@ func matMulTransBRange(c, a, b []float64, k, n, lo, hi int, acc bool) {
 	}
 }
 
+// MatMulAccTransBRows computes C[lo:hi,:] += A[lo:hi,:]·Bᵀ on raw slices
+// (a is m×k, b is n×k, c is m×n), serially on the calling goroutine, for
+// callers that shard the rows themselves. Unlike MatMulAccTransB it never
+// packs, so the rounding does not depend on the shape: every element is
+// one ascending-order dot product from a zero accumulator, added to C
+// once (c + Σ aₗbₗ) — dotSerial's bits from the eight-chain kernel,
+// dotUnroll4's under FastKernels. Conv2D.Backward reduces its weight
+// gradient through it, one call per sample and row shard.
+func MatMulAccTransBRows(c, a, b []float64, k, n, lo, hi int) {
+	matMulTransBRange(c, a, b, k, n, lo, hi, true)
+}
+
 // Transpose2D returns a new tensor holding the transpose of the 2-D
 // tensor t.
 func Transpose2D(t *Tensor) *Tensor {

@@ -92,6 +92,12 @@ func TestSkinnyKernelsBitwiseReference(t *testing.T) {
 		{"MatMulTransA", true, false, false, false, MatMulTransA},
 		{"MatMulTransB", false, true, false, true, MatMulTransB},
 		{"MatMulAccTransB", false, true, true, true, MatMulAccTransB},
+		// The caller-sharded form, as two row shards.
+		{"MatMulAccTransBRows", false, true, true, true, func(dst, a, b *Tensor) {
+			m, k, n := a.shape[0], a.shape[1], b.shape[0]
+			MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m/2)
+			MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, m/2, m)
+		}},
 	}
 	defer parallel.SetWorkers(parallel.Workers())
 	rng := rand.New(rand.NewSource(19))

@@ -85,7 +85,8 @@ run_tests -race -count=2 ${short} -run 'GeneratedConfigs|ValidateRules' ./intern
 # The harness relates runs of one build to each other; the golden pins
 # relate this build to the commit they were captured on — final
 # parameters, curve, words and messages as constants, over every
-# boundary policy and the M=1 kernel shapes. Twice under the race
+# boundary policy, the M=1 kernel shapes and both branches of the conv
+# backward. Twice under the race
 # detector: the pins cross the comm worker, the membership ledger and
 # the evaluation's borrowed worker budget.
 echo "==> go test -race -count=2 golden output pins"
@@ -180,12 +181,15 @@ run_tests -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire
 # The GEMM tiers' whole contract is bitwise-identical results at any
 # worker count (plus fused-epilogue equivalence to the unfused layers,
 # and for the skinny tier and the fused update kernels equality with the
-# plain reference loops on ±0/NaN/Inf/denormal operands), and their
-# parallelism runs through the sharding helpers, so give those
-# determinism tests extra race-detector rounds.
+# plain reference loops on ±0/NaN/Inf/denormal operands; the conv
+# backward's weight gradient rides the skinny tier through
+# MatMulAccTransBRows and is held to the loops it replaced, and a
+# network's first layer to an unmarked twin), and their parallelism runs
+# through the sharding helpers, so give those determinism tests extra
+# race-detector rounds.
 echo "==> go test -race -count=2 GEMM determinism + fusion + skinny differentials"
 run_tests -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm|SkinnyShapes|FusedUpdateKernels' ./internal/tensor/
-run_tests -race -count=2 -run 'Fused' ./internal/nn/
+run_tests -race -count=2 -run 'Fused|Conv2DBackwardDifferential|FirstLayerSkipsInputGradient' ./internal/nn/
 run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
 
 # Steady-state allocation pins (the race detector's instrumentation
@@ -215,9 +219,11 @@ run_tests -run 'GemmSteadyStateAllocs|UpdatePathSteadyStateAllocs' ./internal/te
 # (gemm_skinny.go) cut their operands to a common length once per call —
 # those slice checks (IsSliceInBounds) are the idiom — and index them by
 # one range variable, so there the gate is on index checks (IsInBounds),
-# which only a per-element check inside a loop can produce. The -a forces
-# a real compile (a cache hit would emit no diagnostics and pass
-# vacuously).
+# which only a per-element check inside a loop can produce. Entry points
+# that reach those kernels (matmul.go; MatMulAccTransBRows is one more)
+# add no loop of their own, so the two files remain the whole gate. The
+# -a forces a real compile (a cache hit would emit no diagnostics and
+# pass vacuously).
 echo "==> bounds-check-elimination gate (gemm_micro.go, gemm_skinny.go)"
 bce_out="$(go build -a -o /dev/null \
     -gcflags='sasgd/internal/tensor=-d=ssa/check_bce/debug=1' \
