@@ -77,6 +77,14 @@ func refGemm(c, a, b []float64, m, k, n int, at, bt, acc, dotFirst bool) {
 	}
 }
 
+// accTransBRowsHalves is MatMulAccTransBRows, the caller-sharded form, as
+// two row shards.
+func accTransBRowsHalves(dst, a, b *Tensor) {
+	m, k, n := a.shape[0], a.shape[1], b.shape[0]
+	MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m/2)
+	MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, m/2, m)
+}
+
 func TestSkinnyKernelsBitwiseReference(t *testing.T) {
 	ms := []int{1, 2, 3, 7}
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 311, 320}
@@ -92,12 +100,7 @@ func TestSkinnyKernelsBitwiseReference(t *testing.T) {
 		{"MatMulTransA", true, false, false, false, MatMulTransA},
 		{"MatMulTransB", false, true, false, true, MatMulTransB},
 		{"MatMulAccTransB", false, true, true, true, MatMulAccTransB},
-		// The caller-sharded form, as two row shards.
-		{"MatMulAccTransBRows", false, true, true, true, func(dst, a, b *Tensor) {
-			m, k, n := a.shape[0], a.shape[1], b.shape[0]
-			MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m/2)
-			MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, m/2, m)
-		}},
+		{"MatMulAccTransBRows", false, true, true, true, accTransBRowsHalves},
 	}
 	defer parallel.SetWorkers(parallel.Workers())
 	rng := rand.New(rand.NewSource(19))
