@@ -11,11 +11,11 @@ import (
 
 // Conv2D is a 2-D convolution over (N, C, H, W) inputs, implemented by
 // im2col lowering followed by a matrix multiplication, the same strategy
-// Torch's SpatialConvolutionMM (the paper's substrate) uses — except the
-// forward pass fuses the lowering into the packed GEMM (the kernel packs
-// its B panels straight from the image), so the column matrix is only
-// ever materialized by Backward. The weight tensor has shape
-// (K, C, KH, KW) and the bias shape (K).
+// Torch's SpatialConvolutionMM (the paper's substrate) uses — except that
+// both GEMMs that read the lowered image, the forward product and the
+// weight gradient, pack their B panels straight from the image, so the
+// column matrix is never materialized at the packed tier. The weight
+// tensor has shape (K, C, KH, KW) and the bias shape (K).
 //
 // Both passes are batch-parallel: samples are sharded across the worker
 // pool (each shard using the serial slice kernels on disjoint slices of
@@ -33,17 +33,16 @@ type Conv2D struct {
 
 	// retained between a training Forward and Backward
 	x *tensor.Tensor
-	// cols holds one im2col column matrix (kr × OH·OW, flattened) per
-	// sample, recomputed by Backward for the weight-gradient reduction
-	// (the fused forward never materializes it). The backing buffers are
-	// grown once and reused across batches, so steady-state passes do no
-	// per-sample allocation.
-	cols [][]float64
+	// dwTile (OutC × kr, grown once) is where a packed-tier weight-gradient
+	// product of one sample lands before it is added to dW; each row shard
+	// of the reduction uses its own rows of it.
+	dwTile []float64
 }
 
-// colScratch recycles column-gradient buffers across Backward calls (and
-// across layers); each worker shard checks one out for the duration of
-// its samples.
+// colScratch recycles column-matrix buffers across calls and layers: the
+// column gradients of Conv2D.Backward, one per worker shard for the
+// duration of its samples, and the unfolded input of a TemporalConv
+// inference pass.
 var colScratch sync.Pool
 
 func getColBuf(size int) []float64 {
@@ -101,25 +100,6 @@ func (c *Conv2D) OutShape(in []int) []int {
 	return []int{c.OutC, oh, ow}
 }
 
-// ensureCols sizes the retained per-sample column buffers for a batch of
-// n samples of kr*p columns each, reusing existing backing arrays. It
-// runs before the parallel section so shards never allocate.
-func (c *Conv2D) ensureCols(n, size int) {
-	if cap(c.cols) < n {
-		grown := make([][]float64, n)
-		copy(grown, c.cols)
-		c.cols = grown
-	}
-	c.cols = c.cols[:n]
-	for i := range c.cols {
-		if cap(c.cols[i]) < size {
-			c.cols[i] = make([]float64, size)
-		} else {
-			c.cols[i] = c.cols[i][:size]
-		}
-	}
-}
-
 // sampleGrain groups samples into shards carrying enough multiply-adds
 // to amortize dispatch, mirroring the tensor kernels' threshold.
 func sampleGrain(flopsPerSample int) int {
@@ -148,8 +128,8 @@ func (c *Conv2D) ForwardFused(x *tensor.Tensor, train bool, act tensor.EpilogueA
 
 // forward runs the fused im2col-GEMM convolution: the fused kernels pack
 // B panels straight out of the input image, so the column matrices are
-// never materialized on the forward path (Backward recomputes the ones
-// it needs). Bias and activation ride along in the GEMM epilogue. The
+// never materialized. Bias and activation ride along in the GEMM
+// epilogue. The
 // input is retained for Backward on training passes only: an inference
 // pass must neither pin its batch in memory nor stand in for the
 // Forward that Backward requires.
@@ -212,14 +192,9 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	db := c.b.Grad.Data
 	c.w.Grad.Zero()
 	c.b.Grad.Zero()
-	c.ensureCols(n, kr*p)
-	// Recompute each sample's im2col column matrix (the fused forward
-	// never materializes it) for the weight-gradient reduction below.
-	parallel.For(n, sampleGrain(kr*p), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tensor.Im2ColInto(c.cols[i], x.Data[i*perSample:(i+1)*perSample], c.InC, h, w, c.Geom)
-		}
-	})
+	if len(c.dwTile) < len(dw) {
+		c.dwTile = make([]float64, len(dw))
+	}
 
 	// Input gradients, unless this is a first layer and nothing reads
 	// them: per-sample dcols = Wᵀ·gout scattered back through col2im.
@@ -251,8 +226,9 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	// Weight and bias gradients: dW += gout·colsᵀ and db += row sums,
-	// accumulated across the batch. The reduction is sharded over output
+	// Weight and bias gradients: dW += gout·colsᵀ (cols the sample's im2col
+	// matrix, which ConvGradWeightRows reads off the image) and db += row
+	// sums, accumulated across the batch. The reduction is sharded over output
 	// channels — each shard owns rows [lo, hi) of dW and db — with the
 	// sample loop kept in index order inside the shard, so every element
 	// accumulates in exactly the serial order.
@@ -266,7 +242,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 				}
 				db[r] += s
 			}
-			tensor.MatMulAccTransBRows(dw, gout, c.cols[i], p, kr, lo, hi)
+			tensor.ConvGradWeightRows(dw, gout, x.Data[i*perSample:(i+1)*perSample], c.InC, h, w, c.Geom, lo, hi, c.dwTile)
 		}
 	})
 	c.x = nil

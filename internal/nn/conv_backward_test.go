@@ -193,19 +193,121 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 	}
 }
 
-// TestConv2DInferenceForwardRetainsNothing: an inference pass must not
-// keep its batch reachable from the layer, nor arm Backward.
+// TestConv2DInferenceForwardRetainsNothing: an inference pass through any
+// of the three GEMM layers (the test is named after the first one fixed)
+// must not keep its batch, or a copy of it, reachable from the layer, nor
+// arm Backward; and between a training Forward and its Backward it must
+// leave the retained state alone.
 func TestConv2DInferenceForwardRetainsNothing(t *testing.T) {
-	c := NewConv2D(rand.New(rand.NewSource(1)), 2, 3, 3, 3)
-	x := benchInput(2, 2, 5, 5)
-	g := benchInput(c.Forward(x, false).Shape()...)
-	if c.x != nil {
-		t.Error("Conv2D retains the input of an inference Forward")
+	cases := []struct {
+		name     string
+		layer    Layer
+		x        *tensor.Tensor
+		retained func(l Layer) bool
+	}{
+		{"Conv2D", NewConv2D(rand.New(rand.NewSource(1)), 2, 3, 3, 3), benchInput(2, 2, 5, 5),
+			func(l Layer) bool { return l.(*Conv2D).x != nil }},
+		{"TemporalConv", NewTemporalConv(rand.New(rand.NewSource(1)), 5, 4, 2), benchInput(2, 4, 5),
+			func(l Layer) bool { return l.(*TemporalConv).x != nil || l.(*TemporalConv).cols != nil }},
+		{"Linear", NewLinear(rand.New(rand.NewSource(1)), 7, 4), benchInput(2, 7),
+			func(l Layer) bool { return l.(*Linear).x != nil }},
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Backward after an inference Forward did not panic")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.layer
+			g := benchInput(l.Forward(tc.x, false).Shape()...)
+			if tc.retained(l) {
+				t.Errorf("%s retains the input of an inference Forward", tc.name)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Backward after an inference Forward did not panic", tc.name)
+					}
+				}()
+				l.Backward(g)
+			}()
+
+			// Training Forward, an inference Forward on other data in
+			// between, then Backward: the gradients are the training batch's.
+			l.Forward(tc.x, true)
+			l.Backward(g)
+			var want [][]float64
+			for _, p := range l.Params() {
+				want = append(want, append([]float64(nil), p.Grad.Data...))
+			}
+			other := tc.x.Clone()
+			other.Scale(-3)
+			l.Forward(tc.x, true)
+			l.Forward(other, false)
+			l.Backward(g)
+			for i, p := range l.Params() {
+				sameBits(t, tc.name+" after an interleaved inference pass", p.Name, p.Grad.Data, want[i])
+			}
+		})
+	}
+}
+
+// TestSelectsMatchBranches holds the branch-free selects of
+// MaxPool2D.Forward and ReLU.Backward to the branches they replaced, on
+// values where a select could differ from a branch if it compared
+// anything but the values themselves: ties (the first maximum wins, also
+// between +0 and −0), NaN in and after the first position (it never
+// displaces and is never displaced), infinities, denormals.
+func TestSelectsMatchBranches(t *testing.T) {
+	awkward := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1, 1, -1, 2.5}
+	rng := rand.New(rand.NewSource(31))
+	const n, c, h, w = 3, 2, 6, 7 // 3×3 windows of a 2×3 pool: a ragged right edge is left out
+	x := tensor.New(n, c, h, w)
+	for i := range x.Data {
+		x.Data[i] = awkward[rng.Intn(len(awkward))]
+	}
+	pool := NewMaxPool2D(2, 3)
+	out := pool.Forward(x, true)
+	oh, ow := h/2, w/3
+	g := tensor.New(n, c, oh, ow)
+	g.FillRandn(rng, 0, 1)
+	gradIn := pool.Backward(g)
+	wantIn := make([]float64, len(x.Data))
+	oi := 0
+	for i := 0; i < n*c; i++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				bestIdx := i*h*w + oy*2*w + ox*3
+				best := x.Data[bestIdx]
+				for dy := 0; dy < 2; dy++ {
+					for dx := 0; dx < 3; dx++ {
+						idx := i*h*w + (oy*2+dy)*w + ox*3 + dx
+						if v := x.Data[idx]; v > best {
+							best, bestIdx = v, idx
+						}
+					}
+				}
+				if got := out.Data[oi]; math.Float64bits(got) != math.Float64bits(best) {
+					t.Fatalf("MaxPool2D output %d is %x, the branch picks %x", oi, math.Float64bits(got), math.Float64bits(best))
+				}
+				wantIn[bestIdx] += g.Data[oi]
+				oi++
+			}
 		}
-	}()
-	c.Backward(g)
+	}
+	sameBits(t, "MaxPool2D", "gradIn (argmax)", gradIn.Data, wantIn)
+
+	relu := NewReLU()
+	relu.Forward(x, true)
+	gx := tensor.New(x.Shape()...)
+	for i := range gx.Data {
+		gx.Data[i] = awkward[rng.Intn(len(awkward))]
+	}
+	got := relu.Backward(gx)
+	for i, v := range x.Data {
+		want := 0.0
+		if v > 0 {
+			want = gx.Data[i]
+		}
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want) && !(want != want && got.Data[i] != got.Data[i]) {
+			t.Fatalf("ReLU.Backward[%d] (x=%g, g=%g) is %x, the branch gives %x", i, v, gx.Data[i],
+				math.Float64bits(got.Data[i]), math.Float64bits(want))
+		}
+	}
 }

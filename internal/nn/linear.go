@@ -51,23 +51,28 @@ func (l *Linear) OutShape(in []int) []int {
 
 // Forward implements Layer.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.forward(x, tensor.ActNone)
+	return l.forward(x, train, tensor.ActNone)
 }
 
 // ForwardFused implements fusable: Forward with the following activation
 // layer folded into the GEMM epilogue. Bitwise identical to Forward
 // followed by the activation.
 func (l *Linear) ForwardFused(x *tensor.Tensor, train bool, act tensor.EpilogueAct) *tensor.Tensor {
-	return l.forward(x, act)
+	return l.forward(x, train, act)
 }
 
 // forward computes y = x·Wᵀ + b with bias and activation applied in the
-// GEMM epilogue while output rows are cache-hot.
-func (l *Linear) forward(x *tensor.Tensor, act tensor.EpilogueAct) *tensor.Tensor {
+// GEMM epilogue while output rows are cache-hot. The input is retained
+// for Backward on training passes only: an inference pass must neither
+// pin its batch in memory nor stand in for the Forward that Backward
+// requires.
+func (l *Linear) forward(x *tensor.Tensor, train bool, act tensor.EpilogueAct) *tensor.Tensor {
 	if x.Dims() != 2 || x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: %s forward input shape %v", l.Name(), x.Shape()))
 	}
-	l.x = x
+	if train {
+		l.x = x
+	}
 	n := x.Dim(0)
 	out := tensor.New(n, l.Out)
 	tensor.LinearForward(out, x, l.w.Value, l.b.Value.Data, act)

@@ -17,6 +17,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"sasgd/internal/parallel"
@@ -169,10 +170,15 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	in := tensor.New(gradOut.Shape()...)
 	src, dst, mask := gradOut.Data, in.Data, r.mask
 	parallel.For(len(src), reluGrain, func(lo, hi int) {
+		// A select on the bit pattern, not a branch on the mask: which
+		// units were active is what the predictor cannot know.
 		for i := lo; i < hi; i++ {
+			g := math.Float64bits(src[i])
+			var keep uint64
 			if mask[i] {
-				dst[i] = src[i]
+				keep = g
 			}
+			dst[i] = math.Float64frombits(keep)
 		}
 	})
 	return in

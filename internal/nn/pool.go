@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"sasgd/internal/tensor"
 )
@@ -80,17 +81,24 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			base := (i*c + ch) * h * w
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
+					// First maximum of the window. After a ReLU whether a value
+					// beats the running best is close to a coin toss, so the
+					// running best is carried as its bit pattern and replaced,
+					// with its index, by integer conditional moves: same
+					// comparison, nothing for the branch predictor to lose.
 					bestIdx := base + (oy*kh)*w + ox*kw
-					best := x.Data[bestIdx]
+					best := math.Float64bits(x.Data[bestIdx])
 					for dy := 0; dy < kh; dy++ {
 						row := base + (oy*kh+dy)*w + ox*kw
 						for dx := 0; dx < kw; dx++ {
-							if v := x.Data[row+dx]; v > best {
-								best, bestIdx = v, row+dx
+							v := x.Data[row+dx]
+							vb := math.Float64bits(v)
+							if v > math.Float64frombits(best) {
+								best, bestIdx = vb, row+dx
 							}
 						}
 					}
-					out.Data[oi] = best
+					out.Data[oi] = math.Float64frombits(best)
 					p.argmax[oi] = bestIdx
 					oi++
 				}

@@ -17,6 +17,7 @@ type TemporalConv struct {
 	w, b              *Param
 	firstMark         // a network's layer 0: Backward skips the input gradient
 
+	// retained between a training Forward and Backward
 	x    *tensor.Tensor
 	cols *tensor.Tensor // (N*(L-w+1), w*D) unfolded input
 }
@@ -69,24 +70,37 @@ func (t *TemporalConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if ol <= 0 {
 		panic(fmt.Sprintf("nn: %s window does not fit sequence length %d", t.Name(), l))
 	}
-	t.x = x
 	wd := t.Window * d
 	rows := n * ol
-	if t.cols == nil || t.cols.Dim(0) != rows || t.cols.Dim(1) != wd {
-		t.cols = tensor.New(rows, wd)
+	// A training pass retains the input and its unfolding for Backward. An
+	// inference pass unfolds into pooled scratch and leaves the layer as it
+	// found it: it must neither keep its batch (or a copy) reachable, nor
+	// stand in for — or overwrite the state of — the Forward that Backward
+	// requires.
+	var cols *tensor.Tensor
+	if train {
+		t.x = x
+		if t.cols == nil || t.cols.Dim(0) != rows || t.cols.Dim(1) != wd {
+			t.cols = tensor.New(rows, wd)
+		}
+		cols = t.cols
+	} else {
+		buf := getColBuf(rows * wd)
+		defer putColBuf(buf)
+		cols = tensor.FromSlice(buf, rows, wd)
 	}
 	// Unfold: row (i*ol+ot) holds x[i, ot:ot+window, :] flattened. Because
 	// the layout is row-major over (L, D), each row is a contiguous copy.
 	for i := 0; i < n; i++ {
 		for ot := 0; ot < ol; ot++ {
 			src := x.Data[(i*l+ot)*d : (i*l+ot)*d+wd]
-			dst := t.cols.Data[(i*ol+ot)*wd : (i*ol+ot+1)*wd]
+			dst := cols.Data[(i*ol+ot)*wd : (i*ol+ot+1)*wd]
 			copy(dst, src)
 		}
 	}
 	// out (rows × K) = cols (rows × wd) · Wᵀ (wd × K)
 	out2 := tensor.New(rows, t.OutK)
-	tensor.MatMulTransB(out2, t.cols, t.w.Value)
+	tensor.MatMulTransB(out2, cols, t.w.Value)
 	for r := 0; r < rows; r++ {
 		row := out2.Data[r*t.OutK : (r+1)*t.OutK]
 		for j, bv := range t.b.Value.Data {

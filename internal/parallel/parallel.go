@@ -25,8 +25,10 @@
 // The effective worker budget is a process-wide setting: it defaults to
 // the SASGD_WORKERS environment variable, falling back to GOMAXPROCS, and
 // can be adjusted at runtime with SetWorkers. The training drivers in
-// internal/core lower it to ⌈GOMAXPROCS/p⌉ while p learner goroutines are
-// running so that p learners × w workers never oversubscribe the machine.
+// internal/core lower it to ⌊budget / learners hosted by this process⌋,
+// never below 1 (core.workersPerLearner), while those learner goroutines
+// are running, so that p learners × w workers never oversubscribe the
+// machine.
 package parallel
 
 import (

@@ -253,3 +253,40 @@ func BenchmarkKernelSkinny(b *testing.B) {
 		})
 	}
 }
+
+// micro2x8Go is the Go form of a two-panel tile update: micro2x4 on each
+// panel — what micro2x8AVX2 replaces, and its reference.
+func micro2x8Go(c0, c1 *[8]float64, ap, bp0, bp1 []float64) {
+	micro2x4((*[4]float64)(c0[:4]), (*[4]float64)(c1[:4]), ap, bp0)
+	micro2x4((*[4]float64)(c0[4:]), (*[4]float64)(c1[4:]), ap, bp1)
+}
+
+type microBenchKernel struct {
+	name string
+	run  func(c0, c1 *[8]float64, ap, bp0, bp1 []float64)
+}
+
+// microBench lists the microkernel sets BenchmarkMicrokernel times; the
+// amd64 test file adds the assembly where the CPU can run it.
+var microBench = []microBenchKernel{{"go", micro2x8Go}}
+
+// BenchmarkMicrokernel times one 2×8 tile update over k steps — the
+// innermost unit of the packed engine, operands L1-resident — at the k of
+// cifar_compute's conv layers (27, 128, 144) and of a full KC slab, in
+// GFLOP/s on the calling goroutine.
+func BenchmarkMicrokernel(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, kern := range microBench {
+		for _, k := range []int{27, 128, 144, 256} {
+			ap := randMat(rng, k, gemmMR).Data
+			bp0, bp1 := randMat(rng, k, gemmNR).Data, randMat(rng, k, gemmNR).Data
+			b.Run(fmt.Sprintf("%s/k=%d", kern.name, k), func(b *testing.B) {
+				var c0, c1 [8]float64
+				for i := 0; i < b.N; i++ {
+					kern.run(&c0, &c1, ap, bp0, bp1)
+				}
+				b.ReportMetric(float64(2*gemmMR*2*gemmNR*k)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+			})
+		}
+	}
+}

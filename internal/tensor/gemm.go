@@ -22,18 +22,21 @@ import (
 //     (ap[l*MR + r]) living in a stack array — 4 KiB, no heap.
 //   - The driver walks MC row blocks; within a block, KC slabs in
 //     ascending-l order; within a slab, row pairs × B panels through the
-//     2×4 microkernel. After a row block's last KC slab, the fused
-//     epilogue (bias add + activation) runs over the block's rows while
-//     they are still cache-hot.
+//     2×4 microkernel — the Go one, or on an AVX2 machine the assembly
+//     one, two panels at a time (sweepPair, gemm_micro_*.go). After a
+//     row block's last KC slab, the fused epilogue (bias add +
+//     activation) runs over the block's rows while they are still
+//     cache-hot.
 //
 // Determinism contract: every C element accumulates its k products in
 // strictly ascending l order into a single accumulator chain — the KC
 // slabs are visited in ascending order and the float64 store/reload of C
 // between slabs is exact — so the packed engine is bitwise identical to
-// the serial ikj loop, at any blocking and any worker count. Row shards
-// (ForAligned over MR pairs) and column shards (fused conv) only change
-// which goroutine computes an element, never its summation order. The
-// only reordered summations in this package (dotUnroll4's four-way
+// the serial ikj loop, at any blocking, any worker count and either
+// kernel set (packed_test.go holds every entry point to that loop). Row
+// shards (ForAligned over MR pairs) and column shards (fused conv) only
+// change which goroutine computes an element, never its summation order.
+// The only reordered summations in this package (dotUnroll4's four-way
 // partial sums) sit behind the FastKernels gate below.
 
 // fastKernels gates the reordered-summation kernels. Default off: every
@@ -88,6 +91,19 @@ func ScalarTanh(v float64) float64 {
 // fused epilogue.
 func ScalarSigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
+// relu is v where v > 0 and +0 everywhere else (−0 and NaN included),
+// the nn.ReLU layer's values, selected on the bit pattern: whether a
+// pre-activation is positive is a coin toss the branch predictor loses,
+// and an integer conditional move has nothing to predict.
+func relu(v float64) float64 {
+	b := math.Float64bits(v) // outside the branch, or the compiler keeps the branch
+	var keep uint64
+	if v > 0 {
+		keep = b
+	}
+	return math.Float64frombits(keep)
+}
+
 // epilogue is the fused bias+activation pass a GEMM applies per MC row
 // block. rowBias[i] is added to every element of (absolute) row i — the
 // conv layout, one bias per output channel. colBias[jOff+j] is added to
@@ -115,6 +131,15 @@ func (e epilogue) apply(c []float64, ldc, jOff, n, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		row := c[i*ldc+jOff : i*ldc+jOff+n : i*ldc+jOff+n]
+		if e.act == ActReLU && e.rowBias != nil && e.colBias == nil {
+			// The conv layers' epilogue, in one pass over the row instead
+			// of two.
+			rb := e.rowBias[i]
+			for j, v := range row {
+				row[j] = relu(v + rb)
+			}
+			continue
+		}
 		if e.rowBias != nil {
 			rb := e.rowBias[i]
 			for j := range row {
@@ -130,9 +155,7 @@ func (e epilogue) apply(c []float64, ldc, jOff, n, lo, hi int) {
 		switch e.act {
 		case ActReLU:
 			for j, v := range row {
-				if !(v > 0) {
-					row[j] = 0
-				}
+				row[j] = relu(v)
 			}
 		case ActTanh:
 			for j, v := range row {
@@ -252,17 +275,44 @@ func packBTransPanels(bp, b []float64, k, n int) {
 func packConvPanels(bp, img []float64, c, h, w int, g ConvGeom, ow, jLo, jHi int) {
 	k := c * g.KH * g.KW
 	var iy0, ix0 [gemmNR]int
+	oy, ox := jLo/ow, jLo%ow
 	for j0 := jLo; j0 < jHi; j0 += gemmNR {
 		pw := jHi - j0
 		if pw > gemmNR {
 			pw = gemmNR
 		}
+		// A full panel whose four windows lie wholly inside the image —
+		// every panel but the last of an unpadded convolution — needs no
+		// per-tap bounds tests: tap (ch, ky, kx) of pixel jj is at the
+		// fixed offset iy0[jj]·w + ix0[jj] from tap (ch, ky, kx) of the
+		// image origin.
+		interior := pw == gemmNR
 		for jj := 0; jj < pw; jj++ {
-			j := j0 + jj
-			iy0[jj] = (j/ow)*g.SH - g.PH
-			ix0[jj] = (j%ow)*g.SW - g.PW
+			iy0[jj], ix0[jj] = oy*g.SH-g.PH, ox*g.SW-g.PW
+			if iy0[jj] < 0 || iy0[jj]+g.KH > h || ix0[jj] < 0 || ix0[jj]+g.KW > w {
+				interior = false
+			}
+			if ox++; ox == ow {
+				oy, ox = oy+1, 0
+			}
 		}
 		base := (j0 - jLo) * k
+		if interior {
+			dst := bp[base : base+k*gemmNR]
+			o0, o1 := iy0[0]*w+ix0[0], iy0[1]*w+ix0[1]
+			o2, o3 := iy0[2]*w+ix0[2], iy0[3]*w+ix0[3]
+			for ch := 0; ch < c; ch++ {
+				for ky := 0; ky < g.KH; ky++ {
+					taps := img[ch*h*w+ky*w:]
+					for kx := 0; kx < g.KW && len(dst) >= gemmNR; kx++ {
+						src := taps[kx:]
+						dst[0], dst[1], dst[2], dst[3] = src[o0], src[o1], src[o2], src[o3]
+						dst = dst[gemmNR:]
+					}
+				}
+			}
+			continue
+		}
 		l := 0
 		for ch := 0; ch < c; ch++ {
 			chBase := ch * h * w
@@ -288,6 +338,57 @@ func packConvPanels(bp, img []float64, c, h, w int, g ConvGeom, ow, jLo, jHi int
 	}
 }
 
+// packConvTransPanels packs the transpose of the implicit im2col matrix
+// of a (c,h,w) image — B[l, j] = tap j = (channel, ky, kx) of output pixel
+// l, oh·ow rows by c·KH·KW columns — into panel layout: the B operand of
+// the conv weight gradient gout·colsᵀ, straight from the image, where
+// Im2Col + packBTransPanels would write the column matrix and read it
+// back. Padding reads as zero.
+func packConvTransPanels(bp, img []float64, c, h, w int, g ConvGeom, oh, ow int) {
+	p := oh * ow
+	kr := c * g.KH * g.KW
+	var chBase, ky, kx [gemmNR]int
+	for j0 := 0; j0 < kr; j0 += gemmNR {
+		pw := kr - j0
+		if pw > gemmNR {
+			pw = gemmNR
+		}
+		for jj := 0; jj < pw; jj++ {
+			j := j0 + jj
+			chBase[jj], ky[jj], kx[jj] = j/(g.KH*g.KW)*h*w, j/g.KW%g.KH, j%g.KW
+		}
+		dst := bp[j0*p : j0*p+p*gemmNR]
+		if pw == gemmNR && g.PH == 0 && g.PW == 0 {
+			// Unpadded: every window lies inside the image, and a pixel's
+			// four taps are four loads at fixed offsets from its corner.
+			t0, t1 := chBase[0]+ky[0]*w+kx[0], chBase[1]+ky[1]*w+kx[1]
+			t2, t3 := chBase[2]+ky[2]*w+kx[2], chBase[3]+ky[3]*w+kx[3]
+			for oy := 0; oy < oh; oy++ {
+				corner := img[oy*g.SH*w:]
+				for ox := 0; ox < ow && len(dst) >= gemmNR; ox++ {
+					src := corner[ox*g.SW:]
+					dst[0], dst[1], dst[2], dst[3] = src[t0], src[t1], src[t2], src[t3]
+					dst = dst[gemmNR:]
+				}
+			}
+			continue
+		}
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				for jj := 0; jj < gemmNR; jj++ {
+					iy, ix := oy*g.SH-g.PH+ky[jj], ox*g.SW-g.PW+kx[jj]
+					if jj < pw && iy >= 0 && iy < h && ix >= 0 && ix < w {
+						dst[jj] = img[chBase[jj]+iy*w+ix]
+					} else {
+						dst[jj] = 0
+					}
+				}
+				dst = dst[gemmNR:]
+			}
+		}
+	}
+}
+
 // gemmScratch recycles packed-B panel buffers across calls; the pool
 // holds pointers so steady-state Get/Put never allocates.
 type gemmScratch struct{ buf []float64 }
@@ -307,6 +408,50 @@ func getGemmScratch(n int) *gemmScratch {
 
 func putGemmScratch(s *gemmScratch) { gemmPool.Put(s) }
 
+// panelSlab is rows [l0, l0+kcb) of the packed B panel that starts at
+// column j0 — one microkernel call's B operand.
+func panelSlab(bp []float64, j0, k, l0, kcb int) []float64 {
+	boff := j0*k + l0*gemmNR
+	return bp[boff : boff+kcb*gemmNR : boff+kcb*gemmNR]
+}
+
+// sweepPairGo runs one packed A row pair (ap, one KC slab of it starting
+// at l0) against every B panel through the Go microkernel: cr0 and cr1
+// are the pair's C rows from the first of the n columns on. The padded
+// last panel runs the full-width kernel on a stack tile seeded from C and
+// keeps only the real columns; the pad lanes multiply packed zeros.
+// sweepPair (per architecture, gemm_micro_*.go) is what the driver calls.
+func sweepPairGo(cr0, cr1, ap, bp []float64, k, l0, n int) {
+	kcb := len(ap) / gemmMR
+	nFull := n &^ (gemmNR - 1)
+	for j0 := 0; j0 < nFull; j0 += gemmNR {
+		micro2x4((*[4]float64)(cr0[j0:]), (*[4]float64)(cr1[j0:]), ap, panelSlab(bp, j0, k, l0, kcb))
+	}
+	if nTail := n - nFull; nTail > 0 {
+		var t0, t1 [gemmNR]float64
+		copy(t0[:nTail], cr0[nFull:n])
+		copy(t1[:nTail], cr1[nFull:n])
+		micro2x4(&t0, &t1, ap, panelSlab(bp, nFull, k, l0, kcb))
+		copy(cr0[nFull:n], t0[:nTail])
+		copy(cr1[nFull:n], t1[:nTail])
+	}
+}
+
+// sweepRowGo is sweepPairGo for the single row an odd row count leaves.
+func sweepRowGo(cr0, ap, bp []float64, k, l0, n int) {
+	kcb := len(ap)
+	nFull := n &^ (gemmNR - 1)
+	for j0 := 0; j0 < nFull; j0 += gemmNR {
+		micro1x4((*[4]float64)(cr0[j0:]), ap, panelSlab(bp, j0, k, l0, kcb))
+	}
+	if nTail := n - nFull; nTail > 0 {
+		var t0 [gemmNR]float64
+		copy(t0[:nTail], cr0[nFull:n])
+		micro1x4(&t0, ap, panelSlab(bp, nFull, k, l0, kcb))
+		copy(cr0[nFull:n], t0[:nTail])
+	}
+}
+
 // gemmPackedRange runs the packed engine over output rows [lo, hi) and
 // the n columns starting at column jOff of a destination with row
 // stride ldc. bp holds those n columns of B in panel layout; a supplies
@@ -324,8 +469,6 @@ func gemmPackedRange(c []float64, a aSource, bp []float64, k, n, ldc, jOff, lo, 
 		}
 	}
 	var ap [gemmMR * gemmKC]float64
-	nFull := n &^ (gemmNR - 1)
-	nTail := n - nFull
 	mc, kc := tileParams(hi-lo, k, n)
 	for i0 := lo; i0 < hi; i0 += mc {
 		iEnd := i0 + mc
@@ -341,44 +484,10 @@ func gemmPackedRange(c []float64, a aSource, bp []float64, k, n, ldc, jOff, lo, 
 			for r0 := i0; r0 < iEnd; r0 += gemmMR {
 				if r0+gemmMR <= iEnd {
 					a.pack(ap[:], r0, 2, l0, l1)
-					apb := ap[: kcb*2 : kcb*2]
-					cr0 := c[r0*ldc+jOff:]
-					cr1 := c[(r0+1)*ldc+jOff:]
-					for j0 := 0; j0 < nFull; j0 += gemmNR {
-						boff := j0*k + l0*gemmNR
-						bpb := bp[boff : boff+kcb*gemmNR : boff+kcb*gemmNR]
-						micro2x4((*[4]float64)(cr0[j0:]), (*[4]float64)(cr1[j0:]), apb, bpb)
-					}
-					if nTail > 0 {
-						// Padded last panel: run the full-width kernel on a
-						// stack tile seeded from C and keep only the real
-						// columns. The pad lanes multiply packed zeros.
-						var t0, t1 [gemmNR]float64
-						copy(t0[:nTail], cr0[nFull:nFull+nTail])
-						copy(t1[:nTail], cr1[nFull:nFull+nTail])
-						boff := nFull*k + l0*gemmNR
-						bpb := bp[boff : boff+kcb*gemmNR : boff+kcb*gemmNR]
-						micro2x4(&t0, &t1, apb, bpb)
-						copy(cr0[nFull:nFull+nTail], t0[:nTail])
-						copy(cr1[nFull:nFull+nTail], t1[:nTail])
-					}
+					sweepPair(c[r0*ldc+jOff:], c[(r0+1)*ldc+jOff:], ap[:kcb*2:kcb*2], bp, k, l0, n)
 				} else {
 					a.pack(ap[:], r0, 1, l0, l1)
-					apb := ap[:kcb:kcb]
-					cr0 := c[r0*ldc+jOff:]
-					for j0 := 0; j0 < nFull; j0 += gemmNR {
-						boff := j0*k + l0*gemmNR
-						bpb := bp[boff : boff+kcb*gemmNR : boff+kcb*gemmNR]
-						micro1x4((*[4]float64)(cr0[j0:]), apb, bpb)
-					}
-					if nTail > 0 {
-						var t0 [gemmNR]float64
-						copy(t0[:nTail], cr0[nFull:nFull+nTail])
-						boff := nFull*k + l0*gemmNR
-						bpb := bp[boff : boff+kcb*gemmNR : boff+kcb*gemmNR]
-						micro1x4(&t0, apb, bpb)
-						copy(cr0[nFull:nFull+nTail], t0[:nTail])
-					}
+					sweepRow(c[r0*ldc+jOff:], ap[:kcb:kcb], bp, k, l0, n)
 				}
 			}
 		}
@@ -493,4 +602,28 @@ func ConvGemmBiasAct(dst, wmat, img []float64, c, h, w int, g ConvGeom, outC int
 		gemmPackedRange(dst, aSource{data: wmat, ld: k}, s.buf, k, nCols, p, jLo, 0, outC, false, epi)
 		putGemmScratch(s)
 	})
+}
+
+// ConvGradWeightRows adds one sample's share of a convolution's weight
+// gradient to rows [lo, hi) of dw (outC × c·KH·KW): dW += gout·colsᵀ with
+// gout the sample's output gradient (outC × oh·ow) and cols the im2col
+// matrix of img (c,h,w). It is MatMulAccTransBRows on that matrix — same
+// bits, same tiers, same use of tile — without the caller having to hold
+// the matrix: a shard on the packed tier packs its B panels straight from
+// the image, and any other lowers the image into pooled scratch first.
+// Serial, for callers that shard the rows.
+func ConvGradWeightRows(dw, gout, img []float64, c, h, w int, g ConvGeom, lo, hi int, tile []float64) {
+	oh, ow := g.OutSize(h, w)
+	p, kr := oh*ow, c*g.KH*g.KW
+	if !accTransBPacks(hi-lo, p, kr) {
+		s := getGemmScratch(kr * p)
+		Im2ColInto(s.buf, img, c, h, w, g)
+		MatMulAccTransBRows(dw, gout, s.buf, p, kr, lo, hi, tile)
+		putGemmScratch(s)
+		return
+	}
+	s := getGemmScratch(packedBLen(p, kr))
+	packConvTransPanels(s.buf, img, c, h, w, g, oh, ow)
+	accPackedRows(dw, tile, aSource{data: gout, ld: p}, s.buf, p, kr, lo, hi)
+	putGemmScratch(s)
 }

@@ -1,21 +1,35 @@
 package tensor
 
-// The register-tiled microkernels of the packed GEMM engine. Everything
-// in this file is written in a bounds-check-free idiom the compiler can
-// prove: loop conditions test len() of the packed operand slices
-// directly, operand indices stay below the tested lengths, and C tiles
-// arrive as array pointers. scripts/check.sh builds this package with
-// -d=ssa/check_bce and fails if a bounds check ever reappears here, so
-// keep new code to the same idiom.
+// The register-tiled microkernels of the packed GEMM engine, in Go. They
+// are one of two kernel sets with one contract: gemm_micro_amd64.s holds
+// the same kernels in AVX2 assembly, selected once at package init where
+// the CPU and OS support them (gemm_micro_amd64.go), and these run
+// everywhere else — other architectures, -tags purego, an amd64 without
+// AVX2 — and are the reference the assembly is tested against, tile by
+// tile and bit for bit (TestAVX2MicrokernelsMatchGo).
 //
-// Determinism contract: micro2x4 and micro1x4 add each product into its
-// C accumulator in strictly ascending l order — the k-unrolling issues
-// more independent add CHAINS (one per C element), never reorders the
-// adds within a chain — so together with ascending KC blocks in the
-// driver they are bitwise identical to the serial ikj loop at any
-// blocking and any worker count. dotUnroll4 deliberately breaks this
-// (four interleaved partial sums) and is only reachable behind the
-// FastKernels gate.
+// Everything in this file is written in a bounds-check-free idiom the
+// compiler can prove: loop conditions test len() of the packed operand
+// slices directly, operand indices stay below the tested lengths, and C
+// tiles arrive as array pointers. scripts/check.sh builds this package
+// with -d=ssa/check_bce and fails if a bounds check ever reappears here,
+// so keep new code to the same idiom.
+//
+// Determinism contract, for both sets: every C element owns one
+// accumulator, seeded from the C tile, and receives its products in
+// strictly ascending l order, each product rounded and then the sum
+// rounded — min(len(ap)/rows, len(bp)/4) of them. More speed comes only
+// from more CHAINS side by side: the Go kernels unroll l to keep eight
+// scalar chains issuing, the assembly puts the four columns of a panel in
+// the four lanes of a register and runs two panels at once. A lane is an
+// element, never a term of some element's sum; no chain is split,
+// reordered or fused (the default GOAMD64=v1 compiler emits no FMA for
+// the Go kernels, and the assembly contains none — under GOAMD64=v3 the
+// compiler would fuse these loops and the two sets would part). So,
+// together with ascending KC blocks in the driver, either set is bitwise
+// identical to the serial ikj loop at any blocking and any worker count,
+// and to the other. dotUnroll4 deliberately breaks this (four interleaved
+// partial sums) and is only reachable behind the FastKernels gate.
 
 // micro2x4 computes a 2×4 tile: c[r][j] += Σ_l ap[l*2+r] * bp[l*4+j],
 // with l unrolled by four. ap is an A pair-panel (2 rows, l-major), bp a

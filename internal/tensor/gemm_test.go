@@ -280,6 +280,53 @@ func TestConvGemmMatchesIm2ColGemm(t *testing.T) {
 	}
 }
 
+// TestConvGradWeightRowsMatchesIm2Col holds the conv weight gradient that
+// packs its panels from the image to MatMulAccTransBRows on the
+// materialized im2col matrix, bitwise: shapes on both sides of the packed
+// tier, a padded tail panel of taps, padding and stride, uneven row
+// shards, spiked operands and a dW that already holds a sum, under both
+// FastKernels settings.
+func TestConvGradWeightRowsMatchesIm2Col(t *testing.T) {
+	cases := []struct {
+		c, h, w, outC int
+		g             ConvGeom
+	}{
+		{1, 5, 5, 2, ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1}},
+		{3, 16, 16, 16, ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1}},               // packed, 27 taps: a tail panel
+		{16, 7, 7, 33, ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1}},                // packed, odd outC
+		{32, 2, 2, 32, ConvGeom{KH: 2, KW: 2, SH: 1, SW: 1}},                // one output pixel
+		{3, 13, 11, 8, ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}},  // packed, padded
+		{2, 12, 9, 9, ConvGeom{KH: 2, KW: 5, SH: 2, SW: 1, PH: 0, PW: 2}},   // strided, padded one way
+		{4, 16, 16, 16, ConvGeom{KH: 5, KW: 5, SH: 1, SW: 1, PH: 2, PW: 2}}, // packed, two slabs of pixels
+		{5, 9, 9, 12, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2}},                 // packed, strided, unpadded
+	}
+	for _, fast := range []bool{false, true} {
+		withFastKernels(fast, func() {
+			for ci, tc := range cases {
+				for spike := 0; spike < 3; spike++ {
+					rng := rand.New(rand.NewSource(int64(40*spike + ci)))
+					oh, ow := tc.g.OutSize(tc.h, tc.w)
+					p, kr := oh*ow, tc.c*tc.g.KH*tc.g.KW
+					img := spiked(rng, tc.c, tc.h*tc.w, spike).Data
+					gout := spiked(rng, tc.outC, p, spike).Data
+					seed := spiked(rng, tc.outC, kr, spike).Data
+					cols := make([]float64, kr*p)
+					Im2ColInto(cols, img, tc.c, tc.h, tc.w, tc.g)
+					tile := make([]float64, tc.outC*kr)
+					cut := tc.outC / 3
+					want := append([]float64(nil), seed...)
+					MatMulAccTransBRows(want, gout, cols, p, kr, 0, cut, tile)
+					MatMulAccTransBRows(want, gout, cols, p, kr, cut, tc.outC, tile)
+					got := append([]float64(nil), seed...)
+					ConvGradWeightRows(got, gout, img, tc.c, tc.h, tc.w, tc.g, 0, cut, tile)
+					ConvGradWeightRows(got, gout, img, tc.c, tc.h, tc.w, tc.g, cut, tc.outC, tile)
+					mustMatch(t, fmt.Sprintf("case %d (p=%d kr=%d) fast=%v spike=%d", ci, p, kr, fast, spike), got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestGemmSteadyStateAllocs pins the pooled-scratch guarantee: after
 // warmup, the packed-tier entry points allocate nothing on the serial
 // path (the path every conv sample shard and every workers=1 run takes).

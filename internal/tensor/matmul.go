@@ -293,14 +293,44 @@ func matMulTransBRange(c, a, b []float64, k, n, lo, hi int, acc bool) {
 
 // MatMulAccTransBRows computes C[lo:hi,:] += A[lo:hi,:]·Bᵀ on raw slices
 // (a is m×k, b is n×k, c is m×n), serially on the calling goroutine, for
-// callers that shard the rows themselves. Unlike MatMulAccTransB it never
-// packs, so the rounding does not depend on the shape: every element is
-// one ascending-order dot product from a zero accumulator, added to C
-// once (c + Σ aₗbₗ) — dotSerial's bits from the eight-chain kernel,
-// dotUnroll4's under FastKernels. Conv2D.Backward reduces its weight
-// gradient through it, one call per sample and row shard.
-func MatMulAccTransBRows(c, a, b []float64, k, n, lo, hi int) {
-	matMulTransBRange(c, a, b, k, n, lo, hi, true)
+// callers that shard the rows themselves. Every element is one
+// ascending-order dot product from a zero accumulator, added to C once
+// (c + Σ aₗbₗ) — dotSerial's bits, whichever tier computes them. A shard
+// that is a packed shape forms its product from zero on the packed engine
+// in rows [lo, hi) of tile (m×n like c, overwritten; the caller keeps it
+// between calls) and adds the tile to C; any other runs the eight-chain
+// kernel straight into C and leaves tile alone. Both chains start at +0
+// and ascend in l, so unlike MatMulAccTransB — whose packed tier seeds
+// the chain with C — the tier is a pure matter of speed here and may
+// depend on the shard. Under FastKernels every element is dotUnroll4's.
+// Conv2D.Backward reduces its weight gradient through it (by way of
+// ConvGradWeightRows), one call per sample and row shard.
+func MatMulAccTransBRows(c, a, b []float64, k, n, lo, hi int, tile []float64) {
+	if !accTransBPacks(hi-lo, k, n) {
+		matMulTransBRange(c, a, b, k, n, lo, hi, true)
+		return
+	}
+	s := getGemmScratch(packedBLen(k, n))
+	packBTransPanels(s.buf, b, k, n)
+	accPackedRows(c, tile, aSource{data: a, ld: k}, s.buf, k, n, lo, hi)
+	putGemmScratch(s)
+}
+
+// accTransBPacks reports whether a rows×k·k×n shard of MatMulAccTransBRows
+// (or of ConvGradWeightRows, which must agree with it) runs on the packed
+// engine.
+func accTransBPacks(rows, k, n int) bool {
+	return !FastKernelsEnabled() && usePacked(rows, k, n)
+}
+
+// accPackedRows is C[lo:hi,:] += A[lo:hi,:]·B on the packed engine with
+// the product formed from zero in tile and added to C once.
+func accPackedRows(c, tile []float64, a aSource, bp []float64, k, n, lo, hi int) {
+	gemmPackedRange(tile, a, bp, k, n, n, 0, lo, hi, false, epilogue{})
+	c = c[lo*n : hi*n]
+	for i, v := range tile[lo*n : hi*n] {
+		c[i] += v
+	}
 }
 
 // Transpose2D returns a new tensor holding the transpose of the 2-D

@@ -81,8 +81,9 @@ func refGemm(c, a, b []float64, m, k, n int, at, bt, acc, dotFirst bool) {
 // two row shards.
 func accTransBRowsHalves(dst, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m/2)
-	MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, m/2, m)
+	tile := make([]float64, m*n)
+	MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, 0, m/2, tile)
+	MatMulAccTransBRows(dst.Data, a.Data, b.Data, k, n, m/2, m, tile)
 }
 
 func TestSkinnyKernelsBitwiseReference(t *testing.T) {

@@ -7,11 +7,17 @@ package tensor
 // The hierarchy, innermost out:
 //
 //   - The microkernel computes a gemmMR × gemmNR tile of C with all
-//     gemmMR*gemmNR accumulators held in registers (gemm_micro.go).
-//     2×4 = 8 accumulators is the sweet spot for scalar amd64: each
-//     accumulator is an independent add chain, enough to saturate the
-//     FP ports, while 4×4 = 16 spills (exactly the XMM register count,
-//     leaving nothing for the a/b operands).
+//     gemmMR*gemmNR accumulators held in registers (gemm_micro.go). For
+//     the Go kernels, which the compiler turns into scalar code, 2×4 = 8
+//     accumulators is the sweet spot on amd64: each is an independent
+//     add chain, enough to saturate the scalar FP ports, while 4×4 = 16
+//     spills (exactly the XMM register count, leaving nothing for the
+//     a/b operands). The AVX2 kernels (gemm_micro_amd64.s) keep the same
+//     tile and the same packed layouts — one B panel row is one YMM
+//     register — and get their extra chains by taking two adjacent
+//     panels per call (2×8: four vector chains), not by a wider tile, so
+//     nothing that sizes or packs by these constants knows which kernel
+//     set runs.
 //   - gemmKC bounds the k-extent of one packed pass: an A pair-panel is
 //     gemmMR×gemmKC = 4 KiB and a B panel gemmKC×gemmNR = 8 KiB, so the
 //     operands of one microkernel call sit comfortably in a 32 KiB L1d

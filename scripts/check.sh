@@ -30,6 +30,16 @@ if grep -n 'os\.Getenv' $comm_src; then
     exit 1
 fi
 
+# The AVX2 microkernels promise the Go kernels' bits: a product rounded,
+# then a sum rounded. A fused multiply-add rounds once, so not one may
+# appear in the package's assembly (the comment lines of the file that
+# say so are not instructions).
+echo "==> internal/tensor/*.s: no fused multiply-add"
+if grep -Hn 'VFN\?M\(ADD\|SUB\)' internal/tensor/*.s | grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
+    echo "FAIL: fused multiply-add in the tensor assembly"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -47,6 +57,13 @@ echo "==> bench module: go vet + go build"
 # the per-word fallback keeps compiling.
 echo "==> GOARCH=s390x go vet ./internal/comm/..."
 GOARCH=s390x go vet ./internal/comm/...
+
+# The packed GEMM has assembly microkernels on amd64 only, and every CI
+# host is amd64: cross-vet for arm64 so the file set every other
+# architecture builds (gemm_micro_generic.go in, the .s and its stubs
+# out) keeps compiling.
+echo "==> GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/"
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
 
 short="-short"
 if [ "${FULL:-0}" = "1" ]; then
@@ -91,6 +108,16 @@ run_tests -race -count=2 ${short} -run 'GeneratedConfigs|ValidateRules' ./intern
 # the evaluation's borrowed worker budget.
 echo "==> go test -race -count=2 golden output pins"
 run_tests -race -count=2 -run 'GoldenPins' ./internal/core/
+
+# -tags purego builds that same file set on this host, so the Go
+# microkernels — the reference the assembly is tested against, and the
+# engine everywhere but amd64 — run the whole tensor and nn suites and
+# the golden pins. Fallback ≡ pins here and default build ≡ pins above,
+# so assembly ≡ Go transitively at the scale of a training run, beside
+# the kernel-level differential that compares them directly.
+echo "==> go test -tags purego: tensor, nn, golden pins on the Go kernels"
+run_tests -tags purego ./internal/tensor/ ./internal/nn/
+run_tests -tags purego -run 'GoldenPins' ./internal/core/
 
 # The pipelined collectives' concurrency bugs are schedule-dependent, so
 # give the race detector extra rounds over the stress/equivalence tests
@@ -182,13 +209,16 @@ run_tests -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire
 # worker count (plus fused-epilogue equivalence to the unfused layers,
 # and for the skinny tier and the fused update kernels equality with the
 # plain reference loops on ±0/NaN/Inf/denormal operands; the conv
-# backward's weight gradient rides the skinny tier through
-# MatMulAccTransBRows and is held to the loops it replaced, and a
-# network's first layer to an unmarked twin), and their parallelism runs
-# through the sharding helpers, so give those determinism tests extra
-# race-detector rounds.
-echo "==> go test -race -count=2 GEMM determinism + fusion + skinny differentials"
-run_tests -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm|SkinnyShapes|FusedUpdateKernels' ./internal/tensor/
+# backward's weight gradient rides MatMulAccTransBRows' two tiers through
+# ConvGradWeightRows and is held to the loops it replaced, and a
+# network's first layer to an unmarked twin; every packed entry point is
+# held to the one-accumulator reference loop, and each AVX2 microkernel
+# to the Go kernel it replaces), and their parallelism runs through the
+# sharding helpers, so give those determinism tests extra race-detector
+# rounds.
+echo "==> go test -race -count=2 GEMM determinism + fusion + packed/skinny/microkernel differentials"
+# shellcheck disable=SC2086
+run_tests -race -count=2 ${short} -run 'Bitwise|FastKernels|LinearForward|ConvGemm|ConvGradWeightRows|SkinnyShapes|FusedUpdateKernels|AVX2Microkernels' ./internal/tensor/
 run_tests -race -count=2 -run 'Fused|Conv2DBackwardDifferential|FirstLayerSkipsInputGradient' ./internal/nn/
 run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
 
@@ -212,10 +242,13 @@ run_tests -run 'NilRegistryIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/ob
 echo "==> go test tensor GEMM + update-path zero-alloc pins"
 run_tests -run 'GemmSteadyStateAllocs|UpdatePathSteadyStateAllocs' ./internal/tensor/
 
-# Bounds-check-elimination gate: the GEMM microkernels are written in
-# the len-conditioned slice-advance idiom precisely so the compiler can
-# prove every index in bounds; a regression shows up as a check_bce
-# diagnostic pointing into gemm_micro.go. The skinny kernels
+# Bounds-check-elimination gate: the Go GEMM microkernels — the packed
+# engine's reference kernels, and the ones that run wherever the AVX2
+# assembly does not — are written in the len-conditioned slice-advance
+# idiom precisely so the compiler can prove every index in bounds; a
+# regression shows up as a check_bce diagnostic pointing into
+# gemm_micro.go (gemm_micro_amd64.go and gemm_micro_generic.go hold
+# panel sweeps, not kernels, and do not match). The skinny kernels
 # (gemm_skinny.go) cut their operands to a common length once per call —
 # those slice checks (IsSliceInBounds) are the idiom — and index them by
 # one range variable, so there the gate is on index checks (IsInBounds),
