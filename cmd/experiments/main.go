@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"sasgd/internal/core"
 	"sasgd/internal/experiments"
 )
 
@@ -27,18 +26,13 @@ func main() {
 	seed := flag.Int64("seed", 0, "seed offset for replication runs")
 	replicas := flag.Int("replicas", 3, "seeds averaged per convergence curve (1 = single run)")
 	jsonDir := flag.String("json", "", "also write each item's structured result as JSON into this directory")
-	trace := flag.String("trace", "", "Chrome-trace output file for the trace item (default also via SASGD_TRACE=1 or SASGD_TRACE=path)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/obs on this address during traced runs")
-	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry to the metrics-aware items (trace): per-rank sim splits, drift RMS and straggler verdicts (default also via SASGD_METRICS=1)")
+	trace := flag.String("trace", "", "Chrome-trace output file for the trace item")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/obs, /debug/vars and /debug/pprof/ on this address during the trace item's traced run (with -metrics also /debug/metrics)")
+	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry to the metrics-aware items (trace): per-rank sim splits, drift RMS and straggler verdicts")
 	flag.Parse()
 
-	tracePath := *trace
-	if tracePath == "" {
-		tracePath = core.DefaultTracePath()
-	}
 	opt := experiments.Opt{Out: os.Stdout, Epochs: *epochs, Seed: *seed, Replicas: *replicas,
-		TracePath: tracePath, DebugAddr: *debugAddr,
-		Metrics: *metricsOn || core.DefaultMetrics()}
+		TracePath: *trace, DebugAddr: *debugAddr, Metrics: *metricsOn}
 	all := []struct {
 		name string
 		run  func() interface{}

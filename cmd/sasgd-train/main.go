@@ -21,9 +21,8 @@ import (
 	"sasgd/internal/comm"
 	"sasgd/internal/core"
 	"sasgd/internal/experiments"
-	"sasgd/internal/metrics"
 	"sasgd/internal/obs"
-	obsmetrics "sasgd/internal/obs/metrics"
+	"sasgd/internal/report"
 )
 
 func main() {
@@ -53,7 +52,7 @@ func main() {
 	fastKernels := flag.Bool("fast-kernels", false, "use reordered-summation tensor kernels: faster dot products, value-equal to the default kernels within 1e-12 but not bit-identical (default also via SASGD_FAST_KERNELS=1)")
 	sim := flag.Bool("sim", false, "attach the fabric simulator and report simulated epoch time")
 	vtime := flag.Bool("vtime", false, "deterministic virtual-time scheduling for the asynchronous algorithms")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (default also via SASGD_TRACE=1 or SASGD_TRACE=path; load in ui.perfetto.dev)")
+	trace := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file and print its phase profile (load in ui.perfetto.dev)")
 	transport := flag.String("transport", "", "wire transport: chan (in-process fabric, the default) or tcp (length-prefixed framed sockets; default also via SASGD_TRANSPORT)")
 	rank := flag.Int("rank", -1, "with -transport tcp: the single learner rank this process hosts, meeting its peers over -peers (-1 = host every rank over TCP loopback; default also via SASGD_RANK)")
 	peers := flag.String("peers", "", "with -transport tcp -rank N: comma-separated host:port for every rank in order, e.g. 127.0.0.1:7000,127.0.0.1:7001 (default also via SASGD_PEERS)")
@@ -63,9 +62,8 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every Nth aggregation boundary (with -ckpt)")
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
 	resumeRanks := flag.String("resume-ranks", "", "comma-separated original ranks the resumed learners play, e.g. 0,1,3 after rank 2 died (default: all of them)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/obs live snapshots and /debug/pprof/ profiles on this address during the run (e.g. localhost:6060)")
-	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, straggler detection, and an end-of-run fleet health summary (SASGD only; default also via SASGD_METRICS=1)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text on /debug/metrics and the JSON snapshot on /debug/obs at this address during the run (implies -metrics; same mux as -debug-addr)")
+	debugAddr := flag.String("debug-addr", "", "serve the live /debug/obs snapshot, /debug/vars and /debug/pprof/ profiles on this address during the run (e.g. localhost:6060); with -metrics also Prometheus text on /debug/metrics")
+	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, per-rank compute and wall time, straggler detection, and an end-of-run fleet health summary (SASGD only)")
 	metricsEvents := flag.String("metrics-events", "", "append boundary/T-change/membership/fault/anomaly events to this NDJSON file during the run (implies -metrics)")
 	flag.Parse()
 
@@ -221,38 +219,31 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Tracing: the flag wins, the SASGD_TRACE env supplies the default
-	// (same precedence as -overlap/SASGD_OVERLAP). The debug endpoint
-	// needs a tracer too, so it implies one even without a trace file.
+	// The debug endpoint serves a tracer, so it implies one even without a
+	// trace file.
 	tracePath := *trace
-	if tracePath == "" {
-		tracePath = core.DefaultTracePath()
-	}
 	var tracer *obs.Tracer
-	if tracePath != "" || *debugAddr != "" || *metricsAddr != "" {
+	if tracePath != "" || *debugAddr != "" {
 		tracer = obs.NewTracer(0)
 		cfg.Tracer = tracer
 	}
 
-	// Metrics: the flag wins, the SASGD_METRICS env supplies the default,
-	// and either export flag implies collection. The registry only feeds
+	// Metrics: -metrics-events implies collection. The registry only feeds
 	// from SASGD's aggregation boundaries; attaching it to another
 	// algorithm is harmless but yields no fleet view.
-	var reg *obsmetrics.Registry
-	if *metricsOn || *metricsAddr != "" || *metricsEvents != "" || core.DefaultMetrics() {
-		reg = obsmetrics.New()
+	var reg *obs.Registry
+	var events *os.File
+	if *metricsOn || *metricsEvents != "" {
+		reg = obs.NewRegistry()
 		cfg.Metrics = reg
-		// Train attaches the registry to the tracer too; doing it here as
-		// well makes /debug/metrics live before the first boundary.
 		tracer.SetMetrics(reg)
 		if *metricsEvents != "" {
-			f, err := os.Create(*metricsEvents)
-			if err != nil {
+			var err error
+			if events, err = os.Create(*metricsEvents); err != nil {
 				fmt.Fprintf(os.Stderr, "sasgd-train: -metrics-events: %v\n", err)
 				os.Exit(1)
 			}
-			defer f.Close()
-			reg.SetEvents(obsmetrics.NewEventLog(f))
+			reg.SetEvents(obs.NewEventLog(events))
 		}
 	}
 
@@ -264,26 +255,18 @@ func main() {
 		}
 		fmt.Printf("debug endpoint: http://%s/debug/obs\n", addr)
 	}
-	if *metricsAddr != "" && *metricsAddr != *debugAddr {
-		addr, err := tracer.ServeDebug(*metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sasgd-train: metrics endpoint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics endpoint: http://%s/debug/metrics\n", addr)
-	}
 
 	fmt.Printf("training %s on %s: p=%d T=%d M=%d γ=%g epochs=%d\n",
 		cfg.Algo, w.Name, cfg.Learners, cfg.Interval, cfg.Batch, cfg.Gamma, cfg.Epochs)
 	res := core.Train(cfg, w.Problem)
 
-	tab := metrics.Table{Header: []string{"epoch", "train", "test", "loss"}}
+	tab := report.Table{Header: []string{"epoch", "train", "test", "loss"}}
 	for _, pt := range res.Curve {
-		tab.AddRow(fmt.Sprint(pt.Epoch), metrics.Pct(pt.Train), metrics.Pct(pt.Test), fmt.Sprintf("%.4f", pt.Loss))
+		tab.AddRow(fmt.Sprint(pt.Epoch), report.Pct(pt.Train), report.Pct(pt.Test), fmt.Sprintf("%.4f", pt.Loss))
 	}
 	fmt.Print(tab.String())
 	fmt.Printf("final: train %s test %s (%d samples, wall %s)\n",
-		metrics.Pct(res.FinalTrain), metrics.Pct(res.FinalTest), res.Samples, res.Wall.Round(1e6))
+		report.Pct(res.FinalTrain), report.Pct(res.FinalTest), res.Samples, res.Wall.Round(1e6))
 	if *paramsOut != "" {
 		if len(res.FinalParams) == 0 {
 			fmt.Fprintln(os.Stderr, "sasgd-train: -params-out: this process does not host rank 0, so it has no final parameters to write")
@@ -335,7 +318,7 @@ func main() {
 		}
 	}
 	if snap := reg.Fleet().Snapshot(); snap != nil && snap.Boundaries > 0 {
-		ftab := metrics.Table{
+		ftab := report.Table{
 			Title:  "fleet health",
 			Header: []string{"rank", "live", "compute(ms)", "wall(ms)", "sim-comp(s)", "sim-comm(s)", "z", "flagged"},
 		}
@@ -358,10 +341,22 @@ func main() {
 		fmt.Print(ftab.String())
 		fmt.Printf("fleet: %d boundaries, %d/%d live, T=%d, drift RMS %.4g, %d frame words on the wire\n",
 			snap.Boundaries, snap.Live, len(snap.Ranks), snap.T, snap.DriftRMS,
-			int64(snap.Boundaries)*obsmetrics.FrameTrafficWords(len(snap.Ranks)))
+			int64(snap.Boundaries)*obs.FrameTrafficWords(len(snap.Ranks)))
 		if len(snap.Anomalies) > 0 {
 			fmt.Printf("anomalies: ranks %v flagged as stragglers (leave-one-out z ≥ %g for %d+ boundaries)\n",
-				snap.Anomalies, obsmetrics.DefaultZ, obsmetrics.DefaultStreak)
+				snap.Anomalies, obs.DefaultZ, obs.DefaultStreak)
+		}
+	}
+	// An event log that lost a line is a failed run, however well the
+	// training went.
+	if events != nil {
+		err := reg.Events().Err()
+		if cerr := events.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sasgd-train: -metrics-events: %v\n", err)
+			os.Exit(1)
 		}
 	}
 }

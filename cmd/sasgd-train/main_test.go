@@ -99,6 +99,28 @@ func TestUnknownCollectiveExitsTwo(t *testing.T) {
 	}
 }
 
+// TestMetricsEventsWriteErrorExitsOne: an event log that cannot be
+// written fails the run. /dev/full accepts the open and refuses every
+// write, so the first boundary event is lost; the command must name the
+// flag and exit 1 rather than report a clean run.
+func TestMetricsEventsWriteErrorExitsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary; skipped in -short")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	bin := buildTrain(t, t.TempDir())
+	out, err := exec.Command(bin, "-p", "2", "-epochs", "1", "-workload", "nlcf", "-metrics-events", "/dev/full").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("-metrics-events /dev/full: err = %v, want exit status 1\n%s", err, out)
+	}
+	if want := "sasgd-train: -metrics-events: "; !strings.Contains(string(out), want) {
+		t.Errorf("output %q does not contain %q", out, want)
+	}
+}
+
 // buildTrain compiles the command into dir and returns the binary's path.
 func buildTrain(t *testing.T, dir string) string {
 	t.Helper()

@@ -14,7 +14,7 @@ import (
 
 	"sasgd/internal/core"
 	"sasgd/internal/experiments"
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 )
 
 func main() {
@@ -24,7 +24,7 @@ func main() {
 
 	fmt.Printf("SASGD on %s with p=%d learners, %d epochs per run\n\n", w.Name, p, epochs)
 	const target = 0.80
-	tab := metrics.Table{Header: []string{"T", "test acc", "samples to 80%", "sim epoch(s)", "sim time-to-budget(s)"}}
+	tab := report.Table{Header: []string{"T", "test acc", "samples to 80%", "sim epoch(s)", "sim time-to-budget(s)"}}
 	for _, T := range []int{1, 5, 25, 50} {
 		// Accuracy run (real training, reduced scale).
 		acc := core.Train(core.Config{
@@ -42,10 +42,10 @@ func main() {
 
 		epochSecs := timing.EpochTime()
 		complexity := "-"
-		if s, ok := metrics.SamplesToTarget(acc.Curve, target, w.Problem.Train.Len()); ok {
+		if s, ok := report.SamplesToTarget(acc.Curve, target, w.Problem.Train.Len()); ok {
 			complexity = fmt.Sprint(s)
 		}
-		tab.AddRow(fmt.Sprint(T), metrics.Pct(acc.FinalTest), complexity, metrics.Secs(epochSecs), metrics.Secs(epochSecs*epochs))
+		tab.AddRow(fmt.Sprint(T), report.Pct(acc.FinalTest), complexity, report.Secs(epochSecs), report.Secs(epochSecs*epochs))
 	}
 	fmt.Print(tab.String())
 	fmt.Println("\nSmall T: more communication per epoch but fewer samples to a")

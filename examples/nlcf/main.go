@@ -12,7 +12,7 @@ import (
 
 	"sasgd/internal/core"
 	"sasgd/internal/experiments"
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 )
 
 func main() {
@@ -22,7 +22,7 @@ func main() {
 	fmt.Printf("Downpour vs EAMSGD vs SASGD on %s (T=50, %d epochs, M=%d, γ=%g)\n\n",
 		w.Name, epochs, w.Batch, w.Gamma)
 
-	tab := metrics.Table{Header: []string{"p", "algo", "train acc", "test acc", "staleness(mean/max)"}}
+	tab := report.Table{Header: []string{"p", "algo", "train acc", "test acc", "staleness(mean/max)"}}
 	for _, p := range []int{2, 8, 16} {
 		for _, algo := range []core.Algorithm{core.AlgoDownpour, core.AlgoEAMSGD, core.AlgoSASGD} {
 			res := core.Train(core.Config{
@@ -31,7 +31,7 @@ func main() {
 			}, w.Problem)
 			tab.AddRow(
 				fmt.Sprint(p), string(algo),
-				metrics.Pct(res.FinalTrain), metrics.Pct(res.FinalTest),
+				report.Pct(res.FinalTrain), report.Pct(res.FinalTest),
 				fmt.Sprintf("%.1f/%d", res.StalenessMean, res.StalenessMax),
 			)
 		}

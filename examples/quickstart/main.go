@@ -10,9 +10,9 @@ import (
 
 	"sasgd/internal/core"
 	"sasgd/internal/data"
-	"sasgd/internal/metrics"
 	"sasgd/internal/model"
 	"sasgd/internal/nn"
+	"sasgd/internal/report"
 )
 
 func main() {
@@ -46,7 +46,7 @@ func main() {
 	}, prob)
 
 	for _, pt := range res.Curve {
-		fmt.Printf("epoch %2d: train %s  test %s\n", pt.Epoch, metrics.Pct(pt.Train), metrics.Pct(pt.Test))
+		fmt.Printf("epoch %2d: train %s  test %s\n", pt.Epoch, report.Pct(pt.Train), report.Pct(pt.Test))
 	}
 	fmt.Printf("\nSASGD processed %d samples across %d learners; staleness is bounded by T=%d by construction (measured max: %d)\n",
 		res.Samples, res.P, res.T, res.StalenessMax)

@@ -9,7 +9,7 @@ package main
 import (
 	"fmt"
 
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 	"sasgd/internal/theory"
 )
 
@@ -20,7 +20,7 @@ func main() {
 
 	fmt.Println("1. Theorem 1: the optimal ASGD guarantee for p learners vs 1 learner")
 	fmt.Println("   (the gap ≈ p/α is why practical ASGD speedup is sublinear)")
-	tab := metrics.Table{Header: []string{"p", "alpha", "optimal c (p)", "guarantee gap", "p/alpha"}}
+	tab := report.Table{Header: []string{"p", "alpha", "optimal c (p)", "guarantee gap", "p/alpha"}}
 	for _, pa := range []struct {
 		p     int
 		alpha float64
@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("   which is why Figure 3 converges linearly but to a worse optimum.\n")
 
 	fmt.Println("\n3. Theorem 2 / Theorem 4: SASGD's guarantee as T grows (fixed S)")
-	tab2 := metrics.Table{Header: []string{"T", "best Theorem-2 bound", "Corollary-3 K threshold"}}
+	tab2 := report.Table{Header: []string{"T", "best Theorem-2 bound", "Corollary-3 K threshold"}}
 	const S = 1e7
 	for _, T := range []int{1, 5, 25, 50, 200} {
 		tab2.AddRow(

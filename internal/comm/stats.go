@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sasgd/internal/metrics"
 	"sasgd/internal/obs"
+	"sasgd/internal/report"
 )
 
 // Unified communication statistics. Every send is charged to the
@@ -326,11 +326,11 @@ func (g *Group) ResetStats() {
 	}
 }
 
-// String renders the snapshot as an aligned table (internal/metrics
+// String renders the snapshot as an aligned table (internal/report
 // style), one row per algorithm plus a totals row, followed by the
 // pipeline lines when the bucketed path ran.
 func (s Stats) String() string {
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "comm traffic",
 		Header: []string{"algo", "words", "messages", "bytes"},
 	}

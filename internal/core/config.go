@@ -17,7 +17,6 @@ import (
 	"sasgd/internal/comm"
 	"sasgd/internal/netsim"
 	"sasgd/internal/obs"
-	obsmetrics "sasgd/internal/obs/metrics"
 )
 
 // envOn reports whether an on/off environment default is set ("1" or
@@ -70,7 +69,7 @@ func DefaultSched() (tsched string, hierGroups int, delayed bool) {
 // SASGD_FAULTS environment variable (comm.ParseFaultPlan grammar, e.g.
 // "seed=1,drop=0.05,slow=2:4,crash=3@10"); empty (the default) leaves
 // fault injection off. Commands consult it when their -faults flag is
-// unset, mirroring the -trace/SASGD_TRACE precedence.
+// unset, mirroring the -overlap/SASGD_OVERLAP precedence.
 func DefaultFaultSpec() string { return os.Getenv("SASGD_FAULTS") }
 
 // DefaultTransport returns the wire-transport defaults requested by the
@@ -78,31 +77,13 @@ func DefaultFaultSpec() string { return os.Getenv("SASGD_FAULTS") }
 // environment variables: the backend name, the single rank this
 // process hosts (-1 = all ranks, TCP loopback), and the comma-separated
 // rank→address list. Empty/unset leaves each command flag's zero value
-// in charge, mirroring the -trace/SASGD_TRACE precedence.
+// in charge, mirroring the -overlap/SASGD_OVERLAP precedence.
 func DefaultTransport() (transport string, rank int, peers string) {
 	rank = -1
 	if v, err := strconv.Atoi(os.Getenv("SASGD_RANK")); err == nil && v >= 0 {
 		rank = v
 	}
 	return os.Getenv("SASGD_TRANSPORT"), rank, os.Getenv("SASGD_PEERS")
-}
-
-// DefaultMetrics reports whether the SASGD_METRICS environment variable
-// requests a metrics registry by default. Commands consult it when their
-// -metrics flag is unset, mirroring the -trace/SASGD_TRACE precedence.
-func DefaultMetrics() bool { return envOn("SASGD_METRICS") }
-
-// DefaultTracePath returns the Chrome-trace output path requested by
-// the SASGD_TRACE environment variable: "1" or "true" select
-// "trace.json", any other non-empty value is used as the path itself,
-// and empty (the default) leaves tracing off. Commands consult it when
-// their -trace flag is unset, mirroring the -overlap/SASGD_OVERLAP
-// precedence.
-func DefaultTracePath() string {
-	if envOn("SASGD_TRACE") {
-		return "trace.json"
-	}
-	return os.Getenv("SASGD_TRACE")
 }
 
 // Algorithm identifies one of the implemented training algorithms.
@@ -312,24 +293,29 @@ type Config struct {
 	// to the comm group, enabling mailbox-wait and pipeline-occupancy
 	// accounting in the group's Stats. Applies to the collective
 	// (SASGD/SGD) path; nil (the default) keeps every probe on its
-	// nil-check-only fast path.
+	// nil-check-only fast path. The spans are the run's only clock: with
+	// Metrics attached too, the fleet frame's compute and wall time are
+	// read from the learner tracks.
 	Tracer *obs.Tracer
 
-	// Metrics, when non-nil, attaches the time-series metrics registry
-	// (internal/obs/metrics) to the run: learners record per-rank phase
-	// latencies and boundary health frames, every aggregation boundary
-	// piggybacks a fixed-size fleet frame on an extra allreduce over the
-	// training group (traffic-pinned: boundaries × FrameTrafficWords(p)
-	// words), and rank 0 ingests the fleet view — live ranks, effective
-	// T, replica-drift RMS, compression capture, straggler anomalies —
-	// into the registry's gauges, event log and anomaly detector. The
-	// frame rides its own buffer, so enabling metrics never changes
-	// training values: FinalParams is bitwise identical with metrics on
-	// or off (simulated times do shift — the frame exchange is charged to
-	// the fabric like any other traffic). Nil (the default) keeps every
-	// probe on its nil-check-only fast path. SASGD collective paths only;
-	// the other algorithms ignore it.
-	Metrics *obsmetrics.Registry
+	// Metrics, when non-nil, attaches the metrics registry to the run:
+	// every aggregation boundary piggybacks a fixed-size fleet frame on an
+	// extra allreduce over the training group (traffic-pinned: boundaries
+	// × FrameTrafficWords(p) words), and rank 0 ingests the fleet view —
+	// live ranks, effective T, replica-drift RMS, compression capture,
+	// per-rank compute and wall time, straggler anomalies — into the
+	// registry's gauges, event log and anomaly detector. A rank's compute
+	// time is its learner track's forward + backward span total, so a run
+	// without a Tracer gives its learners private one-span tracks for it;
+	// event and series stamps are on the learner tracer's clock. The frame
+	// rides its own buffer, so enabling metrics never changes training
+	// values: FinalParams is bitwise identical with metrics on or off
+	// (simulated times do shift — the frame exchange is charged to the
+	// fabric like any other traffic). Nil (the default) keeps every probe
+	// on its nil-check-only fast path. SASGD collective paths only; the
+	// other algorithms ignore it. To serve it on /debug/metrics, attach it
+	// to the debug tracer (Tracer.SetMetrics) before serving.
+	Metrics *obs.Registry
 
 	// Sim, when non-nil, attaches the fabric simulator: compute and
 	// communication are charged to per-learner clocks and the result

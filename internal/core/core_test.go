@@ -9,10 +9,10 @@ import (
 	"sync"
 
 	"sasgd/internal/data"
-	"sasgd/internal/metrics"
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
 	"sasgd/internal/nn"
+	"sasgd/internal/report"
 	"sasgd/internal/tensor"
 )
 
@@ -407,7 +407,7 @@ func TestResultHelpers(t *testing.T) {
 	r := &Result{
 		Algo: AlgoSASGD, P: 4, T: 50,
 		SimTime: 10,
-		Curve:   metrics.Curve{{Epoch: 2}, {Epoch: 5}},
+		Curve:   report.Curve{{Epoch: 2}, {Epoch: 5}},
 	}
 	if got := r.EpochTime(); got != 2 {
 		t.Errorf("EpochTime = %g, want 2", got)

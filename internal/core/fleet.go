@@ -1,12 +1,9 @@
 package core
 
 import (
-	"strconv"
-
 	"sasgd/internal/comm"
 	"sasgd/internal/netsim"
-	"sasgd/internal/nn"
-	obsmetrics "sasgd/internal/obs/metrics"
+	"sasgd/internal/obs"
 )
 
 // Fleet-health collection for the SASGD trainers. Each learner owns one
@@ -14,11 +11,17 @@ import (
 // fixed-size health frame — drift, effective T, phase timings, the
 // simulated compute/communication split, compression capture — and the
 // group sums the frames with one extra tree allreduce (disjoint slots,
-// so the sum IS the concatenation; see metrics/frame.go). Whichever rank
+// so the sum IS the concatenation; see obs/fleet.go). Whichever rank
 // is virtual rank 0 of the current group then holds every live rank's
 // frame and ingests the fleet view: gauges, the drift time series, the
 // NDJSON event log, the straggler detector, and the comm-layer traffic
 // and fault gauges sampled through the group's alloc-free accessors.
+//
+// The collector reads no clock of its own. The interval's wall time is
+// the learner track's clock between two boundaries, its compute time the
+// growth of the track's forward + backward totals — the same spans the
+// trace and the profile show — and every stamp it hands the fleet view
+// is on the tracer's epoch.
 //
 // The frame rides its own buffer and never touches gradient state, so
 // enabling metrics cannot change training values (pinned bitwise in
@@ -30,56 +33,41 @@ import (
 // A nil collector (metrics off) makes every method a nil-check no-op,
 // the same contract as the obs tracer's disabled path.
 type fleetCollector struct {
-	reg   *obsmetrics.Registry
-	fleet *obsmetrics.Fleet
+	reg   *obs.Registry
+	fleet *obs.Fleet
+	tk    *obs.Track // the learner's track: the interval's clock and compute time
 	sim   *netsim.Sim
 	rank  int // run-physical rank: this collector's frame slot
 	p     int // run-physical rank count: the frame's slot count
 
 	buf []float64 // FrameBuf(p), reused every boundary
 
-	// Per-phase latency histograms, attached to the learner's network;
-	// their summed ns double as the frame's compute signal on real-time
-	// runs (the simulated split is the signal when a fabric is attached).
-	hFwd, hBwd *obsmetrics.Histogram
-
-	boundary    int
-	driftSq     float64 // captured at boundaryStart, shipped at boundaryEnd
-	lastWallNs  int64
-	lastStepNs  float64 // hFwd+hBwd sum at the previous boundary
-	lastSimComp float64
-	lastSimComm float64
-	lastFaults  int64
+	boundary      int
+	driftSq       float64 // captured at boundaryStart, shipped at boundaryEnd
+	lastWallNs    int64   // track clock at the previous boundary
+	lastComputeNs int64   // track forward + backward total at the previous boundary
+	lastSimComp   float64
+	lastSimComm   float64
+	lastFaults    int64
 }
 
-// newFleetCollector builds rank's collector, or nil when the run has no
-// metrics registry. fleet is the shared fleet view (built once per run,
-// before the learners start).
-func newFleetCollector(cfg Config, rank, p int, fleet *obsmetrics.Fleet) *fleetCollector {
+// newFleetCollector builds rank's collector over its learner track, or
+// nil when the run has no metrics registry. fleet is the shared fleet
+// view (built once per run, before the learners start).
+func newFleetCollector(cfg Config, rank, p int, fleet *obs.Fleet, tk *obs.Track) *fleetCollector {
 	if cfg.Metrics == nil {
 		return nil
 	}
 	return &fleetCollector{
 		reg:        cfg.Metrics,
 		fleet:      fleet,
+		tk:         tk,
 		sim:        cfg.Sim,
 		rank:       rank,
 		p:          p,
-		buf:        obsmetrics.FrameBuf(p),
-		lastWallNs: cfg.Metrics.Now(),
+		buf:        obs.FrameBuf(p),
+		lastWallNs: int64(tk.Now()),
 	}
-}
-
-// attach registers the learner's per-rank phase histograms and wires
-// them into the network's step hooks.
-func (c *fleetCollector) attach(net *nn.Network) {
-	if c == nil {
-		return
-	}
-	r := strconv.Itoa(c.rank)
-	c.hFwd = c.reg.Histogram("sasgd_forward_ns", nil, "rank", r)
-	c.hBwd = c.reg.Histogram("sasgd_backward_ns", nil, "rank", r)
-	net.SetMetrics(c.hFwd, c.hBwd)
 }
 
 // boundaryStart captures the interval's replica drift ‖x − ref‖². Called
@@ -115,12 +103,10 @@ func (c *fleetCollector) boundaryEnd(g *comm.Group, grank, t int, ratio, sent2, 
 	if c == nil {
 		return
 	}
-	now := c.reg.Now()
-	wallNs := float64(now - c.lastWallNs)
-	c.lastWallNs = now
-	stepNs := c.hFwd.Sum() + c.hBwd.Sum()
-	computeNs := stepNs - c.lastStepNs
-	c.lastStepNs = stepNs
+	now := int64(c.tk.Now())
+	compute := c.tk.PhaseNs(obs.PhaseForward) + c.tk.PhaseNs(obs.PhaseBackward)
+	wallNs, computeNs := now-c.lastWallNs, compute-c.lastComputeNs
+	c.lastWallNs, c.lastComputeNs = now, compute
 	var dComp, dComm float64
 	if c.sim != nil {
 		sc, sm := c.sim.Clock(c.rank).Split()
@@ -128,14 +114,14 @@ func (c *fleetCollector) boundaryEnd(g *comm.Group, grank, t int, ratio, sent2, 
 		c.lastSimComp, c.lastSimComm = sc, sm
 	}
 	clear(c.buf)
-	obsmetrics.Frame{
+	obs.Frame{
 		Rank:       c.rank,
 		Live:       true,
 		Boundary:   c.boundary,
 		T:          t,
 		DriftSq:    c.driftSq,
-		ComputeNs:  computeNs,
-		WallNs:     wallNs,
+		ComputeNs:  float64(computeNs),
+		WallNs:     float64(wallNs),
 		SimCompute: dComp,
 		SimComm:    dComm,
 		Ratio:      ratio,
@@ -169,22 +155,13 @@ func (c *fleetCollector) sampleComm(g *comm.Group, now int64) {
 		c.reg.Gauge("sasgd_fault_evictions").SetInt(f.Evictions)
 		c.reg.Gauge("sasgd_fault_reforms").SetInt(f.Reforms)
 		c.reg.Gauge("sasgd_fault_crashes").SetInt(f.Crashes)
-		c.reg.Emit(obsmetrics.Event{
+		c.reg.Events().Emit(obs.Event{
 			TNs:      now,
-			Type:     obsmetrics.EventFault,
+			Type:     obs.EventFault,
 			Boundary: c.boundary - 1,
 			Value:    float64(sum - c.lastFaults),
 			Note:     "fault counters moved",
 		})
 		c.lastFaults = sum
 	}
-}
-
-// newFleet builds the run's shared fleet view on the registry, or nil
-// when metrics are off.
-func newFleet(cfg Config, p int) *obsmetrics.Fleet {
-	if cfg.Metrics == nil {
-		return nil
-	}
-	return obsmetrics.NewFleet(cfg.Metrics, p)
 }

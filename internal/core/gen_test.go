@@ -13,7 +13,6 @@ import (
 	"sasgd/internal/comm"
 	"sasgd/internal/netsim"
 	"sasgd/internal/obs"
-	obsmetrics "sasgd/internal/obs/metrics"
 )
 
 // The generated-configuration harness. Every invariant the SASGD loop
@@ -149,7 +148,7 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 		cfg.Tracer = obs.NewTracer(1 << 10)
 	}
 	if d.metrics != (v == genFlipMetrics) {
-		cfg.Metrics = obsmetrics.New()
+		cfg.Metrics = obs.NewRegistry()
 	}
 	switch d.junk {
 	case "gamma":

@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sasgd/internal/comm"
 	"sasgd/internal/netsim"
-	obsmetrics "sasgd/internal/obs/metrics"
+	"sasgd/internal/obs"
 )
 
 // TestMetricsBitwiseIdentical pins the observability contract: attaching
@@ -50,7 +51,7 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 		if cfg.Faults != nil {
 			cfg.Faults = mustPlan(t, "seed=3,crash=3@2")
 		}
-		cfg.Metrics = obsmetrics.New()
+		cfg.Metrics = obs.NewRegistry()
 		metered := Train(cfg, prob)
 
 		if len(plain.FinalParams) == 0 || len(plain.FinalParams) != len(metered.FinalParams) {
@@ -88,14 +89,14 @@ func TestMetricsFrameTrafficPinned(t *testing.T) {
 	plain := Train(base, prob)
 
 	cfg := base
-	cfg.Metrics = obsmetrics.New()
+	cfg.Metrics = obs.NewRegistry()
 	metered := Train(cfg, prob)
 
 	snap := cfg.Metrics.Fleet().Snapshot()
 	if snap.Boundaries == 0 {
 		t.Fatal("no boundaries ingested")
 	}
-	wantExtra := int64(snap.Boundaries) * obsmetrics.FrameTrafficWords(p)
+	wantExtra := int64(snap.Boundaries) * obs.FrameTrafficWords(p)
 	if got := metered.WordsMoved - plain.WordsMoved; got != wantExtra {
 		t.Fatalf("metrics added %d words over %d boundaries, want exactly %d",
 			got, snap.Boundaries, wantExtra)
@@ -110,9 +111,9 @@ func TestMetricsFrameTrafficPinned(t *testing.T) {
 func TestMetricsFlagsSeededStraggler(t *testing.T) {
 	prob := tinyProblem(64, 24, 6)
 	const p, slow = 8, 2
-	reg := obsmetrics.New()
+	reg := obs.NewRegistry()
 	var events bytes.Buffer
-	reg.SetEvents(obsmetrics.NewEventLog(&events))
+	reg.SetEvents(obs.NewEventLog(&events))
 	cfg := Config{
 		Algo: AlgoSASGD, Learners: p, Interval: 1, Gamma: 0.05,
 		Batch: 4, Epochs: 3, Seed: 11,
@@ -126,14 +127,14 @@ func TestMetricsFlagsSeededStraggler(t *testing.T) {
 	}
 	fleet := reg.Fleet()
 	snap := fleet.Snapshot()
-	if snap.Boundaries < obsmetrics.DefaultStreak+1 {
+	if snap.Boundaries < obs.DefaultStreak+1 {
 		t.Fatalf("only %d boundaries — not enough to trip the streak", snap.Boundaries)
 	}
 	got := fleet.Anomalies()
 	if len(got) != 1 || got[0] != slow {
 		t.Fatalf("anomalies = %v, want [%d] (per-rank z: %v)", got, slow, rankZs(snap))
 	}
-	if !snap.Ranks[slow].Flagged || snap.Ranks[slow].Z < obsmetrics.DefaultZ {
+	if !snap.Ranks[slow].Flagged || snap.Ranks[slow].Z < obs.DefaultZ {
 		t.Fatalf("straggler health = %+v", snap.Ranks[slow])
 	}
 	if !strings.Contains(events.String(), `"type":"anomaly"`) {
@@ -141,7 +142,41 @@ func TestMetricsFlagsSeededStraggler(t *testing.T) {
 	}
 }
 
-func rankZs(s *obsmetrics.FleetSnap) []float64 {
+// TestFleetComputeIsTrackPhaseSum pins the one-clock rule: the fleet
+// frame reads a rank's compute time from its learner track, so when the
+// last step is a boundary, every rank's cumulative compute equals the
+// forward + backward total of "learner r" in the tracer's snapshot.
+func TestFleetComputeIsTrackPhaseSum(t *testing.T) {
+	const p = 3
+	tr := obs.NewTracer(0)
+	reg := obs.NewRegistry()
+	// 48 samples over 3 learners at batch 4: 4 steps per epoch, so T = 2
+	// puts a boundary on the last of the 8 steps.
+	Train(Config{
+		Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
+		Batch: 4, Epochs: 2, Seed: 3, Tracer: tr, Metrics: reg,
+	}, tinyProblem(48, 24, 5))
+	phaseNs := map[string]float64{}
+	for _, lt := range tr.Snapshot().Tracks {
+		for _, ph := range lt.Phases {
+			if ph.Phase == obs.PhaseForward.String() || ph.Phase == obs.PhaseBackward.String() {
+				phaseNs[lt.Name] += float64(ph.TotalNs)
+			}
+		}
+	}
+	snap := reg.Fleet().Snapshot()
+	if snap.Boundaries != 4 {
+		t.Fatalf("%d boundaries ingested, want 4", snap.Boundaries)
+	}
+	for r, h := range snap.Ranks {
+		want := phaseNs[fmt.Sprintf("learner %d", r)]
+		if want == 0 || h.TotComputeNs != want {
+			t.Errorf("rank %d: fleet compute %v ns, learner track forward+backward %v ns", r, h.TotComputeNs, want)
+		}
+	}
+}
+
+func rankZs(s *obs.FleetSnap) []float64 {
 	zs := make([]float64, len(s.Ranks))
 	for i, r := range s.Ranks {
 		zs[i] = r.Z

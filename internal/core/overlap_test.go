@@ -9,7 +9,7 @@ import (
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
 	"sasgd/internal/nn"
-	obsmetrics "sasgd/internal/obs/metrics"
+	"sasgd/internal/obs"
 )
 
 // cifarProblem and nlcfProblem build reduced-scale instances of the
@@ -96,7 +96,7 @@ func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 func TestOverlapKeepsDriftStatistic(t *testing.T) {
 	prob := cifarProblem(24, 12)
 	drift := func(overlap bool) float64 {
-		reg := obsmetrics.New()
+		reg := obs.NewRegistry()
 		Train(Config{
 			Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05,
 			Batch: 4, Epochs: 2, Seed: 3, OverlapComm: overlap, Metrics: reg,

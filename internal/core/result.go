@@ -7,8 +7,8 @@ import (
 
 	"sasgd/internal/comm"
 	"sasgd/internal/data"
-	"sasgd/internal/metrics"
 	"sasgd/internal/nn"
+	"sasgd/internal/report"
 )
 
 // Result summarizes one training run.
@@ -20,7 +20,7 @@ type Result struct {
 	// finished — equal to T unless the adaptive T-scheduler moved it.
 	// Zero for the other algorithms.
 	FinalT int
-	Curve  metrics.Curve
+	Curve  report.Curve
 	// FinalTrain/FinalTest are the last recorded accuracies.
 	FinalTrain float64
 	FinalTest  float64
@@ -84,7 +84,7 @@ func (r *Result) EpochTime() float64 {
 // String summarizes the run on one line.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s p=%d T=%d: train %s test %s (%d samples, sim %.3fs)",
-		r.Algo, r.P, r.T, metrics.Pct(r.FinalTrain), metrics.Pct(r.FinalTest), r.Samples, r.SimTime)
+		r.Algo, r.P, r.T, report.Pct(r.FinalTrain), report.Pct(r.FinalTest), r.Samples, r.SimTime)
 }
 
 // evaluator measures accuracy of a flat parameter vector against a
@@ -142,7 +142,7 @@ type recorder struct {
 	trainEval *evaluator
 	testEval  *evaluator
 	start     time.Time
-	curve     metrics.Curve
+	curve     report.Curve
 }
 
 func newRecorder(p *Problem) *recorder {
@@ -158,7 +158,7 @@ func (r *recorder) record(epoch int, params []float64, loss, simTime float64) {
 	tr := r.trainEval.accuracy(params)
 	te := r.testEval.accuracy(params)
 	r.mu.Lock()
-	r.curve = append(r.curve, metrics.Point{
+	r.curve = append(r.curve, report.Point{
 		Epoch:    epoch,
 		Train:    tr,
 		Test:     te,
@@ -169,8 +169,8 @@ func (r *recorder) record(epoch int, params []float64, loss, simTime float64) {
 	r.mu.Unlock()
 }
 
-func (r *recorder) points() metrics.Curve {
+func (r *recorder) points() report.Curve {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append(metrics.Curve(nil), r.curve...)
+	return append(report.Curve(nil), r.curve...)
 }

@@ -118,7 +118,14 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	}
 	cfg.Tracer.SetStats(func() interface{} { return stats() })
 	rec := newRecorder(prob)
-	fleet := newFleet(cfg, p)
+	fleet := obs.NewFleet(cfg.Metrics, p)
+	// The learner tracks are the fleet frame's clock and compute time. A
+	// metrics-only run gives them a tracer of one-span rings that nothing
+	// else in the run sees.
+	learnerTracer := cfg.Tracer
+	if learnerTracer == nil && cfg.Metrics != nil {
+		learnerTracer = obs.NewTracer(1)
+	}
 	var samples atomic.Int64
 	var finalParams []float64
 	var finalRatio float64
@@ -132,10 +139,9 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		dataPhys := dataRanks[rank]
 		net := prob.newReplica(cfg.Seed + int64(dataPhys))
 		params := net.ParamData()
-		tk := cfg.Tracer.Learner(rank)
+		tk := learnerTracer.Learner(rank)
 		net.SetTrack(tk)
-		fc := newFleetCollector(cfg, rank, p, fleet)
-		fc.attach(net)
+		fc := newFleetCollector(cfg, rank, p, fleet, tk)
 
 		if rs != nil {
 			if len(rs.params) != len(params) {

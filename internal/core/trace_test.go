@@ -194,7 +194,7 @@ func TestTraceExportScheduledPaths(t *testing.T) {
 
 // BenchmarkTraceOverhead measures a full overlapped training run with
 // tracing off (the nil-check-only disabled path) vs on; the two must be
-// within noise of each other, which scripts/bench_obs.sh records.
+// within noise of each other (go test -bench TraceOverhead).
 func BenchmarkTraceOverhead(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {

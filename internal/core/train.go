@@ -21,10 +21,6 @@ func Train(cfg Config, prob *Problem) *Result {
 	if prob.Train == nil || prob.Test == nil || prob.Train.Len() == 0 {
 		panic("core: Train needs non-empty train and test datasets")
 	}
-	// Make the metrics registry reachable from the tracer's live debug
-	// endpoint (/debug/metrics and the /debug/obs snapshot). Both sides
-	// are nil-safe, so this is a no-op unless both are attached.
-	cfg.Tracer.SetMetrics(cfg.Metrics)
 	// Divide the intra-op worker budget across the p learner goroutines
 	// for the duration of the run, so p learners × w kernel workers never
 	// oversubscribe the machine. Restored on exit because callers (tests,

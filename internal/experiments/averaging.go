@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"sasgd/internal/core"
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 )
 
 // AveragingRow is one line of the model-averaging comparison.
@@ -41,7 +41,7 @@ func AveragingVariants(opt Opt) []AveragingRow {
 		{"SASGD T=50", 50},
 	}
 	var rows []AveragingRow
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Model-averaging variants vs SASGD (p=8, image workload)",
 		Header: []string{"variant", "T", "test acc", "sim epoch(s)"},
 	}
@@ -63,7 +63,7 @@ func AveragingVariants(opt Opt) []AveragingRow {
 
 		row := AveragingRow{Name: c.name, T: c.t, FinalTest: acc.FinalTest, EpochSecs: timing.EpochTime()}
 		rows = append(rows, row)
-		tab.AddRow(c.name, itoa(c.t), metrics.Pct(row.FinalTest), ftoa3(row.EpochSecs))
+		tab.AddRow(c.name, itoa(c.t), report.Pct(row.FinalTest), ftoa3(row.EpochSecs))
 	}
 	fprintf(opt.out(), "%s\n", tab.String())
 	return rows

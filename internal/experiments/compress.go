@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"sasgd/internal/core"
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 )
 
 // CompressRow is one point on the compression frontier: a codec setting
@@ -80,7 +80,7 @@ func CompressionFrontier(opt Opt) *CompressResult {
 		res.Rows = append(res.Rows, row)
 	}
 
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Compression frontier: SASGD p=8 T=1, CIFAR-10 (simulated platform, overlapped)",
 		Header: []string{"codec", "k", "epoch(s)", "test", "words", "vs dense"},
 	}
@@ -96,7 +96,7 @@ func CompressionFrontier(opt Opt) *CompressResult {
 		if r.Reduction > 0 {
 			red = ftoa1(r.Reduction) + "×"
 		}
-		tab.AddRow(r.Codec, k, ftoa3(r.EpochSecs), metrics.Pct(r.FinalTest), itoa64(r.Words), red)
+		tab.AddRow(r.Codec, k, ftoa3(r.EpochSecs), report.Pct(r.FinalTest), itoa64(r.Words), red)
 	}
 	fprintf(opt.out(), "%s\n", tab.String())
 	return res

@@ -3,8 +3,8 @@ package experiments
 import (
 	"sasgd/internal/comm"
 	"sasgd/internal/core"
-	"sasgd/internal/metrics"
 	"sasgd/internal/obs"
+	"sasgd/internal/report"
 )
 
 // DegradedRow is one fault scenario's measured outcome.
@@ -87,12 +87,12 @@ func DegradedRuns(opt Opt) *DegradedResult {
 		}
 	}
 
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Graceful degradation: SASGD p=8 T=8, CIFAR-10 (simulated platform)",
 		Header: []string{"scenario", "epoch(s)", "test", "live", "retries", "evictions"},
 	}
 	for _, r := range res.Rows {
-		tab.AddRow(r.Scenario, ftoa3(r.EpochSecs), metrics.Pct(r.FinalTest),
+		tab.AddRow(r.Scenario, ftoa3(r.EpochSecs), report.Pct(r.FinalTest),
 			itoa(r.LiveP), itoa64(r.Faults.Retries), itoa64(r.Faults.Evictions))
 	}
 	fprintf(opt.out(), "%s\n", tab.String())

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"sasgd/internal/core"
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 )
 
 // trainReplicated runs one configuration opt.replicas() times with
@@ -16,7 +16,7 @@ func trainReplicated(cfg core.Config, prob *core.Problem, n int) *core.Result {
 	if n <= 1 {
 		return base
 	}
-	curves := []metrics.Curve{base.Curve}
+	curves := []report.Curve{base.Curve}
 	for i := 1; i < n; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + int64(1000*i)
@@ -32,8 +32,8 @@ func trainReplicated(cfg core.Config, prob *core.Problem, n int) *core.Result {
 
 // meanCurves averages curves pointwise; all inputs share the same eval
 // schedule by construction.
-func meanCurves(curves []metrics.Curve) metrics.Curve {
-	out := append(metrics.Curve(nil), curves[0]...)
+func meanCurves(curves []report.Curve) report.Curve {
+	out := append(report.Curve(nil), curves[0]...)
 	for i := range out {
 		tr, te, lo := 0.0, 0.0, 0.0
 		n := 0
@@ -57,7 +57,7 @@ func meanCurves(curves []metrics.Curve) metrics.Curve {
 type ConvergenceResult struct {
 	Workload string
 	Title    string
-	Series   []metrics.Series
+	Series   []report.Series
 	Runs     []*core.Result
 }
 
@@ -95,9 +95,9 @@ func downpourSweep(figure string, w *Workload, gamma float64, opt Opt) *Converge
 		cfg.EvalEvery = evalStride(epochs)
 		run := trainReplicated(cfg, w.Problem, opt.replicas())
 		res.Runs = append(res.Runs, run)
-		res.Series = append(res.Series, metrics.Series{Label: fmt.Sprintf("p=%d", p), Curve: run.Curve})
+		res.Series = append(res.Series, report.Series{Label: fmt.Sprintf("p=%d", p), Curve: run.Curve})
 	}
-	fprintf(opt.out(), "%s\n", metrics.FormatFigure(res.Title, res.Series))
+	fprintf(opt.out(), "%s\n", report.FormatFigure(res.Title, res.Series))
 	return res
 }
 
@@ -106,7 +106,7 @@ func downpourSweep(figure string, w *Workload, gamma float64, opt Opt) *Converge
 type TImpactResult struct {
 	Workload string
 	P        int
-	Series   []metrics.Series
+	Series   []report.Series
 	Runs     []*core.Result
 }
 
@@ -146,10 +146,10 @@ func tImpactFigure(figure string, w *Workload, opt Opt) []TImpactResult {
 			cfg.EvalEvery = evalStride(epochs)
 			run := trainReplicated(cfg, w.Problem, opt.replicas())
 			panel.Runs = append(panel.Runs, run)
-			panel.Series = append(panel.Series, metrics.Series{Label: fmt.Sprintf("T=%d", t), Curve: run.Curve})
+			panel.Series = append(panel.Series, report.Series{Label: fmt.Sprintf("T=%d", t), Curve: run.Curve})
 		}
 		out = append(out, panel)
-		fprintf(opt.out(), "%s\n", metrics.FormatFigure(
+		fprintf(opt.out(), "%s\n", report.FormatFigure(
 			fmt.Sprintf("%s: SASGD test accuracy, %s, p=%d", figure, w.Name, p), panel.Series))
 	}
 	return out
@@ -185,19 +185,19 @@ func threeWayFigure(figure string, w *Workload, opt Opt) []ThreeWayResult {
 	algos := []core.Algorithm{core.AlgoDownpour, core.AlgoEAMSGD, core.AlgoSASGD}
 	for _, p := range opt.ps([]int{2, 4, 8, 16}) {
 		panel := ThreeWayResult{Workload: w.Name, P: p, Runs: map[core.Algorithm]*core.Result{}}
-		var trainSeries, testSeries []metrics.Series
+		var trainSeries, testSeries []report.Series
 		for _, algo := range algos {
 			cfg := w.trainCfg(algo, p, 50, epochs, opt)
 			cfg.EvalEvery = evalStride(epochs)
 			run := trainReplicated(cfg, w.Problem, opt.replicas())
 			panel.Runs[algo] = run
-			trainSeries = append(trainSeries, metrics.Series{Label: string(algo), Curve: run.Curve})
-			testSeries = append(testSeries, metrics.Series{Label: string(algo), Curve: run.Curve})
+			trainSeries = append(trainSeries, report.Series{Label: string(algo), Curve: run.Curve})
+			testSeries = append(testSeries, report.Series{Label: string(algo), Curve: run.Curve})
 		}
 		out = append(out, panel)
-		fprintf(opt.out(), "%s\n", metrics.FormatTrainFigure(
+		fprintf(opt.out(), "%s\n", report.FormatTrainFigure(
 			fmt.Sprintf("%s (training): %s, T=50, p=%d", figure, w.Name, p), trainSeries))
-		fprintf(opt.out(), "%s\n", metrics.FormatFigure(
+		fprintf(opt.out(), "%s\n", report.FormatFigure(
 			fmt.Sprintf("%s (test): %s, T=50, p=%d", figure, w.Name, p), testSeries))
 	}
 	return out

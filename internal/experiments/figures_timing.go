@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"sasgd/internal/core"
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 )
 
 // timingEpochs is the number of epochs a timing measurement runs: the
@@ -26,7 +26,7 @@ type Fig1Row struct {
 // with 1 learner rising to ≈30% with 8.
 func Fig1(opt Opt) []Fig1Row {
 	var rows []Fig1Row
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Figure 1: Downpour epoch-time breakdown (computation vs communication)",
 		Header: []string{"workload", "p", "compute%", "comm%", "epoch(s)"},
 	}
@@ -107,7 +107,7 @@ func epochTimeFigure(figure string, w *Workload, opt Opt) *EpochTimeResult {
 	seqCfg.EvalEvery = timingEpochs
 	res.SeqSecs = core.Train(seqCfg, w.Problem).EpochTime()
 
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  figure + ": impact of T on SASGD epoch time, " + w.Name + " (sequential line at " + ftoa3(res.SeqSecs) + "s)",
 		Header: []string{"T", "p", "epoch(s)", "speedup-vs-seq"},
 	}
@@ -146,7 +146,7 @@ type Fig6Row struct {
 func Fig6(opt Opt) []Fig6Row {
 	const p = 8
 	var rows []Fig6Row
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Figure 6: epoch time at p=8 for Downpour, EAMSGD and SASGD",
 		Header: []string{"workload", "T", "algo", "epoch(s)"},
 	}

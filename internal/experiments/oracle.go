@@ -4,7 +4,7 @@ import (
 	"math/rand"
 
 	"sasgd/internal/data"
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 	"sasgd/internal/tensor"
 	"sasgd/internal/theory"
 )
@@ -110,7 +110,7 @@ func DerivedRate(opt Opt) DerivedRateResult {
 	}
 	res := DerivedRateResult{Constants: consts, K: k, Rate: theory.TheoryLearningRate(consts, k)}
 
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Figure 3 derivation: constants estimated on the workload (paper §II-B)",
 		Header: []string{"Df=f(x1)", "L (est.)", "sigma^2 (est.)", "M", "K", "gamma_theory"},
 	}

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"sasgd/internal/core"
-	"sasgd/internal/metrics"
 	"sasgd/internal/netsim"
 	"sasgd/internal/obs"
+	"sasgd/internal/report"
 )
 
 // SchedRow is one point on the communication-scheduling frontier: a
@@ -141,7 +141,7 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 		res.Rows = append(res.Rows, row)
 	}
 
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Comm-schedule frontier: SASGD p=8 T_inner=4, CIFAR-10 (uplink = peer/4, islands of 2)",
 		Header: []string{"policy", "tsched", "T_end", "epoch(s)", "test", "words", "cross/step", "vs flat"},
 	}
@@ -151,7 +151,7 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 			red = ftoa1(r.CrossReduction) + "×"
 		}
 		tab.AddRow(r.Policy, r.TSched, itoa(r.FinalT), ftoa3(r.EpochSecs),
-			metrics.Pct(r.FinalTest), itoa64(r.Words), ftoa1(r.CrossPerStep), red)
+			report.Pct(r.FinalTest), itoa64(r.Words), ftoa1(r.CrossPerStep), red)
 	}
 	fprintf(opt.out(), "%s\n", tab.String())
 
@@ -189,7 +189,7 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 		res.HiddenTraceFraction = float64(hidden) / float64(total)
 	}
 
-	tab = metrics.Table{
+	tab = report.Table{
 		Title:  "Delayed application: SASGD T=1 p=8 (ptree), CIFAR-10",
 		Header: []string{"schedule", "epoch(s)", "surfaced comm(s)", "hidden(sim)%", "hidden(trace)%"},
 	}

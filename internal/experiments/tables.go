@@ -3,8 +3,8 @@ package experiments
 import (
 	"math/rand"
 
-	"sasgd/internal/metrics"
 	"sasgd/internal/model"
+	"sasgd/internal/report"
 	"sasgd/internal/theory"
 )
 
@@ -57,7 +57,7 @@ type Theorem1Row struct {
 // Equation 7 cubic and the guarantee gap ≈ p/α.
 func Theorem1(opt Opt) []Theorem1Row {
 	var rows []Theorem1Row
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Theorem 1: ASGD guarantee gap between 1 and p learners (16 ≤ α ≤ p)",
 		Header: []string{"p", "alpha", "c*(1)", "c*(p)", "gap", "p/alpha"},
 	}

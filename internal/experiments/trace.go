@@ -6,9 +6,8 @@ import (
 
 	"sasgd/internal/comm"
 	"sasgd/internal/core"
-	"sasgd/internal/metrics"
 	"sasgd/internal/obs"
-	obsmetrics "sasgd/internal/obs/metrics"
+	"sasgd/internal/report"
 )
 
 // TracedOverlap is the observability companion to Figure 4's T=1
@@ -56,7 +55,7 @@ type TracedOverlapResult struct {
 	// Fleet is the overlapped run's fleet health view (nil unless
 	// Opt.Metrics): per-rank cumulative simulated compute/communication
 	// split, drift RMS, and any straggler verdicts.
-	Fleet *obsmetrics.FleetSnap
+	Fleet *obs.FleetSnap
 }
 
 // TracedOverlap runs the traced Figure-4-style comparison. See
@@ -74,6 +73,11 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 	res.SerialSimComm = serialRun.SimComm
 
 	tracer := obs.NewTracer(0)
+	var reg *obs.Registry
+	if opt.Metrics {
+		reg = obs.NewRegistry()
+		tracer.SetMetrics(reg)
+	}
 	if opt.DebugAddr != "" {
 		if addr, err := tracer.ServeDebug(opt.DebugAddr); err == nil {
 			fprintf(opt.out(), "debug endpoint: http://%s/debug/obs\n", addr)
@@ -88,11 +92,7 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 	overlap.Allreduce = core.AllreducePTree
 	overlap.OverlapComm = true
 	overlap.Tracer = tracer
-	var reg *obsmetrics.Registry
-	if opt.Metrics {
-		reg = obsmetrics.New()
-		overlap.Metrics = reg
-	}
+	overlap.Metrics = reg
 	run := core.Train(overlap, w.Problem)
 	res.OverlapSecs = run.EpochTime()
 	res.CommStats = run.Comm
@@ -107,7 +107,7 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 		res.HiddenSimFraction = 1 - res.OverlapSimComm/res.SerialSimComm
 	}
 
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  "Traced overlap: SASGD T=1 p=8 (ptree), CIFAR-10",
 		Header: []string{"schedule", "epoch(s)", "allreduce", "hidden", "hidden%", "sim-hidden%"},
 	}
@@ -123,7 +123,7 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 
 	if snap := reg.Fleet().Snapshot(); snap != nil && snap.Boundaries > 0 {
 		res.Fleet = snap
-		ftab := metrics.Table{
+		ftab := report.Table{
 			Title:  "fleet view (overlapped run)",
 			Header: []string{"rank", "sim-comp(s)", "sim-comm(s)", "z"},
 		}

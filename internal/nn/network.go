@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"sasgd/internal/obs"
-	"sasgd/internal/obs/metrics"
 	"sasgd/internal/tensor"
 )
 
@@ -23,8 +22,6 @@ type Network struct {
 	inShape  []int // per-sample input shape
 	criteria *SoftmaxCrossEntropy
 	track    *obs.Track // owning learner's trace track; nil = untraced
-	mFwd     *metrics.Histogram
-	mBwd     *metrics.Histogram // phase-latency histograms; nil = unmetered
 }
 
 // NewNetwork builds a network from layers, validates that the per-sample
@@ -205,19 +202,16 @@ func (n *Network) Step(x *tensor.Tensor, labels []int) float64 {
 // threaded through, so a caller can overlap work (gradient accumulation,
 // communication) with the remainder of the backward pass. With a track
 // attached (SetTrack) the forward+loss and backward halves are recorded
-// as spans; bucket launches made from onFinal then nest inside the
-// backward span on the timeline.
+// as spans — the one timing of a step that the trace, the profile and
+// the fleet frame all read; bucket launches made from onFinal then nest
+// inside the backward span on the timeline.
 func (n *Network) StepEach(x *tensor.Tensor, labels []int, onFinal func(layer int)) float64 {
 	s := n.track.Begin()
-	ms := n.mFwd.Begin()
 	logits := n.Forward(x, true)
 	loss := n.Loss(logits, labels)
-	n.mFwd.EndNs(ms)
 	n.track.End(obs.PhaseForward, s)
 	s = n.track.Begin()
-	ms = n.mBwd.Begin()
 	n.BackwardEach(onFinal)
-	n.mBwd.EndNs(ms)
 	n.track.End(obs.PhaseBackward, s)
 	return loss
 }
@@ -226,11 +220,6 @@ func (n *Network) StepEach(x *tensor.Tensor, labels []int, onFinal func(layer in
 // the untraced path is a nil check per Step half). The network is used
 // by one goroutine, so the field is unsynchronized by design.
 func (n *Network) SetTrack(t *obs.Track) { n.track = t }
-
-// SetMetrics attaches per-phase latency histograms for the forward+loss
-// and backward halves of each step (nil detaches; the unmetered path is
-// one nil check per half, same contract as SetTrack).
-func (n *Network) SetMetrics(fwd, bwd *metrics.Histogram) { n.mFwd, n.mBwd = fwd, bwd }
 
 // Predict returns the argmax class for each sample in x, running the
 // network in inference mode.

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"math"
@@ -28,8 +28,8 @@ const (
 	frameBoundary          // boundaries this rank has completed
 	frameT                 // communication period in effect after this boundary
 	frameDriftSq           // ‖x_i − ref‖² over the interval (pre-reset)
-	frameComputeNs         // wall ns spent in local compute this interval
-	frameWallNs            // wall ns of the whole interval
+	frameComputeNs         // forward + backward span ns on the rank's learner track this interval
+	frameWallNs            // ns of the whole interval on the learner track's clock
 	frameSimCompute        // simulated compute seconds this interval
 	frameSimComm           // simulated communication seconds this interval
 	frameRatio             // working top-k fraction (0 when not compressing)
@@ -165,7 +165,7 @@ func NewFleet(reg *Registry, p int) *Fleet {
 		gRatio:    reg.Gauge("sasgd_fleet_compress_ratio"),
 		gCaptured: reg.Gauge("sasgd_fleet_captured_mass"),
 		cAnomaly:  reg.Counter("sasgd_fleet_anomalies_total"),
-		rDrift:    reg.Ring("sasgd_fleet_drift_rms_series", 0),
+		rDrift:    reg.Ring("sasgd_fleet_drift_rms_series", 1024),
 
 		ranks:    make([]RankHealth, p),
 		sig:      make([]float64, p),
@@ -174,23 +174,15 @@ func NewFleet(reg *Registry, p int) *Fleet {
 	for r := range f.ranks {
 		f.ranks[r].Rank = r
 	}
-	reg.SetFleet(f)
+	reg.fleet.Store(f)
 	return f
-}
-
-// Detector returns the fleet's straggler detector (nil on nil fleet),
-// so callers can tune thresholds before the run starts.
-func (f *Fleet) Detector() *Detector {
-	if f == nil {
-		return nil
-	}
-	return f.det
 }
 
 // Ingest decodes one boundary's summed fleet buffer, updates the
 // per-rank view, the fleet gauges and the drift series, runs the
 // straggler detector, and emits boundary / t_change / membership /
-// anomaly events. Called by the boundary's virtual rank 0 only.
+// anomaly events, all stamped at stamp (ns on the tracer's clock).
+// Called by the boundary's virtual rank 0 only.
 func (f *Fleet) Ingest(stamp int64, buf []float64) {
 	if f == nil {
 		return
@@ -252,14 +244,15 @@ func (f *Fleet) Ingest(stamp int64, buf []float64) {
 	}
 	f.rDrift.RecordAt(stamp, drift)
 
-	f.reg.Emit(Event{TNs: stamp, Type: EventBoundary, Boundary: refBoundary,
+	events := f.reg.Events()
+	events.Emit(Event{TNs: stamp, Type: EventBoundary, Boundary: refBoundary,
 		Live: live, T: t, Value: drift})
 	if f.boundaries > 1 && t != f.lastT {
-		f.reg.Emit(Event{TNs: stamp, Type: EventTChange, Boundary: refBoundary,
-			Live: live, T: t, Note: "adaptive/decay period moved"})
+		events.Emit(Event{TNs: stamp, Type: EventTChange, Boundary: refBoundary,
+			Live: live, T: t, Note: "adaptive period moved"})
 	}
 	if f.boundaries > 1 && live != f.lastLive {
-		f.reg.Emit(Event{TNs: stamp, Type: EventMembership, Boundary: refBoundary,
+		events.Emit(Event{TNs: stamp, Type: EventMembership, Boundary: refBoundary,
 			Live: live, T: t, Note: "live set changed"})
 	}
 	f.lastT, f.lastLive = t, live
@@ -271,7 +264,7 @@ func (f *Fleet) Ingest(stamp int64, buf []float64) {
 	}
 	for _, r := range newly {
 		f.cAnomaly.Inc()
-		f.reg.Emit(Event{TNs: stamp, Type: EventAnomaly, Rank: r,
+		events.Emit(Event{TNs: stamp, Type: EventAnomaly, Rank: r,
 			Boundary: refBoundary, Live: live, T: t,
 			Value: f.det.Z(r), Note: "phase timing outside peer z-band"})
 	}
@@ -319,3 +312,129 @@ func (f *Fleet) Anomalies() []int {
 	}
 	return s.Anomalies
 }
+
+// The straggler/anomaly detector: a leave-one-out z-score band over the
+// fleet's per-rank compute signal. At each boundary, rank i's signal is
+// compared against the mean and standard deviation of its LIVE peers
+// (everyone but i): z_i = (v_i − mean_peers) / max(std_peers, floor).
+// Leaving i out matters at small fleets — with p = 8 and one 4×
+// straggler, a plain z-score dilutes the mean and inflates the std with
+// the outlier itself and never clears z = 3; the leave-one-out form
+// compares the straggler against its seven healthy peers directly.
+//
+// The std floor guards the degenerate (and, under the deterministic
+// fabric simulator, common) case of identical peers: std 0 would make
+// any difference infinitely significant, so the floor is EpsFrac of the
+// peer mean — a rank must run at least ~Z·EpsFrac slower than its peers
+// to score, i.e. ~15% at the defaults. A rank is flagged only after
+// Streak consecutive out-of-band boundaries, so one slow GC pause or
+// page fault does not page anyone; the flag is sticky for the run.
+
+// Detector defaults.
+const (
+	// DefaultZ is the z-score band: |z| beyond it is out of band.
+	DefaultZ = 3.0
+	// DefaultStreak is how many consecutive out-of-band boundaries flag
+	// a rank.
+	DefaultStreak = 3
+	// DefaultEpsFrac floors the peer std at this fraction of the peer
+	// mean.
+	DefaultEpsFrac = 0.05
+)
+
+// Detector holds the per-rank streaks and flags. Not concurrency-safe;
+// the Fleet drives it under its own mutex.
+type Detector struct {
+	z       float64
+	streakN int
+	epsFrac float64
+
+	streak  []int
+	flagged []bool
+	zs      []float64
+}
+
+// NewDetector builds a detector for p ranks. Zero thresholds select the
+// defaults.
+func NewDetector(p int, z float64, streak int, epsFrac float64) *Detector {
+	if z <= 0 {
+		z = DefaultZ
+	}
+	if streak <= 0 {
+		streak = DefaultStreak
+	}
+	if epsFrac <= 0 {
+		epsFrac = DefaultEpsFrac
+	}
+	return &Detector{
+		z: z, streakN: streak, epsFrac: epsFrac,
+		streak:  make([]int, p),
+		flagged: make([]bool, p),
+		zs:      make([]float64, p),
+	}
+}
+
+// Observe scores one boundary's per-rank signal (vals[r] compared among
+// ranks with live[r] true) and returns the ranks newly flagged this
+// boundary, ascending. Dead ranks keep their flags but stop
+// accumulating streaks.
+func (d *Detector) Observe(vals []float64, live []bool) (newlyFlagged []int) {
+	n := len(d.streak)
+	// Totals over the live set, so each rank's peer stats are one
+	// subtraction away (leave-one-out without a second pass).
+	liveN := 0
+	sum, sum2 := 0.0, 0.0
+	for r := 0; r < n && r < len(vals); r++ {
+		if r < len(live) && live[r] {
+			liveN++
+			sum += vals[r]
+			sum2 += vals[r] * vals[r]
+		}
+	}
+	for r := 0; r < n && r < len(vals); r++ {
+		d.zs[r] = 0
+		if r >= len(live) || !live[r] {
+			d.streak[r] = 0
+			continue
+		}
+		peers := liveN - 1
+		if peers < 2 {
+			// One or two live ranks: no peer distribution to test against.
+			d.streak[r] = 0
+			continue
+		}
+		v := vals[r]
+		pm := (sum - v) / float64(peers)
+		pvar := (sum2-v*v)/float64(peers) - pm*pm
+		if pvar < 0 {
+			pvar = 0
+		}
+		std := math.Sqrt(pvar)
+		if floor := d.epsFrac * math.Abs(pm); std < floor {
+			std = floor
+		}
+		if std == 0 {
+			// All-zero peers (e.g. wall probes disabled): nothing to score.
+			d.streak[r] = 0
+			continue
+		}
+		z := (v - pm) / std
+		d.zs[r] = z
+		if math.Abs(z) > d.z {
+			d.streak[r]++
+			if d.streak[r] >= d.streakN && !d.flagged[r] {
+				d.flagged[r] = true
+				newlyFlagged = append(newlyFlagged, r)
+			}
+		} else {
+			d.streak[r] = 0
+		}
+	}
+	return newlyFlagged
+}
+
+// Z returns rank r's latest z-score.
+func (d *Detector) Z(r int) float64 { return d.zs[r] }
+
+// Flagged reports whether rank r is flagged.
+func (d *Detector) Flagged(r int) bool { return d.flagged[r] }

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"bytes"
@@ -62,7 +62,7 @@ func TestFrameTrafficWords(t *testing.T) {
 }
 
 func TestFleetIngestAndSnapshot(t *testing.T) {
-	r := New()
+	r := NewRegistry()
 	var events bytes.Buffer
 	r.SetEvents(NewEventLog(&events))
 	const p = 4
@@ -114,6 +114,10 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 	if snap.Ranks[0].TotSimCompute != 0.2 {
 		t.Fatalf("cumulative sim compute = %g, want 0.2", snap.Ranks[0].TotSimCompute)
 	}
+	// The registry has no clock: the series carries the caller's stamps.
+	if stamps, _ := r.Ring("sasgd_fleet_drift_rms_series", 0).Samples(); len(stamps) != 2 || stamps[0] != 100 || stamps[1] != 200 {
+		t.Fatalf("drift series stamps = %v, want [100 200]", stamps)
+	}
 
 	out := events.String()
 	for _, want := range []string{
@@ -136,7 +140,7 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 // identical peers — must be flagged after DefaultStreak boundaries,
 // with an anomaly event and counter movement; healthy peers must not.
 func TestFleetFlagsStraggler(t *testing.T) {
-	r := New()
+	r := NewRegistry()
 	var events bytes.Buffer
 	r.SetEvents(NewEventLog(&events))
 	const p, slow = 8, 2
@@ -191,8 +195,10 @@ func TestDetectorLeaveOneOut(t *testing.T) {
 	if z := d.Z(0); math.Abs(z) > DefaultZ {
 		t.Fatalf("healthy rank z = %g, want |z| ≤ %g", z, DefaultZ)
 	}
-	if got := d.FlaggedRanks(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("flagged = %v, want [4]", got)
+	for r := range vals {
+		if d.Flagged(r) != (r == 4) {
+			t.Fatalf("rank %d flagged = %v, want only rank 4 flagged", r, d.Flagged(r))
+		}
 	}
 }
 

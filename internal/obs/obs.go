@@ -1,9 +1,13 @@
-// Package obs is the per-learner tracing and counters subsystem: a
-// low-overhead span recorder that core, comm and nn emit phase timings
-// into, plus exporters that turn a recorded run into a Chrome
-// trace-event (Perfetto) JSON timeline, a plain-text phase-latency
-// profile (p50/p95/p99 per phase per track), and a live HTTP debug
-// snapshot.
+// Package obs is the run's one telemetry plane. A low-overhead span
+// recorder (Track) is the only clock: core, comm and nn time each
+// instrumented cut once, as a span, and everything else reads those
+// spans — a Chrome trace-event (Perfetto) JSON timeline, a plain-text
+// phase-latency profile (p50/p95/p99 per phase per track), the live
+// per-phase aggregates of the HTTP debug endpoint, and the fleet health
+// frame, whose compute time is the learner track's forward + backward
+// total (Track.PhaseNs). Beside the spans sit the metrics registry's
+// counters, gauges and stamped sample rings (registry.go), the fleet
+// view and straggler detector (fleet.go), and the NDJSON event log.
 //
 // Design constraints, in priority order:
 //
@@ -31,8 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sasgd/internal/obs/metrics"
 )
 
 // Phase identifies one instrumented span type. The set covers the SASGD
@@ -175,6 +177,16 @@ func (t *Track) record(ph Phase, arg int32, start, end int64) {
 	t.agg[ph].ns.Add(end - start)
 }
 
+// PhaseNs returns the total ns of every span of phase ph recorded on the
+// track so far (0 on a nil track). It reads the live aggregate, so it is
+// exact however small the ring, and safe from any goroutine.
+func (t *Track) PhaseNs(ph Phase) int64 {
+	if t == nil {
+		return 0
+	}
+	return t.agg[ph].ns.Load()
+}
+
 // Len returns the number of spans ever recorded (recorded, not
 // retained: the ring keeps the most recent Cap()).
 func (t *Track) Len() int {
@@ -234,7 +246,7 @@ type Tracer struct {
 	mu       sync.Mutex
 	tracks   []*Track
 	statsFn  atomic.Value // func() interface{} — live comm-stats source
-	metrics  atomic.Pointer[metrics.Registry]
+	metrics  *Registry    // set before serving (SetMetrics)
 }
 
 // NewTracer returns a tracer whose tracks hold trackSpans spans each
@@ -349,19 +361,11 @@ func (tr *Tracer) Stats() interface{} {
 }
 
 // SetMetrics attaches a metrics registry to the debug plane: the live
-// snapshot embeds its JSON view and the debug mux gains the
-// /debug/metrics Prometheus exposition. Nil-safe both ways.
-func (tr *Tracer) SetMetrics(reg *metrics.Registry) {
-	if tr == nil || reg == nil {
-		return
+// snapshot embeds its JSON view and /debug/metrics serves it with the
+// tracks' phase aggregates. The link is a plain field: set it before
+// ServeDebug or Handler. Nil-safe.
+func (tr *Tracer) SetMetrics(reg *Registry) {
+	if tr != nil {
+		tr.metrics = reg
 	}
-	tr.metrics.Store(reg)
-}
-
-// Metrics returns the attached registry (nil when none).
-func (tr *Tracer) Metrics() *metrics.Registry {
-	if tr == nil {
-		return nil
-	}
-	return tr.metrics.Load()
 }

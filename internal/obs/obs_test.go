@@ -27,7 +27,7 @@ func TestNilTrackIsSafeAndFree(t *testing.T) {
 	tk.End(PhaseForward, s)
 	tk.EndArg(PhaseAllreduce, 3, s)
 	tk.Span(PhaseQueueDwell, NoArg, 0, 0)
-	if tk.Now() != 0 || tk.Len() != 0 || tk.Cap() != 0 || tk.Dropped() != 0 {
+	if tk.Now() != 0 || tk.PhaseNs(PhaseForward) != 0 || tk.Len() != 0 || tk.Cap() != 0 || tk.Dropped() != 0 {
 		t.Error("nil track reported non-zero state")
 	}
 	var tr *Tracer
@@ -116,6 +116,9 @@ func TestSnapshotAggregates(t *testing.T) {
 	// Each fake-clock span lasts exactly one step (10ns).
 	if byPhase["backward"].TotalNs != 30 || byPhase["backward"].MeanNs != 10 {
 		t.Errorf("backward total/mean = %d/%.1f, want 30/10", byPhase["backward"].TotalNs, byPhase["backward"].MeanNs)
+	}
+	if tk.PhaseNs(PhaseBackward) != 30 || tk.PhaseNs(PhaseForward) != 10 {
+		t.Errorf("PhaseNs backward/forward = %d/%d, want 30/10", tk.PhaseNs(PhaseBackward), tk.PhaseNs(PhaseForward))
 	}
 	if snap.Stats == nil {
 		t.Error("snapshot dropped the stats source")

@@ -5,12 +5,12 @@ import (
 	"sort"
 	"time"
 
-	"sasgd/internal/metrics"
+	"sasgd/internal/report"
 )
 
 // Phase-latency profiles: the post-run summary of a traced run, one row
 // per (track, phase) with count, percentile latencies and the phase's
-// total time, rendered in the internal/metrics table style the
+// total time, rendered in the internal/report table style the
 // experiment drivers already print.
 
 // PhaseProfile summarizes one phase on one track.
@@ -81,7 +81,7 @@ func pct(sorted []int64, q int) int64 {
 
 // ProfileTable renders the profile as an aligned text table.
 func (tr *Tracer) ProfileTable(title string) string {
-	tab := metrics.Table{
+	tab := report.Table{
 		Title:  title,
 		Header: []string{"track", "phase", "count", "p50", "p95", "p99", "total"},
 	}

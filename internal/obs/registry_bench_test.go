@@ -1,26 +1,23 @@
-package metrics
+package obs
 
 import "testing"
 
-// The overhead budget, in obs/bench_test.go's mold: the disabled probe
-// (a nil check, paid by every instrumented hot path in every run) must
-// stay at tracer parity (≈2 ns), the enabled record is a handful of
-// atomics paid only under -metrics.
+// The registry's overhead budget, in bench_test.go's mold: the disabled
+// probe (a nil check) must stay at tracer parity (≈2 ns), the enabled
+// record is a handful of atomics paid only under -metrics.
 
 func BenchmarkMetricsDisabledProbe(b *testing.B) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 		g.Set(1)
-		h.Observe(1)
 	}
 }
 
 func BenchmarkMetricsEnabledCounter(b *testing.B) {
-	r := New()
+	r := NewRegistry()
 	c := r.Counter("c")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -29,7 +26,7 @@ func BenchmarkMetricsEnabledCounter(b *testing.B) {
 }
 
 func BenchmarkMetricsEnabledGauge(b *testing.B) {
-	r := New()
+	r := NewRegistry()
 	g := r.Gauge("g")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -37,17 +34,8 @@ func BenchmarkMetricsEnabledGauge(b *testing.B) {
 	}
 }
 
-func BenchmarkMetricsEnabledHistogram(b *testing.B) {
-	r := New()
-	h := r.Histogram("h", nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(1e6)
-	}
-}
-
 func BenchmarkMetricsEnabledRing(b *testing.B) {
-	r := New()
+	r := NewRegistry()
 	s := r.Ring("s", 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -56,7 +44,7 @@ func BenchmarkMetricsEnabledRing(b *testing.B) {
 }
 
 func BenchmarkFleetIngest(b *testing.B) {
-	r := New()
+	r := NewRegistry()
 	const p = 8
 	f := NewFleet(r, p)
 	buf := FrameBuf(p)

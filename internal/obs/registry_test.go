@@ -1,7 +1,6 @@
-package metrics
+package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -11,59 +10,44 @@ import (
 // with zero allocations (the AllocsPerRun pin scripts/check.sh runs).
 func TestNilRegistryIsSafeAndFree(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h", nil)
 	ring := r.Ring("s", 0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		c.Inc()
 		g.Set(1)
 		g.SetInt(2)
-		h.Observe(3)
-		h.EndNs(h.Begin())
-		ring.Record(4)
 		ring.RecordAt(0, 5)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled metrics path allocates %.1f per round, want 0", allocs)
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || ring.Len() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || ring.Len() != 0 {
 		t.Fatal("nil instruments reported non-zero state")
 	}
-	if _, _, ok := ring.Last(); ok {
-		t.Fatal("nil ring reported a sample")
+	if r.Snapshot() != nil || r.Events() != nil || r.Fleet() != nil {
+		t.Fatal("nil registry returned state")
 	}
-	if err := r.WritePrometheus(nil); err != nil {
-		t.Fatalf("nil registry WritePrometheus: %v", err)
-	}
-	if r.Snapshot() != nil {
-		t.Fatal("nil registry returned a snapshot")
-	}
-	r.Emit(Event{Type: EventBoundary})
+	r.Events().Emit(Event{Type: EventBoundary})
 	var f *Fleet
 	f.Ingest(0, nil)
-	if f.Snapshot() != nil || f.Anomalies() != nil || f.Detector() != nil {
+	if f.Snapshot() != nil || f.Anomalies() != nil {
 		t.Fatal("nil fleet returned state")
 	}
 }
 
-// The enabled record path must also stay alloc-free: counters, gauges
-// and histograms are plain atomics, the ring writes preallocated slots.
-func TestEnabledRecordIsAllocFree(t *testing.T) {
-	r := New()
+// The enabled record path must also stay alloc-free: counters and
+// gauges are plain atomics, the ring writes preallocated slots.
+func TestRegistryRecordIsAllocFree(t *testing.T) {
+	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
-	h := r.Histogram("h", nil)
 	ring := r.Ring("s", 64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(2.5)
-		h.Observe(1e6)
-		ring.Record(1)
+		ring.RecordAt(1, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled metrics record allocates %.1f per round, want 0", allocs)
@@ -71,7 +55,7 @@ func TestEnabledRecordIsAllocFree(t *testing.T) {
 }
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := New()
+	r := NewRegistry()
 	c := r.Counter("reqs", "rank", "3")
 	c.Add(41)
 	c.Inc()
@@ -96,7 +80,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 }
 
 func TestKindMismatchPanics(t *testing.T) {
-	r := New()
+	r := NewRegistry()
 	r.Counter("x")
 	defer func() {
 		if recover() == nil {
@@ -106,33 +90,10 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("x")
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	r := New()
-	h := r.Histogram("lat", []float64{10, 100, 1000})
-	for _, v := range []float64{5, 10, 50, 500, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 5565 {
-		t.Fatalf("sum = %g, want 5565", h.Sum())
-	}
-	want := []int64{2, 1, 1, 1} // ≤10: {5,10}; ≤100: {50}; ≤1000: {500}; +Inf: {5000}
-	for i, w := range want {
-		if got := h.buckets[i].Load(); got != w {
-			t.Fatalf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestSampleRingStampsAndWrap(t *testing.T) {
-	r := New()
-	now := int64(0)
-	r.nowFn = func() int64 { now += 10; return now }
-	ring := r.Ring("drift", 4)
+	ring := NewRegistry().Ring("drift", 4)
 	for i := 0; i < 6; i++ {
-		ring.Record(float64(i))
+		ring.RecordAt(int64(10*(i+1)), float64(i))
 	}
 	if ring.Len() != 6 {
 		t.Fatalf("len = %d, want 6", ring.Len())
@@ -146,12 +107,6 @@ func TestSampleRingStampsAndWrap(t *testing.T) {
 		if vals[i] != float64(i+2) || stamps[i] != int64(30+10*i) {
 			t.Fatalf("sample %d = (%d, %g), want (%d, %g)", i, stamps[i], vals[i], 30+10*i, float64(i+2))
 		}
-		if i > 0 && stamps[i] <= stamps[i-1] {
-			t.Fatalf("stamps not monotonic: %v", stamps)
-		}
-	}
-	if st, v, ok := ring.Last(); !ok || v != 5 || st != 60 {
-		t.Fatalf("last = (%d, %g, %v), want (60, 5, true)", st, v, ok)
 	}
 }
 
@@ -160,7 +115,7 @@ func TestSampleRingStampsAndWrap(t *testing.T) {
 // goroutine must get the same instrument for the same name and no
 // update may be lost.
 func TestConcurrentRegistryWrites(t *testing.T) {
-	r := New()
+	r := NewRegistry()
 	const goroutines, perG = 8, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -169,12 +124,10 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("shared_total")
 			own := r.Counter("rank_total", "rank", string(rune('0'+g)))
-			h := r.Histogram("shared_hist", nil)
 			gauge := r.Gauge("shared_gauge")
 			for i := 0; i < perG; i++ {
 				c.Inc()
 				own.Inc()
-				h.Observe(float64(i))
 				gauge.Set(float64(i))
 				if i%100 == 0 {
 					_ = r.Snapshot()
@@ -191,53 +144,19 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 			t.Fatalf("rank %d counter = %d, want %d", g, got, perG)
 		}
 	}
-	if got := r.Histogram("shared_hist", nil).Count(); got != goroutines*perG {
-		t.Fatalf("hist count = %d, want %d", got, goroutines*perG)
-	}
-}
-
-func TestPrometheusExposition(t *testing.T) {
-	r := New()
-	r.Counter("sasgd_boundaries_total").Add(3)
-	r.Gauge("sasgd_drift_rms", "rank", "0").Set(0.25)
-	h := r.Histogram("sasgd_fwd_ns", []float64{100, 200})
-	h.Observe(50)
-	h.Observe(150)
-	h.Observe(500)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE sasgd_boundaries_total counter\n",
-		"sasgd_boundaries_total 3\n",
-		"# TYPE sasgd_drift_rms gauge\n",
-		`sasgd_drift_rms{rank="0"} 0.25` + "\n",
-		"# TYPE sasgd_fwd_ns histogram\n",
-		`sasgd_fwd_ns_bucket{le="100"} 1` + "\n",
-		`sasgd_fwd_ns_bucket{le="200"} 2` + "\n",
-		`sasgd_fwd_ns_bucket{le="+Inf"} 3` + "\n",
-		"sasgd_fwd_ns_sum 700\n",
-		"sasgd_fwd_ns_count 3\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestSnapshotShape(t *testing.T) {
-	r := New()
+	r := NewRegistry()
 	r.Counter("c").Add(2)
 	r.Gauge("g").Set(1.5)
-	r.Ring("s", 8).Record(9)
+	r.Ring("s", 8).RecordAt(3, 9)
 	s := r.Snapshot()
 	if s.Counters["c"] != 2 || s.Gauges["g"] != 1.5 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	ss, ok := s.Series["s"]
-	if !ok || ss.Len != 1 || len(ss.Values) != 1 || ss.Values[0] != 9 {
+	if !ok || ss.Len != 1 || len(ss.Values) != 1 || ss.Values[0] != 9 || ss.Stamps[0] != 3 {
 		t.Fatalf("series snapshot = %+v", ss)
 	}
 }

@@ -1,8 +1,8 @@
-// Package metrics holds the accuracy/timing records the experiment
+// Package report holds the accuracy/timing records the experiment
 // drivers produce and the plain-text renderers that print them in the
 // shape of the paper's tables and figures (one series per line, one row
 // per epoch or per configuration).
-package metrics
+package report
 
 import (
 	"fmt"

@@ -38,6 +38,26 @@ if grep -n 'parallel\.SetWorkers' $comm_src; then
     exit 1
 fi
 
+# One telemetry plane: spans, registry, fleet view and exporters live in
+# internal/obs, and report formatting in internal/report. The two old
+# packages, both named metrics, must not come back.
+echo "==> no import of the retired metrics packages"
+if grep -rn --include='*.go' 'sasgd/internal/obs/metrics\|sasgd/internal/metrics"' .; then
+    echo "FAIL: a retired metrics package is imported"
+    exit 1
+fi
+
+# Configuration comes from Config and flags; the environment layer only
+# shrinks (ROADMAP 6(b)). Pin the os.Getenv count in non-test Go outside
+# bench/.
+echo "==> os.Getenv sites in non-test Go outside bench/: at most 8"
+getenv="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'os\.Getenv' . | wc -l)"
+if [ "$getenv" -gt 8 ]; then
+    grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'os\.Getenv' .
+    echo "FAIL: $getenv os.Getenv lines, want at most 8"
+    exit 1
+fi
+
 # The AVX2 microkernels promise the Go kernels' bits: a product rounded,
 # then a sum rounded. A fused multiply-add rounds once, so not one may
 # appear in the package's assembly (the comment lines of the file that
@@ -179,18 +199,13 @@ echo "==> go test -race -count=2 wire transport (channel vs TCP loopback)"
 run_tests -race -count=2 -run 'CrossTransport|GroupClose|TCP|Wire|MultiProcess' ./internal/comm/
 run_tests -race -count=2 -run 'TrainTCP|MultiEndpoint' ./internal/core/
 
-# The tracing subsystem's whole design is lock-free concurrent recording
-# (per-track ring buffers, atomic counters), so give its concurrency
-# tests the same extra race-detector rounds.
-echo "==> go test -race -count=2 obs concurrent tracing"
+# The telemetry plane's whole design is lock-free concurrent recording
+# (per-track ring buffers, atomic counters, gauges and sample rings
+# written by p learners while the exporters snapshot them), so give its
+# concurrency tests — tracks and registry — the same extra race-detector
+# rounds.
+echo "==> go test -race -count=2 obs concurrent tracks + registry writes"
 run_tests -race -count=2 -run 'Concurrent' ./internal/obs/
-
-# The metrics registry makes the same promise one layer up: lock-free
-# counters/gauges/histograms/rings written concurrently by p learners
-# while exporters snapshot them, so its concurrency test gets the same
-# extra rounds.
-echo "==> go test -race -count=2 metrics registry concurrent writes"
-run_tests -race -count=2 -run 'Concurrent' ./internal/obs/metrics/
 
 # The straggler plan sets one rank's simulated slowdown from that rank's
 # goroutine while the others charge their batches: the per-rank slot must
@@ -247,10 +262,8 @@ echo "==> go test bucketed + hier zero-alloc pins"
 run_tests -run 'SteadyStateAllocs' ./internal/comm/
 echo "==> go test wire-codec + streaming-reader zero-alloc pins"
 run_tests -run 'SteadyStateAllocs' ./internal/comm/wire/
-echo "==> go test obs disabled-path zero-alloc pin"
-run_tests -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/
-echo "==> go test metrics disabled-path zero-alloc pin"
-run_tests -run 'NilRegistryIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/metrics/
+echo "==> go test obs disabled-path zero-alloc pins (tracks + registry)"
+run_tests -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree|NilRegistryIsSafeAndFree|RegistryRecordIsAllocFree' ./internal/obs/
 echo "==> go test tensor GEMM + update-path zero-alloc pins"
 run_tests -run 'GemmSteadyStateAllocs|UpdatePathSteadyStateAllocs' ./internal/tensor/
 
