@@ -6,6 +6,7 @@
 //	go run ./cmd/experiments                  # everything (several minutes)
 //	go run ./cmd/experiments -only fig9,fig10 # just the headline comparison
 //	go run ./cmd/experiments -epochs 10       # shrink every epoch budget
+//	go run ./cmd/experiments -only fig4,fig5 -overlap  # overlapped aggregation
 package main
 
 import (
@@ -29,10 +30,11 @@ func main() {
 	trace := flag.String("trace", "", "Chrome-trace output file for the trace item")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/obs, /debug/vars and /debug/pprof/ on this address during the trace item's traced run (with -metrics also /debug/metrics)")
 	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry to the metrics-aware items (trace): per-rank sim splits, drift RMS and straggler verdicts")
+	overlap := flag.Bool("overlap", false, "run every SASGD configuration with backward-overlapped bucketed aggregation (Figs 4/5 with the hidden transfer)")
 	flag.Parse()
 
 	opt := experiments.Opt{Out: os.Stdout, Epochs: *epochs, Seed: *seed, Replicas: *replicas,
-		TracePath: *trace, DebugAddr: *debugAddr, Metrics: *metricsOn}
+		TracePath: *trace, DebugAddr: *debugAddr, Metrics: *metricsOn, Overlap: *overlap}
 	all := []struct {
 		name string
 		run  func() interface{}

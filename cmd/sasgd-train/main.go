@@ -25,6 +25,15 @@ import (
 	"sasgd/internal/report"
 )
 
+// envRank is -rank's default: SASGD_RANK when it names a rank, else -1
+// (host every rank).
+func envRank() int {
+	if v, err := strconv.Atoi(os.Getenv("SASGD_RANK")); err == nil && v >= 0 {
+		return v
+	}
+	return -1
+}
+
 func main() {
 	algo := flag.String("algo", "sasgd", "training algorithm: sgd, sasgd, downpour, eamsgd, hogwild")
 	workload := flag.String("workload", "cifar", "workload: cifar (Table I) or nlcf (Table II)")
@@ -36,28 +45,29 @@ func main() {
 	batch := flag.Int("batch", 0, "minibatch size M (0 = workload default)")
 	epochs := flag.Int("epochs", 0, "epochs (0 = workload default)")
 	seed := flag.Int64("seed", 1, "random seed")
-	allreduce := flag.String("allreduce", "tree", "SASGD collective: tree or ptree (the same tree, chunked and pipelined)")
-	commChunk := flag.Int("comm-chunk", 0, "ptree chunk size in float64 words (0 = 8192)")
-	overlap := flag.Bool("overlap", false, "overlap SASGD aggregation with backprop (bucketed allreduce; default also via SASGD_OVERLAP=1)")
+	overlap := flag.Bool("overlap", false, "overlap SASGD aggregation with backprop (bucketed allreduce)")
 	buckets := flag.Int("buckets", 0, "gradient bucket count for -overlap (0 = one per parameterized layer)")
 	momentum := flag.Float64("momentum", 0, "EAMSGD local momentum (0 = default, negative = none)")
-	tSched := flag.String("t-sched", "", "SASGD aggregation-period scheduler: static or adaptive (drift-controlled; default also via SASGD_TSCHED)")
-	hierGroups := flag.Int("hier-groups", 0, "two-level SASGD aggregation: partition the learners into this many islands, aggregate intra-island every boundary and cross-island every -t-outer boundaries (<2 = flat; default also via SASGD_HIER_GROUPS)")
+	tSched := flag.String("t-sched", "", "SASGD aggregation-period scheduler: static or adaptive (drift-controlled)")
+	hierGroups := flag.Int("hier-groups", 0, "two-level SASGD aggregation: partition the learners into this many islands, aggregate intra-island every boundary and cross-island every -t-outer boundaries (<2 = flat)")
 	tOuter := flag.Int("t-outer", 0, "inner boundaries per cross-island exchange with -hier-groups (0 = 4)")
-	delayed := flag.Bool("delayed", false, "delay the global application of each boundary's aggregate by one round so the transfer hides behind the next interval's compute (default also via SASGD_DELAYED=1)")
-	compress := flag.String("compress", "", "SASGD gradient compression codec: topk (error-feedback top-k), qint8 (int8 quantization) or none (default also via SASGD_COMPRESS, e.g. SASGD_COMPRESS=topk:0.05)")
+	delayed := flag.Bool("delayed", false, "delay the global application of each boundary's aggregate by one round so the transfer hides behind the next interval's compute")
+	compress := flag.String("compress", "", "SASGD gradient compression codec: topk (error-feedback top-k), qint8 (int8 quantization) or none")
 	compressK := flag.Float64("compress-k", 0, "top-k fraction in (0,1] for -compress topk (0 = 0.05; 1 = dense)")
 	compressAdapt := flag.Bool("compress-adapt", false, "adapt the top-k fraction to the captured gradient-mass fraction (topk only)")
 	workers := flag.Int("workers", 0, "per-learner kernel workers (0 = split SASGD_WORKERS/GOMAXPROCS across learners)")
-	fastKernels := flag.Bool("fast-kernels", false, "use reordered-summation tensor kernels: faster dot products, value-equal to the default kernels within 1e-12 but not bit-identical (default also via SASGD_FAST_KERNELS=1)")
+	fastKernels := flag.Bool("fast-kernels", false, "use reordered-summation tensor kernels: faster dot products, value-equal to the default kernels within 1e-12 but not bit-identical")
 	sim := flag.Bool("sim", false, "attach the fabric simulator and report simulated epoch time")
 	vtime := flag.Bool("vtime", false, "deterministic virtual-time scheduling for the asynchronous algorithms")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file and print its phase profile (load in ui.perfetto.dev)")
-	transport := flag.String("transport", "", "wire transport: chan (in-process fabric, the default) or tcp (length-prefixed framed sockets; default also via SASGD_TRANSPORT)")
-	rank := flag.Int("rank", -1, "with -transport tcp: the single learner rank this process hosts, meeting its peers over -peers (-1 = host every rank over TCP loopback; default also via SASGD_RANK)")
-	peers := flag.String("peers", "", "with -transport tcp -rank N: comma-separated host:port for every rank in order, e.g. 127.0.0.1:7000,127.0.0.1:7001 (default also via SASGD_PEERS)")
+	// The deployment triple has environment defaults, so one launcher
+	// environment can place every process of a multi-process run; the
+	// flags win.
+	transport := flag.String("transport", os.Getenv("SASGD_TRANSPORT"), "wire transport: chan (in-process fabric, the default) or tcp (length-prefixed framed sockets; default from SASGD_TRANSPORT)")
+	rank := flag.Int("rank", envRank(), "with -transport tcp: the single learner rank this process hosts, meeting its peers over -peers (-1 = host every rank over TCP loopback; default from SASGD_RANK)")
+	peers := flag.String("peers", os.Getenv("SASGD_PEERS"), "with -transport tcp -rank N: comma-separated host:port for every rank in order, e.g. 127.0.0.1:7000,127.0.0.1:7001 (default from SASGD_PEERS)")
 	paramsOut := flag.String("params-out", "", "write the final parameters to this file as little-endian float64 words (rank-0 process only)")
-	faults := flag.String("faults", "", "SASGD fault-injection plan, e.g. seed=1,drop=0.05,slow=2:4,crash=3@10,evict=500ms (default also via SASGD_FAULTS)")
+	faults := flag.String("faults", "", "SASGD fault-injection plan, e.g. seed=1,drop=0.05,slow=2:4,crash=3@10,evict=500ms")
 	ckpt := flag.String("ckpt", "", "SASGD checkpoint path written at aggregation boundaries; a %d in the path keeps one file per boundary")
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every Nth aggregation boundary (with -ckpt)")
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
@@ -98,8 +108,6 @@ func main() {
 		Epochs:        w.Epochs,
 		Seed:          *seed,
 		Momentum:      *momentum,
-		Allreduce:     core.AllreduceAlgo(*allreduce),
-		CommChunk:     *commChunk,
 		OverlapComm:   *overlap,
 		CommBuckets:   *buckets,
 		TSched:        *tSched,
@@ -132,14 +140,9 @@ func main() {
 		cfg.FlopsPerSample = w.PaperCost.TrainFlopsPerSample
 	}
 
-	// Fault injection and checkpoint-restart: the flag wins, the
-	// SASGD_FAULTS env supplies the default (same precedence as -trace).
-	faultSpec := *faults
-	if faultSpec == "" {
-		faultSpec = core.DefaultFaultSpec()
-	}
-	if faultSpec != "" {
-		plan, err := comm.ParseFaultPlan(faultSpec)
+	// Fault injection and checkpoint-restart.
+	if *faults != "" {
+		plan, err := comm.ParseFaultPlan(*faults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sasgd-train: -faults: %v\n", err)
 			os.Exit(2)
@@ -167,20 +170,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Wire transport: the flags win, the SASGD_TRANSPORT / SASGD_RANK /
-	// SASGD_PEERS envs supply defaults (same precedence as -trace).
-	trMode, trRank, trPeers := *transport, *rank, *peers
-	envT, envR, envP := core.DefaultTransport()
-	if trMode == "" {
-		trMode = envT
-	}
-	if trRank < 0 {
-		trRank = envR
-	}
-	if trPeers == "" {
-		trPeers = envP
-	}
-	switch trMode {
+	// Wire transport.
+	switch *transport {
 	case "", "chan":
 	case "tcp":
 		if cfg.Algo != core.AlgoSASGD {
@@ -189,24 +180,24 @@ func main() {
 		}
 		var tr *comm.TCPTransport
 		var err error
-		if trRank < 0 {
+		if *rank < 0 {
 			tr, err = comm.NewTCPLoopback(cfg.Learners)
 		} else {
 			if *sim || cfg.Faults != nil || cfg.CheckpointPath != "" || cfg.ResumeFrom != "" {
 				fmt.Fprintf(os.Stderr, "sasgd-train: -rank (multi-process) composes with neither -sim nor -faults/-ckpt/-resume\n")
 				os.Exit(2)
 			}
-			addrs := strings.Split(trPeers, ",")
+			addrs := strings.Split(*peers, ",")
 			for i := range addrs {
 				addrs[i] = strings.TrimSpace(addrs[i])
 			}
 			if len(addrs) != cfg.Learners || addrs[0] == "" {
-				fmt.Fprintf(os.Stderr, "sasgd-train: -peers needs exactly %d comma-separated host:port entries, got %q\n", cfg.Learners, trPeers)
+				fmt.Fprintf(os.Stderr, "sasgd-train: -peers needs exactly %d comma-separated host:port entries, got %q\n", cfg.Learners, *peers)
 				os.Exit(2)
 			}
-			fmt.Printf("tcp mesh: rank %d of %d, waiting for peers %v\n", trRank, cfg.Learners, addrs)
-			tr, err = comm.NewTCPTransport(comm.TCPConfig{Addrs: addrs, Local: []int{trRank}})
-			cfg.LocalRanks = []int{trRank}
+			fmt.Printf("tcp mesh: rank %d of %d, waiting for peers %v\n", *rank, cfg.Learners, addrs)
+			tr, err = comm.NewTCPTransport(comm.TCPConfig{Addrs: addrs, Local: []int{*rank}})
+			cfg.LocalRanks = []int{*rank}
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sasgd-train: tcp transport: %v\n", err)
@@ -215,7 +206,7 @@ func main() {
 		defer tr.Close()
 		cfg.Transport = tr
 	default:
-		fmt.Fprintf(os.Stderr, "sasgd-train: unknown transport %q (want chan or tcp)\n", trMode)
+		fmt.Fprintf(os.Stderr, "sasgd-train: unknown transport %q (want chan or tcp)\n", *transport)
 		os.Exit(2)
 	}
 

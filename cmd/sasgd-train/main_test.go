@@ -78,23 +78,23 @@ func TestTwoProcessTCPMatchesChannel(t *testing.T) {
 	}
 }
 
-// TestUnknownCollectiveExitsTwo: a collective the run cannot honour is
-// refused with the validation table's reason before anything is opened;
-// neither a name from another library nor a typo may train silently on
-// the tree.
+// TestUnknownCollectiveExitsTwo: the run aggregates with one tree, so
+// the flags that used to pick a collective and its chunk size are gone —
+// the flag package refuses them with exit 2 before anything is opened,
+// rather than a script that still passes them training silently.
 func TestUnknownCollectiveExitsTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary; skipped in -short")
 	}
 	bin := buildTrain(t, t.TempDir())
-	for _, name := range []string{"ring", "rhd", "rnig"} {
-		out, err := exec.Command(bin, "-p", "2", "-epochs", "1", "-allreduce", name).CombinedOutput()
+	for _, args := range [][]string{{"-allreduce", "tree"}, {"-allreduce", "ring"}, {"-comm-chunk", "16"}} {
+		out, err := exec.Command(bin, append([]string{"-p", "2", "-epochs", "1"}, args...)...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("-allreduce %s: err = %v, want exit status 2\n%s", name, err, out)
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
 		}
-		if want := "sasgd-train: core: invalid config: unknown collective (want tree or ptree)"; !strings.Contains(string(out), want) {
-			t.Errorf("-allreduce %s printed %q, want it to contain %q", name, out, want)
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("%v printed %q, want it to contain %q", args, out, want)
 		}
 	}
 }

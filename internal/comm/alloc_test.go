@@ -37,8 +37,6 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 	}{
 		{"tree/p8", 8, 1003, func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
 		{"tree/p2", 2, 276971, func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
-		{"ptree/p8", 8, 1003, func(g *Group, r int, b []float64) { g.AllreduceTreeChunked(r, b, 64) }},
-		{"ptree/p5", 5, 1003, func(g *Group, r int, b []float64) { g.AllreduceTreeChunked(r, b, 64) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,36 +6,27 @@ import (
 	"testing"
 )
 
-// BenchmarkCommAllreduce sweeps the tree at both chunk sizes over group
-// size and message length. The group (and therefore its buffer
-// pool) persists across iterations, so after the first round the numbers
-// are the zero-allocation steady state that training sees — all p ranks
-// run the collective loop in lockstep, as the bulk-synchronous discipline
+// BenchmarkCommAllreduce sweeps the tree over group size and message
+// length. The group (and therefore its buffer pool) persists across
+// iterations, so after the first round the numbers are the
+// zero-allocation steady state that training sees — all p ranks run the
+// collective loop in lockstep, as the bulk-synchronous discipline
 // requires.
 func BenchmarkCommAllreduce(b *testing.B) {
-	for _, algo := range []string{"tree", "ptree"} {
-		for _, p := range []int{2, 4, 8} {
-			for _, m := range []int{10_000, 1_000_000} {
-				b.Run(fmt.Sprintf("%s/p%d/m%d", algo, p, m), func(b *testing.B) {
-					benchCommAllreduce(b, algo, p, m)
-				})
-			}
+	for _, p := range []int{2, 4, 8} {
+		for _, m := range []int{10_000, 1_000_000} {
+			b.Run(fmt.Sprintf("tree/p%d/m%d", p, m), func(b *testing.B) {
+				benchCommAllreduce(b, p, m)
+			})
 		}
 	}
 }
 
-func benchCommAllreduce(b *testing.B, algo string, p, m int) {
+func benchCommAllreduce(b *testing.B, p, m int) {
 	g := NewGroup(p)
 	bufs := make([][]float64, p)
 	for r := range bufs {
 		bufs[r] = make([]float64, m)
-	}
-	run := func(r int) {
-		if algo == "ptree" {
-			g.AllreduceTreeChunked(r, bufs[r], 0)
-		} else {
-			g.AllreduceTree(r, bufs[r])
-		}
 	}
 	b.SetBytes(int64(m * 8))
 	b.ResetTimer()
@@ -45,7 +36,7 @@ func benchCommAllreduce(b *testing.B, algo string, p, m int) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < b.N; i++ {
-				run(r)
+				g.AllreduceTree(r, bufs[r])
 			}
 		}(r)
 	}

@@ -14,13 +14,13 @@ import (
 // bucket (layers finalize in reverse order, so the buckets near the end
 // of the buffer are ready while the first layers are still
 // backpropagating), the learner hands it to a per-rank communication
-// worker and keeps computing. Each bucket is reduced with the existing
-// pooled tree machinery over the same Group, so all of PR 2's guarantees
-// carry over: zero steady-state allocations, per-directed-link
-// serialization in the fabric simulation, and — because every bucket
-// replays the monolithic binomial tree's per-element summation order on
-// its own slice — a concatenated result that is bitwise identical to a
-// single whole-buffer "tree"/"ptree" allreduce at every bucket partition.
+// worker and keeps computing. Each bucket is reduced by the dense
+// engine over the same Group, so all of its guarantees carry over: zero
+// steady-state allocations, per-directed-link serialization in the
+// fabric simulation, and — because every bucket replays the binomial
+// tree's per-element summation order on its own slice — a concatenated
+// result that is bitwise identical to a single whole-buffer "tree"
+// allreduce at every bucket partition.
 //
 // Ordering discipline. A Group's collectives require every rank to walk
 // the same collectives in the same order. BucketedAllreduce preserves
@@ -29,20 +29,19 @@ import (
 // pass does — the bucket plan and the layer finalization order are
 // identical across replicas), and the worker then executes them in that
 // shared order. Buckets are therefore *pipelined*, not interleaved: the
-// overlap is between communication and the rest of the backward pass
-// (and, within a bucket, between the chunked tree's reduce and broadcast
-// streams), never between two buckets' wire schedules — which also
-// matches the physical platform, where one PCIe link per learner would
-// serialize concurrent bucket transfers anyway, and keeps simulated
-// times and mailbox matching deterministic.
+// overlap is between communication and the rest of the backward pass,
+// never between two buckets' wire schedules — which also matches the
+// physical platform, where one PCIe link per learner would serialize
+// concurrent bucket transfers anyway, and keeps simulated times and
+// mailbox matching deterministic.
 //
-// Deadlock freedom extends PR 2's argument unchanged: the global message
-// order gains a major key (bucket index, then chunk, then tree level)
-// that every rank walks identically, so the receive-dependency graph
-// stays acyclic; mailboxes still see at most one collective's traffic at
-// a time per pair *per position in the order*, and a rank running ahead
-// into later buckets can only block on a full mailbox whose receiver is
-// draining strictly earlier traffic.
+// Deadlock freedom extends the engine's argument (mailboxCap) unchanged:
+// the global message order gains a major key (bucket index, then tree
+// level) that every rank walks identically, so the receive-dependency
+// graph stays acyclic; mailboxes still see at most one collective's
+// traffic at a time per pair *per position in the order*, and a rank
+// running ahead into later buckets can only block on a full mailbox
+// whose receiver is draining strictly earlier traffic.
 
 // Segment is one contiguous [Off, Off+Len) range of a flat buffer — a
 // bucket of the bucketed allreduce. Core builds these from
@@ -65,7 +64,7 @@ func (h Handle) Wait() { <-h.done }
 
 // op identifiers for the worker.
 const (
-	opTree = iota // chunked pipelined binomial tree (bitwise tree order)
+	opTree = iota // the dense engine over the flat tree, charged to "tree"
 	opComp        // compression codec collective (Compressor.Allreduce)
 	opHier        // hierarchical inter-island exchange (Hier.AllreduceInter)
 )
@@ -78,7 +77,6 @@ type bucketOp struct {
 	comp  Compressor // compressed ops: the learner's codec
 	ratio float64    // compressed ops: sparsity knob
 	hier  *Hier      // hierarchical ops: the inter-island schedule
-	chunk int
 	ready float64
 	kind  int
 	idx   int32     // bucket index, the span argument on the comm track
@@ -115,6 +113,7 @@ type BucketedAllreduce struct {
 // yet finished — before Begin blocks; values < 1 select len(segments)
 // (backward never stalls on communication).
 func NewBucketedAllreduce(g *Group, rank int, segments []Segment, maxInflight int) *BucketedAllreduce {
+	g.checkRank(rank)
 	if len(segments) == 0 {
 		panic("comm: NewBucketedAllreduce with no segments")
 	}
@@ -161,9 +160,11 @@ func (b *BucketedAllreduce) worker() {
 		case opComp:
 			op.comp.Allreduce(b.g, b.rank, op.buf, op.res, op.ratio, op.ready, b.tk, op.idx)
 		case opHier:
-			op.hier.AllreduceInter(b.rank, op.buf, op.chunk, op.ready)
+			op.hier.AllreduceInter(b.rank, op.buf, op.ready)
 		default:
-			b.g.AllreduceTreeChunkedFrom(b.rank, op.buf, op.chunk, op.ready)
+			// The learner may still be in backward: no lending.
+			b.g.setAlgo(b.rank, algoTree)
+			b.g.allreduce(&b.g.tree[b.rank], op.buf, op.ready, false)
 		}
 		if b.deferred != nil {
 			b.g.setSink(b.rank, nil)
@@ -182,16 +183,17 @@ func (b *BucketedAllreduce) worker() {
 }
 
 // Begin submits bucket i of buf (the full flat buffer; the bucket's
-// segment is sliced internally) for a chunked pipelined tree allreduce
-// and returns its handle. chunkWords ≤ 0 selects DefaultChunkWords;
-// pass the segment length for a monolithic per-bucket tree. ready is
-// the simulated time the bucket's data became final (the layer's
-// backward-completion time); it stamps the wire schedule only and is
+// segment is sliced internally) for a tree allreduce and returns its
+// handle. ready is the simulated time the bucket's data became final
+// (the layer's backward-completion time), which can be well before the
+// learner's clock, already at the end of the minibatch — so a late
+// layer's bucket departs on the simulated fabric while the early layers
+// are still backpropagating. It stamps the wire schedule only and is
 // ignored without a simulation. A bucket must not be begun again until
 // its previous handle has been waited on, and every rank must issue the
 // same sequence of Begin calls.
-func (b *BucketedAllreduce) Begin(i int, buf []float64, chunkWords int, ready float64) Handle {
-	return b.submit(i, buf, opTree, chunkWords, ready)
+func (b *BucketedAllreduce) Begin(i int, buf []float64, ready float64) Handle {
+	return b.submit(i, buf, opTree, ready)
 }
 
 // BeginCompressed submits bucket i for a compressed allreduce through
@@ -212,7 +214,7 @@ func (b *BucketedAllreduce) BeginCompressed(i int, buf, res []float64, comp Comp
 	op.res = res[s.Off : s.Off+s.Len]
 	op.comp = comp
 	op.ratio = ratio
-	return b.submit(i, buf, opComp, 0, ready)
+	return b.submit(i, buf, opComp, ready)
 }
 
 // BeginHierInter submits bucket i for a hierarchical inter-island
@@ -220,9 +222,9 @@ func (b *BucketedAllreduce) BeginCompressed(i int, buf, res []float64, comp Comp
 // this to push the outer-boundary aggregate through the worker so the
 // cross-island exchange hides behind the next round's compute. Same
 // ordering contract as Begin; every rank must pass the same Hier.
-func (b *BucketedAllreduce) BeginHierInter(i int, buf []float64, h *Hier, chunkWords int, ready float64) Handle {
+func (b *BucketedAllreduce) BeginHierInter(i int, buf []float64, h *Hier, ready float64) Handle {
 	b.ops[i].hier = h
-	return b.submit(i, buf, opHier, chunkWords, ready)
+	return b.submit(i, buf, opHier, ready)
 }
 
 // SetDeferSync makes the worker capture receive-side clock syncs into d
@@ -235,14 +237,13 @@ func (b *BucketedAllreduce) BeginHierInter(i int, buf []float64, h *Hier, chunkW
 // DeferSync.Join at each boundary, after waiting on every handle.
 func (b *BucketedAllreduce) SetDeferSync(d *DeferSync) { b.deferred = d }
 
-func (b *BucketedAllreduce) submit(i int, buf []float64, kind, chunkWords int, ready float64) Handle {
+func (b *BucketedAllreduce) submit(i int, buf []float64, kind int, ready float64) Handle {
 	s := b.segs[i]
 	if s.Off+s.Len > len(buf) {
 		panic(fmt.Sprintf("comm: bucket %d segment %+v exceeds buffer length %d", i, s, len(buf)))
 	}
 	op := &b.ops[i]
 	op.buf = buf[s.Off : s.Off+s.Len]
-	op.chunk = chunkWords
 	op.ready = ready
 	op.kind = kind
 	op.subAt = b.tk.Now()

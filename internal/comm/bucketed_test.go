@@ -41,7 +41,7 @@ func bucketPartitions(m int) [][]Segment {
 // buckets submitted in reverse segment order (the backward pass's layer
 // finalization order), all handles waited, worker closed. ready gives the
 // per-bucket entry stamp.
-func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, chunk int, ready func(bucket int) float64) {
+func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, ready func(bucket int) float64) {
 	runGroup(p, g, func(rank int) {
 		b := NewBucketedAllreduce(g, rank, segs, 0)
 		handles := make([]Handle, len(segs))
@@ -50,7 +50,7 @@ func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, chunk int, r
 			if ready != nil {
 				r = ready(i)
 			}
-			handles[i] = b.Begin(i, bufs[rank], chunk, r)
+			handles[i] = b.Begin(i, bufs[rank], r)
 		}
 		for i := range handles {
 			handles[i].Wait()
@@ -60,25 +60,23 @@ func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, chunk int, r
 }
 
 // TestBucketedAllreduceBitwiseMatchesTree pins the tentpole determinism
-// claim: at every bucket partition, chunk size, and group size, the
-// concatenation of per-bucket tree allreduces is bitwise identical to the
-// monolithic whole-buffer tree — the binomial tree's per-element summation
-// order depends only on the rank tree, never on segment boundaries.
+// claim: at every bucket partition and group size, the concatenation of
+// per-bucket tree allreduces is bitwise identical to the whole-buffer
+// tree — the binomial tree's per-element summation order depends only on
+// the rank tree, never on segment boundaries.
 func TestBucketedAllreduceBitwiseMatchesTree(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, m := range []int{1, 23, 129} {
 			orig, want := makeBufs(p, m, int64(7000*p+m))
 			for pi, segs := range bucketPartitions(m) {
-				for _, chunk := range []int{0, 3, m + 1} {
-					got := cloneBufs(orig)
-					g := NewGroup(p)
-					runBucketed(p, g, got, segs, chunk, nil)
-					for r := 0; r < p; r++ {
-						for i := range want {
-							if got[r][i] != want[i] {
-								t.Fatalf("p=%d m=%d part=%d chunk=%d rank=%d[%d]: bucketed %g != tree %g (must be bitwise)",
-									p, m, pi, chunk, r, i, got[r][i], want[i])
-							}
+				got := cloneBufs(orig)
+				g := NewGroup(p)
+				runBucketed(p, g, got, segs, nil)
+				for r := 0; r < p; r++ {
+					for i := range want {
+						if got[r][i] != want[i] {
+							t.Fatalf("p=%d m=%d part=%d rank=%d[%d]: bucketed %g != tree %g (must be bitwise)",
+								p, m, pi, r, i, got[r][i], want[i])
 						}
 					}
 				}
@@ -97,7 +95,7 @@ func TestBucketedAllreduceMatchesMonolithicTraffic(t *testing.T) {
 		bufs[r] = make([]float64, m)
 	}
 	g := NewGroup(p)
-	runBucketed(p, g, bufs, bucketPartitions(m)[1], 16, nil)
+	runBucketed(p, g, bufs, bucketPartitions(m)[1], nil)
 	want := int64(2 * (p - 1) * m)
 	if got := g.WordsSent(); got != want {
 		t.Errorf("bucketed tree WordsSent = %d, want %d", got, want)
@@ -133,7 +131,7 @@ func TestBucketedConcurrentHandleStress(t *testing.T) {
 			b := NewBucketedAllreduce(g, rank, segs, inflight)
 			handles := make([]Handle, len(segs))
 			for i := len(segs) - 1; i >= 0; i-- {
-				handles[i] = b.Begin(i, got[rank], 4, 0)
+				handles[i] = b.Begin(i, got[rank], 0)
 			}
 			for i := range handles {
 				handles[i].Wait()
@@ -172,7 +170,7 @@ func TestBucketedOverlapEarlierReadyFinishesEarlier(t *testing.T) {
 		for r := range bufs {
 			bufs[r] = make([]float64, m)
 		}
-		runBucketed(p, g, bufs, segs, m/32, ready)
+		runBucketed(p, g, bufs, segs, ready)
 		max := 0.0
 		for _, c := range clocks {
 			if c.Now() > max {
@@ -225,7 +223,7 @@ func TestBucketedAllreduceSteadyStateAllocs(t *testing.T) {
 	}
 	rankRound := func(r int) {
 		for i := len(segs) - 1; i >= 0; i-- {
-			handles[r][i] = workers[r].Begin(i, bufs[r], 64, 0)
+			handles[r][i] = workers[r].Begin(i, bufs[r], 0)
 		}
 		for i := range handles[r] {
 			handles[r][i].Wait()
@@ -262,7 +260,7 @@ func TestBucketedAllreduceSteadyStateAllocs(t *testing.T) {
 	// schedule and the pin measures steady-state behavior, not peak
 	// discovery.
 	inflightBound := p*(p-1)*mailboxCap + 4*p
-	for _, words := range []int{400 % 64, 350 % 64, 253 % 64, 64} {
+	for _, words := range []int{400, 350, 253} {
 		prefill := make([]*poolBuf, inflightBound)
 		for i := range prefill {
 			prefill[i] = g.acquire(words)

@@ -32,24 +32,33 @@ func cloneBufs(src [][]float64) [][]float64 {
 	return out
 }
 
-// TestAllreduceAlgorithmsEquivalent checks every allreduce implementation
-// against the monolithic binomial tree across group sizes (including
-// non-powers of two) and message lengths not divisible by p or by the
-// chunk size. The chunked pipelined tree preserves the tree's summation
-// order and must agree bit for bit at every chunk size.
+// chunkSegments cuts an m-word buffer into w-word buckets (the last one
+// short).
+func chunkSegments(m, w int) []Segment {
+	var segs []Segment
+	for off := 0; off < m; off += w {
+		segs = append(segs, Segment{off, min(w, m-off)})
+	}
+	return segs
+}
+
+// TestAllreduceAlgorithmsEquivalent checks the bucketed allreduce against
+// the whole-buffer tree across group sizes (including non-powers of two)
+// and message lengths not divisible by p or by the bucket width. Each
+// bucket replays the tree's summation order on its own slice, so the
+// two must agree bit for bit at every width.
 func TestAllreduceAlgorithmsEquivalent(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, m := range []int{1, 5, 23, 64, 129} {
 			orig, want := makeBufs(p, m, int64(1000*p+m))
-			for _, chunk := range []int{1, 3, 7, 16, m + 1} {
+			for _, w := range []int{1, 3, 7, 16, m + 1} {
 				got := cloneBufs(orig)
-				g := NewGroup(p)
-				runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, got[rank], chunk) })
+				runBucketed(p, NewGroup(p), got, chunkSegments(m, w), nil)
 				for r := 0; r < p; r++ {
 					for i := range want {
 						if got[r][i] != want[i] {
-							t.Fatalf("p=%d m=%d chunk=%d rank=%d[%d]: ptree %g != tree %g (must be bitwise)",
-								p, m, chunk, r, i, got[r][i], want[i])
+							t.Fatalf("p=%d m=%d width=%d rank=%d[%d]: bucketed %g != tree %g (must be bitwise)",
+								p, m, w, r, i, got[r][i], want[i])
 						}
 					}
 				}
@@ -86,12 +95,6 @@ func TestDenseOwnership(t *testing.T) {
 		{"tree", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
 			return func(r int, b []float64) { g.AllreduceTree(r, b) }, everyone(g)
 		}},
-		{"ptree/16", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
-			return func(r int, b []float64) { g.AllreduceTreeChunked(r, b, 16) }, everyone(g)
-		}},
-		{"ptree/m", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
-			return func(r int, b []float64) { g.AllreduceTreeChunked(r, b, m) }, everyone(g)
-		}},
 		{"bucketed", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
 			ws := make([]*BucketedAllreduce, g.Size())
 			for r := range ws {
@@ -101,7 +104,7 @@ func TestDenseOwnership(t *testing.T) {
 			return func(r int, b []float64) {
 				var hs [3]Handle
 				for i := len(segs) - 1; i >= 0; i-- {
-					hs[i] = ws[r].Begin(i, b, segs[i].Len, 0)
+					hs[i] = ws[r].Begin(i, b, 0)
 				}
 				for _, h := range hs {
 					h.Wait()
@@ -110,7 +113,7 @@ func TestDenseOwnership(t *testing.T) {
 		}},
 		{"hier-intra", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
 			h := NewHier(g, (g.Size()+3)/4)
-			return func(r int, b []float64) { h.AllreduceIntra(r, b, m, 0) },
+			return func(r int, b []float64) { h.AllreduceIntra(r, b, 0) },
 				func(r int) []int { return h.islands[h.islandOf[r]] }
 		}},
 	}
@@ -162,55 +165,6 @@ func TestDenseOwnership(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestChunkedTreeMatchesMonolithicTraffic: chunking changes the message
-// schedule, not the volume.
-func TestChunkedTreeMatchesMonolithicTraffic(t *testing.T) {
-	p, m, chunk := 4, 50, 7
-	bufs := make([][]float64, p)
-	for r := range bufs {
-		bufs[r] = make([]float64, m)
-	}
-	g := NewGroup(p)
-	runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, bufs[rank], chunk) })
-	want := int64(2 * (p - 1) * m)
-	if got := g.WordsSent(); got != want {
-		t.Errorf("chunked tree WordsSent = %d, want %d", got, want)
-	}
-}
-
-// TestChunkedTreePipelinesSimulatedTime: under a simulated fabric whose
-// links serialize successive chunks, the pipelined tree's completion time
-// must beat the monolithic tree's strictly leveled schedule (the whole
-// point of chunking) on a bandwidth-dominated transfer.
-func TestChunkedTreePipelinesSimulatedTime(t *testing.T) {
-	const p, m = 8, 1 << 16
-	run := func(chunk int) float64 {
-		clocks := make([]Clock, p)
-		for i := range clocks {
-			clocks[i] = &simpleClock{}
-		}
-		// 1 second per word, no latency: pure bandwidth pipeline.
-		g := NewSimGroup(p, clocks, wordCost{})
-		bufs := make([][]float64, p)
-		for r := range bufs {
-			bufs[r] = make([]float64, m)
-		}
-		runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, bufs[rank], chunk) })
-		max := 0.0
-		for _, c := range clocks {
-			if c.Now() > max {
-				max = c.Now()
-			}
-		}
-		return max
-	}
-	mono := run(m)       // single chunk = monolithic schedule
-	piped := run(m / 64) // 64-stage pipeline
-	if piped >= mono*0.75 {
-		t.Errorf("pipelined allreduce not faster: chunked %.0f vs monolithic %.0f simulated seconds", piped, mono)
 	}
 }
 

@@ -186,7 +186,7 @@ func (p *FaultPlan) linkFaultsActive() bool {
 }
 
 // ParseFaultPlan parses the compact comma-separated spec the -faults
-// flag and the SASGD_FAULTS environment variable carry:
+// flag carries:
 //
 //	seed=N            decision seed (default 1)
 //	drop=F            per-attempt drop probability on every link

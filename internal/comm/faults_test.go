@@ -45,6 +45,15 @@ func TestParseFaultPlan(t *testing.T) {
 	}
 }
 
+// allreduceInSegments runs one tree allreduce per w-word slice of buf:
+// bitwise the whole-buffer tree, in ⌈m/w⌉ times the messages — traffic
+// for the fault plans below to drop.
+func allreduceInSegments(g *Group, rank int, buf []float64, w int) {
+	for lo := 0; lo < len(buf); lo += w {
+		g.AllreduceTree(rank, buf[lo:min(lo+w, len(buf))])
+	}
+}
+
 // TestFaultyAllreduceCorrect: with per-attempt message drops active, the
 // acknowledged-delivery protocol must still complete every collective
 // with bitwise the fault-free result — faults cost retries, never bits.
@@ -57,7 +66,7 @@ func TestFaultyAllreduceCorrect(t *testing.T) {
 		got := cloneBufs(orig)
 		g := NewGroup(p)
 		g.InjectFaults(&FaultPlan{Seed: 42, Drop: 0.3, RetryTimeout: 20 * time.Millisecond})
-		runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, got[rank], 8) })
+		runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 8) })
 		g.Close()
 
 		for r := 0; r < p; r++ {
@@ -89,7 +98,7 @@ func TestFaultDeterminism(t *testing.T) {
 		got := cloneBufs(orig)
 		g := NewGroup(p)
 		g.InjectFaults(&FaultPlan{Seed: seed, Drop: 0.2, RetryTimeout: 20 * time.Millisecond})
-		runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, got[rank], 16) })
+		runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 16) })
 		g.Close()
 		return g.Stats().Faults
 	}
@@ -117,7 +126,7 @@ func TestRetryAccountingProperty(t *testing.T) {
 	g := NewGroup(p)
 	g.InjectFaults(plan)
 	for round := 0; round < 3; round++ {
-		runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, got[rank], 16) })
+		runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 16) })
 	}
 	g.Close()
 
@@ -164,7 +173,7 @@ func TestDropBurst(t *testing.T) {
 		Bursts:       []Burst{{From: 1, To: 0, Start: 0, N: 3}},
 		RetryTimeout: 10 * time.Millisecond,
 	})
-	runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, got[rank], 8) })
+	runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 8) })
 	g.Close()
 	for r := 0; r < p; r++ {
 		for i := range want {

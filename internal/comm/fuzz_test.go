@@ -64,10 +64,10 @@ func FuzzTopKSelect(f *testing.F) {
 	})
 }
 
-// FuzzAllreduceEquivalence pins the allreduce implementations against
-// each other over fuzzer-chosen (p, m, chunk, seed) shapes: the chunked
-// pipelined tree must reproduce the monolithic tree bit for bit at any
-// chunk size.
+// FuzzAllreduceEquivalence pins the bucketed allreduce against the
+// whole-buffer tree over fuzzer-chosen (p, m, chunk, seed) shapes: two
+// buckets split at chunk (one bucket when chunk ≥ m) must reproduce the
+// tree bit for bit.
 func FuzzAllreduceEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint16(1), uint16(1), int64(1))
 	f.Add(uint8(2), uint16(5), uint16(2), int64(7))
@@ -93,20 +93,23 @@ func FuzzAllreduceEquivalence(f *testing.F) {
 		gt := NewGroup(p)
 		runGroup(p, gt, func(rank int) { gt.AllreduceTree(rank, tree[rank]) })
 
-		ptree := cloneBufs(orig)
-		gp := NewGroup(p)
-		runGroup(p, gp, func(rank int) { gp.AllreduceTreeChunked(rank, ptree[rank], chunk) })
+		segs := []Segment{{0, min(chunk, m)}}
+		if chunk < m {
+			segs = append(segs, Segment{chunk, m - chunk})
+		}
+		bucketed := cloneBufs(orig)
+		runBucketed(p, NewGroup(p), bucketed, segs, nil)
 
 		for r := 0; r < p; r++ {
 			for i := 0; i < m; i++ {
-				if ptree[r][i] != tree[r][i] {
-					t.Fatalf("p=%d m=%d chunk=%d rank=%d[%d]: ptree %g != tree %g (must be bitwise)",
-						p, m, chunk, r, i, ptree[r][i], tree[r][i])
+				if bucketed[r][i] != tree[r][i] {
+					t.Fatalf("p=%d m=%d chunk=%d rank=%d[%d]: bucketed %g != tree %g (must be bitwise)",
+						p, m, chunk, r, i, bucketed[r][i], tree[r][i])
 				}
 				// Every rank of every algorithm must agree with rank 0 of
 				// its own algorithm exactly — allreduce leaves identical
 				// buffers everywhere.
-				if tree[r][i] != tree[0][i] || ptree[r][i] != ptree[0][i] {
+				if tree[r][i] != tree[0][i] || bucketed[r][i] != bucketed[0][i] {
 					t.Fatalf("p=%d m=%d rank=%d[%d]: ranks disagree within one algorithm", p, m, r, i)
 				}
 			}

@@ -9,33 +9,22 @@ import (
 	"sasgd/internal/obs"
 )
 
-// PipelineDepth is the pipeline window of the chunked collectives: the
-// maximum number of chunks a learner's reduce stream may run ahead of its
-// broadcast stream (see AllreduceTreeChunked). It also sizes the per-pair
-// mailboxes, so the two must move together.
-const PipelineDepth = 8
-
 // mailboxCap is the minimum per-directed-link buffering every
 // transport must provide (the channel fabric's per-(sender, receiver)
-// channel capacity, the TCP backend's per-link inbox capacity), sized
-// from the pipeline depth rather than a guessed constant.
+// channel capacity, the TCP backend's per-link inbox capacity); the
+// fault route sizes its per-link queues and ack channels from it too.
 //
 // Deadlock-freedom argument: every collective is a fixed schedule of
 // sends and receives that both endpoints of a pair walk in the same
 // per-pair order (bulk-synchronous discipline), so a receive can only
 // wait for a send that its peer has not issued yet, and the dependency
-// graph of receives follows the collective's dataflow — chunk index
-// major, tree level minor — which is acyclic. Sends therefore only block
-// when a mailbox is full. The windowed pipelined tree bounds the number
-// of undelivered messages per pair: a child may run its reduce stream at
-// most PipelineDepth chunks past its last finished broadcast chunk, and
-// its parent consumes reduce chunk c before forwarding broadcast chunk c,
-// so at most PipelineDepth reduce messages plus the one broadcast a
-// parent can publish ahead of a gating child are ever queued on one pair.
-// All other collectives keep at most two messages in flight per pair.
-// With capacity PipelineDepth+2 sends never block, leaving only the
-// acyclic receive dependencies — no cycle, no deadlock.
-const mailboxCap = PipelineDepth + 2
+// graph of receives follows the collectives' dataflow — collective
+// order major, tree level minor — which is acyclic. Sends therefore only
+// block when a mailbox is full. Every collective keeps at most two
+// messages in flight per pair (a child's partial up, the sum back down),
+// so with this capacity sends never block, leaving only the acyclic
+// receive dependencies — no cycle, no deadlock.
+const mailboxCap = 10
 
 // Group is a fixed set of p learners that communicate through a
 // Transport — by default a matrix of buffered per-(sender, receiver)
@@ -47,10 +36,10 @@ const mailboxCap = PipelineDepth + 2
 // time and every receive synchronizes the receiver's clock, so collective
 // completion times fall out of the actual message schedule rather than a
 // closed-form estimate. Successive transfers on the same directed pair
-// are serialized on the simulated link (a chunk cannot depart before the
-// previous chunk has drained), which is what makes the chunked,
-// pipelined collectives show their real overlap instead of a fictitious
-// p-fold bandwidth.
+// are serialized on the simulated link (a message cannot depart before
+// the previous one has drained), which is what makes overlapped bucket
+// transfers show their real cost instead of a fictitious p-fold
+// bandwidth.
 type Group struct {
 	p  int
 	tr Transport
@@ -233,15 +222,13 @@ func (g *Group) sendMsg(from, to int, m Frame) {
 }
 
 // sendMsgAt is sendMsg with an explicit data-ready time: the simulated
-// instant the payload's value dependencies were satisfied. The chunked
-// collectives pass the causal time of the individual chunk (its inputs'
-// arrivals) rather than the rank's scalar clock, because the clock also
-// absorbs the rank's *other* stream — a broadcast arrival must not delay
-// the departure of an independent reduce chunk, or the two pipelined
-// streams would falsely serialize into half-duplex. The transfer departs
-// once the data is ready and the directed link has drained its previous
-// message, which is what makes chunk-level pipelining visible to the
-// fabric simulation.
+// instant the payload's value dependencies were satisfied. The dense
+// engine passes the causal time of the buffer (entry joined with its
+// inputs' arrivals) rather than the rank's scalar clock, because the
+// bucketed worker's entry stamp — a layer's backward-completion time —
+// precedes the learner's clock, which has already advanced to the end of
+// the minibatch. The transfer departs once the data is ready and the
+// directed link has drained its previous message.
 func (g *Group) sendMsgAt(from, to int, m Frame, ready float64) {
 	g.checkRank(from)
 	g.checkRank(to)

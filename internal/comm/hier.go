@@ -21,12 +21,12 @@ import "fmt"
 // traffic accounting, and — critically — the fault-injection link
 // daemons, which are keyed by the group's rank space.
 //
-// Determinism: both sub-collectives are the dense engine of chunked.go
+// Determinism: both sub-collectives are the dense engine of dense.go
 // run over a binomial schedule laid on a member list — an island's, or
 // the leaders' — instead of on all ranks, so an island that happens to
 // contain every rank replays the flat tree's message schedule and
 // summation order exactly: hier with one island is bitwise-identical to
-// the flat ptree/tree path, which the degenerate pin tests rely on.
+// the flat tree, which the degenerate pin tests rely on.
 type Hier struct {
 	g        *Group
 	islands  [][]int // island id → member ranks, ascending
@@ -112,40 +112,33 @@ func (h *Hier) IsLeader(rank int) bool { return h.leaders[h.islandOf[rank]] == r
 // AllreduceIntra sums buf elementwise across the members of rank's
 // island only, leaving the island sum in each member's buf: the dense
 // engine over the island's tree, charged to "hintra". entry is the
-// simulated instant buf became ready (see AllreduceTreeChunkedFrom);
-// chunkWords ≤ 0 selects DefaultChunkWords.
-func (h *Hier) AllreduceIntra(rank int, buf []float64, chunkWords int, entry float64) {
+// simulated instant buf became ready at this member.
+func (h *Hier) AllreduceIntra(rank int, buf []float64, entry float64) {
 	s := &h.intra[rank]
 	if s.solitary() || len(buf) == 0 {
 		return
 	}
 	h.g.setAlgo(rank, algoHIntra)
-	h.g.allreduce(s, nil, buf, chunkWords, entry, false)
+	h.g.allreduce(s, buf, entry, false)
 }
 
 // AllreduceInter exchanges island aggregates across islands: the island
-// leaders run the dense engine over the leaders' tree, and each chunk is
-// fanned out down the island's own tree as soon as its leader holds the
-// global value, pipelining the downlink behind the leader exchange.
-// Every rank participates (non-leaders supply no data — the leaders'
-// bufs are the contributions — and receive the global result into buf).
-// All traffic of the phase, leader hops and island fan-out alike, is
-// charged to "hinter"; the topology-exact split lives in
-// Stats.CrossWords. No-op with fewer than two islands.
-func (h *Hier) AllreduceInter(rank int, buf []float64, chunkWords int, entry float64) {
+// leaders run the dense engine over the leaders' tree, then each leader
+// sends the global value down its island's own tree. Every rank
+// participates (non-leaders supply no data — the leaders' bufs are the
+// contributions — and receive the global result into buf). All traffic
+// of the phase, leader hops and island fan-out alike, is charged to
+// "hinter"; the topology-exact split lives in Stats.CrossWords. No-op
+// with fewer than two islands.
+func (h *Hier) AllreduceInter(rank int, buf []float64, entry float64) {
 	if len(h.islands) < 2 || len(buf) == 0 {
 		return
 	}
 	h.g.setAlgo(rank, algoHInter)
 	s := &h.intra[rank]
+	ready := 0.0 // a non-leader's copy is ready when its parent's arrives
 	if s.parent < 0 {
-		h.g.allreduce(&h.inter[h.islandOf[rank]], s, buf, chunkWords, entry, false)
-		return
+		ready = h.g.allreduce(&h.inter[h.islandOf[rank]], buf, entry, false)
 	}
-	if chunkWords <= 0 {
-		chunkWords = DefaultChunkWords
-	}
-	for lo := 0; lo < len(buf); lo += chunkWords {
-		h.g.down(s, buf[lo:min(lo+chunkWords, len(buf))], nil, 0)
-	}
+	h.g.down(s, buf, nil, ready)
 }

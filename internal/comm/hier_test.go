@@ -49,66 +49,64 @@ func TestBlockIslands(t *testing.T) {
 // hierarchy with one island, and an island scattered over the odd ranks
 // of a larger group all lay the same binomial tree over p members, so
 // they must leave bitwise-equal buffers and move the same words in the
-// same number of messages, at every member count and chunking.
+// same number of messages, at every member count.
 func TestHierSingleIslandBitwiseTree(t *testing.T) {
 	const m = 61
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		for _, chunk := range []int{1, 7, m, m + 1} {
-			ref := fillRankBufs(p, m, 42)
-			gRef := NewGroup(p)
-			runGroup(p, gRef, func(r int) { gRef.AllreduceTreeChunkedFrom(r, ref[r], chunk, 0) })
-			want := gRef.Stats()
+		ref := fillRankBufs(p, m, 42)
+		gRef := NewGroup(p)
+		runGroup(p, gRef, func(r int) { gRef.AllreduceTree(r, ref[r]) })
+		want := gRef.Stats()
 
-			// One island holding every rank.
-			one := fillRankBufs(p, m, 42)
-			g := NewGroup(p)
-			h := NewHier(g, 1)
-			if h.Islands() != 1 {
-				t.Fatalf("p=%d groups=1: %d islands", p, h.Islands())
-			}
-			runGroup(p, g, func(r int) { h.AllreduceIntra(r, one[r], chunk, 0) })
+		// One island holding every rank.
+		one := fillRankBufs(p, m, 42)
+		g := NewGroup(p)
+		h := NewHier(g, 1)
+		if h.Islands() != 1 {
+			t.Fatalf("p=%d groups=1: %d islands", p, h.Islands())
+		}
+		runGroup(p, g, func(r int) { h.AllreduceIntra(r, one[r], 0) })
 
-			// The same p members as ranks 1, 3, 5, … of a (2p+1)-rank
-			// group whose other ranks are islands of their own.
-			big := 2*p + 1
-			islandOf := make([]int, big)
-			for r := range islandOf {
-				if r%2 == 0 {
-					islandOf[r] = r + 1
-				}
+		// The same p members as ranks 1, 3, 5, … of a (2p+1)-rank
+		// group whose other ranks are islands of their own.
+		big := 2*p + 1
+		islandOf := make([]int, big)
+		for r := range islandOf {
+			if r%2 == 0 {
+				islandOf[r] = r + 1
 			}
-			src := fillRankBufs(p, m, 42)
-			sub := make([][]float64, big)
-			for r := range sub {
-				if sub[r] = make([]float64, m); r%2 == 1 {
-					sub[r] = src[r/2]
-				}
+		}
+		src := fillRankBufs(p, m, 42)
+		sub := make([][]float64, big)
+		for r := range sub {
+			if sub[r] = make([]float64, m); r%2 == 1 {
+				sub[r] = src[r/2]
 			}
-			gs := NewGroup(big)
-			hs := NewHierOf(gs, islandOf)
-			if hs.IslandSize(1) != p {
-				t.Fatalf("p=%d: scattered island has %d members", p, hs.IslandSize(1))
-			}
-			runGroup(big, gs, func(r int) { hs.AllreduceIntra(r, sub[r], chunk, 0) })
+		}
+		gs := NewGroup(big)
+		hs := NewHierOf(gs, islandOf)
+		if hs.IslandSize(1) != p {
+			t.Fatalf("p=%d: scattered island has %d members", p, hs.IslandSize(1))
+		}
+		runGroup(big, gs, func(r int) { hs.AllreduceIntra(r, sub[r], 0) })
 
-			for name, got := range map[string][][]float64{"one island": one, "scattered island": src} {
-				for r := 0; r < p; r++ {
-					for i := range got[r] {
-						if got[r][i] != ref[r][i] {
-							t.Fatalf("p=%d chunk=%d member=%d: %s not bitwise the flat tree at %d: %g vs %g",
-								p, chunk, r, name, i, got[r][i], ref[r][i])
-						}
+		for name, got := range map[string][][]float64{"one island": one, "scattered island": src} {
+			for r := 0; r < p; r++ {
+				for i := range got[r] {
+					if got[r][i] != ref[r][i] {
+						t.Fatalf("p=%d member=%d: %s not bitwise the flat tree at %d: %g vs %g",
+							p, r, name, i, got[r][i], ref[r][i])
 					}
 				}
 			}
-			for name, st := range map[string]Stats{"one island": g.Stats(), "scattered island": gs.Stats()} {
-				if st.Words != want.Words || st.Messages != want.Messages {
-					t.Errorf("p=%d chunk=%d: %s moved %d words in %d messages, the flat tree %d in %d",
-						p, chunk, name, st.Words, st.Messages, want.Words, want.Messages)
-				}
-				if p > 1 && st.PerAlgo["hintra"].Words != st.Words {
-					t.Errorf("p=%d chunk=%d: %s traffic %v, want all of it under hintra", p, chunk, name, st.PerAlgo)
-				}
+		}
+		for name, st := range map[string]Stats{"one island": g.Stats(), "scattered island": gs.Stats()} {
+			if st.Words != want.Words || st.Messages != want.Messages {
+				t.Errorf("p=%d: %s moved %d words in %d messages, the flat tree %d in %d",
+					p, name, st.Words, st.Messages, want.Words, want.Messages)
+			}
+			if p > 1 && st.PerAlgo["hintra"].Words != st.Words {
+				t.Errorf("p=%d: %s traffic %v, want all of it under hintra", p, name, st.PerAlgo)
 			}
 		}
 	}
@@ -134,7 +132,7 @@ func TestHierIntraSumsIslandOnly(t *testing.T) {
 		}
 		g := NewGroup(tc.p)
 		h := NewHier(g, tc.groups)
-		runGroup(tc.p, g, func(r int) { h.AllreduceIntra(r, bufs[r], 0, 0) })
+		runGroup(tc.p, g, func(r int) { h.AllreduceIntra(r, bufs[r], 0) })
 		for r := 0; r < tc.p; r++ {
 			for i := range bufs[r] {
 				if d := bufs[r][i] - want[r][i]; d > 1e-12 || d < -1e-12 {
@@ -162,8 +160,8 @@ func TestHierInterGlobalSum(t *testing.T) {
 		g := NewGroup(tc.p)
 		h := NewHier(g, tc.groups)
 		runGroup(tc.p, g, func(r int) {
-			h.AllreduceIntra(r, bufs[r], 0, 0)
-			h.AllreduceInter(r, bufs[r], 0, 0)
+			h.AllreduceIntra(r, bufs[r], 0)
+			h.AllreduceInter(r, bufs[r], 0)
 		})
 		for r := 0; r < tc.p; r++ {
 			for i := range bufs[r] {
@@ -213,7 +211,7 @@ func TestHierTrafficSplit(t *testing.T) {
 	g := NewGroup(p)
 	h := NewHier(g, groups)
 
-	runGroup(p, g, func(r int) { h.AllreduceIntra(r, bufs[r], 0, 0) })
+	runGroup(p, g, func(r int) { h.AllreduceIntra(r, bufs[r], 0) })
 	st := g.Stats()
 	if st.CrossWords != 0 {
 		t.Fatalf("intra phase crossed islands: %d cross words", st.CrossWords)
@@ -223,7 +221,7 @@ func TestHierTrafficSplit(t *testing.T) {
 		t.Fatal("intra phase moved no words")
 	}
 
-	runGroup(p, g, func(r int) { h.AllreduceInter(r, bufs[r], 0, 0) })
+	runGroup(p, g, func(r int) { h.AllreduceInter(r, bufs[r], 0) })
 	st = g.Stats()
 	if st.CrossWords == 0 {
 		t.Fatal("inter phase reported no cross-island words")
@@ -291,8 +289,8 @@ func TestHierSteadyStateAllocs(t *testing.T) {
 	start := make([]chan struct{}, p)
 	done := make(chan struct{}, p)
 	both := func(r int) {
-		h.AllreduceIntra(r, bufs[r], 64, 0)
-		h.AllreduceInter(r, bufs[r], 64, 0)
+		h.AllreduceIntra(r, bufs[r], 0)
+		h.AllreduceInter(r, bufs[r], 0)
 	}
 	for r := 1; r < p; r++ {
 		start[r] = make(chan struct{})

@@ -18,8 +18,8 @@ import (
 // pointer-typed Put. Buffers are segregated into power-of-two size
 // classes (one sync.Pool per class): every wrapper in a class has
 // exactly the class's capacity, so a pool serving mixed frame sizes
-// — rhd's halving series, ring's m/p chunks, the chunked tree's short
-// tail chunks — reaches zero steady-state allocations regardless of
+// — one bucket per layer, codec pair streams, one-word maxima and
+// barriers — reaches zero steady-state allocations regardless of
 // which goroutine happens to recycle which wrapper. A single mixed pool
 // would instead keep regrowing small wrappers whenever scheduling
 // shuffled them onto large requests.

@@ -34,8 +34,7 @@ type algo uint32
 
 const (
 	algoP2P    algo = iota // bare Send/Recv outside any collective
-	algoTree               // monolithic binomial tree (allreduce/reduce)
-	algoPTree              // chunked pipelined binomial tree
+	algoTree               // binomial tree (allreduce/reduce, bucketed or not)
 	algoSparse             // sparse (index+value) binomial tree
 	algoBcast              // binomial-tree broadcast
 	algoQuant              // quantized (packed int8/int16) binomial tree
@@ -45,7 +44,7 @@ const (
 )
 
 var algoNames = [numAlgos]string{
-	"p2p", "tree", "ptree", "sparse", "bcast", "quant", "hintra", "hinter",
+	"p2p", "tree", "sparse", "bcast", "quant", "hintra", "hinter",
 }
 
 // rankStats is one rank's counters. cur is the algorithm label set by

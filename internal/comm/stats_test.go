@@ -12,19 +12,27 @@ import (
 // tracer-gated pipeline counters.
 
 // TestStatsPerAlgoAttribution runs one collective of each family on
-// separate groups and checks every word lands in the right bucket.
+// separate groups and checks every word lands in the right bucket. The
+// bucketed worker's dense buckets are the tree's traffic.
 func TestStatsPerAlgoAttribution(t *testing.T) {
 	const p, n = 4, 64
 	cases := []struct {
-		algo string
-		run  func(g *Group, rank int, buf []float64)
+		name, algo string
+		run        func(g *Group, rank int, buf []float64)
 	}{
-		{"tree", func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
-		{"ptree", func(g *Group, r int, b []float64) { g.AllreduceTreeChunked(r, b, 16) }},
-		{"bcast", func(g *Group, r int, b []float64) { g.BroadcastTree(r, b) }},
+		{"tree", "tree", func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
+		{"bcast", "bcast", func(g *Group, r int, b []float64) { g.BroadcastTree(r, b) }},
+		{"bucketed", "tree", func(g *Group, r int, b []float64) {
+			w := NewBucketedAllreduce(g, r, []Segment{{0, n / 2}, {n / 2, n / 2}}, 0)
+			defer w.Close()
+			h1 := w.Begin(1, b, 0)
+			h0 := w.Begin(0, b, 0)
+			h1.Wait()
+			h0.Wait()
+		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.algo, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			g := NewGroup(p)
 			bufs := make([][]float64, p)
 			for r := range bufs {
@@ -104,9 +112,9 @@ func TestStatsReset(t *testing.T) {
 	if s.Words != 0 || s.Messages != 0 || len(s.PerAlgo) != 0 || g.WordsSent() != 0 {
 		t.Errorf("after ResetStats: %+v, WordsSent=%d; want all zero", s, g.WordsSent())
 	}
-	runGroup(p, g, func(rank int) { g.AllreduceTreeChunked(rank, bufs[rank], 8) })
+	runGroup(p, g, func(rank int) { g.AllreduceTree(rank, bufs[rank]) })
 	s = g.Stats()
-	if s.PerAlgo["ptree"].Words == 0 || s.Words != g.WordsSent() {
+	if s.PerAlgo["tree"].Words == 0 || s.Words != g.WordsSent() {
 		t.Errorf("counters did not resume after reset: %+v", s)
 	}
 }
@@ -140,8 +148,8 @@ func TestStatsBucketedPipelineCounters(t *testing.T) {
 		defer b.Close()
 		const rounds = 3
 		for it := 0; it < rounds; it++ {
-			h0 := b.Begin(0, bufs[rank], 0, 0)
-			h1 := b.Begin(1, bufs[rank], 0, 0)
+			h0 := b.Begin(0, bufs[rank], 0)
+			h1 := b.Begin(1, bufs[rank], 0)
 			h0.Wait()
 			h1.Wait()
 		}
@@ -188,7 +196,7 @@ func TestStatsBucketedUntracedKeepsOpCount(t *testing.T) {
 	runGroup(p, g, func(rank int) {
 		b := NewBucketedAllreduce(g, rank, segs, 0)
 		defer b.Close()
-		b.Begin(0, bufs[rank], 0, 0).Wait()
+		b.Begin(0, bufs[rank], 0).Wait()
 	})
 	s := g.Stats()
 	if s.BucketOps != p {

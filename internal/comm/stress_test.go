@@ -6,16 +6,16 @@ import (
 )
 
 // TestPipelinedCollectivesStress drives many back-to-back aggregations
-// through the pipelined collectives under the race detector's favourite
-// conditions: odd group sizes, chunk sizes far below m/p, algorithms
-// alternating round to round (so pooled buffers are recycled across
-// different message shapes), and several groups running concurrently in
-// one process. Values are small integers, so every sum is exact in
-// float64 and each round's result can be checked against a closed form:
-// after k allreduce rounds buf[i] = (i+1)·p^k.
+// through the tree and the bucketed worker's pipeline under the race
+// detector's favourite conditions: odd group sizes, buckets far below
+// m/p, whole-buffer and bucketed rounds alternating (so pooled buffers
+// are recycled across different message shapes), and several groups
+// running concurrently in one process. Values are small integers, so
+// every sum is exact in float64 and each round's result can be checked
+// against a closed form: after k allreduce rounds buf[i] = (i+1)·p^k.
 func TestPipelinedCollectivesStress(t *testing.T) {
 	const rounds = 15
-	run := func(t *testing.T, p int, chunks []int) {
+	run := func(t *testing.T, p int, widths []int) {
 		const m = 101
 		g := NewGroup(p)
 		bufs := make([][]float64, p)
@@ -30,11 +30,23 @@ func TestPipelinedCollectivesStress(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
+				workers := make([]*BucketedAllreduce, len(widths))
+				for i, w := range widths {
+					workers[i] = NewBucketedAllreduce(g, r, chunkSegments(m, w), 0)
+					defer workers[i].Close()
+				}
+				handles := make([]Handle, m)
 				for k := 0; k < rounds; k++ {
 					if k%3 == 0 {
 						g.AllreduceTree(r, bufs[r])
-					} else {
-						g.AllreduceTreeChunked(r, bufs[r], chunks[k%len(chunks)])
+						continue
+					}
+					b := workers[k%len(widths)]
+					for i := len(b.segs) - 1; i >= 0; i-- {
+						handles[i] = b.Begin(i, bufs[r], 0)
+					}
+					for i := range b.segs {
+						handles[i].Wait()
 					}
 				}
 			}(r)
@@ -53,7 +65,7 @@ func TestPipelinedCollectivesStress(t *testing.T) {
 			}
 		}
 	}
-	// Chunk sizes well below m/p exercise deep pipelines; concurrent
+	// Bucket widths well below m/p make deep bucket queues; concurrent
 	// subtests share the process so independent groups stress each other.
 	for _, p := range []int{3, 5, 7, 8} {
 		p := p

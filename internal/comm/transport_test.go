@@ -41,65 +41,51 @@ func tcpLoopbackGroup(t *testing.T, p int) *Group {
 }
 
 // TestCrossTransportAllreduceEquivalence is the equivalence matrix of
-// the transport cut: every allreduce algorithm, over group sizes
-// including non-powers of two, must produce bitwise-identical buffers
-// AND identical traffic stats on the channel fabric and on TCP
-// loopback. Float64 words survive the wire codec bit-exactly and the
-// collectives never branch on the backend, so equality here is exact —
-// any drift means the transport leaked into algorithm behavior.
+// the transport cut: the tree allreduce, over group sizes including
+// non-powers of two, must produce bitwise-identical buffers AND
+// identical traffic stats on the channel fabric and on TCP loopback.
+// Float64 words survive the wire codec bit-exactly and the collectives
+// never branch on the backend, so equality here is exact — any drift
+// means the transport leaked into algorithm behavior.
 //
 // Equal means equal bits: the operands carry ±0, denormals, ±Inf and NaN
 // (spikeSpecials), where == would call +0 and −0 the same and fail every
 // NaN. The two long messages are above reduceGrain, so their folds run
 // sharded (the budget is raised for the test, so they do on a one-core
-// host too), and the chunk-2·reduceGrain ptree shards every chunk's
-// fold. A wire transport never hands a partial over by reference, so on
-// those messages channel ≡ TCP is also the by-reference engine against
-// the pooled one.
+// host too). A wire transport never hands a partial over by reference,
+// so on those messages channel ≡ TCP is also the by-reference engine
+// against the pooled one.
 func TestCrossTransportAllreduceEquivalence(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(4))
-	algos := []struct {
-		name string
-		run  func(g *Group, rank int, buf []float64)
-	}{
-		{"tree", func(g *Group, rank int, buf []float64) { g.AllreduceTree(rank, buf) }},
-		{"ptree", func(g *Group, rank int, buf []float64) { g.AllreduceTreeChunked(rank, buf, 16) }},
-		{"ptree/2grain", func(g *Group, rank int, buf []float64) { g.AllreduceTreeChunked(rank, buf, 2*reduceGrain) }},
-	}
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, m := range []int{1, 23, 129, 2*reduceGrain + 3, 276971} {
 			orig, _ := makeBufs(p, m, int64(7000*p+m))
 			spikeSpecials(orig)
-			for _, algo := range algos {
-				if algo.name == "ptree" && m > 129 {
-					continue // 16-word chunks of a long message: slow, and no fold shards
+			var refBufs [][]float64
+			var refStats Stats
+			for _, tc := range transportCases() {
+				bufs := cloneBufs(orig)
+				g := tc.make(t, p)
+				runGroup(p, g, func(rank int) {
+					g.AllreduceTree(rank, bufs[rank])
+					g.Barrier(rank)
+				})
+				st := g.Stats()
+				if refBufs == nil {
+					refBufs, refStats = bufs, st
+					continue
 				}
-				var refBufs [][]float64
-				var refStats Stats
-				for _, tc := range transportCases() {
-					bufs := cloneBufs(orig)
-					g := tc.make(t, p)
-					runGroup(p, g, func(rank int) {
-						algo.run(g, rank, bufs[rank])
-						g.Barrier(rank)
-					})
-					st := g.Stats()
-					if refBufs == nil {
-						refBufs, refStats = bufs, st
-						continue
-					}
-					for r := 0; r < p; r++ {
-						for i := range bufs[r] {
-							if got, want := math.Float64bits(bufs[r][i]), math.Float64bits(refBufs[r][i]); got != want {
-								t.Fatalf("p=%d m=%d algo=%s rank=%d[%d]: %s %#x != channel %#x (must be bitwise)",
-									p, m, algo.name, r, i, tc.name, got, want)
-							}
+				for r := 0; r < p; r++ {
+					for i := range bufs[r] {
+						if got, want := math.Float64bits(bufs[r][i]), math.Float64bits(refBufs[r][i]); got != want {
+							t.Fatalf("p=%d m=%d rank=%d[%d]: %s %#x != channel %#x (must be bitwise)",
+								p, m, r, i, tc.name, got, want)
 						}
 					}
-					if !reflect.DeepEqual(st, refStats) {
-						t.Fatalf("p=%d m=%d algo=%s: %s stats %+v != channel stats %+v",
-							p, m, algo.name, tc.name, st, refStats)
-					}
+				}
+				if !reflect.DeepEqual(st, refStats) {
+					t.Fatalf("p=%d m=%d: %s stats %+v != channel stats %+v",
+						p, m, tc.name, st, refStats)
 				}
 			}
 		}

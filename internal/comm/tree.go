@@ -1,7 +1,7 @@
 package comm
 
 // The binomial tree as data. Every collective in this package — the
-// dense chunked engine (chunked.go), the hierarchy's island and leader
+// dense engine (dense.go), the hierarchy's island and leader
 // exchanges (hier.go), the codecs' pair, max and integer walks
 // (compress.go, quant.go) — is one tree walked the same two ways:
 //
@@ -24,22 +24,16 @@ type sched struct {
 	children []int // ascending step order: the order their partials are folded in
 	span     int   // members in this subtree, itself included
 
-	// The dense engine's state for this member of this tree (chunked.go),
-	// touched only by the goroutine walking it: held is one row of
-	// len(children) per pipeline slot, the children's partials kept by
-	// reference from up to down; fold is the member's reduction loop.
+	// The dense engine's state for this member of this tree (dense.go),
+	// touched only by the goroutine walking it: held is the children's
+	// partials, kept by reference from up to down; fold is the member's
+	// reduction loop.
 	held [][]float64
 	fold fold
 }
 
 // solitary reports whether the tree is this member alone.
 func (s *sched) solitary() bool { return s.parent < 0 && len(s.children) == 0 }
-
-// heldRow returns the held partials of pipeline slot i.
-func (s *sched) heldRow(i int) [][]float64 {
-	n := len(s.children)
-	return s.held[i*n : (i+1)*n]
-}
 
 // writesBack reports whether this member's fold of child k is the
 // write-back of the sum: the root's last fold, after which its segment
@@ -70,7 +64,7 @@ func newTree(members []int) []sched {
 		parent, children := binomial(len(members), i)
 		s := &t[i]
 		s.rank, s.parent, s.children, s.span = members[i], -1, children, 1
-		s.held = make([][]float64, (PipelineDepth+1)*len(children))
+		s.held = make([][]float64, len(children))
 		if parent >= 0 {
 			s.parent = members[parent]
 		}

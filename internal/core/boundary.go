@@ -42,8 +42,8 @@ import (
 // bitwise-comparable to a fault-free resume over the survivors (the
 // chaos harness's core assertion).
 //
-// Exchange. Flat dense aggregation calls the configured collective on
-// gs directly. Everything else goes through the rank's bucketed comm
+// Exchange. Flat dense aggregation runs the tree allreduce on gs
+// directly. Everything else goes through the rank's bucketed comm
 // worker, one op per bucket in descending index order: every codec
 // collective (the codecs own the per-bucket schedule), every launch
 // that must outlive the boundary, and the backward-overlapped launches
@@ -137,13 +137,11 @@ type engine struct {
 	acc       []float64 // island aggregate since the last outer exchange
 	gpIsland  float64   // γp·OrigP/q for this rank's island of q live members
 	outerLeft int       // boundaries until the next outer exchange
-	hchunk    int       // chunk size of the hierarchical sub-collectives
 
 	// Bucketed worker (b nil when nothing needs it).
 	segs    []comm.Segment
 	b       *comm.BucketedAllreduce
 	handles []comm.Handle
-	chunk   int
 
 	// Delayed application.
 	delayed  bool
@@ -204,18 +202,6 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		if psegs := net.ParamSegments(); len(psegs) > 0 {
 			e.segs, minLayer = planBuckets(psegs, cfg.CommBuckets)
 		}
-	}
-	e.chunk, e.hchunk = cfg.CommChunk, cfg.CommChunk
-	if cfg.Allreduce != AllreducePTree {
-		// The monolithic tree is the chunked tree with one chunk per bucket
-		// (or per whole-buffer sub-collective): bitwise identical either
-		// way, and this matches its unchunked wire schedule.
-		for _, s := range e.segs {
-			if s.Len > e.chunk {
-				e.chunk = s.Len
-			}
-		}
-		e.hchunk = m
 	}
 	if cfg.HierGroups >= 2 {
 		e.baseIsl = comm.BlockIslands(cfg.Learners, cfg.HierGroups)
@@ -369,7 +355,7 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	if e.hier != nil {
 		e.drain()
 		ws := tk.Begin()
-		e.hier.AllreduceIntra(vr, e.gs, e.hchunk, g.Clock(vr).Now())
+		e.hier.AllreduceIntra(vr, e.gs, g.Clock(vr).Now())
 		tk.End(obs.PhaseAggWait, ws)
 		as := tk.Begin()
 		tensor.Axpy(1, e.gs, e.acc)
@@ -496,7 +482,7 @@ func (e *engine) reset(params, ref []float64) {
 
 // exchange runs the boundary's global exchange over buf to completion:
 // the codec's per-bucket collectives, the inter-island exchange, or the
-// configured dense collective.
+// tree.
 func (e *engine) exchange(buf []float64) {
 	g, vr := e.view.G, e.vr
 	switch {
@@ -504,9 +490,7 @@ func (e *engine) exchange(buf []float64) {
 		e.launch(buf, g.Clock(vr).Now())
 		e.wait()
 	case e.hier != nil:
-		e.hier.AllreduceInter(vr, buf, e.hchunk, g.Clock(vr).Now())
-	case e.cfg.Allreduce == AllreducePTree:
-		g.AllreduceTreeChunked(vr, buf, e.cfg.CommChunk)
+		e.hier.AllreduceInter(vr, buf, g.Clock(vr).Now())
 	default:
 		g.AllreduceTree(vr, buf)
 	}
@@ -526,9 +510,9 @@ func (e *engine) begin(bi int, buf []float64, ready float64) {
 	case e.comp != nil:
 		e.handles[bi] = e.b.BeginCompressed(bi, buf, e.res, e.comp, e.ratio, ready)
 	case e.hier != nil:
-		e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, e.chunk, ready)
+		e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, ready)
 	default:
-		e.handles[bi] = e.b.Begin(bi, buf, e.chunk, ready)
+		e.handles[bi] = e.b.Begin(bi, buf, ready)
 	}
 }
 

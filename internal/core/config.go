@@ -10,81 +10,11 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 
 	"sasgd/internal/comm"
 	"sasgd/internal/netsim"
 	"sasgd/internal/obs"
 )
-
-// envOn reports whether an on/off environment default is set ("1" or
-// "true"; anything else, including unset, leaves the Config zero value
-// or the command flag in charge).
-func envOn(name string) bool {
-	s := os.Getenv(name)
-	return s == "1" || s == "true"
-}
-
-// DefaultOverlap reports whether the SASGD_OVERLAP environment variable
-// requests backward-overlapped aggregation by default, so the experiment
-// drivers pick the knob up without plumbing.
-func DefaultOverlap() bool { return envOn("SASGD_OVERLAP") }
-
-// DefaultFastKernels reports whether the SASGD_FAST_KERNELS environment
-// variable requests the reordered-summation fast kernels by default.
-func DefaultFastKernels() bool { return envOn("SASGD_FAST_KERNELS") }
-
-// DefaultCompress returns the gradient-compression codec and top-k
-// fraction requested by the SASGD_COMPRESS environment variable —
-// "topk", "topk:0.05" or "qint8"; empty (the default) leaves
-// compression off, and a malformed fraction is ignored (the codec's
-// default applies). Config resolution consults it when no codec was set
-// explicitly, mirroring the -overlap/SASGD_OVERLAP precedence.
-func DefaultCompress() (codec string, k float64) {
-	codec, frac, ok := strings.Cut(os.Getenv("SASGD_COMPRESS"), ":")
-	if ok {
-		if v, err := strconv.ParseFloat(frac, 64); err == nil && v > 0 {
-			k = v
-		}
-	}
-	return codec, k
-}
-
-// DefaultSched returns the communication-schedule defaults requested by
-// the SASGD_TSCHED, SASGD_HIER_GROUPS and SASGD_DELAYED environment
-// variables: a T-scheduler mode ("static" or "adaptive"), a
-// hierarchical group count, and whether the global gradient is applied
-// one boundary late. Empty/unset leaves each Config zero value in
-// charge, mirroring the SASGD_OVERLAP precedence.
-func DefaultSched() (tsched string, hierGroups int, delayed bool) {
-	if v, err := strconv.Atoi(os.Getenv("SASGD_HIER_GROUPS")); err == nil && v > 0 {
-		hierGroups = v
-	}
-	return os.Getenv("SASGD_TSCHED"), hierGroups, envOn("SASGD_DELAYED")
-}
-
-// DefaultFaultSpec returns the fault-plan spec requested by the
-// SASGD_FAULTS environment variable (comm.ParseFaultPlan grammar, e.g.
-// "seed=1,drop=0.05,slow=2:4,crash=3@10"); empty (the default) leaves
-// fault injection off. Commands consult it when their -faults flag is
-// unset, mirroring the -overlap/SASGD_OVERLAP precedence.
-func DefaultFaultSpec() string { return os.Getenv("SASGD_FAULTS") }
-
-// DefaultTransport returns the wire-transport defaults requested by the
-// SASGD_TRANSPORT ("chan" or "tcp"), SASGD_RANK and SASGD_PEERS
-// environment variables: the backend name, the single rank this
-// process hosts (-1 = all ranks, TCP loopback), and the comma-separated
-// rank→address list. Empty/unset leaves each command flag's zero value
-// in charge, mirroring the -overlap/SASGD_OVERLAP precedence.
-func DefaultTransport() (transport string, rank int, peers string) {
-	rank = -1
-	if v, err := strconv.Atoi(os.Getenv("SASGD_RANK")); err == nil && v >= 0 {
-		rank = v
-	}
-	return os.Getenv("SASGD_TRANSPORT"), rank, os.Getenv("SASGD_PEERS")
-}
 
 // Algorithm identifies one of the implemented training algorithms.
 type Algorithm string
@@ -96,19 +26,6 @@ const (
 	AlgoDownpour Algorithm = "downpour" // parameter-server ASGD (Dean et al.)
 	AlgoEAMSGD   Algorithm = "eamsgd"   // elastic averaging ASGD (Zhang et al.)
 	AlgoHogwild  Algorithm = "hogwild"  // lock-free shared-memory ASGD (Niu et al.)
-)
-
-// AllreduceAlgo selects the collective implementation SASGD aggregates
-// with.
-type AllreduceAlgo string
-
-// The implemented allreduce algorithms: one binomial tree at two chunk
-// sizes. "ptree" is bitwise identical to "tree" (same summation order,
-// chunked wire schedule); what it changes is the simulated and real
-// pipelining of the transfer.
-const (
-	AllreduceTree  AllreduceAlgo = "tree"  // binomial tree, one message per hop (paper's O(m log p))
-	AllreducePTree AllreduceAlgo = "ptree" // the same tree, chunked and pipelined (CommChunk)
 )
 
 // Gradient-compression codec names for Config.Compress.
@@ -151,14 +68,6 @@ type Config struct {
 	// negative value disables momentum.
 	Momentum float64
 
-	// SASGD collective selection (default tree).
-	Allreduce AllreduceAlgo
-
-	// CommChunk is the pipelined collective's chunk size in float64
-	// words (AllreducePTree only). Zero selects comm.DefaultChunkWords
-	// (8192).
-	CommChunk int
-
 	// OverlapComm asks for bucketed, backward-overlapped aggregation: on
 	// the last minibatch of each interval, the gradient buffer is split
 	// into CommBuckets contiguous buckets at layer boundaries and each
@@ -173,9 +82,7 @@ type Config struct {
 	// merely early: under HierGroups or DelayedApply (what goes on the
 	// wire is not this batch's gs) and under a fault plan, checkpoint or
 	// resume (the launch would precede the boundary's membership sync and
-	// alias its learner collectives). The SASGD_OVERLAP environment variable
-	// ("1"/"true") turns it on by default for every run, which is how the
-	// experiment drivers pick it up.
+	// alias its learner collectives).
 	OverlapComm bool
 
 	// CommBuckets is the number of gradient buckets for OverlapComm:
@@ -190,10 +97,8 @@ type Config struct {
 	// quantization with a shared per-bucket scale, residual-fed so it
 	// composes with error feedback). Compressed aggregation always runs
 	// through the bucketed engine — each bucket's codec collective is
-	// launched per bucket, composing with OverlapComm — and ignores
-	// Allreduce (the codec brings its own collective). The
-	// SASGD_COMPRESS environment variable ("topk", "topk:0.05",
-	// "qint8") supplies the default when Compress is empty.
+	// launched per bucket, composing with OverlapComm; the codec brings
+	// its own collective.
 	Compress string
 
 	// CompressK is the top-k sparsity fraction for CodecTopK: each
@@ -219,8 +124,7 @@ type Config struct {
 	// schedule.go): TSchedStatic — which "" means too — keeps T = Interval
 	// (the paper's schedule); TSchedAdaptive starts at Interval and
 	// widens/narrows the period from the allreduced replica-drift norm
-	// ‖x_i − x̄‖, in lockstep, so runs stay deterministic. The SASGD_TSCHED
-	// environment variable supplies the default.
+	// ‖x_i − x̄‖, in lockstep, so runs stay deterministic.
 	TSched string
 
 	// HierGroups ≥ 2 partitions the learners into that many contiguous
@@ -232,8 +136,7 @@ type Config struct {
 	// globally consistent reference absorbs every island's accumulated
 	// aggregate at each outer exchange, so each gradient's final weight
 	// in the global model is exactly γp. 0/1 (default) is flat
-	// aggregation. The SASGD_HIER_GROUPS environment variable supplies
-	// the default.
+	// aggregation.
 	HierGroups int
 
 	// TOuter is the number of communication boundaries between
@@ -252,9 +155,7 @@ type Config struct {
 	// k+1); a run with a single boundary, and the first aggregate of any
 	// run, are bitwise identical to eager application. Under a
 	// hierarchical schedule only the outer (cross-island) exchange is
-	// delayed — the intra-island allreduce is cheap and stays eager. The
-	// SASGD_DELAYED environment variable ("1"/"true") supplies the
-	// default.
+	// delayed — the intra-island allreduce is cheap and stays eager.
 	DelayedApply bool
 
 	// VirtualTime serializes the asynchronous algorithms' learner steps
@@ -278,8 +179,7 @@ type Config struct {
 	// tolerance but not bitwise identical to them, so runs flip this only
 	// when throughput matters more than bit-stability against the
 	// default-path reference results. Either setting is itself bitwise
-	// reproducible across worker counts. The SASGD_FAST_KERNELS
-	// environment variable ("1"/"true") turns it on by default.
+	// reproducible across worker counts.
 	FastKernels bool
 
 	// EvalEvery records accuracy every this many collective epochs
@@ -412,8 +312,6 @@ var configRules = []struct {
 			}
 			return true
 		}},
-	{"unknown collective (want tree or ptree)",
-		func(c *Config) bool { return c.Allreduce != AllreduceTree && c.Allreduce != AllreducePTree }},
 	{"unknown compression codec (want topk, qint8 or none)",
 		func(c *Config) bool { return c.Compress != "" && c.Compress != CodecTopK && c.Compress != CodecQInt8 }},
 	{"CompressK must not be negative",
@@ -483,8 +381,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// resolve fills defaulted fields (environment defaults included), then
-// checks the result against configRules.
+// resolve fills defaulted fields, then checks the result against
+// configRules. It reads nothing but c: the environment is not a second
+// configuration surface.
 func (c Config) resolve() (Config, error) {
 	if c.Learners <= 0 || c.Algo == AlgoSGD {
 		c.Learners = 1
@@ -518,20 +417,8 @@ func (c Config) resolve() (Config, error) {
 	if c.Momentum < 0 {
 		c.Momentum = 0
 	}
-	if c.Allreduce == "" {
-		c.Allreduce = AllreduceTree
-	}
-	// Compression-codec normalization: the SASGD_COMPRESS env supplies a
-	// default when no codec was set, and "ship everything" degenerates to
+	// Compression-codec normalization: "ship everything" degenerates to
 	// the true dense path (bitwise identical to Algorithm 1).
-	if c.Compress == "" {
-		if codec, k := DefaultCompress(); codec != "" {
-			c.Compress = codec
-			if c.CompressK == 0 {
-				c.CompressK = k
-			}
-		}
-	}
 	if c.Compress == "none" {
 		c.Compress = ""
 	}
@@ -543,30 +430,14 @@ func (c Config) resolve() (Config, error) {
 			c.Compress = ""
 		}
 	}
-	if !c.OverlapComm && DefaultOverlap() {
-		c.OverlapComm = true
-	}
-	if !c.FastKernels && DefaultFastKernels() {
-		c.FastKernels = true
-	}
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 1
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
-	envT, envG, envD := DefaultSched()
-	if c.TSched == "" {
-		c.TSched = envT
-	}
 	if c.TSched == "" {
 		c.TSched = TSchedStatic
-	}
-	if c.HierGroups == 0 {
-		c.HierGroups = envG
-	}
-	if !c.DelayedApply && envD {
-		c.DelayedApply = true
 	}
 	if c.HierGroups < 0 {
 		c.HierGroups = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"runtime"
@@ -118,24 +119,42 @@ func TestSASGDDeterministic(t *testing.T) {
 	}
 }
 
-func TestSASGDPipelinedTreeBitIdenticalToTree(t *testing.T) {
-	// The chunked pipelined tree replays the monolithic tree's summation
-	// order chunk by chunk, so a whole training run must agree *bitwise*
-	// with the default tree — at any chunk size, including ones that
-	// split the gradient vector unevenly.
-	prob := tinyProblem(160, 50, 6)
-	base := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.1, Batch: 10, Epochs: 4, Seed: 5}
-	tree := Train(base, prob)
-	for _, chunk := range []int{0, 1, 37} {
-		cfg := base
-		cfg.Allreduce = AllreducePTree
-		cfg.CommChunk = chunk
-		pt := Train(cfg, prob)
-		for i := range tree.FinalParams {
-			if tree.FinalParams[i] != pt.FinalParams[i] {
-				t.Fatalf("chunk=%d: ptree diverges from tree at %d: %g vs %g",
-					chunk, i, tree.FinalParams[i], pt.FinalParams[i])
-			}
+// TestConfigIgnoresEnvironment: Config is the one configuration
+// surface. With every variable the library once read as a Config default
+// set to a value that would change the run, resolve must return the same
+// Config and a tiny run the same final parameter bits as with them unset.
+func TestConfigIgnoresEnvironment(t *testing.T) {
+	prob := tinyProblem(40, 24, 5)
+	cfg := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 3}
+	run := func() (Config, []float64) {
+		resolved, err := cfg.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resolved, Train(cfg, prob).FinalParams
+	}
+	wantCfg, want := run()
+	for name, v := range map[string]string{
+		"SASGD_OVERLAP":      "1",
+		"SASGD_FAST_KERNELS": "1",
+		"SASGD_COMPRESS":     "topk:0.05",
+		"SASGD_TSCHED":       "adaptive",
+		"SASGD_HIER_GROUPS":  "2",
+		"SASGD_DELAYED":      "1",
+		"SASGD_FAULTS":       "seed=1,drop=0.05",
+	} {
+		t.Setenv(name, v)
+	}
+	gotCfg, got := run()
+	if !reflect.DeepEqual(gotCfg, wantCfg) {
+		t.Errorf("the environment changed the resolved Config:\n%+v\nwant\n%+v", gotCfg, wantCfg)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d final parameters, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("the environment changed parameter %d: %g vs %g", i, got[i], want[i])
 		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 // tracer, registry) from config().
 type genDraw struct {
 	p, interval int
-	allreduce   AllreduceAlgo
 	codec       string
 	k           float64
 	adapt       bool
@@ -63,7 +62,6 @@ const (
 // wants named — and a few carry a junk mutation no run could accept.
 func drawConfig(rng *rand.Rand) genDraw {
 	d := genDraw{p: 1 + rng.Intn(5), interval: 1 + rng.Intn(4)}
-	d.allreduce = []AllreduceAlgo{"", AllreduceTree, AllreducePTree}[rng.Intn(3)]
 	switch rng.Intn(8) {
 	case 0, 1:
 		d.codec, d.k, d.adapt = CodecTopK, []float64{0.1, 0.3}[rng.Intn(2)], rng.Intn(2) == 0
@@ -96,7 +94,7 @@ func drawConfig(rng *rand.Rand) genDraw {
 	d.tracer = rng.Intn(4) == 0
 	d.metrics = rng.Intn(4) == 0
 	if rng.Intn(12) == 0 {
-		d.junk = []string{"gamma", "collective", "codec", "tsched", "negk", "localranks", "algo"}[rng.Intn(7)]
+		d.junk = []string{"gamma", "codec", "tsched", "negk", "localranks", "algo"}[rng.Intn(6)]
 	}
 	return d
 }
@@ -118,14 +116,10 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 	t.Helper()
 	cfg := Config{
 		Algo: AlgoSASGD, Learners: d.p, Interval: d.interval, Gamma: genGamma,
-		Batch: genBatch, Epochs: genEpochs, Seed: genSeed,
-		Allreduce: d.allreduce, CommBuckets: d.buckets,
+		Batch: genBatch, Epochs: genEpochs, Seed: genSeed, CommBuckets: d.buckets,
 		Compress: d.codec, CompressK: d.k, CompressAdapt: d.adapt,
 		TSched: d.tsched, HierGroups: d.hierGroups, TOuter: d.tOuter,
 		DelayedApply: d.delayed, OverlapComm: d.overlap != (v == genFlipOverlap),
-	}
-	if d.allreduce == AllreducePTree {
-		cfg.CommChunk = 16
 	}
 	switch d.faults {
 	case "":
@@ -153,8 +147,6 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 	switch d.junk {
 	case "gamma":
 		cfg.Gamma = 0
-	case "collective":
-		cfg.Allreduce = "ring"
 	case "codec":
 		cfg.Compress = "zstd"
 	case "tsched":
@@ -261,8 +253,7 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 
 	// Closed form (TestSASGDWordsMovedMatchesCollectiveCount): a dense
 	// binomial-tree run moves (p−1)·m words for the initial broadcast and
-	// 2(p−1)·m per aggregation; the chunked tree moves the same words in
-	// more messages. Frames, drift statistics, hierarchy and membership
+	// 2(p−1)·m per aggregation. Frames, drift statistics, hierarchy and membership
 	// changes add or remove traffic, so the form applies without them.
 	dense := d.codec == "" || d.k >= 1
 	crashes := strings.Contains(d.faults, "crash")
@@ -382,13 +373,13 @@ func (c *ledgerCodec) Allreduce(g *comm.Group, rank int, seg, res []float64, rat
 }
 
 // checkCollapse asserts that each degenerate policy setting reduces to
-// plain SASGD at the draw's shape (p, T, collective, codec): an explicit
+// plain SASGD at the draw's shape (p, T, codec): an explicit
 // static schedule, one island per rank exchanged every boundary, a
 // delayed run with a single boundary, an empty fault plan, and a top-k
 // fraction that ships everything.
 func checkCollapse(t *testing.T, d genDraw, prob *Problem) {
 	t.Helper()
-	shape := genDraw{p: d.p, interval: d.interval, allreduce: d.allreduce,
+	shape := genDraw{p: d.p, interval: d.interval,
 		codec: d.codec, k: d.k, adapt: d.adapt, buckets: d.buckets}
 	plain := shape.run(t, genBase, prob)
 	dense := d.codec == "" || d.k >= 1
@@ -405,9 +396,7 @@ func checkCollapse(t *testing.T, d genDraw, prob *Problem) {
 		hier.hierGroups, hier.tOuter = d.p, 1
 		hr := hier.run(t, genBase, prob)
 		mustBitwise(t, fmt.Sprintf("singleton islands vs plain %+v", shape), plain, hr, 0)
-		if d.allreduce != AllreducePTree {
-			mustSameTraffic(t, fmt.Sprintf("singleton islands vs plain %+v", shape), plain, hr)
-		}
+		mustSameTraffic(t, fmt.Sprintf("singleton islands vs plain %+v", shape), plain, hr)
 	}
 
 	one := shape
@@ -488,7 +477,6 @@ func TestValidateRules(t *testing.T) {
 	broken := []func(*Config){
 		func(c *Config) { c.Gamma = 0 },
 		func(c *Config) { c.Algo = "adam" },
-		func(c *Config) { c.Allreduce = "ring" },
 		func(c *Config) { c.Compress = "zstd" },
 		func(c *Config) { c.Compress, c.CompressK = CodecTopK, -1 },
 		func(c *Config) { c.TSched = "decay" },

@@ -120,8 +120,8 @@ var goldenCases = []goldenCase{
 	// evaluation must see the local updates taken since the last reset.
 	{name: "dense_T3_midinterval", cfg: plain(goldenBase(2, 3)),
 		params: 0x44e23c63b197623d, curve: 0xca91fc79aed066bd, words: 737, msgs: 11},
-	{name: "dense_T1_ptree", cfg: plain(with(goldenBase(3, 1), func(c *Config) { c.Allreduce, c.CommChunk = AllreducePTree, 16 })),
-		params: 0xb47b0f1d5f7f545d, curve: 0x6ab35afce55cbf57, words: 3350, msgs: 242},
+	{name: "dense_T1_p3", cfg: plain(goldenBase(3, 1)),
+		params: 0xb47b0f1d5f7f545d, curve: 0x6ab35afce55cbf57, words: 3350, msgs: 50},
 	{name: "topk_T2", cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.3 })),
 		params: 0x16539785c61ba1e3, curve: 0xc96b42d56a4af4b7, words: 655, msgs: 29},
 	{name: "topk_adapt_T1", cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Compress, c.CompressK, c.CompressAdapt = CodecTopK, 0.1, true })),

@@ -45,43 +45,40 @@ func nlcfProblem(nTrain, nTest int) *Problem {
 
 // TestOverlapBitwiseEquivalenceSweep is the tentpole acceptance sweep:
 // backward-overlapped bucketed aggregation must be *bitwise* identical to
-// the serial path for both dense collectives (fixed bucket boundaries
-// plus the tree's segmentation-independent per-element summation order)
-// at every learner count and bucket count, on both model families.
+// the serial path (fixed bucket boundaries plus the tree's
+// segmentation-independent per-element summation order) at every learner
+// count and bucket count, on both model families.
 func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 	for _, prob := range []*Problem{cifarProblem(24, 12), nlcfProblem(24, 12)} {
-		for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree} {
-			// The hint composes with either T-schedule.
-			for _, tsched := range []string{"", TSchedStatic, TSchedAdaptive} {
-				for _, p := range []int{1, 2, 3, 5, 8} {
-					base := Config{
-						Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
-						Batch: 4, Epochs: 3, Seed: 3, Allreduce: alg, CommChunk: 64,
-						TSched: tsched,
+		// The hint composes with either T-schedule.
+		for _, tsched := range []string{"", TSchedStatic, TSchedAdaptive} {
+			for _, p := range []int{1, 2, 3, 5, 8} {
+				base := Config{
+					Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
+					Batch: 4, Epochs: 3, Seed: 3, TSched: tsched,
+				}
+				serial := Train(base, prob)
+				// {1, 3, per-layer} buckets; 0 selects per-layer.
+				for _, buckets := range []int{1, 3, 0} {
+					cfg := base
+					cfg.OverlapComm = true
+					cfg.CommBuckets = buckets
+					ov := Train(cfg, prob)
+					if len(ov.FinalParams) != len(serial.FinalParams) {
+						t.Fatalf("%s p=%d: param count mismatch", prob.Name, p)
 					}
-					serial := Train(base, prob)
-					// {1, 3, per-layer} buckets; 0 selects per-layer.
-					for _, buckets := range []int{1, 3, 0} {
-						cfg := base
-						cfg.OverlapComm = true
-						cfg.CommBuckets = buckets
-						ov := Train(cfg, prob)
-						if len(ov.FinalParams) != len(serial.FinalParams) {
-							t.Fatalf("%s/%s p=%d: param count mismatch", prob.Name, alg, p)
+					for i := range serial.FinalParams {
+						if s, o := serial.FinalParams[i], ov.FinalParams[i]; s != o {
+							t.Fatalf("%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
+								prob.Name, p, buckets, i, s, o)
 						}
-						for i := range serial.FinalParams {
-							if s, o := serial.FinalParams[i], ov.FinalParams[i]; s != o {
-								t.Fatalf("%s/%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
-									prob.Name, alg, p, buckets, i, s, o)
-							}
-						}
-						// Honoured, not silently ignored: the buckets went
-						// through the comm worker, and the schedule ended where
-						// the serial run's did.
-						if ov.Comm.BucketOps == 0 || ov.FinalT != serial.FinalT {
-							t.Fatalf("%s/%s/%q p=%d buckets=%d: %d bucket ops, FinalT %d vs serial %d",
-								prob.Name, alg, tsched, p, buckets, ov.Comm.BucketOps, ov.FinalT, serial.FinalT)
-						}
+					}
+					// Honoured, not silently ignored: the buckets went
+					// through the comm worker, and the schedule ended where
+					// the serial run's did.
+					if ov.Comm.BucketOps == 0 || ov.FinalT != serial.FinalT {
+						t.Fatalf("%s/%q p=%d buckets=%d: %d bucket ops, FinalT %d vs serial %d",
+							prob.Name, tsched, p, buckets, ov.Comm.BucketOps, ov.FinalT, serial.FinalT)
 					}
 				}
 			}
@@ -132,27 +129,25 @@ func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 
 // TestCompressKFullMatchesDense pins the degenerate "ship everything"
 // compression: top-k with CompressK = 1 normalizes to no codec at all, so
-// it must take the dense path (honoring cfg.Allreduce) and reproduce an
-// uncompressed run bit for bit.
+// it must take the dense path and reproduce an uncompressed run bit for
+// bit.
 func TestCompressKFullMatchesDense(t *testing.T) {
 	prob := cifarProblem(24, 12)
-	for _, alg := range []AllreduceAlgo{AllreduceTree, AllreducePTree} {
-		base := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 5, Allreduce: alg}
-		dense := Train(base, prob)
-		full := base
-		full.Compress, full.CompressK = CodecTopK, 1
-		fr := Train(full, prob)
-		for i := range dense.FinalParams {
-			if dense.FinalParams[i] != fr.FinalParams[i] {
-				t.Fatalf("%s: CompressK=1 not bitwise vs dense at %d: %g vs %g",
-					alg, i, dense.FinalParams[i], fr.FinalParams[i])
-			}
+	base := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 5}
+	dense := Train(base, prob)
+	full := base
+	full.Compress, full.CompressK = CodecTopK, 1
+	fr := Train(full, prob)
+	for i := range dense.FinalParams {
+		if dense.FinalParams[i] != fr.FinalParams[i] {
+			t.Fatalf("CompressK=1 not bitwise vs dense at %d: %g vs %g",
+				i, dense.FinalParams[i], fr.FinalParams[i])
 		}
-		// Traffic must also be dense-shaped: the degenerate compression
-		// must not route through the sparse index+value collective.
-		if fr.WordsMoved != dense.WordsMoved {
-			t.Errorf("%s: CompressK=1 moved %d words, dense moved %d", alg, fr.WordsMoved, dense.WordsMoved)
-		}
+	}
+	// Traffic must also be dense-shaped: the degenerate compression
+	// must not route through the sparse index+value collective.
+	if fr.WordsMoved != dense.WordsMoved {
+		t.Errorf("CompressK=1 moved %d words, dense moved %d", fr.WordsMoved, dense.WordsMoved)
 	}
 }
 

@@ -19,7 +19,6 @@ func TestStaticSchedBitwiseLegacy(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"dense", func(c *Config) {}},
-		{"ptree", func(c *Config) { c.Allreduce = AllreducePTree; c.CommChunk = 16 }},
 		{"topk", func(c *Config) { c.Compress = CodecTopK; c.CompressK = 0.1 }},
 		{"qint8", func(c *Config) { c.Compress = CodecQInt8 }},
 		{"adaptk", func(c *Config) { c.Compress = CodecTopK; c.CompressK = 0.1; c.CompressAdapt = true }},

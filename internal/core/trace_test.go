@@ -18,8 +18,7 @@ func TestTraceExportFromRun(t *testing.T) {
 	tr := obs.NewTracer(1 << 12)
 	cfg := Config{
 		Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05,
-		Batch: 4, Epochs: 2, Seed: 5, Allreduce: AllreducePTree,
-		CommChunk: 64, OverlapComm: true, Tracer: tr,
+		Batch: 4, Epochs: 2, Seed: 5, OverlapComm: true, Tracer: tr,
 	}
 	res := Train(cfg, prob)
 
@@ -71,7 +70,8 @@ func TestTraceExportFromRun(t *testing.T) {
 	if res.Comm.Words != res.WordsMoved || res.Comm.Words == 0 {
 		t.Errorf("Result.Comm.Words = %d, WordsMoved = %d; want equal and nonzero", res.Comm.Words, res.WordsMoved)
 	}
-	for _, algo := range []string{"bcast", "ptree"} {
+	// The comm worker's dense buckets are the tree's traffic.
+	for _, algo := range []string{"bcast", "tree"} {
 		if res.Comm.PerAlgo[algo].Words == 0 {
 			t.Errorf("Result.Comm.PerAlgo[%q] empty: %+v", algo, res.Comm.PerAlgo)
 		}
@@ -150,9 +150,9 @@ func TestTraceExportScheduledPaths(t *testing.T) {
 	}{
 		{"adaptive-t", func(c *Config) { c.TSched = TSchedAdaptive }, []string{"tree"}},
 		{"hier", func(c *Config) { c.HierGroups = 2; c.TOuter = 2 }, []string{"hintra", "hinter"}},
-		// Delayed launches run through the bucketed comm worker's chunked
-		// tree, so the traffic lands under "ptree".
-		{"delayed", func(c *Config) { c.DelayedApply = true }, []string{"ptree"}},
+		// Delayed launches run through the bucketed comm worker's tree,
+		// so the traffic lands under "tree".
+		{"delayed", func(c *Config) { c.DelayedApply = true }, []string{"tree"}},
 		{"hier-delayed", func(c *Config) {
 			c.HierGroups = 2
 			c.TOuter = 2

@@ -46,11 +46,9 @@ func AveragingVariants(opt Opt) []AveragingRow {
 		Header: []string{"variant", "T", "test acc", "sim epoch(s)"},
 	}
 	for _, c := range cases {
-		acc := core.Train(core.Config{
-			Algo: core.AlgoSASGD, Learners: p, Interval: c.t,
-			Gamma: w.Gamma, Batch: w.Batch, Epochs: epochs, Seed: 1 + opt.Seed,
-			EvalEvery: epochs,
-		}, w.Problem)
+		accCfg := w.trainCfg(core.AlgoSASGD, p, c.t, epochs, opt)
+		accCfg.EvalEvery = epochs
+		acc := core.Train(accCfg, w.Problem)
 
 		timingCfg := w.simCfg(core.AlgoSASGD, p, c.t, timingEpochs, opt)
 		timingCfg.EvalEvery = timingEpochs

@@ -163,6 +163,10 @@ type Opt struct {
 	// per-rank simulated compute/communication split are collected and
 	// printed, and served live on /debug/obs with DebugAddr.
 	Metrics bool
+	// Overlap runs every configuration with Config.OverlapComm, the
+	// backward-overlapped bucketed aggregation (a no-op hint for the
+	// algorithms and policies it does not apply to).
+	Overlap bool
 }
 
 func (o Opt) out() io.Writer {
@@ -218,13 +222,14 @@ func newSim(w *Workload, p int) *netsim.Sim {
 // trainCfg assembles a core.Config for one run of this workload.
 func (w *Workload) trainCfg(algo core.Algorithm, p, t, epochs int, opt Opt) core.Config {
 	return core.Config{
-		Algo:     algo,
-		Learners: p,
-		Interval: t,
-		Batch:    w.Batch,
-		Gamma:    w.Gamma,
-		Epochs:   epochs,
-		Seed:     1 + opt.Seed,
+		Algo:        algo,
+		Learners:    p,
+		Interval:    t,
+		Batch:       w.Batch,
+		Gamma:       w.Gamma,
+		Epochs:      epochs,
+		Seed:        1 + opt.Seed,
+		OverlapComm: opt.Overlap,
 	}
 }
 

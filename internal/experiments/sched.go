@@ -39,7 +39,7 @@ type SchedResult struct {
 	P, TInner, Groups, TOuter int
 	Rows                      []SchedRow
 
-	// The T=1 delayed-application leg (standard fabric, ptree).
+	// The T=1 delayed-application leg (standard fabric, tree).
 	SerialSecs  float64 // serial-aggregation baseline epoch time
 	OverlapSecs float64 // backward-overlapped baseline epoch time
 	DelayedSecs float64 // delayed-application epoch time
@@ -52,7 +52,7 @@ type SchedResult struct {
 	// traced hidden fraction, and the meaningful one on hosts without
 	// enough cores to run the learners in real parallel.
 	HiddenSimFraction float64
-	// OverlapHiddenSimFraction is the same quantity for the PR-4
+	// OverlapHiddenSimFraction is the same quantity for the
 	// backward-overlap baseline, the apples-to-apples bar the delayed
 	// schedule has to clear.
 	OverlapHiddenSimFraction float64
@@ -162,7 +162,6 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 	leg := func(mut func(*core.Config)) *core.Result {
 		cfg := w.simCfg(core.AlgoSASGD, p, 1, timingEpochs, opt)
 		cfg.EvalEvery = timingEpochs
-		cfg.Allreduce = core.AllreducePTree
 		mut(&cfg)
 		return core.Train(cfg, w.Problem)
 	}
@@ -190,7 +189,7 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 	}
 
 	tab = report.Table{
-		Title:  "Delayed application: SASGD T=1 p=8 (ptree), CIFAR-10",
+		Title:  "Delayed application: SASGD T=1 p=8 (tree), CIFAR-10",
 		Header: []string{"schedule", "epoch(s)", "surfaced comm(s)", "hidden(sim)%", "hidden(trace)%"},
 	}
 	tab.AddRow("serial", ftoa3(res.SerialSecs), ftoa3(serial.SimComm), "-", "-")

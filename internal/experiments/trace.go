@@ -12,7 +12,7 @@ import (
 
 // TracedOverlap is the observability companion to Figure 4's T=1
 // column: the communication-bound CIFAR-10 configuration (T=1, p=8,
-// chunked pipelined tree) run with serial aggregation and again with
+// tree allreduce) run with serial aggregation and again with
 // backward-overlapped bucketed aggregation, the overlapped run traced.
 // It reports the simulated epoch times of both runs — the 0.738 s →
 // 0.639 s delta recorded in EXPERIMENTS.md — next to the *measured*
@@ -67,7 +67,6 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 
 	serial := w.simCfg(core.AlgoSASGD, p, t, timingEpochs, opt)
 	serial.EvalEvery = timingEpochs
-	serial.Allreduce = core.AllreducePTree
 	serialRun := core.Train(serial, w.Problem)
 	res.SerialSecs = serialRun.EpochTime()
 	res.SerialSimComm = serialRun.SimComm
@@ -89,7 +88,6 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 	// clocks are single-use) for the overlapped run.
 	overlap := w.simCfg(core.AlgoSASGD, p, t, timingEpochs, opt)
 	overlap.EvalEvery = timingEpochs
-	overlap.Allreduce = core.AllreducePTree
 	overlap.OverlapComm = true
 	overlap.Tracer = tracer
 	overlap.Metrics = reg
@@ -108,7 +106,7 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 	}
 
 	tab := report.Table{
-		Title:  "Traced overlap: SASGD T=1 p=8 (ptree), CIFAR-10",
+		Title:  "Traced overlap: SASGD T=1 p=8 (tree), CIFAR-10",
 		Header: []string{"schedule", "epoch(s)", "allreduce", "hidden", "hidden%", "sim-hidden%"},
 	}
 	tab.AddRow("serial", ftoa3(res.SerialSecs), "-", "-", "-", "-")

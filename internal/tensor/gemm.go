@@ -51,8 +51,7 @@ var fastKernels atomic.Bool
 // tolerance (see TestFastKernelsEquivalence) but not bitwise identical.
 // Results remain bitwise reproducible across worker counts in both
 // modes; the gate trades cross-mode reproducibility for dot-product
-// throughput. Training drivers plumb Config.FastKernels /
-// SASGD_FAST_KERNELS through here.
+// throughput. Training drivers plumb Config.FastKernels through here.
 func SetFastKernels(on bool) (prev bool) { return fastKernels.Swap(on) }
 
 // FastKernelsEnabled reports whether the reordered-summation kernels are

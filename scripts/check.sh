@@ -47,14 +47,30 @@ if grep -rn --include='*.go' 'sasgd/internal/obs/metrics\|sasgd/internal/metrics
     exit 1
 fi
 
-# Configuration comes from Config and flags; the environment layer only
-# shrinks (ROADMAP 6(b)). Pin the os.Getenv count in non-test Go outside
-# bench/.
-echo "==> os.Getenv sites in non-test Go outside bench/: at most 8"
+# Configuration comes from Config and flags. The environment only places
+# a process (SASGD_TRANSPORT/RANK/PEERS, defaults of sasgd-train's
+# -transport/-rank/-peers) and sizes the machine (SASGD_WORKERS); pin
+# both the os.Getenv count in non-test Go outside bench/ and the names.
+echo "==> os.Getenv sites in non-test Go outside bench/: at most 4"
 getenv="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'os\.Getenv' . | wc -l)"
-if [ "$getenv" -gt 8 ]; then
+if [ "$getenv" -gt 4 ]; then
     grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'os\.Getenv' .
-    echo "FAIL: $getenv os.Getenv lines, want at most 8"
+    echo "FAIL: $getenv os.Getenv lines, want at most 4"
+    exit 1
+fi
+echo "==> SASGD_* names in non-test Go outside bench/: RANK, PEERS, TRANSPORT, WORKERS only"
+if grep -rnoE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'SASGD_[A-Z0-9_]+' . \
+    | grep -vE ':SASGD_(RANK|PEERS|TRANSPORT|WORKERS)$'; then
+    echo "FAIL: a SASGD_* variable beyond the deployment and worker-budget four"
+    exit 1
+fi
+
+# One dense engine at one chunk per collective (or per bucket): the
+# chunked, pipelined tree and its knobs must not come back.
+echo "==> no chunked tree outside tests and bench/"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    'ptree|PTree|CommChunk|ChunkWords|PipelineDepth|Chunked' .; then
+    echo "FAIL: the chunked tree or one of its knobs is back"
     exit 1
 fi
 
@@ -147,7 +163,7 @@ echo "==> go test -tags purego: tensor, nn, golden pins on the Go kernels"
 run_tests -tags purego ./internal/tensor/ ./internal/nn/
 run_tests -tags purego -run 'GoldenPins' ./internal/core/
 
-# The pipelined collectives' concurrency bugs are schedule-dependent, so
+# The collectives' concurrency bugs are schedule-dependent, so
 # give the race detector extra rounds over the stress/equivalence tests
 # specifically (cheap: the comm package has no heavy kernels), together
 # with the two tests that hold the one schedule: the table against the
@@ -158,7 +174,7 @@ run_tests -tags purego -run 'GoldenPins' ./internal/core/
 # sharded folds included) are exactly what the race detector should
 # watch.
 echo "==> go test -race -count=2 comm schedule + stress/equivalence + ownership"
-run_tests -race -count=2 -run 'BinomialSchedule|HierSingleIslandBitwiseTree|Stress|Equivalent|Pipelines|DenseOwnership|CrossTransportAllreduceEquivalence' ./internal/comm/
+run_tests -race -count=2 -run 'BinomialSchedule|HierSingleIslandBitwiseTree|Stress|Equivalent|DenseOwnership|CrossTransportAllreduceEquivalence' ./internal/comm/
 
 # Same treatment for the backward-overlapped bucketed aggregation: the
 # async handle lifecycle and the learner/comm-worker handoff are the
