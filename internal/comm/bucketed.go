@@ -54,13 +54,20 @@ type Segment struct {
 // Handle tracks one in-flight bucket allreduce. It is a value type so
 // steady-state Begin/Wait cycles allocate nothing.
 type Handle struct {
-	done chan struct{}
+	b  *BucketedAllreduce
+	op *bucketOp
 }
 
-// Wait blocks until the bucket's allreduce has completed. The bucket's
+// Wait blocks until the bucket's allreduce has completed, then syncs the
+// rank's simulated clock to where the op's own clock ended (sim.go) —
+// one rule for eager waits and delayed drains, whatever the worker and
+// the learner's interleaving; call it from the learner. The bucket's
 // slice then holds the global sum on every rank (once every rank's
 // matching Wait returns).
-func (h Handle) Wait() { <-h.done }
+func (h Handle) Wait() {
+	<-h.op.done
+	h.b.g.syncOwn(h.b.rank, h.op.end)
+}
 
 // op identifiers for the worker.
 const (
@@ -77,7 +84,8 @@ type bucketOp struct {
 	comp  Compressor // compressed ops: the learner's codec
 	ratio float64    // compressed ops: sparsity knob
 	hier  *Hier      // hierarchical ops: the inter-island schedule
-	ready float64
+	ready float64    // the op's clock starts here, and ends at end
+	end   float64
 	kind  int
 	idx   int32     // bucket index, the span argument on the comm track
 	subAt obs.Stamp // submission stamp (queue-dwell span start; 0 untraced)
@@ -100,10 +108,6 @@ type BucketedAllreduce struct {
 	// tk is the rank's comm-worker trace track (nil when the group has
 	// no tracer — every probe is then a nil check).
 	tk *obs.Track
-	// deferred, when set, routes the clock syncs of every op the worker
-	// executes into a DeferSync sink instead of the rank's clock (see
-	// SetDeferSync).
-	deferred *DeferSync
 }
 
 // NewBucketedAllreduce returns the per-rank worker for a fixed bucket
@@ -153,21 +157,19 @@ func (b *BucketedAllreduce) worker() {
 	for op := range b.queue {
 		pick := b.tk.Now()
 		b.tk.Span(obs.PhaseQueueDwell, op.idx, op.subAt, pick)
-		if b.deferred != nil {
-			b.g.setSink(b.rank, b.deferred)
-		}
+		opened := b.g.beginOp(b.rank, op.ready)
 		switch op.kind {
 		case opComp:
 			op.comp.Allreduce(b.g, b.rank, op.buf, op.res, op.ratio, op.ready, b.tk, op.idx)
 		case opHier:
-			op.hier.AllreduceInter(b.rank, op.buf, op.ready)
+			op.hier.AllreduceInter(b.rank, op.buf)
 		default:
 			// The learner may still be in backward: no lending.
 			b.g.setAlgo(b.rank, algoTree)
-			b.g.allreduce(&b.g.tree[b.rank], op.buf, op.ready, false)
+			b.g.allreduce(&b.g.tree[b.rank], op.buf, false)
 		}
-		if b.deferred != nil {
-			b.g.setSink(b.rank, nil)
+		if opened {
+			op.end = b.g.endOp(b.rank)
 		}
 		st.bucketOps.Add(1)
 		if b.tk != nil {
@@ -188,8 +190,8 @@ func (b *BucketedAllreduce) worker() {
 // (the layer's backward-completion time), which can be well before the
 // learner's clock, already at the end of the minibatch — so a late
 // layer's bucket departs on the simulated fabric while the early layers
-// are still backpropagating. It stamps the wire schedule only and is
-// ignored without a simulation. A bucket must not be begun again until
+// are still backpropagating. It is the op's entry stamp and is ignored
+// without a simulation. A bucket must not be begun again until
 // its previous handle has been waited on, and every rank must issue the
 // same sequence of Begin calls.
 func (b *BucketedAllreduce) Begin(i int, buf []float64, ready float64) Handle {
@@ -203,8 +205,7 @@ func (b *BucketedAllreduce) Begin(i int, buf []float64, ready float64) Handle {
 // and res are the full flat gradient and residual buffers — the
 // bucket's segment is sliced internally — and ratio is the codec's
 // sparsity knob. Every rank must submit the same codec type and ratio
-// in the same bucket order; ready stamps the codec's first sends, as in
-// Begin.
+// in the same bucket order; ready is as in Begin.
 func (b *BucketedAllreduce) BeginCompressed(i int, buf, res []float64, comp Compressor, ratio, ready float64) Handle {
 	s := b.segs[i]
 	if s.Off+s.Len > len(res) {
@@ -227,16 +228,6 @@ func (b *BucketedAllreduce) BeginHierInter(i int, buf []float64, h *Hier, ready 
 	return b.submit(i, buf, opHier, ready)
 }
 
-// SetDeferSync makes the worker capture receive-side clock syncs into d
-// instead of applying them to the rank's simulated clock. The
-// delayed-application engine installs a sink once, before any Begin:
-// its collectives run while the learner's clock is advancing through
-// the NEXT round's compute, and Sync/Advance do not commute, so
-// applying arrivals live would make simulated times depend on the real
-// goroutine interleaving. The learner folds the sink in with
-// DeferSync.Join at each boundary, after waiting on every handle.
-func (b *BucketedAllreduce) SetDeferSync(d *DeferSync) { b.deferred = d }
-
 func (b *BucketedAllreduce) submit(i int, buf []float64, kind int, ready float64) Handle {
 	s := b.segs[i]
 	if s.Off+s.Len > len(buf) {
@@ -256,7 +247,7 @@ func (b *BucketedAllreduce) submit(i int, buf []float64, kind int, ready float64
 	// and the overlap the bucketing exists for never starts. Values are
 	// unaffected — scheduling never changes the summation order.
 	runtime.Gosched()
-	return Handle{done: op.done}
+	return Handle{b: b, op: op}
 }
 
 // Close shuts the worker down after all submitted buckets have drained.

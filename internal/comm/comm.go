@@ -1,15 +1,19 @@
 // Package comm implements the communication substrate the paper's
 // algorithms run on: point-to-point messaging between learners, the
-// collective operations SASGD uses (binomial-tree and ring allreduce,
-// binomial broadcast, barrier), and the sharded parameter server that
-// Downpour and EAMSGD use. Learners are goroutines; messages travel over
-// Go channels.
+// collective operations SASGD uses (the binomial-tree allreduce and
+// broadcast, their bucketed, hierarchical and compressed forms, and the
+// barrier), and the sharded parameter server that Downpour and EAMSGD
+// use. A Group runs the collectives over a Transport: Go channels
+// between the learner goroutines of one process, or a TCP mesh between
+// processes (tcp.go, with the frame codec in comm/wire).
 //
-// Every operation can optionally be charged to a simulated clock through
-// the Clock and CostModel interfaces (implemented by internal/netsim), so
+// Simulated time is a Transport decorator over an all-local transport
+// (sim.go): with the Clock and CostModel interfaces (implemented by
+// internal/netsim) it stamps every transfer and syncs every receiver, so
 // the same code paths produce both real training dynamics — including
 // genuine asynchronous gradient staleness — and the simulated epoch-time
-// measurements behind the paper's timing figures.
+// measurements behind the paper's timing figures, without the
+// collectives or the wire carrying a clock.
 package comm
 
 // Clock is a per-learner simulated clock. Implementations must be safe
@@ -40,18 +44,6 @@ type CostModel interface {
 	// simulated time stays independent of goroutine scheduling.
 	ServerOpTime(words, shards, learners int) float64
 }
-
-// nullClock satisfies Clock with no state, used when a Group is built
-// without simulation.
-type nullClock struct{}
-
-func (nullClock) Now() float64    { return 0 }
-func (nullClock) Advance(float64) {}
-func (nullClock) Sync(float64)    {}
-
-// NullClock returns a Clock that ignores all updates, for callers that
-// only want real training dynamics.
-func NullClock() Clock { return nullClock{} }
 
 // FreeCost is a CostModel under which all communication is instantaneous.
 type FreeCost struct{}

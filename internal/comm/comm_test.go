@@ -180,28 +180,10 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestNullClockIsInert(t *testing.T) {
-	c := NullClock()
-	c.Advance(5)
-	c.Sync(10)
-	if c.Now() != 0 {
-		t.Errorf("NullClock.Now = %g", c.Now())
-	}
-}
-
 func TestFreeCostIsZero(t *testing.T) {
 	var fc FreeCost
 	if fc.XferTime(0, 1, 1000) != 0 || fc.ServerOpTime(1000, 4, 8) != 0 {
 		t.Error("FreeCost charged time")
-	}
-}
-
-func TestGroupClockFallback(t *testing.T) {
-	g := NewGroup(2)
-	c := g.Clock(0)
-	c.Advance(3)
-	if c.Now() != 0 {
-		t.Error("unsimulated group clock should be inert")
 	}
 }
 

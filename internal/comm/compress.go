@@ -48,9 +48,10 @@ type Compressor interface {
 	// dense global compressed aggregate — identical on every rank — and
 	// res the untransmitted remainder. ratio is the sparsity knob in
 	// (0, 1] for codecs that have one (top-k fraction; ignored by
-	// qint8). ready stamps the collective's first sends on a simulated
-	// fabric (the layer's backward-completion time on the overlap path).
-	// tk records the codec's encode work as a compress span with arg as
+	// qint8). ready is the collective's entry stamp on a simulated group
+	// (the layer's backward-completion time on the overlap path): it runs
+	// against its own clock from there, the rank's synced to its end. tk
+	// records the codec's encode work as a compress span with arg as
 	// the span argument (the bucket index); nil-safe.
 	//
 	// Every rank of the group must call Allreduce with the same bucket
@@ -261,6 +262,7 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 	if len(seg) == 0 {
 		return
 	}
+	defer g.closeOp(rank, g.beginOp(rank, ready))
 	g.setAlgo(rank, algoSparse)
 	cs := tk.Begin()
 	// Pass 1, fold and count. Every coordinate unsent in earlier
@@ -302,7 +304,7 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 	c.totSent2 += s2
 	c.totResid2 += r2
 	tk.EndArg(obs.PhaseCompress, arg, cs)
-	sum := c.allreducePairs(g, rank, enc, k, res, ready)
+	sum := c.allreducePairs(g, rank, enc, k, res)
 	// Scatter the compressed global aggregate densely into seg; the
 	// unselected coordinates of the aggregate are exactly zero.
 	clear(seg)
@@ -317,14 +319,11 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 // at the root, and broadcasts the result down the same tree. All
 // payloads are pooled copies; acc ping-pongs between the codec's two
 // scratch buffers, so steady state allocates nothing.
-func (c *topkCompressor) allreducePairs(g *Group, rank int, acc []float64, k int, res []float64, ready float64) []float64 {
+func (c *topkCompressor) allreducePairs(g *Group, rank int, acc []float64, k int, res []float64) []float64 {
 	s := &g.tree[rank]
 	cur, spare := acc, c.encB
 	for _, child := range s.children {
 		in := g.recvMsg(rank, child)
-		if in.Arrive > ready {
-			ready = in.Arrive
-		}
 		merged := mergePairs(spare[:0], cur, in.Data)
 		g.releaseMsg(in)
 		spare = cur
@@ -333,9 +332,8 @@ func (c *topkCompressor) allreducePairs(g *Group, rank int, acc []float64, k int
 	if s.parent >= 0 {
 		pb := g.acquire(len(cur))
 		copy(pb.data, cur)
-		g.sendMsgAt(rank, s.parent, Frame{Data: pb.data, pb: pb}, ready)
+		g.sendMsg(rank, s.parent, Frame{Data: pb.data, pb: pb})
 		in := g.recvMsg(rank, s.parent)
-		ready = in.Arrive
 		cur = append(cur[:0], in.Data...)
 		g.releaseMsg(in)
 	} else if len(cur) > 2*k {
@@ -350,7 +348,7 @@ func (c *topkCompressor) allreducePairs(g *Group, rank int, acc []float64, k int
 	for i := len(s.children) - 1; i >= 0; i-- {
 		pb := g.acquire(len(cur))
 		copy(pb.data, cur)
-		g.sendMsgAt(rank, s.children[i], Frame{Data: pb.data, pb: pb}, ready)
+		g.sendMsg(rank, s.children[i], Frame{Data: pb.data, pb: pb})
 	}
 	c.encA, c.encB = cur, spare
 	return cur

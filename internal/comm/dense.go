@@ -53,7 +53,7 @@ import (
 func (g *Group) AllreduceTree(rank int, buf []float64) {
 	g.checkRank(rank)
 	g.setAlgo(rank, algoTree)
-	g.allreduce(&g.tree[rank], buf, g.Clock(rank).Now(), g.allLocal)
+	g.allreduce(&g.tree[rank], buf, g.allLocal)
 }
 
 // BroadcastTree distributes rank 0's buf to every learner using a
@@ -62,22 +62,20 @@ func (g *Group) AllreduceTree(rank int, buf []float64) {
 func (g *Group) BroadcastTree(rank int, buf []float64) {
 	g.checkRank(rank)
 	g.setAlgo(rank, algoBcast)
-	g.down(&g.tree[rank], buf, nil, g.Clock(rank).Now())
+	g.down(&g.tree[rank], buf, nil)
 }
 
 // allreduce sums buf across the members of s's tree and leaves the sum
 // in every member's buf. The caller has set the rank's traffic label, so
 // the accounting names the collective the user asked for rather than
-// the engine it runs on. entry is the simulated instant buf's contents
-// became ready at this member; the returned time is when this member
-// holds the sum, which a leader's island fan-out continues from
-// (hier.go). lend says the root's last fold may use the parked members'
-// workers (AllreduceTree).
-func (g *Group) allreduce(s *sched, buf []float64, entry float64, lend bool) float64 {
+// the engine it runs on. lend says the root's last fold may use the
+// parked members' workers (AllreduceTree).
+func (g *Group) allreduce(s *sched, buf []float64, lend bool) {
 	if s.solitary() || len(buf) == 0 {
-		return entry
+		return
 	}
-	return g.down(s, buf, s.held, g.up(s, buf, s.held, entry, lend))
+	g.up(s, buf, s.held, lend)
+	g.down(s, buf, s.held)
 }
 
 // reduceGrain is the minimum number of elements per shard for the
@@ -122,9 +120,7 @@ func (f *fold) run(dst, src []float64, back bool, workers int) {
 
 // up runs the reduce half: fold each child's partial into buf in
 // schedule order (the summation order every pin rests on), then hand buf
-// to the parent by reference. It returns buf's causal ready time — entry
-// joined with the arrivals of every partial folded in — which stamps the
-// upward send and, at the root, gates the broadcast.
+// to the parent by reference.
 //
 // A partial that arrives by reference (Frame.pb nil: the channel
 // fabric's hand-off) is the child's own buffer; it goes into held[k]
@@ -137,15 +133,11 @@ func (f *fold) run(dst, src []float64, back bool, workers int) {
 // not in hand. held nil keeps nothing (the wire barrier's up, which no
 // down of its own follows). With lend the root's last fold runs on the
 // parked members' workers too (AllreduceTree).
-func (g *Group) up(s *sched, buf []float64, held [][]float64, entry float64, lend bool) float64 {
-	ready := entry
+func (g *Group) up(s *sched, buf []float64, held [][]float64, lend bool) {
 	for k, child := range s.children {
 		in := g.recvMsg(s.rank, child)
 		if len(in.Data) != len(buf) {
 			panic(fmt.Sprintf("comm: tree reduce length mismatch %d vs %d", len(in.Data), len(buf)))
-		}
-		if in.Arrive > ready {
-			ready = in.Arrive
 		}
 		keep := held != nil && in.pb == nil
 		workers := parallel.Workers()
@@ -163,27 +155,20 @@ func (g *Group) up(s *sched, buf []float64, held [][]float64, entry float64, len
 		// The parent reads buf while folding it and may write the sum
 		// into it; this member touches buf again only once down has
 		// received it back.
-		g.sendMsgAt(s.rank, s.parent, Frame{Data: buf}, ready)
+		g.sendMsg(s.rank, s.parent, Frame{Data: buf})
 	}
-	return ready
 }
 
 // down runs the broadcast of the root's buf. A child whose buffer up
 // kept in held gets it back by reference holding the sum (the root's
 // last child's already does: the fold wrote it); every other child gets
 // a pooled copy it releases. A member that receives its own memory
-// copies nothing. ready is buf's causal time at this member — the root
-// passes the time its buf became final, everyone else joins in the
-// parent's arrival before forwarding — and is returned, so an island
-// fan-out can continue from it.
-func (g *Group) down(s *sched, buf []float64, held [][]float64, ready float64) float64 {
+// copies nothing.
+func (g *Group) down(s *sched, buf []float64, held [][]float64) {
 	if s.parent >= 0 {
 		in := g.recvMsg(s.rank, s.parent)
 		if len(in.Data) != len(buf) {
 			panic(fmt.Sprintf("comm: tree broadcast length mismatch %d vs %d", len(in.Data), len(buf)))
-		}
-		if in.Arrive > ready {
-			ready = in.Arrive
 		}
 		if in.pb != nil {
 			copy(buf, in.Data)
@@ -199,12 +184,11 @@ func (g *Group) down(s *sched, buf []float64, held [][]float64, ready float64) f
 			if !s.writesBack(k) {
 				copy(theirs, buf)
 			}
-			g.sendMsgAt(s.rank, s.children[k], Frame{Data: theirs}, ready)
+			g.sendMsg(s.rank, s.children[k], Frame{Data: theirs})
 			continue
 		}
 		pb := g.acquire(len(buf))
 		copy(pb.data, buf)
-		g.sendMsgAt(s.rank, s.children[k], Frame{Data: pb.data, pb: pb}, ready)
+		g.sendMsg(s.rank, s.children[k], Frame{Data: pb.data, pb: pb})
 	}
-	return ready
 }

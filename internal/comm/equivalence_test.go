@@ -113,7 +113,7 @@ func TestDenseOwnership(t *testing.T) {
 		}},
 		{"hier-intra", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
 			h := NewHier(g, (g.Size()+3)/4)
-			return func(r int, b []float64) { h.AllreduceIntra(r, b, 0) },
+			return func(r int, b []float64) { h.AllreduceIntra(r, b) },
 				func(r int) []int { return h.islands[h.islandOf[r]] }
 		}},
 	}

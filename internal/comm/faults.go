@@ -486,7 +486,8 @@ func (f *faultFabric) faultCounts() FaultStats {
 	}
 }
 
-// xfer is one queued transfer awaiting the link daemon.
+// xfer is one queued transfer awaiting the link daemon; ready is the
+// sender's simulated clock at enqueue, every attempt's departure stamp.
 type xfer struct {
 	m     Frame
 	ready float64

@@ -27,19 +27,10 @@ import (
 const mailboxCap = 10
 
 // Group is a fixed set of p learners that communicate through a
-// Transport — by default a matrix of buffered per-(sender, receiver)
-// channels — giving MPI-like ordered point-to-point semantics on which
-// the collectives are built.
-//
-// A Group may be constructed with per-learner simulated clocks and a
-// fabric cost model; every send then stamps its message with an arrival
-// time and every receive synchronizes the receiver's clock, so collective
-// completion times fall out of the actual message schedule rather than a
-// closed-form estimate. Successive transfers on the same directed pair
-// are serialized on the simulated link (a message cannot depart before
-// the previous one has drained), which is what makes overlapped bucket
-// transfers show their real cost instead of a fictitious p-fold
-// bandwidth.
+// Transport — the in-process channel fabric, or TCP — giving MPI-like
+// ordered point-to-point semantics on which the collectives are built.
+// A Group with clocks runs over its transport decorated with simulated
+// time (sim.go) and carries no time itself.
 type Group struct {
 	p  int
 	tr Transport
@@ -48,15 +39,15 @@ type Group struct {
 	tree []sched
 	// trMap maps the group's virtual ranks to transport ranks (nil =
 	// identity). Re-formed survivor groups address the original
-	// transport's physical rank space through it.
+	// transport's physical rank space through it; it indexes the fault
+	// fabric too.
 	trMap []int
 	// allLocal is true when every transport rank is driven by this
 	// process; epoch barriers then use the in-process barrier (which
 	// also aligns simulated clocks). A multi-process group synchronizes
 	// with a 1-word wire barrier over the transport instead.
 	allLocal bool
-	clocks   []Clock
-	cost     CostModel
+	sim      *simTransport // tr, when decorated with simulated time
 	bar      *Barrier
 	pool     *bufPool // payload recycling, shared with the transport when it owns one
 
@@ -67,28 +58,16 @@ type Group struct {
 	done   chan struct{}
 	closed atomic.Bool
 
-	// linkFree[from][to] is the simulated time at which the directed
-	// (from → to) link finishes its last accepted transfer; nil when the
-	// group is unsimulated. Each row is written only by the goroutine
-	// driving rank `from`, so no locking is needed.
-	linkFree [][]float64
-
 	// stats holds the per-rank traffic/timing counters behind Stats()
 	// and WordsSent() — see stats.go for the accounting rules.
 	stats []rankStats
 
 	// islandOf optionally maps each rank to an interconnect island so
-	// deliver can account cross-island traffic. Published atomically
+	// charge can account cross-island traffic. Published atomically
 	// (SetIslands, stats.go) because hierarchy construction — per-rank at
 	// spawn, and per-survivor on a fault re-form — installs the map while
 	// peers are already sending.
 	islandOf atomic.Pointer[[]int]
-
-	// sinks[rank], when non-nil, captures rank's receive-side clock
-	// syncs instead of applying them (see DeferSync). Allocated eagerly
-	// so setSink involves no shared-slice allocation; each cell is
-	// written only by the goroutine currently driving that rank.
-	sinks []*DeferSync
 
 	// tracer is the optional obs tracer (SetTracer); traceOn caches its
 	// presence so untraced receives skip the clock reads entirely.
@@ -98,15 +77,11 @@ type Group struct {
 	// Fault-injection state (nil/false without an attached FaultPlan).
 	// fab is the shared fabric — sequence counters, ack channels, fault
 	// counters — which outlives this group when the membership layer
-	// re-forms smaller groups; phys maps the group's virtual ranks to the
-	// fabric's physical ranks (nil = identity). faultRoute is true when
-	// the plan actually perturbs the data plane, in which case every
-	// point-to-point transfer runs through a per-directed-link daemon
-	// doing acknowledged stop-and-wait delivery. The daemon for a link is
-	// then the sole writer of that link's linkFree cell, preserving the
-	// single-writer invariant the unfaulted path relies on.
+	// re-forms smaller groups; it is indexed by transport rank.
+	// faultRoute is true when the plan actually perturbs the data plane,
+	// in which case every point-to-point transfer runs through a
+	// per-directed-link daemon doing acknowledged stop-and-wait delivery.
 	fab        *faultFabric
-	phys       []int
 	faultRoute bool
 	dMu        sync.Mutex
 	daemons    map[int]*linkDaemon
@@ -118,7 +93,7 @@ func NewGroup(p int) *Group { return NewSimGroup(p, nil, nil) }
 // NewSimGroup returns a group of p learners over a fresh in-process
 // channel fabric, with communication charged to the given clocks using
 // the given cost model. clocks may be nil (no simulation); if non-nil
-// it must have length p.
+// it must have length p, and a nil cost makes transfers free.
 func NewSimGroup(p int, clocks []Clock, cost CostModel) *Group {
 	if p <= 0 {
 		panic(fmt.Sprintf("comm: NewGroup(%d): group size must be positive", p))
@@ -134,8 +109,8 @@ func NewSimGroup(p int, clocks []Clock, cost CostModel) *Group {
 // The transport may be shared across groups — the caller must ensure
 // only one group drives a given transport rank at a time (membership
 // re-forms are synchronization points, so this holds by construction
-// there). clocks may be nil; simulation requires every transport rank
-// local to this process.
+// there). With clocks (nil = unsimulated) the group runs over tr
+// decorated with simulated time, which needs every rank in this process.
 func NewTransportGroup(tr Transport, phys []int, clocks []Clock, cost CostModel) *Group {
 	p := tr.Size()
 	if phys != nil {
@@ -154,51 +129,38 @@ func NewTransportGroup(tr Transport, phys []int, clocks []Clock, cost CostModel)
 	for r := range ranks {
 		ranks[r] = r
 	}
-	g := &Group{p: p, tr: tr, tree: newTree(ranks), trMap: phys, clocks: clocks, cost: cost,
-		bar: NewBarrier(p), done: make(chan struct{}),
-		stats: make([]rankStats, p), sinks: make([]*DeferSync, p)}
-	if lt, ok := tr.(allLocalTransport); ok {
-		g.allLocal = lt.AllLocal()
+	if clocks != nil {
+		tr = newSimTransport(tr, phys, clocks, cost)
 	}
-	if clocks != nil && !g.allLocal {
-		panic("comm: simulated clocks require an all-local transport")
+	g := &Group{p: p, tr: tr, tree: newTree(ranks), trMap: phys,
+		bar: NewBarrier(p), done: make(chan struct{}), stats: make([]rankStats, p)}
+	// A Resilient shares one decorated transport across its views.
+	base := tr
+	if s, ok := tr.(*simTransport); ok {
+		g.sim, base = s, s.Transport
 	}
-	if pt, ok := tr.(pooledTransport); ok {
+	g.allLocal = isAllLocal(base)
+	if pt, ok := base.(pooledTransport); ok {
 		g.pool = pt.bufferPool()
 	} else {
 		g.pool = new(bufPool)
 	}
-	if clocks != nil && cost != nil {
-		g.linkFree = make([][]float64, p)
-		for from := range g.linkFree {
-			g.linkFree[from] = make([]float64, p)
-		}
-	}
 	return g
 }
 
-// Transport returns the transport the group is built over.
-func (g *Group) Transport() Transport { return g.tr }
-
 // trRank maps a virtual rank of this group to its transport rank.
-func (g *Group) trRank(v int) int {
-	if g.trMap == nil {
+func (g *Group) trRank(v int) int { return rankIn(g.trMap, v) }
+
+// rankIn is v's entry in the rank map m (nil = identity).
+func rankIn(m []int, v int) int {
+	if m == nil {
 		return v
 	}
-	return g.trMap[v]
+	return m[v]
 }
 
 // Size returns the number of learners in the group.
 func (g *Group) Size() int { return g.p }
-
-// Clock returns learner rank's simulated clock (a no-op clock when the
-// group was built without simulation).
-func (g *Group) Clock(rank int) Clock {
-	if g.clocks == nil {
-		return nullClock{}
-	}
-	return g.clocks[rank]
-}
 
 // Send transfers data from learner `from` to learner `to`. The slice is
 // handed off, not copied: the sender must not reuse it until the receiver
@@ -210,59 +172,41 @@ func (g *Group) Send(from, to int, data []float64) {
 	g.sendMsg(from, to, Frame{Data: data})
 }
 
-// sendMsg is the internal send: the payload is ready at the sender's
-// current simulated time. m.pb marks pool-owned payloads the receiver
-// must release.
+// sendMsg is the internal send. m.pb marks pool-owned payloads the
+// receiver must release.
 func (g *Group) sendMsg(from, to int, m Frame) {
-	ready := 0.0
-	if g.linkFree != nil {
-		ready = g.clocks[from].Now()
-	}
-	g.sendMsgAt(from, to, m, ready)
-}
-
-// sendMsgAt is sendMsg with an explicit data-ready time: the simulated
-// instant the payload's value dependencies were satisfied. The dense
-// engine passes the causal time of the buffer (entry joined with its
-// inputs' arrivals) rather than the rank's scalar clock, because the
-// bucketed worker's entry stamp — a layer's backward-completion time —
-// precedes the learner's clock, which has already advanced to the end of
-// the minibatch. The transfer departs once the data is ready and the
-// directed link has drained its previous message.
-func (g *Group) sendMsgAt(from, to int, m Frame, ready float64) {
 	g.checkRank(from)
 	g.checkRank(to)
 	if g.faultRoute && from != to {
-		// Selecting on done keeps a sender parked behind a stopped
-		// daemon's full queue from hanging (or panicking on a closed
-		// channel) when Close races the send.
+		// The daemon sends from its own goroutine: the departure stamp
+		// is the sender's clock now. Selecting on done keeps a sender
+		// parked behind a stopped daemon's full queue from hanging (or
+		// panicking on a closed channel) when Close races the send.
+		x := xfer{m: m}
+		if g.sim != nil {
+			x.ready = g.sim.now(g.trRank(from))
+		}
 		select {
-		case g.daemon(from, to).q <- xfer{m: m, ready: ready}:
+		case g.daemon(from, to).q <- x:
 		case <-g.done:
 		}
 		return
 	}
-	g.deliver(from, to, m, ready, 0)
+	g.charge(from, to, len(m.Data))
+	g.tr.Send(g.trRank(from), g.trRank(to), m)
 }
 
-// deliver is the transport-insertion core of sendMsgAt: stamp the
-// simulated arrival (departure = data ready ∨ link drained, plus the
-// transfer time and any injected extra latency), charge the sender's
-// traffic counters, hand the frame to the transport. On the fault path
-// it is called only by the link's daemon goroutine, which keeps
-// linkFree single-writer. Running the stamping, accounting, and (via
-// sendMsgAt) the fault daemons above the transport is what makes every
-// backend carry identical Stats and FaultPlan behavior.
-func (g *Group) deliver(from, to int, m Frame, ready, extraDelay float64) {
-	if g.linkFree != nil {
-		depart := ready
-		if busy := g.linkFree[from][to]; busy > depart {
-			depart = busy
-		}
-		m.Arrive = depart + g.cost.XferTime(from, to, len(m.Data)) + extraDelay
-		g.linkFree[from][to] = m.Arrive
-	}
+// deliver is one delivery attempt of a link daemon: charge the sender
+// and hand the frame to the transport, on a simulated group departing
+// no earlier than ready with delay seconds of injected latency. Running
+// the accounting and the fault daemons above the transport is what makes
+// every backend carry identical Stats and FaultPlan behavior.
+func (g *Group) deliver(from, to int, m Frame, ready, delay float64) {
 	g.charge(from, to, len(m.Data))
+	if g.sim != nil {
+		g.sim.sendAt(g.trRank(from), g.trRank(to), m, ready, delay)
+		return
+	}
 	g.tr.Send(g.trRank(from), g.trRank(to), m)
 }
 
@@ -276,7 +220,7 @@ func (g *Group) daemon(from, to int) *linkDaemon {
 	if !ok {
 		d = &linkDaemon{
 			g: g, from: from, to: to,
-			pf: g.physRank(from), pt: g.physRank(to),
+			pf: g.trRank(from), pt: g.trRank(to),
 			q: make(chan xfer, 2*mailboxCap),
 		}
 		g.daemons[key] = d
@@ -285,25 +229,10 @@ func (g *Group) daemon(from, to int) *linkDaemon {
 	return d
 }
 
-// physRank maps a virtual rank of this group to its physical rank in
-// the fault fabric's index space (identity without a membership map).
-func (g *Group) physRank(v int) int {
-	if g.phys == nil {
-		return v
-	}
-	return g.phys[v]
-}
-
-// attachFaults wires the group into a fault fabric, with phys mapping
-// the group's virtual ranks to the fabric's physical ranks (nil =
-// identity; otherwise len(phys) must equal the group size). Call before
-// any communication.
-func (g *Group) attachFaults(fab *faultFabric, phys []int) {
-	if phys != nil && len(phys) != g.p {
-		panic(fmt.Sprintf("comm: attachFaults got %d physical ranks for %d learners", len(phys), g.p))
-	}
+// attachFaults wires the group into a fault fabric over the transport's
+// ranks. Call before any communication.
+func (g *Group) attachFaults(fab *faultFabric) {
 	g.fab = fab
-	g.phys = phys
 	g.faultRoute = fab != nil && fab.plan.linkFaultsActive()
 	if g.faultRoute {
 		g.daemons = make(map[int]*linkDaemon)
@@ -311,15 +240,15 @@ func (g *Group) attachFaults(fab *faultFabric, phys []int) {
 }
 
 // InjectFaults activates a fault plan on this standalone group: drops,
-// delays and the acknowledged-delivery protocol per the plan, with the
-// group's ranks as the physical rank space. The injected fault counters
-// appear in Stats().Faults. For crash/eviction-tolerant runs use
-// NewResilient, which shares one fabric across re-formed groups.
+// delays and the acknowledged-delivery protocol per the plan, over the
+// transport's ranks. The injected fault counters appear in
+// Stats().Faults. For crash/eviction-tolerant runs use NewResilient,
+// which shares one fabric across re-formed groups.
 func (g *Group) InjectFaults(plan *FaultPlan) {
 	if plan == nil {
 		return
 	}
-	g.attachFaults(newFaultFabric(g.p, plan, g.tracer), nil)
+	g.attachFaults(newFaultFabric(g.tr.Size(), plan, g.tracer))
 }
 
 // Close shuts the group down: stops the link daemons, unblocks any
@@ -338,79 +267,34 @@ func (g *Group) Close() {
 }
 
 // Recv blocks until a message from learner `from` arrives at learner
-// `to`, synchronizes to's clock with the arrival time, and returns the
-// payload.
+// `to` and returns the payload (on a simulated group, to's clock has
+// been synced to its arrival).
 func (g *Group) Recv(to, from int) []float64 {
 	return g.recvMsg(to, from).Data
 }
 
 // recvMsg is the internal receive; collectives use it to get the pool
-// ownership marker alongside the payload. With a tracer attached the
-// blocking time on the mailbox is accumulated into the receiving rank's
-// mailbox-wait counter; untraced groups skip the clock reads.
+// ownership marker alongside the payload.
 func (g *Group) recvMsg(to, from int) Frame {
 	g.checkRank(from)
 	g.checkRank(to)
 	if g.faultRoute && from != to {
 		return g.recvReliable(to, from)
 	}
-	var m Frame
-	if g.traceOn {
-		t0 := time.Now()
-		m = g.tr.Recv(g.trRank(to), g.trRank(from))
-		g.stats[to].mailboxWaitNs.Add(time.Since(t0).Nanoseconds())
-	} else {
-		m = g.tr.Recv(g.trRank(to), g.trRank(from))
+	return g.recvFrame(to, from)
+}
+
+// recvFrame takes the link's next frame off the transport. With a tracer
+// attached the blocking time is accumulated into the receiving rank's
+// mailbox-wait counter; untraced groups skip the clock reads.
+func (g *Group) recvFrame(to, from int) Frame {
+	if !g.traceOn {
+		return g.tr.Recv(g.trRank(to), g.trRank(from))
 	}
-	if g.clocks != nil {
-		g.syncClock(to, m.Arrive)
-	}
+	t0 := time.Now()
+	m := g.tr.Recv(g.trRank(to), g.trRank(from))
+	g.stats[to].mailboxWaitNs.Add(time.Since(t0).Nanoseconds())
 	return m
-}
-
-// syncClock applies a receive-side arrival time to rank to's simulated
-// clock — or, when a DeferSync sink is installed for the rank (the
-// delayed-application comm worker), records it into the sink instead.
-// Routing through the sink is what keeps delayed-mode simulated times
-// deterministic: the comm worker's arrivals would otherwise race the
-// learner's own clock advances, and Sync/Advance do not commute.
-func (g *Group) syncClock(to int, arrive float64) {
-	if s := g.sinks[to]; s != nil {
-		s.capture(arrive)
-		return
-	}
-	g.clocks[to].Sync(arrive)
-}
-
-// setSink installs (or, with nil, removes) rank's DeferSync sink. Must
-// be called by the goroutine currently driving the rank's receives,
-// with no receive in flight.
-func (g *Group) setSink(rank int, d *DeferSync) { g.sinks[rank] = d }
-
-// DeferSync accumulates receive-side clock syncs that must not be
-// applied to the rank's clock yet: the delayed-application engine runs
-// its collectives on the comm worker while the learner's clock advances
-// through the next round's compute, so arrival times are captured here
-// and folded in at the next boundary (Join). Single-writer: only the
-// rank's comm worker captures, and the learner reads/Joins only after
-// waiting on every in-flight handle.
-type DeferSync struct{ mark float64 }
-
-func (d *DeferSync) capture(t float64) {
-	if t > d.mark {
-		d.mark = t
-	}
-}
-
-// Mark returns the latest captured arrival time (0 if none).
-func (d *DeferSync) Mark() float64 { return d.mark }
-
-// Join folds the captured arrivals into clock — charging only the part
-// of the communication that compute did not already hide — and resets
-// the sink for the next round.
-func (d *DeferSync) Join(c Clock) {
-	c.Sync(d.mark)
-	d.mark = 0
 }
 
 // recvReliable is the receive side of the acknowledged-delivery
@@ -424,16 +308,9 @@ func (d *DeferSync) Join(c Clock) {
 // synchronization points.
 func (g *Group) recvReliable(to, from int) Frame {
 	fab := g.fab
-	li := fab.linkIdx(g.physRank(from), g.physRank(to))
+	li := fab.linkIdx(g.trRank(from), g.trRank(to))
 	for {
-		var m Frame
-		if g.traceOn {
-			t0 := time.Now()
-			m = g.tr.Recv(g.trRank(to), g.trRank(from))
-			g.stats[to].mailboxWaitNs.Add(time.Since(t0).Nanoseconds())
-		} else {
-			m = g.tr.Recv(g.trRank(to), g.trRank(from))
-		}
+		m := g.recvFrame(to, from)
 		seq := m.Seq - 1 // wire stamps are seq+1 so the zero value is never a valid stamp
 		if seq < fab.expect[li] {
 			fab.acks[li] <- seq
@@ -442,9 +319,6 @@ func (g *Group) recvReliable(to, from int) Frame {
 		}
 		fab.expect[li] = seq + 1
 		fab.acks[li] <- seq
-		if g.clocks != nil {
-			g.syncClock(to, m.Arrive)
-		}
 		return m
 	}
 }
@@ -456,21 +330,19 @@ func (g *Group) checkRank(r int) {
 }
 
 // Barrier blocks until all p learners have called it. When the group is
-// simulated, all clocks are synchronized to the latest arrival, matching
+// simulated, all clocks are synchronized to the latest one, matching
 // bulk-synchronous semantics. On a multi-process transport the barrier
 // runs over the wire instead (no shared memory to park on).
 func (g *Group) Barrier(rank int) {
 	g.checkRank(rank)
-	if !g.allLocal {
+	switch {
+	case !g.allLocal:
 		g.wireBarrier(rank)
-		return
-	}
-	if g.clocks == nil {
+	case g.sim != nil:
+		g.sim.align(g.trRank(rank), g.bar)
+	default:
 		g.bar.Wait()
-		return
 	}
-	t := g.bar.WaitMax(g.clocks[rank].Now())
-	g.clocks[rank].Sync(t)
 }
 
 // wireBarrier synchronizes the group through the transport itself — a
@@ -484,7 +356,7 @@ func (g *Group) wireBarrier(rank int) {
 	pb := g.acquire(1)
 	pb.data[0] = 0
 	g.setAlgo(rank, algoTree)
-	g.up(&g.tree[rank], pb.data, nil, 0, false)
+	g.up(&g.tree[rank], pb.data, nil, false)
 	g.BroadcastTree(rank, pb.data)
 	g.pool.release(pb)
 }

@@ -111,15 +111,14 @@ func (h *Hier) IsLeader(rank int) bool { return h.leaders[h.islandOf[rank]] == r
 
 // AllreduceIntra sums buf elementwise across the members of rank's
 // island only, leaving the island sum in each member's buf: the dense
-// engine over the island's tree, charged to "hintra". entry is the
-// simulated instant buf became ready at this member.
-func (h *Hier) AllreduceIntra(rank int, buf []float64, entry float64) {
+// engine over the island's tree, charged to "hintra".
+func (h *Hier) AllreduceIntra(rank int, buf []float64) {
 	s := &h.intra[rank]
 	if s.solitary() || len(buf) == 0 {
 		return
 	}
 	h.g.setAlgo(rank, algoHIntra)
-	h.g.allreduce(s, buf, entry, false)
+	h.g.allreduce(s, buf, false)
 }
 
 // AllreduceInter exchanges island aggregates across islands: the island
@@ -130,15 +129,14 @@ func (h *Hier) AllreduceIntra(rank int, buf []float64, entry float64) {
 // of the phase, leader hops and island fan-out alike, is charged to
 // "hinter"; the topology-exact split lives in Stats.CrossWords. No-op
 // with fewer than two islands.
-func (h *Hier) AllreduceInter(rank int, buf []float64, entry float64) {
+func (h *Hier) AllreduceInter(rank int, buf []float64) {
 	if len(h.islands) < 2 || len(buf) == 0 {
 		return
 	}
 	h.g.setAlgo(rank, algoHInter)
 	s := &h.intra[rank]
-	ready := 0.0 // a non-leader's copy is ready when its parent's arrives
 	if s.parent < 0 {
-		ready = h.g.allreduce(&h.inter[h.islandOf[rank]], buf, entry, false)
+		h.g.allreduce(&h.inter[h.islandOf[rank]], buf, false)
 	}
-	h.g.down(s, buf, nil, ready)
+	h.g.down(s, buf, nil)
 }

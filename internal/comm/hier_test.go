@@ -65,7 +65,7 @@ func TestHierSingleIslandBitwiseTree(t *testing.T) {
 		if h.Islands() != 1 {
 			t.Fatalf("p=%d groups=1: %d islands", p, h.Islands())
 		}
-		runGroup(p, g, func(r int) { h.AllreduceIntra(r, one[r], 0) })
+		runGroup(p, g, func(r int) { h.AllreduceIntra(r, one[r]) })
 
 		// The same p members as ranks 1, 3, 5, … of a (2p+1)-rank
 		// group whose other ranks are islands of their own.
@@ -88,7 +88,7 @@ func TestHierSingleIslandBitwiseTree(t *testing.T) {
 		if hs.IslandSize(1) != p {
 			t.Fatalf("p=%d: scattered island has %d members", p, hs.IslandSize(1))
 		}
-		runGroup(big, gs, func(r int) { hs.AllreduceIntra(r, sub[r], 0) })
+		runGroup(big, gs, func(r int) { hs.AllreduceIntra(r, sub[r]) })
 
 		for name, got := range map[string][][]float64{"one island": one, "scattered island": src} {
 			for r := 0; r < p; r++ {
@@ -132,7 +132,7 @@ func TestHierIntraSumsIslandOnly(t *testing.T) {
 		}
 		g := NewGroup(tc.p)
 		h := NewHier(g, tc.groups)
-		runGroup(tc.p, g, func(r int) { h.AllreduceIntra(r, bufs[r], 0) })
+		runGroup(tc.p, g, func(r int) { h.AllreduceIntra(r, bufs[r]) })
 		for r := 0; r < tc.p; r++ {
 			for i := range bufs[r] {
 				if d := bufs[r][i] - want[r][i]; d > 1e-12 || d < -1e-12 {
@@ -160,8 +160,8 @@ func TestHierInterGlobalSum(t *testing.T) {
 		g := NewGroup(tc.p)
 		h := NewHier(g, tc.groups)
 		runGroup(tc.p, g, func(r int) {
-			h.AllreduceIntra(r, bufs[r], 0)
-			h.AllreduceInter(r, bufs[r], 0)
+			h.AllreduceIntra(r, bufs[r])
+			h.AllreduceInter(r, bufs[r])
 		})
 		for r := 0; r < tc.p; r++ {
 			for i := range bufs[r] {
@@ -211,7 +211,7 @@ func TestHierTrafficSplit(t *testing.T) {
 	g := NewGroup(p)
 	h := NewHier(g, groups)
 
-	runGroup(p, g, func(r int) { h.AllreduceIntra(r, bufs[r], 0) })
+	runGroup(p, g, func(r int) { h.AllreduceIntra(r, bufs[r]) })
 	st := g.Stats()
 	if st.CrossWords != 0 {
 		t.Fatalf("intra phase crossed islands: %d cross words", st.CrossWords)
@@ -221,7 +221,7 @@ func TestHierTrafficSplit(t *testing.T) {
 		t.Fatal("intra phase moved no words")
 	}
 
-	runGroup(p, g, func(r int) { h.AllreduceInter(r, bufs[r], 0) })
+	runGroup(p, g, func(r int) { h.AllreduceInter(r, bufs[r]) })
 	st = g.Stats()
 	if st.CrossWords == 0 {
 		t.Fatal("inter phase reported no cross-island words")
@@ -231,37 +231,6 @@ func TestHierTrafficSplit(t *testing.T) {
 	inter := st.Words - intra
 	if st.CrossWords >= inter {
 		t.Fatalf("cross words %d ≥ inter words %d", st.CrossWords, inter)
-	}
-}
-
-// TestDeferSyncCapturesMax pins the sink semantics the delayed engine
-// relies on: capture keeps the max arrival, Join folds it into a clock
-// and resets the mark.
-func TestDeferSyncCapturesMax(t *testing.T) {
-	var d DeferSync
-	d.capture(3)
-	d.capture(9)
-	d.capture(5)
-	if d.Mark() != 9 {
-		t.Fatalf("mark = %g, want 9", d.Mark())
-	}
-	c := &testClock{}
-	d.Join(c)
-	if c.synced != 9 {
-		t.Fatalf("Join synced %g, want 9", c.synced)
-	}
-	if d.Mark() != 0 {
-		t.Fatalf("mark after Join = %g, want 0", d.Mark())
-	}
-}
-
-type testClock struct{ synced float64 }
-
-func (c *testClock) Now() float64      { return c.synced }
-func (c *testClock) Advance(d float64) {}
-func (c *testClock) Sync(v float64) {
-	if v > c.synced {
-		c.synced = v
 	}
 }
 
@@ -289,8 +258,8 @@ func TestHierSteadyStateAllocs(t *testing.T) {
 	start := make([]chan struct{}, p)
 	done := make(chan struct{}, p)
 	both := func(r int) {
-		h.AllreduceIntra(r, bufs[r], 0)
-		h.AllreduceInter(r, bufs[r], 0)
+		h.AllreduceIntra(r, bufs[r])
+		h.AllreduceInter(r, bufs[r])
 	}
 	for r := 1; r < p; r++ {
 		start[r] = make(chan struct{})

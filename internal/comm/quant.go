@@ -74,6 +74,7 @@ func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, rati
 	if len(seg) == 0 {
 		return
 	}
+	defer g.closeOp(rank, g.beginOp(rank, ready))
 	g.setAlgo(rank, algoQuant)
 	// Fold the residual, then agree on the scale of the folded values.
 	local := 0.0
@@ -83,7 +84,7 @@ func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, rati
 			local = a
 		}
 	}
-	gmax, ready := g.allreduceMaxTree(rank, local, ready)
+	gmax := g.allreduceMaxTree(rank, local)
 	if gmax == 0 || math.IsInf(gmax, 0) || math.IsNaN(gmax) {
 		// Every rank's bucket is all-zero (or some rank's is non-finite,
 		// where quantization is meaningless): the aggregate is zero and
@@ -116,24 +117,19 @@ func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, rati
 		c.totResid2 += r * r
 	}
 	tk.EndArg(obs.PhaseCompress, arg, cs)
-	c.intTreeAllreduce(g, rank, ready)
+	c.intTreeAllreduce(g, rank)
 	for i := range seg {
 		seg[i] = float64(c.q[i]) * scale
 	}
 }
 
 // allreduceMaxTree shares max(local) across the group over its tree in
-// one-word messages, returning the global maximum and the causal ready
-// time after the exchange (arrival-joined, so phase 2's sends are
-// stamped after the scale agreement they depend on).
-func (g *Group) allreduceMaxTree(rank int, local, ready float64) (float64, float64) {
+// one-word messages and returns the global maximum.
+func (g *Group) allreduceMaxTree(rank int, local float64) float64 {
 	s := &g.tree[rank]
 	acc := local
 	for _, child := range s.children {
 		in := g.recvMsg(rank, child)
-		if in.Arrive > ready {
-			ready = in.Arrive
-		}
 		if in.Data[0] > acc {
 			acc = in.Data[0]
 		}
@@ -142,18 +138,17 @@ func (g *Group) allreduceMaxTree(rank int, local, ready float64) (float64, float
 	if s.parent >= 0 {
 		pb := g.acquire(1)
 		pb.data[0] = acc
-		g.sendMsgAt(rank, s.parent, Frame{Data: pb.data, pb: pb}, ready)
+		g.sendMsg(rank, s.parent, Frame{Data: pb.data, pb: pb})
 		in := g.recvMsg(rank, s.parent)
-		ready = in.Arrive
 		acc = in.Data[0]
 		g.releaseMsg(in)
 	}
 	for i := len(s.children) - 1; i >= 0; i-- {
 		pb := g.acquire(1)
 		pb.data[0] = acc
-		g.sendMsgAt(rank, s.children[i], Frame{Data: pb.data, pb: pb}, ready)
+		g.sendMsg(rank, s.children[i], Frame{Data: pb.data, pb: pb})
 	}
-	return acc, ready
+	return acc
 }
 
 // quantWords returns the packed message length in float64 words for n
@@ -171,7 +166,7 @@ func quantWords(n, subtree int) int {
 // integer vectors up the group's tree and broadcast of the packed total
 // back down. Integer addition is exact and associative, so the result is
 // independent of every scheduling choice.
-func (c *qint8Compressor) intTreeAllreduce(g *Group, rank int, ready float64) {
+func (c *qint8Compressor) intTreeAllreduce(g *Group, rank int) {
 	s := &g.tree[rank]
 	n := len(c.q)
 	for _, child := range s.children {
@@ -181,25 +176,21 @@ func (c *qint8Compressor) intTreeAllreduce(g *Group, rank int, ready float64) {
 			panic(fmt.Sprintf("comm: quantized message has %d words, want %d for %d lanes from a %d-leaf subtree",
 				len(in.Data), quantWords(n, sub), n, sub))
 		}
-		if in.Arrive > ready {
-			ready = in.Arrive
-		}
 		unpackAddInts(in.Data, sub, c.q)
 		g.releaseMsg(in)
 	}
 	if s.parent >= 0 {
 		pb := g.acquire(quantWords(n, s.span))
 		packInts(c.q, s.span, pb.data)
-		g.sendMsgAt(rank, s.parent, Frame{Data: pb.data, pb: pb}, ready)
+		g.sendMsg(rank, s.parent, Frame{Data: pb.data, pb: pb})
 		in := g.recvMsg(rank, s.parent)
-		ready = in.Arrive
 		unpackSetInts(in.Data, g.p, c.q)
 		g.releaseMsg(in)
 	}
 	for i := len(s.children) - 1; i >= 0; i-- {
 		pb := g.acquire(quantWords(n, g.p))
 		packInts(c.q, g.p, pb.data)
-		g.sendMsgAt(rank, s.children[i], Frame{Data: pb.data, pb: pb}, ready)
+		g.sendMsg(rank, s.children[i], Frame{Data: pb.data, pb: pb})
 	}
 }
 

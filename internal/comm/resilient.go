@@ -14,10 +14,10 @@ import (
 // points (one per aggregation boundary and epoch barrier), and a rank
 // that stays silent past the plan's EvictAfter while its peers wait is
 // declared dead and evicted. The survivors re-form — a fresh, smaller
-// Group over the sorted surviving physical ranks, sharing the original
-// fabric (fault counters, sequence spaces, tracer) and the survivors'
-// simulated clocks — and training continues on the new group with the
-// aggregation rate rescaled by the membership layer's caller.
+// Group over the sorted surviving physical ranks, on the run's one
+// transport (simulated time included) and fault fabric — and training
+// continues on the new group with the aggregation rate rescaled by the
+// membership layer's caller.
 //
 // Consistency argument. All ledger state — heartbeats, the live set,
 // the current view — is guarded by one mutex, and both the eviction
@@ -73,9 +73,8 @@ type Resilient struct {
 	plan   *FaultPlan
 	fab    *faultFabric
 	origP  int
-	tr     Transport // shared wire transport (nil = fresh channel fabric per view)
+	tr     Transport // every view's, in physical-rank space; simulated when clocks are set
 	clocks []Clock   // physical-rank indexed (nil = unsimulated)
-	cost   CostModel
 	tracer *obs.Tracer
 
 	mu        sync.Mutex
@@ -97,7 +96,7 @@ type Resilient struct {
 // faults; a nil plan means no injected faults but still crash-tolerant
 // membership.
 func NewResilient(p int, plan *FaultPlan, clocks []Clock, cost CostModel, tracer *obs.Tracer) *Resilient {
-	return newResilient(p, nil, plan, clocks, cost, tracer)
+	return NewResilientOver(newChanTransport(p), plan, clocks, cost, tracer)
 }
 
 // NewResilientOver is NewResilient on an explicit wire transport: every
@@ -109,18 +108,18 @@ func NewResilient(p int, plan *FaultPlan, clocks []Clock, cost CostModel, tracer
 // exactly as on the channel fabric. The transport must host every rank
 // in this process: the heartbeat ledger is shared memory.
 func NewResilientOver(tr Transport, plan *FaultPlan, clocks []Clock, cost CostModel, tracer *obs.Tracer) *Resilient {
-	if lt, ok := tr.(allLocalTransport); !ok || !lt.AllLocal() {
+	if !isAllLocal(tr) {
 		panic("comm: NewResilientOver needs an all-local transport (the membership ledger is in-process)")
 	}
-	return newResilient(tr.Size(), tr, plan, clocks, cost, tracer)
-}
-
-func newResilient(p int, tr Transport, plan *FaultPlan, clocks []Clock, cost CostModel, tracer *obs.Tracer) *Resilient {
+	p := tr.Size()
 	if plan == nil {
 		plan = &FaultPlan{}
 	}
 	if clocks != nil && len(clocks) != p {
 		panic(fmt.Sprintf("comm: NewResilient got %d clocks for %d ranks", len(clocks), p))
+	}
+	if clocks != nil {
+		tr = newSimTransport(tr, nil, clocks, cost)
 	}
 	r := &Resilient{
 		plan:      plan,
@@ -128,7 +127,6 @@ func newResilient(p int, tr Transport, plan *FaultPlan, clocks []Clock, cost Cos
 		origP:     p,
 		tr:        tr,
 		clocks:    clocks,
-		cost:      cost,
 		tracer:    tracer,
 		heart:     make([]int, p),
 		live:      make([]bool, p),
@@ -151,74 +149,18 @@ func newResilient(p int, tr Transport, plan *FaultPlan, clocks []Clock, cost Cos
 }
 
 // formGroup builds a group over the given physical ranks, wired to the
-// shared fabric, the ranks' clocks, and the run's tracer. Caller holds
+// shared transport, the fault fabric and the run's tracer. Caller holds
 // mu (or is the constructor).
 func (r *Resilient) formGroup(phys []int) *Group {
-	var clocks []Clock
-	var cost CostModel
-	if r.clocks != nil {
-		clocks = make([]Clock, len(phys))
-		for v, p := range phys {
-			clocks[v] = r.clocks[p]
-		}
-		if r.cost != nil {
-			cost = remapCost{inner: r.cost, phys: phys}
-		}
+	if len(phys) == r.origP {
+		phys = nil // the full, sorted membership: the identity view
 	}
-	var g *Group
-	if r.tr != nil {
-		// Shared wire mesh: the view's virtual ranks address the
-		// transport's physical rank space through the phys map.
-		trMap := phys
-		if len(phys) == r.origP {
-			trMap = nil // identity view
-		}
-		g = NewTransportGroup(r.tr, trMap, clocks, cost)
-	} else {
-		g = NewSimGroup(len(phys), clocks, cost)
-	}
+	g := NewTransportGroup(r.tr, phys, nil, nil)
 	g.SetTracer(r.tracer)
-	var physMap []int
-	if len(phys) != r.origP {
-		physMap = phys
-	} else {
-		identity := true
-		for v, p := range phys {
-			if v != p {
-				identity = false
-				break
-			}
-		}
-		if !identity {
-			physMap = phys
-		}
-	}
-	g.attachFaults(r.fab, physMap)
+	g.attachFaults(r.fab)
 	r.groups = append(r.groups, g)
 	return g
 }
-
-// remapCost presents a physical-rank cost model in a smaller group's
-// virtual rank space, so a re-formed group keeps charging the true
-// underlying links.
-type remapCost struct {
-	inner CostModel
-	phys  []int
-}
-
-func (c remapCost) XferTime(from, to, words int) float64 {
-	return c.inner.XferTime(c.phys[from], c.phys[to], words)
-}
-
-func (c remapCost) ServerOpTime(words, shards, learners int) float64 {
-	return c.inner.ServerOpTime(words, shards, learners)
-}
-
-// Plan returns the run's fault plan.
-func (r *Resilient) Plan() *FaultPlan { return r.plan }
-
-// OrigP returns the physical rank count the run started with.
-func (r *Resilient) OrigP() int { return r.origP }
 
 // Current returns the current membership view.
 func (r *Resilient) Current() View {
@@ -289,15 +231,7 @@ func (r *Resilient) Await(phys, syncPt int) (View, bool) {
 			// Bulk-synchronous clock alignment: every live rank is parked
 			// at this sync point, so the max over their clocks is final.
 			if r.clocks != nil {
-				mx := 0.0
-				for p := 0; p < r.origP; p++ {
-					if r.live[p] {
-						if t := r.clocks[p].Now(); t > mx {
-							mx = t
-						}
-					}
-				}
-				r.clocks[phys].Sync(mx)
+				r.clocks[phys].Sync(r.liveClockMax())
 			}
 			if r.hbTrack != nil {
 				r.hbTrack.Span(obs.PhaseHeartbeat, int32(phys), hbStart, r.hbTrack.Now())
@@ -338,14 +272,9 @@ func (r *Resilient) evictLocked(phys, syncPt int) {
 	// Charge the detection latency: every survivor pays the simulated
 	// analogue of the failure detector's timeout.
 	if r.clocks != nil {
-		mx := 0.0
+		t := r.liveClockMax() + r.plan.simEvictSecs()
 		for _, p := range survivors {
-			if t := r.clocks[p].Now(); t > mx {
-				mx = t
-			}
-		}
-		for _, p := range survivors {
-			r.clocks[p].Sync(mx + r.plan.simEvictSecs())
+			r.clocks[p].Sync(t)
 		}
 	}
 	g := r.formGroup(survivors)
@@ -357,6 +286,18 @@ func (r *Resilient) evictLocked(phys, syncPt int) {
 		r.memTrack.Span(obs.PhaseEvict, int32(phys), now, now)
 		r.memTrack.Span(obs.PhaseReform, int32(r.view.Version), now, now)
 	}
+}
+
+// liveClockMax is the latest simulated clock of a live rank. Caller
+// holds mu.
+func (r *Resilient) liveClockMax() float64 {
+	mx := 0.0
+	for p, c := range r.clocks {
+		if r.live[p] {
+			mx = max(mx, c.Now())
+		}
+	}
+	return mx
 }
 
 // Stats aggregates communication statistics across every group the run

@@ -11,7 +11,7 @@ import (
 
 // Unified communication statistics. Every send is charged to the
 // collective algorithm that issued it: each public collective entry
-// point labels its rank with an algorithm id on entry, and sendMsgAt
+// point labels its rank with an algorithm id on entry, and each send
 // charges the message's words to that rank's (algorithm) counter. The
 // counters are per-rank — each rank's label and counters are touched
 // only by the goroutine currently driving that rank (its learner, or

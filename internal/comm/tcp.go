@@ -36,7 +36,7 @@ import (
 // a staging copy:
 //
 //   - Writer, frame of at least wireBufSize bytes: header into a fixed
-//     32-byte array, one CRC pass over the payload where it lies (the
+//     24-byte array, one CRC pass over the payload where it lies (the
 //     learner's buffer or a pooled one), then one writev of
 //     {header, payload, CRC trailer}. The kernel's copy into the socket
 //     buffer is the only copy.
@@ -56,11 +56,12 @@ import (
 // place of the in-place steps (and a coalescing buffer that grows once
 // to the largest frame); the choice is wire's, made from the platform.
 //
-// Validation order is bounds → CRC → fields. The length, nwords and
-// magic checks need no trust in the sender and run before any buffer is
-// sized from them; From/To/Seq/Arrive are read only once the trailer has
+// Validation order is bounds → CRC → fields. The length, magic and
+// nwords checks need no trust in the sender and run before any buffer is
+// sized from them; From/To/Seq are read only once the trailer has
 // matched, because a flipped bit there would otherwise misroute or
-// reorder a frame silently. A payload that fails its CRC has already
+// reorder a frame silently. (No simulated time is sent: simulation is
+// all-local, sim.go.) A payload that fails its CRC has already
 // been written into a pooled buffer — harmless, the buffer goes back to
 // the pool undelivered and the link fails.
 //
@@ -438,7 +439,7 @@ func (t *TCPTransport) Send(from, to int, f Frame) {
 	// Checked under the lock: the closer half-closes under it too, so a
 	// frame is never written behind CloseWrite.
 	if !t.closing() {
-		l.w.frame(wire.Header{From: from, To: to, Seq: f.Seq, Arrive: f.Arrive}, f.Data)
+		l.w.frame(wire.Header{From: from, To: to, Seq: f.Seq}, f.Data)
 		l.w.flush()
 	}
 	l.mu.Unlock()
@@ -588,7 +589,7 @@ func (t *TCPTransport) readFrame(rd *wire.Reader, from, to int) (Frame, error) {
 	}
 	t.bytesIn.Add(int64(wire.FrameLen(w)))
 	t.framesIn.Add(1)
-	return Frame{Data: pb.data, pb: pb, Seq: h.Seq, Arrive: h.Arrive}, nil
+	return Frame{Data: pb.data, pb: pb, Seq: h.Seq}, nil
 }
 
 func (t *TCPTransport) closing() bool {

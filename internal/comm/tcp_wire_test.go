@@ -52,7 +52,7 @@ func TestTCPReaderLargeFrameCorruption(t *testing.T) {
 	for i := range payload {
 		payload[i] = math.Float64frombits(0x0102030405060708 * uint64(i+1))
 	}
-	good := wire.AppendFrame(nil, wire.Header{From: from, To: to, Seq: 3, Arrive: 1.5}, payload)
+	good := wire.AppendFrame(nil, wire.Header{From: from, To: to, Seq: 3}, payload)
 	class := sizeClass(words)
 
 	cases := []struct {
@@ -66,7 +66,7 @@ func TestTCPReaderLargeFrameCorruption(t *testing.T) {
 		{"header seq bit", func(b []byte) []byte { b[14] ^= 0x01; return b }, wire.ErrBadCRC, true},
 		{"header to bit", func(b []byte) []byte { b[10] ^= 0x01; return b }, wire.ErrBadCRC, true},
 		{"trailer bit", func(b []byte) []byte { b[len(b)-2] ^= 0x08; return b }, wire.ErrBadCRC, true},
-		{"header nwords bit", func(b []byte) []byte { b[29] ^= 0x01; return b }, wire.ErrLengthMismatch, false},
+		{"header nwords bit", func(b []byte) []byte { b[21] ^= 0x01; return b }, wire.ErrLengthMismatch, false},
 		{"truncated mid-payload", func(b []byte) []byte { return b[:wire.HeaderLen+wireBufSize+100] }, io.ErrUnexpectedEOF, true},
 	}
 	for _, tc := range cases {
@@ -95,8 +95,8 @@ func TestTCPReaderLargeFrameCorruption(t *testing.T) {
 				if ws.BytesIn != int64(len(good)) || ws.FramesIn != 1 {
 					t.Errorf("delivered frame counted as %+v, want %d bytes in 1 frame", ws, len(good))
 				}
-				if f.Seq != 3 || f.Arrive != 1.5 || len(f.Data) != words {
-					t.Fatalf("delivered frame: seq %d arrive %g, %d words", f.Seq, f.Arrive, len(f.Data))
+				if f.Seq != 3 || len(f.Data) != words {
+					t.Fatalf("delivered frame: seq %d, %d words", f.Seq, len(f.Data))
 				}
 				for i := range payload {
 					if math.Float64bits(f.Data[i]) != math.Float64bits(payload[i]) {

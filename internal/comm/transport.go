@@ -6,20 +6,19 @@ import (
 )
 
 // Frame is one point-to-point transfer between learners — the unit a
-// Transport moves. Arrive is the simulated time at which the payload is
-// fully received (0 when the group has no cost model). Seq is zero on
-// the direct (fault-free) path; under an active fault plan the link
-// daemons stamp each wire copy with the link's sequence number plus one,
-// which the receiver uses to deduplicate spurious retransmissions (see
-// faults.go). pb is non-nil when the payload is owned by the buffer
-// pool, in which case the consumer must release it after reading the
-// data — the receiving collective on a local backend, the serializer on
-// a wire backend (which ships the bytes and recycles the buffer).
+// Transport moves. It carries no time (sim.go keeps arrivals beside
+// it). Seq is zero on the direct (fault-free) path; under an active
+// fault plan the link daemons stamp each wire copy with the link's
+// sequence number plus one, which the receiver uses to deduplicate
+// spurious retransmissions (see faults.go). pb is non-nil when the
+// payload is owned by the buffer pool, in which case the consumer must
+// release it after reading the data — the receiving collective on a
+// local backend, the serializer on a wire backend (which ships the bytes
+// and recycles the buffer).
 type Frame struct {
-	Data   []float64
-	Arrive float64
-	Seq    int64
-	pb     *poolBuf
+	Data []float64
+	Seq  int64
+	pb   *poolBuf
 }
 
 // Transport is the wire fabric a Group is built over: reliable,
@@ -32,11 +31,11 @@ type Frame struct {
 // frames on different links may interleave arbitrarily.
 //
 // Everything above the transport is rank-space logic: the Group charges
-// traffic statistics, stamps simulated arrival times, and runs the
-// fault-plan link daemons (drops, delays, ack/retry) *before* handing a
-// frame to Send, so FaultPlan routing and Stats accounting hold
-// identically on every backend — the cross-transport equivalence suite
-// pins this.
+// traffic statistics and runs the fault-plan link daemons (drops,
+// delays, ack/retry) *before* handing a frame to Send, so FaultPlan
+// routing and Stats accounting hold identically on every backend — the
+// cross-transport equivalence suite pins this. Simulated time is a
+// decorator over an all-local Transport (sim.go).
 type Transport interface {
 	// Size returns the number of ranks the transport connects.
 	Size() int
@@ -61,6 +60,11 @@ type Transport interface {
 // multi-process.
 type allLocalTransport interface{ AllLocal() bool }
 
+func isAllLocal(tr Transport) bool {
+	lt, ok := tr.(allLocalTransport)
+	return ok && lt.AllLocal()
+}
+
 // pooledTransport is implemented by transports that own a payload pool
 // the groups built over them should share, so wire receive buffers
 // recycle through the same size-classed pools the collectives draw
@@ -70,8 +74,8 @@ type pooledTransport interface{ bufferPool() *bufPool }
 
 // chanTransport is the default in-process backend: a matrix of buffered
 // per-(sender, receiver) Go channels, giving MPI-like ordered
-// point-to-point semantics with no serialization. It is the simulation
-// and test fabric — all p ranks live in one process.
+// point-to-point semantics with no serialization — all p ranks live in
+// one process.
 type chanTransport struct {
 	p         int
 	mail      [][]chan Frame // mail[to][from]

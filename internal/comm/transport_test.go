@@ -92,6 +92,113 @@ func TestCrossTransportAllreduceEquivalence(t *testing.T) {
 	}
 }
 
+// linkCost prices a transfer by its link and size, so every stamp a
+// collective's schedule produces is distinct and a misrouted or misordered
+// one shows in the final clocks.
+type linkCost struct{}
+
+func (linkCost) XferTime(from, to, words int) float64 {
+	return 0.25*float64(1+from+2*to) + float64(words)/1024
+}
+func (linkCost) ServerOpTime(int, int, int) float64 { return 0 }
+
+// TestCrossTransportSimulatedClocks: simulated time is a decorator over
+// the transport, so the same collectives give the same final clocks,
+// bitwise, over the channel fabric and over TCP loopback — the wire
+// carries no time. Ranks start skewed; the bucketed ops and the top-k
+// codec open their clocks at entry stamps before the ranks' own clocks,
+// as the overlap path's do.
+func TestCrossTransportSimulatedClocks(t *testing.T) {
+	const m = 53
+	segs := []Segment{{0, 20}, {20, 20}, {40, 13}}
+	kinds := []struct {
+		name string
+		run  func(g *Group, p int) func(rank int, buf []float64)
+	}{
+		{"tree", func(g *Group, p int) func(int, []float64) {
+			return func(r int, b []float64) { g.AllreduceTree(r, b) }
+		}},
+		{"bucketed", func(g *Group, p int) func(int, []float64) {
+			ws := make([]*BucketedAllreduce, p)
+			for r := range ws {
+				ws[r] = NewBucketedAllreduce(g, r, segs, 0)
+			}
+			return func(r int, b []float64) {
+				var hs [3]Handle
+				for i := len(segs) - 1; i >= 0; i-- {
+					hs[i] = ws[r].Begin(i, b, float64(len(segs)-i))
+				}
+				for _, h := range hs {
+					h.Wait()
+				}
+				ws[r].Close()
+			}
+		}},
+		{"topk", func(g *Group, p int) func(int, []float64) {
+			return func(r int, b []float64) {
+				NewCompressor("topk").Allreduce(g, r, b, make([]float64, m), 0.25, 1.5, nil, 0)
+			}
+		}},
+		{"hier", func(g *Group, p int) func(int, []float64) {
+			h := NewHier(g, 2)
+			return func(r int, b []float64) {
+				h.AllreduceIntra(r, b)
+				h.AllreduceInter(r, b)
+			}
+		}},
+	}
+	for _, p := range []int{2, 3, 5} {
+		for _, k := range kinds {
+			orig, _ := makeBufs(p, m, int64(100*p+m))
+			var ref []float64
+			for _, tc := range []struct {
+				name string
+				tr   func() Transport
+			}{
+				{"channel", func() Transport { return newChanTransport(p) }},
+				{"tcp-loopback", func() Transport {
+					tr, err := NewTCPLoopback(p)
+					if err != nil {
+						t.Fatalf("NewTCPLoopback(%d): %v", p, err)
+					}
+					return tr
+				}},
+			} {
+				clocks := make([]Clock, p)
+				for r := range clocks {
+					clocks[r] = &simpleClock{now: 3.5 * float64(r)}
+				}
+				g := NewTransportGroup(tc.tr(), nil, clocks, linkCost{})
+				run := k.run(g, p)
+				bufs := cloneBufs(orig)
+				runGroup(p, g, func(r int) { run(r, bufs[r]) })
+				g.Close()
+				got := make([]float64, p)
+				for r, c := range clocks {
+					got[r] = c.Now()
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for r := range got {
+					if math.Float64bits(got[r]) != math.Float64bits(ref[r]) {
+						t.Fatalf("p=%d %s: %s rank %d clock %v != channel %v (must be bitwise)\n%s %v\nchannel %v",
+							p, k.name, tc.name, r, got[r], ref[r], tc.name, got, ref)
+					}
+				}
+			}
+			moved := false
+			for r, c := range ref {
+				moved = moved || c > 3.5*float64(r)
+			}
+			if !moved {
+				t.Fatalf("p=%d %s: no clock moved past its start: %v", p, k.name, ref)
+			}
+		}
+	}
+}
+
 // spikeSpecials overwrites a sparse lattice of every buffer's entries
 // with the values on which == and equal bits disagree or IEEE addition
 // is special: ±0, denormals, ±Inf, NaN. Three patterns: one position

@@ -7,8 +7,8 @@ import (
 )
 
 // frameSeeds is the byte-stream corpus the decode fuzz targets share:
-// empty and short streams, valid frames, a bit flip, a truncation and a
-// hostile length.
+// empty and short streams, valid frames, a bit flip, a truncation, a
+// hostile length and a frame in the previous ("SGD1") layout.
 func frameSeeds() [][]byte {
 	flipped := AppendFrame(nil, Header{From: 7, To: 0, Seq: 1}, []float64{42})
 	flipped[17] ^= 0x01
@@ -19,10 +19,11 @@ func frameSeeds() [][]byte {
 		{},
 		{1, 2, 3},
 		AppendFrame(nil, Header{}, nil),
-		AppendFrame(nil, Header{From: 1, To: 2, Seq: 3, Arrive: 4.5}, []float64{1, 2, 3}),
+		AppendFrame(nil, Header{From: 1, To: 2, Seq: 3}, []float64{1, 2, 3}),
 		flipped,
 		truncated[:len(truncated)-5],
 		huge,
+		sgd1Frame(1, 2, 3, 4.5, []float64{1, 2, 3}),
 	}
 }
 
@@ -82,17 +83,17 @@ func FuzzFrameDecode(f *testing.F) {
 // header and payload encode to a frame that decodes back bit-exactly,
 // and any single-bit corruption of the encoded body is detected.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint64(0), uint64(0), []byte{})
-	f.Add(uint16(1), uint16(2), uint64(3), math.Float64bits(4.5), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint16(65535), uint16(65535), ^uint64(0), ^uint64(0), make([]byte, 64))
+	f.Add(uint16(0), uint16(0), uint64(0), []byte{})
+	f.Add(uint16(1), uint16(2), uint64(3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint16(65535), uint16(65535), ^uint64(0), make([]byte, 64))
 
-	f.Fuzz(func(t *testing.T, from, to uint16, seq, arriveBits uint64, raw []byte) {
+	f.Fuzz(func(t *testing.T, from, to uint16, seq uint64, raw []byte) {
 		w := len(raw) / 8
 		payload := make([]float64, w)
 		for i := range payload {
 			payload[i] = math.Float64frombits(get64(raw[8*i:]))
 		}
-		h := Header{From: int(from), To: int(to), Seq: int64(seq), Arrive: math.Float64frombits(arriveBits)}
+		h := Header{From: int(from), To: int(to), Seq: int64(seq)}
 		frame := AppendFrame(nil, h, payload)
 
 		n, err := BodyLen(frame[:PrefixLen])
@@ -109,8 +110,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("DecodeBody on own encoding: %v", err)
 		}
-		if dh.From != h.From || dh.To != h.To || dh.Seq != h.Seq ||
-			math.Float64bits(dh.Arrive) != math.Float64bits(h.Arrive) {
+		if dh != h {
 			t.Fatalf("header round trip: got %+v want %+v", dh, h)
 		}
 		for i := range payload {
@@ -122,7 +122,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// Single-bit corruption anywhere in the body must be caught by
 		// one of the validators (CRC at the latest). Flip position is
 		// derived from the fuzz inputs so the corpus explores them all.
-		pos := int((seq ^ arriveBits) % uint64(len(body)))
+		pos := int((seq ^ uint64(len(raw))) % uint64(len(body)))
 		bit := byte(1) << ((from ^ to) % 8)
 		corrupt := append([]byte(nil), body...)
 		corrupt[pos] ^= bit

@@ -155,8 +155,7 @@ func checkStreamAgrees(t *testing.T, data []byte) {
 			case errClass(err) != errClass(wantErr):
 				t.Fatalf("%s native=%v: stream says %v, reference says %v", name, native, err, wantErr)
 			case err == nil:
-				if h.From != wantH.From || h.To != wantH.To || h.Seq != wantH.Seq ||
-					math.Float64bits(h.Arrive) != math.Float64bits(wantH.Arrive) {
+				if h != wantH {
 					t.Fatalf("%s native=%v: header %+v, reference %+v", name, native, h, wantH)
 				}
 				if !sameBits(got, want) {
@@ -171,7 +170,7 @@ func checkStreamAgrees(t *testing.T, data []byte) {
 // produce, bit for bit, what the per-word loops produce, from the empty
 // payload to one that spans several read slices.
 func TestInPlaceEncodeMatchesPortable(t *testing.T) {
-	h := Header{From: 513, To: 65535, Seq: -0x0102030405060708, Arrive: math.Float64frombits(0x7ff8000000000abc)}
+	h := Header{From: 513, To: 65535, Seq: -0x0102030405060708}
 	for _, n := range []int{0, 1, 7, 22, 1000, readSlice/8 + 3, 3*readSlice/8 + 5} {
 		payload := awkwardPayload(n, int64(n))
 		fast := appendFrame([]byte("keep"), h, payload, littleEndian)
@@ -212,8 +211,7 @@ func TestInPlaceEncodeMatchesPortable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d words: portable decode: %v", n, err)
 		}
-		if fh.From != rh.From || fh.To != rh.To || fh.Seq != rh.Seq ||
-			math.Float64bits(fh.Arrive) != math.Float64bits(rh.Arrive) {
+		if fh != rh {
 			t.Fatalf("%d words: decoded headers differ: %+v vs %+v", n, fh, rh)
 		}
 		if !sameBits(fastDst, payload) || !sameBits(refDst, payload) {
@@ -228,7 +226,7 @@ func TestInPlaceEncodeMatchesPortable(t *testing.T) {
 // read slices, plus truncation at every interesting offset.
 func TestStreamRejectsWhatDecodeBodyRejects(t *testing.T) {
 	const words = readSlice/8 + 100
-	good := AppendFrame(nil, Header{From: 1, To: 2, Seq: 5, Arrive: 0.5}, awkwardPayload(words, 1))
+	good := AppendFrame(nil, Header{From: 1, To: 2, Seq: 5}, awkwardPayload(words, 1))
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
@@ -246,8 +244,9 @@ func TestStreamRejectsWhatDecodeBodyRejects(t *testing.T) {
 		{"from bit", mutate(func(b []byte) { b[8] ^= 0x01 }), ErrBadCRC},
 		{"trailer bit", mutate(func(b []byte) { b[len(b)-1] ^= 0x80 }), ErrBadCRC},
 		{"magic bit", mutate(func(b []byte) { b[5] ^= 0x02 }), ErrBadMagic},
-		{"nwords bit", mutate(func(b []byte) { b[28] ^= 0x01 }), ErrLengthMismatch},
-		{"nwords over cap", mutate(func(b []byte) { put32(b[28:], MaxWords+1) }), ErrPayloadTooLarge},
+		{"nwords bit", mutate(func(b []byte) { b[20] ^= 0x01 }), ErrLengthMismatch},
+		{"nwords over cap", mutate(func(b []byte) { put32(b[20:], MaxWords+1) }), ErrPayloadTooLarge},
+		{"previous layout", sgd1Frame(1, 2, 5, 0.5, awkwardPayload(words, 1)), ErrBadMagic},
 		{"length under minimum", mutate(func(b []byte) { put32(b, 8) }), ErrBadLength},
 		{"length unaligned", mutate(func(b []byte) { put32(b, get32(b)+3) }), ErrBadLength},
 		{"length over cap", mutate(func(b []byte) { put32(b, ^uint32(0)) }), ErrPayloadTooLarge},
@@ -284,7 +283,7 @@ func TestStreamRejectsWhatDecodeBodyRejects(t *testing.T) {
 // TestReaderSteadyStateAllocs: streaming a frame into a caller's buffer
 // allocates nothing, on either payload path.
 func TestReaderSteadyStateAllocs(t *testing.T) {
-	frame := AppendFrame(nil, Header{From: 1, To: 2, Seq: 9, Arrive: 3.5}, awkwardPayload(1000, 2))
+	frame := AppendFrame(nil, Header{From: 1, To: 2, Seq: 9}, awkwardPayload(1000, 2))
 	dst := make([]float64, 1000)
 	src := bytes.NewReader(nil)
 	d := NewReader(src)
@@ -314,7 +313,7 @@ func FuzzFrameStream(f *testing.F) {
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
 	}
-	f.Add(AppendFrame(nil, Header{From: 2, To: 1, Seq: -1, Arrive: math.Inf(-1)}, awkwardPayload(40, 3)))
+	f.Add(AppendFrame(nil, Header{From: 2, To: 1, Seq: -1}, awkwardPayload(40, 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkStreamAgrees(t, data)

@@ -4,21 +4,22 @@
 // Frame layout (all integers little-endian):
 //
 //	offset size field
-//	     0    4 body length  n = 32 + 8·nwords (everything after this u32)
-//	     4    4 magic        "SGD1" (0x31444753)
+//	     0    4 body length  n = 24 + 8·nwords (everything after this u32)
+//	     4    4 magic        "SGD2" (0x32444753)
 //	     8    2 from         sender transport rank
 //	    10    2 to           receiver transport rank
 //	    12    8 seq          reliable-delivery stamp (0 = fault-free path)
-//	    20    8 arrive       simulated arrival time, IEEE-754 bits
-//	    28    4 nwords       payload word count
-//	    32  8·w payload      float64 words, IEEE-754 bits
+//	    20    4 nwords       payload word count
+//	    24  8·w payload      float64 words, IEEE-754 bits
 //	   end    4 crc          CRC-32C (Castagnoli) over bytes [4, end-4)
 //
 // The decoder validates in dependency order — prefix bounds before any
-// read of the body, nwords against the body length before any payload
-// allocation, CRC before trusting a single field — so truncated,
-// oversized, bit-flipped or garbage frames error cleanly without
-// panicking or over-allocating (pinned by the fuzz targets).
+// read of the body, the magic (which names the layout, so another
+// layout's frame is ErrBadMagic, not misparsed) before nwords against
+// the body length, both before any payload allocation, CRC before
+// trusting a single field — so truncated, oversized, bit-flipped or
+// garbage frames error cleanly without panicking or over-allocating
+// (pinned by the fuzz targets).
 //
 // On a little-endian host the payload section of a frame is the
 // []float64's own memory, so the codec moves it with one copy (or none:
@@ -39,17 +40,17 @@ import (
 )
 
 const (
-	// Magic identifies a frame body ("SGD1" little-endian).
-	Magic = 0x31444753
+	// Magic identifies a frame body ("SGD2" little-endian).
+	Magic = 0x32444753
 	// PrefixLen is the size of the length prefix.
 	PrefixLen = 4
 	// HeaderLen is the fixed part of a frame in front of the payload:
-	// length prefix, magic, from, to, seq, arrive, nwords.
-	HeaderLen = 32
+	// length prefix, magic, from, to, seq, nwords.
+	HeaderLen = 24
 	// TrailerLen is the CRC that follows the payload.
 	TrailerLen = 4
 	// bodyOverhead is the non-payload portion of a frame body:
-	// magic(4) + from(2) + to(2) + seq(8) + arrive(8) + nwords(4) + crc(4).
+	// magic(4) + from(2) + to(2) + seq(8) + nwords(4) + crc(4).
 	bodyOverhead = HeaderLen - PrefixLen + TrailerLen
 	// MaxWords caps the payload a frame may declare (1 GiB of float64s);
 	// a decoder rejects larger claims before allocating anything.
@@ -86,7 +87,6 @@ var littleEndian = func() bool {
 type Header struct {
 	From, To int
 	Seq      int64
-	Arrive   float64
 }
 
 // le{16,32,64} avoid importing encoding/binary for four fixed offsets.
@@ -143,18 +143,16 @@ func PutHeader(b *[HeaderLen]byte, h Header, w int) {
 	put16(b[8:], uint16(h.From))
 	put16(b[10:], uint16(h.To))
 	put64(b[12:], uint64(h.Seq))
-	put64(b[20:], math.Float64bits(h.Arrive))
-	put32(b[28:], uint32(w))
+	put32(b[20:], uint32(w))
 }
 
 // headerFields decodes the metadata at the start of a frame body (the
 // header after the length prefix) whose CRC has passed.
 func headerFields(body []byte) Header {
 	return Header{
-		From:   int(get16(body[4:])),
-		To:     int(get16(body[6:])),
-		Seq:    int64(get64(body[8:])),
-		Arrive: math.Float64frombits(get64(body[16:])),
+		From: int(get16(body[4:])),
+		To:   int(get16(body[6:])),
+		Seq:  int64(get64(body[8:])),
 	}
 }
 
@@ -220,14 +218,17 @@ func BodyLen(prefix []byte) (int, error) {
 	return int(n), nil
 }
 
-// PayloadWords cross-checks the body's declared word count against its
-// actual length — before any allocation, so a hostile nwords cannot
-// force an oversized buffer.
+// PayloadWords checks the magic, then the body's declared word count
+// against its actual length — before any allocation, so a hostile
+// nwords cannot force an oversized buffer.
 func PayloadWords(body []byte) (int, error) {
 	if len(body) < bodyOverhead {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTruncated, len(body))
 	}
-	return checkWords(get32(body[24:]), len(body))
+	if got := get32(body); got != Magic {
+		return 0, fmt.Errorf("%w: %#08x", ErrBadMagic, got)
+	}
+	return checkWords(get32(body[16:]), len(body))
 }
 
 // checkWords validates a declared word count against the body length.
@@ -253,9 +254,6 @@ func decodeBody(body []byte, dst []float64, native bool) (Header, error) {
 	w, err := PayloadWords(body)
 	if err != nil {
 		return Header{}, err
-	}
-	if got := get32(body); got != Magic {
-		return Header{}, fmt.Errorf("%w: %#08x", ErrBadMagic, got)
 	}
 	stored := get32(body[len(body)-TrailerLen:])
 	if sum := crc32.Checksum(body[:len(body)-TrailerLen], castagnoli); sum != stored {
@@ -290,7 +288,7 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Next reads the next frame's length prefix and header and validates
 // everything that can be checked before the payload exists — length
-// bounds, nwords against the length, magic — so the caller sizes the
+// bounds, magic, nwords against the length — so the caller sizes the
 // payload buffer from a vetted count, which it returns. A stream that
 // ends cleanly before the first byte yields a bare io.EOF; one that ends
 // inside the header, io.ErrUnexpectedEOF.
@@ -305,14 +303,10 @@ func (d *Reader) Next() (int, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[PrefixLen:]); err != nil {
 		return 0, midFrame(err)
 	}
-	words, err := checkWords(get32(d.hdr[28:]), n)
-	if err != nil {
-		return 0, err
-	}
 	if got := get32(d.hdr[PrefixLen:]); got != Magic {
 		return 0, fmt.Errorf("%w: %#08x", ErrBadMagic, got)
 	}
-	return words, nil
+	return checkWords(get32(d.hdr[20:]), n)
 }
 
 // Payload reads the payload and CRC trailer of the frame Next announced
@@ -329,7 +323,7 @@ func (d *Reader) Payload(dst []float64) (Header, error) {
 // decodes the words in place (get64 loads a word's eight bytes before
 // the store overwrites them).
 func (d *Reader) payload(dst []float64, native bool) (Header, error) {
-	if w := get32(d.hdr[28:]); uint64(len(dst)) != uint64(w) {
+	if w := get32(d.hdr[20:]); uint64(len(dst)) != uint64(w) {
 		return Header{}, fmt.Errorf("wire: Payload dst has %d words, frame carries %d", len(dst), w)
 	}
 	crc := UpdateCRC(0, d.hdr[PrefixLen:])

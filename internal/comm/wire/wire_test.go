@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -45,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		payloads[len(payloads)-1][i] = float64(i) * 0.375
 	}
 	for _, pl := range payloads {
-		h := Header{From: 3, To: 65535, Seq: -7, Arrive: 12.625}
+		h := Header{From: 3, To: 65535, Seq: -7}
 		frame := encode(t, h, pl)
 		if want := FrameLen(len(pl)); len(frame) != want {
 			t.Fatalf("frame of %d words is %d bytes, want %d", len(pl), len(frame), want)
@@ -70,17 +72,20 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameLayout pins the byte-level layout so both endpoints of a
 // heterogeneous deployment agree: any change here is a wire protocol
-// break.
+// break, and must come with a new magic.
 func TestFrameLayout(t *testing.T) {
-	frame := encode(t, Header{From: 0x0102, To: 0x0304, Seq: 0x1122334455667788, Arrive: 1.0}, []float64{2.0})
-	if len(frame) != 44 {
-		t.Fatalf("1-word frame is %d bytes, want 44", len(frame))
+	if HeaderLen != 24 || Magic != 0x32444753 {
+		t.Fatalf("HeaderLen %d magic %#x, want 24 and \"SGD2\"", HeaderLen, uint32(Magic))
 	}
-	if got := get32(frame); got != 32+8 {
-		t.Errorf("length prefix %d, want 40", got)
+	frame := encode(t, Header{From: 0x0102, To: 0x0304, Seq: 0x1122334455667788}, []float64{2.0})
+	if len(frame) != 36 {
+		t.Fatalf("1-word frame is %d bytes, want 36", len(frame))
 	}
-	if got := get32(frame[4:]); got != Magic {
-		t.Errorf("magic %#x, want %#x", got, uint32(Magic))
+	if got := get32(frame); got != 24+8 {
+		t.Errorf("length prefix %d, want 32", got)
+	}
+	if got := string(frame[4:8]); got != "SGD2" {
+		t.Errorf("magic %q, want \"SGD2\"", got)
 	}
 	if got := get16(frame[8:]); got != 0x0102 {
 		t.Errorf("from %#x, want 0x0102", got)
@@ -91,21 +96,61 @@ func TestFrameLayout(t *testing.T) {
 	if got := get64(frame[12:]); got != 0x1122334455667788 {
 		t.Errorf("seq %#x", got)
 	}
-	if got := get64(frame[20:]); got != math.Float64bits(1.0) {
-		t.Errorf("arrive bits %#x", got)
-	}
-	if got := get32(frame[28:]); got != 1 {
+	if got := get32(frame[20:]); got != 1 {
 		t.Errorf("nwords %d, want 1", got)
 	}
-	if got := get64(frame[32:]); got != math.Float64bits(2.0) {
+	if got := get64(frame[24:]); got != math.Float64bits(2.0) {
 		t.Errorf("payload bits %#x", got)
+	}
+}
+
+// sgd1Frame is a frame in the previous layout — magic "SGD1", a 32-byte
+// header with an 8-byte simulated arrival time between seq and nwords —
+// as a peer built for that layout sends it.
+func sgd1Frame(from, to int, seq int64, arrive float64, payload []float64) []byte {
+	b := make([]byte, 32+8*len(payload)+TrailerLen)
+	put32(b, uint32(len(b)-PrefixLen))
+	put32(b[4:], 0x31444753)
+	put16(b[8:], uint16(from))
+	put16(b[10:], uint16(to))
+	put64(b[12:], uint64(seq))
+	put64(b[20:], math.Float64bits(arrive))
+	put32(b[28:], uint32(len(payload)))
+	for i, v := range payload {
+		put64(b[32+8*i:], math.Float64bits(v))
+	}
+	put32(b[len(b)-TrailerLen:], crc32.Checksum(b[PrefixLen:len(b)-TrailerLen], castagnoli))
+	return b
+}
+
+// TestPreviousLayoutIsBadMagic: a frame in the previous layout is
+// rejected as ErrBadMagic on its first bytes — by the whole-body decoder
+// and by the streaming reader the TCP transport runs — never misparsed
+// as a frame of this one.
+func TestPreviousLayoutIsBadMagic(t *testing.T) {
+	for _, words := range []int{0, 1, 3} {
+		frame := sgd1Frame(1, 2, 5, 0.5, make([]float64, words))
+		n, err := BodyLen(frame[:PrefixLen])
+		if err != nil {
+			t.Fatalf("%d words: BodyLen: %v", words, err)
+		}
+		body := frame[PrefixLen : PrefixLen+n]
+		if _, err := PayloadWords(body); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%d words: PayloadWords: %v, want ErrBadMagic", words, err)
+		}
+		if _, err := DecodeBody(body, make([]float64, words)); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%d words: DecodeBody: %v, want ErrBadMagic", words, err)
+		}
+		if _, err := NewReader(bytes.NewReader(frame)).Next(); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("%d words: Reader.Next: %v, want ErrBadMagic", words, err)
+		}
 	}
 }
 
 // TestDecodeErrors drives every validation branch with a purpose-built
 // malformed frame and checks the sentinel error taxonomy.
 func TestDecodeErrors(t *testing.T) {
-	good := encode(t, Header{From: 1, To: 2, Seq: 5, Arrive: 0.5}, []float64{1, 2, 3})
+	good := encode(t, Header{From: 1, To: 2, Seq: 5}, []float64{1, 2, 3})
 	body := good[PrefixLen:]
 
 	if _, err := BodyLen([]byte{1, 2}); !errors.Is(err, ErrShortPrefix) {
@@ -116,11 +161,11 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := BodyLen(short); !errors.Is(err, ErrBadLength) {
 		t.Errorf("undersized body length: %v", err)
 	}
-	put32(short, 32+8*MaxWords+8)
+	put32(short, 24+8*MaxWords+8)
 	if _, err := BodyLen(short); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Errorf("oversized body length: %v", err)
 	}
-	put32(short, 32+3) // not word-aligned
+	put32(short, 24+3) // not word-aligned
 	if _, err := BodyLen(short); !errors.Is(err, ErrBadLength) {
 		t.Errorf("unaligned body length: %v", err)
 	}
@@ -129,11 +174,11 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("truncated body: %v", err)
 	}
 	lie := append([]byte(nil), body...)
-	put32(lie[24:], 7) // nwords claims more than the body holds
+	put32(lie[16:], 7) // nwords claims more than the body holds
 	if _, err := PayloadWords(lie); !errors.Is(err, ErrLengthMismatch) {
 		t.Errorf("nwords mismatch: %v", err)
 	}
-	put32(lie[24:], MaxWords+1)
+	put32(lie[16:], MaxWords+1)
 	if _, err := PayloadWords(lie); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Errorf("nwords over cap: %v", err)
 	}
@@ -144,7 +189,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("bad magic: %v", err)
 	}
 	flip := append([]byte(nil), body...)
-	flip[30] ^= 0x40 // payload bit
+	flip[22] ^= 0x40 // payload bit
 	if _, err := DecodeBody(flip, make([]float64, 3)); !errors.Is(err, ErrBadCRC) {
 		t.Errorf("bit flip: %v", err)
 	}
@@ -166,7 +211,7 @@ func TestAppendFrameSteadyStateAllocs(t *testing.T) {
 		payload[i] = float64(i)
 	}
 	var scratch []byte
-	h := Header{From: 1, To: 2, Seq: 9, Arrive: 3.5}
+	h := Header{From: 1, To: 2, Seq: 9}
 	scratch = AppendFrame(scratch[:0], h, payload) // warm the scratch
 	body := append([]byte(nil), scratch[PrefixLen:]...)
 	dst := make([]float64, len(payload))

@@ -62,10 +62,9 @@ import (
 // Apply now-or-next. DelayedApply (DaSGD) applies each global aggregate
 // one global boundary late. On a fixed membership the exchange is
 // launched through the worker and left in flight, hiding the whole
-// transfer behind the next round's compute; its simulated arrival times
-// are captured in a comm.DeferSync and folded in when the launch is
-// drained (the worker's syncs would otherwise race the learner's
-// compute advances, and Sync/Advance do not commute). On a membership
+// transfer behind the next round's compute; its collectives run on their
+// own simulated clock from the launch, which the learner's meets only at
+// the drain (comm.Handle.Wait). On a membership
 // plane only the APPLICATION is deferred — the exchange completes
 // inside its boundary, because a launch left in flight across a view
 // change would address a dead group — and the rate is frozen at
@@ -145,8 +144,7 @@ type engine struct {
 
 	// Delayed application.
 	delayed  bool
-	async    bool // delayed launches stay in flight across the interval (fixed membership)
-	dsync    *comm.DeferSync
+	async    bool      // delayed launches stay in flight across the interval (fixed membership)
 	pend     []float64 // the staged / in-flight / pending aggregate
 	pendG    float64   // rate frozen when pend was staged
 	pendAt   int       // origin boundary of pend
@@ -227,10 +225,6 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 	if e.comp != nil || e.async || e.overlap {
 		e.b = comm.NewBucketedAllreduce(view.G, e.vr, e.segs, 0)
 		e.handles = make([]comm.Handle, len(e.segs))
-	}
-	if e.async {
-		e.dsync = &comm.DeferSync{}
-		e.b.SetDeferSync(e.dsync)
 	}
 	if e.overlap {
 		e.bucketAt = make([]int, len(net.Layers()))
@@ -355,7 +349,7 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	if e.hier != nil {
 		e.drain()
 		ws := tk.Begin()
-		e.hier.AllreduceIntra(vr, e.gs, g.Clock(vr).Now())
+		e.hier.AllreduceIntra(vr, e.gs)
 		tk.End(obs.PhaseAggWait, ws)
 		as := tk.Begin()
 		tensor.Axpy(1, e.gs, e.acc)
@@ -429,7 +423,7 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	// of this boundary has run (mailbox aliasing, above).
 	if send {
 		if e.async {
-			e.launch(e.pend, g.Clock(vr).Now())
+			e.launch(e.pend)
 			e.inflight = true
 		} else {
 			ws := tk.Begin()
@@ -484,21 +478,25 @@ func (e *engine) reset(params, ref []float64) {
 // the codec's per-bucket collectives, the inter-island exchange, or the
 // tree.
 func (e *engine) exchange(buf []float64) {
-	g, vr := e.view.G, e.vr
 	switch {
 	case e.comp != nil:
-		e.launch(buf, g.Clock(vr).Now())
+		e.launch(buf)
 		e.wait()
 	case e.hier != nil:
-		e.hier.AllreduceInter(vr, buf, g.Clock(vr).Now())
+		e.hier.AllreduceInter(e.vr, buf)
 	default:
-		g.AllreduceTree(vr, buf)
+		e.view.G.AllreduceTree(e.vr, buf)
 	}
 }
 
 // launch submits every bucket of buf through the worker in descending
-// index order — the order the backward hooks produce.
-func (e *engine) launch(buf []float64, ready float64) {
+// index order — the order the backward hooks produce — each op's
+// simulated clock starting at the learner's.
+func (e *engine) launch(buf []float64) {
+	ready := 0.0
+	if e.cfg.Sim != nil {
+		ready = e.cfg.Sim.Clock(e.rank).Now()
+	}
 	for bi := len(e.segs) - 1; bi >= 0; bi-- {
 		e.begin(bi, buf, ready)
 	}
@@ -516,15 +514,15 @@ func (e *engine) begin(bi int, buf []float64, ready float64) {
 	}
 }
 
-// wait blocks until every launched bucket has completed.
+// wait blocks until every launched bucket has completed (and the
+// learner's simulated clock has met theirs).
 func (e *engine) wait() {
 	for i := range e.handles {
 		e.handles[i].Wait()
 	}
 }
 
-// drain waits out an in-flight delayed launch and folds its deferred
-// clock syncs into the rank's simulated clock. The aggregate stays
+// drain waits out an in-flight delayed launch. The aggregate stays
 // pending — only the transfer is waited out.
 func (e *engine) drain() {
 	if !e.inflight {
@@ -532,7 +530,6 @@ func (e *engine) drain() {
 	}
 	ws := e.tk.Begin()
 	e.wait()
-	e.dsync.Join(e.view.G.Clock(e.vr))
 	e.inflight = false
 	e.tk.End(obs.PhaseAggWait, ws)
 }

@@ -22,7 +22,7 @@ import (
 // the interval's first, localStep's rule), and the bucketed tree replays the
 // monolithic tree's per-element summation order (pinned in comm and
 // again at core level in overlap_test.go). Under the fabric simulation
-// each bucket's send is stamped with its layers' backward-completion
+// each bucket's op starts its clock at its layers' backward-completion
 // time — start + dt·fraction from model.BackwardDoneFractions — which is
 // what makes the overlap show up in simulated epoch time.
 

@@ -74,6 +74,22 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
     exit 1
 fi
 
+# Simulated time is one Transport decorator (internal/comm/sim.go): no
+# frame, wire header or collective signature carries a clock, delayed
+# launches need no sync mechanism of their own, and only the decorator
+# keeps link drain times.
+echo "==> simulated time only in the transport decorator"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    'Arrive|sendMsgAt|DeferSync|SetDeferSync|setSink|remapCost|NullClock' .; then
+    echo "FAIL: a clock is threaded through frames, the wire or the engines again"
+    exit 1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'linkFree' . \
+    | grep -v '^\./internal/comm/sim\.go:'; then
+    echo "FAIL: link drain times kept outside internal/comm/sim.go"
+    exit 1
+fi
+
 # The AVX2 microkernels promise the Go kernels' bits: a product rounded,
 # then a sum rounded. A fused multiply-add rounds once, so not one may
 # appear in the package's assembly (the comment lines of the file that
@@ -200,7 +216,7 @@ run_tests -race -count=2 -run 'Compress|FaultyCompressed|Adaptive' ./internal/co
 # and the adaptive-T drift allreduce spliced between them — so run its
 # equivalence, determinism and chaos legs twice under the race detector.
 echo "==> go test -race -count=2 comm-schedule layer"
-run_tests -race -count=2 -run 'Hier|DeferSync' ./internal/comm/
+run_tests -race -count=2 -run 'Hier|Simulated' ./internal/comm/
 run_tests -race -count=2 -run 'Sched|Delayed|AdaptiveT|ChaosHier' ./internal/core/
 
 # The wire-transport cut is the newest schedule-sensitive surface: per
