@@ -280,8 +280,8 @@ func main() {
 		fmt.Printf("compression: final top-k fraction %.4g (%d words on the wire)\n", res.CompressK, res.WordsMoved)
 	}
 	if f := res.Comm.Faults; f.Active() {
-		fmt.Printf("faults: %d drops, %d retries, %d timeouts, %d crashes, %d evictions, %d re-forms (%d/%d learners live)\n",
-			f.Drops, f.Retries, f.Timeouts, f.Crashes, f.Evictions, f.Reforms, res.LiveP, res.P)
+		fmt.Printf("faults: %d drops, %d crashes, %d evictions, %d re-forms (%d/%d learners live)\n",
+			f.Drops, f.Crashes, f.Evictions, f.Reforms, res.LiveP, res.P)
 	}
 	if *sim {
 		fmt.Printf("simulated: %.3fs total, %.3fs/epoch (compute %.3fs, communication %.3fs per learner)\n",

@@ -8,8 +8,8 @@
 // always fails, which is what makes failure-handling testable at all.
 //
 // The harness's central assertion pattern is survivor equivalence:
-// because drops, delays and slowdowns never change values (acknowledged
-// delivery is value-transparent, slowdowns only move time), and because
+// because drops, delays and slowdowns never change values (a dropped
+// attempt is resent at once, slowdowns only move time), and because
 // a crash at boundary b leaves the survivors exactly in the state a
 // fault-free run over the same ranks resumed from the boundary-b
 // checkpoint would be in, the degraded run's post-eviction aggregated
@@ -88,7 +88,7 @@ type Scenario struct {
 	Tracer      *obs.Tracer
 
 	// TCP routes the run's frames through a loopback TCP mesh instead
-	// of the in-process channel fabric: every drop, retry, crash and
+	// of the in-process channel fabric: every drop, crash, eviction and
 	// re-form plays out over real sockets and the wire codec. The
 	// scenario's observables must not change — that is the
 	// cross-transport guarantee the chaos tests replay.

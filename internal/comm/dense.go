@@ -126,11 +126,8 @@ func (f *fold) run(dst, src []float64, back bool, workers int) {
 // fabric's hand-off) is the child's own buffer; it goes into held[k]
 // for down to write the sum into, and at the root the last fold writes
 // it there already. A partial in a pooled buffer is folded and released:
-// that is every frame a wire transport delivers, and every frame the
-// fault route's link daemons deliver — they stage a copy before the
-// first attempt, since a retransmission must never read memory whose
-// sender may have moved on (faults.go) — so there the child's memory is
-// not in hand. held nil keeps nothing (the wire barrier's up, which no
+// that is every frame a wire transport delivers, so there the child's
+// memory is not in hand. held nil keeps nothing (the wire barrier's up, which no
 // down of its own follows). With lend the root's last fold runs on the
 // parked members' workers too (AllreduceTree).
 func (g *Group) up(s *sched, buf []float64, held [][]float64, lend bool) {

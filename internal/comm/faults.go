@@ -21,26 +21,24 @@ import (
 // stateful RNG stream, so the injected fault pattern is identical
 // across runs and independent of goroutine scheduling. That is what
 // lets the chaos tests assert bitwise survivor equivalence and the
-// property tests predict retry counters exactly.
+// property tests predict the drop counters exactly.
 //
-// When a plan with link faults is attached to a Group, point-to-point
-// transfers switch from direct mailbox delivery to an acknowledged
-// stop-and-wait protocol run by one daemon goroutine per directed link:
-// each message gets a per-link sequence number, every delivery attempt
-// may be dropped by the plan, the daemon retransmits after an ack
-// timeout, and the receiver deduplicates by sequence number and
-// acknowledges on consumption. Acks travel out of band (the control
-// plane is reliable; only the data plane is faulty). Delivery is
-// exactly-once in order, so the collectives above are value-identical
-// to a fault-free run — faults cost time and traffic, never bits.
+// A message's fate is decided when it is sent (Group.sendMsg): it takes
+// its link's next sequence number, the plan's hash is replayed over
+// delivery attempts 0, 1, … until one survives, every dropped attempt
+// is charged to the sender's traffic and counted, and the frame is then
+// sent once, carrying the plan's delay into simulated time. A dropped
+// attempt's resend departs with it, so a drop costs words, never
+// simulated seconds, and the transport below stays the reliable FIFO it
+// is — faults cost traffic and time, never bits.
 
 // Link identifies one directed learner-to-learner link by physical rank.
 type Link struct{ From, To int }
 
 // Burst is a transient outage on one directed link: the first delivery
 // attempt of every message with sequence number in [Start, Start+N) is
-// dropped. Retransmissions pass, so the retry machinery recovers and
-// the outage is visible as a retry burst in Stats and the trace.
+// dropped. The resend passes, so the outage shows as N drops in Stats
+// and the trace.
 type Burst struct {
 	From, To int
 	Start, N int64
@@ -53,9 +51,10 @@ type FaultPlan struct {
 	// the identical fault schedule.
 	Seed int64
 
-	// Drop is the per-delivery-attempt probability that a data message
-	// is lost on the wire (all links). Retransmissions draw fresh
-	// decisions, so a message survives with probability 1-Drop^attempts.
+	// Drop, in [0,1), is the per-delivery-attempt probability that a
+	// data message is lost on the wire (all links). Each resend draws a
+	// fresh decision, so a message needs k+1 attempts with probability
+	// Drop^k·(1-Drop).
 	Drop float64
 
 	// Bursts are scheduled transient outages (see Burst).
@@ -79,15 +78,6 @@ type FaultPlan struct {
 	// heartbeat). Survivors detect the silence by timeout and evict it.
 	CrashAt map[int]int
 
-	// RetryTimeout is how long a link daemon waits for an ack before
-	// retransmitting (default 2ms).
-	RetryTimeout time.Duration
-	// MaxRetries bounds retransmissions per message; exhausting it
-	// declares the link dead and panics the daemon — with the membership
-	// protocol ensuring no one transfers to a crashed rank, exhaustion
-	// only ever means a pathological drop schedule (default 25).
-	MaxRetries int
-
 	// EvictAfter is the membership failure detector's timeout: a rank
 	// that has not posted a sync-point heartbeat this long after a peer
 	// began waiting is evicted. It must comfortably exceed the worst
@@ -107,26 +97,10 @@ type FaultPlan struct {
 
 // Defaults for the zero-valued protocol knobs.
 const (
-	defaultRetryTimeout = 2 * time.Millisecond
-	defaultMaxRetries   = 25
-	defaultEvictAfter   = 250 * time.Millisecond
-	defaultSimEvict     = 0.25
-	defaultSlowSleep    = 100 * time.Microsecond
+	defaultEvictAfter = 250 * time.Millisecond
+	defaultSimEvict   = 0.25
+	defaultSlowSleep  = 100 * time.Microsecond
 )
-
-func (p *FaultPlan) retryTimeout() time.Duration {
-	if p.RetryTimeout > 0 {
-		return p.RetryTimeout
-	}
-	return defaultRetryTimeout
-}
-
-func (p *FaultPlan) maxRetries() int {
-	if p.MaxRetries > 0 {
-		return p.MaxRetries
-	}
-	return defaultMaxRetries
-}
 
 func (p *FaultPlan) evictAfter() time.Duration {
 	if p.EvictAfter > 0 {
@@ -179,12 +153,6 @@ func (p *FaultPlan) CrashBoundary(rank int) int {
 	return -1
 }
 
-// linkFaultsActive reports whether the plan perturbs the data plane at
-// all — only then does a group route transfers through link daemons.
-func (p *FaultPlan) linkFaultsActive() bool {
-	return p != nil && (p.Drop > 0 || len(p.Bursts) > 0 || p.DelayMean > 0 || p.DelayJitter > 0)
-}
-
 // ParseFaultPlan parses the compact comma-separated spec the -faults
 // flag carries:
 //
@@ -194,8 +162,6 @@ func (p *FaultPlan) linkFaultsActive() bool {
 //	slow=R:K          slow rank R by factor K (repeatable)
 //	crash=R@B         crash rank R at aggregation boundary B (repeatable)
 //	burst=F>T@S+N     drop first attempts of seqs [S,S+N) on link F→T
-//	timeout=DUR       ack timeout before retransmit (Go duration)
-//	retries=N         max retransmissions per message
 //	evict=DUR         membership failure-detector timeout (Go duration)
 //
 // Example: "seed=7,drop=0.05,slow=3:4,crash=5@8".
@@ -290,10 +256,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 				break
 			}
 			plan.Bursts = append(plan.Bursts, b)
-		case "timeout":
-			plan.RetryTimeout, err = time.ParseDuration(val)
-		case "retries":
-			plan.MaxRetries, err = strconv.Atoi(val)
 		case "evict":
 			plan.EvictAfter, err = time.ParseDuration(val)
 		default:
@@ -328,12 +290,6 @@ func (p *FaultPlan) String() string {
 	}
 	for _, b := range p.Bursts {
 		parts = append(parts, fmt.Sprintf("burst=%d>%d@%d+%d", b.From, b.To, b.Start, b.N))
-	}
-	if p.RetryTimeout > 0 {
-		parts = append(parts, fmt.Sprintf("timeout=%s", p.RetryTimeout))
-	}
-	if p.MaxRetries > 0 {
-		parts = append(parts, fmt.Sprintf("retries=%d", p.MaxRetries))
 	}
 	if p.EvictAfter > 0 {
 		parts = append(parts, fmt.Sprintf("evict=%s", p.EvictAfter))
@@ -375,47 +331,52 @@ func unitHash(seed int64, from, to int, seq int64, attempt int, salt uint64) flo
 }
 
 // faultFabric is the shared, physical-rank-indexed state of a faulty
-// run: per-link sequence numbers and dedup cursors, the out-of-band ack
-// channels, and the fault counters. It outlives any one Group — when
-// the membership layer re-forms a smaller group after an eviction, the
-// new group attaches to the same fabric, so sequence continuity,
-// counters, and trace tracks span the whole run.
+// run: per-link sequence numbers and the fault counters. It outlives any
+// one Group — when the membership layer re-forms a smaller group after
+// an eviction, the new group attaches to the same fabric, so sequence
+// continuity, counters, and trace tracks span the whole run.
 type faultFabric struct {
 	plan *FaultPlan
 	p    int // physical rank count
 
-	seq    []int64      // [from*p+to] next sequence to assign (link daemon only)
-	expect []int64      // [from*p+to] next sequence to accept (receiver only)
-	acks   []chan int64 // [from*p+to] receiver → daemon ack stream
+	seq []atomic.Int64 // [from*p+to] next sequence number on the link
 
-	drops    atomic.Int64
-	retries  atomic.Int64
-	timeouts atomic.Int64
-	evicts   atomic.Int64
-	reforms  atomic.Int64
-	crashes  atomic.Int64
+	drops   atomic.Int64
+	evicts  atomic.Int64
+	reforms atomic.Int64
+	crashes atomic.Int64
 
 	tracer *obs.Tracer
-	// linkTracks are the per-link fabric trace tracks, created lazily by
-	// the link's daemon on its first fault event.
+	// linkTracks are the per-link fabric trace tracks, created lazily on
+	// the link's first drop.
 	ltMu       sync.Mutex
 	linkTracks map[Link]*obs.Track
 }
 
 // newFaultFabric builds the shared fabric state for p physical ranks.
 func newFaultFabric(p int, plan *FaultPlan, tracer *obs.Tracer) *faultFabric {
-	f := &faultFabric{
-		plan:   plan,
-		p:      p,
-		seq:    make([]int64, p*p),
-		expect: make([]int64, p*p),
-		acks:   make([]chan int64, p*p),
-		tracer: tracer,
+	return &faultFabric{plan: plan, p: p, seq: make([]atomic.Int64, p*p), tracer: tracer}
+}
+
+// fate decides the next message on the physical link from→to: it takes
+// the link's next sequence number, counts and traces every delivery
+// attempt the plan drops before one survives, and returns that count
+// with the message's injected delay.
+func (f *faultFabric) fate(from, to int) (drops int, delay float64) {
+	seq := f.seq[f.linkIdx(from, to)].Add(1) - 1
+	for f.dropAttempt(from, to, seq, drops) {
+		drops++
 	}
-	for i := range f.acks {
-		f.acks[i] = make(chan int64, 4*mailboxCap)
+	if drops > 0 {
+		f.drops.Add(int64(drops))
+		if tk := f.linkTrack(from, to); tk != nil {
+			now := tk.Now()
+			for range drops {
+				tk.Span(obs.PhaseDrop, int32(seq), now, now)
+			}
+		}
 	}
-	return f
+	return drops, f.delayFor(from, to, seq)
 }
 
 func (f *faultFabric) linkIdx(from, to int) int { return from*f.p + to }
@@ -478,138 +439,8 @@ func (f *faultFabric) linkTrack(from, to int) *obs.Track {
 func (f *faultFabric) faultCounts() FaultStats {
 	return FaultStats{
 		Drops:     f.drops.Load(),
-		Retries:   f.retries.Load(),
-		Timeouts:  f.timeouts.Load(),
 		Evictions: f.evicts.Load(),
 		Reforms:   f.reforms.Load(),
 		Crashes:   f.crashes.Load(),
-	}
-}
-
-// xfer is one queued transfer awaiting the link daemon; ready is the
-// sender's simulated clock at enqueue, every attempt's departure stamp.
-type xfer struct {
-	m     Frame
-	ready float64
-}
-
-// linkDaemon runs one directed link's acknowledged stop-and-wait
-// protocol: it owns the link's sequence counter, performs the
-// drop-aware delivery attempts, and retransmits on ack timeout. One
-// daemon per (group, directed link), spawned lazily on first use.
-type linkDaemon struct {
-	g        *Group
-	from, to int // virtual ranks within g
-	pf, pt   int // physical ranks (fabric index space)
-	q        chan xfer
-}
-
-// run drains the daemon's queue. Each message: assign the link's next
-// sequence number, then attempt delivery until acknowledged. Every
-// attempt is charged to the sender's traffic counters (dropped packets
-// consume wire bandwidth too); retransmissions beyond MaxRetries panic
-// — see FaultPlan.MaxRetries.
-func (d *linkDaemon) run() {
-	f := d.g.fab
-	done := d.g.done
-	li := f.linkIdx(d.pf, d.pt)
-	timeout := f.plan.retryTimeout()
-	maxRetries := f.plan.maxRetries()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		var x xfer
-		select {
-		case x = <-d.q:
-		case <-done:
-			// Group closed: queued transfers are dropped per the Close
-			// contract.
-			return
-		}
-		seq := f.seq[li]
-		f.seq[li] = seq + 1
-		delay := f.delayFor(d.pf, d.pt, seq)
-		// Stage the payload once, before the first delivery attempt. The
-		// sender's hand-off ends when the receiver consumes the first
-		// delivered copy — the sender may legally overwrite its buffer
-		// while a spurious retransmission is still pending — so no
-		// retransmission may read the original. Pool-owned payloads are
-		// already exclusive wire copies and become the staging buffer
-		// directly; sender-owned slices are copied exactly once, which is
-		// safe because anything that lets the sender overwrite them
-		// happens-after the first delivery, which happens-after this copy.
-		n := len(x.m.Data)
-		stage := x.m.pb
-		if stage == nil {
-			stage = d.g.acquire(n)
-			copy(stage.data, x.m.Data)
-		}
-		acked := false
-		for attempt := 0; !acked; attempt++ {
-			if attempt > maxRetries {
-				panic(fmt.Sprintf("comm: link %d→%d dead: message seq %d lost after %d retries",
-					d.pf, d.pt, seq, maxRetries))
-			}
-			if f.dropAttempt(d.pf, d.pt, seq, attempt) {
-				f.drops.Add(1)
-				d.g.charge(d.from, d.to, n)
-				if tk := f.linkTrack(d.pf, d.pt); tk != nil {
-					now := tk.Now()
-					tk.Span(obs.PhaseDrop, int32(seq), now, now)
-				}
-			} else {
-				// Every attempt ships its own pooled copy of the staging
-				// buffer: the consumed copy is released by the collective,
-				// duplicate copies by the receiver's dedup path — distinct
-				// buffers, so no double-release and no aliasing.
-				pb := d.g.acquire(n)
-				copy(pb.data, stage.data[:n])
-				d.g.deliver(d.from, d.to, Frame{Data: pb.data, pb: pb, Seq: seq + 1}, x.ready, delay)
-			}
-			// Await the ack (or a stale duplicate ack from an earlier
-			// spurious retransmission, which is drained and ignored).
-			sent := time.Now()
-			waitStart := obs.Stamp(0)
-			if tk := f.linkTrack(d.pf, d.pt); tk != nil {
-				waitStart = tk.Now()
-			}
-			deadline := false
-			timer.Reset(timeout)
-			for !acked && !deadline {
-				select {
-				case s := <-f.acks[li]:
-					if s >= seq {
-						acked = true
-					}
-				case <-timer.C:
-					deadline = true
-				case <-done:
-					// Group closed mid-delivery: abandon the transfer
-					// (the receiver is gone) and recycle the staging
-					// buffer.
-					d.g.releaseMsg(Frame{pb: stage})
-					return
-				}
-			}
-			if acked {
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				break
-			}
-			f.timeouts.Add(1)
-			f.retries.Add(1)
-			if tk := f.linkTrack(d.pf, d.pt); tk != nil {
-				tk.Span(obs.PhaseRetry, int32(seq), waitStart, waitStart+obs.Stamp(time.Since(sent)))
-			}
-		}
-		// The staging buffer (which is the original payload when that was
-		// pool-owned) is spent: every mailbox insertion was a fresh copy.
-		d.g.releaseMsg(Frame{pb: stage})
 	}
 }

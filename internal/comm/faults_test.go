@@ -6,7 +6,7 @@ import (
 )
 
 func TestParseFaultPlan(t *testing.T) {
-	plan, err := ParseFaultPlan("seed=7,drop=0.05,delay=0.1~0.02,slow=3:4,crash=5@8,burst=0>1@10+5,timeout=5ms,retries=9,evict=80ms")
+	plan, err := ParseFaultPlan("seed=7,drop=0.05,delay=0.1~0.02,slow=3:4,crash=5@8,burst=0>1@10+5,evict=80ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +22,8 @@ func TestParseFaultPlan(t *testing.T) {
 	if len(plan.Bursts) != 1 || plan.Bursts[0] != (Burst{From: 0, To: 1, Start: 10, N: 5}) {
 		t.Errorf("bursts = %v", plan.Bursts)
 	}
-	if plan.RetryTimeout != 5*time.Millisecond || plan.MaxRetries != 9 || plan.EvictAfter != 80*time.Millisecond {
-		t.Errorf("protocol knobs wrong: %+v", plan)
+	if plan.EvictAfter != 80*time.Millisecond {
+		t.Errorf("evict = %v, want 80ms", plan.EvictAfter)
 	}
 
 	// String must round-trip through the parser.
@@ -38,7 +38,8 @@ func TestParseFaultPlan(t *testing.T) {
 	if p, err := ParseFaultPlan(""); p != nil || err != nil {
 		t.Errorf("empty spec should be (nil, nil), got (%v, %v)", p, err)
 	}
-	for _, bad := range []string{"drop", "drop=x", "drop=1.5", "slow=3", "crash=5", "burst=0>1", "nope=1"} {
+	for _, bad := range []string{"drop", "drop=x", "drop=1.5", "slow=3", "crash=5", "burst=0>1", "nope=1",
+		"timeout=5ms", "retries=9"} {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("spec %q should fail to parse", bad)
 		}
@@ -54,18 +55,18 @@ func allreduceInSegments(g *Group, rank int, buf []float64, w int) {
 	}
 }
 
-// TestFaultyAllreduceCorrect: with per-attempt message drops active, the
-// acknowledged-delivery protocol must still complete every collective
-// with bitwise the fault-free result — faults cost retries, never bits.
+// TestFaultyAllreduceCorrect: with per-attempt message drops active,
+// every collective must still complete with bitwise the fault-free
+// result — faults cost traffic, never bits.
 func TestFaultyAllreduceCorrect(t *testing.T) {
-	var totalDrops, totalRetries int64
+	var totalDrops int64
 	for _, p := range []int{2, 4, 5} {
 		m := 37
 		orig, want := makeBufs(p, m, int64(900+p))
 
 		got := cloneBufs(orig)
 		g := NewGroup(p)
-		g.InjectFaults(&FaultPlan{Seed: 42, Drop: 0.3, RetryTimeout: 20 * time.Millisecond})
+		g.InjectFaults(&FaultPlan{Seed: 42, Drop: 0.3})
 		runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 8) })
 		g.Close()
 
@@ -77,15 +78,10 @@ func TestFaultyAllreduceCorrect(t *testing.T) {
 				}
 			}
 		}
-		st := g.Stats()
-		totalDrops += st.Faults.Drops
-		totalRetries += st.Faults.Retries
+		totalDrops += g.Stats().Faults.Drops
 	}
 	if totalDrops == 0 {
 		t.Error("drop=0.3 runs recorded no drops at all")
-	}
-	if totalRetries == 0 {
-		t.Error("dropped messages recorded no retries")
 	}
 }
 
@@ -97,7 +93,7 @@ func TestFaultDeterminism(t *testing.T) {
 		orig, _ := makeBufs(p, m, 77)
 		got := cloneBufs(orig)
 		g := NewGroup(p)
-		g.InjectFaults(&FaultPlan{Seed: seed, Drop: 0.2, RetryTimeout: 20 * time.Millisecond})
+		g.InjectFaults(&FaultPlan{Seed: seed, Drop: 0.2})
 		runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 16) })
 		g.Close()
 		return g.Stats().Faults
@@ -106,72 +102,72 @@ func TestFaultDeterminism(t *testing.T) {
 	if a.Drops != b.Drops {
 		t.Errorf("same plan, different drop counts: %d vs %d", a.Drops, b.Drops)
 	}
-	if c := run(12); c.Drops == a.Drops && c.Retries == a.Retries {
+	if c := run(12); c.Drops == a.Drops {
 		t.Logf("note: seeds 11 and 12 coincidentally matched (%+v)", c)
 	}
 }
 
 // TestRetryAccountingProperty: replaying the plan's drop hash over every
-// link's consumed sequence range predicts the retransmission counters.
-// Every message must survive its leading dropped attempts, so the
-// replayed count is an exact lower bound; spurious ack timeouts (a
-// receiver descheduled past the window) add retransmissions — and those
-// extra attempts can themselves be dropped — so both counters get a
-// bounded upward slack.
+// link's consumed sequence range predicts the fault counters exactly.
+// Each message's fate is decided at its send — its leading dropped
+// attempts, then one delivered copy — so Drops is the replayed count,
+// and every dropped attempt adds its words and one message to the
+// fault-free traffic.
 func TestRetryAccountingProperty(t *testing.T) {
-	p, m := 4, 128
-	plan := &FaultPlan{Seed: 31, Drop: 0.3, RetryTimeout: 120 * time.Millisecond}
-	orig, _ := makeBufs(p, m, 13)
-	got := cloneBufs(orig)
-	g := NewGroup(p)
-	g.InjectFaults(plan)
-	for round := 0; round < 3; round++ {
-		runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 16) })
+	const p, m, w = 4, 128, 16
+	run := func(plan *FaultPlan) *Group {
+		orig, _ := makeBufs(p, m, 13)
+		got := cloneBufs(orig)
+		g := NewGroup(p)
+		g.InjectFaults(plan)
+		for round := 0; round < 3; round++ {
+			runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], w) })
+		}
+		g.Close()
+		return g
 	}
-	g.Close()
+	clean := run(nil).Stats()
+	if clean.Words != w*clean.Messages {
+		t.Fatalf("fault-free run moved %d words in %d messages, want %d-word messages", clean.Words, clean.Messages, w)
+	}
+	g := run(&FaultPlan{Seed: 31, Drop: 0.3})
 
-	var wantDrops, wantRetries int64
+	var wantDrops int64
 	fab := g.fab
 	for from := 0; from < p; from++ {
 		for to := 0; to < p; to++ {
-			li := fab.linkIdx(from, to)
-			for seq := int64(0); seq < fab.seq[li]; seq++ {
-				attempt := 0
-				for fab.dropAttempt(from, to, seq, attempt) {
+			for seq := int64(0); seq < fab.seq[fab.linkIdx(from, to)].Load(); seq++ {
+				for attempt := 0; fab.dropAttempt(from, to, seq, attempt); attempt++ {
 					wantDrops++
-					wantRetries++
-					attempt++
 				}
 			}
 		}
 	}
-	st := g.Stats().Faults
-	slack := wantRetries/4 + 4
-	if st.Drops < wantDrops || st.Drops > wantDrops+slack {
-		t.Errorf("Drops = %d, hash replay predicts %d (exact lower bound, slack %d)",
-			st.Drops, wantDrops, slack)
+	st := g.Stats()
+	if wantDrops == 0 {
+		t.Fatal("drop=0.3 plan replays no drops")
 	}
-	if st.Retries < wantRetries || st.Retries > wantRetries+slack {
-		t.Errorf("Retries = %d, hash replay predicts %d (exact lower bound, slack %d)",
-			st.Retries, wantRetries, slack)
+	if st.Faults.Drops != wantDrops {
+		t.Errorf("Drops = %d, hash replay predicts %d", st.Faults.Drops, wantDrops)
 	}
-	if st.Timeouts != st.Retries {
-		t.Errorf("stop-and-wait must map timeouts 1:1 onto retries: %d timeouts, %d retries",
-			st.Timeouts, st.Retries)
+	if want := clean.Words + w*wantDrops; st.Words != want {
+		t.Errorf("Words = %d, want fault-free %d + %d dropped words = %d", st.Words, clean.Words, w*wantDrops, want)
+	}
+	if want := clean.Messages + wantDrops; st.Messages != want {
+		t.Errorf("Messages = %d, want fault-free %d + %d dropped = %d", st.Messages, clean.Messages, wantDrops, want)
 	}
 }
 
 // TestDropBurst: a scheduled outage drops the first attempt of each
-// sequence in its window; the retry machinery rides it out.
+// sequence in its window; the resend passes.
 func TestDropBurst(t *testing.T) {
 	p, m := 2, 40
 	orig, want := makeBufs(p, m, 14)
 	got := cloneBufs(orig)
 	g := NewGroup(p)
 	g.InjectFaults(&FaultPlan{
-		Seed:         1,
-		Bursts:       []Burst{{From: 1, To: 0, Start: 0, N: 3}},
-		RetryTimeout: 10 * time.Millisecond,
+		Seed:   1,
+		Bursts: []Burst{{From: 1, To: 0, Start: 0, N: 3}},
 	})
 	runGroup(p, g, func(rank int) { allreduceInSegments(g, rank, got[rank], 8) })
 	g.Close()
@@ -182,14 +178,8 @@ func TestDropBurst(t *testing.T) {
 			}
 		}
 	}
-	st := g.Stats().Faults
-	// A burst only ever drops first attempts, so the drop count is exact;
-	// retries get slack for spurious ack timeouts under a loaded scheduler.
-	if st.Drops != 3 {
+	if st := g.Stats().Faults; st.Drops != 3 {
 		t.Errorf("burst of 3 sequences recorded %d drops, want exactly 3", st.Drops)
-	}
-	if st.Retries < 3 || st.Retries > 6 {
-		t.Errorf("burst recovery recorded %d retries, want 3 (+ spurious-timeout slack)", st.Retries)
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 
 // mailboxCap is the minimum per-directed-link buffering every
 // transport must provide (the channel fabric's per-(sender, receiver)
-// channel capacity, the TCP backend's per-link inbox capacity); the
-// fault route sizes its per-link queues and ack channels from it too.
+// channel capacity, the TCP backend's per-link inbox capacity).
 //
 // Deadlock-freedom argument: every collective is a fixed schedule of
 // sends and receives that both endpoints of a pair walk in the same
@@ -51,13 +50,6 @@ type Group struct {
 	bar      *Barrier
 	pool     *bufPool // payload recycling, shared with the transport when it owns one
 
-	// done is closed by Close: it unblocks link daemons (including their
-	// ack waits) and fault-path sends still queueing behind them, making
-	// Close safe against in-flight traffic. closed makes Close
-	// idempotent under concurrent calls.
-	done   chan struct{}
-	closed atomic.Bool
-
 	// stats holds the per-rank traffic/timing counters behind Stats()
 	// and WordsSent() — see stats.go for the accounting rules.
 	stats []rankStats
@@ -74,17 +66,11 @@ type Group struct {
 	tracer  *obs.Tracer
 	traceOn bool
 
-	// Fault-injection state (nil/false without an attached FaultPlan).
-	// fab is the shared fabric — sequence counters, ack channels, fault
-	// counters — which outlives this group when the membership layer
-	// re-forms smaller groups; it is indexed by transport rank.
-	// faultRoute is true when the plan actually perturbs the data plane,
-	// in which case every point-to-point transfer runs through a
-	// per-directed-link daemon doing acknowledged stop-and-wait delivery.
-	fab        *faultFabric
-	faultRoute bool
-	dMu        sync.Mutex
-	daemons    map[int]*linkDaemon
+	// fab is the fault fabric (nil without an attached FaultPlan): the
+	// per-link sequence numbers and fault counters, indexed by transport
+	// rank, which outlive this group when the membership layer re-forms
+	// smaller groups.
+	fab *faultFabric
 }
 
 // NewGroup returns a group of p learners with no time simulation.
@@ -133,7 +119,7 @@ func NewTransportGroup(tr Transport, phys []int, clocks []Clock, cost CostModel)
 		tr = newSimTransport(tr, phys, clocks, cost)
 	}
 	g := &Group{p: p, tr: tr, tree: newTree(ranks), trMap: phys,
-		bar: NewBarrier(p), done: make(chan struct{}), stats: make([]rankStats, p)}
+		bar: NewBarrier(p), stats: make([]rankStats, p)}
 	// A Resilient shares one decorated transport across its views.
 	base := tr
 	if s, ok := tr.(*simTransport); ok {
@@ -173,98 +159,50 @@ func (g *Group) Send(from, to int, data []float64) {
 }
 
 // sendMsg is the internal send. m.pb marks pool-owned payloads the
-// receiver must release.
+// receiver must release. Under a fault plan the message's fate is
+// decided here, before the transport sees it: every attempt the plan
+// drops is charged like a delivered one, and the one frame sent carries
+// the plan's delay into simulated time. Running the accounting and the
+// fault plan above the transport is what makes every backend carry
+// identical Stats and FaultPlan behavior.
 func (g *Group) sendMsg(from, to int, m Frame) {
 	g.checkRank(from)
 	g.checkRank(to)
-	if g.faultRoute && from != to {
-		// The daemon sends from its own goroutine: the departure stamp
-		// is the sender's clock now. Selecting on done keeps a sender
-		// parked behind a stopped daemon's full queue from hanging (or
-		// panicking on a closed channel) when Close races the send.
-		x := xfer{m: m}
-		if g.sim != nil {
-			x.ready = g.sim.now(g.trRank(from))
+	pf, pt := g.trRank(from), g.trRank(to)
+	var delay float64
+	if g.fab != nil && from != to {
+		var drops int
+		drops, delay = g.fab.fate(pf, pt)
+		for range drops {
+			g.charge(from, to, len(m.Data))
 		}
-		select {
-		case g.daemon(from, to).q <- x:
-		case <-g.done:
-		}
-		return
 	}
-	g.charge(from, to, len(m.Data))
-	g.tr.Send(g.trRank(from), g.trRank(to), m)
-}
-
-// deliver is one delivery attempt of a link daemon: charge the sender
-// and hand the frame to the transport, on a simulated group departing
-// no earlier than ready with delay seconds of injected latency. Running
-// the accounting and the fault daemons above the transport is what makes
-// every backend carry identical Stats and FaultPlan behavior.
-func (g *Group) deliver(from, to int, m Frame, ready, delay float64) {
 	g.charge(from, to, len(m.Data))
 	if g.sim != nil {
-		g.sim.sendAt(g.trRank(from), g.trRank(to), m, ready, delay)
+		g.sim.sendAt(pf, pt, m, delay)
 		return
 	}
-	g.tr.Send(g.trRank(from), g.trRank(to), m)
+	g.tr.Send(pf, pt, m)
 }
 
-// daemon returns (lazily starting) the stop-and-wait daemon for the
-// directed virtual link from→to.
-func (g *Group) daemon(from, to int) *linkDaemon {
-	key := from*g.p + to
-	g.dMu.Lock()
-	defer g.dMu.Unlock()
-	d, ok := g.daemons[key]
-	if !ok {
-		d = &linkDaemon{
-			g: g, from: from, to: to,
-			pf: g.trRank(from), pt: g.trRank(to),
-			q: make(chan xfer, 2*mailboxCap),
-		}
-		g.daemons[key] = d
-		go d.run()
-	}
-	return d
-}
-
-// attachFaults wires the group into a fault fabric over the transport's
-// ranks. Call before any communication.
-func (g *Group) attachFaults(fab *faultFabric) {
-	g.fab = fab
-	g.faultRoute = fab != nil && fab.plan.linkFaultsActive()
-	if g.faultRoute {
-		g.daemons = make(map[int]*linkDaemon)
-	}
-}
-
-// InjectFaults activates a fault plan on this standalone group: drops,
-// delays and the acknowledged-delivery protocol per the plan, over the
-// transport's ranks. The injected fault counters appear in
-// Stats().Faults. For crash/eviction-tolerant runs use NewResilient,
-// which shares one fabric across re-formed groups.
+// InjectFaults activates a fault plan on this standalone group: drops
+// and delays per the plan, over the transport's ranks. The injected
+// fault counters appear in Stats().Faults. For crash/eviction-tolerant
+// runs use NewResilient, which shares one fabric across re-formed
+// groups.
 func (g *Group) InjectFaults(plan *FaultPlan) {
 	if plan == nil {
 		return
 	}
-	g.attachFaults(newFaultFabric(g.tr.Size(), plan, g.tracer))
+	g.fab = newFaultFabric(g.tr.Size(), plan, g.tracer)
 }
 
-// Close shuts the group down: stops the link daemons, unblocks any
-// fault-path send still queueing behind them, and closes the group's
-// transport (idempotent on every backend, so groups sharing a
-// transport — re-formed survivor views — may each close it).
-// Idempotent and safe to call concurrently with in-flight sends, which
-// are dropped: call after all collectives have completed, or accept
-// that transfers in flight at Close are lost.
-func (g *Group) Close() {
-	if !g.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(g.done)
-	g.tr.Close()
-}
+// Close closes the group's transport (idempotent on every backend, so
+// groups sharing a transport — re-formed survivor views — may each
+// close it). Safe to call concurrently with in-flight sends, which are
+// dropped: call after all collectives have completed, or accept that
+// transfers in flight at Close are lost.
+func (g *Group) Close() { g.tr.Close() }
 
 // Recv blocks until a message from learner `from` arrives at learner
 // `to` and returns the payload (on a simulated group, to's clock has
@@ -274,20 +212,12 @@ func (g *Group) Recv(to, from int) []float64 {
 }
 
 // recvMsg is the internal receive; collectives use it to get the pool
-// ownership marker alongside the payload.
+// ownership marker alongside the payload. With a tracer attached the
+// blocking time is accumulated into the receiving rank's mailbox-wait
+// counter; untraced groups skip the clock reads.
 func (g *Group) recvMsg(to, from int) Frame {
 	g.checkRank(from)
 	g.checkRank(to)
-	if g.faultRoute && from != to {
-		return g.recvReliable(to, from)
-	}
-	return g.recvFrame(to, from)
-}
-
-// recvFrame takes the link's next frame off the transport. With a tracer
-// attached the blocking time is accumulated into the receiving rank's
-// mailbox-wait counter; untraced groups skip the clock reads.
-func (g *Group) recvFrame(to, from int) Frame {
 	if !g.traceOn {
 		return g.tr.Recv(g.trRank(to), g.trRank(from))
 	}
@@ -295,32 +225,6 @@ func (g *Group) recvFrame(to, from int) Frame {
 	m := g.tr.Recv(g.trRank(to), g.trRank(from))
 	g.stats[to].mailboxWaitNs.Add(time.Since(t0).Nanoseconds())
 	return m
-}
-
-// recvReliable is the receive side of the acknowledged-delivery
-// protocol: consume mailbox messages, discard duplicates left behind by
-// spurious retransmissions (re-acknowledging them so the accounting
-// stays honest), acknowledge the first copy of the expected sequence
-// number on consumption, and return it. The link's dedup cursor is
-// written only by the goroutine currently driving the receiving rank,
-// which under bulk-synchronous collectives is never concurrent with
-// itself — including across group re-formations, whose boundaries are
-// synchronization points.
-func (g *Group) recvReliable(to, from int) Frame {
-	fab := g.fab
-	li := fab.linkIdx(g.trRank(from), g.trRank(to))
-	for {
-		m := g.recvFrame(to, from)
-		seq := m.Seq - 1 // wire stamps are seq+1 so the zero value is never a valid stamp
-		if seq < fab.expect[li] {
-			fab.acks[li] <- seq
-			g.releaseMsg(m)
-			continue
-		}
-		fab.expect[li] = seq + 1
-		fab.acks[li] <- seq
-		return m
-	}
 }
 
 func (g *Group) checkRank(r int) {

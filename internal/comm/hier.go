@@ -18,8 +18,8 @@ import "fmt"
 // Running on the owning Group (subset schedules, not sub-Groups) keeps
 // every property of the fabric intact: pooled zero-alloc transfer
 // buffers, per-directed-link serialization in the time simulation,
-// traffic accounting, and — critically — the fault-injection link
-// daemons, which are keyed by the group's rank space.
+// traffic accounting, and — critically — the fault plan's per-link
+// drop decisions, which are keyed by the group's transport ranks.
 //
 // Determinism: both sub-collectives are the dense engine of dense.go
 // run over a binomial schedule laid on a member list — an island's, or

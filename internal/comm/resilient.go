@@ -81,6 +81,11 @@ type Resilient struct {
 	heart     []int // heart[phys] = highest sync point posted (-1 = none)
 	live      []bool
 	waitSince map[int]time.Time // sync point → first waiter's arrival
+	// alignPt is the latest sync point whose clock alignment has been
+	// taken, alignAt that alignment: the live maximum when the first
+	// waiter saw the point complete, which every waiter of it syncs to.
+	alignPt   int
+	alignAt   float64
 	view      View
 	groups    []*Group // every group ever formed; closed at Close
 	evictions []Eviction
@@ -102,11 +107,10 @@ func NewResilient(p int, plan *FaultPlan, clocks []Clock, cost CostModel, tracer
 // NewResilientOver is NewResilient on an explicit wire transport: every
 // membership view — the initial full group and each survivor re-form —
 // is built over the same mesh, with the view's physical ranks
-// addressing the transport's rank space directly. Stale
-// retransmissions from a pre-eviction view arrive on the same wire
-// links and are discarded by the fabric's per-link dedup cursors,
-// exactly as on the channel fabric. The transport must host every rank
-// in this process: the heartbeat ledger is shared memory.
+// addressing the transport's rank space directly, and the fault
+// fabric's per-link sequence numbers running on across views. The
+// transport must host every rank in this process: the heartbeat ledger
+// is shared memory.
 func NewResilientOver(tr Transport, plan *FaultPlan, clocks []Clock, cost CostModel, tracer *obs.Tracer) *Resilient {
 	if !isAllLocal(tr) {
 		panic("comm: NewResilientOver needs an all-local transport (the membership ledger is in-process)")
@@ -131,6 +135,7 @@ func NewResilientOver(tr Transport, plan *FaultPlan, clocks []Clock, cost CostMo
 		heart:     make([]int, p),
 		live:      make([]bool, p),
 		waitSince: map[int]time.Time{},
+		alignPt:   -1,
 	}
 	for i := range r.heart {
 		r.heart[i] = -1
@@ -157,7 +162,7 @@ func (r *Resilient) formGroup(phys []int) *Group {
 	}
 	g := NewTransportGroup(r.tr, phys, nil, nil)
 	g.SetTracer(r.tracer)
-	g.attachFaults(r.fab)
+	g.fab = r.fab
 	r.groups = append(r.groups, g)
 	return g
 }
@@ -228,10 +233,16 @@ func (r *Resilient) Await(phys, syncPt int) (View, bool) {
 			}
 		}
 		if complete {
-			// Bulk-synchronous clock alignment: every live rank is parked
-			// at this sync point, so the max over their clocks is final.
+			// Bulk-synchronous clock alignment: when the first waiter sees
+			// the point complete every live rank is parked at it, so the
+			// max over their clocks is final then — and only then, as a
+			// waiter that leaves first may charge its next interval before
+			// a peer wakes from its poll. Every waiter takes that max.
 			if r.clocks != nil {
-				r.clocks[phys].Sync(r.liveClockMax())
+				if r.alignPt != syncPt {
+					r.alignPt, r.alignAt = syncPt, r.liveClockMax()
+				}
+				r.clocks[phys].Sync(r.alignAt)
 			}
 			if r.hbTrack != nil {
 				r.hbTrack.Span(obs.PhaseHeartbeat, int32(phys), hbStart, r.hbTrack.Now())
@@ -318,8 +329,8 @@ func (r *Resilient) Stats() Stats {
 	return s
 }
 
-// Close stops every group's link daemons. Call once, after all
-// learners have finished.
+// Close closes every group the run has formed (and so the shared
+// transport). Call once, after all learners have finished.
 func (r *Resilient) Close() {
 	r.mu.Lock()
 	groups := r.groups

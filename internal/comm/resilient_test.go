@@ -197,16 +197,15 @@ func TestAwaitAlignsClocks(t *testing.T) {
 	}
 }
 
-// TestResilientWithLinkFaults: membership re-formation and the
-// acknowledged-delivery link protocol compose — survivors complete a
-// dropped-message collective on the re-formed group.
+// TestResilientWithLinkFaults: membership re-formation and send-time
+// drops compose — survivors complete a dropped-message collective on
+// the re-formed group.
 func TestResilientWithLinkFaults(t *testing.T) {
 	const p = 4
 	plan := &FaultPlan{
-		Seed:         9,
-		Drop:         0.2,
-		RetryTimeout: 15 * time.Millisecond,
-		EvictAfter:   60 * time.Millisecond,
+		Seed:       9,
+		Drop:       0.2,
+		EvictAfter: 60 * time.Millisecond,
 	}
 	r := NewResilient(p, plan, nil, nil, nil)
 	defer r.Close()

@@ -21,9 +21,7 @@ import "sync"
 // computes on — and endOp returns where it finished. A rank's clocks are
 // touched only by the goroutine driving the rank. A link's lock covers
 // its drain time, the stamp and the frame's hand-off together, so
-// concurrent senders on one link (a fault daemon retransmitting for an
-// earlier membership view, and the current view's sender) queue stamps
-// in frame order.
+// concurrent senders on one link queue stamps in frame order.
 type simTransport struct {
 	Transport
 	p      int
@@ -70,25 +68,22 @@ func (s *simTransport) now(r int) float64 {
 	return s.clocks[r].Now()
 }
 
-func (s *simTransport) Send(from, to int, f Frame) { s.sendAt(from, to, f, s.now(from), 0) }
+func (s *simTransport) Send(from, to int, f Frame) { s.sendAt(from, to, f, 0) }
 
-// sendAt is Send departing no earlier than ready with extra seconds of
-// latency: a fault daemon sends from its own goroutine, with the stamp
-// its sender's clock read at enqueue and the plan's delay.
-func (s *simTransport) sendAt(from, to int, f Frame, ready, extra float64) {
+// sendAt is Send with extra seconds of in-network latency: a fault
+// plan's delay.
+func (s *simTransport) sendAt(from, to int, f Frame, extra float64) {
 	l := &s.links[from*s.p+to]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.linkFree = max(ready, l.linkFree) + s.cost.XferTime(from, to, len(f.Data)) + extra
+	l.linkFree = max(s.now(from), l.linkFree) + s.cost.XferTime(from, to, len(f.Data)) + extra
 	l.qmu.Lock()
 	l.stamps = append(l.stamps, l.linkFree)
 	l.qmu.Unlock()
 	s.Transport.Send(from, to, f)
 }
 
-// Recv syncs the receiver to the frame's arrival. A duplicate the fault
-// route discards syncs too; the link's next frame departs after it
-// drained, so the clock ends where it would have.
+// Recv syncs the receiver to the frame's arrival.
 func (s *simTransport) Recv(to, from int) Frame {
 	f := s.Transport.Recv(to, from)
 	l := &s.links[from*s.p+to]

@@ -6,9 +6,8 @@ import (
 )
 
 // TestSimulatedLinkKeepsStampOrder: two goroutines send on one directed
-// link at once — a fault daemon still retransmitting for an earlier
-// membership view and the current view's sender do — and the stamp FIFO
-// must pair every frame with its own arrival. With every departure at 0
+// link at once, and the stamp FIFO must pair every frame with its own
+// arrival. With every departure at 0
 // and one simulated second per word, the n-th arrival is the total size
 // of the first n frames in link order, so after each receive the
 // receiver's clock must equal the words it has received so far; a stamp
@@ -25,7 +24,7 @@ func TestSimulatedLinkKeepsStampOrder(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
 				words := 1 + (i*7+sender*3)%11 // uneven sizes, different per sender
-				s.sendAt(0, 1, Frame{Data: make([]float64, words)}, 0, 0)
+				s.Send(0, 1, Frame{Data: make([]float64, words)})
 			}
 		}(sender)
 	}

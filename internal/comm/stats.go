@@ -130,15 +130,11 @@ type AlgoStats struct {
 }
 
 // FaultStats are the fault-injection and membership counters of a run.
-// All-zero without an attached FaultPlan. Drops and Retries come from
-// the link daemons (dropped delivery attempts, and ack-timeout
-// retransmissions — Timeouts counts the expiries, which the
-// stop-and-wait protocol maps 1:1 onto retransmissions); Evictions,
-// Reforms and Crashes come from the membership ledger.
+// All-zero without an attached FaultPlan. Drops come from the sends
+// (dropped delivery attempts, each resent once); Evictions, Reforms and
+// Crashes come from the membership ledger.
 type FaultStats struct {
 	Drops     int64 `json:"drops"`     // injected message-drop events (per delivery attempt)
-	Retries   int64 `json:"retries"`   // retransmissions after an ack timeout
-	Timeouts  int64 `json:"timeouts"`  // ack-timeout expiries
 	Evictions int64 `json:"evictions"` // ranks evicted by the failure detector
 	Reforms   int64 `json:"reforms"`   // survivor group re-formations
 	Crashes   int64 `json:"crashes"`   // scheduled learner crashes executed
@@ -147,14 +143,11 @@ type FaultStats struct {
 // Sum returns the total event count, the delta signal the metrics fleet
 // collector uses to emit fault events exactly when something happened.
 func (f FaultStats) Sum() int64 {
-	return f.Drops + f.Retries + f.Timeouts + f.Evictions + f.Reforms + f.Crashes
+	return f.Drops + f.Evictions + f.Reforms + f.Crashes
 }
 
 // Active reports whether any fault or membership event occurred.
-func (f FaultStats) Active() bool {
-	return f.Drops != 0 || f.Retries != 0 || f.Timeouts != 0 ||
-		f.Evictions != 0 || f.Reforms != 0 || f.Crashes != 0
-}
+func (f FaultStats) Active() bool { return f != FaultStats{} }
 
 // Stats is a snapshot of the group's communication counters. Safe to
 // take mid-run (atomics only); exact once the learners have quiesced.
@@ -353,8 +346,8 @@ func (s Stats) String() string {
 			s.BucketOps, s.QueueDwell, s.WorkerBusy, s.PipelineOccupancy)
 	}
 	if f := s.Faults; f.Active() {
-		out += fmt.Sprintf("faults: %d drops, %d retries, %d timeouts, %d crashes, %d evictions, %d re-forms\n",
-			f.Drops, f.Retries, f.Timeouts, f.Crashes, f.Evictions, f.Reforms)
+		out += fmt.Sprintf("faults: %d drops, %d crashes, %d evictions, %d re-forms\n",
+			f.Drops, f.Crashes, f.Evictions, f.Reforms)
 	}
 	return out
 }

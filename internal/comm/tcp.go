@@ -27,8 +27,7 @@ import (
 // stretch of compute does not leave the frame waiting in its run queue
 // for another processor to steal. The lock is the whole of per-link
 // ordering: one sender's frames reach the socket in its send order, and
-// concurrent senders (a learner and its fault daemons) interleave whole
-// frames.
+// concurrent senders interleave whole frames.
 //
 // What is copied where. The byte format is package wire's; on a
 // little-endian host a payload's memory already is its encoding, so a
@@ -36,7 +35,7 @@ import (
 // a staging copy:
 //
 //   - Writer, frame of at least wireBufSize bytes: header into a fixed
-//     24-byte array, one CRC pass over the payload where it lies (the
+//     16-byte array, one CRC pass over the payload where it lies (the
 //     learner's buffer or a pooled one), then one writev of
 //     {header, payload, CRC trailer}. The kernel's copy into the socket
 //     buffer is the only copy.
@@ -58,9 +57,9 @@ import (
 //
 // Validation order is bounds → CRC → fields. The length, magic and
 // nwords checks need no trust in the sender and run before any buffer is
-// sized from them; From/To/Seq are read only once the trailer has
-// matched, because a flipped bit there would otherwise misroute or
-// reorder a frame silently. (No simulated time is sent: simulation is
+// sized from them; From/To are read only once the trailer has matched,
+// because a flipped bit there would otherwise misroute a frame
+// silently. (No simulated time is sent: simulation is
 // all-local, sim.go.) A payload that fails its CRC has already
 // been written into a pooled buffer — harmless, the buffer goes back to
 // the pool undelivered and the link fails.
@@ -439,7 +438,7 @@ func (t *TCPTransport) Send(from, to int, f Frame) {
 	// Checked under the lock: the closer half-closes under it too, so a
 	// frame is never written behind CloseWrite.
 	if !t.closing() {
-		l.w.frame(wire.Header{From: from, To: to, Seq: f.Seq}, f.Data)
+		l.w.frame(wire.Header{From: from, To: to}, f.Data)
 		l.w.flush()
 	}
 	l.mu.Unlock()
@@ -589,7 +588,7 @@ func (t *TCPTransport) readFrame(rd *wire.Reader, from, to int) (Frame, error) {
 	}
 	t.bytesIn.Add(int64(wire.FrameLen(w)))
 	t.framesIn.Add(1)
-	return Frame{Data: pb.data, pb: pb, Seq: h.Seq}, nil
+	return Frame{Data: pb.data, pb: pb}, nil
 }
 
 func (t *TCPTransport) closing() bool {

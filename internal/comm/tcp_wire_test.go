@@ -52,7 +52,7 @@ func TestTCPReaderLargeFrameCorruption(t *testing.T) {
 	for i := range payload {
 		payload[i] = math.Float64frombits(0x0102030405060708 * uint64(i+1))
 	}
-	good := wire.AppendFrame(nil, wire.Header{From: from, To: to, Seq: 3}, payload)
+	good := wire.AppendFrame(nil, wire.Header{From: from, To: to}, payload)
 	class := sizeClass(words)
 
 	cases := []struct {
@@ -63,10 +63,12 @@ func TestTCPReaderLargeFrameCorruption(t *testing.T) {
 	}{
 		{"pristine", func(b []byte) []byte { return b }, nil, true},
 		{"payload bit", func(b []byte) []byte { b[wire.HeaderLen+2*wireBufSize+5] ^= 0x20; return b }, wire.ErrBadCRC, true},
-		{"header seq bit", func(b []byte) []byte { b[14] ^= 0x01; return b }, wire.ErrBadCRC, true},
+		// Bytes 16–19 held the SGD2 layout's seq; they are payload now.
+		{"header seq bit", func(b []byte) []byte { b[18] ^= 0x01; return b }, wire.ErrBadCRC, true},
+		{"header from bit", func(b []byte) []byte { b[8] ^= 0x01; return b }, wire.ErrBadCRC, true},
 		{"header to bit", func(b []byte) []byte { b[10] ^= 0x01; return b }, wire.ErrBadCRC, true},
 		{"trailer bit", func(b []byte) []byte { b[len(b)-2] ^= 0x08; return b }, wire.ErrBadCRC, true},
-		{"header nwords bit", func(b []byte) []byte { b[21] ^= 0x01; return b }, wire.ErrLengthMismatch, false},
+		{"header nwords bit", func(b []byte) []byte { b[13] ^= 0x01; return b }, wire.ErrLengthMismatch, false},
 		{"truncated mid-payload", func(b []byte) []byte { return b[:wire.HeaderLen+wireBufSize+100] }, io.ErrUnexpectedEOF, true},
 	}
 	for _, tc := range cases {
@@ -95,8 +97,8 @@ func TestTCPReaderLargeFrameCorruption(t *testing.T) {
 				if ws.BytesIn != int64(len(good)) || ws.FramesIn != 1 {
 					t.Errorf("delivered frame counted as %+v, want %d bytes in 1 frame", ws, len(good))
 				}
-				if f.Seq != 3 || len(f.Data) != words {
-					t.Fatalf("delivered frame: seq %d, %d words", f.Seq, len(f.Data))
+				if len(f.Data) != words {
+					t.Fatalf("delivered frame: %d words", len(f.Data))
 				}
 				for i := range payload {
 					if math.Float64bits(f.Data[i]) != math.Float64bits(payload[i]) {
@@ -313,7 +315,7 @@ func TestTCPInlineWriteKeepsSenderOrder(t *testing.T) {
 				}
 				data := make([]float64, words)
 				data[0], data[1] = float64(s), float64(i)
-				tr.Send(0, 1, Frame{Data: data, Seq: int64(i)})
+				tr.Send(0, 1, Frame{Data: data})
 				sent.Add(1)
 			}
 		}(s)
@@ -328,8 +330,8 @@ func TestTCPInlineWriteKeepsSenderOrder(t *testing.T) {
 		}
 		f := tr.Recv(1, 0)
 		s, i := int(f.Data[0]), int(f.Data[1])
-		if i != next[s] || f.Seq != int64(i) {
-			t.Fatalf("frame %d: sender %d's frame %d (seq %d) arrived where its frame %d was due", got, s, i, f.Seq, next[s])
+		if i != next[s] {
+			t.Fatalf("frame %d: sender %d's frame %d arrived where its frame %d was due", got, s, i, next[s])
 		}
 		next[s]++
 		tr.pool.release(f.pb)

@@ -6,18 +6,15 @@ import (
 )
 
 // Frame is one point-to-point transfer between learners — the unit a
-// Transport moves. It carries no time (sim.go keeps arrivals beside
-// it). Seq is zero on the direct (fault-free) path; under an active
-// fault plan the link daemons stamp each wire copy with the link's
-// sequence number plus one, which the receiver uses to deduplicate
-// spurious retransmissions (see faults.go). pb is non-nil when the
+// Transport moves: the payload alone. It carries no time (sim.go keeps
+// arrivals beside it) and no sequence number (a fault plan decides each
+// message's fate before it is sent, faults.go). pb is non-nil when the
 // payload is owned by the buffer pool, in which case the consumer must
 // release it after reading the data — the receiving collective on a
 // local backend, the serializer on a wire backend (which ships the bytes
 // and recycles the buffer).
 type Frame struct {
 	Data []float64
-	Seq  int64
 	pb   *poolBuf
 }
 
@@ -31,10 +28,10 @@ type Frame struct {
 // frames on different links may interleave arbitrarily.
 //
 // Everything above the transport is rank-space logic: the Group charges
-// traffic statistics and runs the fault-plan link daemons (drops,
-// delays, ack/retry) *before* handing a frame to Send, so FaultPlan
-// routing and Stats accounting hold identically on every backend — the
-// cross-transport equivalence suite pins this. Simulated time is a
+// traffic statistics and decides the fault plan's drops and delays
+// *before* handing a frame to Send, so FaultPlan behavior and Stats
+// accounting hold identically on every backend — the cross-transport
+// equivalence suite pins this. Simulated time is a
 // decorator over an all-local Transport (sim.go).
 type Transport interface {
 	// Size returns the number of ranks the transport connects.

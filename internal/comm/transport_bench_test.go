@@ -85,7 +85,7 @@ func BenchmarkTransportFrameLatency(b *testing.B) {
 			go func() { // echo peer: bounce every ping straight back
 				for {
 					f := tr.Recv(1, 0)
-					if f.Seq < 0 { // shutdown sentinel
+					if f.Data[0] < 0 { // shutdown sentinel
 						release(f)
 						return
 					}
@@ -96,19 +96,19 @@ func BenchmarkTransportFrameLatency(b *testing.B) {
 			lat := make([]time.Duration, 0, b.N)
 			// Warm the path (connection buffers, pools) before timing.
 			for i := 0; i < 100; i++ {
-				tr.Send(0, 1, Frame{Data: ping, Seq: int64(i)})
+				tr.Send(0, 1, Frame{Data: ping})
 				release(tr.Recv(0, 1))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				tr.Send(0, 1, Frame{Data: ping, Seq: int64(i)})
+				tr.Send(0, 1, Frame{Data: ping})
 				f := tr.Recv(0, 1)
 				lat = append(lat, time.Since(t0)/2)
 				release(f)
 			}
 			b.StopTimer()
-			tr.Send(0, 1, Frame{Data: ping, Seq: -1}) // stop the echo peer
+			tr.Send(0, 1, Frame{Data: []float64{-1}}) // stop the echo peer
 			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 			if len(lat) > 0 {
 				b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns")

@@ -8,9 +8,9 @@ import (
 
 // frameSeeds is the byte-stream corpus the decode fuzz targets share:
 // empty and short streams, valid frames, a bit flip, a truncation, a
-// hostile length and a frame in the previous ("SGD1") layout.
+// hostile length and a frame in each earlier ("SGD1", "SGD2") layout.
 func frameSeeds() [][]byte {
-	flipped := AppendFrame(nil, Header{From: 7, To: 0, Seq: 1}, []float64{42})
+	flipped := AppendFrame(nil, Header{From: 7, To: 0}, []float64{42})
 	flipped[17] ^= 0x01
 	truncated := AppendFrame(nil, Header{}, []float64{1, 2, 3, 4})
 	huge := make([]byte, PrefixLen)
@@ -19,11 +19,12 @@ func frameSeeds() [][]byte {
 		{},
 		{1, 2, 3},
 		AppendFrame(nil, Header{}, nil),
-		AppendFrame(nil, Header{From: 1, To: 2, Seq: 3}, []float64{1, 2, 3}),
+		AppendFrame(nil, Header{From: 1, To: 2}, []float64{1, 2, 3}),
 		flipped,
 		truncated[:len(truncated)-5],
 		huge,
 		sgd1Frame(1, 2, 3, 4.5, []float64{1, 2, 3}),
+		sgd2Frame(1, 2, 3, []float64{1, 2, 3}),
 	}
 }
 
@@ -81,19 +82,20 @@ func FuzzFrameDecode(f *testing.F) {
 
 // FuzzFrameRoundTrip is the property dual of FuzzFrameDecode: any
 // header and payload encode to a frame that decodes back bit-exactly,
-// and any single-bit corruption of the encoded body is detected.
+// and any single-bit corruption of the encoded body — at a position
+// drawn from flip — is detected.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint64(0), []byte{})
 	f.Add(uint16(1), uint16(2), uint64(3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint16(65535), uint16(65535), ^uint64(0), make([]byte, 64))
 
-	f.Fuzz(func(t *testing.T, from, to uint16, seq uint64, raw []byte) {
+	f.Fuzz(func(t *testing.T, from, to uint16, flip uint64, raw []byte) {
 		w := len(raw) / 8
 		payload := make([]float64, w)
 		for i := range payload {
 			payload[i] = math.Float64frombits(get64(raw[8*i:]))
 		}
-		h := Header{From: int(from), To: int(to), Seq: int64(seq)}
+		h := Header{From: int(from), To: int(to)}
 		frame := AppendFrame(nil, h, payload)
 
 		n, err := BodyLen(frame[:PrefixLen])
@@ -122,7 +124,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// Single-bit corruption anywhere in the body must be caught by
 		// one of the validators (CRC at the latest). Flip position is
 		// derived from the fuzz inputs so the corpus explores them all.
-		pos := int((seq ^ uint64(len(raw))) % uint64(len(body)))
+		pos := int((flip ^ uint64(len(raw))) % uint64(len(body)))
 		bit := byte(1) << ((from ^ to) % 8)
 		corrupt := append([]byte(nil), body...)
 		corrupt[pos] ^= bit

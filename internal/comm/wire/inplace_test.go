@@ -170,7 +170,7 @@ func checkStreamAgrees(t *testing.T, data []byte) {
 // produce, bit for bit, what the per-word loops produce, from the empty
 // payload to one that spans several read slices.
 func TestInPlaceEncodeMatchesPortable(t *testing.T) {
-	h := Header{From: 513, To: 65535, Seq: -0x0102030405060708}
+	h := Header{From: 513, To: 65535}
 	for _, n := range []int{0, 1, 7, 22, 1000, readSlice/8 + 3, 3*readSlice/8 + 5} {
 		payload := awkwardPayload(n, int64(n))
 		fast := appendFrame([]byte("keep"), h, payload, littleEndian)
@@ -226,7 +226,7 @@ func TestInPlaceEncodeMatchesPortable(t *testing.T) {
 // read slices, plus truncation at every interesting offset.
 func TestStreamRejectsWhatDecodeBodyRejects(t *testing.T) {
 	const words = readSlice/8 + 100
-	good := AppendFrame(nil, Header{From: 1, To: 2, Seq: 5}, awkwardPayload(words, 1))
+	good := AppendFrame(nil, Header{From: 1, To: 2}, awkwardPayload(words, 1))
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
@@ -240,13 +240,16 @@ func TestStreamRejectsWhatDecodeBodyRejects(t *testing.T) {
 		{"pristine", good, nil},
 		{"payload bit", mutate(func(b []byte) { b[HeaderLen+readSlice+17] ^= 0x10 }), ErrBadCRC},
 		{"first payload bit", mutate(func(b []byte) { b[HeaderLen] ^= 0x01 }), ErrBadCRC},
-		{"seq bit", mutate(func(b []byte) { b[13] ^= 0x04 }), ErrBadCRC},
+		// Bytes 16–19 held the SGD2 layout's seq; they are payload now.
+		{"seq bit", mutate(func(b []byte) { b[17] ^= 0x04 }), ErrBadCRC},
+		{"to bit", mutate(func(b []byte) { b[11] ^= 0x04 }), ErrBadCRC},
 		{"from bit", mutate(func(b []byte) { b[8] ^= 0x01 }), ErrBadCRC},
 		{"trailer bit", mutate(func(b []byte) { b[len(b)-1] ^= 0x80 }), ErrBadCRC},
 		{"magic bit", mutate(func(b []byte) { b[5] ^= 0x02 }), ErrBadMagic},
-		{"nwords bit", mutate(func(b []byte) { b[20] ^= 0x01 }), ErrLengthMismatch},
-		{"nwords over cap", mutate(func(b []byte) { put32(b[20:], MaxWords+1) }), ErrPayloadTooLarge},
-		{"previous layout", sgd1Frame(1, 2, 5, 0.5, awkwardPayload(words, 1)), ErrBadMagic},
+		{"nwords bit", mutate(func(b []byte) { b[12] ^= 0x01 }), ErrLengthMismatch},
+		{"nwords over cap", mutate(func(b []byte) { put32(b[12:], MaxWords+1) }), ErrPayloadTooLarge},
+		{"SGD1 layout", sgd1Frame(1, 2, 5, 0.5, awkwardPayload(words, 1)), ErrBadMagic},
+		{"previous layout", sgd2Frame(1, 2, 5, awkwardPayload(words, 1)), ErrBadMagic},
 		{"length under minimum", mutate(func(b []byte) { put32(b, 8) }), ErrBadLength},
 		{"length unaligned", mutate(func(b []byte) { put32(b, get32(b)+3) }), ErrBadLength},
 		{"length over cap", mutate(func(b []byte) { put32(b, ^uint32(0)) }), ErrPayloadTooLarge},
@@ -264,7 +267,7 @@ func TestStreamRejectsWhatDecodeBodyRejects(t *testing.T) {
 		checkStreamAgrees(t, good[:cut])
 	}
 	// Two frames back to back: the reader stops exactly at the boundary.
-	second := AppendFrame(nil, Header{From: 1, To: 2, Seq: 6}, []float64{7})
+	second := AppendFrame(nil, Header{From: 2, To: 1}, []float64{7})
 	d := NewReader(bytes.NewReader(append(append([]byte(nil), good...), second...)))
 	for i, wantWords := range []int{words, 1} {
 		w, err := d.Next()
@@ -283,7 +286,7 @@ func TestStreamRejectsWhatDecodeBodyRejects(t *testing.T) {
 // TestReaderSteadyStateAllocs: streaming a frame into a caller's buffer
 // allocates nothing, on either payload path.
 func TestReaderSteadyStateAllocs(t *testing.T) {
-	frame := AppendFrame(nil, Header{From: 1, To: 2, Seq: 9}, awkwardPayload(1000, 2))
+	frame := AppendFrame(nil, Header{From: 1, To: 2}, awkwardPayload(1000, 2))
 	dst := make([]float64, 1000)
 	src := bytes.NewReader(nil)
 	d := NewReader(src)
@@ -313,7 +316,7 @@ func FuzzFrameStream(f *testing.F) {
 	for _, seed := range frameSeeds() {
 		f.Add(seed)
 	}
-	f.Add(AppendFrame(nil, Header{From: 2, To: 1, Seq: -1}, awkwardPayload(40, 3)))
+	f.Add(AppendFrame(nil, Header{From: 2, To: 1}, awkwardPayload(40, 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkStreamAgrees(t, data)

@@ -4,13 +4,12 @@
 // Frame layout (all integers little-endian):
 //
 //	offset size field
-//	     0    4 body length  n = 24 + 8·nwords (everything after this u32)
-//	     4    4 magic        "SGD2" (0x32444753)
+//	     0    4 body length  n = 16 + 8·nwords (everything after this u32)
+//	     4    4 magic        "SGD3" (0x33444753)
 //	     8    2 from         sender transport rank
 //	    10    2 to           receiver transport rank
-//	    12    8 seq          reliable-delivery stamp (0 = fault-free path)
-//	    20    4 nwords       payload word count
-//	    24  8·w payload      float64 words, IEEE-754 bits
+//	    12    4 nwords       payload word count
+//	    16  8·w payload      float64 words, IEEE-754 bits
 //	   end    4 crc          CRC-32C (Castagnoli) over bytes [4, end-4)
 //
 // The decoder validates in dependency order — prefix bounds before any
@@ -40,17 +39,17 @@ import (
 )
 
 const (
-	// Magic identifies a frame body ("SGD2" little-endian).
-	Magic = 0x32444753
+	// Magic identifies a frame body ("SGD3" little-endian).
+	Magic = 0x33444753
 	// PrefixLen is the size of the length prefix.
 	PrefixLen = 4
 	// HeaderLen is the fixed part of a frame in front of the payload:
-	// length prefix, magic, from, to, seq, nwords.
-	HeaderLen = 24
+	// length prefix, magic, from, to, nwords.
+	HeaderLen = 16
 	// TrailerLen is the CRC that follows the payload.
 	TrailerLen = 4
 	// bodyOverhead is the non-payload portion of a frame body:
-	// magic(4) + from(2) + to(2) + seq(8) + nwords(4) + crc(4).
+	// magic(4) + from(2) + to(2) + nwords(4) + crc(4).
 	bodyOverhead = HeaderLen - PrefixLen + TrailerLen
 	// MaxWords caps the payload a frame may declare (1 GiB of float64s);
 	// a decoder rejects larger claims before allocating anything.
@@ -84,12 +83,9 @@ var littleEndian = func() bool {
 }()
 
 // Header is the frame metadata around the payload.
-type Header struct {
-	From, To int
-	Seq      int64
-}
+type Header struct{ From, To int }
 
-// le{16,32,64} avoid importing encoding/binary for four fixed offsets.
+// le{16,32,64} avoid importing encoding/binary for a few fixed offsets.
 func put16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
 func put32(b []byte, v uint32) {
 	b[0] = byte(v)
@@ -142,18 +138,13 @@ func PutHeader(b *[HeaderLen]byte, h Header, w int) {
 	put32(b[4:], Magic)
 	put16(b[8:], uint16(h.From))
 	put16(b[10:], uint16(h.To))
-	put64(b[12:], uint64(h.Seq))
-	put32(b[20:], uint32(w))
+	put32(b[12:], uint32(w))
 }
 
 // headerFields decodes the metadata at the start of a frame body (the
 // header after the length prefix) whose CRC has passed.
 func headerFields(body []byte) Header {
-	return Header{
-		From: int(get16(body[4:])),
-		To:   int(get16(body[6:])),
-		Seq:  int64(get64(body[8:])),
-	}
+	return Header{From: int(get16(body[4:])), To: int(get16(body[6:]))}
 }
 
 // PutTrailer encodes a frame's finished CRC into b.
@@ -228,7 +219,7 @@ func PayloadWords(body []byte) (int, error) {
 	if got := get32(body); got != Magic {
 		return 0, fmt.Errorf("%w: %#08x", ErrBadMagic, got)
 	}
-	return checkWords(get32(body[16:]), len(body))
+	return checkWords(get32(body[8:]), len(body))
 }
 
 // checkWords validates a declared word count against the body length.
@@ -306,7 +297,7 @@ func (d *Reader) Next() (int, error) {
 	if got := get32(d.hdr[PrefixLen:]); got != Magic {
 		return 0, fmt.Errorf("%w: %#08x", ErrBadMagic, got)
 	}
-	return checkWords(get32(d.hdr[20:]), n)
+	return checkWords(get32(d.hdr[12:]), n)
 }
 
 // Payload reads the payload and CRC trailer of the frame Next announced
@@ -323,7 +314,7 @@ func (d *Reader) Payload(dst []float64) (Header, error) {
 // decodes the words in place (get64 loads a word's eight bytes before
 // the store overwrites them).
 func (d *Reader) payload(dst []float64, native bool) (Header, error) {
-	if w := get32(d.hdr[20:]); uint64(len(dst)) != uint64(w) {
+	if w := get32(d.hdr[12:]); uint64(len(dst)) != uint64(w) {
 		return Header{}, fmt.Errorf("wire: Payload dst has %d words, frame carries %d", len(dst), w)
 	}
 	crc := UpdateCRC(0, d.hdr[PrefixLen:])

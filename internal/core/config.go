@@ -228,10 +228,10 @@ type Config struct {
 	// Faults, when non-nil, injects the plan's failures (message drops,
 	// link delays, learner slowdowns, crash schedules) into the run and
 	// puts every SASGD sync point — aggregation boundaries and epoch
-	// barriers — on a membership ledger: acknowledged point-to-point
-	// delivery with timeout/retry, heartbeat-based straggler eviction,
-	// survivor re-formation with γp rescaled by OrigP/live, and fault
-	// counters in Result.Comm.Faults. SASGD only. It composes with both
+	// barriers — on a membership ledger: drops decided and charged at
+	// each send, heartbeat-based straggler eviction, survivor
+	// re-formation with γp rescaled by OrigP/live, and fault counters in
+	// Result.Comm.Faults. SASGD only. It composes with both
 	// T-schedules, with the codecs on flat eager boundaries, and with
 	// dense HierGroups/DelayedApply (Validate names what it does not
 	// compose with).

@@ -38,11 +38,11 @@ func TestTraceExportFromRun(t *testing.T) {
 	// backward/local step on serial batches, bucket begins + agg wait/
 	// apply on aggregation batches, queue dwell + allreduce on the comm
 	// workers, and the initial broadcast. The fault-injection phases
-	// (retry, drop, heartbeat, evict, reform, crash) only fire under a
+	// (drop, heartbeat, evict, reform, crash) only fire under a
 	// FaultPlan — the chaos tests cover their presence — and compress
 	// only fires in compressed runs (TestTraceSparsePathPhases).
 	elsewhere := map[obs.Phase]bool{
-		obs.PhaseRetry: true, obs.PhaseDrop: true, obs.PhaseHeartbeat: true,
+		obs.PhaseDrop: true, obs.PhaseHeartbeat: true,
 		obs.PhaseEvict: true, obs.PhaseReform: true, obs.PhaseCrash: true,
 		obs.PhaseCompress: true,
 	}

@@ -19,14 +19,14 @@ import (
 //     readings of the traced timeline (the row's epoch and sim-hidden%
 //     are pinned);
 //   - sched "delayed": hidden(trace)% is a wall-clock reading (the rest
-//     of the row is pinned);
-//   - faults "straggler 4x": retransmissions fire on a wall-clock ack
-//     timeout, and each one moves the link's simulated drain time, so
-//     both epoch(s) and retries vary;
-//   - faults "crash @2": a membership sync point aligns each waiter's
-//     clock to the live maximum when that waiter wakes from its poll, by
-//     which time a peer that left first may have advanced its clock in
-//     the next collective, so epoch(s) varies in the last digit.
+//     of the row is pinned).
+//
+// The faults table is pinned twice: at -epochs 1 and at its default
+// two-epoch budget, the one at which the crash fires (boundary 2 comes
+// after the first epoch) and the survivors evict, re-form and pay the
+// detection penalty. Its straggler and crash rows depend on the drops
+// decided at each send and on the one clock alignment each membership
+// sync point takes.
 //
 // -short runs the compress and sched items only: the bucketed worker,
 // both codecs, the hierarchy and delayed application.
@@ -90,6 +90,11 @@ func TestSimulatedDigits(t *testing.T) {
 		}},
 		{"faults", false, func(o Opt) { DegradedRuns(o) }, []string{
 			"fault-free 0.593 21.19% 8 0 0",
+		}},
+		{"faults default budget", false, func(o Opt) { o.Epochs = 0; DegradedRuns(o) }, []string{
+			"fault-free 0.589 31.54% 8 0 0",
+			"straggler 4x 2.253 31.54% 8 2 0",
+			"crash @2 0.717 31.25% 7 0 1",
 		}},
 		{"compress", true, func(o Opt) { CompressionFrontier(o) }, []string{
 			"dense - 0.642 20.61% 173250 1.0×",

@@ -55,7 +55,6 @@ const (
 	PhaseQueueDwell               // comm worker: bucket wait in the FIFO queue
 	PhaseAllreduce                // comm worker: bucket collective execution
 	PhaseBcast                    // initial parameter broadcast
-	PhaseRetry                    // fault fabric: ack-timeout window that forced a retransmission
 	PhaseDrop                     // fault fabric: an injected message drop
 	PhaseHeartbeat                // membership: a rank's wait at a sync point
 	PhaseEvict                    // membership: a dead rank's eviction
@@ -68,7 +67,7 @@ const (
 var phaseNames = [NumPhases]string{
 	"forward", "backward", "local_step", "bucket_begin",
 	"agg_wait", "agg_apply", "queue_dwell", "allreduce", "bcast",
-	"retry", "drop", "heartbeat", "evict", "reform", "crash",
+	"drop", "heartbeat", "evict", "reform", "crash",
 	"compress",
 }
 
@@ -281,7 +280,7 @@ func (tr *Tracer) NewTrack(process, name string, pid, tid int) *Track {
 
 // NewSizedTrack is NewTrack with an explicit ring capacity in spans
 // (≤ 0 selects the tracer's default). Short-lived or sparse event
-// sources — the fault fabric's per-link retry tracks — use small rings
+// sources — the fault fabric's per-link drop tracks — use small rings
 // so a faulty run with many links does not multiply the tracer's
 // footprint by the default 16k-span capacity.
 func (tr *Tracer) NewSizedTrack(process, name string, pid, tid, spans int) *Track {
@@ -300,9 +299,9 @@ func (tr *Tracer) NewSizedTrack(process, name string, pid, tid, spans int) *Trac
 }
 
 // FabricTrack returns a new small track on the fault-fabric process
-// group — retry/drop events of one link daemon, or the membership
-// ledger's eviction/re-form events (nil on a nil tracer). Each fabric
-// track has a single writer: the link's daemon goroutine, or — for the
+// group — the drops of one link, or the membership ledger's
+// eviction/re-form events (nil on a nil tracer). Each fabric track has a
+// single writer: the goroutine sending on the link, or — for the
 // membership track — whichever goroutine holds the ledger mutex.
 func (tr *Tracer) FabricTrack(name string, tid int) *Track {
 	if tr == nil {

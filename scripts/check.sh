@@ -90,6 +90,17 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'linkFree
     exit 1
 fi
 
+# A fault plan decides each message's fate when it is sent: drops are
+# charged and counted there, and the transport stays reliable FIFO. The
+# stop-and-wait link protocol, its knobs, counters and span must not
+# come back.
+echo "==> no retransmission protocol outside tests and bench/"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    'linkDaemon|recvReliable|faultRoute|RetryTimeout|MaxRetries|Timeouts|PhaseRetry' .; then
+    echo "FAIL: the fault plan's retransmission protocol is back"
+    exit 1
+fi
+
 # The AVX2 microkernels promise the Go kernels' bits: a product rounded,
 # then a sum rounded. A fused multiply-add rounds once, so not one may
 # appear in the package's assembly (the comment lines of the file that
@@ -244,6 +255,14 @@ run_tests -race -count=2 -run 'Concurrent' ./internal/obs/
 # exist before any learner starts (netsim.New), or this run races.
 echo "==> go test -race -count=6 seeded straggler (netsim slowdown slots)"
 run_tests -race -count=6 -run TestMetricsFlagsSeededStraggler ./internal/core
+
+# The fault plane's comm half: send-time drop decisions on a sequence
+# counter shared by concurrent senders, exact drop accounting against
+# the plan's hash, and the membership ledger's one clock alignment per
+# sync point. No test here waits on a wall-clock timer any more, so the
+# leg is cheap.
+echo "==> go test -race -count=2 fault plane + membership ledger"
+run_tests -race -count=2 -run 'Fault|DropBurst|RetryAccounting|Resilient' ./internal/comm/
 
 # The chaos suite is the failure-handling gate: seeded fault plans
 # (stragglers, drops, crashes at scheduled boundaries) with bitwise
