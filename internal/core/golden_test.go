@@ -15,6 +15,7 @@ import (
 	"sasgd/internal/comm"
 	"sasgd/internal/data"
 	"sasgd/internal/model"
+	"sasgd/internal/netsim"
 	"sasgd/internal/nn"
 	"sasgd/internal/obs"
 )
@@ -26,7 +27,8 @@ import (
 // words and messages on the wire — as constants, for a handful of tiny
 // configurations that between them cross every boundary policy, every
 // kernel tier the M=1 step takes and both branches of the conv layer's
-// backward pass. A change that claims to be bitwise invisible proves it
+// backward pass — and the baselines, whose staleness and simulated time
+// are pinned beside them. A change that claims to be bitwise invisible proves it
 // by leaving this file untouched.
 
 // putBits folds one 64-bit pattern into h. Parameters and curve values go
@@ -96,10 +98,26 @@ type goldenCase struct {
 
 	params, curve uint64
 	words, msgs   int64
+	// The asynchronous baselines' staleness and a simulated run's clock:
+	// zero for the SASGD rows, which neither observe staleness nor carry
+	// a simulator.
+	stale    float64
+	staleMax int64
+	sim      float64
 }
 
 func goldenBase(p, interval int) Config {
 	return Config{Algo: AlgoSASGD, Learners: p, Interval: interval, Gamma: 0.05, Batch: 4, Epochs: 3, Seed: 17}
+}
+
+// simulated attaches a fresh fabric simulator for three learners — more
+// than a sequential run uses — at a per-sample cost that keeps compute
+// and communication of the same order.
+func simulated(cfg Config) func(*testing.T, string, *Problem) Config {
+	return func(*testing.T, string, *Problem) Config {
+		cfg.Sim, cfg.FlopsPerSample = netsim.New(3, netsim.DefaultConfig()), 1e8
+		return cfg
+	}
 }
 
 // plain wraps a Config that needs neither the directory nor the problem.
@@ -209,6 +227,25 @@ var goldenCases = []goldenCase{
 		params: 0x4cb6bbb0c08ab185, curve: 0xb927ed21a38b11cf, words: 4147, msgs: 13},
 	{name: "conv_fast_M1_W1_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Batch, c.Epochs, c.Workers, c.FastKernels = 1, 1, 1, true })),
 		params: 0x43f35173775b00f9, curve: 0x4e1d13fc3d505edb, words: 4147, msgs: 13},
+	// The baselines at p = 3, T = 2. Sequential SGD runs one learner at
+	// T = 1 whatever the Config asks for; the asynchronous ones run under
+	// virtual time, which makes them deterministic.
+	{name: "sgd_conv", conv: true, cfg: plain(with(goldenBase(3, 2), func(c *Config) { c.Algo, c.Epochs = AlgoSGD, 2 })),
+		params: 0x086ec97db2a2995c, curve: 0x1eaffea968736f48},
+	{name: "sgd_skinny_sim", skinny: true, cfg: simulated(with(goldenBase(3, 2), func(c *Config) { c.Algo, c.Batch, c.Epochs = AlgoSGD, 1, 2 })),
+		params: 0x9bcc8f4522f1a601, curve: 0xab78aa4119ffad43, sim: 0.20994316751232217},
+	{name: "downpour_vt_conv", conv: true, cfg: plain(with(goldenBase(3, 2), func(c *Config) { c.Algo, c.Epochs, c.VirtualTime = AlgoDownpour, 2, true })),
+		params: 0x73bd26f306cf7637, curve: 0x740497de1bd81619, stale: 1.5, staleMax: 2},
+	{name: "downpour_vt_skinny_sim", skinny: true, cfg: simulated(with(goldenBase(3, 2), func(c *Config) {
+		c.Algo, c.Batch, c.Epochs, c.VirtualTime = AlgoDownpour, 1, 2, true
+	})),
+		params: 0xe8d5b49a47254273, curve: 0x5e4242dca4ab9061, stale: 1.875, staleMax: 4, sim: 0.07698351484276147},
+	{name: "eamsgd_vt_conv", conv: true, cfg: plain(with(goldenBase(3, 2), func(c *Config) { c.Algo, c.Epochs, c.VirtualTime = AlgoEAMSGD, 2, true })),
+		params: 0x607f68f0438b6561, curve: 0x164e117b32ca46fb, stale: 1.5, staleMax: 2},
+	{name: "eamsgd_vt_skinny_sim", skinny: true, cfg: simulated(with(goldenBase(3, 2), func(c *Config) {
+		c.Algo, c.Batch, c.Epochs, c.VirtualTime = AlgoEAMSGD, 1, 2, true
+	})),
+		params: 0x52738f0eb1f73bb5, curve: 0x404b9a984440e992, stale: 1.875, staleMax: 4, sim: 0.07698351484276147},
 }
 
 // TestGoldenPins runs every case and compares against the constants
@@ -227,13 +264,15 @@ func TestGoldenPins(t *testing.T) {
 		}
 		res := Train(gc.cfg(t, t.TempDir(), prob), prob)
 		got := goldenCase{params: goldenParams(res.FinalParams), curve: goldenCurve(res),
-			words: res.WordsMoved, msgs: res.Comm.Messages}
+			words: res.WordsMoved, msgs: res.Comm.Messages,
+			stale: res.StalenessMean, staleMax: res.StalenessMax, sim: res.SimTime}
 		if len(res.Curve) == 0 || len(res.FinalParams) == 0 {
 			t.Errorf("%s: empty run (%d curve points, %d parameters)", gc.name, len(res.Curve), len(res.FinalParams))
 		}
-		if got.params != gc.params || got.curve != gc.curve || got.words != gc.words || got.msgs != gc.msgs {
-			moved = append(moved, fmt.Sprintf("%-22s params: %#016x, curve: %#016x, words: %d, msgs: %d",
-				gc.name, got.params, got.curve, got.words, got.msgs))
+		if got.params != gc.params || got.curve != gc.curve || got.words != gc.words || got.msgs != gc.msgs ||
+			got.stale != gc.stale || got.staleMax != gc.staleMax || got.sim != gc.sim {
+			moved = append(moved, fmt.Sprintf("%-22s params: %#016x, curve: %#016x, words: %d, msgs: %d, stale: %v, staleMax: %d, sim: %v",
+				gc.name, got.params, got.curve, got.words, got.msgs, got.stale, got.staleMax, got.sim))
 		}
 	}
 	if len(moved) > 0 {
