@@ -73,7 +73,7 @@ func main() {
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
 	resumeRanks := flag.String("resume-ranks", "", "comma-separated original ranks the resumed learners play, e.g. 0,1,3 after rank 2 died (default: all of them)")
 	debugAddr := flag.String("debug-addr", "", "serve the live /debug/obs snapshot, /debug/vars and /debug/pprof/ profiles on this address during the run (e.g. localhost:6060); with -metrics also Prometheus text on /debug/metrics")
-	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, per-rank compute and wall time, straggler detection, and an end-of-run fleet health summary (SASGD only)")
+	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, per-rank compute and wall time, straggler detection, and an end-of-run fleet health summary (sasgd and sgd only)")
 	metricsEvents := flag.String("metrics-events", "", "append boundary/T-change/membership/fault/anomaly events to this NDJSON file during the run (implies -metrics)")
 	flag.Parse()
 
@@ -220,7 +220,8 @@ func main() {
 	}
 
 	// Metrics: -metrics-events implies collection. The registry only feeds
-	// from SASGD's aggregation boundaries; attaching it to another
+	// from Algorithm 1's aggregation boundaries — sasgd's, and sgd's, which
+	// runs as Algorithm 1 at p = 1; attaching it to an asynchronous
 	// algorithm is harmless but yields no fleet view.
 	var reg *obs.Registry
 	var events *os.File

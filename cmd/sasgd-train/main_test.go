@@ -99,6 +99,31 @@ func TestUnknownCollectiveExitsTwo(t *testing.T) {
 	}
 }
 
+// TestCodecOnNonSASGDExitsTwo: a codec is a SASGD boundary policy. On
+// any other algorithm — sequential SGD included, although it runs as
+// Algorithm 1 at p = 1 — it is refused with exit 2 instead of training
+// dense, or compressing a single learner's gradient, without a word.
+func TestCodecOnNonSASGDExitsTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary; skipped in -short")
+	}
+	bin := buildTrain(t, t.TempDir())
+	for _, args := range [][]string{
+		{"-algo", "downpour", "-compress", "topk"},
+		{"-algo", "sgd", "-compress", "qint8"},
+		{"-algo", "hogwild", "-compress", "topk", "-compress-k", "0.2"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-p", "2", "-epochs", "1"}, args...)...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		if want := "sasgd-train: core: invalid config: adaptive T, HierGroups, DelayedApply and compression are SASGD boundary policies"; !strings.Contains(string(out), want) {
+			t.Errorf("%v printed %q, want it to contain %q", args, out, want)
+		}
+	}
+}
+
 // TestMetricsEventsWriteErrorExitsOne: an event log that cannot be
 // written fails the run. /dev/full accepts the open and refuses every
 // write, so the first boundary event is lost; the command must name the

@@ -1,11 +1,15 @@
 // Package core implements the paper's contribution and its baselines:
 // SASGD (Algorithm 1 — bulk-synchronous SGD with a gradient-aggregation
 // interval T and allreduce-based sparse aggregation), sequential SGD,
-// Downpour (asynchronous SGD through a sharded parameter server), and
-// EAMSGD (elastic-averaging asynchronous SGD with momentum). All four
-// share the same learner harness, model replicas, data partitioning,
-// epoch accounting, and optional fabric simulation, so their measured
-// differences come from the algorithms alone.
+// Downpour (asynchronous SGD through a sharded parameter server), EAMSGD
+// (elastic-averaging asynchronous SGD with momentum) and Hogwild
+// (lock-free shared-memory SGD). Five algorithms run in two loops:
+// trainSASGD is Algorithm 1, and sequential SGD is its degenerate case
+// p = 1, T = 1, γp = γ; trainAsync runs the three asynchronous
+// baselines, which differ only in how a learner trades with the shared
+// state. Both loops share the same learner harness, model replicas, data
+// partitioning, epoch accounting, and optional fabric simulation, so
+// measured differences come from the algorithms alone.
 package core
 
 import (
@@ -160,9 +164,11 @@ type Config struct {
 
 	// VirtualTime serializes the asynchronous algorithms' learner steps
 	// in virtual-clock order (see vtime.go), making Downpour, EAMSGD and
-	// Hogwild runs deterministic at the cost of scheduler realism. It has
-	// no effect on the bulk-synchronous algorithms, which are
-	// deterministic already.
+	// Hogwild runs deterministic — final parameters, curve, staleness and
+	// simulated time — at the cost of scheduler realism. Rank 0 reads what
+	// it evaluates and reports inside its gated step, so Hogwild's shared
+	// vector is never read while a peer writes it. It has no effect on
+	// SASGD and SGD, which are deterministic already.
 	VirtualTime bool
 
 	// Workers is the per-learner intra-op worker budget for the parallel
@@ -191,11 +197,11 @@ type Config struct {
 	// per-rank comm-worker spans into obs ring buffers, for Chrome-trace
 	// export and phase-latency profiles after the run. It also attaches
 	// to the comm group, enabling mailbox-wait and pipeline-occupancy
-	// accounting in the group's Stats. Applies to the collective
-	// (SASGD/SGD) path; nil (the default) keeps every probe on its
-	// nil-check-only fast path. The spans are the run's only clock: with
-	// Metrics attached too, the fleet frame's compute and wall time are
-	// read from the learner tracks.
+	// accounting in the group's Stats. Applies to Algorithm 1's loop
+	// (SASGD, and SGD as its p = 1 case); nil (the default) keeps every
+	// probe on its nil-check-only fast path. The spans are the run's only
+	// clock: with Metrics attached too, the fleet frame's compute and wall
+	// time are read from the learner tracks.
 	Tracer *obs.Tracer
 
 	// Metrics, when non-nil, attaches the metrics registry to the run:
@@ -212,9 +218,10 @@ type Config struct {
 	// values: FinalParams is bitwise identical with metrics on or off
 	// (simulated times do shift — the frame exchange is charged to the
 	// fabric like any other traffic). Nil (the default) keeps every probe
-	// on its nil-check-only fast path. SASGD collective paths only; the
-	// other algorithms ignore it. To serve it on /debug/metrics, attach it
-	// to the debug tracer (Tracer.SetMetrics) before serving.
+	// on its nil-check-only fast path. Algorithm 1's loop only (SASGD, and
+	// SGD as its p = 1 case); the asynchronous algorithms ignore it. To
+	// serve it on /debug/metrics, attach it to the debug tracer
+	// (Tracer.SetMetrics) before serving.
 	Metrics *obs.Registry
 
 	// Sim, when non-nil, attaches the fabric simulator: compute and
@@ -339,9 +346,9 @@ var configRules = []struct {
 			}
 			return false
 		}},
-	{"adaptive T, HierGroups and DelayedApply are SASGD boundary policies: they need Algo sasgd",
+	{"adaptive T, HierGroups, DelayedApply and compression are SASGD boundary policies: they need Algo sasgd",
 		func(c *Config) bool {
-			return (c.TSched == TSchedAdaptive || c.HierGroups >= 2 || c.DelayedApply) && c.Algo != AlgoSASGD
+			return (c.TSched == TSchedAdaptive || c.HierGroups >= 2 || c.DelayedApply || c.Compress != "") && c.Algo != AlgoSASGD
 		}},
 	// A boundary checkpoint relies on the replica == reference, gs == 0
 	// invariant, which a pending delayed aggregate or a mid-outer-round
@@ -385,11 +392,17 @@ func (c Config) withDefaults() Config {
 // configRules. It reads nothing but c: the environment is not a second
 // configuration surface.
 func (c Config) resolve() (Config, error) {
-	if c.Learners <= 0 || c.Algo == AlgoSGD {
+	if c.Learners <= 0 {
 		c.Learners = 1
 	}
 	if c.Interval <= 0 {
 		c.Interval = 1
+	}
+	// Sequential SGD is Algorithm 1's degenerate case: at p = 1, T = 1 and
+	// γp = γ the aggregate is the one gradient and the reference step is
+	// x ← x − γ·g.
+	if c.Algo == AlgoSGD {
+		c.Learners, c.Interval, c.GammaP = 1, 1, c.Gamma
 	}
 	if c.Batch <= 0 {
 		c.Batch = 1

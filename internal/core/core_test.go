@@ -251,9 +251,12 @@ func TestEvalEveryStridesCurve(t *testing.T) {
 
 func TestSGDForcesSingleLearner(t *testing.T) {
 	prob := tinyProblem(60, 20, 12)
-	res := Train(Config{Algo: AlgoSGD, Learners: 8, Gamma: 0.1, Batch: 10, Epochs: 2, Seed: 1}, prob)
-	if res.P != 1 {
-		t.Errorf("SGD ran with P = %d", res.P)
+	res := Train(Config{Algo: AlgoSGD, Learners: 8, Interval: 5, Gamma: 0.1, Batch: 10, Epochs: 2, Seed: 1}, prob)
+	if res.Algo != AlgoSGD || res.P != 1 || res.T != 1 || res.FinalT != 1 {
+		t.Errorf("SGD ran as %s with P = %d, T = %d, FinalT = %d; want sgd, 1, 1, 1", res.Algo, res.P, res.T, res.FinalT)
+	}
+	if res.WordsMoved != 0 || res.Comm.Messages != 0 {
+		t.Errorf("a single learner moved %d words in %d messages", res.WordsMoved, res.Comm.Messages)
 	}
 }
 
@@ -328,37 +331,18 @@ func TestLearnerPanicPropagates(t *testing.T) {
 	})
 }
 
-// TestSASGDInterval1EqualsSynchronousSGD: with p=1 and T=1, SASGD reduces
-// to plain SGD up to the γp application: local step −γg then reference
-// update −γp·g from the same point... the composition is −(γ+... — the
-// final parameters must match an SGD run with learning rate γp, because
-// the local −γ·g step is discarded at each aggregation (x ← x′).
+// TestSASGDInterval1SingleLearnerMatchesSGDAtGammaP: with p = 1 and
+// T = 1 every local step is discarded by the reset to the reference
+// (x ← x′), so SASGD is plain SGD at rate γp — which is how sequential
+// SGD runs: Algorithm 1 at p = 1, T = 1, γp = γ. The two runs share
+// learner 0's replica and sample stream and must agree bit for bit.
 func TestSASGDInterval1SingleLearnerMatchesSGDAtGammaP(t *testing.T) {
 	prob := tinyProblem(100, 40, 18)
 	gammaP := 0.07
 	sasgd := Train(Config{Algo: AlgoSASGD, Learners: 1, Interval: 1, Gamma: 0.1, GammaP: gammaP, Batch: 10, Epochs: 3, Seed: 2}, prob)
-	// An SGD run whose per-batch step is −γp·g over the same sample
-	// stream. SGD's sampler seed differs from learner 0's, so replay
-	// manually instead of calling Train.
-	net := prob.Model(2)
-	sampler := data.NewEpochSampler(prob.Train.Len(), 10, 2*31*0+2+0*31+7) // matches learner 0's seed formula: cfg.Seed + rank*31 + 7 = 2+7
-	_ = sampler
-	replay := prob.Model(2)
-	s2 := data.NewEpochSampler(prob.Train.Len(), 10, 9)
-	bpe := s2.BatchesPerEpoch()
-	for e := 0; e < 3; e++ {
-		for b := 0; b < bpe; b++ {
-			idx := s2.Next()
-			x, y := prob.Train.Batch(idx)
-			replay.Step(x, y)
-			tensor.Axpy(-gammaP, replay.GradData(), replay.ParamData())
-		}
-	}
-	_ = net
-	for i := range sasgd.FinalParams {
-		if math.Abs(sasgd.FinalParams[i]-replay.ParamData()[i]) > 1e-9 {
-			t.Fatalf("SASGD(p=1,T=1) != SGD at γp: index %d, %g vs %g", i, sasgd.FinalParams[i], replay.ParamData()[i])
-		}
+	sgd := Train(Config{Algo: AlgoSGD, Gamma: gammaP, Batch: 10, Epochs: 3, Seed: 2}, prob)
+	if goldenParams(sasgd.FinalParams) != goldenParams(sgd.FinalParams) || goldenCurve(sasgd) != goldenCurve(sgd) {
+		t.Fatal("SASGD(p=1, T=1) is not bitwise SGD at γp")
 	}
 }
 
@@ -516,19 +500,30 @@ func TestPaperScaleModelsTrainUnderHarness(t *testing.T) {
 	}
 }
 
+// TestVirtualTimeMakesDownpourDeterministic: under virtual time each
+// asynchronous algorithm is a function of its configuration — final
+// parameters, curve and staleness, run after run. Hogwild's learners
+// share one vector, so rank 0 must take what it evaluates and reports
+// inside its gated step: read after the gate is released, the peers'
+// next updates race into it.
 func TestVirtualTimeMakesDownpourDeterministic(t *testing.T) {
-	prob := tinyProblem(160, 40, 40)
-	cfg := Config{Algo: AlgoDownpour, Learners: 4, Interval: 1, Gamma: 0.05, Batch: 5, Epochs: 3, Seed: 2, VirtualTime: true}
-	a := Train(cfg, prob)
-	b := Train(cfg, prob)
-	for i := range a.FinalParams {
-		if a.FinalParams[i] != b.FinalParams[i] {
-			t.Fatal("virtual-time Downpour not deterministic")
+	prob := tinyProblem(40, 24, 5)
+	for _, algo := range []Algorithm{AlgoDownpour, AlgoEAMSGD, AlgoHogwild} {
+		cfg := with(goldenBase(3, 2), func(c *Config) { c.Algo, c.VirtualTime = algo, true })
+		a := Train(cfg, prob)
+		for run := 1; run < 20; run++ {
+			b := Train(cfg, prob)
+			if goldenParams(a.FinalParams) != goldenParams(b.FinalParams) {
+				t.Fatalf("virtual-time %s not deterministic: run %d's final parameters differ from run 0's", algo, run)
+			}
+			if goldenCurve(a) != goldenCurve(b) {
+				t.Fatalf("virtual-time %s not deterministic: run %d's curve differs from run 0's", algo, run)
+			}
+			if a.StalenessMean != b.StalenessMean || a.StalenessMax != b.StalenessMax {
+				t.Fatalf("virtual-time %s staleness not deterministic: %.3f/%d vs %.3f/%d",
+					algo, a.StalenessMean, a.StalenessMax, b.StalenessMean, b.StalenessMax)
+			}
 		}
-	}
-	if a.StalenessMean != b.StalenessMean || a.StalenessMax != b.StalenessMax {
-		t.Errorf("staleness not deterministic: %.3f/%d vs %.3f/%d",
-			a.StalenessMean, a.StalenessMax, b.StalenessMean, b.StalenessMax)
 	}
 }
 

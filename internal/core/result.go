@@ -17,8 +17,9 @@ type Result struct {
 	P    int // learners
 	T    int // aggregation interval (configured; the T-scheduler's start)
 	// FinalT is the communication period in effect when a SASGD run
-	// finished — equal to T unless the adaptive T-scheduler moved it.
-	// Zero for the other algorithms.
+	// finished — equal to T unless the adaptive T-scheduler moved it. 1
+	// for SGD (Algorithm 1 at T = 1); zero for the asynchronous
+	// algorithms.
 	FinalT int
 	Curve  report.Curve
 	// FinalTrain/FinalTest are the last recorded accuracies.
@@ -47,8 +48,8 @@ type Result struct {
 
 	// Comm is the group's full communication-stats snapshot (traffic per
 	// collective algorithm, mailbox wait, bucketed-pipeline occupancy,
-	// fault counters) for the collective algorithms; zero value for the
-	// server-based ones.
+	// fault counters) for SASGD; SGD's one-learner group moves nothing,
+	// and the asynchronous algorithms report the zero value.
 	Comm comm.Stats
 
 	// CompressK is the final working top-k fraction of a compressed run:
@@ -62,9 +63,10 @@ type Result struct {
 	LiveP int
 
 	// FinalParams is learner 0's parameter vector when it finished its
-	// run (the parameters the final accuracies were evaluated at for the
-	// synchronous algorithms; for the asynchronous ones, learner 0's
-	// replica at its own completion).
+	// run: the parameters the final accuracies were evaluated at for
+	// SASGD and SGD; for Downpour and EAMSGD, learner 0's replica at its
+	// own completion; for Hogwild, the shared vector as learner 0's last
+	// step left it — the snapshot its last curve point evaluated.
 	FinalParams []float64
 }
 

@@ -72,7 +72,9 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	var clocks []comm.Clock
 	var cost comm.CostModel
 	if cfg.Sim != nil {
-		clocks, cost = cfg.Sim.Clocks(), cfg.Sim.CostModel()
+		// A sequential run may carry a simulator built for more learners
+		// than the one it forces: it takes the first p clocks.
+		clocks, cost = cfg.Sim.Clocks()[:p], cfg.Sim.CostModel()
 	}
 	var mem *comm.Resilient
 	var view comm.View
@@ -268,7 +270,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	}
 	simTime, compute, communication := cfg.simSplits()
 	return &Result{
-		Algo:        AlgoSASGD,
+		Algo:        cfg.Algo,
 		P:           p,
 		T:           cfg.Interval,
 		FinalT:      finalT,

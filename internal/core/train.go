@@ -12,10 +12,11 @@ import (
 	"sasgd/internal/tensor"
 )
 
-// Train runs one training experiment and returns its result. It
-// dispatches on cfg.Algo; every algorithm shares the same data
-// partitioning, per-learner replicas, epoch accounting, and (optional)
-// fabric simulation.
+// Train runs one training experiment and returns its result. There are
+// two loops: trainSASGD runs Algorithm 1 — and sequential SGD as its
+// p = 1 case — and trainAsync runs the asynchronous baselines. Both share
+// the same data partitioning, per-learner replicas, epoch accounting,
+// and (optional) fabric simulation.
 func Train(cfg Config, prob *Problem) *Result {
 	cfg = cfg.withDefaults()
 	if prob.Train == nil || prob.Test == nil || prob.Train.Len() == 0 {
@@ -32,16 +33,10 @@ func Train(cfg Config, prob *Problem) *Result {
 	start := time.Now()
 	var res *Result
 	switch cfg.Algo {
-	case AlgoSGD:
-		res = trainSGD(cfg, prob)
-	case AlgoSASGD:
+	case AlgoSGD, AlgoSASGD: // SGD is Algorithm 1 at p = 1 (resolve)
 		res = trainSASGD(cfg, prob)
-	case AlgoDownpour:
-		res = trainDownpour(cfg, prob)
-	case AlgoEAMSGD:
-		res = trainEAMSGD(cfg, prob)
-	default: // AlgoHogwild: withDefaults admits no other value
-		res = trainHogwild(cfg, prob)
+	default: // Downpour, EAMSGD, Hogwild: withDefaults admits no other value
+		res = trainAsync(cfg, prob)
 	}
 	res.Wall = time.Since(start)
 	if res.LiveP == 0 {

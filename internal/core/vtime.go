@@ -23,7 +23,8 @@ import (
 // virtualGate admits one learner at a time, always the one with the
 // smallest virtual clock (ties broken by rank). Learners call Acquire
 // before a step, Release with their advanced clock after it, and Done
-// when they finish so the others stop waiting on them.
+// when they finish so the others stop waiting on them. A nil gate —
+// virtual time off — admits everyone at once: its methods do nothing.
 type virtualGate struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -55,6 +56,9 @@ func (g *virtualGate) isMinLocked(rank int) bool {
 // Acquire blocks until rank is the next learner in virtual-time order
 // and the gate is free.
 func (g *virtualGate) Acquire(rank int) {
+	if g == nil {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.done[rank] {
@@ -68,6 +72,9 @@ func (g *virtualGate) Acquire(rank int) {
 
 // Release ends rank's step, recording its advanced clock.
 func (g *virtualGate) Release(rank int, clock float64) {
+	if g == nil {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.holder != rank {
@@ -84,6 +91,9 @@ func (g *virtualGate) Release(rank int, clock float64) {
 // Done removes rank from scheduling; the remaining learners no longer
 // wait on it. Safe to call whether or not rank holds the gate.
 func (g *virtualGate) Done(rank int) {
+	if g == nil {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.done[rank] = true
@@ -91,53 +101,4 @@ func (g *virtualGate) Done(rank int) {
 		g.holder = -1
 	}
 	g.cond.Broadcast()
-}
-
-// stepPacer is each learner's handle on the gate: it tracks the virtual
-// clock source (fabric clock or step counter) and wraps one batch step.
-type stepPacer struct {
-	gate  *virtualGate
-	rank  int
-	cfg   *Config
-	steps float64
-}
-
-// newPacer returns a pacer, or nil when virtual time is off.
-func newPacer(gate *virtualGate, rank int, cfg *Config) *stepPacer {
-	if gate == nil {
-		return nil
-	}
-	return &stepPacer{gate: gate, rank: rank, cfg: cfg}
-}
-
-func (p *stepPacer) now() float64 {
-	if p.cfg.Sim != nil {
-		return p.cfg.Sim.Clock(p.rank).Now()
-	}
-	return p.steps
-}
-
-// begin must be called before each batch step.
-func (p *stepPacer) begin() {
-	if p == nil {
-		return
-	}
-	p.gate.Acquire(p.rank)
-}
-
-// end must be called after each batch step (including its communication).
-func (p *stepPacer) end() {
-	if p == nil {
-		return
-	}
-	p.steps++
-	p.gate.Release(p.rank, p.now())
-}
-
-// finish must be called when the learner exits.
-func (p *stepPacer) finish() {
-	if p == nil {
-		return
-	}
-	p.gate.Done(p.rank)
 }

@@ -101,6 +101,16 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
     exit 1
 fi
 
+# Two training loops: trainSASGD (sequential SGD is its p = 1 case) and
+# trainAsync (Downpour, EAMSGD and Hogwild are rules of it). A loop of
+# its own for a baseline must not come back.
+echo "==> two training loops: no per-baseline loop outside tests and bench/"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    'trainSGD|trainDownpour|trainEAMSGD|trainHogwild' .; then
+    echo "FAIL: a baseline has a training loop of its own again"
+    exit 1
+fi
+
 # The AVX2 microkernels promise the Go kernels' bits: a product rounded,
 # then a sum rounded. A fused multiply-add rounds once, so not one may
 # appear in the package's assembly (the comment lines of the file that
@@ -249,6 +259,14 @@ run_tests -race -count=2 -run 'TrainTCP|MultiEndpoint' ./internal/core/
 # rounds.
 echo "==> go test -race -count=2 obs concurrent tracks + registry writes"
 run_tests -race -count=2 -run 'Concurrent' ./internal/obs/
+
+# The asynchronous loop's schedule-sensitive surfaces: Hogwild's
+# compare-and-swap update is the one lock-free writer in the repo, the
+# virtual-time gate hands one step at a time across learner goroutines,
+# and rank 0 reads what it evaluates inside its gated step. Run the
+# determinism, staleness and learning tests twice under the race detector.
+echo "==> go test -race -count=2 asynchronous loop (virtual time, Hogwild, staleness)"
+run_tests -race -count=2 -run 'VirtualTime|Hogwild|AllAlgorithms|Staleness' ./internal/core/
 
 # The straggler plan sets one rank's simulated slowdown from that rank's
 # goroutine while the others charge their batches: the per-rank slot must
