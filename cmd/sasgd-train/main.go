@@ -332,8 +332,7 @@ func main() {
 		}
 		fmt.Print(ftab.String())
 		fmt.Printf("fleet: %d boundaries, %d/%d live, T=%d, drift RMS %.4g, %d frame words on the wire\n",
-			snap.Boundaries, snap.Live, len(snap.Ranks), snap.T, snap.DriftRMS,
-			int64(snap.Boundaries)*obs.FrameTrafficWords(len(snap.Ranks)))
+			snap.Boundaries, snap.Live, len(snap.Ranks), snap.T, snap.DriftRMS, snap.Words)
 		if len(snap.Anomalies) > 0 {
 			fmt.Printf("anomalies: ranks %v flagged as stragglers (leave-one-out z ≥ %g for %d+ boundaries)\n",
 				snap.Anomalies, obs.DefaultZ, obs.DefaultStreak)

@@ -66,6 +66,9 @@ type Handle struct {
 // matching Wait returns).
 func (h Handle) Wait() {
 	<-h.op.done
+	if h.op.lost {
+		panic(ErrClosed)
+	}
 	h.b.g.syncOwn(h.b.rank, h.op.end)
 }
 
@@ -89,6 +92,7 @@ type bucketOp struct {
 	kind  int
 	idx   int32     // bucket index, the span argument on the comm track
 	subAt obs.Stamp // submission stamp (queue-dwell span start; 0 untraced)
+	lost  bool      // the transport closed before the op could complete
 	done  chan struct{}
 }
 
@@ -153,35 +157,53 @@ func NewBucketedAllreduce(g *Group, rank int, segments []Segment, maxInflight in
 // pipeline-occupancy counters; the bucket-op count is kept regardless.
 func (b *BucketedAllreduce) worker() {
 	defer b.wg.Done()
-	st := &b.g.stats[b.rank]
+	closed := false
 	for op := range b.queue {
-		pick := b.tk.Now()
-		b.tk.Span(obs.PhaseQueueDwell, op.idx, op.subAt, pick)
-		opened := b.g.beginOp(b.rank, op.ready)
-		switch op.kind {
-		case opComp:
-			op.comp.Allreduce(b.g, b.rank, op.buf, op.res, op.ratio, op.ready, b.tk, op.idx)
-		case opHier:
-			op.hier.AllreduceInter(b.rank, op.buf)
-		default:
-			// The learner may still be in backward: no lending.
-			b.g.setAlgo(b.rank, algoTree)
-			b.g.allreduce(&b.g.tree[b.rank], op.buf, false)
-		}
-		if opened {
-			op.end = b.g.endOp(b.rank)
-		}
-		st.bucketOps.Add(1)
-		if b.tk != nil {
-			end := b.tk.Now()
-			b.tk.Span(obs.PhaseAllreduce, op.idx, pick, end)
-			st.queueDwellNs.Add(int64(pick - op.subAt))
-			st.workerBusyNs.Add(int64(end - pick))
-			st.firstBusyNs.CompareAndSwap(0, int64(pick)+1)
-			st.lastDoneNs.Store(int64(end))
-		}
+		op.lost = closed || b.run(op)
+		closed = op.lost
 		op.done <- struct{}{}
 	}
+}
+
+// run executes one op. A transport closed under it (ErrClosed) reports
+// closed: the worker then fails this op and every later one without
+// running it, and Wait raises ErrClosed on the learner.
+func (b *BucketedAllreduce) run(op *bucketOp) (closed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != ErrClosed {
+				panic(r)
+			}
+			closed = true
+		}
+	}()
+	st := &b.g.stats[b.rank]
+	pick := b.tk.Now()
+	b.tk.Span(obs.PhaseQueueDwell, op.idx, op.subAt, pick)
+	opened := b.g.beginOp(b.rank, op.ready)
+	switch op.kind {
+	case opComp:
+		op.comp.Allreduce(b.g, b.rank, op.buf, op.res, op.ratio, op.ready, b.tk, op.idx)
+	case opHier:
+		op.hier.AllreduceInter(b.rank, op.buf)
+	default:
+		// The learner may still be in backward: no lending.
+		b.g.setAlgo(b.rank, algoTree)
+		b.g.allreduce(&b.g.tree[b.rank], op.buf, false)
+	}
+	if opened {
+		op.end = b.g.endOp(b.rank)
+	}
+	st.bucketOps.Add(1)
+	if b.tk != nil {
+		end := b.tk.Now()
+		b.tk.Span(obs.PhaseAllreduce, op.idx, pick, end)
+		st.queueDwellNs.Add(int64(pick - op.subAt))
+		st.workerBusyNs.Add(int64(end - pick))
+		st.firstBusyNs.CompareAndSwap(0, int64(pick)+1)
+		st.lastDoneNs.Store(int64(end))
+	}
+	return false
 }
 
 // Begin submits bucket i of buf (the full flat buffer; the bucket's

@@ -199,10 +199,14 @@ func (g *Group) InjectFaults(plan *FaultPlan) {
 
 // Close closes the group's transport (idempotent on every backend, so
 // groups sharing a transport — re-formed survivor views — may each
-// close it). Safe to call concurrently with in-flight sends, which are
-// dropped: call after all collectives have completed, or accept that
-// transfers in flight at Close are lost.
-func (g *Group) Close() { g.tr.Close() }
+// close it) and breaks its barrier. Safe to call concurrently with
+// in-flight sends, which are dropped, and with members parked in a
+// receive or the barrier, which panic with ErrClosed: call after all
+// collectives have completed, or to unwind a run that cannot finish.
+func (g *Group) Close() {
+	g.tr.Close()
+	g.bar.Break()
+}
 
 // Recv blocks until a message from learner `from` arrives at learner
 // `to` and returns the payload (on a simulated group, to's clock has
@@ -276,6 +280,7 @@ type Barrier struct {
 	phase   int
 	maxVal  float64
 	outVal  float64
+	broken  bool
 }
 
 // NewBarrier returns a reusable barrier for n parties.
@@ -292,10 +297,14 @@ func NewBarrier(n int) *Barrier {
 func (b *Barrier) Wait() { b.WaitMax(0) }
 
 // WaitMax blocks until all n parties have called WaitMax and returns the
-// maximum value contributed across them.
+// maximum value contributed across them. On a broken barrier it panics
+// with ErrClosed.
 func (b *Barrier) WaitMax(v float64) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.broken {
+		panic(ErrClosed)
+	}
 	if v > b.maxVal {
 		b.maxVal = v
 	}
@@ -309,8 +318,20 @@ func (b *Barrier) WaitMax(v float64) float64 {
 		return b.outVal
 	}
 	phase := b.phase
-	for phase == b.phase {
+	for phase == b.phase && !b.broken {
 		b.cond.Wait()
 	}
+	if phase == b.phase {
+		panic(ErrClosed)
+	}
 	return b.outVal
+}
+
+// Break releases every party parked in the barrier, and every later
+// caller, with an ErrClosed panic.
+func (b *Barrier) Break() {
+	b.mu.Lock()
+	b.broken = true
+	b.mu.Unlock()
+	b.cond.Broadcast()
 }

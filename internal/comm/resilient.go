@@ -88,6 +88,7 @@ type Resilient struct {
 	alignAt   float64
 	view      View
 	groups    []*Group // every group ever formed; closed at Close
+	closed    bool     // Close ran: every Await fences its caller
 	evictions []Eviction
 	memTrack  *obs.Track // membership events (crash/evict/re-form); written only under mu
 	hbTrack   *obs.Track // heartbeat spans; separate ring so the chatty
@@ -205,10 +206,10 @@ const awaitPoll = 200 * time.Microsecond
 // run the next collectives on, aligned clocks (bulk-synchronous max,
 // plus the plan's SimEvictSecs detection penalty per eviction), and
 // ok=false when the caller itself has been evicted — a fenced straggler
-// must stop participating immediately.
+// must stop participating immediately — or the ledger has been closed.
 func (r *Resilient) Await(phys, syncPt int) (View, bool) {
 	r.mu.Lock()
-	if !r.live[phys] {
+	if !r.live[phys] || r.closed {
 		r.mu.Unlock()
 		return View{}, false
 	}
@@ -221,7 +222,7 @@ func (r *Resilient) Await(phys, syncPt int) (View, bool) {
 		hbStart = r.hbTrack.Now()
 	}
 	for {
-		if !r.live[phys] {
+		if !r.live[phys] || r.closed {
 			r.mu.Unlock()
 			return View{}, false
 		}
@@ -330,11 +331,12 @@ func (r *Resilient) Stats() Stats {
 }
 
 // Close closes every group the run has formed (and so the shared
-// transport). Call once, after all learners have finished.
+// transport) and fences every later or parked Await. Call once, after
+// all learners have finished or to unwind a run that cannot finish.
 func (r *Resilient) Close() {
 	r.mu.Lock()
 	groups := r.groups
-	r.groups = nil
+	r.groups, r.closed = nil, true
 	r.mu.Unlock()
 	for _, g := range groups {
 		g.Close()

@@ -453,7 +453,12 @@ func (t *TCPTransport) Recv(to, from int) Frame {
 		panic(fmt.Sprintf("comm: tcp: recv at rank %d, which is not hosted by this process", to))
 	}
 	checkTransportRank(t, from)
-	return <-t.inbox[to][from]
+	select {
+	case f := <-t.inbox[to][from]:
+		return f
+	case <-t.done:
+		panic(ErrClosed)
+	}
 }
 
 // runCloser waits for Close and then half-closes the link's write side,

@@ -1,9 +1,16 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
+
+// ErrClosed is the panic value of a Recv or Barrier wait cut short by
+// Close: a run torn down under its learners (one of them panicked)
+// unwinds the peers parked in its collectives instead of leaving them
+// blocked for good.
+var ErrClosed = errors.New("comm: transport closed")
 
 // Frame is one point-to-point transfer between learners — the unit a
 // Transport moves: the payload alone. It carries no time (sim.go keeps
@@ -104,10 +111,17 @@ func (t *chanTransport) Send(from, to int, f Frame) {
 	}
 }
 
-func (t *chanTransport) Recv(to, from int) Frame { return <-t.mail[to][from] }
+func (t *chanTransport) Recv(to, from int) Frame {
+	select {
+	case f := <-t.mail[to][from]:
+		return f
+	case <-t.done:
+		panic(ErrClosed)
+	}
+}
 
-// Close unblocks any sender parked on a full mailbox. Idempotent and
-// safe under concurrent calls.
+// Close unblocks any sender parked on a full mailbox and any receiver
+// parked on an empty one. Idempotent and safe under concurrent calls.
 func (t *chanTransport) Close() error {
 	t.closeOnce.Do(func() { close(t.done) })
 	return nil

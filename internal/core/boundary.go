@@ -17,7 +17,7 @@ import (
 // one pipeline rather than loops of their own. In order:
 //
 //	membership view → T-schedule → exchange → apply now-or-next →
-//	drift step → replica reset → adapt-k → fleet frame → checkpoint
+//	replica reset → control frame → checkpoint
 //
 // No stage makes a pass over the model that nothing reads. gs is never
 // cleared — the next interval's first local step overwrites it — and a
@@ -70,16 +70,12 @@ import (
 // change would address a dead group — and the rate is frozen at
 // exchange time, since the view may shrink before the aggregate lands.
 //
-// Mailbox aliasing. The fabric matches messages by (from, to) alone, so
-// an in-flight launch must finish before ANY learner-driven collective
-// reuses the mailboxes. That fixes where things sit: a delayed launch
-// goes out last, after the boundary's drift allreduce, adapt-k
-// allreduce and fleet frame; it is drained first thing at the next
-// boundary that runs a learner collective (every boundary — under a
-// hierarchy that bounds the hiding window to one inner interval while
-// the APPLICATION still waits for the next outer boundary) and before
-// every epoch barrier. Draining touches only this rank's handles, so it
-// needs no cross-rank alignment.
+// Placement. The controllers share one collective per boundary, the
+// control frame (control). The fabric matches messages by (from, to)
+// alone, so one rule places it: the delayed launch goes out after the
+// control frame and is drained before the next one — first thing at the
+// next boundary, and before every epoch barrier. Draining touches only
+// this rank's handles, so it needs no cross-rank alignment.
 //
 // One-round-shift invariant (delayed_test.go): the k-th aggregate a
 // delayed run computes is bitwise the aggregate an eager run computes
@@ -152,10 +148,12 @@ type engine struct {
 	inflight bool      // pend's launch has not been drained
 
 	// Codec (comp nil for dense runs).
-	comp     comm.Compressor
-	res      []float64 // error-feedback residual
-	ratio    float64   // working top-k fraction
-	adaptBuf [2]float64
+	comp  comm.Compressor
+	res   []float64 // error-feedback residual
+	ratio float64   // working top-k fraction
+	adapt bool      // the adaptive-sparsity controller steers ratio (top-k only)
+
+	ctl []float64 // the control frame's buffer, sized for every controller
 
 	// Backward-overlapped launch (overlap.go).
 	overlap   bool
@@ -212,7 +210,9 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		e.comp = newCompressor(cfg.Compress)
 		e.res = make([]float64, m)
 		e.ratio = cfg.CompressK
+		e.adapt = cfg.CompressAdapt && cfg.Compress == CodecTopK
 	}
+	e.ctl = make([]float64, 0, 4+obs.FrameWords*cfg.Learners)
 	e.delayed = cfg.DelayedApply && len(e.segs) > 0
 	if e.delayed || e.hier != nil {
 		e.pend = make([]float64, m)
@@ -342,7 +342,7 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 			e.reform()
 		}
 	}
-	g, vr, tk := e.view.G, e.vr, e.tk
+	vr, tk := e.vr, e.tk
 
 	// Exchange.
 	global := true // flat: every boundary exchanges globally
@@ -398,29 +398,18 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 		tensor.Copy(e.w, e.xref)
 	}
 
-	// Drift step (where x̄ = ref exactly), then x ← ref. gs ← 0 is not a
-	// pass of its own: the next interval's first local step writes
+	// The drift statistic where x̄ = ref exactly, then x ← ref. gs ← 0 is
+	// not a pass of its own: the next interval's first local step writes
 	// gs = 0 + g (localStep).
-	e.sched.advance(g, vr, e.view.Size(), params, ref)
+	var d, r float64
+	if e.sched.adaptive {
+		d, r = drift(params, ref)
+	}
 	e.reset(params, ref)
 	e.fresh = true
 	tk.End(obs.PhaseAggApply, as)
 
-	if applied {
-		e.adaptK()
-	}
-	if e.fc != nil {
-		var ratio, s2, r2 float64
-		if e.comp != nil {
-			// Totals, not TakeCapture: the adaptive controller consumes
-			// the capture.
-			ratio = e.ratio
-			s2, r2 = e.comp.Totals()
-		}
-		e.fc.boundaryEnd(g, vr, e.sched.T(), ratio, s2, r2)
-	}
-	// The staged aggregate goes out only after every learner collective
-	// of this boundary has run (mailbox aliasing, above).
+	e.control(d, r, applied)
 	if send {
 		if e.async {
 			e.launch(e.pend)
@@ -557,17 +546,37 @@ func (e *engine) flush(params []float64) {
 	e.tk.End(obs.PhaseAggApply, as)
 }
 
-// adaptK runs one adaptive-sparsity controller step after an aggregate
-// has been applied: allreduce the codec's capture stats so every learner
-// computes the identical next working fraction (top-k only: qint8 has no
-// sparsity knob to steer).
-func (e *engine) adaptK() {
-	if e.comp == nil || !e.cfg.CompressAdapt || e.cfg.Compress != CodecTopK {
+// control runs the boundary's control frame. Every controller that is
+// switched on writes its slots: the fleet frame's p slots first, then
+// adaptive T's drift statistic [d, r], then — at a boundary that applied
+// an aggregate — adapt-k's capture [sent², resid²]. One tree allreduce
+// sums them (none when no controller has a slot), and each controller
+// decides from its own summed slots, read back from the end. The tree
+// folds every word in the same rank order whatever the frame's width,
+// so no decision depends on which controllers share the frame.
+func (e *engine) control(d, r float64, applied bool) {
+	ctl := e.fc.encode(e.ctl[:0], e.comp)
+	if e.sched.adaptive {
+		ctl = append(ctl, d, r)
+	}
+	adapt := applied && e.adapt
+	if adapt {
+		sent2, resid2 := e.comp.TakeCapture()
+		ctl = append(ctl, sent2, resid2)
+	}
+	if len(ctl) == 0 {
 		return
 	}
-	e.adaptBuf[0], e.adaptBuf[1] = e.comp.TakeCapture()
-	e.view.G.AllreduceTree(e.vr, e.adaptBuf[:])
-	e.ratio = nextRatio(e.ratio, e.cfg.CompressK, e.adaptBuf[0], e.adaptBuf[1])
+	e.view.G.AllreduceTree(e.vr, ctl)
+	n := len(ctl)
+	if adapt {
+		e.ratio = nextRatio(e.ratio, e.cfg.CompressK, ctl[n-2], ctl[n-1])
+		n -= 2
+	}
+	if e.sched.adaptive {
+		e.sched.advance(ctl[n-2], ctl[n-1], e.view.Size())
+	}
+	e.fc.ingest(e.view.G, e.vr, ctl, e.sched.T(), e.ratio)
 }
 
 // close shuts the comm worker down.

@@ -2,7 +2,9 @@ package core
 
 // Core-side wiring of the gradient-compression engine (comm.Compressor):
 // the adaptive-sparsity controller. The codec itself is boundary-engine
-// state (boundary.go).
+// state (boundary.go), and so is the capture the controller reads: at a
+// boundary that applied an aggregate, each learner's TakeCapture
+// [sent², resid²] rides the boundary's control frame.
 //
 // Compressed aggregation never takes a serial whole-vector fallback:
 // the gradient is split with the same planBuckets plan the overlap hook
@@ -29,10 +31,10 @@ const (
 	adaptSpan        = 8.0
 )
 
-// nextRatio is one controller step. Pure and deterministic: every
-// learner feeds it the identical allreduced stats and the identical
-// current ratio, so the working fraction stays in lockstep across the
-// group without any extra coordination.
+// nextRatio is one controller step on the group's summed capture. Pure
+// and deterministic: every learner feeds it the identical sums and the
+// identical current ratio, so the working fraction stays in lockstep
+// across the group without any extra coordination.
 func nextRatio(ratio, k0, sent2, resid2 float64) float64 {
 	total := sent2 + resid2
 	if total <= 0 {

@@ -115,20 +115,21 @@ type Config struct {
 	CompressK float64
 
 	// CompressAdapt enables the adaptive-sparsity controller for
-	// CodecTopK: after each aggregation, the learners allreduce the
-	// squared norms of the sent and unsent gradient parts and grow or
-	// shrink the working fraction to hold the globally captured
-	// gradient-mass share inside a target band (see nextRatio in
-	// compress.go). Deterministic — every learner sees identical global
-	// stats and applies the identical update. The final fraction is
-	// reported in Result.CompressK.
+	// CodecTopK: after each aggregation, the learners sum the squared
+	// norms of the sent and unsent gradient parts in the boundary's
+	// control frame and grow or shrink the working fraction to hold the
+	// globally captured gradient-mass share inside a target band (see
+	// nextRatio in compress.go). Deterministic — every learner sees
+	// identical global stats and applies the identical update. The final
+	// fraction is reported in Result.CompressK.
 	CompressAdapt bool
 
 	// TSched selects the communication-period scheduler for SASGD (see
 	// schedule.go): TSchedStatic — which "" means too — keeps T = Interval
 	// (the paper's schedule); TSchedAdaptive starts at Interval and
-	// widens/narrows the period from the allreduced replica-drift norm
-	// ‖x_i − x̄‖, in lockstep, so runs stay deterministic.
+	// widens/narrows the period from the replica-drift norm ‖x_i − x̄‖
+	// summed in the boundary's control frame, in lockstep, so runs stay
+	// deterministic.
 	TSched string
 
 	// HierGroups ≥ 2 partitions the learners into that many contiguous
@@ -205,18 +206,18 @@ type Config struct {
 	Tracer *obs.Tracer
 
 	// Metrics, when non-nil, attaches the metrics registry to the run:
-	// every aggregation boundary piggybacks a fixed-size fleet frame on an
-	// extra allreduce over the training group (traffic-pinned: boundaries
-	// × FrameTrafficWords(p) words), and rank 0 ingests the fleet view —
-	// live ranks, effective T, replica-drift RMS, compression capture,
-	// per-rank compute and wall time, straggler anomalies — into the
-	// registry's gauges, event log and anomaly detector. A rank's compute
-	// time is its learner track's forward + backward span total, so a run
-	// without a Tracer gives its learners private one-span tracks for it;
-	// event and series stamps are on the learner tracer's clock. The frame
-	// rides its own buffer, so enabling metrics never changes training
+	// every aggregation boundary adds a fixed-size fleet frame
+	// (p × obs.FrameWords words) to its control frame, and rank 0 ingests
+	// the fleet view — live ranks, effective T, replica-drift RMS,
+	// compression capture, per-rank compute and wall time, straggler
+	// anomalies, the frame's words on the wire — into the registry's
+	// gauges, event log and anomaly detector. A rank's compute time is its
+	// learner track's forward + backward span total, so a run without a
+	// Tracer gives its learners private one-span tracks for it; event and
+	// series stamps are on the learner tracer's clock. The frame never
+	// touches gradient state, so enabling metrics never changes training
 	// values: FinalParams is bitwise identical with metrics on or off
-	// (simulated times do shift — the frame exchange is charged to the
+	// (simulated times do shift — the frame's words are charged to the
 	// fabric like any other traffic). Nil (the default) keeps every probe
 	// on its nil-check-only fast path. Algorithm 1's loop only (SASGD, and
 	// SGD as its p = 1 case); the asynchronous algorithms ignore it. To

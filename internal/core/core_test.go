@@ -1,14 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"testing"
-
 	"runtime"
+	"strings"
 	"sync"
+	"testing"
+	"time"
 
+	"sasgd/internal/comm"
 	"sasgd/internal/data"
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
@@ -329,6 +332,51 @@ func TestLearnerPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
+}
+
+// TestLearnerPanicEndsTrain: a learner that panics at a boundary leaves
+// its peer parked on it — in the next boundary's receive, at the epoch
+// barrier, or at a membership sync point. Train must still return, by
+// rethrowing the first panic, not the peers' unwinding.
+func TestLearnerPanicEndsTrain(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		nTrain int // 2 learners × batch 4: 6 batches an epoch at 48, 2 at 16
+		mut    func(*Config)
+	}{
+		{"recv", 48, func(*Config) {}},
+		{"barrier", 16, func(*Config) {}},
+		{"sim-barrier", 16, func(c *Config) { c.Sim, c.FlopsPerSample = netsim.New(2, netsim.DefaultConfig()), 1e6 }},
+		{"delayed", 48, func(c *Config) { c.DelayedApply = true }},
+		{"membership", 48, func(c *Config) { c.Faults = &comm.FaultPlan{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.05,
+				Batch: 4, Epochs: 3, Seed: 1,
+				AggHook: func(origin int, _ []float64) {
+					if origin == 1 {
+						panic("boom")
+					}
+				},
+			}
+			tc.mut(&cfg)
+			prob := tinyProblem(tc.nTrain, 8, 2)
+			done := make(chan interface{}, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				Train(cfg, prob)
+			}()
+			select {
+			case r := <-done:
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "boom") {
+					t.Fatalf("Train rethrew %q, want the learner's panic", msg)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Train had not returned 10 s after a learner panicked")
+			}
+		})
+	}
 }
 
 // TestSASGDInterval1SingleLearnerMatchesSGDAtGammaP: with p = 1 and

@@ -7,31 +7,23 @@ import (
 )
 
 // Fleet-health collection for the SASGD trainers. Each learner owns one
-// fleetCollector; at every aggregation boundary it encodes its slot of a
-// fixed-size health frame — drift, effective T, phase timings, the
-// simulated compute/communication split, compression capture — and the
-// group sums the frames with one extra tree allreduce (disjoint slots,
-// so the sum IS the concatenation; see obs/fleet.go). Whichever rank
-// is virtual rank 0 of the current group then holds every live rank's
-// frame and ingests the fleet view: gauges, the drift time series, the
-// NDJSON event log, the straggler detector, and the comm-layer traffic
-// and fault gauges sampled through the group's alloc-free accessors.
+// fleetCollector. At every aggregation boundary it encodes its slot of a
+// fixed-size health frame — drift, phase timings, the simulated
+// compute/communication split, compression capture — at the head of the
+// boundary's control frame (boundary.go); the sum of disjoint slots is
+// their concatenation (obs/fleet.go). Virtual rank 0 of the current
+// group then writes the period and top-k fraction decided from that
+// same frame into the live slots and ingests the fleet view: gauges, the
+// drift series, the NDJSON event log, the straggler detector, and the
+// group's traffic and fault gauges.
 //
-// The collector reads no clock of its own. The interval's wall time is
+// The collector reads no clock of its own: an interval's wall time is
 // the learner track's clock between two boundaries, its compute time the
-// growth of the track's forward + backward totals — the same spans the
-// trace and the profile show — and every stamp it hands the fleet view
-// is on the tracer's epoch.
-//
-// The frame rides its own buffer and never touches gradient state, so
-// enabling metrics cannot change training values (pinned bitwise in
-// metrics_test.go). It does add traffic — exactly FrameTrafficWords(p)
-// words per fault-free boundary, also pinned — and on a simulated fabric
-// that traffic is charged to the clocks like any other collective, so
-// simulated times shift while results do not.
-//
-// A nil collector (metrics off) makes every method a nil-check no-op,
-// the same contract as the obs tracer's disabled path.
+// growth of the track's forward + backward totals, and every stamp is on
+// the tracer's epoch. The frame never touches gradient state, so metrics
+// cannot change training values (metrics_test.go); its words are charged
+// to a simulated fabric like any other traffic. A nil collector (metrics
+// off) makes every method a nil-check no-op.
 type fleetCollector struct {
 	reg   *obs.Registry
 	fleet *obs.Fleet
@@ -40,12 +32,10 @@ type fleetCollector struct {
 	rank  int // run-physical rank: this collector's frame slot
 	p     int // run-physical rank count: the frame's slot count
 
-	buf []float64 // FrameBuf(p), reused every boundary
-
 	boundary      int
-	driftSq       float64 // captured at boundaryStart, shipped at boundaryEnd
-	lastWallNs    int64   // track clock at the previous boundary
-	lastComputeNs int64   // track forward + backward total at the previous boundary
+	driftSq       float64 // captured at boundaryStart, encoded at encode
+	lastWallNs    int64   // track clock at the previous encode
+	lastComputeNs int64   // track forward + backward total at the previous encode
 	lastSimComp   float64
 	lastSimComm   float64
 	lastFaults    int64
@@ -65,7 +55,6 @@ func newFleetCollector(cfg Config, rank, p int, fleet *obs.Fleet, tk *obs.Track)
 		sim:        cfg.Sim,
 		rank:       rank,
 		p:          p,
-		buf:        obs.FrameBuf(p),
 		lastWallNs: int64(tk.Now()),
 	}
 }
@@ -77,31 +66,17 @@ func newFleetCollector(cfg Config, rank, p int, fleet *obs.Fleet, tk *obs.Track)
 // boundary, so the difference is exactly the drift the interval's local
 // steps accumulated. Pure reads — the training state is untouched.
 func (c *fleetCollector) boundaryStart(params, ref []float64) {
-	if c == nil {
-		return
+	if c != nil {
+		c.driftSq, _ = drift(params, ref)
 	}
-	var d float64
-	for i, v := range params {
-		dv := v - ref[i]
-		d += dv * dv
-	}
-	c.driftSq = d
 }
 
-// boundaryEnd encodes the rank's health frame, sums frames across the
-// group (one tree allreduce on the frame buffer — the only collective
-// metrics adds), and, on the group's virtual rank 0, ingests the fleet
-// view and samples the comm-layer gauges. Call it where a learner-driven
-// collective is legal for the current path: after the boundary's own
-// exchanges, and on the delayed paths BEFORE the next launch goes into
-// flight (the worker and the learner must not share mailboxes).
-//
-// g and grank are the CURRENT group and the rank's virtual rank in it —
-// under fault handling the membership view's survivor group, so dead
-// ranks simply stop contributing and their frame slots stay zero.
-func (c *fleetCollector) boundaryEnd(g *comm.Group, grank, t int, ratio, sent2, resid2 float64) {
+// encode writes the rank's health frame over the first p·FrameWords
+// words of the empty control frame ctl and returns it; a nil collector
+// returns ctl as it is. The period and top-k fraction are left to ingest.
+func (c *fleetCollector) encode(ctl []float64, comp comm.Compressor) []float64 {
 	if c == nil {
-		return
+		return ctl
 	}
 	now := int64(c.tk.Now())
 	compute := c.tk.PhaseNs(obs.PhaseForward) + c.tk.PhaseNs(obs.PhaseBackward)
@@ -113,28 +88,47 @@ func (c *fleetCollector) boundaryEnd(g *comm.Group, grank, t int, ratio, sent2, 
 		dComp, dComm = sc-c.lastSimComp, sm-c.lastSimComm
 		c.lastSimComp, c.lastSimComm = sc, sm
 	}
-	clear(c.buf)
+	var sent2, resid2 float64
+	if comp != nil {
+		// Totals, not TakeCapture: the adaptive controller consumes the
+		// capture.
+		sent2, resid2 = comp.Totals()
+	}
+	ctl = ctl[:c.p*obs.FrameWords]
+	clear(ctl)
 	obs.Frame{
 		Rank:       c.rank,
 		Live:       true,
 		Boundary:   c.boundary,
-		T:          t,
 		DriftSq:    c.driftSq,
 		ComputeNs:  float64(computeNs),
 		WallNs:     float64(wallNs),
 		SimCompute: dComp,
 		SimComm:    dComm,
-		Ratio:      ratio,
 		Sent2:      sent2,
 		Resid2:     resid2,
-	}.Encode(c.buf)
-	g.AllreduceTree(grank, c.buf)
+	}.Encode(ctl)
 	c.boundary++
-	if grank != 0 {
+	return ctl
+}
+
+// ingest writes the period t and top-k fraction ratio in effect after
+// this boundary into every live slot of the summed control frame, hands
+// it to the fleet view and samples the comm-layer gauges, on virtual
+// rank grank 0 of the CURRENT group g (a survivor group under fault
+// handling: dead ranks' slots stay zero).
+func (c *fleetCollector) ingest(g *comm.Group, grank int, ctl []float64, t int, ratio float64) {
+	if c == nil || grank != 0 {
 		return
 	}
-	c.fleet.Ingest(now, c.buf)
-	c.sampleComm(g, now)
+	for r := 0; r < c.p; r++ {
+		if f := obs.DecodeFrame(ctl, r); f.Live {
+			f.T, f.Ratio = t, ratio
+			f.Encode(ctl)
+		}
+	}
+	c.fleet.Ingest(c.lastWallNs, ctl)
+	c.sampleComm(g, c.lastWallNs)
 }
 
 // sampleComm publishes the group's traffic and fault counters into

@@ -76,9 +76,13 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestMetricsFrameTrafficPinned pins the frame's wire cost exactly: the
-// only traffic metrics adds is one p·FrameWords tree allreduce per
-// boundary, FrameTrafficWords(p) words each.
+// TestMetricsFrameTrafficPinned pins the control frame's wire cost
+// exactly: one tree allreduce per boundary, 2(p−1) messages of the
+// frame's width — p·FrameWords fleet words, 2 for adaptive T's drift
+// statistic, 2 for adapt-k's capture at a boundary that applied an
+// aggregate — however many controllers share it, and the fleet view's
+// word count equals what metrics adds to the wire, after an eviction
+// too.
 func TestMetricsFrameTrafficPinned(t *testing.T) {
 	prob := tinyProblem(48, 24, 5)
 	const p = 4
@@ -86,20 +90,62 @@ func TestMetricsFrameTrafficPinned(t *testing.T) {
 		Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
 		Batch: 4, Epochs: 2, Seed: 9,
 	}
-	plain := Train(base, prob)
+	frame := int64(2 * (p - 1)) // messages per control frame
+	fleetWords := int64(p * obs.FrameWords)
 
-	cfg := base
-	cfg.Metrics = obs.NewRegistry()
-	metered := Train(cfg, prob)
-
-	snap := cfg.Metrics.Fleet().Snapshot()
-	if snap.Boundaries == 0 {
-		t.Fatal("no boundaries ingested")
+	// What metrics adds to a plain run, and to a crash-plan run whose
+	// survivor tree spans 3 ranks from boundary 2 on.
+	for _, faults := range []string{"", "seed=3,crash=3@2"} {
+		run := func(reg *obs.Registry) *Result {
+			cfg := base
+			if faults != "" {
+				cfg.Faults = mustPlan(t, faults)
+			}
+			cfg.Metrics = reg
+			return Train(cfg, prob)
+		}
+		plain := run(nil)
+		reg := obs.NewRegistry()
+		metered := run(reg)
+		snap := reg.Fleet().Snapshot()
+		if snap.Boundaries == 0 {
+			t.Fatalf("faults %q: no boundaries ingested", faults)
+		}
+		if got := metered.WordsMoved - plain.WordsMoved; got != snap.Words {
+			t.Fatalf("faults %q: metrics added %d words, the fleet view counts %d", faults, got, snap.Words)
+		}
+		full := snap.Boundaries * frame * fleetWords
+		if faults == "" && snap.Words != full || faults != "" && snap.Words >= full {
+			t.Fatalf("faults %q: %d frame words over %d boundaries, full-group figure %d", faults, snap.Words, snap.Boundaries, full)
+		}
+		if got, want := metered.Comm.Messages-plain.Comm.Messages, snap.Boundaries*frame; faults == "" && got != want {
+			t.Fatalf("metrics added %d messages over %d boundaries, want %d", got, snap.Boundaries, want)
+		}
 	}
-	wantExtra := int64(snap.Boundaries) * obs.FrameTrafficWords(p)
-	if got := metered.WordsMoved - plain.WordsMoved; got != wantExtra {
-		t.Fatalf("metrics added %d words over %d boundaries, want exactly %d",
-			got, snap.Boundaries, wantExtra)
+
+	// Every controller at once on a flat eager boundary. Top-k gradients
+	// are charged to "sparse", so "tree" is the control frame alone.
+	cfg := base
+	cfg.TSched, cfg.Compress, cfg.CompressK, cfg.CompressAdapt = TSchedAdaptive, CodecTopK, 0.3, true
+	cfg.Metrics = obs.NewRegistry()
+	res := Train(cfg, prob)
+	b := cfg.Metrics.Fleet().Snapshot().Boundaries
+	ctl := res.Comm.PerAlgo["tree"]
+	if want := b * frame * (4 + fleetWords); ctl.Words != want {
+		t.Errorf("all controllers: %d control words over %d boundaries, want %d", ctl.Words, b, want)
+	}
+	if want := b * frame; ctl.Messages != want {
+		t.Errorf("all controllers: %d control messages over %d boundaries, want %d", ctl.Messages, b, want)
+	}
+
+	// Delayed adapt-k alone: boundary 0 applies nothing, so it sends no
+	// control frame; every later boundary sends one.
+	cfg = base
+	cfg.DelayedApply, cfg.Compress, cfg.CompressK, cfg.CompressAdapt = true, CodecTopK, 0.3, true
+	res = Train(cfg, prob)
+	boundaries := int64(base.Epochs * batchesPerEpoch(prob.Train.Partition(p), base.Batch) / base.Interval)
+	if got, want := res.Comm.PerAlgo["tree"].Messages, (boundaries-1)*frame; got != want {
+		t.Errorf("delayed adapt-k: %d control messages over %d boundaries, want %d", got, boundaries, want)
 	}
 }
 
@@ -130,7 +176,7 @@ func TestMetricsFlagsSeededStraggler(t *testing.T) {
 	if snap.Boundaries < obs.DefaultStreak+1 {
 		t.Fatalf("only %d boundaries — not enough to trip the streak", snap.Boundaries)
 	}
-	got := fleet.Anomalies()
+	got := snap.Anomalies
 	if len(got) != 1 || got[0] != slow {
 		t.Fatalf("anomalies = %v, want [%d] (per-rank z: %v)", got, slow, rankZs(snap))
 	}

@@ -137,7 +137,12 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	if len(cfg.LocalRanks) > 0 {
 		local = cfg.LocalRanks
 	}
-	runLearnersOn(local, func(rank int) {
+	// Closing the fabric unwinds the peers parked on a panicked learner.
+	abort := view.G.Close
+	if mem != nil {
+		abort = mem.Close
+	}
+	runLearnersOn(local, abort, func(rank int) {
 		dataPhys := dataRanks[rank]
 		net := prob.newReplica(cfg.Seed + int64(dataPhys))
 		params := net.ParamData()
@@ -219,7 +224,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 				}
 			}
 			// A delayed launch must not stay in flight across the epoch
-			// barrier (mailbox aliasing, boundary.go); the last epoch also
+			// barrier (placement, boundary.go); the last epoch also
 			// applies whatever is still pending, so the final evaluation
 			// sees a globally consistent model.
 			if epoch == cfg.Epochs-1 {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"sasgd/internal/comm"
-)
+import "math"
 
 // The T-scheduler: a per-learner state machine deciding how many local
 // steps separate communication boundaries. All learners run identical
@@ -16,9 +12,10 @@ import (
 // Adaptive mode measures the replica-drift norm: at a boundary, after
 // the reference has absorbed the global aggregate but before the
 // replicas reset to it, x̄ = ref exactly (with γp = γ/p the aggregation
-// step IS model averaging), so d_i = ‖x_i − x̄‖² is computable locally.
-// The learners allreduce [Σd_i, Σ‖ref‖²] — two words piggybacked on the
-// boundary — and form the relative RMS drift
+// step IS model averaging), so d_i = ‖x_i − x̄‖² is computable locally
+// (drift). The learners sum [Σd_i, Σ‖ref‖²] — two words of the
+// boundary's control frame (boundary.go) — and form the relative RMS
+// drift
 //
 //	rel = sqrt(Σd_i / p) / (1 + sqrt(Σ‖ref‖² / p))
 //
@@ -43,7 +40,6 @@ type tScheduler struct {
 	adaptive bool
 	t        int // current period in local steps
 	t0       int // configured Interval: the adaptive mode's start and clamp centre
-	buf      [2]float64
 }
 
 func newTScheduler(cfg Config) tScheduler {
@@ -63,28 +59,22 @@ func (s *tScheduler) restore(curT int) {
 // next boundary).
 func (s *tScheduler) T() int { return s.t }
 
-// advance runs one controller step at a communication boundary. params
-// is the local replica BEFORE its reset, ref the reference it is about
-// to reset to (the island working reference under a hierarchical
-// schedule, the global reference otherwise), and p the live learner
-// count. The static mode touches no wire; adaptive mode allreduces its
-// two-word drift statistic over group — a learner-driven collective
-// every rank must reach in the same order relative to the boundary's
-// other collectives.
-func (s *tScheduler) advance(group *comm.Group, rank, p int, params, ref []float64) {
-	if !s.adaptive {
-		return
-	}
-	d, r := 0.0, 0.0
+// drift returns ‖params − ref‖² and ‖ref‖²: a replica's drift statistic
+// against the reference it is about to reset to.
+func drift(params, ref []float64) (d, r float64) {
 	for i, v := range params {
 		dv := v - ref[i]
 		d += dv * dv
 		r += ref[i] * ref[i]
 	}
-	s.buf[0], s.buf[1] = d, r
-	group.AllreduceTree(rank, s.buf[:])
+	return d, r
+}
+
+// advance runs one adaptive controller step on the group's summed drift
+// statistic [Σd_i, Σ‖ref‖²] over p live learners.
+func (s *tScheduler) advance(sumD, sumR float64, p int) {
 	fp := float64(p)
-	rel := math.Sqrt(s.buf[0]/fp) / (1 + math.Sqrt(s.buf[1]/fp))
+	rel := math.Sqrt(sumD/fp) / (1 + math.Sqrt(sumR/fp))
 	lo := s.t0 / tAdaptSpan
 	if lo < 1 {
 		lo = 1

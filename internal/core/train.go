@@ -77,13 +77,15 @@ func identity(p int) []int {
 }
 
 // runLearners starts p learner goroutines and waits for all of them.
-func runLearners(p int, fn func(rank int)) { runLearnersOn(identity(p), fn) }
+func runLearners(p int, fn func(rank int)) { runLearnersOn(identity(p), nil, fn) }
 
 // runLearnersOn starts one learner goroutine per rank in ranks and
-// waits for all of them. A panic in any learner is rethrown on the
-// caller's goroutine with the learner's rank attached.
-func runLearnersOn(ranks []int, fn func(rank int)) {
+// waits for all of them. The first learner panic calls abort (when set),
+// which must unblock every peer parked on the panicked learner, and is
+// rethrown on the caller's goroutine with the learner's rank attached.
+func runLearnersOn(ranks []int, abort func(), fn func(rank int)) {
 	var wg sync.WaitGroup
+	var once sync.Once
 	panics := make(chan interface{}, len(ranks))
 	for _, rank := range ranks {
 		wg.Add(1)
@@ -92,6 +94,9 @@ func runLearnersOn(ranks []int, fn func(rank int)) {
 			defer func() {
 				if r := recover(); r != nil {
 					panics <- fmt.Sprintf("learner %d: %v", rank, r)
+					if abort != nil {
+						once.Do(abort)
+					}
 				}
 			}()
 			fn(rank)

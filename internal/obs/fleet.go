@@ -7,15 +7,15 @@ import (
 
 // The fleet metrics frame: a fixed FrameWords-word-per-rank float64
 // block that piggybacks on the training run's aggregation boundaries.
-// Each rank zeroes a p×FrameWords buffer, writes its own slot, and the
-// group sums the buffer with the same tree allreduce the gradients use
-// — summing disjoint slots is concatenation, so after the collective
-// every rank holds the whole fleet's latest health block and the
-// current virtual rank 0 ingests it into the shared Fleet view. The
-// exchange rides the existing Group (pooled buffers, fault-aware
-// membership), adds a fixed, traffic-pinned word count per boundary,
-// and never touches gradient values, so enabling metrics leaves
-// training bitwise identical.
+// Each rank zeroes the p×FrameWords head of the boundary's control frame,
+// writes its own slot, and the group sums the control frame with the
+// same tree allreduce the gradients use — summing disjoint slots is
+// concatenation, so after the collective every rank holds the whole
+// fleet's latest health block and the current virtual rank 0 ingests it
+// into the shared Fleet view. The exchange rides the existing Group
+// (pooled buffers, fault-aware membership), and the Fleet counts the
+// words it moves; it never touches gradient values, so enabling metrics
+// leaves training bitwise identical.
 //
 // A dead or evicted rank simply stops contributing: its slot stays
 // zero, its Live word reads 0, and the fleet view carries it as
@@ -39,18 +39,6 @@ const (
 	// FrameWords is the per-rank frame width in float64 words.
 	FrameWords
 )
-
-// FrameBuf returns a zeroed fleet buffer for p ranks.
-func FrameBuf(p int) []float64 { return make([]float64, p*FrameWords) }
-
-// FrameTrafficWords returns the words a binomial-tree allreduce of the
-// fleet buffer moves per boundary at live learner count p: the reduce
-// leg and the broadcast leg each carry p−1 messages of p·FrameWords
-// words. This is the whole wire cost of the telemetry plane, pinned by
-// the traffic tests.
-func FrameTrafficWords(p int) int64 {
-	return int64(2*(p-1)) * int64(p) * FrameWords
-}
 
 // Frame is one rank's decoded health block.
 type Frame struct {
@@ -139,6 +127,7 @@ type Fleet struct {
 
 	mu         sync.Mutex
 	boundaries int64
+	words      int64 // control-frame words the boundaries' collectives moved
 	lastLive   int
 	lastT      int
 	ranks      []RankHealth
@@ -178,11 +167,14 @@ func NewFleet(reg *Registry, p int) *Fleet {
 	return f
 }
 
-// Ingest decodes one boundary's summed fleet buffer, updates the
+// Ingest decodes one boundary's summed control frame — p frame slots,
+// then any other words that rode the same collective — updates the
 // per-rank view, the fleet gauges and the drift series, runs the
 // straggler detector, and emits boundary / t_change / membership /
-// anomaly events, all stamped at stamp (ns on the tracer's clock).
-// Called by the boundary's virtual rank 0 only.
+// anomaly events, all stamped at stamp (ns on the tracer's clock). It
+// counts the words the frame's binomial-tree allreduce moved over the L
+// live ranks: 2(L−1) messages, reduce and broadcast legs, of len(buf)
+// words. Called by the boundary's virtual rank 0 only.
 func (f *Fleet) Ingest(stamp int64, buf []float64) {
 	if f == nil {
 		return
@@ -232,6 +224,7 @@ func (f *Fleet) Ingest(stamp int64, buf []float64) {
 	drift := 0.0
 	if live > 0 {
 		drift = math.Sqrt(driftSq / float64(live))
+		f.words += int64(2*(live-1)) * int64(len(buf))
 	}
 
 	f.gLive.SetInt(int64(live))
@@ -273,6 +266,7 @@ func (f *Fleet) Ingest(stamp int64, buf []float64) {
 // FleetSnap is the fleet view's JSON shape.
 type FleetSnap struct {
 	Boundaries int64        `json:"boundaries"`
+	Words      int64        `json:"words"` // control-frame words on the wire
 	Live       int          `json:"live"`
 	T          int          `json:"t"`
 	DriftRMS   float64      `json:"drift_rms"`
@@ -290,6 +284,7 @@ func (f *Fleet) Snapshot() *FleetSnap {
 	defer f.mu.Unlock()
 	s := &FleetSnap{
 		Boundaries: f.boundaries,
+		Words:      f.words,
 		Live:       f.lastLive,
 		T:          f.lastT,
 		DriftRMS:   f.gDrift.Value(),
@@ -302,15 +297,6 @@ func (f *Fleet) Snapshot() *FleetSnap {
 		}
 	}
 	return s
-}
-
-// Anomalies returns the currently flagged ranks, ascending (nil-safe).
-func (f *Fleet) Anomalies() []int {
-	s := f.Snapshot()
-	if s == nil {
-		return nil
-	}
-	return s.Anomalies
 }
 
 // The straggler/anomaly detector: a leave-one-out z-score band over the

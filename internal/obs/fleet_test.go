@@ -9,7 +9,7 @@ import (
 )
 
 func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
-	buf := FrameBuf(4)
+	buf := frameBuf(4)
 	f := Frame{
 		Rank: 2, Live: true, Boundary: 7, T: 8,
 		DriftSq: 0.5, ComputeNs: 1e6, WallNs: 2e6,
@@ -34,9 +34,9 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 // sum-allreduce.
 func TestFrameSumIsConcatenation(t *testing.T) {
 	const p = 3
-	sum := FrameBuf(p)
+	sum := frameBuf(p)
 	for r := 0; r < p; r++ {
-		own := FrameBuf(p)
+		own := frameBuf(p)
 		Frame{Rank: r, Live: true, Boundary: 1, T: 2, DriftSq: float64(r) + 0.5}.Encode(own)
 		for i := range sum {
 			sum[i] += own[i]
@@ -50,14 +50,25 @@ func TestFrameSumIsConcatenation(t *testing.T) {
 	}
 }
 
-func TestFrameTrafficWords(t *testing.T) {
-	// Tree allreduce: (p−1) reduce messages + (p−1) broadcast messages,
-	// each p·FrameWords long.
-	if got, want := FrameTrafficWords(8), int64(2*7*8*FrameWords); got != want {
-		t.Fatalf("FrameTrafficWords(8) = %d, want %d", got, want)
+// frameBuf returns a zeroed fleet buffer for p ranks.
+func frameBuf(p int) []float64 { return make([]float64, p*FrameWords) }
+
+// TestFleetCountsFrameWords: each ingest counts the words its tree
+// allreduce moved — (L−1) reduce and (L−1) broadcast messages, each the
+// whole buffer long, controller words after the slots included — over
+// the L live slots, not the p the frame was built for.
+func TestFleetCountsFrameWords(t *testing.T) {
+	const p, extra = 4, 4
+	f := NewFleet(NewRegistry(), p)
+	for _, live := range []int{4, 3, 1} {
+		buf := make([]float64, p*FrameWords+extra)
+		for r := 0; r < live; r++ {
+			Frame{Rank: r, Live: true}.Encode(buf)
+		}
+		f.Ingest(0, buf)
 	}
-	if FrameTrafficWords(1) != 0 {
-		t.Fatal("single rank should move no frame words")
+	if got, want := f.Snapshot().Words, int64((2*3+2*2+0)*(p*FrameWords+extra)); got != want {
+		t.Fatalf("fleet counted %d frame words, want %d", got, want)
 	}
 }
 
@@ -71,7 +82,7 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 		t.Fatal("fleet not attached to registry")
 	}
 
-	buf := FrameBuf(p)
+	buf := frameBuf(p)
 	for rank := 0; rank < p; rank++ {
 		Frame{Rank: rank, Live: true, Boundary: 0, T: 4, DriftSq: 0.01,
 			SimCompute: 0.1, SimComm: 0.02}.Encode(buf)
@@ -98,7 +109,7 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 
 	// Rank 3 dies: its slot stays zero. The view loses it and a
 	// membership event is emitted.
-	buf2 := FrameBuf(p)
+	buf2 := frameBuf(p)
 	for rank := 0; rank < p-1; rank++ {
 		Frame{Rank: rank, Live: true, Boundary: 1, T: 8, DriftSq: 0.01,
 			SimCompute: 0.1, SimComm: 0.02}.Encode(buf2)
@@ -147,7 +158,7 @@ func TestFleetFlagsStraggler(t *testing.T) {
 	f := NewFleet(r, p)
 
 	for b := 0; b < DefaultStreak+1; b++ {
-		buf := FrameBuf(p)
+		buf := frameBuf(p)
 		for rank := 0; rank < p; rank++ {
 			comp := 0.1
 			if rank == slow {

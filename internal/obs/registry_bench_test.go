@@ -47,7 +47,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 	r := NewRegistry()
 	const p = 8
 	f := NewFleet(r, p)
-	buf := FrameBuf(p)
+	buf := frameBuf(p)
 	for rank := 0; rank < p; rank++ {
 		Frame{Rank: rank, Live: true, T: 4, SimCompute: 0.1}.Encode(buf)
 	}

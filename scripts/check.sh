@@ -111,6 +111,16 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
     exit 1
 fi
 
+# One control frame per boundary: adaptive T, adapt-k and the fleet
+# frame decide from their summed slots of it, and its one collective
+# runs in the boundary engine. A controller that allreduces on its own
+# is a second collective per boundary again.
+echo "==> controllers are pure: no AllreduceTree in schedule.go, compress.go, fleet.go"
+if grep -n 'AllreduceTree' internal/core/schedule.go internal/core/compress.go internal/core/fleet.go; then
+    echo "FAIL: a controller runs a collective of its own; the control frame is in boundary.go"
+    exit 1
+fi
+
 # The AVX2 microkernels promise the Go kernels' bits: a product rounded,
 # then a sum rounded. A fused multiply-add rounds once, so not one may
 # appear in the package's assembly (the comment lines of the file that
