@@ -13,7 +13,11 @@ import (
 // learner's codec state — selection scratch, encode buffers, capture
 // statistics — and runs one bucket's complete compressed allreduce:
 // fold the error-feedback residual, encode, run the codec's collective,
-// and leave the dense global aggregate in the bucket. The engine plugs
+// and leave the dense global aggregate in the bucket. The collective is
+// the group's one tree walk (dense.go's up and down) carrying the
+// codec's reduction — top-k's pair merge below, qint8's max and integer
+// sum in quant.go — so a codec says what a frame holds, never when or
+// where it moves. The engine plugs
 // into BucketedAllreduce (BeginCompressed), so compression composes
 // with backward-overlapped aggregation instead of forcing a serial
 // fallback; on a membership plane the worker is restarted on the
@@ -234,7 +238,7 @@ func kthFromTop(h []uint32, rank int) (bin, within int) {
 // overlap.
 type topkCompressor struct {
 	sel  selector
-	encA []float64
+	encA []float64 // the pair list the tree walk carries
 	encB []float64 // pair-list ping/pong merge scratch
 	vals []float64 // the root's merged values, without their coordinates
 
@@ -304,54 +308,44 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 	c.totSent2 += s2
 	c.totResid2 += r2
 	tk.EndArg(obs.PhaseCompress, arg, cs)
-	sum := c.allreducePairs(g, rank, enc, k, res)
-	// Scatter the compressed global aggregate densely into seg; the
-	// unselected coordinates of the aggregate are exactly zero.
-	clear(seg)
-	for i := 0; i < len(sum); i += 2 {
-		seg[int(sum[i])] = sum[i+1]
-	}
-}
-
-// allreducePairs reduces the rank's encoded pair list to rank 0 up the
-// group's tree (coordinate-wise sums, merged in schedule order, so
-// values are bitwise deterministic), re-sparsifies the merged aggregate
-// at the root, and broadcasts the result down the same tree. All
-// payloads are pooled copies; acc ping-pongs between the codec's two
-// scratch buffers, so steady state allocates nothing.
-func (c *topkCompressor) allreducePairs(g *Group, rank int, acc []float64, k int, res []float64) []float64 {
+	c.encA = enc
 	s := &g.tree[rank]
-	cur, spare := acc, c.encB
-	for _, child := range s.children {
-		in := g.recvMsg(rank, child)
-		merged := mergePairs(spare[:0], cur, in.Data)
-		g.releaseMsg(in)
-		spare = cur
-		cur = merged
-	}
-	if s.parent >= 0 {
-		pb := g.acquire(len(cur))
-		copy(pb.data, cur)
-		g.sendMsg(rank, s.parent, Frame{Data: pb.data, pb: pb})
-		in := g.recvMsg(rank, s.parent)
-		cur = append(cur[:0], in.Data...)
-		g.releaseMsg(in)
-	} else if len(cur) > 2*k {
+	g.up(s, c)
+	if s.parent < 0 && len(c.encA) > 2*k {
 		// The union of the learners' supports outgrew k: keep the k
 		// largest-magnitude aggregate entries and fold the dropped
 		// remainder into the root's own residual, where it re-enters
 		// selection next interval through rank 0's contribution. This
 		// caps every broadcast message at 2k words and keeps global
 		// conservation exact.
-		cur = c.resparsify(cur, k, res)
+		c.encA = c.resparsify(c.encA, k, res)
 	}
-	for i := len(s.children) - 1; i >= 0; i-- {
-		pb := g.acquire(len(cur))
-		copy(pb.data, cur)
-		g.sendMsg(rank, s.children[i], Frame{Data: pb.data, pb: pb})
+	g.down(s, c)
+	// Scatter the compressed global aggregate densely into seg; the
+	// unselected coordinates of the aggregate are exactly zero.
+	clear(seg)
+	for i := 0; i < len(c.encA); i += 2 {
+		seg[int(c.encA[i])] = c.encA[i+1]
 	}
-	c.encA, c.encB = cur, spare
-	return cur
+}
+
+// The pair lists' reduction: encA is the rank's encoded pair list, then
+// the merged partial up the tree, then the aggregate down it. Merged
+// values are coordinate-wise sums in schedule order, so they are
+// bitwise deterministic; every payload is a pooled copy, and the merge
+// ping-pongs between encA and encB, so steady state allocates nothing.
+
+// fold merges child k's pair list into the accumulated one.
+func (c *topkCompressor) fold(_ *Group, _ *sched, _ int, in Frame) {
+	c.encA, c.encB = mergePairs(c.encB[:0], c.encA, in.Data), c.encA
+}
+
+// frame sends a pooled copy of the pair list up or down.
+func (c *topkCompressor) frame(g *Group, _ *sched, _ int) Frame { return g.pooled(c.encA) }
+
+// adopt takes the parent's aggregate as the pair list.
+func (c *topkCompressor) adopt(_ *Group, _ *sched, in Frame) {
+	c.encA = append(c.encA[:0], in.Data...)
 }
 
 // mergePairs appends the coordinate-wise sum of two ascending pair

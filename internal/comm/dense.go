@@ -6,15 +6,19 @@ import (
 	"sasgd/internal/parallel"
 )
 
-// The dense engine: one reduce/broadcast of the whole buffer over a
-// binomial schedule (tree.go) — the up half folds every child's partial
-// and hands the sum to the parent, the down half brings the root's
-// total back — which is the paper's O(m log p) tree. "tree", the
-// broadcast, the wire barrier, the bucketed worker's per-bucket
-// collective and both levels of the hierarchy are this one engine with
-// a different schedule, buffer and traffic label. The overlap the
-// package offers comes from bucketing (bucketed.go), not from splitting
-// a buffer inside one collective.
+// The tree walk and the dense engine. up and down are the only code in
+// the package that moves a frame along a binomial schedule (tree.go):
+// the up half folds every child's partial and hands the result to the
+// parent, the down half brings the root's total back. What is folded
+// and sent is a reduction's business — the dense sum here, top-k's
+// pair merge (compress.go), qint8's max and packed-integer sum
+// (quant.go) — so the receive order and the pooled-frame discipline
+// are written once. The dense sum over the whole buffer is the paper's
+// O(m log p) tree: "tree", the broadcast, the wire barrier, the
+// bucketed worker's per-bucket collective and both levels of the
+// hierarchy are this one engine with a different schedule, buffer and
+// traffic label. The overlap the package offers comes from bucketing
+// (bucketed.go), not from splitting a buffer inside one collective.
 //
 // Every collective is executed by the members' cooperating goroutines
 // over the group's transport. Each learner calls the method with its own
@@ -25,20 +29,20 @@ import (
 // Ownership: a partial travels up by reference — the child's own
 // buffer, which the child does not touch again until down hands it
 // back. A parent that receives it so (the channel fabric) keeps it in
-// its sched's held row and, on the way down, writes the sum into it and
-// sends it back by reference; the child then copies nothing. At the root
-// the last fold is that write-back. Only where the child's memory is not
-// in hand — a partial that arrived in a pooled buffer — does down send a
-// pooled copy. On a p = 2 channel group the collective copies nothing at
-// all.
+// its dense state's held row and, on the way down, writes the sum into
+// it and sends it back by reference; the child then copies nothing. At
+// the root the last fold is that write-back. Only where the child's
+// memory is not in hand — a partial that arrived in a pooled buffer —
+// does down send a pooled copy. On a p = 2 channel group the collective
+// copies nothing at all.
 //
 // Allocation discipline: every pooled copy is drawn from the group's
-// buffer pool and released by its receiver (pool.go), and the reduction
-// loop is a parallel.Body kept in the member's sched, so the dense
-// collectives allocate nothing in steady state. Folds run through
-// internal/parallel above reduceGrain, with per-element order unchanged
-// from the serial loop, so results are bitwise independent of the
-// worker budget.
+// buffer pool and released by the walk that receives it (pool.go), and
+// the dense state, reduction loop included, is kept in the member's
+// sched, so the dense collectives allocate nothing in steady state.
+// Folds run through internal/parallel above reduceGrain, with
+// per-element order unchanged from the serial loop, so results are
+// bitwise independent of the worker budget.
 
 // AllreduceTree sums buf elementwise across all learners using a binomial
 // tree (reduce to rank 0, then broadcast), leaving the global sum in
@@ -62,7 +66,8 @@ func (g *Group) AllreduceTree(rank int, buf []float64) {
 func (g *Group) BroadcastTree(rank int, buf []float64) {
 	g.checkRank(rank)
 	g.setAlgo(rank, algoBcast)
-	g.down(&g.tree[rank], buf, nil)
+	s := &g.tree[rank]
+	g.down(s, s.sum(buf, false))
 }
 
 // allreduce sums buf across the members of s's tree and leaves the sum
@@ -74,8 +79,70 @@ func (g *Group) allreduce(s *sched, buf []float64, lend bool) {
 	if s.solitary() || len(buf) == 0 {
 		return
 	}
-	g.up(s, buf, s.held, lend)
-	g.down(s, buf, s.held)
+	d := s.sum(buf, lend)
+	g.up(s, d)
+	g.down(s, d)
+}
+
+// reduction is the payload of one walk over a member's sched: what up
+// folds and sends, and what down adopts and sends. k indexes
+// s.children. The walk releases every frame it receives once fold or
+// adopt has returned, so a reduction copies out of a pooled payload; a
+// frame that arrived by reference (pb nil, the sender's own memory) is
+// left alone and may be kept.
+type reduction interface {
+	// fold folds child k's partial into this member's.
+	fold(g *Group, s *sched, k int, in Frame)
+	// frame returns the frame to send: this subtree's partial to the
+	// parent for k < 0, the total to child k otherwise.
+	frame(g *Group, s *sched, k int) Frame
+	// adopt takes the parent's total as this member's.
+	adopt(g *Group, s *sched, in Frame)
+}
+
+// up runs the reduce half: fold each child's partial in schedule order
+// (the summation order every pin rests on), then send the subtree's
+// partial to the parent.
+func (g *Group) up(s *sched, r reduction) {
+	for k, child := range s.children {
+		in := g.recvMsg(s.rank, child)
+		r.fold(g, s, k, in)
+		g.releaseMsg(in)
+	}
+	if s.parent >= 0 {
+		g.sendMsg(s.rank, s.parent, r.frame(g, s, -1))
+	}
+}
+
+// down runs the broadcast half: adopt the parent's total, then send it
+// to each child in reverse schedule order.
+func (g *Group) down(s *sched, r reduction) {
+	if s.parent >= 0 {
+		in := g.recvMsg(s.rank, s.parent)
+		r.adopt(g, s, in)
+		g.releaseMsg(in)
+	}
+	for k := len(s.children) - 1; k >= 0; k-- {
+		g.sendMsg(s.rank, s.children[k], r.frame(g, s, k))
+	}
+}
+
+// dense is the dense sum as a reduction, one per sched: buf is the
+// member's buffer, held the children's partials kept by reference from
+// up to down, and lend whether the root's last fold may use the parked
+// members' workers. src and back are the fold in flight (Range).
+type dense struct {
+	buf  []float64
+	held [][]float64
+	src  []float64
+	lend bool
+	back bool
+}
+
+// sum points s's dense state at buf and returns it.
+func (s *sched) sum(buf []float64, lend bool) *dense {
+	s.dense.buf, s.dense.lend = buf, lend
+	return &s.dense
 }
 
 // reduceGrain is the minimum number of elements per shard for the
@@ -84,22 +151,18 @@ func (g *Group) allreduce(s *sched, buf []float64, lend bool) {
 // flop/element add.
 const reduceGrain = 1 << 15
 
-// fold is a member's reduction loop, dst += src, as a parallel.Body.
-// With back set it also stores each sum into src: the root's last fold,
-// whose sums are final, writing them into the child's own memory in the
-// same pass. Either way an element is one addition, in the serial loop's
-// order, and shards are disjoint index ranges, so the result is bitwise
-// identical at every shard count. It lives in the member's sched, so
-// handing it to the worker pool allocates nothing.
-type fold struct {
-	dst, src []float64
-	back     bool
-}
-
-func (f *fold) Range(_, lo, hi int) {
-	dst, src := f.dst[lo:hi], f.src[lo:hi]
+// Range is the member's reduction loop, buf += src, as a
+// parallel.Body. With back set it also stores each sum into src: the
+// root's last fold, whose sums are final, writing them into the child's
+// own memory in the same pass. Either way an element is one addition,
+// in the serial loop's order, and shards are disjoint index ranges, so
+// the result is bitwise identical at every shard count. The state lives
+// in the member's sched, so handing it to the worker pool allocates
+// nothing.
+func (d *dense) Range(_, lo, hi int) {
+	dst, src := d.buf[lo:hi], d.src[lo:hi]
 	src = src[:len(dst)] // one length for both: no bounds checks in the loops
-	if !f.back {
+	if !d.back {
 		for i := range dst {
 			dst[i] += src[i]
 		}
@@ -112,80 +175,58 @@ func (f *fold) Range(_, lo, hi int) {
 	}
 }
 
-// run folds src into dst on at most workers shards.
-func (f *fold) run(dst, src []float64, back bool, workers int) {
-	f.dst, f.src, f.back = dst, src, back
-	parallel.ForWorkers(len(dst), reduceGrain, workers, f)
-}
-
-// up runs the reduce half: fold each child's partial into buf in
-// schedule order (the summation order every pin rests on), then hand buf
-// to the parent by reference.
-//
-// A partial that arrives by reference (Frame.pb nil: the channel
-// fabric's hand-off) is the child's own buffer; it goes into held[k]
-// for down to write the sum into, and at the root the last fold writes
-// it there already. A partial in a pooled buffer is folded and released:
-// that is every frame a wire transport delivers, so there the child's
-// memory is not in hand. held nil keeps nothing (the wire barrier's up, which no
-// down of its own follows). With lend the root's last fold runs on the
-// parked members' workers too (AllreduceTree).
-func (g *Group) up(s *sched, buf []float64, held [][]float64, lend bool) {
-	for k, child := range s.children {
-		in := g.recvMsg(s.rank, child)
-		if len(in.Data) != len(buf) {
-			panic(fmt.Sprintf("comm: tree reduce length mismatch %d vs %d", len(in.Data), len(buf)))
-		}
-		keep := held != nil && in.pb == nil
-		workers := parallel.Workers()
-		if lend && s.writesBack(k) {
-			workers *= g.p
-		}
-		s.fold.run(buf, in.Data, keep && s.writesBack(k), workers)
-		if keep {
-			held[k] = in.Data
-		} else {
-			g.releaseMsg(in)
-		}
+// fold folds child k's partial into buf. A partial that arrives by
+// reference (the channel fabric's hand-off) is the child's own buffer;
+// it goes into held[k] for frame to write the sum into, and at the root
+// the last fold writes it there already. A partial in a pooled buffer
+// is only folded: that is every frame a wire transport delivers, so
+// there the child's memory is not in hand.
+func (d *dense) fold(g *Group, s *sched, k int, in Frame) {
+	if len(in.Data) != len(d.buf) {
+		panic(fmt.Sprintf("comm: tree reduce length mismatch %d vs %d", len(in.Data), len(d.buf)))
 	}
-	if s.parent >= 0 {
-		// The parent reads buf while folding it and may write the sum
-		// into it; this member touches buf again only once down has
-		// received it back.
-		g.sendMsg(s.rank, s.parent, Frame{Data: buf})
+	keep := in.pb == nil
+	workers := parallel.Workers()
+	if d.lend && s.writesBack(k) {
+		workers *= g.p
+	}
+	d.src, d.back = in.Data, keep && s.writesBack(k)
+	parallel.ForWorkers(len(d.buf), reduceGrain, workers, d)
+	if keep {
+		d.held[k] = in.Data
 	}
 }
 
-// down runs the broadcast of the root's buf. A child whose buffer up
-// kept in held gets it back by reference holding the sum (the root's
-// last child's already does: the fold wrote it); every other child gets
-// a pooled copy it releases. A member that receives its own memory
-// copies nothing.
-func (g *Group) down(s *sched, buf []float64, held [][]float64) {
-	if s.parent >= 0 {
-		in := g.recvMsg(s.rank, s.parent)
-		if len(in.Data) != len(buf) {
-			panic(fmt.Sprintf("comm: tree broadcast length mismatch %d vs %d", len(in.Data), len(buf)))
-		}
-		if in.pb != nil {
-			copy(buf, in.Data)
-			g.releaseMsg(in)
-		} else if &in.Data[0] != &buf[0] {
-			panic("comm: tree broadcast by reference of memory that is not the receiver's buffer")
-		}
+// frame hands buf to the parent by reference: the parent reads it while
+// folding and may write the sum into it, and this member touches it
+// again only once down has received it back. A child whose buffer up
+// kept gets it back by reference holding the sum (the root's last
+// child's already does: the fold wrote it); every other child gets a
+// pooled copy.
+func (d *dense) frame(g *Group, s *sched, k int) Frame {
+	if k < 0 {
+		return Frame{Data: d.buf}
 	}
-	for k := len(s.children) - 1; k >= 0; k-- {
-		if held != nil && held[k] != nil {
-			theirs := held[k]
-			held[k] = nil
-			if !s.writesBack(k) {
-				copy(theirs, buf)
-			}
-			g.sendMsg(s.rank, s.children[k], Frame{Data: theirs})
-			continue
+	if theirs := d.held[k]; theirs != nil {
+		d.held[k] = nil
+		if !s.writesBack(k) {
+			copy(theirs, d.buf)
 		}
-		pb := g.acquire(len(buf))
-		copy(pb.data, buf)
-		g.sendMsg(s.rank, s.children[k], Frame{Data: pb.data, pb: pb})
+		return Frame{Data: theirs}
+	}
+	return g.pooled(d.buf)
+}
+
+// adopt copies a pooled total into buf. A total that comes back by
+// reference must be buf itself, which then holds the sum already: a
+// member that receives its own memory copies nothing.
+func (d *dense) adopt(_ *Group, _ *sched, in Frame) {
+	if len(in.Data) != len(d.buf) {
+		panic(fmt.Sprintf("comm: tree broadcast length mismatch %d vs %d", len(in.Data), len(d.buf)))
+	}
+	if in.pb != nil {
+		copy(d.buf, in.Data)
+	} else if &in.Data[0] != &d.buf[0] {
+		panic("comm: tree broadcast by reference of memory that is not the receiver's buffer")
 	}
 }

@@ -264,7 +264,8 @@ func (g *Group) wireBarrier(rank int) {
 	pb := g.acquire(1)
 	pb.data[0] = 0
 	g.setAlgo(rank, algoTree)
-	g.up(&g.tree[rank], pb.data, nil, false)
+	s := &g.tree[rank]
+	g.up(s, s.sum(pb.data, false))
 	g.BroadcastTree(rank, pb.data)
 	g.pool.release(pb)
 }

@@ -138,5 +138,5 @@ func (h *Hier) AllreduceInter(rank int, buf []float64) {
 	if s.parent < 0 {
 		h.g.allreduce(&h.inter[h.islandOf[rank]], buf, false)
 	}
-	h.g.down(s, buf, nil)
+	h.g.down(s, s.sum(buf, false))
 }

@@ -74,6 +74,13 @@ func (p *bufPool) release(pb *poolBuf) {
 // transport-shared) pool.
 func (g *Group) acquire(n int) *poolBuf { return g.pool.acquire(n) }
 
+// pooled returns a frame carrying a pooled copy of src.
+func (g *Group) pooled(src []float64) Frame {
+	pb := g.acquire(len(src))
+	copy(pb.data, src)
+	return Frame{Data: pb.data, pb: pb}
+}
+
 // releaseMsg returns a received frame's payload to the pool. Frames
 // whose payload is owned by the sender (zero-copy subslice hand-offs,
 // external Send callers) carry a nil pb and are left alone.

@@ -9,26 +9,29 @@ import (
 
 // qint8: int8 quantization with a shared per-bucket scale.
 //
-// Each bucket's aggregation runs in two phases. Phase 1 allreduces the
-// bucket's absolute maximum over a binomial tree (one word per message)
-// so every rank derives the identical scale s = gmax/127. Phase 2
-// quantizes q_i = round(v_i/s) (math.Round — half away from zero,
-// deterministic), reduces the INTEGER vectors over the same tree, and
-// every rank decodes the aggregate as (Σ q)·s. Because the wire carries
-// integers, partial sums are exact and order-independent: the qint8
-// aggregate is bitwise identical for any reduction order, which is what
-// makes the overlapped and serial compressed schedules trivially
-// equivalent.
+// Each bucket's aggregation runs in two phases, each one walk of the
+// group's tree (dense.go's up and down) with a reduction of its own.
+// Phase 1 allreduces the bucket's absolute maximum (one word per
+// message) so every rank derives the identical scale s = gmax/127.
+// Phase 2 quantizes q_i = round(v_i/s) (math.Round — half away from
+// zero, deterministic), sums the INTEGER vectors over the same tree,
+// and every rank decodes the aggregate as (Σ q)·s. Because the wire
+// carries integers, partial sums are exact and order-independent: the
+// qint8 aggregate is bitwise identical for any reduction order, which
+// is what makes the overlapped and serial compressed schedules
+// trivially equivalent.
 //
 // Wire format: integers are packed into float64 words bit-for-bit
 // (math.Float64bits; payloads are only ever copied in transit, never
-// operated on, so arbitrary bit patterns survive). A leaf's values fit
-// int8 — 8 lanes per word, ⌈n/8⌉ words, the 4× reduction (8× against
-// the index+value sparse format) — while interior partial sums of up to
-// maxQuantGroup leaves fit int16 — 4 lanes per word. The receiver knows
-// the sender's subtree size from the schedule, so messages carry no
-// header; the scale needs no transmission either, both sides having run
-// phase 1.
+// operated on, so arbitrary bit patterns survive). The lane width is
+// the narrowest that holds the sender's subtree sum, |Σ q| ≤ 127·span:
+// a leaf's values fit int8 — 8 lanes per word, ⌈n/8⌉ words, the 4×
+// reduction (8× against the index+value sparse format) — partial sums
+// of up to 258 leaves fit int16 (4 lanes per word), and wider ones
+// int32 (2 lanes). The receiver knows the sender's subtree size from
+// the schedule, and the broadcast's is the whole group, so messages
+// carry no header; the scale needs no transmission either, both sides
+// having run phase 1.
 //
 // Error feedback: the residual keeps r_i = v_i − q_i·s. For q_i = 0 the
 // subtraction is trivially exact; for |q_i| ≥ 1 rounding puts v_i/s in
@@ -37,15 +40,11 @@ import (
 // residual reconstructs v_i bitwise (pinned in compress_test.go), so
 // qint8 composes with error feedback as losslessly as top-k does.
 
-// maxQuantGroup bounds the group size of the qint8 codec: interior
-// partial sums reach |Σ q| ≤ 127·p, which must fit int16 (32767), so
-// p ≤ 258; capped at the round 256.
-const maxQuantGroup = 256
-
 // qint8Compressor is the shared-scale int8 quantization codec. Traffic
 // is charged under the "quant" label.
 type qint8Compressor struct {
-	q []int32 // own quantized contribution, then the integer aggregate
+	q   []int32 // own quantized contribution, then the integer aggregate
+	max maxOf   // phase 1's reduction
 
 	sent2, resid2       float64
 	totSent2, totResid2 float64
@@ -65,9 +64,6 @@ func (c *qint8Compressor) Totals() (sent2, resid2 float64) {
 
 func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, ratio, ready float64, tk *obs.Track, arg int32) {
 	g.checkRank(rank)
-	if g.p > maxQuantGroup {
-		panic(fmt.Sprintf("comm: qint8 supports at most %d learners (int16 partial sums), got %d", maxQuantGroup, g.p))
-	}
 	if len(seg) != len(res) {
 		panic(fmt.Sprintf("comm: qint8 bucket has %d gradient words but %d residual words", len(seg), len(res)))
 	}
@@ -84,7 +80,11 @@ func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, rati
 			local = a
 		}
 	}
-	gmax := g.allreduceMaxTree(rank, local)
+	s := &g.tree[rank]
+	c.max.v = local
+	g.up(s, &c.max)
+	g.down(s, &c.max)
+	gmax := c.max.v
 	if gmax == 0 || math.IsInf(gmax, 0) || math.IsNaN(gmax) {
 		// Every rank's bucket is all-zero (or some rank's is non-finite,
 		// where quantization is meaningless): the aggregate is zero and
@@ -117,146 +117,102 @@ func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, rati
 		c.totResid2 += r * r
 	}
 	tk.EndArg(obs.PhaseCompress, arg, cs)
-	c.intTreeAllreduce(g, rank)
+	g.up(s, c)
+	g.down(s, c)
 	for i := range seg {
 		seg[i] = float64(c.q[i]) * scale
 	}
 }
 
-// allreduceMaxTree shares max(local) across the group over its tree in
-// one-word messages and returns the global maximum.
-func (g *Group) allreduceMaxTree(rank int, local float64) float64 {
-	s := &g.tree[rank]
-	acc := local
-	for _, child := range s.children {
-		in := g.recvMsg(rank, child)
-		if in.Data[0] > acc {
-			acc = in.Data[0]
-		}
-		g.releaseMsg(in)
+// maxOf is phase 1's reduction: the maximum of one word per member.
+type maxOf struct{ v float64 }
+
+func (m *maxOf) fold(_ *Group, _ *sched, _ int, in Frame) {
+	if in.Data[0] > m.v {
+		m.v = in.Data[0]
 	}
-	if s.parent >= 0 {
-		pb := g.acquire(1)
-		pb.data[0] = acc
-		g.sendMsg(rank, s.parent, Frame{Data: pb.data, pb: pb})
-		in := g.recvMsg(rank, s.parent)
-		acc = in.Data[0]
-		g.releaseMsg(in)
+}
+
+func (m *maxOf) frame(g *Group, _ *sched, _ int) Frame { return g.pooled([]float64{m.v}) }
+
+func (m *maxOf) adopt(_ *Group, _ *sched, in Frame) { m.v = in.Data[0] }
+
+// Phase 2's reduction is the codec itself: c.q is the rank's integer
+// vector, then its subtree's sum up the tree, then the total down it.
+// Integer addition is exact and associative, so the result is
+// independent of every scheduling choice.
+
+// fold adds child k's packed partial sum into c.q, at the lane width of
+// the child's subtree.
+func (c *qint8Compressor) fold(g *Group, s *sched, k int, in Frame) {
+	n, sub := len(c.q), g.tree[s.children[k]].span
+	if len(in.Data) != quantWords(n, sub) {
+		panic(fmt.Sprintf("comm: quantized message has %d words, want %d for %d lanes from a %d-leaf subtree",
+			len(in.Data), quantWords(n, sub), n, sub))
 	}
-	for i := len(s.children) - 1; i >= 0; i-- {
-		pb := g.acquire(1)
-		pb.data[0] = acc
-		g.sendMsg(rank, s.children[i], Frame{Data: pb.data, pb: pb})
+	unpackInts(in.Data, laneBits(sub), c.q)
+}
+
+// frame packs c.q: the subtree's partial sum for the parent, the total
+// (a whole group's span) for a child.
+func (c *qint8Compressor) frame(g *Group, s *sched, k int) Frame {
+	span := g.p
+	if k < 0 {
+		span = s.span
 	}
-	return acc
+	pb := g.acquire(quantWords(len(c.q), span))
+	packInts(c.q, laneBits(span), pb.data)
+	return Frame{Data: pb.data, pb: pb}
+}
+
+// adopt overwrites c.q with the parent's packed total.
+func (c *qint8Compressor) adopt(g *Group, _ *sched, in Frame) {
+	clear(c.q)
+	unpackInts(in.Data, laneBits(g.p), c.q)
+}
+
+// laneBits returns the lane width in bits of a packed message from a
+// sender whose subtree spans the given number of leaves: int8 for a
+// single leaf, int16 while 127·span fits it (span ≤ 258), int32 beyond.
+func laneBits(span int) int {
+	switch {
+	case span == 1:
+		return 8
+	case 127*span <= math.MaxInt16:
+		return 16
+	}
+	return 32
 }
 
 // quantWords returns the packed message length in float64 words for n
-// lanes from a sender whose reduce subtree spans the given number of
-// leaves: int8 lanes (8 per word) for a single leaf, int16 lanes (4 per
-// word) for any partial or full sum.
-func quantWords(n, subtree int) int {
-	if subtree == 1 {
-		return (n + 7) / 8
-	}
-	return (n + 3) / 4
+// lanes from a sender whose subtree spans the given number of leaves.
+func quantWords(n, span int) int {
+	lanes := 64 / laneBits(span)
+	return (n + lanes - 1) / lanes
 }
 
-// intTreeAllreduce sums c.q across the group: reduce of the packed
-// integer vectors up the group's tree and broadcast of the packed total
-// back down. Integer addition is exact and associative, so the result is
-// independent of every scheduling choice.
-func (c *qint8Compressor) intTreeAllreduce(g *Group, rank int) {
-	s := &g.tree[rank]
-	n := len(c.q)
-	for _, child := range s.children {
-		in := g.recvMsg(rank, child)
-		sub := g.tree[child].span
-		if len(in.Data) != quantWords(n, sub) {
-			panic(fmt.Sprintf("comm: quantized message has %d words, want %d for %d lanes from a %d-leaf subtree",
-				len(in.Data), quantWords(n, sub), n, sub))
-		}
-		unpackAddInts(in.Data, sub, c.q)
-		g.releaseMsg(in)
-	}
-	if s.parent >= 0 {
-		pb := g.acquire(quantWords(n, s.span))
-		packInts(c.q, s.span, pb.data)
-		g.sendMsg(rank, s.parent, Frame{Data: pb.data, pb: pb})
-		in := g.recvMsg(rank, s.parent)
-		unpackSetInts(in.Data, g.p, c.q)
-		g.releaseMsg(in)
-	}
-	for i := len(s.children) - 1; i >= 0; i-- {
-		pb := g.acquire(quantWords(n, g.p))
-		packInts(c.q, g.p, pb.data)
-		g.sendMsg(rank, s.children[i], Frame{Data: pb.data, pb: pb})
-	}
-}
-
-// packInts packs q into out at the subtree's lane width. out must be
-// exactly quantWords(len(q), subtree) long.
-func packInts(q []int32, subtree int, out []float64) {
-	if subtree == 1 {
-		for w := range out {
-			var u uint64
-			base := w * 8
-			for l := 0; l < 8 && base+l < len(q); l++ {
-				u |= uint64(uint8(int8(q[base+l]))) << (8 * l)
-			}
-			out[w] = math.Float64frombits(u)
-		}
-		return
-	}
+// packInts packs q into out at the given lane width, lane l of word w
+// holding q[w·lanes+l]. out must be exactly ⌈len(q)/lanes⌉ long.
+func packInts(q []int32, bits int, out []float64) {
+	lanes, mask := 64/bits, uint64(1)<<bits-1
 	for w := range out {
 		var u uint64
-		base := w * 4
-		for l := 0; l < 4 && base+l < len(q); l++ {
-			u |= uint64(uint16(int16(q[base+l]))) << (16 * l)
+		base := w * lanes
+		for l := 0; l < lanes && base+l < len(q); l++ {
+			u |= uint64(q[base+l]) & mask << (bits * l)
 		}
 		out[w] = math.Float64frombits(u)
 	}
 }
 
-// unpackAddInts adds a packed message's lanes into q.
-func unpackAddInts(in []float64, subtree int, q []int32) {
-	if subtree == 1 {
-		for w, f := range in {
-			u := math.Float64bits(f)
-			base := w * 8
-			for l := 0; l < 8 && base+l < len(q); l++ {
-				q[base+l] += int32(int8(uint8(u >> (8 * l))))
-			}
-		}
-		return
-	}
+// unpackInts adds a packed message's lanes, sign-extended, into q.
+func unpackInts(in []float64, bits int, q []int32) {
+	lanes := 64 / bits
 	for w, f := range in {
 		u := math.Float64bits(f)
-		base := w * 4
-		for l := 0; l < 4 && base+l < len(q); l++ {
-			q[base+l] += int32(int16(uint16(u >> (16 * l))))
-		}
-	}
-}
-
-// unpackSetInts overwrites q with a packed message's lanes (broadcast
-// receive).
-func unpackSetInts(in []float64, subtree int, q []int32) {
-	if subtree == 1 {
-		for w, f := range in {
-			u := math.Float64bits(f)
-			base := w * 8
-			for l := 0; l < 8 && base+l < len(q); l++ {
-				q[base+l] = int32(int8(uint8(u >> (8 * l))))
-			}
-		}
-		return
-	}
-	for w, f := range in {
-		u := math.Float64bits(f)
-		base := w * 4
-		for l := 0; l < 4 && base+l < len(q); l++ {
-			q[base+l] = int32(int16(uint16(u >> (16 * l))))
+		base := w * lanes
+		for l := 0; l < lanes && base+l < len(q); l++ {
+			q[base+l] += int32(int64(u<<(64-bits*(l+1))) >> (64 - bits))
 		}
 	}
 }

@@ -41,51 +41,92 @@ func tcpLoopbackGroup(t *testing.T, p int) *Group {
 }
 
 // TestCrossTransportAllreduceEquivalence is the equivalence matrix of
-// the transport cut: the tree allreduce, over group sizes including
-// non-powers of two, must produce bitwise-identical buffers AND
-// identical traffic stats on the channel fabric and on TCP loopback.
-// Float64 words survive the wire codec bit-exactly and the collectives
-// never branch on the backend, so equality here is exact — any drift
-// means the transport leaked into algorithm behavior.
+// the transport cut: every reduction the tree walk carries — the dense
+// tree allreduce, top-k's pair merge and qint8's max and integer sum —
+// over group sizes including non-powers of two, must produce
+// bitwise-identical buffers (residuals included) AND identical traffic
+// stats on the channel fabric and on TCP loopback. Float64 words survive
+// the wire codec bit-exactly and the collectives never branch on the
+// backend, so equality here is exact — any drift means the transport
+// leaked into algorithm behavior.
 //
 // Equal means equal bits: the operands carry ±0, denormals, ±Inf and NaN
 // (spikeSpecials), where == would call +0 and −0 the same and fail every
-// NaN. The two long messages are above reduceGrain, so their folds run
-// sharded (the budget is raised for the test, so they do on a one-core
-// host too). A wire transport never hands a partial over by reference,
-// so on those messages channel ≡ TCP is also the by-reference engine
-// against the pooled one.
+// NaN. The two long messages are above reduceGrain, so the dense folds
+// run sharded (the budget is raised for the test, so they do on a
+// one-core host too). A wire transport never hands a partial over by
+// reference, so on those messages channel ≡ TCP is also the
+// by-reference engine against the pooled one. qint8's operands stay
+// finite: a non-finite maximum zeroes the bucket before any integer
+// moves.
 func TestCrossTransportAllreduceEquivalence(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(4))
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		for _, m := range []int{1, 23, 129, 2*reduceGrain + 3, 276971} {
-			orig, _ := makeBufs(p, m, int64(7000*p+m))
-			spikeSpecials(orig)
-			var refBufs [][]float64
-			var refStats Stats
-			for _, tc := range transportCases() {
-				bufs := cloneBufs(orig)
-				g := tc.make(t, p)
-				runGroup(p, g, func(rank int) {
-					g.AllreduceTree(rank, bufs[rank])
-					g.Barrier(rank)
-				})
-				st := g.Stats()
-				if refBufs == nil {
-					refBufs, refStats = bufs, st
-					continue
+	type runFn = func(rank int, buf, res []float64)
+	codec := func(name string, ratio float64) func(*Group, int) runFn {
+		return func(g *Group, p int) runFn {
+			cs := make([]Compressor, p)
+			for r := range cs {
+				cs[r] = NewCompressor(name)
+			}
+			return func(r int, buf, res []float64) { cs[r].Allreduce(g, r, buf, res, ratio, 0, nil, 0) }
+		}
+	}
+	ops := []struct {
+		name     string
+		specials bool
+		run      func(g *Group, p int) runFn
+	}{
+		{"tree", true, func(g *Group, _ int) runFn {
+			return func(r int, buf, _ []float64) { g.AllreduceTree(r, buf) }
+		}},
+		{"topk", true, codec("topk", 0.1)},
+		{"qint8", false, codec("qint8", 0)},
+	}
+	for _, op := range ops {
+		for _, p := range []int{1, 2, 3, 5, 8} {
+			for _, m := range []int{1, 23, 129, 2*reduceGrain + 3, 276971} {
+				orig, _ := makeBufs(p, m, int64(7000*p+m))
+				if op.specials {
+					spikeSpecials(orig)
 				}
-				for r := 0; r < p; r++ {
-					for i := range bufs[r] {
-						if got, want := math.Float64bits(bufs[r][i]), math.Float64bits(refBufs[r][i]); got != want {
-							t.Fatalf("p=%d m=%d rank=%d[%d]: %s %#x != channel %#x (must be bitwise)",
-								p, m, r, i, tc.name, got, want)
+				var refBufs, refRes [][]float64
+				var refStats Stats
+				for _, tc := range transportCases() {
+					bufs := cloneBufs(orig)
+					res := make([][]float64, p)
+					for r := range res {
+						res[r] = make([]float64, m)
+						for i := range res[r] {
+							res[r][i] = float64((r+i)%7) * 1e-3
 						}
 					}
-				}
-				if !reflect.DeepEqual(st, refStats) {
-					t.Fatalf("p=%d m=%d: %s stats %+v != channel stats %+v",
-						p, m, tc.name, st, refStats)
+					g := tc.make(t, p)
+					run := op.run(g, p)
+					runGroup(p, g, func(rank int) {
+						run(rank, bufs[rank], res[rank])
+						g.Barrier(rank)
+					})
+					st := g.Stats()
+					if refBufs == nil {
+						refBufs, refRes, refStats = bufs, res, st
+						continue
+					}
+					for r := 0; r < p; r++ {
+						for i := range bufs[r] {
+							if got, want := math.Float64bits(bufs[r][i]), math.Float64bits(refBufs[r][i]); got != want {
+								t.Fatalf("%s p=%d m=%d rank=%d[%d]: %s %#x != channel %#x (must be bitwise)",
+									op.name, p, m, r, i, tc.name, got, want)
+							}
+							if got, want := math.Float64bits(res[r][i]), math.Float64bits(refRes[r][i]); got != want {
+								t.Fatalf("%s p=%d m=%d rank=%d residual[%d]: %s %#x != channel %#x (must be bitwise)",
+									op.name, p, m, r, i, tc.name, got, want)
+							}
+						}
+					}
+					if !reflect.DeepEqual(st, refStats) {
+						t.Fatalf("%s p=%d m=%d: %s stats %+v != channel stats %+v",
+							op.name, p, m, tc.name, st, refStats)
+					}
 				}
 			}
 		}
@@ -105,8 +146,8 @@ func (linkCost) ServerOpTime(int, int, int) float64 { return 0 }
 // TestCrossTransportSimulatedClocks: simulated time is a decorator over
 // the transport, so the same collectives give the same final clocks,
 // bitwise, over the channel fabric and over TCP loopback — the wire
-// carries no time. Ranks start skewed; the bucketed ops and the top-k
-// codec open their clocks at entry stamps before the ranks' own clocks,
+// carries no time. Ranks start skewed; the bucketed ops and the two
+// codecs open their clocks at entry stamps before the ranks' own clocks,
 // as the overlap path's do.
 func TestCrossTransportSimulatedClocks(t *testing.T) {
 	const m = 53
@@ -137,6 +178,11 @@ func TestCrossTransportSimulatedClocks(t *testing.T) {
 		{"topk", func(g *Group, p int) func(int, []float64) {
 			return func(r int, b []float64) {
 				NewCompressor("topk").Allreduce(g, r, b, make([]float64, m), 0.25, 1.5, nil, 0)
+			}
+		}},
+		{"qint8", func(g *Group, p int) func(int, []float64) {
+			return func(r int, b []float64) {
+				NewCompressor("qint8").Allreduce(g, r, b, make([]float64, m), 0, 1.5, nil, 0)
 			}
 		}},
 		{"hier", func(g *Group, p int) func(int, []float64) {

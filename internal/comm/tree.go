@@ -2,8 +2,9 @@ package comm
 
 // The binomial tree as data. Every collective in this package — the
 // dense engine (dense.go), the hierarchy's island and leader
-// exchanges (hier.go), the codecs' pair, max and integer walks
-// (compress.go, quant.go) — is one tree walked the same two ways:
+// exchanges (hier.go), the codecs' pair merge, max and integer sum
+// (compress.go, quant.go) — is one tree walked the same two ways, by
+// the one walk in dense.go (up, down) with a different reduction:
 //
 //	up:   receive from each child in order, fold, send to the parent
 //	down: receive from the parent, send to each child in reverse order
@@ -24,12 +25,9 @@ type sched struct {
 	children []int // ascending step order: the order their partials are folded in
 	span     int   // members in this subtree, itself included
 
-	// The dense engine's state for this member of this tree (dense.go),
-	// touched only by the goroutine walking it: held is the children's
-	// partials, kept by reference from up to down; fold is the member's
-	// reduction loop.
-	held [][]float64
-	fold fold
+	// The dense sum's state for this member of this tree (dense.go),
+	// touched only by the goroutine walking it.
+	dense dense
 }
 
 // solitary reports whether the tree is this member alone.
@@ -64,7 +62,7 @@ func newTree(members []int) []sched {
 		parent, children := binomial(len(members), i)
 		s := &t[i]
 		s.rank, s.parent, s.children, s.span = members[i], -1, children, 1
-		s.held = make([][]float64, len(children))
+		s.dense.held = make([][]float64, len(children))
 		if parent >= 0 {
 			s.parent = members[parent]
 		}

@@ -189,6 +189,11 @@ func threeWayFigure(figure string, w *Workload, opt Opt) []ThreeWayResult {
 		for _, algo := range algos {
 			cfg := w.trainCfg(algo, p, 50, epochs, opt)
 			cfg.EvalEvery = evalStride(epochs)
+			// The asynchronous baselines' staleness would otherwise depend
+			// on how the host schedules p learners on its cores; virtual
+			// time makes their rows the same on every run and host. SASGD
+			// is deterministic already and ignores it.
+			cfg.VirtualTime = true
 			run := trainReplicated(cfg, w.Problem, opt.replicas())
 			panel.Runs[algo] = run
 			trainSeries = append(trainSeries, report.Series{Label: string(algo), Curve: run.Curve})

@@ -37,6 +37,17 @@ if grep -n 'parallel\.SetWorkers' $comm_src; then
     echo "FAIL: internal/comm swaps the process-wide worker budget"
     exit 1
 fi
+# One tree walk: up and down (dense.go) move every frame of every
+# collective, dense or codec, and a reduction only says what a frame
+# carries. group.go holds the send and receive themselves; a receive or
+# send anywhere else is a second walk with its own order and its own
+# pooled-frame discipline.
+echo "==> internal/comm: recvMsg/sendMsg only in group.go and dense.go"
+# shellcheck disable=SC2086
+if grep -n 'recvMsg(\|sendMsg(' $comm_src | grep -v '^internal/comm/\(group\|dense\)\.go:'; then
+    echo "FAIL: a tree walk outside up/down in internal/comm/dense.go"
+    exit 1
+fi
 
 # One telemetry plane: spans, registry, fleet view and exporters live in
 # internal/obs, and report formatting in internal/report. The two old
