@@ -245,25 +245,6 @@ func BenchmarkAblationGammaP(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationServerShards compares Downpour's simulated epoch time
-// and accuracy with a single-shard versus an 8-shard parameter server.
-func BenchmarkAblationServerShards(b *testing.B) {
-	w := experiments.ImageWorkload()
-	for _, shards := range []int{1, 8} {
-		b.Run(map[int]string{1: "single", 8: "sharded"}[shards], func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = core.Train(core.Config{
-					Algo: core.AlgoDownpour, Learners: 8, Interval: 5, Gamma: 0.1,
-					Batch: 16, Epochs: 2, Seed: 1, EvalEvery: 2, Shards: shards,
-					Sim: w.SimConfig(8), FlopsPerSample: w.PaperCost.TrainFlopsPerSample,
-				}, w.Problem)
-			}
-			b.ReportMetric(res.EpochTime(), "sim-epoch-s")
-		})
-	}
-}
-
 // BenchmarkKernelMatMul measures the core GEMM kernel the networks are
 // built on, swept across matrix sizes and worker-pool widths.
 func BenchmarkKernelMatMul(b *testing.B) {

@@ -56,7 +56,6 @@ func main() {
 	compressK := flag.Float64("compress-k", 0, "top-k fraction in (0,1] for -compress topk (0 = 0.05; 1 = dense)")
 	compressAdapt := flag.Bool("compress-adapt", false, "adapt the top-k fraction to the captured gradient-mass fraction (topk only)")
 	workers := flag.Int("workers", 0, "per-learner kernel workers (0 = split SASGD_WORKERS/GOMAXPROCS across learners)")
-	fastKernels := flag.Bool("fast-kernels", false, "use reordered-summation tensor kernels: faster dot products, value-equal to the default kernels within 1e-12 but not bit-identical")
 	sim := flag.Bool("sim", false, "attach the fabric simulator and report simulated epoch time")
 	vtime := flag.Bool("vtime", false, "deterministic virtual-time scheduling for the asynchronous algorithms")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file and print its phase profile (load in ui.perfetto.dev)")
@@ -119,7 +118,6 @@ func main() {
 		CompressAdapt: *compressAdapt,
 		VirtualTime:   *vtime,
 		Workers:       *workers,
-		FastKernels:   *fastKernels,
 	}
 	if *compressK < 0 || *compressK > 1 {
 		fmt.Fprintf(os.Stderr, "sasgd-train: -compress-k %g out of range (0,1]\n", *compressK)
@@ -183,8 +181,8 @@ func main() {
 		if *rank < 0 {
 			tr, err = comm.NewTCPLoopback(cfg.Learners)
 		} else {
-			if *sim || cfg.Faults != nil || cfg.CheckpointPath != "" || cfg.ResumeFrom != "" {
-				fmt.Fprintf(os.Stderr, "sasgd-train: -rank (multi-process) composes with neither -sim nor -faults/-ckpt/-resume\n")
+			if *sim || cfg.Faults != nil {
+				fmt.Fprintf(os.Stderr, "sasgd-train: -rank (multi-process) composes with neither -sim nor -faults\n")
 				os.Exit(2)
 			}
 			addrs := strings.Split(*peers, ",")

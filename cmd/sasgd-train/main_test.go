@@ -28,23 +28,61 @@ func TestTwoProcessTCPMatchesChannel(t *testing.T) {
 	bin := buildTrain(t, dir)
 
 	common := []string{"-p", "2", "-T", "2", "-epochs", "1", "-batch", "8", "-seed", "7"}
-	run := func(extra ...string) []byte {
-		cmd := exec.Command(bin, append(append([]string{}, common...), extra...)...)
-		cmd.Env = os.Environ()
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("%v: %v\n%s", cmd.Args, err, out)
-		}
-		return out
+	chanOut := filepath.Join(dir, "chan.bin")
+	if out, err := exec.Command(bin, append(common, "-params-out", chanOut)...).CombinedOutput(); err != nil {
+		t.Fatalf("channel run: %v\n%s", err, out)
+	}
+	tcpOut := filepath.Join(dir, "tcp.bin")
+	runTwoProcess(t, bin, common, "-params-out", tcpOut)
+	sameParams(t, "two-process TCP", tcpOut, chanOut)
+}
+
+// TestTwoProcessCheckpointResumeMatchesChannel: checkpoint and resume
+// are the boundary's last stage on the run's own group, so they compose
+// with a multi-process mesh. A two-process run writes per-boundary
+// checkpoints from the process hosting rank 0; a second two-process run
+// resumes from a mid-run one, every process reading the file. Both must
+// end on the single-process channel run's final parameters, bit for bit.
+// The text workload has no dropout: resume is exact replay only for
+// models whose forward pass draws no randomness (core/checkpoint.go).
+func TestTwoProcessCheckpointResumeMatchesChannel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary and trains five processes; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := buildTrain(t, dir)
+
+	common := []string{"-workload", "nlcf", "-p", "2", "-T", "2", "-epochs", "2", "-batch", "8", "-seed", "7"}
+	chanOut := filepath.Join(dir, "chan.bin")
+	if out, err := exec.Command(bin, append(common, "-params-out", chanOut)...).CombinedOutput(); err != nil {
+		t.Fatalf("channel run: %v\n%s", err, out)
 	}
 
-	chanOut := filepath.Join(dir, "chan.bin")
-	run("-params-out", chanOut)
+	ckptOut := filepath.Join(dir, "ckpt.bin")
+	runTwoProcess(t, bin, append(common, "-ckpt", filepath.Join(dir, "ck-%d.ckpt"), "-ckpt-every", "25"),
+		"-params-out", ckptOut)
+	sameParams(t, "two-process checkpointing", ckptOut, chanOut)
 
+	mid := filepath.Join(dir, "ck-100.ckpt") // mid-way through the second epoch
+	if _, err := os.Stat(mid); err != nil {
+		t.Fatalf("expected mid-run checkpoint: %v", err)
+	}
+	resumeOut := filepath.Join(dir, "resume.bin")
+	runTwoProcess(t, bin, append(common, "-resume", mid), "-params-out", resumeOut)
+	sameParams(t, "two-process resume", resumeOut, chanOut)
+}
+
+// runTwoProcess runs args as a two-process TCP mesh on loopback: rank 1
+// in the background, rank 0 — with rank0Extra appended — in the
+// foreground. It fails the test unless both exit cleanly.
+func runTwoProcess(t *testing.T, bin string, args []string, rank0Extra ...string) {
+	t.Helper()
 	peers := fmt.Sprintf("127.0.0.1:%d,127.0.0.1:%d", freePort(t), freePort(t))
-	tcpOut := filepath.Join(dir, "tcp.bin")
-	cmd1 := exec.Command(bin, append(append([]string{}, common...),
-		"-transport", "tcp", "-rank", "1", "-peers", peers)...)
+	rankArgs := func(rank string, extra ...string) []string {
+		a := append(append([]string{}, args...), "-transport", "tcp", "-rank", rank, "-peers", peers)
+		return append(a, extra...)
+	}
+	cmd1 := exec.Command(bin, rankArgs("1")...)
 	cmd1.Env = os.Environ()
 	var out1 bytes.Buffer
 	cmd1.Stdout, cmd1.Stderr = &out1, &out1
@@ -54,7 +92,13 @@ func TestTwoProcessTCPMatchesChannel(t *testing.T) {
 	done1 := make(chan error, 1)
 	go func() { done1 <- cmd1.Wait() }()
 
-	run("-transport", "tcp", "-rank", "0", "-peers", peers, "-params-out", tcpOut)
+	cmd0 := exec.Command(bin, rankArgs("0", rank0Extra...)...)
+	cmd0.Env = os.Environ()
+	if out, err := cmd0.CombinedOutput(); err != nil {
+		cmd1.Process.Kill()
+		<-done1
+		t.Fatalf("%v: %v\n%s", cmd0.Args, err, out)
+	}
 	select {
 	case err := <-done1:
 		if err != nil {
@@ -64,17 +108,22 @@ func TestTwoProcessTCPMatchesChannel(t *testing.T) {
 		cmd1.Process.Kill()
 		t.Fatalf("rank-1 process did not exit\n%s", out1.String())
 	}
+}
 
-	want, err := os.ReadFile(chanOut)
+// sameParams fails the test unless the -params-out file got holds the
+// same bytes as want.
+func sameParams(t *testing.T, what, got, want string) {
+	t.Helper()
+	w, err := os.ReadFile(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(tcpOut)
+	g, err := os.ReadFile(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 || !bytes.Equal(got, want) {
-		t.Fatalf("two-process TCP final parameters differ from the channel-fabric run (%d vs %d bytes)", len(got), len(want))
+	if len(w) == 0 || !bytes.Equal(g, w) {
+		t.Fatalf("%s final parameters differ from the channel-fabric run (%d vs %d bytes)", what, len(g), len(w))
 	}
 }
 

@@ -104,9 +104,8 @@ type BucketedAllreduce struct {
 	rank int
 	segs []Segment
 	ops  []bucketOp
-	// queue feeds the worker; its capacity is the inflight window, so a
-	// Begin beyond it applies backpressure to the submitting (compute)
-	// goroutine instead of queueing unboundedly.
+	// queue feeds the worker; it holds every bucket, so backward never
+	// stalls on communication.
 	queue chan *bucketOp
 	wg    sync.WaitGroup
 	// tk is the rank's comm-worker trace track (nil when the group has
@@ -117,33 +116,26 @@ type BucketedAllreduce struct {
 // NewBucketedAllreduce returns the per-rank worker for a fixed bucket
 // partition of a flat buffer. segments must be identical on every rank
 // (they are a pure function of the model and the bucket knob).
-// maxInflight bounds how many buckets may be pending — submitted and not
-// yet finished — before Begin blocks; values < 1 select len(segments)
-// (backward never stalls on communication).
-func NewBucketedAllreduce(g *Group, rank int, segments []Segment, maxInflight int) *BucketedAllreduce {
+func NewBucketedAllreduce(g *Group, rank int, segments []Segment) *BucketedAllreduce {
 	g.checkRank(rank)
 	if len(segments) == 0 {
 		panic("comm: NewBucketedAllreduce with no segments")
 	}
+	ops := make([]bucketOp, len(segments))
 	for i, s := range segments {
 		if s.Len <= 0 || s.Off < 0 {
 			panic(fmt.Sprintf("comm: NewBucketedAllreduce segment %d invalid: %+v", i, s))
 		}
-	}
-	if maxInflight < 1 {
-		maxInflight = len(segments)
+		ops[i].done = make(chan struct{}, 1)
+		ops[i].idx = int32(i)
 	}
 	b := &BucketedAllreduce{
 		g:     g,
 		rank:  rank,
 		segs:  segments,
-		ops:   make([]bucketOp, len(segments)),
-		queue: make(chan *bucketOp, maxInflight),
+		ops:   ops,
+		queue: make(chan *bucketOp, len(ops)),
 		tk:    g.tracer.CommWorker(rank),
-	}
-	for i := range b.ops {
-		b.ops[i].done = make(chan struct{}, 1)
-		b.ops[i].idx = int32(i)
 	}
 	b.wg.Add(1)
 	go b.worker()

@@ -43,7 +43,7 @@ func bucketPartitions(m int) [][]Segment {
 // per-bucket entry stamp.
 func runBucketed(p int, g *Group, bufs [][]float64, segs []Segment, ready func(bucket int) float64) {
 	runGroup(p, g, func(rank int) {
-		b := NewBucketedAllreduce(g, rank, segs, 0)
+		b := NewBucketedAllreduce(g, rank, segs)
 		handles := make([]Handle, len(segs))
 		for i := len(segs) - 1; i >= 0; i-- {
 			r := 0.0
@@ -103,8 +103,8 @@ func TestBucketedAllreduceMatchesMonolithicTraffic(t *testing.T) {
 }
 
 // TestBucketedConcurrentHandleStress hammers the handle lifecycle under
-// the race detector: many rounds of submit-all-then-wait with rotating
-// inflight windows and fresh random data, each round's result checked
+// the race detector: many rounds of submit-all-then-wait with fresh
+// random data, each round's result checked
 // bitwise against the monolithic tree. check.sh runs this twice with
 // -race via the Overlap|Bucketed pattern.
 func TestBucketedConcurrentHandleStress(t *testing.T) {
@@ -126,9 +126,8 @@ func TestBucketedConcurrentHandleStress(t *testing.T) {
 		runGroup(p, gw, func(rank int) { gw.AllreduceTree(rank, want[rank]) })
 
 		got := cloneBufs(orig)
-		inflight := 1 + round%len(segs)
 		runGroup(p, g, func(rank int) {
-			b := NewBucketedAllreduce(g, rank, segs, inflight)
+			b := NewBucketedAllreduce(g, rank, segs)
 			handles := make([]Handle, len(segs))
 			for i := len(segs) - 1; i >= 0; i-- {
 				handles[i] = b.Begin(i, got[rank], 0)
@@ -141,8 +140,8 @@ func TestBucketedConcurrentHandleStress(t *testing.T) {
 		for r := 0; r < p; r++ {
 			for i := range want[0] {
 				if got[r][i] != want[0][i] {
-					t.Fatalf("round %d inflight=%d rank=%d[%d]: %g != %g",
-						round, inflight, r, i, got[r][i], want[0][i])
+					t.Fatalf("round %d rank=%d[%d]: %g != %g",
+						round, r, i, got[r][i], want[0][i])
 				}
 			}
 		}
@@ -218,7 +217,7 @@ func TestBucketedAllreduceSteadyStateAllocs(t *testing.T) {
 	workers := make([]*BucketedAllreduce, p)
 	handles := make([][]Handle, p)
 	for r := 0; r < p; r++ {
-		workers[r] = NewBucketedAllreduce(g, r, segs, len(segs))
+		workers[r] = NewBucketedAllreduce(g, r, segs)
 		handles[r] = make([]Handle, len(segs))
 	}
 	rankRound := func(r int) {

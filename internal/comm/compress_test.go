@@ -828,7 +828,7 @@ func TestBucketedCompressedMatchesSync(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				b := NewBucketedAllreduce(gA, r, segments, 0)
+				b := NewBucketedAllreduce(gA, r, segments)
 				comp := NewCompressor(codec)
 				handles := make([]Handle, len(segments))
 				for round := 0; round < 3; round++ {

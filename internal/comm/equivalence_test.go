@@ -98,7 +98,7 @@ func TestDenseOwnership(t *testing.T) {
 		{"bucketed", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
 			ws := make([]*BucketedAllreduce, g.Size())
 			for r := range ws {
-				ws[r] = NewBucketedAllreduce(g, r, segs, 0)
+				ws[r] = NewBucketedAllreduce(g, r, segs)
 				t.Cleanup(ws[r].Close)
 			}
 			return func(r int, b []float64) {

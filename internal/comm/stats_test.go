@@ -23,7 +23,7 @@ func TestStatsPerAlgoAttribution(t *testing.T) {
 		{"tree", "tree", func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
 		{"bcast", "bcast", func(g *Group, r int, b []float64) { g.BroadcastTree(r, b) }},
 		{"bucketed", "tree", func(g *Group, r int, b []float64) {
-			w := NewBucketedAllreduce(g, r, []Segment{{0, n / 2}, {n / 2, n / 2}}, 0)
+			w := NewBucketedAllreduce(g, r, []Segment{{0, n / 2}, {n / 2, n / 2}})
 			defer w.Close()
 			h1 := w.Begin(1, b, 0)
 			h0 := w.Begin(0, b, 0)
@@ -144,7 +144,7 @@ func TestStatsBucketedPipelineCounters(t *testing.T) {
 		bufs[r] = make([]float64, n)
 	}
 	runGroup(p, g, func(rank int) {
-		b := NewBucketedAllreduce(g, rank, segs, 0)
+		b := NewBucketedAllreduce(g, rank, segs)
 		defer b.Close()
 		const rounds = 3
 		for it := 0; it < rounds; it++ {
@@ -194,7 +194,7 @@ func TestStatsBucketedUntracedKeepsOpCount(t *testing.T) {
 		bufs[r] = make([]float64, n)
 	}
 	runGroup(p, g, func(rank int) {
-		b := NewBucketedAllreduce(g, rank, segs, 0)
+		b := NewBucketedAllreduce(g, rank, segs)
 		defer b.Close()
 		b.Begin(0, bufs[rank], 0).Wait()
 	})

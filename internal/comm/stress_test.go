@@ -32,7 +32,7 @@ func TestPipelinedCollectivesStress(t *testing.T) {
 				defer wg.Done()
 				workers := make([]*BucketedAllreduce, len(widths))
 				for i, w := range widths {
-					workers[i] = NewBucketedAllreduce(g, r, chunkSegments(m, w), 0)
+					workers[i] = NewBucketedAllreduce(g, r, chunkSegments(m, w))
 					defer workers[i].Close()
 				}
 				handles := make([]Handle, m)

@@ -162,7 +162,7 @@ func TestCrossTransportSimulatedClocks(t *testing.T) {
 		{"bucketed", func(g *Group, p int) func(int, []float64) {
 			ws := make([]*BucketedAllreduce, p)
 			for r := range ws {
-				ws[r] = NewBucketedAllreduce(g, r, segs, 0)
+				ws[r] = NewBucketedAllreduce(g, r, segs)
 			}
 			return func(r int, b []float64) {
 				var hs [3]Handle

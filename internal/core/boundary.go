@@ -26,10 +26,10 @@ import (
 // copies nothing; both follow from the local step's rule table
 // (localStep in sasgd.go).
 //
-// Membership view. A run without a fault plan, checkpoint or resume has
-// a constant comm.View over its group and this stage costs nothing — no
-// lock, no barrier. Otherwise every boundary (and every epoch barrier)
-// is a comm.Resilient sync point: the learner posts its heartbeat, waits
+// Membership view. A run without a fault plan has a constant comm.View
+// over its group and this stage costs nothing — no lock, no barrier.
+// Under a fault plan every boundary (and every epoch barrier) is a
+// comm.Resilient sync point: the learner posts its heartbeat, waits
 // for the live set, and continues on whatever view comes back, with the
 // aggregation rate rescaled to γp·OrigP/|view| so the per-gradient step
 // the original γp encoded is preserved when the sum spans fewer
@@ -41,6 +41,13 @@ import (
 // survivors would have consumed, which is what makes a degraded run
 // bitwise-comparable to a fault-free resume over the survivors (the
 // chaos harness's core assertion).
+//
+// Checkpoint. After the reset every replica is the reference and gs is
+// spent, so the whole optimizer state is x′ and a few counters: the
+// view's virtual rank 0 writes them (checkpoint.go) on whatever view the
+// run has. A fault-free checkpoint has no membership question to settle,
+// so checkpointing and resuming runs keep the fixed group — and with it
+// backward-overlapped launches and LocalRanks.
 //
 // Exchange. Flat dense aggregation runs the tree allreduce on gs
 // directly. Everything else goes through the rank's bucketed comm
@@ -220,10 +227,11 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 	e.async = e.delayed && mem == nil
 	// The hint applies where a launch from inside backward is legal: a
 	// flat eager boundary (the exchange IS gs, and nothing is deferred) on
-	// a fixed membership (the launch would precede the membership sync).
+	// a fixed membership (under a fault plan the launch would precede the
+	// membership sync).
 	e.overlap = cfg.OverlapComm && e.hier == nil && !e.delayed && mem == nil && len(e.segs) > 0
 	if e.comp != nil || e.async || e.overlap {
-		e.b = comm.NewBucketedAllreduce(view.G, e.vr, e.segs, 0)
+		e.b = comm.NewBucketedAllreduce(view.G, e.vr, e.segs)
 		e.handles = make([]comm.Handle, len(e.segs))
 	}
 	if e.overlap {
@@ -308,7 +316,7 @@ func (e *engine) reform() {
 	}
 	if e.b != nil {
 		e.b.Close()
-		e.b = comm.NewBucketedAllreduce(e.view.G, e.vr, e.segs, 0)
+		e.b = comm.NewBucketedAllreduce(e.view.G, e.vr, e.segs)
 	}
 	e.built = e.view.Version
 }

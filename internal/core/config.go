@@ -61,9 +61,6 @@ type Config struct {
 	Epochs int // collective passes over the training data
 	Seed   int64
 
-	// Parameter-server settings (Downpour, EAMSGD).
-	Shards int // sharded-server shard count (default: min(8, p))
-
 	// EAMSGD settings.
 	Alpha float64 // elastic rate α (default 0.9/p, as in Zhang et al.)
 	// Momentum is EAMSGD's local momentum μ. Zero selects the default
@@ -81,12 +78,12 @@ type Config struct {
 	// about values: results are bitwise identical with it on or off for
 	// both dense collectives and for every compression codec (per-bucket
 	// codec collectives are independent and deterministic). It composes
-	// with either T-schedule. The hint cannot apply — and the boundary runs
-	// its serial schedule — where the launch would be wrong rather than
-	// merely early: under HierGroups or DelayedApply (what goes on the
-	// wire is not this batch's gs) and under a fault plan, checkpoint or
-	// resume (the launch would precede the boundary's membership sync and
-	// alias its learner collectives).
+	// with either T-schedule and with checkpoint and resume. The hint
+	// cannot apply — and the boundary runs its serial schedule — where the
+	// launch would be wrong rather than merely early: under HierGroups or
+	// DelayedApply (what goes on the wire is not this batch's gs) and
+	// under a fault plan (the launch would precede the boundary's
+	// membership sync and alias its learner collectives).
 	OverlapComm bool
 
 	// CommBuckets is the number of gradient buckets for OverlapComm:
@@ -152,10 +149,11 @@ type Config struct {
 	// LATE (DaSGD): the allreduce is launched through the bucketed comm
 	// worker at boundary k and its result applied at boundary k+1, so
 	// the entire exchange hides behind the next round's compute instead
-	// of one backward pass (with a fault plan, checkpoint or resume the
-	// exchange completes inside boundary k and only its application waits:
-	// a launch in flight across a membership change would address a dead
-	// group). The one-round shift changes the trajectory
+	// of one backward pass (under a fault plan the exchange completes
+	// inside boundary k and only its application waits: a launch in
+	// flight across a membership change would address a dead group). It
+	// composes with every codec, with and without a fault plan. The
+	// one-round shift changes the trajectory
 	// (the k-th aggregate reflects boundary k's gradients but lands at
 	// k+1); a run with a single boundary, and the first aggregate of any
 	// run, are bitwise identical to eager application. Under a
@@ -179,15 +177,6 @@ type Config struct {
 	// machine. Parallel kernels are bitwise identical to serial ones, so
 	// this setting affects wall-clock time only, never results.
 	Workers int
-
-	// FastKernels selects the reordered-summation tensor kernels
-	// (four-accumulator dot products) for the duration of the run. They
-	// are value-equal to the default kernels within ≤1e-12 relative
-	// tolerance but not bitwise identical to them, so runs flip this only
-	// when throughput matters more than bit-stability against the
-	// default-path reference results. Either setting is itself bitwise
-	// reproducible across worker counts.
-	FastKernels bool
 
 	// EvalEvery records accuracy every this many collective epochs
 	// (default 1). Evaluation itself is never charged to simulated time.
@@ -239,15 +228,18 @@ type Config struct {
 	// barriers — on a membership ledger: drops decided and charged at
 	// each send, heartbeat-based straggler eviction, survivor
 	// re-formation with γp rescaled by OrigP/live, and fault counters in
-	// Result.Comm.Faults. SASGD only. It composes with both
-	// T-schedules, with the codecs on flat eager boundaries, and with
-	// dense HierGroups/DelayedApply (Validate names what it does not
-	// compose with).
+	// Result.Comm.Faults. SASGD only. It is the one setting that builds
+	// the ledger: a run without a plan syncs on its fixed group. It
+	// composes with both T-schedules, every codec, HierGroups and
+	// DelayedApply; it does not compose with LocalRanks (the ledger is
+	// in-process shared memory).
 	Faults *comm.FaultPlan
 
 	// CheckpointPath, when non-empty, makes the run write a training
 	// checkpoint (reference parameters + step counters, see
-	// checkpoint.go) atomically to this path at aggregation boundaries.
+	// checkpoint.go) atomically to this path at aggregation boundaries,
+	// as the boundary's last stage on whatever view the run has: the
+	// process hosting the view's virtual rank 0 writes it.
 	CheckpointPath string
 	// CheckpointEvery writes the checkpoint every this many aggregation
 	// boundaries (default 1 = every boundary).
@@ -270,9 +262,9 @@ type Config struct {
 	// comm.NewTCPTransport mesh endpoint for genuinely multi-process
 	// training (see LocalRanks). Its Size must equal Learners. SASGD
 	// collective paths only. Train leaves closing the transport to the
-	// caller, with one exception: a run with a fault plan, checkpoint or
-	// resume closes its mesh on exit through the membership layer, since re-formed views
-	// share it. Transport Close is idempotent either way.
+	// caller, with one exception: a run with a fault plan closes its mesh
+	// on exit through the membership ledger, since re-formed views share
+	// it. Transport Close is idempotent either way.
 	Transport comm.Transport
 
 	// LocalRanks names the learner ranks THIS process drives (strictly
@@ -281,10 +273,11 @@ type Config struct {
 	// hosts only its own learners, and the collectives meet on the
 	// wire. Nil (the default) drives all of them in-process. Requires
 	// Transport; composes with neither the simulator (per-rank clocks
-	// are shared memory) nor fault injection/checkpoint-resume (the
-	// membership ledger is in-process). The accuracy curve and
-	// FinalParams are recorded by rank 0, so only the process hosting
-	// rank 0 reports them.
+	// are shared memory) nor fault injection (the membership ledger is
+	// in-process). It composes with checkpoint and resume: the process
+	// hosting rank 0 writes the checkpoint, and every process reads the
+	// ResumeFrom file. The accuracy curve and FinalParams are recorded by
+	// rank 0, so only the process hosting rank 0 reports them.
 	LocalRanks []int
 
 	// AggHook, when non-nil, is called by virtual rank 0 synchronously
@@ -327,15 +320,17 @@ var configRules = []struct {
 	{"unknown T-scheduler (want static or adaptive)",
 		func(c *Config) bool { return c.TSched != TSchedStatic && c.TSched != TSchedAdaptive }},
 	{"fault injection, checkpointing and resume are built on SASGD's aggregation boundaries: they need Algo sasgd",
-		func(c *Config) bool { return c.membership() && c.Algo != AlgoSASGD }},
+		func(c *Config) bool {
+			return (c.Faults != nil || c.CheckpointPath != "" || c.ResumeFrom != "") && c.Algo != AlgoSASGD
+		}},
 	{"an explicit Transport carries SASGD's collectives only: it needs Algo sasgd",
 		func(c *Config) bool { return c.Transport != nil && c.Algo != AlgoSASGD }},
 	{"the Transport must span exactly Learners ranks",
 		func(c *Config) bool { return c.Transport != nil && c.Transport.Size() != c.Learners }},
 	{"LocalRanks needs an explicit Transport (the omitted ranks live in other processes)",
 		func(c *Config) bool { return len(c.LocalRanks) > 0 && c.Transport == nil }},
-	{"LocalRanks composes with neither the fabric simulator nor fault injection/checkpointing (both keep per-rank state in process memory)",
-		func(c *Config) bool { return len(c.LocalRanks) > 0 && (c.Sim != nil || c.membership()) }},
+	{"LocalRanks composes with neither the fabric simulator nor fault injection (both keep per-rank state in process memory)",
+		func(c *Config) bool { return len(c.LocalRanks) > 0 && (c.Sim != nil || c.Faults != nil) }},
 	{"LocalRanks must be strictly ascending ranks below Learners",
 		func(c *Config) bool {
 			prev := -1
@@ -358,17 +353,6 @@ var configRules = []struct {
 		func(c *Config) bool {
 			return (c.CheckpointPath != "" || c.ResumeFrom != "") && (c.DelayedApply || c.HierGroups >= 2)
 		}},
-	// The membership-aware hierarchical and delayed boundaries run dense.
-	{"under fault injection, compression composes with the T-scheduler but not with DelayedApply or HierGroups",
-		func(c *Config) bool {
-			return c.Faults != nil && c.Compress != "" && (c.DelayedApply || c.HierGroups >= 2)
-		}},
-}
-
-// membership reports whether the run's sync points go through the
-// comm.Resilient ledger rather than a fixed group.
-func (c *Config) membership() bool {
-	return c.Faults != nil || c.CheckpointPath != "" || c.ResumeFrom != ""
 }
 
 // Validate reports the first rule of the validation table c breaks, or
@@ -413,12 +397,6 @@ func (c Config) resolve() (Config, error) {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 1
-	}
-	if c.Shards <= 0 {
-		c.Shards = c.Learners
-		if c.Shards > 8 {
-			c.Shards = 8
-		}
 	}
 	if c.Alpha == 0 {
 		c.Alpha = 0.9 / float64(c.Learners)

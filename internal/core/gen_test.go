@@ -58,7 +58,7 @@ const (
 
 // drawConfig draws one configuration. Fields are independent, so some
 // draws land on compositions the config layer rejects (checkpoint ×
-// hierarchy, faults × codec × delay, …) — those are the rejections the harness
+// hierarchy, checkpoint × delay, …) — those are the rejections the harness
 // wants named — and a few carry a junk mutation no run could accept.
 func drawConfig(rng *rand.Rand) genDraw {
 	d := genDraw{p: 1 + rng.Intn(5), interval: 1 + rng.Intn(4)}
@@ -165,7 +165,7 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 			t.Fatal(err)
 		}
 		cfg.Transport = tr
-		cleanup = func() { tr.Close() } // idempotent: a membership run closes it first
+		cleanup = func() { tr.Close() } // idempotent: a fault-plan run closes it first
 	}
 	return cfg, cleanup
 }
@@ -480,7 +480,6 @@ func TestValidateRules(t *testing.T) {
 		func(c *Config) { c.Transport, c.LocalRanks = tr, []int{1, 0} },
 		func(c *Config) { c.Algo, c.DelayedApply = AlgoDownpour, true },
 		func(c *Config) { c.ResumeFrom, c.HierGroups = "x.ckpt", 2 },
-		func(c *Config) { c.Faults, c.Compress, c.DelayedApply = &comm.FaultPlan{}, CodecQInt8, true },
 	}
 	if len(broken) != len(configRules) {
 		t.Fatalf("%d broken configs for %d rules", len(broken), len(configRules))

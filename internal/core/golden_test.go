@@ -125,6 +125,15 @@ func plain(cfg Config) func(*testing.T, string, *Problem) Config {
 	return func(*testing.T, string, *Problem) Config { return cfg }
 }
 
+// goldenCrash is the crash rows' plan: rank 1 dies at boundary 2.
+func goldenCrash(t *testing.T) *comm.FaultPlan {
+	plan, err := comm.ParseFaultPlan("seed=5,crash=1@2,evict=400ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func with(cfg Config, mut func(*Config)) Config {
 	mut(&cfg)
 	return cfg
@@ -174,6 +183,19 @@ var goldenCases = []goldenCase{
 		}
 		return with(goldenBase(3, 1), func(c *Config) { c.Faults = plan })
 	}, params: 0xaef8268858425515, curve: 0xc6550f33e0c516c9, words: 2010, msgs: 30},
+	// A crash under each codec on the membership-aware boundaries that
+	// defer: the delayed one exchanges inside its boundary, the
+	// hierarchical one regroups the survivors' islands.
+	{name: "crash_topk_delayed_T2", cfg: func(t *testing.T, _ string, _ *Problem) Config {
+		return with(goldenBase(3, 2), func(c *Config) {
+			c.Faults, c.Compress, c.CompressK, c.DelayedApply = goldenCrash(t), CodecTopK, 0.3, true
+		})
+	}, params: 0x58ed8c87ce5c4dd0, curve: 0xcb43edcdbf0e0844, words: 806, msgs: 34},
+	{name: "crash_qint8_hier_T1", cfg: func(t *testing.T, _ string, _ *Problem) Config {
+		return with(goldenBase(4, 1), func(c *Config) {
+			c.Faults, c.Compress, c.HierGroups, c.TOuter = goldenCrash(t), CodecQInt8, 2, 2
+		})
+	}, params: 0xb7df8117a584765e, curve: 0x9feedcb90ea300e0, words: 2221, msgs: 101},
 	{name: "checkpoint_T1", cfg: func(_ *testing.T, dir string, _ *Problem) Config {
 		return with(goldenBase(2, 1), func(c *Config) { c.CheckpointPath = filepath.Join(dir, "ck-%d.ckpt") })
 	}, params: 0xc41bbe1547d57e5e, curve: 0xd028fa6ecad2f61b, words: 2077, msgs: 31},
@@ -222,11 +244,6 @@ var goldenCases = []goldenCase{
 		params: 0x52f1a1a15b2b0a98, curve: 0xd9cd6268eed1e207, words: 2233, msgs: 19},
 	{name: "conv_overlap_M1_W2_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Batch, c.Epochs, c.Workers, c.OverlapComm = 1, 1, 2, true })),
 		params: 0xfe020a35d358f49b, curve: 0x8e2128158145988b, words: 7975, msgs: 73},
-	// FastKernels: every weight-gradient element is a four-accumulator dot.
-	{name: "conv_fast_M4_W2_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Epochs, c.Workers, c.FastKernels = 2, 2, true })),
-		params: 0x4cb6bbb0c08ab185, curve: 0xb927ed21a38b11cf, words: 4147, msgs: 13},
-	{name: "conv_fast_M1_W1_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Batch, c.Epochs, c.Workers, c.FastKernels = 1, 1, 1, true })),
-		params: 0x43f35173775b00f9, curve: 0x4e1d13fc3d505edb, words: 4147, msgs: 13},
 	// The baselines at p = 3, T = 2. Sequential SGD runs one learner at
 	// T = 1 whatever the Config asks for; the asynchronous ones run under
 	// virtual time, which makes them deterministic.

@@ -32,7 +32,10 @@ import (
 // aggregation — a moving T, a hierarchy, delayed application, a codec,
 // backward-overlapped launches, crash tolerance, checkpoints — is a
 // stage of the boundary engine (boundary.go) the loop calls every T
-// steps; the loop itself only knows local steps and epochs.
+// steps; the loop itself only knows local steps and epochs. Only a fault
+// plan puts the run on the membership ledger (comm.Resilient); every
+// other run, checkpointing and resuming ones included, syncs on one
+// fixed group.
 func trainSASGD(cfg Config, prob *Problem) *Result {
 	p := cfg.Learners
 
@@ -63,12 +66,13 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	shards := prob.Train.Partition(origP)
 	bpe := batchesPerEpoch(shards, cfg.Batch)
 
-	// Membership: a fault plan, checkpoint or resume puts every sync point
-	// on a comm.Resilient ledger; otherwise the view is the run's group,
-	// for good. Either is built over the caller's wire transport when one
-	// is configured (the same mesh then carries every membership view,
-	// and NewResilientOver insists it is all-local), else over the
-	// in-process fabric — simulated when cfg.Sim is attached.
+	// Membership: a fault plan puts every sync point on a comm.Resilient
+	// ledger; otherwise the view is the run's group, for good — at a
+	// fault-free boundary there is nothing to agree on but the sum.
+	// Either is built over the caller's wire transport when one is
+	// configured (the same mesh then carries every membership view, and
+	// NewResilientOver insists it is all-local), else over the in-process
+	// fabric — simulated when cfg.Sim is attached.
 	var clocks []comm.Clock
 	var cost comm.CostModel
 	if cfg.Sim != nil {
@@ -78,7 +82,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	}
 	var mem *comm.Resilient
 	var view comm.View
-	if cfg.membership() {
+	if cfg.Faults != nil {
 		if cfg.Transport != nil {
 			mem = comm.NewResilientOver(cfg.Transport, cfg.Faults, clocks, cost, cfg.Tracer)
 		} else {

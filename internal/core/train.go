@@ -9,7 +9,6 @@ import (
 	"sasgd/internal/data"
 	"sasgd/internal/nn"
 	"sasgd/internal/parallel"
-	"sasgd/internal/tensor"
 )
 
 // Train runs one training experiment and returns its result. There are
@@ -27,9 +26,6 @@ func Train(cfg Config, prob *Problem) *Result {
 	// oversubscribe the machine. Restored on exit because callers (tests,
 	// benchmark sweeps) may have set an explicit budget.
 	defer parallel.SetWorkers(parallel.SetWorkers(workersPerLearner(cfg)))
-	// Select the kernel flavour for the run, restoring the previous
-	// setting on exit for the same reason as the worker budget.
-	defer tensor.SetFastKernels(tensor.SetFastKernels(cfg.FastKernels))
 	start := time.Now()
 	var res *Result
 	switch cfg.Algo {

@@ -61,7 +61,7 @@ func trainAsync(cfg Config, prob *Problem) *Result {
 		if cfg.Sim != nil {
 			clocks, cost = cfg.Sim.Clocks(), cfg.Sim.CostModel()
 		}
-		server := comm.NewParamServer(init, cfg.Shards, clocks, cost)
+		server := comm.NewParamServer(init, min(p, 8), clocks, cost)
 		rule = downpour(&cfg, server)
 		if cfg.Algo == AlgoEAMSGD {
 			rule = eamsgd(&cfg, server)

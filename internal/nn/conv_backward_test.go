@@ -11,28 +11,13 @@ import (
 )
 
 // refDot is the per-weight reduction Conv2D.Backward used to call
-// (tensor.Dot): one ascending add chain, or four interleaved partial
-// sums under FastKernels.
-func refDot(a, b []float64, fast bool) float64 {
-	if !fast {
-		s := 0.0
-		for i, v := range a {
-			s += v * b[i]
-		}
-		return s
+// (tensor.Dot): one ascending add chain.
+func refDot(a, b []float64) float64 {
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
 	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
+	return s
 }
 
 // refConv2DBackward is the reference the differential test holds
@@ -40,7 +25,7 @@ func refDot(a, b []float64, fast bool) float64 {
 // onto the interleaved-chain kernel, serial and in index order — per
 // sample im2col, dcols = Wᵀ·gout through col2im, then per output channel
 // the bias row sum and one dot product per weight.
-func refConv2DBackward(c *Conv2D, x, gradOut *tensor.Tensor, fast bool) (dw, db, gradIn []float64) {
+func refConv2DBackward(c *Conv2D, x, gradOut *tensor.Tensor) (dw, db, gradIn []float64) {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.Geom.OutSize(h, w)
 	kr := c.InC * c.Geom.KH * c.Geom.KW
@@ -65,7 +50,7 @@ func refConv2DBackward(c *Conv2D, x, gradOut *tensor.Tensor, fast bool) (dw, db,
 			}
 			db[r] += s
 			for ci := 0; ci < kr; ci++ {
-				dw[r*kr+ci] += refDot(gr, cols[ci*p:(ci+1)*p], fast)
+				dw[r*kr+ci] += refDot(gr, cols[ci*p:(ci+1)*p])
 			}
 		}
 	}
@@ -101,41 +86,36 @@ func sameBits(t *testing.T, label, name string, got, want []float64) {
 // p output pixels (the dot length) × kr patch elements (the kernel's
 // column count: below 8 is its single-chain tail, 12 and 27 end in a
 // partial block of eight) — at odd channel counts (uneven row shards),
-// batches on both sides of the worker count, 1–4 workers and both
-// FastKernels settings.
+// batches on both sides of the worker count and 1–4 workers.
 func TestConv2DBackwardDifferential(t *testing.T) {
 	outSides := []int{1, 2, 5, 14}                                              // p = 1, 4, 25, 196
 	patches := []struct{ inC, k int }{{1, 2}, {3, 2}, {3, 3}, {32, 2}, {16, 3}} // kr = 4, 12, 27, 128, 144
-	for _, fast := range []bool{false, true} {
-		prev := tensor.SetFastKernels(fast)
-		for _, side := range outSides {
-			for _, pt := range patches {
-				for workers := 1; workers <= 4; workers++ {
-					for _, batch := range []int{1, 5} {
-						outC := 3 + 2*(workers%2) // 5 or 3
-						label := fmt.Sprintf("fast=%v p=%d kr=%d outC=%d workers=%d batch=%d",
-							fast, side*side, pt.inC*pt.k*pt.k, outC, workers, batch)
-						rng := rand.New(rand.NewSource(int64(side*1000 + pt.inC*10 + pt.k)))
-						c := NewConv2D(rng, pt.inC, outC, pt.k, pt.k)
-						x := tensor.New(batch, pt.inC, side+pt.k-1, side+pt.k-1)
-						g := tensor.New(batch, outC, side, side)
-						fillAwkward(x, rng)
-						fillAwkward(g, rng)
-						wantDw, wantDb, wantIn := refConv2DBackward(c, x, g, fast)
+	for _, side := range outSides {
+		for _, pt := range patches {
+			for workers := 1; workers <= 4; workers++ {
+				for _, batch := range []int{1, 5} {
+					outC := 3 + 2*(workers%2) // 5 or 3
+					label := fmt.Sprintf("p=%d kr=%d outC=%d workers=%d batch=%d",
+						side*side, pt.inC*pt.k*pt.k, outC, workers, batch)
+					rng := rand.New(rand.NewSource(int64(side*1000 + pt.inC*10 + pt.k)))
+					c := NewConv2D(rng, pt.inC, outC, pt.k, pt.k)
+					x := tensor.New(batch, pt.inC, side+pt.k-1, side+pt.k-1)
+					g := tensor.New(batch, outC, side, side)
+					fillAwkward(x, rng)
+					fillAwkward(g, rng)
+					wantDw, wantDb, wantIn := refConv2DBackward(c, x, g)
 
-						restore := parallel.SetWorkers(workers)
-						c.Forward(x, true)
-						gradIn := c.Backward(g)
-						parallel.SetWorkers(restore)
+					restore := parallel.SetWorkers(workers)
+					c.Forward(x, true)
+					gradIn := c.Backward(g)
+					parallel.SetWorkers(restore)
 
-						sameBits(t, label, "dW", c.w.Grad.Data, wantDw)
-						sameBits(t, label, "db", c.b.Grad.Data, wantDb)
-						sameBits(t, label, "gradIn", gradIn.Data, wantIn)
-					}
+					sameBits(t, label, "dW", c.w.Grad.Data, wantDw)
+					sameBits(t, label, "db", c.b.Grad.Data, wantDb)
+					sameBits(t, label, "gradIn", gradIn.Data, wantIn)
 				}
 			}
 		}
-		tensor.SetFastKernels(prev)
 	}
 }
 

@@ -195,16 +195,3 @@ func TestNetworkEndToEndGradient(t *testing.T) {
 		}
 	}
 }
-
-func TestSigmoidGradients(t *testing.T) {
-	gradCheckLayer(t, func() Layer { return NewSigmoid() }, []int{4, 6}, 1e-5)
-}
-
-func TestAvgPool2DGradients(t *testing.T) {
-	gradCheckLayer(t, func() Layer { return NewAvgPool2D(2, 2) }, []int{2, 2, 4, 4}, 1e-6)
-}
-
-func TestAvgPool2DClampedGradients(t *testing.T) {
-	// 3×3 input with a 2×2 window exercises the border clamp.
-	gradCheckLayer(t, func() Layer { return NewAvgPool2D(2, 2) }, []int{1, 1, 3, 3}, 1e-6)
-}

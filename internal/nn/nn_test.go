@@ -315,29 +315,3 @@ func TestTrainingReducesLoss(t *testing.T) {
 		t.Errorf("loss did not drop: first %g, last %g", first, last)
 	}
 }
-
-func TestSigmoidKnownValues(t *testing.T) {
-	s := NewSigmoid()
-	x := tensor.FromSlice([]float64{0, 100, -100}, 1, 3)
-	out := s.Forward(x, true)
-	if math.Abs(out.Data[0]-0.5) > 1e-12 || out.Data[1] < 0.999 || out.Data[2] > 0.001 {
-		t.Errorf("Sigmoid values = %v", out.Data)
-	}
-}
-
-func TestAvgPool2DForwardValues(t *testing.T) {
-	p := NewAvgPool2D(2, 2)
-	x := tensor.FromSlice([]float64{
-		1, 3, 5, 7,
-		1, 3, 5, 7,
-		2, 2, 8, 8,
-		2, 2, 8, 8,
-	}, 1, 1, 4, 4)
-	out := p.Forward(x, true)
-	want := []float64{2, 6, 2, 8}
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Fatalf("AvgPool2D forward = %v, want %v", out.Data, want)
-		}
-	}
-}

@@ -49,7 +49,7 @@ const (
 	PhaseForward     Phase = iota // model forward + loss
 	PhaseBackward                 // backprop (bucket begins nest inside it)
 	PhaseLocalStep                // local update x ← x − γ·g and gs += g
-	PhaseBucketBegin              // overlap path: bucket submit (incl. queue backpressure)
+	PhaseBucketBegin              // overlap path: bucket submit
 	PhaseAggWait                  // blocking wait for the interval's allreduce(s)
 	PhaseAggApply                 // apply γp·gs to x′, reset replica, clear gs
 	PhaseQueueDwell               // comm worker: bucket wait in the FIFO queue

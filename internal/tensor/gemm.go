@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"sasgd/internal/parallel"
 )
@@ -36,27 +35,7 @@ import (
 // kernel set (packed_test.go holds every entry point to that loop). Row
 // shards (ForAligned over MR pairs) and column shards (fused conv) only
 // change which goroutine computes an element, never its summation order.
-// The only reordered summations in this package (dotUnroll4's four-way
-// partial sums) sit behind the FastKernels gate below.
-
-// fastKernels gates the reordered-summation kernels. Default off: every
-// default-path kernel is bitwise reproducible against the serial loops.
-var fastKernels atomic.Bool
-
-// SetFastKernels toggles the fast (reordered-summation) kernel variants
-// and returns the previous setting. When enabled, dot-product-shaped
-// kernels (the A·Bᵀ small tier, which MatMulAccTransBRows carries into
-// the conv backward's weight gradient) use four-way partial-sum
-// unrolling: value-equal to the default kernels within ≤1e-12 relative
-// tolerance (see TestFastKernelsEquivalence) but not bitwise identical.
-// Results remain bitwise reproducible across worker counts in both
-// modes; the gate trades cross-mode reproducibility for dot-product
-// throughput. Training drivers plumb Config.FastKernels through here.
-func SetFastKernels(on bool) (prev bool) { return fastKernels.Swap(on) }
-
-// FastKernelsEnabled reports whether the reordered-summation kernels are
-// selected.
-func FastKernelsEnabled() bool { return fastKernels.Load() }
+// No kernel in this package reorders a summation.
 
 // EpilogueAct selects the activation a fused GEMM applies to each output
 // element as its row block leaves the microkernel.
@@ -68,7 +47,6 @@ const (
 	ActNone EpilogueAct = iota
 	ActReLU
 	ActTanh
-	ActSigmoid
 )
 
 // ScalarTanh is the clamped exponential tanh shared by the nn.Tanh layer
@@ -85,10 +63,6 @@ func ScalarTanh(v float64) float64 {
 	e := math.Exp(2 * v)
 	return (e - 1) / (e + 1)
 }
-
-// ScalarSigmoid is the logistic function shared by nn.Sigmoid and the
-// fused epilogue.
-func ScalarSigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // relu is v where v > 0 and +0 everywhere else (−0 and NaN included),
 // the nn.ReLU layer's values, selected on the bit pattern: whether a
@@ -159,10 +133,6 @@ func (e epilogue) apply(c []float64, ldc, jOff, n, lo, hi int) {
 		case ActTanh:
 			for j, v := range row {
 				row[j] = ScalarTanh(v)
-			}
-		case ActSigmoid:
-			for j, v := range row {
-				row[j] = ScalarSigmoid(v)
 			}
 		}
 	}
@@ -614,7 +584,7 @@ func ConvGemmBiasAct(dst, wmat, img []float64, c, h, w int, g ConvGeom, outC int
 func ConvGradWeightRows(dw, gout, img []float64, c, h, w int, g ConvGeom, lo, hi int, tile []float64) {
 	oh, ow := g.OutSize(h, w)
 	p, kr := oh*ow, c*g.KH*g.KW
-	if !accTransBPacks(hi-lo, p, kr) {
+	if !usePacked(hi-lo, p, kr) {
 		s := getGemmScratch(kr * p)
 		Im2ColInto(s.buf, img, c, h, w, g)
 		MatMulAccTransBRows(dw, gout, s.buf, p, kr, lo, hi, tile)

@@ -28,8 +28,7 @@ package tensor
 // compiler would fuse these loops and the two sets would part). So,
 // together with ascending KC blocks in the driver, either set is bitwise
 // identical to the serial ikj loop at any blocking and any worker count,
-// and to the other. dotUnroll4 deliberately breaks this (four interleaved
-// partial sums) and is only reachable behind the FastKernels gate.
+// and to the other.
 
 // micro2x4 computes a 2×4 tile: c[r][j] += Σ_l ap[l*2+r] * bp[l*4+j],
 // with l unrolled by four. ap is an A pair-panel (2 rows, l-major), bp a
@@ -148,27 +147,4 @@ func dotSerial(a, b []float64) float64 {
 		b = b[1:]
 	}
 	return s
-}
-
-// dotUnroll4 computes a·b with four interleaved partial sums, breaking
-// the single-accumulator add-latency chain that bounds dotSerial (~4
-// cycles per element on scalar amd64). It reassociates the summation and
-// is therefore only value-equal to dotSerial within rounding; callers
-// must keep it behind the FastKernels gate.
-func dotUnroll4(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(a) >= 4 && len(b) >= 4 {
-		s0 += a[0] * b[0]
-		s1 += a[1] * b[1]
-		s2 += a[2] * b[2]
-		s3 += a[3] * b[3]
-		a = a[4:]
-		b = b[4:]
-	}
-	for len(a) >= 1 && len(b) >= 1 {
-		s0 += a[0] * b[0]
-		a = a[1:]
-		b = b[1:]
-	}
-	return (s0 + s1) + (s2 + s3)
 }

@@ -16,8 +16,7 @@ package tensor
 // columns per sweep of the A row, and foldRows4 adds four B rows into
 // each C element per load/store of the C row, in the same order the
 // one-row loop would have added them. Chains never exchange terms, so
-// the results are bitwise those of the reference loops; only
-// dotUnroll4 (FastKernels) splits a chain.
+// the results are bitwise those of the reference loops.
 //
 // Like gemm_micro.go, this file is under the bounds-check-elimination
 // gate of scripts/check.sh: operand slices are cut to a common length

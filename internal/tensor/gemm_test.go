@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -89,73 +88,6 @@ func TestGemmShapeSweepAllVariants(t *testing.T) {
 	}
 }
 
-// withFastKernels runs fn with the fast-kernel gate in the given state,
-// restoring the previous state afterwards.
-func withFastKernels(on bool, fn func()) {
-	prev := SetFastKernels(on)
-	defer SetFastKernels(prev)
-	fn()
-}
-
-// TestFastKernelsEquivalence pins the FastKernels contract: the
-// reordered kernels agree with the default ones within 1e-12 relative
-// tolerance on every shape class (packed tier, small tier, raw Dot).
-func TestFastKernelsEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for _, s := range []struct{ m, k, n int }{
-		{4, 9, 5},     // small tier
-		{64, 64, 64},  // packed tier, aligned
-		{65, 129, 33}, // packed tier, odd edges
-		{1, 257, 1},   // dot-shaped
-		{17, 1000, 3}, // long k small tier
-	} {
-		a := randMat(rng, s.m, s.k)
-		bt := randMat(rng, s.n, s.k)
-		slow := New(s.m, s.n)
-		fast := New(s.m, s.n)
-		withFastKernels(false, func() { MatMulTransB(slow, a, bt) })
-		withFastKernels(true, func() { MatMulTransB(fast, a, bt) })
-		for i := range slow.Data {
-			d := math.Abs(fast.Data[i] - slow.Data[i])
-			if scale := math.Abs(slow.Data[i]); scale > 1 {
-				d /= scale
-			}
-			if d > 1e-12 {
-				t.Fatalf("MatMulTransB %dx%dx%d: fast/default relative difference %g > 1e-12 at %d",
-					s.m, s.k, s.n, d, i)
-			}
-		}
-	}
-	x := make([]float64, 1023)
-	y := make([]float64, 1023)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64()
-	}
-	slow, fast := dotSerial(x, y), dotUnroll4(x, y)
-	if d := math.Abs(fast-slow) / math.Max(1, math.Abs(slow)); d > 1e-12 {
-		t.Fatalf("dotUnroll4/dotSerial relative difference %g > 1e-12", d)
-	}
-}
-
-// TestFastKernelsBitwiseAcrossWorkers verifies the fast mode keeps the
-// cross-worker bitwise guarantee (it reorders within a dot product, not
-// across shards).
-func TestFastKernelsBitwiseAcrossWorkers(t *testing.T) {
-	withFastKernels(true, func() {
-		for _, s := range []struct{ m, k, n int }{{17, 9, 13}, {65, 64, 33}} {
-			rng := rand.New(rand.NewSource(int64(s.m + s.k + s.n)))
-			a := randMat(rng, s.m, s.k)
-			bt := randMat(rng, s.n, s.k)
-			dst := New(s.m, s.n)
-			assertBitwise(t, fmt.Sprintf("fast MatMulTransB %dx%dx%d", s.m, s.k, s.n), func() *Tensor {
-				MatMulTransB(dst, a, bt)
-				return dst
-			})
-		}
-	})
-}
-
 // applyActRef applies an epilogue activation the way the nn layers do —
 // the reference the fused kernels must match bitwise.
 func applyActRef(data []float64, act EpilogueAct) {
@@ -167,13 +99,11 @@ func applyActRef(data []float64, act EpilogueAct) {
 			}
 		case ActTanh:
 			data[i] = ScalarTanh(v)
-		case ActSigmoid:
-			data[i] = ScalarSigmoid(v)
 		}
 	}
 }
 
-var allActs = []EpilogueAct{ActNone, ActReLU, ActTanh, ActSigmoid}
+var allActs = []EpilogueAct{ActNone, ActReLU, ActTanh}
 
 // TestLinearForwardMatchesUnfused checks the fused linear forward is
 // bitwise identical to MatMulTransB + bias pass + activation, on both
@@ -284,8 +214,7 @@ func TestConvGemmMatchesIm2ColGemm(t *testing.T) {
 // packs its panels from the image to MatMulAccTransBRows on the
 // materialized im2col matrix, bitwise: shapes on both sides of the packed
 // tier, a padded tail panel of taps, padding and stride, uneven row
-// shards, spiked operands and a dW that already holds a sum, under both
-// FastKernels settings.
+// shards, spiked operands and a dW that already holds a sum.
 func TestConvGradWeightRowsMatchesIm2Col(t *testing.T) {
 	cases := []struct {
 		c, h, w, outC int
@@ -300,30 +229,26 @@ func TestConvGradWeightRowsMatchesIm2Col(t *testing.T) {
 		{4, 16, 16, 16, ConvGeom{KH: 5, KW: 5, SH: 1, SW: 1, PH: 2, PW: 2}}, // packed, two slabs of pixels
 		{5, 9, 9, 12, ConvGeom{KH: 3, KW: 3, SH: 2, SW: 2}},                 // packed, strided, unpadded
 	}
-	for _, fast := range []bool{false, true} {
-		withFastKernels(fast, func() {
-			for ci, tc := range cases {
-				for spike := 0; spike < 3; spike++ {
-					rng := rand.New(rand.NewSource(int64(40*spike + ci)))
-					oh, ow := tc.g.OutSize(tc.h, tc.w)
-					p, kr := oh*ow, tc.c*tc.g.KH*tc.g.KW
-					img := spiked(rng, tc.c, tc.h*tc.w, spike).Data
-					gout := spiked(rng, tc.outC, p, spike).Data
-					seed := spiked(rng, tc.outC, kr, spike).Data
-					cols := make([]float64, kr*p)
-					Im2ColInto(cols, img, tc.c, tc.h, tc.w, tc.g)
-					tile := make([]float64, tc.outC*kr)
-					cut := tc.outC / 3
-					want := append([]float64(nil), seed...)
-					MatMulAccTransBRows(want, gout, cols, p, kr, 0, cut, tile)
-					MatMulAccTransBRows(want, gout, cols, p, kr, cut, tc.outC, tile)
-					got := append([]float64(nil), seed...)
-					ConvGradWeightRows(got, gout, img, tc.c, tc.h, tc.w, tc.g, 0, cut, tile)
-					ConvGradWeightRows(got, gout, img, tc.c, tc.h, tc.w, tc.g, cut, tc.outC, tile)
-					mustMatch(t, fmt.Sprintf("case %d (p=%d kr=%d) fast=%v spike=%d", ci, p, kr, fast, spike), got, want)
-				}
-			}
-		})
+	for ci, tc := range cases {
+		for spike := 0; spike < 3; spike++ {
+			rng := rand.New(rand.NewSource(int64(40*spike + ci)))
+			oh, ow := tc.g.OutSize(tc.h, tc.w)
+			p, kr := oh*ow, tc.c*tc.g.KH*tc.g.KW
+			img := spiked(rng, tc.c, tc.h*tc.w, spike).Data
+			gout := spiked(rng, tc.outC, p, spike).Data
+			seed := spiked(rng, tc.outC, kr, spike).Data
+			cols := make([]float64, kr*p)
+			Im2ColInto(cols, img, tc.c, tc.h, tc.w, tc.g)
+			tile := make([]float64, tc.outC*kr)
+			cut := tc.outC / 3
+			want := append([]float64(nil), seed...)
+			MatMulAccTransBRows(want, gout, cols, p, kr, 0, cut, tile)
+			MatMulAccTransBRows(want, gout, cols, p, kr, cut, tc.outC, tile)
+			got := append([]float64(nil), seed...)
+			ConvGradWeightRows(got, gout, img, tc.c, tc.h, tc.w, tc.g, 0, cut, tile)
+			ConvGradWeightRows(got, gout, img, tc.c, tc.h, tc.w, tc.g, cut, tc.outC, tile)
+			mustMatch(t, fmt.Sprintf("case %d (p=%d kr=%d) spike=%d", ci, p, kr, spike), got, want)
+		}
 	}
 }
 

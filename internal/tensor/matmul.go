@@ -25,9 +25,7 @@ import (
 // are bitwise identical at every worker count and across the tier
 // boundary's blocking choices (determinism the convergence experiments
 // rely on) — which is also what lets usePacked move a shape from one
-// tier to the other. Two exceptions: the FastKernels gate (gemm.go)
-// swaps the small A·Bᵀ tier's dot product for a reordered
-// four-accumulator version, and MatMulAccTransB's tiers seed their
+// tier to the other. One exception: MatMulAccTransB's tiers seed their
 // chains differently, so its tier boundary stays where it was
 // (packedShape).
 //
@@ -86,17 +84,6 @@ func MatMulAcc(dst, a, b *Tensor) {
 	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
 		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, lo, hi, true)
 	})
-}
-
-// MatMulInto is the raw-slice form of MatMul for callers that manage
-// their own parallelism (it always runs serially on the calling
-// goroutine). a is m×k, b is k×n, c is m×n and is overwritten.
-func MatMulInto(c, a, b []float64, m, k, n int) {
-	if usePacked(m, k, n) {
-		gemmPackedSerial(c, aSource{data: a, ld: k}, b, false, m, k, n, false, epilogue{})
-		return
-	}
-	foldRange(c, a, k, 1, b, k, n, 0, m, false)
 }
 
 func checkMatMulShapes(dst, a, b *Tensor) (m, k, n int) {
@@ -250,8 +237,7 @@ func checkTransBShapes(dst, a, b *Tensor, op string) (m, k, n int) {
 // block — eight rows of B — before the next is read. The n%8 columns
 // left over come from one more dot8 over B's last eight rows, of which
 // only the new columns are kept (a recomputed element is the same
-// bits). Under FastKernels every element is a four-accumulator
-// dotUnroll4 instead.
+// bits).
 func matMulTransBRange(c, a, b []float64, k, n, lo, hi int, acc bool) {
 	put := func(cij *float64, s float64) {
 		if acc {
@@ -260,9 +246,8 @@ func matMulTransBRange(c, a, b []float64, k, n, lo, hi int, acc bool) {
 			*cij = s
 		}
 	}
-	fast := FastKernelsEnabled()
 	j := 0
-	if !fast && n >= 8 {
+	if n >= 8 {
 		var s [8]float64
 		for j0 := 0; j < n; j0 += 8 {
 			if j0+8 > n {
@@ -281,12 +266,7 @@ func matMulTransBRange(c, a, b []float64, k, n, lo, hi int, acc bool) {
 	for ; j < n; j++ {
 		bj := b[j*k : j*k+k]
 		for i := lo; i < hi; i++ {
-			ai := a[i*k : i*k+k]
-			if fast {
-				put(&c[i*n+j], dotUnroll4(ai, bj))
-			} else {
-				put(&c[i*n+j], dotSerial(ai, bj))
-			}
+			put(&c[i*n+j], dotSerial(a[i*k:i*k+k], bj))
 		}
 	}
 }
@@ -302,11 +282,10 @@ func matMulTransBRange(c, a, b []float64, k, n, lo, hi int, acc bool) {
 // kernel straight into C and leaves tile alone. Both chains start at +0
 // and ascend in l, so unlike MatMulAccTransB — whose packed tier seeds
 // the chain with C — the tier is a pure matter of speed here and may
-// depend on the shard. Under FastKernels every element is dotUnroll4's.
-// Conv2D.Backward reduces its weight gradient through it (by way of
+// depend on the shard. Conv2D.Backward reduces its weight gradient through it (by way of
 // ConvGradWeightRows), one call per sample and row shard.
 func MatMulAccTransBRows(c, a, b []float64, k, n, lo, hi int, tile []float64) {
-	if !accTransBPacks(hi-lo, k, n) {
+	if !usePacked(hi-lo, k, n) {
 		matMulTransBRange(c, a, b, k, n, lo, hi, true)
 		return
 	}
@@ -314,13 +293,6 @@ func MatMulAccTransBRows(c, a, b []float64, k, n, lo, hi int, tile []float64) {
 	packBTransPanels(s.buf, b, k, n)
 	accPackedRows(c, tile, aSource{data: a, ld: k}, s.buf, k, n, lo, hi)
 	putGemmScratch(s)
-}
-
-// accTransBPacks reports whether a rows×k·k×n shard of MatMulAccTransBRows
-// (or of ConvGradWeightRows, which must agree with it) runs on the packed
-// engine.
-func accTransBPacks(rows, k, n int) bool {
-	return !FastKernelsEnabled() && usePacked(rows, k, n)
 }
 
 // accPackedRows is C[lo:hi,:] += A[lo:hi,:]·B on the packed engine with
