@@ -30,7 +30,10 @@ func benchTransportGroup(b *testing.B, backend string, p int) *Group {
 // BenchmarkTransportAllreduce compares allreduce throughput on the
 // in-process channel fabric against TCP loopback — the wire tax of real
 // sockets, framing and CRC at identical algorithm schedules (SetBytes:
-// MB/s ÷ 8 is words/s).
+// MB/s ÷ 8 is words/s). The p rank goroutines live across iterations,
+// as a learner's do: started per iteration, each would begin on a fresh
+// 2 KiB stack and spend much of the row growing it (runtime.copystack),
+// which moves with frame sizes rather than with the collective.
 func BenchmarkTransportAllreduce(b *testing.B) {
 	const p = 4
 	for _, backend := range []string{"chan", "tcp"} {
@@ -46,9 +49,11 @@ func BenchmarkTransportAllreduce(b *testing.B) {
 				}
 				b.SetBytes(int64(8 * m))
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runGroup(p, g, func(rank int) { g.AllreduceTree(rank, bufs[rank]) })
-				}
+				runGroup(p, g, func(rank int) {
+					for i := 0; i < b.N; i++ {
+						g.AllreduceTree(rank, bufs[rank])
+					}
+				})
 			})
 		}
 	}

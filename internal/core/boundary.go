@@ -20,11 +20,12 @@ import (
 //	replica reset → control frame → checkpoint
 //
 // No stage makes a pass over the model that nothing reads. gs is never
-// cleared — the next interval's first local step overwrites it — and a
-// replica whose local updates can never survive a boundary (static
-// T = 1, no drift consumer, flat) is its own reference, so its reset
-// copies nothing; both follow from the local step's rule table
-// (localStep in sasgd.go).
+// cleared — the next interval's first local step overwrites it. At
+// static T = 1 with no drift consumer an interval is one gradient, so gs
+// is the gradient buffer itself and the next backward overwrites it; a
+// replica there can never keep a local update, so (flat) it is its own
+// reference and its reset copies nothing. All three follow from the
+// local step's rule table (localStep in sasgd.go).
 //
 // Membership view. A run without a fault plan has a constant comm.View
 // over its group and this stage costs nothing — no lock, no barrier.
@@ -121,6 +122,7 @@ type engine struct {
 
 	gs    []float64 // the interval's gradient sum
 	fresh bool      // gs holds nothing of the current interval: the next local step overwrites it
+	gsIsG bool      // gs is the gradient buffer itself (static T = 1, no drift consumer)
 	xref  []float64 // globally consistent reference x′
 
 	// keepLocal: something reads the replica between an interval's last
@@ -183,15 +185,20 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		cfg: cfg, rank: rank, origP: origP, tk: tk, fc: fc, mem: mem,
 		crashAt: cfg.Faults.CrashBoundary(rank),
 		sched:   newTScheduler(cfg),
-		gs:      make([]float64, m),
 		fresh:   true,
 		grads:   net.GradData(),
 		built:   view.Version,
 	}
 	e.keepLocal = fc != nil || e.sched.adaptive
-	// !keepLocal implies a static schedule, so Interval is T for good;
-	// under a hierarchy the replica resets to w, not to xref.
-	e.aliased = !e.keepLocal && cfg.Interval == 1 && cfg.HierGroups < 2
+	// !keepLocal implies a static schedule, so Interval is T for good: an
+	// interval is one step, and its gradient sum is its gradient. Under a
+	// hierarchy the replica resets to w, not to xref.
+	e.gsIsG = !e.keepLocal && cfg.Interval == 1
+	e.gs = e.grads
+	if !e.gsIsG {
+		e.gs = make([]float64, m)
+	}
+	e.aliased = e.gsIsG && cfg.HierGroups < 2
 	e.xref = net.ParamData()
 	if !e.aliased {
 		e.xref = append([]float64(nil), e.xref...)
@@ -323,10 +330,10 @@ func (e *engine) reform() {
 
 // boundary runs one communication boundary after local step `step`.
 // params is the local replica (reset to its reference on return) and
-// e.gs the interval's gradient sum (spent on return: the next local step
-// overwrites it); launched says the overlap hook already submitted gs
-// bucket by bucket. False means the learner must stop: crashed on
-// schedule, or fenced.
+// e.gs the interval's gradient sum (spent on return: the next local
+// step, or where gs is g the next backward, overwrites it); launched says
+// the overlap hook already submitted gs bucket by bucket. False means the
+// learner must stop: crashed on schedule, or fenced.
 func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	if e.bidx == e.crashAt {
 		// Fail-stop: go silent without posting the boundary's heartbeat.
@@ -408,7 +415,7 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 
 	// The drift statistic where x̄ = ref exactly, then x ← ref. gs ← 0 is
 	// not a pass of its own: the next interval's first local step writes
-	// gs = 0 + g (localStep).
+	// gs = 0 + g, or the next backward writes g (localStep).
 	var d, r float64
 	if e.sched.adaptive {
 		d, r = drift(params, ref)

@@ -73,7 +73,7 @@ func TestResilientPathMatchesPlain(t *testing.T) {
 		t.Fatalf("param lengths differ: %d vs %d", len(got.FinalParams), len(plain.FinalParams))
 	}
 	for i := range plain.FinalParams {
-		if got.FinalParams[i] != plain.FinalParams[i] {
+		if !sameBits(got.FinalParams[i], plain.FinalParams[i]) {
 			t.Fatalf("resilient path diverged at parameter %d: %g vs %g",
 				i, got.FinalParams[i], plain.FinalParams[i])
 		}
@@ -117,7 +117,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	got := Train(resume, prob)
 
 	for i := range ref.FinalParams {
-		if got.FinalParams[i] != ref.FinalParams[i] {
+		if !sameBits(got.FinalParams[i], ref.FinalParams[i]) {
 			t.Fatalf("resumed run diverged at parameter %d: %g vs %g",
 				i, got.FinalParams[i], ref.FinalParams[i])
 		}
@@ -240,7 +240,7 @@ func TestCheckpointOverlapLaunchesFromBackward(t *testing.T) {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
 	for i := range serial.FinalParams {
-		if got.FinalParams[i] != serial.FinalParams[i] {
+		if !sameBits(got.FinalParams[i], serial.FinalParams[i]) {
 			t.Fatalf("checkpointing overlapped run diverged at parameter %d: %g vs %g",
 				i, got.FinalParams[i], serial.FinalParams[i])
 		}

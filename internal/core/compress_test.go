@@ -41,7 +41,7 @@ func TestCompressedOverlapMatchesSerialSweep(t *testing.T) {
 					t.Fatalf("%s p=%d buckets=%d: param count mismatch", codec.name, p, buckets)
 				}
 				for i := range serial.FinalParams {
-					if serial.FinalParams[i] != ov.FinalParams[i] {
+					if !sameBits(serial.FinalParams[i], ov.FinalParams[i]) {
 						t.Fatalf("%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
 							codec.name, p, buckets, i, serial.FinalParams[i], ov.FinalParams[i])
 					}
@@ -78,7 +78,7 @@ func TestCompressedOverlapMatchesSerialNLCF(t *testing.T) {
 		cfg.OverlapComm = true
 		ov := Train(cfg, prob)
 		for i := range serial.FinalParams {
-			if serial.FinalParams[i] != ov.FinalParams[i] {
+			if !sameBits(serial.FinalParams[i], ov.FinalParams[i]) {
 				t.Fatalf("%s: overlap not bitwise at %d", codec.name, i)
 			}
 		}
@@ -115,7 +115,7 @@ func TestFaultyCompressedMatchesPlain(t *testing.T) {
 			t.Fatalf("%s: param count mismatch", tc.name)
 		}
 		for i := range plain.FinalParams {
-			if plain.FinalParams[i] != faulty.FinalParams[i] {
+			if !sameBits(plain.FinalParams[i], faulty.FinalParams[i]) {
 				t.Fatalf("%s: resilient compressed run diverges at %d: %g vs %g",
 					tc.name, i, plain.FinalParams[i], faulty.FinalParams[i])
 			}
@@ -140,7 +140,7 @@ func TestAdaptiveCompressionDeterministicAndBounded(t *testing.T) {
 	a := Train(cfg, prob)
 	b := Train(cfg, prob)
 	for i := range a.FinalParams {
-		if a.FinalParams[i] != b.FinalParams[i] {
+		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 			t.Fatalf("adaptive run not deterministic: params differ at %d", i)
 		}
 	}

@@ -91,13 +91,17 @@ func TestAllAlgorithmsLearn(t *testing.T) {
 	}
 }
 
+// sameBits is the bitwise equality the FinalParams checks mean: unlike
+// ==, it tells −0 from +0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestSGDDeterministic(t *testing.T) {
 	prob := tinyProblem(100, 50, 3)
 	cfg := Config{Algo: AlgoSGD, Gamma: 0.2, Batch: 10, Epochs: 5, Seed: 7}
 	a := Train(cfg, prob)
 	b := Train(cfg, prob)
 	for i := range a.FinalParams {
-		if a.FinalParams[i] != b.FinalParams[i] {
+		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 			t.Fatal("identical SGD configs produced different parameters")
 		}
 	}
@@ -116,7 +120,7 @@ func TestSASGDDeterministic(t *testing.T) {
 	a := Train(cfg, prob)
 	b := Train(cfg, prob)
 	for i := range a.FinalParams {
-		if a.FinalParams[i] != b.FinalParams[i] {
+		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 			t.Fatal("SASGD result depends on scheduling")
 		}
 	}
@@ -426,7 +430,7 @@ func TestSASGDCompressionDeterministic(t *testing.T) {
 	a := Train(cfg, prob)
 	b := Train(cfg, prob)
 	for i := range a.FinalParams {
-		if a.FinalParams[i] != b.FinalParams[i] {
+		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 			t.Fatal("compressed SASGD not deterministic")
 		}
 	}
@@ -447,7 +451,7 @@ func TestSASGDErrorFeedbackPreservesGradientMass(t *testing.T) {
 	// every bucket; with p = 1 the codec's select→encode→decode round
 	// trip is exact and the trajectories must match bitwise.
 	for i := range dense.FinalParams {
-		if dense.FinalParams[i] != full.FinalParams[i] {
+		if !sameBits(dense.FinalParams[i], full.FinalParams[i]) {
 			t.Fatalf("near-lossless compression diverged at %d: %g vs %g",
 				i, dense.FinalParams[i], full.FinalParams[i])
 		}

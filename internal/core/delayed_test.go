@@ -28,7 +28,7 @@ func TestDelayedSingleBoundaryBitwiseEager(t *testing.T) {
 		cfg.DelayedApply = true
 		delayed := Train(cfg, prob)
 		for i := range eager.FinalParams {
-			if eager.FinalParams[i] != delayed.FinalParams[i] {
+			if !sameBits(eager.FinalParams[i], delayed.FinalParams[i]) {
 				t.Fatalf("p=%d: single-boundary delayed not bitwise eager at %d: %g vs %g",
 					p, i, eager.FinalParams[i], delayed.FinalParams[i])
 			}
@@ -120,7 +120,7 @@ func TestDelayedHooksUnderFaults(t *testing.T) {
 		}
 	}
 	for i := range fixedRes.FinalParams {
-		if fixedRes.FinalParams[i] != faultyRes.FinalParams[i] {
+		if !sameBits(fixedRes.FinalParams[i], faultyRes.FinalParams[i]) {
 			t.Fatalf("delayed run under an empty fault plan diverged at %d", i)
 		}
 	}
@@ -143,7 +143,7 @@ func TestHierSingletonIslandsBitwiseFlat(t *testing.T) {
 		cfg.TOuter = 1
 		hier := Train(cfg, prob)
 		for i := range flat.FinalParams {
-			if flat.FinalParams[i] != hier.FinalParams[i] {
+			if !sameBits(flat.FinalParams[i], hier.FinalParams[i]) {
 				t.Fatalf("p=%d: singleton-island hier not bitwise flat at %d: %g vs %g",
 					p, i, flat.FinalParams[i], hier.FinalParams[i])
 			}
@@ -169,7 +169,7 @@ func TestHierDelayedDegenerateEqualsEager(t *testing.T) {
 	cfg.DelayedApply = true
 	delayed := Train(cfg, prob)
 	for i := range eager.FinalParams {
-		if eager.FinalParams[i] != delayed.FinalParams[i] {
+		if !sameBits(eager.FinalParams[i], delayed.FinalParams[i]) {
 			t.Fatalf("outer-never-fires: delayed differs from eager at %d", i)
 		}
 	}
@@ -228,7 +228,7 @@ func TestDelayedDeterministicUnderSim(t *testing.T) {
 		t.Fatalf("delayed sim time not reproducible: %g vs %g", a.SimTime, b.SimTime)
 	}
 	for i := range a.FinalParams {
-		if a.FinalParams[i] != b.FinalParams[i] {
+		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 			t.Fatalf("delayed run not reproducible at %d", i)
 		}
 	}
@@ -282,7 +282,7 @@ func TestScheduledComposesCodecs(t *testing.T) {
 			t.Fatalf("%s: no final params", tc.name)
 		}
 		for i := range a.FinalParams {
-			if a.FinalParams[i] != b.FinalParams[i] {
+			if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 				t.Fatalf("%s: not run-to-run deterministic at %d", tc.name, i)
 			}
 		}
@@ -309,7 +309,7 @@ func TestChaosHierCrashReformsIslands(t *testing.T) {
 			t.Fatalf("delayed=%v: LiveP = %d, want 5", delayed, a.LiveP)
 		}
 		for i := range a.FinalParams {
-			if a.FinalParams[i] != b.FinalParams[i] {
+			if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 				t.Fatalf("delayed=%v: crashed hier run not reproducible at %d", delayed, i)
 			}
 		}

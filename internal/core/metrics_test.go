@@ -39,6 +39,16 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 		{"faults", func(c *Config) {
 			c.Faults = mustPlan(t, "seed=3,crash=3@2")
 		}},
+		// At T = 1 the metered run keeps gs apart from g and the plain
+		// one sums g in place, where a −0 gradient keeps its sign: the
+		// same bits here are localStep's −0 argument.
+		{"T1-dense", func(c *Config) { c.Interval = 1 }},
+		{"T1-overlap-topk", func(c *Config) {
+			c.Interval = 1
+			c.OverlapComm = true
+			c.Compress = CodecTopK
+			c.CompressK = 0.1
+		}},
 	} {
 		base := Config{
 			Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05,
@@ -59,7 +69,7 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 				len(plain.FinalParams), len(metered.FinalParams))
 		}
 		for i := range plain.FinalParams {
-			if plain.FinalParams[i] != metered.FinalParams[i] {
+			if !sameBits(plain.FinalParams[i], metered.FinalParams[i]) {
 				t.Fatalf("%s: metrics changed training at param %d: %g vs %g",
 					tc.name, i, plain.FinalParams[i], metered.FinalParams[i])
 			}

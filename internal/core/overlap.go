@@ -19,28 +19,33 @@ import (
 // to the serial boundary for the tree family and every codec: bucket
 // boundaries are fixed layer boundaries, per-bucket accumulation is the
 // same elementwise gs += g (gs = 0 + g when the boundary batch is also
-// the interval's first, localStep's rule), and the bucketed tree replays the
-// monolithic tree's per-element summation order (pinned in comm and
-// again at core level in overlap_test.go). Under the fabric simulation
-// each bucket's op starts its clock at its layers' backward-completion
-// time — start + dt·fraction from model.BackwardDoneFractions — which is
-// what makes the overlap show up in simulated epoch time.
+// the interval's first, nothing where gs is g: localStep's rule), and
+// the bucketed tree replays the monolithic tree's per-element summation
+// order (pinned in comm and again at core level in overlap_test.go).
+// Under the fabric simulation each bucket's op starts its clock at its
+// layers' backward-completion time — start + dt·fraction from
+// model.BackwardDoneFractions — which is what makes the overlap show up
+// in simulated epoch time. A drift consumer keeps gs apart from g even
+// at T = 1: its local step reads g while the launched buckets are being
+// summed in place.
 
 // onLayerDone is the nn.StepEach hook for the boundary batch: when
 // layer's completion finalizes a bucket (its earliest layer — backward
 // visits layers in reverse, so buckets launch in descending index order,
 // identically on every rank), fold the bucket's gradient segment into gs
-// and launch it, stamped with the layer's backward-completion time. The
-// accumulate+submit is recorded as a bucket_begin span, which nests
-// inside the backward span on the exported timeline.
+// (where gs is g it is there already) and launch it, stamped with the
+// layer's backward-completion time. The accumulate+submit is recorded as
+// a bucket_begin span, which nests inside the backward span on the
+// exported timeline.
 func (e *engine) onLayerDone(layer int) {
 	bi := e.bucketAt[layer]
 	if bi < 0 {
 		return
 	}
 	bs := e.tk.Begin()
-	s := e.segs[bi]
-	tensor.Accumulate(e.gs[s.Off:s.Off+s.Len], e.grads[s.Off:s.Off+s.Len], e.fresh)
+	if s := e.segs[bi]; !e.gsIsG {
+		tensor.Accumulate(e.gs[s.Off:s.Off+s.Len], e.grads[s.Off:s.Off+s.Len], e.fresh)
+	}
 	ready := 0.0
 	if e.fracs != nil {
 		ready = e.start + e.dt*e.fracs[layer]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sasgd/internal/comm"
 	"sasgd/internal/data"
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
@@ -68,7 +69,7 @@ func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 						t.Fatalf("%s p=%d: param count mismatch", prob.Name, p)
 					}
 					for i := range serial.FinalParams {
-						if s, o := serial.FinalParams[i], ov.FinalParams[i]; s != o {
+						if s, o := serial.FinalParams[i], ov.FinalParams[i]; !sameBits(s, o) {
 							t.Fatalf("%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
 								prob.Name, p, buckets, i, s, o)
 						}
@@ -121,7 +122,7 @@ func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 	cfg.OverlapComm = true
 	ov := Train(cfg, prob)
 	for i := range serial.FinalParams {
-		if serial.FinalParams[i] != ov.FinalParams[i] {
+		if !sameBits(serial.FinalParams[i], ov.FinalParams[i]) {
 			t.Fatalf("top-k run diverged under the overlap hint at %d", i)
 		}
 	}
@@ -139,7 +140,7 @@ func TestCompressKFullMatchesDense(t *testing.T) {
 	full.Compress, full.CompressK = CodecTopK, 1
 	fr := Train(full, prob)
 	for i := range dense.FinalParams {
-		if dense.FinalParams[i] != fr.FinalParams[i] {
+		if !sameBits(dense.FinalParams[i], fr.FinalParams[i]) {
 			t.Fatalf("CompressK=1 not bitwise vs dense at %d: %g vs %g",
 				i, dense.FinalParams[i], fr.FinalParams[i])
 		}
@@ -174,12 +175,71 @@ func TestOverlapSimFasterAtT1(t *testing.T) {
 	serial := run(false)
 	ov := run(true)
 	for i := range serial.FinalParams {
-		if serial.FinalParams[i] != ov.FinalParams[i] {
+		if !sameBits(serial.FinalParams[i], ov.FinalParams[i]) {
 			t.Fatalf("simulated overlap run diverges at %d", i)
 		}
 	}
 	if ov.SimTime >= serial.SimTime {
 		t.Errorf("overlapped T=1 epoch time %.4fs not strictly below serial %.4fs", ov.SimTime, serial.SimTime)
+	}
+}
+
+// TestOverlapT1GradientSumIsGradientBuffer: at static T = 1 with no
+// drift consumer the interval's gradient sum is its one gradient, so a
+// learner holds no m-word gs of its own — under every policy, the
+// overlapped launch from inside backward included. A drift consumer
+// (metrics, adaptive T) reads the replica and, overlapped, g itself while
+// the buckets are summed, so it keeps its own gs, as does every T > 1.
+// Overlapped T = 1 on g must still train bit for bit as the serial run
+// and as the run that keeps its copy.
+func TestOverlapT1GradientSumIsGradientBuffer(t *testing.T) {
+	prob := nlcfProblem(24, 12)
+	for _, tc := range []struct {
+		name  string
+		mut   func(*Config)
+		alias bool
+	}{
+		{"dense", func(c *Config) {}, true},
+		{"overlap", func(c *Config) { c.OverlapComm = true }, true},
+		{"overlap-topk", func(c *Config) { c.OverlapComm, c.Compress, c.CompressK = true, CodecTopK, 0.1 }, true},
+		{"hier-delayed", func(c *Config) { c.HierGroups, c.DelayedApply = 2, true }, true},
+		{"faults", func(c *Config) { c.Faults = mustPlan(t, "seed=3,crash=3@2") }, true},
+		{"metrics", func(c *Config) { c.Metrics = obs.NewRegistry() }, false},
+		{"metrics-overlap", func(c *Config) { c.Metrics, c.OverlapComm = obs.NewRegistry(), true }, false},
+		{"adaptive", func(c *Config) { c.TSched = TSchedAdaptive }, false},
+		{"T2", func(c *Config) { c.Interval = 2 }, false},
+	} {
+		cfg := Config{Algo: AlgoSASGD, Learners: 4, Interval: 1, Gamma: 0.05, Batch: 4, Epochs: 1, Seed: 3}
+		tc.mut(&cfg)
+		cfg = cfg.withDefaults()
+		net := prob.newReplica(cfg.Seed)
+		view := comm.View{G: comm.NewSimGroup(cfg.Learners, nil, nil), Phys: identity(cfg.Learners)}
+		tk := obs.NewTracer(1).Learner(0)
+		fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Metrics, cfg.Learners), tk)
+		e := newEngine(cfg, nil, view, 0, cfg.Learners, net, tk, fc)
+		if alias := &e.gs[0] == &net.GradData()[0]; alias != tc.alias {
+			t.Errorf("%s: gs is the gradient buffer: %v, want %v", tc.name, alias, tc.alias)
+		}
+		e.close()
+	}
+	base := Config{Algo: AlgoSASGD, Learners: 3, Interval: 1, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 3}
+	serial := Train(base, prob)
+	for _, metrics := range []bool{false, true} {
+		cfg := base
+		cfg.OverlapComm = true
+		if metrics {
+			cfg.Metrics = obs.NewRegistry()
+		}
+		ov := Train(cfg, prob)
+		if ov.Comm.BucketOps == 0 {
+			t.Fatalf("metrics=%v: the overlapped run launched no bucket", metrics)
+		}
+		for i := range serial.FinalParams {
+			if !sameBits(serial.FinalParams[i], ov.FinalParams[i]) {
+				t.Fatalf("metrics=%v: overlapped T = 1 not bitwise serial at %d: %g vs %g",
+					metrics, i, serial.FinalParams[i], ov.FinalParams[i])
+			}
+		}
 	}
 }
 

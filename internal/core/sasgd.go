@@ -302,10 +302,13 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 //	x ← x − γ·g   skipped on the last step of an interval (last) unless a
 //	              drift consumer reads the replica before the boundary
 //	              resets it (engine.keepLocal): the reset overwrites it.
-//	gs ← gs + g   the first step of an interval writes gs = 0 + g — the
-//	              bits adding into a cleared gs would give — so no
+//	gs ← gs + g   the first step of an interval writes gs = 0 + g, so no
 //	              boundary clears gs; on the overlapped batch (launched)
-//	              the backward hook has done it bucket by bucket.
+//	              the backward hook has done it bucket by bucket. At
+//	              static T = 1 with no drift consumer gs is g itself
+//	              (engine.gsIsG) and there is no pass: a −0 gradient
+//	              keeps its sign, which no apply can see, since no
+//	              parameter is ever −0 (DESIGN §12).
 //	both          one pass over g instead of two.
 //
 // The rule is the same for every batch, overlapped or not, so the drift
@@ -316,7 +319,7 @@ func (e *engine) localStep(params []float64, last, launched bool) {
 	switch {
 	case launched && keepX:
 		tensor.Axpy(-e.cfg.Gamma, e.grads, params)
-	case launched: // gs went out from inside backward and x is dead
+	case launched, e.gsIsG: // gs went out from inside backward, or is g; x is dead
 	case keepX:
 		tensor.AxpyAccumulate(-e.cfg.Gamma, e.grads, params, e.gs, e.fresh)
 	default:

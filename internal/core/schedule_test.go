@@ -39,7 +39,7 @@ func TestStaticSchedBitwiseLegacy(t *testing.T) {
 				t.Fatalf("%s p=%d: param count mismatch", tc.name, p)
 			}
 			for i := range legacy.FinalParams {
-				if legacy.FinalParams[i] != sched.FinalParams[i] {
+				if !sameBits(legacy.FinalParams[i], sched.FinalParams[i]) {
 					t.Fatalf("%s p=%d: scheduled path not bitwise at %d: %g vs %g",
 						tc.name, p, i, legacy.FinalParams[i], sched.FinalParams[i])
 				}
@@ -71,7 +71,7 @@ func TestStaticSchedBitwiseLegacySim(t *testing.T) {
 	cfg.TSched = TSchedStatic
 	sched := Train(cfg, prob)
 	for i := range legacy.FinalParams {
-		if legacy.FinalParams[i] != sched.FinalParams[i] {
+		if !sameBits(legacy.FinalParams[i], sched.FinalParams[i]) {
 			t.Fatalf("sim: scheduled path not bitwise at %d", i)
 		}
 	}
@@ -99,7 +99,7 @@ func TestAdaptiveTDeterminism(t *testing.T) {
 				t.Fatalf("p=%d w=%d: FinalT %d vs %d across identical runs", p, workers, a.FinalT, b.FinalT)
 			}
 			for i := range a.FinalParams {
-				if a.FinalParams[i] != b.FinalParams[i] {
+				if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 					t.Fatalf("p=%d w=%d: adaptive run not reproducible at %d", p, workers, i)
 				}
 			}
@@ -154,7 +154,7 @@ func TestAdaptiveTWithFaultsDeterministic(t *testing.T) {
 		t.Fatalf("FinalT %d vs %d across identical faulty runs", a.FinalT, b.FinalT)
 	}
 	for i := range a.FinalParams {
-		if a.FinalParams[i] != b.FinalParams[i] {
+		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 			t.Fatalf("faulty adaptive run not reproducible at %d", i)
 		}
 	}

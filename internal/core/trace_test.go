@@ -104,7 +104,7 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 		traced.Tracer = obs.NewTracer(256)
 		got := Train(traced, prob)
 		for i := range plain.FinalParams {
-			if plain.FinalParams[i] != got.FinalParams[i] {
+			if !sameBits(plain.FinalParams[i], got.FinalParams[i]) {
 				t.Fatalf("overlap=%v: tracing changed parameter %d: %g vs %g",
 					overlap, i, plain.FinalParams[i], got.FinalParams[i])
 			}

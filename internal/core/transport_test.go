@@ -40,7 +40,7 @@ func TestTrainTCPLoopbackMatchesChannel(t *testing.T) {
 		t.Fatalf("final parameter lengths %d vs %d", len(got.FinalParams), len(want.FinalParams))
 	}
 	for i := range want.FinalParams {
-		if got.FinalParams[i] != want.FinalParams[i] {
+		if !sameBits(got.FinalParams[i], want.FinalParams[i]) {
 			t.Fatalf("final parameters differ at %d: %g vs %g (must be bitwise identical)",
 				i, got.FinalParams[i], want.FinalParams[i])
 		}
@@ -116,7 +116,7 @@ func TestTrainMultiEndpointMatchesChannel(t *testing.T) {
 		t.Fatalf("rank-0 endpoint parameters: %d words, want %d", len(got.FinalParams), len(want.FinalParams))
 	}
 	for i := range want.FinalParams {
-		if got.FinalParams[i] != want.FinalParams[i] {
+		if !sameBits(got.FinalParams[i], want.FinalParams[i]) {
 			t.Fatalf("multi-endpoint parameters differ at %d: %g vs %g (must be bitwise identical)",
 				i, got.FinalParams[i], want.FinalParams[i])
 		}

@@ -218,10 +218,20 @@ func BenchmarkKernelConvFused(b *testing.B) {
 	}
 }
 
+// foldSets lists the row-fold kernel sets BenchmarkKernelSkinny times
+// the two fold products on, and selectFolds switches to one, returning
+// the switch back; the amd64 test file adds the assembly where the CPU
+// can run it.
+var (
+	foldSets    = []string{"go"}
+	selectFolds = func(set string) (restore func()) { return func() {} }
+)
+
 // BenchmarkKernelSkinny times the three products of a Linear or
 // TemporalConv layer at the NLC-F net's M=1 shapes (m rows of
 // activations against a k×n weight matrix): forward A·Bᵀ, input
-// gradient A·B, weight gradient Aᵀ·B. Bytes/op is the weight matrix, the
+// gradient A·B, weight gradient Aᵀ·B — the last two, which run the row
+// folds, once per fold kernel set. Bytes/op is the weight matrix, the
 // one operand these products are bound by.
 func BenchmarkKernelSkinny(b *testing.B) {
 	prev := parallel.SetWorkers(1)
@@ -239,18 +249,22 @@ func BenchmarkKernelSkinny(b *testing.B) {
 				MatMulTransB(y, x, w)
 			}
 		})
-		b.Run(name+"/dx", func(b *testing.B) {
-			b.SetBytes(int64(8 * s.in * s.out))
-			for i := 0; i < b.N; i++ {
-				MatMul(dx, y, w)
-			}
-		})
-		b.Run(name+"/dw", func(b *testing.B) {
-			b.SetBytes(int64(8 * s.in * s.out))
-			for i := 0; i < b.N; i++ {
-				MatMulTransA(dw, y, x)
-			}
-		})
+		for _, set := range foldSets {
+			b.Run(name+"/dx/"+set, func(b *testing.B) {
+				defer selectFolds(set)()
+				b.SetBytes(int64(8 * s.in * s.out))
+				for i := 0; i < b.N; i++ {
+					MatMul(dx, y, w)
+				}
+			})
+			b.Run(name+"/dw/"+set, func(b *testing.B) {
+				defer selectFolds(set)()
+				b.SetBytes(int64(8 * s.in * s.out))
+				for i := 0; i < b.N; i++ {
+					MatMulTransA(dw, y, x)
+				}
+			})
+		}
 	}
 }
 

@@ -2,9 +2,10 @@
 
 package tensor
 
-// The AVX2 microkernels of gemm_micro_amd64.s and the panel sweeps that
-// drive them. Whether they run is decided once, here, from what the CPU
-// and the OS report; the Go kernels of gemm_micro.go are the fallback on
+// The AVX2 microkernels of gemm_micro_amd64.s, the panel sweeps that
+// drive them, and the skinny tier's row folds. Whether they run is
+// decided once, here, from what the CPU and the OS report; the Go
+// kernels of gemm_micro.go and gemm_skinny.go are the fallback on
 // a CPU without AVX2, the whole engine on other architectures and under
 // -tags purego, and the reference the assembly is tested against bit for
 // bit. Both sets meet the one contract stated there.
@@ -57,6 +58,21 @@ func micro1x4AVX2(c0 *[4]float64, ap, bp []float64)
 
 //go:noescape
 func micro1x8AVX2(c0 *[8]float64, ap, bp0, bp1 []float64)
+
+// foldRows4AVX2 and foldRowAVX2 are foldRows4Go and foldRowGo over
+// min(len(c), len(b0), …) elements (the Go kernels panic on a short row).
+//
+//go:noescape
+func foldRows4AVX2(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64, store bool)
+
+//go:noescape
+func foldRowAVX2(c, b0 []float64, a0 float64, store bool)
+
+func init() {
+	if useAVX2 {
+		foldRows4, foldRow = foldRows4AVX2, foldRowAVX2
+	}
+}
 
 // sweepPair is sweepPairGo on whichever kernel set this machine runs:
 // with AVX2, adjacent panels two at a time through the 2×8 kernel, an

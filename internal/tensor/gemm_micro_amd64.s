@@ -4,19 +4,20 @@
 
 // AVX2 forms of the packed engine's microkernels (gemm_micro.go holds the
 // contract and the Go kernels these are tested against, gemm_micro_amd64.go
-// the declarations). The four columns of a B panel are the four lanes of
-// a YMM register, so a lane is one C element and each step performs, per
+// the declarations) and, at the end of the file, of the skinny tier's row
+// folds. The four columns of a B panel are the four lanes of a YMM
+// register, so a lane is one C element and each step performs, per
 // element, the scalar kernel's two roundings in its order: the product
 // (VMULPD), then accumulator + product (VADDPD, accumulator as first
 // source). There is no fused multiply-add in this file and there must
 // never be one — it rounds once where the Go kernels round twice
 // (scripts/check.sh greps for it).
 //
-// Every kernel runs min(len(ap)/MR, len(bp)/NR) steps, the trip count of
-// the Go loops, loads and stores its C tile unaligned, and clears the
-// upper YMM state before returning to SSE code. The instructions are all
-// in AVX proper; the gate (cpuHasAVX2) asks for AVX2 because that is the
-// class of core these were measured on.
+// Every microkernel runs min(len(ap)/MR, len(bp)/NR) steps, the trip
+// count of the Go loops. Every kernel loads and stores its C unaligned
+// and clears the upper YMM state before returning to SSE code. The
+// instructions are all in AVX proper; the gate (cpuHasAVX2) asks for
+// AVX2 because that is the class of core these were measured on.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -261,5 +262,133 @@ loop1:
 
 done:
 	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// The skinny tier's row folds (foldRows4Go and foldRowGo in
+// gemm_skinny.go state the contract and are the reference): c[j]
+// accumulates a_r·b_r[j] row after row, four elements of c in the lanes
+// of a YMM register, each lane rounding the product (VMULPD) and then
+// accumulator + product (VADDPD, accumulator as first source) in the Go
+// loop's order. The last CX mod 4 elements take the same steps on
+// scalars. CX is min(len(c), len(b0), …) — the Go kernels panic on a
+// short row instead — and AX indexes c and every row. R12 walks the
+// accumulator's source: c itself, R13 = 32 bytes a step — or, under
+// store, a block of +0 words that it never leaves (R13 = 0), so c is
+// written without being read.
+GLOBL foldZero<>(SB), RODATA|NOPTR, $32
+
+#define FOLDSRC(store) \
+	MOVQ    DI, R12; \
+	MOVQ    $32, R13; \
+	XORQ    R14, R14; \
+	LEAQ    foldZero<>(SB), R11; \
+	CMPB    store, $0; \
+	CMOVQNE R11, R12; \
+	CMOVQNE R14, R13
+
+// CX ← min(CX, len).
+#define FOLDLEN(len) \
+	MOVQ    len, DX; \
+	CMPQ    DX, CX; \
+	CMOVQLT DX, CX
+
+// acc ← acc + a·b[AX:], in lanes (MUL/ADD packed) or on scalars.
+#define FOLDROW(MUL, ADD, b, a, acc, t) \
+	MUL (b)(AX*8), a, t; \
+	ADD t, acc, acc
+
+// func foldRows4AVX2(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64, store bool)
+TEXT ·foldRows4AVX2(SB), NOSPLIT, $0-153
+	MOVQ         c_base+0(FP), DI
+	MOVQ         c_len+8(FP), CX
+	MOVQ         b0_base+24(FP), SI
+	MOVQ         b1_base+48(FP), R8
+	MOVQ         b2_base+72(FP), R9
+	MOVQ         b3_base+96(FP), R10
+	FOLDLEN(b0_len+32(FP))
+	FOLDLEN(b1_len+56(FP))
+	FOLDLEN(b2_len+80(FP))
+	FOLDLEN(b3_len+104(FP))
+	VBROADCASTSD a0+120(FP), Y4
+	VBROADCASTSD a1+128(FP), Y5
+	VBROADCASTSD a2+136(FP), Y6
+	VBROADCASTSD a3+144(FP), Y7
+	FOLDSRC(store+152(FP))
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-4, DX
+	JZ           tail
+
+loop4:
+	VMOVUPD (R12), Y0
+	FOLDROW(VMULPD, VADDPD, SI, Y4, Y0, Y1)
+	FOLDROW(VMULPD, VADDPD, R8, Y5, Y0, Y1)
+	FOLDROW(VMULPD, VADDPD, R9, Y6, Y0, Y1)
+	FOLDROW(VMULPD, VADDPD, R10, Y7, Y0, Y1)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    R13, R12
+	ADDQ    $4, AX
+	CMPQ    AX, DX
+	JLT     loop4
+
+tail:
+	SHRQ $2, R13
+	CMPQ AX, CX
+	JGE  done
+
+loop1:
+	VMOVSD (R12), X0
+	FOLDROW(VMULSD, VADDSD, SI, X4, X0, X1)
+	FOLDROW(VMULSD, VADDSD, R8, X5, X0, X1)
+	FOLDROW(VMULSD, VADDSD, R9, X6, X0, X1)
+	FOLDROW(VMULSD, VADDSD, R10, X7, X0, X1)
+	VMOVSD X0, (DI)(AX*8)
+	ADDQ   R13, R12
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func foldRowAVX2(c, b0 []float64, a0 float64, store bool)
+TEXT ·foldRowAVX2(SB), NOSPLIT, $0-57
+	MOVQ         c_base+0(FP), DI
+	MOVQ         c_len+8(FP), CX
+	MOVQ         b0_base+24(FP), SI
+	FOLDLEN(b0_len+32(FP))
+	VBROADCASTSD a0+48(FP), Y4
+	FOLDSRC(store+56(FP))
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-4, DX
+	JZ           tail
+
+loop4:
+	VMOVUPD (R12), Y0
+	FOLDROW(VMULPD, VADDPD, SI, Y4, Y0, Y1)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    R13, R12
+	ADDQ    $4, AX
+	CMPQ    AX, DX
+	JLT     loop4
+
+tail:
+	SHRQ $2, R13
+	CMPQ AX, CX
+	JGE  done
+
+loop1:
+	VMOVSD (R12), X0
+	FOLDROW(VMULSD, VADDSD, SI, X4, X0, X1)
+	VMOVSD X0, (DI)(AX*8)
+	ADDQ   R13, R12
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    loop1
+
+done:
 	VZEROUPPER
 	RET

@@ -51,6 +51,13 @@ func (g guarded) intact() bool {
 func init() {
 	if useAVX2 {
 		microBench = append(microBench, microBenchKernel{"avx2", micro2x8AVX2})
+		foldSets = append(foldSets, "avx2")
+		selectFolds = func(set string) func() {
+			if set == "go" {
+				foldRows4, foldRow = foldRows4Go, foldRowGo
+			}
+			return func() { foldRows4, foldRow = foldRows4AVX2, foldRowAVX2 }
+		}
 	}
 }
 
@@ -130,6 +137,65 @@ func TestAVX2MicrokernelsMatchGo(t *testing.T) {
 					}
 					for _, g := range []guarded{got.c[0], got.c[1], got.a, got.b[0], got.b[1]} {
 						if g.buf != nil && !g.intact() {
+							t.Fatalf("%s: the assembly kernel wrote outside an operand", label)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAVX2FoldsMatchGo holds the row-fold assembly to foldRows4Go and
+// foldRowGo the same way: every length up to two vector steps plus a
+// tail and two layer widths, store and accumulate, rows longer than c
+// (what lies past len(c) is real data that must not be used), unaligned
+// operands, spiked values — ±0, denormals, ±Inf and NaNs with payloads
+// of both signs, quiet and signalling — and the guard words around all
+// of them untouched.
+func TestAVX2FoldsMatchGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("this CPU (or the OS's XCR0) has no AVX2: the assembly kernels are never selected here")
+	}
+	payloads := []uint64{0x7ff8_0000_0000_0bad, 0xfff8_dead_beef_0001, 0x7ff0_0000_0000_0001, 0xfff0_0000_0012_3400}
+	rng := rand.New(rand.NewSource(31))
+	operand := func(rows, cols, spike int) []float64 {
+		v := spiked(rng, rows, cols, spike).Data
+		for i := range v {
+			if spike == 2 && rng.Intn(16) == 0 {
+				v[i] = math.Float64frombits(payloads[rng.Intn(len(payloads))])
+			}
+		}
+		return v
+	}
+	for _, rows := range []int{1, 4} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 311, 320} {
+			for spike := 0; spike < 3; spike++ {
+				for _, store := range []bool{false, true} {
+					label := fmt.Sprintf("rows=%d n=%d spike=%d store=%v", rows, n, spike, store)
+					cData, bData, a := operand(1, n, spike), operand(rows, n+3, spike), operand(1, 4, spike)
+					build := func() (ops []guarded, v [5][]float64) {
+						ops = append(ops, guard(cData, 1))
+						for r := 0; r < rows; r++ {
+							ops = append(ops, guard(bData[r*(n+3):(r+1)*(n+3)], 2*r+1))
+						}
+						for i, g := range ops {
+							v[i] = g.view()
+						}
+						return ops, v
+					}
+					_, rv := build()
+					got, gv := build()
+					if rows == 4 {
+						foldRows4Go(rv[0], rv[1], rv[2], rv[3], rv[4], a[0], a[1], a[2], a[3], store)
+						foldRows4AVX2(gv[0], gv[1], gv[2], gv[3], gv[4], a[0], a[1], a[2], a[3], store)
+					} else {
+						foldRowGo(rv[0], rv[1], a[0], store)
+						foldRowAVX2(gv[0], gv[1], a[0], store)
+					}
+					mustMatch(t, label, gv[0], rv[0])
+					for _, g := range got {
+						if !g.intact() {
 							t.Fatalf("%s: the assembly kernel wrote outside an operand", label)
 						}
 					}

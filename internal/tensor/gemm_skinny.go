@@ -43,18 +43,19 @@ func dot8(s *[8]float64, a, b []float64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
 
-// foldRows4 adds four scaled rows into c, one load and one store of c
+// foldRows4 and foldRow are the row folds foldRange calls on rows of
+// eight or more: the Go kernels below, or their AVX2 forms where the
+// CPU has them (gemm_micro_amd64.go). Called through a variable, neither
+// is inlined into foldRange's loop nest, where the element loop's
+// counter would be spilled to the stack every iteration.
+var foldRows4, foldRow = foldRows4Go, foldRowGo
+
+// foldRows4Go adds four scaled rows into c, one load and one store of c
 // per element: c[j] = (((c[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) +
 // a3·b3[j] — the order four successive one-row updates would use. With
 // store the chain starts from +0 instead of c[j] (what a zeroed c would
 // hold), and c is written without being read.
-//
-// Not inlined, like foldRow: inlined into foldRange's loop nest the
-// element loop's counter is spilled to the stack every iteration, which
-// costs more than the whole multiply-add.
-//
-//go:noinline
-func foldRows4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64, store bool) {
+func foldRows4Go(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64, store bool) {
 	b0, b1, b2, b3 = b0[:len(c)], b1[:len(c)], b2[:len(c)], b3[:len(c)]
 	if store {
 		for j := range c {
@@ -67,11 +68,9 @@ func foldRows4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64, store bool) 
 	}
 }
 
-// foldRow is the one-row form of foldRows4: c[j] += a0·b0[j], or
+// foldRowGo is the one-row form of foldRows4Go: c[j] += a0·b0[j], or
 // c[j] = 0 + a0·b0[j] with store.
-//
-//go:noinline
-func foldRow(c, b0 []float64, a0 float64, store bool) {
+func foldRowGo(c, b0 []float64, a0 float64, store bool) {
 	b0 = b0[:len(c)]
 	if store {
 		for j := range c {

@@ -119,20 +119,26 @@ func foldRange(c, a []float64, si, sl int, b []float64, k, n, lo, hi int, acc bo
 		clear(c[lo*n : hi*n])
 		return
 	}
+	// Below two vector steps a row costs the assembly folds more to set up
+	// than to fold.
+	fold4, fold1 := foldRows4, foldRow
+	if n < 8 {
+		fold4, fold1 = foldRows4Go, foldRowGo
+	}
 	for l := 0; l < k; {
 		store := l == 0 && !acc
 		if l+4 <= k {
 			b0, b1, b2, b3 := b[l*n:l*n+n], b[(l+1)*n:(l+1)*n+n], b[(l+2)*n:(l+2)*n+n], b[(l+3)*n:(l+3)*n+n]
 			for i := lo; i < hi; i++ {
 				ai := a[i*si+l*sl:]
-				foldRows4(c[i*n:i*n+n], b0, b1, b2, b3, ai[0], ai[sl], ai[2*sl], ai[3*sl], store)
+				fold4(c[i*n:i*n+n], b0, b1, b2, b3, ai[0], ai[sl], ai[2*sl], ai[3*sl], store)
 			}
 			l += 4
 			continue
 		}
 		bl := b[l*n : l*n+n]
 		for i := lo; i < hi; i++ {
-			foldRow(c[i*n:i*n+n], bl, a[i*si+l*sl], store)
+			fold1(c[i*n:i*n+n], bl, a[i*si+l*sl], store)
 		}
 		l++
 	}

@@ -340,12 +340,12 @@ run_tests -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire
 # ConvGradWeightRows and is held to the loops it replaced, and a
 # network's first layer to an unmarked twin; every packed entry point is
 # held to the one-accumulator reference loop, and each AVX2 microkernel
-# to the Go kernel it replaces), and their parallelism runs through the
-# sharding helpers, so give those determinism tests extra race-detector
-# rounds.
+# and row fold to the Go kernel it replaces), and their parallelism runs
+# through the sharding helpers, so give those determinism tests extra
+# race-detector rounds.
 echo "==> go test -race -count=2 GEMM determinism + fusion + packed/skinny/microkernel differentials"
 # shellcheck disable=SC2086
-run_tests -race -count=2 ${short} -run 'Bitwise|LinearForward|ConvGemm|ConvGradWeightRows|SkinnyShapes|FusedUpdateKernels|AVX2Microkernels' ./internal/tensor/
+run_tests -race -count=2 ${short} -run 'Bitwise|LinearForward|ConvGemm|ConvGradWeightRows|SkinnyShapes|FusedUpdateKernels|AVX2Microkernels|AVX2Folds' ./internal/tensor/
 run_tests -race -count=2 -run 'Fused|Conv2DBackwardDifferential|FirstLayerSkipsInputGradient' ./internal/nn/
 run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
 
@@ -373,15 +373,16 @@ run_tests -run 'GemmSteadyStateAllocs|UpdatePathSteadyStateAllocs' ./internal/te
 # idiom precisely so the compiler can prove every index in bounds; a
 # regression shows up as a check_bce diagnostic pointing into
 # gemm_micro.go (gemm_micro_amd64.go and gemm_micro_generic.go hold
-# panel sweeps, not kernels, and do not match). The skinny kernels
-# (gemm_skinny.go) cut their operands to a common length once per call —
-# those slice checks (IsSliceInBounds) are the idiom — and index them by
-# one range variable, so there the gate is on index checks (IsInBounds),
-# which only a per-element check inside a loop can produce. Entry points
-# that reach those kernels (matmul.go; MatMulAccTransBRows is one more)
-# add no loop of their own, so the two files remain the whole gate. The
-# -a forces a real compile (a cache hit would emit no diagnostics and
-# pass vacuously).
+# panel sweeps and the row folds' dispatch, not kernels, and do not
+# match). The skinny kernels (gemm_skinny.go; its Go row folds are the
+# reference the AVX2 ones are held to) cut their operands to a common
+# length once per call — those slice checks (IsSliceInBounds) are the
+# idiom — and index them by one range variable, so there the gate is on
+# index checks (IsInBounds), which only a per-element check inside a
+# loop can produce. Entry points that reach those kernels (matmul.go;
+# MatMulAccTransBRows is one more) add no loop of their own, so the two
+# files remain the whole gate. The -a forces a real compile (a cache hit
+# would emit no diagnostics and pass vacuously).
 echo "==> bounds-check-elimination gate (gemm_micro.go, gemm_skinny.go)"
 bce_out="$(go build -a -o /dev/null \
     -gcflags='sasgd/internal/tensor=-d=ssa/check_bce/debug=1' \
