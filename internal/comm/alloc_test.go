@@ -21,7 +21,8 @@ import (
 // tree/p2 is the benchmark's dense message: its one partial comes back
 // by reference and the root's last fold, lent the parked rank's worker,
 // runs on two shards through the worker pool — that dispatch may not
-// allocate either. AllocsPerRun counts mallocs process-wide, so the
+// allocate either. The apply rows are the same collectives with the
+// epilogue riding them (AllreduceTreeApply). AllocsPerRun counts mallocs process-wide, so the
 // helper ranks' collectives are measured too, not just rank 0's.
 func TestAllreduceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -30,20 +31,24 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 
+	tree := func(g *Group, r int, b, _ []float64) { g.AllreduceTree(r, b) }
+	apply := func(g *Group, r int, b, x []float64) { g.AllreduceTreeApply(r, b, x, -1e-9) }
 	cases := []struct {
 		name string
 		p, m int
-		run  func(g *Group, rank int, buf []float64)
+		run  func(g *Group, rank int, buf, x []float64)
 	}{
-		{"tree/p8", 8, 1003, func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
-		{"tree/p2", 2, 276971, func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
+		{"tree/p8", 8, 1003, tree},
+		{"tree/p2", 2, 276971, tree},
+		{"apply/p8", 8, 1003, apply},
+		{"apply/p2", 2, 276971, apply},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := NewGroup(tc.p)
-			bufs := make([][]float64, tc.p)
+			bufs, xs := make([][]float64, tc.p), make([][]float64, tc.p)
 			for r := range bufs {
-				bufs[r] = make([]float64, tc.m)
+				bufs[r], xs[r] = make([]float64, tc.m), make([]float64, tc.m)
 				for i := range bufs[r] {
 					bufs[r][i] = float64(r + i)
 				}
@@ -54,7 +59,7 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 				start[r] = make(chan struct{})
 				go func(r int) {
 					for range start[r] {
-						tc.run(g, r, bufs[r])
+						tc.run(g, r, bufs[r], xs[r])
 						done <- struct{}{}
 					}
 				}(r)
@@ -63,7 +68,7 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 				for r := 1; r < tc.p; r++ {
 					start[r] <- struct{}{}
 				}
-				tc.run(g, 0, bufs[0])
+				tc.run(g, 0, bufs[0], xs[0])
 				for r := 1; r < tc.p; r++ {
 					<-done
 				}

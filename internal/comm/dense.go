@@ -36,6 +36,11 @@ import (
 // does down send a pooled copy. On a p = 2 channel group the collective
 // copies nothing at all.
 //
+// The apply epilogue x += a·Σ (AllreduceTreeApply) runs in the pass
+// that writes the member's final sum, dropping sum stores nothing reads,
+// so a parent may write a child's x — through the child's sched, while
+// a by-reference partial shows the child parked in down.
+//
 // Allocation discipline: every pooled copy is drawn from the group's
 // buffer pool and released by the walk that receives it (pool.go), and
 // the dense state, reduction loop included, is kept in the member's
@@ -68,6 +73,27 @@ func (g *Group) BroadcastTree(rank int, buf []float64) {
 	g.setAlgo(rank, algoBcast)
 	s := &g.tree[rank]
 	g.down(s, s.sum(buf, false))
+}
+
+// AllreduceTreeApply is AllreduceTree followed by x += a·Σ, bitwise,
+// with each member's apply run where the walk writes its sum: one pass
+// over the model instead of two; buf is spent. Whoever writes a
+// member's final sum applies its epilogue and marks it; a member left
+// unmarked — the root on a wire, after down has sent — applies its own.
+func (g *Group) AllreduceTreeApply(rank int, buf, x []float64, a float64) {
+	g.checkRank(rank)
+	if len(x) != len(buf) {
+		panic(fmt.Sprintf("comm: tree apply has %d sum words but %d target words", len(buf), len(x)))
+	}
+	g.setAlgo(rank, algoTree)
+	s := &g.tree[rank]
+	d := &s.dense
+	d.x, d.a = x, a
+	g.allreduce(s, buf, g.allLocal)
+	if !d.applied {
+		d.deliver(s, nil, buf)
+	}
+	d.x, d.applied = nil, false
 }
 
 // allreduce sums buf across the members of s's tree and leaves the sum
@@ -130,19 +156,56 @@ func (g *Group) down(s *sched, r reduction) {
 // dense is the dense sum as a reduction, one per sched: buf is the
 // member's buffer, held the children's partials kept by reference from
 // up to down, and lend whether the root's last fold may use the parked
-// members' workers. src and back are the fold in flight (Range).
+// members' workers. src and back are the fold in flight (Range); x += a·Σ
+// the member's epilogue (nil x: none), xc += ac·Σ the last fold's child's.
 type dense struct {
-	buf  []float64
-	held [][]float64
-	src  []float64
-	lend bool
-	back bool
+	buf              []float64
+	held             [][]float64
+	src, x, xc       []float64
+	a, ac            float64
+	lend, back       bool
+	applied          bool
+	keepDst, keepSrc bool
+	ep               epilogue
 }
 
 // sum points s's dense state at buf and returns it.
 func (s *sched) sum(buf []float64, lend bool) *dense {
 	s.dense.buf, s.dense.lend = buf, lend
 	return &s.dense
+}
+
+// epilogue is out = in (none at a nil out), then x += a·in — tensor's
+// axpy, element by element — shard by shard, as a parallel.Body.
+type epilogue struct {
+	out, in, x []float64
+	a          float64
+}
+
+func (e *epilogue) Range(_, lo, hi int) {
+	in, x, a := e.in[lo:hi], e.x[lo:hi], e.a
+	x = x[:len(in)]
+	if e.out != nil {
+		copy(e.out[lo:hi], in)
+	}
+	for i, v := range in {
+		x[i] += a * v
+	}
+}
+
+// deliver writes the total src into dst, member c's buffer: a copy, or
+// under an epilogue c's apply in one pass, storing nothing at a leaf.
+func (d *dense) deliver(c *sched, dst, src []float64) {
+	if d.x == nil {
+		copy(dst, src)
+		return
+	}
+	if len(c.children) == 0 {
+		dst = nil
+	}
+	d.ep = epilogue{out: dst, in: src, x: c.dense.x, a: c.dense.a}
+	parallel.ForWorkers(len(src), reduceGrain, parallel.Workers(), &d.ep)
+	c.dense.applied = true
 }
 
 // reduceGrain is the minimum number of elements per shard for the
@@ -154,24 +217,50 @@ const reduceGrain = 1 << 15
 // Range is the member's reduction loop, buf += src, as a
 // parallel.Body. With back set it also stores each sum into src: the
 // root's last fold, whose sums are final, writing them into the child's
-// own memory in the same pass. Either way an element is one addition,
-// in the serial loop's order, and shards are disjoint index ranges, so
-// the result is bitwise identical at every shard count. The state lives
-// in the member's sched, so handing it to the worker pool allocates
-// nothing.
+// own memory in the same pass — under an epilogue, applying both and
+// storing only what a later frame reads (at p = 2, nothing). Either way
+// an element is one addition, in the serial loop's order, and shards
+// are disjoint index ranges, so the result is bitwise identical at
+// every shard count. The state lives in the member's sched, so handing
+// it to the worker pool allocates nothing.
 func (d *dense) Range(_, lo, hi int) {
 	dst, src := d.buf[lo:hi], d.src[lo:hi]
 	src = src[:len(dst)] // one length for both: no bounds checks in the loops
-	if !d.back {
+	switch {
+	case !d.back:
 		for i := range dst {
 			dst[i] += src[i]
+		}
+		return
+	case d.x == nil:
+		for i := range dst {
+			v := dst[i] + src[i]
+			dst[i] = v
+			src[i] = v
+		}
+		return
+	}
+	xr, xc := d.x[lo:hi], d.xc[lo:hi]
+	xr, xc = xr[:len(dst)], xc[:len(dst)]
+	a, ac, keepDst, keepSrc := d.a, d.ac, d.keepDst, d.keepSrc
+	if !keepDst && !keepSrc {
+		for i := range dst {
+			v := dst[i] + src[i]
+			xr[i] += a * v
+			xc[i] += ac * v
 		}
 		return
 	}
 	for i := range dst {
 		v := dst[i] + src[i]
-		dst[i] = v
-		src[i] = v
+		if keepDst {
+			dst[i] = v
+		}
+		if keepSrc {
+			src[i] = v
+		}
+		xr[i] += a * v
+		xc[i] += ac * v
 	}
 }
 
@@ -191,6 +280,12 @@ func (d *dense) fold(g *Group, s *sched, k int, in Frame) {
 		workers *= g.p
 	}
 	d.src, d.back = in.Data, keep && s.writesBack(k)
+	if d.back && d.x != nil {
+		c := &g.tree[s.children[k]] // s is a schedule of g.tree
+		d.xc, d.ac = c.dense.x, c.dense.a
+		d.keepDst, d.keepSrc = len(s.children) > 1, len(c.children) > 0
+		d.applied, c.dense.applied = true, true
+	}
 	parallel.ForWorkers(len(d.buf), reduceGrain, workers, d)
 	if keep {
 		d.held[k] = in.Data
@@ -210,7 +305,7 @@ func (d *dense) frame(g *Group, s *sched, k int) Frame {
 	if theirs := d.held[k]; theirs != nil {
 		d.held[k] = nil
 		if !s.writesBack(k) {
-			copy(theirs, d.buf)
+			d.deliver(&g.tree[s.children[k]], theirs, d.buf)
 		}
 		return Frame{Data: theirs}
 	}
@@ -220,12 +315,12 @@ func (d *dense) frame(g *Group, s *sched, k int) Frame {
 // adopt copies a pooled total into buf. A total that comes back by
 // reference must be buf itself, which then holds the sum already: a
 // member that receives its own memory copies nothing.
-func (d *dense) adopt(_ *Group, _ *sched, in Frame) {
+func (d *dense) adopt(_ *Group, s *sched, in Frame) {
 	if len(in.Data) != len(d.buf) {
 		panic(fmt.Sprintf("comm: tree broadcast length mismatch %d vs %d", len(in.Data), len(d.buf)))
 	}
 	if in.pb != nil {
-		copy(d.buf, in.Data)
+		d.deliver(s, d.buf, in.Data)
 	} else if &in.Data[0] != &d.buf[0] {
 		panic("comm: tree broadcast by reference of memory that is not the receiver's buffer")
 	}

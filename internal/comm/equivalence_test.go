@@ -1,8 +1,12 @@
 package comm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"sasgd/internal/parallel"
+	"sasgd/internal/tensor"
 )
 
 // makeBufs returns p random length-m buffers (deterministic in p, m) plus
@@ -67,6 +71,55 @@ func TestAllreduceAlgorithmsEquivalent(t *testing.T) {
 	}
 }
 
+// TestAllreduceTreeApplyMatchesTreeAxpy is the apply epilogue's
+// differential: x after AllreduceTreeApply(buf, x, a) must be, bit for
+// bit, x after AllreduceTree(buf) and tensor.Axpy(a, buf, x) — at group
+// sizes with no, one and two levels of interior members, at lengths
+// either side of reduceGrain and past two of them (sharded folds and
+// epilogues; the budget is raised so they shard on a one-core host
+// too), on the channel fabric (by-reference partials: the epilogue
+// runs in the root's last fold and in the parents' writes) and on TCP
+// loopback (pooled frames: in the adopts and, at the root, after the
+// send), with the root's last fold lent the parked members' workers and
+// not. Sum and target operands carry ±0, denormals, ±Inf and NaN, so
+// bits are compared, not values.
+func TestAllreduceTreeApplyMatchesTreeAxpy(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(4))
+	const a = -0.3125
+	for _, tc := range transportCases() {
+		for _, p := range []int{1, 2, 3, 4, 5, 8} {
+			for _, m := range []int{1, 7, reduceGrain - 1, reduceGrain + 1, 2*reduceGrain + 3} {
+				orig, _ := makeBufs(p, m, int64(9000*p+m))
+				spikeSpecials(orig)
+				x0, _ := makeBufs(p, m, int64(9100*p+m))
+				spikeSpecials(x0)
+				want := cloneBufs(x0)
+				sums := cloneBufs(orig)
+				g := tc.make(t, p)
+				runGroup(p, g, func(r int) {
+					g.AllreduceTree(r, sums[r])
+					tensor.Axpy(a, sums[r], want[r])
+				})
+				// allLocal is what lends the root's last fold the
+				// parked members' workers; the test runs no barrier.
+				for _, lend := range []bool{true, false} {
+					g.allLocal = lend
+					bufs, x := cloneBufs(orig), cloneBufs(x0)
+					runGroup(p, g, func(r int) { g.AllreduceTreeApply(r, bufs[r], x[r], a) })
+					for r := range x {
+						for i := range x[r] {
+							if got, w := math.Float64bits(x[r][i]), math.Float64bits(want[r][i]); got != w {
+								t.Fatalf("%s p=%d m=%d lend=%v rank %d x[%d]: apply %#x != tree+axpy %#x (must be bitwise)",
+									tc.name, p, m, lend, r, i, got, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDenseOwnership: after every dense collective on the channel
 // fabric — where partials travel by reference — each member's buffer is
 // its own memory and holds the sum. Each round overwrites one member's
@@ -74,8 +127,9 @@ func TestAllreduceAlgorithmsEquivalent(t *testing.T) {
 // the next collective over what the buffers now hold; a walk that left a
 // member reading or writing another's memory past the collective (a
 // parent handing its own segment back down by reference, say) fails one
-// of the three checks. Values are small integers, so every sum is exact
-// in any order.
+// of the three checks. The apply epilogue, which writes other members'
+// targets by design, is held to the window in which it may. Values are
+// small integers, so every sum is exact in any order.
 func TestDenseOwnership(t *testing.T) {
 	const m, rounds = 37, 5
 	segs := []Segment{{0, 10}, {10, 20}, {30, 7}}
@@ -161,6 +215,56 @@ func TestDenseOwnership(t *testing.T) {
 							t.Fatalf("p=%d %s round %d: writing rank %d's buffer changed rank %d[%d] to %g (shared memory)",
 								p, k.name, round, v, r, i, x)
 						}
+					}
+				}
+			}
+		}
+	}
+	// The apply epilogue: a parent writes a child's x, and may only do
+	// so while that child is parked in down. Each member snapshots its x
+	// as its call returns, then scribbles over its spent buffer; after
+	// the round every x must still equal its snapshot (no write landed
+	// after the owner returned, and no buffer is still read) and be its
+	// own x + a·Σ (no epilogue went to another member's x).
+	const a = -2
+	for _, p := range []int{1, 2, 3, 4, 5, 8} {
+		g := NewGroup(p)
+		bufs, x, snap := make([][]float64, p), make([][]float64, p), make([][]float64, p)
+		for r := range x {
+			bufs[r], x[r], snap[r] = make([]float64, m), make([]float64, m), make([]float64, m)
+			for i := range x[r] {
+				x[r][i] = value(r, i, rounds)
+			}
+		}
+		for round := 0; round < rounds; round++ {
+			want := make([][]float64, p)
+			for r := range want {
+				want[r] = append([]float64(nil), x[r]...)
+				for q := range bufs {
+					for i := range want[r] {
+						want[r][i] += a * value(q, i, round)
+					}
+				}
+			}
+			runGroup(p, g, func(r int) {
+				for i := range bufs[r] {
+					bufs[r][i] = value(r, i, round)
+				}
+				g.AllreduceTreeApply(r, bufs[r], x[r], a)
+				copy(snap[r], x[r])
+				for i := range bufs[r] {
+					bufs[r][i] = float64(1000 + r)
+				}
+			})
+			for r := range x {
+				for i, v := range x[r] {
+					if v != snap[r][i] {
+						t.Fatalf("p=%d apply round %d: rank %d x[%d] moved from %g to %g after its call returned",
+							p, round, r, i, snap[r][i], v)
+					}
+					if v != want[r][i] {
+						t.Fatalf("p=%d apply round %d: rank %d x[%d] = %g, want its own x + a·Σ = %g",
+							p, round, r, i, v, want[r][i])
 					}
 				}
 			}

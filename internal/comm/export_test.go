@@ -1,0 +1,71 @@
+package comm
+
+// Accessors only the tests use: none has a caller in the library, the
+// commands or bench/, so none is part of the package's API.
+
+// InjectFaults activates a fault plan on this standalone group: drops
+// and delays per the plan, over the transport's ranks. The injected
+// fault counters appear in Stats().Faults. Crash/eviction-tolerant runs
+// use NewResilient, which shares one fabric across re-formed groups.
+func (g *Group) InjectFaults(plan *FaultPlan) {
+	if plan == nil {
+		return
+	}
+	g.fab = newFaultFabric(g.tr.Size(), plan, g.tracer)
+}
+
+// WordsSent returns the total number of float64 words sent through the
+// group so far (point-to-point only; server traffic is accounted by the
+// server): Stats().Words as one number.
+func (g *Group) WordsSent() int64 {
+	var w int64
+	for r := range g.stats {
+		for a := algo(0); a < numAlgos; a++ {
+			w += g.stats[r].words[a].Load()
+		}
+	}
+	return w
+}
+
+// ResetStats zeroes every counter (traffic, mailbox wait, pipeline), so
+// a test can scope accounting to a phase. Must not race with in-flight
+// collectives.
+func (g *Group) ResetStats() {
+	for r := range g.stats {
+		st := &g.stats[r]
+		for a := algo(0); a < numAlgos; a++ {
+			st.words[a].Store(0)
+			st.msgs[a].Store(0)
+		}
+		st.crossWords.Store(0)
+		st.mailboxWaitNs.Store(0)
+		st.bucketOps.Store(0)
+		st.queueDwellNs.Store(0)
+		st.workerBusyNs.Store(0)
+		st.firstBusyNs.Store(0)
+		st.lastDoneNs.Store(0)
+	}
+}
+
+// NewHier partitions the group into `groups` contiguous islands (see
+// BlockIslands) and returns the hierarchical collective schedule.
+func NewHier(g *Group, groups int) *Hier {
+	return NewHierOf(g, BlockIslands(g.Size(), groups))
+}
+
+// Islands returns the number of (non-empty) islands.
+func (h *Hier) Islands() int { return len(h.islands) }
+
+// NumShards returns the shard count.
+func (s *ParamServer) NumShards() int { return len(s.shards) }
+
+// Updates returns the total update generation summed over shards.
+func (s *ParamServer) Updates() int64 {
+	var n int64
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += sh.updates
+		sh.mu.Unlock()
+	}
+	return n
+}

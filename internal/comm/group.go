@@ -51,7 +51,7 @@ type Group struct {
 	pool     *bufPool // payload recycling, shared with the transport when it owns one
 
 	// stats holds the per-rank traffic/timing counters behind Stats()
-	// and WordsSent() — see stats.go for the accounting rules.
+	// — see stats.go for the accounting rules.
 	stats []rankStats
 
 	// islandOf optionally maps each rank to an interconnect island so
@@ -183,18 +183,6 @@ func (g *Group) sendMsg(from, to int, m Frame) {
 		return
 	}
 	g.tr.Send(pf, pt, m)
-}
-
-// InjectFaults activates a fault plan on this standalone group: drops
-// and delays per the plan, over the transport's ranks. The injected
-// fault counters appear in Stats().Faults. For crash/eviction-tolerant
-// runs use NewResilient, which shares one fabric across re-formed
-// groups.
-func (g *Group) InjectFaults(plan *FaultPlan) {
-	if plan == nil {
-		return
-	}
-	g.fab = newFaultFabric(g.tr.Size(), plan, g.tracer)
 }
 
 // Close closes the group's transport (idempotent on every backend, so

@@ -55,12 +55,6 @@ func BlockIslands(p, groups int) []int {
 	return islandOf
 }
 
-// NewHier partitions the group into `groups` contiguous islands (see
-// BlockIslands) and returns the hierarchical collective schedule.
-func NewHier(g *Group, groups int) *Hier {
-	return NewHierOf(g, BlockIslands(g.Size(), groups))
-}
-
 // NewHierOf builds the hierarchy from an explicit rank→island map —
 // core's boundary engine uses this to partition a view (the initial
 // one, or a survivor group after an eviction) by the members' original
@@ -96,9 +90,6 @@ func NewHierOf(g *Group, islandOf []int) *Hier {
 	g.SetIslands(h.islandOf)
 	return h
 }
-
-// Islands returns the number of (non-empty) islands.
-func (h *Hier) Islands() int { return len(h.islands) }
 
 // IslandOf returns rank's island id.
 func (h *Hier) IslandOf(rank int) int { return h.islandOf[rank] }

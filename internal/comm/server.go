@@ -55,9 +55,6 @@ func NewParamServer(init []float64, nshards int, clocks []Clock, cost CostModel)
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *ParamServer) NumShards() int { return len(s.shards) }
-
 // Len returns the total parameter count.
 func (s *ParamServer) Len() int { return s.m }
 
@@ -154,15 +151,4 @@ func (s *ParamServer) Snapshot() []float64 {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Updates returns the total update generation summed over shards.
-func (s *ParamServer) Updates() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.updates
-		sh.mu.Unlock()
-	}
-	return n
 }

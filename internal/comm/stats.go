@@ -48,7 +48,7 @@ var algoNames = [numAlgos]string{
 }
 
 // rankStats is one rank's counters. cur is the algorithm label set by
-// the collective entry points; the rest accumulate until ResetStats.
+// the collective entry points; the rest accumulate for the group's life.
 // The trailing pad keeps adjacent ranks' hot counters off one cache
 // line.
 type rankStats struct {
@@ -257,20 +257,6 @@ func (s *Stats) MergeTraffic(o Stats) {
 	s.WorkerBusy += o.WorkerBusy
 }
 
-// WordsSent returns the total number of float64 words sent through the
-// group so far (point-to-point only; server traffic is accounted by the
-// server). Equivalent to Stats().Words; kept as the compact accessor
-// the traffic-pinned tests use.
-func (g *Group) WordsSent() int64 {
-	var w int64
-	for r := range g.stats {
-		for a := algo(0); a < numAlgos; a++ {
-			w += g.stats[r].words[a].Load()
-		}
-	}
-	return w
-}
-
 // TrafficTotals sums the group's traffic counters without building the
 // Stats map: total words, the cross-island subset, and the hierarchical
 // intra/inter-island rows. The metrics fleet collector samples it at
@@ -296,26 +282,6 @@ func (g *Group) FaultCounts() FaultStats {
 		return FaultStats{}
 	}
 	return g.fab.faultCounts()
-}
-
-// ResetStats zeroes every counter (traffic, mailbox wait, pipeline),
-// so a caller can scope accounting to a phase of a run. Must not race
-// with in-flight collectives.
-func (g *Group) ResetStats() {
-	for r := range g.stats {
-		st := &g.stats[r]
-		for a := algo(0); a < numAlgos; a++ {
-			st.words[a].Store(0)
-			st.msgs[a].Store(0)
-		}
-		st.crossWords.Store(0)
-		st.mailboxWaitNs.Store(0)
-		st.bucketOps.Store(0)
-		st.queueDwellNs.Store(0)
-		st.workerBusyNs.Store(0)
-		st.firstBusyNs.Store(0)
-		st.lastDoneNs.Store(0)
-	}
 }
 
 // String renders the snapshot as an aligned table (internal/report

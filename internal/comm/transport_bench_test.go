@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"sasgd/internal/tensor"
 )
 
 // benchTransportGroup builds a p-rank group over the named backend;
@@ -34,25 +36,45 @@ func benchTransportGroup(b *testing.B, backend string, p int) *Group {
 // as a learner's do: started per iteration, each would begin on a fresh
 // 2 KiB stack and spend much of the row growing it (runtime.copystack),
 // which moves with frame sizes rather than with the collective.
+//
+// The apply rows are a boundary's x′ ← x′ − γp·Σ at the nlcf model's
+// size: the tree followed by an axpy of the sum (tree+axpy) against the
+// epilogue riding the walk (fused, AllreduceTreeApply).
 func BenchmarkTransportAllreduce(b *testing.B) {
-	const p = 4
+	const p, applyM = 4, 276971
+	run := func(b *testing.B, backend string, p, m int, op func(g *Group, rank int, buf, x []float64)) {
+		g := benchTransportGroup(b, backend, p)
+		bufs, xs := make([][]float64, p), make([][]float64, p)
+		for r := range bufs {
+			bufs[r], xs[r] = make([]float64, m), make([]float64, m)
+			for i := range bufs[r] {
+				bufs[r][i] = float64(r*m + i)
+			}
+		}
+		b.SetBytes(int64(8 * m))
+		b.ResetTimer()
+		runGroup(p, g, func(rank int) {
+			for i := 0; i < b.N; i++ {
+				op(g, rank, bufs[rank], xs[rank])
+			}
+		})
+	}
 	for _, backend := range []string{"chan", "tcp"} {
 		for _, m := range []int{1 << 10, 1 << 16} {
 			b.Run(fmt.Sprintf("%s/p%d/m%d", backend, p, m), func(b *testing.B) {
-				g := benchTransportGroup(b, backend, p)
-				bufs := make([][]float64, p)
-				for r := range bufs {
-					bufs[r] = make([]float64, m)
-					for i := range bufs[r] {
-						bufs[r][i] = float64(r*m + i)
-					}
-				}
-				b.SetBytes(int64(8 * m))
-				b.ResetTimer()
-				runGroup(p, g, func(rank int) {
-					for i := 0; i < b.N; i++ {
-						g.AllreduceTree(rank, bufs[rank])
-					}
+				run(b, backend, p, m, func(g *Group, r int, buf, _ []float64) { g.AllreduceTree(r, buf) })
+			})
+		}
+		for _, p := range []int{2, 4} {
+			b.Run(fmt.Sprintf("apply/%s/p%d/m%d/tree+axpy", backend, p, applyM), func(b *testing.B) {
+				run(b, backend, p, applyM, func(g *Group, r int, buf, x []float64) {
+					g.AllreduceTree(r, buf)
+					tensor.Axpy(-1e-9, buf, x)
+				})
+			})
+			b.Run(fmt.Sprintf("apply/%s/p%d/m%d/fused", backend, p, applyM), func(b *testing.B) {
+				run(b, backend, p, applyM, func(g *Group, r int, buf, x []float64) {
+					g.AllreduceTreeApply(r, buf, x, -1e-9)
 				})
 			})
 		}

@@ -67,7 +67,13 @@ import (
 // it, so each gradient's total weight in the global model is exactly γp
 // regardless of island sizes.
 //
-// Apply now-or-next. DelayedApply (DaSGD) applies each global aggregate
+// Apply now-or-next. A flat, eager, dense boundary that was not
+// launched applies inside the collective (comm.AllreduceTreeApply,
+// DESIGN §5), bitwise the exchange and axpy every other path runs. An
+// AggHook reads the materialised aggregate, so it keeps the run — every
+// boundary on every rank — on that path.
+//
+// DelayedApply (DaSGD) applies each global aggregate
 // one global boundary late. On a fixed membership the exchange is
 // launched through the worker and left in flight, hiding the whole
 // transfer behind the next round's compute; its collectives run on their
@@ -124,6 +130,7 @@ type engine struct {
 	fresh bool      // gs holds nothing of the current interval: the next local step overwrites it
 	gsIsG bool      // gs is the gradient buffer itself (static T = 1, no drift consumer)
 	xref  []float64 // globally consistent reference x′
+	fused bool      // the apply rides the tree walk (flat, eager, dense, no AggHook)
 
 	// keepLocal: something reads the replica between an interval's last
 	// local step and its reset — the adaptive T-scheduler's drift
@@ -232,6 +239,7 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		e.pend = make([]float64, m)
 	}
 	e.async = e.delayed && mem == nil
+	e.fused = e.hier == nil && !e.delayed && e.comp == nil && cfg.AggHook == nil
 	// The hint applies where a launch from inside backward is legal: a
 	// flat eager boundary (the exchange IS gs, and nothing is deferred) on
 	// a fixed membership (under a fault plan the launch would precede the
@@ -384,6 +392,12 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	switch {
 	case !global:
 		as = tk.Begin()
+	case e.fused && !launched:
+		ws := tk.Begin()
+		e.view.G.AllreduceTreeApply(vr, e.gs, e.xref, -e.gp)
+		tk.End(obs.PhaseAggWait, ws)
+		as = tk.Begin()
+		applied = true
 	case e.delayed:
 		e.drain()
 		as = tk.Begin()

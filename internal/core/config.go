@@ -290,7 +290,7 @@ type Config struct {
 	// it retains it. Test instrumentation — the chaos harness uses it to
 	// compare aggregated gradients bitwise across fault-free and degraded
 	// runs. Dense aggregation only; a codec's output is not a gradient sum
-	// and is not shown.
+	// and is not shown. A hooked run materialises every aggregate.
 	AggHook func(boundary int, gs []float64)
 }
 

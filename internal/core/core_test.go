@@ -16,6 +16,7 @@ import (
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
 	"sasgd/internal/nn"
+	"sasgd/internal/obs"
 	"sasgd/internal/report"
 	"sasgd/internal/tensor"
 )
@@ -122,6 +123,66 @@ func TestSASGDDeterministic(t *testing.T) {
 	for i := range a.FinalParams {
 		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
 			t.Fatal("SASGD result depends on scheduling")
+		}
+	}
+}
+
+// TestFusedApplyMatchesMaterialised: a flat eager dense boundary
+// applies x′ ← x′ − γp·gs inside the tree walk (comm.AllreduceTreeApply)
+// unless an AggHook asks for the aggregate, which keeps the run on the
+// exchange-then-axpy path. A no-op hook must therefore change nothing:
+// final parameters bitwise equal across group sizes with and without
+// interior tree members, channel and TCP loopback (the epilogue in the
+// root's fold and the parents' writes, against the adopts and the
+// root's apply after the send), T = 1 (gs is the gradient buffer and,
+// unmetered, x′ the replica) and T = 3, metrics on and off, and (at
+// T = 1) a crash plan whose re-formed view walks a smaller tree.
+func TestFusedApplyMatchesMaterialised(t *testing.T) {
+	prob := tinyProblem(48, 24, 5)
+	for _, p := range []int{1, 2, 3, 5} {
+		for _, transport := range []string{"chan", "tcp"} {
+			for _, T := range []int{1, 3} {
+				for _, variant := range []string{"plain", "metrics", "crash"} {
+					// A crash needs a survivor, and a boundary to crash at:
+					// at T = 3 the larger groups reach only one.
+					if variant == "crash" && (p == 1 || T != 1) {
+						continue
+					}
+					run := func(hook bool) []float64 {
+						cfg := Config{Algo: AlgoSASGD, Learners: p, Interval: T, Gamma: 0.05,
+							Batch: 4, Epochs: 2, Seed: 9}
+						switch variant {
+						case "metrics":
+							cfg.Metrics = obs.NewRegistry()
+						case "crash":
+							cfg.Faults = mustPlan(t, "seed=5,crash=1@1,evict=400ms")
+						}
+						if transport == "tcp" {
+							tr, err := comm.NewTCPLoopback(p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer tr.Close()
+							cfg.Transport = tr
+						}
+						if hook {
+							cfg.AggHook = func(int, []float64) {}
+						}
+						return Train(cfg, prob).FinalParams
+					}
+					fused, materialised := run(false), run(true)
+					if len(fused) == 0 || len(fused) != len(materialised) {
+						t.Fatalf("p=%d %s T=%d %s: %d vs %d final parameters",
+							p, transport, T, variant, len(fused), len(materialised))
+					}
+					for i := range fused {
+						if !sameBits(fused[i], materialised[i]) {
+							t.Fatalf("p=%d %s T=%d %s: param %d fused %g != materialised %g (must be bitwise)",
+								p, transport, T, variant, i, fused[i], materialised[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

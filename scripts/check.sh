@@ -240,9 +240,12 @@ run_tests -tags purego -run 'GoldenPins' ./internal/core/
 # the sum into its child's own buffer, so the ownership test and the
 # channel ≡ TCP matrix (by-reference engine against pooled, bit for bit,
 # sharded folds included) are exactly what the race detector should
-# watch.
-echo "==> go test -race -count=2 comm schedule + stress/equivalence + ownership"
-run_tests -race -count=2 -run 'BinomialSchedule|HierSingleIslandBitwiseTree|Stress|Equivalent|DenseOwnership|CrossTransportAllreduceEquivalence' ./internal/comm/
+# watch. The apply epilogue goes further — a parent writes its parked
+# child's x′ — so its differential and the whole-run pin that holds the
+# fused boundary to the materialised one ride the same leg.
+echo "==> go test -race -count=2 comm schedule + stress/equivalence + ownership + tree apply"
+run_tests -race -count=2 -run 'BinomialSchedule|HierSingleIslandBitwiseTree|Stress|Equivalent|DenseOwnership|CrossTransportAllreduceEquivalence|TreeApply' ./internal/comm/
+run_tests -race -count=2 -run 'FusedApply' ./internal/core/
 
 # Same treatment for the backward-overlapped bucketed aggregation: the
 # async handle lifecycle and the learner/comm-worker handoff are the
@@ -390,6 +393,36 @@ bce_out="$(go build -a -o /dev/null \
 if printf '%s\n' "$bce_out" | grep -q 'gemm_micro\.go\|gemm_skinny\.go.*IsInBounds'; then
     printf '%s\n' "$bce_out" | grep 'gemm_micro\.go\|gemm_skinny\.go.*IsInBounds'
     echo "FAIL: bounds checks in the GEMM kernels"
+    exit 1
+fi
+
+# The collective's own loops — the dense fold and the apply epilogue,
+# the two Range bodies in internal/comm/dense.go — are memory-bound
+# passes over the whole model and follow the skinny kernels' idiom: cut
+# every operand to one length, index by one range variable. The walk
+# around them indexes a rank's schedule or a child's held row once per
+# frame; those checks are not loops, so the gate is IsInBounds inside
+# the Range bodies only, and it fails if it finds fewer than the two.
+echo "==> bounds-check-elimination gate (internal/comm/dense.go Range loops)"
+ranges="$(awk '/^func \([a-z]+ \*[a-z]+\) Range\(/ { lo = NR } lo && /^}$/ { printf "%d-%d ", lo, NR; lo = 0 }' internal/comm/dense.go)"
+if [ "$(printf '%s' "$ranges" | wc -w)" -lt 2 ]; then
+    echo "FAIL: the dense fold and epilogue Range bodies are not where the gate looks"
+    exit 1
+fi
+bce_out="$(go build -a -o /dev/null \
+    -gcflags='sasgd/internal/comm=-d=ssa/check_bce/debug=1' \
+    ./internal/comm/ 2>&1)"
+bce_hits="$(printf '%s\n' "$bce_out" | awk -F: -v ranges="$ranges" '
+    BEGIN { n = split(ranges, r, " ") }
+    $1 ~ /dense\.go$/ && /IsInBounds/ {
+        for (i = 1; i <= n; i++) {
+            split(r[i], b, "-")
+            if ($2 + 0 >= b[1] + 0 && $2 + 0 <= b[2] + 0) print
+        }
+    }')"
+if [ -n "$bce_hits" ]; then
+    printf '%s\n' "$bce_hits"
+    echo "FAIL: bounds checks in the dense fold or apply loops"
     exit 1
 fi
 
