@@ -195,7 +195,6 @@ func main() {
 			}
 			fmt.Printf("tcp mesh: rank %d of %d, waiting for peers %v\n", *rank, cfg.Learners, addrs)
 			tr, err = comm.NewTCPTransport(comm.TCPConfig{Addrs: addrs, Local: []int{*rank}})
-			cfg.LocalRanks = []int{*rank}
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sasgd-train: tcp transport: %v\n", err)
@@ -248,7 +247,11 @@ func main() {
 
 	fmt.Printf("training %s on %s: p=%d T=%d M=%d γ=%g epochs=%d\n",
 		cfg.Algo, w.Name, cfg.Learners, cfg.Interval, cfg.Batch, cfg.Gamma, cfg.Epochs)
-	res := core.Train(cfg, w.Problem)
+	res, err := core.Run(cfg, w.Problem)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sasgd-train: %v\n", err)
+		os.Exit(1)
+	}
 
 	tab := report.Table{Header: []string{"epoch", "train", "test", "loss"}}
 	for _, pt := range res.Curve {

@@ -195,6 +195,44 @@ func TestMetricsEventsWriteErrorExitsOne(t *testing.T) {
 	}
 }
 
+// TestRunErrorsExitOne: a run that fails on a file its flags name — a
+// -resume checkpoint that is missing or garbage, a -ckpt path in a
+// directory that does not exist — is a failed run, not a bad command
+// line: it prints core's error on one line and exits 1, with no
+// goroutine dump.
+func TestRunErrorsExitOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := buildTrain(t, dir)
+	garbage := filepath.Join(dir, "garbage.ckpt")
+	if err := os.WriteFile(garbage, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"missing resume", []string{"-resume", filepath.Join(dir, "missing.ckpt")}},
+		{"garbage resume", []string{"-resume", garbage}},
+		{"ckpt in missing dir", []string{"-ckpt", filepath.Join(dir, "no", "such", "dir", "run.ckpt")}},
+	} {
+		cmd := exec.Command(bin, append([]string{"-workload", "nlcf", "-p", "2", "-T", "2", "-epochs", "1"}, tc.args...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: err = %v, want exit status 1\n%s", tc.name, err, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "core:") || strings.Contains(stderr.String(), "goroutine ") {
+			t.Errorf("%s: stderr %q, want core's error and no goroutine dump", tc.name, stderr.String())
+		}
+	}
+}
+
 // buildTrain compiles the command into dir and returns the binary's path.
 func buildTrain(t *testing.T, dir string) string {
 	t.Helper()

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"sasgd/internal/core"
 	"sasgd/internal/experiments"
@@ -27,18 +28,24 @@ func main() {
 	tab := report.Table{Header: []string{"T", "test acc", "samples to 80%", "sim epoch(s)", "sim time-to-budget(s)"}}
 	for _, T := range []int{1, 5, 25, 50} {
 		// Accuracy run (real training, reduced scale).
-		acc := core.Train(core.Config{
+		acc, err := core.Run(core.Config{
 			Algo: core.AlgoSASGD, Learners: p, Interval: T,
 			Gamma: w.Gamma, Batch: w.Batch, Epochs: epochs, Seed: 1, EvalEvery: 1,
 		}, w.Problem)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		// Timing run (simulated fabric at paper scale).
 		sim := w.SimConfig(p)
-		timing := core.Train(core.Config{
+		timing, err := core.Run(core.Config{
 			Algo: core.AlgoSASGD, Learners: p, Interval: T,
 			Gamma: w.Gamma, Batch: 64, Epochs: 2, Seed: 1, EvalEvery: 2,
 			Sim: sim, FlopsPerSample: w.PaperCost.TrainFlopsPerSample,
 		}, w.Problem)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		epochSecs := timing.EpochTime()
 		complexity := "-"

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"sasgd/internal/core"
 	"sasgd/internal/experiments"
@@ -25,10 +26,13 @@ func main() {
 	tab := report.Table{Header: []string{"p", "algo", "train acc", "test acc", "staleness(mean/max)"}}
 	for _, p := range []int{2, 8, 16} {
 		for _, algo := range []core.Algorithm{core.AlgoDownpour, core.AlgoEAMSGD, core.AlgoSASGD} {
-			res := core.Train(core.Config{
+			res, err := core.Run(core.Config{
 				Algo: algo, Learners: p, Interval: 50,
 				Gamma: w.Gamma, Batch: w.Batch, Epochs: epochs, Seed: 1, EvalEvery: epochs,
 			}, w.Problem)
+			if err != nil {
+				log.Fatal(err)
+			}
 			tab.AddRow(
 				fmt.Sprint(p), string(algo),
 				report.Pct(res.FinalTrain), report.Pct(res.FinalTest),

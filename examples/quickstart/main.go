@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 
 	"sasgd/internal/core"
@@ -35,7 +36,7 @@ func main() {
 	// 3. Train with SASGD: p = 4 learners, aggregation interval T = 10,
 	//    local rate γ = 0.1 and the default global rate γp = γ/p (which
 	//    makes each aggregation exactly model averaging).
-	res := core.Train(core.Config{
+	res, err := core.Run(core.Config{
 		Algo:     core.AlgoSASGD,
 		Learners: 4,
 		Interval: 10,
@@ -44,6 +45,9 @@ func main() {
 		Epochs:   10,
 		Seed:     1,
 	}, prob)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for _, pt := range res.Curve {
 		fmt.Printf("epoch %2d: train %s  test %s\n", pt.Epoch, report.Pct(pt.Train), report.Pct(pt.Test))

@@ -18,16 +18,12 @@
 package chaos
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 
 	"sasgd/internal/comm"
 	"sasgd/internal/core"
-	"sasgd/internal/data"
-	"sasgd/internal/nn"
 	"sasgd/internal/obs"
-	"sasgd/internal/tensor"
 )
 
 // GradLog records every aggregation boundary's post-allreduce
@@ -96,13 +92,14 @@ type Scenario struct {
 }
 
 // Run executes the scenario against prob and returns the training
-// result plus the per-boundary aggregated-gradient log.
-func (s Scenario) Run(prob *core.Problem) (*core.Result, *GradLog) {
+// result plus the per-boundary aggregated-gradient log, or the error of
+// a bad Spec, a mesh that could not be built or a run that failed.
+func (s Scenario) Run(prob *core.Problem) (*core.Result, *GradLog, error) {
 	var plan *comm.FaultPlan
 	if s.Spec != "" {
 		var err error
 		if plan, err = comm.ParseFaultPlan(s.Spec); err != nil {
-			panic(err)
+			return nil, nil, err
 		}
 	}
 	log := NewGradLog()
@@ -110,7 +107,7 @@ func (s Scenario) Run(prob *core.Problem) (*core.Result, *GradLog) {
 	if s.TCP {
 		tcp, err := comm.NewTCPLoopback(s.P)
 		if err != nil {
-			panic(err)
+			return nil, nil, err
 		}
 		defer tcp.Close() // idempotent; a membership run closes it first
 		tr = tcp
@@ -132,45 +129,6 @@ func (s Scenario) Run(prob *core.Problem) (*core.Result, *GradLog) {
 		AggHook:        log.Hook,
 		Tracer:         s.Tracer,
 	}
-	return core.Train(cfg, prob), log
-}
-
-// Synthetic builds a fast, separable 4-feature 3-class problem with a
-// small two-layer model — deterministic in seed, cheap enough that a
-// whole scenario table runs under the race detector in seconds.
-func Synthetic(nTrain, nTest int, seed int64) *core.Problem {
-	gen := func(n int, seed int64) *data.Dataset {
-		rng := rand.New(rand.NewSource(seed))
-		d := &data.Dataset{
-			X:           tensor.New(n, 4),
-			Y:           make([]int, n),
-			SampleShape: []int{4},
-			Classes:     3,
-		}
-		for i := 0; i < n; i++ {
-			k := rng.Intn(3)
-			d.Y[i] = k
-			for j := 0; j < 4; j++ {
-				v := rng.NormFloat64() * 0.4
-				if j == k {
-					v += 2
-				}
-				d.X.Data[i*4+j] = v
-			}
-		}
-		return d
-	}
-	return &core.Problem{
-		Name: "chaos-synthetic",
-		Model: func(seed int64) *nn.Network {
-			rng := rand.New(rand.NewSource(seed))
-			return nn.NewNetwork([]int{4},
-				nn.NewLinear(rng, 4, 8),
-				nn.NewTanh(),
-				nn.NewLinear(rng, 8, 3),
-			)
-		},
-		Train: gen(nTrain, seed),
-		Test:  gen(nTest, seed+1),
-	}
+	res, err := core.Run(cfg, prob)
+	return res, log, err
 }

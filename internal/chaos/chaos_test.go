@@ -3,11 +3,16 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sasgd/internal/core"
+	"sasgd/internal/data"
+	"sasgd/internal/nn"
 	"sasgd/internal/obs"
+	"sasgd/internal/tensor"
 )
 
 // Scenario geometry shared by the whole table: 48 training samples,
@@ -138,7 +143,10 @@ func runChaosTable(t *testing.T, tcp bool) {
 				tr = obs.NewTracer(1 << 12)
 				degraded.Tracer = tr
 			}
-			res, log := degraded.Run(prob)
+			res, log, err := degraded.Run(prob)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			// Completion: the run must finish with a recorded curve and
 			// final parameters no matter what the plan injected.
@@ -156,7 +164,10 @@ func runChaosTable(t *testing.T, tcp bool) {
 			switch tc.mode {
 			case "clean":
 				ref := chaosScenario(tc.name+" reference", "", tc.p)
-				refRes, refLog := ref.Run(prob)
+				refRes, refLog, err := ref.Run(prob)
+				if err != nil {
+					t.Fatal(err)
+				}
 				mustEqualGrads(t, log, refLog, 0)
 				mustEqualParams(t, res.FinalParams, refRes.FinalParams)
 				if res.LiveP != tc.p {
@@ -179,7 +190,10 @@ func runChaosTable(t *testing.T, tcp bool) {
 				ref := chaosScenario(tc.name+" reference", "", tc.p-1)
 				ref.Resume = filepath.Join(dir, fmt.Sprintf("ck-%d.ckpt", tc.crashB))
 				ref.ResumeRanks = survivors
-				refRes, refLog := ref.Run(prob)
+				refRes, refLog, err := ref.Run(prob)
+				if err != nil {
+					t.Fatal(err)
+				}
 				mustEqualGrads(t, log, refLog, tc.crashB)
 				mustEqualParams(t, res.FinalParams, refRes.FinalParams)
 			}
@@ -211,7 +225,10 @@ func TestChaosDeterminism(t *testing.T) {
 		dir := t.TempDir()
 		s := chaosScenario("det", "seed=13,drop=0.15,crash=1@2,evict=500ms", 4)
 		s.Checkpoint = filepath.Join(dir, "ck-%d.ckpt")
-		res, _ := s.Run(prob)
+		res, _, err := s.Run(prob)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.FinalParams, res.Comm.Faults.Drops
 	}
 	p1, d1 := run()
@@ -220,4 +237,44 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Fatalf("drop counts differ across identical runs: %d vs %d", d1, d2)
 	}
 	mustEqualParams(t, p1, p2)
+}
+
+// Synthetic builds a fast, separable 4-feature 3-class problem with a
+// small two-layer model — deterministic in seed, cheap enough that a
+// whole scenario table runs under the race detector in seconds.
+func Synthetic(nTrain, nTest int, seed int64) *core.Problem {
+	gen := func(n int, seed int64) *data.Dataset {
+		rng := rand.New(rand.NewSource(seed))
+		d := &data.Dataset{
+			X:           tensor.New(n, 4),
+			Y:           make([]int, n),
+			SampleShape: []int{4},
+			Classes:     3,
+		}
+		for i := 0; i < n; i++ {
+			k := rng.Intn(3)
+			d.Y[i] = k
+			for j := 0; j < 4; j++ {
+				v := rng.NormFloat64() * 0.4
+				if j == k {
+					v += 2
+				}
+				d.X.Data[i*4+j] = v
+			}
+		}
+		return d
+	}
+	return &core.Problem{
+		Name: "chaos-synthetic",
+		Model: func(seed int64) *nn.Network {
+			rng := rand.New(rand.NewSource(seed))
+			return nn.NewNetwork([]int{4},
+				nn.NewLinear(rng, 4, 8),
+				nn.NewTanh(),
+				nn.NewLinear(rng, 8, 3),
+			)
+		},
+		Train: gen(nTrain, seed),
+		Test:  gen(nTest, seed+1),
+	}
 }

@@ -120,7 +120,6 @@ type TCPStats struct {
 type TCPTransport struct {
 	p     int
 	local []bool
-	nLoc  int
 	inbox [][]chan Frame // [to][from]; rows only for local `to`
 	links [][]*wireLink  // [from][to]; the wire links of local `from`
 	pool  bufPool
@@ -184,8 +183,10 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		for r := range t.local {
 			t.local[r] = true
 		}
-		t.nLoc = p
 	} else {
+		if len(cfg.Local) == 0 {
+			return nil, fmt.Errorf("comm: tcp: no local ranks")
+		}
 		for _, r := range cfg.Local {
 			if r < 0 || r >= p {
 				return nil, fmt.Errorf("comm: tcp: local rank %d out of range [0,%d)", r, p)
@@ -194,10 +195,6 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 				return nil, fmt.Errorf("comm: tcp: duplicate local rank %d", r)
 			}
 			t.local[r] = true
-			t.nLoc++
-		}
-		if t.nLoc == 0 {
-			return nil, fmt.Errorf("comm: tcp: no local ranks")
 		}
 	}
 	dialBudget := cfg.DialTimeout
@@ -399,9 +396,6 @@ func dialRetry(addr string, deadline time.Time) (*net.TCPConn, error) {
 
 // Size returns the mesh's rank count.
 func (t *TCPTransport) Size() int { return t.p }
-
-// AllLocal reports whether this process hosts every rank.
-func (t *TCPTransport) AllLocal() bool { return t.nLoc == t.p }
 
 // Local reports whether rank r is hosted by this process.
 func (t *TCPTransport) Local(r int) bool { return t.local[r] }

@@ -51,22 +51,26 @@ type Transport interface {
 	// Recv returns the next frame on the directed (from → to) link,
 	// blocking until one is available.
 	Recv(to, from int) Frame
+	// Local reports whether rank r is driven by this process: only a
+	// local rank may send or receive. An in-process fabric hosts every
+	// rank, a partial mesh only its own.
+	Local(r int) bool
 	// Close tears the fabric down. It must be idempotent and safe to
 	// call concurrently with blocked Sends (which unblock and drop, per
 	// the Group.Close contract that in-flight transfers are lost).
 	Close() error
 }
 
-// allLocalTransport is implemented by transports that can report
-// whether every rank is driven by this process. Groups use it to pick
-// the in-process barrier (which also aligns simulated clocks) over the
-// wire barrier; a transport that does not implement it is assumed
-// multi-process.
-type allLocalTransport interface{ AllLocal() bool }
-
+// isAllLocal reports whether this process drives every rank of tr.
+// Groups then pick the in-process barrier (which also aligns simulated
+// clocks) over the wire barrier.
 func isAllLocal(tr Transport) bool {
-	lt, ok := tr.(allLocalTransport)
-	return ok && lt.AllLocal()
+	for r := 0; r < tr.Size(); r++ {
+		if !tr.Local(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // pooledTransport is implemented by transports that own a payload pool
@@ -100,7 +104,7 @@ func newChanTransport(p int) *chanTransport {
 }
 
 func (t *chanTransport) Size() int      { return t.p }
-func (t *chanTransport) AllLocal() bool { return true }
+func (t *chanTransport) Local(int) bool { return true }
 
 func (t *chanTransport) Send(from, to int, f Frame) {
 	select {

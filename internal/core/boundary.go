@@ -48,7 +48,7 @@ import (
 // view's virtual rank 0 writes them (checkpoint.go) on whatever view the
 // run has. A fault-free checkpoint has no membership question to settle,
 // so checkpointing and resuming runs keep the fixed group — and with it
-// backward-overlapped launches and LocalRanks.
+// backward-overlapped launches and partial meshes.
 //
 // Exchange. Flat dense aggregation runs the tree allreduce on gs
 // directly. Everything else goes through the rank's bucketed comm
@@ -124,6 +124,7 @@ type engine struct {
 
 	sched     tScheduler
 	bidx      int   // boundaries completed
+	err       error // why boundary stopped the learner, when it failed
 	dataRanks []int // run-physical → data-physical rank (checkpoint header)
 
 	gs    []float64 // the interval's gradient sum
@@ -341,7 +342,8 @@ func (e *engine) reform() {
 // e.gs the interval's gradient sum (spent on return: the next local
 // step, or where gs is g the next backward, overwrites it); launched says
 // the overlap hook already submitted gs bucket by bucket. False means the
-// learner must stop: crashed on schedule, or fenced.
+// learner must stop: crashed on schedule, fenced, or failed with e.err
+// (the checkpoint could not be written).
 func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	if e.bidx == e.crashAt {
 		// Fail-stop: go silent without posting the boundary's heartbeat.
@@ -450,8 +452,8 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 		}
 	}
 	e.bidx++
-	e.checkpoint(step)
-	return true
+	e.err = e.checkpoint(step)
+	return e.err == nil
 }
 
 // applyGlobal folds one completed global aggregate into the reference,

@@ -49,11 +49,12 @@ type checkpointMeta struct {
 
 // checkpoint is the boundary's last stage: every CheckpointEvery-th
 // boundary the view's virtual rank 0 writes the reference parameters and
-// the run's counters. Validation keeps it to flat eager boundaries,
-// where replica == reference holds and gs carries nothing over.
-func (e *engine) checkpoint(step int) {
+// the run's counters, and returns the write's error. Validation keeps it
+// to flat eager boundaries, where replica == reference holds and gs
+// carries nothing over.
+func (e *engine) checkpoint(step int) error {
 	if e.cfg.CheckpointPath == "" || e.vr != 0 || e.bidx%e.cfg.CheckpointEvery != 0 {
-		return
+		return nil
 	}
 	live := make([]int, e.view.Size())
 	for vr, pr := range e.view.Phys {
@@ -70,9 +71,7 @@ func (e *engine) checkpoint(step int) {
 		CurT:     e.sched.T(),
 		Live:     live,
 	}
-	if err := writeCheckpoint(checkpointFile(e.cfg.CheckpointPath, e.bidx), meta, e.xref); err != nil {
-		panic(err)
-	}
+	return writeCheckpoint(checkpointFile(e.cfg.CheckpointPath, e.bidx), meta, e.xref)
 }
 
 // checkpointFile resolves the configured checkpoint path for a
@@ -86,35 +85,34 @@ func checkpointFile(path string, boundary int) string {
 	return path
 }
 
-// writeCheckpoint atomically writes meta + params to path.
-func writeCheckpoint(path string, meta checkpointMeta, params []float64) error {
+// writeCheckpoint atomically writes meta + params to path. A write that
+// fails leaves no temp file behind.
+func writeCheckpoint(path string, meta checkpointMeta, params []float64) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: creating checkpoint: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	bw := bufio.NewWriter(f)
 	if err := gob.NewEncoder(bw).Encode(meta); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("core: writing checkpoint header: %w", err)
 	}
 	if err := nn.WriteParams(bw, params); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("core: flushing checkpoint: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("core: closing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("core: committing checkpoint: %w", err)
 	}
 	return nil

@@ -174,7 +174,7 @@ func TestLoadResumeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Batch: 4, Seed: 5, Gamma: 0.1, ResumeFrom: path}
-	if _, err := loadResume(ok.withDefaults()); err != nil {
+	if _, err := loadResume(resolved(t, ok)); err != nil {
 		t.Fatalf("valid resume rejected: %v", err)
 	}
 	cases := []struct {
@@ -192,7 +192,7 @@ func TestLoadResumeValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := ok
 		tc.mut(&cfg)
-		if _, err := loadResume(cfg.withDefaults()); err == nil {
+		if _, err := loadResume(resolved(t, cfg)); err == nil {
 			t.Errorf("%s mismatch accepted", tc.name)
 		}
 	}

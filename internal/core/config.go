@@ -231,8 +231,8 @@ type Config struct {
 	// Result.Comm.Faults. SASGD only. It is the one setting that builds
 	// the ledger: a run without a plan syncs on its fixed group. It
 	// composes with both T-schedules, every codec, HierGroups and
-	// DelayedApply; it does not compose with LocalRanks (the ledger is
-	// in-process shared memory).
+	// DelayedApply; it does not compose with a Transport that hosts only
+	// some ranks (the ledger is in-process shared memory).
 	Faults *comm.FaultPlan
 
 	// CheckpointPath, when non-empty, makes the run write a training
@@ -256,29 +256,17 @@ type Config struct {
 	// requiring Learners == the checkpoint's OrigP.
 	ResumeRanks []int
 
-	// Transport, when non-nil, carries the run's point-to-point frames
-	// instead of the default in-process channel fabric:
-	// comm.NewTCPLoopback for socket-backed single-process runs, or a
-	// comm.NewTCPTransport mesh endpoint for genuinely multi-process
-	// training (see LocalRanks). Its Size must equal Learners. SASGD
-	// collective paths only. Train leaves closing the transport to the
-	// caller, with one exception: a run with a fault plan closes its mesh
-	// on exit through the membership ledger, since re-formed views share
-	// it. Transport Close is idempotent either way.
+	// Transport, when non-nil, carries the run's frames instead of the
+	// in-process channel fabric: comm.NewTCPLoopback, or a
+	// comm.NewTCPTransport endpoint for multi-process training, where
+	// every process runs the same Config, drives the ranks its Transport
+	// reports Local, and the collectives meet on the wire (only rank 0's
+	// process reports the curve and FinalParams; it writes the
+	// checkpoint, and every process reads ResumeFrom). Its Size must
+	// equal Learners. SASGD only. Run leaves closing it to the caller,
+	// except under a fault plan, whose membership ledger closes it on
+	// exit (Close is idempotent).
 	Transport comm.Transport
-
-	// LocalRanks names the learner ranks THIS process drives (strictly
-	// ascending), for multi-process training over a partial Transport
-	// mesh: every process runs the same Config apart from LocalRanks,
-	// hosts only its own learners, and the collectives meet on the
-	// wire. Nil (the default) drives all of them in-process. Requires
-	// Transport; composes with neither the simulator (per-rank clocks
-	// are shared memory) nor fault injection (the membership ledger is
-	// in-process). It composes with checkpoint and resume: the process
-	// hosting rank 0 writes the checkpoint, and every process reads the
-	// ResumeFrom file. The accuracy curve and FinalParams are recorded by
-	// rank 0, so only the process hosting rank 0 reports them.
-	LocalRanks []int
 
 	// AggHook, when non-nil, is called by virtual rank 0 synchronously
 	// once per dense GLOBAL aggregate — every boundary's allreduce on a
@@ -327,21 +315,8 @@ var configRules = []struct {
 		func(c *Config) bool { return c.Transport != nil && c.Algo != AlgoSASGD }},
 	{"the Transport must span exactly Learners ranks",
 		func(c *Config) bool { return c.Transport != nil && c.Transport.Size() != c.Learners }},
-	{"LocalRanks needs an explicit Transport (the omitted ranks live in other processes)",
-		func(c *Config) bool { return len(c.LocalRanks) > 0 && c.Transport == nil }},
-	{"LocalRanks composes with neither the fabric simulator nor fault injection (both keep per-rank state in process memory)",
-		func(c *Config) bool { return len(c.LocalRanks) > 0 && (c.Sim != nil || c.Faults != nil) }},
-	{"LocalRanks must be strictly ascending ranks below Learners",
-		func(c *Config) bool {
-			prev := -1
-			for _, r := range c.LocalRanks {
-				if r <= prev || r >= c.Learners {
-					return true
-				}
-				prev = r
-			}
-			return false
-		}},
+	{"a Transport that hosts only some ranks composes with neither the fabric simulator nor fault injection (both keep per-rank state in process memory)",
+		func(c *Config) bool { return (c.Sim != nil || c.Faults != nil) && len(c.localRanks()) < c.Learners }},
 	{"adaptive T, HierGroups, DelayedApply and compression are SASGD boundary policies: they need Algo sasgd",
 		func(c *Config) bool {
 			return (c.TSched == TSchedAdaptive || c.HierGroups >= 2 || c.DelayedApply || c.Compress != "") && c.Algo != AlgoSASGD
@@ -356,21 +331,24 @@ var configRules = []struct {
 }
 
 // Validate reports the first rule of the validation table c breaks, or
-// nil when Train accepts it. Commands call it before Train to turn user
-// input into an error message instead of a panic.
+// nil when Run accepts it; Run returns the same error. Commands call it
+// before opening any file or socket the run needs, to tell a bad
+// configuration apart from a run that failed.
 func (c Config) Validate() error {
 	_, err := c.resolve()
 	return err
 }
 
-// withDefaults is resolve for Train, whose signature has no error: an
-// invalid config panics with Validate's error.
-func (c Config) withDefaults() Config {
-	c, err := c.resolve()
-	if err != nil {
-		panic(err)
+// localRanks returns the learner ranks this process drives: the
+// Transport's local ranks, or all Learners without one.
+func (c Config) localRanks() []int {
+	var local []int
+	for r := 0; r < c.Learners; r++ {
+		if c.Transport == nil || c.Transport.Local(r) {
+			local = append(local, r)
+		}
 	}
-	return c
+	return local
 }
 
 // resolve fills defaulted fields, then checks the result against

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -346,35 +347,44 @@ func TestSimulatedRunProducesTimings(t *testing.T) {
 	}
 }
 
-func TestUnknownAlgorithmPanics(t *testing.T) {
-	prob := tinyProblem(20, 10, 14)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown algorithm did not panic")
-		}
-	}()
-	Train(Config{Algo: "adamw", Gamma: 0.1}, prob)
-}
-
-func TestMissingDataPanics(t *testing.T) {
-	prob := tinyProblem(20, 10, 15)
-	prob.Train = nil
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil training data did not panic")
-		}
-	}()
-	Train(Config{Algo: AlgoSGD, Gamma: 0.1}, prob)
-}
-
-func TestZeroGammaPanics(t *testing.T) {
-	prob := tinyProblem(20, 10, 16)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero learning rate did not panic")
-		}
-	}()
-	Train(Config{Algo: AlgoSGD}, prob)
+// TestRunRejects: everything a Config, a Problem or a file named in a
+// Config can get wrong comes back as Run's error, before or during the
+// run, and never as a panic.
+func TestRunRejects(t *testing.T) {
+	wrongCkpt := filepath.Join(t.TempDir(), "wrong.ckpt")
+	meta := checkpointMeta{OrigP: 2, Interval: 1, Batch: 4, Seed: 1, GammaP: 0.05}
+	if err := writeCheckpoint(wrongCkpt, meta, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	keep := func(*Problem) {}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		mut  func(*Problem)
+		want string
+	}{
+		{"unknown-algorithm", Config{Algo: "adamw", Gamma: 0.1}, keep, "unknown algorithm"},
+		{"missing-data", Config{Algo: AlgoSGD, Gamma: 0.1}, func(p *Problem) { p.Train = nil }, "non-empty train and test datasets"},
+		{"zero-gamma", Config{Algo: AlgoSGD}, keep, "Gamma must be positive"},
+		{"nil-model", Config{Algo: AlgoSASGD, Learners: 2, Gamma: 0.1, Batch: 4},
+			func(p *Problem) { p.Model = func(int64) *nn.Network { return nil } }, "model factory returned nil"},
+		{"nil-model-async", Config{Algo: AlgoDownpour, Learners: 2, Gamma: 0.1, Batch: 4},
+			func(p *Problem) { p.Model = func(int64) *nn.Network { return nil } }, "model factory returned nil"},
+		{"checkpoint-param-count", Config{Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.1, Batch: 4, Seed: 1, ResumeFrom: wrongCkpt},
+			keep, "checkpoint has 2 parameters, model has 67"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prob := tinyProblem(20, 10, 14)
+			tc.mut(prob)
+			res, err := Run(tc.cfg, prob)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run returned %v, want an error containing %q", err, tc.want)
+			}
+			if res != nil {
+				t.Errorf("Run returned a result beside its error")
+			}
+		})
+	}
 }
 
 func TestEAMSGDMomentumDisable(t *testing.T) {
@@ -387,23 +397,38 @@ func TestEAMSGDMomentumDisable(t *testing.T) {
 }
 
 func TestLearnerPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("learner panic was swallowed")
-		}
-	}()
-	runLearners(3, func(rank int) {
+	err := runLearnersOn(identity(3), nil, func(rank int) error {
 		if rank == 1 {
 			panic("boom")
 		}
+		return nil
 	})
+	if err == nil || err.Error() != "learner 1: boom" {
+		t.Fatalf("runLearners returned %v, want learner 1's panic", err)
+	}
+	bad := errors.New("bad shard")
+	err = runLearnersOn(identity(3), nil, func(rank int) error {
+		if rank == 2 {
+			return bad
+		}
+		return nil
+	})
+	if !errors.Is(err, bad) || !strings.HasPrefix(err.Error(), "learner 2: ") {
+		t.Fatalf("runLearners returned %v, want learner 2's error", err)
+	}
 }
 
 // TestLearnerPanicEndsTrain: a learner that panics at a boundary leaves
 // its peer parked on it — in the next boundary's receive, at the epoch
-// barrier, or at a membership sync point. Train must still return, by
-// rethrowing the first panic, not the peers' unwinding.
+// barrier, or at a membership sync point. Run must still return, with
+// the first failure, not the peers' unwinding. A transport the caller
+// closes mid-run ends the run the same way, with comm.ErrClosed.
 func TestLearnerPanicEndsTrain(t *testing.T) {
+	boom := func(origin int, _ []float64) {
+		if origin == 1 {
+			panic("boom")
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		nTrain int // 2 learners × batch 4: 6 batches an epoch at 48, 2 at 16
@@ -418,29 +443,68 @@ func TestLearnerPanicEndsTrain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.05,
-				Batch: 4, Epochs: 3, Seed: 1,
-				AggHook: func(origin int, _ []float64) {
-					if origin == 1 {
-						panic("boom")
-					}
-				},
+				Batch: 4, Epochs: 3, Seed: 1, AggHook: boom,
 			}
 			tc.mut(&cfg)
-			prob := tinyProblem(tc.nTrain, 8, 2)
-			done := make(chan interface{}, 1)
-			go func() {
-				defer func() { done <- recover() }()
-				Train(cfg, prob)
-			}()
-			select {
-			case r := <-done:
-				if msg := fmt.Sprint(r); !strings.Contains(msg, "boom") {
-					t.Fatalf("Train rethrew %q, want the learner's panic", msg)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Train had not returned 10 s after a learner panicked")
+			err := runWithin(t, cfg, tinyProblem(tc.nTrain, 8, 2))
+			if err == nil || !strings.HasPrefix(err.Error(), "learner ") || !strings.HasSuffix(err.Error(), ": boom") {
+				t.Fatalf("Run returned %v, want the learner's panic", err)
 			}
 		})
+	}
+	t.Run("tcp-closed", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		tr, err := comm.NewTCPLoopback(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		// The hook parks virtual rank 0 inside boundary 1 until the caller
+		// has closed the transport, so the close always lands mid-run.
+		hooked, closed := make(chan struct{}), make(chan struct{})
+		go func() {
+			<-hooked
+			tr.Close()
+			close(closed)
+		}()
+		cfg := Config{
+			Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.05,
+			Batch: 4, Epochs: 3, Seed: 1, Transport: tr,
+			AggHook: func(origin int, _ []float64) {
+				if origin == 1 {
+					close(hooked)
+					<-closed
+				}
+			},
+		}
+		if err := runWithin(t, cfg, tinyProblem(48, 8, 2)); !errors.Is(err, comm.ErrClosed) {
+			t.Fatalf("Run returned %v, want comm.ErrClosed", err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%d goroutines 10 s after Run returned, %d before the transport was built", n, base)
+		}
+	})
+}
+
+// runWithin runs cfg and returns Run's error, failing the test if Run
+// has not returned within 10 s.
+func runWithin(t *testing.T, cfg Config, prob *Problem) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(cfg, prob)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run had not returned 10 s after a learner failed")
+		return nil
 	}
 }
 
@@ -538,7 +602,11 @@ func TestResultHelpers(t *testing.T) {
 
 func TestEvaluatorAccuracy(t *testing.T) {
 	prob := tinyProblem(50, 30, 30)
-	e := newEvaluator(prob, prob.Test)
+	rec, err := newRecorder(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := rec.testEval
 	net := prob.Model(1)
 	acc := e.accuracy(net.ParamData())
 	if acc < 0 || acc > 1 {
@@ -724,4 +792,14 @@ func TestVirtualGateMisusePanics(t *testing.T) {
 		}
 	}()
 	g.Release(0, 1)
+}
+
+// resolved is cfg with its defaults filled in, as Run sees it.
+func resolved(t *testing.T, cfg Config) Config {
+	t.Helper()
+	c, err := cfg.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

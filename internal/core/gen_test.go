@@ -94,7 +94,7 @@ func drawConfig(rng *rand.Rand) genDraw {
 	d.tracer = rng.Intn(4) == 0
 	d.metrics = rng.Intn(4) == 0
 	if rng.Intn(12) == 0 {
-		d.junk = []string{"gamma", "codec", "tsched", "negk", "localranks", "algo"}[rng.Intn(6)]
+		d.junk = []string{"gamma", "codec", "tsched", "negk", "algo"}[rng.Intn(5)]
 	}
 	return d
 }
@@ -153,8 +153,6 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 		cfg.TSched = "sometimes"
 	case "negk":
 		cfg.Compress, cfg.CompressK = CodecTopK, -0.5
-	case "localranks":
-		cfg.LocalRanks = []int{0}
 	case "algo":
 		cfg.Algo, cfg.Faults = AlgoDownpour, &comm.FaultPlan{}
 	}
@@ -170,17 +168,15 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 	return cfg, cleanup
 }
 
-// genTrain runs one accepted configuration; a panic from inside the run
-// is a test failure carrying the draw.
+// genTrain runs one accepted configuration; an error from the run is a
+// test failure carrying the draw.
 func genTrain(t *testing.T, what string, cfg Config, cleanup func(), prob *Problem) *Result {
 	t.Helper()
 	defer cleanup()
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("%s: accepted config panicked inside Train: %v", what, r)
-		}
-	}()
-	res := Train(cfg, prob)
+	res, err := Run(cfg, prob)
+	if err != nil {
+		t.Fatalf("%s: accepted config failed inside Run: %v", what, err)
+	}
 	if len(res.FinalParams) == 0 {
 		t.Fatalf("%s: no final parameters", what)
 	}
@@ -457,9 +453,15 @@ func TestGeneratedConfigs(t *testing.T) {
 	}
 }
 
+// partialMesh is a Transport that hosts only rank 0 of its mesh.
+type partialMesh struct{ comm.Transport }
+
+func (partialMesh) Local(r int) bool { return r == 0 }
+
 // TestValidateRules hits every rule of the validation table once: the
-// broken config gets exactly that rule's reason from Validate, and Train
-// panics with the same error instead of reaching a training loop.
+// broken config gets exactly that rule's reason from Validate, Run
+// returns the same error without reaching a training loop, and Train
+// panics with it.
 func TestValidateRules(t *testing.T) {
 	tr, err := comm.NewTCPLoopback(2)
 	if err != nil {
@@ -475,9 +477,7 @@ func TestValidateRules(t *testing.T) {
 		func(c *Config) { c.Algo, c.CheckpointPath = AlgoEAMSGD, "x.ckpt" },
 		func(c *Config) { c.Algo, c.Transport = AlgoHogwild, tr },
 		func(c *Config) { c.Learners, c.Transport = 3, tr },
-		func(c *Config) { c.LocalRanks = []int{0} },
-		func(c *Config) { c.Transport, c.LocalRanks, c.Faults = tr, []int{0}, &comm.FaultPlan{} },
-		func(c *Config) { c.Transport, c.LocalRanks = tr, []int{1, 0} },
+		func(c *Config) { c.Transport, c.Faults = partialMesh{tr}, &comm.FaultPlan{} },
 		func(c *Config) { c.Algo, c.DelayedApply = AlgoDownpour, true },
 		func(c *Config) { c.ResumeFrom, c.HierGroups = "x.ckpt", 2 },
 	}
@@ -494,6 +494,9 @@ func TestValidateRules(t *testing.T) {
 		if err == nil || !strings.HasSuffix(err.Error(), configRules[i].reason) {
 			t.Errorf("rule %d (%s): Validate returned %v", i, configRules[i].reason, err)
 			continue
+		}
+		if res, rerr := Run(cfg, tinyProblem(8, 8, 1)); res != nil || fmt.Sprint(rerr) != err.Error() {
+			t.Errorf("rule %d: Run returned (%v, %v), want (nil, %v)", i, res, rerr, err)
 		}
 		func() {
 			defer func() {

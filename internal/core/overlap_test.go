@@ -211,8 +211,8 @@ func TestOverlapT1GradientSumIsGradientBuffer(t *testing.T) {
 	} {
 		cfg := Config{Algo: AlgoSASGD, Learners: 4, Interval: 1, Gamma: 0.05, Batch: 4, Epochs: 1, Seed: 3}
 		tc.mut(&cfg)
-		cfg = cfg.withDefaults()
-		net := prob.newReplica(cfg.Seed)
+		cfg = resolved(t, cfg)
+		net := prob.Model(cfg.Seed)
 		view := comm.View{G: comm.NewSimGroup(cfg.Learners, nil, nil), Phys: identity(cfg.Learners)}
 		tk := obs.NewTracer(1).Learner(0)
 		fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Metrics, cfg.Learners), tk)

@@ -90,17 +90,14 @@ func (r *Result) String() string {
 }
 
 // evaluator measures accuracy of a flat parameter vector against a
-// dataset using its own model replica (inference mode, no dropout).
-// It is used from exactly one goroutine at a time.
+// dataset on a model replica of its own or shared with the recorder's
+// other evaluator (inference mode, no dropout: nothing of one accuracy
+// pass outlives it). It is used from exactly one goroutine at a time.
 type evaluator struct {
 	net   *nn.Network
 	ds    *data.Dataset
 	batch int
 	idx   []int
-}
-
-func newEvaluator(p *Problem, ds *data.Dataset) *evaluator {
-	return &evaluator{net: p.newReplica(1<<40 + 1), ds: ds, batch: 256}
 }
 
 // accuracy evaluates the fraction of correct argmax predictions under
@@ -147,12 +144,16 @@ type recorder struct {
 	curve     report.Curve
 }
 
-func newRecorder(p *Problem) *recorder {
-	return &recorder{
-		trainEval: newEvaluator(p, p.Train),
-		testEval:  newEvaluator(p, p.Test),
-		start:     time.Now(),
+func newRecorder(p *Problem) (*recorder, error) {
+	net, err := p.newReplica(1<<40 + 1)
+	if err != nil {
+		return nil, err
 	}
+	return &recorder{
+		trainEval: &evaluator{net: net, ds: p.Train, batch: 256},
+		testEval:  &evaluator{net: net, ds: p.Test, batch: 256},
+		start:     time.Now(),
+	}, nil
 }
 
 // record evaluates params and appends a point for the given epoch.

@@ -36,7 +36,7 @@ import (
 // plan puts the run on the membership ledger (comm.Resilient); every
 // other run, checkpointing and resuming ones included, syncs on one
 // fixed group.
-func trainSASGD(cfg Config, prob *Problem) *Result {
+func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 	p := cfg.Learners
 
 	// Resume: two rank spaces (see boundary.go). dataRanks maps this
@@ -45,7 +45,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	if cfg.ResumeFrom != "" {
 		var err error
 		if rs, err = loadResume(cfg); err != nil {
-			panic(err)
+			return nil, err
 		}
 		// γp belongs to the original run's shape; restore it so rescaling
 		// by OrigP/|live| lands on the same effective rate the original
@@ -123,7 +123,6 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		stats = mem.Stats
 	}
 	cfg.Tracer.SetStats(func() interface{} { return stats() })
-	rec := newRecorder(prob)
 	fleet := obs.NewFleet(cfg.Metrics, p)
 	// The learner tracks are the fleet frame's clock and compute time. A
 	// metrics-only run gives them a tracer of one-span rings that nothing
@@ -137,18 +136,18 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	var finalRatio float64
 	var finalT int
 
-	local := all // the learner ranks this process drives
-	if len(cfg.LocalRanks) > 0 {
-		local = cfg.LocalRanks
-	}
-	// Closing the fabric unwinds the peers parked on a panicked learner.
+	local := cfg.localRanks()
+	// Closing the fabric unwinds the peers parked on a failed learner.
 	abort := view.G.Close
 	if mem != nil {
 		abort = mem.Close
 	}
-	runLearnersOn(local, abort, func(rank int) {
+	err := runLearnersOn(local, abort, func(rank int) error {
 		dataPhys := dataRanks[rank]
-		net := prob.newReplica(cfg.Seed + int64(dataPhys))
+		net, err := prob.newReplica(cfg.Seed + int64(dataPhys))
+		if err != nil {
+			return err
+		}
 		params := net.ParamData()
 		tk := learnerTracer.Learner(rank)
 		net.SetTrack(tk)
@@ -156,7 +155,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 
 		if rs != nil {
 			if len(rs.params) != len(params) {
-				panic(fmt.Sprintf("core: checkpoint has %d parameters, model has %d", len(rs.params), len(params)))
+				return fmt.Errorf("core: checkpoint has %d parameters, model has %d", len(rs.params), len(params))
 			}
 			copy(params, rs.params)
 		}
@@ -222,7 +221,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 				step++
 				if step == next {
 					if !e.boundary(params, step, launched) {
-						return
+						return e.err
 					}
 					next = step + e.sched.T()
 				}
@@ -242,7 +241,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 			// pass; the role moves if rank 0 crashes), synchronize again
 			// so nobody races ahead into the next epoch during evaluation.
 			if !e.barrier() {
-				return
+				return nil
 			}
 			if e.vr == 0 && (epoch+1)%cfg.EvalEvery == 0 {
 				simNow := 0.0
@@ -259,7 +258,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 				parallel.SetWorkers(prev)
 			}
 			if !e.barrier() {
-				return
+				return nil
 			}
 		}
 		if e.vr == 0 {
@@ -269,7 +268,11 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 				finalRatio = e.ratio
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	st := stats()
 	liveP := p
@@ -293,7 +296,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		CompressK:   finalRatio,
 		LiveP:       liveP,
 		FinalParams: finalParams,
-	}
+	}, nil
 }
 
 // localStep is Algorithm 1's x ← x − γ·g ; gs ← gs + g for one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,28 +12,40 @@ import (
 	"sasgd/internal/parallel"
 )
 
-// Train runs one training experiment and returns its result. There are
-// two loops: trainSASGD runs Algorithm 1 — and sequential SGD as its
-// p = 1 case — and trainAsync runs the asynchronous baselines. Both share
-// the same data partitioning, per-learner replicas, epoch accounting,
-// and (optional) fabric simulation.
-func Train(cfg Config, prob *Problem) *Result {
-	cfg = cfg.withDefaults()
-	if prob.Train == nil || prob.Test == nil || prob.Train.Len() == 0 {
-		panic("core: Train needs non-empty train and test datasets")
+// Run runs one training experiment: trainSASGD runs Algorithm 1 (and
+// sequential SGD as its p = 1 case), trainAsync the asynchronous
+// baselines. It returns Validate's error, or the error that ended the run:
+// empty data, a nil model, a ResumeFrom or CheckpointPath file that fails,
+// or a learner's failure as "learner r: …" — errors.Is(err,
+// comm.ErrClosed) when the Transport was closed under the run. Errors do
+// not cross the wire: when one process of a multi-process run fails, its
+// remote peers stay blocked until they are killed.
+func Run(cfg Config, prob *Problem) (*Result, error) {
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
-	// Divide the intra-op worker budget across the p learner goroutines
-	// for the duration of the run, so p learners × w kernel workers never
-	// oversubscribe the machine. Restored on exit because callers (tests,
-	// benchmark sweeps) may have set an explicit budget.
+	if prob.Train == nil || prob.Test == nil || prob.Train.Len() == 0 {
+		return nil, errors.New("core: Run needs non-empty train and test datasets")
+	}
+	// Divide the intra-op worker budget across the learner goroutines
+	// this process drives for the duration of the run, so learners × w
+	// kernel workers never oversubscribe the machine. Restored on exit
+	// because callers (tests, benchmark sweeps) may have set an explicit
+	// budget.
 	defer parallel.SetWorkers(parallel.SetWorkers(workersPerLearner(cfg)))
 	start := time.Now()
-	var res *Result
-	switch cfg.Algo {
-	case AlgoSGD, AlgoSASGD: // SGD is Algorithm 1 at p = 1 (resolve)
-		res = trainSASGD(cfg, prob)
-	default: // Downpour, EAMSGD, Hogwild: withDefaults admits no other value
-		res = trainAsync(cfg, prob)
+	rec, err := newRecorder(prob)
+	if err != nil {
+		return nil, err
+	}
+	train := trainAsync // Downpour, EAMSGD, Hogwild: resolve admits no other value
+	if cfg.Algo == AlgoSGD || cfg.Algo == AlgoSASGD {
+		train = trainSASGD // SGD is Algorithm 1 at p = 1 (resolve)
+	}
+	res, err := train(cfg, prob, rec)
+	if err != nil {
+		return nil, err
 	}
 	res.Wall = time.Since(start)
 	if res.LiveP == 0 {
@@ -42,25 +55,27 @@ func Train(cfg Config, prob *Problem) *Result {
 		last := res.Curve[len(res.Curve)-1]
 		res.FinalTrain, res.FinalTest = last.Train, last.Test
 	}
+	return res, nil
+}
+
+// Train is Run for callers whose configuration and data are fixed in
+// code: it panics with Run's error.
+func Train(cfg Config, prob *Problem) *Result {
+	res, err := Run(cfg, prob)
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 
 // workersPerLearner resolves cfg.Workers: an explicit value wins;
 // otherwise the current process-wide budget is split evenly across the
-// learners this process actually hosts, never below 1.
+// learners this process drives, never below 1.
 func workersPerLearner(cfg Config) int {
 	if cfg.Workers > 0 {
 		return cfg.Workers
 	}
-	n := cfg.Learners
-	if len(cfg.LocalRanks) > 0 {
-		n = len(cfg.LocalRanks)
-	}
-	w := parallel.Workers() / n
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(parallel.Workers()/max(len(cfg.localRanks()), 1), 1)
 }
 
 // identity returns the rank list 0..p−1.
@@ -72,37 +87,43 @@ func identity(p int) []int {
 	return all
 }
 
-// runLearners starts p learner goroutines and waits for all of them.
-func runLearners(p int, fn func(rank int)) { runLearnersOn(identity(p), nil, fn) }
-
-// runLearnersOn starts one learner goroutine per rank in ranks and
-// waits for all of them. The first learner panic calls abort (when set),
-// which must unblock every peer parked on the panicked learner, and is
-// rethrown on the caller's goroutine with the learner's rank attached.
-func runLearnersOn(ranks []int, abort func(), fn func(rank int)) {
+// runLearnersOn starts one learner goroutine per rank in ranks, waits for
+// all of them and returns the first failure, "learner r: " wrapping the
+// learner's returned error or the value of a panic it recovered
+// (comm.ErrClosed unwinding included). A failing learner records its
+// failure before it calls abort (when set), which must unblock every
+// peer parked on it — so a peer's ErrClosed never masks the cause.
+func runLearnersOn(ranks []int, abort func(), fn func(rank int) error) error {
 	var wg sync.WaitGroup
 	var once sync.Once
-	panics := make(chan interface{}, len(ranks))
+	failures := make(chan error, len(ranks))
 	for _, rank := range ranks {
 		wg.Add(1)
 		go func(rank int) {
+			var err error
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panics <- fmt.Sprintf("learner %d: %v", rank, r)
+					if err, _ = r.(error); err == nil {
+						err = fmt.Errorf("%v", r)
+					}
+				}
+				if err != nil {
+					failures <- fmt.Errorf("learner %d: %w", rank, err)
 					if abort != nil {
 						once.Do(abort)
 					}
 				}
 			}()
-			fn(rank)
+			err = fn(rank)
 		}(rank)
 	}
 	wg.Wait()
 	select {
-	case p := <-panics:
-		panic(p)
+	case err := <-failures:
+		return err
 	default:
+		return nil
 	}
 }
 
@@ -175,10 +196,10 @@ type Problem struct {
 }
 
 // newReplica builds and seeds a learner's model.
-func (p *Problem) newReplica(seed int64) *nn.Network {
+func (p *Problem) newReplica(seed int64) (*nn.Network, error) {
 	net := p.Model(seed)
 	if net == nil {
-		panic("core: model factory returned nil")
+		return nil, errors.New("core: model factory returned nil")
 	}
-	return net
+	return net, nil
 }

@@ -44,14 +44,18 @@ type asyncRule func(rank int, params, grads []float64) asyncLearner
 
 // trainAsync runs Downpour, EAMSGD or Hogwild: p learners stepping freely
 // over their own shards against state shared through cfg.Algo's rule.
-func trainAsync(cfg Config, prob *Problem) *Result {
+func trainAsync(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 	p := cfg.Learners
 	shards := prob.Train.Partition(p)
 	bpe := batchesPerEpoch(shards, cfg.Batch)
 
 	// The shared state is initialized from learner 0's replica; learners
 	// then read it, which stands in for the initial broadcast.
-	init := prob.newReplica(cfg.Seed).ParamData()
+	net0, err := prob.newReplica(cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	init := net0.ParamData()
 	var rule asyncRule
 	if cfg.Algo == AlgoHogwild {
 		rule = hogwild(&cfg, init)
@@ -68,7 +72,6 @@ func trainAsync(cfg Config, prob *Problem) *Result {
 		}
 	}
 
-	rec := newRecorder(prob)
 	var samples atomic.Int64
 	var stats stalenessStats
 	var finalParams []float64
@@ -77,9 +80,12 @@ func trainAsync(cfg Config, prob *Problem) *Result {
 		gate = newVirtualGate(p)
 	}
 
-	runLearners(p, func(rank int) {
+	err = runLearnersOn(identity(p), nil, func(rank int) error {
 		defer gate.Done(rank)
-		net := prob.newReplica(cfg.Seed + int64(rank))
+		net, err := prob.newReplica(cfg.Seed + int64(rank))
+		if err != nil {
+			return err
+		}
 		params := net.ParamData()
 		l := rule(rank, params, net.GradData())
 		// Each gated step ends at the learner's virtual clock: its fabric
@@ -138,7 +144,11 @@ func trainAsync(cfg Config, prob *Problem) *Result {
 		if rank == 0 {
 			finalParams = append([]float64(nil), params...)
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	simTime, compute, communication := cfg.simSplits()
 	return &Result{
@@ -153,7 +163,7 @@ func trainAsync(cfg Config, prob *Problem) *Result {
 		StalenessMean: stats.mean(),
 		StalenessMax:  atomic.LoadInt64(&stats.max),
 		FinalParams:   finalParams,
-	}
+	}, nil
 }
 
 // downpour is Downpour ASGD (Dean et al., the paper's first baseline).

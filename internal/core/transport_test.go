@@ -63,7 +63,7 @@ func TestTrainTCPLoopbackMatchesChannel(t *testing.T) {
 
 // TestTrainMultiEndpointMatchesChannel runs the genuinely distributed
 // shape inside one test process: two TCP mesh endpoints, each hosting
-// one learner via LocalRanks, train concurrently and meet only on the
+// one learner (its Local rank), train concurrently and meet only on the
 // wire (collectives, barriers, epoch evaluation). The rank-0 endpoint's
 // final parameters must match the single-process channel run bitwise.
 func TestTrainMultiEndpointMatchesChannel(t *testing.T) {
@@ -104,7 +104,6 @@ func TestTrainMultiEndpointMatchesChannel(t *testing.T) {
 			defer trs[r].Close()
 			cfg := transportCfg(p)
 			cfg.Transport = trs[r]
-			cfg.LocalRanks = []int{r}
 			cfg.Workers = 1 // both endpoints share this process's budget
 			results[r] = Train(cfg, prob)
 		}(r)

@@ -77,11 +77,9 @@ func (g *virtualGate) Release(rank int, clock float64) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.holder != rank {
-		panic(fmt.Sprintf("core: virtual gate Release by non-holder (rank %d, holder %d)", rank, g.holder))
-	}
-	if clock < g.clock[rank] {
-		panic(fmt.Sprintf("core: virtual clock moved backwards (rank %d: %g -> %g)", rank, g.clock[rank], clock))
+	if g.holder != rank || clock < g.clock[rank] {
+		panic(fmt.Sprintf("core: virtual gate Release out of order (rank %d, holder %d, clock %g -> %g)",
+			rank, g.holder, g.clock[rank], clock))
 	}
 	g.clock[rank] = clock
 	g.holder = -1

@@ -63,13 +63,15 @@ func ReadParams(r io.Reader) ([]float64, error) {
 	}
 	crc := crc32.NewIEEE()
 	buf := make([]byte, 8)
-	tmp := make([]float64, count)
-	for i := range tmp {
+	// The count is the file's word, not yet the payload's: grow with the
+	// words that arrive, so a corrupt header cannot ask for gigabytes.
+	tmp := make([]float64, 0, min(count, 1<<16))
+	for range count {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("nn: reading checkpoint parameters: %w", err)
 		}
 		crc.Write(buf)
-		tmp[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		tmp = append(tmp, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 	}
 	var sum uint32
 	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {

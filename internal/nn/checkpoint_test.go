@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -97,5 +99,26 @@ func TestCheckpointLoadFailureLeavesParamsIntact(t *testing.T) {
 		if dst.ParamData()[i] != before[i] {
 			t.Fatal("failed Load mutated the network")
 		}
+	}
+}
+
+// TestReadParamsHugeCountAllocatesAsWordsArrive: a header with a valid
+// magic and version whose count claims 2³²−1 words, followed by EOF, is
+// an error — and the reader allocated for the words that arrived (none),
+// not the ~32 GiB the header asked for.
+func TestReadParamsHugeCountAllocatesAsWordsArrive(t *testing.T) {
+	var hdr bytes.Buffer
+	for _, w := range []uint32{checkpointMagic, checkpointVersion, 0xFFFFFFFF} {
+		binary.Write(&hdr, binary.LittleEndian, w)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadParams(bytes.NewReader(hdr.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no payload was accepted")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 16<<20 {
+		t.Errorf("ReadParams allocated %d bytes for a payload that never arrived", grown)
 	}
 }
