@@ -130,8 +130,7 @@ func BenchmarkFig4EpochTimeCIFAR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.Fig4(experiments.Opt{Ps: []int{1, 8}})
 	}
-	b.ReportMetric(r.EpochSecsAt(1, 8)/r.EpochSecsAt(50, 8), "T1/T50@p8")
-	b.ReportMetric(r.SpeedupAt(50, 8), "speedup@T50,p8")
+	reportEpochTimes(b, r)
 }
 
 // BenchmarkFig5EpochTimeNLCF regenerates Figure 5 and reports the same
@@ -141,8 +140,20 @@ func BenchmarkFig5EpochTimeNLCF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.Fig5(experiments.Opt{Ps: []int{1, 8}})
 	}
-	b.ReportMetric(r.EpochSecsAt(1, 8)/r.EpochSecsAt(50, 8), "T1/T50@p8")
-	b.ReportMetric(r.SpeedupAt(50, 8), "speedup@T50,p8")
+	reportEpochTimes(b, r)
+}
+
+// reportEpochTimes reports the T=1 / T=50 epoch-time ratio and the T=50
+// speedup over sequential SGD at p=8.
+func reportEpochTimes(b *testing.B, r *experiments.EpochTimeResult) {
+	secs := map[int]float64{}
+	for _, row := range r.Rows {
+		if row.P == 8 {
+			secs[row.T] = row.EpochSecs
+		}
+	}
+	b.ReportMetric(secs[1]/secs[50], "T1/T50@p8")
+	b.ReportMetric(r.SeqSecs/secs[50], "speedup@T50,p8")
 }
 
 // BenchmarkFig6ThreeWayEpochTime regenerates Figure 6 and reports the
@@ -177,8 +188,8 @@ func BenchmarkFig7SASGDTImpactCIFAR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		panels = experiments.Fig7(experiments.Opt{Epochs: 8, Ps: []int{16}, Ts: []int{1, 50}})
 	}
-	p := panels[0]
-	b.ReportMetric(100*(p.FinalTestAt(1)-p.FinalTestAt(50)), "acc-gap-pct@p16")
+	p := panels[0] // Runs in Ts order: T = 1, then T = 50
+	b.ReportMetric(100*(p.Runs[0].FinalTest-p.Runs[1].FinalTest), "acc-gap-pct@p16")
 }
 
 // BenchmarkFig8SASGDTImpactNLCF regenerates a reduced Figure 8 (paper:
@@ -188,8 +199,8 @@ func BenchmarkFig8SASGDTImpactNLCF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		panels = experiments.Fig8(experiments.Opt{Epochs: 10, Ps: []int{16}, Ts: []int{1, 50}})
 	}
-	p := panels[0]
-	b.ReportMetric(100*(p.FinalTestAt(1)-p.FinalTestAt(50)), "acc-gap-pct@p16")
+	p := panels[0] // Runs in Ts order: T = 1, then T = 50
+	b.ReportMetric(100*(p.Runs[0].FinalTest-p.Runs[1].FinalTest), "acc-gap-pct@p16")
 }
 
 // BenchmarkFig9ThreeWayCIFAR regenerates a reduced Figure 9 and reports

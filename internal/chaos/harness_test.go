@@ -1,9 +1,9 @@
-// Package chaos is the deterministic fault-injection test harness: it
-// runs small SASGD training scenarios under seeded comm.FaultPlans
-// (stragglers, message drops, scheduled crashes) and exposes the
-// observables the chaos tests assert on — per-boundary aggregated
-// gradients (via core.Config.AggHook), fault counters, and checkpoint
-// files for survivor-equivalence reference runs. Everything is
+// The chaos tests are the deterministic fault-injection harness: they
+// run small SASGD training scenarios under seeded comm.FaultPlans
+// (stragglers, message drops, scheduled crashes) and assert on their
+// observables — per-boundary aggregated gradients (via
+// core.Config.AggHook), fault counters, and checkpoint files for
+// survivor-equivalence reference runs. Everything is
 // reproducible from the plan's seed: a scenario either always passes or
 // always fails, which is what makes failure-handling testable at all.
 //
@@ -14,7 +14,8 @@
 // fault-free run over the same ranks resumed from the boundary-b
 // checkpoint would be in, the degraded run's post-eviction aggregated
 // gradients — and its final parameters — must be bitwise identical to
-// that reference run's. The chaos tests enforce exactly that.
+// that reference run's. The tests enforce exactly that. The directory
+// holds tests only: nothing outside them runs a scenario.
 package chaos
 
 import (

@@ -1,5 +1,7 @@
 package comm
 
+import "sasgd/internal/obs"
+
 // Accessors only the tests use: none has a caller in the library, the
 // commands or bench/, so none is part of the package's API.
 
@@ -69,3 +71,28 @@ func (s *ParamServer) Updates() int64 {
 	}
 	return n
 }
+
+// IslandOf returns rank's island id.
+func (h *Hier) IslandOf(rank int) int { return h.islandOf[rank] }
+
+// Evictions returns the failure-detector decisions made so far.
+func (r *Resilient) Evictions() []Eviction {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Eviction(nil), r.evictions...)
+}
+
+// Snapshot returns a copy of the full parameter vector (not charged to
+// any clock).
+func (s *ParamServer) Snapshot() []float64 {
+	out := make([]float64, s.m)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		copy(out[sh.lo:sh.hi], sh.params)
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// Tracer returns the attached tracer (nil when tracing is off).
+func (g *Group) Tracer() *obs.Tracer { return g.tracer }

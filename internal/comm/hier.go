@@ -91,9 +91,6 @@ func NewHierOf(g *Group, islandOf []int) *Hier {
 	return h
 }
 
-// IslandOf returns rank's island id.
-func (h *Hier) IslandOf(rank int) int { return h.islandOf[rank] }
-
 // IslandSize returns the member count of rank's island.
 func (h *Hier) IslandSize(rank int) int { return len(h.islands[h.islandOf[rank]]) }
 

@@ -175,13 +175,6 @@ func (r *Resilient) Current() View {
 	return r.view
 }
 
-// Evictions returns the failure-detector decisions made so far.
-func (r *Resilient) Evictions() []Eviction {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Eviction(nil), r.evictions...)
-}
-
 // Crash records a scheduled fail-stop of the given physical rank. The
 // rank's learner must return without any further communication; its
 // peers are told nothing — they detect the silence at the next sync

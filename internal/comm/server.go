@@ -55,9 +55,6 @@ func NewParamServer(init []float64, nshards int, clocks []Clock, cost CostModel)
 	return s
 }
 
-// Len returns the total parameter count.
-func (s *ParamServer) Len() int { return s.m }
-
 // chargeOp bills one complete push or pull of the full model to the
 // learner's clock as communication time.
 func (s *ParamServer) chargeOp(learner int) {
@@ -139,16 +136,4 @@ func (s *ParamServer) Elastic(learner int, alpha float64, local []float64) (d []
 	s.chargeOp(learner)
 	s.chargeOp(learner)
 	return d, gens
-}
-
-// Snapshot returns a copy of the full parameter vector (test/eval use;
-// not charged to any clock).
-func (s *ParamServer) Snapshot() []float64 {
-	out := make([]float64, s.m)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		copy(out[sh.lo:sh.hi], sh.params)
-		sh.mu.Unlock()
-	}
-	return out
 }

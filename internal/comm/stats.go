@@ -118,9 +118,6 @@ func (g *Group) SetTracer(tr *obs.Tracer) {
 	g.traceOn = tr != nil
 }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (g *Group) Tracer() *obs.Tracer { return g.tracer }
-
 // AlgoStats is the traffic charged to one collective algorithm. The
 // JSON tags fix the wire shape the live /debug/obs endpoint serves
 // (obs.LiveSnapshot.Stats carries a Stats value through interface{}).

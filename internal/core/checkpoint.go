@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -153,7 +154,8 @@ type resumeState struct {
 // run's learners play (sorted; nil means all OrigP ranks, requiring
 // cfg.Learners == OrigP). The run must match the checkpoint's
 // aggregation interval, batch size and seed — resuming under a
-// different schedule would silently break exact replay.
+// different schedule would silently break exact replay — and the
+// header's counters and γp must be in range.
 func loadResume(cfg Config) (*resumeState, error) {
 	meta, params, err := readCheckpoint(cfg.ResumeFrom)
 	if err != nil {
@@ -167,6 +169,14 @@ func loadResume(cfg Config) (*resumeState, error) {
 	}
 	if meta.Seed != cfg.Seed {
 		return nil, fmt.Errorf("core: resume seed %d, checkpoint has %d", cfg.Seed, meta.Seed)
+	}
+	// The header is not under the parameter frame's CRC. Step is checked
+	// against the run's length by trainSASGD, which knows it.
+	if meta.Boundary < 0 || meta.CurT < 0 {
+		return nil, fmt.Errorf("core: checkpoint boundary %d, T %d: want both non-negative", meta.Boundary, meta.CurT)
+	}
+	if !(meta.GammaP > 0) || math.IsInf(meta.GammaP, 1) {
+		return nil, fmt.Errorf("core: checkpoint γp %g, want finite and positive", meta.GammaP)
 	}
 	rs := &resumeState{meta: meta, params: params}
 	if cfg.ResumeRanks != nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sasgd/internal/comm"
@@ -195,6 +197,40 @@ func TestLoadResumeValidation(t *testing.T) {
 		if _, err := loadResume(resolved(t, cfg)); err == nil {
 			t.Errorf("%s mismatch accepted", tc.name)
 		}
+	}
+
+	// The header is not under the parameter frame's CRC: a resume from a
+	// header with an out-of-range counter or γp must end with a core
+	// error, through the whole Run (an unchecked Step fast-forwards the
+	// sampler Step draws, so each row runs within runWithin's bound).
+	prob := tinyProblem(20, 10, 14) // 2 learners × batch 4: 3 batches an epoch
+	params := make([]float64, 67)
+	for _, tc := range []struct {
+		name string
+		mut  func(*checkpointMeta)
+		want string
+	}{
+		{"valid header", func(*checkpointMeta) {}, ""},
+		{"negative step", func(m *checkpointMeta) { m.Step = -5 }, "core: checkpoint step -5"},
+		{"negative boundary", func(m *checkpointMeta) { m.Boundary = -3 }, "core: checkpoint boundary -3"},
+		{"negative T", func(m *checkpointMeta) { m.CurT = -1 }, "core: checkpoint boundary 2, T -1"},
+		{"NaN γp", func(m *checkpointMeta) { m.GammaP = math.NaN() }, "core: checkpoint γp NaN"},
+		{"infinite γp", func(m *checkpointMeta) { m.GammaP = math.Inf(1) }, "core: checkpoint γp +Inf"},
+		{"step past the run", func(m *checkpointMeta) { m.Step = 1 << 40 }, "core: checkpoint step 1099511627776"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			meta := checkpointMeta{OrigP: 2, Interval: 1, Batch: 4, Seed: 1, GammaP: 0.05, Step: 2, Boundary: 2}
+			tc.mut(&meta)
+			run := Config{Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.1, Batch: 4, Epochs: 1, Seed: 1,
+				ResumeFrom: filepath.Join(t.TempDir(), "ck.ckpt")}
+			if err := writeCheckpoint(run.ResumeFrom, meta, params); err != nil {
+				t.Fatal(err)
+			}
+			err := runWithin(t, run, prob)
+			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("Run returned %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -65,6 +65,9 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 	// repartition of the whole set.
 	shards := prob.Train.Partition(origP)
 	bpe := batchesPerEpoch(shards, cfg.Batch)
+	if startStep < 0 || startStep > cfg.Epochs*bpe {
+		return nil, fmt.Errorf("core: checkpoint step %d outside the run's [0, %d]", startStep, cfg.Epochs*bpe)
+	}
 
 	// Membership: a fault plan puts every sync point on a comm.Resilient
 	// ledger; otherwise the view is the run's group, for good — at a

@@ -51,10 +51,8 @@ func Run(cfg Config, prob *Problem) (*Result, error) {
 	if res.LiveP == 0 {
 		res.LiveP = res.P
 	}
-	if len(res.Curve) > 0 {
-		last := res.Curve[len(res.Curve)-1]
-		res.FinalTrain, res.FinalTest = last.Train, last.Test
-	}
+	last := res.Curve.Final()
+	res.FinalTrain, res.FinalTest = last.Train, last.Test
 	return res, nil
 }
 

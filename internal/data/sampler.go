@@ -30,14 +30,6 @@ func NewEpochSampler(n, batch int, seed int64) *EpochSampler {
 	return s
 }
 
-// BatchSize returns the minibatch size.
-func (s *EpochSampler) BatchSize() int { return s.batch }
-
-// BatchesPerEpoch returns how many Next calls make up one epoch.
-func (s *EpochSampler) BatchesPerEpoch() int {
-	return (len(s.perm) + s.batch - 1) / s.batch
-}
-
 // Next returns the next minibatch's sample indices. The final batch of an
 // epoch may be short; the next call starts a new shuffled epoch.
 func (s *EpochSampler) Next() []int {

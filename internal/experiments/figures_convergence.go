@@ -23,10 +23,8 @@ func trainReplicated(cfg core.Config, prob *core.Problem, n int) *core.Result {
 		curves = append(curves, core.Train(c, prob).Curve)
 	}
 	base.Curve = meanCurves(curves)
-	if len(base.Curve) > 0 {
-		last := base.Curve[len(base.Curve)-1]
-		base.FinalTrain, base.FinalTest = last.Train, last.Test
-	}
+	last := base.Curve.Final()
+	base.FinalTrain, base.FinalTest = last.Train, last.Test
 	return base
 }
 
@@ -108,17 +106,6 @@ type TImpactResult struct {
 	P        int
 	Series   []report.Series
 	Runs     []*core.Result
-}
-
-// FinalTestAt returns the final test accuracy of the run with the given
-// T (0 if absent).
-func (r *TImpactResult) FinalTestAt(t int) float64 {
-	for _, run := range r.Runs {
-		if run.T == t {
-			return run.FinalTest
-		}
-	}
-	return 0
 }
 
 // Fig7 reproduces Figure 7: SASGD test accuracy with T ∈ {1, 5, 25, 50}

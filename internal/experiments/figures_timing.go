@@ -66,26 +66,6 @@ type EpochTimeResult struct {
 	Rows     []EpochTimeRow
 }
 
-// SpeedupAt returns the speedup of (T, p) over the sequential run.
-func (r *EpochTimeResult) SpeedupAt(t, p int) float64 {
-	for _, row := range r.Rows {
-		if row.T == t && row.P == p && row.EpochSecs > 0 {
-			return r.SeqSecs / row.EpochSecs
-		}
-	}
-	return 0
-}
-
-// EpochSecsAt returns the epoch time at (T, p), or 0 if absent.
-func (r *EpochTimeResult) EpochSecsAt(t, p int) float64 {
-	for _, row := range r.Rows {
-		if row.T == t && row.P == p {
-			return row.EpochSecs
-		}
-	}
-	return 0
-}
-
 // Fig4 reproduces Figure 4: the impact of T on SASGD epoch time for the
 // CIFAR-10 workload. Paper shape: T = 50 is ≈1.3× faster than T = 1 at
 // p = 8; the p = 8 speedup over sequential is ≈4.45.

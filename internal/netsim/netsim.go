@@ -145,9 +145,6 @@ func New(p int, cfg Config) *Sim {
 	return s
 }
 
-// Config returns the simulation's configuration.
-func (s *Sim) Config() Config { return s.cfg }
-
 // Clocks returns the per-learner clocks as comm.Clock values for
 // comm.NewSimGroup.
 func (s *Sim) Clocks() []comm.Clock {
@@ -341,12 +338,4 @@ func (c *Clock) Split() (compute, communication float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.compute, c.comm
-}
-
-// Reset zeroes the clock and its accounting (used between measured
-// epochs).
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	c.now, c.compute, c.comm = 0, 0, 0
-	c.mu.Unlock()
 }

@@ -82,22 +82,3 @@ func ReadParams(r io.Reader) ([]float64, error) {
 	}
 	return tmp, nil
 }
-
-// Save writes the network's parameters to w in the checkpoint format.
-func (n *Network) Save(w io.Writer) error {
-	return WriteParams(w, n.flatP)
-}
-
-// Load restores parameters previously written by Save. The checkpoint's
-// parameter count must match this network's architecture exactly.
-func (n *Network) Load(r io.Reader) error {
-	tmp, err := ReadParams(r)
-	if err != nil {
-		return err
-	}
-	if len(tmp) != len(n.flatP) {
-		return fmt.Errorf("nn: checkpoint has %d parameters, network has %d", len(tmp), len(n.flatP))
-	}
-	copy(n.flatP, tmp)
-	return nil
-}

@@ -217,7 +217,9 @@ func TestConv2DInferenceForwardRetainsNothing(t *testing.T) {
 				want = append(want, append([]float64(nil), p.Grad.Data...))
 			}
 			other := tc.x.Clone()
-			other.Scale(-3)
+			for i := range other.Data {
+				other.Data[i] *= -3
+			}
 			l.Forward(tc.x, true)
 			l.Forward(other, false)
 			l.Backward(g)

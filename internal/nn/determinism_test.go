@@ -106,11 +106,11 @@ func TestConv2DParallelMatchesSeedSerial(t *testing.T) {
 					for c := 0; c < 2; c++ {
 						for ky := 0; ky < 3; ky++ {
 							for kx := 0; kx < 3; kx++ {
-								want += l.w.Value.At(k, c, ky, kx) * x.At(i, c, oy+ky, ox+kx)
+								want += at(l.w.Value, k, c, ky, kx) * at(x, i, c, oy+ky, ox+kx)
 							}
 						}
 					}
-					got := y.At(i, k, oy, ox)
+					got := at(y, i, k, oy, ox)
 					if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 						t.Fatalf("direct conv mismatch at (%d,%d,%d,%d): %g vs %g", i, k, oy, ox, got, want)
 					}
@@ -118,4 +118,13 @@ func TestConv2DParallelMatchesSeedSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// at is t's element at a row-major n-dimensional index.
+func at(t *tensor.Tensor, idx ...int) float64 {
+	off := 0
+	for i, x := range idx {
+		off = off*t.Dim(i) + x
+	}
+	return t.Data[off]
 }

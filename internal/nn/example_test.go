@@ -31,19 +31,21 @@ func ExampleNetwork() {
 
 // Checkpoints restore a model's parameters exactly into any replica of
 // the same architecture.
-func ExampleNetwork_Save() {
+func ExampleWriteParams() {
 	mk := func(seed int64) *nn.Network {
 		rng := rand.New(rand.NewSource(seed))
 		return nn.NewNetwork([]int{3}, nn.NewLinear(rng, 3, 2))
 	}
 	src, dst := mk(1), mk(2)
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := nn.WriteParams(&buf, src.ParamData()); err != nil {
 		panic(err)
 	}
-	if err := dst.Load(&buf); err != nil {
+	params, err := nn.ReadParams(&buf)
+	if err != nil {
 		panic(err)
 	}
+	dst.SetParamData(params)
 	fmt.Println(src.ParamData()[0] == dst.ParamData()[0])
 	// Output:
 	// true

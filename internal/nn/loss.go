@@ -82,8 +82,3 @@ func (s *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 	}
 	return grad
 }
-
-// Probs returns the softmax probabilities from the most recent Loss call
-// (nil before the first call). The returned tensor is owned by the
-// criterion and is overwritten by the next Loss call.
-func (s *SoftmaxCrossEntropy) Probs() *tensor.Tensor { return s.probs }

@@ -81,9 +81,6 @@ func (n *Network) InShape() []int { return n.inShape }
 // Layers returns the network's layers in order.
 func (n *Network) Layers() []Layer { return n.layers }
 
-// Params returns all learnable parameters in layer order.
-func (n *Network) Params() []*Param { return n.params }
-
 // NumParams returns the total learnable parameter count.
 func (n *Network) NumParams() int { return len(n.flatP) }
 
@@ -166,19 +163,17 @@ func (n *Network) Loss(logits *tensor.Tensor, labels []int) float64 {
 	return n.criteria.Loss(logits, labels)
 }
 
-// Backward backpropagates from the most recent Loss call through every
-// layer, leaving dLoss/dθ in GradData.
-func (n *Network) Backward() { n.BackwardEach(nil) }
-
-// BackwardEach is Backward with a per-layer finalization hook: onFinal(i)
-// is invoked immediately after layer i's Backward returns, i.e. the
-// moment Layers()[i]'s parameter gradients (its ParamSegments slice of
-// GradData) are final and will not be written again this pass. Layers are
-// visited in reverse order, so the hook fires for the last layer first —
+// BackwardEach backpropagates from the most recent Loss call through
+// every layer, leaving dLoss/dθ in GradData, with a per-layer
+// finalization hook: onFinal(i) is invoked immediately after layer i's
+// Backward returns, i.e. the moment Layers()[i]'s parameter gradients
+// (its ParamSegments slice of GradData) are final and will not be
+// written again this pass. Layers are visited in reverse order, so the
+// hook fires for the last layer first —
 // the window the bucketed aggregation in internal/core uses to start
 // reducing late layers' gradients while early layers still backpropagate.
 // The hook also fires for parameterless layers (with nothing newly
-// final); a nil onFinal is Backward exactly.
+// final); onFinal may be nil.
 func (n *Network) BackwardEach(onFinal func(layer int)) {
 	grad := n.criteria.Backward()
 	for i := len(n.layers) - 1; i >= 0; i-- {

@@ -286,6 +286,6 @@ func initFanIn(rng *rand.Rand, w *tensor.Tensor, fanIn int) {
 	if fanIn <= 0 {
 		panic(fmt.Sprintf("nn: invalid fan-in %d", fanIn))
 	}
-	s := 1.0 / sqrtFloat(float64(fanIn))
+	s := 1.0 / math.Sqrt(float64(fanIn))
 	w.FillUniform(rng, -s, s)
 }

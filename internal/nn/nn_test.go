@@ -46,7 +46,8 @@ func TestDropoutInferenceIsIdentity(t *testing.T) {
 func TestDropoutTrainingStatistics(t *testing.T) {
 	p := 0.5
 	d := NewDropout(rand.New(rand.NewSource(2)), p)
-	x := tensor.Full(1, 1, 20000)
+	x := tensor.New(1, 20000)
+	x.Fill(1)
 	out := d.Forward(x, true)
 	zeros := 0
 	sum := 0.0
@@ -70,9 +71,11 @@ func TestDropoutTrainingStatistics(t *testing.T) {
 
 func TestDropoutBackwardUsesMask(t *testing.T) {
 	d := NewDropout(rand.New(rand.NewSource(3)), 0.5)
-	x := tensor.Full(1, 1, 100)
+	x := tensor.New(1, 100)
+	x.Fill(1)
 	out := d.Forward(x, true)
-	g := tensor.Full(1, 1, 100)
+	g := tensor.New(1, 100)
+	g.Fill(1)
 	gin := d.Backward(g)
 	for i := range out.Data {
 		if (out.Data[i] == 0) != (gin.Data[i] == 0) {

@@ -118,14 +118,14 @@ func (r *Registry) Snapshot() *Snap {
 		Counters: make(map[string]int64, len(cs)), Gauges: make(map[string]float64, len(gs)),
 		Series: make(map[string]SeriesSnap, len(rs))}
 	for _, c := range cs {
-		s.Counters[c.full] = c.Value()
+		s.Counters[c.name] = c.Value()
 	}
 	for _, g := range gs {
-		s.Gauges[g.full] = g.Value()
+		s.Gauges[g.name] = g.Value()
 	}
 	for _, ring := range rs {
 		stamps, vals := ring.Samples()
-		s.Series[ring.full] = SeriesSnap{Len: ring.Len(), Stamps: stamps, Values: vals}
+		s.Series[ring.name] = SeriesSnap{Len: ring.Len(), Stamps: stamps, Values: vals}
 	}
 	return s
 }
@@ -145,10 +145,10 @@ func (tr *Tracer) writeMetrics(w io.Writer) error {
 	}
 	cs, gs, _ := tr.metrics.snapshotLists()
 	for _, c := range cs {
-		sample(c.name, "counter", c.full, strconv.FormatInt(c.Value(), 10))
+		sample(c.name, "counter", c.name, strconv.FormatInt(c.Value(), 10))
 	}
 	for _, g := range gs {
-		sample(g.name, "gauge", g.full, strconv.FormatFloat(g.Value(), 'g', -1, 64))
+		sample(g.name, "gauge", g.name, strconv.FormatFloat(g.Value(), 'g', -1, 64))
 	}
 	tracks := tr.liveTracks()
 	for _, name := range []string{"sasgd_phase_ns_total", "sasgd_phase_spans_total"} {
@@ -158,7 +158,7 @@ func (tr *Tracer) writeMetrics(w io.Writer) error {
 				if name == "sasgd_phase_spans_total" {
 					v = p.Count
 				}
-				sample(name, "counter", fullName(name, []string{"track", t.Name, "phase", p.Phase}),
+				sample(name, "counter", fmt.Sprintf("%s{track=%q,phase=%q}", name, t.Name, p.Phase),
 					strconv.FormatInt(v, 10))
 			}
 		}

@@ -79,8 +79,8 @@ func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	tr.SetMetrics(reg)
 	reg.Counter("sasgd_boundaries_total").Add(3)
-	reg.Gauge("sasgd_drift_rms", "rank", "0").Set(0.25)
-	reg.Gauge("sasgd_drift_rms", "rank", "1").Set(0.5)
+	reg.Gauge("sasgd_live_ranks").Set(2)
+	reg.Gauge("sasgd_drift_rms").Set(0.25)
 	tk := tr.Learner(1)
 	tk.End(PhaseBackward, tk.Begin())
 	tk.End(PhaseBackward, tk.Begin())
@@ -91,8 +91,9 @@ func TestPrometheusExposition(t *testing.T) {
 	want := "# TYPE sasgd_boundaries_total counter\n" +
 		"sasgd_boundaries_total 3\n" +
 		"# TYPE sasgd_drift_rms gauge\n" +
-		`sasgd_drift_rms{rank="0"} 0.25` + "\n" +
-		`sasgd_drift_rms{rank="1"} 0.5` + "\n" +
+		"sasgd_drift_rms 0.25\n" +
+		"# TYPE sasgd_live_ranks gauge\n" +
+		"sasgd_live_ranks 2\n" +
 		"# TYPE sasgd_phase_ns_total counter\n" +
 		`sasgd_phase_ns_total{track="learner 1",phase="backward"} 20` + "\n" +
 		"# TYPE sasgd_phase_spans_total counter\n" +

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -25,7 +24,7 @@ import (
 // NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
-	byKey    map[string]interface{} // full name -> instrument (idempotent registration)
+	byKey    map[string]interface{} // name -> instrument (idempotent registration)
 	counters []*Counter
 	gauges   []*Gauge
 	rings    []*SampleRing
@@ -39,40 +38,21 @@ func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[string]interface{})}
 }
 
-// fullName renders a Prometheus-style series name: name{k="v",...}.
-// kv is alternating key, value; an odd tail is ignored.
-func fullName(name string, kv []string) string {
-	if len(kv) < 2 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i := 0; i+1 < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// register interns an instrument under its full name. make is called
+// register interns an instrument under its name. make is called
 // under the registry lock only when the name is new; an existing entry
 // of a different kind panics (a metric name identifies one kind).
-func register[T any](r *Registry, key string, make func() *T, keep func(*T)) *T {
+func register[T any](r *Registry, name string, make func() *T, keep func(*T)) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if got, ok := r.byKey[key]; ok {
+	if got, ok := r.byKey[name]; ok {
 		t, ok := got.(*T)
 		if !ok {
-			panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", key))
+			panic(fmt.Sprintf("obs: metric %q re-registered as a different kind", name))
 		}
 		return t
 	}
 	t := make()
-	r.byKey[key] = t
+	r.byKey[name] = t
 	keep(t)
 	return t
 }
@@ -82,18 +62,15 @@ func register[T any](r *Registry, key string, make func() *T, keep func(*T)) *T 
 type Counter struct {
 	v    atomic.Int64
 	name string
-	full string
 }
 
-// Counter registers (or returns the existing) counter under name with
-// the given alternating label key/value pairs. Nil-safe: a nil registry
-// returns a nil counter.
-func (r *Registry) Counter(name string, kv ...string) *Counter {
+// Counter registers (or returns the existing) counter under name.
+// Nil-safe: a nil registry returns a nil counter.
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := fullName(name, kv)
-	return register(r, key, func() *Counter { return &Counter{name: name, full: key} },
+	return register(r, name, func() *Counter { return &Counter{name: name} },
 		func(c *Counter) { r.counters = append(r.counters, c) })
 }
 
@@ -121,16 +98,14 @@ func (c *Counter) Value() int64 {
 type Gauge struct {
 	bits atomic.Uint64
 	name string
-	full string
 }
 
 // Gauge registers (or returns the existing) gauge. Nil-safe.
-func (r *Registry) Gauge(name string, kv ...string) *Gauge {
+func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	key := fullName(name, kv)
-	return register(r, key, func() *Gauge { return &Gauge{name: name, full: key} },
+	return register(r, name, func() *Gauge { return &Gauge{name: name} },
 		func(g *Gauge) { r.gauges = append(r.gauges, g) })
 }
 
@@ -162,18 +137,17 @@ type SampleRing struct {
 	stamps []int64
 	vals   []float64
 	n      atomic.Int64
-	full   string
+	name   string
 }
 
 // Ring registers (or returns the existing) sample ring holding the most
 // recent capacity (> 0) samples. Nil-safe.
-func (r *Registry) Ring(name string, capacity int, kv ...string) *SampleRing {
+func (r *Registry) Ring(name string, capacity int) *SampleRing {
 	if r == nil {
 		return nil
 	}
-	key := fullName(name, kv)
-	return register(r, key, func() *SampleRing {
-		return &SampleRing{stamps: make([]int64, capacity), vals: make([]float64, capacity), full: key}
+	return register(r, name, func() *SampleRing {
+		return &SampleRing{stamps: make([]int64, capacity), vals: make([]float64, capacity), name: name}
 	}, func(s *SampleRing) { r.rings = append(r.rings, s) })
 }
 
@@ -222,16 +196,16 @@ func (s *SampleRing) Samples() (stamps []int64, vals []float64) {
 }
 
 // snapshotLists returns stable copies of the instrument lists, sorted
-// by full name so exports are deterministic.
+// by name so exports are deterministic.
 func (r *Registry) snapshotLists() (cs []*Counter, gs []*Gauge, rs []*SampleRing) {
 	r.mu.Lock()
 	cs = append(cs, r.counters...)
 	gs = append(gs, r.gauges...)
 	rs = append(rs, r.rings...)
 	r.mu.Unlock()
-	sort.Slice(cs, func(i, j int) bool { return cs[i].full < cs[j].full })
-	sort.Slice(gs, func(i, j int) bool { return gs[i].full < gs[j].full })
-	sort.Slice(rs, func(i, j int) bool { return rs[i].full < rs[j].full })
+	sort.Slice(cs, func(i, j int) bool { return cs[i].name < cs[j].name })
+	sort.Slice(gs, func(i, j int) bool { return gs[i].name < gs[j].name })
+	sort.Slice(rs, func(i, j int) bool { return rs[i].name < rs[j].name })
 	return
 }
 

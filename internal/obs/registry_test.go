@@ -56,17 +56,17 @@ func TestRegistryRecordIsAllocFree(t *testing.T) {
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reqs", "rank", "3")
+	c := r.Counter("reqs")
 	c.Add(41)
 	c.Inc()
 	if c.Value() != 42 {
 		t.Fatalf("counter = %d, want 42", c.Value())
 	}
-	if c2 := r.Counter("reqs", "rank", "3"); c2 != c {
+	if c2 := r.Counter("reqs"); c2 != c {
 		t.Fatal("re-registration returned a different counter")
 	}
-	if c3 := r.Counter("reqs", "rank", "4"); c3 == c {
-		t.Fatal("different labels returned the same counter")
+	if c3 := r.Counter("reqs_other"); c3 == c {
+		t.Fatal("a different name returned the same counter")
 	}
 	g := r.Gauge("temp")
 	g.Set(3.5)
@@ -123,7 +123,7 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			c := r.Counter("shared_total")
-			own := r.Counter("rank_total", "rank", string(rune('0'+g)))
+			own := r.Counter("rank_total_" + string(rune('0'+g)))
 			gauge := r.Gauge("shared_gauge")
 			for i := 0; i < perG; i++ {
 				c.Inc()
@@ -140,7 +140,7 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 		t.Fatalf("shared counter = %d, want %d", got, goroutines*perG)
 	}
 	for g := 0; g < goroutines; g++ {
-		if got := r.Counter("rank_total", "rank", string(rune('0'+g))).Value(); got != perG {
+		if got := r.Counter("rank_total_" + string(rune('0'+g))).Value(); got != perG {
 			t.Fatalf("rank %d counter = %d, want %d", g, got, perG)
 		}
 	}

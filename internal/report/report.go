@@ -32,28 +32,6 @@ func (c Curve) Final() Point {
 	return c[len(c)-1]
 }
 
-// TestAt returns the test accuracy at the first point with Epoch >= e,
-// or the final test accuracy if the curve ends earlier.
-func (c Curve) TestAt(e int) float64 {
-	for _, p := range c {
-		if p.Epoch >= e {
-			return p.Test
-		}
-	}
-	return c.Final().Test
-}
-
-// BestTest returns the maximum test accuracy over the curve.
-func (c Curve) BestTest() float64 {
-	best := 0.0
-	for _, p := range c {
-		if p.Test > best {
-			best = p.Test
-		}
-	}
-	return best
-}
-
 // AUC returns the mean test accuracy across points, a crude
 // area-under-curve summary used by shape assertions in tests.
 func (c Curve) AUC() float64 {

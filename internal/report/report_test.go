@@ -24,27 +24,14 @@ func TestCurveFinal(t *testing.T) {
 	}
 }
 
-func TestCurveTestAt(t *testing.T) {
-	c := curve(0.1, 0.5, 0.8)
-	if got := c.TestAt(2); got != 0.5 {
-		t.Errorf("TestAt(2) = %g", got)
-	}
-	if got := c.TestAt(99); got != 0.8 {
-		t.Errorf("TestAt beyond end = %g", got)
-	}
-}
-
 func TestCurveBestAndAUC(t *testing.T) {
 	c := curve(0.2, 0.9, 0.4)
-	if c.BestTest() != 0.9 {
-		t.Errorf("BestTest = %g", c.BestTest())
-	}
 	if auc := c.AUC(); auc < 0.49 || auc > 0.51 {
 		t.Errorf("AUC = %g, want 0.5", auc)
 	}
 	var empty Curve
-	if empty.AUC() != 0 || empty.BestTest() != 0 {
-		t.Error("empty curve summaries not zero")
+	if empty.AUC() != 0 {
+		t.Error("empty curve AUC not zero")
 	}
 }
 

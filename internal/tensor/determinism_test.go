@@ -118,16 +118,6 @@ func TestElementwiseBitwiseAcrossWorkers(t *testing.T) {
 		Axpy(0.37, x.Data, y.Data)
 		return y
 	})
-	assertBitwise(t, "Scale", func() *Tensor {
-		y.CopyFrom(init)
-		y.Scale(1.000003)
-		return y
-	})
-	assertBitwise(t, "Mul", func() *Tensor {
-		y.CopyFrom(init)
-		y.Mul(x)
-		return y
-	})
 }
 
 func TestIm2ColIntoMatchesTensorForm(t *testing.T) {

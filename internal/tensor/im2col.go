@@ -26,27 +26,11 @@ func (g ConvGeom) OutSize(h, w int) (oh, ow int) {
 	return oh, ow
 }
 
-// Im2Col lowers a (C,H,W) image into a (C*KH*KW, OH*OW) column matrix so
-// that convolution becomes a single matrix multiplication. dst must be
-// preallocated with that shape. Padding reads as zero.
-func Im2Col(dst, img *Tensor, g ConvGeom) {
-	if img.Dims() != 3 {
-		panic("tensor: Im2Col needs a (C,H,W) input")
-	}
-	c, h, w := img.shape[0], img.shape[1], img.shape[2]
-	oh, ow := g.OutSize(h, w)
-	rows := c * g.KH * g.KW
-	cols := oh * ow
-	if dst.Dims() != 2 || dst.shape[0] != rows || dst.shape[1] != cols {
-		panic(fmt.Sprintf("tensor: Im2Col destination shape %v, want [%d %d]", dst.shape, rows, cols))
-	}
-	Im2ColInto(dst.Data, img.Data, c, h, w, g)
-}
-
-// Im2ColInto is the raw-slice core of Im2Col for callers (the batched
-// convolution layer) that shard a minibatch across workers and cannot
-// afford per-sample tensor headers. src is a (c,h,w) image flattened
-// row-major; dst must hold c*KH*KW*OH*OW elements.
+// Im2ColInto lowers a (c,h,w) image, flattened row-major in src, into
+// the (c*KH*KW, OH*OW) column matrix d, so that convolution becomes a
+// single matrix multiplication; padding reads as zero. It works on raw
+// slices for callers (the batched convolution layer) that shard a
+// minibatch across workers and cannot afford per-sample tensor headers.
 func Im2ColInto(d, src []float64, c, h, w int, g ConvGeom) {
 	oh, ow := g.OutSize(h, w)
 	cols := oh * ow

@@ -25,9 +25,9 @@ import (
 // are bitwise identical at every worker count and across the tier
 // boundary's blocking choices (determinism the convergence experiments
 // rely on) — which is also what lets usePacked move a shape from one
-// tier to the other. One exception: MatMulAccTransB's tiers seed their
-// chains differently, so its tier boundary stays where it was
-// (packedShape).
+// tier to the other. One exception: MatMulAccTransB's tiers (a test
+// entry point, export_test.go) seed their chains differently, so its
+// tier boundary stays where it was (packedShape).
 //
 // A call that would run as one shard takes a closure-free serial branch:
 // a closure handed to parallel.For is heap-allocated even when it runs
@@ -67,22 +67,6 @@ func MatMul(dst, a, b *Tensor) {
 	}
 	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
 		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, lo, hi, false)
-	})
-}
-
-// MatMulAcc computes C += A·B with the same shape rules as MatMul.
-func MatMulAcc(dst, a, b *Tensor) {
-	m, k, n := checkMatMulShapes(dst, a, b)
-	if usePacked(m, k, n) {
-		gemmPackedParallel(dst.Data, aSource{data: a.Data, ld: k}, b.Data, false, m, k, n, true, epilogue{})
-		return
-	}
-	if parallel.Shards(m, matmulGrain(k, n)) <= 1 {
-		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, 0, m, true)
-		return
-	}
-	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
-		foldRange(dst.Data, a.Data, k, 1, b.Data, k, n, lo, hi, true)
 	})
 }
 
@@ -200,27 +184,6 @@ func MatMulTransB(dst, a, b *Tensor) {
 	})
 }
 
-// MatMulAccTransB computes C += A·Bᵀ where A is m×k, B is n×k, C is m×n.
-// The packed tier seeds each element's accumulation chain with the
-// existing C value (c + a₀b₀ + a₁b₁ + …) where the small tier computes
-// the dot product first and adds it once (c + Σaᵢbᵢ); the two round
-// differently, but the tier is a pure function of the shape, so any
-// given call site is still bitwise reproducible.
-func MatMulAccTransB(dst, a, b *Tensor) {
-	m, k, n := checkTransBShapes(dst, a, b, "MatMulAccTransB")
-	if packedShape(m, k, n) {
-		gemmPackedParallel(dst.Data, aSource{data: a.Data, ld: k}, b.Data, true, m, k, n, true, epilogue{})
-		return
-	}
-	if parallel.Shards(m, matmulGrain(k, n)) <= 1 {
-		matMulTransBRange(dst.Data, a.Data, b.Data, k, n, 0, m, true)
-		return
-	}
-	parallel.For(m, matmulGrain(k, n), func(lo, hi int) {
-		matMulTransBRange(dst.Data, a.Data, b.Data, k, n, lo, hi, true)
-	})
-}
-
 func checkTransBShapes(dst, a, b *Tensor, op string) (m, k, n int) {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: %s needs 2-D operands", op))
@@ -309,20 +272,4 @@ func accPackedRows(c, tile []float64, a aSource, bp []float64, k, n, lo, hi int)
 	for i, v := range tile[lo*n : hi*n] {
 		c[i] += v
 	}
-}
-
-// Transpose2D returns a new tensor holding the transpose of the 2-D
-// tensor t.
-func Transpose2D(t *Tensor) *Tensor {
-	if t.Dims() != 2 {
-		panic("tensor: Transpose2D needs a 2-D tensor")
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = t.Data[i*n+j]
-		}
-	}
-	return out
 }

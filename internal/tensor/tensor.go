@@ -9,7 +9,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -17,7 +16,7 @@ import (
 )
 
 // elemGrain is the minimum number of elements per shard for the
-// parallelized elementwise kernels (axpy, Scale, Mul). These loops are
+// parallelized elementwise kernels (axpy, Accumulate, Copy). These loops are
 // memory-bound, so only large vectors — flattened model parameters,
 // whole-minibatch activations — are worth splitting; everything smaller
 // runs serially with zero dispatch overhead. Elementwise kernels touch
@@ -55,13 +54,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), shape, n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), Data: data}
-}
-
-// Full returns a tensor with the given shape where every element is v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	t.Fill(v)
-	return t
 }
 
 func checkShape(shape []int) int {
@@ -103,9 +95,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// At returns the element at the given n-dimensional index.
-func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
-
 // Set stores v at the given n-dimensional index.
 func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
 
@@ -124,15 +113,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// CopyFrom copies src's elements into t. It panics if the sizes differ
-// (shapes may differ as long as the element counts agree).
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(src.Data)))
-	}
-	copy(t.Data, src.Data)
 }
 
 // Fill sets every element to v.
@@ -170,67 +150,6 @@ func (t *Tensor) String() string {
 		fmt.Fprintf(&b, "[%g %g %g ... %g] (%d elements)", t.Data[0], t.Data[1], t.Data[2], t.Data[len(t.Data)-1], len(t.Data))
 	}
 	return b.String()
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Tensor) mustSameSize(o *Tensor, op string) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: %s size mismatch %v vs %v", op, t.shape, o.shape))
-	}
-}
-
-// Add accumulates o into t elementwise (t += o).
-func (t *Tensor) Add(o *Tensor) {
-	t.mustSameSize(o, "Add")
-	axpy(1, o.Data, t.Data)
-}
-
-// Sub subtracts o from t elementwise (t -= o).
-func (t *Tensor) Sub(o *Tensor) {
-	t.mustSameSize(o, "Sub")
-	axpy(-1, o.Data, t.Data)
-}
-
-// Mul multiplies t by o elementwise (t *= o).
-func (t *Tensor) Mul(o *Tensor) {
-	t.mustSameSize(o, "Mul")
-	x, y := o.Data, t.Data
-	parallel.For(len(x), elemGrain, func(lo, hi int) {
-		ys := y[lo:hi]
-		for i, v := range x[lo:hi] {
-			ys[i] *= v
-		}
-	})
-}
-
-// Scale multiplies every element of t by a.
-func (t *Tensor) Scale(a float64) {
-	d := t.Data
-	parallel.For(len(d), elemGrain, func(lo, hi int) {
-		ds := d[lo:hi]
-		for i := range ds {
-			ds[i] *= a
-		}
-	})
-}
-
-// AddScaled accumulates a*o into t (t += a·o), the AXPY kernel that SGD
-// parameter updates reduce to.
-func (t *Tensor) AddScaled(a float64, o *Tensor) {
-	t.mustSameSize(o, "AddScaled")
-	axpy(a, o.Data, t.Data)
 }
 
 // The flat-vector kernels below are the SGD update path: model-sized
@@ -345,16 +264,6 @@ func Copy(dst, src []float64) {
 	})
 }
 
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	t.mustSameSize(o, "Dot")
-	s := 0.0
-	for i, v := range t.Data {
-		s += v * o.Data[i]
-	}
-	return s
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
@@ -370,56 +279,4 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(len(t.Data))
-}
-
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Argmax returns the flat index of the maximum element (first occurrence).
-// It panics on an empty tensor.
-func (t *Tensor) Argmax() int {
-	if len(t.Data) == 0 {
-		panic("tensor: Argmax of empty tensor")
-	}
-	best, bi := t.Data[0], 0
-	for i, v := range t.Data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
-// Norm2 returns the Euclidean norm of the tensor viewed as a flat vector.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Equal reports whether t and o have the same shape and all elements are
-// within tol of each other.
-func (t *Tensor) Equal(o *Tensor, tol float64) bool {
-	if !t.SameShape(o) {
-		return false
-	}
-	for i, v := range t.Data {
-		if math.Abs(v-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

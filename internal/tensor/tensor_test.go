@@ -112,64 +112,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{4, 5, 6}, 3)
-	a.Add(b)
-	want := []float64{5, 7, 9}
-	for i, w := range want {
-		if a.Data[i] != w {
-			t.Fatalf("Add: got %v, want %v", a.Data, want)
-		}
-	}
-	a.Sub(b)
-	for i, w := range []float64{1, 2, 3} {
-		if a.Data[i] != w {
-			t.Fatalf("Sub: got %v", a.Data)
-		}
-		_ = i
-	}
-	a.Mul(b)
-	for i, w := range []float64{4, 10, 18} {
-		if a.Data[i] != w {
-			t.Fatalf("Mul: got %v", a.Data)
-		}
-		_ = i
-	}
-	a.Scale(0.5)
-	if a.Data[0] != 2 || a.Data[2] != 9 {
-		t.Fatalf("Scale: got %v", a.Data)
-	}
-}
-
-func TestAddScaled(t *testing.T) {
-	a := FromSlice([]float64{1, 1}, 2)
-	b := FromSlice([]float64{2, 4}, 2)
-	a.AddScaled(-0.5, b)
-	if a.Data[0] != 0 || a.Data[1] != -1 {
-		t.Fatalf("AddScaled: got %v", a.Data)
-	}
-}
-
-func TestSizeMismatchPanics(t *testing.T) {
-	a, b := New(3), New(4)
-	for name, fn := range map[string]func(){
-		"Add": func() { a.Add(b) },
-		"Sub": func() { a.Sub(b) },
-		"Mul": func() { a.Mul(b) },
-		"Dot": func() { a.Dot(b) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with mismatched sizes did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestReductions(t *testing.T) {
 	m := FromSlice([]float64{3, -1, 4, 1, -5, 9}, 6)
 	if m.Sum() != 11 {
@@ -177,15 +119,6 @@ func TestReductions(t *testing.T) {
 	}
 	if math.Abs(m.Mean()-11.0/6) > 1e-12 {
 		t.Errorf("Mean = %g", m.Mean())
-	}
-	if m.Max() != 9 {
-		t.Errorf("Max = %g, want 9", m.Max())
-	}
-	if m.Argmax() != 5 {
-		t.Errorf("Argmax = %d, want 5", m.Argmax())
-	}
-	if math.Abs(m.Norm2()-math.Sqrt(9+1+16+1+25+81)) > 1e-12 {
-		t.Errorf("Norm2 = %g", m.Norm2())
 	}
 }
 

@@ -77,8 +77,9 @@ func packedShape(m, k, n int) bool {
 // pure function of the shape, never of the worker budget, so it cannot
 // break bitwise determinism across worker counts; and because both tiers
 // produce the same bits for every entry point that consults it, moving
-// the boundary moves no result. (MatMulAccTransB, whose tiers round
-// differently, consults packedShape directly and stays where it was.)
+// the boundary moves no result. (The test entry point MatMulAccTransB,
+// whose tiers round differently, consults packedShape directly and stays
+// where it was.)
 func usePacked(m, k, n int) bool {
 	return m >= skinnyM && packedShape(m, k, n)
 }

@@ -1,12 +1,14 @@
-// Package theory implements the paper's convergence analysis in
-// executable form: the ASGD convergence-rate guarantee (Equation 1 with
-// constraint Equation 2, from Lian et al.), the optimal-learning-rate
-// cubic (Equation 7) and the resulting Theorem 1 gap factor between 1
-// and p learners, the SASGD guarantee (Theorem 2), the asymptotic
-// threshold of Corollary 3, and the Theorem 4 monotonicity of sample
-// complexity in T. The experiment drivers print these values next to the
-// measured runs, and the tests verify every claim the paper states about
-// them (gap ≈ p/α for 16 ≤ α ≤ p, guarantee worsens with T, and so on).
+// Package theory implements the parts of the paper's convergence
+// analysis that the experiments and examples evaluate: the
+// optimal-learning-rate cubic (Equation 7) and the resulting Theorem 1
+// gap factor between 1 and p learners, the ASGD learning rate of Lian et
+// al., the SASGD guarantee (Theorem 2) minimized over γ = γp — whose
+// growth in T is Theorem 4 — and the update threshold of Corollary 3.
+// The ASGD bound and its constraint (Equations 1 and 2, with α),
+// Theorem 2's constraint and Corollary 3's γ and asymptotic bound are
+// written out in the package's tests, which check every claim the paper
+// states about all of them (gap ≈ p/α for 16 ≤ α ≤ p, guarantee worsens
+// with T, and so on).
 //
 // Notation follows the paper's Table III: Df = f(x₁) − f(x*), L the
 // Lipschitz constant of ∇f, σ² the gradient-variance bound, M the
@@ -34,56 +36,11 @@ func (c Constants) validate() {
 	}
 }
 
-// ASGDBound evaluates the right-hand side of Equation 1: the guaranteed
-// upper bound on the average expected gradient norm R̄_K after K updates
-// of ASGD with p learners at learning rate gamma.
-//
-//	R̄_K ≤ 2·Df/(M·K·γ) + σ²·L·γ + 2·σ²·L²·M·p·γ²
-func ASGDBound(c Constants, p, k int, gamma float64) float64 {
-	c.validate()
-	if p <= 0 || k <= 0 || gamma <= 0 {
-		panic(fmt.Sprintf("theory: ASGDBound needs positive p, K, γ (got %d, %d, %g)", p, k, gamma))
-	}
-	m := float64(c.M)
-	return 2*c.Df/(m*float64(k)*gamma) +
-		c.Sigma2*c.L*gamma +
-		2*c.Sigma2*c.L*c.L*m*float64(p)*gamma*gamma
-}
-
-// ASGDConstraintOK reports whether gamma satisfies Equation 2,
-// L·M·γ + 2·L²·M²·p²·γ² ≤ 1, the validity condition of the bound.
-func ASGDConstraintOK(c Constants, p int, gamma float64) bool {
-	c.validate()
-	m := float64(c.M)
-	return c.L*m*gamma+2*c.L*c.L*m*m*float64(p*p)*gamma*gamma <= 1
-}
-
-// Alpha computes the paper's α = sqrt(M·K·L·Df/σ²)... specifically, the
-// paper parameterizes γ = c·sqrt(Df/(M·K·L·σ²)) = c/(α·M·L) with
-// α = sqrt(K·L·Df/(M·σ²))·M·L·sqrt(M/(M)) — operationally, α is defined
-// by K = α²·M·L·Df/σ², which is the form the proof of Theorem 1 uses and
-// the form we invert here.
-func Alpha(c Constants, k int) float64 {
-	c.validate()
-	return math.Sqrt(float64(k) * c.Sigma2 / (float64(c.M) * c.L * c.Df))
-}
-
-// KForAlpha inverts Alpha: the number of updates K that makes the given
-// α, K = α²·M·L·Df/σ².
+// KForAlpha returns the number of updates K that makes the paper's α,
+// K = α²·M·L·Df/σ².
 func KForAlpha(c Constants, alpha float64) int {
 	c.validate()
 	return int(math.Ceil(alpha * alpha * float64(c.M) * c.L * c.Df / c.Sigma2))
-}
-
-// NormalizedBound evaluates Equation 4, the bound expressed in the
-// paper's normalized form as a function of c (where γ = c/(α·M·L)):
-//
-//	R̄_K ≤ (2/c + c + 2·p·c²/α) · (1/α) · (σ²/M)
-//
-// The σ²/(α·M) factor is common to all p, so comparisons use the
-// bracketed expression; Objective returns just that bracket.
-func NormalizedBound(c Constants, p int, alpha, cc float64) float64 {
-	return Objective(p, alpha, cc) * c.Sigma2 / (alpha * float64(c.M))
 }
 
 // Objective is the Equation 5 objective 2/c + c + 2·p·c²/α minimized
@@ -179,15 +136,6 @@ func SASGDBound(c Constants, p, t, k int, gamma, gammaP float64) float64 {
 		c.L*c.Sigma2*gammaP
 }
 
-// SASGDConstraintOK reports whether (γ, γp) satisfy Theorem 2's
-// condition γp·L·M·T·p + 2·L²·M²·T²·γp·γ ≤ 1.
-func SASGDConstraintOK(c Constants, p, t int, gamma, gammaP float64) bool {
-	c.validate()
-	m := float64(c.M)
-	tf := float64(t)
-	return gammaP*c.L*m*tf*float64(p)+2*c.L*c.L*m*m*tf*tf*gammaP*gamma <= 1
-}
-
 // CorollaryKThreshold returns Corollary 3's minimum number of global
 // updates K for the asymptotic rate to apply:
 //
@@ -199,22 +147,6 @@ func CorollaryKThreshold(c Constants, p, t int) float64 {
 		mx = float64(t)
 	}
 	return 4 * float64(c.M) * c.L * c.Df / c.Sigma2 * (mx + 1) * (mx + 1) / (float64(p) * float64(t))
-}
-
-// CorollaryGamma returns Corollary 3's γ = γp = sqrt(2·Df/(S·σ²)).
-func CorollaryGamma(c Constants, s float64) float64 {
-	c.validate()
-	if s <= 0 {
-		panic("theory: CorollaryGamma needs S > 0")
-	}
-	return math.Sqrt(2 * c.Df / (s * c.Sigma2))
-}
-
-// CorollaryAsymptoticBound returns the Corollary 3 guarantee
-// 4·sqrt(Df·L·σ²/S) that holds once K exceeds the threshold.
-func CorollaryAsymptoticBound(c Constants, s float64) float64 {
-	c.validate()
-	return 4 * math.Sqrt(c.Df*c.L*c.Sigma2/s)
 }
 
 // BestSASGDBound minimizes the Theorem 2 bound over the feasible
