@@ -5,7 +5,7 @@
 //	go run ./cmd/sasgd-train -algo sasgd -workload cifar -p 8 -T 50
 //	go run ./cmd/sasgd-train -algo downpour -workload nlcf -p 16 -epochs 40
 //	go run ./cmd/sasgd-train -algo sasgd -p 8 -T 1 -sim   # simulated fabric timing
-//	go run ./cmd/sasgd-train -p 8 -T 1 -overlap -trace out.json  # Perfetto timeline + phase profile
+//	go run ./cmd/sasgd-train -p 8 -T 1 -overlap -trace out.json  # Perfetto timeline + end-of-run report
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"sasgd/internal/comm"
 	"sasgd/internal/core"
@@ -58,7 +57,7 @@ func main() {
 	workers := flag.Int("workers", 0, "per-learner kernel workers (0 = split SASGD_WORKERS/GOMAXPROCS across learners)")
 	sim := flag.Bool("sim", false, "attach the fabric simulator and report simulated epoch time")
 	vtime := flag.Bool("vtime", false, "deterministic virtual-time scheduling for the asynchronous algorithms")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file and print its phase profile (load in ui.perfetto.dev)")
+	trace := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file and print the end-of-run report (load in ui.perfetto.dev)")
 	// The deployment triple has environment defaults, so one launcher
 	// environment can place every process of a multi-process run; the
 	// flags win.
@@ -72,7 +71,7 @@ func main() {
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
 	resumeRanks := flag.String("resume-ranks", "", "comma-separated original ranks the resumed learners play, e.g. 0,1,3 after rank 2 died (default: all of them)")
 	debugAddr := flag.String("debug-addr", "", "serve the live /debug/obs snapshot, /debug/vars and /debug/pprof/ profiles on this address during the run (e.g. localhost:6060); with -metrics also Prometheus text on /debug/metrics")
-	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, per-rank compute and wall time, straggler detection, and an end-of-run fleet health summary (sasgd and sgd only)")
+	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, per-rank compute and wall time, straggler detection, and the ranks of the end-of-run report (sasgd and sgd only)")
 	metricsEvents := flag.String("metrics-events", "", "append boundary/T-change/membership/fault/anomaly events to this NDJSON file during the run (implies -metrics)")
 	flag.Parse()
 
@@ -207,11 +206,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The debug endpoint serves a tracer, so it implies one even without a
-	// trace file.
-	tracePath := *trace
+	// Every observing flag attaches a tracer: the debug endpoint serves
+	// it, and the end-of-run report reads it.
 	var tracer *obs.Tracer
-	if tracePath != "" || *debugAddr != "" {
+	if *trace != "" || *debugAddr != "" || *metricsOn || *metricsEvents != "" {
 		tracer = obs.NewTracer(0)
 		cfg.Tracer = tracer
 	}
@@ -289,55 +287,15 @@ func main() {
 		fmt.Printf("simulated: %.3fs total, %.3fs/epoch (compute %.3fs, communication %.3fs per learner)\n",
 			res.SimTime, res.EpochTime(), res.SimCompute, res.SimComm)
 	}
-	if tracer != nil {
-		if tracePath != "" {
-			if err := tracer.WriteTraceFile(tracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "sasgd-train: writing trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n", tracePath)
+	if *trace != "" {
+		if err := tracer.WriteTraceFile(*trace); err != nil {
+			fmt.Fprintf(os.Stderr, "sasgd-train: writing trace: %v\n", err)
+			os.Exit(1)
 		}
-		fmt.Print(tracer.ProfileTable("phase latency profile"))
-		if ov, total := tracer.OverlapFraction(); total > 0 {
-			fmt.Printf("allreduce overlap: %.1f%% of %v hidden behind backward\n",
-				100*float64(ov)/float64(total), total.Round(time.Microsecond))
-		}
-		if hid, total := tracer.HiddenFraction(); total > 0 {
-			fmt.Printf("allreduce hidden: %.1f%% of %v inside compute (forward+backward+step)\n",
-				100*float64(hid)/float64(total), total.Round(time.Microsecond))
-		}
-		if res.Comm.Words > 0 {
-			fmt.Print(res.Comm.String())
-		}
+		fmt.Printf("trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n", *trace)
 	}
-	if snap := reg.Fleet().Snapshot(); snap != nil && snap.Boundaries > 0 {
-		ftab := report.Table{
-			Title:  "fleet health",
-			Header: []string{"rank", "live", "compute(ms)", "wall(ms)", "sim-comp(s)", "sim-comm(s)", "z", "flagged"},
-		}
-		for _, r := range snap.Ranks {
-			live := "yes"
-			if !r.Live {
-				live = "no"
-			}
-			flagged := ""
-			if r.Flagged {
-				flagged = "STRAGGLER"
-			}
-			ftab.AddRow(fmt.Sprint(r.Rank), live,
-				fmt.Sprintf("%.1f", r.TotComputeNs/1e6),
-				fmt.Sprintf("%.1f", r.TotWallNs/1e6),
-				fmt.Sprintf("%.3f", r.TotSimCompute),
-				fmt.Sprintf("%.3f", r.TotSimComm),
-				fmt.Sprintf("%.2f", r.Z), flagged)
-		}
-		fmt.Print(ftab.String())
-		fmt.Printf("fleet: %d boundaries, %d/%d live, T=%d, drift RMS %.4g, %d frame words on the wire\n",
-			snap.Boundaries, snap.Live, len(snap.Ranks), snap.T, snap.DriftRMS, snap.Words)
-		if len(snap.Anomalies) > 0 {
-			fmt.Printf("anomalies: ranks %v flagged as stragglers (leave-one-out z ≥ %g for %d+ boundaries)\n",
-				snap.Anomalies, obs.DefaultZ, obs.DefaultStreak)
-		}
+	if tracer != nil {
+		core.WriteReport(os.Stdout, cfg, res)
 	}
 	// An event log that lost a line is a failed run, however well the
 	// training went.

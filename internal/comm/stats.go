@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sasgd/internal/obs"
-	"sasgd/internal/report"
 )
 
 // Unified communication statistics. Every send is charged to the
@@ -26,8 +25,7 @@ import (
 // collectives ship encoded (index, value) pairs, so a k-entry sparse
 // message is 2k words, charged by the same
 // len(payload) rule as the dense paths; the exact-pin tests in
-// stats_test.go keep the two accountings consistent. Bytes reports
-// words at the 8-byte float64 wire representation the channels carry.
+// stats_test.go keep the two accountings consistent.
 
 // algo identifies the collective algorithm a send is charged to.
 type algo uint32
@@ -151,7 +149,6 @@ func (f FaultStats) Active() bool { return f != FaultStats{} }
 type Stats struct {
 	Words    int64 `json:"words"`    // total float64 words moved, all algorithms
 	Messages int64 `json:"messages"` // total point-to-point messages
-	Bytes    int64 `json:"bytes"`    // Words at the 8-byte float64 wire representation
 
 	// CrossWords is the subset of Words whose sender and receiver sit in
 	// different interconnect islands (zero unless SetIslands attached a
@@ -217,7 +214,6 @@ func (g *Group) Stats() Stats {
 	if occN > 0 {
 		s.PipelineOccupancy = occSum / float64(occN)
 	}
-	s.Bytes = 8 * s.Words
 	if g.fab != nil {
 		s.Faults = g.fab.faultCounts()
 	}
@@ -237,7 +233,6 @@ func (s *Stats) MergeTraffic(o Stats) {
 	}
 	s.Words += o.Words
 	s.Messages += o.Messages
-	s.Bytes += o.Bytes
 	s.CrossWords += o.CrossWords
 	for name, as := range o.PerAlgo {
 		if s.PerAlgo == nil {
@@ -279,38 +274,4 @@ func (g *Group) FaultCounts() FaultStats {
 		return FaultStats{}
 	}
 	return g.fab.faultCounts()
-}
-
-// String renders the snapshot as an aligned table (internal/report
-// style), one row per algorithm plus a totals row, followed by the
-// pipeline lines when the bucketed path ran.
-func (s Stats) String() string {
-	tab := report.Table{
-		Title:  "comm traffic",
-		Header: []string{"algo", "words", "messages", "bytes"},
-	}
-	for a := algo(0); a < numAlgos; a++ {
-		as, ok := s.PerAlgo[algoNames[a]]
-		if !ok {
-			continue
-		}
-		tab.AddRow(algoNames[a], fmt.Sprint(as.Words), fmt.Sprint(as.Messages), fmt.Sprint(8*as.Words))
-	}
-	tab.AddRow("total", fmt.Sprint(s.Words), fmt.Sprint(s.Messages), fmt.Sprint(s.Bytes))
-	out := tab.String()
-	if s.CrossWords > 0 {
-		out += fmt.Sprintf("cross-island words: %d\n", s.CrossWords)
-	}
-	if s.MailboxWait > 0 {
-		out += fmt.Sprintf("mailbox wait: %v\n", s.MailboxWait)
-	}
-	if s.BucketOps > 0 {
-		out += fmt.Sprintf("bucketed pipeline: %d ops, dwell %v, busy %v, occupancy %.2f\n",
-			s.BucketOps, s.QueueDwell, s.WorkerBusy, s.PipelineOccupancy)
-	}
-	if f := s.Faults; f.Active() {
-		out += fmt.Sprintf("faults: %d drops, %d crashes, %d evictions, %d re-forms\n",
-			f.Drops, f.Crashes, f.Evictions, f.Reforms)
-	}
-	return out
 }

@@ -185,7 +185,7 @@ type Config struct {
 	// Tracer, when non-nil, records per-learner phase spans (forward,
 	// backward, local step, bucket begins, aggregation wait/apply) and
 	// per-rank comm-worker spans into obs ring buffers, for Chrome-trace
-	// export and phase-latency profiles after the run. It also attaches
+	// export and the end-of-run report (WriteReport). It also attaches
 	// to the comm group, enabling mailbox-wait and pipeline-occupancy
 	// accounting in the group's Stats. Applies to Algorithm 1's loop
 	// (SASGD, and SGD as its p = 1 case); nil (the default) keeps every

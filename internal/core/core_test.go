@@ -592,9 +592,6 @@ func TestResultHelpers(t *testing.T) {
 	if got := r.EpochTime(); got != 2 {
 		t.Errorf("EpochTime = %g, want 2", got)
 	}
-	if s := r.String(); s == "" {
-		t.Error("empty String")
-	}
 	if (&Result{}).EpochTime() != 0 {
 		t.Error("EpochTime of empty result not zero")
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -21,7 +20,10 @@ type Result struct {
 	// for SGD (Algorithm 1 at T = 1); zero for the asynchronous
 	// algorithms.
 	FinalT int
-	Curve  report.Curve
+	// Boundaries is the number of aggregation boundaries a SASGD or SGD
+	// run's learners went through; zero for the asynchronous algorithms.
+	Boundaries int
+	Curve      report.Curve
 	// FinalTrain/FinalTest are the last recorded accuracies.
 	FinalTrain float64
 	FinalTest  float64
@@ -73,20 +75,11 @@ type Result struct {
 // EpochTime returns the mean simulated seconds per epoch (0 when the run
 // was not simulated).
 func (r *Result) EpochTime() float64 {
-	if len(r.Curve) == 0 || r.SimTime == 0 {
-		return 0
-	}
-	last := r.Curve[len(r.Curve)-1].Epoch
-	if last == 0 {
+	last := r.Curve.Final().Epoch
+	if last == 0 || r.SimTime == 0 {
 		return 0
 	}
 	return r.SimTime / float64(last)
-}
-
-// String summarizes the run on one line.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s p=%d T=%d: train %s test %s (%d samples, sim %.3fs)",
-		r.Algo, r.P, r.T, report.Pct(r.FinalTrain), report.Pct(r.FinalTest), r.Samples, r.SimTime)
 }
 
 // evaluator measures accuracy of a flat parameter vector against a

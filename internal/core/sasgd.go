@@ -134,7 +134,7 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 	if learnerTracer == nil && cfg.Metrics != nil {
 		learnerTracer = obs.NewTracer(1)
 	}
-	var samples atomic.Int64
+	var samples, boundaries atomic.Int64
 	var finalParams []float64
 	var finalRatio float64
 	var finalT int
@@ -256,14 +256,17 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 				// out, so the evaluation runs on the kernel workers the
 				// local learners hold together. Kernels are bitwise
 				// identical at every worker count: the curve does not move.
+				es := tk.Begin()
 				prev := parallel.SetWorkers(parallel.Workers() * len(local))
 				rec.record(epoch+1, params, lastLoss, simNow)
 				parallel.SetWorkers(prev)
+				tk.End(obs.PhaseEval, es)
 			}
 			if !e.barrier() {
 				return nil
 			}
 		}
+		boundaries.Store(int64(e.bidx - startBoundary)) // the same count on every learner that gets here
 		if e.vr == 0 {
 			finalParams = append([]float64(nil), params...)
 			finalT = e.sched.T()
@@ -289,6 +292,7 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		P:           p,
 		T:           cfg.Interval,
 		FinalT:      finalT,
+		Boundaries:  int(boundaries.Load()),
 		Curve:       rec.points(),
 		Samples:     samples.Load(),
 		SimTime:     simTime,

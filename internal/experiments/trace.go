@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"sasgd/internal/comm"
 	"sasgd/internal/core"
 	"sasgd/internal/obs"
 	"sasgd/internal/report"
@@ -17,10 +15,9 @@ import (
 // It reports the simulated epoch times of both runs — the 0.738 s →
 // 0.639 s delta recorded in EXPERIMENTS.md — next to the *measured*
 // fraction of wall-clock allreduce time the overlapped schedule hid
-// behind backprop, taken from the recorded timeline rather than the
-// cost model, plus the run's phase-latency profile and unified comm
-// stats. With Opt.TracePath set, the Chrome trace is exported there;
-// with Opt.DebugAddr set, the live endpoint serves the traced run.
+// behind compute, then the overlapped run's end-of-run report. With
+// Opt.TracePath set, the Chrome trace is exported there; with
+// Opt.DebugAddr set, the live endpoint serves the traced run.
 type TracedOverlapResult struct {
 	Workload    string
 	T, P        int
@@ -29,33 +26,21 @@ type TracedOverlapResult struct {
 
 	// Timeline measurements from the overlapped run's trace.
 	AllreduceTotal  time.Duration // wall-clock comm-worker allreduce time
-	AllreduceHidden time.Duration // portion inside the same rank's backward spans
+	AllreduceHidden time.Duration // portion inside the same rank's compute spans
 	HiddenFraction  float64       // AllreduceHidden / AllreduceTotal
 
-	// HiddenSimFraction is the cost-model view of the same quantity:
-	// 1 − overlap.SimComm/serial.SimComm, the share of the serial run's
-	// exposed communication seconds that the overlapped schedule removed
-	// from the simulated critical path. It usually disagrees with the
+	// HiddenSimFraction is the cost-model view of the same quantity,
+	// 1 − overlap.SimComm/serial.SimComm. It usually disagrees with the
 	// wall-trace HiddenFraction, and the wall number should be trusted
-	// less: the test host runs p learner goroutines plus p comm workers
-	// on shared cores, so wall-clock backward spans are inflated by core
-	// starvation and the trace "hides" more allreduce time than a
-	// dedicated-core deployment would. The simulated fraction charges
-	// compute and wire time from the calibrated cost model instead and is
-	// immune to host load. Per-rank live values of the simulated split
-	// are served on /debug/obs (metrics.fleet ranks' tot_sim_compute /
-	// tot_sim_comm) when a metrics registry is attached.
+	// less: on a host where p learners and p comm workers share cores,
+	// compute spans are inflated by core starvation and hide more
+	// allreduce time than a dedicated-core deployment would. The cost
+	// model is immune to host load.
 	HiddenSimFraction float64
 	SerialSimComm     float64 // serial run's simulated communication seconds
 	OverlapSimComm    float64 // overlapped run's simulated communication seconds
 
-	CommStats comm.Stats // overlapped run's unified comm stats
-	TracePath string     // where the trace was written ("" = not exported)
-
-	// Fleet is the overlapped run's fleet health view (nil unless
-	// Opt.Metrics): per-rank cumulative simulated compute/communication
-	// split, drift RMS, and any straggler verdicts.
-	Fleet *obs.FleetSnap
+	TracePath string // where the trace was written ("" = not exported)
 }
 
 // TracedOverlap runs the traced Figure-4-style comparison. See
@@ -93,9 +78,8 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 	overlap.Metrics = reg
 	run := core.Train(overlap, w.Problem)
 	res.OverlapSecs = run.EpochTime()
-	res.CommStats = run.Comm
 
-	hidden, total := tracer.OverlapFraction()
+	hidden, total := tracer.HiddenFraction()
 	res.AllreduceHidden, res.AllreduceTotal = hidden, total
 	if total > 0 {
 		res.HiddenFraction = float64(hidden) / float64(total)
@@ -116,23 +100,7 @@ func TracedOverlap(opt Opt) *TracedOverlapResult {
 	fprintf(opt.out(), "%s\n", tab.String())
 	fprintf(opt.out(), "sim comm: serial %ss, overlap %ss (wall hidden%% overstates on a core-starved host; see TracedOverlapResult.HiddenSimFraction)\n",
 		ftoa3(res.SerialSimComm), ftoa3(res.OverlapSimComm))
-	fprintf(opt.out(), "%s", tracer.ProfileTable("phase latency profile (overlapped run)"))
-	fprintf(opt.out(), "%s\n", run.Comm.String())
-
-	if snap := reg.Fleet().Snapshot(); snap != nil && snap.Boundaries > 0 {
-		res.Fleet = snap
-		ftab := report.Table{
-			Title:  "fleet view (overlapped run)",
-			Header: []string{"rank", "sim-comp(s)", "sim-comm(s)", "z"},
-		}
-		for _, r := range snap.Ranks {
-			ftab.AddRow(fmt.Sprint(r.Rank), ftoa3(r.TotSimCompute), ftoa3(r.TotSimComm),
-				fmt.Sprintf("%.2f", r.Z))
-		}
-		fprintf(opt.out(), "%s", ftab.String())
-		fprintf(opt.out(), "fleet: %d boundaries, drift RMS %.4g, anomalies %v\n",
-			snap.Boundaries, snap.DriftRMS, snap.Anomalies)
-	}
+	core.WriteReport(opt.out(), overlap, run)
 
 	if opt.TracePath != "" {
 		if err := tracer.WriteTraceFile(opt.TracePath); err != nil {

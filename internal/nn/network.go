@@ -197,7 +197,7 @@ func (n *Network) Step(x *tensor.Tensor, labels []int) float64 {
 // threaded through, so a caller can overlap work (gradient accumulation,
 // communication) with the remainder of the backward pass. With a track
 // attached (SetTrack) the forward+loss and backward halves are recorded
-// as spans — the one timing of a step that the trace, the profile and
+// as spans — the one timing of a step that the trace, the report and
 // the fleet frame all read; bucket launches made from onFinal then nest
 // inside the backward span on the timeline.
 func (n *Network) StepEach(x *tensor.Tensor, labels []int, onFinal func(layer int)) float64 {

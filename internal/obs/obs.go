@@ -1,8 +1,8 @@
 // Package obs is the run's one telemetry plane. A low-overhead span
 // recorder (Track) is the only clock: core, comm and nn time each
 // instrumented cut once, as a span, and everything else reads those
-// spans — a Chrome trace-event (Perfetto) JSON timeline, a plain-text
-// phase-latency profile (p50/p95/p99 per phase per track), the live
+// spans — a Chrome trace-event (Perfetto) JSON timeline, the per-phase
+// sums of the end-of-run report (Sums), the live
 // per-phase aggregates of the HTTP debug endpoint, and the fleet health
 // frame, whose compute time is the learner track's forward + backward
 // total (Track.PhaseNs). Beside the spans sit the metrics registry's
@@ -61,6 +61,7 @@ const (
 	PhaseReform                   // membership: survivor group re-formation
 	PhaseCrash                    // membership: a scheduled learner crash
 	PhaseCompress                 // compression codec: residual fold + select/quantize + encode
+	PhaseEval                     // epoch-end accuracy evaluation on virtual rank 0
 	NumPhases                     // number of phases (array sizing)
 )
 
@@ -68,7 +69,7 @@ var phaseNames = [NumPhases]string{
 	"forward", "backward", "local_step", "bucket_begin",
 	"agg_wait", "agg_apply", "queue_dwell", "allreduce", "bcast",
 	"drop", "heartbeat", "evict", "reform", "crash",
-	"compress",
+	"compress", "eval",
 }
 
 // String returns the phase's snake_case name (also the span name in the

@@ -1,17 +1,58 @@
 package obs
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"time"
-
-	"sasgd/internal/report"
 )
 
-// Phase-latency profiles: the post-run summary of a traced run, one row
-// per (track, phase) with count, percentile latencies and the phase's
-// total time, rendered in the internal/report table style the
-// experiment drivers already print.
+// PhaseSum is one phase summed over a set of tracks. Count and Total
+// are the tracks' live aggregates, exact however small the rings; the
+// percentiles are nearest-rank over the Kept spans the rings retained,
+// fewer than Count once a ring has wrapped.
+type PhaseSum struct {
+	Count, Kept          int64
+	Total, P50, P95, P99 time.Duration
+}
+
+// phaseSums sums every phase over tracks whose writers have quiesced,
+// and counts the learner tracks among them.
+func phaseSums(tracks []*Track) (sums [NumPhases]PhaseSum, learners int) {
+	var durs [NumPhases][]int64
+	for _, t := range tracks {
+		if t.pid == pidLearner {
+			learners++
+		}
+		for ph := range sums {
+			sums[ph].Count += t.agg[ph].count.Load()
+			sums[ph].Total += time.Duration(t.agg[ph].ns.Load())
+		}
+		for _, s := range t.retained() {
+			durs[s.phase] = append(durs[s.phase], s.dur)
+		}
+	}
+	for ph, d := range durs {
+		slices.Sort(d)
+		s := &sums[ph]
+		s.Kept, s.P50, s.P95, s.P99 = int64(len(d)), pct(d, 50), pct(d, 95), pct(d, 99)
+	}
+	return sums, learners
+}
+
+// pct returns the nearest-rank q-th percentile of sorted ns durations.
+func pct(sorted []int64, q int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return time.Duration(sorted[min(max((q*len(sorted)+99)/100, 1), len(sorted))-1])
+}
+
+// Sums returns every phase summed over the tracer's tracks, and the
+// number of learner tracks among them. Must run after the recording
+// goroutines have quiesced.
+func (tr *Tracer) Sums() (sums [NumPhases]PhaseSum, learners int) {
+	return phaseSums(tr.Tracks())
+}
 
 // PhaseProfile summarizes one phase on one track.
 type PhaseProfile struct {
@@ -25,163 +66,68 @@ type PhaseProfile struct {
 	Dropped int // ring overwrites on the track (spread across phases)
 }
 
-// Profile computes per-phase latency percentiles for every track from
-// the retained spans. Must run after the recording goroutines have
-// quiesced. Percentiles use the nearest-rank method on the retained
-// window (the ring keeps the most recent Cap() spans).
+// Profile returns one row per phase that recorded a span on each track,
+// a PhaseSum of that track alone. Must run after the recording
+// goroutines have quiesced.
 func (tr *Tracer) Profile() []PhaseProfile {
-	if tr == nil {
-		return nil
-	}
 	var out []PhaseProfile
 	for _, t := range tr.Tracks() {
-		durs := make(map[Phase][]int64)
-		var total [NumPhases]int64
-		for _, s := range t.retained() {
-			durs[s.phase] = append(durs[s.phase], s.dur)
-			total[s.phase] += s.dur
-		}
-		phases := make([]Phase, 0, len(durs))
-		for ph := range durs {
-			phases = append(phases, ph)
-		}
-		sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-		for _, ph := range phases {
-			d := durs[ph]
-			sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-			out = append(out, PhaseProfile{
-				Track:   t.name,
-				Phase:   ph,
-				Count:   len(d),
-				P50:     time.Duration(pct(d, 50)),
-				P95:     time.Duration(pct(d, 95)),
-				P99:     time.Duration(pct(d, 99)),
-				Total:   time.Duration(total[ph]),
-				Dropped: t.Dropped(),
-			})
+		sums, _ := phaseSums([]*Track{t})
+		for ph, s := range sums {
+			if s.Count > 0 {
+				out = append(out, PhaseProfile{Track: t.name, Phase: Phase(ph), Count: int(s.Count),
+					P50: s.P50, P95: s.P95, P99: s.P99, Total: s.Total, Dropped: t.Dropped()})
+			}
 		}
 	}
 	return out
 }
 
-// pct returns the nearest-rank q-th percentile of sorted ns durations.
-func pct(sorted []int64, q int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := (q*len(sorted) + 99) / 100
-	if i < 1 {
-		i = 1
-	}
-	if i > len(sorted) {
-		i = len(sorted)
-	}
-	return sorted[i-1]
-}
-
-// ProfileTable renders the profile as an aligned text table.
-func (tr *Tracer) ProfileTable(title string) string {
-	tab := report.Table{
-		Title:  title,
-		Header: []string{"track", "phase", "count", "p50", "p95", "p99", "total"},
-	}
-	for _, p := range tr.Profile() {
-		tab.AddRow(p.Track, p.Phase.String(), fmt.Sprint(p.Count),
-			fmtDur(p.P50), fmtDur(p.P95), fmtDur(p.P99), fmtDur(p.Total))
-	}
-	return tab.String()
-}
-
-// fmtDur formats a duration with three significant figure-ish units so
-// columns of mixed µs/ms/s magnitudes stay readable.
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.3fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.3fms", float64(d)/1e6)
-	default:
-		return fmt.Sprintf("%.1fµs", float64(d)/1e3)
-	}
-}
-
-// OverlapFraction measures, from the recorded spans, the fraction of
-// comm-worker allreduce time that ran while the same rank's learner
-// track was inside a backward span — the quantity the paper's §V cost
-// model says the backward-overlapped aggregation should maximize. It
-// returns the overlapped and total allreduce durations (wall clock;
-// quiesced tracks only).
-func (tr *Tracer) OverlapFraction() (overlapped, total time.Duration) {
-	return tr.commComputeOverlap(PhaseBackward)
-}
-
-// HiddenFraction generalizes OverlapFraction to the delayed-application
-// schedule: the fraction of comm-worker allreduce time that ran while
-// the same rank's learner was computing at all — inside a forward,
-// backward, or local-step span. Backward-overlap can hide a transfer
-// only behind the tail of one backward pass; delayed application hides
-// it behind the entire next communication round, and this is the
-// fraction that measures it.
-func (tr *Tracer) HiddenFraction() (hidden, total time.Duration) {
-	return tr.commComputeOverlap(PhaseForward, PhaseBackward, PhaseLocalStep)
-}
-
-// commComputeOverlap intersects each rank's comm-worker allreduce spans
-// with the union of the given learner-track phases on the same rank,
-// returning the intersected and total allreduce durations (wall clock;
-// quiesced tracks only). The listed phases never overlap each other on
-// a learner track — they are sequential stages of one goroutine — so
+// HiddenFraction measures, from the recorded spans, how much comm-worker
+// allreduce time ran while the same rank's learner was computing —
+// inside a forward, backward or local-step span — and returns that and
+// the total allreduce time (wall clock; quiesced tracks only).
+// Backward-overlapped aggregation can hide a transfer only behind the
+// tail of one backward pass; delayed application hides it behind the
+// whole next interval. The compute phases never overlap each other on a
+// learner track — they are sequential stages of one goroutine — so
 // summing per-window intersections does not double-count.
-func (tr *Tracer) commComputeOverlap(phases ...Phase) (overlapped, total time.Duration) {
-	if tr == nil {
-		return 0, 0
-	}
-	var want [NumPhases]bool
-	for _, ph := range phases {
-		want[ph] = true
-	}
+func (tr *Tracer) HiddenFraction() (hidden, total time.Duration) {
 	// Compute windows per learner tid.
 	type window struct{ start, end int64 }
-	backward := map[int][]window{}
+	compute := map[int][]window{}
 	for _, t := range tr.Tracks() {
 		if t.pid != pidLearner {
 			continue
 		}
 		for _, s := range t.retained() {
-			if want[s.phase] {
-				backward[t.tid] = append(backward[t.tid], window{s.start, s.start + s.dur})
+			if s.phase == PhaseForward || s.phase == PhaseBackward || s.phase == PhaseLocalStep {
+				compute[t.tid] = append(compute[t.tid], window{s.start, s.start + s.dur})
 			}
 		}
 	}
-	for _, ws := range backward {
+	for _, ws := range compute {
 		sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
 	}
 	for _, t := range tr.Tracks() {
 		if t.pid != pidComm {
 			continue
 		}
-		ws := backward[t.tid]
+		ws := compute[t.tid]
 		for _, s := range t.retained() {
 			if s.phase != PhaseAllreduce {
 				continue
 			}
 			lo, hi := s.start, s.start+s.dur
 			total += time.Duration(hi - lo)
-			// Sum the intersection with this rank's backward windows.
+			// Sum the intersection with this rank's compute windows.
 			i := sort.Search(len(ws), func(i int) bool { return ws[i].end > lo })
 			for ; i < len(ws) && ws[i].start < hi; i++ {
-				a, b := ws[i].start, ws[i].end
-				if a < lo {
-					a = lo
-				}
-				if b > hi {
-					b = hi
-				}
-				if b > a {
-					overlapped += time.Duration(b - a)
+				if a, b := max(ws[i].start, lo), min(ws[i].end, hi); b > a {
+					hidden += time.Duration(b - a)
 				}
 			}
 		}
 	}
-	return overlapped, total
+	return hidden, total
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -34,33 +33,54 @@ func TestProfilePercentiles(t *testing.T) {
 	}
 }
 
-func TestProfileTableRendersEveryPhase(t *testing.T) {
-	tr := buildGoldenTracer()
-	out := tr.ProfileTable("phase profile")
-	for _, want := range []string{"phase profile", "track", "p50", "p95", "p99",
-		"forward", "backward", "bucket_begin", "agg_wait", "agg_apply",
-		"queue_dwell", "allreduce", "learner 0", "comm worker 0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("profile table missing %q:\n%s", want, out)
-		}
+// TestSumsExactPastTheRing: a phase's count and total come from the
+// live aggregates, so they stay exact after a 4-span ring has wrapped;
+// the percentiles cover the retained spans and say so.
+func TestSumsExactPastTheRing(t *testing.T) {
+	tr := NewTracer(4)
+	tn := int64(0)
+	tr.nowFn = func() int64 { return tn }
+	tk := tr.Learner(0)
+	w := tr.CommWorker(0)
+	for i := int64(1); i <= 10; i++ {
+		tn = 0
+		s := tk.Begin()
+		tn = i * 1000
+		tk.End(PhaseForward, s)
+	}
+	w.Span(PhaseAllreduce, 0, 0, 500)
+	sums, learners := tr.Sums()
+	if learners != 1 {
+		t.Errorf("learners = %d, want 1 (the comm worker is not one)", learners)
+	}
+	f := sums[PhaseForward]
+	if f.Count != 10 || f.Kept != 4 || f.Total != 55*time.Microsecond {
+		t.Errorf("forward = %+v, want 10 spans, 4 kept, 55µs", f)
+	}
+	// The ring kept the last four: 7..10 µs.
+	if f.P50 != 8*time.Microsecond || f.P99 != 10*time.Microsecond {
+		t.Errorf("forward p50/p99 = %v/%v, want 8µs/10µs", f.P50, f.P99)
+	}
+	if a := sums[PhaseAllreduce]; a.Count != 1 || a.Kept != 1 || a.Total != 500 || a.P50 != 500 {
+		t.Errorf("allreduce = %+v, want one whole 500ns span", a)
 	}
 }
 
-func TestOverlapFraction(t *testing.T) {
-	// Golden shape: backward [100,1000]; allreduces [300,700] (fully
-	// inside) and [700,1100] (300 of 400 inside). Overlapped = 400+300,
-	// total = 800.
+func TestHiddenFraction(t *testing.T) {
+	// Golden shape: forward [0,100], backward [100,1000]; allreduces
+	// [300,700] (fully inside) and [700,1100] (300 of 400 inside).
+	// Hidden = 400+300, total = 800.
 	tr := buildGoldenTracer()
-	overlapped, total := tr.OverlapFraction()
+	hidden, total := tr.HiddenFraction()
 	if total != 800 {
 		t.Fatalf("total allreduce = %v, want 800ns", total)
 	}
-	if overlapped != 700 {
-		t.Errorf("overlapped = %v, want 700ns", overlapped)
+	if hidden != 700 {
+		t.Errorf("hidden = %v, want 700ns", hidden)
 	}
 }
 
-func TestOverlapFractionIgnoresOtherRanks(t *testing.T) {
+func TestHiddenFractionIgnoresOtherRanks(t *testing.T) {
 	tr := NewTracer(16)
 	tn := int64(0)
 	tr.nowFn = func() int64 { return tn }
@@ -71,8 +91,8 @@ func TestOverlapFractionIgnoresOtherRanks(t *testing.T) {
 	tn = 1000
 	l0.End(PhaseBackward, s)
 	w1.Span(PhaseAllreduce, 0, 0, 500)
-	overlapped, total := tr.OverlapFraction()
-	if total != 500 || overlapped != 0 {
-		t.Errorf("overlapped/total = %v/%v, want 0/500 (rank mismatch)", overlapped, total)
+	hidden, total := tr.HiddenFraction()
+	if total != 500 || hidden != 0 {
+		t.Errorf("hidden/total = %v/%v, want 0/500 (rank mismatch)", hidden, total)
 	}
 }

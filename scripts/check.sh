@@ -111,6 +111,16 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'linkFree
     exit 1
 fi
 
+# One end-of-run report (core.WriteReport) renders the step
+# decomposition, the traffic and the ranks for every driver. The
+# renderers it replaced must not come back beside it.
+echo "==> one end-of-run report: no second phase, overlap or traffic renderer"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    'ProfileTable|OverlapFraction|func \([a-z]* ?\*?Stats\) String\(' .; then
+    echo "FAIL: a renderer the end-of-run report replaced is back"
+    exit 1
+fi
+
 # A fault plan decides each message's fate when it is sent: drops are
 # charged and counted there, and the transport stays reliable FIFO. The
 # stop-and-wait link protocol, its knobs, counters and span must not
@@ -279,9 +289,11 @@ run_tests -race -count=2 -run 'FusedApply' ./internal/core/
 # async handle lifecycle and the learner/comm-worker handoff are the
 # schedule-sensitive surfaces, so run their equivalence and stress tests
 # twice under the race detector at both layers.
-echo "==> go test -race -count=2 bucketed/overlap equivalence + stress"
+echo "==> go test -race -count=2 bucketed/overlap equivalence + stress, end-of-run report"
 run_tests -race -count=2 -run 'Bucketed|Overlap' ./internal/comm/
-run_tests -race -count=2 -run 'Overlap' ./internal/core/
+# The report reads the span rings once the learners and comm workers
+# have quiesced; the race detector holds it to that.
+run_tests -race -count=2 -run 'Overlap|Report' ./internal/core/
 
 # The compression engine's schedule-sensitive surface is the per-bucket
 # codec collectives riding the same async worker handoff: run the codec
