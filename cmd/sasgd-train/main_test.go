@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -72,16 +73,23 @@ func TestTwoProcessCheckpointResumeMatchesChannel(t *testing.T) {
 	sameParams(t, "two-process resume", resumeOut, chanOut)
 }
 
+// twoProcessArgs returns the command line of one rank of args run as a
+// two-process TCP mesh on two free loopback ports, extra appended.
+func twoProcessArgs(t *testing.T, args []string) func(rank string, extra ...string) []string {
+	t.Helper()
+	peers := fmt.Sprintf("127.0.0.1:%d,127.0.0.1:%d", freePort(t), freePort(t))
+	return func(rank string, extra ...string) []string {
+		a := append(append([]string{}, args...), "-transport", "tcp", "-rank", rank, "-peers", peers)
+		return append(a, extra...)
+	}
+}
+
 // runTwoProcess runs args as a two-process TCP mesh on loopback: rank 1
 // in the background, rank 0 — with rank0Extra appended — in the
 // foreground. It fails the test unless both exit cleanly.
 func runTwoProcess(t *testing.T, bin string, args []string, rank0Extra ...string) {
 	t.Helper()
-	peers := fmt.Sprintf("127.0.0.1:%d,127.0.0.1:%d", freePort(t), freePort(t))
-	rankArgs := func(rank string, extra ...string) []string {
-		a := append(append([]string{}, args...), "-transport", "tcp", "-rank", rank, "-peers", peers)
-		return append(a, extra...)
-	}
+	rankArgs := twoProcessArgs(t, args)
 	cmd1 := exec.Command(bin, rankArgs("1")...)
 	cmd1.Env = os.Environ()
 	var out1 bytes.Buffer
@@ -230,6 +238,64 @@ func TestRunErrorsExitOne(t *testing.T) {
 		if !strings.Contains(stderr.String(), "core:") || strings.Contains(stderr.String(), "goroutine ") {
 			t.Errorf("%s: stderr %q, want core's error and no goroutine dump", tc.name, stderr.String())
 		}
+	}
+}
+
+// TestRunErrorsPeerKilledExitsOne: a peer process that dies ends the
+// survivor's run. SIGKILL rank 1 of a two-process run once it is
+// training, and rank 0 must exit 1 within 10 s, its stderr one line
+// naming the link that ended, with no goroutine dump.
+func TestRunErrorsPeerKilledExitsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary and trains two processes; skipped in -short")
+	}
+	bin := buildTrain(t, t.TempDir())
+	// Hundreds of epochs at M = 1, T = 1: minutes of training, cut short.
+	rankArgs := twoProcessArgs(t, []string{"-workload", "nlcf", "-p", "2", "-T", "1", "-batch", "1", "-epochs", "500"})
+	cmd1 := exec.Command(bin, rankArgs("1")...)
+	out1, err := cmd1.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd1.Process.Kill()
+	cmd0 := exec.Command(bin, rankArgs("0")...)
+	var stderr0 bytes.Buffer
+	cmd0.Stderr = &stderr0
+	if err := cmd0.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done0 := make(chan error, 1)
+	go func() { done0 <- cmd0.Wait() }()
+	defer cmd0.Process.Kill()
+
+	training := false
+	for sc := bufio.NewScanner(out1); !training && sc.Scan(); {
+		training = strings.HasPrefix(sc.Text(), "training ")
+	}
+	if !training {
+		t.Fatalf("rank 1 never started training; rank 0's stderr:\n%s", stderr0.String())
+	}
+	if err := cmd1.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd1.Wait()
+
+	select {
+	case err := <-done0:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("rank 0: err = %v, want exit status 1\n%s", err, stderr0.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("rank 0 still running 10 s after rank 1 was killed\n%s", stderr0.String())
+	}
+	msg := stderr0.String()
+	if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "sasgd-train: ") ||
+		!strings.Contains(msg, "link 1→0") || strings.Contains(msg, "goroutine ") {
+		t.Errorf("rank 0's stderr %q, want one sasgd-train: line naming link 1→0 and no goroutine dump", msg)
 	}
 }
 

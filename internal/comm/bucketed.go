@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -66,8 +67,8 @@ type Handle struct {
 // matching Wait returns).
 func (h Handle) Wait() {
 	<-h.op.done
-	if h.op.lost {
-		panic(ErrClosed)
+	if h.op.err != nil {
+		panic(h.op.err)
 	}
 	h.b.g.syncOwn(h.b.rank, h.op.end)
 }
@@ -92,7 +93,7 @@ type bucketOp struct {
 	kind  int
 	idx   int32     // bucket index, the span argument on the comm track
 	subAt obs.Stamp // submission stamp (queue-dwell span start; 0 untraced)
-	lost  bool      // the transport closed before the op could complete
+	err   error     // why the op could not complete: an ErrClosed the transport raised
 	done  chan struct{}
 }
 
@@ -149,24 +150,25 @@ func NewBucketedAllreduce(g *Group, rank int, segments []Segment) *BucketedAllre
 // pipeline-occupancy counters; the bucket-op count is kept regardless.
 func (b *BucketedAllreduce) worker() {
 	defer b.wg.Done()
-	closed := false
+	var err error
 	for op := range b.queue {
-		op.lost = closed || b.run(op)
-		closed = op.lost
+		if err == nil {
+			err = b.run(op)
+		}
+		op.err = err
 		op.done <- struct{}{}
 	}
 }
 
-// run executes one op. A transport closed under it (ErrClosed) reports
-// closed: the worker then fails this op and every later one without
-// running it, and Wait raises ErrClosed on the learner.
-func (b *BucketedAllreduce) run(op *bucketOp) (closed bool) {
+// run executes one op. A panic that is ErrClosed — the transport closed,
+// or a link ended — is returned: the worker fails this op and every later
+// one with it, unrun, and Wait raises it on the learner.
+func (b *BucketedAllreduce) run(op *bucketOp) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if r != ErrClosed {
+			if err, _ = r.(error); !errors.Is(err, ErrClosed) {
 				panic(r)
 			}
-			closed = true
 		}
 	}()
 	st := &b.g.stats[b.rank]
@@ -195,7 +197,7 @@ func (b *BucketedAllreduce) run(op *bucketOp) (closed bool) {
 		st.firstBusyNs.CompareAndSwap(0, int64(pick)+1)
 		st.lastDoneNs.Store(int64(end))
 	}
-	return false
+	return nil
 }
 
 // Begin submits bucket i of buf (the full flat buffer; the bucket's

@@ -91,7 +91,8 @@ import (
 // nothing left buffered — and half-closes, and a Send that gets the lock
 // of a closing transport drops its frame instead of writing behind the
 // half-close. Readers read on to the peer's EOF and discard, so a write
-// blocked on a full socket completes.
+// blocked on a full socket completes. A link that ends under an open
+// transport ends alone, with its cause (runReader).
 
 // TCPConfig describes a TCP mesh.
 type TCPConfig struct {
@@ -121,6 +122,7 @@ type TCPTransport struct {
 	p     int
 	local []bool
 	inbox [][]chan Frame // [to][from]; rows only for local `to`
+	ended [][]error      // [to][from]: why the link's reader closed its inbox
 	links [][]*wireLink  // [from][to]; the wire links of local `from`
 	pool  bufPool
 
@@ -202,7 +204,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		dialBudget = 15 * time.Second
 	}
 
-	t.inbox = make([][]chan Frame, p)
+	t.inbox, t.ended = make([][]chan Frame, p), make([][]error, p)
 	t.links = make([][]*wireLink, p)
 	for r := 0; r < p; r++ {
 		if t.local[r] {
@@ -210,7 +212,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 			for from := range row {
 				row[from] = make(chan Frame, mailboxCap)
 			}
-			t.inbox[r] = row
+			t.inbox[r], t.ended[r] = row, make([]error, p)
 			lrow := make([]*wireLink, p)
 			for to := range lrow {
 				if to != r {
@@ -441,19 +443,35 @@ func (t *TCPTransport) Send(from, to int, f Frame) {
 	}
 }
 
-// Recv returns the next frame on the (from → to) link.
+// Recv returns the next frame on the (from → to) link. It panics with
+// an ended link's linkError once drained, and with ErrClosed on Close.
 func (t *TCPTransport) Recv(to, from int) Frame {
 	if !t.local[to] {
 		panic(fmt.Sprintf("comm: tcp: recv at rank %d, which is not hosted by this process", to))
 	}
 	checkTransportRank(t, from)
+	err := ErrClosed
 	select {
-	case f := <-t.inbox[to][from]:
-		return f
+	case f, ok := <-t.inbox[to][from]:
+		if ok {
+			return f
+		}
+		err = t.ended[to][from]
 	case <-t.done:
-		panic(ErrClosed)
 	}
+	panic(err)
 }
+
+// linkError is an ended link's panic value: ErrClosed, link and cause.
+type linkError struct {
+	link string // "comm: tcp link 1→0"
+	err  error
+}
+
+func (e *linkError) Error() string   { return e.link + ": " + e.err.Error() }
+func (e *linkError) Unwrap() []error { return []error{ErrClosed, e.err} }
+
+var _ interface{ Unwrap() []error } = (*linkError)(nil) // errors.Is's protocol
 
 // runCloser waits for Close and then half-closes the link's write side,
 // behind whatever a Send is still writing, so the peer reads everything
@@ -535,26 +553,25 @@ func (w *flushWriter) flush() {
 	w.buf, w.held = w.buf[:0], 0
 }
 
-// runReader owns the (from → to) direction arriving on one connection
-// and routes its frames to the inbox. A clean EOF at a frame boundary is
-// normal teardown; a corrupt or mid-frame-truncated stream is a
-// wire-integrity failure and panics (the CRC exists to make corruption
-// loud, not survivable). Once the transport is closing, frames nobody
-// will receive are discarded, but the reader reads on to the peer's EOF:
-// a write blocked on this socket — a Send's inline write included — then
-// completes, and the peer's teardown gets to half-close.
+// runReader routes the (from → to) frames of one connection to the
+// inbox. Whatever stops it under an open transport — the peer's EOF, a
+// reset, a corrupt or misrouted frame — becomes the link's cause, and the
+// reader (the inbox's only sender) closes the inbox: Recv on this link
+// unwinds with it, other links carry on. Once the transport is closing,
+// Recv unwinds with ErrClosed, frames are discarded, and the reader reads
+// on to the peer's EOF: a write blocked on this socket — a Send's inline
+// write included — then completes, and the peer's teardown half-closes.
 func (t *TCPTransport) runReader(conn *net.TCPConn, from, to int) {
 	defer t.wg.Done()
 	rd := wire.NewReader(newFillReader(conn))
 	for {
 		f, err := t.readFrame(rd, from, to)
 		if err != nil {
-			// EOF between frames: the peer half-closed after flushing —
-			// normal shutdown regardless of which side closed first.
-			if err == io.EOF || t.closing() {
-				return
+			if !t.closing() {
+				t.ended[to][from] = &linkError{fmt.Sprintf("comm: tcp link %d→%d", from, to), err}
+				close(t.inbox[to][from])
 			}
-			panic(fmt.Sprintf("comm: tcp link %d→%d: %v", from, to, err))
+			return
 		}
 		select {
 		case t.inbox[to][from] <- f:

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// ErrClosed is the panic value of a Recv or Barrier wait cut short by
-// Close: a run torn down under its learners (one of them panicked)
-// unwinds the peers parked in its collectives instead of leaving them
-// blocked for good.
+// ErrClosed is (or is wrapped by) the panic value of a Recv or Barrier
+// wait cut short by Close or by the end of its wire link: a run torn
+// down under its learners unwinds the peers parked in its collectives
+// instead of leaving them blocked for good.
 var ErrClosed = errors.New("comm: transport closed")
 
 // Frame is one point-to-point transfer between learners — the unit a
@@ -48,8 +48,8 @@ type Transport interface {
 	// must not reuse f.Data until the consumer is done with it, and
 	// pool-owned frames are released by the consumer.
 	Send(from, to int, f Frame)
-	// Recv returns the next frame on the directed (from → to) link,
-	// blocking until one is available.
+	// Recv returns the next frame on the (from → to) link, blocking until
+	// one is available; a closed fabric or ended link panics (ErrClosed).
 	Recv(to, from int) Frame
 	// Local reports whether rank r is driven by this process: only a
 	// local rank may send or receive. An in-process fabric hosts every

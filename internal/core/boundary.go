@@ -291,11 +291,13 @@ func (e *engine) setHier() {
 	e.gpIsland = e.cfg.GammaP * float64(e.origP) / float64(e.hier.IslandSize(e.vr))
 }
 
-// await is one membership sync point. False means this learner has been
-// fenced (evicted as a presumed-dead straggler) and must stop
-// participating immediately.
+// await is one membership sync point, spanned as agg_wait on the learner
+// track. False means this learner has been fenced (evicted as a
+// presumed-dead straggler) and must stop participating immediately.
 func (e *engine) await() bool {
+	ws := e.tk.Begin()
 	v, ok := e.mem.Await(e.rank, e.syncPt)
+	e.tk.End(obs.PhaseAggWait, ws)
 	e.syncPt++
 	if ok {
 		e.setView(v)
@@ -387,8 +389,8 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	}
 
 	// Apply now-or-next. The agg_apply span opened here closes after the
-	// replica reset, so a flat eager boundary is exactly one agg_wait and
-	// one agg_apply.
+	// replica reset and the control frame the controllers decide from, so
+	// a flat eager boundary is exactly one agg_wait and one agg_apply.
 	var as obs.Stamp
 	applied, send := false, false
 	switch {
@@ -438,9 +440,9 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	}
 	e.reset(params, ref)
 	e.fresh = true
+	e.control(d, r, applied)
 	tk.End(obs.PhaseAggApply, as)
 
-	e.control(d, r, applied)
 	if send {
 		if e.async {
 			e.launch(e.pend)

@@ -422,7 +422,8 @@ func TestLearnerPanicPropagates(t *testing.T) {
 // its peer parked on it — in the next boundary's receive, at the epoch
 // barrier, or at a membership sync point. Run must still return, with
 // the first failure, not the peers' unwinding. A transport the caller
-// closes mid-run ends the run the same way, with comm.ErrClosed.
+// closes mid-run ends the run the same way, with comm.ErrClosed, and so
+// does a peer endpoint whose transport closes: as the end of its link.
 func TestLearnerPanicEndsTrain(t *testing.T) {
 	boom := func(origin int, _ []float64) {
 		if origin == 1 {
@@ -486,6 +487,55 @@ func TestLearnerPanicEndsTrain(t *testing.T) {
 		}
 		if n := runtime.NumGoroutine(); n > base {
 			t.Errorf("%d goroutines 10 s after Run returned, %d before the transport was built", n, base)
+		}
+	})
+	t.Run("tcp-peer-closed", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		trs := tcpEndpoints(t)
+		// Two endpoints, each with its own Run, as two processes. Virtual
+		// rank 0 closes endpoint 1's transport inside boundary 1 and goes
+		// on: endpoint 0 hears of it only as the end of link 1→0.
+		closed := make(chan struct{})
+		cfg := Config{
+			Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.05,
+			Batch: 4, Epochs: 3, Seed: 1, Workers: 1,
+			AggHook: func(origin int, _ []float64) {
+				if origin == 1 {
+					go func() { trs[1].Close(); close(closed) }()
+				}
+			},
+		}
+		prob := tinyProblem(48, 8, 2)
+		peerErr := make(chan error, 1)
+		peer := cfg
+		peer.Transport = trs[1]
+		go func() {
+			defer trs[1].Close()
+			_, err := Run(peer, prob)
+			peerErr <- err
+		}()
+		cfg.Transport = trs[0]
+		err := runWithin(t, cfg, prob)
+		trs[0].Close()
+		t.Logf("endpoint 0: %v", err)
+		if !errors.Is(err, comm.ErrClosed) || !strings.Contains(err.Error(), "link 1→0") {
+			t.Fatalf("endpoint 0's Run returned %v, want comm.ErrClosed naming link 1→0", err)
+		}
+		select {
+		case err := <-peerErr:
+			if !errors.Is(err, comm.ErrClosed) {
+				t.Errorf("endpoint 1's Run returned %v, want comm.ErrClosed", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("endpoint 1's Run had not returned 10 s after its transport closed")
+		}
+		<-closed
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%d goroutines 10 s after both Runs returned, %d before the endpoints were built", n, base)
 		}
 	})
 }

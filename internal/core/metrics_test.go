@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"sasgd/internal/comm"
 	"sasgd/internal/netsim"
@@ -228,6 +229,44 @@ func TestFleetComputeIsTrackPhaseSum(t *testing.T) {
 		want := phaseNs[fmt.Sprintf("learner %d", r)]
 		if want == 0 || h.TotComputeNs != want {
 			t.Errorf("rank %d: fleet compute %v ns, learner track forward+backward %v ns", r, h.TotComputeNs, want)
+		}
+	}
+}
+
+// TestSlowRankSleepIsSpanned: a slow=R:K rank sleeps (K−1)·SlowSleep a
+// step for the compute it stands for, and the sleep is compute on its
+// learner track — R's forward + backward is at least steps × the sleep,
+// still one forward and one backward per step — while the peers' wait
+// for it at the membership sync points is agg_wait on theirs.
+func TestSlowRankSleepIsSpanned(t *testing.T) {
+	const p, slow, steps = 2, 1, 12 // 24 samples per learner at batch 4, two epochs
+	plan := mustPlan(t, "seed=1,slow=1:4")
+	plan.SlowSleep = 2 * time.Millisecond
+	sleep := plan.SlowSleepFor(slow)
+	tr := obs.NewTracer(0)
+	Train(Config{
+		Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
+		Batch: 4, Epochs: 2, Seed: 3, Tracer: tr, Faults: plan,
+	}, tinyProblem(48, 24, 5))
+	phases := map[string]map[string]obs.LivePhase{}
+	for _, lt := range tr.Snapshot().Tracks {
+		phases[lt.Name] = map[string]obs.LivePhase{}
+		for _, ph := range lt.Phases {
+			phases[lt.Name][ph.Phase] = ph
+		}
+	}
+	for r := 0; r < p; r++ {
+		lt := phases[fmt.Sprintf("learner %d", r)]
+		fwd, bwd := lt[obs.PhaseForward.String()], lt[obs.PhaseBackward.String()]
+		if fwd.Count != steps || bwd.Count != steps {
+			t.Errorf("rank %d: %d forward and %d backward spans, want %d each", r, fwd.Count, bwd.Count, steps)
+		}
+		if r == slow {
+			if got, want := time.Duration(fwd.TotalNs+bwd.TotalNs), steps*sleep; got < want {
+				t.Errorf("slow rank %d: spanned compute %v, want at least steps × %v = %v", r, got, sleep, want)
+			}
+		} else if got, want := time.Duration(lt[obs.PhaseAggWait.String()].TotalNs), steps*sleep/4; got < want {
+			t.Errorf("rank %d: agg_wait %v while its peer slept %v, want at least %v", r, got, steps*sleep, want)
 		}
 	}
 }

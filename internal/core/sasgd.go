@@ -179,6 +179,16 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		if e.overlap {
 			onLayerDone = e.onLayerDone
 		}
+		// A slowed rank (slow=R:K, never overlapped) sleeps the compute it
+		// stands for at the end of each backward pass, inside its span.
+		var stepHook func(layer int)
+		if slowSleep := cfg.Faults.SlowSleepFor(rank); slowSleep > 0 {
+			stepHook = func(layer int) {
+				if layer == 0 {
+					time.Sleep(slowSleep)
+				}
+			}
+		}
 
 		sampler := data.NewEpochSampler(shards[dataPhys].Len(), cfg.Batch, cfg.Seed+int64(dataPhys)*31+7)
 		sampler.Skip(startStep)
@@ -188,7 +198,6 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 				cfg.Sim.SetSlowdown(rank, k)
 			}
 		}
-		slowSleep := cfg.Faults.SlowSleepFor(rank)
 
 		var lastLoss float64
 		step := startStep
@@ -209,18 +218,15 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 				}
 				last := step+1 == next
 				launched := e.overlap && last
+				hook := stepHook
 				if launched {
-					lastLoss = net.StepEach(x, y, onLayerDone)
-				} else {
-					lastLoss = net.Step(x, y)
+					hook = onLayerDone
 				}
+				lastLoss = net.StepEach(x, y, hook)
 				ls := tk.Begin()
 				e.localStep(params, last, launched)
 				tk.End(obs.PhaseLocalStep, ls)
 				samples.Add(int64(len(idx)))
-				if slowSleep > 0 {
-					time.Sleep(slowSleep)
-				}
 				step++
 				if step == next {
 					if !e.boundary(params, step, launched) {

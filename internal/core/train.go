@@ -17,9 +17,10 @@ import (
 // baselines. It returns Validate's error, or the error that ended the run:
 // empty data, a nil model, a ResumeFrom or CheckpointPath file that fails,
 // or a learner's failure as "learner r: …" — errors.Is(err,
-// comm.ErrClosed) when the Transport was closed under the run. Errors do
-// not cross the wire: when one process of a multi-process run fails, its
-// remote peers stay blocked until they are killed.
+// comm.ErrClosed) when the Transport was closed under the run or a wire
+// link ended: a peer process that exits or is killed ends its peers'
+// runs with the link's cause ("learner 0: comm: tcp link 1→0: EOF"), and
+// one that is stopped but not dead still blocks them (no read deadline).
 func Run(cfg Config, prob *Problem) (*Result, error) {
 	cfg, err := cfg.resolve()
 	if err != nil {

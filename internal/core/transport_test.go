@@ -71,31 +71,8 @@ func TestTrainMultiEndpointMatchesChannel(t *testing.T) {
 	prob := tinyProblem(48, 24, 5)
 	want := Train(transportCfg(p), prob)
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := l.Addr().(*net.TCPAddr).Port
-	l.Close()
-	addrs := []string{"127.0.0.1:0", fmt.Sprintf("127.0.0.1:%d", port)}
-
-	var trs [p]*comm.TCPTransport
-	var errs [p]error
+	trs := tcpEndpoints(t)
 	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			trs[r], errs[r] = comm.NewTCPTransport(comm.TCPConfig{Addrs: addrs, Local: []int{r}})
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("endpoint %d: %v", r, err)
-		}
-	}
-
 	results := make([]*Result, p)
 	for r := 0; r < p; r++ {
 		wg.Add(1)
@@ -123,4 +100,36 @@ func TestTrainMultiEndpointMatchesChannel(t *testing.T) {
 	if len(results[1].FinalParams) != 0 {
 		t.Errorf("rank-1 endpoint reported %d final parameters; only rank 0 records them", len(results[1].FinalParams))
 	}
+}
+
+// tcpEndpoints builds the two endpoints of a two-rank partial mesh over
+// loopback, each hosting one rank (its Local rank), as two processes
+// would.
+func tcpEndpoints(t *testing.T) [2]*comm.TCPTransport {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := l.Addr().(*net.TCPAddr).Port
+	l.Close()
+	addrs := []string{"127.0.0.1:0", fmt.Sprintf("127.0.0.1:%d", port)}
+
+	var trs [2]*comm.TCPTransport
+	var errs [2]error
+	var wg sync.WaitGroup
+	for r := range trs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			trs[r], errs[r] = comm.NewTCPTransport(comm.TCPConfig{Addrs: addrs, Local: []int{r}})
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("endpoint %d: %v", r, err)
+		}
+	}
+	return trs
 }
