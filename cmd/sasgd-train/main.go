@@ -34,7 +34,7 @@ func envRank() int {
 }
 
 func main() {
-	algo := flag.String("algo", "sasgd", "training algorithm: sgd, sasgd, downpour, eamsgd, hogwild")
+	algo := flag.String("algo", "sasgd", "training algorithm: sgd, sasgd, downpour or eamsgd")
 	workload := flag.String("workload", "cifar", "workload: cifar (Table I) or nlcf (Table II)")
 	scale := flag.String("scale", "small", "small (reduced, default) or paper (exact published sizes; very slow in pure Go)")
 	p := flag.Int("p", 4, "number of learners")

@@ -159,24 +159,30 @@ func TestUnknownCollectiveExitsTwo(t *testing.T) {
 // TestCodecOnNonSASGDExitsTwo: a codec is a SASGD boundary policy. On
 // any other algorithm — sequential SGD included, although it runs as
 // Algorithm 1 at p = 1 — it is refused with exit 2 instead of training
-// dense, or compressing a single learner's gradient, without a word.
+// dense, or compressing a single learner's gradient, without a word. A
+// name that is no algorithm (hogwild is not one) is refused as such first.
 func TestCodecOnNonSASGDExitsTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary; skipped in -short")
 	}
 	bin := buildTrain(t, t.TempDir())
-	for _, args := range [][]string{
-		{"-algo", "downpour", "-compress", "topk"},
-		{"-algo", "sgd", "-compress", "qint8"},
-		{"-algo", "hogwild", "-compress", "topk", "-compress-k", "0.2"},
+	const policy = "sasgd-train: core: invalid config: adaptive T, HierGroups, DelayedApply and compression are SASGD boundary policies"
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "downpour", "-compress", "topk"}, policy},
+		{[]string{"-algo", "sgd", "-compress", "qint8"}, policy},
+		{[]string{"-algo", "eamsgd", "-compress", "topk", "-compress-k", "0.2"}, policy},
+		{[]string{"-algo", "hogwild", "-compress", "topk"}, "sasgd-train: core: invalid config: unknown algorithm (want sgd, sasgd, downpour or eamsgd)"},
 	} {
-		out, err := exec.Command(bin, append([]string{"-p", "2", "-epochs", "1"}, args...)...).CombinedOutput()
+		out, err := exec.Command(bin, append([]string{"-p", "2", "-epochs", "1"}, c.args...)...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", c.args, err, out)
 		}
-		if want := "sasgd-train: core: invalid config: adaptive T, HierGroups, DelayedApply and compression are SASGD boundary policies"; !strings.Contains(string(out), want) {
-			t.Errorf("%v printed %q, want it to contain %q", args, out, want)
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("%v printed %q, want it to contain %q", c.args, out, c.want)
 		}
 	}
 }

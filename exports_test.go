@@ -117,6 +117,11 @@ func helper() {}
 			"internal/lib/lib.go":      "package lib\n\nfunc helper() {}\nfunc used() {}\n\nvar _ = used\n",
 			"internal/lib/lib_test.go": "package lib\n\nvar _ = helper\n",
 		}, "internal/lib: helper"},
+		{"errors.Is reaches Unwrap() []error", map[string]string{
+			"internal/lib/lib.go": "package lib\n\nimport \"errors\"\n\ntype Err struct{}\n\n" +
+				"func (Err) Error() string { return \"err\" }\n" +
+				"func (Err) Unwrap() []error { return nil }\n\nvar _ = errors.Is(Err{}, errors.ErrUnsupported)\n",
+		}, ""},
 		{"everything at once", map[string]string{
 			"internal/lib/lib.go":      lib,
 			"internal/lib/lib_test.go": "package lib\n\nvar _ = helper\nvar _ = TestOnly\n",
@@ -293,6 +298,25 @@ func unusedNames(files map[string][]byte) ([]string, error) {
 		walk(p)
 	}
 	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	// errors.Is and errors.As call Unwrap, Is and As through interfaces
+	// declared inside their function bodies, which no package scope shows.
+	protocol, err := parser.ParseFile(fset, "errors.go", `package errors
+
+type (
+	unwrap      interface{ Unwrap() error }
+	unwrapMulti interface{ Unwrap() []error }
+	is          interface{ Is(error) bool }
+	as          interface{ As(any) bool }
+)
+`, 0)
+	if err != nil {
+		return nil, err
+	}
+	errorsProtocol, err := new(types.Config).Check("errors", fset, []*ast.File{protocol}, nil)
+	if err != nil {
+		return nil, err
+	}
+	walk(errorsProtocol)
 	// recv is a method's receiver type, its pointer stripped.
 	recv := func(fn *types.Func) *types.Named {
 		t := fn.Type().(*types.Signature).Recv().Type()

@@ -88,8 +88,7 @@ func BenchmarkParamServerElastic(b *testing.B) {
 	b.SetBytes(m * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, _ := srv.Elastic(0, 0.1, local)
-		_ = d
+		srv.Elastic(0, 0.1, local)
 	}
 }
 

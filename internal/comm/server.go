@@ -109,23 +109,23 @@ func (s *ParamServer) Pull(learner int, dst []float64) []int64 {
 	return gens
 }
 
-// Elastic performs the elastic-averaging exchange of EAMSGD on behalf of
-// the given learner: for each parameter, d = α·(local − center); the
-// center moves by +d and the returned slice holds d so the caller applies
-// local ← local − d. The exchange is atomic per shard. The returned
-// generations play the same staleness-accounting role as in PushGrad.
-func (s *ParamServer) Elastic(learner int, alpha float64, local []float64) (d []float64, gens []int64) {
+// Elastic performs EAMSGD's elastic-averaging exchange on behalf of the
+// given learner and moves local in place: for each parameter,
+// d = α·(local − center), then center += d and local −= d, atomically
+// per shard. The returned generations play the same staleness-accounting
+// role as in PushGrad.
+func (s *ParamServer) Elastic(learner int, alpha float64, local []float64) []int64 {
 	if len(local) != s.m {
 		panic(fmt.Sprintf("comm: Elastic length %d, want %d", len(local), s.m))
 	}
-	d = make([]float64, s.m)
-	gens = make([]int64, len(s.shards))
+	gens := make([]int64, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		for j := 0; j < sh.hi-sh.lo; j++ {
-			dj := alpha * (local[sh.lo+j] - sh.params[j])
-			sh.params[j] += dj
-			d[sh.lo+j] = dj
+		x := local[sh.lo:sh.hi]
+		for j, c := range sh.params {
+			d := alpha * (x[j] - c)
+			sh.params[j] = c + d
+			x[j] -= d
 		}
 		sh.updates++
 		gens[i] = sh.updates
@@ -135,5 +135,5 @@ func (s *ParamServer) Elastic(learner int, alpha float64, local []float64) (d []
 	// operations (the equivalent of a push and a pull).
 	s.chargeOp(learner)
 	s.chargeOp(learner)
-	return d, gens
+	return gens
 }

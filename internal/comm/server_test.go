@@ -88,35 +88,66 @@ func TestElasticExchange(t *testing.T) {
 	init := []float64{0, 0}
 	s := NewParamServer(init, 1, nil, nil)
 	local := []float64{10, -10}
-	d, gens := s.Elastic(0, 0.5, local)
-	// d = α(local − center) = {5, −5}; center += d.
-	if d[0] != 5 || d[1] != -5 {
-		t.Fatalf("elastic d = %v", d)
-	}
+	gens := s.Elastic(0, 0.5, local)
+	// d = α(local − center) = {5, −5}; center += d, local −= d.
 	got := s.Snapshot()
 	if got[0] != 5 || got[1] != -5 {
 		t.Fatalf("center after elastic = %v", got)
 	}
+	if local[0] != 5 || local[1] != -5 {
+		t.Fatalf("local after elastic = %v", local)
+	}
 	if gens[0] != 1 {
 		t.Errorf("elastic generation = %v", gens)
-	}
-	// Applying local -= d moves the learner toward the old center.
-	local[0] -= d[0]
-	local[1] -= d[1]
-	if local[0] != 5 || local[1] != 5+(-10) {
-		t.Fatalf("local after elastic = %v", local)
 	}
 }
 
 func TestElasticFixedPoint(t *testing.T) {
-	// When local == center the exchange is a no-op.
+	// When local == center the exchange moves neither.
 	s := NewParamServer([]float64{3, 3}, 2, nil, nil)
 	local := []float64{3, 3}
-	d, _ := s.Elastic(0, 0.9, local)
-	for _, v := range d {
-		if v != 0 {
-			t.Fatalf("elastic at fixed point moved: %v", d)
+	s.Elastic(0, 0.9, local)
+	if got := s.Snapshot(); local[0] != 3 || local[1] != 3 || got[0] != 3 || got[1] != 3 {
+		t.Fatalf("elastic at fixed point moved: local %v, center %v", local, got)
+	}
+}
+
+// TestElasticInPlaceMatchesTwoStep: moving the learner inside the
+// exchange (local −= d) writes exactly the bits the two-step form wrote —
+// the exchange returned d, the caller then ran local += (−1)·d — on
+// signed zeros, denormals and infinities, across shard boundaries.
+func TestElasticInPlaceMatchesTwoStep(t *testing.T) {
+	const alpha = 0.3
+	center := []float64{-0.0, 0, 0, -0.0, 1, math.Inf(-1), math.Inf(1), 5e-324, -2, 7.25}
+	local := []float64{0, -0.0, -0.0, 5e-324, math.Inf(1), 1, math.Inf(-1), -5e-324, 3e-310, -1e300}
+	wantCenter := append([]float64(nil), center...)
+	wantLocal := append([]float64(nil), local...)
+	d := make([]float64, len(local))
+	for i := range d {
+		d[i] = alpha * (wantLocal[i] - wantCenter[i])
+		wantCenter[i] += d[i]
+	}
+	axpy(-1, d, wantLocal)
+
+	s := NewParamServer(center, 3, nil, nil)
+	s.Elastic(0, alpha, local)
+	for i, got := range s.Snapshot() {
+		if math.Float64bits(got) != math.Float64bits(wantCenter[i]) {
+			t.Errorf("center[%d] = %v (%#x), two-step %v (%#x)", i, got, math.Float64bits(got), wantCenter[i], math.Float64bits(wantCenter[i]))
 		}
+		if math.Float64bits(local[i]) != math.Float64bits(wantLocal[i]) {
+			t.Errorf("local[%d] = %v (%#x), two-step %v (%#x)", i, local[i], math.Float64bits(local[i]), wantLocal[i], math.Float64bits(wantLocal[i]))
+		}
+	}
+}
+
+// axpy is y += a·x as the learner's side of the two-step exchange ran it,
+// out of line so the compiler sees a runtime a.
+//
+//go:noinline
+func axpy(a float64, x, y []float64) {
+	for i, v := range x {
+		y[i] += a * v
 	}
 }
 
@@ -155,6 +186,50 @@ func TestServerConcurrentPushes(t *testing.T) {
 	}
 	if s.Updates() != p*4 {
 		t.Errorf("Updates = %d, want %d", s.Updates(), p*4)
+	}
+}
+
+func TestElasticConcurrentConservesMass(t *testing.T) {
+	// p learners exchanging concurrently, each with its own vector: every
+	// exchange moves d from a learner to the center, so center + Σ locals
+	// is conserved (up to rounding), and generations total rounds·p per
+	// shard.
+	const p, m, shards, rounds = 8, 64, 4, 20
+	s := NewParamServer(make([]float64, m), shards, nil, nil)
+	locals := make([][]float64, p)
+	want := make([]float64, m)
+	for r := range locals {
+		rng := rand.New(rand.NewSource(int64(r)))
+		locals[r] = make([]float64, m)
+		for i := range locals[r] {
+			locals[r][i] = rng.NormFloat64()
+			want[i] += locals[r][i]
+		}
+	}
+	var wg sync.WaitGroup
+	for r := range locals {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				s.Elastic(r, 0.9/p, locals[r])
+			}
+		}(r)
+	}
+	wg.Wait()
+	got := s.Snapshot()
+	for _, local := range locals {
+		for i, v := range local {
+			got[i] += v
+		}
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("center + locals at %d: %g, want %g", i, got[i], want[i])
+		}
+	}
+	if s.Updates() != p*rounds*shards {
+		t.Errorf("Updates = %d, want %d", s.Updates(), p*rounds*shards)
 	}
 }
 

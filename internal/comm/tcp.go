@@ -471,8 +471,6 @@ type linkError struct {
 func (e *linkError) Error() string   { return e.link + ": " + e.err.Error() }
 func (e *linkError) Unwrap() []error { return []error{ErrClosed, e.err} }
 
-var _ interface{ Unwrap() []error } = (*linkError)(nil) // errors.Is's protocol
-
 // runCloser waits for Close and then half-closes the link's write side,
 // behind whatever a Send is still writing, so the peer reads everything
 // in flight before seeing EOF — graceful teardown.

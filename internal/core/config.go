@@ -1,13 +1,13 @@
 // Package core implements the paper's contribution and its baselines:
 // SASGD (Algorithm 1 — bulk-synchronous SGD with a gradient-aggregation
 // interval T and allreduce-based sparse aggregation), sequential SGD,
-// Downpour (asynchronous SGD through a sharded parameter server), EAMSGD
-// (elastic-averaging asynchronous SGD with momentum) and Hogwild
-// (lock-free shared-memory SGD). Five algorithms run in two loops:
+// and the paper's two asynchronous baselines, Downpour (asynchronous SGD
+// through a sharded parameter server) and EAMSGD (elastic-averaging
+// asynchronous SGD with momentum). Four algorithms run in two loops:
 // trainSASGD is Algorithm 1, and sequential SGD is its degenerate case
-// p = 1, T = 1, γp = γ; trainAsync runs the three asynchronous
-// baselines, which differ only in how a learner trades with the shared
-// state. Both loops share the same learner harness, model replicas, data
+// p = 1, T = 1, γp = γ; trainAsync runs Downpour and EAMSGD, which differ
+// only in a learner's local update and its exchange with the parameter
+// server. Both loops share the same learner harness, model replicas, data
 // partitioning, epoch accounting, and optional fabric simulation, so
 // measured differences come from the algorithms alone.
 package core
@@ -29,7 +29,6 @@ const (
 	AlgoSASGD    Algorithm = "sasgd"    // the paper's Algorithm 1
 	AlgoDownpour Algorithm = "downpour" // parameter-server ASGD (Dean et al.)
 	AlgoEAMSGD   Algorithm = "eamsgd"   // elastic averaging ASGD (Zhang et al.)
-	AlgoHogwild  Algorithm = "hogwild"  // lock-free shared-memory ASGD (Niu et al.)
 )
 
 // Gradient-compression codec names for Config.Compress.
@@ -61,8 +60,6 @@ type Config struct {
 	Epochs int // collective passes over the training data
 	Seed   int64
 
-	// EAMSGD settings.
-	Alpha float64 // elastic rate α (default 0.9/p, as in Zhang et al.)
 	// Momentum is EAMSGD's local momentum μ. Zero selects the default
 	// 0.3 (calibrated to the reduced-scale workloads; the original
 	// paper's 0.9 assumes far smaller effective learning rates); any
@@ -162,12 +159,10 @@ type Config struct {
 	DelayedApply bool
 
 	// VirtualTime serializes the asynchronous algorithms' learner steps
-	// in virtual-clock order (see vtime.go), making Downpour, EAMSGD and
-	// Hogwild runs deterministic — final parameters, curve, staleness and
-	// simulated time — at the cost of scheduler realism. Rank 0 reads what
-	// it evaluates and reports inside its gated step, so Hogwild's shared
-	// vector is never read while a peer writes it. It has no effect on
-	// SASGD and SGD, which are deterministic already.
+	// in virtual-clock order (see vtime.go), making Downpour and EAMSGD
+	// runs deterministic — final parameters, curve, staleness and
+	// simulated time — at the cost of scheduler realism. It has no effect
+	// on SASGD and SGD, which are deterministic already.
 	VirtualTime bool
 
 	// Workers is the per-learner intra-op worker budget for the parallel
@@ -293,10 +288,10 @@ var configRules = []struct {
 }{
 	{"the local learning rate Gamma must be positive",
 		func(c *Config) bool { return !(c.Gamma > 0) }},
-	{"unknown algorithm (want sgd, sasgd, downpour, eamsgd or hogwild)",
+	{"unknown algorithm (want sgd, sasgd, downpour or eamsgd)",
 		func(c *Config) bool {
 			switch c.Algo {
-			case AlgoSGD, AlgoSASGD, AlgoDownpour, AlgoEAMSGD, AlgoHogwild:
+			case AlgoSGD, AlgoSASGD, AlgoDownpour, AlgoEAMSGD:
 				return false
 			}
 			return true
@@ -375,9 +370,6 @@ func (c Config) resolve() (Config, error) {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 1
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.9 / float64(c.Learners)
 	}
 	// Momentum: zero selects the default; pass any negative value for
 	// plain (momentum-free) local SGD.

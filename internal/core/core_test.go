@@ -665,28 +665,6 @@ func TestEvaluatorAccuracy(t *testing.T) {
 	}
 }
 
-func TestHogwildLearns(t *testing.T) {
-	prob := tinyProblem(300, 100, 31)
-	res := Train(Config{Algo: AlgoHogwild, Learners: 4, Gamma: 0.1, Batch: 10, Epochs: 15, Seed: 1}, prob)
-	if res.FinalTest < 0.85 {
-		t.Errorf("Hogwild test accuracy %.3f, want > 0.85", res.FinalTest)
-	}
-	if res.FinalParams == nil {
-		t.Error("FinalParams not captured")
-	}
-}
-
-func TestHogwildSingleLearnerMatchesSGDShape(t *testing.T) {
-	// With one learner there are no races: Hogwild is plain SGD over the
-	// same sample stream and must reach comparable accuracy.
-	prob := tinyProblem(200, 80, 32)
-	hog := Train(Config{Algo: AlgoHogwild, Learners: 1, Gamma: 0.1, Batch: 10, Epochs: 10, Seed: 1}, prob)
-	sgd := Train(Config{Algo: AlgoSGD, Gamma: 0.1, Batch: 10, Epochs: 10, Seed: 1}, prob)
-	if diff := hog.FinalTest - sgd.FinalTest; diff < -0.1 || diff > 0.1 {
-		t.Errorf("Hogwild p=1 (%.3f) far from SGD (%.3f)", hog.FinalTest, sgd.FinalTest)
-	}
-}
-
 func TestPaperScaleModelsTrainUnderHarness(t *testing.T) {
 	// One SASGD epoch over a tiny sample set with the exact Table-I and
 	// Table-II networks: verifies the full-scale architectures run under
@@ -730,13 +708,10 @@ func TestPaperScaleModelsTrainUnderHarness(t *testing.T) {
 
 // TestVirtualTimeMakesDownpourDeterministic: under virtual time each
 // asynchronous algorithm is a function of its configuration — final
-// parameters, curve and staleness, run after run. Hogwild's learners
-// share one vector, so rank 0 must take what it evaluates and reports
-// inside its gated step: read after the gate is released, the peers'
-// next updates race into it.
+// parameters, curve and staleness, run after run.
 func TestVirtualTimeMakesDownpourDeterministic(t *testing.T) {
 	prob := tinyProblem(40, 24, 5)
-	for _, algo := range []Algorithm{AlgoDownpour, AlgoEAMSGD, AlgoHogwild} {
+	for _, algo := range []Algorithm{AlgoDownpour, AlgoEAMSGD} {
 		cfg := with(goldenBase(3, 2), func(c *Config) { c.Algo, c.VirtualTime = algo, true })
 		a := Train(cfg, prob)
 		for run := 1; run < 20; run++ {
@@ -773,7 +748,7 @@ func TestVirtualTimeStalenessEmergesRoundRobin(t *testing.T) {
 
 func TestVirtualTimeAllAsyncAlgorithmsLearn(t *testing.T) {
 	prob := tinyProblem(300, 100, 42)
-	for _, algo := range []Algorithm{AlgoDownpour, AlgoEAMSGD, AlgoHogwild} {
+	for _, algo := range []Algorithm{AlgoDownpour, AlgoEAMSGD} {
 		res := Train(Config{Algo: algo, Learners: 4, Interval: 3, Gamma: 0.1, Batch: 10, Epochs: 15, Seed: 1, VirtualTime: true}, prob)
 		if res.FinalTest < 0.85 {
 			t.Errorf("%s under virtual time: final test %.3f", algo, res.FinalTest)

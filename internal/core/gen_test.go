@@ -475,7 +475,7 @@ func TestValidateRules(t *testing.T) {
 		func(c *Config) { c.Compress, c.CompressK = CodecTopK, -1 },
 		func(c *Config) { c.TSched = "decay" },
 		func(c *Config) { c.Algo, c.CheckpointPath = AlgoEAMSGD, "x.ckpt" },
-		func(c *Config) { c.Algo, c.Transport = AlgoHogwild, tr },
+		func(c *Config) { c.Algo, c.Transport = AlgoEAMSGD, tr },
 		func(c *Config) { c.Learners, c.Transport = 3, tr },
 		func(c *Config) { c.Transport, c.Faults = partialMesh{tr}, &comm.FaultPlan{} },
 		func(c *Config) { c.Algo, c.DelayedApply = AlgoDownpour, true },

@@ -263,14 +263,6 @@ var goldenCases = []goldenCase{
 		c.Algo, c.Batch, c.Epochs, c.VirtualTime = AlgoEAMSGD, 1, 2, true
 	})),
 		params: 0x52738f0eb1f73bb5, curve: 0x404b9a984440e992, stale: 1.875, staleMax: 4, sim: 0.07698351484276147},
-	// Hogwild's final parameters are the shared vector as rank 0's last
-	// gated step left it: the snapshot its last curve point evaluated.
-	{name: "hogwild_vt_conv", conv: true, cfg: plain(with(goldenBase(3, 2), func(c *Config) { c.Algo, c.Epochs, c.VirtualTime = AlgoHogwild, 2, true })),
-		params: 0x47849ab713a30fbc, curve: 0xf6e62c4209e265c6},
-	{name: "hogwild_vt_skinny_sim", skinny: true, cfg: simulated(with(goldenBase(3, 2), func(c *Config) {
-		c.Algo, c.Batch, c.Epochs, c.VirtualTime = AlgoHogwild, 1, 2, true
-	})),
-		params: 0x7e5854bfe42e74b9, curve: 0x3b8637f648802bc1, sim: 0.07158500661199221},
 }
 
 // TestGoldenPins runs every case and compares against the constants

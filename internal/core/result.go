@@ -67,8 +67,7 @@ type Result struct {
 	// FinalParams is learner 0's parameter vector when it finished its
 	// run: the parameters the final accuracies were evaluated at for
 	// SASGD and SGD; for Downpour and EAMSGD, learner 0's replica at its
-	// own completion; for Hogwild, the shared vector as learner 0's last
-	// step left it — the snapshot its last curve point evaluated.
+	// own completion.
 	FinalParams []float64
 }
 

@@ -40,7 +40,7 @@ func Run(cfg Config, prob *Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	train := trainAsync // Downpour, EAMSGD, Hogwild: resolve admits no other value
+	train := trainAsync // Downpour, EAMSGD: resolve admits no other value
 	if cfg.Algo == AlgoSGD || cfg.Algo == AlgoSASGD {
 		train = trainSASGD // SGD is Algorithm 1 at p = 1 (resolve)
 	}

@@ -7,7 +7,7 @@ import (
 
 // Virtual-time execution for the asynchronous algorithms.
 //
-// Downpour, EAMSGD and Hogwild are genuinely asynchronous: by default
+// Downpour and EAMSGD are genuinely asynchronous: by default
 // their gradient staleness comes from the host's goroutine scheduling,
 // like the paper's (whose staleness came from the testbed's relative
 // learner speeds). That realism costs reproducibility — two runs of the

@@ -158,9 +158,26 @@ if [ "$rules" -gt 11 ]; then
     exit 1
 fi
 
+# The run's surface only shrinks too: a Config field or a sasgd-train
+# flag is one more composition to validate, pin and document. A new one
+# has to take an old one's place.
+echo "==> Config fields in internal/core/config.go: at most 32"
+fields="$(awk '/^type Config struct/ { on = 1; next } on && /^}/ { on = 0 } on && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n + 0 }' internal/core/config.go)"
+if [ "$fields" -gt 32 ]; then
+    echo "FAIL: $fields Config fields, want at most 32"
+    exit 1
+fi
+echo "==> sasgd-train flags: at most 36"
+flags="$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/sasgd-train/main.go)"
+if [ "$flags" -gt 36 ]; then
+    echo "FAIL: $flags sasgd-train flags, want at most 36"
+    exit 1
+fi
+
 # Two training loops: trainSASGD (sequential SGD is its p = 1 case) and
-# trainAsync (Downpour, EAMSGD and Hogwild are rules of it). A loop of
-# its own for a baseline must not come back.
+# trainAsync (Downpour and EAMSGD, each a local update and an exchange
+# with the parameter server). A loop of its own for a baseline must not
+# come back.
 echo "==> two training loops: no per-baseline loop outside tests and bench/"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
     'trainSGD|trainDownpour|trainEAMSGD|trainHogwild' .; then
@@ -351,13 +368,15 @@ run_tests -race -count=2 -run 'TrainTCP|MultiEndpoint' ./internal/core/
 echo "==> go test -race -count=2 obs concurrent tracks + registry writes"
 run_tests -race -count=2 -run 'Concurrent' ./internal/obs/
 
-# The asynchronous loop's schedule-sensitive surfaces: Hogwild's
-# compare-and-swap update is the one lock-free writer in the repo, the
-# virtual-time gate hands one step at a time across learner goroutines,
-# and rank 0 reads what it evaluates inside its gated step. Run the
-# determinism, staleness and learning tests twice under the race detector.
-echo "==> go test -race -count=2 asynchronous loop (virtual time, Hogwild, staleness)"
-run_tests -race -count=2 -run 'VirtualTime|Hogwild|AllAlgorithms|Staleness' ./internal/core/
+# The asynchronous loop's schedule-sensitive surfaces: the virtual-time
+# gate hands one step at a time across learner goroutines, and the
+# parameter server's shards are written under their locks by every
+# learner — Elastic writes the learner's own vector there too. Run the
+# determinism, staleness and learning tests, and the server's exchange
+# and concurrency tests, twice under the race detector.
+echo "==> go test -race -count=2 asynchronous loop (virtual time, staleness, parameter server)"
+run_tests -race -count=2 -run 'VirtualTime|AllAlgorithms|Staleness' ./internal/core/
+run_tests -race -count=2 -run 'Elastic|Server' ./internal/comm/
 
 # The straggler plan sets one rank's simulated slowdown from that rank's
 # goroutine while the others charge their batches: the per-rank slot must
