@@ -348,6 +348,8 @@ func (c *topkCompressor) adopt(_ *Group, _ *sched, in Frame) {
 	c.encA = append(c.encA[:0], in.Data...)
 }
 
+func (c *topkCompressor) top() int { return -1 } // the codecs send the total down every edge
+
 // mergePairs appends the coordinate-wise sum of two ascending pair
 // lists to dst. The left operand is always the accumulated value and
 // the right the incoming child's — the fixed association every rank's

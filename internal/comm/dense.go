@@ -35,6 +35,9 @@ import (
 // memory is not in hand — a partial that arrived in a pooled buffer —
 // does down send a pooled copy. On a p = 2 channel group the collective
 // copies nothing at all.
+// On a wire (Group.exchange) the root and its last child swap partials,
+// the root sending first, and each folds the total into its own memory
+// with the root's partial as dst: the root's last fold's order and bits.
 //
 // The apply epilogue x += a·Σ (AllreduceTreeApply) runs in the pass
 // that writes the member's final sum, dropping sum stores nothing reads,
@@ -78,8 +81,8 @@ func (g *Group) BroadcastTree(rank int, buf []float64) {
 // AllreduceTreeApply is AllreduceTree followed by x += a·Σ, bitwise,
 // with each member's apply run where the walk writes its sum: one pass
 // over the model instead of two; buf is spent. Whoever writes a
-// member's final sum applies its epilogue and marks it; a member left
-// unmarked — the root on a wire, after down has sent — applies its own.
+// member's final sum applies its epilogue and marks it; one left unmarked
+// (a simulated wire's root, after down has sent) applies its own.
 func (g *Group) AllreduceTreeApply(rank int, buf, x []float64, a float64) {
 	g.checkRank(rank)
 	if len(x) != len(buf) {
@@ -105,7 +108,10 @@ func (g *Group) allreduce(s *sched, buf []float64, lend bool) {
 	if s.solitary() || len(buf) == 0 {
 		return
 	}
-	d := s.sum(buf, lend)
+	d := s.sum(buf, lend && !g.exchange) // none parked: both ends of an exchange fold
+	if g.exchange {
+		d.peer = s.partner
+	}
 	g.up(s, d)
 	g.down(s, d)
 }
@@ -124,13 +130,19 @@ type reduction interface {
 	frame(g *Group, s *sched, k int) Frame
 	// adopt takes the parent's total as this member's.
 	adopt(g *Group, s *sched, in Frame)
+	// top is this walk's top-edge exchange partner, or −1.
+	top() int
 }
 
 // up runs the reduce half: fold each child's partial in schedule order
 // (the summation order every pin rests on), then send the subtree's
-// partial to the parent.
+// partial to the parent; an exchange's root sends its own to top first.
 func (g *Group) up(s *sched, r reduction) {
+	top := r.top()
 	for k, child := range s.children {
+		if child == top {
+			g.sendMsg(s.rank, child, r.frame(g, s, -1))
+		}
 		in := g.recvMsg(s.rank, child)
 		r.fold(g, s, k, in)
 		g.releaseMsg(in)
@@ -141,28 +153,38 @@ func (g *Group) up(s *sched, r reduction) {
 }
 
 // down runs the broadcast half: adopt the parent's total, then send it
-// to each child in reverse schedule order.
+// to each child in reverse schedule order; the top edge's exchange folds
+// the root's partial (k = −1) and sends nothing back.
 func (g *Group) down(s *sched, r reduction) {
+	top := r.top()
 	if s.parent >= 0 {
 		in := g.recvMsg(s.rank, s.parent)
-		r.adopt(g, s, in)
+		if s.parent == top {
+			r.fold(g, s, -1, in)
+		} else {
+			r.adopt(g, s, in)
+		}
 		g.releaseMsg(in)
 	}
 	for k := len(s.children) - 1; k >= 0; k-- {
-		g.sendMsg(s.rank, s.children[k], r.frame(g, s, k))
+		if s.children[k] != top {
+			g.sendMsg(s.rank, s.children[k], r.frame(g, s, k))
+		}
 	}
 }
 
 // dense is the dense sum as a reduction, one per sched: buf is the
 // member's buffer, held the children's partials kept by reference from
-// up to down, and lend whether the root's last fold may use the parked
-// members' workers. src and back are the fold in flight (Range); x += a·Σ
-// the member's epilogue (nil x: none), xc += ac·Σ the last fold's child's.
+// up to down, lend whether the root's last fold may use the parked
+// members' workers, peer the top edge's exchange partner (−1: none).
+// dst, src and back are the fold in flight (Range); x += a·Σ the
+// member's epilogue (nil x: none), xc += ac·Σ the last fold's child's.
 type dense struct {
 	buf              []float64
 	held             [][]float64
-	src, x, xc       []float64
+	dst, src, x, xc  []float64
 	a, ac            float64
+	peer             int
 	lend, back       bool
 	applied          bool
 	keepDst, keepSrc bool
@@ -171,9 +193,11 @@ type dense struct {
 
 // sum points s's dense state at buf and returns it.
 func (s *sched) sum(buf []float64, lend bool) *dense {
-	s.dense.buf, s.dense.lend = buf, lend
+	s.dense.buf, s.dense.lend, s.dense.peer = buf, lend, -1
 	return &s.dense
 }
+
+func (d *dense) top() int { return d.peer }
 
 // epilogue is out = in (none at a nil out), then x += a·in — tensor's
 // axpy, element by element — shard by shard, as a parallel.Body.
@@ -224,7 +248,7 @@ const reduceGrain = 1 << 15
 // every shard count. The state lives in the member's sched, so handing
 // it to the worker pool allocates nothing.
 func (d *dense) Range(_, lo, hi int) {
-	dst, src := d.buf[lo:hi], d.src[lo:hi]
+	dst, src := d.dst[lo:hi], d.src[lo:hi]
 	src = src[:len(dst)] // one length for both: no bounds checks in the loops
 	switch {
 	case !d.back:
@@ -240,9 +264,22 @@ func (d *dense) Range(_, lo, hi int) {
 		}
 		return
 	}
-	xr, xc := d.x[lo:hi], d.xc[lo:hi]
-	xr, xc = xr[:len(dst)], xc[:len(dst)]
-	a, ac, keepDst, keepSrc := d.a, d.ac, d.keepDst, d.keepSrc
+	xr := d.x[lo:hi][:len(dst)]
+	a, keepDst, keepSrc := d.a, d.keepDst, d.keepSrc
+	if d.xc == nil { // one x: an end of the top edge's exchange
+		for i := range dst {
+			v := dst[i] + src[i]
+			if keepDst {
+				dst[i] = v
+			}
+			if keepSrc {
+				src[i] = v
+			}
+			xr[i] += a * v
+		}
+		return
+	}
+	xc, ac := d.xc[lo:hi][:len(dst)], d.ac
 	if !keepDst && !keepSrc {
 		for i := range dst {
 			v := dst[i] + src[i]
@@ -279,12 +316,19 @@ func (d *dense) fold(g *Group, s *sched, k int, in Frame) {
 	if d.lend && s.writesBack(k) {
 		workers *= g.p
 	}
-	d.src, d.back = in.Data, keep && s.writesBack(k)
+	d.dst, d.src, d.back = d.buf, in.Data, keep && s.writesBack(k)
 	if d.back && d.x != nil {
 		c := &g.tree[s.children[k]] // s is a schedule of g.tree
 		d.xc, d.ac = c.dense.x, c.dense.a
 		d.keepDst, d.keepSrc = len(s.children) > 1, len(c.children) > 0
 		d.applied, c.dense.applied = true, true
+	}
+	if d.peer >= 0 && (k < 0 || s.children[k] == d.peer) { // the root's partial is dst at both ends
+		if k < 0 {
+			d.dst, d.src = in.Data, d.buf
+		}
+		d.back, d.xc, d.applied = k < 0 || d.x != nil, nil, d.x != nil
+		d.keepDst, d.keepSrc = k >= 0 && len(s.children) > 1, k < 0 && len(s.children) > 0
 	}
 	parallel.ForWorkers(len(d.buf), reduceGrain, workers, d)
 	if keep {

@@ -20,9 +20,11 @@ import (
 // graph of receives follows the collectives' dataflow — collective
 // order major, tree level minor — which is acyclic. Sends therefore only
 // block when a mailbox is full. Every collective keeps at most two
-// messages in flight per pair (a child's partial up, the sum back down),
-// so with this capacity sends never block, leaving only the acyclic
-// receive dependencies — no cycle, no deadlock.
+// messages in flight per pair (a child's partial up, the sum back down,
+// or a wire's top edge's two partials, sent before either end receives:
+// a TCP Send never waits on the peer's learner, whose reader drains the
+// socket into the inbox), so with this capacity sends never block,
+// leaving only the acyclic receive dependencies — no cycle, no deadlock.
 const mailboxCap = 10
 
 // Group is a fixed set of p learners that communicate through a
@@ -46,6 +48,9 @@ type Group struct {
 	// also aligns simulated clocks). A multi-process group synchronizes
 	// with a 1-word wire barrier over the transport instead.
 	allLocal bool
+	// exchange: frames arrive as pooled copies and Send is done with the
+	// payload on return (TCP, unsimulated), so the top edge swaps partials.
+	exchange bool
 	sim      *simTransport // tr, when decorated with simulated time
 	bar      *Barrier
 	pool     *bufPool // payload recycling, shared with the transport when it owns one
@@ -127,7 +132,7 @@ func NewTransportGroup(tr Transport, phys []int, clocks []Clock, cost CostModel)
 	}
 	g.allLocal = isAllLocal(base)
 	if pt, ok := base.(pooledTransport); ok {
-		g.pool = pt.bufferPool()
+		g.pool, g.exchange = pt.bufferPool(), g.sim == nil
 	} else {
 		g.pool = new(bufPool)
 	}

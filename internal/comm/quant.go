@@ -137,6 +137,9 @@ func (m *maxOf) frame(g *Group, _ *sched, _ int) Frame { return g.pooled([]float
 
 func (m *maxOf) adopt(_ *Group, _ *sched, in Frame) { m.v = in.Data[0] }
 
+func (m *maxOf) top() int           { return -1 }
+func (c *qint8Compressor) top() int { return -1 }
+
 // Phase 2's reduction is the codec itself: c.q is the rank's integer
 // vector, then its subtree's sum up the tree, then the total down it.
 // Integer addition is exact and associative, so the result is

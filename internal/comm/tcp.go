@@ -80,6 +80,8 @@ import (
 // the payload has been read for the last time before its sender runs
 // again, and the zero-copy hand-offs the collectives rely on stay safe
 // over the wire. (A coalesced small frame is copied out earlier still.)
+// With the buffering above, it lets the dense sum's top edge be one
+// exchange (dense.go): the root sends its buffer, then folds into it.
 //
 // Coalescing: every frame is flushed by the Send that wrote it — its
 // sender is about to wait for the answer — so the coalescing buffer

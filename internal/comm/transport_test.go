@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -490,11 +491,13 @@ func freePort(t *testing.T) int {
 // writer's paths: m = 4096 words makes 32 KiB frames, which are encoded
 // into the coalescing buffer, and m = 276 971 (the benchmark's dense
 // message) makes 2.2 MB frames, which go out in one vectored write from
-// the sender's memory and come in straight into a pooled buffer. The
-// harness is TestAllreduceSteadyStateAllocs's — persistent rank
-// goroutines, GC off so the pools are not drained mid-measurement, one
-// kernel worker — and AllocsPerRun counts mallocs process-wide, so the
-// writer and reader goroutines are measured too.
+// the sender's memory and come in straight into a pooled buffer. Both
+// AllreduceTree and AllreduceTreeApply run at p = 4 and at the
+// benchmark's p = 2, where the top edge's exchange is the whole
+// collective. The harness is TestAllreduceSteadyStateAllocs's —
+// persistent rank goroutines, GC off so the pools are not drained
+// mid-measurement, one kernel worker — and AllocsPerRun counts mallocs
+// process-wide, so the writer and reader goroutines are measured too.
 func TestTCPAllreduceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocs/op is pinned in non-race builds")
@@ -502,7 +505,6 @@ func TestTCPAllreduceSteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
 
-	const p = 4
 	for _, tc := range []struct {
 		name string
 		m    int
@@ -511,45 +513,220 @@ func TestTCPAllreduceSteadyStateAllocs(t *testing.T) {
 			if inPlace := wire.FrameLen(tc.m) >= wireBufSize; inPlace != (tc.name == "vectored") {
 				t.Fatalf("a %d-word frame is on the wrong side of wireBufSize for this case", tc.m)
 			}
-			tr, err := NewTCPLoopback(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := NewTransportGroup(tr, nil, nil, nil)
-			defer g.Close()
-			bufs := make([][]float64, p)
-			for r := range bufs {
-				bufs[r] = make([]float64, tc.m)
-			}
-			start := make([]chan struct{}, p)
-			done := make(chan struct{}, p)
-			for r := 1; r < p; r++ {
-				start[r] = make(chan struct{})
-				go func(r int) {
-					for range start[r] {
-						g.AllreduceTree(r, bufs[r])
-						done <- struct{}{}
-					}
-				}(r)
-			}
-			round := func() {
-				for r := 1; r < p; r++ {
-					start[r] <- struct{}{}
+			for _, op := range []string{"tree", "apply"} {
+				for _, p := range []int{4, 2} {
+					t.Run(fmt.Sprintf("%s/p%d", op, p), func(t *testing.T) {
+						tcpAllocsRound(t, p, tc.m, op == "apply")
+					})
 				}
-				g.AllreduceTree(0, bufs[0])
-				for r := 1; r < p; r++ {
-					<-done
-				}
-			}
-			for i := 0; i < 5; i++ {
-				round() // warm the pools and the sockets' iovec caches
-			}
-			if n := testing.AllocsPerRun(20, round); n != 0 {
-				t.Errorf("steady-state allreduce of %d words allocates %.1f/op, want 0", tc.m, n)
-			}
-			for r := 1; r < p; r++ {
-				close(start[r])
 			}
 		})
 	}
+}
+
+// tcpAllocsRound pins one shape of TestTCPAllreduceSteadyStateAllocs.
+func tcpAllocsRound(t *testing.T, p, m int, apply bool) {
+	tr, err := NewTCPLoopback(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewTransportGroup(tr, nil, nil, nil)
+	defer g.Close()
+	bufs, xs := make([][]float64, p), make([][]float64, p)
+	for r := range bufs {
+		bufs[r], xs[r] = make([]float64, m), make([]float64, m)
+	}
+	collective := func(r int) {
+		if apply {
+			g.AllreduceTreeApply(r, bufs[r], xs[r], -0.5)
+		} else {
+			g.AllreduceTree(r, bufs[r])
+		}
+	}
+	start := make([]chan struct{}, p)
+	done := make(chan struct{}, p)
+	for r := 1; r < p; r++ {
+		start[r] = make(chan struct{})
+		go func(r int) {
+			for range start[r] {
+				collective(r)
+				done <- struct{}{}
+			}
+		}(r)
+	}
+	round := func() {
+		for r := 1; r < p; r++ {
+			start[r] <- struct{}{}
+		}
+		collective(0)
+		for r := 1; r < p; r++ {
+			<-done
+		}
+	}
+	for i := 0; i < 5; i++ {
+		round() // warm the pools and the sockets' iovec caches
+	}
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Errorf("steady-state collective of %d words allocates %.1f/op, want 0", m, n)
+	}
+	for r := 1; r < p; r++ {
+		close(start[r])
+	}
+}
+
+// linkLog records, in the order they happen, the sends a transport is
+// handed (with a copy of the payload as it is at the call) and the
+// receives it is asked for (at the call, before one is delivered).
+type linkLog struct {
+	mu     sync.Mutex
+	events []linkEvent
+}
+
+type linkEvent struct {
+	send     bool
+	from, to int
+	data     []float64 // sends only
+}
+
+func (l *linkLog) add(e linkEvent) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+// recording is a transport that logs its traffic.
+type recording struct {
+	Transport
+	log *linkLog
+}
+
+func (t recording) Send(from, to int, f Frame) {
+	t.log.add(linkEvent{send: true, from: from, to: to, data: slices.Clone(f.Data)})
+	t.Transport.Send(from, to, f)
+}
+
+func (t recording) Recv(to, from int) Frame {
+	t.log.add(linkEvent{from: from, to: to})
+	return t.Transport.Recv(to, from)
+}
+
+// recordingTCP is a recording TCP transport that keeps its buffer pool
+// visible, so a group built over it runs as over the bare transport.
+type recordingTCP struct{ recording }
+
+func (t recordingTCP) bufferPool() *bufPool { return t.Transport.(*TCPTransport).bufferPool() }
+
+// TestTopEdgeExchange pins the mechanism of the dense sum on a wire: the
+// root and its last child — the top edge, whose child's subtree is the
+// positions c … p−1 — swap partials and each folds the total. So the one
+// frame the root sends that child carries the root's partial (the sum
+// over positions 0 … c−1), not the total, and the root sends it before
+// it asks for the child's. A channel group and a simulated TCP group
+// keep the walk up then down: their root's frame to that child is the
+// total, after the child's partial came up (on channels, where the
+// apply spends the buffer that frame hands back, only its count and
+// order are pinned). Values are small integers, so every partial and
+// total is exact in any order.
+func TestTopEdgeExchange(t *testing.T) {
+	const m = 19
+	backends := []struct {
+		name     string
+		exchange bool
+		make     func(t *testing.T, p int, log *linkLog) *Group
+	}{
+		{"tcp", true, func(t *testing.T, p int, log *linkLog) *Group {
+			return NewTransportGroup(recordingTCP{recording{tcpLoopback(t, p), log}}, nil, nil, nil)
+		}},
+		{"channel", false, func(t *testing.T, p int, log *linkLog) *Group {
+			return NewTransportGroup(recording{newChanTransport(p), log}, nil, nil, nil)
+		}},
+		{"tcp-simulated", false, func(t *testing.T, p int, log *linkLog) *Group {
+			clocks := make([]Clock, p)
+			for r := range clocks {
+				clocks[r] = &simpleClock{}
+			}
+			return NewTransportGroup(recordingTCP{recording{tcpLoopback(t, p), log}}, nil, clocks, linkCost{})
+		}},
+	}
+	ops := []struct {
+		name string
+		run  func(g *Group, r int, buf, x []float64)
+	}{
+		{"tree", func(g *Group, r int, buf, _ []float64) { g.AllreduceTree(r, buf) }},
+		{"apply", func(g *Group, r int, buf, x []float64) { g.AllreduceTreeApply(r, buf, x, 0.5) }},
+	}
+	for _, b := range backends {
+		for _, op := range ops {
+			for _, p := range []int{2, 3, 5, 8} {
+				c := 1 // the root's last child: the largest power of two below p
+				for 2*c < p {
+					c *= 2
+				}
+				bufs, xs := make([][]float64, p), make([][]float64, p)
+				partial, total := make([]float64, m), make([]float64, m)
+				for r := range bufs {
+					bufs[r], xs[r] = make([]float64, m), make([]float64, m)
+					for i := range bufs[r] {
+						bufs[r][i] = float64((r*7+i*3)%11 + 1)
+						xs[r][i] = float64(i)
+						if r < c {
+							partial[i] += bufs[r][i]
+						}
+						total[i] += bufs[r][i]
+					}
+				}
+				log := new(linkLog)
+				g := b.make(t, p, log)
+				runGroup(p, g, func(r int) { op.run(g, r, bufs[r], xs[r]) })
+				g.Close()
+
+				name := fmt.Sprintf("%s %s p=%d", b.name, op.name, p)
+				var down [][]float64
+				sentAt, recvAt := -1, -1
+				for i, e := range log.events {
+					switch {
+					case e.send && e.from == 0 && e.to == c:
+						down = append(down, e.data)
+						sentAt = i
+					case !e.send && e.to == 0 && e.from == c && recvAt < 0:
+						recvAt = i
+					}
+				}
+				want := total
+				if b.exchange {
+					want = partial
+				}
+				// A by-reference frame under the apply is the child's own
+				// buffer, which the apply spends: only its count is pinned.
+				spent := b.name == "channel" && op.name == "apply"
+				if len(down) != 1 || !spent && !slices.Equal(down[0], want) {
+					t.Fatalf("%s: root → rank %d frames %v, want one carrying %v", name, c, down, want)
+				}
+				if b.exchange != (sentAt < recvAt) {
+					t.Errorf("%s: root sent to rank %d at event %d and asked for its partial at event %d; exchange %v",
+						name, c, sentAt, recvAt, b.exchange)
+				}
+				for r := range xs {
+					for i, v := range xs[r] {
+						if op.name == "apply" && v != float64(i)+0.5*total[i] {
+							t.Fatalf("%s: rank %d x[%d] = %g, want %g", name, r, i, v, float64(i)+0.5*total[i])
+						}
+						if op.name == "tree" && bufs[r][i] != total[i] {
+							t.Fatalf("%s: rank %d buf[%d] = %g, want the total %g", name, r, i, bufs[r][i], total[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func tcpLoopback(t *testing.T, p int) *TCPTransport {
+	t.Helper()
+	tr, err := NewTCPLoopback(p)
+	if err != nil {
+		t.Fatalf("NewTCPLoopback(%d): %v", p, err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
 }

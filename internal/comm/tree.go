@@ -24,6 +24,7 @@ type sched struct {
 	parent   int   // −1 at the root (the list's first member)
 	children []int // ascending step order: the order their partials are folded in
 	span     int   // members in this subtree, itself included
+	partner  int   // the top edge's other end (root ↔ its last child), else −1
 
 	// The dense sum's state for this member of this tree (dense.go),
 	// touched only by the goroutine walking it.
@@ -61,7 +62,7 @@ func newTree(members []int) []sched {
 	for i := len(members) - 1; i >= 0; i-- {
 		parent, children := binomial(len(members), i)
 		s := &t[i]
-		s.rank, s.parent, s.children, s.span = members[i], -1, children, 1
+		s.rank, s.parent, s.children, s.span, s.partner = members[i], -1, children, 1, -1
 		s.dense.held = make([][]float64, len(children))
 		if parent >= 0 {
 			s.parent = members[parent]
@@ -69,6 +70,9 @@ func newTree(members []int) []sched {
 		for k, c := range children {
 			s.span += t[c].span
 			children[k] = members[c]
+			if i == 0 && k == len(children)-1 {
+				s.partner, t[c].partner = members[c], members[0]
+			}
 		}
 	}
 	return t

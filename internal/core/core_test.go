@@ -491,7 +491,7 @@ func TestLearnerPanicEndsTrain(t *testing.T) {
 	})
 	t.Run("tcp-peer-closed", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		trs := tcpEndpoints(t)
+		trs := tcpEndpoints(t, 2)
 		// Two endpoints, each with its own Run, as two processes. Virtual
 		// rank 0 closes endpoint 1's transport inside boundary 1 and goes
 		// on: endpoint 0 hears of it only as the end of link 1→0.

@@ -62,61 +62,69 @@ func TestTrainTCPLoopbackMatchesChannel(t *testing.T) {
 }
 
 // TestTrainMultiEndpointMatchesChannel runs the genuinely distributed
-// shape inside one test process: two TCP mesh endpoints, each hosting
-// one learner (its Local rank), train concurrently and meet only on the
+// shape inside one test process: p TCP mesh endpoints, each hosting one
+// learner (its Local rank), train concurrently and meet only on the
 // wire (collectives, barriers, epoch evaluation). The rank-0 endpoint's
 // final parameters must match the single-process channel run bitwise.
+// At p = 2 the whole collective is the top edge's exchange across two
+// meshes; at 3 and 5 the exchange runs beside plain tree edges.
 func TestTrainMultiEndpointMatchesChannel(t *testing.T) {
-	const p = 2
 	prob := tinyProblem(48, 24, 5)
-	want := Train(transportCfg(p), prob)
+	for _, p := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
+			want := Train(transportCfg(p), prob)
+			trs := tcpEndpoints(t, p)
+			var wg sync.WaitGroup
+			results := make([]*Result, p)
+			for r := 0; r < p; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					defer trs[r].Close()
+					cfg := transportCfg(p)
+					cfg.Transport = trs[r]
+					cfg.Workers = 1 // every endpoint shares this process's budget
+					results[r] = Train(cfg, prob)
+				}(r)
+			}
+			wg.Wait()
 
-	trs := tcpEndpoints(t)
-	var wg sync.WaitGroup
-	results := make([]*Result, p)
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer trs[r].Close()
-			cfg := transportCfg(p)
-			cfg.Transport = trs[r]
-			cfg.Workers = 1 // both endpoints share this process's budget
-			results[r] = Train(cfg, prob)
-		}(r)
-	}
-	wg.Wait()
-
-	got := results[0]
-	if len(got.FinalParams) != len(want.FinalParams) || len(got.FinalParams) == 0 {
-		t.Fatalf("rank-0 endpoint parameters: %d words, want %d", len(got.FinalParams), len(want.FinalParams))
-	}
-	for i := range want.FinalParams {
-		if !sameBits(got.FinalParams[i], want.FinalParams[i]) {
-			t.Fatalf("multi-endpoint parameters differ at %d: %g vs %g (must be bitwise identical)",
-				i, got.FinalParams[i], want.FinalParams[i])
-		}
-	}
-	if len(results[1].FinalParams) != 0 {
-		t.Errorf("rank-1 endpoint reported %d final parameters; only rank 0 records them", len(results[1].FinalParams))
+			got := results[0]
+			if len(got.FinalParams) != len(want.FinalParams) || len(got.FinalParams) == 0 {
+				t.Fatalf("rank-0 endpoint parameters: %d words, want %d", len(got.FinalParams), len(want.FinalParams))
+			}
+			for i := range want.FinalParams {
+				if !sameBits(got.FinalParams[i], want.FinalParams[i]) {
+					t.Fatalf("multi-endpoint parameters differ at %d: %g vs %g (must be bitwise identical)",
+						i, got.FinalParams[i], want.FinalParams[i])
+				}
+			}
+			for r := 1; r < p; r++ {
+				if len(results[r].FinalParams) != 0 {
+					t.Errorf("rank-%d endpoint reported %d final parameters; only rank 0 records them", r, len(results[r].FinalParams))
+				}
+			}
+		})
 	}
 }
 
-// tcpEndpoints builds the two endpoints of a two-rank partial mesh over
-// loopback, each hosting one rank (its Local rank), as two processes
-// would.
-func tcpEndpoints(t *testing.T) [2]*comm.TCPTransport {
+// tcpEndpoints builds the p endpoints of a p-rank partial mesh over
+// loopback, each hosting one rank (its Local rank), as p processes
+// would. Rank 0 dials every link, so only ranks 1 … p−1 need a port
+// known in advance.
+func tcpEndpoints(t *testing.T, p int) []*comm.TCPTransport {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := []string{"127.0.0.1:0"}
+	for len(addrs) < p {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, fmt.Sprintf("127.0.0.1:%d", l.Addr().(*net.TCPAddr).Port))
+		l.Close()
 	}
-	port := l.Addr().(*net.TCPAddr).Port
-	l.Close()
-	addrs := []string{"127.0.0.1:0", fmt.Sprintf("127.0.0.1:%d", port)}
-
-	var trs [2]*comm.TCPTransport
-	var errs [2]error
+	trs := make([]*comm.TCPTransport, p)
+	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := range trs {
 		wg.Add(1)

@@ -39,13 +39,25 @@ if grep -n 'parallel\.SetWorkers' $comm_src; then
 fi
 # One tree walk: up and down (dense.go) move every frame of every
 # collective, dense or codec, and a reduction only says what a frame
-# carries. group.go holds the send and receive themselves; a receive or
-# send anywhere else is a second walk with its own order and its own
-# pooled-frame discipline.
-echo "==> internal/comm: recvMsg/sendMsg only in group.go and dense.go"
+# carries — the top edge's exchange on a wire is a case inside them.
+# group.go holds the send and receive themselves; a receive or send
+# anywhere else, or in another function of dense.go, is a second walk
+# with its own order and its own pooled-frame discipline. The leg fails
+# if it does not find both up and down (a rename drops one out).
+echo "==> internal/comm: recvMsg/sendMsg only in group.go and in up/down of dense.go"
 # shellcheck disable=SC2086
 if grep -n 'recvMsg(\|sendMsg(' $comm_src | grep -v '^internal/comm/\(group\|dense\)\.go:'; then
     echo "FAIL: a tree walk outside up/down in internal/comm/dense.go"
+    exit 1
+fi
+walk="$(awk '
+    /^func / { on = /^func \(g \*Group\) (up|down)\(/; n += on }
+    !on && /(recvMsg|sendMsg)\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+    /^}/ { on = 0 }
+    END { if (n != 2) print "found " n " of the 2 functions the leg names" }' internal/comm/dense.go)"
+if [ -n "$walk" ]; then
+    printf '%s\n' "$walk"
+    echo "FAIL: a send or receive in internal/comm/dense.go outside up and down, or up/down not found"
     exit 1
 fi
 
@@ -316,7 +328,7 @@ run_tests -tags purego -run 'GoldenPins' ./internal/core/
 # child's x′ — so its differential and the whole-run pin that holds the
 # fused boundary to the materialised one ride the same leg.
 echo "==> go test -race -count=2 comm schedule + stress/equivalence + ownership + tree apply"
-run_tests -race -count=2 -run 'BinomialSchedule|HierSingleIslandBitwiseTree|Stress|Equivalent|DenseOwnership|CrossTransportAllreduceEquivalence|TreeApply' ./internal/comm/
+run_tests -race -count=2 -run 'BinomialSchedule|HierSingleIslandBitwiseTree|Stress|Equivalent|DenseOwnership|CrossTransportAllreduceEquivalence|TreeApply|TopEdgeExchange' ./internal/comm/
 run_tests -race -count=2 -run 'FusedApply' ./internal/core/
 
 # Same treatment for the backward-overlapped bucketed aggregation: the
