@@ -6,7 +6,6 @@
 //	go run ./cmd/experiments                  # everything (several minutes)
 //	go run ./cmd/experiments -only fig9,fig10 # just the headline comparison
 //	go run ./cmd/experiments -epochs 10       # shrink every epoch budget
-//	go run ./cmd/experiments -only fig4,fig5 -overlap  # overlapped aggregation
 package main
 
 import (
@@ -22,19 +21,16 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated subset: tables, theorem1, fig1..fig10, averaging, trace, faults, compress, sched (default: all)")
+	only := flag.String("only", "", "comma-separated subset: tables, theorem1, fig1..fig10, averaging, faults, compress, sched (default: all)")
 	epochs := flag.Int("epochs", 0, "override every figure's epoch budget (0 = per-figure default)")
 	seed := flag.Int64("seed", 0, "seed offset for replication runs")
 	replicas := flag.Int("replicas", 3, "seeds averaged per convergence curve (1 = single run)")
 	jsonDir := flag.String("json", "", "also write each item's structured result as JSON into this directory")
-	trace := flag.String("trace", "", "Chrome-trace output file for the trace item")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/obs, /debug/vars and /debug/pprof/ on this address during the trace item's traced run (with -metrics also /debug/metrics)")
-	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry to the metrics-aware items (trace): per-rank sim splits, drift RMS and straggler verdicts")
-	overlap := flag.Bool("overlap", false, "run every SASGD configuration with backward-overlapped bucketed aggregation (Figs 4/5 with the hidden transfer)")
+	trace := flag.String("trace", "", "Chrome-trace output file for the faults item's crash run")
 	flag.Parse()
 
 	opt := experiments.Opt{Out: os.Stdout, Epochs: *epochs, Seed: *seed, Replicas: *replicas,
-		TracePath: *trace, DebugAddr: *debugAddr, Metrics: *metricsOn, Overlap: *overlap}
+		TracePath: *trace}
 	all := []struct {
 		name string
 		run  func() interface{}
@@ -55,7 +51,6 @@ func main() {
 		{"fig9", func() interface{} { return experiments.Fig9(opt) }},
 		{"fig10", func() interface{} { return experiments.Fig10(opt) }},
 		{"averaging", func() interface{} { return experiments.AveragingVariants(opt) }},
-		{"trace", func() interface{} { return experiments.TracedOverlap(opt) }},
 		{"faults", func() interface{} { return experiments.DegradedRuns(opt) }},
 		{"compress", func() interface{} { return experiments.CompressionFrontier(opt) }},
 		{"sched", func() interface{} { return experiments.CommScheduleFrontier(opt) }},

@@ -5,7 +5,7 @@
 //	go run ./cmd/sasgd-train -algo sasgd -workload cifar -p 8 -T 50
 //	go run ./cmd/sasgd-train -algo downpour -workload nlcf -p 16 -epochs 40
 //	go run ./cmd/sasgd-train -algo sasgd -p 8 -T 1 -sim   # simulated fabric timing
-//	go run ./cmd/sasgd-train -p 8 -T 1 -overlap -trace out.json  # Perfetto timeline + end-of-run report
+//	go run ./cmd/sasgd-train -p 8 -T 1 -trace out.json  # Perfetto timeline + end-of-run report
 package main
 
 import (
@@ -44,8 +44,6 @@ func main() {
 	batch := flag.Int("batch", 0, "minibatch size M (0 = workload default)")
 	epochs := flag.Int("epochs", 0, "epochs (0 = workload default)")
 	seed := flag.Int64("seed", 1, "random seed")
-	overlap := flag.Bool("overlap", false, "overlap SASGD aggregation with backprop (bucketed allreduce)")
-	buckets := flag.Int("buckets", 0, "gradient bucket count for -overlap (0 = one per parameterized layer)")
 	momentum := flag.Float64("momentum", 0, "EAMSGD local momentum (0 = default, negative = none)")
 	tSched := flag.String("t-sched", "", "SASGD aggregation-period scheduler: static or adaptive (drift-controlled)")
 	hierGroups := flag.Int("hier-groups", 0, "two-level SASGD aggregation: partition the learners into this many islands, aggregate intra-island every boundary and cross-island every -t-outer boundaries (<2 = flat)")
@@ -66,7 +64,7 @@ func main() {
 	peers := flag.String("peers", os.Getenv("SASGD_PEERS"), "with -transport tcp -rank N: comma-separated host:port for every rank in order, e.g. 127.0.0.1:7000,127.0.0.1:7001 (default from SASGD_PEERS)")
 	paramsOut := flag.String("params-out", "", "write the final parameters to this file as little-endian float64 words (rank-0 process only)")
 	faults := flag.String("faults", "", "SASGD fault-injection plan, e.g. seed=1,drop=0.05,slow=2:4,crash=3@10,evict=500ms")
-	ckpt := flag.String("ckpt", "", "SASGD checkpoint path written at aggregation boundaries; a %d in the path keeps one file per boundary")
+	ckpt := flag.String("ckpt", "", "SASGD checkpoint path written at aggregation boundaries; a %d in the path keeps one file per boundary (x′ and counters only, so not with -delayed, -hier-groups or -compress; a resume replays the run exactly on nlcf, not on cifar, whose dropout RNG is not saved)")
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every Nth aggregation boundary (with -ckpt)")
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
 	resumeRanks := flag.String("resume-ranks", "", "comma-separated original ranks the resumed learners play, e.g. 0,1,3 after rank 2 died (default: all of them)")
@@ -106,8 +104,6 @@ func main() {
 		Epochs:        w.Epochs,
 		Seed:          *seed,
 		Momentum:      *momentum,
-		OverlapComm:   *overlap,
-		CommBuckets:   *buckets,
 		TSched:        *tSched,
 		HierGroups:    *hierGroups,
 		TOuter:        *tOuter,

@@ -161,6 +161,8 @@ func TestUnknownCollectiveExitsTwo(t *testing.T) {
 // Algorithm 1 at p = 1 — it is refused with exit 2 instead of training
 // dense, or compressing a single learner's gradient, without a word. A
 // name that is no algorithm (hogwild is not one) is refused as such first.
+// On SASGD a codec beside -ckpt is refused too: the checkpoint holds x′
+// and counters, not the codec's error-feedback residual.
 func TestCodecOnNonSASGDExitsTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary; skipped in -short")
@@ -175,6 +177,7 @@ func TestCodecOnNonSASGDExitsTwo(t *testing.T) {
 		{[]string{"-algo", "sgd", "-compress", "qint8"}, policy},
 		{[]string{"-algo", "eamsgd", "-compress", "topk", "-compress-k", "0.2"}, policy},
 		{[]string{"-algo", "hogwild", "-compress", "topk"}, "sasgd-train: core: invalid config: unknown algorithm (want sgd, sasgd, downpour or eamsgd)"},
+		{[]string{"-ckpt", "x", "-compress", "topk"}, "sasgd-train: core: invalid config: checkpointing composes with the T-scheduler but not with DelayedApply, HierGroups or a codec"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-p", "2", "-epochs", "1"}, c.args...)...).CombinedOutput()
 		var exit *exec.ExitError

@@ -9,14 +9,13 @@ import (
 	"sasgd/internal/obs"
 )
 
-// Bucketed, asynchronous allreduce: the communication half of SASGD's
-// backward-overlapped aggregation. The flat gradient buffer is split at
-// fixed layer boundaries into buckets; as the backward pass finalizes a
-// bucket (layers finalize in reverse order, so the buckets near the end
-// of the buffer are ready while the first layers are still
-// backpropagating), the learner hands it to a per-rank communication
-// worker and keeps computing. Each bucket is reduced by the dense
-// engine over the same Group, so all of its guarantees carry over: zero
+// Bucketed, asynchronous allreduce: the exchange of SASGD's codec and
+// delayed-application boundaries. The flat gradient buffer is split at
+// fixed layer boundaries into buckets; the learner hands each to a
+// per-rank communication worker and either waits on the handles (a
+// codec runs one collective per bucket) or keeps computing (a delayed
+// launch stays in flight across the next interval). Each bucket is
+// reduced by the dense engine over the same Group, so all of its guarantees carry over: zero
 // steady-state allocations, per-directed-link serialization in the
 // fabric simulation, and — because every bucket replays the binomial
 // tree's per-element summation order on its own slice — a concatenated
@@ -26,12 +25,12 @@ import (
 // Ordering discipline. A Group's collectives require every rank to walk
 // the same collectives in the same order. BucketedAllreduce preserves
 // that with ONE worker goroutine per rank draining a FIFO queue: callers
-// must Begin buckets in the same order on every rank (SASGD's backward
-// pass does — the bucket plan and the layer finalization order are
-// identical across replicas), and the worker then executes them in that
-// shared order. Buckets are therefore *pipelined*, not interleaved: the
-// overlap is between communication and the rest of the backward pass,
-// never between two buckets' wire schedules — which also matches the
+// must Begin buckets in the same order on every rank (SASGD's boundary
+// does — the bucket plan and the launch order are identical across
+// replicas), and the worker then executes them in that shared order.
+// Buckets are therefore *pipelined*, not interleaved: the overlap is
+// between communication and the learner's compute, never between two
+// buckets' wire schedules — which also matches the
 // physical platform, where one PCIe link per learner would serialize
 // concurrent bucket transfers anyway, and keeps simulated times and
 // mailbox matching deterministic.
@@ -45,8 +44,8 @@ import (
 // whose receiver is draining strictly earlier traffic.
 
 // Segment is one contiguous [Off, Off+Len) range of a flat buffer — a
-// bucket of the bucketed allreduce. Core builds these from
-// nn.ParamSegments by grouping adjacent layers.
+// bucket of the bucketed allreduce. Core builds one per parameterized
+// layer from nn.ParamSegments.
 type Segment struct {
 	Off int
 	Len int
@@ -259,8 +258,8 @@ func (b *BucketedAllreduce) submit(i int, buf []float64, kind int, ready float64
 	// run-next slot) picks the bucket up and starts its collective
 	// immediately. Without this, on hosts with fewer cores than
 	// goroutines the submitting compute goroutine runs to its next
-	// blocking point (the end of backward) before the worker ever runs,
-	// and the overlap the bucketing exists for never starts. Values are
+	// blocking point (the next boundary) before the worker ever runs,
+	// and the delayed launch hides nothing. Values are
 	// unaffected — scheduling never changes the summation order.
 	runtime.Gosched()
 	return Handle{b: b, op: op}

@@ -106,7 +106,7 @@ func TestBucketedAllreduceMatchesMonolithicTraffic(t *testing.T) {
 // the race detector: many rounds of submit-all-then-wait with fresh
 // random data, each round's result checked
 // bitwise against the monolithic tree. check.sh runs this twice with
-// -race via the Overlap|Bucketed pattern.
+// -race via the Bucketed pattern.
 func TestBucketedConcurrentHandleStress(t *testing.T) {
 	const p, m, rounds = 5, 97, 30
 	segs := bucketPartitions(m)[2] // many small uneven buckets

@@ -18,9 +18,9 @@ import (
 // codec's reduction — top-k's pair merge below, qint8's max and integer
 // sum in quant.go — so a codec says what a frame holds, never when or
 // where it moves. The engine plugs
-// into BucketedAllreduce (BeginCompressed), so compression composes
-// with backward-overlapped aggregation instead of forcing a serial
-// fallback; on a membership plane the worker is restarted on the
+// into BucketedAllreduce (BeginCompressed), one collective per bucket,
+// so compression composes with delayed application's in-flight launch;
+// on a membership plane the worker is restarted on the
 // survivor group, so compressed runs survive chaos scenarios.
 //
 // Error-feedback contract (Alistarh et al., "The Convergence of
@@ -53,8 +53,8 @@ type Compressor interface {
 	// res the untransmitted remainder. ratio is the sparsity knob in
 	// (0, 1] for codecs that have one (top-k fraction; ignored by
 	// qint8). ready is the collective's entry stamp on a simulated group
-	// (the layer's backward-completion time on the overlap path): it runs
-	// against its own clock from there, the rank's synced to its end. tk
+	// (the learner's clock at the launch): it runs against its own clock
+	// from there, the rank's synced to its end. tk
 	// records the codec's encode work as a compress span with arg as
 	// the span argument (the bucket index); nil-safe.
 	//

@@ -799,8 +799,8 @@ func TestCompressedTrafficLabels(t *testing.T) {
 // TestBucketedCompressedMatchesSync: BeginCompressed through the async
 // comm worker must produce bitwise the same aggregates and residuals as
 // driving the codec synchronously bucket by bucket — the property that
-// lets the serial compressed schedule and the resilient path share the
-// engine with the overlap path.
+// lets the compressed boundary and the resilient path share the engine
+// with the delayed launch.
 func TestBucketedCompressedMatchesSync(t *testing.T) {
 	for _, codec := range []string{"topk", "qint8"} {
 		const p, n = 4, 300

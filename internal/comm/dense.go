@@ -17,8 +17,9 @@ import (
 // O(m log p) tree: "tree", the broadcast, the wire barrier, the
 // bucketed worker's per-bucket collective and both levels of the
 // hierarchy are this one engine with a different schedule, buffer and
-// traffic label. The overlap the package offers comes from bucketing
-// (bucketed.go), not from splitting a buffer inside one collective.
+// traffic label. The only concurrency with compute the package offers
+// is the bucketed worker's (bucketed.go), not splitting a buffer inside
+// one collective.
 //
 // Every collective is executed by the members' cooperating goroutines
 // over the group's transport. Each learner calls the method with its own
@@ -242,8 +243,11 @@ const reduceGrain = 1 << 15
 // parallel.Body. With back set it also stores each sum into src: the
 // root's last fold, whose sums are final, writing them into the child's
 // own memory in the same pass — under an epilogue, applying both and
-// storing only what a later frame reads (at p = 2, nothing). Either way
-// an element is one addition, in the serial loop's order, and shards
+// storing only what a later frame reads (at p = 2, nothing). Without an
+// epilogue keepDst still says whether dst is read again: at the child
+// end of the top edge's exchange dst is the pooled copy of the root's
+// partial, and only the child's own buffer (src) takes the total. Either
+// way an element is one addition, in the serial loop's order, and shards
 // are disjoint index ranges, so the result is bitwise identical at
 // every shard count. The state lives in the member's sched, so handing
 // it to the worker pool allocates nothing.
@@ -257,9 +261,12 @@ func (d *dense) Range(_, lo, hi int) {
 		}
 		return
 	case d.x == nil:
+		keepDst := d.keepDst
 		for i := range dst {
 			v := dst[i] + src[i]
-			dst[i] = v
+			if keepDst {
+				dst[i] = v
+			}
 			src[i] = v
 		}
 		return
@@ -316,7 +323,7 @@ func (d *dense) fold(g *Group, s *sched, k int, in Frame) {
 	if d.lend && s.writesBack(k) {
 		workers *= g.p
 	}
-	d.dst, d.src, d.back = d.buf, in.Data, keep && s.writesBack(k)
+	d.dst, d.src, d.back, d.keepDst = d.buf, in.Data, keep && s.writesBack(k), true
 	if d.back && d.x != nil {
 		c := &g.tree[s.children[k]] // s is a schedule of g.tree
 		d.xc, d.ac = c.dense.x, c.dense.a

@@ -17,9 +17,8 @@ import (
 // zero, deterministic), sums the INTEGER vectors over the same tree,
 // and every rank decodes the aggregate as (Σ q)·s. Because the wire
 // carries integers, partial sums are exact and order-independent: the
-// qint8 aggregate is bitwise identical for any reduction order, which
-// is what makes the overlapped and serial compressed schedules
-// trivially equivalent.
+// qint8 aggregate is bitwise identical for any reduction order and any
+// bucket launch schedule.
 //
 // Wire format: integers are packed into float64 words bit-for-bit
 // (math.Float64bits; payloads are only ever copied in transit, never

@@ -148,8 +148,7 @@ func (linkCost) ServerOpTime(int, int, int) float64 { return 0 }
 // the transport, so the same collectives give the same final clocks,
 // bitwise, over the channel fabric and over TCP loopback — the wire
 // carries no time. Ranks start skewed; the bucketed ops and the two
-// codecs open their clocks at entry stamps before the ranks' own clocks,
-// as the overlap path's do.
+// codecs open their clocks at entry stamps before the ranks' own clocks.
 func TestCrossTransportSimulatedClocks(t *testing.T) {
 	const m = 53
 	segs := []Segment{{0, 20}, {20, 20}, {40, 13}}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sasgd/internal/comm"
-	"sasgd/internal/model"
 	"sasgd/internal/nn"
 	"sasgd/internal/obs"
 	"sasgd/internal/tensor"
@@ -48,15 +47,14 @@ import (
 // view's virtual rank 0 writes them (checkpoint.go) on whatever view the
 // run has. A fault-free checkpoint has no membership question to settle,
 // so checkpointing and resuming runs keep the fixed group — and with it
-// backward-overlapped launches and partial meshes.
+// partial meshes.
 //
 // Exchange. Flat dense aggregation runs the tree allreduce on gs
 // directly. Everything else goes through the rank's bucketed comm
-// worker, one op per bucket in descending index order: every codec
-// collective (the codecs own the per-bucket schedule), every launch
-// that must outlive the boundary, and the backward-overlapped launches
-// of overlap.go. Under a hierarchy every boundary runs the cheap
-// intra-island allreduce — the island's working reference w moves at
+// worker, one op per parameterized layer in descending index order:
+// every codec collective (the codecs own the per-bucket schedule) and
+// every launch that must outlive the boundary. Under a hierarchy every
+// boundary runs the cheap intra-island allreduce — the island's working reference w moves at
 // the island-local model-averaging rate γp·OrigP/q and the island
 // aggregate accumulates into acc — and only every TOuter-th boundary
 // exchanges acc across islands (leaders tree-allreduce + island
@@ -67,9 +65,9 @@ import (
 // it, so each gradient's total weight in the global model is exactly γp
 // regardless of island sizes.
 //
-// Apply now-or-next. A flat, eager, dense boundary that was not
-// launched applies inside the collective (comm.AllreduceTreeApply,
-// DESIGN §5), bitwise the exchange and axpy every other path runs. An
+// Apply now-or-next. A flat, eager, dense boundary applies inside the
+// collective (comm.AllreduceTreeApply, DESIGN §5), bitwise the exchange
+// and axpy every other path runs. An
 // AggHook reads the materialised aggregate, so it keeps the run — every
 // boundary on every rank — on that path.
 //
@@ -127,6 +125,7 @@ type engine struct {
 	err       error // why boundary stopped the learner, when it failed
 	dataRanks []int // run-physical → data-physical rank (checkpoint header)
 
+	grads []float64 // the network's gradient buffer
 	gs    []float64 // the interval's gradient sum
 	fresh bool      // gs holds nothing of the current interval: the next local step overwrites it
 	gsIsG bool      // gs is the gradient buffer itself (static T = 1, no drift consumer)
@@ -150,7 +149,8 @@ type engine struct {
 	gpIsland  float64   // γp·OrigP/q for this rank's island of q live members
 	outerLeft int       // boundaries until the next outer exchange
 
-	// Bucketed worker (b nil when nothing needs it).
+	// Bucketed worker (b nil when nothing needs it): one bucket per
+	// parameterized layer.
 	segs    []comm.Segment
 	b       *comm.BucketedAllreduce
 	handles []comm.Handle
@@ -171,13 +171,6 @@ type engine struct {
 	adapt bool      // the adaptive-sparsity controller steers ratio (top-k only)
 
 	ctl []float64 // the control frame's buffer, sized for every controller
-
-	// Backward-overlapped launch (overlap.go).
-	overlap   bool
-	bucketAt  []int     // layer → bucket its backward completion finalizes, or -1
-	fracs     []float64 // layer → fraction of the batch's simulated span at completion
-	grads     []float64
-	start, dt float64 // the boundary batch's simulated span
 }
 
 // newCompressor builds a learner's codec. A variable so that the
@@ -215,11 +208,8 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 	// The bucket plan exists only for the policies that go through the
 	// comm worker; a model without parameters has nothing to bucket, and
 	// those policies then fall away with the plan.
-	var minLayer []int
-	if cfg.Compress != "" || cfg.DelayedApply || cfg.OverlapComm {
-		if psegs := net.ParamSegments(); len(psegs) > 0 {
-			e.segs, minLayer = planBuckets(psegs, cfg.CommBuckets)
-		}
+	if cfg.Compress != "" || cfg.DelayedApply {
+		e.segs = planBuckets(net.ParamSegments())
 	}
 	if cfg.HierGroups >= 2 {
 		e.baseIsl = comm.BlockIslands(cfg.Learners, cfg.HierGroups)
@@ -241,28 +231,22 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 	}
 	e.async = e.delayed && mem == nil
 	e.fused = e.hier == nil && !e.delayed && e.comp == nil && cfg.AggHook == nil
-	// The hint applies where a launch from inside backward is legal: a
-	// flat eager boundary (the exchange IS gs, and nothing is deferred) on
-	// a fixed membership (under a fault plan the launch would precede the
-	// membership sync).
-	e.overlap = cfg.OverlapComm && e.hier == nil && !e.delayed && mem == nil && len(e.segs) > 0
-	if e.comp != nil || e.async || e.overlap {
+	if e.comp != nil || e.async {
 		e.b = comm.NewBucketedAllreduce(view.G, e.vr, e.segs)
 		e.handles = make([]comm.Handle, len(e.segs))
 	}
-	if e.overlap {
-		e.bucketAt = make([]int, len(net.Layers()))
-		for i := range e.bucketAt {
-			e.bucketAt[i] = -1
-		}
-		for b, l := range minLayer {
-			e.bucketAt[l] = b
-		}
-		if cfg.Sim != nil {
-			e.fracs = model.BackwardDoneFractions(net)
-		}
-	}
 	return e
+}
+
+// planBuckets is the comm worker's bucket plan: one bucket per
+// parameterized layer, in the network's flat-buffer order. The plan is a
+// pure function of the model, so every rank computes identical buckets.
+func planBuckets(psegs []nn.ParamSegment) []comm.Segment {
+	segs := make([]comm.Segment, len(psegs))
+	for i, s := range psegs {
+		segs[i] = comm.Segment{Off: s.Off, Len: s.Len}
+	}
+	return segs
 }
 
 // setView adopts a membership view: the learner's virtual rank in it and
@@ -342,11 +326,10 @@ func (e *engine) reform() {
 // boundary runs one communication boundary after local step `step`.
 // params is the local replica (reset to its reference on return) and
 // e.gs the interval's gradient sum (spent on return: the next local
-// step, or where gs is g the next backward, overwrites it); launched says
-// the overlap hook already submitted gs bucket by bucket. False means the
-// learner must stop: crashed on schedule, fenced, or failed with e.err
-// (the checkpoint could not be written).
-func (e *engine) boundary(params []float64, step int, launched bool) bool {
+// step, or where gs is g the next backward, overwrites it). False means
+// the learner must stop: crashed on schedule, fenced, or failed with
+// e.err (the checkpoint could not be written).
+func (e *engine) boundary(params []float64, step int) bool {
 	if e.bidx == e.crashAt {
 		// Fail-stop: go silent without posting the boundary's heartbeat.
 		// The peers detect and evict.
@@ -396,7 +379,7 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 	switch {
 	case !global:
 		as = tk.Begin()
-	case e.fused && !launched:
+	case e.fused:
 		ws := tk.Begin()
 		e.view.G.AllreduceTreeApply(vr, e.gs, e.xref, -e.gp)
 		tk.End(obs.PhaseAggWait, ws)
@@ -417,11 +400,7 @@ func (e *engine) boundary(params []float64, step int, launched bool) bool {
 			buf = e.pend
 		}
 		ws := tk.Begin()
-		if launched {
-			e.wait()
-		} else {
-			e.exchange(buf)
-		}
+		e.exchange(buf)
 		tk.End(obs.PhaseAggWait, ws)
 		as = tk.Begin()
 		e.applyGlobal(e.bidx, buf, e.gp)
@@ -511,28 +490,23 @@ func (e *engine) exchange(buf []float64) {
 	}
 }
 
-// launch submits every bucket of buf through the worker in descending
-// index order — the order the backward hooks produce — each op's
-// simulated clock starting at the learner's.
+// launch submits every bucket of buf through the worker with the
+// policy's collective, in descending index order, each op's simulated
+// clock starting at the learner's.
 func (e *engine) launch(buf []float64) {
 	ready := 0.0
 	if e.cfg.Sim != nil {
 		ready = e.cfg.Sim.Clock(e.rank).Now()
 	}
 	for bi := len(e.segs) - 1; bi >= 0; bi-- {
-		e.begin(bi, buf, ready)
-	}
-}
-
-// begin submits bucket bi of buf with the policy's collective.
-func (e *engine) begin(bi int, buf []float64, ready float64) {
-	switch {
-	case e.comp != nil:
-		e.handles[bi] = e.b.BeginCompressed(bi, buf, e.res, e.comp, e.ratio, ready)
-	case e.hier != nil:
-		e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, ready)
-	default:
-		e.handles[bi] = e.b.Begin(bi, buf, ready)
+		switch {
+		case e.comp != nil:
+			e.handles[bi] = e.b.BeginCompressed(bi, buf, e.res, e.comp, e.ratio, ready)
+		case e.hier != nil:
+			e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, ready)
+		default:
+			e.handles[bi] = e.b.Begin(bi, buf, ready)
+		}
 	}
 }
 

@@ -30,7 +30,12 @@ import (
 // forward pass draws randomness per step, i.e. dropout, would
 // additionally need their per-replica RNG state captured; the
 // checkpoint format does not carry it, so exact replay holds for
-// deterministic-forward models.) A crashed learner — or a fault-free
+// deterministic-forward models.) Exact replay also needs x′ to be the
+// whole optimizer state, which it is only on a flat, eager, dense
+// boundary: a codec's per-rank error-feedback residual and adapt-k's
+// working fraction, a pending delayed aggregate and an island reference
+// are not in the file, so Validate refuses checkpointing and resuming
+// together with a codec, DelayedApply or HierGroups. A crashed learner — or a fault-free
 // reference run over the survivors — rejoins by Config.ResumeFrom plus
 // Config.ResumeRanks naming which original ranks the new run's learners
 // play.
@@ -51,8 +56,8 @@ type checkpointMeta struct {
 // checkpoint is the boundary's last stage: every CheckpointEvery-th
 // boundary the view's virtual rank 0 writes the reference parameters and
 // the run's counters, and returns the write's error. Validation keeps it
-// to flat eager boundaries, where replica == reference holds and gs
-// carries nothing over.
+// to flat, eager, dense boundaries, where replica == reference holds and
+// neither gs nor a codec residual carries anything over.
 func (e *engine) checkpoint(step int) error {
 	if e.cfg.CheckpointPath == "" || e.vr != 0 || e.bidx%e.cfg.CheckpointEvery != 0 {
 		return nil

@@ -7,13 +7,11 @@ package core
 // [sent², resid²] rides the boundary's control frame.
 //
 // Compressed aggregation never takes a serial whole-vector fallback:
-// the gradient is split with the same planBuckets plan the overlap hook
-// uses and one codec collective runs per bucket through the bucketed
-// worker, in descending bucket order — from inside backward when
-// OverlapComm applies, all at once at the boundary otherwise. Per-bucket
-// codec collectives are independent and deterministic (the top-k tree
-// merges in fixed order, the qint8 integer sums are exact), so the two
-// schedules are bitwise identical — pinned in compress_test.go.
+// the gradient is split by planBuckets, one bucket per parameterized
+// layer, and one codec collective runs per bucket through the bucketed
+// worker, in descending bucket order, all launched at the boundary.
+// Per-bucket codec collectives are independent and deterministic (the
+// top-k tree merges in fixed order, the qint8 integer sums are exact).
 
 // Adaptive sparsity (the Deng et al. adaptive-sparse direction): hold
 // the globally captured gradient-mass fraction sent²/(sent²+resid²)

@@ -6,85 +6,6 @@ import (
 	"sasgd/internal/comm"
 )
 
-// TestCompressedOverlapMatchesSerialSweep is the compression engine's
-// composition acceptance: a backward-overlapped compressed run must be
-// *bitwise* identical to the serial compressed run for both codecs at
-// every learner count and bucket count. The per-bucket codec collectives
-// are independent and deterministic, so launching them early (as each
-// bucket's layers finish backward) instead of all at the boundary cannot
-// change a single bit — only the simulated schedule. Serial and overlap
-// must share the bucket plan: compression is per-bucket, so different
-// partitions legitimately select different coordinates.
-func TestCompressedOverlapMatchesSerialSweep(t *testing.T) {
-	prob := cifarProblem(24, 12)
-	for _, codec := range []struct {
-		name string
-		k    float64
-	}{
-		{CodecTopK, 0.05},
-		{CodecQInt8, 0},
-	} {
-		for _, p := range []int{1, 2, 3, 5, 8} {
-			// {1, 3, per-layer} buckets; 0 selects per-layer.
-			for _, buckets := range []int{1, 3, 0} {
-				base := Config{
-					Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
-					Batch: 4, Epochs: 2, Seed: 11,
-					Compress: codec.name, CompressK: codec.k,
-					CommBuckets: buckets,
-				}
-				serial := Train(base, prob)
-				cfg := base
-				cfg.OverlapComm = true
-				ov := Train(cfg, prob)
-				if len(ov.FinalParams) != len(serial.FinalParams) {
-					t.Fatalf("%s p=%d buckets=%d: param count mismatch", codec.name, p, buckets)
-				}
-				for i := range serial.FinalParams {
-					if !sameBits(serial.FinalParams[i], ov.FinalParams[i]) {
-						t.Fatalf("%s p=%d buckets=%d: overlap not bitwise at %d: %g vs %g",
-							codec.name, p, buckets, i, serial.FinalParams[i], ov.FinalParams[i])
-					}
-				}
-				// Same collectives either way — same words on the wire.
-				if serial.WordsMoved != ov.WordsMoved {
-					t.Errorf("%s p=%d buckets=%d: serial moved %d words, overlap %d",
-						codec.name, p, buckets, serial.WordsMoved, ov.WordsMoved)
-				}
-			}
-		}
-	}
-}
-
-// TestCompressedOverlapMatchesSerialNLCF spot-checks the sweep's
-// invariant on the temporal-conv model family (different layer shapes,
-// so different per-layer bucket plans).
-func TestCompressedOverlapMatchesSerialNLCF(t *testing.T) {
-	prob := nlcfProblem(24, 12)
-	for _, codec := range []struct {
-		name string
-		k    float64
-	}{
-		{CodecTopK, 0.05},
-		{CodecQInt8, 0},
-	} {
-		base := Config{
-			Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05,
-			Batch: 4, Epochs: 2, Seed: 12,
-			Compress: codec.name, CompressK: codec.k,
-		}
-		serial := Train(base, prob)
-		cfg := base
-		cfg.OverlapComm = true
-		ov := Train(cfg, prob)
-		for i := range serial.FinalParams {
-			if !sameBits(serial.FinalParams[i], ov.FinalParams[i]) {
-				t.Fatalf("%s: overlap not bitwise at %d", codec.name, i)
-			}
-		}
-	}
-}
-
 // TestFaultyCompressedMatchesPlain runs the compression engine on the
 // membership plane: under an empty fault plan (nothing injected,
 // nobody crashes) the fault-capable run must reproduce the plain
@@ -135,7 +56,6 @@ func TestAdaptiveCompressionDeterministicAndBounded(t *testing.T) {
 		Algo: AlgoSASGD, Learners: 4, Interval: 1, Gamma: 0.05,
 		Batch: 4, Epochs: 3, Seed: 14,
 		Compress: CodecTopK, CompressK: 0.05, CompressAdapt: true,
-		OverlapComm: true,
 	}
 	a := Train(cfg, prob)
 	b := Train(cfg, prob)
@@ -172,7 +92,6 @@ func TestEveryRunReportsFinalTAndCompressK(t *testing.T) {
 		k    float64 // expected CompressK (0 = dense / qint8)
 	}{
 		{"plain", func(c *Config) {}, 0},
-		{"overlap", func(c *Config) { c.OverlapComm = true }, 0},
 		{"topk", func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.1 }, 0.1},
 		{"qint8", func(c *Config) { c.Compress = CodecQInt8 }, 0},
 		{"faults", func(c *Config) { c.Faults = &comm.FaultPlan{} }, 0},

@@ -66,37 +66,13 @@ type Config struct {
 	// negative value disables momentum.
 	Momentum float64
 
-	// OverlapComm asks for bucketed, backward-overlapped aggregation: on
-	// the last minibatch of each interval, the gradient buffer is split
-	// into CommBuckets contiguous buckets at layer boundaries and each
-	// bucket's allreduce is launched the moment the backward pass has
-	// finalized its layers' gradients, overlapping communication with the
-	// remainder of backprop. It is a hint about the launch schedule, never
-	// about values: results are bitwise identical with it on or off for
-	// both dense collectives and for every compression codec (per-bucket
-	// codec collectives are independent and deterministic). It composes
-	// with either T-schedule and with checkpoint and resume. The hint
-	// cannot apply — and the boundary runs its serial schedule — where the
-	// launch would be wrong rather than merely early: under HierGroups or
-	// DelayedApply (what goes on the wire is not this batch's gs) and
-	// under a fault plan (the launch would precede the boundary's
-	// membership sync and alias its learner collectives).
-	OverlapComm bool
-
-	// CommBuckets is the number of gradient buckets for OverlapComm:
-	// per-layer segments are grouped into this many contiguous,
-	// word-balanced buckets. Values ≤ 0 (or above the parameterized layer
-	// count) select one bucket per parameterized layer.
-	CommBuckets int
-
 	// Compress selects the gradient-compression codec for SASGD
 	// aggregation: "" (dense — the paper's Algorithm 1), CodecTopK
 	// (error-feedback top-k sparsification) or CodecQInt8 (int8
 	// quantization with a shared per-bucket scale, residual-fed so it
 	// composes with error feedback). Compressed aggregation always runs
-	// through the bucketed engine — each bucket's codec collective is
-	// launched per bucket, composing with OverlapComm; the codec brings
-	// its own collective.
+	// through the bucketed engine — one codec collective per
+	// parameterized layer; the codec brings its own collective.
 	Compress string
 
 	// CompressK is the top-k sparsity fraction for CodecTopK: each
@@ -178,7 +154,7 @@ type Config struct {
 	EvalEvery int
 
 	// Tracer, when non-nil, records per-learner phase spans (forward,
-	// backward, local step, bucket begins, aggregation wait/apply) and
+	// backward, local step, aggregation wait/apply) and
 	// per-rank comm-worker spans into obs ring buffers, for Chrome-trace
 	// export and the end-of-run report (WriteReport). It also attaches
 	// to the comm group, enabling mailbox-wait and pipeline-occupancy
@@ -234,7 +210,9 @@ type Config struct {
 	// checkpoint (reference parameters + step counters, see
 	// checkpoint.go) atomically to this path at aggregation boundaries,
 	// as the boundary's last stage on whatever view the run has: the
-	// process hosting the view's virtual rank 0 writes it.
+	// process hosting the view's virtual rank 0 writes it. Those are the
+	// whole optimizer state only on a flat, eager, dense boundary, so it
+	// composes with neither DelayedApply, HierGroups nor a codec.
 	CheckpointPath string
 	// CheckpointEvery writes the checkpoint every this many aggregation
 	// boundaries (default 1 = every boundary).
@@ -243,7 +221,9 @@ type Config struct {
 	// checkpoint: parameters are restored, γp is taken from the
 	// checkpoint, and each learner's sample stream is fast-forwarded to
 	// the recorded step. The run must match the checkpoint's T, batch
-	// size and seed. SASGD only.
+	// size and seed. SASGD only, under CheckpointPath's restrictions;
+	// the resumed run replays the uninterrupted one exactly when the
+	// model's forward pass draws no randomness (no dropout).
 	ResumeFrom string
 	// ResumeRanks names which of the original run's data-physical ranks
 	// this run's learners play (strictly ascending, one per learner), for
@@ -316,12 +296,13 @@ var configRules = []struct {
 		func(c *Config) bool {
 			return (c.TSched == TSchedAdaptive || c.HierGroups >= 2 || c.DelayedApply || c.Compress != "") && c.Algo != AlgoSASGD
 		}},
-	// A boundary checkpoint relies on the replica == reference, gs == 0
-	// invariant, which a pending delayed aggregate or a mid-outer-round
-	// island reference breaks.
-	{"checkpointing composes with the T-scheduler but not with DelayedApply or HierGroups",
+	// A boundary checkpoint holds x′ and counters only, so it relies on
+	// x′ being the whole optimizer state: a pending delayed aggregate, a
+	// mid-outer-round island reference and a codec's error-feedback
+	// residual (and adapt-k's working fraction) are state it would lose.
+	{"checkpointing composes with the T-scheduler but not with DelayedApply, HierGroups or a codec",
 		func(c *Config) bool {
-			return (c.CheckpointPath != "" || c.ResumeFrom != "") && (c.DelayedApply || c.HierGroups >= 2)
+			return (c.CheckpointPath != "" || c.ResumeFrom != "") && (c.DelayedApply || c.HierGroups >= 2 || c.Compress != "")
 		}},
 }
 

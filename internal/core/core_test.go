@@ -372,6 +372,12 @@ func TestRunRejects(t *testing.T) {
 			func(p *Problem) { p.Model = func(int64) *nn.Network { return nil } }, "model factory returned nil"},
 		{"checkpoint-param-count", Config{Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.1, Batch: 4, Seed: 1, ResumeFrom: wrongCkpt},
 			keep, "checkpoint has 2 parameters, model has 67"},
+		// A checkpoint is x′ and counters: a codec's error-feedback
+		// residual and adapt-k's fraction would not survive a resume.
+		{"checkpoint-codec", Config{Algo: AlgoSASGD, Learners: 2, Gamma: 0.1, Batch: 4, Compress: CodecTopK, CompressK: 0.2,
+			CheckpointPath: filepath.Join(t.TempDir(), "ck-%d.ckpt")}, keep, "not with DelayedApply, HierGroups or a codec"},
+		{"resume-codec", Config{Algo: AlgoSASGD, Learners: 2, Interval: 1, Gamma: 0.1, Batch: 4, Seed: 1, Compress: CodecQInt8,
+			ResumeFrom: wrongCkpt}, keep, "not with DelayedApply, HierGroups or a codec"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prob := tinyProblem(20, 10, 14)

@@ -17,7 +17,7 @@ import (
 
 // The generated-configuration harness. Every invariant the SASGD loop
 // promises — run-to-run determinism, collapse of the degenerate policy
-// settings onto plain Algorithm 1, transport/tracer/metrics/overlap
+// settings onto plain Algorithm 1, transport/tracer/metrics
 // transparency, the dense tree's closed-form traffic — is a property of
 // the whole accepted configuration space, not of the hand-picked rows
 // the per-feature tests sweep. This file draws configurations from that
@@ -39,8 +39,6 @@ type genDraw struct {
 	hierGroups  int
 	tOuter      int
 	delayed     bool
-	overlap     bool
-	buckets     int
 	faults      string // "" = no fault plane, "empty" = zero plan, else a ParseFaultPlan spec
 	ckpt        bool
 	sim         bool
@@ -75,8 +73,6 @@ func drawConfig(rng *rand.Rand) genDraw {
 		d.hierGroups, d.tOuter = 1+rng.Intn(d.p+1), 1+rng.Intn(3)
 	}
 	d.delayed = rng.Intn(10) < 3
-	d.overlap = rng.Intn(10) < 3
-	d.buckets = rng.Intn(3)
 	switch rng.Intn(20) {
 	case 0, 1, 2:
 		d.faults = "empty"
@@ -107,7 +103,6 @@ const (
 	genTCP
 	genFlipTracer
 	genFlipMetrics
-	genFlipOverlap
 )
 
 // config builds a fresh Config for the draw. The returned cleanup
@@ -116,10 +111,10 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 	t.Helper()
 	cfg := Config{
 		Algo: AlgoSASGD, Learners: d.p, Interval: d.interval, Gamma: genGamma,
-		Batch: genBatch, Epochs: genEpochs, Seed: genSeed, CommBuckets: d.buckets,
+		Batch: genBatch, Epochs: genEpochs, Seed: genSeed,
 		Compress: d.codec, CompressK: d.k, CompressAdapt: d.adapt,
 		TSched: d.tsched, HierGroups: d.hierGroups, TOuter: d.tOuter,
-		DelayedApply: d.delayed, OverlapComm: d.overlap != (v == genFlipOverlap),
+		DelayedApply: d.delayed,
 	}
 	switch d.faults {
 	case "":
@@ -236,8 +231,6 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 	mustBitwise(t, fmt.Sprintf("tracer on vs off %+v", d), a, d.run(t, genFlipTracer, prob), 0)
 	mustBitwise(t, fmt.Sprintf("metrics on vs off %+v", d), a, d.run(t, genFlipMetrics, prob), 0)
 
-	mustBitwise(t, fmt.Sprintf("overlap on vs off %+v", d), a, d.run(t, genFlipOverlap, prob), 0)
-
 	// Closed form (TestSASGDWordsMovedMatchesCollectiveCount): a dense
 	// binomial-tree run moves (p−1)·m words for the initial broadcast and
 	// 2(p−1)·m per aggregation. Frames, drift statistics, hierarchy, dropped
@@ -269,8 +262,8 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 // re-selection drops. The codec tests pin this for one isolated codec
 // (TestCodecConservationBitwise); here it holds for what the engine
 // actually feeds the codecs on every accepted composition — zero
-// contributions of non-leaders under a hierarchy, buckets launched from
-// inside backward, survivors after a crash. For top-k it also checks the
+// contributions of non-leaders under a hierarchy, delayed launches in
+// flight across an interval, survivors after a crash. For top-k it also checks the
 // ledger the adaptive controller and the fleet frame read: a rank's
 // Δsent² + Δresid² is the squared norm of what it folded.
 type massLedger struct {
@@ -368,7 +361,7 @@ func (c *ledgerCodec) Allreduce(g *comm.Group, rank int, seg, res []float64, rat
 func checkCollapse(t *testing.T, d genDraw, prob *Problem) {
 	t.Helper()
 	shape := genDraw{p: d.p, interval: d.interval,
-		codec: d.codec, k: d.k, adapt: d.adapt, buckets: d.buckets}
+		codec: d.codec, k: d.k, adapt: d.adapt}
 	plain := shape.run(t, genBase, prob)
 	dense := d.codec == "" || d.k >= 1
 

@@ -163,10 +163,8 @@ var goldenCases = []goldenCase{
 		params: 0xe5f37cab92b4b09d, curve: 0x95a5ac146dd38699, words: 1005, msgs: 29},
 	{name: "delayed_T1", cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.DelayedApply = true })),
 		params: 0xfbb1456bf829ef99, curve: 0x1e5ac7e35d6b6c42, words: 2077, msgs: 61},
-	{name: "overlap_T2", cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.OverlapComm = true })),
-		params: 0xf28d6a45d9ce2686, curve: 0x433314122b1cd319, words: 1005, msgs: 29},
-	{name: "overlap_T1", cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.OverlapComm = true })),
-		params: 0xc41bbe1547d57e5e, curve: 0xd028fa6ecad2f61b, words: 2077, msgs: 61},
+	{name: "dense_T2", cfg: plain(goldenBase(2, 2)),
+		params: 0xf28d6a45d9ce2686, curve: 0x433314122b1cd319, words: 1005, msgs: 15},
 	{name: "adaptiveT_T2", cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.TSched = TSchedAdaptive })),
 		params: 0x09b70ee54ee733c7, curve: 0xb6000daa8959ab61, words: 619, msgs: 17},
 	// Adaptive T starting at 1: the drift statistic reads the replica at
@@ -238,12 +236,10 @@ var goldenCases = []goldenCase{
 		params: 0x7fb86d7f7381b240, curve: 0x41ee1f086682585f, words: 1595, msgs: 5},
 	{name: "conv_M1_W2_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Batch, c.Epochs, c.Workers = 1, 2, 2 })),
 		params: 0x7388e3c575293fdf, curve: 0x2dc5493c9ca84c1d, words: 7975, msgs: 25},
-	// Overlap: the per-layer hook must fire for layer 0 (the first conv)
-	// once its gradients are final.
-	{name: "conv_overlap_W2_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Epochs, c.Workers, c.OverlapComm = 2, 2, true })),
-		params: 0x52f1a1a15b2b0a98, curve: 0xd9cd6268eed1e207, words: 2233, msgs: 19},
-	{name: "conv_overlap_M1_W2_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Batch, c.Epochs, c.Workers, c.OverlapComm = 1, 1, 2, true })),
-		params: 0xfe020a35d358f49b, curve: 0x8e2128158145988b, words: 7975, msgs: 73},
+	{name: "conv_W2_T2", conv: true, cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.Epochs, c.Workers = 2, 2 })),
+		params: 0x52f1a1a15b2b0a98, curve: 0xd9cd6268eed1e207, words: 2233, msgs: 7},
+	{name: "conv_M1_W2_T1", conv: true, cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.Batch, c.Epochs, c.Workers = 1, 1, 2 })),
+		params: 0xfe020a35d358f49b, curve: 0x8e2128158145988b, words: 7975, msgs: 25},
 	// The baselines at p = 3, T = 2. Sequential SGD runs one learner at
 	// T = 1 whatever the Config asks for; the asynchronous ones run under
 	// virtual time, which makes them deterministic.

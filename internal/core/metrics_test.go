@@ -16,7 +16,7 @@ import (
 // a metrics registry must not change a single bit of the training
 // result. The fleet frame rides its own buffer and its allreduce touches
 // no gradient state, so FinalParams is bitwise equal with metrics on or
-// off across every boundary policy — plain, overlapped, compressed,
+// off across every boundary policy — plain, compressed,
 // scheduled (adaptive T, hierarchical, delayed), and fault-handling.
 func TestMetricsBitwiseIdentical(t *testing.T) {
 	prob := tinyProblem(48, 24, 5)
@@ -25,8 +25,7 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"legacy-dense", func(c *Config) {}},
-		{"legacy-overlap-topk", func(c *Config) {
-			c.OverlapComm = true
+		{"legacy-topk", func(c *Config) {
 			c.Compress = CodecTopK
 			c.CompressK = 0.1
 		}},
@@ -44,9 +43,8 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 		// one sums g in place, where a −0 gradient keeps its sign: the
 		// same bits here are localStep's −0 argument.
 		{"T1-dense", func(c *Config) { c.Interval = 1 }},
-		{"T1-overlap-topk", func(c *Config) {
+		{"T1-topk", func(c *Config) {
 			c.Interval = 1
-			c.OverlapComm = true
 			c.Compress = CodecTopK
 			c.CompressK = 0.1
 		}},

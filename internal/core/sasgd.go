@@ -30,9 +30,9 @@ import (
 //
 // This is the only SASGD loop. Everything a Config can ask of the
 // aggregation — a moving T, a hierarchy, delayed application, a codec,
-// backward-overlapped launches, crash tolerance, checkpoints — is a
-// stage of the boundary engine (boundary.go) the loop calls every T
-// steps; the loop itself only knows local steps and epochs. Only a fault
+// crash tolerance, checkpoints — is a stage of the boundary engine
+// (boundary.go) the loop calls every T steps; the loop itself only
+// knows local steps and epochs. Only a fault
 // plan puts the run on the membership ledger (comm.Resilient); every
 // other run, checkpointing and resuming ones included, syncs on one
 // fixed group.
@@ -175,12 +175,8 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		if rs != nil {
 			e.sched.restore(rs.meta.CurT)
 		}
-		var onLayerDone func(layer int)
-		if e.overlap {
-			onLayerDone = e.onLayerDone
-		}
-		// A slowed rank (slow=R:K, never overlapped) sleeps the compute it
-		// stands for at the end of each backward pass, inside its span.
+		// A slowed rank (slow=R:K) sleeps the compute it stands for at the
+		// end of each backward pass, inside its span.
 		var stepHook func(layer int)
 		if slowSleep := cfg.Faults.SlowSleepFor(rank); slowSleep > 0 {
 			stepHook = func(layer int) {
@@ -207,29 +203,21 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 			for b := step - epoch*bpe; b < bpe; b++ {
 				idx := sampler.Next()
 				x, y := shards[dataPhys].Batch(idx)
-				// The batch's simulated span is drawn up front — one jitter
-				// draw per batch — and the clock jumps to the batch's end;
-				// nothing reads it before the boundary. On the boundary
-				// batch of an overlapped run the gradient sum is updated
-				// bucket by bucket inside backward (overlap.go), and each
-				// bucket's send is stamped analytically inside the span.
+				// The batch's simulated compute is charged up front — one
+				// jitter draw per batch — and the clock jumps to the batch's
+				// end; nothing reads it before the boundary.
 				if cfg.Sim != nil {
-					e.start, e.dt = cfg.Sim.BatchSpan(rank, cfg.FlopsPerSample*float64(len(idx)))
+					cfg.Sim.ChargeBatch(rank, cfg.FlopsPerSample*float64(len(idx)))
 				}
 				last := step+1 == next
-				launched := e.overlap && last
-				hook := stepHook
-				if launched {
-					hook = onLayerDone
-				}
-				lastLoss = net.StepEach(x, y, hook)
+				lastLoss = net.StepEach(x, y, stepHook)
 				ls := tk.Begin()
-				e.localStep(params, last, launched)
+				e.localStep(params, last)
 				tk.End(obs.PhaseLocalStep, ls)
 				samples.Add(int64(len(idx)))
 				step++
 				if step == next {
-					if !e.boundary(params, step, launched) {
+					if !e.boundary(params, step) {
 						return e.err
 					}
 					next = step + e.sched.T()
@@ -319,23 +307,18 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 //	              drift consumer reads the replica before the boundary
 //	              resets it (engine.keepLocal): the reset overwrites it.
 //	gs ← gs + g   the first step of an interval writes gs = 0 + g, so no
-//	              boundary clears gs; on the overlapped batch (launched)
-//	              the backward hook has done it bucket by bucket. At
-//	              static T = 1 with no drift consumer gs is g itself
-//	              (engine.gsIsG) and there is no pass: a −0 gradient
-//	              keeps its sign, which no apply can see, since no
-//	              parameter is ever −0 (DESIGN §12).
+//	              boundary clears gs. At static T = 1 with no drift
+//	              consumer gs is g itself (engine.gsIsG) and there is
+//	              no pass: a −0 gradient keeps its sign, which no apply
+//	              can see, since no parameter is ever −0 (DESIGN §12).
 //	both          one pass over g instead of two.
 //
-// The rule is the same for every batch, overlapped or not, so the drift
-// the T-scheduler and the fleet gauge read never depends on the launch
-// schedule: when either is attached no update is skipped.
-func (e *engine) localStep(params []float64, last, launched bool) {
+// When the T-scheduler or the fleet gauge is attached no update is
+// skipped: both read the drift of the replica the last step moved.
+func (e *engine) localStep(params []float64, last bool) {
 	keepX := !last || e.keepLocal
 	switch {
-	case launched && keepX:
-		tensor.Axpy(-e.cfg.Gamma, e.grads, params)
-	case launched, e.gsIsG: // gs went out from inside backward, or is g; x is dead
+	case e.gsIsG: // gs is g; x is dead
 	case keepX:
 		tensor.AxpyAccumulate(-e.cfg.Gamma, e.grads, params, e.gs, e.fresh)
 	default:

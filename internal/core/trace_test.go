@@ -8,17 +8,19 @@ import (
 	"sasgd/internal/obs"
 )
 
-// End-to-end tracing: an overlapped SASGD run with a tracer attached
-// must export a schema-valid Chrome trace whose comm-worker allreduce
-// spans visibly overlap the learners' backward spans, with every
+// End-to-end tracing: a delayed SASGD run with a tracer attached must
+// export a schema-valid Chrome trace whose comm-worker allreduce spans
+// visibly overlap the learners' next-interval compute spans, with every
 // instrumented phase present in the end-of-run report and the unified
 // comm stats populated on the result.
 func TestTraceExportFromRun(t *testing.T) {
-	prob := cifarProblem(24, 12)
+	// Three boundaries per epoch: a delayed launch is drained before the
+	// epoch barrier, so only the first two have an interval to hide in.
+	prob := cifarProblem(48, 12)
 	tr := obs.NewTracer(1 << 12)
 	cfg := Config{
-		Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05,
-		Batch: 4, Epochs: 2, Seed: 5, OverlapComm: true, Tracer: tr,
+		Algo: AlgoSASGD, Learners: 4, Interval: 1, Gamma: 0.05,
+		Batch: 4, Epochs: 2, Seed: 5, DelayedApply: true, Tracer: tr,
 	}
 	res := Train(cfg, prob)
 
@@ -35,9 +37,9 @@ func TestTraceExportFromRun(t *testing.T) {
 	}
 
 	// Every instrumented phase fires in this configuration: forward/
-	// backward/local step on serial batches, bucket begins + agg wait/
-	// apply on aggregation batches, queue dwell + allreduce on the comm
-	// workers, and the initial broadcast. The fault-injection phases
+	// backward/local step on every batch, agg wait/apply at the
+	// boundaries, queue dwell + allreduce on the comm workers (the
+	// delayed launches), and the initial broadcast. The fault-injection phases
 	// (drop, heartbeat, evict, reform, crash) only fire under a
 	// FaultPlan — the chaos tests cover their presence — and compress
 	// only fires in compressed runs (TestTraceSparsePathPhases).
@@ -53,8 +55,8 @@ func TestTraceExportFromRun(t *testing.T) {
 		}
 	}
 
-	// The overlap must be visible in the timeline: comm-worker allreduce
-	// time intersecting the same rank's compute spans.
+	// The hidden exchange must be visible in the timeline: comm-worker
+	// allreduce time intersecting the same rank's compute spans.
 	hidden, total := tr.HiddenFraction()
 	if total <= 0 {
 		t.Fatal("no allreduce time recorded on the comm tracks")
@@ -88,13 +90,13 @@ func TestTraceExportFromRun(t *testing.T) {
 
 // TestTraceDoesNotChangeResults pins that attaching a tracer is purely
 // observational: the trained parameters are bitwise identical with and
-// without it, on both the serial and the overlapped path.
+// without it, on both the fused tree walk and the comm worker's path.
 func TestTraceDoesNotChangeResults(t *testing.T) {
 	prob := cifarProblem(24, 12)
-	for _, overlap := range []bool{false, true} {
+	for _, delayed := range []bool{false, true} {
 		base := Config{
 			Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05,
-			Batch: 4, Epochs: 2, Seed: 7, OverlapComm: overlap,
+			Batch: 4, Epochs: 2, Seed: 7, DelayedApply: delayed,
 		}
 		plain := Train(base, prob)
 		traced := base
@@ -102,8 +104,8 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 		got := Train(traced, prob)
 		for i := range plain.FinalParams {
 			if !sameBits(plain.FinalParams[i], got.FinalParams[i]) {
-				t.Fatalf("overlap=%v: tracing changed parameter %d: %g vs %g",
-					overlap, i, plain.FinalParams[i], got.FinalParams[i])
+				t.Fatalf("delayed=%v: tracing changed parameter %d: %g vs %g",
+					delayed, i, plain.FinalParams[i], got.FinalParams[i])
 			}
 		}
 	}
@@ -189,7 +191,7 @@ func TestTraceExportScheduledPaths(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceOverhead measures a full overlapped training run with
+// BenchmarkTraceOverhead measures a full delayed training run with
 // tracing off (the nil-check-only disabled path) vs on; the two must be
 // within noise of each other (go test -bench TraceOverhead).
 func BenchmarkTraceOverhead(b *testing.B) {
@@ -200,7 +202,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := Config{
 					Algo: AlgoSASGD, Learners: 4, Interval: 1, Gamma: 0.05,
-					Batch: 4, Epochs: 1, Seed: 1, OverlapComm: true, EvalEvery: 2,
+					Batch: 4, Epochs: 1, Seed: 1, DelayedApply: true, EvalEvery: 2,
 				}
 				if mode == "on" {
 					cfg.Tracer = obs.NewTracer(0)

@@ -20,8 +20,9 @@ type CompressRow struct {
 
 // CompressResult is the gradient-compression frontier: SASGD p=8 T=1 on
 // the simulated paper platform, dense vs error-feedback top-k at several
-// sparsity levels (fixed and adaptive) vs int8 quantization, all through
-// the backward-overlapped bucketed path.
+// sparsity levels (fixed and adaptive) vs int8 quantization. Every codec
+// runs one collective per parameterized layer through the bucketed comm
+// worker at the boundary.
 type CompressResult struct {
 	Workload string
 	P, T     int
@@ -30,9 +31,9 @@ type CompressResult struct {
 
 // CompressionFrontier measures what gradient compression buys on the
 // communication-heavy end of the SASGD trade-off (T = 1: every local
-// step aggregates, so the wire dominates). Each row is one overlapped
-// run on the simulated paper platform; the dense row anchors the
-// reduction column. Top-k at 5% must land at least 5× below dense on
+// step aggregates, so the wire dominates). Each row is one run on the
+// simulated paper platform; the dense row anchors the reduction column.
+// Top-k at 5% must land at least 5× below dense on
 // the wire — the root re-sparsifies the merged aggregate back to k (the
 // dropped mass goes to its residual), so the broadcast never widens
 // past 2k words per bucket no matter how disjoint the learners'
@@ -58,7 +59,6 @@ func CompressionFrontier(opt Opt) *CompressResult {
 	for _, sc := range settings {
 		cfg := w.simCfg(core.AlgoSASGD, p, t, epochs, opt)
 		cfg.EvalEvery = epochs
-		cfg.OverlapComm = true
 		if sc.codec != "dense" {
 			cfg.Compress = sc.codec
 			cfg.CompressK = sc.k
@@ -81,7 +81,7 @@ func CompressionFrontier(opt Opt) *CompressResult {
 	}
 
 	tab := report.Table{
-		Title:  "Compression frontier: SASGD p=8 T=1, CIFAR-10 (simulated platform, overlapped)",
+		Title:  "Compression frontier: SASGD p=8 T=1, CIFAR-10 (simulated platform)",
 		Header: []string{"codec", "k", "epoch(s)", "test", "words", "vs dense"},
 	}
 	for _, r := range res.Rows {

@@ -152,21 +152,9 @@ type Opt struct {
 	Replicas int
 	// Out receives the rendered table/series (nil = no printing).
 	Out io.Writer
-	// TracePath, when non-empty, makes the tracing-aware drivers
-	// (TracedOverlap) export their Chrome trace-event JSON there.
+	// TracePath, when non-empty, makes the tracing-aware driver
+	// (DegradedRuns) export its Chrome trace-event JSON there.
 	TracePath string
-	// DebugAddr, when non-empty, serves the live /debug/obs endpoint on
-	// this address for the duration of the traced runs.
-	DebugAddr string
-	// Metrics attaches a fleet metrics registry to the metrics-aware
-	// drivers (TracedOverlap): per-boundary drift/T telemetry and the
-	// per-rank simulated compute/communication split are collected and
-	// printed, and served live on /debug/obs with DebugAddr.
-	Metrics bool
-	// Overlap runs every configuration with Config.OverlapComm, the
-	// backward-overlapped bucketed aggregation (a no-op hint for the
-	// algorithms and policies it does not apply to).
-	Overlap bool
 }
 
 func (o Opt) out() io.Writer {
@@ -222,14 +210,13 @@ func newSim(w *Workload, p int) *netsim.Sim {
 // trainCfg assembles a core.Config for one run of this workload.
 func (w *Workload) trainCfg(algo core.Algorithm, p, t, epochs int, opt Opt) core.Config {
 	return core.Config{
-		Algo:        algo,
-		Learners:    p,
-		Interval:    t,
-		Batch:       w.Batch,
-		Gamma:       w.Gamma,
-		Epochs:      epochs,
-		Seed:        1 + opt.Seed,
-		OverlapComm: opt.Overlap,
+		Algo:     algo,
+		Learners: p,
+		Interval: t,
+		Batch:    w.Batch,
+		Gamma:    w.Gamma,
+		Epochs:   epochs,
+		Seed:     1 + opt.Seed,
 	}
 }
 

@@ -41,7 +41,6 @@ type SchedResult struct {
 
 	// The T=1 delayed-application leg (standard fabric, tree).
 	SerialSecs  float64 // serial-aggregation baseline epoch time
-	OverlapSecs float64 // backward-overlapped baseline epoch time
 	DelayedSecs float64 // delayed-application epoch time
 	// HiddenSimFraction is the fraction of the serial schedule's
 	// communication seconds that the delayed schedule kept off the
@@ -52,10 +51,6 @@ type SchedResult struct {
 	// traced hidden fraction, and the meaningful one on hosts without
 	// enough cores to run the learners in real parallel.
 	HiddenSimFraction float64
-	// OverlapHiddenSimFraction is the same quantity for the
-	// backward-overlap baseline, the apples-to-apples bar the delayed
-	// schedule has to clear.
-	OverlapHiddenSimFraction float64
 	// HiddenTraceFraction is obs.Tracer.HiddenFraction() on the delayed
 	// run: wall-clock allreduce time inside the same rank's compute
 	// spans. On a single-core host the learners' compute serializes, so
@@ -158,7 +153,7 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 	// Part two: the communication-bound column. Delayed application
 	// launches each boundary's allreduce behind the NEXT round's compute,
 	// so the whole step — forward, backward, local updates — is available
-	// to hide it, not just the backward tail.
+	// to hide it.
 	leg := func(mut func(*core.Config)) *core.Result {
 		cfg := w.simCfg(core.AlgoSASGD, p, 1, timingEpochs, opt)
 		cfg.EvalEvery = timingEpochs
@@ -167,11 +162,6 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 	}
 	serial := leg(func(c *core.Config) {})
 	res.SerialSecs = serial.EpochTime()
-	overlap := leg(func(c *core.Config) { c.OverlapComm = true })
-	res.OverlapSecs = overlap.EpochTime()
-	if serial.SimComm > 0 {
-		res.OverlapHiddenSimFraction = 1 - overlap.SimComm/serial.SimComm
-	}
 
 	tracer := obs.NewTracer(0)
 	run := leg(func(c *core.Config) {
@@ -193,8 +183,6 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 		Header: []string{"schedule", "epoch(s)", "surfaced comm(s)", "hidden(sim)%", "hidden(trace)%"},
 	}
 	tab.AddRow("serial", ftoa3(res.SerialSecs), ftoa3(serial.SimComm), "-", "-")
-	tab.AddRow("overlap", ftoa3(res.OverlapSecs), ftoa3(overlap.SimComm),
-		ftoa3(100*res.OverlapHiddenSimFraction), "-")
 	tab.AddRow("delayed", ftoa3(res.DelayedSecs), ftoa3(run.SimComm),
 		ftoa3(100*res.HiddenSimFraction), ftoa3(100*res.HiddenTraceFraction))
 	fprintf(opt.out(), "%s\n", tab.String())

@@ -8,18 +8,15 @@ import (
 
 // TestSimulatedDigits pins the simulated seconds the timing drivers
 // print, digit for digit, at a fixed small budget (-epochs 1; Figs 1/4/5/6
-// and the trace item run their own two-epoch budget regardless). Every
+// run their own two-epoch budget regardless). Every
 // pinned row printed the same digits on five consecutive runs. A change
 // that claims to move where simulated time is kept, not what it is,
 // leaves this table untouched.
 //
 // A pin is one printed row, whitespace-collapsed; "*" matches any one
-// field. Excluded, because they do not repeat from run to run:
-//   - trace "overlap": allreduce, hidden and hidden% are wall-clock
-//     readings of the traced timeline (the row's epoch and sim-hidden%
-//     are pinned);
-//   - sched "delayed": hidden(trace)% is a wall-clock reading (the rest
-//     of the row is pinned).
+// field. Excluded, because it does not repeat from run to run: sched
+// "delayed"'s hidden(trace)%, a wall-clock reading (the rest of the row
+// is pinned).
 //
 // The faults table is pinned twice: at -epochs 1 and at its default
 // two-epoch budget, the one at which the crash fires (boundary 2 comes
@@ -83,11 +80,6 @@ func TestSimulatedDigits(t *testing.T) {
 			"NLC-F 50 eamsgd 1.692",
 			"NLC-F 50 sasgd 1.488",
 		}},
-		{"trace", false, func(o Opt) { TracedOverlap(o) }, []string{
-			"serial 0.738 - - - -",
-			"overlap 0.639 * * * 54.724",
-			"sim comm: serial 0.360s, overlap 0.163s (wall hidden% overstates on a core-starved host; see TracedOverlapResult.HiddenSimFraction)",
-		}},
 		{"faults", false, func(o Opt) { DegradedRuns(o) }, []string{
 			"fault-free 0.593 21.19% 8 0 0",
 		}},
@@ -97,12 +89,12 @@ func TestSimulatedDigits(t *testing.T) {
 			"crash @2 0.717 31.25% 7 0 1",
 		}},
 		{"compress", true, func(o Opt) { CompressionFrontier(o) }, []string{
-			"dense - 0.642 20.61% 173250 1.0×",
-			"topk 0.010 0.615 13.87% 10584 16.4×",
-			"topk 0.050 0.618 14.84% 27844 6.2×",
-			"topk 0.100 0.622 17.58% 48436 3.6×",
-			"topk 0.050→0.119 0.636 17.87% 50236 3.4×",
-			"qint8 - 0.633 20.61% 42082 4.1×",
+			"dense - 0.740 20.61% 173250 1.0×",
+			"topk 0.010 0.621 13.87% 10584 16.4×",
+			"topk 0.050 0.628 14.84% 27844 6.2×",
+			"topk 0.100 0.637 17.58% 48436 3.6×",
+			"topk 0.050→0.119 0.651 17.87% 50236 3.4×",
+			"qint8 - 0.685 20.61% 42082 4.1×",
 		}},
 		{"sched", true, func(o Opt) { CommScheduleFrontier(o) }, []string{
 			"flat-eager static 4 0.703 21.09% 47250 1265.6 1.0×",
@@ -112,7 +104,6 @@ func TestSimulatedDigits(t *testing.T) {
 			"hier-delayed static 4 0.610 21.78% 36750 421.9 3.0×",
 			"hier-delayed adaptive 8 0.600 21.09% 23334 142.9 8.9×",
 			"serial 0.738 0.360 - -",
-			"overlap 0.639 0.163 54.724 -",
 			"delayed 0.574 0.032 90.987 *",
 		}},
 	}

@@ -32,42 +32,6 @@ func NetworkCost(net *nn.Network) Cost {
 	return c
 }
 
-// BackwardDoneFractions returns, per layer, the fraction of a training
-// minibatch's total simulated time that has elapsed when that layer's
-// backward pass completes (and its parameter gradients are final). The
-// batch is modeled as the forward pass (⅓ of train FLOPs) followed by the
-// backward pass visiting layers in reverse, each layer's backward costing
-// twice its forward FLOPs — so fractions[len-1] (the first layer to
-// finalize) is the smallest and fractions[0] is 1. The bucketed
-// aggregation stamps bucket sends with start + dt·fractions[minLayer].
-func BackwardDoneFractions(net *nn.Network) []float64 {
-	layers := net.Layers()
-	fwd := make([]float64, len(layers))
-	shape := append([]int(nil), net.InShape()...)
-	total := 0.0
-	for i, l := range layers {
-		out := l.OutShape(shape)
-		fwd[i] = layerForwardFlops(l, shape, out)
-		total += fwd[i]
-		shape = out
-	}
-	fracs := make([]float64, len(layers))
-	if total == 0 {
-		for i := range fracs {
-			fracs[i] = 1
-		}
-		return fracs
-	}
-	// Forward ends at total; backward walks layers in reverse, charging
-	// 2·fwd[i] each. Train total = 3·total (NetworkCost's ratio).
-	elapsed := total
-	for i := len(layers) - 1; i >= 0; i-- {
-		elapsed += 2 * fwd[i]
-		fracs[i] = elapsed / (3 * total)
-	}
-	return fracs
-}
-
 func layerForwardFlops(l nn.Layer, in, out []int) float64 {
 	switch v := l.(type) {
 	case *nn.Conv2D:

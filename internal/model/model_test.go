@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -129,33 +128,6 @@ func TestNetworkCostPaperScale(t *testing.T) {
 	if cifar.ForwardFlopsPerSample <= nlcf.ForwardFlopsPerSample {
 		t.Error("CIFAR per-sample compute should exceed NLC-F's")
 	}
-}
-
-// TestBackwardDoneFractions checks the per-layer backward-completion
-// timeline used to stamp overlapped bucket sends: strictly within (⅓, 1],
-// monotonically decreasing with layer index (later layers finalize
-// earlier), ending at exactly 1 for layer 0, and consistent with
-// NetworkCost's forward-total (fractions start just above the forward
-// third of the batch).
-func TestBackwardDoneFractions(t *testing.T) {
-	check := func(t *testing.T, fracs []float64) {
-		t.Helper()
-		if math.Abs(fracs[0]-1) > 1e-12 {
-			t.Errorf("layer 0 fraction = %g, want 1", fracs[0])
-		}
-		for i := range fracs {
-			if fracs[i] <= 1.0/3 || fracs[i] > 1+1e-12 {
-				t.Errorf("fraction[%d] = %g outside (1/3, 1]", i, fracs[i])
-			}
-			if i > 0 && fracs[i] >= fracs[i-1] {
-				t.Errorf("fractions not strictly decreasing at %d: %g >= %g", i, fracs[i], fracs[i-1])
-			}
-		}
-	}
-	cifar := NewCIFARNet(rand.New(rand.NewSource(20)), SmallCIFARConfig())
-	check(t, BackwardDoneFractions(cifar))
-	nlcf := NewNLCFNet(rand.New(rand.NewSource(21)), SmallNLCFConfig())
-	check(t, BackwardDoneFractions(nlcf))
 }
 
 func TestSmallConfigsAreSmall(t *testing.T) {

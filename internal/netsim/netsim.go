@@ -160,30 +160,16 @@ func (s *Sim) Clock(rank int) *Clock { return s.clocks[rank] }
 
 // ChargeBatch advances learner rank's clock by the compute time of one
 // minibatch costing flops floating-point operations (paper-scale), with
-// straggler jitter.
+// straggler jitter: one draw from the rank's own stream per batch.
 func (s *Sim) ChargeBatch(rank int, flops float64) {
-	s.BatchSpan(rank, flops)
-}
-
-// BatchSpan is ChargeBatch returning the minibatch's simulated span: the
-// clock reading when the batch started and the (jittered) duration it was
-// advanced by. The bucketed, backward-overlapped aggregation uses the span
-// to stamp each gradient bucket with its layer's backward-completion time
-// — start + dt·fraction — while the clock itself still jumps to the end
-// of the batch before any bucket launches, keeping the compute/comm
-// accounting and the per-rank jitter stream identical to the serial path
-// (one draw per batch, same order).
-func (s *Sim) BatchSpan(rank int, flops float64) (start, dt float64) {
-	dt = flops/s.cfg.Flops + s.cfg.BatchOverhead
+	dt := flops/s.cfg.Flops + s.cfg.BatchOverhead
 	if j := s.cfg.ComputeJitter; j > 0 {
 		dt *= 1 + (s.rng[rank].Float64()*2-1)*j
 	}
 	if k := s.slowdown[rank]; k > 1 {
 		dt *= k
 	}
-	start = s.clocks[rank].Now()
 	s.clocks[rank].Advance(dt)
-	return start, dt
 }
 
 // SetSlowdown marks learner rank as a straggler: every subsequent

@@ -142,29 +142,6 @@ func TestChargeBatchDeterministicPerRank(t *testing.T) {
 	}
 }
 
-// TestBatchSpanMatchesChargeBatch: BatchSpan must consume the same jitter
-// stream and advance the clock identically to ChargeBatch (the overlap
-// path must not perturb the serial path's simulated times), and its
-// returned span must bracket the advance exactly.
-func TestBatchSpanMatchesChargeBatch(t *testing.T) {
-	a, b := New(1, DefaultConfig()), New(1, DefaultConfig())
-	for i := 0; i < 50; i++ {
-		before := b.Clock(0).Now()
-		a.ChargeBatch(0, 1e9)
-		start, dt := b.BatchSpan(0, 1e9)
-		if start != before {
-			t.Fatalf("batch %d: span start %g, clock before was %g", i, start, before)
-		}
-		if got := b.Clock(0).Now(); got != start+dt {
-			t.Fatalf("batch %d: clock %g, want start+dt = %g", i, got, start+dt)
-		}
-		if a.Clock(0).Now() != b.Clock(0).Now() {
-			t.Fatalf("batch %d: ChargeBatch clock %g != BatchSpan clock %g (jitter streams diverged)",
-				i, a.Clock(0).Now(), b.Clock(0).Now())
-		}
-	}
-}
-
 func TestMaxTime(t *testing.T) {
 	s := New(3, DefaultConfig())
 	s.Clock(1).Advance(5)

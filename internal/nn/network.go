@@ -103,11 +103,9 @@ func (n *Network) SetParamData(v []float64) {
 
 // ParamSegment is one layer's contiguous range of the flat parameter and
 // gradient buffers: ParamData()[Off:Off+Len] (and the same slice of
-// GradData()) holds every parameter of Layers()[Layer]. Segments are what
-// the bucketed, backward-overlapped aggregation in internal/core ships:
-// because layers finalize their gradients in reverse order during
-// Backward, the segments near the end of the flat buffer are reducible
-// while the early layers are still backpropagating.
+// GradData()) holds every parameter of Layers()[Layer]. Segments are the
+// buckets internal/core's bucketed comm worker ships, one collective per
+// parameterized layer.
 type ParamSegment struct {
 	Layer int // index into Layers()
 	Off   int // offset into ParamData()/GradData()
@@ -194,12 +192,12 @@ func (n *Network) Step(x *tensor.Tensor, labels []int) float64 {
 }
 
 // StepEach is Step with BackwardEach's per-layer finalization hook
-// threaded through, so a caller can overlap work (gradient accumulation,
-// communication) with the remainder of the backward pass. With a track
-// attached (SetTrack) the forward+loss and backward halves are recorded
-// as spans — the one timing of a step that the trace, the report and
-// the fleet frame all read; bucket launches made from onFinal then nest
-// inside the backward span on the timeline.
+// threaded through, so a caller can act as each layer's gradients become
+// final (a slowed rank's sleep runs from it). With a track attached
+// (SetTrack) the forward+loss and backward halves are recorded as spans
+// — the one timing of a step that the trace, the report and the fleet
+// frame all read; spans onFinal records nest inside the backward span on
+// the timeline.
 func (n *Network) StepEach(x *tensor.Tensor, labels []int, onFinal func(layer int)) float64 {
 	s := n.track.Begin()
 	logits := n.Forward(x, true)

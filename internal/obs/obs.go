@@ -25,9 +25,9 @@
 //     aggregates without stopping the run.
 //  3. Exported timelines must be faithful: spans on one track are
 //     emitted as properly nested begin/end pairs in timestamp order, so
-//     an overlapped run visibly shows bucket allreduces flowing on the
-//     comm-worker track while the learner track is still inside its
-//     backward span.
+//     a delayed run visibly shows bucket allreduces flowing on the
+//     comm-worker track while the learner track is already inside the
+//     next interval's compute.
 package obs
 
 import (
@@ -39,34 +39,32 @@ import (
 
 // Phase identifies one instrumented span type. The set covers the SASGD
 // hot path end to end: the three compute phases of a local step, the
-// aggregation phases of the T-th minibatch (both the serial and the
-// backward-overlapped path), and the comm-worker phases of the bucketed
-// allreduce.
+// aggregation phases of the T-th minibatch, and the comm-worker phases
+// of the bucketed allreduce.
 type Phase uint8
 
 // The instrumented phases.
 const (
-	PhaseForward     Phase = iota // model forward + loss
-	PhaseBackward                 // backprop (bucket begins nest inside it)
-	PhaseLocalStep                // local update x ← x − γ·g and gs += g
-	PhaseBucketBegin              // overlap path: bucket submit
-	PhaseAggWait                  // blocking wait for the interval's allreduce(s)
-	PhaseAggApply                 // apply γp·gs to x′, reset replica, clear gs
-	PhaseQueueDwell               // comm worker: bucket wait in the FIFO queue
-	PhaseAllreduce                // comm worker: bucket collective execution
-	PhaseBcast                    // initial parameter broadcast
-	PhaseDrop                     // fault fabric: an injected message drop
-	PhaseHeartbeat                // membership: a rank's wait at a sync point
-	PhaseEvict                    // membership: a dead rank's eviction
-	PhaseReform                   // membership: survivor group re-formation
-	PhaseCrash                    // membership: a scheduled learner crash
-	PhaseCompress                 // compression codec: residual fold + select/quantize + encode
-	PhaseEval                     // epoch-end accuracy evaluation on virtual rank 0
-	NumPhases                     // number of phases (array sizing)
+	PhaseForward    Phase = iota // model forward + loss
+	PhaseBackward                // backprop
+	PhaseLocalStep               // local update x ← x − γ·g and gs += g
+	PhaseAggWait                 // blocking wait for the interval's allreduce(s)
+	PhaseAggApply                // apply γp·gs to x′, reset replica, clear gs
+	PhaseQueueDwell              // comm worker: bucket wait in the FIFO queue
+	PhaseAllreduce               // comm worker: bucket collective execution
+	PhaseBcast                   // initial parameter broadcast
+	PhaseDrop                    // fault fabric: an injected message drop
+	PhaseHeartbeat               // membership: a rank's wait at a sync point
+	PhaseEvict                   // membership: a dead rank's eviction
+	PhaseReform                  // membership: survivor group re-formation
+	PhaseCrash                   // membership: a scheduled learner crash
+	PhaseCompress                // compression codec: residual fold + select/quantize + encode
+	PhaseEval                    // epoch-end accuracy evaluation on virtual rank 0
+	NumPhases                    // number of phases (array sizing)
 )
 
 var phaseNames = [NumPhases]string{
-	"forward", "backward", "local_step", "bucket_begin",
+	"forward", "backward", "local_step",
 	"agg_wait", "agg_apply", "queue_dwell", "allreduce", "bcast",
 	"drop", "heartbeat", "evict", "reform", "crash",
 	"compress", "eval",

@@ -86,10 +86,9 @@ func (tr *Tracer) Profile() []PhaseProfile {
 // HiddenFraction measures, from the recorded spans, how much comm-worker
 // allreduce time ran while the same rank's learner was computing —
 // inside a forward, backward or local-step span — and returns that and
-// the total allreduce time (wall clock; quiesced tracks only).
-// Backward-overlapped aggregation can hide a transfer only behind the
-// tail of one backward pass; delayed application hides it behind the
-// whole next interval. The compute phases never overlap each other on a
+// the total allreduce time (wall clock; quiesced tracks only). Delayed
+// application hides a transfer behind the whole next interval. The
+// compute phases never overlap each other on a
 // learner track — they are sequential stages of one goroutine — so
 // summing per-window intersections does not double-count.
 func (tr *Tracer) HiddenFraction() (hidden, total time.Duration) {

@@ -11,8 +11,9 @@ import (
 // Chrome trace-event export. The JSON-object format ("traceEvents" plus
 // metadata) loads in Perfetto (ui.perfetto.dev) and chrome://tracing:
 // each Track becomes one thread timeline inside its process group, so a
-// traced overlapped run shows the comm-worker tracks' bucket allreduce
-// spans running while the learner tracks are still inside backward.
+// traced delayed run shows the comm-worker tracks' bucket allreduce
+// spans running while the learner tracks are already in the next
+// interval's compute.
 //
 // Most spans are emitted as matched "B"/"E" duration events rather than
 // "X" complete events so nesting is explicit in the file and the golden

@@ -8,9 +8,11 @@ import (
 )
 
 // buildGoldenTracer records a small deterministic trace on a fake
-// clock: one learner whose backward span encloses two bucket_begin
-// spans, and the matching comm worker running queue_dwell → allreduce
-// for each bucket. This is the shape an overlapped run produces.
+// clock: one learner whose backward span encloses two compress spans
+// carrying a bucket index (nested spans with an argument), and a comm
+// worker running queue_dwell → allreduce for each bucket while the
+// learner is still inside backward (async dwell events beside
+// duration events).
 func buildGoldenTracer() *Tracer {
 	tr := NewTracer(64)
 	t := int64(0)
@@ -25,17 +27,17 @@ func buildGoldenTracer() *Tracer {
 	at(100)
 	learner.End(PhaseForward, s)
 
-	// backward [100, 1000] with bucket begins [200,250] and [500,560].
+	// backward [100, 1000] with compress spans [200,250] and [500,560].
 	at(100)
 	back := learner.Begin()
 	at(200)
 	b0 := learner.Begin()
 	at(250)
-	learner.EndArg(PhaseBucketBegin, 1, b0)
+	learner.EndArg(PhaseCompress, 1, b0)
 	at(500)
 	b1 := learner.Begin()
 	at(560)
-	learner.EndArg(PhaseBucketBegin, 0, b1)
+	learner.EndArg(PhaseCompress, 0, b1)
 	at(1000)
 	learner.End(PhaseBackward, back)
 
