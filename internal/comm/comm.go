@@ -1,9 +1,9 @@
 // Package comm implements the communication substrate the paper's
 // algorithms run on: point-to-point messaging between learners, the
 // collective operations SASGD uses (the binomial-tree allreduce and
-// broadcast, their bucketed, hierarchical and compressed forms, and the
-// barrier), and the sharded parameter server that Downpour and EAMSGD
-// use. A Group runs the collectives over a Transport: Go channels
+// broadcast, their hierarchical and compressed forms, the in-flight
+// Runner, and the barrier), and the sharded parameter server that
+// Downpour and EAMSGD use. A Group runs the collectives over a Transport: Go channels
 // between the learner goroutines of one process, or a TCP mesh between
 // processes (tcp.go, with the frame codec in comm/wire).
 //

@@ -17,11 +17,10 @@ import (
 // the group's one tree walk (dense.go's up and down) carrying the
 // codec's reduction — top-k's pair merge below, qint8's max and integer
 // sum in quant.go — so a codec says what a frame holds, never when or
-// where it moves. The engine plugs
-// into BucketedAllreduce (BeginCompressed), one collective per bucket,
-// so compression composes with delayed application's in-flight launch;
-// on a membership plane the worker is restarted on the
-// survivor group, so compressed runs survive chaos scenarios.
+// where it moves. A caller runs one collective per bucket — core, one
+// per parameterized layer, inline or inside a Runner's in-flight
+// launch — on whatever group the membership view holds, so compression
+// composes with delayed application and survives chaos scenarios.
 //
 // Error-feedback contract (Alistarh et al., "The Convergence of
 // Sparsified Gradient Methods"; the param_state["memory"] pattern of
@@ -39,8 +38,8 @@ import (
 
 // Compressor is one learner's instance of a gradient-compression codec.
 // Instances carry reusable scratch and must not be shared across ranks;
-// within a rank, calls must be serialized (the bucketed comm worker's
-// are).
+// within a rank, calls must be serialized (a rank's exchange runs on
+// its learner or its Runner, never both at once).
 type Compressor interface {
 	// Name returns the codec's config name ("topk", "qint8").
 	Name() string

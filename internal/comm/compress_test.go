@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"sasgd/internal/obs"
 )
 
 // ---------------------------------------------------------------------
@@ -794,18 +796,17 @@ func TestCompressedTrafficLabels(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Bucketed composition.
+// In-flight composition.
 
-// TestBucketedCompressedMatchesSync: BeginCompressed through the async
-// comm worker must produce bitwise the same aggregates and residuals as
-// driving the codec synchronously bucket by bucket — the property that
-// lets the compressed boundary and the resilient path share the engine
-// with the delayed launch.
+// TestBucketedCompressedMatchesSync: the codec's per-bucket collectives
+// launched on a Runner must produce bitwise the same aggregates and
+// residuals as driving the codec synchronously bucket by bucket — the
+// property that lets a delayed launch run the boundary's one exchange.
 func TestBucketedCompressedMatchesSync(t *testing.T) {
 	for _, codec := range []string{"topk", "qint8"} {
 		const p, n = 4, 300
 		const ratio = 0.1
-		segments := []Segment{{0, 120}, {120, 80}, {200, 100}}
+		segments := []span{{0, 120}, {120, 80}, {200, 100}}
 		rng := rand.New(rand.NewSource(31))
 		bufA := make([][]float64, p)
 		resA := make([][]float64, p)
@@ -821,25 +822,26 @@ func TestBucketedCompressedMatchesSync(t *testing.T) {
 			resB[r] = make([]float64, n)
 		}
 
-		// Async: bucketed workers, buckets launched in descending order.
+		// Async: each round's buckets launched in descending order on the
+		// rank's Runner.
 		gA := NewGroup(p)
 		var wg sync.WaitGroup
 		for r := 0; r < p; r++ {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				b := NewBucketedAllreduce(gA, r, segments)
 				comp := NewCompressor(codec)
-				handles := make([]Handle, len(segments))
-				for round := 0; round < 3; round++ {
+				run := NewRunner(gA, r, func(buf []float64, ready float64, tk *obs.Track) {
 					for bi := len(segments) - 1; bi >= 0; bi-- {
-						handles[bi] = b.BeginCompressed(bi, bufA[r], resA[r], comp, ratio, 0)
+						s := segments[bi]
+						comp.Allreduce(gA, r, buf[s.off:s.off+s.n], resA[r][s.off:s.off+s.n], ratio, ready, tk, int32(bi))
 					}
-					for bi := range handles {
-						handles[bi].Wait()
-					}
+				})
+				for round := 0; round < 3; round++ {
+					run.Launch(bufA[r], 0)
+					run.Wait()
 				}
-				b.Close()
+				run.Close()
 			}(r)
 		}
 		wg.Wait()
@@ -854,7 +856,7 @@ func TestBucketedCompressedMatchesSync(t *testing.T) {
 				for round := 0; round < 3; round++ {
 					for bi := len(segments) - 1; bi >= 0; bi-- {
 						s := segments[bi]
-						comp.Allreduce(gB, r, bufB[r][s.Off:s.Off+s.Len], resB[r][s.Off:s.Off+s.Len], ratio, 0, nil, int32(bi))
+						comp.Allreduce(gB, r, bufB[r][s.off:s.off+s.n], resB[r][s.off:s.off+s.n], ratio, 0, nil, int32(bi))
 					}
 				}
 			}(r)

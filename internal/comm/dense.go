@@ -14,12 +14,11 @@ import (
 // pair merge (compress.go), qint8's max and packed-integer sum
 // (quant.go) — so the receive order and the pooled-frame discipline
 // are written once. The dense sum over the whole buffer is the paper's
-// O(m log p) tree: "tree", the broadcast, the wire barrier, the
-// bucketed worker's per-bucket collective and both levels of the
-// hierarchy are this one engine with a different schedule, buffer and
-// traffic label. The only concurrency with compute the package offers
-// is the bucketed worker's (bucketed.go), not splitting a buffer inside
-// one collective.
+// O(m log p) tree: "tree", the broadcast, the wire barrier and both
+// levels of the hierarchy are this one engine with a different
+// schedule, buffer and traffic label. The only concurrency with compute
+// the package offers is a Runner's in-flight exchange (runner.go), not
+// splitting a buffer inside one collective.
 //
 // Every collective is executed by the members' cooperating goroutines
 // over the group's transport. Each learner calls the method with its own
@@ -61,8 +60,9 @@ import (
 // On an all-local group the root's last fold runs on parallel.Workers()
 // × p shards — its own kernel workers and those of the p−1 learners
 // that, by then, have all sent up and are parked in down waiting for the
-// sum. Only this learner-driven entry lends: the bucketed worker runs
-// the engine while its learner may still be in backward.
+// sum. Inside a Runner's launch those learners compute on instead, and
+// the lent shards only queue behind their kernels: the shard count
+// moves the wall clock, never a value.
 func (g *Group) AllreduceTree(rank int, buf []float64) {
 	g.checkRank(rank)
 	g.setAlgo(rank, algoTree)

@@ -36,32 +36,47 @@ func cloneBufs(src [][]float64) [][]float64 {
 	return out
 }
 
-// chunkSegments cuts an m-word buffer into w-word buckets (the last one
+// span is one [off, off+n) range of a flat buffer.
+type span struct{ off, n int }
+
+// chunkSpans cuts an m-word buffer into w-word spans (the last one
 // short).
-func chunkSegments(m, w int) []Segment {
-	var segs []Segment
+func chunkSpans(m, w int) []span {
+	var spans []span
 	for off := 0; off < m; off += w {
-		segs = append(segs, Segment{off, min(w, m-off)})
+		spans = append(spans, span{off, min(w, m-off)})
 	}
-	return segs
+	return spans
 }
 
-// TestAllreduceAlgorithmsEquivalent checks the bucketed allreduce against
-// the whole-buffer tree across group sizes (including non-powers of two)
-// and message lengths not divisible by p or by the bucket width. Each
-// bucket replays the tree's summation order on its own slice, so the
-// two must agree bit for bit at every width.
+// runSpans sums every rank's buffer piecewise: one tree allreduce per
+// span, last span first.
+func runSpans(p int, g *Group, bufs [][]float64, spans []span) {
+	runGroup(p, g, func(rank int) {
+		for i := len(spans) - 1; i >= 0; i-- {
+			s := spans[i]
+			g.AllreduceTree(rank, bufs[rank][s.off:s.off+s.n])
+		}
+	})
+}
+
+// TestAllreduceAlgorithmsEquivalent checks a buffer summed piecewise
+// against the whole-buffer tree across group sizes (including
+// non-powers of two) and message lengths not divisible by p or by the
+// piece width. Each piece replays the tree's summation order on its own
+// slice, so the two must agree bit for bit at every width: where a
+// buffer is cut never moves a value.
 func TestAllreduceAlgorithmsEquivalent(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for _, m := range []int{1, 5, 23, 64, 129} {
 			orig, want := makeBufs(p, m, int64(1000*p+m))
 			for _, w := range []int{1, 3, 7, 16, m + 1} {
 				got := cloneBufs(orig)
-				runBucketed(p, NewGroup(p), got, chunkSegments(m, w), nil)
+				runSpans(p, NewGroup(p), got, chunkSpans(m, w))
 				for r := 0; r < p; r++ {
 					for i := range want {
 						if got[r][i] != want[i] {
-							t.Fatalf("p=%d m=%d width=%d rank=%d[%d]: bucketed %g != tree %g (must be bitwise)",
+							t.Fatalf("p=%d m=%d width=%d rank=%d[%d]: piecewise %g != tree %g (must be bitwise)",
 								p, m, w, r, i, got[r][i], want[i])
 						}
 					}
@@ -132,7 +147,6 @@ func TestAllreduceTreeApplyMatchesTreeAxpy(t *testing.T) {
 // small integers, so every sum is exact in any order.
 func TestDenseOwnership(t *testing.T) {
 	const m, rounds = 37, 5
-	segs := []Segment{{0, 10}, {10, 20}, {30, 7}}
 	everyone := func(g *Group) func(int) []int {
 		all := make([]int, g.Size())
 		for r := range all {
@@ -149,20 +163,14 @@ func TestDenseOwnership(t *testing.T) {
 		{"tree", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
 			return func(r int, b []float64) { g.AllreduceTree(r, b) }, everyone(g)
 		}},
-		{"bucketed", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
-			ws := make([]*BucketedAllreduce, g.Size())
-			for r := range ws {
-				ws[r] = NewBucketedAllreduce(g, r, segs)
-				t.Cleanup(ws[r].Close)
+		{"runner", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {
+			rs := treeRunners(g)
+			for _, r := range rs {
+				t.Cleanup(r.Close)
 			}
 			return func(r int, b []float64) {
-				var hs [3]Handle
-				for i := len(segs) - 1; i >= 0; i-- {
-					hs[i] = ws[r].Begin(i, b, 0)
-				}
-				for _, h := range hs {
-					h.Wait()
-				}
+				rs[r].Launch(b, 0)
+				rs[r].Wait()
 			}, everyone(g)
 		}},
 		{"hier-intra", func(t *testing.T, g *Group) (func(int, []float64), func(int) []int) {

@@ -41,7 +41,7 @@ func (g *Group) ResetStats() {
 		}
 		st.crossWords.Store(0)
 		st.mailboxWaitNs.Store(0)
-		st.bucketOps.Store(0)
+		st.launches.Store(0)
 		st.queueDwellNs.Store(0)
 		st.workerBusyNs.Store(0)
 		st.firstBusyNs.Store(0)

@@ -64,9 +64,9 @@ func FuzzTopKSelect(f *testing.F) {
 	})
 }
 
-// FuzzAllreduceEquivalence pins the bucketed allreduce against the
+// FuzzAllreduceEquivalence pins a buffer summed piecewise against the
 // whole-buffer tree over fuzzer-chosen (p, m, chunk, seed) shapes: two
-// buckets split at chunk (one bucket when chunk ≥ m) must reproduce the
+// pieces split at chunk (one piece when chunk ≥ m) must reproduce the
 // tree bit for bit.
 func FuzzAllreduceEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint16(1), uint16(1), int64(1))
@@ -93,23 +93,22 @@ func FuzzAllreduceEquivalence(f *testing.F) {
 		gt := NewGroup(p)
 		runGroup(p, gt, func(rank int) { gt.AllreduceTree(rank, tree[rank]) })
 
-		segs := []Segment{{0, min(chunk, m)}}
+		spans := []span{{0, min(chunk, m)}}
 		if chunk < m {
-			segs = append(segs, Segment{chunk, m - chunk})
+			spans = append(spans, span{chunk, m - chunk})
 		}
-		bucketed := cloneBufs(orig)
-		runBucketed(p, NewGroup(p), bucketed, segs, nil)
+		pieces := cloneBufs(orig)
+		runSpans(p, NewGroup(p), pieces, spans)
 
 		for r := 0; r < p; r++ {
 			for i := 0; i < m; i++ {
-				if bucketed[r][i] != tree[r][i] {
-					t.Fatalf("p=%d m=%d chunk=%d rank=%d[%d]: bucketed %g != tree %g (must be bitwise)",
-						p, m, chunk, r, i, bucketed[r][i], tree[r][i])
+				if pieces[r][i] != tree[r][i] {
+					t.Fatalf("p=%d m=%d chunk=%d rank=%d[%d]: piecewise %g != tree %g (must be bitwise)",
+						p, m, chunk, r, i, pieces[r][i], tree[r][i])
 				}
-				// Every rank of every algorithm must agree with rank 0 of
-				// its own algorithm exactly — allreduce leaves identical
-				// buffers everywhere.
-				if tree[r][i] != tree[0][i] || bucketed[r][i] != bucketed[0][i] {
+				// Every rank of both must agree with its rank 0 exactly —
+				// allreduce leaves identical buffers everywhere.
+				if tree[r][i] != tree[0][i] || pieces[r][i] != pieces[0][i] {
 					t.Fatalf("p=%d m=%d rank=%d[%d]: ranks disagree within one algorithm", p, m, r, i)
 				}
 			}

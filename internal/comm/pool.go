@@ -18,7 +18,7 @@ import (
 // pointer-typed Put. Buffers are segregated into power-of-two size
 // classes (one sync.Pool per class): every wrapper in a class has
 // exactly the class's capacity, so a pool serving mixed frame sizes
-// — one bucket per layer, codec pair streams, one-word maxima and
+// — whole-model sums, codec pair streams, one-word maxima and
 // barriers — reaches zero steady-state allocations regardless of
 // which goroutine happens to recycle which wrapper. A single mixed pool
 // would instead keep regrowing small wrappers whenever scheduling

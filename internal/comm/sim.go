@@ -17,7 +17,7 @@ import "sync"
 //
 // A rank's clock is its own (the one the learner charges compute to)
 // except inside an operation: beginOp opens a clock of the operation's
-// own at its entry stamp — a bucketed op runs so while the learner
+// own at its entry stamp — a Runner's launch runs so while the learner
 // computes on — and endOp returns where it finished. A rank's clocks are
 // touched only by the goroutine driving the rank. A link's lock covers
 // its drain time, the stamp and the frame's hand-off together, so
@@ -107,7 +107,7 @@ func (s *simTransport) align(r int, bar *Barrier) {
 
 // beginOp opens rank's operation clock at entry. It reports false, and
 // changes nothing, unsimulated or inside an operation (a codec run by a
-// bucketed op, which opened at the same stamp, carries on the outer one).
+// Runner's launch carries on the launch's clock).
 func (g *Group) beginOp(rank int, entry float64) bool {
 	s, r := g.sim, g.trRank(rank)
 	if s == nil || s.inOp[r] {

@@ -14,7 +14,7 @@ import (
 // charges the message's words to that rank's (algorithm) counter. The
 // counters are per-rank — each rank's label and counters are touched
 // only by the goroutine currently driving that rank (its learner, or
-// its comm worker; the two never run a collective concurrently) — so
+// its Runner; the two never run a collective concurrently) — so
 // the hot path takes no locks and shares no cache lines across ranks.
 // They are atomics anyway so the -debug-addr endpoint can read a
 // consistent-enough live snapshot mid-run.
@@ -32,7 +32,7 @@ type algo uint32
 
 const (
 	algoP2P    algo = iota // bare Send/Recv outside any collective
-	algoTree               // binomial tree (allreduce/reduce, bucketed or not)
+	algoTree               // binomial tree (allreduce/reduce)
 	algoSparse             // sparse (index+value) binomial tree
 	algoBcast              // binomial-tree broadcast
 	algoQuant              // quantized (packed int8/int16) binomial tree
@@ -58,12 +58,12 @@ type rankStats struct {
 
 	mailboxWaitNs atomic.Int64 // recv-side blocking time (tracer-gated)
 
-	// Comm-worker pipeline accounting (bucketed allreduce).
-	bucketOps    atomic.Int64
+	// In-flight exchange accounting (Runner).
+	launches     atomic.Int64
 	queueDwellNs atomic.Int64
 	workerBusyNs atomic.Int64
-	firstBusyNs  atomic.Int64 // first bucket pickup (tracer clock), +1 to distinguish from unset
-	lastDoneNs   atomic.Int64 // latest bucket completion (tracer clock)
+	firstBusyNs  atomic.Int64 // first launch pickup (tracer clock), +1 to distinguish from unset
+	lastDoneNs   atomic.Int64 // latest launch completion (tracer clock)
 
 	_ [40]byte
 }
@@ -106,8 +106,8 @@ func (g *Group) SetIslands(islandOf []int) {
 	g.islandOf.Store(&m)
 }
 
-// SetTracer attaches an obs tracer to the group: bucketed comm workers
-// record queue-dwell and allreduce spans on per-rank comm tracks, and
+// SetTracer attaches an obs tracer to the group: Runners record
+// queue-dwell and allreduce spans on per-rank comm tracks, and
 // receives measure mailbox blocking time. Call before the learner
 // goroutines start; a nil tracer (the default) leaves every probe on
 // its nil-check-only fast path.
@@ -162,11 +162,11 @@ type Stats struct {
 
 	MailboxWait time.Duration `json:"mailbox_wait_ns,omitempty"` // total recv-side blocking (tracer-gated; 0 untraced)
 
-	// Bucketed-allreduce pipeline, summed over ranks. Occupancy is the
-	// mean over active ranks of busy/(last completion − first pickup):
-	// 1.0 means the worker never idled between buckets. Timings are
-	// tracer-gated; BucketOps counts regardless.
-	BucketOps         int64         `json:"bucket_ops,omitempty"`
+	// In-flight exchanges (Runner launches), summed over ranks.
+	// Occupancy is the mean over active ranks of busy/(last completion −
+	// first pickup): 1.0 means the runner never idled between launches.
+	// Timings are tracer-gated; Launches counts regardless.
+	Launches          int64         `json:"launches,omitempty"`
 	QueueDwell        time.Duration `json:"queue_dwell_ns,omitempty"`
 	WorkerBusy        time.Duration `json:"worker_busy_ns,omitempty"`
 	PipelineOccupancy float64       `json:"pipeline_occupancy,omitempty"`
@@ -200,7 +200,7 @@ func (g *Group) Stats() Stats {
 		}
 		s.CrossWords += st.crossWords.Load()
 		s.MailboxWait += time.Duration(st.mailboxWaitNs.Load())
-		s.BucketOps += st.bucketOps.Load()
+		s.Launches += st.launches.Load()
 		s.QueueDwell += time.Duration(st.queueDwellNs.Load())
 		busy := st.workerBusyNs.Load()
 		s.WorkerBusy += time.Duration(busy)
@@ -225,11 +225,11 @@ func (g *Group) Stats() Stats {
 // groups of a re-formed run; the Faults block is intentionally NOT
 // merged (the fabric is shared, so each group already reports the
 // run-wide counts — adding them would double-count). Occupancy merges
-// as the bucket-op-weighted mean.
+// as the launch-weighted mean.
 func (s *Stats) MergeTraffic(o Stats) {
-	if s.BucketOps+o.BucketOps > 0 {
-		s.PipelineOccupancy = (s.PipelineOccupancy*float64(s.BucketOps) +
-			o.PipelineOccupancy*float64(o.BucketOps)) / float64(s.BucketOps+o.BucketOps)
+	if s.Launches+o.Launches > 0 {
+		s.PipelineOccupancy = (s.PipelineOccupancy*float64(s.Launches) +
+			o.PipelineOccupancy*float64(o.Launches)) / float64(s.Launches+o.Launches)
 	}
 	s.Words += o.Words
 	s.Messages += o.Messages
@@ -244,7 +244,7 @@ func (s *Stats) MergeTraffic(o Stats) {
 		s.PerAlgo[name] = cur
 	}
 	s.MailboxWait += o.MailboxWait
-	s.BucketOps += o.BucketOps
+	s.Launches += o.Launches
 	s.QueueDwell += o.QueueDwell
 	s.WorkerBusy += o.WorkerBusy
 }

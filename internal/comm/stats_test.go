@@ -11,8 +11,8 @@ import (
 // tracer-gated pipeline counters.
 
 // TestStatsPerAlgoAttribution runs one collective of each family on
-// separate groups and checks every word lands in the right bucket. The
-// bucketed worker's dense buckets are the tree's traffic.
+// separate groups and checks every word lands in the right bucket. A
+// Runner's launch of per-bucket dense sums is the tree's traffic.
 func TestStatsPerAlgoAttribution(t *testing.T) {
 	const p, n = 4, 64
 	cases := []struct {
@@ -22,12 +22,13 @@ func TestStatsPerAlgoAttribution(t *testing.T) {
 		{"tree", "tree", func(g *Group, r int, b []float64) { g.AllreduceTree(r, b) }},
 		{"bcast", "bcast", func(g *Group, r int, b []float64) { g.BroadcastTree(r, b) }},
 		{"bucketed", "tree", func(g *Group, r int, b []float64) {
-			w := NewBucketedAllreduce(g, r, []Segment{{0, n / 2}, {n / 2, n / 2}})
-			defer w.Close()
-			h1 := w.Begin(1, b, 0)
-			h0 := w.Begin(0, b, 0)
-			h1.Wait()
-			h0.Wait()
+			run := NewRunner(g, r, func(buf []float64, _ float64, _ *obs.Track) {
+				g.AllreduceTree(r, buf[n/2:])
+				g.AllreduceTree(r, buf[:n/2])
+			})
+			defer run.Close()
+			run.Launch(b, 0)
+			run.Wait()
 		}},
 	}
 	for _, tc := range cases {
@@ -127,78 +128,61 @@ func TestStatsSendChargedToP2P(t *testing.T) {
 	}
 }
 
-// TestStatsBucketedPipelineCounters checks the tracer-gated pipeline
-// accounting: with a tracer attached, the bucketed path reports its op
-// count, dwell/busy times and an occupancy in (0, 1].
-func TestStatsBucketedPipelineCounters(t *testing.T) {
-	const p, n = 4, 1 << 12
-	segs := []Segment{{0, n / 2}, {n / 2, n / 2}}
-	g := NewGroup(p)
-	g.SetTracer(obs.NewTracer(256))
-	bufs := make([][]float64, p)
-	for r := range bufs {
-		bufs[r] = make([]float64, n)
-	}
-	runGroup(p, g, func(rank int) {
-		b := NewBucketedAllreduce(g, rank, segs)
-		defer b.Close()
-		const rounds = 3
-		for it := 0; it < rounds; it++ {
-			h0 := b.Begin(0, bufs[rank], 0)
-			h1 := b.Begin(1, bufs[rank], 0)
-			h0.Wait()
-			h1.Wait()
+// TestStatsRunnerCounters checks the in-flight exchange accounting:
+// with a tracer attached, the Runner reports its launch count,
+// dwell/busy times and an occupancy in (0, 1], and records one
+// queue_dwell and one allreduce span per launch on its comm track;
+// without one the timings stay zero (no clock reads on the hot path)
+// but launches are still counted.
+func TestStatsRunnerCounters(t *testing.T) {
+	const p, n, rounds = 4, 1 << 12, 3
+	for _, traced := range []bool{true, false} {
+		g := NewGroup(p)
+		if traced {
+			g.SetTracer(obs.NewTracer(256))
 		}
-	})
-	s := g.Stats()
-	if want := int64(p * 3 * len(segs)); s.BucketOps != want {
-		t.Errorf("BucketOps = %d, want %d", s.BucketOps, want)
-	}
-	if s.WorkerBusy <= 0 {
-		t.Errorf("WorkerBusy = %v, want > 0 with tracer attached", s.WorkerBusy)
-	}
-	if s.PipelineOccupancy <= 0 || s.PipelineOccupancy > 1 {
-		t.Errorf("PipelineOccupancy = %v, want in (0, 1]", s.PipelineOccupancy)
-	}
-	if s.MailboxWait <= 0 {
-		t.Errorf("MailboxWait = %v, want > 0 with tracer attached", s.MailboxWait)
-	}
-	// The worker tracks recorded queue_dwell and allreduce spans.
-	var dwell, exec int
-	for _, pr := range g.Tracer().Profile() {
-		switch pr.Phase {
-		case obs.PhaseQueueDwell:
-			dwell += pr.Count
-		case obs.PhaseAllreduce:
-			exec += pr.Count
+		bufs := make([][]float64, p)
+		for r := range bufs {
+			bufs[r] = make([]float64, n)
 		}
-	}
-	if want := p * 3 * len(segs); dwell != want || exec != want {
-		t.Errorf("traced %d dwell / %d allreduce spans, want %d each", dwell, exec, want)
-	}
-}
-
-// TestStatsBucketedUntracedKeepsOpCount: without a tracer the timing
-// stats stay zero (no clock reads on the hot path) but the op count is
-// still maintained.
-func TestStatsBucketedUntracedKeepsOpCount(t *testing.T) {
-	const p, n = 2, 256
-	segs := []Segment{{0, n}}
-	g := NewGroup(p)
-	bufs := make([][]float64, p)
-	for r := range bufs {
-		bufs[r] = make([]float64, n)
-	}
-	runGroup(p, g, func(rank int) {
-		b := NewBucketedAllreduce(g, rank, segs)
-		defer b.Close()
-		b.Begin(0, bufs[rank], 0).Wait()
-	})
-	s := g.Stats()
-	if s.BucketOps != p {
-		t.Errorf("BucketOps = %d, want %d", s.BucketOps, p)
-	}
-	if s.WorkerBusy != 0 || s.QueueDwell != 0 || s.MailboxWait != 0 || s.PipelineOccupancy != 0 {
-		t.Errorf("untraced run recorded timings: %+v, want zeros", s)
+		runGroup(p, g, func(rank int) {
+			run := NewRunner(g, rank, func(buf []float64, _ float64, _ *obs.Track) { g.AllreduceTree(rank, buf) })
+			defer run.Close()
+			for it := 0; it < rounds; it++ {
+				run.Launch(bufs[rank], 0)
+				run.Wait()
+			}
+		})
+		s := g.Stats()
+		if s.Launches != p*rounds {
+			t.Errorf("traced=%v: Launches = %d, want %d", traced, s.Launches, p*rounds)
+		}
+		if !traced {
+			if s.WorkerBusy != 0 || s.QueueDwell != 0 || s.MailboxWait != 0 || s.PipelineOccupancy != 0 {
+				t.Errorf("untraced run recorded timings: %+v, want zeros", s)
+			}
+			continue
+		}
+		if s.WorkerBusy <= 0 {
+			t.Errorf("WorkerBusy = %v, want > 0 with tracer attached", s.WorkerBusy)
+		}
+		if s.PipelineOccupancy <= 0 || s.PipelineOccupancy > 1 {
+			t.Errorf("PipelineOccupancy = %v, want in (0, 1]", s.PipelineOccupancy)
+		}
+		if s.MailboxWait <= 0 {
+			t.Errorf("MailboxWait = %v, want > 0 with tracer attached", s.MailboxWait)
+		}
+		var dwell, exec int
+		for _, pr := range g.Tracer().Profile() {
+			switch pr.Phase {
+			case obs.PhaseQueueDwell:
+				dwell += pr.Count
+			case obs.PhaseAllreduce:
+				exec += pr.Count
+			}
+		}
+		if want := p * rounds; dwell != want || exec != want {
+			t.Errorf("traced %d dwell / %d allreduce spans, want %d each", dwell, exec, want)
+		}
 	}
 }

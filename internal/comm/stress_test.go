@@ -3,13 +3,16 @@ package comm
 import (
 	"sync"
 	"testing"
+
+	"sasgd/internal/obs"
 )
 
 // TestPipelinedCollectivesStress drives many back-to-back aggregations
-// through the tree and the bucketed worker's pipeline under the race
-// detector's favourite conditions: odd group sizes, buckets far below
-// m/p, whole-buffer and bucketed rounds alternating (so pooled buffers
-// are recycled across different message shapes), and several groups
+// through the tree in line and through Runners' in-flight launches under
+// the race detector's favourite conditions: odd group sizes, launches
+// that sum the buffer in pieces far below m/p (so pooled buffers are
+// recycled across different message shapes), a learner that writes
+// its own scratch while its launch is in flight, and several groups
 // running concurrently in one process. Values are small integers, so
 // every sum is exact in float64 and each round's result can be checked
 // against a closed form: after k allreduce rounds buf[i] = (i+1)·p^k.
@@ -30,24 +33,28 @@ func TestPipelinedCollectivesStress(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				workers := make([]*BucketedAllreduce, len(widths))
+				runners := make([]*Runner, len(widths))
 				for i, w := range widths {
-					workers[i] = NewBucketedAllreduce(g, r, chunkSegments(m, w))
-					defer workers[i].Close()
+					spans := chunkSpans(m, w)
+					runners[i] = NewRunner(g, r, func(buf []float64, _ float64, _ *obs.Track) {
+						for j := len(spans) - 1; j >= 0; j-- {
+							g.AllreduceTree(r, buf[spans[j].off:spans[j].off+spans[j].n])
+						}
+					})
+					defer runners[i].Close()
 				}
-				handles := make([]Handle, m)
+				scratch := make([]float64, m)
 				for k := 0; k < rounds; k++ {
 					if k%3 == 0 {
 						g.AllreduceTree(r, bufs[r])
 						continue
 					}
-					b := workers[k%len(widths)]
-					for i := len(b.segs) - 1; i >= 0; i-- {
-						handles[i] = b.Begin(i, bufs[r], 0)
+					run := runners[k%len(widths)]
+					run.Launch(bufs[r], 0)
+					for i := range scratch {
+						scratch[i] += float64(k)
 					}
-					for i := range b.segs {
-						handles[i].Wait()
-					}
+					run.Wait()
 				}
 			}(r)
 		}
@@ -65,7 +72,7 @@ func TestPipelinedCollectivesStress(t *testing.T) {
 			}
 		}
 	}
-	// Bucket widths well below m/p make deep bucket queues; concurrent
+	// Piece widths well below m/p make long launches; concurrent
 	// subtests share the process so independent groups stress each other.
 	for _, p := range []int{3, 5, 7, 8} {
 		p := p

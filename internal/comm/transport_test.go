@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sasgd/internal/comm/wire"
+	"sasgd/internal/obs"
 	"sasgd/internal/parallel"
 )
 
@@ -147,11 +148,11 @@ func (linkCost) ServerOpTime(int, int, int) float64 { return 0 }
 // TestCrossTransportSimulatedClocks: simulated time is a decorator over
 // the transport, so the same collectives give the same final clocks,
 // bitwise, over the channel fabric and over TCP loopback — the wire
-// carries no time. Ranks start skewed; the bucketed ops and the two
-// codecs open their clocks at entry stamps before the ranks' own clocks.
+// carries no time. Ranks start skewed; a Runner's launch (top-k per
+// bucket, on the launch's one clock) and the two codecs open their
+// clocks at entry stamps before the ranks' own clocks.
 func TestCrossTransportSimulatedClocks(t *testing.T) {
 	const m = 53
-	segs := []Segment{{0, 20}, {20, 20}, {40, 13}}
 	kinds := []struct {
 		name string
 		run  func(g *Group, p int) func(rank int, buf []float64)
@@ -159,20 +160,20 @@ func TestCrossTransportSimulatedClocks(t *testing.T) {
 		{"tree", func(g *Group, p int) func(int, []float64) {
 			return func(r int, b []float64) { g.AllreduceTree(r, b) }
 		}},
-		{"bucketed", func(g *Group, p int) func(int, []float64) {
-			ws := make([]*BucketedAllreduce, p)
-			for r := range ws {
-				ws[r] = NewBucketedAllreduce(g, r, segs)
+		{"runner", func(g *Group, p int) func(int, []float64) {
+			rs := make([]*Runner, p)
+			for r := range rs {
+				comp, res := NewCompressor("topk"), make([]float64, m)
+				rs[r] = NewRunner(g, r, func(b []float64, ready float64, tk *obs.Track) {
+					for _, s := range []span{{40, 13}, {20, 20}, {0, 20}} {
+						comp.Allreduce(g, r, b[s.off:s.off+s.n], res[s.off:s.off+s.n], 0.25, ready, tk, 0)
+					}
+				})
 			}
 			return func(r int, b []float64) {
-				var hs [3]Handle
-				for i := len(segs) - 1; i >= 0; i-- {
-					hs[i] = ws[r].Begin(i, b, float64(len(segs)-i))
-				}
-				for _, h := range hs {
-					h.Wait()
-				}
-				ws[r].Close()
+				rs[r].Launch(b, 1)
+				rs[r].Wait()
+				rs[r].Close()
 			}
 		}},
 		{"topk", func(g *Group, p int) func(int, []float64) {

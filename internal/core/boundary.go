@@ -49,12 +49,12 @@ import (
 // so checkpointing and resuming runs keep the fixed group — and with it
 // partial meshes.
 //
-// Exchange. Flat dense aggregation runs the tree allreduce on gs
-// directly. Everything else goes through the rank's bucketed comm
-// worker, one op per parameterized layer in descending index order:
-// every codec collective (the codecs own the per-bucket schedule) and
-// every launch that must outlive the boundary. Under a hierarchy every
-// boundary runs the cheap intra-island allreduce — the island's working reference w moves at
+// Exchange. One function, exchange, is every global exchange, run on
+// the learner or left in flight: a codec runs its collective on each
+// parameterized layer's bucket in descending index order (the codecs own
+// the per-bucket schedule), a hierarchy its inter-island exchange and
+// flat dense aggregation the tree, each over the whole buffer. Under a
+// hierarchy every boundary runs the cheap intra-island allreduce — the island's working reference w moves at
 // the island-local model-averaging rate γp·OrigP/q and the island
 // aggregate accumulates into acc — and only every TOuter-th boundary
 // exchanges acc across islands (leaders tree-allreduce + island
@@ -73,10 +73,10 @@ import (
 //
 // DelayedApply (DaSGD) applies each global aggregate
 // one global boundary late. On a fixed membership the exchange is
-// launched through the worker and left in flight, hiding the whole
-// transfer behind the next round's compute; its collectives run on their
-// own simulated clock from the launch, which the learner's meets only at
-// the drain (comm.Handle.Wait). On a membership
+// launched on the rank's comm.Runner and left in flight, hiding the
+// whole transfer behind the next round's compute; it runs on its own
+// simulated clock from the launch, which the learner's meets only at
+// the drain (comm.Runner.Wait). On a membership
 // plane only the APPLICATION is deferred — the exchange completes
 // inside its boundary, because a launch left in flight across a view
 // change would address a dead group — and the rate is frozen at
@@ -87,7 +87,7 @@ import (
 // alone, so one rule places it: the delayed launch goes out after the
 // control frame and is drained before the next one — first thing at the
 // next boundary, and before every epoch barrier. Draining touches only
-// this rank's handles, so it needs no cross-rank alignment.
+// this rank's runner, so it needs no cross-rank alignment.
 //
 // One-round-shift invariant (delayed_test.go): the k-th aggregate a
 // delayed run computes is bitwise the aggregate an eager run computes
@@ -115,7 +115,7 @@ type engine struct {
 	mem     *comm.Resilient // nil = fixed membership
 	view    comm.View
 	vr      int     // this learner's virtual rank in view
-	built   int     // view version the hierarchy and worker were built on
+	built   int     // view version the hierarchy was built on
 	syncPt  int     // next membership sync point
 	gp      float64 // γp·OrigP/|view|
 	crashAt int     // boundary at which the fault plan kills this rank (-1 = never)
@@ -149,26 +149,21 @@ type engine struct {
 	gpIsland  float64   // γp·OrigP/q for this rank's island of q live members
 	outerLeft int       // boundaries until the next outer exchange
 
-	// Bucketed worker (b nil when nothing needs it): one bucket per
-	// parameterized layer.
-	segs    []comm.Segment
-	b       *comm.BucketedAllreduce
-	handles []comm.Handle
-
 	// Delayed application.
 	delayed  bool
-	async    bool      // delayed launches stay in flight across the interval (fixed membership)
-	pend     []float64 // the staged / in-flight / pending aggregate
-	pendG    float64   // rate frozen when pend was staged
-	pendAt   int       // origin boundary of pend
-	pending  bool      // pend awaits application
-	inflight bool      // pend's launch has not been drained
+	run      *comm.Runner // carries the launch in flight across the interval (fixed membership; nil otherwise)
+	pend     []float64    // the staged / in-flight / pending aggregate
+	pendG    float64      // rate frozen when pend was staged
+	pendAt   int          // origin boundary of pend
+	pending  bool         // pend awaits application
+	inflight bool         // pend's launch has not been drained
 
 	// Codec (comp nil for dense runs).
 	comp  comm.Compressor
-	res   []float64 // error-feedback residual
-	ratio float64   // working top-k fraction
-	adapt bool      // the adaptive-sparsity controller steers ratio (top-k only)
+	segs  []nn.ParamSegment // the codec's buckets: one per parameterized layer
+	res   []float64         // error-feedback residual
+	ratio float64           // working top-k fraction
+	adapt bool              // the adaptive-sparsity controller steers ratio (top-k only)
 
 	ctl []float64 // the control frame's buffer, sized for every controller
 }
@@ -205,12 +200,9 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		e.xref = append([]float64(nil), e.xref...)
 	}
 	e.setView(view)
-	// The bucket plan exists only for the policies that go through the
-	// comm worker; a model without parameters has nothing to bucket, and
-	// those policies then fall away with the plan.
-	if cfg.Compress != "" || cfg.DelayedApply {
-		e.segs = planBuckets(net.ParamSegments())
-	}
+	// A model without parameters has nothing to exchange: the codec and
+	// delayed application fall away with its layers.
+	segs := net.ParamSegments()
 	if cfg.HierGroups >= 2 {
 		e.baseIsl = comm.BlockIslands(cfg.Learners, cfg.HierGroups)
 		e.w = append([]float64(nil), e.xref...)
@@ -218,35 +210,23 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		e.outerLeft = cfg.TOuter
 		e.setHier()
 	}
-	if cfg.Compress != "" && len(e.segs) > 0 {
+	if cfg.Compress != "" && len(segs) > 0 {
 		e.comp = newCompressor(cfg.Compress)
+		e.segs = segs
 		e.res = make([]float64, m)
 		e.ratio = cfg.CompressK
 		e.adapt = cfg.CompressAdapt && cfg.Compress == CodecTopK
 	}
 	e.ctl = make([]float64, 0, 4+obs.FrameWords*cfg.Learners)
-	e.delayed = cfg.DelayedApply && len(e.segs) > 0
+	e.delayed = cfg.DelayedApply && len(segs) > 0
 	if e.delayed || e.hier != nil {
 		e.pend = make([]float64, m)
 	}
-	e.async = e.delayed && mem == nil
+	if e.delayed && mem == nil {
+		e.run = comm.NewRunner(view.G, e.vr, e.exchange)
+	}
 	e.fused = e.hier == nil && !e.delayed && e.comp == nil && cfg.AggHook == nil
-	if e.comp != nil || e.async {
-		e.b = comm.NewBucketedAllreduce(view.G, e.vr, e.segs)
-		e.handles = make([]comm.Handle, len(e.segs))
-	}
 	return e
-}
-
-// planBuckets is the comm worker's bucket plan: one bucket per
-// parameterized layer, in the network's flat-buffer order. The plan is a
-// pure function of the model, so every rank computes identical buckets.
-func planBuckets(psegs []nn.ParamSegment) []comm.Segment {
-	segs := make([]comm.Segment, len(psegs))
-	for i, s := range psegs {
-		segs[i] = comm.Segment{Off: s.Off, Len: s.Len}
-	}
-	return segs
 }
 
 // setView adopts a membership view: the learner's virtual rank in it and
@@ -300,9 +280,7 @@ func (e *engine) barrier() bool {
 }
 
 // reform rebuilds what was built on the previous view: the island
-// ledgers are globalized (see the type comment) and re-partitioned, and
-// the comm worker — idle, every handle was waited out inside its
-// boundary — is restarted on the new group.
+// ledgers are globalized (see the type comment) and re-partitioned.
 func (e *engine) reform() {
 	if e.hier != nil {
 		e.view.G.AllreduceTree(e.vr, e.w)
@@ -315,10 +293,6 @@ func (e *engine) reform() {
 		e.pending = false
 		e.outerLeft = e.cfg.TOuter
 		e.setHier()
-	}
-	if e.b != nil {
-		e.b.Close()
-		e.b = comm.NewBucketedAllreduce(e.view.G, e.vr, e.segs)
 	}
 	e.built = e.view.Version
 }
@@ -400,7 +374,7 @@ func (e *engine) boundary(params []float64, step int) bool {
 			buf = e.pend
 		}
 		ws := tk.Begin()
-		e.exchange(buf)
+		e.exchange(buf, e.now(), tk)
 		tk.End(obs.PhaseAggWait, ws)
 		as = tk.Begin()
 		e.applyGlobal(e.bidx, buf, e.gp)
@@ -423,12 +397,12 @@ func (e *engine) boundary(params []float64, step int) bool {
 	tk.End(obs.PhaseAggApply, as)
 
 	if send {
-		if e.async {
-			e.launch(e.pend)
+		if e.run != nil {
+			e.run.Launch(e.pend, e.now())
 			e.inflight = true
 		} else {
 			ws := tk.Begin()
-			e.exchange(e.pend)
+			e.exchange(e.pend, e.now(), tk)
 			tk.End(obs.PhaseAggWait, ws)
 		}
 	}
@@ -476,13 +450,18 @@ func (e *engine) reset(params, ref []float64) {
 }
 
 // exchange runs the boundary's global exchange over buf to completion:
-// the codec's per-bucket collectives, the inter-island exchange, or the
-// tree.
-func (e *engine) exchange(buf []float64) {
+// the codec's collective on each layer's bucket in descending index
+// order, the inter-island exchange, or the tree. Every bucket's
+// collective starts its simulated clock at ready, the learner's at the
+// exchange, and the codecs record their compress spans on tk. It runs on
+// the learner, or on the rank's Runner as a delayed launch.
+func (e *engine) exchange(buf []float64, ready float64, tk *obs.Track) {
 	switch {
 	case e.comp != nil:
-		e.launch(buf)
-		e.wait()
+		for bi := len(e.segs) - 1; bi >= 0; bi-- {
+			lo, hi := e.segs[bi].Off, e.segs[bi].Off+e.segs[bi].Len
+			e.comp.Allreduce(e.view.G, e.vr, buf[lo:hi], e.res[lo:hi], e.ratio, ready, tk, int32(bi))
+		}
 	case e.hier != nil:
 		e.hier.AllreduceInter(e.vr, buf)
 	default:
@@ -490,32 +469,12 @@ func (e *engine) exchange(buf []float64) {
 	}
 }
 
-// launch submits every bucket of buf through the worker with the
-// policy's collective, in descending index order, each op's simulated
-// clock starting at the learner's.
-func (e *engine) launch(buf []float64) {
-	ready := 0.0
-	if e.cfg.Sim != nil {
-		ready = e.cfg.Sim.Clock(e.rank).Now()
+// now is the learner's simulated clock (0 unsimulated).
+func (e *engine) now() float64 {
+	if e.cfg.Sim == nil {
+		return 0
 	}
-	for bi := len(e.segs) - 1; bi >= 0; bi-- {
-		switch {
-		case e.comp != nil:
-			e.handles[bi] = e.b.BeginCompressed(bi, buf, e.res, e.comp, e.ratio, ready)
-		case e.hier != nil:
-			e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, ready)
-		default:
-			e.handles[bi] = e.b.Begin(bi, buf, ready)
-		}
-	}
-}
-
-// wait blocks until every launched bucket has completed (and the
-// learner's simulated clock has met theirs).
-func (e *engine) wait() {
-	for i := range e.handles {
-		e.handles[i].Wait()
-	}
+	return e.cfg.Sim.Clock(e.rank).Now()
 }
 
 // drain waits out an in-flight delayed launch. The aggregate stays
@@ -525,7 +484,7 @@ func (e *engine) drain() {
 		return
 	}
 	ws := e.tk.Begin()
-	e.wait()
+	e.run.Wait()
 	e.inflight = false
 	e.tk.End(obs.PhaseAggWait, ws)
 }
@@ -534,8 +493,8 @@ func (e *engine) drain() {
 // and resets the replica to the resulting reference, leaving the run
 // globally consistent. Local steps taken since the last boundary are
 // discarded by the reset, exactly as a boundary discards them. Waiting
-// on local handles involves no group collective, so per-rank timing is
-// free to differ here.
+// on the rank's own runner involves no group collective, so per-rank
+// timing is free to differ here.
 func (e *engine) flush(params []float64) {
 	e.drain()
 	if !e.pending {
@@ -586,9 +545,9 @@ func (e *engine) control(d, r float64, applied bool) {
 	e.fc.ingest(e.view.G, e.vr, ctl, e.sched.T(), e.ratio)
 }
 
-// close shuts the comm worker down.
+// close stops the runner.
 func (e *engine) close() {
-	if e.b != nil {
-		e.b.Close()
+	if e.run != nil {
+		e.run.Close()
 	}
 }

@@ -264,8 +264,8 @@ func TestCheckpointRunKeepsFixedGroup(t *testing.T) {
 	for _, pp := range cfg.Tracer.Profile() {
 		counts[pp.Phase] += pp.Count
 	}
-	if got.Comm.BucketOps != 0 {
-		t.Fatalf("%d bucket ops: the checkpointing run left the fused tree walk", got.Comm.BucketOps)
+	if got.Comm.Launches != 0 {
+		t.Fatalf("%d in-flight launches: the checkpointing run left the fused tree walk", got.Comm.Launches)
 	}
 	if n := counts[obs.PhaseHeartbeat]; n != 0 {
 		t.Fatalf("%d heartbeat spans: the checkpointing run went through the membership ledger", n)

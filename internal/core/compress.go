@@ -7,11 +7,12 @@ package core
 // [sent², resid²] rides the boundary's control frame.
 //
 // Compressed aggregation never takes a serial whole-vector fallback:
-// the gradient is split by planBuckets, one bucket per parameterized
-// layer, and one codec collective runs per bucket through the bucketed
-// worker, in descending bucket order, all launched at the boundary.
-// Per-bucket codec collectives are independent and deterministic (the
-// top-k tree merges in fixed order, the qint8 integer sums are exact).
+// the gradient is split into one bucket per parameterized layer
+// (nn.ParamSegments), and the boundary's exchange runs one codec
+// collective per bucket, in descending bucket order — on the learner,
+// or on the rank's runner as a delayed launch. Per-bucket codec
+// collectives are independent and deterministic (the top-k tree merges
+// in fixed order, the qint8 integer sums are exact).
 
 // Adaptive sparsity (the Deng et al. adaptive-sparse direction): hold
 // the globally captured gradient-mass fraction sent²/(sent²+resid²)

@@ -71,8 +71,8 @@ type Config struct {
 	// (error-feedback top-k sparsification) or CodecQInt8 (int8
 	// quantization with a shared per-bucket scale, residual-fed so it
 	// composes with error feedback). Compressed aggregation always runs
-	// through the bucketed engine — one codec collective per
-	// parameterized layer; the codec brings its own collective.
+	// one codec collective per parameterized layer; the codec brings its
+	// own collective.
 	Compress string
 
 	// CompressK is the top-k sparsity fraction for CodecTopK: each
@@ -119,10 +119,10 @@ type Config struct {
 	TOuter int
 
 	// DelayedApply applies each boundary's global aggregate one boundary
-	// LATE (DaSGD): the allreduce is launched through the bucketed comm
-	// worker at boundary k and its result applied at boundary k+1, so
-	// the entire exchange hides behind the next round's compute instead
-	// of one backward pass (under a fault plan the exchange completes
+	// LATE (DaSGD): the exchange is launched on the rank's comm runner at
+	// boundary k, left in flight, and its result applied at boundary
+	// k+1, so the entire exchange hides behind the next round's compute
+	// (under a fault plan the exchange completes
 	// inside boundary k and only its application waits: a launch in
 	// flight across a membership change would address a dead group). It
 	// composes with every codec, with and without a fault plan. The

@@ -82,46 +82,68 @@ func TestDelayedOneRoundShiftHooks(t *testing.T) {
 	}
 }
 
-// TestDelayedHooksUnderFaults: on a membership plane the delayed
-// boundary completes its exchange in place and defers only the
-// application, which must be invisible in values — the same hooks with
-// the same origins and aggregates as the fixed-membership delayed run,
-// the final flush included, and the same final parameters.
+// TestDelayedHooksUnderFaults: the in-flight launch moves only time. On
+// a fixed membership the delayed exchange runs on the rank's runner,
+// left in flight across the next interval; on a membership plane (an
+// empty fault plan) the same exchange completes inside its boundary
+// and only the application is deferred. For every exchange the engine
+// has — the dense tree, both codecs, the inter-island exchange and a
+// codec under a hierarchy — the two must end in the same final
+// parameters bit for bit, and where the aggregate is dense show the
+// same hooks with the same origins and aggregates, the final flush
+// included.
 func TestDelayedHooksUnderFaults(t *testing.T) {
 	prob := tinyProblem(48, 16, 3)
 	type hook struct {
 		boundary int
 		gs       []float64
 	}
-	run := func(plan *comm.FaultPlan) ([]hook, *Result) {
-		var hooks []hook
-		res := Train(Config{
-			Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05,
-			Batch: 4, Epochs: 2, Seed: 33, DelayedApply: true, Faults: plan,
-			AggHook: func(b int, gs []float64) {
-				hooks = append(hooks, hook{b, append([]float64(nil), gs...)})
-			},
-		}, prob)
-		return hooks, res
-	}
-	fixed, fixedRes := run(nil)
-	faulty, faultyRes := run(&comm.FaultPlan{})
-	if len(fixed) == 0 || len(faulty) != len(fixed) {
-		t.Fatalf("hook counts: fixed membership %d, fault plane %d", len(fixed), len(faulty))
-	}
-	for i := range fixed {
-		if faulty[i].boundary != i {
-			t.Fatalf("hook %d has origin boundary %d, want %d (in order)", i, faulty[i].boundary, i)
+	for _, tc := range []struct {
+		name  string
+		dense bool
+		mut   func(*Config)
+	}{
+		{"dense", true, func(*Config) {}},
+		{"topk", false, func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.2 }},
+		{"qint8", false, func(c *Config) { c.Compress = CodecQInt8 }},
+		{"hier", true, func(c *Config) { c.HierGroups, c.TOuter = 2, 2 }},
+		{"hier-topk", false, func(c *Config) {
+			c.HierGroups, c.TOuter = 2, 2
+			c.Compress, c.CompressK = CodecTopK, 0.2
+		}},
+	} {
+		run := func(plan *comm.FaultPlan) ([]hook, *Result) {
+			var hooks []hook
+			cfg := Config{
+				Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05,
+				Batch: 4, Epochs: 2, Seed: 33, DelayedApply: true, Faults: plan,
+				AggHook: func(b int, gs []float64) {
+					hooks = append(hooks, hook{b, append([]float64(nil), gs...)})
+				},
+			}
+			tc.mut(&cfg)
+			return hooks, Train(cfg, prob)
 		}
-		for j := range fixed[i].gs {
-			if fixed[i].gs[j] != faulty[i].gs[j] {
-				t.Fatalf("aggregate %d differs at %d: %g vs %g", i, j, fixed[i].gs[j], faulty[i].gs[j])
+		fixed, fixedRes := run(nil)
+		faulty, faultyRes := run(&comm.FaultPlan{})
+		if tc.dense && len(fixed) == 0 || len(faulty) != len(fixed) {
+			t.Fatalf("%s: hook counts: fixed membership %d, fault plane %d", tc.name, len(fixed), len(faulty))
+		}
+		for i := range fixed {
+			if faulty[i].boundary != fixed[i].boundary || i > 0 && fixed[i].boundary <= fixed[i-1].boundary {
+				t.Fatalf("%s: hook %d has origin boundary %d, want %d (in order)", tc.name, i, faulty[i].boundary, fixed[i].boundary)
+			}
+			for j := range fixed[i].gs {
+				if !sameBits(fixed[i].gs[j], faulty[i].gs[j]) {
+					t.Fatalf("%s: aggregate %d differs at %d: %g vs %g", tc.name, i, j, fixed[i].gs[j], faulty[i].gs[j])
+				}
 			}
 		}
-	}
-	for i := range fixedRes.FinalParams {
-		if !sameBits(fixedRes.FinalParams[i], faultyRes.FinalParams[i]) {
-			t.Fatalf("delayed run under an empty fault plan diverged at %d", i)
+		for i := range fixedRes.FinalParams {
+			if !sameBits(fixedRes.FinalParams[i], faultyRes.FinalParams[i]) {
+				t.Fatalf("%s: delayed run under an empty fault plan diverged at %d: %g vs %g",
+					tc.name, i, fixedRes.FinalParams[i], faultyRes.FinalParams[i])
+			}
 		}
 	}
 }

@@ -100,29 +100,3 @@ func TestT1GradientSumIsGradientBuffer(t *testing.T) {
 		e.close()
 	}
 }
-
-// TestPlanBucketsPartitions: the plan is one bucket per parameterized
-// layer, contiguous and covering the whole buffer, on both model
-// families.
-func TestPlanBucketsPartitions(t *testing.T) {
-	for _, net := range []*nn.Network{
-		model.NewCIFARNet(rand.New(rand.NewSource(7)), model.SmallCIFARConfig()),
-		model.NewNLCFNet(rand.New(rand.NewSource(7)), model.SmallNLCFConfig()),
-	} {
-		psegs := net.ParamSegments()
-		segs := planBuckets(psegs)
-		if len(segs) != len(psegs) || len(segs) < 2 {
-			t.Fatalf("%d buckets for %d parameterized layers", len(segs), len(psegs))
-		}
-		off := 0
-		for i, s := range segs {
-			if s.Off != off || s.Len <= 0 || s.Len != psegs[i].Len {
-				t.Fatalf("bucket %d is not layer %d's segment: %+v at offset %d", i, psegs[i].Layer, s, off)
-			}
-			off += s.Len
-		}
-		if off != net.NumParams() {
-			t.Fatalf("buckets cover %d words, want %d", off, net.NumParams())
-		}
-	}
-}

@@ -160,9 +160,9 @@ var goldenCases = []goldenCase{
 	{name: "hier_T1", cfg: plain(with(goldenBase(4, 1), func(c *Config) { c.HierGroups, c.TOuter = 2, 2 })),
 		params: 0x852db9dd36798717, curve: 0x48d623f227151147, words: 3685, msgs: 55},
 	{name: "delayed_T2", cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.DelayedApply = true })),
-		params: 0xe5f37cab92b4b09d, curve: 0x95a5ac146dd38699, words: 1005, msgs: 29},
+		params: 0xe5f37cab92b4b09d, curve: 0x95a5ac146dd38699, words: 1005, msgs: 15},
 	{name: "delayed_T1", cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.DelayedApply = true })),
-		params: 0xfbb1456bf829ef99, curve: 0x1e5ac7e35d6b6c42, words: 2077, msgs: 61},
+		params: 0xfbb1456bf829ef99, curve: 0x1e5ac7e35d6b6c42, words: 2077, msgs: 31},
 	{name: "dense_T2", cfg: plain(goldenBase(2, 2)),
 		params: 0xf28d6a45d9ce2686, curve: 0x433314122b1cd319, words: 1005, msgs: 15},
 	{name: "adaptiveT_T2", cfg: plain(with(goldenBase(2, 2), func(c *Config) { c.TSched = TSchedAdaptive })),

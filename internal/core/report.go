@@ -149,9 +149,9 @@ func writeTraffic(w io.Writer, tr comm.Transport, s comm.Stats, nb int64) {
 	if s.MailboxWait > 0 {
 		fmt.Fprintf(w, "mailbox wait: %v\n", s.MailboxWait.Round(time.Microsecond))
 	}
-	if s.BucketOps > 0 {
-		fmt.Fprintf(w, "bucketed pipeline: %d ops, dwell %v, busy %v, occupancy %.2f\n",
-			s.BucketOps, s.QueueDwell.Round(time.Microsecond), s.WorkerBusy.Round(time.Microsecond), s.PipelineOccupancy)
+	if s.Launches > 0 {
+		fmt.Fprintf(w, "in-flight exchanges: %d launches, dwell %v, busy %v, occupancy %.2f\n",
+			s.Launches, s.QueueDwell.Round(time.Microsecond), s.WorkerBusy.Round(time.Microsecond), s.PipelineOccupancy)
 	}
 	if t, ok := tr.(*comm.TCPTransport); ok {
 		ws := t.WireStats()

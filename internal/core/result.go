@@ -49,7 +49,7 @@ type Result struct {
 	WordsMoved int64
 
 	// Comm is the group's full communication-stats snapshot (traffic per
-	// collective algorithm, mailbox wait, bucketed-pipeline occupancy,
+	// collective algorithm, mailbox wait, in-flight exchange occupancy,
 	// fault counters) for SASGD; SGD's one-learner group moves nothing,
 	// and the asynchronous algorithms report the zero value.
 	Comm comm.Stats

@@ -177,13 +177,9 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		}
 		// A slowed rank (slow=R:K) sleeps the compute it stands for at the
 		// end of each backward pass, inside its span.
-		var stepHook func(layer int)
+		var afterBackward func()
 		if slowSleep := cfg.Faults.SlowSleepFor(rank); slowSleep > 0 {
-			stepHook = func(layer int) {
-				if layer == 0 {
-					time.Sleep(slowSleep)
-				}
-			}
+			afterBackward = func() { time.Sleep(slowSleep) }
 		}
 
 		sampler := data.NewEpochSampler(shards[dataPhys].Len(), cfg.Batch, cfg.Seed+int64(dataPhys)*31+7)
@@ -210,7 +206,7 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 					cfg.Sim.ChargeBatch(rank, cfg.FlopsPerSample*float64(len(idx)))
 				}
 				last := step+1 == next
-				lastLoss = net.StepEach(x, y, stepHook)
+				lastLoss = net.StepThen(x, y, afterBackward)
 				ls := tk.Begin()
 				e.localStep(params, last)
 				tk.End(obs.PhaseLocalStep, ls)

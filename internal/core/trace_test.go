@@ -69,14 +69,14 @@ func TestTraceExportFromRun(t *testing.T) {
 	if res.Comm.Words != res.WordsMoved || res.Comm.Words == 0 {
 		t.Errorf("Result.Comm.Words = %d, WordsMoved = %d; want equal and nonzero", res.Comm.Words, res.WordsMoved)
 	}
-	// The comm worker's dense buckets are the tree's traffic.
+	// The runner's dense launches are the tree's traffic.
 	for _, algo := range []string{"bcast", "tree"} {
 		if res.Comm.PerAlgo[algo].Words == 0 {
 			t.Errorf("Result.Comm.PerAlgo[%q] empty: %+v", algo, res.Comm.PerAlgo)
 		}
 	}
-	if res.Comm.BucketOps == 0 {
-		t.Error("Result.Comm.BucketOps = 0, want bucketed ops recorded")
+	if res.Comm.Launches == 0 {
+		t.Error("Result.Comm.Launches = 0, want in-flight launches recorded")
 	}
 	if o := res.Comm.PipelineOccupancy; o <= 0 || o > 1 {
 		t.Errorf("Result.Comm.PipelineOccupancy = %v, want in (0, 1]", o)
@@ -90,7 +90,7 @@ func TestTraceExportFromRun(t *testing.T) {
 
 // TestTraceDoesNotChangeResults pins that attaching a tracer is purely
 // observational: the trained parameters are bitwise identical with and
-// without it, on both the fused tree walk and the comm worker's path.
+// without it, on both the fused tree walk and the runner's in-flight launch.
 func TestTraceDoesNotChangeResults(t *testing.T) {
 	prob := cifarProblem(24, 12)
 	for _, delayed := range []bool{false, true} {
@@ -149,8 +149,8 @@ func TestTraceExportScheduledPaths(t *testing.T) {
 	}{
 		{"adaptive-t", func(c *Config) { c.TSched = TSchedAdaptive }, []string{"tree"}},
 		{"hier", func(c *Config) { c.HierGroups = 2; c.TOuter = 2 }, []string{"hintra", "hinter"}},
-		// Delayed launches run through the bucketed comm worker's tree,
-		// so the traffic lands under "tree".
+		// Delayed launches run the tree on the comm runner, so the
+		// traffic lands under "tree".
 		{"delayed", func(c *Config) { c.DelayedApply = true }, []string{"tree"}},
 		{"hier-delayed", func(c *Config) {
 			c.HierGroups = 2

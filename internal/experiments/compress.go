@@ -21,8 +21,7 @@ type CompressRow struct {
 // CompressResult is the gradient-compression frontier: SASGD p=8 T=1 on
 // the simulated paper platform, dense vs error-feedback top-k at several
 // sparsity levels (fixed and adaptive) vs int8 quantization. Every codec
-// runs one collective per parameterized layer through the bucketed comm
-// worker at the boundary.
+// runs one collective per parameterized layer at the boundary.
 type CompressResult struct {
 	Workload string
 	P, T     int

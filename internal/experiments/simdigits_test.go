@@ -25,7 +25,7 @@ import (
 // decided at each send and on the one clock alignment each membership
 // sync point takes.
 //
-// -short runs the compress and sched items only: the bucketed worker,
+// -short runs the compress and sched items only: the in-flight runner,
 // both codecs, the hierarchy and delayed application.
 func TestSimulatedDigits(t *testing.T) {
 	items := []struct {
@@ -99,12 +99,12 @@ func TestSimulatedDigits(t *testing.T) {
 		{"sched", true, func(o Opt) { CommScheduleFrontier(o) }, []string{
 			"flat-eager static 4 0.703 21.09% 47250 1265.6 1.0×",
 			"flat-eager adaptive 4 0.708 21.09% 47362 1268.6 1.0×",
-			"flat-delayed static 4 0.598 16.99% 47250 1265.6 1.0×",
+			"flat-delayed static 4 0.608 16.99% 47250 1265.6 1.0×",
 			"hier-eager static 4 0.620 21.78% 36750 421.9 3.0×",
-			"hier-delayed static 4 0.610 21.78% 36750 421.9 3.0×",
+			"hier-delayed static 4 0.620 21.78% 36750 421.9 3.0×",
 			"hier-delayed adaptive 8 0.600 21.09% 23334 142.9 8.9×",
 			"serial 0.738 0.360 - -",
-			"delayed 0.574 0.032 90.987 *",
+			"delayed 0.577 0.038 89.538 *",
 		}},
 	}
 	for _, it := range items {

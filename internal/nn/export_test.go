@@ -35,7 +35,7 @@ func (n *Network) Params() []*Param { return n.params }
 
 // Backward backpropagates from the most recent Loss call through every
 // layer, leaving dLoss/dθ in GradData.
-func (n *Network) Backward() { n.BackwardEach(nil) }
+func (n *Network) Backward() { n.backward() }
 
 // Probs returns the softmax probabilities from the most recent Loss call
 // (nil before the first call). The returned tensor is owned by the

@@ -45,7 +45,7 @@ func NewNetwork(inShape []int, layers ...Layer) *Network {
 	for _, l := range layers {
 		n.params = append(n.params, l.Params()...)
 	}
-	// BackwardEach drops what layer 0 returns, so tell it not to compute it.
+	// backward drops what layer 0 returns, so tell it not to compute it.
 	if len(layers) > 0 {
 		if f, ok := layers[0].(firstLayer); ok {
 			f.markFirst()
@@ -104,7 +104,7 @@ func (n *Network) SetParamData(v []float64) {
 // ParamSegment is one layer's contiguous range of the flat parameter and
 // gradient buffers: ParamData()[Off:Off+Len] (and the same slice of
 // GradData()) holds every parameter of Layers()[Layer]. Segments are the
-// buckets internal/core's bucketed comm worker ships, one collective per
+// buckets a gradient codec in internal/core ships, one collective per
 // parameterized layer.
 type ParamSegment struct {
 	Layer int // index into Layers()
@@ -161,24 +161,12 @@ func (n *Network) Loss(logits *tensor.Tensor, labels []int) float64 {
 	return n.criteria.Loss(logits, labels)
 }
 
-// BackwardEach backpropagates from the most recent Loss call through
-// every layer, leaving dLoss/dθ in GradData, with a per-layer
-// finalization hook: onFinal(i) is invoked immediately after layer i's
-// Backward returns, i.e. the moment Layers()[i]'s parameter gradients
-// (its ParamSegments slice of GradData) are final and will not be
-// written again this pass. Layers are visited in reverse order, so the
-// hook fires for the last layer first —
-// the window the bucketed aggregation in internal/core uses to start
-// reducing late layers' gradients while early layers still backpropagate.
-// The hook also fires for parameterless layers (with nothing newly
-// final); onFinal may be nil.
-func (n *Network) BackwardEach(onFinal func(layer int)) {
+// backward backpropagates from the most recent Loss call through every
+// layer, last layer first, leaving dLoss/dθ in GradData.
+func (n *Network) backward() {
 	grad := n.criteria.Backward()
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		grad = n.layers[i].Backward(grad)
-		if onFinal != nil {
-			onFinal(i)
-		}
 	}
 }
 
@@ -188,23 +176,25 @@ func (n *Network) BackwardEach(onFinal func(layer int)) {
 // into gs, push to a server, ...), which is exactly the split between the
 // algorithms in the paper.
 func (n *Network) Step(x *tensor.Tensor, labels []int) float64 {
-	return n.StepEach(x, labels, nil)
+	return n.StepThen(x, labels, nil)
 }
 
-// StepEach is Step with BackwardEach's per-layer finalization hook
-// threaded through, so a caller can act as each layer's gradients become
-// final (a slowed rank's sleep runs from it). With a track attached
-// (SetTrack) the forward+loss and backward halves are recorded as spans
-// — the one timing of a step that the trace, the report and the fleet
-// frame all read; spans onFinal records nest inside the backward span on
-// the timeline.
-func (n *Network) StepEach(x *tensor.Tensor, labels []int, onFinal func(layer int)) float64 {
+// StepThen is Step with after, when not nil, called once the whole
+// backward pass has finished and GradData is final (a slowed rank's
+// sleep runs from it). With a track attached (SetTrack) the
+// forward+loss and backward halves are recorded as spans — the one
+// timing of a step that the trace, the report and the fleet frame all
+// read — and after runs inside the backward span.
+func (n *Network) StepThen(x *tensor.Tensor, labels []int, after func()) float64 {
 	s := n.track.Begin()
 	logits := n.Forward(x, true)
 	loss := n.Loss(logits, labels)
 	n.track.End(obs.PhaseForward, s)
 	s = n.track.Begin()
-	n.BackwardEach(onFinal)
+	n.backward()
+	if after != nil {
+		after()
+	}
 	n.track.End(obs.PhaseBackward, s)
 	return loss
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // segNet builds a small mixed stack — parameterless layers interleaved
-// with parameterized ones — for the segment and callback tests.
+// with parameterized ones — for the segment and step tests.
 func segNet(seed int64) *Network {
 	rng := rand.New(rand.NewSource(seed))
 	return NewNetwork([]int{1, 8, 8},
@@ -80,64 +80,32 @@ func TestParamSegmentsAliasFlatStorage(t *testing.T) {
 	}
 }
 
-// TestBackwardEachFiresInReverseWithFinalGradients runs one training step
-// with the hook and asserts (a) the hook sees every layer exactly once in
-// reverse order, and (b) at the moment a layer's hook fires, that layer's
-// gradient segment already holds its final value — pinned by snapshotting
-// the segment at hook time and comparing with the gradient after the full
-// pass, bit for bit.
-func TestBackwardEachFiresInReverseWithFinalGradients(t *testing.T) {
-	net := segNet(3)
-	x, y := segBatch(4)
-	segByLayer := map[int]ParamSegment{}
-	for _, s := range net.ParamSegments() {
-		segByLayer[s.Layer] = s
-	}
-
-	var order []int
-	snaps := map[int][]float64{}
-	net.StepEach(x, y, func(layer int) {
-		order = append(order, layer)
-		if s, ok := segByLayer[layer]; ok {
-			snaps[layer] = append([]float64(nil), net.GradData()[s.Off:s.Off+s.Len]...)
-		}
-	})
-
-	nl := len(net.Layers())
-	if len(order) != nl {
-		t.Fatalf("hook fired %d times, want %d", len(order), nl)
-	}
-	for i, l := range order {
-		if l != nl-1-i {
-			t.Fatalf("hook order %v, want reverse layer order", order)
-		}
-	}
-	for layer, snap := range snaps {
-		s := segByLayer[layer]
-		final := net.GradData()[s.Off : s.Off+s.Len]
-		for i := range snap {
-			if snap[i] != final[i] {
-				t.Fatalf("layer %d gradient changed after its hook fired (index %d: %g vs %g)",
-					layer, i, snap[i], final[i])
-			}
-		}
-	}
-}
-
-// TestStepEachMatchesStepBitwise: the hook must not perturb the pass —
-// identical replicas stepping with and without it produce bitwise equal
-// losses, gradients, and (after an update) parameters.
-func TestStepEachMatchesStepBitwise(t *testing.T) {
+// TestStepThenMatchesStepBitwise: after runs once, when the whole
+// backward pass has finished — the gradient it sees is the final one —
+// and does not perturb the pass: identical replicas stepping with and
+// without it produce bitwise equal losses and gradients.
+func TestStepThenMatchesStepBitwise(t *testing.T) {
 	a, b := segNet(5), segNet(5)
 	x, y := segBatch(6)
 	la := a.Step(x, y)
-	lb := b.StepEach(x, y, func(int) {})
+	var calls int
+	var seen []float64
+	lb := b.StepThen(x, y, func() {
+		calls++
+		seen = append([]float64(nil), b.GradData()...)
+	})
+	if calls != 1 {
+		t.Fatalf("after ran %d times, want once", calls)
+	}
 	if la != lb {
 		t.Fatalf("loss differs: %g vs %g", la, lb)
 	}
 	for i := range a.GradData() {
 		if a.GradData()[i] != b.GradData()[i] {
 			t.Fatalf("gradient differs at %d", i)
+		}
+		if seen[i] != a.GradData()[i] {
+			t.Fatalf("after saw gradient %g at %d, the pass ends with %g", seen[i], i, a.GradData()[i])
 		}
 	}
 }

@@ -18,14 +18,14 @@
 //     AllocsPerRun tests here and in internal/comm).
 //  2. The enabled path must stay off the heap and off shared locks.
 //     Each Track is a preallocated ring of spans written by exactly one
-//     goroutine (its learner, or its rank's comm worker); timestamps
+//     goroutine (its learner, or its rank's comm runner); timestamps
 //     come from the monotonic clock (time.Since of the tracer's epoch);
 //     the only cross-goroutine traffic is the atomic publish of the
 //     span count, which is what lets the debug endpoint read live
 //     aggregates without stopping the run.
 //  3. Exported timelines must be faithful: spans on one track are
 //     emitted as properly nested begin/end pairs in timestamp order, so
-//     a delayed run visibly shows bucket allreduces flowing on the
+//     a delayed run visibly shows its in-flight allreduce on the
 //     comm-worker track while the learner track is already inside the
 //     next interval's compute.
 package obs
@@ -40,7 +40,7 @@ import (
 // Phase identifies one instrumented span type. The set covers the SASGD
 // hot path end to end: the three compute phases of a local step, the
 // aggregation phases of the T-th minibatch, and the comm-worker phases
-// of the bucketed allreduce.
+// of an in-flight exchange.
 type Phase uint8
 
 // The instrumented phases.
@@ -50,8 +50,8 @@ const (
 	PhaseLocalStep               // local update x ← x − γ·g and gs += g
 	PhaseAggWait                 // blocking wait for the interval's allreduce(s)
 	PhaseAggApply                // apply γp·gs to x′, reset replica, clear gs
-	PhaseQueueDwell              // comm worker: bucket wait in the FIFO queue
-	PhaseAllreduce               // comm worker: bucket collective execution
+	PhaseQueueDwell              // comm worker: a launch's wait before the runner picks it up
+	PhaseAllreduce               // comm worker: a launch's exchange
 	PhaseBcast                   // initial parameter broadcast
 	PhaseDrop                    // fault fabric: an injected message drop
 	PhaseHeartbeat               // membership: a rank's wait at a sync point
@@ -146,8 +146,8 @@ func (t *Track) EndArg(ph Phase, arg int32, s Stamp) {
 }
 
 // Span records an interval with explicit stamps, for spans measured on
-// one goroutine and recorded on another (the comm worker records queue
-// dwell from the submitter's Begin stamp).
+// one goroutine and recorded on another (the comm runner records queue
+// dwell from the launch's stamp).
 func (t *Track) Span(ph Phase, arg int32, begin, end Stamp) {
 	if t == nil {
 		return

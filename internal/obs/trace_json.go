@@ -11,9 +11,9 @@ import (
 // Chrome trace-event export. The JSON-object format ("traceEvents" plus
 // metadata) loads in Perfetto (ui.perfetto.dev) and chrome://tracing:
 // each Track becomes one thread timeline inside its process group, so a
-// traced delayed run shows the comm-worker tracks' bucket allreduce
-// spans running while the learner tracks are already in the next
-// interval's compute.
+// traced delayed run shows the comm-worker tracks' allreduce spans
+// running while the learner tracks are already in the next interval's
+// compute.
 //
 // Most spans are emitted as matched "B"/"E" duration events rather than
 // "X" complete events so nesting is explicit in the file and the golden
@@ -21,11 +21,10 @@ import (
 // one track must be sequential or strictly nested; the emission order
 // reconstructs that from timestamps (see evLess).
 //
-// Queue dwell is the exception: a bucket is submitted while the worker
-// is still executing the previous bucket's collective, so dwell spans
-// genuinely overlap the worker's execution spans and cannot live on its
-// synchronous B/E stack. They are emitted as legacy async events
-// ("b"/"e" with a per-(worker, bucket) id), which Perfetto renders as
+// Queue dwell is the exception: it opens at the learner's launch stamp,
+// not on the comm track's own goroutine, so it is not part of that
+// track's synchronous B/E stack. Dwell spans are emitted as legacy async
+// events ("b"/"e" with a per-(track, arg) id), which Perfetto renders as
 // async lanes under the comm process.
 
 // asyncPhase reports whether the phase's spans may overlap other spans
