@@ -103,7 +103,8 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 	}
 	var s selector
 	idx := make([]int, 0, k)
-	pick := func() { idx = selectIdx(&s, dense, k, idx[:0]) }
+	res := make([]float64, n)
+	pick := func() { idx = selectInto(&s, dense, res, k, idx[:0]) }
 	pick() // warm the candidate scratch
 	if avg := testing.AllocsPerRun(100, pick); avg != 0 {
 		t.Errorf("%.1f allocs per selection, want 0", avg)

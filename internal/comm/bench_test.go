@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -105,5 +107,62 @@ func BenchmarkBarrier8(b *testing.B) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// BenchmarkTopkAllreduce times the top-k codec at the NLC-F net's four
+// bucket shapes (10 100, 64 320, 102 720 and 99 831 words), k = 5 %, on a
+// one-rank group. leaf is one bucket's Allreduce on a fresh gradient
+// over the residual the earlier ops left: fold, selection, split, the
+// resid² walk and the scatter. root is the re-selection a p = 2 root adds:
+// two leaves' pair lists merged (about 2k pairs) cut back to k, the
+// dropped values folded into its residual. Copying the inputs back is
+// not timed.
+func BenchmarkTopkAllreduce(b *testing.B) {
+	for _, m := range []int{10100, 64320, 102720, 99831} {
+		k := SparsityK(0.05, m)
+		rng := rand.New(rand.NewSource(int64(m)))
+		grad := func() []float64 {
+			v := make([]float64, m)
+			for i := range v {
+				v[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64())
+			}
+			return v
+		}
+		seg0, other := grad(), grad()
+		b.Run(fmt.Sprintf("leaf/m=%d", m), func(b *testing.B) {
+			g, c := NewGroup(1), NewCompressor("topk")
+			seg, res := make([]float64, m), make([]float64, m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(seg, seg0)
+				b.StartTimer()
+				c.Allreduce(g, 0, seg, res, 0.05, 0, nil, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("root/m=%d", m), func(b *testing.B) {
+			g, c := NewGroup(1), &topkCompressor{}
+			var pairs [2][]float64
+			for l, v := range [][]float64{seg0, other} {
+				c.Allreduce(g, 0, v, make([]float64, m), 0.05, 0, nil, 0)
+				for j, x := range v {
+					if x != 0 {
+						pairs[l] = append(pairs[l], float64(j), x)
+					}
+				}
+			}
+			merged := mergePairs(nil, pairs[0], pairs[1])
+			acc, res := make([]float64, len(merged)), make([]float64, m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(acc, merged)
+				b.StartTimer()
+				c.resparsify(acc, k, res)
+			}
+		})
 	}
 }

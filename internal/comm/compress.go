@@ -13,7 +13,7 @@ import (
 // learner's codec state — selection scratch, encode buffers, capture
 // statistics — and runs one bucket's complete compressed allreduce:
 // fold the error-feedback residual, encode, run the codec's collective,
-// and leave the dense global aggregate in the bucket. The collective is
+// and leave the global aggregate in the bucket or apply it. The collective is
 // the group's one tree walk (dense.go's up and down) carrying the
 // codec's reduction — top-k's pair merge below, qint8's max and integer
 // sum in quant.go — so a codec says what a frame holds, never when or
@@ -61,6 +61,14 @@ type Compressor interface {
 	// sequence, codec and ratio — the same discipline every collective
 	// in this package requires.
 	Allreduce(g *Group, rank int, seg, res []float64, ratio, ready float64, tk *obs.Track, arg int32)
+
+	// AllreduceApply is Allreduce then x += alpha·aggregate (x as long as
+	// seg), bitwise, from the codec's own form of it; seg is spent.
+	AllreduceApply(g *Group, rank int, seg, res, x []float64, alpha, ratio, ready float64, tk *obs.Track, arg int32)
+
+	// NeedResid2 says whether anything reads resid² (a new codec: yes);
+	// without a reader a codec may skip it and report 0.
+	NeedResid2(need bool)
 
 	// TakeCapture returns and resets the squared norms of the
 	// transmitted and untransmitted gradient parts accumulated over the
@@ -124,80 +132,73 @@ func magBits(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
 // selector finds the exact cut of "the k largest magnitudes, ties toward
 // lower indices" — the entries a full (magnitude descending, index
 // ascending) sort would keep — without sorting, comparing floats or
-// allocating once its scratch has grown. The leaf's selection over a
-// bucket and the root's re-selection over merged pairs both run on it,
-// each in three passes over its own data:
+// allocating once its scratch has grown. It works on candidates: every
+// value at or above a floor that at least k values reach, so that the
+// cut over the candidates is the cut over all values. The leaf's
+// selection (fold) and the root's re-selection over merged pairs, whose
+// every value is a candidate, both run on it:
 //
-//  1. the caller counts every value's key (s.count) in a pass it makes
-//     anyway;
-//  2. s.cut walks the histogram from the top to the bin holding the k-th
-//     largest, collects that one bin's members (a percent or two of the
-//     values on gradient data) and radix-selects the exact threshold
-//     pattern and the tie quota among them;
-//  3. the caller splits in ascending index order with s.take.
-//
-// A key is the top 16 bits of a magnitude pattern: the exponent and five
-// mantissa bits. One table serves every bucket size — clearing and
-// walking its 256 KiB costs a few tens of microseconds per selection,
-// which a 448-word bucket can afford. Counts are 32-bit: a bucket has
-// fewer than 2³² words.
+//  1. fold draws the floor from a strided sample and collects the
+//     candidates (about 1.5k on gradient data) in ascending index order,
+//     in the pass that folds the residual;
+//  2. kthLargest radix-selects the exact threshold pattern t and the tie
+//     quota among the candidates' patterns;
+//  3. the caller splits the candidates in ascending index order with
+//     take. A value below the floor is below t: never taken, no tie.
 type selector struct {
-	hist [1 << keyBits]uint32 // all zero between selections
-	cand []uint64             // the boundary bin's magnitude patterns
-
-	t    uint64 // threshold pattern of the current cut
-	ties int    // entries equal to t still to be taken
+	idx  []int32  // the candidates' indices, ascending
+	pat  []uint64 // their magnitude patterns; kthLargest consumes them
+	t    uint64   // threshold pattern of the current cut
+	ties int      // entries equal to t still to be taken
 }
 
-const (
-	keyBits  = 16
-	keyShift = 63 - keyBits // magnitude pattern → key
-)
+// sampleStride spaces the floor's sample. It is prime, so it aliases
+// none of the row widths a bucket is made of (100, 311, 320 on NLC-F).
+const sampleStride = 29
 
-// count adds v to the histogram. (The conversion tells the compiler that
-// a key indexes the table.)
-func (s *selector) count(v float64) { s.hist[uint16(magBits(v)>>keyShift)]++ }
-
-// cut fixes the threshold for the k largest magnitudes of vals, every
-// one of which has been counted, and leaves the histogram clear.
-// 1 ≤ k ≤ len(vals).
-func (s *selector) cut(vals []float64, k int) {
-	bin, rank := kthFromTop(s.hist[:], k)
-	clear(s.hist[:])
-	c := s.cand[:0]
-	for _, v := range vals {
-		if m := magBits(v); m>>keyShift == uint64(bin) {
-			c = append(c, m)
+// fold folds seg into res (res[i] = seg[i] + res[i]) and fixes the cut
+// for the k largest folded magnitudes, 1 ≤ k ≤ len(seg). The floor is
+// the sample's r-th largest, r half as large again as the sample's
+// expected share of the top k, plus 8. When fewer than k values reach it
+// every value is a candidate: the same cut at the full price.
+func (s *selector) fold(seg, res []float64, k int) {
+	res = res[:len(seg)]
+	var lo uint64
+	if r := k/sampleStride*3/2 + 8; r < len(seg)/sampleStride {
+		s.pat = s.pat[:0]
+		for i := 0; i < len(seg); i += sampleStride {
+			s.pat = append(s.pat, magBits(seg[i]+res[i]))
+		}
+		lo, _ = kthLargest(s.pat, r)
+	}
+	if cap(s.idx) < len(seg) {
+		s.idx = make([]int32, len(seg))
+	}
+	idx, n := s.idx[:len(seg)], 0
+	for i, v := range seg {
+		v += res[i]
+		res[i] = v
+		idx[n] = int32(i) // kept only if v reaches the floor: no branch
+		if magBits(v) >= lo {
+			n++
 		}
 	}
-	s.cand = c
-	// The bin's members agree on the key; settle the 47 bits below it a
-	// byte at a time (the first byte's top bit is the key's last, equal in
-	// all of them), keeping only the members that share the rank-th
-	// largest one's digits so far. After the last byte they all equal it,
-	// and rank is how many of them belong to the top k.
-	for shift := 40; shift >= 0; shift -= 8 {
-		var h [256]uint32
-		for _, m := range c {
-			h[byte(m>>shift)]++
+	if n < k {
+		for i := range idx {
+			idx[i] = int32(i)
 		}
-		var d int
-		d, rank = kthFromTop(h[:], rank)
-		w := 0
-		for _, m := range c {
-			if byte(m>>shift) == byte(d) {
-				c[w] = m
-				w++
-			}
-		}
-		c = c[:w]
+		n = len(idx)
 	}
-	s.t, s.ties = c[0], rank
+	s.idx, s.pat = idx[:n], s.pat[:0]
+	for _, i := range s.idx {
+		s.pat = append(s.pat, magBits(res[i]))
+	}
+	s.t, s.ties = kthLargest(s.pat, k)
 }
 
 // take reports whether v is inside the cut. It must be asked about every
-// value exactly once, in ascending index order: that order is what sends
-// threshold ties to the lower indices.
+// candidate exactly once, in ascending index order: that order is what
+// sends threshold ties to the lower indices.
 func (s *selector) take(v float64) bool {
 	m := magBits(v)
 	if m > s.t {
@@ -208,6 +209,34 @@ func (s *selector) take(v float64) bool {
 		return true
 	}
 	return false
+}
+
+// kthLargest returns the rank-th largest of the patterns in c (1 = the
+// largest) and its rank among its equals, 1 ≤ rank ≤ len(c). It settles
+// the pattern a digit at a time — the 11-bit exponent, then the mantissa
+// a byte at a time — keeping only the patterns that share its digits so
+// far, in place: c is overwritten.
+func kthLargest(c []uint64, rank int) (t uint64, within int) {
+	var hist [1 << 11]uint32 // counts are 32-bit: a bucket has fewer than 2³² words
+	for _, dg := range [...]struct{ shift, width uint }{{52, 11}, {44, 8}, {36, 8}, {28, 8}, {20, 8}, {12, 8}, {4, 8}, {0, 4}} {
+		mask := uint64(1)<<dg.width - 1
+		h := hist[:mask+1]
+		clear(h)
+		for _, m := range c {
+			h[m>>(dg.shift&63)&mask]++
+		}
+		var d int
+		d, rank = kthFromTop(h, rank)
+		w := 0
+		for _, m := range c {
+			c[w] = m // kept only if its digit is d: no branch
+			if m>>(dg.shift&63)&mask == uint64(d) {
+				w++
+			}
+		}
+		c = c[:w]
+	}
+	return c[0], rank
 }
 
 // kthFromTop walks a histogram from its highest bin down and returns the
@@ -239,13 +268,15 @@ type topkCompressor struct {
 	sel  selector
 	encA []float64 // the pair list the tree walk carries
 	encB []float64 // pair-list ping/pong merge scratch
-	vals []float64 // the root's merged values, without their coordinates
 
+	noResid2            bool // nothing reads resid²: skip its pass
 	sent2, resid2       float64
 	totSent2, totResid2 float64
 }
 
 func (c *topkCompressor) Name() string { return "topk" }
+
+func (c *topkCompressor) NeedResid2(need bool) { c.noResid2 = !need }
 
 func (c *topkCompressor) TakeCapture() (sent2, resid2 float64) {
 	sent2, resid2 = c.sent2, c.resid2
@@ -258,9 +289,13 @@ func (c *topkCompressor) Totals() (sent2, resid2 float64) {
 }
 
 func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio, ready float64, tk *obs.Track, arg int32) {
+	c.AllreduceApply(g, rank, seg, res, nil, 0, ratio, ready, tk, arg)
+}
+
+func (c *topkCompressor) AllreduceApply(g *Group, rank int, seg, res, x []float64, alpha, ratio, ready float64, tk *obs.Track, arg int32) {
 	g.checkRank(rank)
-	if len(seg) != len(res) {
-		panic(fmt.Sprintf("comm: topk bucket has %d gradient words but %d residual words", len(seg), len(res)))
+	if len(seg) != len(res) || x != nil && len(x) != len(seg) {
+		panic(fmt.Sprintf("comm: topk bucket has %d gradient words but %d residual and %d target words", len(seg), len(res), len(x)))
 	}
 	if len(seg) == 0 {
 		return
@@ -268,37 +303,27 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 	defer g.closeOp(rank, g.beginOp(rank, ready))
 	g.setAlgo(rank, algoSparse)
 	cs := tk.Begin()
-	// Pass 1, fold and count. Every coordinate unsent in earlier
-	// intervals competes for selection again with its full accumulated
-	// value; the folded value is written into res, where whatever is not
-	// selected has to end up anyway.
-	for i, v := range seg {
-		v += res[i]
-		res[i] = v
-		c.sel.count(v)
-	}
-	// Pass 2, the exact cut.
+	// Fold and cut. Every coordinate unsent in earlier intervals competes
+	// for selection again with its full accumulated value; the folded
+	// value is written into res, where whatever is not selected has to
+	// end up anyway.
 	k := SparsityK(ratio, len(seg))
-	c.sel.cut(res, k)
-	// Pass 3, split in ascending index order: a selected coordinate is
-	// encoded and its residual zeroed, an unselected one keeps its full
-	// folded value — selected + residual == folded gradient, bitwise.
-	// The order also keeps the pair list sorted and the two squared norms
-	// summed the way a walk over the selection and a walk over the
-	// residual would sum them.
-	if cap(c.encA) < 2*k {
-		c.encA = make([]float64, 2*k)
-	}
-	enc := c.encA[:2*k]
+	c.sel.fold(seg, res, k)
+	// Split the candidates in ascending index order: a selected entry is
+	// encoded and its residual zeroed, every other keeps its folded value —
+	// selected + residual == folded gradient, bitwise. The order keeps the
+	// pair list sorted; resid²'s walk adds +0 where an entry was selected.
+	enc := c.encA[:0]
 	var s2, r2 float64
-	w := 0
-	for i, v := range res {
-		if c.sel.take(v) {
-			enc[w], enc[w+1] = float64(i), v
-			w += 2
+	for _, i := range c.sel.idx {
+		if v := res[i]; c.sel.take(v) {
+			enc = append(enc, float64(i), v)
 			s2 += v * v
 			res[i] = 0
-		} else {
+		}
+	}
+	if !c.noResid2 {
+		for _, v := range res {
 			r2 += v * v
 		}
 	}
@@ -320,11 +345,17 @@ func (c *topkCompressor) Allreduce(g *Group, rank int, seg, res []float64, ratio
 		c.encA = c.resparsify(c.encA, k, res)
 	}
 	g.down(s, c)
-	// Scatter the compressed global aggregate densely into seg; the
-	// unselected coordinates of the aggregate are exactly zero.
-	clear(seg)
+	// Apply the pairs — x + alpha·(+0) is x, so they alone move x as the
+	// dense axpy would — or scatter them into a cleared seg.
+	if x == nil {
+		clear(seg)
+	}
 	for i := 0; i < len(c.encA); i += 2 {
-		seg[int(c.encA[i])] = c.encA[i+1]
+		if j, v := int(c.encA[i]), c.encA[i+1]; x != nil {
+			x[j] += alpha * v
+		} else {
+			seg[j] = v
+		}
 	}
 }
 
@@ -380,15 +411,14 @@ func mergePairs(dst, a, b []float64) []float64 {
 // resparsify keeps the k largest-magnitude pairs of acc (ties toward
 // lower coordinates, the leaf's rule) in place and folds every dropped
 // pair's value into res at its coordinate. Only the root calls this,
-// once per bucket.
+// once per bucket; every merged value is a candidate.
 func (c *topkCompressor) resparsify(acc []float64, k int, res []float64) []float64 {
-	vals := c.vals[:0]
+	pat := c.sel.pat[:0]
 	for i := 1; i < len(acc); i += 2 {
-		vals = append(vals, acc[i])
-		c.sel.count(acc[i])
+		pat = append(pat, magBits(acc[i]))
 	}
-	c.vals = vals
-	c.sel.cut(vals, k)
+	c.sel.pat = pat
+	c.sel.t, c.sel.ties = kthLargest(pat, k)
 	w := 0
 	for i := 0; i < len(acc); i += 2 {
 		if c.sel.take(acc[i+1]) {

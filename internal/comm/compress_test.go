@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sasgd/internal/obs"
+	"sasgd/internal/tensor"
 )
 
 // ---------------------------------------------------------------------
@@ -44,23 +45,28 @@ func topOf(order []int, k int) []int {
 	return top
 }
 
-// selectIdx drives the selector's three passes over a dense vector the
-// way the codec does and appends the selected indices to idx.
+// selectIdx drives the selector over a dense vector the way the codec
+// does — fold it into a zero residual, cut, take over the candidates —
+// and appends the selected indices to idx.
 func selectIdx(s *selector, dense []float64, k int, idx []int) []int {
-	for _, v := range dense {
-		s.count(v)
-	}
-	s.cut(dense, k)
-	for i, v := range dense {
-		if s.take(v) {
-			idx = append(idx, i)
+	return selectInto(s, dense, make([]float64, len(dense)), k, idx)
+}
+
+// selectInto is selectIdx with the residual scratch res (len(dense)
+// words) supplied; res is zeroed first.
+func selectInto(s *selector, dense, res []float64, k int, idx []int) []int {
+	clear(res)
+	s.fold(dense, res, k)
+	for _, i := range s.idx {
+		if s.take(res[i]) {
+			idx = append(idx, int(i))
 		}
 	}
 	return idx
 }
 
 // checkSelection compares the selector with the sort reference's choice
-// on one input and checks that the histogram is left clear for the next.
+// on one input.
 func checkSelection(t *testing.T, s *selector, dense []float64, k int, want []int) {
 	t.Helper()
 	got := selectIdx(s, dense, k, nil)
@@ -69,11 +75,6 @@ func checkSelection(t *testing.T, s *selector, dense []float64, k int, want []in
 			t.Fatalf("n=%d k=%d: selected %d entries, reference %d, or different ones", len(dense), k, len(got), len(want))
 		}
 		t.Fatalf("n=%d k=%d: selection %v != reference %v of %v", len(dense), k, got, want, dense)
-	}
-	for key, c := range s.hist {
-		if c != 0 {
-			t.Fatalf("n=%d k=%d: histogram bin %#x left at %d", len(dense), k, key, c)
-		}
 	}
 }
 
@@ -101,10 +102,11 @@ func TestSelectorMatchesSortReference(t *testing.T) {
 }
 
 // TestSelectorAdversarialInputs: selection ≡ full sort on the inputs a
-// histogram of bit patterns could get wrong — one magnitude everywhere,
-// zeros of both signs, subnormals, the whole exponent range, infinities,
-// and magnitudes that all share one 16-bit key so that the refinement
-// step sees every element — at the sizes the codec meets (a lone word, a
+// radix select on bit patterns, or a floor drawn from a sample, could
+// get wrong — one magnitude everywhere, zeros of both signs, subnormals,
+// the whole exponent range, infinities, and magnitudes that all share
+// their top 16 bits so that every digit round after the exponent sees
+// every candidate — at the sizes the codec meets (a lone word, a
 // 448-word conv bucket, the benchmark's 276 971-word net) and at the
 // ends of k.
 func TestSelectorAdversarialInputs(t *testing.T) {
@@ -211,26 +213,24 @@ func TestSelectorShipsNaN(t *testing.T) {
 // it; duplicates exercise both.
 func TestSelectorCutIsKthLargest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var s selector
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(100)
 		a := make([]float64, n)
+		pat := make([]uint64, n)
 		for i := range a {
 			a[i] = float64(rng.Intn(10)) * float64(1-2*rng.Intn(2))
+			pat[i] = magBits(a[i])
 		}
 		k := 1 + rng.Intn(n)
-		for _, v := range a {
-			s.count(v)
-		}
-		s.cut(a, k)
+		th, ties := kthLargest(pat, k)
 		ref := make([]float64, n)
 		for i, v := range a {
 			ref[i] = math.Abs(v)
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(ref)))
 		above := sort.Search(n, func(i int) bool { return ref[i] <= ref[k-1] })
-		if got := math.Float64frombits(s.t); got != ref[k-1] || s.ties != k-above {
-			t.Fatalf("trial %d: threshold %g with %d ties, want %g with %d (k=%d, a=%v)", trial, got, s.ties, ref[k-1], k-above, k, a)
+		if got := math.Float64frombits(th); got != ref[k-1] || ties != k-above {
+			t.Fatalf("trial %d: threshold %g with %d ties, want %g with %d (k=%d, a=%v)", trial, got, ties, ref[k-1], k-above, k, a)
 		}
 	}
 }
@@ -355,6 +355,89 @@ func TestTopKErrorFeedbackMatchesReference(t *testing.T) {
 	}
 	if sent, resid := comp.Totals(); sent != wantTotSent || resid != wantTotResid {
 		t.Fatalf("totals sent² %v resid² %v, want %v %v (bitwise)", sent, resid, wantTotSent, wantTotResid)
+	}
+}
+
+// TestTopKErrorFeedbackMatchesReferenceAtBucketSize replays error
+// feedback on the NLC-F net's 102 720-word bucket, where the selection
+// floor comes from the strided sample, against the same plainest-way
+// reference: a smooth round; a tie-heavy round (residual cleared, so the
+// cut falls inside twenty thousand equal magnitudes); a round built so
+// that every sampled value is large but fewer than k are, which puts the
+// floor above the cut and forces the fallback to every value; and a
+// smooth round on the residual that leaves. Aggregate, residual and both
+// squared norms must match bit for bit, and a second codec applying the
+// same rounds with AllreduceApply must move x exactly as the aggregate's
+// axpy does.
+func TestTopKErrorFeedbackMatchesReferenceAtBucketSize(t *testing.T) {
+	const n, ratio, alpha = 102720, 0.05, -0.0125
+	k := SparsityK(ratio, n)
+	rng := rand.New(rand.NewSource(31))
+	g := NewGroup(1)
+	comp, applier := &topkCompressor{}, &topkCompressor{}
+	seg, res := make([]float64, n), make([]float64, n)
+	res2, x, wantX := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	copy(wantX, x)
+	wantRes := make([]float64, n)
+	for _, round := range []string{"smooth", "ties", "fallback", "smooth"} {
+		for i := range seg {
+			switch round {
+			case "smooth":
+				seg[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+			case "ties":
+				seg[i] = float64(rng.Intn(9)-4) * 0.125
+			case "fallback":
+				seg[i] = rng.NormFloat64() * 0.01
+				if i%sampleStride == 0 {
+					seg[i] = 2
+				}
+			}
+		}
+		if round != "smooth" {
+			clear(res)
+			clear(res2)
+			clear(wantRes)
+		}
+		folded := make([]float64, n)
+		for i := range folded {
+			folded[i] = seg[i] + wantRes[i]
+		}
+		wantSeg := make([]float64, n)
+		copy(wantRes, folded)
+		var wantSent, wantResid float64
+		for _, j := range refSelect(folded, k) {
+			wantSeg[j] = folded[j]
+			wantSent += folded[j] * folded[j]
+			wantRes[j] = 0
+		}
+		for _, v := range wantRes {
+			wantResid += v * v
+		}
+		tensor.Axpy(alpha, wantSeg, wantX) // the engine's update on a materialised aggregate
+
+		seg2 := append([]float64(nil), seg...)
+		comp.Allreduce(g, 0, seg, res, ratio, 0, nil, 0)
+		if fellBack := len(comp.sel.idx) == n; fellBack != (round == "fallback") {
+			t.Fatalf("%s round: %d candidates of %d", round, len(comp.sel.idx), n)
+		}
+		applier.AllreduceApply(g, 0, seg2, res2, x, alpha, ratio, 0, nil, 0)
+		for i := range seg {
+			if math.Float64bits(seg[i]) != math.Float64bits(wantSeg[i]) {
+				t.Fatalf("%s round: aggregate[%d] = %g, want %g (bitwise)", round, i, seg[i], wantSeg[i])
+			}
+			if math.Float64bits(res[i]) != math.Float64bits(wantRes[i]) || math.Float64bits(res2[i]) != math.Float64bits(wantRes[i]) {
+				t.Fatalf("%s round: residual[%d] = %g (applier %g), want %g (bitwise)", round, i, res[i], res2[i], wantRes[i])
+			}
+			if math.Float64bits(x[i]) != math.Float64bits(wantX[i]) {
+				t.Fatalf("%s round: applied x[%d] = %g, want %g (bitwise)", round, i, x[i], wantX[i])
+			}
+		}
+		if sent, resid := comp.TakeCapture(); sent != wantSent || resid != wantResid {
+			t.Fatalf("%s round: captured sent² %v resid² %v, want %v %v (bitwise)", round, sent, resid, wantSent, wantResid)
+		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // input too. The oracle sorts (magnitude bit
 // pattern descending, index ascending), which is the stated order with
 // NaN above +Inf; where no NaN is present the float-comparing refSelect
-// must agree as well.
+// must agree as well. Each input is checked as it is and tiled to at
+// least 2 048 values, where the sampled floor runs — and, when the tile
+// aliases the sample's stride, falls back.
 func FuzzTopKSelect(f *testing.F) {
 	pack := func(vs ...float64) []byte {
 		var b []byte
@@ -38,30 +40,42 @@ func FuzzTopKSelect(f *testing.F) {
 		dense := make([]float64, n)
 		hasNaN := false
 		for i := range dense {
-			dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			// The codec selects folded values, and the fold's addition
+			// quiets a signalling NaN: so does the + 0 here.
+			dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])) + 0
 			hasNaN = hasNaN || math.IsNaN(dense[i])
 		}
-		k := int(kRaw)%n + 1
-		got := selectIdx(&s, dense, k, nil)
-
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
+		checkSelectBits(t, &s, dense, int(kRaw)%n+1, hasNaN)
+		tiled := dense
+		for len(tiled) < 2048 {
+			tiled = append(tiled, dense...)
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return math.Float64bits(dense[order[a]])<<1 > math.Float64bits(dense[order[b]])<<1
-		})
-		want := order[:k]
-		sort.Ints(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("k=%d: selected %v, bit-pattern sort keeps %v of %v", k, got, want, dense)
-		}
-		if !hasNaN {
-			if ref := refSelect(dense, k); !slices.Equal(got, ref) {
-				t.Fatalf("k=%d: selected %v, magnitude sort keeps %v of %v", k, got, ref, dense)
-			}
-		}
+		checkSelectBits(t, &s, tiled, int(kRaw)%len(tiled)+1, hasNaN)
 	})
+}
+
+// checkSelectBits is FuzzTopKSelect's oracle on one input.
+func checkSelectBits(t *testing.T, s *selector, dense []float64, k int, hasNaN bool) {
+	t.Helper()
+	n := len(dense)
+	got := selectIdx(s, dense, k, nil)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return math.Float64bits(dense[order[a]])<<1 > math.Float64bits(dense[order[b]])<<1
+	})
+	want := order[:k]
+	sort.Ints(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d k=%d: selected %v, bit-pattern sort keeps %v of %v", n, k, got, want, dense)
+	}
+	if !hasNaN {
+		if ref := refSelect(dense, k); !slices.Equal(got, ref) {
+			t.Fatalf("n=%d k=%d: selected %v, magnitude sort keeps %v of %v", n, k, got, ref, dense)
+		}
+	}
 }
 
 // FuzzAllreduceEquivalence pins a buffer summed piecewise against the

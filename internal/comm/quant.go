@@ -61,10 +61,16 @@ func (c *qint8Compressor) Totals() (sent2, resid2 float64) {
 	return c.totSent2, c.totResid2
 }
 
+func (c *qint8Compressor) NeedResid2(bool) {} // resid² rides the residual's own pass
+
 func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, ratio, ready float64, tk *obs.Track, arg int32) {
+	c.AllreduceApply(g, rank, seg, res, nil, 0, ratio, ready, tk, arg)
+}
+
+func (c *qint8Compressor) AllreduceApply(g *Group, rank int, seg, res, x []float64, alpha, ratio, ready float64, tk *obs.Track, arg int32) {
 	g.checkRank(rank)
-	if len(seg) != len(res) {
-		panic(fmt.Sprintf("comm: qint8 bucket has %d gradient words but %d residual words", len(seg), len(res)))
+	if len(seg) != len(res) || x != nil && len(x) != len(seg) {
+		panic(fmt.Sprintf("comm: qint8 bucket has %d gradient words but %d residual and %d target words", len(seg), len(res), len(x)))
 	}
 	if len(seg) == 0 {
 		return
@@ -118,8 +124,12 @@ func (c *qint8Compressor) Allreduce(g *Group, rank int, seg, res []float64, rati
 	tk.EndArg(obs.PhaseCompress, arg, cs)
 	g.up(s, c)
 	g.down(s, c)
-	for i := range seg {
-		seg[i] = float64(c.q[i]) * scale
+	for i, q := range c.q {
+		if v := float64(q) * scale; x != nil {
+			x[i] += alpha * v
+		} else {
+			seg[i] = v
+		}
 	}
 }
 

@@ -65,10 +65,12 @@ import (
 // it, so each gradient's total weight in the global model is exactly γp
 // regardless of island sizes.
 //
-// Apply now-or-next. A flat, eager, dense boundary applies inside the
-// collective (comm.AllreduceTreeApply, DESIGN §5), bitwise the exchange
-// and axpy every other path runs. An
-// AggHook reads the materialised aggregate, so it keeps the run — every
+// Apply now-or-next. A flat, eager boundary applies inside the
+// collective, bitwise the exchange and axpy every other path runs: a
+// dense one in the tree walk (comm.AllreduceTreeApply, DESIGN §5), a
+// codec's from the aggregate it holds (Compressor.AllreduceApply —
+// top-k's k pairs instead of an m-word scatter and axpy). An AggHook
+// reads the materialised aggregate, so it keeps the run — every
 // boundary on every rank — on that path.
 //
 // DelayedApply (DaSGD) applies each global aggregate
@@ -130,7 +132,7 @@ type engine struct {
 	fresh bool      // gs holds nothing of the current interval: the next local step overwrites it
 	gsIsG bool      // gs is the gradient buffer itself (static T = 1, no drift consumer)
 	xref  []float64 // globally consistent reference x′
-	fused bool      // the apply rides the tree walk (flat, eager, dense, no AggHook)
+	fused bool      // the apply rides the exchange (flat, eager, no AggHook)
 
 	// keepLocal: something reads the replica between an interval's last
 	// local step and its reset — the adaptive T-scheduler's drift
@@ -216,6 +218,7 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		e.res = make([]float64, m)
 		e.ratio = cfg.CompressK
 		e.adapt = cfg.CompressAdapt && cfg.Compress == CodecTopK
+		e.comp.NeedResid2(e.adapt || fc != nil) // adapt-k's capture, the fleet frame
 	}
 	e.ctl = make([]float64, 0, 4+obs.FrameWords*cfg.Learners)
 	e.delayed = cfg.DelayedApply && len(segs) > 0
@@ -225,7 +228,7 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 	if e.delayed && mem == nil {
 		e.run = comm.NewRunner(view.G, e.vr, e.exchange)
 	}
-	e.fused = e.hier == nil && !e.delayed && e.comp == nil && cfg.AggHook == nil
+	e.fused = e.hier == nil && !e.delayed && cfg.AggHook == nil
 	return e
 }
 
@@ -355,7 +358,11 @@ func (e *engine) boundary(params []float64, step int) bool {
 		as = tk.Begin()
 	case e.fused:
 		ws := tk.Begin()
-		e.view.G.AllreduceTreeApply(vr, e.gs, e.xref, -e.gp)
+		if e.comp != nil {
+			e.buckets(e.gs, e.xref, e.now(), tk)
+		} else {
+			e.view.G.AllreduceTreeApply(vr, e.gs, e.xref, -e.gp)
+		}
 		tk.End(obs.PhaseAggWait, ws)
 		as = tk.Begin()
 		applied = true
@@ -458,14 +465,26 @@ func (e *engine) reset(params, ref []float64) {
 func (e *engine) exchange(buf []float64, ready float64, tk *obs.Track) {
 	switch {
 	case e.comp != nil:
-		for bi := len(e.segs) - 1; bi >= 0; bi-- {
-			lo, hi := e.segs[bi].Off, e.segs[bi].Off+e.segs[bi].Len
-			e.comp.Allreduce(e.view.G, e.vr, buf[lo:hi], e.res[lo:hi], e.ratio, ready, tk, int32(bi))
-		}
+		e.buckets(buf, nil, ready, tk)
 	case e.hier != nil:
 		e.hier.AllreduceInter(e.vr, buf)
 	default:
 		e.view.G.AllreduceTree(e.vr, buf)
+	}
+}
+
+// buckets runs the codec's collective on each layer's bucket of buf in
+// descending index order, every one from the entry stamp ready. With x
+// set each bucket's aggregate is applied, x ← x − γp·agg, where the codec
+// holds it, and buf is spent.
+func (e *engine) buckets(buf, x []float64, ready float64, tk *obs.Track) {
+	for bi := len(e.segs) - 1; bi >= 0; bi-- {
+		lo, hi := e.segs[bi].Off, e.segs[bi].Off+e.segs[bi].Len
+		if x == nil {
+			e.comp.Allreduce(e.view.G, e.vr, buf[lo:hi], e.res[lo:hi], e.ratio, ready, tk, int32(bi))
+		} else {
+			e.comp.AllreduceApply(e.view.G, e.vr, buf[lo:hi], e.res[lo:hi], x[lo:hi], -e.gp, e.ratio, ready, tk, int32(bi))
+		}
 	}
 }
 

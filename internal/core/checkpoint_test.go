@@ -248,8 +248,8 @@ func TestCheckpointFileTemplating(t *testing.T) {
 // TestCheckpointRunKeepsFixedGroup: a checkpoint is the boundary's last
 // stage on the run's fixed group, not a membership sync point. A
 // checkpointing run therefore posts no heartbeat, fuses its apply into
-// the tree walk like any flat eager run, and lands on the uncheckpointed
-// run's final parameters bit for bit.
+// the tree walk like any flat eager run (its engine's apply path), and
+// lands on the uncheckpointed run's final parameters bit for bit.
 func TestCheckpointRunKeepsFixedGroup(t *testing.T) {
 	prob := cifarProblem(24, 12)
 	base := Config{Algo: AlgoSASGD, Learners: 2, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 5}
@@ -264,8 +264,8 @@ func TestCheckpointRunKeepsFixedGroup(t *testing.T) {
 	for _, pp := range cfg.Tracer.Profile() {
 		counts[pp.Phase] += pp.Count
 	}
-	if got.Comm.Launches != 0 {
-		t.Fatalf("%d in-flight launches: the checkpointing run left the fused tree walk", got.Comm.Launches)
+	if e := buildEngine(t, cfg, prob); !e.fused || e.comp != nil {
+		t.Fatalf("the checkpointing run's engine applies in the tree walk: %v (codec %v)", e.fused, e.comp)
 	}
 	if n := counts[obs.PhaseHeartbeat]; n != 0 {
 		t.Fatalf("%d heartbeat spans: the checkpointing run went through the membership ledger", n)

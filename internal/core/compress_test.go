@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"sasgd/internal/comm"
+	"sasgd/internal/obs"
 )
 
 // TestFaultyCompressedMatchesPlain runs the compression engine on the
@@ -128,5 +130,92 @@ func TestEveryRunReportsFinalTAndCompressK(t *testing.T) {
 	adapt.Faults = &comm.FaultPlan{}
 	if got := Train(adapt, cifarProblem(24, 12)); got.CompressK == 0 || got.CompressK != plain.CompressK {
 		t.Errorf("adaptive top-k under a fault plan ends at %g, fixed membership at %g", got.CompressK, plain.CompressK)
+	}
+}
+
+// buildEngine builds rank 0's boundary engine for cfg the way a run
+// does, on a fixed simulated group, so a test can read the apply path
+// the run's boundaries switch on.
+func buildEngine(t *testing.T, cfg Config, prob *Problem) *engine {
+	t.Helper()
+	cfg = resolved(t, cfg)
+	view := comm.View{G: comm.NewSimGroup(cfg.Learners, nil, nil), Phys: identity(cfg.Learners)}
+	tk := obs.NewTracer(1).Learner(0)
+	fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Metrics, cfg.Learners), tk)
+	e := newEngine(cfg, nil, view, 0, cfg.Learners, prob.Model(cfg.Seed), tk, fc)
+	t.Cleanup(e.close)
+	return e
+}
+
+// pathCodec counts a codec's collectives by the path they took.
+type pathCodec struct {
+	comm.Compressor
+	plain, applied *atomic.Int64
+}
+
+func (c *pathCodec) Allreduce(g *comm.Group, rank int, seg, res []float64, ratio, ready float64, tk *obs.Track, arg int32) {
+	c.plain.Add(1)
+	c.Compressor.Allreduce(g, rank, seg, res, ratio, ready, tk, arg)
+}
+
+func (c *pathCodec) AllreduceApply(g *comm.Group, rank int, seg, res, x []float64, alpha, ratio, ready float64, tk *obs.Track, arg int32) {
+	c.applied.Add(1)
+	c.Compressor.AllreduceApply(g, rank, seg, res, x, alpha, ratio, ready, tk, arg)
+}
+
+// TestFlatEagerCodecAppliesSparse: a flat, eager codec boundary applies
+// its aggregate where the codec holds it — top-k's pairs, qint8's
+// integers — on every collective of the run, and lands on the bits of
+// the materialised path (bucket scatter, then axpy over the model),
+// which an AggHook keeps a run on. Delay and hierarchy apply later and
+// keep the materialised path too. Metrics and adapt-k read resid², which
+// must not move a bit either, and which the fleet frame's captured-mass
+// share must see: strictly between 0 and 1.
+func TestFlatEagerCodecAppliesSparse(t *testing.T) {
+	defer func() { newCompressor = comm.NewCompressor }()
+	prob := nlcfProblem(72, 12)
+	for _, tc := range []struct {
+		name   string
+		mut    func(*Config)
+		sparse bool
+	}{
+		{"topk", func(c *Config) {}, true},
+		{"topk-T1", func(c *Config) { c.Interval = 1 }, true},
+		{"topk-adapt", func(c *Config) { c.CompressAdapt = true }, true},
+		{"topk-metrics", func(c *Config) { c.Metrics = obs.NewRegistry() }, true},
+		{"qint8", func(c *Config) { c.Compress = CodecQInt8 }, true},
+		{"topk-delayed", func(c *Config) { c.DelayedApply = true }, false},
+		{"topk-hier", func(c *Config) { c.HierGroups, c.TOuter = 2, 2 }, false},
+	} {
+		var finals [2][]float64
+		for i, hook := range []bool{false, true} {
+			cfg := Config{Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 7,
+				Compress: CodecTopK, CompressK: 0.05}
+			tc.mut(&cfg)
+			if hook {
+				cfg.AggHook = func(int, []float64) {}
+			}
+			if e := buildEngine(t, cfg, prob); e.fused != (tc.sparse && !hook) || e.comp == nil {
+				t.Fatalf("%s hook=%v: engine applies in the collective: %v, codec %v", tc.name, hook, e.fused, e.comp)
+			}
+			var plain, applied atomic.Int64
+			newCompressor = func(name string) comm.Compressor {
+				return &pathCodec{Compressor: comm.NewCompressor(name), plain: &plain, applied: &applied}
+			}
+			finals[i] = Train(cfg, prob).FinalParams
+			newCompressor = comm.NewCompressor
+			if got := cfg.Metrics.Gauge("sasgd_fleet_captured_mass").Value(); cfg.Metrics != nil && !(got > 0 && got < 1) {
+				t.Fatalf("%s hook=%v: captured-mass share %g, want it strictly inside (0, 1)", tc.name, hook, got)
+			}
+			if sparse := tc.sparse && !hook; sparse && (plain.Load() > 0 || applied.Load() == 0) || !sparse && applied.Load() > 0 {
+				t.Fatalf("%s hook=%v: %d collectives materialised the aggregate and %d applied it (want sparse: %v)",
+					tc.name, hook, plain.Load(), applied.Load(), sparse)
+			}
+		}
+		for i := range finals[0] {
+			if !sameBits(finals[0][i], finals[1][i]) {
+				t.Fatalf("%s: param %d applied %g != materialised %g (must be bitwise)", tc.name, i, finals[0][i], finals[1][i])
+			}
+		}
 	}
 }

@@ -215,7 +215,10 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 		ledger = watchCodecs()
 	}
 	a := d.run(t, genBase, prob)
-	collectives = ledger.check(t, fmt.Sprintf("%+v", d))
+	// A flat, eager codec boundary applies from the codec's own aggregate
+	// (Compressor.AllreduceApply); delay and hierarchy apply later.
+	sparse := min(d.hierGroups, d.p) < 2 && !d.delayed
+	collectives = ledger.check(t, fmt.Sprintf("%+v", d), sparse)
 	b := d.run(t, genBase, prob)
 	mustBitwise(t, fmt.Sprintf("run twice %+v", d), a, b, 0)
 	mustSameTraffic(t, fmt.Sprintf("run twice %+v", d), a, b)
@@ -265,11 +268,15 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 // contributions of non-leaders under a hierarchy, delayed launches in
 // flight across an interval, survivors after a crash. For top-k it also checks the
 // ledger the adaptive controller and the fleet frame read: a rank's
-// Δsent² + Δresid² is the squared norm of what it folded.
+// Δsent² + Δresid² is the squared norm of what it folded. On the sparse
+// apply the aggregate is read back off the apply target, (x after −
+// x before)/alpha, and check fails unless every collective of a draw
+// took the path its shape calls for.
 type massLedger struct {
-	mu    sync.Mutex
-	calls map[int]*massCall // by the rank's own collective count: every live rank makes the same sequence
-	errs  []string
+	mu             sync.Mutex
+	calls          map[int]*massCall // by the rank's own collective count: every live rank makes the same sequence
+	plain, applied int               // rank-collectives by path: Allreduce, AllreduceApply
+	errs           []string
 }
 
 type massCall struct {
@@ -287,13 +294,19 @@ func watchCodecs() *massLedger {
 }
 
 // check uninstalls the ledger, fails on what it found and returns how
-// many collectives it covered. Nil-safe: a dense draw has no ledger.
-func (l *massLedger) check(t *testing.T, what string) int {
+// many collectives it covered; sparse says every collective must have
+// been an AllreduceApply, and none otherwise. Nil-safe: a dense draw has
+// no ledger.
+func (l *massLedger) check(t *testing.T, what string, sparse bool) int {
 	t.Helper()
 	if l == nil {
 		return 0
 	}
 	newCompressor = comm.NewCompressor
+	if sparse && (l.plain > 0 || l.applied == 0) || !sparse && l.applied > 0 {
+		t.Fatalf("%s: %d collectives left the aggregate in the bucket and %d applied it (want every one applied: %v)",
+			what, l.plain, l.applied, sparse)
+	}
 	for seq, c := range l.calls {
 		tol := 1e-9 * (c.scale + 1)
 		for i := range c.in {
@@ -313,39 +326,71 @@ func (l *massLedger) check(t *testing.T, what string) int {
 
 type ledgerCodec struct {
 	comm.Compressor
-	l      *massLedger
-	seq    int
-	folded []float64
+	l           *massLedger
+	seq         int
+	folded, agg []float64
+	x0          []float64 // the apply target before an AllreduceApply
 }
 
+// NeedResid2 keeps resid² on: the ledger reads it whoever else does.
+func (c *ledgerCodec) NeedResid2(bool) { c.Compressor.NeedResid2(true) }
+
 func (c *ledgerCodec) Allreduce(g *comm.Group, rank int, seg, res []float64, ratio, ready float64, tk *obs.Track, arg int32) {
+	mass, scale := c.fold(seg, res)
+	s0, r0 := c.Totals()
+	c.Compressor.Allreduce(g, rank, seg, res, ratio, ready, tk, arg)
+	c.record(rank, seg, res, mass, scale, s0, r0, false)
+}
+
+func (c *ledgerCodec) AllreduceApply(g *comm.Group, rank int, seg, res, x []float64, alpha, ratio, ready float64, tk *obs.Track, arg int32) {
+	mass, scale := c.fold(seg, res)
+	c.x0 = append(c.x0[:0], x...)
+	s0, r0 := c.Totals()
+	c.Compressor.AllreduceApply(g, rank, seg, res, x, alpha, ratio, ready, tk, arg)
+	c.agg = c.agg[:0]
+	for i, v := range x {
+		c.agg = append(c.agg, (v-c.x0[i])/alpha)
+	}
+	c.record(rank, c.agg, res, mass, scale, s0, r0, true)
+}
+
+// fold keeps what the codec is about to fold, seg + res, and returns
+// its squared norm and its mass Σ|v|.
+func (c *ledgerCodec) fold(seg, res []float64) (mass, scale float64) {
 	c.folded = c.folded[:0]
-	var mass, scale float64
 	for i, v := range seg {
 		v += res[i]
 		c.folded = append(c.folded, v)
 		mass += v * v
 		scale += math.Abs(v)
 	}
-	s0, r0 := c.Totals()
-	c.Compressor.Allreduce(g, rank, seg, res, ratio, ready, tk, arg)
-	s1, r1 := c.Totals()
+	return mass, scale
+}
 
+// record enters one rank's collective: agg the aggregate it applied or
+// holds, res its residual after, s0 and r0 its norm totals before.
+func (c *ledgerCodec) record(rank int, agg, res []float64, mass, scale, s0, r0 float64, applied bool) {
+	s1, r1 := c.Totals()
 	c.l.mu.Lock()
 	defer c.l.mu.Unlock()
+	if applied {
+		c.l.applied++
+	} else {
+		c.l.plain++
+	}
 	if got := (s1 - s0) + (r1 - r0); c.Name() == CodecTopK && !(math.Abs(got-mass) <= 1e-9*mass) {
 		c.l.errs = append(c.l.errs, fmt.Sprintf("collective %d rank %d: sent² + resid² = %g for a folded mass of %g", c.seq, rank, got, mass))
 	}
 	call := c.l.calls[c.seq]
 	if call == nil {
-		call = &massCall{in: make([]float64, len(seg)), out: make([]float64, len(seg)), agg: append([]float64(nil), seg...)}
+		call = &massCall{in: make([]float64, len(agg)), out: make([]float64, len(agg)), agg: append([]float64(nil), agg...)}
 		c.l.calls[c.seq] = call
 	}
-	for i := range seg {
+	for i := range agg {
 		call.in[i] += c.folded[i]
 		call.out[i] += res[i]
-		if math.Float64bits(seg[i]) != math.Float64bits(call.agg[i]) {
-			c.l.errs = append(c.l.errs, fmt.Sprintf("collective %d: rank %d holds aggregate %g at %d, another rank %g", c.seq, rank, seg[i], i, call.agg[i]))
+		if math.Float64bits(agg[i]) != math.Float64bits(call.agg[i]) {
+			c.l.errs = append(c.l.errs, fmt.Sprintf("collective %d: rank %d holds aggregate %g at %d, another rank %g", c.seq, rank, agg[i], i, call.agg[i]))
 			break
 		}
 	}

@@ -476,6 +476,20 @@ run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
 # its closure-free serial branch under a budget of one worker.
 echo "==> go test runner + dense + hier + codec zero-alloc pins"
 run_tests -run 'SteadyStateAllocs' ./internal/comm/
+# The top-k codec's microbenchmark (leaf and root at the NLC-F bucket
+# shapes) runs one iteration per shape, so it cannot rot; a -bench
+# pattern that matches nothing is not an error to go test, so the leg
+# looks for its last row.
+echo "==> top-k codec microbenchmark, one iteration per shape"
+topk_bench="$(run_tests -run '^$' -bench 'TopkAllreduce' -benchtime 1x ./internal/comm/)" || {
+    printf '%s\n' "$topk_bench"
+    exit 1
+}
+printf '%s\n' "$topk_bench"
+if ! grep -q '^BenchmarkTopkAllreduce/root/m=99831' <<<"$topk_bench"; then
+    echo "FAIL: BenchmarkTopkAllreduce did not run every shape"
+    exit 1
+fi
 echo "==> go test wire-codec + streaming-reader zero-alloc pins"
 run_tests -run 'SteadyStateAllocs' ./internal/comm/wire/
 echo "==> go test obs disabled-path zero-alloc pins (tracks + registry)"
