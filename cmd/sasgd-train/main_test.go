@@ -190,6 +190,32 @@ func TestCodecOnNonSASGDExitsTwo(t *testing.T) {
 	}
 }
 
+// TestRetiredFaultKeysExitTwo: a fault is a slow rank or a crash. The
+// message-fate keys (drop, delay, burst) and the seed they drew from
+// are refused with exit 2, naming the key, before anything trains —
+// rather than a script that still passes them running without them.
+func TestRetiredFaultKeysExitTwo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary; skipped in -short")
+	}
+	bin := buildTrain(t, t.TempDir())
+	for _, c := range []struct{ spec, clause, key string }{
+		{"drop=0.1", "drop=0.1", "drop"},
+		{"seed=1,slow=1:2", "seed=1", "seed"},
+	} {
+		args := []string{"-p", "2", "-epochs", "1", "-workload", "nlcf", "-faults", c.spec}
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-faults %s: err = %v, want exit status 2\n%s", c.spec, err, out)
+		}
+		want := fmt.Sprintf("sasgd-train: -faults: comm: fault clause %q: unknown fault key %q", c.clause, c.key)
+		if !strings.Contains(string(out), want) {
+			t.Errorf("-faults %s printed %q, want it to contain %q", c.spec, out, want)
+		}
+	}
+}
+
 // TestMetricsEventsWriteErrorExitsOne: an event log that cannot be
 // written fails the run. /dev/full accepts the open and refuses every
 // write, so the first boundary event is lost; the command must name the

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sasgd/internal/comm"
 	"sasgd/internal/core"
 	"sasgd/internal/data"
 	"sasgd/internal/nn"
@@ -71,8 +72,8 @@ func mustEqualParams(t *testing.T, got, want []float64) {
 // TestChaosScenarios is the deterministic chaos table. Two compare
 // modes:
 //
-//   - "clean": the degraded run (straggler, drops — no membership
-//     change) must be bitwise identical to the same run with no fault
+//   - "clean": the degraded run (a straggler — no membership change)
+//     must be bitwise identical to the same run with no fault
 //     plan at all, at every aggregation boundary and in its final
 //     parameters. Fault handling must be value-transparent.
 //
@@ -84,7 +85,7 @@ func mustEqualParams(t *testing.T, got, want []float64) {
 func TestChaosScenarios(t *testing.T) { runChaosTable(t, false) }
 
 // TestChaosScenariosTCP replays the whole chaos table with the degraded
-// run's frames carried over a loopback TCP mesh — drops, crashes,
+// run's frames carried over a loopback TCP mesh — stragglers, crashes,
 // evictions and survivor re-forms all play out over real sockets and
 // the wire codec — while every reference run stays on the
 // in-process channel fabric. The assertions are unchanged: that IS the
@@ -99,34 +100,28 @@ func runChaosTable(t *testing.T, tcp bool) {
 		mode      string // "clean" | "survivors"
 		crashRank int    // survivors mode
 		crashB    int    // survivors mode
-		minDrops  int64
 		traced    bool
 	}{
 		{
 			name: "slow rank",
-			spec: "seed=3,slow=1:4,evict=2s",
+			spec: "slow=1:4,evict=2s",
 			p:    4, mode: "clean",
 		},
 		{
-			name: "drop burst",
-			spec: "seed=5,drop=0.2,burst=0>1@0+3,evict=2s",
-			p:    4, mode: "clean", minDrops: 3,
-		},
-		{
 			name: "dead rank",
-			spec: "seed=7,crash=2@3,evict=500ms",
+			spec: "crash=2@3,evict=500ms",
 			p:    4, mode: "survivors", crashRank: 2, crashB: 3,
 		},
 		{
 			name: "dead root",
-			spec: "seed=9,crash=0@2,evict=500ms",
+			spec: "crash=0@2,evict=500ms",
 			p:    4, mode: "survivors", crashRank: 0, crashB: 2,
 		},
 		{
 			name: "combined",
-			spec: "seed=11,drop=0.1,burst=0>1@0+2,slow=3:3,crash=4@2,evict=800ms",
+			spec: "slow=3:3,crash=4@2,evict=800ms",
 			p:    5, mode: "survivors", crashRank: 4, crashB: 2,
-			minDrops: 2, traced: true,
+			traced: true,
 		},
 	}
 	for _, tc := range cases {
@@ -153,12 +148,6 @@ func runChaosTable(t *testing.T, tcp bool) {
 			if len(res.Curve) == 0 || len(res.FinalParams) == 0 {
 				t.Fatalf("degraded run did not complete: %d curve points, %d params",
 					len(res.Curve), len(res.FinalParams))
-			}
-			if tc.minDrops > 0 {
-				f := res.Comm.Faults
-				if f.Drops < tc.minDrops {
-					t.Fatalf("fault counters: %+v, want ≥%d drops", f, tc.minDrops)
-				}
 			}
 
 			switch tc.mode {
@@ -206,7 +195,7 @@ func runChaosTable(t *testing.T, tcp bool) {
 				if _, err := obs.ValidateTrace(buf.Bytes()); err != nil {
 					t.Fatalf("degraded-run trace failed schema validation: %v", err)
 				}
-				for _, name := range []string{"heartbeat", "evict", "reform", "crash", "drop"} {
+				for _, name := range []string{"heartbeat", "evict", "reform", "crash"} {
 					if !strings.Contains(buf.String(), `"`+name+`"`) {
 						t.Errorf("trace export missing %q spans", name)
 					}
@@ -217,24 +206,24 @@ func runChaosTable(t *testing.T, tcp bool) {
 }
 
 // TestChaosDeterminism: the same scenario executed twice must reproduce
-// final parameters and fault counters exactly — the property that makes
-// chaos failures debuggable.
+// final parameters and membership counters exactly — the property that
+// makes chaos failures debuggable.
 func TestChaosDeterminism(t *testing.T) {
 	prob := Synthetic(48, 24, 101)
-	run := func() ([]float64, int64) {
+	run := func() ([]float64, comm.FaultStats) {
 		dir := t.TempDir()
-		s := chaosScenario("det", "seed=13,drop=0.15,crash=1@2,evict=500ms", 4)
+		s := chaosScenario("det", "crash=1@2,evict=500ms", 4)
 		s.Checkpoint = filepath.Join(dir, "ck-%d.ckpt")
 		res, _, err := s.Run(prob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.FinalParams, res.Comm.Faults.Drops
+		return res.FinalParams, res.Comm.Faults
 	}
-	p1, d1 := run()
-	p2, d2 := run()
-	if d1 != d2 {
-		t.Fatalf("drop counts differ across identical runs: %d vs %d", d1, d2)
+	p1, f1 := run()
+	p2, f2 := run()
+	if want := (comm.FaultStats{Crashes: 1, Evictions: 1, Reforms: 1}); f1 != want || f2 != want {
+		t.Fatalf("membership counters %+v and %+v across identical runs, want %+v each", f1, f2, want)
 	}
 	mustEqualParams(t, p1, p2)
 }

@@ -1,17 +1,16 @@
 // The chaos tests are the deterministic fault-injection harness: they
-// run small SASGD training scenarios under seeded comm.FaultPlans
-// (stragglers, message drops, scheduled crashes) and assert on their
-// observables — per-boundary aggregated gradients (via
-// core.Config.AggHook), fault counters, and checkpoint files for
-// survivor-equivalence reference runs. Everything is
-// reproducible from the plan's seed: a scenario either always passes or
-// always fails, which is what makes failure-handling testable at all.
+// run small SASGD training scenarios under comm.FaultPlans (stragglers
+// and scheduled crashes) and assert on their observables — per-boundary
+// aggregated gradients (via core.Config.AggHook), fault counters, and
+// checkpoint files for survivor-equivalence reference runs. Everything
+// is reproducible from the plan and the run's seed: a scenario either
+// always passes or always fails, which is what makes failure-handling
+// testable at all.
 //
 // The harness's central assertion pattern is survivor equivalence:
-// because drops, delays and slowdowns never change values (a dropped
-// attempt is resent at once, slowdowns only move time), and because
-// a crash at boundary b leaves the survivors exactly in the state a
-// fault-free run over the same ranks resumed from the boundary-b
+// because slowdowns never change values (they only move time), and
+// because a crash at boundary b leaves the survivors exactly in the
+// state a fault-free run over the same ranks resumed from the boundary-b
 // checkpoint would be in, the degraded run's post-eviction aggregated
 // gradients — and its final parameters — must be bitwise identical to
 // that reference run's. The tests enforce exactly that. The directory
@@ -85,7 +84,7 @@ type Scenario struct {
 	Tracer      *obs.Tracer
 
 	// TCP routes the run's frames through a loopback TCP mesh instead
-	// of the in-process channel fabric: every drop, crash, eviction and
+	// of the in-process channel fabric: every crash, eviction and
 	// re-form plays out over real sockets and the wire codec. The
 	// scenario's observables must not change — that is the
 	// cross-transport guarantee the chaos tests replay.

@@ -5,17 +5,6 @@ import "sasgd/internal/obs"
 // Accessors only the tests use: none has a caller in the library, the
 // commands or bench/, so none is part of the package's API.
 
-// InjectFaults activates a fault plan on this standalone group: drops
-// and delays per the plan, over the transport's ranks. The injected
-// fault counters appear in Stats().Faults. Crash/eviction-tolerant runs
-// use NewResilient, which shares one fabric across re-formed groups.
-func (g *Group) InjectFaults(plan *FaultPlan) {
-	if plan == nil {
-		return
-	}
-	g.fab = newFaultFabric(g.tr.Size(), plan, g.tracer)
-}
-
 // WordsSent returns the total number of float64 words sent through the
 // group so far (point-to-point only; server traffic is accounted by the
 // server): Stats().Words as one number.

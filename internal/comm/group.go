@@ -40,8 +40,7 @@ type Group struct {
 	tree []sched
 	// trMap maps the group's virtual ranks to transport ranks (nil =
 	// identity). Re-formed survivor groups address the original
-	// transport's physical rank space through it; it indexes the fault
-	// fabric too.
+	// transport's physical rank space through it.
 	trMap []int
 	// allLocal is true when every transport rank is driven by this
 	// process; epoch barriers then use the in-process barrier (which
@@ -71,11 +70,9 @@ type Group struct {
 	tracer  *obs.Tracer
 	traceOn bool
 
-	// fab is the fault fabric (nil without an attached FaultPlan): the
-	// per-link sequence numbers and fault counters, indexed by transport
-	// rank, which outlive this group when the membership layer re-forms
-	// smaller groups.
-	fab *faultFabric
+	// ledger is the membership ledger that formed this group (nil
+	// outside one): its fault counters span every group it re-forms.
+	ledger *Resilient
 }
 
 // NewGroup returns a group of p learners with no time simulation.
@@ -164,30 +161,13 @@ func (g *Group) Send(from, to int, data []float64) {
 }
 
 // sendMsg is the internal send. m.pb marks pool-owned payloads the
-// receiver must release. Under a fault plan the message's fate is
-// decided here, before the transport sees it: every attempt the plan
-// drops is charged like a delivered one, and the one frame sent carries
-// the plan's delay into simulated time. Running the accounting and the
-// fault plan above the transport is what makes every backend carry
-// identical Stats and FaultPlan behavior.
+// receiver must release. Running the accounting above the transport is
+// what makes every backend carry identical Stats.
 func (g *Group) sendMsg(from, to int, m Frame) {
 	g.checkRank(from)
 	g.checkRank(to)
-	pf, pt := g.trRank(from), g.trRank(to)
-	var delay float64
-	if g.fab != nil && from != to {
-		var drops int
-		drops, delay = g.fab.fate(pf, pt)
-		for range drops {
-			g.charge(from, to, len(m.Data))
-		}
-	}
 	g.charge(from, to, len(m.Data))
-	if g.sim != nil {
-		g.sim.sendAt(pf, pt, m, delay)
-		return
-	}
-	g.tr.Send(pf, pt, m)
+	g.tr.Send(g.trRank(from), g.trRank(to), m)
 }
 
 // Close closes the group's transport (idempotent on every backend, so

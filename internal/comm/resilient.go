@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sasgd/internal/obs"
@@ -15,9 +16,9 @@ import (
 // that stays silent past the plan's EvictAfter while its peers wait is
 // declared dead and evicted. The survivors re-form — a fresh, smaller
 // Group over the sorted surviving physical ranks, on the run's one
-// transport (simulated time included) and fault fabric — and training
-// continues on the new group with the aggregation rate rescaled by the
-// membership layer's caller.
+// transport (simulated time included) — and training continues on the
+// new group with the aggregation rate rescaled by the membership
+// layer's caller.
 //
 // Consistency argument. All ledger state — heartbeats, the live set,
 // the current view — is guarded by one mutex, and both the eviction
@@ -71,11 +72,13 @@ type Eviction struct {
 // Await at every synchronization point instead of Group.Barrier.
 type Resilient struct {
 	plan   *FaultPlan
-	fab    *faultFabric
 	origP  int
 	tr     Transport // every view's, in physical-rank space; simulated when clocks are set
 	clocks []Clock   // physical-rank indexed (nil = unsimulated)
 	tracer *obs.Tracer
+
+	// The run's fault counters, read by every group formed here.
+	crashes, evicts, reforms atomic.Int64
 
 	mu        sync.Mutex
 	heart     []int // heart[phys] = highest sync point posted (-1 = none)
@@ -98,9 +101,8 @@ type Resilient struct {
 
 // NewResilient builds the ledger for p physical ranks and forms the
 // initial full-membership view. clocks may be nil or length p; cost may
-// be nil (with clocks nil). The plan supplies EvictAfter and the link
-// faults; a nil plan means no injected faults but still crash-tolerant
-// membership.
+// be nil (with clocks nil). The plan supplies EvictAfter; a nil plan
+// means no injected faults but still crash-tolerant membership.
 func NewResilient(p int, plan *FaultPlan, clocks []Clock, cost CostModel, tracer *obs.Tracer) *Resilient {
 	return NewResilientOver(newChanTransport(p), plan, clocks, cost, tracer)
 }
@@ -108,10 +110,9 @@ func NewResilient(p int, plan *FaultPlan, clocks []Clock, cost CostModel, tracer
 // NewResilientOver is NewResilient on an explicit wire transport: every
 // membership view — the initial full group and each survivor re-form —
 // is built over the same mesh, with the view's physical ranks
-// addressing the transport's rank space directly, and the fault
-// fabric's per-link sequence numbers running on across views. The
-// transport must host every rank in this process: the heartbeat ledger
-// is shared memory.
+// addressing the transport's rank space directly. The transport must
+// host every rank in this process: the heartbeat ledger is shared
+// memory.
 func NewResilientOver(tr Transport, plan *FaultPlan, clocks []Clock, cost CostModel, tracer *obs.Tracer) *Resilient {
 	if !isAllLocal(tr) {
 		panic("comm: NewResilientOver needs an all-local transport (the membership ledger is in-process)")
@@ -128,7 +129,6 @@ func NewResilientOver(tr Transport, plan *FaultPlan, clocks []Clock, cost CostMo
 	}
 	r := &Resilient{
 		plan:      plan,
-		fab:       newFaultFabric(p, plan, tracer),
 		origP:     p,
 		tr:        tr,
 		clocks:    clocks,
@@ -155,15 +155,15 @@ func NewResilientOver(tr Transport, plan *FaultPlan, clocks []Clock, cost CostMo
 }
 
 // formGroup builds a group over the given physical ranks, wired to the
-// shared transport, the fault fabric and the run's tracer. Caller holds
-// mu (or is the constructor).
+// shared transport, this ledger's counters and the run's tracer. Caller
+// holds mu (or is the constructor).
 func (r *Resilient) formGroup(phys []int) *Group {
 	if len(phys) == r.origP {
 		phys = nil // the full, sorted membership: the identity view
 	}
 	g := NewTransportGroup(r.tr, phys, nil, nil)
 	g.SetTracer(r.tracer)
-	g.fab = r.fab
+	g.ledger = r
 	r.groups = append(r.groups, g)
 	return g
 }
@@ -180,7 +180,7 @@ func (r *Resilient) Current() View {
 // peers are told nothing — they detect the silence at the next sync
 // point and evict.
 func (r *Resilient) Crash(phys int) {
-	r.fab.crashes.Add(1)
+	r.crashes.Add(1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.memTrack != nil {
@@ -197,7 +197,7 @@ const awaitPoll = 200 * time.Microsecond
 // blocks until every live rank has posted it (evicting ranks that stay
 // silent past the plan's EvictAfter). It returns the membership view to
 // run the next collectives on, aligned clocks (bulk-synchronous max,
-// plus the plan's SimEvictSecs detection penalty per eviction), and
+// plus the simEvictSecs detection penalty per eviction), and
 // ok=false when the caller itself has been evicted — a fenced straggler
 // must stop participating immediately — or the ledger has been closed.
 func (r *Resilient) Await(phys, syncPt int) (View, bool) {
@@ -263,7 +263,7 @@ func (r *Resilient) Await(phys, syncPt int) (View, bool) {
 // survivors. Caller holds mu.
 func (r *Resilient) evictLocked(phys, syncPt int) {
 	r.live[phys] = false
-	r.fab.evicts.Add(1)
+	r.evicts.Add(1)
 	var survivors []int
 	for p := 0; p < r.origP; p++ {
 		if r.live[p] {
@@ -277,14 +277,14 @@ func (r *Resilient) evictLocked(phys, syncPt int) {
 	// Charge the detection latency: every survivor pays the simulated
 	// analogue of the failure detector's timeout.
 	if r.clocks != nil {
-		t := r.liveClockMax() + r.plan.simEvictSecs()
+		t := r.liveClockMax() + simEvictSecs
 		for _, p := range survivors {
 			r.clocks[p].Sync(t)
 		}
 	}
 	g := r.formGroup(survivors)
 	r.view = View{G: g, Phys: survivors, Version: r.view.Version + 1}
-	r.fab.reforms.Add(1)
+	r.reforms.Add(1)
 	r.evictions = append(r.evictions, Eviction{Phys: phys, SyncPt: syncPt, Version: r.view.Version})
 	if r.memTrack != nil {
 		now := r.memTrack.Now()
@@ -306,7 +306,7 @@ func (r *Resilient) liveClockMax() float64 {
 }
 
 // Stats aggregates communication statistics across every group the run
-// has formed, with the shared fabric's fault counters attached once.
+// has formed, with the ledger's fault counters attached once.
 func (r *Resilient) Stats() Stats {
 	r.mu.Lock()
 	groups := append([]*Group(nil), r.groups...)
@@ -317,10 +317,19 @@ func (r *Resilient) Stats() Stats {
 			s = g.Stats()
 			continue
 		}
-		s.MergeTraffic(g.Stats()) // Faults intentionally not merged: shared fabric
+		s.MergeTraffic(g.Stats()) // Faults intentionally not merged: shared ledger
 	}
-	s.Faults = r.fab.faultCounts()
+	s.Faults = r.faultCounts()
 	return s
+}
+
+// faultCounts snapshots the ledger's counters into a FaultStats.
+func (r *Resilient) faultCounts() FaultStats {
+	return FaultStats{
+		Evictions: r.evicts.Load(),
+		Reforms:   r.reforms.Load(),
+		Crashes:   r.crashes.Load(),
+	}
 }
 
 // Close closes every group the run has formed (and so the shared

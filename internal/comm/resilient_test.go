@@ -54,7 +54,7 @@ func runResilient(p int, fn func(phys int)) {
 // survivor-only sums.
 func TestEvictionAndReform(t *testing.T) {
 	const p = 3
-	plan := &FaultPlan{Seed: 1, EvictAfter: 40 * time.Millisecond}
+	plan := &FaultPlan{EvictAfter: 40 * time.Millisecond}
 	r := NewResilient(p, plan, nil, nil, nil)
 	defer r.Close()
 
@@ -100,7 +100,7 @@ func TestEvictionAndReform(t *testing.T) {
 // collective — must re-root onto the lowest survivor.
 func TestDeadRootReform(t *testing.T) {
 	const p = 4
-	plan := &FaultPlan{Seed: 1, EvictAfter: 40 * time.Millisecond}
+	plan := &FaultPlan{EvictAfter: 40 * time.Millisecond}
 	r := NewResilient(p, plan, nil, nil, nil)
 	defer r.Close()
 
@@ -144,7 +144,7 @@ func TestDeadRootReform(t *testing.T) {
 // participating.
 func TestFencedStragglerSeesEviction(t *testing.T) {
 	const p = 2
-	plan := &FaultPlan{Seed: 1, EvictAfter: 20 * time.Millisecond}
+	plan := &FaultPlan{EvictAfter: 20 * time.Millisecond}
 	r := NewResilient(p, plan, nil, nil, nil)
 	defer r.Close()
 
@@ -170,7 +170,7 @@ func TestFencedStragglerSeesEviction(t *testing.T) {
 // the detection penalty.
 func TestAwaitAlignsClocks(t *testing.T) {
 	const p = 3
-	plan := &FaultPlan{Seed: 1, EvictAfter: 30 * time.Millisecond, SimEvictSecs: 2.5}
+	plan := &FaultPlan{EvictAfter: 30 * time.Millisecond}
 	clocks := make([]Clock, p)
 	for i := range clocks {
 		clocks[i] = &lockedClock{}
@@ -189,58 +189,10 @@ func TestAwaitAlignsClocks(t *testing.T) {
 		}
 	})
 
-	// Max survivor clock 20s + 2.5s eviction penalty.
+	// Max survivor clock 20s + the eviction penalty.
 	for _, phys := range []int{0, 1} {
-		if got := clocks[phys].Now(); got != 22.5 {
-			t.Errorf("clock %d = %g, want 22.5 (max 20 + evict penalty 2.5)", phys, got)
+		if got := clocks[phys].Now(); got != 20+simEvictSecs {
+			t.Errorf("clock %d = %g, want %g (max 20 + evict penalty %g)", phys, got, 20+simEvictSecs, simEvictSecs)
 		}
-	}
-}
-
-// TestResilientWithLinkFaults: membership re-formation and send-time
-// drops compose — survivors complete a dropped-message collective on
-// the re-formed group.
-func TestResilientWithLinkFaults(t *testing.T) {
-	const p = 4
-	plan := &FaultPlan{
-		Seed:       9,
-		Drop:       0.2,
-		EvictAfter: 60 * time.Millisecond,
-	}
-	r := NewResilient(p, plan, nil, nil, nil)
-	defer r.Close()
-
-	runResilient(p, func(phys int) {
-		if phys == 3 {
-			r.Crash(phys)
-			return
-		}
-		v, ok := r.Await(phys, 0)
-		if !ok {
-			t.Errorf("survivor %d evicted", phys)
-			return
-		}
-		buf := make([]float64, 29)
-		for i := range buf {
-			buf[i] = float64(phys)
-		}
-		v.G.AllreduceTree(v.RankOf(phys), buf)
-		for i := range buf {
-			if buf[i] != 3 { // 0+1+2
-				t.Errorf("phys %d [%d] = %g, want 3", phys, i, buf[i])
-				return
-			}
-		}
-		if _, ok := r.Await(phys, 1); !ok {
-			t.Errorf("survivor %d evicted at sync 1", phys)
-		}
-	})
-
-	st := r.Stats()
-	if st.Faults.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Faults.Evictions)
-	}
-	if st.Words == 0 {
-		t.Error("merged stats lost the re-formed group's traffic")
 	}
 }

@@ -68,15 +68,12 @@ func (s *simTransport) now(r int) float64 {
 	return s.clocks[r].Now()
 }
 
-func (s *simTransport) Send(from, to int, f Frame) { s.sendAt(from, to, f, 0) }
-
-// sendAt is Send with extra seconds of in-network latency: a fault
-// plan's delay.
-func (s *simTransport) sendAt(from, to int, f Frame, extra float64) {
+// Send stamps the frame's arrival on its link and hands it on.
+func (s *simTransport) Send(from, to int, f Frame) {
 	l := &s.links[from*s.p+to]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.linkFree = max(s.now(from), l.linkFree) + s.cost.XferTime(from, to, len(f.Data)) + extra
+	l.linkFree = max(s.now(from), l.linkFree) + s.cost.XferTime(from, to, len(f.Data))
 	l.qmu.Lock()
 	l.stamps = append(l.stamps, l.linkFree)
 	l.qmu.Unlock()

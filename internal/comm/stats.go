@@ -124,12 +124,9 @@ type AlgoStats struct {
 	Messages int64 `json:"messages"` // point-to-point messages
 }
 
-// FaultStats are the fault-injection and membership counters of a run.
-// All-zero without an attached FaultPlan. Drops come from the sends
-// (dropped delivery attempts, each resent once); Evictions, Reforms and
-// Crashes come from the membership ledger.
+// FaultStats are the membership ledger's counters of a run: all zero
+// outside a Resilient.
 type FaultStats struct {
-	Drops     int64 `json:"drops"`     // injected message-drop events (per delivery attempt)
 	Evictions int64 `json:"evictions"` // ranks evicted by the failure detector
 	Reforms   int64 `json:"reforms"`   // survivor group re-formations
 	Crashes   int64 `json:"crashes"`   // scheduled learner crashes executed
@@ -138,7 +135,7 @@ type FaultStats struct {
 // Sum returns the total event count, the delta signal the metrics fleet
 // collector uses to emit fault events exactly when something happened.
 func (f FaultStats) Sum() int64 {
-	return f.Drops + f.Evictions + f.Reforms + f.Crashes
+	return f.Evictions + f.Reforms + f.Crashes
 }
 
 // Active reports whether any fault or membership event occurred.
@@ -171,10 +168,9 @@ type Stats struct {
 	WorkerBusy        time.Duration `json:"worker_busy_ns,omitempty"`
 	PipelineOccupancy float64       `json:"pipeline_occupancy,omitempty"`
 
-	// Faults holds the fault-injection and membership counters (all zero
-	// without an attached FaultPlan). When the membership layer re-forms
-	// groups mid-run, the fabric — and so this block — spans the whole
-	// run regardless of which group's Stats() is asked.
+	// Faults holds the membership ledger's counters (all zero outside
+	// one). They belong to the ledger, not to a group, so this block
+	// spans the whole run regardless of which group's Stats() is asked.
 	Faults FaultStats `json:"faults"`
 }
 
@@ -214,16 +210,14 @@ func (g *Group) Stats() Stats {
 	if occN > 0 {
 		s.PipelineOccupancy = occSum / float64(occN)
 	}
-	if g.fab != nil {
-		s.Faults = g.fab.faultCounts()
-	}
+	s.Faults = g.FaultCounts()
 	return s
 }
 
 // MergeTraffic folds another snapshot's traffic, wait and pipeline
 // counters into s. The membership layer uses it to aggregate across the
 // groups of a re-formed run; the Faults block is intentionally NOT
-// merged (the fabric is shared, so each group already reports the
+// merged (the ledger is shared, so each group already reports the
 // run-wide counts — adding them would double-count). Occupancy merges
 // as the launch-weighted mean.
 func (s *Stats) MergeTraffic(o Stats) {
@@ -266,12 +260,12 @@ func (g *Group) TrafficTotals() (words, cross, hintra, hinter int64) {
 	return words, cross, hintra, hinter
 }
 
-// FaultCounts returns the fabric's fault-injection and membership
-// counters (zero value when the group has no fault fabric). Alloc-free,
-// boundary-rate safe, unlike the full Stats() snapshot.
+// FaultCounts returns the membership ledger's counters (zero value
+// when no ledger formed the group). Alloc-free, boundary-rate safe,
+// unlike the full Stats() snapshot.
 func (g *Group) FaultCounts() FaultStats {
-	if g.fab == nil {
+	if g.ledger == nil {
 		return FaultStats{}
 	}
-	return g.fab.faultCounts()
+	return g.ledger.faultCounts()
 }

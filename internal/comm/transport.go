@@ -14,8 +14,8 @@ var ErrClosed = errors.New("comm: transport closed")
 
 // Frame is one point-to-point transfer between learners — the unit a
 // Transport moves: the payload alone. It carries no time (sim.go keeps
-// arrivals beside it) and no sequence number (a fault plan decides each
-// message's fate before it is sent, faults.go). pb is non-nil when the
+// arrivals beside it) and no sequence number (links are reliable FIFO,
+// and no fault plan touches a message). pb is non-nil when the
 // payload is owned by the buffer pool, in which case the consumer must
 // release it after reading the data — the receiving collective on a
 // local backend, the serializer on a wire backend (which ships the bytes
@@ -35,9 +35,8 @@ type Frame struct {
 // frames on different links may interleave arbitrarily.
 //
 // Everything above the transport is rank-space logic: the Group charges
-// traffic statistics and decides the fault plan's drops and delays
-// *before* handing a frame to Send, so FaultPlan behavior and Stats
-// accounting hold identically on every backend — the cross-transport
+// traffic statistics *before* handing a frame to Send, so Stats
+// accounting holds identically on every backend — the cross-transport
 // equivalence suite pins this. Simulated time is a
 // decorator over an all-local Transport (sim.go).
 type Transport interface {

@@ -193,11 +193,10 @@ type Config struct {
 	// to the simulator (ignored when Sim is nil).
 	FlopsPerSample float64
 
-	// Faults, when non-nil, injects the plan's failures (message drops,
-	// link delays, learner slowdowns, crash schedules) into the run and
-	// puts every SASGD sync point — aggregation boundaries and epoch
-	// barriers — on a membership ledger: drops decided and charged at
-	// each send, heartbeat-based straggler eviction, survivor
+	// Faults, when non-nil, injects the plan's failures (learner
+	// slowdowns, crash schedules) into the run and puts every SASGD sync
+	// point — aggregation boundaries and epoch barriers — on a
+	// membership ledger: heartbeat-based straggler eviction, survivor
 	// re-formation with γp rescaled by OrigP/live, and fault counters in
 	// Result.Comm.Faults. SASGD only. It is the one setting that builds
 	// the ledger: a run without a plan syncs on its fixed group. It

@@ -156,7 +156,7 @@ func TestFusedApplyMatchesMaterialised(t *testing.T) {
 						case "metrics":
 							cfg.Metrics = obs.NewRegistry()
 						case "crash":
-							cfg.Faults = mustPlan(t, "seed=5,crash=1@1,evict=400ms")
+							cfg.Faults = mustPlan(t, "crash=1@1,evict=400ms")
 						}
 						if transport == "tcp" {
 							tr, err := comm.NewTCPLoopback(p)
@@ -210,7 +210,7 @@ func TestConfigIgnoresEnvironment(t *testing.T) {
 		"SASGD_TSCHED":       "adaptive",
 		"SASGD_HIER_GROUPS":  "2",
 		"SASGD_DELAYED":      "1",
-		"SASGD_FAULTS":       "seed=1,drop=0.05",
+		"SASGD_FAULTS":       "slow=1:4",
 	} {
 		t.Setenv(name, v)
 	}

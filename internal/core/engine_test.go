@@ -81,7 +81,7 @@ func TestT1GradientSumIsGradientBuffer(t *testing.T) {
 		{"dense", func(c *Config) {}, true},
 		{"topk", func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.1 }, true},
 		{"hier-delayed", func(c *Config) { c.HierGroups, c.DelayedApply = 2, true }, true},
-		{"faults", func(c *Config) { c.Faults = mustPlan(t, "seed=3,crash=3@2") }, true},
+		{"faults", func(c *Config) { c.Faults = mustPlan(t, "crash=3@2") }, true},
 		{"metrics", func(c *Config) { c.Metrics = obs.NewRegistry() }, false},
 		{"adaptive", func(c *Config) { c.TSched = TSchedAdaptive }, false},
 		{"T2", func(c *Config) { c.Interval = 2 }, false},

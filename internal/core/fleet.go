@@ -143,7 +143,6 @@ func (c *fleetCollector) sampleComm(g *comm.Group, now int64) {
 	c.reg.Gauge("sasgd_comm_hinter_words").SetInt(hinter)
 	f := g.FaultCounts()
 	if sum := f.Sum(); sum != c.lastFaults {
-		c.reg.Gauge("sasgd_fault_drops").SetInt(f.Drops)
 		c.reg.Gauge("sasgd_fault_evictions").SetInt(f.Evictions)
 		c.reg.Gauge("sasgd_fault_reforms").SetInt(f.Reforms)
 		c.reg.Gauge("sasgd_fault_crashes").SetInt(f.Crashes)

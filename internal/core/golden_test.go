@@ -127,7 +127,7 @@ func plain(cfg Config) func(*testing.T, string, *Problem) Config {
 
 // goldenCrash is the crash rows' plan: rank 1 dies at boundary 2.
 func goldenCrash(t *testing.T) *comm.FaultPlan {
-	plan, err := comm.ParseFaultPlan("seed=5,crash=1@2,evict=400ms")
+	plan, err := comm.ParseFaultPlan("crash=1@2,evict=400ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ var goldenCases = []goldenCase{
 		return with(goldenBase(2, 1), func(c *Config) { c.Metrics = obs.NewRegistry() })
 	}, params: 0xc41bbe1547d57e5e, curve: 0xd028fa6ecad2f61b, words: 2797, msgs: 61},
 	{name: "crash_T1", cfg: func(t *testing.T, _ string, _ *Problem) Config {
-		plan, err := comm.ParseFaultPlan("seed=5,crash=1@2,evict=400ms")
+		plan, err := comm.ParseFaultPlan("crash=1@2,evict=400ms")
 		if err != nil {
 			t.Fatal(err)
 		}

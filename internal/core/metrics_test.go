@@ -37,7 +37,7 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 			c.DelayedApply = true
 		}},
 		{"faults", func(c *Config) {
-			c.Faults = mustPlan(t, "seed=3,crash=3@2")
+			c.Faults = mustPlan(t, "crash=3@2")
 		}},
 		// At T = 1 the metered run keeps gs apart from g and the plain
 		// one sums g in place, where a −0 gradient keeps its sign: the
@@ -58,7 +58,7 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 
 		cfg := base
 		if cfg.Faults != nil {
-			cfg.Faults = mustPlan(t, "seed=3,crash=3@2")
+			cfg.Faults = mustPlan(t, "crash=3@2")
 		}
 		cfg.Metrics = obs.NewRegistry()
 		metered := Train(cfg, prob)
@@ -104,7 +104,7 @@ func TestMetricsFrameTrafficPinned(t *testing.T) {
 
 	// What metrics adds to a plain run, and to a crash-plan run whose
 	// survivor tree spans 3 ranks from boundary 2 on.
-	for _, faults := range []string{"", "seed=3,crash=3@2"} {
+	for _, faults := range []string{"", "crash=3@2"} {
 		run := func(reg *obs.Registry) *Result {
 			cfg := base
 			if faults != "" {
@@ -173,7 +173,7 @@ func TestMetricsFlagsSeededStraggler(t *testing.T) {
 		Algo: AlgoSASGD, Learners: p, Interval: 1, Gamma: 0.05,
 		Batch: 4, Epochs: 3, Seed: 11,
 		Sim: netsim.New(p, netsim.DefaultConfig()), FlopsPerSample: 1e7,
-		Faults:  mustPlan(t, "seed=1,slow=2:4"),
+		Faults:  mustPlan(t, "slow=2:4"),
 		Metrics: reg,
 	}
 	res := Train(cfg, prob)
@@ -238,7 +238,7 @@ func TestFleetComputeIsTrackPhaseSum(t *testing.T) {
 // for it at the membership sync points is agg_wait on theirs.
 func TestSlowRankSleepIsSpanned(t *testing.T) {
 	const p, slow, steps = 2, 1, 12 // 24 samples per learner at batch 4, two epochs
-	plan := mustPlan(t, "seed=1,slow=1:4")
+	plan := mustPlan(t, "slow=1:4")
 	plan.SlowSleep = 2 * time.Millisecond
 	sleep := plan.SlowSleepFor(slow)
 	tr := obs.NewTracer(0)

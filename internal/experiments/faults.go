@@ -29,10 +29,9 @@ type DegradedResult struct {
 
 // DegradedRuns measures how SASGD degrades under injected faults on the
 // simulated paper platform: the fault-free baseline, a run where one
-// learner computes 4× slower (with a trickle of message drops so they
-// show up in the counters), and a run where one
-// learner fail-stops mid-training and the survivors evict it, re-form,
-// and finish with γp rescaled. The straggler stretches every epoch
+// learner computes 4× slower, and a run where one learner fail-stops
+// mid-training and the survivors evict it, re-form, and finish with γp
+// rescaled. The straggler stretches every epoch
 // (bulk-synchronous barriers wait for the slowest rank); the crash
 // costs one detection timeout and then runs *faster* per epoch on 7
 // learners than the straggler run did on 8 — the paper's
@@ -50,8 +49,8 @@ func DegradedRuns(opt Opt) *DegradedResult {
 		spec string
 	}{
 		{"fault-free", ""},
-		{"straggler 4x", "seed=2,slow=3:4,drop=0.01,evict=5s"},
-		{"crash @2", "seed=2,crash=5@2,evict=500ms"},
+		{"straggler 4x", "slow=3:4,evict=5s"},
+		{"crash @2", "crash=5@2,evict=500ms"},
 	}
 	for _, sc := range scenarios {
 		cfg := w.simCfg(core.AlgoSASGD, p, t, epochs, opt)
@@ -89,11 +88,11 @@ func DegradedRuns(opt Opt) *DegradedResult {
 
 	tab := report.Table{
 		Title:  "Graceful degradation: SASGD p=8 T=8, CIFAR-10 (simulated platform)",
-		Header: []string{"scenario", "epoch(s)", "test", "live", "drops", "evictions"},
+		Header: []string{"scenario", "epoch(s)", "test", "live", "evictions"},
 	}
 	for _, r := range res.Rows {
 		tab.AddRow(r.Scenario, ftoa3(r.EpochSecs), report.Pct(r.FinalTest),
-			itoa(r.LiveP), itoa64(r.Faults.Drops), itoa64(r.Faults.Evictions))
+			itoa(r.LiveP), itoa64(r.Faults.Evictions))
 	}
 	fprintf(opt.out(), "%s\n", tab.String())
 	return res

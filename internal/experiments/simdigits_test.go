@@ -21,9 +21,8 @@ import (
 // The faults table is pinned twice: at -epochs 1 and at its default
 // two-epoch budget, the one at which the crash fires (boundary 2 comes
 // after the first epoch) and the survivors evict, re-form and pay the
-// detection penalty. Its straggler and crash rows depend on the drops
-// decided at each send and on the one clock alignment each membership
-// sync point takes.
+// detection penalty. Its crash row depends on the one clock alignment
+// each membership sync point takes.
 //
 // -short runs the compress and sched items only: the in-flight runner,
 // both codecs, the hierarchy and delayed application.
@@ -81,12 +80,12 @@ func TestSimulatedDigits(t *testing.T) {
 			"NLC-F 50 sasgd 1.488",
 		}},
 		{"faults", false, func(o Opt) { DegradedRuns(o) }, []string{
-			"fault-free 0.593 21.19% 8 0 0",
+			"fault-free 0.593 21.19% 8 0",
 		}},
 		{"faults default budget", false, func(o Opt) { o.Epochs = 0; DegradedRuns(o) }, []string{
-			"fault-free 0.589 31.54% 8 0 0",
-			"straggler 4x 2.253 31.54% 8 2 0",
-			"crash @2 0.717 31.25% 7 0 1",
+			"fault-free 0.589 31.54% 8 0",
+			"straggler 4x 2.253 31.54% 8 0",
+			"crash @2 0.717 31.25% 7 1",
 		}},
 		{"compress", true, func(o Opt) { CompressionFrontier(o) }, []string{
 			"dense - 0.740 20.61% 173250 1.0×",

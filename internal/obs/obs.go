@@ -53,7 +53,6 @@ const (
 	PhaseQueueDwell              // comm worker: a launch's wait before the runner picks it up
 	PhaseAllreduce               // comm worker: a launch's exchange
 	PhaseBcast                   // initial parameter broadcast
-	PhaseDrop                    // fault fabric: an injected message drop
 	PhaseHeartbeat               // membership: a rank's wait at a sync point
 	PhaseEvict                   // membership: a dead rank's eviction
 	PhaseReform                  // membership: survivor group re-formation
@@ -66,7 +65,7 @@ const (
 var phaseNames = [NumPhases]string{
 	"forward", "backward", "local_step",
 	"agg_wait", "agg_apply", "queue_dwell", "allreduce", "bcast",
-	"drop", "heartbeat", "evict", "reform", "crash",
+	"heartbeat", "evict", "reform", "crash",
 	"compress", "eval",
 }
 
@@ -278,10 +277,9 @@ func (tr *Tracer) NewTrack(process, name string, pid, tid int) *Track {
 }
 
 // NewSizedTrack is NewTrack with an explicit ring capacity in spans
-// (≤ 0 selects the tracer's default). Short-lived or sparse event
-// sources — the fault fabric's per-link drop tracks — use small rings
-// so a faulty run with many links does not multiply the tracer's
-// footprint by the default 16k-span capacity.
+// (≤ 0 selects the tracer's default). Sparse event sources — the
+// membership ledger's tracks — use small rings so they do not multiply
+// the tracer's footprint by the default 16k-span capacity.
 func (tr *Tracer) NewSizedTrack(process, name string, pid, tid, spans int) *Track {
 	if tr == nil {
 		return nil
@@ -297,11 +295,10 @@ func (tr *Tracer) NewSizedTrack(process, name string, pid, tid, spans int) *Trac
 	return t
 }
 
-// FabricTrack returns a new small track on the fault-fabric process
-// group — the drops of one link, or the membership ledger's
-// eviction/re-form events (nil on a nil tracer). Each fabric track has a
-// single writer: the goroutine sending on the link, or — for the
-// membership track — whichever goroutine holds the ledger mutex.
+// FabricTrack returns a new small track on the fabric process group —
+// the membership ledger's crash/eviction/re-form events or its
+// heartbeats (nil on a nil tracer). Each fabric track has a single
+// writer at a time: whichever goroutine holds the ledger mutex.
 func (tr *Tracer) FabricTrack(name string, tid int) *Track {
 	if tr == nil {
 		return nil

@@ -244,7 +244,7 @@ const (
 	EventBoundary   = "boundary"   // an aggregation boundary completed
 	EventTChange    = "t_change"   // the effective communication period moved
 	EventMembership = "membership" // the live rank set changed
-	EventFault      = "fault"      // fault counters moved (drops/evictions/re-forms/crashes)
+	EventFault      = "fault"      // fault counters moved (crashes/evictions/re-forms)
 	EventAnomaly    = "anomaly"    // the straggler detector flagged a rank
 )
 

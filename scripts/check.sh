@@ -149,14 +149,25 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
     exit 1
 fi
 
-# A fault plan decides each message's fate when it is sent: drops are
-# charged and counted there, and the transport stays reliable FIFO. The
-# stop-and-wait link protocol, its knobs, counters and span must not
-# come back.
+# No message is ever lost: the transport is reliable FIFO and the fault
+# plan names only slow ranks and crashes. The stop-and-wait link
+# protocol, its knobs, counters and span must not come back.
 echo "==> no retransmission protocol outside tests and bench/"
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
     'linkDaemon|recvReliable|faultRoute|RetryTimeout|MaxRetries|Timeouts|PhaseRetry' .; then
     echo "FAIL: the fault plan's retransmission protocol is back"
+    exit 1
+fi
+
+# A fault is a slow rank or a crash (SASGD is bulk-synchronous: nothing
+# else changes a run). The message-fate plane — drops, bursts, delays,
+# the per-link hash and seed behind them, their span, the simulator's
+# extra-latency send and the fixed detection-penalty knob — must not
+# come back.
+echo "==> no message-fate fault plane outside tests and bench/"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    'Bursts|DelayMean|DelayJitter|dropAttempt|delayFor|unitHash|splitmix64|PhaseDrop|sendAt|InjectFaults|SimEvictSecs' .; then
+    echo "FAIL: the message-fate fault plane is back"
     exit 1
 fi
 
@@ -319,6 +330,12 @@ run_tests -race -count=2 ${short} -run 'GeneratedConfigs|ValidateRules' ./intern
 echo "==> go test -race -count=2 Run's error path"
 run_tests -race -count=2 -run 'RunRejects|RunErrors|LearnerPanic|ValidateRules|TCPLinkEnd' ./internal/core/ ./cmd/sasgd-train/ ./internal/comm/
 
+# A fault plan is slow=, crash= and evict= only: sasgd-train refuses a
+# spec with any other key (seed, drop, delay, burst) with exit 2 naming
+# the key, rather than training without it.
+echo "==> sasgd-train refuses retired fault keys"
+run_tests -run 'RetiredFaultKeys' ./cmd/sasgd-train/
+
 # The harness relates runs of one build to each other; the golden pins
 # relate this build to the commit they were captured on — final
 # parameters, curve, words and messages as constants, over every
@@ -421,16 +438,15 @@ run_tests -race -count=2 -run 'Elastic|Server' ./internal/comm/
 echo "==> go test -race -count=6 seeded straggler (netsim slowdown slots)"
 run_tests -race -count=6 -run TestMetricsFlagsSeededStraggler ./internal/core
 
-# The fault plane's comm half: send-time drop decisions on a sequence
-# counter shared by concurrent senders, exact drop accounting against
-# the plan's hash, and the membership ledger's one clock alignment per
-# sync point. No test here waits on a wall-clock timer any more, so the
-# leg is cheap.
-echo "==> go test -race -count=2 fault plane + membership ledger"
-run_tests -race -count=2 -run 'Fault|DropBurst|RetryAccounting|Resilient' ./internal/comm/
+# The fault plane's comm half: the three-key plan grammar and the
+# membership ledger — eviction and re-form under concurrent learners, a
+# dead root, a fenced straggler, and the one clock alignment per sync
+# point.
+echo "==> go test -race -count=2 fault plan + membership ledger"
+run_tests -race -count=2 -run 'ParseFaultPlan|Eviction|DeadRoot|FencedStraggler|AwaitAligns' ./internal/comm/
 
-# The chaos suite is the failure-handling gate: seeded fault plans
-# (stragglers, drops, crashes at scheduled boundaries) with bitwise
+# The chaos suite is the failure-handling gate: fault plans
+# (stragglers and crashes at scheduled boundaries) with bitwise
 # survivor-equivalence assertions. Membership changes move virtual rank
 # 0 across goroutines, so run it twice under the race detector.
 echo "==> go test -race -count=2 chaos suite"
