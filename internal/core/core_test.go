@@ -653,21 +653,33 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-func TestEvaluatorAccuracy(t *testing.T) {
-	prob := tinyProblem(50, 30, 30)
+// TestRecorderAccuracy: the recorder's accuracies are the fraction of
+// each set one whole-set Predict classifies correctly, whatever the chunk
+// list's split into shards, and a deterministic function of the params.
+func TestRecorderAccuracy(t *testing.T) {
+	prob := tinyProblem(150, 70, 30)
 	rec, err := newRecorder(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := rec.testEval
 	net := prob.Model(1)
-	acc := e.accuracy(net.ParamData())
-	if acc < 0 || acc > 1 {
-		t.Fatalf("accuracy %g out of range", acc)
+	var want [2]float64
+	for i, ds := range []*data.Dataset{prob.Train, prob.Test} {
+		x, y := ds.Span(0, ds.Len())
+		for k, c := range net.Predict(x) {
+			if c == y[k] {
+				want[i]++
+			}
+		}
+		want[i] /= float64(ds.Len())
 	}
-	// Accuracy must be a deterministic function of the parameters.
-	if acc2 := e.accuracy(net.ParamData()); acc2 != acc {
-		t.Error("evaluator not deterministic")
+	if want[0] <= 0 || want[0] >= 1 {
+		t.Fatalf("train accuracy %g: pick a problem that tells a miscount", want[0])
+	}
+	for _, shards := range []int{1, 2, 3, 1} {
+		if tr, te := rec.eval(net.ParamData(), shards); tr != want[0] || te != want[1] {
+			t.Errorf("%d shards: accuracy %g/%g, whole-set Predict %g/%g", shards, tr, te, want[0], want[1])
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sasgd/internal/comm"
 	"sasgd/internal/data"
 	"sasgd/internal/nn"
+	"sasgd/internal/parallel"
 	"sasgd/internal/report"
 )
 
@@ -81,59 +82,34 @@ func (r *Result) EpochTime() float64 {
 	return r.SimTime / float64(last)
 }
 
-// evaluator measures accuracy of a flat parameter vector against a
-// dataset on a model replica of its own or shared with the recorder's
-// other evaluator (inference mode, no dropout: nothing of one accuracy
-// pass outlives it). It is used from exactly one goroutine at a time.
-type evaluator struct {
-	net   *nn.Network
-	ds    *data.Dataset
-	batch int
-	idx   []int
-}
+// evalChunk is the sample count of one evaluation job: the train and
+// test sets are cut into chunks of this size, and a shard of an
+// evaluation runs a contiguous range of them. A GEMM row's bits do not
+// depend on the row count or the blocking (gemm_micro.go), so the size
+// moves no prediction, only how finely the work splits.
+const evalChunk = 64
 
-// accuracy evaluates the fraction of correct argmax predictions under
-// the given parameters.
-func (e *evaluator) accuracy(params []float64) float64 {
-	e.net.SetParamData(params)
-	n := e.ds.Len()
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for lo := 0; lo < n; lo += e.batch {
-		hi := lo + e.batch
-		if hi > n {
-			hi = n
-		}
-		if cap(e.idx) < hi-lo {
-			e.idx = make([]int, hi-lo)
-		}
-		e.idx = e.idx[:hi-lo]
-		for i := range e.idx {
-			e.idx[i] = lo + i
-		}
-		x, y := e.ds.Batch(e.idx)
-		pred := e.net.Predict(x)
-		for i, p := range pred {
-			if p == y[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(n)
+// evalJob is one chunk, samples [lo, hi) of ds, with the count of them
+// its last evaluation classified correctly.
+type evalJob struct {
+	ds      *data.Dataset
+	lo, hi  int
+	correct int
 }
 
 // recorder collects the accuracy curve during a run. Evaluations are
-// requested by learner 0 at collective-epoch boundaries; the recorder is
-// internally locked because asynchronous runs may race a final record
-// against run teardown.
+// requested by one learner at collective-epoch boundaries, and run on a
+// model replica of the recorder's own. That replica only ever infers,
+// which writes no layer state (nn.Network.Predict), so the shards of one
+// evaluation share it. The recorder is internally locked because
+// asynchronous runs may race a final record against run teardown.
 type recorder struct {
-	mu        sync.Mutex
-	trainEval *evaluator
-	testEval  *evaluator
-	start     time.Time
-	curve     report.Curve
+	mu     sync.Mutex
+	net    *nn.Network
+	jobs   []evalJob // the train set's chunks, then the test set's
+	nTrain int       // train set chunks
+	start  time.Time
+	curve  report.Curve
 }
 
 func newRecorder(p *Problem) (*recorder, error) {
@@ -141,17 +117,58 @@ func newRecorder(p *Problem) (*recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &recorder{
-		trainEval: &evaluator{net: net, ds: p.Train, batch: 256},
-		testEval:  &evaluator{net: net, ds: p.Test, batch: 256},
-		start:     time.Now(),
-	}, nil
+	r := &recorder{net: net, start: time.Now()}
+	for _, ds := range []*data.Dataset{p.Train, p.Test} {
+		r.nTrain = len(r.jobs)
+		for lo := 0; lo < ds.Len(); lo += evalChunk {
+			r.jobs = append(r.jobs, evalJob{ds: ds, lo: lo, hi: min(lo+evalChunk, ds.Len())})
+		}
+	}
+	return r, nil
 }
 
-// record evaluates params and appends a point for the given epoch.
-func (r *recorder) record(epoch int, params []float64, loss, simTime float64) {
-	tr := r.trainEval.accuracy(params)
-	te := r.testEval.accuracy(params)
+// Range evaluates jobs [lo, hi): parallel.Body, one shard of eval.
+func (r *recorder) Range(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		j := &r.jobs[i]
+		x, y := j.ds.Span(j.lo, j.hi)
+		j.correct = 0
+		for k, c := range r.net.Predict(x) {
+			if c == y[k] {
+				j.correct++
+			}
+		}
+	}
+}
+
+// eval returns the train and test accuracy of params, its jobs split
+// over shards contiguous ranges that run side by side. Each shard's
+// kernels run at the current worker budget: a caller that spreads an
+// evaluation over its idle peers' cores sets that budget to 1 first.
+// The accuracies are sums of integer counts, so they do not depend on
+// shards.
+func (r *recorder) eval(params []float64, shards int) (train, test float64) {
+	r.net.SetParamData(params)
+	parallel.ForWorkers(len(r.jobs), 1, shards, r)
+	return accuracy(r.jobs[:r.nTrain]), accuracy(r.jobs[r.nTrain:])
+}
+
+// accuracy is the fraction of the jobs' samples classified correctly.
+func accuracy(jobs []evalJob) float64 {
+	n, correct := 0, 0
+	for _, j := range jobs {
+		n, correct = n+j.hi-j.lo, correct+j.correct
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(correct) / float64(n)
+}
+
+// record evaluates params on shards (eval) and appends a point for the
+// given epoch.
+func (r *recorder) record(epoch int, params []float64, loss, simTime float64, shards int) {
+	tr, te := r.eval(params, shards)
 	r.mu.Lock()
 	r.curve = append(r.curve, report.Point{
 		Epoch:    epoch,

@@ -243,12 +243,15 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 				}
 				// Between the two barriers every other learner of this
 				// process is parked and every comm handle has been waited
-				// out, so the evaluation runs on the kernel workers the
-				// local learners hold together. Kernels are bitwise
-				// identical at every worker count: the curve does not move.
+				// out, so the evaluation spends the kernel workers the
+				// local learners hold together as sample shards, each
+				// running serial kernels: the layers outside the GEMMs
+				// (pools, activations) split too. A prediction does not
+				// depend on the shard that makes it: the curve does not move.
 				es := tk.Begin()
-				prev := parallel.SetWorkers(parallel.Workers() * len(local))
-				rec.record(epoch+1, params, lastLoss, simNow)
+				shards := parallel.Workers() * len(local)
+				prev := parallel.SetWorkers(1)
+				rec.record(epoch+1, params, lastLoss, simNow, shards)
 				parallel.SetWorkers(prev)
 				tk.End(obs.PhaseEval, es)
 			}

@@ -141,7 +141,9 @@ func trainAsync(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 				if cfg.Sim != nil {
 					simNow = cfg.Sim.MaxTime()
 				}
-				rec.record(epoch+1, params, lastLoss, simNow)
+				// The other learners keep running: one shard on this
+				// learner's own kernel workers.
+				rec.record(epoch+1, params, lastLoss, simNow, 1)
 			}
 		}
 		if rank == 0 {

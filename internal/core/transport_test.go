@@ -141,3 +141,52 @@ func tcpEndpoints(t *testing.T, p int) []*comm.TCPTransport {
 	}
 	return trs
 }
+
+// TestEvalShardsBitwise: the epoch-edge evaluation is split by samples
+// over workers × local learners shards. A p = 2 run on one channel mesh
+// evaluates on 2 shards (Workers 1); run as two single-rank TCP
+// endpoints, rank 0's evaluates on 1 (Workers 1) or 3 (Workers 3). The
+// curves and final parameters are bitwise the same, on an NLC-F-shaped
+// and a CIFAR-shaped problem whose sets are several chunks each.
+func TestEvalShardsBitwise(t *testing.T) {
+	for name, prob := range map[string]*Problem{"nlcf": nlcfProblem(200, 136), "cifar": cifarProblem(150, 70)} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Algo: AlgoSASGD, Learners: 2, Interval: 2, Batch: 8, Gamma: 0.05, Epochs: 2, Seed: 3, Workers: 1}
+			want := Train(cfg, prob)
+			for _, workers := range []int{1, 3} {
+				trs := tcpEndpoints(t, 2)
+				results := make([]*Result, 2)
+				var wg sync.WaitGroup
+				for r := range trs {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						defer trs[r].Close()
+						c := cfg
+						c.Transport = trs[r]
+						if r == 0 {
+							c.Workers = workers
+						}
+						results[r] = Train(c, prob)
+					}(r)
+				}
+				wg.Wait()
+				got := results[0]
+				if len(got.Curve) != len(want.Curve) || len(got.FinalParams) != len(want.FinalParams) {
+					t.Fatalf("rank 0 at %d shards: %d points and %d params, want %d and %d",
+						workers, len(got.Curve), len(got.FinalParams), len(want.Curve), len(want.FinalParams))
+				}
+				for i, w := range want.Curve {
+					if g := got.Curve[i]; g.Epoch != w.Epoch || g.Train != w.Train || g.Test != w.Test || g.Loss != w.Loss {
+						t.Errorf("%d shards: curve point %d is %+v, 2 shards %+v", workers, i, g, w)
+					}
+				}
+				for i := range want.FinalParams {
+					if !sameBits(got.FinalParams[i], want.FinalParams[i]) {
+						t.Fatalf("%d shards: final parameter %d is %g, 2 shards %g", workers, i, got.FinalParams[i], want.FinalParams[i])
+					}
+				}
+			}
+		})
+	}
+}

@@ -54,6 +54,14 @@ func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
 	return x, y
 }
 
+// Span returns samples [lo, hi) as a minibatch viewing the dataset's own
+// storage, and their labels: nothing is copied, so the caller must write
+// neither.
+func (d *Dataset) Span(lo, hi int) (*tensor.Tensor, []int) {
+	sz := d.sampleSize()
+	return tensor.FromSlice(d.X.Data[lo*sz:hi*sz], append([]int{hi - lo}, d.SampleShape...)...), d.Y[lo:hi]
+}
+
 // Slice returns a view-free copy of samples [lo, hi), used to partition
 // training data among learners.
 func (d *Dataset) Slice(lo, hi int) *Dataset {

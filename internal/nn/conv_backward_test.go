@@ -173,58 +173,131 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 	}
 }
 
+// heldState reports whether a layer holds any state its Backward reads.
+func heldState(t *testing.T, l Layer) bool {
+	switch l := l.(type) {
+	case *Conv2D:
+		return l.x != nil
+	case *TemporalConv:
+		return l.x != nil || l.cols != nil
+	case *Linear:
+		return l.x != nil
+	case *ReLU:
+		return len(l.mask) != 0
+	case *Tanh:
+		return len(l.out) != 0
+	case *MaxPool2D:
+		return len(l.argmax)+len(l.inShape) != 0
+	case *TemporalMaxPool:
+		return len(l.argmax)+len(l.inShape) != 0
+	case *Flatten:
+		return len(l.inShape) != 0
+	case *Dropout:
+		return len(l.mask) != 0
+	}
+	t.Fatalf("heldState does not know %T", l)
+	return false
+}
+
+// inferenceCase is a layer, or a network, under
+// TestConv2DInferenceForwardRetainsNothing: backward returns every
+// gradient the pass produces, the input gradient first when there is one.
+type inferenceCase struct {
+	name     string
+	x        *tensor.Tensor
+	layers   []Layer
+	forward  func(x *tensor.Tensor, train bool) *tensor.Tensor
+	backward func(g *tensor.Tensor) [][]float64
+	// strayPanics: an inference pass empties the state, so a Backward
+	// after it panics instead of running (Dropout's mask).
+	strayPanics bool
+}
+
+func layerCase(name string, l Layer, x *tensor.Tensor) inferenceCase {
+	return inferenceCase{name: name, x: x, layers: []Layer{l}, forward: l.Forward,
+		backward: func(g *tensor.Tensor) [][]float64 {
+			grads := [][]float64{append([]float64(nil), l.Backward(g).Data...)}
+			for _, p := range l.Params() {
+				grads = append(grads, append([]float64(nil), p.Grad.Data...))
+			}
+			return grads
+		}}
+}
+
 // TestConv2DInferenceForwardRetainsNothing: an inference pass through any
-// of the three GEMM layers (the test is named after the first one fixed)
-// must not keep its batch, or a copy of it, reachable from the layer, nor
-// arm Backward; and between a training Forward and its Backward it must
-// leave the retained state alone.
+// layer (the test is named after the first one fixed), or through a
+// network whose GEMM layers run fused with their activation, writes none
+// of the layers' state. It must not keep its batch, or a copy of it,
+// reachable, nor arm Backward; and between a training Forward and its
+// Backward it must leave the retained state alone, so that the input
+// and parameter gradients are bitwise the training batch's — except
+// Dropout's, whose mask an inference pass empties so that Backward
+// panics instead.
 func TestConv2DInferenceForwardRetainsNothing(t *testing.T) {
-	cases := []struct {
-		name     string
-		layer    Layer
-		x        *tensor.Tensor
-		retained func(l Layer) bool
-	}{
-		{"Conv2D", NewConv2D(rand.New(rand.NewSource(1)), 2, 3, 3, 3), benchInput(2, 2, 5, 5),
-			func(l Layer) bool { return l.(*Conv2D).x != nil }},
-		{"TemporalConv", NewTemporalConv(rand.New(rand.NewSource(1)), 5, 4, 2), benchInput(2, 4, 5),
-			func(l Layer) bool { return l.(*TemporalConv).x != nil || l.(*TemporalConv).cols != nil }},
-		{"Linear", NewLinear(rand.New(rand.NewSource(1)), 7, 4), benchInput(2, 7),
-			func(l Layer) bool { return l.(*Linear).x != nil }},
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
+	dropout := layerCase("Dropout", NewDropout(rng(), 0.5), benchInput(2, 7))
+	dropout.strayPanics = true
+	net := NewNetwork([]int{2, 6, 6},
+		NewConv2D(rng(), 2, 3, 3, 3), NewReLU(), NewMaxPool2D(2, 2), NewFlatten(),
+		NewLinear(rng(), 3*2*2, 5), NewTanh(), NewLinear(rng(), 5, 4))
+	cases := []inferenceCase{
+		layerCase("Conv2D", NewConv2D(rng(), 2, 3, 3, 3), benchInput(2, 2, 5, 5)),
+		layerCase("TemporalConv", NewTemporalConv(rng(), 5, 4, 2), benchInput(2, 4, 5)),
+		layerCase("Linear", NewLinear(rng(), 7, 4), benchInput(2, 7)),
+		layerCase("ReLU", NewReLU(), benchInput(2, 7)),
+		layerCase("Tanh", NewTanh(), benchInput(2, 7)),
+		layerCase("MaxPool2D", NewMaxPool2D(2, 2), benchInput(2, 3, 4, 5)),
+		layerCase("TemporalMaxPool", NewTemporalMaxPool(2), benchInput(2, 5, 3)),
+		layerCase("Flatten", NewFlatten(), benchInput(2, 3, 4)),
+		dropout,
+		{name: "Network", x: benchInput(2, 2, 6, 6), layers: net.Layers(),
+			forward: func(x *tensor.Tensor, train bool) *tensor.Tensor {
+				out := net.Forward(x, train)
+				if train {
+					net.Loss(out, []int{1, 3})
+				}
+				return out
+			},
+			backward: func(*tensor.Tensor) [][]float64 {
+				net.Backward()
+				return [][]float64{append([]float64(nil), net.GradData()...)}
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := tc.layer
-			g := benchInput(l.Forward(tc.x, false).Shape()...)
-			if tc.retained(l) {
-				t.Errorf("%s retains the input of an inference Forward", tc.name)
+			g := benchInput(tc.forward(tc.x, false).Shape()...)
+			for _, l := range tc.layers {
+				if heldState(t, l) {
+					t.Errorf("%s retains state from an inference Forward", l.Name())
+				}
 			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: Backward after an inference Forward did not panic", tc.name)
-					}
-				}()
-				l.Backward(g)
-			}()
+			backwardPanics := func() (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				tc.backward(g)
+				return false
+			}
+			if !backwardPanics() {
+				t.Errorf("%s: Backward after an inference Forward did not panic", tc.name)
+			}
 
 			// Training Forward, an inference Forward on other data in
 			// between, then Backward: the gradients are the training batch's.
-			l.Forward(tc.x, true)
-			l.Backward(g)
-			var want [][]float64
-			for _, p := range l.Params() {
-				want = append(want, append([]float64(nil), p.Grad.Data...))
-			}
+			tc.forward(tc.x, true)
+			want := tc.backward(g)
 			other := tc.x.Clone()
 			for i := range other.Data {
 				other.Data[i] *= -3
 			}
-			l.Forward(tc.x, true)
-			l.Forward(other, false)
-			l.Backward(g)
-			for i, p := range l.Params() {
-				sameBits(t, tc.name+" after an interleaved inference pass", p.Name, p.Grad.Data, want[i])
+			tc.forward(tc.x, true)
+			tc.forward(other, false)
+			if tc.strayPanics {
+				if !backwardPanics() {
+					t.Errorf("%s: Backward after an interleaved inference Forward did not panic", tc.name)
+				}
+				return
+			}
+			for i, got := range tc.backward(g) {
+				sameBits(t, tc.name+" after an interleaved inference pass", fmt.Sprintf("gradient %d", i), got, want[i])
 			}
 		})
 	}

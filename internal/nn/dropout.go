@@ -39,17 +39,17 @@ func (*Dropout) OutShape(in []int) []int { return in }
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.P == 0 {
-		// Inference: identity. Record an empty mask so a stray Backward
-		// after an inference Forward fails loudly instead of reusing a
-		// stale training mask.
-		d.mask = d.mask[:0]
+		// Inference: identity. Empty a training mask so a stray Backward
+		// after an inference Forward fails loudly instead of reusing it;
+		// an empty one is left unwritten, so replicas that only infer
+		// (the recorder's) share the layer across goroutines.
+		if len(d.mask) != 0 {
+			d.mask = d.mask[:0]
+		}
 		return x
 	}
 	out := tensor.New(x.Shape()...)
-	if cap(d.mask) < len(x.Data) {
-		d.mask = make([]float64, len(x.Data))
-	}
-	d.mask = d.mask[:len(x.Data)]
+	d.mask = resize(d.mask, len(x.Data))
 	scale := 1 / (1 - d.P)
 	for i, v := range x.Data {
 		if d.rng.Float64() < d.P {

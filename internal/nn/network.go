@@ -135,10 +135,12 @@ func (n *Network) ParamSegments() []ParamSegment {
 
 // Forward runs the full stack on a minibatch and returns the logits.
 // A GEMM-backed layer directly followed by an activation layer runs as
-// one fused call: the activation is applied in the GEMM epilogue and the
-// activation layer adopts the fused output to rebuild its backward
-// state, so Backward and the layer list are oblivious to the fusion.
-// Fused and unfused execution are bitwise identical.
+// one fused call: the activation is applied in the GEMM epilogue and, on
+// a training pass, the activation layer adopts the fused output to
+// rebuild its backward state, so Backward and the layer list are
+// oblivious to the fusion. Fused and unfused execution are bitwise
+// identical. An inference pass writes no layer's state, so concurrent
+// inference passes may share a network (Predict).
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := x
 	for i := 0; i < len(n.layers); i++ {
@@ -146,7 +148,9 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		if f, ok := l.(fusable); ok && i+1 < len(n.layers) {
 			if a, ok := n.layers[i+1].(epilogueAct); ok {
 				out = f.ForwardFused(out, train, a.fuseKind())
-				a.adopt(out)
+				if train {
+					a.adopt(out)
+				}
 				i++
 				continue
 			}
@@ -205,7 +209,8 @@ func (n *Network) StepThen(x *tensor.Tensor, labels []int, after func()) float64
 func (n *Network) SetTrack(t *obs.Track) { n.track = t }
 
 // Predict returns the argmax class for each sample in x, running the
-// network in inference mode.
+// network in inference mode. It writes nothing of the network's, so
+// calls may run concurrently (not beside a training Step).
 func (n *Network) Predict(x *tensor.Tensor) []int {
 	logits := n.Forward(x, false)
 	nb, c := logits.Dim(0), logits.Dim(1)

@@ -49,12 +49,15 @@ func newParam(name string, shape ...int) *Param {
 //
 // Forward consumes the previous layer's output and returns this layer's
 // output; when train is false, stochastic layers (Dropout) run in
-// inference mode. Backward consumes dL/d(output) and returns dL/d(input),
-// accumulating dL/d(param) into the layer's Param.Grad tensors (layers
-// overwrite, not accumulate, their gradients: one backward pass per
-// forward pass). Layers may retain references to the tensors passed to
-// Forward until the matching Backward completes. A Network's first layer
-// may return nil from Backward: nothing reads dL/d(data) (see firstLayer).
+// inference mode, and no layer writes a field of its own: an inference
+// pass leaves the state Backward reads as it found it, and one layer may
+// serve concurrent inference passes. Backward consumes dL/d(output) and
+// returns dL/d(input), accumulating dL/d(param) into the layer's
+// Param.Grad tensors (layers overwrite, not accumulate, their gradients:
+// one backward pass per forward pass). Layers may retain references to
+// the tensors passed to a training Forward until the matching Backward
+// completes. A Network's first layer may return nil from Backward:
+// nothing reads dL/d(data) (see firstLayer).
 type Layer interface {
 	// Name returns a short human-readable identifier used in the
 	// architecture tables and error messages.
@@ -123,25 +126,36 @@ func (*ReLU) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (*ReLU) OutShape(in []int) []int { return in }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training pass builds the mask.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
+	src, dst := x.Data, out.Data
+	var mask []bool
+	if train {
+		r.mask = resize(r.mask, len(src))
+		mask = r.mask
 	}
-	r.mask = r.mask[:len(x.Data)]
-	src, dst, mask := x.Data, out.Data, r.mask
 	parallel.For(len(src), reluGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if v := src[i]; v > 0 {
+			v := src[i]
+			if v > 0 {
 				dst[i] = v
-				mask[i] = true
-			} else {
-				mask[i] = false
+			}
+			if mask != nil {
+				mask[i] = v > 0
 			}
 		}
 	})
 	return out
+}
+
+// resize returns buf resliced to n elements, reallocated when its
+// capacity is short (a backward state kept between steps).
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 func (*ReLU) fuseKind() tensor.EpilogueAct { return tensor.ActReLU }
@@ -150,10 +164,7 @@ func (*ReLU) fuseKind() tensor.EpilogueAct { return tensor.ActReLU }
 // epilogue's max(0, x) is positive exactly where x was, so the mask read
 // off the output equals the mask Forward would have built from the input.
 func (r *ReLU) adopt(out *tensor.Tensor) {
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
+	r.mask = resize(r.mask, len(out.Data))
 	src, mask := out.Data, r.mask
 	parallel.For(len(src), reluGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -201,7 +212,8 @@ func (*Tanh) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (*Tanh) OutShape(in []int) []int { return in }
 
-// Forward implements Layer.
+// Forward implements Layer. A training pass keeps a copy of the output
+// for Backward's y² term.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	src, dst := x.Data, out.Data
@@ -210,7 +222,9 @@ func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			dst[i] = tanh(src[i])
 		}
 	})
-	t.out = append(t.out[:0], out.Data...)
+	if train {
+		t.adopt(out)
+	}
 	return out
 }
 
@@ -270,7 +284,9 @@ func (*Flatten) OutShape(in []int) []int {
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape()...)
+	if train {
+		f.inShape = append(f.inShape[:0], x.Shape()...)
+	}
 	n := x.Dim(0)
 	return x.Reshape(n, x.Size()/max(n, 1))
 }

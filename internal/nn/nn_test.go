@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"sasgd/internal/tensor"
@@ -264,6 +266,47 @@ func TestNetworkPredict(t *testing.T) {
 	for i, w := range want {
 		if pred[i] != w {
 			t.Errorf("Predict[%d] = %d, want %d", i, pred[i], w)
+		}
+	}
+}
+
+// TestConcurrentPredictMatchesSerial: Predict writes nothing of the
+// network's, so goroutines sharing one network (a CIFAR-shaped one with
+// every layer an inference pass runs, and an NLC-F-shaped one) get the
+// classes serial calls get. Under -race it also holds inference to
+// writing no field.
+func TestConcurrentPredictMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nets := map[string]*Network{
+		"cifar": NewNetwork([]int{3, 8, 8},
+			NewConv2D(rng, 3, 4, 3, 3), NewReLU(), NewMaxPool2D(2, 2), NewFlatten(),
+			NewDropout(rng, 0.5), NewLinear(rng, 4*3*3, 6), NewTanh(), NewLinear(rng, 6, 5)),
+		"nlcf": NewNetwork([]int{6, 4},
+			NewTemporalConv(rng, 4, 5, 2), NewTanh(), NewTemporalMaxPool(2), NewFlatten(),
+			NewLinear(rng, 5*2, 9), NewTanh(), NewLinear(rng, 9, 7)),
+	}
+	for name, net := range nets {
+		batches := make([]*tensor.Tensor, 6)
+		want := make([][]int, len(batches))
+		for i := range batches {
+			batches[i] = tensor.New(append([]int{3 + i}, net.InShape()...)...)
+			batches[i].FillRandn(rng, 0, 1)
+			want[i] = net.Predict(batches[i])
+		}
+		got := make([][]int, len(batches))
+		var wg sync.WaitGroup
+		for i, x := range batches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = net.Predict(x)
+			}()
+		}
+		wg.Wait()
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("%s batch %d: concurrent Predict %v, serial %v", name, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -55,7 +55,8 @@ func (p *MaxPool2D) OutShape(in []int) []int {
 	return []int{in[0], oh, ow}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training pass records the window
+// maxima's positions for Backward.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("nn: %s forward input shape %v", p.Name(), x.Shape()))
@@ -70,11 +71,12 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	oh, ow := p.outHW(h, w)
 	out := tensor.New(n, c, oh, ow)
-	p.inShape = append(p.inShape[:0], n, c, h, w)
-	if cap(p.argmax) < out.Size() {
-		p.argmax = make([]int, out.Size())
+	var argmax []int
+	if train {
+		p.inShape = append(p.inShape[:0], n, c, h, w)
+		p.argmax = resize(p.argmax, out.Size())
+		argmax = p.argmax
 	}
-	p.argmax = p.argmax[:out.Size()]
 	oi := 0
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -99,7 +101,9 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					out.Data[oi] = math.Float64frombits(best)
-					p.argmax[oi] = bestIdx
+					if argmax != nil {
+						argmax[oi] = bestIdx
+					}
 					oi++
 				}
 			}
@@ -160,7 +164,8 @@ func (p *TemporalMaxPool) OutShape(in []int) []int {
 	return []int{(in[0]-kt)/kt + 1, in[1]}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training pass records the maxima's
+// positions for Backward.
 func (p *TemporalMaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 3 {
 		panic(fmt.Sprintf("nn: %s forward input shape %v", p.Name(), x.Shape()))
@@ -172,11 +177,12 @@ func (p *TemporalMaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	ol := (l-kt)/kt + 1
 	out := tensor.New(n, ol, d)
-	p.inShape = append(p.inShape[:0], n, l, d)
-	if cap(p.argmax) < out.Size() {
-		p.argmax = make([]int, out.Size())
+	var argmax []int
+	if train {
+		p.inShape = append(p.inShape[:0], n, l, d)
+		p.argmax = resize(p.argmax, out.Size())
+		argmax = p.argmax
 	}
-	p.argmax = p.argmax[:out.Size()]
 	oi := 0
 	for i := 0; i < n; i++ {
 		for ot := 0; ot < ol; ot++ {
@@ -190,7 +196,9 @@ func (p *TemporalMaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					}
 				}
 				out.Data[oi] = best
-				p.argmax[oi] = bestIdx
+				if argmax != nil {
+					argmax[oi] = bestIdx
+				}
 				oi++
 			}
 		}

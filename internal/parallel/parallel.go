@@ -33,9 +33,10 @@
 // Two places hand a working learner the workers of learners that are
 // parked waiting on it, ⌊budget / learners⌋ × learners shards in all:
 // the evaluation between the epoch-edge barriers (core, through
-// SetWorkers, while no other learner runs a kernel), and the root's last
-// fold of a monolithic tree allreduce (internal/comm, through
-// ForWorkers' cap argument, while every other member waits for the sum).
+// ForWorkers' cap argument, spent as sample shards that each run serial
+// kernels under a budget of 1 set while no other learner runs a kernel),
+// and the root's last fold of a monolithic tree allreduce (internal/comm,
+// through the same cap, while every other member waits for the sum).
 package parallel
 
 import (

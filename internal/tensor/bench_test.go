@@ -218,21 +218,21 @@ func BenchmarkKernelConvFused(b *testing.B) {
 	}
 }
 
-// foldSets lists the row-fold kernel sets BenchmarkKernelSkinny times
-// the two fold products on, and selectFolds switches to one, returning
+// kernelSets lists the skinny kernel sets BenchmarkKernelSkinny times
+// the three products on, and selectKernels switches to one, returning
 // the switch back; the amd64 test file adds the assembly where the CPU
 // can run it.
 var (
-	foldSets    = []string{"go"}
-	selectFolds = func(set string) (restore func()) { return func() {} }
+	kernelSets    = []string{"go"}
+	selectKernels = func(set string) (restore func()) { return func() {} }
 )
 
 // BenchmarkKernelSkinny times the three products of a Linear or
 // TemporalConv layer at the NLC-F net's M=1 shapes (m rows of
-// activations against a k×n weight matrix): forward A·Bᵀ, input
-// gradient A·B, weight gradient Aᵀ·B — the last two, which run the row
-// folds, once per fold kernel set. Bytes/op is the weight matrix, the
-// one operand these products are bound by.
+// activations against a k×n weight matrix): forward A·Bᵀ (dot8), input
+// gradient A·B and weight gradient Aᵀ·B (the row folds), once per kernel
+// set, in GB/s of the weight matrix, the one operand these products are
+// bound by.
 func BenchmarkKernelSkinny(b *testing.B) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -243,27 +243,25 @@ func BenchmarkKernelSkinny(b *testing.B) {
 		x.FillRandn(rng, 0, 1)
 		w.FillRandn(rng, 0, 1)
 		name := fmt.Sprintf("m=%d/in=%d/out=%d", s.m, s.in, s.out)
-		b.Run(name+"/forward", func(b *testing.B) {
-			b.SetBytes(int64(8 * s.in * s.out))
-			for i := 0; i < b.N; i++ {
-				MatMulTransB(y, x, w)
+		bytes := 8 * s.in * s.out
+		for _, set := range kernelSets {
+			for _, p := range []struct {
+				name string
+				run  func()
+			}{
+				{"forward", func() { MatMulTransB(y, x, w) }},
+				{"dx", func() { MatMul(dx, y, w) }},
+				{"dw", func() { MatMulTransA(dw, y, x) }},
+			} {
+				b.Run(name+"/"+p.name+"/"+set, func(b *testing.B) {
+					defer selectKernels(set)()
+					b.SetBytes(int64(bytes))
+					for i := 0; i < b.N; i++ {
+						p.run()
+					}
+					b.ReportMetric(float64(bytes)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GB/s")
+				})
 			}
-		})
-		for _, set := range foldSets {
-			b.Run(name+"/dx/"+set, func(b *testing.B) {
-				defer selectFolds(set)()
-				b.SetBytes(int64(8 * s.in * s.out))
-				for i := 0; i < b.N; i++ {
-					MatMul(dx, y, w)
-				}
-			})
-			b.Run(name+"/dw/"+set, func(b *testing.B) {
-				defer selectFolds(set)()
-				b.SetBytes(int64(8 * s.in * s.out))
-				for i := 0; i < b.N; i++ {
-					MatMulTransA(dw, y, x)
-				}
-			})
 		}
 	}
 }

@@ -3,14 +3,15 @@
 package tensor
 
 // The AVX2 microkernels of gemm_micro_amd64.s, the panel sweeps that
-// drive them, and the skinny tier's row folds. Whether they run is
+// drive them, and the skinny tier's row folds and dot8. Whether they run is
 // decided once, here, from what the CPU and the OS report; the Go
 // kernels of gemm_micro.go and gemm_skinny.go are the fallback on
 // a CPU without AVX2, the whole engine on other architectures and under
 // -tags purego, and the reference the assembly is tested against bit for
 // bit. Both sets meet the one contract stated there.
 
-// useAVX2 is written by its initializer and only read afterwards.
+// useAVX2 is written by its initializer and only read afterwards (but
+// for BenchmarkKernelSkinny, which times the Go kernels with it off).
 var useAVX2 = cpuHasAVX2()
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -67,6 +68,25 @@ func foldRows4AVX2(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64, store bo
 
 //go:noescape
 func foldRowAVX2(c, b0 []float64, a0 float64, store bool)
+
+// dot8AVX2 is dot8Go with the eight chains in the lanes of two
+// registers, lane = output column. It reads the first 8·len(a) words of
+// b and does not check that b holds them: dot8 does.
+//
+//go:noescape
+func dot8AVX2(s *[8]float64, a, b []float64)
+
+// dot8 is dot8Go on whichever kernel set this machine runs. The choice is
+// a branch, not a func variable like the row folds': called through a
+// variable, s would escape and every M = 1 product would allocate. Like
+// dot8Go it panics on a b that cannot hold eight rows.
+func dot8(s *[8]float64, a, b []float64) {
+	if useAVX2 {
+		dot8AVX2(s, a, b[:8*len(a)])
+		return
+	}
+	dot8Go(s, a, b)
+}
 
 func init() {
 	if useAVX2 {

@@ -5,7 +5,7 @@
 // AVX2 forms of the packed engine's microkernels (gemm_micro.go holds the
 // contract and the Go kernels these are tested against, gemm_micro_amd64.go
 // the declarations) and, at the end of the file, of the skinny tier's row
-// folds. The four columns of a B panel are the four lanes of a YMM
+// folds and dot8. The four columns of a B panel are the four lanes of a YMM
 // register, so a lane is one C element and each step performs, per
 // element, the scalar kernel's two roundings in its order: the product
 // (VMULPD), then accumulator + product (VADDPD, accumulator as first
@@ -390,5 +390,91 @@ loop1:
 	JLT    loop1
 
 done:
+	VZEROUPPER
+	RET
+
+// The skinny tier's M = 1 forward product (dot8 in gemm_skinny.go states
+// the contract and is the reference): eight dot products of a against
+// the eight k-long rows of b, s[c] = Σ_l a[l]·b_c[l]. A lane is one output
+// column, so Y0 holds the chains of columns 0–3 and Y1 those of 4–7,
+// each from +0 in ascending l. Two l steps of a row are one 16-byte load;
+// rows c and c+2 share a register (VMOVUPD xmm + VINSERTF128), and
+// VUNPCKLPD/VUNPCKHPD of rows (0, 2) against rows (1, 3) give the columns
+// 0–3 of step l and of step l+1. Each lane then rounds a[l]·b (VMULPD,
+// a as first source) and accumulator + product (VADDPD, accumulator as
+// first source), step l before step l+1. An odd k takes one more step
+// gathered with VMOVSD/VMOVHPD. SI, DI, R8–R13 point at rows 0–7, DX is
+// the byte offset of step l in a and every row, CX counts step pairs.
+// b must hold 8·len(a) words (the Go wrapper slices it so).
+
+// func dot8AVX2(s *[8]float64, a, b []float64)
+TEXT ·dot8AVX2(SB), NOSPLIT, $0-56
+	MOVQ   a_base+8(FP), AX
+	MOVQ   a_len+16(FP), CX
+	MOVQ   b_base+32(FP), SI
+	LEAQ   (CX*8), BX
+	LEAQ   (SI)(BX*1), DI
+	LEAQ   (DI)(BX*1), R8
+	LEAQ   (R8)(BX*1), R9
+	LEAQ   (R9)(BX*1), R10
+	LEAQ   (R10)(BX*1), R11
+	LEAQ   (R11)(BX*1), R12
+	LEAQ   (R12)(BX*1), R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ   DX, DX
+	SHRQ   $1, CX
+	JZ     tail
+
+loop2:
+	VMOVUPD      (SI)(DX*1), X2
+	VINSERTF128  $1, (R8)(DX*1), Y2, Y2
+	VMOVUPD      (DI)(DX*1), X3
+	VINSERTF128  $1, (R9)(DX*1), Y3, Y3
+	VMOVUPD      (R10)(DX*1), X4
+	VINSERTF128  $1, (R12)(DX*1), Y4, Y4
+	VMOVUPD      (R11)(DX*1), X5
+	VINSERTF128  $1, (R13)(DX*1), Y5, Y5
+	VBROADCASTSD (AX)(DX*1), Y8
+	VBROADCASTSD 8(AX)(DX*1), Y9
+	VUNPCKLPD    Y3, Y2, Y6
+	VUNPCKHPD    Y3, Y2, Y7
+	VUNPCKLPD    Y5, Y4, Y10
+	VUNPCKHPD    Y5, Y4, Y11
+	VMULPD       Y6, Y8, Y6
+	VMULPD       Y10, Y8, Y10
+	VMULPD       Y7, Y9, Y7
+	VMULPD       Y11, Y9, Y11
+	VADDPD       Y6, Y0, Y0
+	VADDPD       Y10, Y1, Y1
+	VADDPD       Y7, Y0, Y0
+	VADDPD       Y11, Y1, Y1
+	ADDQ         $16, DX
+	DECQ         CX
+	JNZ          loop2
+
+tail:
+	TESTQ        $1, a_len+16(FP)
+	JZ           done
+	VMOVSD       (SI)(DX*1), X2
+	VMOVHPD      (DI)(DX*1), X2, X2
+	VMOVSD       (R8)(DX*1), X3
+	VMOVHPD      (R9)(DX*1), X3, X3
+	VINSERTF128  $1, X3, Y2, Y2
+	VMOVSD       (R10)(DX*1), X4
+	VMOVHPD      (R11)(DX*1), X4, X4
+	VMOVSD       (R12)(DX*1), X5
+	VMOVHPD      (R13)(DX*1), X5, X5
+	VINSERTF128  $1, X5, Y4, Y4
+	VBROADCASTSD (AX)(DX*1), Y8
+	VMULPD       Y2, Y8, Y2
+	VMULPD       Y4, Y8, Y4
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y4, Y1, Y1
+
+done:
+	MOVQ    s+0(FP), DI
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
 	RET

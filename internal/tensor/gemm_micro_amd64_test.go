@@ -51,12 +51,12 @@ func (g guarded) intact() bool {
 func init() {
 	if useAVX2 {
 		microBench = append(microBench, microBenchKernel{"avx2", micro2x8AVX2})
-		foldSets = append(foldSets, "avx2")
-		selectFolds = func(set string) func() {
+		kernelSets = append(kernelSets, "avx2")
+		selectKernels = func(set string) func() {
 			if set == "go" {
-				foldRows4, foldRow = foldRows4Go, foldRowGo
+				foldRows4, foldRow, useAVX2 = foldRows4Go, foldRowGo, false
 			}
-			return func() { foldRows4, foldRow = foldRows4AVX2, foldRowAVX2 }
+			return func() { foldRows4, foldRow, useAVX2 = foldRows4AVX2, foldRowAVX2, true }
 		}
 	}
 }
@@ -146,6 +146,19 @@ func TestAVX2MicrokernelsMatchGo(t *testing.T) {
 	}
 }
 
+// payloadSpiked is spiked with, at spike 2, NaNs of both signs, quiet and
+// signalling, with payloads.
+func payloadSpiked(rng *rand.Rand, rows, cols, spike int) []float64 {
+	payloads := []uint64{0x7ff8_0000_0000_0bad, 0xfff8_dead_beef_0001, 0x7ff0_0000_0000_0001, 0xfff0_0000_0012_3400}
+	v := spiked(rng, rows, cols, spike).Data
+	for i := range v {
+		if spike == 2 && rng.Intn(16) == 0 {
+			v[i] = math.Float64frombits(payloads[rng.Intn(len(payloads))])
+		}
+	}
+	return v
+}
+
 // TestAVX2FoldsMatchGo holds the row-fold assembly to foldRows4Go and
 // foldRowGo the same way: every length up to two vector steps plus a
 // tail and two layer widths, store and accumulate, rows longer than c
@@ -157,17 +170,8 @@ func TestAVX2FoldsMatchGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("this CPU (or the OS's XCR0) has no AVX2: the assembly kernels are never selected here")
 	}
-	payloads := []uint64{0x7ff8_0000_0000_0bad, 0xfff8_dead_beef_0001, 0x7ff0_0000_0000_0001, 0xfff0_0000_0012_3400}
 	rng := rand.New(rand.NewSource(31))
-	operand := func(rows, cols, spike int) []float64 {
-		v := spiked(rng, rows, cols, spike).Data
-		for i := range v {
-			if spike == 2 && rng.Intn(16) == 0 {
-				v[i] = math.Float64frombits(payloads[rng.Intn(len(payloads))])
-			}
-		}
-		return v
-	}
+	operand := func(rows, cols, spike int) []float64 { return payloadSpiked(rng, rows, cols, spike) }
 	for _, rows := range []int{1, 4} {
 		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 311, 320} {
 			for spike := 0; spike < 3; spike++ {
@@ -201,6 +205,52 @@ func TestAVX2FoldsMatchGo(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestAVX2Dot8MatchesGo holds the M = 1 forward kernel's assembly to
+// dot8Go the same way: every k that ends the pair loop with and without
+// the odd step, up to past a layer width, spiked values as the folds
+// get them, a b longer than its eight rows (what lies past them is real
+// data that must not be used), unaligned operands and untouched guard
+// words. A b shorter than eight rows panics through dot8, as dot8Go
+// panics on it.
+func TestAVX2Dot8MatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("this CPU (or the OS's XCR0) has no AVX2: the assembly kernels are never selected here")
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, k := range []int{0, 1, 2, 3, 7, 8, 100, 199, 200, 320, 321} {
+		for spike := 0; spike < 3; spike++ {
+			for _, extra := range []int{0, 5} {
+				label := fmt.Sprintf("k=%d spike=%d extra=%d", k, spike, extra)
+				a, b := guard(payloadSpiked(rng, 1, k, spike), 1), guard(payloadSpiked(rng, 1, 8*k+extra, spike), 3)
+				var want [8]float64
+				dot8Go(&want, a.view(), b.view())
+				got := guard(make([]float64, 8), 1)
+				dot8AVX2((*[8]float64)(got.view()), a.view(), b.view())
+				mustMatch(t, label, got.view(), want[:])
+				for _, g := range []guarded{a, b, got} {
+					if !g.intact() {
+						t.Fatalf("%s: the assembly kernel wrote outside an operand", label)
+					}
+				}
+			}
+		}
+	}
+	for _, k := range []int{1, 8, 321} {
+		a, short := make([]float64, k), make([]float64, 8*k-1)
+		for name, kern := range map[string]func(*[8]float64, []float64, []float64){"dot8": dot8, "dot8Go": dot8Go} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with k=%d and %d words of b did not panic", name, k, len(short))
+					}
+				}()
+				var s [8]float64
+				kern(&s, a, short)
+			}()
 		}
 	}
 }

@@ -16,16 +16,20 @@ package tensor
 // columns per sweep of the A row, and foldRows4 adds four B rows into
 // each C element per load/store of the C row, in the same order the
 // one-row loop would have added them. Chains never exchange terms, so
-// the results are bitwise those of the reference loops.
+// the results are bitwise those of the reference loops. All three have
+// AVX2 forms (gemm_micro_amd64.s): in the folds a vector lane is one C
+// element of the row, in dot8 one output column.
 //
 // Like gemm_micro.go, this file is under the bounds-check-elimination
 // gate of scripts/check.sh: operand slices are cut to a common length
 // up front and indexed by one range variable.
 
-// dot8 computes eight dot products of a against the eight consecutive
+// dot8Go computes eight dot products of a against the eight consecutive
 // k-long rows of b: s[c] = Σ_l a[l]·b[c·k+l] with k = len(a), each from
 // a zero accumulator in ascending l order, exactly as dotSerial would.
-func dot8(s *[8]float64, a, b []float64) {
+// It is the Go form of dot8, which runs dot8AVX2 where the CPU has it
+// (gemm_micro_amd64.go).
+func dot8Go(s *[8]float64, a, b []float64) {
 	k := len(a)
 	b0, b1, b2, b3 := b[:k], b[k:][:k], b[2*k:][:k], b[3*k:][:k]
 	b4, b5, b6, b7 := b[4*k:][:k], b[5*k:][:k], b[6*k:][:k], b[7*k:][:k]

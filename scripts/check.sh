@@ -470,15 +470,23 @@ run_tests -fuzz 'FuzzFrameStream' -fuzztime 10s -run 'Fuzz' ./internal/comm/wire
 # backward's weight gradient rides MatMulAccTransBRows' two tiers through
 # ConvGradWeightRows and is held to the loops it replaced, and a
 # network's first layer to an unmarked twin; every packed entry point is
-# held to the one-accumulator reference loop, and each AVX2 microkernel
-# and row fold to the Go kernel it replaces), and their parallelism runs
+# held to the one-accumulator reference loop, and each AVX2 microkernel,
+# row fold and dot8 to the Go kernel it replaces), and their parallelism runs
 # through the sharding helpers, so give those determinism tests extra
 # race-detector rounds.
 echo "==> go test -race -count=2 GEMM determinism + fusion + packed/skinny/microkernel differentials"
 # shellcheck disable=SC2086
-run_tests -race -count=2 ${short} -run 'Bitwise|LinearForward|ConvGemm|ConvGradWeightRows|SkinnyShapes|FusedUpdateKernels|AVX2Microkernels|AVX2Folds' ./internal/tensor/
+run_tests -race -count=2 ${short} -run 'Bitwise|LinearForward|ConvGemm|ConvGradWeightRows|SkinnyShapes|FusedUpdateKernels|AVX2Microkernels|AVX2Folds|AVX2Dot8' ./internal/tensor/
 run_tests -race -count=2 -run 'Fused|Conv2DBackwardDifferential|FirstLayerSkipsInputGradient' ./internal/nn/
 run_tests -race -count=2 -run 'Aligned' ./internal/parallel/
+
+# The epoch-edge evaluation runs its sample shards side by side on one
+# shared model replica: an inference pass must write no layer state (the
+# race detector holds concurrent Predict calls to that), and a curve must
+# not move with the shard count.
+echo "==> go test -race -count=2 split evaluation + stateless inference"
+run_tests -race -count=2 -run 'ConcurrentPredict|InferenceForwardRetainsNothing' ./internal/nn/
+run_tests -race -count=2 -run 'EvalShardsBitwise|RecorderAccuracy' ./internal/core/
 
 # Steady-state allocation pins (the race detector's instrumentation
 # allocates, so these only check out in a plain build): the runner's
@@ -519,9 +527,9 @@ run_tests -run 'GemmSteadyStateAllocs|UpdatePathSteadyStateAllocs' ./internal/te
 # idiom precisely so the compiler can prove every index in bounds; a
 # regression shows up as a check_bce diagnostic pointing into
 # gemm_micro.go (gemm_micro_amd64.go and gemm_micro_generic.go hold
-# panel sweeps and the row folds' dispatch, not kernels, and do not
-# match). The skinny kernels (gemm_skinny.go; its Go row folds are the
-# reference the AVX2 ones are held to) cut their operands to a common
+# panel sweeps and the row folds' and dot8's dispatch, not kernels, and
+# do not match). The skinny kernels (gemm_skinny.go; its Go row folds
+# and dot8Go are the reference the AVX2 ones are held to) cut their operands to a common
 # length once per call — those slice checks (IsSliceInBounds) are the
 # idiom — and index them by one range variable, so there the gate is on
 # index checks (IsInBounds), which only a per-element check inside a
