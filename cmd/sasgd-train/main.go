@@ -68,9 +68,7 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every Nth aggregation boundary (with -ckpt)")
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
 	resumeRanks := flag.String("resume-ranks", "", "comma-separated original ranks the resumed learners play, e.g. 0,1,3 after rank 2 died (default: all of them)")
-	debugAddr := flag.String("debug-addr", "", "serve the live /debug/obs snapshot, /debug/vars and /debug/pprof/ profiles on this address during the run (e.g. localhost:6060); with -metrics also Prometheus text on /debug/metrics")
-	metricsOn := flag.Bool("metrics", false, "attach the fleet metrics registry: per-boundary drift/T/compression telemetry, per-rank compute and wall time, straggler detection, and the ranks of the end-of-run report (sasgd and sgd only)")
-	metricsEvents := flag.String("metrics-events", "", "append boundary/T-change/membership/fault/anomaly events to this NDJSON file during the run (implies -metrics)")
+	metricsOn := flag.Bool("metrics", false, "collect the fleet view at every aggregation boundary (per-rank compute and wall time, drift, straggler detection) and print it as the ranks of the end-of-run report (sasgd and sgd only)")
 	flag.Parse()
 
 	sc := experiments.ScaleSmall
@@ -202,42 +200,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Every observing flag attaches a tracer: the debug endpoint serves
-	// it, and the end-of-run report reads it.
+	// Both observing flags attach a tracer: the end-of-run report reads
+	// it. The fleet view feeds only from Algorithm 1's aggregation
+	// boundaries — sasgd's, and sgd's, which runs as Algorithm 1 at p = 1;
+	// -metrics on an asynchronous algorithm is harmless but prints no
+	// ranks.
 	var tracer *obs.Tracer
-	if *trace != "" || *debugAddr != "" || *metricsOn || *metricsEvents != "" {
+	if *trace != "" || *metricsOn {
 		tracer = obs.NewTracer(0)
 		cfg.Tracer = tracer
 	}
-
-	// Metrics: -metrics-events implies collection. The registry only feeds
-	// from Algorithm 1's aggregation boundaries — sasgd's, and sgd's, which
-	// runs as Algorithm 1 at p = 1; attaching it to an asynchronous
-	// algorithm is harmless but yields no fleet view.
-	var reg *obs.Registry
-	var events *os.File
-	if *metricsOn || *metricsEvents != "" {
-		reg = obs.NewRegistry()
-		cfg.Metrics = reg
-		tracer.SetMetrics(reg)
-		if *metricsEvents != "" {
-			var err error
-			if events, err = os.Create(*metricsEvents); err != nil {
-				fmt.Fprintf(os.Stderr, "sasgd-train: -metrics-events: %v\n", err)
-				os.Exit(1)
-			}
-			reg.SetEvents(obs.NewEventLog(events))
-		}
-	}
-
-	if *debugAddr != "" {
-		addr, err := tracer.ServeDebug(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sasgd-train: debug endpoint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("debug endpoint: http://%s/debug/obs\n", addr)
-	}
+	cfg.Metrics = *metricsOn
 
 	fmt.Printf("training %s on %s: p=%d T=%d M=%d γ=%g epochs=%d\n",
 		cfg.Algo, w.Name, cfg.Learners, cfg.Interval, cfg.Batch, cfg.Gamma, cfg.Epochs)
@@ -292,17 +265,5 @@ func main() {
 	}
 	if tracer != nil {
 		core.WriteReport(os.Stdout, cfg, res)
-	}
-	// An event log that lost a line is a failed run, however well the
-	// training went.
-	if events != nil {
-		err := reg.Events().Err()
-		if cerr := events.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sasgd-train: -metrics-events: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }

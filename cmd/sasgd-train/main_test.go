@@ -216,25 +216,27 @@ func TestRetiredFaultKeysExitTwo(t *testing.T) {
 	}
 }
 
-// TestMetricsEventsWriteErrorExitsOne: an event log that cannot be
-// written fails the run. /dev/full accepts the open and refuses every
-// write, so the first boundary event is lost; the command must name the
-// flag and exit 1 rather than report a clean run.
-func TestMetricsEventsWriteErrorExitsOne(t *testing.T) {
+// TestRetiredTelemetryFlagsExitTwo: the run reports through -trace and
+// the end-of-run report only. The live debug server and the NDJSON event
+// log are not flags: the flag package refuses them with exit 2, naming
+// the flag, before anything trains or listens.
+func TestRetiredTelemetryFlagsExitTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary; skipped in -short")
 	}
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skipf("no /dev/full: %v", err)
-	}
-	bin := buildTrain(t, t.TempDir())
-	out, err := exec.Command(bin, "-p", "2", "-epochs", "1", "-workload", "nlcf", "-metrics-events", "/dev/full").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("-metrics-events /dev/full: err = %v, want exit status 1\n%s", err, out)
-	}
-	if want := "sasgd-train: -metrics-events: "; !strings.Contains(string(out), want) {
-		t.Errorf("output %q does not contain %q", out, want)
+	dir := t.TempDir()
+	bin := buildTrain(t, dir)
+	for _, args := range [][]string{{"-debug-addr", "localhost:0"}, {"-metrics-events", "x.ndjson"}} {
+		cmd := exec.Command(bin, append([]string{"-p", "2", "-epochs", "1", "-workload", "nlcf"}, args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("%v printed %q, want it to contain %q", args, out, want)
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // only by the goroutine currently driving that rank (its learner, or
 // its Runner; the two never run a collective concurrently) — so
 // the hot path takes no locks and shares no cache lines across ranks.
-// They are atomics anyway so the -debug-addr endpoint can read a
-// consistent-enough live snapshot mid-run.
+// They are atomics anyway so a Stats snapshot taken from another
+// goroutine is race-free.
 //
 // Wire-size convention: one "word" is one float64 payload element, the
 // unit the fabric cost model charges (XferTime) and the unit the
@@ -117,8 +117,8 @@ func (g *Group) SetTracer(tr *obs.Tracer) {
 }
 
 // AlgoStats is the traffic charged to one collective algorithm. The
-// JSON tags fix the wire shape the live /debug/obs endpoint serves
-// (obs.LiveSnapshot.Stats carries a Stats value through interface{}).
+// JSON tags fix the shape `experiments -json` writes (core.Result
+// carries a Stats value).
 type AlgoStats struct {
 	Words    int64 `json:"words"`    // float64 payload words
 	Messages int64 `json:"messages"` // point-to-point messages
@@ -130,12 +130,6 @@ type FaultStats struct {
 	Evictions int64 `json:"evictions"` // ranks evicted by the failure detector
 	Reforms   int64 `json:"reforms"`   // survivor group re-formations
 	Crashes   int64 `json:"crashes"`   // scheduled learner crashes executed
-}
-
-// Sum returns the total event count, the delta signal the metrics fleet
-// collector uses to emit fault events exactly when something happened.
-func (f FaultStats) Sum() int64 {
-	return f.Evictions + f.Reforms + f.Crashes
 }
 
 // Active reports whether any fault or membership event occurred.
@@ -210,7 +204,9 @@ func (g *Group) Stats() Stats {
 	if occN > 0 {
 		s.PipelineOccupancy = occSum / float64(occN)
 	}
-	s.Faults = g.FaultCounts()
+	if g.ledger != nil {
+		s.Faults = g.ledger.faultCounts()
+	}
 	return s
 }
 
@@ -241,31 +237,4 @@ func (s *Stats) MergeTraffic(o Stats) {
 	s.Launches += o.Launches
 	s.QueueDwell += o.QueueDwell
 	s.WorkerBusy += o.WorkerBusy
-}
-
-// TrafficTotals sums the group's traffic counters without building the
-// Stats map: total words, the cross-island subset, and the hierarchical
-// intra/inter-island rows. The metrics fleet collector samples it at
-// every aggregation boundary, so unlike Stats() it must not allocate.
-func (g *Group) TrafficTotals() (words, cross, hintra, hinter int64) {
-	for r := range g.stats {
-		st := &g.stats[r]
-		for a := algo(0); a < numAlgos; a++ {
-			words += st.words[a].Load()
-		}
-		cross += st.crossWords.Load()
-		hintra += st.words[algoHIntra].Load()
-		hinter += st.words[algoHInter].Load()
-	}
-	return words, cross, hintra, hinter
-}
-
-// FaultCounts returns the membership ledger's counters (zero value
-// when no ledger formed the group). Alloc-free, boundary-rate safe,
-// unlike the full Stats() snapshot.
-func (g *Group) FaultCounts() FaultStats {
-	if g.ledger == nil {
-		return FaultStats{}
-	}
-	return g.ledger.faultCounts()
 }

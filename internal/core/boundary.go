@@ -136,7 +136,7 @@ type engine struct {
 
 	// keepLocal: something reads the replica between an interval's last
 	// local step and its reset — the adaptive T-scheduler's drift
-	// statistic or the fleet gauge — so that step's x ← x − γ·g must be
+	// statistic or the fleet frame — so that step's x ← x − γ·g must be
 	// taken although the reset discards it (localStep). aliased is the
 	// same fact at T = 1, where every step is an interval's last: no
 	// local update ever survives, the replica never leaves the flat
@@ -314,7 +314,7 @@ func (e *engine) boundary(params []float64, step int) bool {
 		return false
 	}
 	// The replica resets to w under a hierarchy, to x′ otherwise; the
-	// fleet gauge's drift is measured against it before the membership
+	// fleet frame's drift is measured against it before the membership
 	// sync (pure local reads).
 	ref := e.xref
 	if e.hier != nil {
@@ -561,7 +561,7 @@ func (e *engine) control(d, r float64, applied bool) {
 	if e.sched.adaptive {
 		e.sched.advance(ctl[n-2], ctl[n-1], e.view.Size())
 	}
-	e.fc.ingest(e.view.G, e.vr, ctl, e.sched.T(), e.ratio)
+	e.fc.ingest(e.vr, ctl, e.sched.T(), e.ratio)
 }
 
 // close stops the runner.

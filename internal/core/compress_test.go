@@ -141,7 +141,7 @@ func buildEngine(t *testing.T, cfg Config, prob *Problem) *engine {
 	cfg = resolved(t, cfg)
 	view := comm.View{G: comm.NewSimGroup(cfg.Learners, nil, nil), Phys: identity(cfg.Learners)}
 	tk := obs.NewTracer(1).Learner(0)
-	fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Metrics, cfg.Learners), tk)
+	fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Learners), tk)
 	e := newEngine(cfg, nil, view, 0, cfg.Learners, prob.Model(cfg.Seed), tk, fc)
 	t.Cleanup(e.close)
 	return e
@@ -182,7 +182,7 @@ func TestFlatEagerCodecAppliesSparse(t *testing.T) {
 		{"topk", func(c *Config) {}, true},
 		{"topk-T1", func(c *Config) { c.Interval = 1 }, true},
 		{"topk-adapt", func(c *Config) { c.CompressAdapt = true }, true},
-		{"topk-metrics", func(c *Config) { c.Metrics = obs.NewRegistry() }, true},
+		{"topk-metrics", func(c *Config) { c.Metrics = true }, true},
 		{"qint8", func(c *Config) { c.Compress = CodecQInt8 }, true},
 		{"topk-delayed", func(c *Config) { c.DelayedApply = true }, false},
 		{"topk-hier", func(c *Config) { c.HierGroups, c.TOuter = 2, 2 }, false},
@@ -202,10 +202,17 @@ func TestFlatEagerCodecAppliesSparse(t *testing.T) {
 			newCompressor = func(name string) comm.Compressor {
 				return &pathCodec{Compressor: comm.NewCompressor(name), plain: &plain, applied: &applied}
 			}
-			finals[i] = Train(cfg, prob).FinalParams
+			res := Train(cfg, prob)
+			finals[i] = res.FinalParams
 			newCompressor = comm.NewCompressor
-			if got := cfg.Metrics.Gauge("sasgd_fleet_captured_mass").Value(); cfg.Metrics != nil && !(got > 0 && got < 1) {
-				t.Fatalf("%s hook=%v: captured-mass share %g, want it strictly inside (0, 1)", tc.name, hook, got)
+			if cfg.Metrics {
+				var sent2, resid2 float64
+				for _, r := range res.Fleet.Ranks {
+					sent2, resid2 = sent2+r.Sent2, resid2+r.Resid2
+				}
+				if got := sent2 / (sent2 + resid2); !(got > 0 && got < 1) {
+					t.Fatalf("%s hook=%v: captured-mass share %g, want it strictly inside (0, 1)", tc.name, hook, got)
+				}
 			}
 			if sparse := tc.sparse && !hook; sparse && (plain.Load() > 0 || applied.Load() == 0) || !sparse && applied.Load() > 0 {
 				t.Fatalf("%s hook=%v: %d collectives materialised the aggregate and %d applied it (want sparse: %v)",

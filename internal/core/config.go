@@ -161,29 +161,25 @@ type Config struct {
 	// accounting in the group's Stats. Applies to Algorithm 1's loop
 	// (SASGD, and SGD as its p = 1 case); nil (the default) keeps every
 	// probe on its nil-check-only fast path. The spans are the run's only
-	// clock: with Metrics attached too, the fleet frame's compute and wall
-	// time are read from the learner tracks.
+	// clock: with Metrics on too, the fleet frame's compute and wall time
+	// are read from the learner tracks.
 	Tracer *obs.Tracer
 
-	// Metrics, when non-nil, attaches the metrics registry to the run:
-	// every aggregation boundary adds a fixed-size fleet frame
-	// (p × obs.FrameWords words) to its control frame, and rank 0 ingests
-	// the fleet view — live ranks, effective T, replica-drift RMS,
-	// compression capture, per-rank compute and wall time, straggler
-	// anomalies, the frame's words on the wire — into the registry's
-	// gauges, event log and anomaly detector. A rank's compute time is its
-	// learner track's forward + backward span total, so a run without a
-	// Tracer gives its learners private one-span tracks for it; event and
-	// series stamps are on the learner tracer's clock. The frame never
-	// touches gradient state, so enabling metrics never changes training
-	// values: FinalParams is bitwise identical with metrics on or off
-	// (simulated times do shift — the frame's words are charged to the
-	// fabric like any other traffic). Nil (the default) keeps every probe
-	// on its nil-check-only fast path. Algorithm 1's loop only (SASGD, and
-	// SGD as its p = 1 case); the asynchronous algorithms ignore it. To
-	// serve it on /debug/metrics, attach it to the debug tracer
-	// (Tracer.SetMetrics) before serving.
-	Metrics *obs.Registry
+	// Metrics turns on the fleet view: every aggregation boundary adds a
+	// fixed-size fleet frame (p × obs.FrameWords words) to its control
+	// frame, and rank 0 ingests it — live ranks, effective T, replica-drift
+	// RMS, per-rank compute and wall time, straggler anomalies, the
+	// frame's words on the wire — into the view Run returns as
+	// Result.Fleet. A rank's compute time is its learner track's forward +
+	// backward span total, so a run without a Tracer gives its learners
+	// private one-span tracks for it. The frame never touches gradient
+	// state, so enabling metrics never changes training values:
+	// FinalParams is bitwise identical with metrics on or off (simulated
+	// times do shift — the frame's words are charged to the fabric like
+	// any other traffic). Off (the default) keeps every probe on its
+	// nil-check-only fast path. Algorithm 1's loop only (SASGD, and SGD as
+	// its p = 1 case); the asynchronous algorithms ignore it.
+	Metrics bool
 
 	// Sim, when non-nil, attaches the fabric simulator: compute and
 	// communication are charged to per-learner clocks and the result

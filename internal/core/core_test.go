@@ -17,7 +17,6 @@ import (
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
 	"sasgd/internal/nn"
-	"sasgd/internal/obs"
 	"sasgd/internal/report"
 	"sasgd/internal/tensor"
 )
@@ -154,7 +153,7 @@ func TestFusedApplyMatchesMaterialised(t *testing.T) {
 							Batch: 4, Epochs: 2, Seed: 9}
 						switch variant {
 						case "metrics":
-							cfg.Metrics = obs.NewRegistry()
+							cfg.Metrics = true
 						case "crash":
 							cfg.Faults = mustPlan(t, "crash=1@1,evict=400ms")
 						}

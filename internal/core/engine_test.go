@@ -82,7 +82,7 @@ func TestT1GradientSumIsGradientBuffer(t *testing.T) {
 		{"topk", func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.1 }, true},
 		{"hier-delayed", func(c *Config) { c.HierGroups, c.DelayedApply = 2, true }, true},
 		{"faults", func(c *Config) { c.Faults = mustPlan(t, "crash=3@2") }, true},
-		{"metrics", func(c *Config) { c.Metrics = obs.NewRegistry() }, false},
+		{"metrics", func(c *Config) { c.Metrics = true }, false},
 		{"adaptive", func(c *Config) { c.TSched = TSchedAdaptive }, false},
 		{"T2", func(c *Config) { c.Interval = 2 }, false},
 	} {
@@ -92,7 +92,7 @@ func TestT1GradientSumIsGradientBuffer(t *testing.T) {
 		net := prob.Model(cfg.Seed)
 		view := comm.View{G: comm.NewSimGroup(cfg.Learners, nil, nil), Phys: identity(cfg.Learners)}
 		tk := obs.NewTracer(1).Learner(0)
-		fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Metrics, cfg.Learners), tk)
+		fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Learners), tk)
 		e := newEngine(cfg, nil, view, 0, cfg.Learners, net, tk, fc)
 		if alias := &e.gs[0] == &net.GradData()[0]; alias != tc.alias {
 			t.Errorf("%s: gs is the gradient buffer: %v, want %v", tc.name, alias, tc.alias)

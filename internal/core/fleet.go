@@ -13,19 +13,18 @@ import (
 // boundary's control frame (boundary.go); the sum of disjoint slots is
 // their concatenation (obs/fleet.go). Virtual rank 0 of the current
 // group then writes the period and top-k fraction decided from that
-// same frame into the live slots and ingests the fleet view: gauges, the
-// drift series, the NDJSON event log, the straggler detector, and the
-// group's traffic and fault gauges.
+// same frame into the live slots and ingests the fleet view: per-rank
+// health, the drift RMS and the straggler detector. Run returns its
+// final snapshot as Result.Fleet, and the end-of-run report prints it.
 //
 // The collector reads no clock of its own: an interval's wall time is
 // the learner track's clock between two boundaries, its compute time the
-// growth of the track's forward + backward totals, and every stamp is on
-// the tracer's epoch. The frame never touches gradient state, so metrics
-// cannot change training values (metrics_test.go); its words are charged
-// to a simulated fabric like any other traffic. A nil collector (metrics
-// off) makes every method a nil-check no-op.
+// growth of the track's forward + backward totals. The frame never
+// touches gradient state, so metrics cannot change training values
+// (metrics_test.go); its words are charged to a simulated fabric like
+// any other traffic. A nil collector (metrics off) makes every method a
+// nil-check no-op.
 type fleetCollector struct {
-	reg   *obs.Registry
 	fleet *obs.Fleet
 	tk    *obs.Track // the learner's track: the interval's clock and compute time
 	sim   *netsim.Sim
@@ -38,18 +37,16 @@ type fleetCollector struct {
 	lastComputeNs int64   // track forward + backward total at the previous encode
 	lastSimComp   float64
 	lastSimComm   float64
-	lastFaults    int64
 }
 
 // newFleetCollector builds rank's collector over its learner track, or
-// nil when the run has no metrics registry. fleet is the shared fleet
-// view (built once per run, before the learners start).
+// nil when metrics are off. fleet is the shared fleet view (built once
+// per run, before the learners start).
 func newFleetCollector(cfg Config, rank, p int, fleet *obs.Fleet, tk *obs.Track) *fleetCollector {
-	if cfg.Metrics == nil {
+	if !cfg.Metrics {
 		return nil
 	}
 	return &fleetCollector{
-		reg:        cfg.Metrics,
 		fleet:      fleet,
 		tk:         tk,
 		sim:        cfg.Sim,
@@ -113,11 +110,11 @@ func (c *fleetCollector) encode(ctl []float64, comp comm.Compressor) []float64 {
 }
 
 // ingest writes the period t and top-k fraction ratio in effect after
-// this boundary into every live slot of the summed control frame, hands
-// it to the fleet view and samples the comm-layer gauges, on virtual
-// rank grank 0 of the CURRENT group g (a survivor group under fault
-// handling: dead ranks' slots stay zero).
-func (c *fleetCollector) ingest(g *comm.Group, grank int, ctl []float64, t int, ratio float64) {
+// this boundary into every live slot of the summed control frame and
+// hands it to the fleet view, on virtual rank grank 0 of the current
+// group (a survivor group under fault handling: dead ranks' slots stay
+// zero).
+func (c *fleetCollector) ingest(grank int, ctl []float64, t int, ratio float64) {
 	if c == nil || grank != 0 {
 		return
 	}
@@ -127,32 +124,5 @@ func (c *fleetCollector) ingest(g *comm.Group, grank int, ctl []float64, t int, 
 			f.Encode(ctl)
 		}
 	}
-	c.fleet.Ingest(c.lastWallNs, ctl)
-	c.sampleComm(g, c.lastWallNs)
-}
-
-// sampleComm publishes the group's traffic and fault counters into
-// gauges and emits a fault event when the fault counters moved since the
-// previous boundary. Registry lookups here are boundary-rate, not
-// hot-path, so going through the interning front door is fine.
-func (c *fleetCollector) sampleComm(g *comm.Group, now int64) {
-	words, cross, hintra, hinter := g.TrafficTotals()
-	c.reg.Gauge("sasgd_comm_words").SetInt(words)
-	c.reg.Gauge("sasgd_comm_cross_words").SetInt(cross)
-	c.reg.Gauge("sasgd_comm_hintra_words").SetInt(hintra)
-	c.reg.Gauge("sasgd_comm_hinter_words").SetInt(hinter)
-	f := g.FaultCounts()
-	if sum := f.Sum(); sum != c.lastFaults {
-		c.reg.Gauge("sasgd_fault_evictions").SetInt(f.Evictions)
-		c.reg.Gauge("sasgd_fault_reforms").SetInt(f.Reforms)
-		c.reg.Gauge("sasgd_fault_crashes").SetInt(f.Crashes)
-		c.reg.Events().Emit(obs.Event{
-			TNs:      now,
-			Type:     obs.EventFault,
-			Boundary: c.boundary - 1,
-			Value:    float64(sum - c.lastFaults),
-			Note:     "fault counters moved",
-		})
-		c.lastFaults = sum
-	}
+	c.fleet.Ingest(ctl)
 }

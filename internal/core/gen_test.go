@@ -135,7 +135,7 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 		cfg.Tracer = obs.NewTracer(1 << 10)
 	}
 	if d.metrics != (v == genFlipMetrics) {
-		cfg.Metrics = obs.NewRegistry()
+		cfg.Metrics = true
 	}
 	switch d.junk {
 	case "gamma":

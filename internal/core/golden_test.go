@@ -17,7 +17,6 @@ import (
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
 	"sasgd/internal/nn"
-	"sasgd/internal/obs"
 )
 
 // Golden pins. TestGeneratedConfigs proves properties that relate two
@@ -172,7 +171,7 @@ var goldenCases = []goldenCase{
 	{name: "adaptiveT_T1", cfg: plain(with(goldenBase(2, 1), func(c *Config) { c.TSched = TSchedAdaptive })),
 		params: 0x0d18de0b3fa8f5f8, curve: 0x2cdb3719857dd614, words: 619, msgs: 17},
 	{name: "metrics_T1", cfg: func(*testing.T, string, *Problem) Config {
-		return with(goldenBase(2, 1), func(c *Config) { c.Metrics = obs.NewRegistry() })
+		return with(goldenBase(2, 1), func(c *Config) { c.Metrics = true })
 	}, params: 0xc41bbe1547d57e5e, curve: 0xd028fa6ecad2f61b, words: 2797, msgs: 61},
 	{name: "crash_T1", cfg: func(t *testing.T, _ string, _ *Problem) Config {
 		plan, err := comm.ParseFaultPlan("crash=1@2,evict=400ms")

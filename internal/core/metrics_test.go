@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,8 +10,8 @@ import (
 	"sasgd/internal/obs"
 )
 
-// TestMetricsBitwiseIdentical pins the observability contract: attaching
-// a metrics registry must not change a single bit of the training
+// TestMetricsBitwiseIdentical pins the observability contract: turning
+// metrics on must not change a single bit of the training
 // result. The fleet frame rides its own buffer and its allreduce touches
 // no gradient state, so FinalParams is bitwise equal with metrics on or
 // off across every boundary policy — plain, compressed,
@@ -60,7 +58,7 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 		if cfg.Faults != nil {
 			cfg.Faults = mustPlan(t, "crash=3@2")
 		}
-		cfg.Metrics = obs.NewRegistry()
+		cfg.Metrics = true
 		metered := Train(cfg, prob)
 
 		if len(plain.FinalParams) == 0 || len(plain.FinalParams) != len(metered.FinalParams) {
@@ -75,7 +73,7 @@ func TestMetricsBitwiseIdentical(t *testing.T) {
 		}
 		// The run must actually have produced a fleet view, not silently
 		// skipped collection.
-		snap := cfg.Metrics.Fleet().Snapshot()
+		snap := metered.Fleet
 		if snap == nil || snap.Boundaries == 0 {
 			t.Fatalf("%s: no fleet boundaries ingested", tc.name)
 		}
@@ -105,18 +103,17 @@ func TestMetricsFrameTrafficPinned(t *testing.T) {
 	// What metrics adds to a plain run, and to a crash-plan run whose
 	// survivor tree spans 3 ranks from boundary 2 on.
 	for _, faults := range []string{"", "crash=3@2"} {
-		run := func(reg *obs.Registry) *Result {
+		run := func(metrics bool) *Result {
 			cfg := base
 			if faults != "" {
 				cfg.Faults = mustPlan(t, faults)
 			}
-			cfg.Metrics = reg
+			cfg.Metrics = metrics
 			return Train(cfg, prob)
 		}
-		plain := run(nil)
-		reg := obs.NewRegistry()
-		metered := run(reg)
-		snap := reg.Fleet().Snapshot()
+		plain := run(false)
+		metered := run(true)
+		snap := metered.Fleet
 		if snap.Boundaries == 0 {
 			t.Fatalf("faults %q: no boundaries ingested", faults)
 		}
@@ -136,9 +133,9 @@ func TestMetricsFrameTrafficPinned(t *testing.T) {
 	// are charged to "sparse", so "tree" is the control frame alone.
 	cfg := base
 	cfg.TSched, cfg.Compress, cfg.CompressK, cfg.CompressAdapt = TSchedAdaptive, CodecTopK, 0.3, true
-	cfg.Metrics = obs.NewRegistry()
+	cfg.Metrics = true
 	res := Train(cfg, prob)
-	b := cfg.Metrics.Fleet().Snapshot().Boundaries
+	b := res.Fleet.Boundaries
 	ctl := res.Comm.PerAlgo["tree"]
 	if want := b * frame * (4 + fleetWords); ctl.Words != want {
 		t.Errorf("all controllers: %d control words over %d boundaries, want %d", ctl.Words, b, want)
@@ -166,22 +163,18 @@ func TestMetricsFrameTrafficPinned(t *testing.T) {
 func TestMetricsFlagsSeededStraggler(t *testing.T) {
 	prob := tinyProblem(64, 24, 6)
 	const p, slow = 8, 2
-	reg := obs.NewRegistry()
-	var events bytes.Buffer
-	reg.SetEvents(obs.NewEventLog(&events))
 	cfg := Config{
 		Algo: AlgoSASGD, Learners: p, Interval: 1, Gamma: 0.05,
 		Batch: 4, Epochs: 3, Seed: 11,
 		Sim: netsim.New(p, netsim.DefaultConfig()), FlopsPerSample: 1e7,
 		Faults:  mustPlan(t, "slow=2:4"),
-		Metrics: reg,
+		Metrics: true,
 	}
 	res := Train(cfg, prob)
 	if res.LiveP != p {
 		t.Fatalf("straggler was evicted (live %d of %d); the test wants it slow but alive", res.LiveP, p)
 	}
-	fleet := reg.Fleet()
-	snap := fleet.Snapshot()
+	snap := res.Fleet
 	if snap.Boundaries < obs.DefaultStreak+1 {
 		t.Fatalf("only %d boundaries — not enough to trip the streak", snap.Boundaries)
 	}
@@ -192,34 +185,28 @@ func TestMetricsFlagsSeededStraggler(t *testing.T) {
 	if !snap.Ranks[slow].Flagged || snap.Ranks[slow].Z < obs.DefaultZ {
 		t.Fatalf("straggler health = %+v", snap.Ranks[slow])
 	}
-	if !strings.Contains(events.String(), `"type":"anomaly"`) {
-		t.Fatal("no anomaly event in the NDJSON log")
-	}
 }
 
 // TestFleetComputeIsTrackPhaseSum pins the one-clock rule: the fleet
 // frame reads a rank's compute time from its learner track, so when the
 // last step is a boundary, every rank's cumulative compute equals the
-// forward + backward total of "learner r" in the tracer's snapshot.
+// forward + backward total of "learner r" in the tracer's profile.
 func TestFleetComputeIsTrackPhaseSum(t *testing.T) {
 	const p = 3
 	tr := obs.NewTracer(0)
-	reg := obs.NewRegistry()
 	// 48 samples over 3 learners at batch 4: 4 steps per epoch, so T = 2
 	// puts a boundary on the last of the 8 steps.
-	Train(Config{
+	res := Train(Config{
 		Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
-		Batch: 4, Epochs: 2, Seed: 3, Tracer: tr, Metrics: reg,
+		Batch: 4, Epochs: 2, Seed: 3, Tracer: tr, Metrics: true,
 	}, tinyProblem(48, 24, 5))
 	phaseNs := map[string]float64{}
-	for _, lt := range tr.Snapshot().Tracks {
-		for _, ph := range lt.Phases {
-			if ph.Phase == obs.PhaseForward.String() || ph.Phase == obs.PhaseBackward.String() {
-				phaseNs[lt.Name] += float64(ph.TotalNs)
-			}
+	for _, pp := range tr.Profile() {
+		if pp.Phase == obs.PhaseForward || pp.Phase == obs.PhaseBackward {
+			phaseNs[pp.Track] += float64(pp.Total)
 		}
 	}
-	snap := reg.Fleet().Snapshot()
+	snap := res.Fleet
 	if snap.Boundaries != 4 {
 		t.Fatalf("%d boundaries ingested, want 4", snap.Boundaries)
 	}
@@ -246,24 +233,24 @@ func TestSlowRankSleepIsSpanned(t *testing.T) {
 		Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
 		Batch: 4, Epochs: 2, Seed: 3, Tracer: tr, Faults: plan,
 	}, tinyProblem(48, 24, 5))
-	phases := map[string]map[string]obs.LivePhase{}
-	for _, lt := range tr.Snapshot().Tracks {
-		phases[lt.Name] = map[string]obs.LivePhase{}
-		for _, ph := range lt.Phases {
-			phases[lt.Name][ph.Phase] = ph
+	phases := map[string]map[obs.Phase]obs.PhaseProfile{}
+	for _, pp := range tr.Profile() {
+		if phases[pp.Track] == nil {
+			phases[pp.Track] = map[obs.Phase]obs.PhaseProfile{}
 		}
+		phases[pp.Track][pp.Phase] = pp
 	}
 	for r := 0; r < p; r++ {
 		lt := phases[fmt.Sprintf("learner %d", r)]
-		fwd, bwd := lt[obs.PhaseForward.String()], lt[obs.PhaseBackward.String()]
+		fwd, bwd := lt[obs.PhaseForward], lt[obs.PhaseBackward]
 		if fwd.Count != steps || bwd.Count != steps {
 			t.Errorf("rank %d: %d forward and %d backward spans, want %d each", r, fwd.Count, bwd.Count, steps)
 		}
 		if r == slow {
-			if got, want := time.Duration(fwd.TotalNs+bwd.TotalNs), steps*sleep; got < want {
+			if got, want := fwd.Total+bwd.Total, steps*sleep; got < want {
 				t.Errorf("slow rank %d: spanned compute %v, want at least steps × %v = %v", r, got, sleep, want)
 			}
-		} else if got, want := time.Duration(lt[obs.PhaseAggWait.String()].TotalNs), steps*sleep/4; got < want {
+		} else if got, want := lt[obs.PhaseAggWait].Total, steps*sleep/4; got < want {
 			t.Errorf("rank %d: agg_wait %v while its peer slept %v, want at least %v", r, got, steps*sleep, want)
 		}
 	}

@@ -62,7 +62,7 @@ func decompose(tr *obs.Tracer, wall time.Duration) (rows []stepRow, learners int
 // WriteReport writes the end-of-run report of a run Run returned res
 // for: the step decomposition of the learner tracks cfg.Tracer holds
 // (the ones this process drove), the traffic of res.Comm, and the ranks
-// of cfg.Metrics' fleet view once it has seen a boundary (DESIGN §8).
+// of res.Fleet (DESIGN §8).
 func WriteReport(w io.Writer, cfg Config, res *Result) {
 	if cfg.Tracer != nil {
 		writeSteps(w, cfg.Tracer, res)
@@ -70,8 +70,8 @@ func WriteReport(w io.Writer, cfg Config, res *Result) {
 	if res.Comm.Words > 0 {
 		writeTraffic(w, cfg.Transport, res.Comm, int64(res.Boundaries))
 	}
-	if snap := cfg.Metrics.Fleet().Snapshot(); snap != nil && snap.Boundaries > 0 {
-		writeRanks(w, snap, cfg.Sim != nil)
+	if res.Fleet != nil {
+		writeRanks(w, res.Fleet, cfg.Sim != nil)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"sasgd/internal/comm"
 	"sasgd/internal/obs"
@@ -94,19 +95,17 @@ func TestReportDecompositionExactPastTheRing(t *testing.T) {
 func TestReportRanksAgreeWithDecomposition(t *testing.T) {
 	cfg := Config{
 		Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05,
-		Batch: 4, Epochs: 2, Seed: 3, Tracer: obs.NewTracer(0), Metrics: obs.NewRegistry(),
+		Batch: 4, Epochs: 2, Seed: 3, Tracer: obs.NewTracer(0), Metrics: true,
 	}
 	res := Train(cfg, tinyProblem(48, 24, 5))
 	counts, out := reportCounts(cfg, res)
 	if counts["forward"] == 0 {
 		t.Fatalf("no forward spans:\n%s", out)
 	}
-	computeNs := map[string]int64{} // learner track name → forward + backward
-	for _, lt := range cfg.Tracer.Snapshot().Tracks {
-		for _, ph := range lt.Phases {
-			if ph.Phase == "forward" || ph.Phase == "backward" {
-				computeNs[lt.Name] += ph.TotalNs
-			}
+	computeNs := map[string]time.Duration{} // learner track name → forward + backward
+	for _, pp := range cfg.Tracer.Profile() {
+		if pp.Phase == obs.PhaseForward || pp.Phase == obs.PhaseBackward {
+			computeNs[pp.Track] += pp.Total
 		}
 	}
 	row0 := fmt.Sprintf("\n0 yes %.1f ", float64(computeNs["learner 0"])/1e6)
@@ -115,7 +114,7 @@ func TestReportRanksAgreeWithDecomposition(t *testing.T) {
 	}
 	rows, _ := decompose(cfg.Tracer, res.Wall)
 	var fleet, spans float64
-	for _, r := range cfg.Metrics.Fleet().Snapshot().Ranks {
+	for _, r := range res.Fleet.Ranks {
 		fleet += r.TotComputeNs
 	}
 	for _, r := range rows {

@@ -7,6 +7,7 @@ import (
 	"sasgd/internal/comm"
 	"sasgd/internal/data"
 	"sasgd/internal/nn"
+	"sasgd/internal/obs"
 	"sasgd/internal/parallel"
 	"sasgd/internal/report"
 )
@@ -70,6 +71,13 @@ type Result struct {
 	// SASGD and SGD; for Downpour and EAMSGD, learner 0's replica at its
 	// own completion.
 	FinalParams []float64
+
+	// Fleet is the final fleet view of a run with Config.Metrics on:
+	// per-rank health, drift RMS, straggler verdicts and the frame's words
+	// on the wire. Nil with metrics off, for the asynchronous algorithms,
+	// and in a process that never ingested a boundary (one that hosts no
+	// boundary's virtual rank 0).
+	Fleet *obs.FleetSnap
 }
 
 // EpochTime returns the mean simulated seconds per epoch (0 when the run

@@ -119,20 +119,21 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		view = comm.View{G: group, Phys: all}
 	}
 	// The run's counters: the group's, or the membership layer's sum over
-	// every group it formed. The tracer's live stats source serves them
-	// to the debug endpoint.
+	// every group it formed.
 	stats := view.G.Stats
 	if mem != nil {
 		stats = mem.Stats
 	}
-	cfg.Tracer.SetStats(func() interface{} { return stats() })
-	fleet := obs.NewFleet(cfg.Metrics, p)
 	// The learner tracks are the fleet frame's clock and compute time. A
 	// metrics-only run gives them a tracer of one-span rings that nothing
 	// else in the run sees.
+	var fleet *obs.Fleet
 	learnerTracer := cfg.Tracer
-	if learnerTracer == nil && cfg.Metrics != nil {
-		learnerTracer = obs.NewTracer(1)
+	if cfg.Metrics {
+		fleet = obs.NewFleet(p)
+		if learnerTracer == nil {
+			learnerTracer = obs.NewTracer(1)
+		}
 	}
 	var samples, boundaries atomic.Int64
 	var finalParams []float64
@@ -280,6 +281,11 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		mem.Close()
 	}
 	simTime, compute, communication := cfg.simSplits()
+	// A process that hosts no boundary's virtual rank 0 never ingests.
+	snap := fleet.Snapshot()
+	if snap != nil && snap.Boundaries == 0 {
+		snap = nil
+	}
 	return &Result{
 		Algo:        cfg.Algo,
 		P:           p,
@@ -296,6 +302,7 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		CompressK:   finalRatio,
 		LiveP:       liveP,
 		FinalParams: finalParams,
+		Fleet:       snap,
 	}, nil
 }
 
@@ -312,7 +319,7 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 //	              can see, since no parameter is ever −0 (DESIGN §12).
 //	both          one pass over g instead of two.
 //
-// When the T-scheduler or the fleet gauge is attached no update is
+// When the T-scheduler or the fleet frame is attached no update is
 // skipped: both read the drift of the replica the last step moved.
 func (e *engine) localStep(params []float64, last bool) {
 	keepX := !last || e.keepLocal

@@ -42,18 +42,18 @@ const (
 
 // Frame is one rank's decoded health block.
 type Frame struct {
-	Rank       int     `json:"rank"`
-	Live       bool    `json:"live"`
-	Boundary   int     `json:"boundary"`
-	T          int     `json:"t"`
-	DriftSq    float64 `json:"drift_sq"`
-	ComputeNs  float64 `json:"compute_ns"`
-	WallNs     float64 `json:"wall_ns"`
-	SimCompute float64 `json:"sim_compute_s"`
-	SimComm    float64 `json:"sim_comm_s"`
-	Ratio      float64 `json:"ratio"`
-	Sent2      float64 `json:"sent2"`
-	Resid2     float64 `json:"resid2"`
+	Rank       int
+	Live       bool
+	Boundary   int
+	T          int
+	DriftSq    float64
+	ComputeNs  float64
+	WallNs     float64
+	SimCompute float64
+	SimComm    float64
+	Ratio      float64
+	Sent2      float64
+	Resid2     float64
 }
 
 // Encode writes f into its slot of a fleet buffer.
@@ -99,63 +99,39 @@ func DecodeFrame(buf []float64, r int) Frame {
 // cumulative totals and the anomaly detector's verdict.
 type RankHealth struct {
 	Frame
-	TotComputeNs  float64 `json:"tot_compute_ns"`
-	TotWallNs     float64 `json:"tot_wall_ns"`
-	TotSimCompute float64 `json:"tot_sim_compute_s"`
-	TotSimComm    float64 `json:"tot_sim_comm_s"`
-	Z             float64 `json:"z"`       // latest leave-one-out z-score of the compute signal
-	Flagged       bool    `json:"flagged"` // straggler/anomaly verdict (sticky)
+	TotComputeNs  float64
+	TotWallNs     float64
+	TotSimCompute float64
+	TotSimComm    float64
+	Z             float64 // latest leave-one-out z-score of the compute signal
+	Flagged       bool    // straggler/anomaly verdict (sticky)
 }
 
 // Fleet is the cross-rank health view rank 0 maintains: the latest
-// decoded frame per rank, cumulative per-rank totals, fleet-level
-// gauges in the registry, and the straggler detector. Ingest runs at
-// boundary cadence under a mutex — the hot path never touches it.
+// decoded frame per rank, cumulative per-rank totals, the fleet's
+// replica-drift RMS and the straggler detector. Ingest runs at boundary
+// cadence under a mutex — the hot path never touches it. A nil *Fleet
+// (metrics off) makes every method a no-op.
 type Fleet struct {
-	reg *Registry
 	p   int
 	det *Detector
-
-	gLive     *Gauge
-	gT        *Gauge
-	gDrift    *Gauge
-	gBoundary *Gauge
-	gRatio    *Gauge
-	gCaptured *Gauge
-	cAnomaly  *Counter
-	rDrift    *SampleRing
 
 	mu         sync.Mutex
 	boundaries int64
 	words      int64 // control-frame words the boundaries' collectives moved
 	lastLive   int
 	lastT      int
+	drift      float64 // replica-drift RMS over the live ranks at the last boundary
 	ranks      []RankHealth
 	sig        []float64 // detector scratch: per-rank compute signal
 	liveMask   []bool
 }
 
-// NewFleet builds the fleet view for p ranks, registers its gauges on
-// reg, and attaches itself as reg's fleet. Nil-safe: a nil registry
-// returns a nil fleet, whose methods are no-ops.
-func NewFleet(reg *Registry, p int) *Fleet {
-	if reg == nil {
-		return nil
-	}
+// NewFleet builds the fleet view for p ranks.
+func NewFleet(p int) *Fleet {
 	f := &Fleet{
-		reg: reg,
-		p:   p,
-		det: NewDetector(p, 0, 0, 0),
-
-		gLive:     reg.Gauge("sasgd_fleet_live_ranks"),
-		gT:        reg.Gauge("sasgd_fleet_effective_t"),
-		gDrift:    reg.Gauge("sasgd_fleet_drift_rms"),
-		gBoundary: reg.Gauge("sasgd_fleet_boundaries"),
-		gRatio:    reg.Gauge("sasgd_fleet_compress_ratio"),
-		gCaptured: reg.Gauge("sasgd_fleet_captured_mass"),
-		cAnomaly:  reg.Counter("sasgd_fleet_anomalies_total"),
-		rDrift:    reg.Ring("sasgd_fleet_drift_rms_series", 1024),
-
+		p:        p,
+		det:      NewDetector(p, 0, 0, 0),
 		ranks:    make([]RankHealth, p),
 		sig:      make([]float64, p),
 		liveMask: make([]bool, p),
@@ -163,19 +139,16 @@ func NewFleet(reg *Registry, p int) *Fleet {
 	for r := range f.ranks {
 		f.ranks[r].Rank = r
 	}
-	reg.fleet.Store(f)
 	return f
 }
 
 // Ingest decodes one boundary's summed control frame — p frame slots,
 // then any other words that rode the same collective — updates the
-// per-rank view, the fleet gauges and the drift series, runs the
-// straggler detector, and emits boundary / t_change / membership /
-// anomaly events, all stamped at stamp (ns on the tracer's clock). It
+// per-rank view and the drift RMS, and runs the straggler detector. It
 // counts the words the frame's binomial-tree allreduce moved over the L
 // live ranks: 2(L−1) messages, reduce and broadcast legs, of len(buf)
 // words. Called by the boundary's virtual rank 0 only.
-func (f *Fleet) Ingest(stamp int64, buf []float64) {
+func (f *Fleet) Ingest(buf []float64) {
 	if f == nil {
 		return
 	}
@@ -183,9 +156,7 @@ func (f *Fleet) Ingest(stamp int64, buf []float64) {
 	defer f.mu.Unlock()
 	f.boundaries++
 
-	live, t := 0, 0
-	driftSq, refBoundary := 0.0, 0
-	ratio, sent2, resid2 := 0.0, 0.0, 0.0
+	live, t, driftSq := 0, 0, 0.0
 	for r := 0; r < f.p && (r+1)*FrameWords <= len(buf); r++ {
 		fr := DecodeFrame(buf, r)
 		h := &f.ranks[r]
@@ -201,17 +172,7 @@ func (f *Fleet) Ingest(stamp int64, buf []float64) {
 		h.TotSimCompute += fr.SimCompute
 		h.TotSimComm += fr.SimComm
 		driftSq += fr.DriftSq
-		if fr.T > t {
-			t = fr.T
-		}
-		if fr.Boundary > refBoundary {
-			refBoundary = fr.Boundary
-		}
-		if fr.Ratio > ratio {
-			ratio = fr.Ratio
-		}
-		sent2 += fr.Sent2
-		resid2 += fr.Resid2
+		t = max(t, fr.T)
 		// The straggler signal: simulated compute when the fabric
 		// simulator priced the interval (deterministic, straggler
 		// slowdowns included), wall compute otherwise.
@@ -221,57 +182,29 @@ func (f *Fleet) Ingest(stamp int64, buf []float64) {
 			f.sig[r] = fr.ComputeNs
 		}
 	}
-	drift := 0.0
+	f.drift = 0
 	if live > 0 {
-		drift = math.Sqrt(driftSq / float64(live))
+		f.drift = math.Sqrt(driftSq / float64(live))
 		f.words += int64(2*(live-1)) * int64(len(buf))
-	}
-
-	f.gLive.SetInt(int64(live))
-	f.gT.SetInt(int64(t))
-	f.gDrift.Set(drift)
-	f.gBoundary.SetInt(f.boundaries)
-	f.gRatio.Set(ratio)
-	if tot := sent2 + resid2; tot > 0 {
-		f.gCaptured.Set(sent2 / tot)
-	}
-	f.rDrift.RecordAt(stamp, drift)
-
-	events := f.reg.Events()
-	events.Emit(Event{TNs: stamp, Type: EventBoundary, Boundary: refBoundary,
-		Live: live, T: t, Value: drift})
-	if f.boundaries > 1 && t != f.lastT {
-		events.Emit(Event{TNs: stamp, Type: EventTChange, Boundary: refBoundary,
-			Live: live, T: t, Note: "adaptive period moved"})
-	}
-	if f.boundaries > 1 && live != f.lastLive {
-		events.Emit(Event{TNs: stamp, Type: EventMembership, Boundary: refBoundary,
-			Live: live, T: t, Note: "live set changed"})
 	}
 	f.lastT, f.lastLive = t, live
 
-	newly := f.det.Observe(f.sig, f.liveMask)
+	f.det.Observe(f.sig, f.liveMask)
 	for r := range f.ranks {
 		f.ranks[r].Z = f.det.Z(r)
 		f.ranks[r].Flagged = f.det.Flagged(r)
 	}
-	for _, r := range newly {
-		f.cAnomaly.Inc()
-		events.Emit(Event{TNs: stamp, Type: EventAnomaly, Rank: r,
-			Boundary: refBoundary, Live: live, T: t,
-			Value: f.det.Z(r), Note: "phase timing outside peer z-band"})
-	}
 }
 
-// FleetSnap is the fleet view's JSON shape.
+// FleetSnap is a copy of the fleet view.
 type FleetSnap struct {
-	Boundaries int64        `json:"boundaries"`
-	Words      int64        `json:"words"` // control-frame words on the wire
-	Live       int          `json:"live"`
-	T          int          `json:"t"`
-	DriftRMS   float64      `json:"drift_rms"`
-	Ranks      []RankHealth `json:"ranks"`
-	Anomalies  []int        `json:"anomalies"` // flagged ranks, ascending
+	Boundaries int64
+	Words      int64 // control-frame words on the wire
+	Live       int
+	T          int
+	DriftRMS   float64
+	Ranks      []RankHealth
+	Anomalies  []int // flagged ranks, ascending
 }
 
 // Snapshot returns the current fleet view (nil on nil fleet). Safe at
@@ -287,7 +220,7 @@ func (f *Fleet) Snapshot() *FleetSnap {
 		Words:      f.words,
 		Live:       f.lastLive,
 		T:          f.lastT,
-		DriftRMS:   f.gDrift.Value(),
+		DriftRMS:   f.drift,
 		Ranks:      append([]RankHealth(nil), f.ranks...),
 		Anomalies:  []int{},
 	}

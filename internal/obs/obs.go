@@ -2,12 +2,10 @@
 // recorder (Track) is the only clock: core, comm and nn time each
 // instrumented cut once, as a span, and everything else reads those
 // spans — a Chrome trace-event (Perfetto) JSON timeline, the per-phase
-// sums of the end-of-run report (Sums), the live
-// per-phase aggregates of the HTTP debug endpoint, and the fleet health
-// frame, whose compute time is the learner track's forward + backward
-// total (Track.PhaseNs). Beside the spans sit the metrics registry's
-// counters, gauges and stamped sample rings (registry.go), the fleet
-// view and straggler detector (fleet.go), and the NDJSON event log.
+// sums of the end-of-run report (Sums), and the fleet health frame,
+// whose compute time is the learner track's forward + backward total
+// (Track.PhaseNs). Beside the spans sit the fleet view and its
+// straggler detector (fleet.go).
 //
 // Design constraints, in priority order:
 //
@@ -20,9 +18,8 @@
 //     Each Track is a preallocated ring of spans written by exactly one
 //     goroutine (its learner, or its rank's comm runner); timestamps
 //     come from the monotonic clock (time.Since of the tracer's epoch);
-//     the only cross-goroutine traffic is the atomic publish of the
-//     span count, which is what lets the debug endpoint read live
-//     aggregates without stopping the run.
+//     the span count and the per-phase totals are atomics, so PhaseNs
+//     and Sums are race-free from any goroutine, mid-run included.
 //  3. Exported timelines must be faithful: spans on one track are
 //     emitted as properly nested begin/end pairs in timestamp order, so
 //     a delayed run visibly shows its in-flight allreduce on the
@@ -90,8 +87,8 @@ type span struct {
 	arg   int32 // bucket index etc., NoArg when none
 }
 
-// phaseAgg is a track's live per-phase aggregate, readable while the
-// run is in flight (debug endpoint).
+// phaseAgg is a track's per-phase aggregate, readable while the run is
+// in flight and exact however small the ring.
 type phaseAgg struct {
 	count atomic.Int64
 	ns    atomic.Int64
@@ -234,16 +231,13 @@ const DefaultTrackSpans = 1 << 14
 // creation is locked (it happens once per learner at run setup); span
 // recording is per-track and lock-free. Export and profiles read the
 // rings and must run after the recording goroutines have finished (end
-// of run); the live aggregates and the stats source are safe at any
-// time.
+// of run); the per-phase totals are safe at any time.
 type Tracer struct {
 	epoch    time.Time
 	trackCap int
 	nowFn    func() int64 // test hook; nil = monotonic clock
 	mu       sync.Mutex
 	tracks   []*Track
-	statsFn  atomic.Value // func() interface{} — live comm-stats source
-	metrics  *Registry    // set before serving (SetMetrics)
 }
 
 // NewTracer returns a tracer whose tracks hold trackSpans spans each
@@ -332,35 +326,4 @@ func (tr *Tracer) Tracks() []*Track {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return append([]*Track(nil), tr.tracks...)
-}
-
-// SetStats registers a live statistics source (typically the comm
-// group's Stats closure) that the debug endpoint serves alongside the
-// phase aggregates. Nil-safe.
-func (tr *Tracer) SetStats(f func() interface{}) {
-	if tr == nil || f == nil {
-		return
-	}
-	tr.statsFn.Store(f)
-}
-
-// Stats invokes the registered live source (nil when none).
-func (tr *Tracer) Stats() interface{} {
-	if tr == nil {
-		return nil
-	}
-	if f, ok := tr.statsFn.Load().(func() interface{}); ok && f != nil {
-		return f()
-	}
-	return nil
-}
-
-// SetMetrics attaches a metrics registry to the debug plane: the live
-// snapshot embeds its JSON view and /debug/metrics serves it with the
-// tracks' phase aggregates. The link is a plain field: set it before
-// ServeDebug or Handler. Nil-safe.
-func (tr *Tracer) SetMetrics(reg *Registry) {
-	if tr != nil {
-		tr.metrics = reg
-	}
 }

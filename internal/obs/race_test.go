@@ -7,9 +7,8 @@ import (
 )
 
 // TestConcurrentTracksNeverCorrupt exercises the concurrency contract:
-// many tracks written simultaneously by their owning goroutines, with a
-// snapshot reader polling live aggregates throughout (the debug
-// endpoint's access pattern), then a post-quiesce export. Run under
+// many tracks written simultaneously by their owning goroutines, then a
+// post-quiesce export. Run under
 // -race in scripts/check.sh; the export must still validate with every
 // span intact.
 func TestConcurrentTracksNeverCorrupt(t *testing.T) {
@@ -21,20 +20,6 @@ func TestConcurrentTracksNeverCorrupt(t *testing.T) {
 		learners[r] = tr.Learner(r)
 		workers[r] = tr.CommWorker(r)
 	}
-	stop := make(chan struct{})
-	var snaps sync.WaitGroup
-	snaps.Add(1)
-	go func() {
-		defer snaps.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tr.Snapshot()
-			}
-		}
-	}()
 
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -55,8 +40,6 @@ func TestConcurrentTracksNeverCorrupt(t *testing.T) {
 		}(workers[r])
 	}
 	wg.Wait()
-	close(stop)
-	snaps.Wait()
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf); err != nil {

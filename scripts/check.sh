@@ -61,12 +61,22 @@ if [ -n "$walk" ]; then
     exit 1
 fi
 
-# One telemetry plane: spans, registry, fleet view and exporters live in
-# internal/obs, and report formatting in internal/report. The two old
+# One telemetry plane: spans, the fleet view and the trace exporter live
+# in internal/obs, and report formatting in internal/report. The two old
 # packages, both named metrics, must not come back.
 echo "==> no import of the retired metrics packages"
 if grep -rn --include='*.go' 'sasgd/internal/obs/metrics\|sasgd/internal/metrics"' .; then
     echo "FAIL: a retired metrics package is imported"
+    exit 1
+fi
+
+# One telemetry surface: a run reports through -trace and the end-of-run
+# report. The live debug server (HTTP, expvar, pprof), the NDJSON event
+# log and the metrics registry under them must not come back.
+echo "==> no live debug server, event log or metrics registry"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+    '"net/http|"expvar|ServeDebug|EventLog|SampleRing|NewRegistry|debug-addr|metrics-events' .; then
+    echo "FAIL: the live debug server, the event log or the metrics registry is back"
     exit 1
 fi
 
@@ -85,10 +95,10 @@ fi
 # Problem or a file named in a Config can get wrong, and the panics
 # that remain are programming errors. Pin their count in non-test Go
 # outside bench/, so a new one has to take an old one's place.
-echo "==> panic( sites in non-test Go outside bench/: at most 122"
+echo "==> panic( sites in non-test Go outside bench/: at most 121"
 panics="$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'panic(' . | wc -l)"
-if [ "$panics" -gt 122 ]; then
-    echo "FAIL: $panics panic( lines, want at most 122"
+if [ "$panics" -gt 121 ]; then
+    echo "FAIL: $panics panic( lines, want at most 121"
     exit 1
 fi
 # Bytes off a socket are the peer's, not this program's: whatever they
@@ -190,10 +200,10 @@ if [ "$fields" -gt 30 ]; then
     echo "FAIL: $fields Config fields, want at most 30"
     exit 1
 fi
-echo "==> sasgd-train flags: at most 34"
+echo "==> sasgd-train flags: at most 32"
 flags="$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/sasgd-train/main.go)"
-if [ "$flags" -gt 34 ]; then
-    echo "FAIL: $flags sasgd-train flags, want at most 34"
+if [ "$flags" -gt 32 ]; then
+    echo "FAIL: $flags sasgd-train flags, want at most 32"
     exit 1
 fi
 
@@ -415,11 +425,10 @@ run_tests -race -count=2 -run 'CrossTransport|GroupClose|TCP|Wire|MultiProcess' 
 run_tests -race -count=2 -run 'TrainTCP|MultiEndpoint' ./internal/core/
 
 # The telemetry plane's whole design is lock-free concurrent recording
-# (per-track ring buffers, atomic counters, gauges and sample rings
-# written by p learners while the exporters snapshot them), so give its
-# concurrency tests — tracks and registry — the same extra race-detector
-# rounds.
-echo "==> go test -race -count=2 obs concurrent tracks + registry writes"
+# (per-track ring buffers and atomic per-phase totals written by p
+# learners and their comm workers at once), so give its concurrent-track
+# test the same extra race-detector rounds.
+echo "==> go test -race -count=2 obs concurrent track writes"
 run_tests -race -count=2 -run 'Concurrent' ./internal/obs/
 
 # The asynchronous loop's schedule-sensitive surfaces: the virtual-time
@@ -516,8 +525,8 @@ if ! grep -q '^BenchmarkTopkAllreduce/root/m=99831' <<<"$topk_bench"; then
 fi
 echo "==> go test wire-codec + streaming-reader zero-alloc pins"
 run_tests -run 'SteadyStateAllocs' ./internal/comm/wire/
-echo "==> go test obs disabled-path zero-alloc pins (tracks + registry)"
-run_tests -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree|NilRegistryIsSafeAndFree|RegistryRecordIsAllocFree' ./internal/obs/
+echo "==> go test obs disabled-path zero-alloc pins (tracks + fleet)"
+run_tests -run 'NilTrackIsSafeAndFree|EnabledRecordIsAllocFree|NilFleetIsSafeAndFree' ./internal/obs/
 echo "==> go test tensor GEMM + update-path zero-alloc pins"
 run_tests -run 'GemmSteadyStateAllocs|UpdatePathSteadyStateAllocs' ./internal/tensor/
 
