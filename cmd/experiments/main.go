@@ -26,7 +26,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "seed offset for replication runs")
 	replicas := flag.Int("replicas", 3, "seeds averaged per convergence curve (1 = single run)")
 	jsonDir := flag.String("json", "", "also write each item's structured result as JSON into this directory")
-	trace := flag.String("trace", "", "Chrome-trace output file for the faults item's crash run")
+	trace := flag.String("trace", "", "Chrome-trace output file for the faults item's restart after the crash")
 	flag.Parse()
 
 	opt := experiments.Opt{Out: os.Stdout, Epochs: *epochs, Seed: *seed, Replicas: *replicas,

@@ -63,7 +63,7 @@ func main() {
 	rank := flag.Int("rank", envRank(), "with -transport tcp: the single learner rank this process hosts, meeting its peers over -peers (-1 = host every rank over TCP loopback; default from SASGD_RANK)")
 	peers := flag.String("peers", os.Getenv("SASGD_PEERS"), "with -transport tcp -rank N: comma-separated host:port for every rank in order, e.g. 127.0.0.1:7000,127.0.0.1:7001 (default from SASGD_PEERS)")
 	paramsOut := flag.String("params-out", "", "write the final parameters to this file as little-endian float64 words (rank-0 process only)")
-	faults := flag.String("faults", "", "SASGD fault-injection plan, e.g. slow=2:4,crash=3@10,evict=500ms")
+	faults := flag.String("faults", "", "SASGD fault-injection plan: slow=R:K (rank R computes K× slower) and crash=R@B (rank R fails at boundary B, which ends the run with its error; resume the survivors with -resume and -resume-ranks), e.g. slow=2:4,crash=3@10")
 	ckpt := flag.String("ckpt", "", "SASGD checkpoint path written at aggregation boundaries; a %d in the path keeps one file per boundary (x′ and counters only, so not with -delayed, -hier-groups or -compress; a resume replays the run exactly on nlcf, not on cifar, whose dropout RNG is not saved)")
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint every Nth aggregation boundary (with -ckpt)")
 	resume := flag.String("resume", "", "resume SASGD training from this checkpoint file")
@@ -174,8 +174,8 @@ func main() {
 		if *rank < 0 {
 			tr, err = comm.NewTCPLoopback(cfg.Learners)
 		} else {
-			if *sim || cfg.Faults != nil {
-				fmt.Fprintf(os.Stderr, "sasgd-train: -rank (multi-process) composes with neither -sim nor -faults\n")
+			if *sim {
+				fmt.Fprintf(os.Stderr, "sasgd-train: -rank (multi-process) does not compose with -sim\n")
 				os.Exit(2)
 			}
 			addrs := strings.Split(*peers, ",")
@@ -247,10 +247,6 @@ func main() {
 	}
 	if res.CompressK > 0 {
 		fmt.Printf("compression: final top-k fraction %.4g (%d words on the wire)\n", res.CompressK, res.WordsMoved)
-	}
-	if f := res.Comm.Faults; f.Active() {
-		fmt.Printf("faults: %d crashes, %d evictions, %d re-forms (%d/%d learners live)\n",
-			f.Crashes, f.Evictions, f.Reforms, res.LiveP, res.P)
 	}
 	if *sim {
 		fmt.Printf("simulated: %.3fs total, %.3fs/epoch (compute %.3fs, communication %.3fs per learner)\n",

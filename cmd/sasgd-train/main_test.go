@@ -191,9 +191,10 @@ func TestCodecOnNonSASGDExitsTwo(t *testing.T) {
 }
 
 // TestRetiredFaultKeysExitTwo: a fault is a slow rank or a crash. The
-// message-fate keys (drop, delay, burst) and the seed they drew from
-// are refused with exit 2, naming the key, before anything trains —
-// rather than a script that still passes them running without them.
+// message-fate keys (drop, delay, burst), the seed they drew from and
+// the eviction timeout of the retired membership ledger are refused
+// with exit 2, naming the key, before anything trains — rather than a
+// script that still passes them running without them.
 func TestRetiredFaultKeysExitTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary; skipped in -short")
@@ -202,6 +203,7 @@ func TestRetiredFaultKeysExitTwo(t *testing.T) {
 	for _, c := range []struct{ spec, clause, key string }{
 		{"drop=0.1", "drop=0.1", "drop"},
 		{"seed=1,slow=1:2", "seed=1", "seed"},
+		{"crash=1@2,evict=500ms", "evict=500ms", "evict"},
 	} {
 		args := []string{"-p", "2", "-epochs", "1", "-workload", "nlcf", "-faults", c.spec}
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -334,6 +336,83 @@ func TestRunErrorsPeerKilledExitsOne(t *testing.T) {
 		!strings.Contains(msg, "link 1→0") || strings.Contains(msg, "goroutine ") {
 		t.Errorf("rank 0's stderr %q, want one sasgd-train: line naming link 1→0 and no goroutine dump", msg)
 	}
+}
+
+// TestTwoProcessCrashThenRestart: recovery is restart, across real
+// processes. Rank 1 of a two-process TCP run crashes at boundary 2
+// (-faults crash=1@2): its process exits 1 naming the crash, and rank
+// 0's exits 1 naming the link that ended, each within 10 s on one
+// stderr line with no goroutine dump. The survivor then relaunches
+// alone from the boundary-2 checkpoint rank 0 wrote, and lands on the
+// final parameters of the same crash and restart run in one process
+// over channels, bit for bit.
+func TestTwoProcessCrashThenRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary and trains five processes; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := buildTrain(t, dir)
+	common := []string{"-workload", "nlcf", "-T", "2", "-epochs", "1", "-batch", "8", "-seed", "7"}
+	crash := append([]string{"-p", "2", "-faults", "crash=1@2"}, common...)
+	const crashed = "rank 1 crashed at boundary 2"
+	restart := func(ckpts, out string) {
+		t.Helper()
+		args := append([]string{"-p", "1", "-resume", filepath.Join(ckpts, "ck-2.ckpt"), "-resume-ranks", "0", "-params-out", out}, common...)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("restart: %v\n%s", err, out)
+		}
+	}
+
+	// In one process over channels.
+	chanDir := filepath.Join(dir, "chan")
+	if err := os.Mkdir(chanDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, append(crash, "-ckpt", filepath.Join(chanDir, "ck-%d.ckpt"))...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), crashed) {
+		t.Fatalf("channel crash run: err = %v, want exit status 1 naming the crash\n%s", err, out)
+	}
+	chanOut := filepath.Join(dir, "chan.bin")
+	restart(chanDir, chanOut)
+
+	// Two processes over TCP.
+	tcpDir := filepath.Join(dir, "tcp")
+	if err := os.Mkdir(tcpDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rankArgs := twoProcessArgs(t, append(crash, "-ckpt", filepath.Join(tcpDir, "ck-%d.ckpt")))
+	var stderr [2]bytes.Buffer
+	var done [2]chan error
+	for r := 1; r >= 0; r-- {
+		cmd := exec.Command(bin, rankArgs(fmt.Sprint(r))...)
+		cmd.Stderr = &stderr[r]
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer cmd.Process.Kill()
+		done[r] = make(chan error, 1)
+		go func() { done[r] <- cmd.Wait() }()
+	}
+	deadline := time.After(10 * time.Second)
+	for r, want := range []string{"link 1→0", crashed} {
+		select {
+		case err := <-done[r]:
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("rank %d: err = %v, want exit status 1\n%s", r, err, stderr[r].String())
+			}
+		case <-deadline:
+			t.Fatalf("rank %d still running 10 s after the crash\n%s", r, stderr[r].String())
+		}
+		msg := stderr[r].String()
+		if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "sasgd-train: ") ||
+			!strings.Contains(msg, want) || strings.Contains(msg, "goroutine ") {
+			t.Errorf("rank %d's stderr %q, want one sasgd-train: line naming %q and no goroutine dump", r, msg, want)
+		}
+	}
+	tcpOut := filepath.Join(dir, "tcp.bin")
+	restart(tcpDir, tcpOut)
+	sameParams(t, "restart after the two-process crash", tcpOut, chanOut)
 }
 
 // buildTrain compiles the command into dir and returns the binary's path.

@@ -1,20 +1,21 @@
 // The chaos tests are the deterministic fault-injection harness: they
 // run small SASGD training scenarios under comm.FaultPlans (stragglers
 // and scheduled crashes) and assert on their observables — per-boundary
-// aggregated gradients (via core.Config.AggHook), fault counters, and
-// checkpoint files for survivor-equivalence reference runs. Everything
-// is reproducible from the plan and the run's seed: a scenario either
-// always passes or always fails, which is what makes failure-handling
-// testable at all.
+// aggregated gradients (via core.Config.AggHook), the error a crash
+// ends its run with, and the checkpoint files the restart resumes from.
+// Everything is reproducible from the plan and the run's seed: a
+// scenario either always passes or always fails, which is what makes
+// failure handling testable at all.
 //
-// The harness's central assertion pattern is survivor equivalence:
-// because slowdowns never change values (they only move time), and
-// because a crash at boundary b leaves the survivors exactly in the
-// state a fault-free run over the same ranks resumed from the boundary-b
-// checkpoint would be in, the degraded run's post-eviction aggregated
-// gradients — and its final parameters — must be bitwise identical to
-// that reference run's. The tests enforce exactly that. The directory
-// holds tests only: nothing outside them runs a scenario.
+// The harness's central assertion pattern is restart equivalence. A
+// slowdown never changes values (it only moves time), so a straggler
+// run must be bitwise the fault-free run. A crash at boundary b ends
+// its run with the crashing rank's error, after the checkpoints of
+// boundaries 1..b that a fault-free run writes too, byte for byte;
+// SASGD is bulk-synchronous, so the boundary-b checkpoint is a
+// consistent cut, and the survivors resumed from it must be bitwise the
+// same restart whatever transport carries it. The directory holds tests
+// only: nothing outside them runs a scenario.
 package chaos
 
 import (
@@ -28,8 +29,7 @@ import (
 
 // GradLog records every aggregation boundary's post-allreduce
 // aggregated gradient. Wire its Hook into core.Config.AggHook; the
-// mutex makes it safe across the view changes that move virtual rank 0
-// between goroutines.
+// mutex makes it safe whichever goroutine calls it.
 type GradLog struct {
 	mu  sync.Mutex
 	agg map[int][]float64
@@ -84,8 +84,8 @@ type Scenario struct {
 	Tracer      *obs.Tracer
 
 	// TCP routes the run's frames through a loopback TCP mesh instead
-	// of the in-process channel fabric: every crash, eviction and
-	// re-form plays out over real sockets and the wire codec. The
+	// of the in-process channel fabric: a crash unwinds its peers over
+	// real sockets, and a restart runs over the wire codec. The
 	// scenario's observables must not change — that is the
 	// cross-transport guarantee the chaos tests replay.
 	TCP bool
@@ -109,7 +109,7 @@ func (s Scenario) Run(prob *core.Problem) (*core.Result, *GradLog, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		defer tcp.Close() // idempotent; a membership run closes it first
+		defer tcp.Close() // idempotent; a failed run closes it first
 		tr = tcp
 	}
 	cfg := core.Config{

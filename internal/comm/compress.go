@@ -19,8 +19,8 @@ import (
 // sum in quant.go — so a codec says what a frame holds, never when or
 // where it moves. A caller runs one collective per bucket — core, one
 // per parameterized layer, inline or inside a Runner's in-flight
-// launch — on whatever group the membership view holds, so compression
-// composes with delayed application and survives chaos scenarios.
+// launch — on the run's group, so compression composes with delayed
+// application.
 //
 // Error-feedback contract (Alistarh et al., "The Convergence of
 // Sparsified Gradient Methods"; the param_state["memory"] pattern of

@@ -64,13 +64,6 @@ func (s *ParamServer) Updates() int64 {
 // IslandOf returns rank's island id.
 func (h *Hier) IslandOf(rank int) int { return h.islandOf[rank] }
 
-// Evictions returns the failure-detector decisions made so far.
-func (r *Resilient) Evictions() []Eviction {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Eviction(nil), r.evictions...)
-}
-
 // Snapshot returns a copy of the full parameter vector (not charged to
 // any clock).
 func (s *ParamServer) Snapshot() []float64 {

@@ -10,10 +10,11 @@ import (
 // Fault injection. SASGD is bulk-synchronous, so the only faults that
 // change a run are a learner that computes slowly and a learner that
 // dies. A FaultPlan names both: per-rank compute slowdowns, and
-// fail-stop crashes at scheduled aggregation boundaries, which the
-// membership ledger (resilient.go) detects by timeout and survives by
-// re-forming the group. Messages are never lost or delayed: the
-// transport below stays the reliable FIFO it is.
+// fail-stop crashes at scheduled aggregation boundaries. A crash ends
+// the run with its error; recovery is a second run resumed from the last
+// boundary checkpoint over the survivors (core's ResumeFrom and
+// ResumeRanks). Messages are never lost or delayed: the transport below
+// stays the reliable FIFO it is.
 
 // FaultPlan configures deterministic fault injection for one run. The
 // zero value injects nothing; fields compose freely.
@@ -26,39 +27,16 @@ type FaultPlan struct {
 
 	// CrashAt maps a physical rank to the aggregation boundary at which
 	// it dies: the rank participates in aggregations 0..b-1 and then
-	// fails silently (fail-stop — it simply never posts the boundary-b
-	// heartbeat). Survivors detect the silence by timeout and evict it.
+	// fails before it sends anything at boundary b.
 	CrashAt map[int]int
-
-	// EvictAfter is the membership failure detector's timeout: a rank
-	// that has not posted a sync-point heartbeat this long after a peer
-	// began waiting is evicted. It must comfortably exceed the worst
-	// straggler lag per boundary or slow-but-alive ranks get fenced
-	// (default 250ms).
-	EvictAfter time.Duration
 
 	// SlowSleep is the real-time unit of straggling: a rank slowed ×k
 	// sleeps (k-1)·SlowSleep per minibatch (default 100µs).
 	SlowSleep time.Duration
 }
 
-const (
-	// Defaults for the zero-valued protocol knobs.
-	defaultEvictAfter = 250 * time.Millisecond
-	defaultSlowSleep  = 100 * time.Microsecond
-
-	// simEvictSecs is the simulated detection latency charged to every
-	// survivor's clock when an eviction happens at a sync point — the
-	// simulated analogue of EvictAfter's default.
-	simEvictSecs = 0.25
-)
-
-func (p *FaultPlan) evictAfter() time.Duration {
-	if p.EvictAfter > 0 {
-		return p.EvictAfter
-	}
-	return defaultEvictAfter
-}
+// defaultSlowSleep is SlowSleep's zero-value default.
+const defaultSlowSleep = 100 * time.Microsecond
 
 // SlowFactor returns the compute slowdown for a physical rank (1 when
 // the rank is not slowed). Nil-safe.
@@ -102,9 +80,8 @@ func (p *FaultPlan) CrashBoundary(rank int) int {
 //
 //	slow=R:K          slow rank R by factor K (repeatable)
 //	crash=R@B         crash rank R at aggregation boundary B (repeatable)
-//	evict=DUR         membership failure-detector timeout (Go duration)
 //
-// Example: "slow=3:4,crash=5@8,evict=500ms".
+// Example: "slow=3:4,crash=5@8".
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -157,8 +134,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 				plan.CrashAt = map[int]int{}
 			}
 			plan.CrashAt[rank] = boundary
-		case "evict":
-			plan.EvictAfter, err = time.ParseDuration(val)
 		default:
 			err = fmt.Errorf("unknown fault key %q", key)
 		}

@@ -39,8 +39,8 @@ type Group struct {
 	// the schedule of every flat collective (tree.go).
 	tree []sched
 	// trMap maps the group's virtual ranks to transport ranks (nil =
-	// identity). Re-formed survivor groups address the original
-	// transport's physical rank space through it.
+	// identity): a group over some of the transport's ranks addresses
+	// them through it.
 	trMap []int
 	// allLocal is true when every transport rank is driven by this
 	// process; epoch barriers then use the in-process barrier (which
@@ -60,19 +60,14 @@ type Group struct {
 
 	// islandOf optionally maps each rank to an interconnect island so
 	// charge can account cross-island traffic. Published atomically
-	// (SetIslands, stats.go) because hierarchy construction — per-rank at
-	// spawn, and per-survivor on a fault re-form — installs the map while
-	// peers are already sending.
+	// (SetIslands, stats.go) because hierarchy construction — per rank at
+	// spawn — installs the map while peers are already sending.
 	islandOf atomic.Pointer[[]int]
 
 	// tracer is the optional obs tracer (SetTracer); traceOn caches its
 	// presence so untraced receives skip the clock reads entirely.
 	tracer  *obs.Tracer
 	traceOn bool
-
-	// ledger is the membership ledger that formed this group (nil
-	// outside one): its fault counters span every group it re-forms.
-	ledger *Resilient
 }
 
 // NewGroup returns a group of p learners with no time simulation.
@@ -92,13 +87,11 @@ func NewSimGroup(p int, clocks []Clock, cost CostModel) *Group {
 // NewTransportGroup builds a group over an existing transport. phys
 // maps the group's virtual ranks to transport ranks: nil means
 // identity (group size = tr.Size()); otherwise the group has len(phys)
-// learners addressing the listed transport ranks, which is how
-// re-formed survivor groups keep speaking over the original wire mesh.
-// The transport may be shared across groups — the caller must ensure
-// only one group drives a given transport rank at a time (membership
-// re-forms are synchronization points, so this holds by construction
-// there). With clocks (nil = unsimulated) the group runs over tr
-// decorated with simulated time, which needs every rank in this process.
+// learners addressing the listed transport ranks. The transport may be
+// shared across groups — the caller must ensure only one group drives a
+// given transport rank at a time. With clocks (nil = unsimulated) the
+// group runs over tr decorated with simulated time, which needs every
+// rank in this process.
 func NewTransportGroup(tr Transport, phys []int, clocks []Clock, cost CostModel) *Group {
 	p := tr.Size()
 	if phys != nil {
@@ -122,7 +115,6 @@ func NewTransportGroup(tr Transport, phys []int, clocks []Clock, cost CostModel)
 	}
 	g := &Group{p: p, tr: tr, tree: newTree(ranks), trMap: phys,
 		bar: NewBarrier(p), stats: make([]rankStats, p)}
-	// A Resilient shares one decorated transport across its views.
 	base := tr
 	if s, ok := tr.(*simTransport); ok {
 		g.sim, base = s, s.Transport
@@ -171,11 +163,11 @@ func (g *Group) sendMsg(from, to int, m Frame) {
 }
 
 // Close closes the group's transport (idempotent on every backend, so
-// groups sharing a transport — re-formed survivor views — may each
-// close it) and breaks its barrier. Safe to call concurrently with
-// in-flight sends, which are dropped, and with members parked in a
-// receive or the barrier, which panic with ErrClosed: call after all
-// collectives have completed, or to unwind a run that cannot finish.
+// groups sharing a transport may each close it) and breaks its barrier.
+// Safe to call concurrently with in-flight sends, which are dropped, and
+// with members parked in a receive or the barrier, which panic with
+// ErrClosed: call after all collectives have completed, or to unwind a
+// run that cannot finish.
 func (g *Group) Close() {
 	g.tr.Close()
 	g.bar.Break()

@@ -18,8 +18,7 @@ import "fmt"
 // Running on the owning Group (subset schedules, not sub-Groups) keeps
 // every property of the fabric intact: pooled zero-alloc transfer
 // buffers, per-directed-link serialization in the time simulation,
-// traffic accounting, and — critically — the fault plan's per-link
-// drop decisions, which are keyed by the group's transport ranks.
+// and traffic accounting.
 //
 // Determinism: both sub-collectives are the dense engine of dense.go
 // run over a binomial schedule laid on a member list — an island's, or
@@ -56,11 +55,9 @@ func BlockIslands(p, groups int) []int {
 }
 
 // NewHierOf builds the hierarchy from an explicit rank→island map —
-// core's boundary engine uses this to partition a view (the initial
-// one, or a survivor group after an eviction) by the members' original
-// physical islands. Island ids are
-// normalized by first appearance, so gaps left by emptied islands are
-// fine; each island's leader is its lowest rank. The map is also
+// core's boundary engine uses this to partition the run's group into
+// BlockIslands. Island ids are normalized by first appearance, so gaps
+// in the ids are fine; each island's leader is its lowest rank. The map is also
 // installed as the group's island view for cross-island traffic
 // accounting (SetIslands).
 func NewHierOf(g *Group, islandOf []int) *Hier {

@@ -174,14 +174,13 @@ func TestHierInterGlobalSum(t *testing.T) {
 	}
 }
 
-// TestHierOfNormalizesIds: explicit island maps with gaps (a survivor
-// group after evictions) normalize by first appearance, leaders are the
+// TestHierOfNormalizesIds: explicit island maps with gaps in their ids
+// normalize by first appearance, leaders are the
 // lowest member of each island, and the group's cross-island accounting
 // follows the new map.
 func TestHierOfNormalizesIds(t *testing.T) {
 	g := NewGroup(5)
-	// Physical islands {0,1},{2,3},{4,5} with rank 2 evicted: survivors'
-	// raw ids are [0,0,1,2,2] after compaction of [0,0,3,7,7].
+	// Raw ids [0,0,3,7,7] compact to [0,0,1,2,2].
 	h := NewHierOf(g, []int{0, 0, 3, 7, 7})
 	if h.Islands() != 3 {
 		t.Fatalf("islands = %d, want 3", h.Islands())

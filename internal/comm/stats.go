@@ -90,9 +90,8 @@ func (g *Group) charge(from, to, words int) {
 // traffic (Stats.CrossWords). islandOf must have one entry per rank;
 // nil detaches the map. The map is copied and published atomically, so
 // installation may race with in-flight sends (hierarchy construction
-// happens per-rank at spawn and per-survivor on a fault re-form, while
-// peers are already charging traffic) — a send observes either the old
-// or the new map, never a torn one.
+// happens per rank at spawn, while peers are already charging traffic)
+// — a send observes either the old or the new map, never a torn one.
 func (g *Group) SetIslands(islandOf []int) {
 	if islandOf == nil {
 		g.islandOf.Store(nil)
@@ -124,17 +123,6 @@ type AlgoStats struct {
 	Messages int64 `json:"messages"` // point-to-point messages
 }
 
-// FaultStats are the membership ledger's counters of a run: all zero
-// outside a Resilient.
-type FaultStats struct {
-	Evictions int64 `json:"evictions"` // ranks evicted by the failure detector
-	Reforms   int64 `json:"reforms"`   // survivor group re-formations
-	Crashes   int64 `json:"crashes"`   // scheduled learner crashes executed
-}
-
-// Active reports whether any fault or membership event occurred.
-func (f FaultStats) Active() bool { return f != FaultStats{} }
-
 // Stats is a snapshot of the group's communication counters. Safe to
 // take mid-run (atomics only); exact once the learners have quiesced.
 type Stats struct {
@@ -161,11 +149,6 @@ type Stats struct {
 	QueueDwell        time.Duration `json:"queue_dwell_ns,omitempty"`
 	WorkerBusy        time.Duration `json:"worker_busy_ns,omitempty"`
 	PipelineOccupancy float64       `json:"pipeline_occupancy,omitempty"`
-
-	// Faults holds the membership ledger's counters (all zero outside
-	// one). They belong to the ledger, not to a group, so this block
-	// spans the whole run regardless of which group's Stats() is asked.
-	Faults FaultStats `json:"faults"`
 }
 
 // Stats returns the current counter snapshot.
@@ -204,37 +187,5 @@ func (g *Group) Stats() Stats {
 	if occN > 0 {
 		s.PipelineOccupancy = occSum / float64(occN)
 	}
-	if g.ledger != nil {
-		s.Faults = g.ledger.faultCounts()
-	}
 	return s
-}
-
-// MergeTraffic folds another snapshot's traffic, wait and pipeline
-// counters into s. The membership layer uses it to aggregate across the
-// groups of a re-formed run; the Faults block is intentionally NOT
-// merged (the ledger is shared, so each group already reports the
-// run-wide counts — adding them would double-count). Occupancy merges
-// as the launch-weighted mean.
-func (s *Stats) MergeTraffic(o Stats) {
-	if s.Launches+o.Launches > 0 {
-		s.PipelineOccupancy = (s.PipelineOccupancy*float64(s.Launches) +
-			o.PipelineOccupancy*float64(o.Launches)) / float64(s.Launches+o.Launches)
-	}
-	s.Words += o.Words
-	s.Messages += o.Messages
-	s.CrossWords += o.CrossWords
-	for name, as := range o.PerAlgo {
-		if s.PerAlgo == nil {
-			s.PerAlgo = make(map[string]AlgoStats, len(o.PerAlgo))
-		}
-		cur := s.PerAlgo[name]
-		cur.Words += as.Words
-		cur.Messages += as.Messages
-		s.PerAlgo[name] = cur
-	}
-	s.MailboxWait += o.MailboxWait
-	s.Launches += o.Launches
-	s.QueueDwell += o.QueueDwell
-	s.WorkerBusy += o.WorkerBusy
 }

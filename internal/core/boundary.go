@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"sasgd/internal/comm"
 	"sasgd/internal/nn"
 	"sasgd/internal/obs"
@@ -11,12 +13,12 @@ import (
 // last local step of an interval and the first of the next. Algorithm 1
 // is "allreduce gs, x′ ← x′ − γp·gs, x ← x′, gs ← 0"; Local SGD's
 // communication period, DaSGD's delayed averaging, two-level
-// aggregation, gradient codecs and crash tolerance are all the same
-// loop with a different policy at this one point, so they are stages of
-// one pipeline rather than loops of their own. In order:
+// aggregation, gradient codecs and checkpoints are all the same loop
+// with a different policy at this one point, so they are stages of one
+// pipeline rather than loops of their own. In order:
 //
-//	membership view → T-schedule → exchange → apply now-or-next →
-//	replica reset → control frame → checkpoint
+//	T-schedule → exchange → apply now-or-next → replica reset →
+//	control frame → checkpoint
 //
 // No stage makes a pass over the model that nothing reads. gs is never
 // cleared — the next interval's first local step overwrites it. At
@@ -26,28 +28,25 @@ import (
 // reference and its reset copies nothing. All three follow from the
 // local step's rule table (localStep in sasgd.go).
 //
-// Membership view. A run without a fault plan has a constant comm.View
-// over its group and this stage costs nothing — no lock, no barrier.
-// Under a fault plan every boundary (and every epoch barrier) is a
-// comm.Resilient sync point: the learner posts its heartbeat, waits
-// for the live set, and continues on whatever view comes back, with the
-// aggregation rate rescaled to γp·OrigP/|view| so the per-gradient step
-// the original γp encoded is preserved when the sum spans fewer
-// learners. Two rank spaces keep resume orthogonal to fault handling:
-// run-physical ranks 0..p−1 name this run's goroutines, clocks and
-// fault-plan entries, while data-physical ranks (Config.ResumeRanks,
+// One group, two rank spaces. Every boundary runs on the run's one
+// comm.Group, and a learner's rank is its group rank: goroutine, clock,
+// fault-plan entry and fleet-frame slot. Data ranks (Config.ResumeRanks,
 // identity when not resuming) name the original run's shards and seed
-// streams — so a survivors-only resume replays exactly the samples the
-// survivors would have consumed, which is what makes a degraded run
-// bitwise-comparable to a fault-free resume over the survivors (the
-// chaos harness's core assertion).
+// streams, so a survivors-only resume replays exactly the samples the
+// survivors would have consumed, with the aggregation rate rescaled to
+// γp·OrigP/p so the per-gradient step the original γp encoded is
+// preserved when the sum spans fewer learners.
+//
+// Crashes. A fault plan's crash=R@B makes rank R's learner return its
+// error at boundary B before it sends anything there; Run puts that
+// error first and closes the group, which unwinds the peers. SASGD is
+// bulk-synchronous, so every boundary checkpoint is a consistent cut:
+// recovery is a second run resumed from the last one over the survivors
+// (the chaos suite pins it bitwise).
 //
 // Checkpoint. After the reset every replica is the reference and gs is
-// spent, so the whole optimizer state is x′ and a few counters: the
-// view's virtual rank 0 writes them (checkpoint.go) on whatever view the
-// run has. A fault-free checkpoint has no membership question to settle,
-// so checkpointing and resuming runs keep the fixed group — and with it
-// partial meshes.
+// spent, so the whole optimizer state is x′ and a few counters: rank 0
+// writes them (checkpoint.go).
 //
 // Exchange. One function, exchange, is every global exchange, run on
 // the learner or left in flight: a codec runs its collective on each
@@ -73,16 +72,11 @@ import (
 // reads the materialised aggregate, so it keeps the run — every
 // boundary on every rank — on that path.
 //
-// DelayedApply (DaSGD) applies each global aggregate
-// one global boundary late. On a fixed membership the exchange is
-// launched on the rank's comm.Runner and left in flight, hiding the
-// whole transfer behind the next round's compute; it runs on its own
-// simulated clock from the launch, which the learner's meets only at
-// the drain (comm.Runner.Wait). On a membership
-// plane only the APPLICATION is deferred — the exchange completes
-// inside its boundary, because a launch left in flight across a view
-// change would address a dead group — and the rate is frozen at
-// exchange time, since the view may shrink before the aggregate lands.
+// DelayedApply (DaSGD) applies each global aggregate one global
+// boundary late. The exchange is launched on the rank's comm.Runner and
+// left in flight, hiding the whole transfer behind the next round's
+// compute; it runs on its own simulated clock from the launch, which the
+// learner's meets only at the drain (comm.Runner.Wait).
 //
 // Placement. The controllers share one collective per boundary, the
 // control frame (control). The fabric matches messages by (from, to)
@@ -98,34 +92,19 @@ import (
 // the first aggregate, the single-boundary run (bitwise equal to eager
 // end to end), and AggHook origins arriving in order, each exactly one
 // boundary late.
-//
-// View change under a hierarchy. Islands are defined on run-physical
-// ranks (the topology does not change when a rank dies) and
-// re-partitioned over the survivors. Every applied gradient is carried
-// by some island's w, so averaging the survivors' w IS the global mean
-// model: the global reference rebases onto that average, and the
-// un-exchanged island accumulator and any pending outer aggregate —
-// whose gradients w already carries island-locally — are dropped.
 type engine struct {
-	cfg   Config
-	rank  int // run-physical rank: goroutine, clock, fault-plan and frame-slot index
-	origP int // learner count γp was chosen for (the checkpoint's on resume)
-	tk    *obs.Track
-	fc    *fleetCollector // nil = metrics off
-
-	// Membership view.
-	mem     *comm.Resilient // nil = fixed membership
-	view    comm.View
-	vr      int     // this learner's virtual rank in view
-	built   int     // view version the hierarchy was built on
-	syncPt  int     // next membership sync point
-	gp      float64 // γp·OrigP/|view|
+	cfg     Config
+	g       *comm.Group
+	rank    int     // group rank: goroutine, clock, fault-plan and frame-slot index
+	origP   int     // learner count γp was chosen for (the checkpoint's on resume)
+	gp      float64 // γp·OrigP/p
 	crashAt int     // boundary at which the fault plan kills this rank (-1 = never)
+	tk      *obs.Track
+	fc      *fleetCollector // nil = metrics off
 
 	sched     tScheduler
 	bidx      int   // boundaries completed
-	err       error // why boundary stopped the learner, when it failed
-	dataRanks []int // run-physical → data-physical rank (checkpoint header)
+	dataRanks []int // rank → data rank (checkpoint header)
 
 	grads []float64 // the network's gradient buffer
 	gs    []float64 // the interval's gradient sum
@@ -144,18 +123,15 @@ type engine struct {
 	keepLocal, aliased bool
 
 	// Hierarchy (hier nil when HierGroups < 2).
-	baseIsl   []int // run-physical rank → island
 	hier      *comm.Hier
 	w         []float64 // island working reference
 	acc       []float64 // island aggregate since the last outer exchange
-	gpIsland  float64   // γp·OrigP/q for this rank's island of q live members
+	gpIsland  float64   // γp·OrigP/q for this rank's island of q members
 	outerLeft int       // boundaries until the next outer exchange
 
-	// Delayed application.
-	delayed  bool
-	run      *comm.Runner // carries the launch in flight across the interval (fixed membership; nil otherwise)
+	// Delayed application (run nil without it).
+	run      *comm.Runner // carries the launch in flight across the interval
 	pend     []float64    // the staged / in-flight / pending aggregate
-	pendG    float64      // rate frozen when pend was staged
 	pendAt   int          // origin boundary of pend
 	pending  bool         // pend awaits application
 	inflight bool         // pend's launch has not been drained
@@ -175,17 +151,21 @@ type engine struct {
 // codec of a run (gen_test.go).
 var newCompressor = comm.NewCompressor
 
-// newEngine builds one learner's boundary state on the initial view.
+// newEngine builds one learner's boundary state on the run's group.
 // params already holds the broadcast (or restored) parameters.
-func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int, net *nn.Network, tk *obs.Track, fc *fleetCollector) *engine {
+func newEngine(cfg Config, g *comm.Group, rank, origP int, net *nn.Network, tk *obs.Track, fc *fleetCollector) *engine {
 	m := net.NumParams()
 	e := &engine{
-		cfg: cfg, rank: rank, origP: origP, tk: tk, fc: fc, mem: mem,
+		cfg: cfg, g: g, rank: rank, origP: origP, tk: tk, fc: fc,
+		gp:      cfg.GammaP,
 		crashAt: cfg.Faults.CrashBoundary(rank),
 		sched:   newTScheduler(cfg),
 		fresh:   true,
 		grads:   net.GradData(),
-		built:   view.Version,
+	}
+	// A full group uses γp itself, not the rounded γp·p/p.
+	if p := g.Size(); p != origP {
+		e.gp = cfg.GammaP * float64(origP) / float64(p)
 	}
 	e.keepLocal = fc != nil || e.sched.adaptive
 	// !keepLocal implies a static schedule, so Interval is T for good: an
@@ -201,16 +181,18 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 	if !e.aliased {
 		e.xref = append([]float64(nil), e.xref...)
 	}
-	e.setView(view)
 	// A model without parameters has nothing to exchange: the codec and
 	// delayed application fall away with its layers.
 	segs := net.ParamSegments()
 	if cfg.HierGroups >= 2 {
-		e.baseIsl = comm.BlockIslands(cfg.Learners, cfg.HierGroups)
+		// γp·OrigP/q with γp = γ/p is γ/q — the rate at which an
+		// island-only aggregation IS model averaging over the island's q
+		// replicas, so w tracks the island mean between outer exchanges.
+		e.hier = comm.NewHierOf(g, comm.BlockIslands(cfg.Learners, cfg.HierGroups))
+		e.gpIsland = cfg.GammaP * float64(origP) / float64(e.hier.IslandSize(rank))
 		e.w = append([]float64(nil), e.xref...)
 		e.acc = make([]float64, m)
 		e.outerLeft = cfg.TOuter
-		e.setHier()
 	}
 	if cfg.Compress != "" && len(segs) > 0 {
 		e.comp = newCompressor(cfg.Compress)
@@ -221,122 +203,43 @@ func newEngine(cfg Config, mem *comm.Resilient, view comm.View, rank, origP int,
 		e.comp.NeedResid2(e.adapt || fc != nil) // adapt-k's capture, the fleet frame
 	}
 	e.ctl = make([]float64, 0, 4+obs.FrameWords*cfg.Learners)
-	e.delayed = cfg.DelayedApply && len(segs) > 0
-	if e.delayed || e.hier != nil {
+	delayed := cfg.DelayedApply && len(segs) > 0
+	if delayed || e.hier != nil {
 		e.pend = make([]float64, m)
 	}
-	if e.delayed && mem == nil {
-		e.run = comm.NewRunner(view.G, e.vr, e.exchange)
+	if delayed {
+		e.run = comm.NewRunner(g, rank, e.exchange)
 	}
-	e.fused = e.hier == nil && !e.delayed && cfg.AggHook == nil
+	e.fused = e.hier == nil && !delayed && cfg.AggHook == nil
 	return e
-}
-
-// setView adopts a membership view: the learner's virtual rank in it and
-// the aggregation rate γp·OrigP/|view|. A full view uses γp itself, not
-// the rounded γp·p/p.
-func (e *engine) setView(v comm.View) {
-	e.view, e.vr = v, v.RankOf(e.rank)
-	e.gp = e.cfg.GammaP
-	if v.Size() != e.origP {
-		e.gp = e.cfg.GammaP * float64(e.origP) / float64(v.Size())
-	}
-}
-
-// setHier partitions the current view by the members' run-physical
-// islands: survivors regroup with their physical neighbors and emptied
-// islands disappear (NewHierOf normalizes island ids by first
-// appearance). γp·OrigP/q with γp = γ/p is γ/q — the rate at which an
-// island-only aggregation IS model averaging over the island's q live
-// replicas, so w tracks the island mean between outer exchanges.
-func (e *engine) setHier() {
-	isl := make([]int, e.view.Size())
-	for vr, pr := range e.view.Phys {
-		isl[vr] = e.baseIsl[pr]
-	}
-	e.hier = comm.NewHierOf(e.view.G, isl)
-	e.gpIsland = e.cfg.GammaP * float64(e.origP) / float64(e.hier.IslandSize(e.vr))
-}
-
-// await is one membership sync point, spanned as agg_wait on the learner
-// track. False means this learner has been fenced (evicted as a
-// presumed-dead straggler) and must stop participating immediately.
-func (e *engine) await() bool {
-	ws := e.tk.Begin()
-	v, ok := e.mem.Await(e.rank, e.syncPt)
-	e.tk.End(obs.PhaseAggWait, ws)
-	e.syncPt++
-	if ok {
-		e.setView(v)
-	}
-	return ok
-}
-
-// barrier is the epoch-edge synchronization: the group barrier on a
-// fixed membership, a sync point otherwise.
-func (e *engine) barrier() bool {
-	if e.mem == nil {
-		e.view.G.Barrier(e.vr)
-		return true
-	}
-	return e.await()
-}
-
-// reform rebuilds what was built on the previous view: the island
-// ledgers are globalized (see the type comment) and re-partitioned.
-func (e *engine) reform() {
-	if e.hier != nil {
-		e.view.G.AllreduceTree(e.vr, e.w)
-		inv := 1.0 / float64(e.view.Size())
-		for i := range e.w {
-			e.w[i] *= inv
-		}
-		copy(e.xref, e.w)
-		clear(e.acc)
-		e.pending = false
-		e.outerLeft = e.cfg.TOuter
-		e.setHier()
-	}
-	e.built = e.view.Version
 }
 
 // boundary runs one communication boundary after local step `step`.
 // params is the local replica (reset to its reference on return) and
 // e.gs the interval's gradient sum (spent on return: the next local
-// step, or where gs is g the next backward, overwrites it). False means
-// the learner must stop: crashed on schedule, fenced, or failed with
-// e.err (the checkpoint could not be written).
-func (e *engine) boundary(params []float64, step int) bool {
+// step, or where gs is g the next backward, overwrites it). It returns
+// the error that must end the learner: its scheduled crash, or a
+// checkpoint that could not be written.
+func (e *engine) boundary(params []float64, step int) error {
 	if e.bidx == e.crashAt {
-		// Fail-stop: go silent without posting the boundary's heartbeat.
-		// The peers detect and evict.
-		e.mem.Crash(e.rank)
-		return false
+		return fmt.Errorf("core: rank %d crashed at boundary %d (fault plan)", e.rank, e.bidx)
 	}
 	// The replica resets to w under a hierarchy, to x′ otherwise; the
-	// fleet frame's drift is measured against it before the membership
-	// sync (pure local reads).
+	// fleet frame's drift is measured against it before any collective
+	// (pure local reads).
 	ref := e.xref
 	if e.hier != nil {
 		ref = e.w
 	}
 	e.fc.boundaryStart(params, ref)
-	if e.mem != nil {
-		if !e.await() {
-			return false
-		}
-		if e.view.Version != e.built {
-			e.reform()
-		}
-	}
-	vr, tk := e.vr, e.tk
+	rank, tk := e.rank, e.tk
 
 	// Exchange.
 	global := true // flat: every boundary exchanges globally
 	if e.hier != nil {
 		e.drain()
 		ws := tk.Begin()
-		e.hier.AllreduceIntra(vr, e.gs)
+		e.hier.AllreduceIntra(rank, e.gs)
 		tk.End(obs.PhaseAggWait, ws)
 		as := tk.Begin()
 		tensor.Axpy(1, e.gs, e.acc)
@@ -361,19 +264,19 @@ func (e *engine) boundary(params []float64, step int) bool {
 		if e.comp != nil {
 			e.buckets(e.gs, e.xref, e.now(), tk)
 		} else {
-			e.view.G.AllreduceTreeApply(vr, e.gs, e.xref, -e.gp)
+			e.g.AllreduceTreeApply(rank, e.gs, e.xref, -e.gp)
 		}
 		tk.End(obs.PhaseAggWait, ws)
 		as = tk.Begin()
 		applied = true
-	case e.delayed:
+	case e.run != nil:
 		e.drain()
 		as = tk.Begin()
 		if applied = e.pending; applied {
-			e.applyGlobal(e.pendAt, e.pend, e.pendG)
+			e.applyGlobal(e.pendAt, e.pend)
 		}
 		e.stage()
-		e.pendAt, e.pendG, e.pending, send = e.bidx, e.gp, true, true
+		e.pendAt, e.pending, send = e.bidx, true, true
 	default:
 		buf := e.gs
 		if e.hier != nil {
@@ -384,7 +287,7 @@ func (e *engine) boundary(params []float64, step int) bool {
 		e.exchange(buf, e.now(), tk)
 		tk.End(obs.PhaseAggWait, ws)
 		as = tk.Begin()
-		e.applyGlobal(e.bidx, buf, e.gp)
+		e.applyGlobal(e.bidx, buf)
 		applied = true
 	}
 	if e.hier != nil && global {
@@ -404,29 +307,22 @@ func (e *engine) boundary(params []float64, step int) bool {
 	tk.End(obs.PhaseAggApply, as)
 
 	if send {
-		if e.run != nil {
-			e.run.Launch(e.pend, e.now())
-			e.inflight = true
-		} else {
-			ws := tk.Begin()
-			e.exchange(e.pend, e.now(), tk)
-			tk.End(obs.PhaseAggWait, ws)
-		}
+		e.run.Launch(e.pend, e.now())
+		e.inflight = true
 	}
 	e.bidx++
-	e.err = e.checkpoint(step)
-	return e.err == nil
+	return e.checkpoint(step)
 }
 
 // applyGlobal folds one completed global aggregate into the reference,
-// x′ ← x′ − rate·agg, after showing it to AggHook under its origin
+// x′ ← x′ − γp·agg, after showing it to AggHook under its origin
 // boundary (dense aggregates only: a codec's output is not the
 // gradient sum the hook's users compare).
-func (e *engine) applyGlobal(origin int, agg []float64, rate float64) {
-	if e.cfg.AggHook != nil && e.vr == 0 && e.comp == nil {
+func (e *engine) applyGlobal(origin int, agg []float64) {
+	if e.cfg.AggHook != nil && e.rank == 0 && e.comp == nil {
 		e.cfg.AggHook(origin, agg)
 	}
-	tensor.Axpy(-rate, agg, e.xref)
+	tensor.Axpy(-e.gp, agg, e.xref)
 }
 
 // stage moves the aggregate about to be exchanged into pend: gs on a
@@ -439,7 +335,7 @@ func (e *engine) stage() {
 	case e.hier == nil:
 		tensor.Copy(e.pend, e.gs)
 		return
-	case e.comp != nil && !e.hier.IsLeader(e.vr):
+	case e.comp != nil && !e.hier.IsLeader(e.rank):
 		clear(e.pend)
 	default:
 		tensor.Copy(e.pend, e.acc)
@@ -467,9 +363,9 @@ func (e *engine) exchange(buf []float64, ready float64, tk *obs.Track) {
 	case e.comp != nil:
 		e.buckets(buf, nil, ready, tk)
 	case e.hier != nil:
-		e.hier.AllreduceInter(e.vr, buf)
+		e.hier.AllreduceInter(e.rank, buf)
 	default:
-		e.view.G.AllreduceTree(e.vr, buf)
+		e.g.AllreduceTree(e.rank, buf)
 	}
 }
 
@@ -481,9 +377,9 @@ func (e *engine) buckets(buf, x []float64, ready float64, tk *obs.Track) {
 	for bi := len(e.segs) - 1; bi >= 0; bi-- {
 		lo, hi := e.segs[bi].Off, e.segs[bi].Off+e.segs[bi].Len
 		if x == nil {
-			e.comp.Allreduce(e.view.G, e.vr, buf[lo:hi], e.res[lo:hi], e.ratio, ready, tk, int32(bi))
+			e.comp.Allreduce(e.g, e.rank, buf[lo:hi], e.res[lo:hi], e.ratio, ready, tk, int32(bi))
 		} else {
-			e.comp.AllreduceApply(e.view.G, e.vr, buf[lo:hi], e.res[lo:hi], x[lo:hi], -e.gp, e.ratio, ready, tk, int32(bi))
+			e.comp.AllreduceApply(e.g, e.rank, buf[lo:hi], e.res[lo:hi], x[lo:hi], -e.gp, e.ratio, ready, tk, int32(bi))
 		}
 	}
 }
@@ -520,7 +416,7 @@ func (e *engine) flush(params []float64) {
 		return
 	}
 	as := e.tk.Begin()
-	e.applyGlobal(e.pendAt, e.pend, e.pendG)
+	e.applyGlobal(e.pendAt, e.pend)
 	e.pending = false
 	ref := e.xref
 	if e.hier != nil {
@@ -552,16 +448,16 @@ func (e *engine) control(d, r float64, applied bool) {
 	if len(ctl) == 0 {
 		return
 	}
-	e.view.G.AllreduceTree(e.vr, ctl)
+	e.g.AllreduceTree(e.rank, ctl)
 	n := len(ctl)
 	if adapt {
 		e.ratio = nextRatio(e.ratio, e.cfg.CompressK, ctl[n-2], ctl[n-1])
 		n -= 2
 	}
 	if e.sched.adaptive {
-		e.sched.advance(ctl[n-2], ctl[n-1], e.view.Size())
+		e.sched.advance(ctl[n-2], ctl[n-1], e.g.Size())
 	}
-	e.fc.ingest(e.vr, ctl, e.sched.T(), e.ratio)
+	e.fc.ingest(e.rank, ctl, e.sched.T())
 }
 
 // close stops the runner.

@@ -19,10 +19,10 @@ import (
 // header (the counters and run shape) followed by one nn parameter
 // frame (magic, version, count, float64s, CRC — the same format model
 // checkpoints use), written atomically via a temp file and rename by
-// whichever live rank is virtual rank 0 at the boundary.
+// rank 0.
 //
 // Restart semantics are exact replay: the sampler streams are seeded
-// per data-physical rank and fast-forwarded Step batches, the epoch and
+// per data rank and fast-forwarded Step batches, the epoch and
 // batch offsets are derived from Step, and γp is restored from the
 // header, so a resumed run consumes the identical sample sequence — and
 // therefore produces bitwise-identical aggregated gradients — that a
@@ -35,10 +35,9 @@ import (
 // boundary: a codec's per-rank error-feedback residual and adapt-k's
 // working fraction, a pending delayed aggregate and an island reference
 // are not in the file, so Validate refuses checkpointing and resuming
-// together with a codec, DelayedApply or HierGroups. A crashed learner — or a fault-free
-// reference run over the survivors — rejoins by Config.ResumeFrom plus
-// Config.ResumeRanks naming which original ranks the new run's learners
-// play.
+// together with a codec, DelayedApply or HierGroups. After a crash the
+// survivors resume by Config.ResumeFrom plus Config.ResumeRanks naming
+// which original ranks the new run's learners play.
 
 // checkpointMeta is the gob header of a core checkpoint.
 type checkpointMeta struct {
@@ -50,21 +49,17 @@ type checkpointMeta struct {
 	Step     int   // local steps (= sampler draws) completed per learner
 	Boundary int   // aggregation boundaries completed
 	CurT     int   // T-scheduler period in effect (0 in pre-scheduler checkpoints)
-	Live     []int // data-physical ranks live when the checkpoint was written
+	Live     []int // data ranks of the run that wrote the checkpoint
 }
 
 // checkpoint is the boundary's last stage: every CheckpointEvery-th
-// boundary the view's virtual rank 0 writes the reference parameters and
+// boundary rank 0 writes the reference parameters and
 // the run's counters, and returns the write's error. Validation keeps it
 // to flat, eager, dense boundaries, where replica == reference holds and
 // neither gs nor a codec residual carries anything over.
 func (e *engine) checkpoint(step int) error {
-	if e.cfg.CheckpointPath == "" || e.vr != 0 || e.bidx%e.cfg.CheckpointEvery != 0 {
+	if e.cfg.CheckpointPath == "" || e.rank != 0 || e.bidx%e.cfg.CheckpointEvery != 0 {
 		return nil
-	}
-	live := make([]int, e.view.Size())
-	for vr, pr := range e.view.Phys {
-		live[vr] = e.dataRanks[pr]
 	}
 	meta := checkpointMeta{
 		OrigP:    e.origP,
@@ -75,7 +70,7 @@ func (e *engine) checkpoint(step int) error {
 		Step:     step,
 		Boundary: e.bidx,
 		CurT:     e.sched.T(),
-		Live:     live,
+		Live:     e.dataRanks,
 	}
 	return writeCheckpoint(checkpointFile(e.cfg.CheckpointPath, e.bidx), meta, e.xref)
 }
@@ -146,16 +141,16 @@ func readCheckpoint(path string) (checkpointMeta, []float64, error) {
 }
 
 // resumeState is the validated resume plan for one run: the checkpoint
-// contents plus the data-physical rank each of the new run's learners
+// contents plus the data rank each of the new run's learners
 // plays.
 type resumeState struct {
 	meta   checkpointMeta
 	params []float64
-	ranks  []int // learner index → data-physical rank (sorted ascending)
+	ranks  []int // learner index → data rank (sorted ascending)
 }
 
 // loadResume validates cfg against a checkpoint and builds the resume
-// plan. cfg.ResumeRanks names which original data-physical ranks this
+// plan. cfg.ResumeRanks names which original data ranks this
 // run's learners play (sorted; nil means all OrigP ranks, requiring
 // cfg.Learners == OrigP). The run must match the checkpoint's
 // aggregation interval, batch size and seed — resuming under a

@@ -121,12 +121,9 @@ type Config struct {
 	// DelayedApply applies each boundary's global aggregate one boundary
 	// LATE (DaSGD): the exchange is launched on the rank's comm runner at
 	// boundary k, left in flight, and its result applied at boundary
-	// k+1, so the entire exchange hides behind the next round's compute
-	// (under a fault plan the exchange completes
-	// inside boundary k and only its application waits: a launch in
-	// flight across a membership change would address a dead group). It
-	// composes with every codec, with and without a fault plan. The
-	// one-round shift changes the trajectory
+	// k+1, so the entire exchange hides behind the next round's compute.
+	// It composes with every codec. The one-round shift changes the
+	// trajectory
 	// (the k-th aggregate reflects boundary k's gradients but lands at
 	// k+1); a run with a single boundary, and the first aggregate of any
 	// run, are bitwise identical to eager application. Under a
@@ -167,7 +164,7 @@ type Config struct {
 
 	// Metrics turns on the fleet view: every aggregation boundary adds a
 	// fixed-size fleet frame (p × obs.FrameWords words) to its control
-	// frame, and rank 0 ingests it — live ranks, effective T, replica-drift
+	// frame, and rank 0 ingests it — effective T, replica-drift
 	// RMS, per-rank compute and wall time, straggler anomalies, the
 	// frame's words on the wire — into the view Run returns as
 	// Result.Fleet. A rank's compute time is its learner track's forward +
@@ -189,23 +186,20 @@ type Config struct {
 	// to the simulator (ignored when Sim is nil).
 	FlopsPerSample float64
 
-	// Faults, when non-nil, injects the plan's failures (learner
-	// slowdowns, crash schedules) into the run and puts every SASGD sync
-	// point — aggregation boundaries and epoch barriers — on a
-	// membership ledger: heartbeat-based straggler eviction, survivor
-	// re-formation with γp rescaled by OrigP/live, and fault counters in
-	// Result.Comm.Faults. SASGD only. It is the one setting that builds
-	// the ledger: a run without a plan syncs on its fixed group. It
-	// composes with both T-schedules, every codec, HierGroups and
-	// DelayedApply; it does not compose with a Transport that hosts only
-	// some ranks (the ledger is in-process shared memory).
+	// Faults, when non-nil, injects the plan's failures into the run: a
+	// slowed rank computes (and sleeps) longer, and a crashing rank's
+	// learner returns its error at its boundary, which ends the run (Run
+	// returns "learner r: …"). Recovery is a second run from the last
+	// checkpoint, with ResumeFrom and ResumeRanks naming the survivors.
+	// SASGD only; it composes with every other setting, a Transport that
+	// hosts only some ranks included.
 	Faults *comm.FaultPlan
 
 	// CheckpointPath, when non-empty, makes the run write a training
 	// checkpoint (reference parameters + step counters, see
 	// checkpoint.go) atomically to this path at aggregation boundaries,
-	// as the boundary's last stage on whatever view the run has: the
-	// process hosting the view's virtual rank 0 writes it. Those are the
+	// as the boundary's last stage: the process hosting rank 0 writes
+	// it. Those are the
 	// whole optimizer state only on a flat, eager, dense boundary, so it
 	// composes with neither DelayedApply, HierGroups nor a codec.
 	CheckpointPath string
@@ -220,7 +214,7 @@ type Config struct {
 	// the resumed run replays the uninterrupted one exactly when the
 	// model's forward pass draws no randomness (no dropout).
 	ResumeFrom string
-	// ResumeRanks names which of the original run's data-physical ranks
+	// ResumeRanks names which of the original run's data ranks
 	// this run's learners play (strictly ascending, one per learner), for
 	// resuming with only the survivors of a crash. Nil means all ranks,
 	// requiring Learners == the checkpoint's OrigP.
@@ -233,12 +227,12 @@ type Config struct {
 	// reports Local, and the collectives meet on the wire (only rank 0's
 	// process reports the curve and FinalParams; it writes the
 	// checkpoint, and every process reads ResumeFrom). Its Size must
-	// equal Learners. SASGD only. Run leaves closing it to the caller,
-	// except under a fault plan, whose membership ledger closes it on
-	// exit (Close is idempotent).
+	// equal Learners. SASGD only. Run closes it only when a learner
+	// fails, to unwind the others; otherwise closing it is the caller's
+	// (Close is idempotent).
 	Transport comm.Transport
 
-	// AggHook, when non-nil, is called by virtual rank 0 synchronously
+	// AggHook, when non-nil, is called by rank 0 synchronously
 	// once per dense GLOBAL aggregate — every boundary's allreduce on a
 	// flat schedule, every outer exchange under HierGroups — right before
 	// γp is applied, with the index of the boundary the aggregate
@@ -285,8 +279,8 @@ var configRules = []struct {
 		func(c *Config) bool { return c.Transport != nil && c.Algo != AlgoSASGD }},
 	{"the Transport must span exactly Learners ranks",
 		func(c *Config) bool { return c.Transport != nil && c.Transport.Size() != c.Learners }},
-	{"a Transport that hosts only some ranks composes with neither the fabric simulator nor fault injection (both keep per-rank state in process memory)",
-		func(c *Config) bool { return (c.Sim != nil || c.Faults != nil) && len(c.localRanks()) < c.Learners }},
+	{"a Transport that hosts only some ranks does not compose with the fabric simulator (it keeps every rank's clock in process memory)",
+		func(c *Config) bool { return c.Sim != nil && len(c.localRanks()) < c.Learners }},
 	{"adaptive T, HierGroups, DelayedApply and compression are SASGD boundary policies: they need Algo sasgd",
 		func(c *Config) bool {
 			return (c.TSched == TSchedAdaptive || c.HierGroups >= 2 || c.DelayedApply || c.Compress != "") && c.Algo != AlgoSASGD

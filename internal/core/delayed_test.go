@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"sasgd/internal/comm"
@@ -82,16 +81,15 @@ func TestDelayedOneRoundShiftHooks(t *testing.T) {
 	}
 }
 
-// TestDelayedHooksUnderFaults: the in-flight launch moves only time. On
-// a fixed membership the delayed exchange runs on the rank's runner,
-// left in flight across the next interval; on a membership plane (an
-// empty fault plan) the same exchange completes inside its boundary
-// and only the application is deferred. For every exchange the engine
-// has — the dense tree, both codecs, the inter-island exchange and a
-// codec under a hierarchy — the two must end in the same final
-// parameters bit for bit, and where the aggregate is dense show the
-// same hooks with the same origins and aggregates, the final flush
-// included.
+// TestDelayedHooksUnderFaults: the in-flight launch moves only time. The
+// delayed exchange runs on the rank's runner, left in flight across the
+// next interval, and a slow rank (slow=1:3) changes when every launch
+// completes but not what it carries. For every exchange the engine has —
+// the dense tree, both codecs, the inter-island exchange and a codec
+// under a hierarchy — the run with the straggler must end in the same
+// final parameters bit for bit as the run without, and where the
+// aggregate is dense show the same hooks with the same origins and
+// aggregates, the final flush included.
 func TestDelayedHooksUnderFaults(t *testing.T) {
 	prob := tinyProblem(48, 16, 3)
 	type hook struct {
@@ -125,9 +123,9 @@ func TestDelayedHooksUnderFaults(t *testing.T) {
 			return hooks, Train(cfg, prob)
 		}
 		fixed, fixedRes := run(nil)
-		faulty, faultyRes := run(&comm.FaultPlan{})
+		faulty, faultyRes := run(&comm.FaultPlan{Slow: map[int]float64{1: 3}})
 		if tc.dense && len(fixed) == 0 || len(faulty) != len(fixed) {
-			t.Fatalf("%s: hook counts: fixed membership %d, fault plane %d", tc.name, len(fixed), len(faulty))
+			t.Fatalf("%s: hook counts: %d without the straggler, %d with it", tc.name, len(fixed), len(faulty))
 		}
 		for i := range fixed {
 			if faulty[i].boundary != fixed[i].boundary || i > 0 && fixed[i].boundary <= fixed[i-1].boundary {
@@ -141,7 +139,7 @@ func TestDelayedHooksUnderFaults(t *testing.T) {
 		}
 		for i := range fixedRes.FinalParams {
 			if !sameBits(fixedRes.FinalParams[i], faultyRes.FinalParams[i]) {
-				t.Fatalf("%s: delayed run under an empty fault plan diverged at %d: %g vs %g",
+				t.Fatalf("%s: delayed run with a slow rank diverged at %d: %g vs %g",
 					tc.name, i, fixedRes.FinalParams[i], faultyRes.FinalParams[i])
 			}
 		}
@@ -311,33 +309,41 @@ func TestScheduledComposesCodecs(t *testing.T) {
 	}
 }
 
-// TestChaosHierCrashReformsIslands: a crash inside an island must
-// re-partition the survivor group by the members' physical islands and
-// leave the run bitwise reproducible — the hierarchical leg of the chaos
-// contract.
-func TestChaosHierCrashReformsIslands(t *testing.T) {
+// TestCrashEndsRunWithItsError: a fault plan's crash ends the run with
+// the crashing rank's error, on every boundary policy — among them the
+// compositions a boundary checkpoint cannot hold (a codec's residual, a
+// pending delayed aggregate, an island reference), whose crash is
+// therefore not recoverable by resume: Run names the rank and the
+// boundary, every peer unwinds, and two runs end alike.
+func TestCrashEndsRunWithItsError(t *testing.T) {
 	prob := tinyProblem(48, 24, 11)
-	for _, delayed := range []bool{false, true} {
-		cfg := Config{
-			Algo: AlgoSASGD, Learners: 6, Interval: 2, Gamma: 0.05,
-			Batch: 4, Epochs: 6, Seed: 47,
-			HierGroups: 3, TOuter: 2, DelayedApply: delayed,
-			// Rank 2 (island 1's leader) dies at boundary 1.
-			Faults: &comm.FaultPlan{CrashAt: map[int]int{2: 1}, EvictAfter: 3e8},
-		}
-		a := Train(cfg, prob)
-		b := Train(cfg, prob)
-		if a.LiveP != 5 {
-			t.Fatalf("delayed=%v: LiveP = %d, want 5", delayed, a.LiveP)
-		}
-		for i := range a.FinalParams {
-			if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
-				t.Fatalf("delayed=%v: crashed hier run not reproducible at %d", delayed, i)
-			}
-		}
-		for i, v := range a.FinalParams {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("delayed=%v: non-finite param %g at %d after re-form", delayed, v, i)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"dense", with(goldenBase(3, 1), func(c *Config) { c.Faults = mustPlan(t, "crash=1@2") }),
+			"learner 1: core: rank 1 crashed at boundary 2 (fault plan)"},
+		{"topk-delayed", with(goldenBase(3, 2), func(c *Config) {
+			c.Faults, c.Compress, c.CompressK, c.DelayedApply = mustPlan(t, "crash=1@2"), CodecTopK, 0.3, true
+		}), "learner 1: core: rank 1 crashed at boundary 2 (fault plan)"},
+		{"qint8-hier", with(goldenBase(4, 1), func(c *Config) {
+			c.Faults, c.Compress, c.HierGroups, c.TOuter = mustPlan(t, "crash=1@2"), CodecQInt8, 2, 2
+		}), "learner 1: core: rank 1 crashed at boundary 2 (fault plan)"},
+		// Rank 2 is island 1's leader.
+		{"hier", Config{
+			Algo: AlgoSASGD, Learners: 6, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 6, Seed: 47,
+			HierGroups: 3, TOuter: 2, Faults: mustPlan(t, "crash=2@1"),
+		}, "learner 2: core: rank 2 crashed at boundary 1 (fault plan)"},
+		{"hier-delayed", Config{
+			Algo: AlgoSASGD, Learners: 6, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 6, Seed: 47,
+			HierGroups: 3, TOuter: 2, DelayedApply: true, Faults: mustPlan(t, "crash=2@1"),
+		}, "learner 2: core: rank 2 crashed at boundary 1 (fault plan)"},
+	} {
+		for run := 0; run < 2; run++ {
+			res, err := Run(tc.cfg, prob)
+			if res != nil || err == nil || err.Error() != tc.want {
+				t.Fatalf("%s, run %d: Run returned (%v, %v), want the crash error %q", tc.name, run, res, err, tc.want)
 			}
 		}
 	}

@@ -90,10 +90,10 @@ func TestT1GradientSumIsGradientBuffer(t *testing.T) {
 		tc.mut(&cfg)
 		cfg = resolved(t, cfg)
 		net := prob.Model(cfg.Seed)
-		view := comm.View{G: comm.NewSimGroup(cfg.Learners, nil, nil), Phys: identity(cfg.Learners)}
+		g := comm.NewSimGroup(cfg.Learners, nil, nil)
 		tk := obs.NewTracer(1).Learner(0)
 		fc := newFleetCollector(cfg, 0, cfg.Learners, obs.NewFleet(cfg.Learners), tk)
-		e := newEngine(cfg, nil, view, 0, cfg.Learners, net, tk, fc)
+		e := newEngine(cfg, g, 0, cfg.Learners, net, tk, fc)
 		if alias := &e.gs[0] == &net.GradData()[0]; alias != tc.alias {
 			t.Errorf("%s: gs is the gradient buffer: %v, want %v", tc.name, alias, tc.alias)
 		}

@@ -11,11 +11,11 @@ import (
 // fixed-size health frame — drift, phase timings, the simulated
 // compute/communication split, compression capture — at the head of the
 // boundary's control frame (boundary.go); the sum of disjoint slots is
-// their concatenation (obs/fleet.go). Virtual rank 0 of the current
-// group then writes the period and top-k fraction decided from that
-// same frame into the live slots and ingests the fleet view: per-rank
-// health, the drift RMS and the straggler detector. Run returns its
-// final snapshot as Result.Fleet, and the end-of-run report prints it.
+// their concatenation (obs/fleet.go). Rank 0 then writes the period
+// decided from that same frame into every slot and ingests the fleet
+// view: per-rank health, the drift RMS and the straggler detector. Run
+// returns its final snapshot as Result.Fleet, and the end-of-run report
+// prints it.
 //
 // The collector reads no clock of its own: an interval's wall time is
 // the learner track's clock between two boundaries, its compute time the
@@ -28,10 +28,9 @@ type fleetCollector struct {
 	fleet *obs.Fleet
 	tk    *obs.Track // the learner's track: the interval's clock and compute time
 	sim   *netsim.Sim
-	rank  int // run-physical rank: this collector's frame slot
-	p     int // run-physical rank count: the frame's slot count
+	rank  int // this collector's frame slot
+	p     int // the frame's slot count
 
-	boundary      int
 	driftSq       float64 // captured at boundaryStart, encoded at encode
 	lastWallNs    int64   // track clock at the previous encode
 	lastComputeNs int64   // track forward + backward total at the previous encode
@@ -70,7 +69,7 @@ func (c *fleetCollector) boundaryStart(params, ref []float64) {
 
 // encode writes the rank's health frame over the first p·FrameWords
 // words of the empty control frame ctl and returns it; a nil collector
-// returns ctl as it is. The period and top-k fraction are left to ingest.
+// returns ctl as it is. The period is left to ingest.
 func (c *fleetCollector) encode(ctl []float64, comp comm.Compressor) []float64 {
 	if c == nil {
 		return ctl
@@ -95,8 +94,6 @@ func (c *fleetCollector) encode(ctl []float64, comp comm.Compressor) []float64 {
 	clear(ctl)
 	obs.Frame{
 		Rank:       c.rank,
-		Live:       true,
-		Boundary:   c.boundary,
 		DriftSq:    c.driftSq,
 		ComputeNs:  float64(computeNs),
 		WallNs:     float64(wallNs),
@@ -105,24 +102,20 @@ func (c *fleetCollector) encode(ctl []float64, comp comm.Compressor) []float64 {
 		Sent2:      sent2,
 		Resid2:     resid2,
 	}.Encode(ctl)
-	c.boundary++
 	return ctl
 }
 
-// ingest writes the period t and top-k fraction ratio in effect after
-// this boundary into every live slot of the summed control frame and
-// hands it to the fleet view, on virtual rank grank 0 of the current
-// group (a survivor group under fault handling: dead ranks' slots stay
-// zero).
-func (c *fleetCollector) ingest(grank int, ctl []float64, t int, ratio float64) {
-	if c == nil || grank != 0 {
+// ingest writes the period t in effect after this boundary into every
+// slot of the summed control frame and hands it to the fleet view, on
+// rank 0.
+func (c *fleetCollector) ingest(rank int, ctl []float64, t int) {
+	if c == nil || rank != 0 {
 		return
 	}
 	for r := 0; r < c.p; r++ {
-		if f := obs.DecodeFrame(ctl, r); f.Live {
-			f.T, f.Ratio = t, ratio
-			f.Encode(ctl)
-		}
+		f := obs.DecodeFrame(ctl, r)
+		f.T = t
+		f.Encode(ctl)
 	}
 	c.fleet.Ingest(ctl)
 }

@@ -77,10 +77,10 @@ func drawConfig(rng *rand.Rand) genDraw {
 	case 0, 1, 2:
 		d.faults = "empty"
 	case 3, 4:
-		d.faults = fmt.Sprintf("slow=%d:3,evict=2s", rng.Intn(d.p))
+		d.faults = fmt.Sprintf("slow=%d:3", rng.Intn(d.p))
 	case 5, 6:
 		if d.p > 1 {
-			d.faults = fmt.Sprintf("crash=%d@%d,evict=400ms", rng.Intn(d.p), rng.Intn(2))
+			d.faults = fmt.Sprintf("crash=%d@%d", rng.Intn(d.p), rng.Intn(2))
 		}
 	}
 	d.ckpt = rng.Intn(5) == 0
@@ -156,7 +156,7 @@ func (d genDraw) config(t *testing.T, v genVariant) (Config, func()) {
 			t.Fatal(err)
 		}
 		cfg.Transport = tr
-		cleanup = func() { tr.Close() } // idempotent: a fault-plan run closes it first
+		cleanup = func() { tr.Close() } // idempotent: a failed run closes it first
 	}
 	return cfg, cleanup
 }
@@ -204,6 +204,35 @@ func mustSameTraffic(t *testing.T, what string, a, b *Result) {
 	}
 }
 
+// checkCrash runs a crash draw over channels and over TCP. A run long
+// enough to reach the crash's boundary must end, on both, with the
+// crashing rank's error; it reports whether it did. A shorter run never
+// crashes and is checked like any other draw.
+func checkCrash(t *testing.T, d genDraw, prob *Problem) bool {
+	t.Helper()
+	var rank, boundary int
+	if _, err := fmt.Sscanf(d.faults, "crash=%d@%d", &rank, &boundary); err != nil {
+		t.Fatalf("generator produced a bad crash spec %q: %v", d.faults, err)
+	}
+	want := fmt.Sprintf("learner %d: core: rank %d crashed at boundary %d (fault plan)", rank, rank, boundary)
+	cfg, cleanup := d.config(t, genBase)
+	_, err := Run(cfg, prob)
+	cleanup()
+	if err == nil {
+		return false
+	}
+	if err.Error() != want {
+		t.Fatalf("crash draw %+v: Run returned %v, want %q", d, err, want)
+	}
+	cfg, cleanup = d.config(t, genTCP)
+	_, err = Run(cfg, prob)
+	cleanup()
+	if fmt.Sprint(err) != want {
+		t.Fatalf("crash draw %+v over TCP: Run returned %v, want %q", d, err, want)
+	}
+	return true
+}
+
 // checkDraw asserts every per-draw property of an accepted draw and
 // returns the number of codec collectives its conservation check saw.
 func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
@@ -220,9 +249,9 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 	b := d.run(t, genBase, prob)
 	mustBitwise(t, fmt.Sprintf("run twice %+v", d), a, b, 0)
 	mustSameTraffic(t, fmt.Sprintf("run twice %+v", d), a, b)
-	if a.FinalT != b.FinalT || a.CompressK != b.CompressK || a.LiveP != b.LiveP {
-		t.Fatalf("run twice %v: FinalT %d/%d CompressK %g/%g LiveP %d/%d", d,
-			a.FinalT, b.FinalT, a.CompressK, b.CompressK, a.LiveP, b.LiveP)
+	if a.FinalT != b.FinalT || a.CompressK != b.CompressK {
+		t.Fatalf("run twice %v: FinalT %d/%d CompressK %g/%g", d,
+			a.FinalT, b.FinalT, a.CompressK, b.CompressK)
 	}
 
 	tcp := d.run(t, genTCP, prob)
@@ -234,12 +263,10 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 
 	// Closed form (TestSASGDWordsMovedMatchesCollectiveCount): a dense
 	// binomial-tree run moves (p−1)·m words for the initial broadcast and
-	// 2(p−1)·m per aggregation. Frames, drift statistics, hierarchy and
-	// membership changes add or remove traffic, so the form applies
-	// without them.
+	// 2(p−1)·m per aggregation. Frames, drift statistics and a hierarchy
+	// add or remove traffic, so the form applies without them.
 	dense := d.codec == "" || d.k >= 1
-	crash := strings.Contains(d.faults, "crash")
-	if dense && d.tsched != TSchedAdaptive && d.hierGroups < 2 && !d.metrics && !crash {
+	if dense && d.tsched != TSchedAdaptive && d.hierGroups < 2 && !d.metrics {
 		m := len(a.FinalParams)
 		steps := genEpochs * batchesPerEpoch(prob.Train.Partition(d.p), genBatch)
 		want := int64((d.p - 1) * m * (2*(steps/d.interval) + 1))
@@ -264,7 +291,7 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 // (TestCodecConservationBitwise); here it holds for what the engine
 // actually feeds the codecs on every accepted composition — zero
 // contributions of non-leaders under a hierarchy, delayed launches in
-// flight across an interval, survivors after a crash. For top-k it also checks the
+// flight across an interval. For top-k it also checks the
 // ledger the adaptive controller and the fleet frame read: a rank's
 // Δsent² + Δresid² is the squared norm of what it folded. On the sparse
 // apply the aggregate is read back off the apply target, (x after −
@@ -272,7 +299,7 @@ func checkDraw(t *testing.T, d genDraw, prob *Problem) (collectives int) {
 // took the path its shape calls for.
 type massLedger struct {
 	mu             sync.Mutex
-	calls          map[int]*massCall // by the rank's own collective count: every live rank makes the same sequence
+	calls          map[int]*massCall // by the rank's own collective count: every rank makes the same sequence
 	plain, applied int               // rank-collectives by path: Allreduce, AllreduceApply
 	errs           []string
 }
@@ -454,7 +481,7 @@ func TestGeneratedConfigs(t *testing.T) {
 	prob := tinyProblem(48, 24, 5)
 	rng := rand.New(rand.NewSource(2017))
 	rejected := map[string]int{}
-	accepted, collectives := 0, 0
+	accepted, collectives, crashes := 0, 0, 0
 	for i := 0; i < draws; i++ {
 		d := drawConfig(rng)
 		cfg, cleanup := d.config(t, genBase)
@@ -464,7 +491,11 @@ func TestGeneratedConfigs(t *testing.T) {
 			continue
 		}
 		accepted++
-		collectives += checkDraw(t, d, prob)
+		if strings.HasPrefix(d.faults, "crash") && checkCrash(t, d, prob) {
+			crashes++
+		} else {
+			collectives += checkDraw(t, d, prob)
+		}
 		checkCollapse(t, d, prob)
 	}
 	table := map[string]bool{}
@@ -479,8 +510,8 @@ func TestGeneratedConfigs(t *testing.T) {
 		}
 	}
 	sort.Strings(reasons)
-	t.Logf("%d draws: %d accepted (%d codec collectives checked for conservation), %d rejected:\n  %s",
-		draws, accepted, collectives, draws-accepted, strings.Join(reasons, "\n  "))
+	t.Logf("%d draws: %d accepted (%d ended with their crash's error, %d codec collectives checked for conservation), %d rejected:\n  %s",
+		draws, accepted, crashes, collectives, draws-accepted, strings.Join(reasons, "\n  "))
 	if collectives == 0 {
 		t.Error("no codec collective was checked for conservation")
 	}
@@ -513,7 +544,7 @@ func TestValidateRules(t *testing.T) {
 		func(c *Config) { c.Algo, c.CheckpointPath = AlgoEAMSGD, "x.ckpt" },
 		func(c *Config) { c.Algo, c.Transport = AlgoEAMSGD, tr },
 		func(c *Config) { c.Learners, c.Transport = 3, tr },
-		func(c *Config) { c.Transport, c.Faults = partialMesh{tr}, &comm.FaultPlan{} },
+		func(c *Config) { c.Transport, c.Sim = partialMesh{tr}, netsim.New(2, netsim.DefaultConfig()) },
 		func(c *Config) { c.Algo, c.DelayedApply = AlgoDownpour, true },
 		func(c *Config) { c.ResumeFrom, c.HierGroups = "x.ckpt", 2 },
 	}

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"sasgd/internal/comm"
 	"sasgd/internal/data"
 	"sasgd/internal/model"
 	"sasgd/internal/netsim"
@@ -124,15 +123,6 @@ func plain(cfg Config) func(*testing.T, string, *Problem) Config {
 	return func(*testing.T, string, *Problem) Config { return cfg }
 }
 
-// goldenCrash is the crash rows' plan: rank 1 dies at boundary 2.
-func goldenCrash(t *testing.T) *comm.FaultPlan {
-	plan, err := comm.ParseFaultPlan("crash=1@2,evict=400ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan
-}
-
 func with(cfg Config, mut func(*Config)) Config {
 	mut(&cfg)
 	return cfg
@@ -172,27 +162,20 @@ var goldenCases = []goldenCase{
 		params: 0x0d18de0b3fa8f5f8, curve: 0x2cdb3719857dd614, words: 619, msgs: 17},
 	{name: "metrics_T1", cfg: func(*testing.T, string, *Problem) Config {
 		return with(goldenBase(2, 1), func(c *Config) { c.Metrics = true })
-	}, params: 0xc41bbe1547d57e5e, curve: 0xd028fa6ecad2f61b, words: 2797, msgs: 61},
-	{name: "crash_T1", cfg: func(t *testing.T, _ string, _ *Problem) Config {
-		plan, err := comm.ParseFaultPlan("crash=1@2,evict=400ms")
-		if err != nil {
-			t.Fatal(err)
+	}, params: 0xc41bbe1547d57e5e, curve: 0xd028fa6ecad2f61b, words: 2617, msgs: 61},
+	// A crash ends the run with its error; the survivors resume from the
+	// last boundary checkpoint before it, with γp rescaled by 3/2.
+	{name: "crash_T1", cfg: func(t *testing.T, dir string, prob *Problem) Config {
+		crashed := with(goldenBase(3, 1), func(c *Config) {
+			c.Faults, c.CheckpointPath = mustPlan(t, "crash=1@2"), filepath.Join(dir, "ck-%d.ckpt")
+		})
+		if _, err := Run(crashed, prob); err == nil || !strings.HasSuffix(err.Error(), "rank 1 crashed at boundary 2 (fault plan)") {
+			t.Fatalf("crash run returned %v, want rank 1's crash at boundary 2", err)
 		}
-		return with(goldenBase(3, 1), func(c *Config) { c.Faults = plan })
-	}, params: 0xaef8268858425515, curve: 0xc6550f33e0c516c9, words: 2010, msgs: 30},
-	// A crash under each codec on the membership-aware boundaries that
-	// defer: the delayed one exchanges inside its boundary, the
-	// hierarchical one regroups the survivors' islands.
-	{name: "crash_topk_delayed_T2", cfg: func(t *testing.T, _ string, _ *Problem) Config {
-		return with(goldenBase(3, 2), func(c *Config) {
-			c.Faults, c.Compress, c.CompressK, c.DelayedApply = goldenCrash(t), CodecTopK, 0.3, true
+		return with(goldenBase(2, 1), func(c *Config) {
+			c.ResumeFrom, c.ResumeRanks = filepath.Join(dir, "ck-2.ckpt"), []int{0, 2}
 		})
-	}, params: 0x58ed8c87ce5c4dd0, curve: 0xcb43edcdbf0e0844, words: 806, msgs: 34},
-	{name: "crash_qint8_hier_T1", cfg: func(t *testing.T, _ string, _ *Problem) Config {
-		return with(goldenBase(4, 1), func(c *Config) {
-			c.Faults, c.Compress, c.HierGroups, c.TOuter = goldenCrash(t), CodecQInt8, 2, 2
-		})
-	}, params: 0xb7df8117a584765e, curve: 0x9feedcb90ea300e0, words: 2221, msgs: 101},
+	}, params: 0xaef8268858425515, curve: 0xc6550f33e0c516c9, words: 1407, msgs: 21},
 	{name: "checkpoint_T1", cfg: func(_ *testing.T, dir string, _ *Problem) Config {
 		return with(goldenBase(2, 1), func(c *Config) { c.CheckpointPath = filepath.Join(dir, "ck-%d.ckpt") })
 	}, params: 0xc41bbe1547d57e5e, curve: 0xd028fa6ecad2f61b, words: 2077, msgs: 31},

@@ -163,28 +163,25 @@ func writeTraffic(w io.Writer, tr comm.Transport, s comm.Stats, nb int64) {
 // writeRanks renders the fleet view; the simulated split only when the
 // run was simulated.
 func writeRanks(w io.Writer, snap *obs.FleetSnap, sim bool) {
-	tab := report.Table{Title: "ranks", Header: []string{"rank", "live", "compute(ms)", "wall(ms)"}}
+	tab := report.Table{Title: "ranks", Header: []string{"rank", "compute(ms)", "wall(ms)"}}
 	if sim {
 		tab.Header = append(tab.Header, "sim-comp(s)", "sim-comm(s)")
 	}
 	tab.Header = append(tab.Header, "z", "verdict")
 	for _, r := range snap.Ranks {
-		live, verdict := "yes", "ok"
-		if !r.Live {
-			live = "no"
-		}
+		verdict := "ok"
 		if r.Flagged {
 			verdict = "STRAGGLER"
 		}
-		row := []string{fmt.Sprint(r.Rank), live, fmt.Sprintf("%.1f", r.TotComputeNs/1e6), fmt.Sprintf("%.1f", r.TotWallNs/1e6)}
+		row := []string{fmt.Sprint(r.Rank), fmt.Sprintf("%.1f", r.TotComputeNs/1e6), fmt.Sprintf("%.1f", r.TotWallNs/1e6)}
 		if sim {
 			row = append(row, fmt.Sprintf("%.3f", r.TotSimCompute), fmt.Sprintf("%.3f", r.TotSimComm))
 		}
 		tab.AddRow(append(row, fmt.Sprintf("%.2f", r.Z), verdict)...)
 	}
 	fmt.Fprint(w, tab.String())
-	fmt.Fprintf(w, "fleet: %d boundaries, %d/%d live, T=%d, drift RMS %.4g, %d frame words on the wire\n",
-		snap.Boundaries, snap.Live, len(snap.Ranks), snap.T, snap.DriftRMS, snap.Words)
+	fmt.Fprintf(w, "fleet: %d boundaries, T=%d, drift RMS %.4g, %d frame words on the wire\n",
+		snap.Boundaries, snap.T, snap.DriftRMS, snap.Words)
 	if len(snap.Anomalies) > 0 {
 		fmt.Fprintf(w, "anomalies: ranks %v flagged as stragglers (leave-one-out z ≥ %g for %d+ boundaries)\n",
 			snap.Anomalies, obs.DefaultZ, obs.DefaultStreak)

@@ -108,7 +108,7 @@ func TestReportRanksAgreeWithDecomposition(t *testing.T) {
 			computeNs[pp.Track] += pp.Total
 		}
 	}
-	row0 := fmt.Sprintf("\n0 yes %.1f ", float64(computeNs["learner 0"])/1e6)
+	row0 := fmt.Sprintf("\n0 %.1f ", float64(computeNs["learner 0"])/1e6)
 	if !strings.Contains(out, "ranks\n") || !strings.Contains(out, row0) {
 		t.Errorf("ranks block has no row %q:\n%s", row0, out)
 	}

@@ -51,8 +51,8 @@ type Result struct {
 	WordsMoved int64
 
 	// Comm is the group's full communication-stats snapshot (traffic per
-	// collective algorithm, mailbox wait, in-flight exchange occupancy,
-	// fault counters) for SASGD; SGD's one-learner group moves nothing,
+	// collective algorithm, mailbox wait, in-flight exchange occupancy)
+	// for SASGD; SGD's one-learner group moves nothing,
 	// and the asynchronous algorithms report the zero value.
 	Comm comm.Stats
 
@@ -60,11 +60,6 @@ type Result struct {
 	// the configured CompressK unless CompressAdapt moved it. Zero for
 	// dense and qint8 runs.
 	CompressK float64
-
-	// LiveP is the number of learners still live when the run finished:
-	// P minus crashes and evictions. Equal to P unless a fault plan
-	// killed or fenced someone.
-	LiveP int
 
 	// FinalParams is learner 0's parameter vector when it finished its
 	// run: the parameters the final accuracies were evaluated at for
@@ -75,8 +70,8 @@ type Result struct {
 	// Fleet is the final fleet view of a run with Config.Metrics on:
 	// per-rank health, drift RMS, straggler verdicts and the frame's words
 	// on the wire. Nil with metrics off, for the asynchronous algorithms,
-	// and in a process that never ingested a boundary (one that hosts no
-	// boundary's virtual rank 0).
+	// and in a process that never ingested a boundary (one that does not
+	// host rank 0).
 	Fleet *obs.FleetSnap
 }
 

@@ -30,12 +30,9 @@ import (
 //
 // This is the only SASGD loop. Everything a Config can ask of the
 // aggregation — a moving T, a hierarchy, delayed application, a codec,
-// crash tolerance, checkpoints — is a stage of the boundary engine
+// checkpoints, a scheduled crash — is a stage of the boundary engine
 // (boundary.go) the loop calls every T steps; the loop itself only
-// knows local steps and epochs. Only a fault
-// plan puts the run on the membership ledger (comm.Resilient); every
-// other run, checkpointing and resuming ones included, syncs on one
-// fixed group.
+// knows local steps and epochs. Every run syncs on one fixed group.
 func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 	p := cfg.Learners
 
@@ -48,8 +45,8 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 			return nil, err
 		}
 		// γp belongs to the original run's shape; restore it so rescaling
-		// by OrigP/|live| lands on the same effective rate the original
-		// run's survivors would use.
+		// by OrigP/p lands the survivors on the per-gradient step the
+		// original γp encoded.
 		cfg.GammaP = rs.meta.GammaP
 	}
 	all := identity(p)
@@ -69,13 +66,9 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		return nil, fmt.Errorf("core: checkpoint step %d outside the run's [0, %d]", startStep, cfg.Epochs*bpe)
 	}
 
-	// Membership: a fault plan puts every sync point on a comm.Resilient
-	// ledger; otherwise the view is the run's group, for good — at a
-	// fault-free boundary there is nothing to agree on but the sum.
-	// Either is built over the caller's wire transport when one is
-	// configured (the same mesh then carries every membership view, and
-	// NewResilientOver insists it is all-local), else over the in-process
-	// fabric — simulated when cfg.Sim is attached.
+	// The run's group: over the caller's wire transport when one is
+	// configured, else over the in-process fabric — simulated when
+	// cfg.Sim is attached.
 	var clocks []comm.Clock
 	var cost comm.CostModel
 	if cfg.Sim != nil {
@@ -83,46 +76,28 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		// than the one it forces: it takes the first p clocks.
 		clocks, cost = cfg.Sim.Clocks()[:p], cfg.Sim.CostModel()
 	}
-	var mem *comm.Resilient
-	var view comm.View
-	if cfg.Faults != nil {
-		if cfg.Transport != nil {
-			mem = comm.NewResilientOver(cfg.Transport, cfg.Faults, clocks, cost, cfg.Tracer)
-		} else {
-			mem = comm.NewResilient(p, cfg.Faults, clocks, cost, cfg.Tracer)
-		}
-		view = mem.Current()
+	var group *comm.Group
+	if cfg.Transport != nil {
+		group = comm.NewTransportGroup(cfg.Transport, nil, clocks, cost)
 	} else {
-		var group *comm.Group
-		if cfg.Transport != nil {
-			group = comm.NewTransportGroup(cfg.Transport, nil, clocks, cost)
-		} else {
-			group = comm.NewSimGroup(p, clocks, cost)
-		}
-		// Attach the tracer before the learner goroutines start: comm
-		// workers pick up their trace tracks at creation.
-		group.SetTracer(cfg.Tracer)
-		// Cross-island accounting starts with the initial broadcast, so the
-		// island map goes in before any learner sends: the hierarchy's own
-		// partition, or for a flat run the simulated topology's — so
-		// frontier tables can compare the uplink traffic a hierarchical
-		// schedule would have avoided.
-		if cfg.HierGroups >= 2 {
-			group.SetIslands(comm.BlockIslands(p, cfg.HierGroups))
-		} else if cfg.Sim != nil {
-			islandOf := make([]int, p)
-			for r := range islandOf {
-				islandOf[r] = cfg.Sim.IslandOf(r)
-			}
-			group.SetIslands(islandOf)
-		}
-		view = comm.View{G: group, Phys: all}
+		group = comm.NewSimGroup(p, clocks, cost)
 	}
-	// The run's counters: the group's, or the membership layer's sum over
-	// every group it formed.
-	stats := view.G.Stats
-	if mem != nil {
-		stats = mem.Stats
+	// Attach the tracer before the learner goroutines start: comm
+	// workers pick up their trace tracks at creation.
+	group.SetTracer(cfg.Tracer)
+	// Cross-island accounting starts with the initial broadcast, so the
+	// island map goes in before any learner sends: the hierarchy's own
+	// partition, or for a flat run the simulated topology's — so
+	// frontier tables can compare the uplink traffic a hierarchical
+	// schedule would have avoided.
+	if cfg.HierGroups >= 2 {
+		group.SetIslands(comm.BlockIslands(p, cfg.HierGroups))
+	} else if cfg.Sim != nil {
+		islandOf := make([]int, p)
+		for r := range islandOf {
+			islandOf[r] = cfg.Sim.IslandOf(r)
+		}
+		group.SetIslands(islandOf)
 	}
 	// The learner tracks are the fleet frame's clock and compute time. A
 	// metrics-only run gives them a tracer of one-span rings that nothing
@@ -142,11 +117,7 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 
 	local := cfg.localRanks()
 	// Closing the fabric unwinds the peers parked on a failed learner.
-	abort := view.G.Close
-	if mem != nil {
-		abort = mem.Close
-	}
-	err := runLearnersOn(local, abort, func(rank int) error {
+	err := runLearnersOn(local, group.Close, func(rank int) error {
 		dataPhys := dataRanks[rank]
 		net, err := prob.newReplica(cfg.Seed + int64(dataPhys))
 		if err != nil {
@@ -167,10 +138,10 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		// carry the checkpoint parameters and the broadcast is a no-op in
 		// values; it still runs so the wire schedule matches a cold start.
 		bs := tk.Begin()
-		view.G.BroadcastTree(rank, params)
+		group.BroadcastTree(rank, params)
 		tk.End(obs.PhaseBcast, bs)
 
-		e := newEngine(cfg, mem, view, rank, origP, net, tk, fc)
+		e := newEngine(cfg, group, rank, origP, net, tk, fc)
 		defer e.close()
 		e.dataRanks, e.bidx = dataRanks, startBoundary
 		if rs != nil {
@@ -214,8 +185,8 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 				samples.Add(int64(len(idx)))
 				step++
 				if step == next {
-					if !e.boundary(params, step) {
-						return e.err
+					if err := e.boundary(params, step); err != nil {
+						return err
 					}
 					next = step + e.sched.T()
 				}
@@ -229,15 +200,12 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 			} else {
 				e.drain()
 			}
-			// Collective epoch boundary: synchronize, let the view's
-			// virtual rank 0 record accuracy from its own replica (the
-			// paper collects accuracy from one learner after each full
-			// pass; the role moves if rank 0 crashes), synchronize again
-			// so nobody races ahead into the next epoch during evaluation.
-			if !e.barrier() {
-				return nil
-			}
-			if e.vr == 0 && (epoch+1)%cfg.EvalEvery == 0 {
+			// Collective epoch boundary: synchronize, let rank 0 record
+			// accuracy from its own replica (the paper collects accuracy
+			// from one learner after each full pass), synchronize again so
+			// nobody races ahead into the next epoch during evaluation.
+			group.Barrier(rank)
+			if rank == 0 && (epoch+1)%cfg.EvalEvery == 0 {
 				simNow := 0.0
 				if cfg.Sim != nil {
 					simNow = cfg.Sim.MaxTime()
@@ -256,12 +224,10 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 				parallel.SetWorkers(prev)
 				tk.End(obs.PhaseEval, es)
 			}
-			if !e.barrier() {
-				return nil
-			}
+			group.Barrier(rank)
 		}
-		boundaries.Store(int64(e.bidx - startBoundary)) // the same count on every learner that gets here
-		if e.vr == 0 {
+		boundaries.Store(int64(e.bidx - startBoundary)) // the same count on every learner
+		if rank == 0 {
 			finalParams = append([]float64(nil), params...)
 			finalT = e.sched.T()
 			if e.comp != nil && cfg.Compress == CodecTopK {
@@ -274,14 +240,9 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		return nil, err
 	}
 
-	st := stats()
-	liveP := p
-	if mem != nil {
-		liveP = mem.Current().Size()
-		mem.Close()
-	}
+	st := group.Stats()
 	simTime, compute, communication := cfg.simSplits()
-	// A process that hosts no boundary's virtual rank 0 never ingests.
+	// A process that does not host rank 0 never ingests.
 	snap := fleet.Snapshot()
 	if snap != nil && snap.Boundaries == 0 {
 		snap = nil
@@ -300,7 +261,6 @@ func trainSASGD(cfg Config, prob *Problem, rec *recorder) (*Result, error) {
 		WordsMoved:  st.Words,
 		Comm:        st,
 		CompressK:   finalRatio,
-		LiveP:       liveP,
 		FinalParams: finalParams,
 		Fleet:       snap,
 	}, nil

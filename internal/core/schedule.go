@@ -71,7 +71,7 @@ func drift(params, ref []float64) (d, r float64) {
 }
 
 // advance runs one adaptive controller step on the group's summed drift
-// statistic [Σd_i, Σ‖ref‖²] over p live learners.
+// statistic [Σd_i, Σ‖ref‖²] over p learners.
 func (s *tScheduler) advance(sumD, sumR float64, p int) {
 	fp := float64(p)
 	rel := math.Sqrt(sumD/fp) / (1 + math.Sqrt(sumR/fp))

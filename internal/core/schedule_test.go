@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"sasgd/internal/comm"
 	"sasgd/internal/netsim"
 )
 
@@ -134,28 +133,29 @@ func TestSchedulerRestore(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTWithFaultsDeterministic: the scheduler under the
-// resilient path (live-view allreduces, crash mid-run) must stay
-// reproducible run to run.
+// TestAdaptiveTWithFaultsDeterministic: the scheduler with a straggler
+// (slow=2:3) must stay reproducible run to run, and a slow rank moves
+// only time: the period trajectory and the parameters are those of the
+// run without one.
 func TestAdaptiveTWithFaultsDeterministic(t *testing.T) {
 	prob := tinyProblem(48, 24, 9)
 	cfg := Config{
 		Algo: AlgoSASGD, Learners: 4, Interval: 4, Gamma: 0.05,
 		Batch: 4, Epochs: 3, Seed: 21,
 		TSched: TSchedAdaptive,
-		Faults: &comm.FaultPlan{CrashAt: map[int]int{2: 1}, EvictAfter: 3e8},
 	}
+	plain := Train(cfg, prob)
+	cfg.Faults = mustPlan(t, "slow=2:3")
 	a := Train(cfg, prob)
 	b := Train(cfg, prob)
-	if a.LiveP != 3 || b.LiveP != 3 {
-		t.Fatalf("LiveP = %d/%d, want 3 (one crash)", a.LiveP, b.LiveP)
-	}
-	if a.FinalT != b.FinalT {
-		t.Fatalf("FinalT %d vs %d across identical faulty runs", a.FinalT, b.FinalT)
-	}
-	for i := range a.FinalParams {
-		if !sameBits(a.FinalParams[i], b.FinalParams[i]) {
-			t.Fatalf("faulty adaptive run not reproducible at %d", i)
+	for _, r := range []*Result{a, b} {
+		if r.FinalT != plain.FinalT {
+			t.Fatalf("FinalT %d with the straggler, %d without", r.FinalT, plain.FinalT)
+		}
+		for i := range plain.FinalParams {
+			if !sameBits(r.FinalParams[i], plain.FinalParams[i]) {
+				t.Fatalf("adaptive run with a straggler diverged at %d: %g vs %g", i, r.FinalParams[i], plain.FinalParams[i])
+			}
 		}
 	}
 }

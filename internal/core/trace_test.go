@@ -39,14 +39,9 @@ func TestTraceExportFromRun(t *testing.T) {
 	// Every instrumented phase fires in this configuration: forward/
 	// backward/local step on every batch, agg wait/apply at the
 	// boundaries, queue dwell + allreduce on the comm workers (the
-	// delayed launches), and the initial broadcast. The membership phases
-	// (heartbeat, evict, reform, crash) only fire under a
-	// FaultPlan — the chaos tests cover their presence — and compress
-	// only fires in compressed runs (TestTraceSparsePathPhases).
-	elsewhere := map[obs.Phase]bool{
-		obs.PhaseHeartbeat: true, obs.PhaseEvict: true, obs.PhaseReform: true, obs.PhaseCrash: true,
-		obs.PhaseCompress: true,
-	}
+	// delayed launches), and the initial broadcast. Compress only fires
+	// in compressed runs (TestTraceSparsePathPhases).
+	elsewhere := map[obs.Phase]bool{obs.PhaseCompress: true}
 	counts, table := reportCounts(cfg, res)
 	for ph := obs.Phase(0); ph < obs.NumPhases; ph++ {
 		if !elsewhere[ph] && (counts[ph.String()] == 0 || !strings.Contains(table, ph.String())) {

@@ -16,7 +16,9 @@ import (
 // sequential SGD as its p = 1 case), trainAsync the asynchronous
 // baselines. It returns Validate's error, or the error that ended the run:
 // empty data, a nil model, a ResumeFrom or CheckpointPath file that fails,
-// or a learner's failure as "learner r: …" — errors.Is(err,
+// or a learner's failure as "learner r: …" — a fault plan's crash
+// ("learner 1: core: rank 1 crashed at boundary 2 (fault plan)"; recovery
+// is a second Run with ResumeFrom and ResumeRanks), or errors.Is(err,
 // comm.ErrClosed) when the Transport was closed under the run or a wire
 // link ended: a peer process that exits or is killed ends its peers'
 // runs with the link's cause ("learner 0: comm: tcp link 1→0: EOF"), and
@@ -49,9 +51,6 @@ func Run(cfg Config, prob *Problem) (*Result, error) {
 		return nil, err
 	}
 	res.Wall = time.Since(start)
-	if res.LiveP == 0 {
-		res.LiveP = res.P
-	}
 	last := res.Curve.Final()
 	res.FinalTrain, res.FinalTest = last.Train, last.Test
 	return res, nil

@@ -20,9 +20,8 @@ import (
 //
 // The faults table is pinned twice: at -epochs 1 and at its default
 // two-epoch budget, the one at which the crash fires (boundary 2 comes
-// after the first epoch) and the survivors evict, re-form and pay the
-// detection penalty. Its crash row depends on the one clock alignment
-// each membership sync point takes.
+// after the first epoch) and its row is the 7 survivors' restart from
+// the boundary-2 checkpoint, in simulated seconds per epoch it trained.
 //
 // -short runs the compress and sched items only: the in-flight runner,
 // both codecs, the hierarchy and delayed application.
@@ -84,8 +83,8 @@ func TestSimulatedDigits(t *testing.T) {
 		}},
 		{"faults default budget", false, func(o Opt) { o.Epochs = 0; DegradedRuns(o) }, []string{
 			"fault-free 0.589 31.54% 8 0",
-			"straggler 4x 2.253 31.54% 8 0",
-			"crash @2 0.717 31.25% 7 1",
+			"straggler 4x 2.249 31.54% 8 0",
+			"crash @2 0.586 31.54% 7 1",
 		}},
 		{"compress", true, func(o Opt) { CompressionFrontier(o) }, []string{
 			"dense - 0.740 20.61% 173250 1.0×",

@@ -11,28 +11,20 @@ import (
 // writes its own slot, and the group sums the control frame with the
 // same tree allreduce the gradients use — summing disjoint slots is
 // concatenation, so after the collective every rank holds the whole
-// fleet's latest health block and the current virtual rank 0 ingests it
-// into the shared Fleet view. The exchange rides the existing Group
-// (pooled buffers, fault-aware membership), and the Fleet counts the
-// words it moves; it never touches gradient values, so enabling metrics
-// leaves training bitwise identical.
-//
-// A dead or evicted rank simply stops contributing: its slot stays
-// zero, its Live word reads 0, and the fleet view carries it as
-// not-live — no sentinel protocol needed.
+// fleet's latest health block and rank 0 ingests it into the shared
+// Fleet view. The exchange rides the existing Group (pooled buffers),
+// and the Fleet counts the words it moves; it never touches gradient
+// values, so enabling metrics leaves training bitwise identical.
 
 // Frame field offsets within one rank's slot.
 const (
-	frameRank       = iota // run-physical rank id
-	frameLive              // 1 when the rank filled its slot this boundary
-	frameBoundary          // boundaries this rank has completed
+	frameRank       = iota // rank id
 	frameT                 // communication period in effect after this boundary
 	frameDriftSq           // ‖x_i − ref‖² over the interval (pre-reset)
 	frameComputeNs         // forward + backward span ns on the rank's learner track this interval
 	frameWallNs            // ns of the whole interval on the learner track's clock
 	frameSimCompute        // simulated compute seconds this interval
 	frameSimComm           // simulated communication seconds this interval
-	frameRatio             // working top-k fraction (0 when not compressing)
 	frameSent2             // cumulative codec ‖sent‖² (error-feedback ledger)
 	frameResid2            // cumulative codec ‖residual‖²
 
@@ -43,15 +35,12 @@ const (
 // Frame is one rank's decoded health block.
 type Frame struct {
 	Rank       int
-	Live       bool
-	Boundary   int
 	T          int
 	DriftSq    float64
 	ComputeNs  float64
 	WallNs     float64
 	SimCompute float64
 	SimComm    float64
-	Ratio      float64
 	Sent2      float64
 	Resid2     float64
 }
@@ -60,18 +49,12 @@ type Frame struct {
 func (f Frame) Encode(buf []float64) {
 	s := buf[f.Rank*FrameWords : (f.Rank+1)*FrameWords]
 	s[frameRank] = float64(f.Rank)
-	s[frameLive] = 0
-	if f.Live {
-		s[frameLive] = 1
-	}
-	s[frameBoundary] = float64(f.Boundary)
 	s[frameT] = float64(f.T)
 	s[frameDriftSq] = f.DriftSq
 	s[frameComputeNs] = f.ComputeNs
 	s[frameWallNs] = f.WallNs
 	s[frameSimCompute] = f.SimCompute
 	s[frameSimComm] = f.SimComm
-	s[frameRatio] = f.Ratio
 	s[frameSent2] = f.Sent2
 	s[frameResid2] = f.Resid2
 }
@@ -81,15 +64,12 @@ func DecodeFrame(buf []float64, r int) Frame {
 	s := buf[r*FrameWords : (r+1)*FrameWords]
 	return Frame{
 		Rank:       r,
-		Live:       s[frameLive] != 0,
-		Boundary:   int(s[frameBoundary]),
 		T:          int(s[frameT]),
 		DriftSq:    s[frameDriftSq],
 		ComputeNs:  s[frameComputeNs],
 		WallNs:     s[frameWallNs],
 		SimCompute: s[frameSimCompute],
 		SimComm:    s[frameSimComm],
-		Ratio:      s[frameRatio],
 		Sent2:      s[frameSent2],
 		Resid2:     s[frameResid2],
 	}
@@ -119,22 +99,19 @@ type Fleet struct {
 	mu         sync.Mutex
 	boundaries int64
 	words      int64 // control-frame words the boundaries' collectives moved
-	lastLive   int
 	lastT      int
-	drift      float64 // replica-drift RMS over the live ranks at the last boundary
+	drift      float64 // replica-drift RMS at the last boundary
 	ranks      []RankHealth
 	sig        []float64 // detector scratch: per-rank compute signal
-	liveMask   []bool
 }
 
 // NewFleet builds the fleet view for p ranks.
 func NewFleet(p int) *Fleet {
 	f := &Fleet{
-		p:        p,
-		det:      NewDetector(p, 0, 0, 0),
-		ranks:    make([]RankHealth, p),
-		sig:      make([]float64, p),
-		liveMask: make([]bool, p),
+		p:     p,
+		det:   NewDetector(p, 0, 0, 0),
+		ranks: make([]RankHealth, p),
+		sig:   make([]float64, p),
 	}
 	for r := range f.ranks {
 		f.ranks[r].Rank = r
@@ -145,9 +122,9 @@ func NewFleet(p int) *Fleet {
 // Ingest decodes one boundary's summed control frame — p frame slots,
 // then any other words that rode the same collective — updates the
 // per-rank view and the drift RMS, and runs the straggler detector. It
-// counts the words the frame's binomial-tree allreduce moved over the L
-// live ranks: 2(L−1) messages, reduce and broadcast legs, of len(buf)
-// words. Called by the boundary's virtual rank 0 only.
+// counts the words the frame's binomial-tree allreduce moved over the p
+// ranks: 2(p−1) messages, reduce and broadcast legs, of len(buf) words.
+// Called by rank 0 only.
 func (f *Fleet) Ingest(buf []float64) {
 	if f == nil {
 		return
@@ -156,17 +133,11 @@ func (f *Fleet) Ingest(buf []float64) {
 	defer f.mu.Unlock()
 	f.boundaries++
 
-	live, t, driftSq := 0, 0, 0.0
-	for r := 0; r < f.p && (r+1)*FrameWords <= len(buf); r++ {
+	t, driftSq := 0, 0.0
+	for r := 0; r < f.p; r++ {
 		fr := DecodeFrame(buf, r)
 		h := &f.ranks[r]
 		h.Frame = fr
-		f.liveMask[r] = fr.Live
-		f.sig[r] = 0
-		if !fr.Live {
-			continue
-		}
-		live++
 		h.TotComputeNs += fr.ComputeNs
 		h.TotWallNs += fr.WallNs
 		h.TotSimCompute += fr.SimCompute
@@ -182,14 +153,11 @@ func (f *Fleet) Ingest(buf []float64) {
 			f.sig[r] = fr.ComputeNs
 		}
 	}
-	f.drift = 0
-	if live > 0 {
-		f.drift = math.Sqrt(driftSq / float64(live))
-		f.words += int64(2*(live-1)) * int64(len(buf))
-	}
-	f.lastT, f.lastLive = t, live
+	f.drift = math.Sqrt(driftSq / float64(f.p))
+	f.words += int64(2*(f.p-1)) * int64(len(buf))
+	f.lastT = t
 
-	f.det.Observe(f.sig, f.liveMask)
+	f.det.Observe(f.sig)
 	for r := range f.ranks {
 		f.ranks[r].Z = f.det.Z(r)
 		f.ranks[r].Flagged = f.det.Flagged(r)
@@ -200,7 +168,6 @@ func (f *Fleet) Ingest(buf []float64) {
 type FleetSnap struct {
 	Boundaries int64
 	Words      int64 // control-frame words on the wire
-	Live       int
 	T          int
 	DriftRMS   float64
 	Ranks      []RankHealth
@@ -218,7 +185,6 @@ func (f *Fleet) Snapshot() *FleetSnap {
 	s := &FleetSnap{
 		Boundaries: f.boundaries,
 		Words:      f.words,
-		Live:       f.lastLive,
 		T:          f.lastT,
 		DriftRMS:   f.drift,
 		Ranks:      append([]RankHealth(nil), f.ranks...),
@@ -234,7 +200,7 @@ func (f *Fleet) Snapshot() *FleetSnap {
 
 // The straggler/anomaly detector: a leave-one-out z-score band over the
 // fleet's per-rank compute signal. At each boundary, rank i's signal is
-// compared against the mean and standard deviation of its LIVE peers
+// compared against the mean and standard deviation of its peers
 // (everyone but i): z_i = (v_i − mean_peers) / max(std_peers, floor).
 // Leaving i out matters at small fleets — with p = 8 and one 4×
 // straggler, a plain z-score dilutes the mean and inflates the std with
@@ -293,32 +259,22 @@ func NewDetector(p int, z float64, streak int, epsFrac float64) *Detector {
 	}
 }
 
-// Observe scores one boundary's per-rank signal (vals[r] compared among
-// ranks with live[r] true) and returns the ranks newly flagged this
-// boundary, ascending. Dead ranks keep their flags but stop
-// accumulating streaks.
-func (d *Detector) Observe(vals []float64, live []bool) (newlyFlagged []int) {
-	n := len(d.streak)
-	// Totals over the live set, so each rank's peer stats are one
+// Observe scores one boundary's per-rank signal (vals[r], one per rank)
+// and returns the ranks newly flagged this boundary, ascending.
+func (d *Detector) Observe(vals []float64) (newlyFlagged []int) {
+	n := min(len(d.streak), len(vals))
+	// Totals over every rank, so each rank's peer stats are one
 	// subtraction away (leave-one-out without a second pass).
-	liveN := 0
 	sum, sum2 := 0.0, 0.0
-	for r := 0; r < n && r < len(vals); r++ {
-		if r < len(live) && live[r] {
-			liveN++
-			sum += vals[r]
-			sum2 += vals[r] * vals[r]
-		}
+	for r := 0; r < n; r++ {
+		sum += vals[r]
+		sum2 += vals[r] * vals[r]
 	}
-	for r := 0; r < n && r < len(vals); r++ {
+	for r := 0; r < n; r++ {
 		d.zs[r] = 0
-		if r >= len(live) || !live[r] {
-			d.streak[r] = 0
-			continue
-		}
-		peers := liveN - 1
+		peers := n - 1
 		if peers < 2 {
-			// One or two live ranks: no peer distribution to test against.
+			// One or two ranks: no peer distribution to test against.
 			d.streak[r] = 0
 			continue
 		}

@@ -8,20 +8,20 @@ import (
 func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	buf := frameBuf(4)
 	f := Frame{
-		Rank: 2, Live: true, Boundary: 7, T: 8,
+		Rank: 2, T: 8,
 		DriftSq: 0.5, ComputeNs: 1e6, WallNs: 2e6,
 		SimCompute: 0.25, SimComm: 0.125,
-		Ratio: 0.05, Sent2: 3, Resid2: 1,
+		Sent2: 3, Resid2: 1,
 	}
 	f.Encode(buf)
 	got := DecodeFrame(buf, 2)
 	if got != f {
 		t.Fatalf("round trip: got %+v, want %+v", got, f)
 	}
-	// Other slots stay zero/not-live.
+	// Other slots stay zero.
 	for _, r := range []int{0, 1, 3} {
-		if DecodeFrame(buf, r).Live {
-			t.Fatalf("rank %d decoded live from an empty slot", r)
+		if got := DecodeFrame(buf, r); got != (Frame{Rank: r}) {
+			t.Fatalf("rank %d decoded %+v from an empty slot", r, got)
 		}
 	}
 }
@@ -34,14 +34,14 @@ func TestFrameSumIsConcatenation(t *testing.T) {
 	sum := frameBuf(p)
 	for r := 0; r < p; r++ {
 		own := frameBuf(p)
-		Frame{Rank: r, Live: true, Boundary: 1, T: 2, DriftSq: float64(r) + 0.5}.Encode(own)
+		Frame{Rank: r, T: 2, DriftSq: float64(r) + 0.5}.Encode(own)
 		for i := range sum {
 			sum[i] += own[i]
 		}
 	}
 	for r := 0; r < p; r++ {
 		f := DecodeFrame(sum, r)
-		if !f.Live || f.Rank != r || f.DriftSq != float64(r)+0.5 {
+		if f.Rank != r || f.T != 2 || f.DriftSq != float64(r)+0.5 {
 			t.Fatalf("rank %d after sum: %+v", r, f)
 		}
 	}
@@ -51,20 +51,19 @@ func TestFrameSumIsConcatenation(t *testing.T) {
 func frameBuf(p int) []float64 { return make([]float64, p*FrameWords) }
 
 // TestFleetCountsFrameWords: each ingest counts the words its tree
-// allreduce moved — (L−1) reduce and (L−1) broadcast messages, each the
-// whole buffer long, controller words after the slots included — over
-// the L live slots, not the p the frame was built for.
+// allreduce moved — (p−1) reduce and (p−1) broadcast messages, each the
+// whole buffer long, controller words after the slots included.
 func TestFleetCountsFrameWords(t *testing.T) {
-	const p, extra = 4, 4
+	const p, extra, boundaries = 4, 4, 3
 	f := NewFleet(p)
-	for _, live := range []int{4, 3, 1} {
+	for b := 0; b < boundaries; b++ {
 		buf := make([]float64, p*FrameWords+extra)
-		for r := 0; r < live; r++ {
-			Frame{Rank: r, Live: true}.Encode(buf)
+		for r := 0; r < p; r++ {
+			Frame{Rank: r}.Encode(buf)
 		}
 		f.Ingest(buf)
 	}
-	if got, want := f.Snapshot().Words, int64((2*3+2*2+0)*(p*FrameWords+extra)); got != want {
+	if got, want := f.Snapshot().Words, int64(boundaries*2*(p-1)*(p*FrameWords+extra)); got != want {
 		t.Fatalf("fleet counted %d frame words, want %d", got, want)
 	}
 }
@@ -74,13 +73,13 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 	f := NewFleet(p)
 	buf := frameBuf(p)
 	for rank := 0; rank < p; rank++ {
-		Frame{Rank: rank, Live: true, Boundary: 0, T: 4, DriftSq: 0.01,
+		Frame{Rank: rank, T: 4, DriftSq: 0.01,
 			SimCompute: 0.1, SimComm: 0.02}.Encode(buf)
 	}
 	f.Ingest(buf)
 
 	snap := f.Snapshot()
-	if snap.Live != p || snap.T != 4 || snap.Boundaries != 1 {
+	if snap.T != 4 || snap.Boundaries != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	wantDrift := math.Sqrt(4 * 0.01 / 4)
@@ -91,19 +90,17 @@ func TestFleetIngestAndSnapshot(t *testing.T) {
 		t.Fatalf("anomalies = %v, want none", snap.Anomalies)
 	}
 
-	// Rank 3 dies: its slot stays zero and the view loses it.
+	// The next boundary: the latest frame replaces the last, the totals
+	// accumulate.
 	buf2 := frameBuf(p)
-	for rank := 0; rank < p-1; rank++ {
-		Frame{Rank: rank, Live: true, Boundary: 1, T: 8, DriftSq: 0.04,
+	for rank := 0; rank < p; rank++ {
+		Frame{Rank: rank, T: 8, DriftSq: 0.04,
 			SimCompute: 0.1, SimComm: 0.02}.Encode(buf2)
 	}
 	f.Ingest(buf2)
 	snap = f.Snapshot()
-	if snap.Live != p-1 || snap.T != 8 || snap.DriftRMS != 0.2 {
-		t.Fatalf("post-death snapshot = %+v", snap)
-	}
-	if snap.Ranks[3].Live {
-		t.Fatal("dead rank still live in the view")
+	if snap.T != 8 || snap.DriftRMS != 0.2 || snap.Boundaries != 2 {
+		t.Fatalf("second snapshot = %+v", snap)
 	}
 	if snap.Ranks[0].TotSimCompute != 0.2 {
 		t.Fatalf("cumulative sim compute = %g, want 0.2", snap.Ranks[0].TotSimCompute)
@@ -134,7 +131,7 @@ func TestFleetFlagsStraggler(t *testing.T) {
 			if rank == slow {
 				comp = 0.4
 			}
-			Frame{Rank: rank, Live: true, Boundary: b, T: 4, SimCompute: comp}.Encode(buf)
+			Frame{Rank: rank, T: 4, SimCompute: comp}.Encode(buf)
 		}
 		f.Ingest(buf)
 	}
@@ -155,8 +152,7 @@ func TestFleetFlagsStraggler(t *testing.T) {
 func TestDetectorLeaveOneOut(t *testing.T) {
 	d := NewDetector(8, 0, 1, 0) // flag on the first out-of-band boundary
 	vals := []float64{1, 1, 1, 1, 4, 1, 1, 1}
-	live := []bool{true, true, true, true, true, true, true, true}
-	newly := d.Observe(vals, live)
+	newly := d.Observe(vals)
 	if len(newly) != 1 || newly[0] != 4 {
 		t.Fatalf("newly flagged = %v, want [4]", newly)
 	}
@@ -179,37 +175,36 @@ func TestDetectorLeaveOneOut(t *testing.T) {
 
 func TestDetectorStreakResets(t *testing.T) {
 	d := NewDetector(4, 0, 3, 0)
-	live := []bool{true, true, true, true}
 	out := []float64{1, 1, 1, 4}
 	in := []float64{1, 1, 1, 1}
-	d.Observe(out, live)
-	d.Observe(out, live)
-	d.Observe(in, live) // back in band: streak resets
-	if newly := d.Observe(out, live); len(newly) != 0 {
+	d.Observe(out)
+	d.Observe(out)
+	d.Observe(in) // back in band: streak resets
+	if newly := d.Observe(out); len(newly) != 0 {
 		t.Fatalf("flagged after reset: %v", newly)
 	}
-	d.Observe(out, live)
-	if newly := d.Observe(out, live); len(newly) != 1 || newly[0] != 3 {
+	d.Observe(out)
+	if newly := d.Observe(out); len(newly) != 1 || newly[0] != 3 {
 		t.Fatalf("three consecutive out-of-band boundaries: newly = %v, want [3]", newly)
 	}
 	// Sticky: observing in-band again does not unflag.
-	d.Observe(in, live)
+	d.Observe(in)
 	if !d.Flagged(3) {
 		t.Fatal("flag not sticky")
 	}
 }
 
-func TestDetectorIgnoresDeadAndTinyFleets(t *testing.T) {
-	d := NewDetector(3, 0, 1, 0)
-	// Two live ranks: no peer distribution, nobody flagged however far
-	// apart they sit.
-	if newly := d.Observe([]float64{1, 100, 0}, []bool{true, true, false}); newly != nil {
-		t.Fatalf("flagged with one peer: %v", newly)
+func TestDetectorIgnoresTinyFleets(t *testing.T) {
+	// Two ranks: no peer distribution, nobody flagged however far apart
+	// they sit.
+	d := NewDetector(2, 0, 1, 0)
+	if newly := d.Observe([]float64{1, 100}); newly != nil || d.Z(1) != 0 {
+		t.Fatalf("flagged with one peer: %v (z %g)", newly, d.Z(1))
 	}
-	// Dead rank's huge value must not be scored or skew peers.
+	// A signal shorter than the fleet scores only the ranks it covers.
 	d2 := NewDetector(4, 0, 1, 0)
-	if newly := d2.Observe([]float64{1, 1, 1, 1e9}, []bool{true, true, true, false}); newly != nil {
-		t.Fatalf("dead rank scored: %v", newly)
+	if newly := d2.Observe([]float64{1, 100}); newly != nil {
+		t.Fatalf("short signal scored: %v", newly)
 	}
 }
 
@@ -218,7 +213,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 	f := NewFleet(p)
 	buf := frameBuf(p)
 	for rank := 0; rank < p; rank++ {
-		Frame{Rank: rank, Live: true, T: 4, SimCompute: 0.1}.Encode(buf)
+		Frame{Rank: rank, T: 4, SimCompute: 0.1}.Encode(buf)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

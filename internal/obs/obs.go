@@ -50,19 +50,14 @@ const (
 	PhaseQueueDwell              // comm worker: a launch's wait before the runner picks it up
 	PhaseAllreduce               // comm worker: a launch's exchange
 	PhaseBcast                   // initial parameter broadcast
-	PhaseHeartbeat               // membership: a rank's wait at a sync point
-	PhaseEvict                   // membership: a dead rank's eviction
-	PhaseReform                  // membership: survivor group re-formation
-	PhaseCrash                   // membership: a scheduled learner crash
 	PhaseCompress                // compression codec: residual fold + select/quantize + encode
-	PhaseEval                    // epoch-end accuracy evaluation on virtual rank 0
+	PhaseEval                    // epoch-end accuracy evaluation on rank 0
 	NumPhases                    // number of phases (array sizing)
 )
 
 var phaseNames = [NumPhases]string{
 	"forward", "backward", "local_step",
 	"agg_wait", "agg_apply", "queue_dwell", "allreduce", "bcast",
-	"heartbeat", "evict", "reform", "crash",
 	"compress", "eval",
 }
 
@@ -260,44 +255,21 @@ func (tr *Tracer) now() int64 {
 const (
 	pidLearner = 1
 	pidComm    = 2
-	pidFabric  = 3
 )
 
 // NewTrack registers a new track under the given process group name and
 // thread name/ids. Nil-safe: returns nil (the disabled track) on a nil
 // tracer, so call sites wire tracks unconditionally.
 func (tr *Tracer) NewTrack(process, name string, pid, tid int) *Track {
-	return tr.NewSizedTrack(process, name, pid, tid, 0)
-}
-
-// NewSizedTrack is NewTrack with an explicit ring capacity in spans
-// (≤ 0 selects the tracer's default). Sparse event sources — the
-// membership ledger's tracks — use small rings so they do not multiply
-// the tracer's footprint by the default 16k-span capacity.
-func (tr *Tracer) NewSizedTrack(process, name string, pid, tid, spans int) *Track {
 	if tr == nil {
 		return nil
 	}
-	if spans <= 0 {
-		spans = tr.trackCap
-	}
 	t := &Track{tr: tr, process: process, name: name, pid: pid, tid: tid,
-		spans: make([]span, spans)}
+		spans: make([]span, tr.trackCap)}
 	tr.mu.Lock()
 	tr.tracks = append(tr.tracks, t)
 	tr.mu.Unlock()
 	return t
-}
-
-// FabricTrack returns a new small track on the fabric process group —
-// the membership ledger's crash/eviction/re-form events or its
-// heartbeats (nil on a nil tracer). Each fabric track has a single
-// writer at a time: whichever goroutine holds the ledger mutex.
-func (tr *Tracer) FabricTrack(name string, tid int) *Track {
-	if tr == nil {
-		return nil
-	}
-	return tr.NewSizedTrack("fabric", name, pidFabric, tid, 1024)
 }
 
 // Learner returns a new track on the learner process group for the
